@@ -83,13 +83,17 @@ func TestClientFastNonceRound(t *testing.T) {
 		t.Fatalf("NewClient: %v", err)
 	}
 	defer client.Close()
-	// The client's main surface must be the fast table; the ephemeral
-	// surface (private key held) follows the fast knob too.
-	if _, ok := client.Enc().(*paillier.FastEncryptor); !ok {
-		t.Errorf("client Enc is %T, want *paillier.FastEncryptor", client.Enc())
-	}
-	if _, ok := client.EphEnc().(*paillier.FastEncryptor); !ok {
-		t.Errorf("client EphEnc is %T, want *paillier.FastEncryptor", client.EphEnc())
+	// The client's main surface must draw its nonces from the fast table;
+	// the ephemeral surface (private key held) follows the fast knob too.
+	// Where pools run (GOMAXPROCS > 1) the table sits behind a NoncePool.
+	for name, enc := range map[string]paillier.Encryptor{"Enc": client.Enc(), "EphEnc": client.EphEnc()} {
+		var src interface{} = enc
+		if pool, ok := enc.(*paillier.NoncePool); ok {
+			src = pool.Source()
+		}
+		if _, ok := src.(*paillier.FastEncryptor); !ok {
+			t.Errorf("client %s draws nonces from %T, want *paillier.FastEncryptor", name, src)
+		}
 	}
 	// Round trip through S2's CompareSigns: blind a difference with a
 	// fast-nonce rerandomization and check the sign survives.

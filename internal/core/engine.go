@@ -306,13 +306,9 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 			histories[i].EHLs = append(histories[i].EHLs, depthItems[i].EHL)
 			histories[i].Scores = append(histories[i].Scores, depthItems[i].Score)
 		}
-		worst, err := protocols.SecWorstAll(ctx, e.client, depthItems)
+		worst, best, err := protocols.SecWorstBestAll(ctx, e.client, depthItems, histories)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d SecWorst: %w", d, err)
-		}
-		best, err := protocols.SecBestAll(ctx, e.client, depthItems, histories)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d SecBest: %w", d, err)
+			return nil, nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
 		}
 		gamma := make([]protocols.Item, m)
 		for i := 0; i < m; i++ {

@@ -230,14 +230,11 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 	}
 	items := make([]protocols.Item, e.db.N)
 	for i, rec := range e.db.Records {
-		dist, err := pk.EncryptZero()
+		// SecMult's outputs are already randomized, so their sum needs no
+		// fresh encryption of zero.
+		dist, err := pk.AddAll(squares[i*e.db.M : (i+1)*e.db.M])
 		if err != nil {
 			return nil, err
-		}
-		for j := 0; j < e.db.M; j++ {
-			if dist, err = pk.Add(dist, squares[i*e.db.M+j]); err != nil {
-				return nil, err
-			}
 		}
 		items[i] = protocols.Item{EHL: rec.ID, Scores: []*paillier.Ciphertext{dist}}
 	}

@@ -14,109 +14,93 @@ import (
 // semantics on randomized inputs. Sizes stay tiny because every check
 // drives real two-party crypto.
 
-// TestPropertySecWorst checks SecWorstAll against the plaintext rule
-// W_i = x_i + sum_{j != i, o_j = o_i} x_j on random depth snapshots.
-func TestPropertySecWorst(t *testing.T) {
+// TestPropertySecWorstBest is the differential test of the fused
+// worst/best routine: on random list prefixes drawn from a small object
+// domain (so items share an object at the current depth, and objects have
+// already appeared in other lists' histories), SecWorstBestAll must
+// decrypt to the plaintext formulas of Algorithms 4 and 6,
+//
+//	W_i = x_i + sum_{j != i, o_j = o_i} x_j
+//	B_i = x_i + sum_{j != i} (o_i's score in L_j if seen there, else bottom_j)
+//
+// in two rounds, and SecWorstAll / SecBestAll must return the same values.
+func TestPropertySecWorstBest(t *testing.T) {
 	e := env(t)
+	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 2 + rng.Intn(3)
-		objs := make([]uint64, m)
-		scores := make([]int64, m)
-		items := make([]DepthItem, m)
-		for i := 0; i < m; i++ {
-			objs[i] = uint64(rng.Intn(3)) // small domain forces collisions
-			scores[i] = int64(rng.Intn(50))
-			items[i] = DepthItem{EHL: e.list(t, objs[i]), Score: e.enc(t, scores[i])}
-		}
-		got, err := SecWorstAll(context.Background(), e.client, items)
-		if err != nil {
-			t.Logf("SecWorstAll: %v", err)
-			return false
-		}
-		for i := 0; i < m; i++ {
-			want := scores[i]
-			for j := 0; j < m; j++ {
-				if j != i && objs[j] == objs[i] {
-					want += scores[j]
-				}
-			}
-			if e.dec(t, got[i]) != want {
-				t.Logf("seed %d: worst[%d] = %d, want %d (objs=%v scores=%v)",
-					seed, i, e.dec(t, got[i]), want, objs, scores)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertySecBest checks SecBestAll against the plaintext NRA bound
-// on random list prefixes.
-func TestPropertySecBest(t *testing.T) {
-	e := env(t)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 2 + rng.Intn(2)
 		depth := 1 + rng.Intn(3)
 		// objsAt[j][d], scoresAt[j][d]: list j at depth d. Objects appear
 		// at most once per list.
 		objsAt := make([][]uint64, m)
 		scoresAt := make([][]int64, m)
 		hist := make([]ListHistory, m)
-		for j := 0; j < m; j++ {
-			perm := rng.Perm(8)
-			vals := make([]int64, depth)
-			for d := range vals {
-				vals[d] = int64(60 - 10*d - rng.Intn(5)) // descending-ish
-			}
-			objsAt[j] = make([]uint64, depth)
-			scoresAt[j] = vals
-			for d := 0; d < depth; d++ {
-				objsAt[j][d] = uint64(perm[d])
-				hist[j].EHLs = append(hist[j].EHLs, e.list(t, objsAt[j][d]))
-				hist[j].Scores = append(hist[j].Scores, e.enc(t, vals[d]))
-			}
-		}
 		items := make([]DepthItem, m)
 		for j := 0; j < m; j++ {
-			items[j] = DepthItem{
-				EHL:   e.list(t, objsAt[j][depth-1]),
-				Score: e.enc(t, scoresAt[j][depth-1]),
+			perm := rng.Perm(4)
+			objsAt[j] = make([]uint64, depth)
+			scoresAt[j] = make([]int64, depth)
+			for d := 0; d < depth; d++ {
+				objsAt[j][d] = uint64(perm[d])
+				scoresAt[j][d] = int64(60 - 10*d - rng.Intn(5)) // descending-ish
+				hist[j].EHLs = append(hist[j].EHLs, e.list(t, objsAt[j][d]))
+				hist[j].Scores = append(hist[j].Scores, e.enc(t, scoresAt[j][d]))
 			}
+			items[j] = DepthItem{EHL: hist[j].EHLs[depth-1], Score: hist[j].Scores[depth-1]}
 		}
-		got, err := SecBestAll(context.Background(), e.client, items, hist)
+		before := e.stats.Rounds()
+		worst, best, err := SecWorstBestAll(ctx, e.client, items, hist)
+		if err != nil {
+			t.Logf("SecWorstBestAll: %v", err)
+			return false
+		}
+		if rounds := e.stats.Rounds() - before; rounds != 2 {
+			t.Logf("seed %d: SecWorstBestAll took %d rounds, want 2", seed, rounds)
+			return false
+		}
+		worstOnly, err := SecWorstAll(ctx, e.client, items)
+		if err != nil {
+			t.Logf("SecWorstAll: %v", err)
+			return false
+		}
+		bestOnly, err := SecBestAll(ctx, e.client, items, hist)
 		if err != nil {
 			t.Logf("SecBestAll: %v", err)
 			return false
 		}
 		for i := 0; i < m; i++ {
 			obj := objsAt[i][depth-1]
-			want := scoresAt[i][depth-1]
+			wantW, wantB := scoresAt[i][depth-1], scoresAt[i][depth-1]
 			for j := 0; j < m; j++ {
 				if j == i {
 					continue
+				}
+				if objsAt[j][depth-1] == obj {
+					wantW += scoresAt[j][depth-1]
 				}
 				contrib := scoresAt[j][depth-1] // bottom
 				for d := 0; d < depth; d++ {
 					if objsAt[j][d] == obj {
 						contrib = scoresAt[j][d]
-						break
 					}
 				}
-				want += contrib
+				wantB += contrib
 			}
-			if e.dec(t, got[i]) != want {
-				t.Logf("seed %d: best[%d] = %d, want %d", seed, i, e.dec(t, got[i]), want)
+			gotW, gotB := e.dec(t, worst[i]), e.dec(t, best[i])
+			if gotW != wantW || gotB != wantB {
+				t.Logf("seed %d: item %d (W, B) = (%d, %d), want (%d, %d) (objs=%v scores=%v)",
+					seed, i, gotW, gotB, wantW, wantB, objsAt, scoresAt)
+				return false
+			}
+			if pw, pb := e.dec(t, worstOnly[i]), e.dec(t, bestOnly[i]); pw != gotW || pb != gotB {
+				t.Logf("seed %d: item %d projections (W, B) = (%d, %d), fused (%d, %d)", seed, i, pw, pb, gotW, gotB)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
 }

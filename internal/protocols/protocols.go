@@ -19,6 +19,7 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
+	"repro/internal/prf"
 	"repro/internal/zmath"
 )
 
@@ -189,6 +190,30 @@ func (s *selector) resolve(ctx context.Context) ([]*paillier.Ciphertext, error) 
 		return nil, err
 	}
 	return RecoverEnc(ctx, s.client, terms)
+}
+
+// eqBitsPermuted ships randomized equality ciphertexts to S2 under a fresh
+// random permutation (Algorithm 4 line 2), so S2 sees the equality pattern
+// but not which pair a bit belongs to, and returns the hidden bits E2(t)
+// in the order of eqCts.
+func eqBitsPermuted(ctx context.Context, c *cloud.Client, eqCts []*paillier.Ciphertext) ([]*dj.Ciphertext, error) {
+	perm, err := prf.RandomPerm(len(eqCts))
+	if err != nil {
+		return nil, err
+	}
+	permuted := make([]*paillier.Ciphertext, len(eqCts))
+	for i := range eqCts {
+		permuted[perm[i]] = eqCts[i]
+	}
+	bitsPermuted, err := c.EqBits(ctx, permuted)
+	if err != nil {
+		return nil, err
+	}
+	bits := make([]*dj.Ciphertext, len(eqCts))
+	for i := range bits {
+		bits[i] = bitsPermuted[perm[i]]
+	}
+	return bits, nil
 }
 
 // oneMinusAll computes E2(1-t) for a batch of hidden bits, drawing the

@@ -2,6 +2,8 @@ package protocols
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -307,6 +309,17 @@ func TestSecBestAll(t *testing.T) {
 			t.Errorf("best[%d] = %d, want %d (paper Fig. 3b)", i, got, want)
 		}
 	}
+	// The fused call returns the same bounds beside the worst scores: X3
+	// sits at this depth in both R2 and R3, so its two items carry 7 + 6.
+	worst, fusedBest, err := SecWorstBestAll(context.Background(), e.client, items, hist)
+	if err != nil {
+		t.Fatalf("SecWorstBestAll: %v", err)
+	}
+	for i, want := range []struct{ w, b int64 }{{8, 22}, {13, 21}, {13, 21}} {
+		if w, b := e.dec(t, worst[i]), e.dec(t, fusedBest[i]); w != want.w || b != want.b {
+			t.Errorf("fused (W, B)[%d] = (%d, %d), want (%d, %d)", i, w, b, want.w, want.b)
+		}
+	}
 	if _, err := SecBestAll(context.Background(), e.client, items, hist[:1]); err == nil {
 		t.Fatal("expected history length mismatch error")
 	}
@@ -573,49 +586,133 @@ func TestEncSortEdgeCases(t *testing.T) {
 	}
 }
 
-func TestEncSelectTop(t *testing.T) {
-	e := env(t)
-	vals := []int64{5, 12, 3, 9, 1, 7}
-	items := make([]Item, len(vals))
-	for i, v := range vals {
-		items[i] = e.item(t, uint64(i), v)
-	}
-	out, err := EncSelectTop(context.Background(), e.client, items, 0, true, 3, 16)
-	if err != nil {
-		t.Fatalf("EncSelectTop: %v", err)
-	}
-	want := []int64{12, 9, 7}
-	for i := range want {
-		if got := e.dec(t, out[i].Scores[0]); got != want[i] {
-			t.Fatalf("top[%d] = %d, want %d", i, got, want[i])
+// TestTournamentLayers checks the selection schedule without any crypto:
+// pass p over positions p..n-1 has n-1-p gates in ceil(log2(n-p)) layers,
+// no position appears twice in a layer, and running the k passes on
+// plaintext keys leaves the top k, in order, at 0..k-1.
+func TestTournamentLayers(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		for k := 0; k <= n+1; k++ {
+			vals, err := prf.RandomPerm(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < k && p < n; p++ {
+				layers := tournamentLayers(p, n)
+				if want := bits.Len(uint(n - p - 1)); len(layers) != want {
+					t.Fatalf("n=%d pass %d: %d layers, want %d", n, p, len(layers), want)
+				}
+				gates := 0
+				for _, layer := range layers {
+					seen := map[int]bool{}
+					for _, g := range layer {
+						if g.i < p || g.i >= g.j || g.j >= n {
+							t.Fatalf("n=%d pass %d: gate %v out of order or range", n, p, g)
+						}
+						if seen[g.i] || seen[g.j] {
+							t.Fatalf("n=%d pass %d: layer reuses a position: %v", n, p, layer)
+						}
+						seen[g.i], seen[g.j] = true, true
+						if vals[g.i] > vals[g.j] {
+							vals[g.i], vals[g.j] = vals[g.j], vals[g.i]
+						}
+					}
+					gates += len(layer)
+				}
+				if gates != n-1-p {
+					t.Fatalf("n=%d pass %d: %d gates, want %d", n, p, gates, n-1-p)
+				}
+				if vals[p] != p {
+					t.Fatalf("n=%d pass %d: position %d holds rank %d: %v", n, p, p, vals[p], vals)
+				}
+			}
 		}
-	}
-	// k > n clamps.
-	out2, err := EncSelectTop(context.Background(), e.client, items[:2], 0, true, 10, 16)
-	if err != nil || len(out2) != 2 {
-		t.Fatalf("clamped selection: %v", err)
-	}
-	if _, err := EncSelectTop(context.Background(), e.client, items, 0, true, -1, 16); err == nil {
-		t.Fatal("expected negative k error")
-	}
-	if out3, err := EncSelectTop(context.Background(), e.client, nil, 0, true, 1, 16); err != nil || out3 != nil {
-		t.Fatal("empty selection should be a no-op")
 	}
 }
 
-func TestEncSelectTopAscending(t *testing.T) {
+// TestEncSelectTop decrypts the selection's output: the first min(k, n)
+// positions must equal the plaintext sort, the rest must be the leftover
+// multiset, payload columns must travel with their key, and every
+// tournament layer must cost exactly two rounds.
+func TestEncSelectTop(t *testing.T) {
 	e := env(t)
-	vals := []int64{5, 12, 3, 9}
-	items := make([]Item, len(vals))
-	for i, v := range vals {
-		items[i] = e.item(t, uint64(i), v)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		vals []int64
+		desc bool
+		k    int
+	}{
+		{"descending", []int64{5, 12, 3, 9, 1, 7}, true, 3},
+		{"ascending", []int64{5, 12, 3, 9}, false, 2},
+		{"duplicate keys", []int64{4, 9, 4, 9, 9, 0, 4}, true, 4},
+		{"duplicate keys ascending", []int64{4, -1, 4, 0, -1}, false, 3},
+		{"k equals n", []int64{2, 8, 5}, true, 3},
+		{"k beyond n", []int64{2, 8, 5, 8, 1}, true, 10},
+		{"not a power of two", []int64{6, 1, 9, 3, 7, 2, 8}, false, 3},
+		{"single item", []int64{42}, true, 1},
+		{"k zero", []int64{3, 1, 2}, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.vals)
+			items := make([]Item, n)
+			for i, v := range tc.vals {
+				items[i] = e.item(t, uint64(100+i), v, int64(i))
+			}
+			before := e.stats.Rounds()
+			out, err := EncSelectTop(ctx, e.client, items, 0, tc.desc, tc.k, 16)
+			if err != nil {
+				t.Fatalf("EncSelectTop: %v", err)
+			}
+			k := tc.k
+			if k > n {
+				k = n
+			}
+			var layers int64
+			for p := 0; p < k; p++ {
+				layers += int64(bits.Len(uint(n - p - 1)))
+			}
+			if rounds := e.stats.Rounds() - before; rounds != 2*layers {
+				t.Errorf("%d rounds for %d layers, want %d", rounds, layers, 2*layers)
+			}
+			if len(out) != n {
+				t.Fatalf("selection changed length %d -> %d", n, len(out))
+			}
+			want := append([]int64(nil), tc.vals...)
+			sort.Slice(want, func(i, j int) bool {
+				if tc.desc {
+					return want[i] > want[j]
+				}
+				return want[i] < want[j]
+			})
+			got := make([]int64, n)
+			for i, it := range out {
+				got[i] = e.dec(t, it.Scores[0])
+				if idx := e.dec(t, it.Scores[1]); tc.vals[idx] != got[i] {
+					t.Fatalf("payload decoupled from key: key=%d idx=%d", got[i], idx)
+				}
+			}
+			for i := 0; i < k; i++ {
+				if got[i] != want[i] {
+					t.Fatalf("prefix = %v, want %v", got[:k], want[:k])
+				}
+			}
+			slices.Sort(got[k:])
+			slices.Sort(want[k:])
+			if !slices.Equal(got[k:], want[k:]) {
+				t.Fatalf("leftovers = %v, want the multiset %v", got[k:], want[k:])
+			}
+		})
 	}
-	out, err := EncSelectTop(context.Background(), e.client, items, 0, false, 2, 16)
-	if err != nil {
-		t.Fatal(err)
+	items := []Item{e.item(t, 1, 5), e.item(t, 2, 6)}
+	if _, err := EncSelectTop(ctx, e.client, items, 0, true, -1, 16); err == nil {
+		t.Fatal("expected negative k error")
 	}
-	if e.dec(t, out[0].Scores[0]) != 3 || e.dec(t, out[1].Scores[0]) != 5 {
-		t.Fatal("ascending selection wrong")
+	if _, err := EncSelectTop(ctx, e.client, items, 1, true, 1, 16); err == nil {
+		t.Fatal("expected column range error")
+	}
+	if out, err := EncSelectTop(ctx, e.client, nil, 0, true, 1, 16); err != nil || out != nil {
+		t.Fatal("empty selection should be a no-op")
 	}
 }
 

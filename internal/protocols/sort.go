@@ -229,12 +229,33 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 	return nil
 }
 
+// tournamentLayers returns selection pass p over positions p..n-1 as a
+// single-elimination tournament: layer l holds the independent gates
+// (p + j*2^(l+1), p + j*2^(l+1) + 2^l), a position without a partner gets
+// a bye, and after the last layer position p holds the winner. That is
+// n-1-p gates in ceil(log2(n-p)) layers.
+func tournamentLayers(p, n int) [][]gate {
+	var layers [][]gate
+	for step := 1; p+step < n; step <<= 1 {
+		var layer []gate
+		for i := p; i+step < n; i += 2 * step {
+			layer = append(layer, gate{i, i + step})
+		}
+		layers = append(layers, layer)
+	}
+	return layers
+}
+
 // EncSelectTop partially orders items so positions 0..k-1 hold the top k
 // by the key column (descending when desc, which is the engine's use:
-// largest worst scores first). It runs k selection passes of sequential
-// compare-exchange gates — O(k*l) gates, cheaper than a full sort for the
-// small k of a top-k query and the alternative the efficiency analysis of
-// Section 10.3 suggests. The remaining positions hold the leftovers in
+// largest worst scores first). It runs k selection passes; pass p is a
+// tournament over positions p..n-1 that leaves the best remaining item at
+// p (see tournamentLayers). The gate count is O(k*l), cheaper than a full
+// sort for the small k of a top-k query, and the gates of one tournament
+// layer do not depend on each other, so they share one comparison batch
+// and one recovery batch as Section 10.3 argues for EncSort's network
+// layers: 2*ceil(log2(n-p)) rounds per pass, not 2*(n-1-p). Equal keys
+// keep the lower position. The remaining positions hold the leftovers in
 // arbitrary order.
 func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, desc bool, k, magBits int) ([]Item, error) {
 	n := len(items)
@@ -254,9 +275,8 @@ func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, d
 		k = n
 	}
 	for p := 0; p < k; p++ {
-		for i := p + 1; i < n; i++ {
-			// Gate (p, i): keep the winner at position p.
-			if err := runGateLayer(ctx, c, work, []gate{{p, i}}, col, desc, magBits+2); err != nil {
+		for _, layer := range tournamentLayers(p, n) {
+			if err := runGateLayer(ctx, c, work, layer, col, desc, magBits+2); err != nil {
 				return nil, err
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
-	"repro/internal/prf"
 )
 
 // SecUpdate merges the current depth's deduplicated items gamma into the
@@ -68,21 +67,9 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	if err != nil {
 		return nil, err
 	}
-	perm, err := prf.RandomPerm(len(eqCts))
+	bits, err := eqBitsPermuted(ctx, c, eqCts)
 	if err != nil {
 		return nil, err
-	}
-	permuted := make([]*paillier.Ciphertext, len(eqCts))
-	for i := range eqCts {
-		permuted[perm[i]] = eqCts[i]
-	}
-	bitsPermuted, err := c.EqBits(ctx, permuted)
-	if err != nil {
-		return nil, err
-	}
-	bits := make([]*dj.Ciphertext, len(refs))
-	for i := range refs {
-		bits[i] = bitsPermuted[perm[i]]
 	}
 	notBits, err := oneMinusAll(ctx, c, bits)
 	if err != nil {

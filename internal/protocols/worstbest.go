@@ -10,7 +10,6 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
-	"repro/internal/prf"
 	"repro/internal/zmath"
 )
 
@@ -42,187 +41,133 @@ func validateDepthItems(items []DepthItem) error {
 }
 
 // SecWorstAll is the SecWorst protocol (Algorithm 4) run for every item at
-// the current depth at once. The worst (lower-bound) contribution of this
-// depth for item i is its own score plus the scores of every other
-// same-depth item that carries the same object id:
-//
-//	W_i = x_i + sum_{j != i} t_ij * x_j,   t_ij = [o_i = o_j]
-//
-// The equality bits are obtained through one permuted EqBits round and the
-// selections resolve with one batched RecoverEnc round; S2's view is the
-// permuted equality pattern of the depth (leakage EP^d).
+// the current depth at once: the worst half of SecWorstBestAll over a
+// depth with no past.
 func SecWorstAll(ctx context.Context, c *cloud.Client, items []DepthItem) ([]*paillier.Ciphertext, error) {
-	if err := validateDepthItems(items); err != nil {
-		return nil, err
+	histories := make([]ListHistory, len(items))
+	for i, it := range items {
+		histories[i] = ListHistory{EHLs: []*ehl.List{it.EHL}, Scores: []*paillier.Ciphertext{it.Score}}
 	}
-	pk := c.PK()
-	m := len(items)
-	if m == 1 {
-		return []*paillier.Ciphertext{items[0].Score.Clone()}, nil
-	}
-
-	// Upper-triangle pair set; the randomized equality ciphertexts are
-	// independent, so they build in parallel.
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	eqCts, err := parallel.MapErrCtx(ctx, c.Parallelism(), pairs, func(_ int, p pair) (*paillier.Ciphertext, error) {
-		ct, err := ehl.SubEnc(c.Enc(), items[p.i].EHL, items[p.j].EHL)
-		if err != nil {
-			return nil, fmt.Errorf("protocols: SecWorst eq(%d,%d): %w", p.i, p.j, err)
-		}
-		return ct, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Random permutation before shipping to S2, per Algorithm 4 line 2.
-	perm, err := prf.RandomPerm(len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	permuted := make([]*paillier.Ciphertext, len(eqCts))
-	for i := range eqCts {
-		permuted[perm[i]] = eqCts[i]
-	}
-	bitsPermuted, err := c.EqBits(ctx, permuted)
-	if err != nil {
-		return nil, err
-	}
-	bits := make([]*dj.Ciphertext, len(pairs))
-	for i := range pairs {
-		bits[i] = bitsPermuted[perm[i]]
-	}
-	notBits, err := oneMinusAll(ctx, c, bits)
-	if err != nil {
-		return nil, err
-	}
-
-	// Queue t*x_j + (1-t)*0 for the (i<-j) direction and t*x_i + (1-t)*0
-	// for (j<-i); one recover round resolves everything.
-	zero, err := c.Enc().EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	sel := newSelector(c)
-	type slotRef struct {
-		item int
-		slot int
-	}
-	var refs []slotRef
-	for k, p := range pairs {
-		refs = append(refs,
-			slotRef{item: p.i, slot: sel.add(bits[k], notBits[k], items[p.j].Score, zero)},
-			slotRef{item: p.j, slot: sel.add(bits[k], notBits[k], items[p.i].Score, zero)})
-	}
-	resolved, err := sel.resolve(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*paillier.Ciphertext, m)
-	for i := range out {
-		out[i] = items[i].Score.Clone()
-	}
-	for _, r := range refs {
-		sum, err := pk.Add(out[r.item], resolved[r.slot])
-		if err != nil {
-			return nil, err
-		}
-		out[r.item] = sum
-	}
-	return out, nil
+	worst, _, err := secWorstBest(ctx, c, items, histories, true, false)
+	return worst, err
 }
 
 // SecBestAll is the SecBest protocol (Algorithm 6) run for every item at
-// the current depth at once. For the item of list i, the best
-// (upper-bound) score is its own value plus, for every other queried list
-// j, either the object's actual score in L_j if it already appeared there,
-// or L_j's current bottom value:
+// the current depth at once: the best half of SecWorstBestAll.
+func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) ([]*paillier.Ciphertext, error) {
+	_, best, err := secWorstBest(ctx, c, items, histories, false, true)
+	return best, err
+}
+
+// SecWorstBestAll runs SecWorst (Algorithm 4) and SecBest (Algorithm 6)
+// for every item at the current depth in two rounds: one permuted EqBits
+// batch and one RecoverEnc batch.
+//
+// The worst (lower-bound) contribution of this depth for the item of list
+// i is its own score plus the scores of every other same-depth item that
+// carries the same object id:
+//
+//	W_i = x_i + sum_{j != i} t_ij * x_j,   t_ij = [o_i = o_j]
+//
+// Its best (upper-bound) score is its own value plus, for every other
+// queried list j, either the object's actual score in L_j if it already
+// appeared there, or L_j's current bottom value:
 //
 //	B_i = x_i + sum_{j != i} [ sum_e t_e * x_j^e + (1 - sum_e t_e) * bottom_j ]
 //
 // histories[j] must contain list j's seen prefix including the current
-// depth; item i must be the current-depth item of histories[i]. Two rounds
-// total: one permuted EqBits batch and one RecoverEnc batch.
-func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) ([]*paillier.Ciphertext, error) {
+// depth; item i must be the current-depth item of histories[i]. SecBest's
+// equality bits (item i, list j, depth e) at the current depth are the
+// t_ij SecWorst needs, and t_ij = t_ji, so each same-depth pair is asked
+// once and serves both bounds of both items. S2's view is the permuted
+// equality pattern of the depth (leakage EP^d).
+func SecWorstBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) (worst, best []*paillier.Ciphertext, err error) {
+	return secWorstBest(ctx, c, items, histories, true, true)
+}
+
+// secWorstBest is SecWorstBestAll computing only the requested halves; an
+// unrequested half costs no equality bit and no recovery slot.
+func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory, wantWorst, wantBest bool) (worst, best []*paillier.Ciphertext, err error) {
 	if err := validateDepthItems(items); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(histories) != len(items) {
-		return nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), len(items))
+		return nil, nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), len(items))
 	}
 	for j, h := range histories {
 		if len(h.EHLs) == 0 || len(h.EHLs) != len(h.Scores) {
-			return nil, fmt.Errorf("protocols: history %d malformed", j)
+			return nil, nil, fmt.Errorf("protocols: history %d malformed", j)
 		}
 	}
 	pk := c.PK()
 	djPK := c.DJPK()
 	m := len(items)
-	if m == 1 {
-		return []*paillier.Ciphertext{items[0].Score.Clone()}, nil
+	ownScores := func() []*paillier.Ciphertext {
+		out := make([]*paillier.Ciphertext, m)
+		for i := range out {
+			out[i] = items[i].Score.Clone()
+		}
+		return out
 	}
+	if wantWorst {
+		worst = ownScores()
+	}
+	if wantBest {
+		best = ownScores()
+	}
+	if m == 1 {
+		return worst, best, nil
+	}
+	last := func(j int) int { return len(histories[j].EHLs) - 1 }
 
-	// Equality ciphertexts for every (item i, other list j, depth e),
-	// built in parallel — this is the largest S1-side batch of the
-	// per-depth pipeline (m*(m-1)*depth randomized equality operators).
+	// One equality ciphertext per unordered same-depth pair, then one per
+	// (item i, other list j, earlier depth e), which only SecBest looks
+	// at; bitAt[i][j][e] locates [o_i = o_j^e] in that batch.
 	type ref struct{ i, j, e int }
 	var refs []ref
+	bitAt := make([][][]int, m)
+	for i := range bitAt {
+		bitAt[i] = make([][]int, m)
+		for j := range bitAt[i] {
+			bitAt[i][j] = make([]int, last(j)+1)
+		}
+	}
 	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			bitAt[i][j][last(j)], bitAt[j][i][last(i)] = len(refs), len(refs)
+			refs = append(refs, ref{i, j, last(j)})
+		}
+	}
+	sameDepth := len(refs)
+	for i := 0; wantBest && i < m; i++ {
 		for j := 0; j < m; j++ {
-			if j == i {
-				continue
-			}
-			for e := range histories[j].EHLs {
+			for e := 0; j != i && e < last(j); e++ {
+				bitAt[i][j][e] = len(refs)
 				refs = append(refs, ref{i, j, e})
 			}
 		}
 	}
+	// The randomized equality ciphertexts are independent, so they build
+	// in parallel — this is the largest S1-side batch of the per-depth
+	// pipeline.
 	eqCts, err := parallel.MapErrCtx(ctx, c.Parallelism(), refs, func(_ int, r ref) (*paillier.Ciphertext, error) {
 		ct, err := ehl.SubEnc(c.Enc(), items[r.i].EHL, histories[r.j].EHLs[r.e])
 		if err != nil {
-			return nil, fmt.Errorf("protocols: SecBest eq(%d,%d,%d): %w", r.i, r.j, r.e, err)
+			return nil, fmt.Errorf("protocols: SecWorstBest eq(%d,%d,%d): %w", r.i, r.j, r.e, err)
 		}
 		return ct, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	perm, err := prf.RandomPerm(len(eqCts))
+	bits, err := eqBitsPermuted(ctx, c, eqCts)
 	if err != nil {
-		return nil, err
-	}
-	permuted := make([]*paillier.Ciphertext, len(eqCts))
-	for i := range eqCts {
-		permuted[perm[i]] = eqCts[i]
-	}
-	bitsPermuted, err := c.EqBits(ctx, permuted)
-	if err != nil {
-		return nil, err
-	}
-	bits := make([]*dj.Ciphertext, len(refs))
-	for i := range refs {
-		bits[i] = bitsPermuted[perm[i]]
+		return nil, nil, err
 	}
 
-	// For each (i, j): term = sum_e t_e*Enc(x_j^e) + (1 - sum_e t_e)*Enc(bottom_j),
-	// assembled under the outer layer and recovered in one batch. The
-	// (i, j) groups are independent, so their exponentiation chains — the
-	// dominant S1-side cost here — build in parallel.
-	one, err := c.DJEnc().Encrypt(zmath.One)
-	if err != nil {
-		return nil, err
-	}
-	// Group the refs per (i, j), in deterministic (i, j) order.
+	// Every ordered pair (i, j) contributes one term to W_i and one to
+	// B_i; all of them resolve in one recover round.
 	type key struct{ i, j int }
-	grouped := make(map[key][]int)
-	for idx, r := range refs {
-		grouped[key{r.i, r.j}] = append(grouped[key{r.i, r.j}], idx)
-	}
 	var keys []key
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
@@ -231,74 +176,83 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 			}
 		}
 	}
-	terms := make([]*dj.Ciphertext, len(keys))
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(keys), func(g int) error {
-		j := keys[g].j
-		idxs := grouped[keys[g]]
-		bottom := histories[j].Scores[len(histories[j].Scores)-1]
-		// T = sum_e t_e as a DJ ciphertext; term accumulates
-		// sum_e t_e * Enc(x_j^e) under the outer layer.
-		tSum := (*dj.Ciphertext)(nil)
-		var term *dj.Ciphertext
-		for _, idx := range idxs {
-			e := refs[idx].e
-			contrib, err := djPK.ExpCipher(bits[idx], histories[j].Scores[e])
-			if err != nil {
-				return err
-			}
-			if term == nil {
-				term = contrib
-				tSum = bits[idx]
-			} else {
-				if term, err = djPK.Add(term, contrib); err != nil {
-					return err
-				}
-				if tSum, err = djPK.Add(tSum, bits[idx]); err != nil {
-					return err
-				}
-			}
-		}
-		// (1 - T) * Enc(bottom_j)
-		notT, err := djPK.Sub(one, tSum)
-		if err != nil {
-			return err
-		}
-		bottomTerm, err := djPK.ExpCipher(notT, bottom)
-		if err != nil {
-			return err
-		}
-		if term, err = djPK.Add(term, bottomTerm); err != nil {
-			return err
-		}
-		terms[g] = term
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	sel := newSelector(c)
-	type slotRef struct {
-		item int
-		slot int
+	var worstSlots, bestSlots []int
+	if wantWorst {
+		// t_ij*x_j + (1-t_ij)*0.
+		notBits, err := oneMinusAll(ctx, c, bits[:sameDepth])
+		if err != nil {
+			return nil, nil, err
+		}
+		zero, err := c.Enc().EncryptZero()
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, k := range keys {
+			b := bitAt[k.i][k.j][last(k.j)]
+			worstSlots = append(worstSlots, sel.add(bits[b], notBits[b], items[k.j].Score, zero))
+		}
 	}
-	var slots []slotRef
-	for g, k := range keys {
-		slots = append(slots, slotRef{item: k.i, slot: sel.addRaw(terms[g])})
+	if wantBest {
+		// sum_e t_e*Enc(x_j^e) + (1 - sum_e t_e)*Enc(bottom_j), assembled
+		// under the outer layer. The (i, j) groups are independent, so
+		// their exponentiation chains — the dominant S1-side cost here —
+		// build in parallel.
+		one, err := c.DJEnc().Encrypt(zmath.One)
+		if err != nil {
+			return nil, nil, err
+		}
+		terms, err := parallel.MapErrCtx(ctx, c.Parallelism(), keys, func(_ int, k key) (*dj.Ciphertext, error) {
+			h := histories[k.j]
+			var term, tSum *dj.Ciphertext
+			for e, b := range bitAt[k.i][k.j] {
+				contrib, err := djPK.ExpCipher(bits[b], h.Scores[e])
+				if err != nil {
+					return nil, err
+				}
+				if term == nil {
+					term, tSum = contrib, bits[b]
+					continue
+				}
+				if term, err = djPK.Add(term, contrib); err != nil {
+					return nil, err
+				}
+				if tSum, err = djPK.Add(tSum, bits[b]); err != nil {
+					return nil, err
+				}
+			}
+			notT, err := djPK.Sub(one, tSum)
+			if err != nil {
+				return nil, err
+			}
+			bottomTerm, err := djPK.ExpCipher(notT, h.Scores[last(k.j)])
+			if err != nil {
+				return nil, err
+			}
+			return djPK.Add(term, bottomTerm)
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, term := range terms {
+			bestSlots = append(bestSlots, sel.addRaw(term))
+		}
 	}
 	resolved, err := sel.resolve(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]*paillier.Ciphertext, m)
-	for i := range out {
-		out[i] = items[i].Score.Clone()
-	}
-	for _, s := range slots {
-		sum, err := pk.Add(out[s.item], resolved[s.slot])
-		if err != nil {
-			return nil, err
+	for g, k := range keys {
+		if wantWorst {
+			if worst[k.i], err = pk.Add(worst[k.i], resolved[worstSlots[g]]); err != nil {
+				return nil, nil, err
+			}
 		}
-		out[s.item] = sum
+		if wantBest {
+			if best[k.i], err = pk.Add(best[k.i], resolved[bestSlots[g]]); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	return out, nil
+	return worst, best, nil
 }

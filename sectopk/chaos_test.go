@@ -96,6 +96,27 @@ func (r *chaosRig) newDataCloud(t *testing.T, connect func(dc *sectopk.DataCloud
 	return dc
 }
 
+// warm runs one fault-free query through dc. A party's nonce-pool fillers
+// start with its first encryption and run until its Close, so the parties
+// that outlive a subtest — the rig's crypto cloud, and dc when subtests
+// share it — must have theirs running before a subtest counts goroutines:
+// whatever waitForGoroutines then finds alive belongs to something the
+// subtest built itself and did not close.
+func (r *chaosRig) warm(t *testing.T, dc *sectopk.DataCloud) {
+	t.Helper()
+	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest("topk", r.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+	if err != nil {
+		t.Fatalf("warm-up query: %v", err)
+	}
+	got, err := r.owner.Reveal(r.er, ans.TopK)
+	if err != nil {
+		t.Fatalf("Reveal: %v", err)
+	}
+	if !reflect.DeepEqual(got, r.want) {
+		t.Fatalf("warm-up query revealed %v, want %v", got, r.want)
+	}
+}
+
 // checkAnswer enforces the chaos invariant on one finished query: a nil
 // error must reveal to the pinned answer; a failure must carry a typed
 // secerr code (never an untyped/internal one, never a deadline blown
@@ -155,6 +176,14 @@ func TestChaosS1S2Link(t *testing.T) {
 			t.Error("crypto cloud Serve did not stop")
 		}
 	})
+
+	// Every seed builds and closes its own data cloud; the crypto cloud is
+	// the one party the seeds share.
+	local := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
+		return dc.ConnectLocal(context.Background(), rig.cc)
+	})
+	rig.warm(t, local)
+	local.Close()
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
@@ -238,6 +267,7 @@ func TestChaosClientWireWithRetries(t *testing.T) {
 		return dc.ConnectLocal(context.Background(), rig.cc)
 	})
 	t.Cleanup(dc.Close)
+	rig.warm(t, dc)
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
@@ -308,6 +338,7 @@ func TestChaosClientWireWithoutRetries(t *testing.T) {
 		return dc.ConnectLocal(context.Background(), rig.cc)
 	})
 	t.Cleanup(dc.Close)
+	rig.warm(t, dc)
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
@@ -797,6 +828,7 @@ func TestChaosApplyExactlyOnce(t *testing.T) {
 			t.Logf("seed %d: 3 deltas + 1 replay landed exactly once; injected: %s", seed, injected())
 			client.Close()
 			stop()
+			rig.close()
 			waitForGoroutines(t, baseline)
 		})
 	}

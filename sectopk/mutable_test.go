@@ -16,6 +16,7 @@ import (
 // oracle the encrypted answers must match.
 type mutationRig struct {
 	owner  *sectopk.Owner
+	cc     *sectopk.CryptoCloud
 	dc     *sectopk.DataCloud
 	mr     *sectopk.MutableRelation
 	oracle map[int][]int64
@@ -57,7 +58,14 @@ func newMutationRig(t testing.TB, p, n, m int, rng *rand.Rand, opts ...sectopk.O
 	for i, row := range rel.Rows {
 		oracle[i] = append([]int64(nil), row...)
 	}
-	return &mutationRig{owner: owner, dc: dc, mr: mr, oracle: oracle, nextID: n}
+	return &mutationRig{owner: owner, cc: cc, dc: dc, mr: mr, oracle: oracle, nextID: n}
+}
+
+// close tears both clouds down now, for a test that counts goroutines
+// before its cleanups run. Closing twice is safe.
+func (r *mutationRig) close() {
+	r.dc.Close()
+	r.cc.Close()
 }
 
 // randomRows draws scores small enough to stay far from the score-bit
