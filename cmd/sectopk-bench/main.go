@@ -333,7 +333,7 @@ func runQPSCluster(ccfg bench.ClusterConfig, md bool, jsonPath string) {
 		ccfg.Nodes, ccfg.Clients, time.Since(start).Round(time.Millisecond), path)
 }
 
-// runQPS measures data-plane throughput (transport x shards x clients)
+// runQPS measures data-plane throughput (shards x clients)
 // and merges the machine-readable record into BENCH_<date>.json.
 func runQPS(cfg bench.Config, md bool, jsonPath string) {
 	start := time.Now()

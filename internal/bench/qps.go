@@ -20,19 +20,17 @@ import (
 )
 
 // The qps experiment measures the throughput-first data plane end to
-// end: queries per second over real TCP as a function of the transport
-// (lockstep single-flight v1 vs multiplexed+batched v2), the number of
-// concurrent client sessions, and the shard count. The baseline scenario
-// reproduces the pre-v2 deployment exactly — one in-flight call per
-// connection, no batch envelopes, unsharded relation — so the speedup
-// column tracks what the rearchitecture buys per PR.
+// end: queries per second over real TCP (the multiplexed link under the
+// batch scheduler, as the facade deploys it) as a function of the number
+// of concurrent client sessions and the shard count. The baseline is the
+// unsharded relation at the same client count.
 
 // QPSResult is one measured scenario. GoMaxProcs and KeyBits repeat per
 // row (not just in the report header) because cluster rows measured in a
 // separate process get merged into an existing BENCH_<date>.json — each
 // row must stay interpretable on its own.
 type QPSResult struct {
-	Transport  string  `json:"transport"` // "single-flight-v1", "mux-batch-v2", or "cluster-v2"
+	Transport  string  `json:"transport"` // "mux-batch-v2" or "cluster-v2"
 	Shards     int     `json:"shards"`
 	Clients    int     `json:"clients"`
 	Nodes      int     `json:"nodes,omitempty"` // S1 member processes behind the front door (cluster rows)
@@ -127,22 +125,19 @@ func RunQPS(cfg Config) (*QPSReport, error) {
 		K:          k,
 	}
 	scenarios := []struct {
-		mux     bool
 		shards  int
 		clients int
 	}{
-		{false, 1, 1},       // the pre-v2 deployment
-		{false, 1, clients}, // concurrency over a lockstep link
-		{true, 1, 1},        // v2 adds nothing for a lone session (sanity)
-		{true, 1, clients},  // multiplexing + batching
-		{true, shards, clients},
+		{1, 1},
+		{1, clients}, // multiplexing + batching
+		{shards, clients},
 	}
 	perClient := cfg.QueriesPerClient
 	if perClient <= 0 {
 		perClient = 4
 	}
 	for _, sc := range scenarios {
-		res, err := runQPSScenario(svc, scheme, er, shRel, tk, sc.mux, sc.shards, sc.clients, perClient)
+		res, err := runQPSScenario(svc, scheme, er, shRel, tk, sc.shards, sc.clients, perClient)
 		if err != nil {
 			return nil, fmt.Errorf("bench: qps %+v: %w", sc, err)
 		}
@@ -152,10 +147,10 @@ func RunQPS(cfg Config) (*QPSReport, error) {
 	return rep, nil
 }
 
-// runQPSScenario measures one (transport, shards, clients) cell over a
-// real TCP loopback connection; each client runs perClient timed
+// runQPSScenario measures one (shards, clients) cell over a real TCP
+// loopback connection; each client runs perClient timed
 // queries after a shared warm-up.
-func runQPSScenario(svc *cloud.Service, scheme *core.Scheme, er *core.EncryptedRelation, shRel *shard.Relation, tk *core.Token, mux bool, shards, clients, perClient int) (*QPSResult, error) {
+func runQPSScenario(svc *cloud.Service, scheme *core.Scheme, er *core.EncryptedRelation, shRel *shard.Relation, tk *core.Token, shards, clients, perClient int) (*QPSResult, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -167,28 +162,15 @@ func runQPSScenario(svc *cloud.Service, scheme *core.Scheme, er *core.EncryptedR
 	if err != nil {
 		return nil, err
 	}
-	var (
-		caller  transport.Caller
-		batcher *cloud.Batcher
-		cc      transport.ConnCaller
-	)
-	if mux {
-		if cc, err = transport.Connect(ctx, conn, nil); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		batcher = cloud.NewBatcher(cc)
-		caller = batcher
-	} else {
-		nc := transport.NewNetCaller(conn, nil)
-		cc = nc
-		caller = nc
+	cc, err := transport.Connect(ctx, conn, nil)
+	if err != nil {
+		conn.Close()
+		return nil, err
 	}
 	defer cc.Close()
-	if batcher != nil {
-		defer batcher.Close()
-	}
-	client, err := cloud.NewClient(caller, scheme.PublicKey(), nil, cloud.WithRelation("qps"))
+	batcher := cloud.NewBatcher(cc)
+	defer batcher.Close()
+	client, err := cloud.NewClient(batcher, scheme.PublicKey(), nil, cloud.WithRelation("qps"))
 	if err != nil {
 		return nil, err
 	}
@@ -266,13 +248,9 @@ func runQPSScenario(svc *cloud.Service, scheme *core.Scheme, er *core.EncryptedR
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	kind := "single-flight-v1"
-	if mux {
-		kind = "mux-batch-v2"
-	}
 	all := flattenDurations(durs)
 	return &QPSResult{
-		Transport:  kind,
+		Transport:  "mux-batch-v2",
 		Shards:     shards,
 		Clients:    clients,
 		Queries:    total,
@@ -468,14 +446,14 @@ func (r *QPSReport) writeJSON(path string, rep *QPSReport) (string, error) {
 	return path, f.Close()
 }
 
-// Report renders the scenario table with the speedup over the
-// single-flight baseline at the same client count; cluster rows compare
-// against the 1-node cluster row instead (same wire path, scaled fleet).
+// Report renders the scenario table with the speedup over the unsharded
+// row at the same client count; cluster rows compare against the 1-node
+// cluster row instead (same wire path, scaled fleet).
 func (r *QPSReport) Report() *Report {
-	base := map[int]float64{}        // clients -> single-flight unsharded QPS
+	base := map[int]float64{}        // clients -> unsharded QPS
 	clusterBase := map[int]float64{} // clients -> 1-node cluster QPS
 	for _, res := range r.Results {
-		if res.Transport == "single-flight-v1" && res.Shards == 1 {
+		if res.Nodes == 0 && res.Shards == 1 {
 			base[res.Clients] = res.QPS
 		}
 		if res.Nodes == 1 {
@@ -495,7 +473,7 @@ func (r *QPSReport) Report() *Report {
 				vs = fmt.Sprintf("%.2fx", res.QPS/b)
 			}
 		case res.Nodes == 0:
-			if b, ok := base[res.Clients]; ok && b > 0 && !(res.Transport == "single-flight-v1" && res.Shards == 1) {
+			if b, ok := base[res.Clients]; ok && b > 0 && res.Shards > 1 {
 				vs = fmt.Sprintf("%.2fx", res.QPS/b)
 			}
 		}
@@ -516,8 +494,8 @@ func (r *QPSReport) Report() *Report {
 		})
 	}
 	out.Notes = append(out.Notes,
-		"baseline = lockstep v1 transport, unsharded, same client count; cluster rows compare against the 1-node cluster row",
-		"acceptance targets on a 4-core runner: mux+shards >= 2x at 8 clients; 2-node cluster >= 1.6x 1-node at 8 clients",
+		"baseline = unsharded relation, same client count; cluster rows compare against the 1-node cluster row",
+		"acceptance target on a 4-core runner: 2-node cluster >= 1.6x 1-node at 8 clients",
 		fmt.Sprintf("emitted into BENCH_%s.json under the \"qps\" key", r.Date))
 	return out
 }

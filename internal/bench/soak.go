@@ -216,7 +216,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	defer func() { stopServe(); <-serveDone }()
 
 	// Dial the fleet: every client its own TCP connection carrying its
-	// tenant in the v3 Hello. No Execute retry — a retrying client would
+	// tenant in its Hello. No Execute retry — a retrying client would
 	// hide the sheds this experiment exists to measure.
 	workers := make([]*soakWorker, 0, totalClients)
 	defer func() {

@@ -14,7 +14,6 @@ type Option func(*config)
 
 type config struct {
 	parallelism int
-	noPools     bool
 	fastNonce   bool
 	crtOff      bool
 	relation    string
@@ -32,16 +31,9 @@ func WithRelation(id string) Option {
 // all cores, 1 reproduces the serial pre-parallel behavior exactly, n caps
 // foreground worker goroutines at n. Note the background nonce-pool
 // fillers (up to 4 per pool, see poolWorkers) run in addition to this
-// cap; combine with WithoutNoncePools for a hard concurrency bound.
+// cap; only parallelism 1 (no pools) is a hard concurrency bound.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
-}
-
-// WithoutNoncePools disables the background nonce-precompute pools even at
-// parallelism != 1 (useful for memory-constrained deployments and for
-// benchmarking the pools' contribution in isolation).
-func WithoutNoncePools() Option {
-	return func(c *config) { c.noPools = true }
 }
 
 // WithFastNonce toggles the short-exponent fixed-base nonce path
@@ -78,7 +70,7 @@ func buildConfig(opts []Option) config {
 // where background precompute can only steal cycles from the foreground
 // rounds it is meant to feed.
 func (c config) poolsEnabled() bool {
-	return !c.noPools && c.parallelism != 1 && runtime.GOMAXPROCS(0) > 1
+	return c.parallelism != 1 && runtime.GOMAXPROCS(0) > 1
 }
 
 // poolWorkers sizes a pool's background filler count, scaled to (but not

@@ -9,7 +9,7 @@ import (
 )
 
 // methodRetryable is the per-method retryability table for the S1→S2
-// wire. Every v1/v2 protocol handler on S2 is a stateless crypto
+// wire. Every protocol handler on S2 is a stateless crypto
 // transform — decrypt, compare, re-blind, re-permute — keyed entirely by
 // the request body, with no per-call state on the serving side, so
 // re-issuing a round after a link failure cannot corrupt anything: the

@@ -49,8 +49,8 @@ func KeyMaterialFromPaillier(sk *paillier.PrivateKey) (*KeyMaterial, error) {
 //
 // Every per-ciphertext loop in the handlers runs on the shared parallel
 // substrate, bounded by the WithParallelism option; encryptions draw from
-// background nonce pools unless pooling is disabled (parallelism 1, or
-// WithoutNoncePools).
+// background nonce pools unless pooling is disabled (parallelism 1, or a
+// single-core host).
 type Server struct {
 	keys   *KeyMaterial
 	ledger *Ledger
@@ -178,33 +178,23 @@ func (s *Server) Serve(ctx context.Context, method string, body []byte) ([]byte,
 	return s.handle(ctx, req)
 }
 
-// hello answers the version-negotiation round. A single-relation Server
-// serves whatever relation the peer names, so only the version is checked.
+// hello answers the version-check round. A single-relation Server serves
+// whatever relation the peer names, so only the version is checked.
 func (s *Server) hello(req *HelloRequest) (*HelloReply, error) {
 	if err := acceptVersion(req.Version); err != nil {
 		return nil, err
 	}
-	return &HelloReply{Version: negotiateVersion(req.Version)}, nil
+	return &HelloReply{Version: transport.ProtocolVersion}, nil
 }
 
-// acceptVersion checks a peer's announced wire version against the range
-// this build speaks.
+// acceptVersion refuses a peer announcing any wire version but this
+// build's.
 func acceptVersion(v int) error {
-	if v < transport.MinProtocolVersion || v > transport.ProtocolVersion {
+	if v != transport.ProtocolVersion {
 		return secerr.New(secerr.CodeProtocolVersion,
-			"cloud: peer speaks wire protocol v%d, this side v%d..v%d",
-			v, transport.MinProtocolVersion, transport.ProtocolVersion)
+			"cloud: peer speaks wire protocol v%d, this side v%d only", v, transport.ProtocolVersion)
 	}
 	return nil
-}
-
-// negotiateVersion picks the version both sides speak: the lower of the
-// peer's announcement and this build's maximum.
-func negotiateVersion(peer int) int {
-	if peer < transport.ProtocolVersion {
-		return peer
-	}
-	return transport.ProtocolVersion
 }
 
 // serveBatch unwraps a batch envelope and dispatches every item through

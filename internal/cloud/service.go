@@ -112,8 +112,8 @@ func (s *Service) Close() {
 	}
 }
 
-// Serve implements transport.Responder: Hello negotiates the version and
-// optionally checks a relation is served; every other method routes to
+// Serve implements transport.Responder: Hello checks the version and
+// optionally that a relation is served; every other method routes to
 // the Server registered for the request's relation ID.
 func (s *Service) Serve(ctx context.Context, method string, body []byte) ([]byte, error) {
 	switch method {
@@ -144,7 +144,7 @@ func (s *Service) Serve(ctx context.Context, method string, body []byte) ([]byte
 	return srv.handle(ctx, req)
 }
 
-// hello negotiates the wire version and, when the peer names the relation
+// hello checks the wire version and, when the peer names the relation
 // it intends to query, confirms the relation is registered. The reply
 // confirms only the relation the peer asked about — never the full
 // registry, which would let any connecting peer enumerate other tenants.
@@ -152,7 +152,7 @@ func (s *Service) hello(req *HelloRequest) (*HelloReply, error) {
 	if err := acceptVersion(req.Version); err != nil {
 		return nil, err
 	}
-	reply := &HelloReply{Version: negotiateVersion(req.Version)}
+	reply := &HelloReply{Version: transport.ProtocolVersion}
 	if req.Relation != "" {
 		if s.Relation(req.Relation) == nil {
 			return nil, secerr.New(secerr.CodeUnknownRelation, "cloud: relation %q not registered", req.Relation)

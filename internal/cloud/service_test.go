@@ -83,9 +83,19 @@ func TestServiceRouting(t *testing.T) {
 	}
 }
 
-// TestHelloVersionNegotiation rejects incompatible wire versions on both
-// Server and Service with the typed code.
-func TestHelloVersionNegotiation(t *testing.T) {
+// helloAt answers every Hello claiming a fixed version, whatever it was
+// sent.
+type helloAt int
+
+func (v helloAt) Serve(context.Context, string, []byte) ([]byte, error) {
+	return transport.Encode(&HelloReply{Version: int(v)})
+}
+
+// TestHelloWrongVersionRefused: the Hello round compares one constant for
+// equality. A peer one version older or newer is refused typed by Server
+// and Service alike, and Handshake refuses a responder that answers at
+// another version; only the current version passes.
+func TestHelloWrongVersionRefused(t *testing.T) {
 	e := env(t)
 	svc := NewService()
 	defer svc.Close()
@@ -93,28 +103,25 @@ func TestHelloVersionNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	cur := transport.ProtocolVersion
 	for name, responder := range map[string]transport.Responder{"server": e.server, "service": svc} {
-		body, err := transport.Encode(&HelloRequest{Version: 99})
-		if err != nil {
-			t.Fatal(err)
+		for _, v := range []int{0, cur - 1, cur, cur + 1, 99} {
+			var resp HelloReply
+			err := transport.NewLocal(responder, nil).Call(ctx, MethodHello, &HelloRequest{Version: v}, &resp)
+			if v != cur {
+				if !errors.Is(err, secerr.ErrProtocolVersion) {
+					t.Errorf("%s: Hello v%d: want ErrProtocolVersion, got %v", name, v, err)
+				}
+				continue
+			}
+			if err != nil || resp.Version != cur {
+				t.Errorf("%s: Hello v%d: reply v%d, %v", name, v, resp.Version, err)
+			}
 		}
-		if _, err := responder.Serve(ctx, MethodHello, body); !errors.Is(err, secerr.ErrProtocolVersion) {
-			t.Fatalf("%s: want ErrProtocolVersion for v99, got %v", name, err)
-		}
-		body, err = transport.Encode(&HelloRequest{Version: transport.ProtocolVersion})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := responder.Serve(ctx, MethodHello, body)
-		if err != nil {
-			t.Fatalf("%s: Hello v%d rejected: %v", name, transport.ProtocolVersion, err)
-		}
-		var resp HelloReply
-		if err := transport.Decode(out, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Version != transport.ProtocolVersion {
-			t.Fatalf("%s: reply version %d", name, resp.Version)
+	}
+	for _, v := range []int{cur - 1, cur + 1} {
+		if err := Handshake(ctx, transport.NewLocal(helloAt(v), nil), ""); !errors.Is(err, secerr.ErrProtocolVersion) {
+			t.Errorf("Handshake against a v%d responder: want ErrProtocolVersion, got %v", v, err)
 		}
 	}
 }
@@ -140,7 +147,10 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caller := transport.NewNetCaller(conn, nil)
+	caller, err := transport.Connect(ctx, conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer caller.Close()
 
 	// Unknown relation.
@@ -149,7 +159,7 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 	if !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("want ErrUnknownRelation over TCP, got %v", err)
 	}
-	// Version mismatch (outside the accepted v1..v2 range).
+	// Version mismatch.
 	err = caller.Call(ctx, MethodHello, &HelloRequest{Version: transport.ProtocolVersion + 1}, &hr)
 	if !errors.Is(err, secerr.ErrProtocolVersion) {
 		t.Fatalf("want ErrProtocolVersion over TCP, got %v", err)

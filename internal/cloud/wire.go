@@ -10,8 +10,8 @@
 // Every protocol request names the relation it operates on (RelationID),
 // so one crypto cloud can serve many outsourced relations under distinct
 // key material — the deployment shape the paper's Section 3.2 assumes.
-// Peers negotiate the wire protocol version with a Hello round before
-// issuing protocol methods.
+// Peers confirm they speak the same wire protocol version with a Hello
+// round before issuing protocol methods.
 package cloud
 
 import "math/big"
@@ -45,7 +45,7 @@ type BatchItem struct {
 	Body   []byte
 }
 
-// BatchRequest is the wire v2 batch envelope: homomorphic-op requests
+// BatchRequest is the batch envelope: homomorphic-op requests
 // from concurrent sessions coalesced into a single round trip, so S2's
 // worker pool sees one large batch instead of per-session dribbles.
 // Envelopes must not nest.

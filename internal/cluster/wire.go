@@ -13,19 +13,18 @@ import (
 	"repro/internal/transport"
 )
 
-// Cluster wire v1: the two methods a member serves on its cluster
-// listener, multiplexed on the same wire-v2 mux as everything else. The
+// Cluster wire: the two methods a member serves on its cluster
+// listener, multiplexed on the same framing as everything else. The
 // listener also falls through to the client-wire methods (the facade's
 // responder composes the two), so a front door can forward whole
 // queries — join and kNN, which are not shard-partitioned — to the
 // member that hosts them using the ordinary client encoding.
 const (
-	// ProtocolVersion is the current cluster wire version; MinProtocolVersion
-	// the oldest this build still serves.
-	ProtocolVersion    = 1
-	MinProtocolVersion = 1
+	// ProtocolVersion is the cluster wire version; both sides of a Hello
+	// must carry exactly this value.
+	ProtocolVersion = 1
 
-	// MethodHello negotiates versions and announces the member's
+	// MethodHello checks versions and announces the member's
 	// inventory: which shard subsets and whole-relation routes it hosts.
 	MethodHello = "Cluster.Hello"
 	// MethodCandidates runs one token over the member's shards of a
@@ -34,10 +33,20 @@ const (
 	MethodCandidates = "Cluster.Candidates"
 )
 
-// HelloRequest opens a coordinator→member session: the version range the
+// HelloRequest opens a coordinator→member session: the version the
 // coordinator speaks.
 type HelloRequest struct {
-	Min, Max int
+	Version int
+}
+
+// CheckVersion refuses a peer at any cluster wire version but this
+// build's.
+func CheckVersion(peer int) error {
+	if peer != ProtocolVersion {
+		return secerr.New(secerr.CodeProtocolVersion,
+			"cluster: peer speaks cluster wire v%d, this side v%d only", peer, ProtocolVersion)
+	}
+	return nil
 }
 
 // SubsetInfo is a member's announcement of one hosted shard subset: its
@@ -167,15 +176,10 @@ func serveHello(inv Inventory, body []byte) ([]byte, error) {
 	if err := transport.Decode(body, &req); err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cluster: undecodable hello")
 	}
-	if req.Min > ProtocolVersion || req.Max < MinProtocolVersion {
-		return nil, secerr.New(secerr.CodeProtocolVersion,
-			"cluster: peer speaks v%d..v%d, this member v%d..v%d", req.Min, req.Max, MinProtocolVersion, ProtocolVersion)
+	if err := CheckVersion(req.Version); err != nil {
+		return nil, err
 	}
-	ver := ProtocolVersion
-	if req.Max < ver {
-		ver = req.Max
-	}
-	reply := HelloReply{Version: ver, Member: inv.Member(), Routes: inv.Routes()}
+	reply := HelloReply{Version: ProtocolVersion, Member: inv.Member(), Routes: inv.Routes()}
 	for _, h := range inv.Subsets() {
 		reply.Subsets = append(reply.Subsets, h.Info)
 	}

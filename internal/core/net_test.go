@@ -24,7 +24,10 @@ func TestSecQueryOverNetworkTransport(t *testing.T) {
 	}()
 
 	stats := transport.NewStats()
-	caller := transport.NewNetCaller(c1, stats)
+	caller, err := transport.Connect(context.Background(), c1, stats)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
 	client, err := cloud.NewClient(caller, r.scheme.PublicKey(), cloud.NewLedger())
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)

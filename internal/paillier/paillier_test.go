@@ -294,3 +294,34 @@ func BenchmarkHomomorphicAdd(b *testing.B) {
 		}
 	}
 }
+
+// TestAddAllMatchesSequentialAdd pins the product-chain accumulator to the
+// pairwise operator.
+func TestAddAllMatchesSequentialAdd(t *testing.T) {
+	sk := testKeyPair(t)
+	pk := &sk.PublicKey
+	cts := make([]*Ciphertext, 9)
+	for i := range cts {
+		var err error
+		if cts[i], err = pk.Encrypt(big.NewInt(int64(i * i))); err != nil {
+			t.Fatalf("Encrypt: %v", err)
+		}
+	}
+	want := cts[0]
+	for _, c := range cts[1:] {
+		var err error
+		if want, err = pk.Add(want, c); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	got, err := pk.AddAll(cts)
+	if err != nil {
+		t.Fatalf("AddAll: %v", err)
+	}
+	if got.C.Cmp(want.C) != 0 {
+		t.Fatal("AddAll diverges from sequential Add")
+	}
+	if _, err := pk.AddAll(nil); err == nil {
+		t.Fatal("AddAll accepted an empty batch")
+	}
+}

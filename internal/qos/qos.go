@@ -20,8 +20,7 @@ import (
 )
 
 // DefaultTenant is the bucket unidentified callers land in: in-process
-// callers, wire v1/v2 peers (whose Hello predates the tenant field),
-// and v3 clients that never set WithTenant.
+// callers and clients that never set WithTenant.
 const DefaultTenant = "default"
 
 // Rate is one tenant's admission budget: a sustained request rate plus

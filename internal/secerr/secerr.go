@@ -13,7 +13,7 @@ import (
 )
 
 // Code is a stable machine-readable error class. Codes are part of the
-// v1 wire protocol: once shipped, a code's meaning never changes.
+// wire protocol: once shipped, a code's meaning never changes.
 type Code string
 
 const (

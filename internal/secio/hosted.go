@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/big"
 
-	"repro/internal/core"
 	"repro/internal/ehl"
 	"repro/internal/join"
 	"repro/internal/paillier"
@@ -16,159 +15,11 @@ import (
 )
 
 // This file serializes the artifacts the public sectopk facade moves
-// between parties: relations bundled with the public key they were
-// encrypted under (so S1 can host them from a single file), join
-// relations with their score-bit metadata, join tokens, and full query
-// results (items + depth + halted flag).
-
-// WriteHostedRelation serializes an encrypted relation together with its
-// public key — everything the data cloud needs to host it.
-func WriteHostedRelation(w io.Writer, er *core.EncryptedRelation, pk *paillier.PublicKey) error {
-	if pk == nil || pk.N == nil {
-		return errors.New("secio: nil public key")
-	}
-	wr, err := encodeRelation(er)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "hosted-relation"}); err != nil {
-		return fmt.Errorf("secio: writing header: %w", err)
-	}
-	if err := enc.Encode(wirePub{N: pk.N}); err != nil {
-		return fmt.Errorf("secio: writing public key: %w", err)
-	}
-	if err := enc.Encode(wr); err != nil {
-		return fmt.Errorf("secio: writing relation: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadHostedRelation deserializes a relation + public key bundle.
-func ReadHostedRelation(r io.Reader) (*core.EncryptedRelation, *paillier.PublicKey, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading header: %w", err)
-	}
-	if err := h.check("hosted-relation"); err != nil {
-		return nil, nil, err
-	}
-	var wp wirePub
-	if err := dec.Decode(&wp); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading public key: %w", err)
-	}
-	pk, err := paillier.NewPublicKeyFromN(wp.N)
-	if err != nil {
-		return nil, nil, err
-	}
-	var wr wireRelation
-	if err := dec.Decode(&wr); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading relation: %w", err)
-	}
-	er, err := decodeRelation(&wr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return er, pk, nil
-}
-
-// WriteHostedShards serializes a sharded encrypted relation (shards plus
-// the shared public key). A single shard is written in the legacy
-// "hosted-relation" format, so unsharded bundles stay readable by older
-// builds; P > 1 uses the "hosted-shards" kind: header, public key, shard
-// count, then one relation block per shard.
-func WriteHostedShards(w io.Writer, shards []*core.EncryptedRelation, pk *paillier.PublicKey) error {
-	if len(shards) == 0 {
-		return errors.New("secio: no shards")
-	}
-	if len(shards) == 1 {
-		return WriteHostedRelation(w, shards[0], pk)
-	}
-	if pk == nil || pk.N == nil {
-		return errors.New("secio: nil public key")
-	}
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "hosted-shards"}); err != nil {
-		return fmt.Errorf("secio: writing header: %w", err)
-	}
-	if err := enc.Encode(wirePub{N: pk.N}); err != nil {
-		return fmt.Errorf("secio: writing public key: %w", err)
-	}
-	if err := enc.Encode(len(shards)); err != nil {
-		return fmt.Errorf("secio: writing shard count: %w", err)
-	}
-	for i, s := range shards {
-		wr, err := encodeRelation(s)
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(wr); err != nil {
-			return fmt.Errorf("secio: writing shard %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// maxShardCount bounds a decoded shard count so a corrupt stream cannot
-// force an absurd allocation.
-const maxShardCount = 1 << 16
-
-// ReadHostedShards deserializes a hosted relation bundle in either the
-// legacy single-relation format or the sharded one.
-func ReadHostedShards(r io.Reader) ([]*core.EncryptedRelation, *paillier.PublicKey, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading header: %w", err)
-	}
-	return readHostedShardsBody(dec, h)
-}
-
-// readHostedShardsBody decodes a hosted bundle after its header has been
-// consumed (shared with the mutable-hosted reader, which sniffs the kind
-// first to adopt pre-mutation bundles).
-func readHostedShardsBody(dec *gob.Decoder, h header) ([]*core.EncryptedRelation, *paillier.PublicKey, error) {
-	kind := h.Kind
-	if kind != "hosted-shards" {
-		kind = "hosted-relation"
-	}
-	if err := h.check(kind); err != nil {
-		return nil, nil, err
-	}
-	var wp wirePub
-	if err := dec.Decode(&wp); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading public key: %w", err)
-	}
-	pk, err := paillier.NewPublicKeyFromN(wp.N)
-	if err != nil {
-		return nil, nil, err
-	}
-	count := 1
-	if kind == "hosted-shards" {
-		if err := dec.Decode(&count); err != nil {
-			return nil, nil, fmt.Errorf("secio: reading shard count: %w", err)
-		}
-		if count < 1 || count > maxShardCount {
-			return nil, nil, fmt.Errorf("secio: shard count %d out of range", count)
-		}
-	}
-	shards := make([]*core.EncryptedRelation, count)
-	for i := range shards {
-		var wr wireRelation
-		if err := dec.Decode(&wr); err != nil {
-			return nil, nil, fmt.Errorf("secio: reading shard %d: %w", i, err)
-		}
-		er, err := decodeRelation(&wr)
-		if err != nil {
-			return nil, nil, err
-		}
-		shards[i] = er
-	}
-	return shards, pk, nil
-}
+// between parties: join relations bundled with the public key they were
+// encrypted under and their score-bit metadata (so S1 can host them from
+// a single file), join tokens, and full query results (items + depth +
+// halted flag). Top-k relations travel as "hosted-mutable" bundles (see
+// mutate.go).
 
 // wireJoinMeta carries the schema metadata a hosted join relation needs
 // beyond the tuples themselves.

@@ -171,65 +171,10 @@ func LoadOwnerBundle(path string) (*core.Scheme, error) {
 	return ReadOwnerBundle(f)
 }
 
-// wirePub carries just the public modulus for provisioning S1.
+// wirePub carries just the public modulus, embedded in every hosted
+// bundle so S1 can host from a single file.
 type wirePub struct {
 	N *big.Int
-}
-
-// WritePublicKey serializes the public key (what S1 is allowed to hold).
-// The node CLI no longer ships a standalone public-key file — the key
-// travels embedded in the hosted-relation bundle (WriteHostedRelation) —
-// but the bare format remains supported for deployments that provision
-// the key out of band.
-func WritePublicKey(w io.Writer, pk *paillier.PublicKey) error {
-	if pk == nil || pk.N == nil {
-		return errors.New("secio: nil public key")
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "pubkey"}); err != nil {
-		return err
-	}
-	return enc.Encode(wirePub{N: pk.N})
-}
-
-// ReadPublicKey deserializes a public key.
-func ReadPublicKey(r io.Reader) (*paillier.PublicKey, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, err
-	}
-	if err := h.check("pubkey"); err != nil {
-		return nil, err
-	}
-	var wp wirePub
-	if err := dec.Decode(&wp); err != nil {
-		return nil, err
-	}
-	return paillier.NewPublicKeyFromN(wp.N)
-}
-
-// SavePublicKey writes the public key to a file.
-func SavePublicKey(path string, pk *paillier.PublicKey) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WritePublicKey(f, pk); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadPublicKey reads a public key from a file.
-func LoadPublicKey(path string) (*paillier.PublicKey, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPublicKey(f)
 }
 
 // wireItem flattens one result item.
@@ -281,35 +226,4 @@ func decodeItems(wi *wireItems) []protocols.Item {
 		out[i] = it
 	}
 	return out
-}
-
-// WriteItems serializes encrypted result items (what S1 returns to the
-// client).
-func WriteItems(w io.Writer, items []protocols.Item) error {
-	wi, err := encodeItems(items)
-	if err != nil {
-		return err
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "items"}); err != nil {
-		return err
-	}
-	return enc.Encode(wi)
-}
-
-// ReadItems deserializes encrypted result items.
-func ReadItems(r io.Reader) ([]protocols.Item, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, err
-	}
-	if err := h.check("items"); err != nil {
-		return nil, err
-	}
-	var wi wireItems
-	if err := dec.Decode(&wi); err != nil {
-		return nil, err
-	}
-	return decodeItems(&wi), nil
 }

@@ -2,13 +2,9 @@ package secio
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/protocols"
 )
 
 func TestKeyMaterialRoundTrip(t *testing.T) {
@@ -72,51 +68,5 @@ func TestKeyMaterialFilePermissions(t *testing.T) {
 	}
 	if _, err := LoadKeyMaterial(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected error for missing file")
-	}
-}
-
-func TestItemsRoundTrip(t *testing.T) {
-	r := getRig(t)
-	er, err := r.scheme.EncryptRelation(testRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := core.NewEngine(r.client, er)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteItems(&buf, res.Items); err != nil {
-		t.Fatalf("WriteItems: %v", err)
-	}
-	loaded, err := ReadItems(&buf)
-	if err != nil {
-		t.Fatalf("ReadItems: %v", err)
-	}
-	rev, err := r.scheme.NewRevealer(er.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revealed, err := rev.RevealTopK(loaded)
-	if err != nil {
-		t.Fatalf("RevealTopK over loaded items: %v", err)
-	}
-	if revealed[0].Obj != 2 || revealed[0].Worst != 18 {
-		t.Fatalf("loaded result top-1 = %+v", revealed[0])
-	}
-	// Malformed item.
-	if err := WriteItems(&buf, []protocols.Item{{}}); err == nil {
-		t.Fatal("expected error for item without EHL")
-	}
-	if _, err := ReadItems(bytes.NewReader(nil)); err == nil {
-		t.Fatal("expected error for empty stream")
 	}
 }

@@ -209,6 +209,10 @@ func writeMutableBody(enc *gob.Encoder, st *mutate.Relation, pk *paillier.Public
 	return nil
 }
 
+// maxShardCount bounds a decoded shard count so a corrupt stream cannot
+// force an absurd allocation.
+const maxShardCount = 1 << 16
+
 // readMutableBody decodes the shared payload written by
 // writeMutableBody.
 func readMutableBody(dec *gob.Decoder) (*mutate.Relation, *paillier.PublicKey, error) {
@@ -270,27 +274,12 @@ func WriteMutableHosted(w io.Writer, st *mutate.Relation, pk *paillier.PublicKey
 	return bw.Flush()
 }
 
-// ReadMutableHosted deserializes an epoch-stamped hosted relation. It
-// also accepts the pre-mutation "hosted-relation" and "hosted-shards"
-// kinds, adopting them as epoch-1 state with no tombstones, so every
-// bundle an older build wrote hosts cleanly on a mutation-aware node.
+// ReadMutableHosted deserializes an epoch-stamped hosted relation.
 func ReadMutableHosted(r io.Reader) (*mutate.Relation, *paillier.PublicKey, error) {
 	dec := gob.NewDecoder(bufio.NewReader(r))
 	var h header
 	if err := dec.Decode(&h); err != nil {
 		return nil, nil, fmt.Errorf("secio: reading header: %w", err)
-	}
-	switch h.Kind {
-	case "hosted-relation", "hosted-shards":
-		shards, pk, err := readHostedShardsBody(dec, h)
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := mutate.New(shards, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, pk, nil
 	}
 	if err := h.check("hosted-mutable"); err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -14,34 +15,14 @@ import (
 	"repro/internal/secerr"
 )
 
-// futureStream encodes a header claiming format version 99 for the given
-// kind, with no body — readers must reject it on the header alone.
-func futureStream(t *testing.T, kind string) io.Reader {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(header{Magic: magic, Version: 99, Kind: kind}); err != nil {
-		t.Fatalf("encoding future header: %v", err)
-	}
-	return &buf
-}
-
-// TestFutureVersionRejectedEveryKind pins version negotiation for EVERY
-// stream kind: a header stamped with an unknown future version fails
-// typed bad_request, and the message names both the found version and
-// the supported range — what a stranded operator needs to see.
-func TestFutureVersionRejectedEveryKind(t *testing.T) {
+// TestWrongVersionRefusedEveryKind: every artifact is written and read
+// by the same build, so every reader refuses a header at any version but
+// the current one — older and newer alike — on the header alone, typed
+// bad_request, naming both the found version and the supported one: what
+// a stranded operator needs to see.
+func TestWrongVersionRefusedEveryKind(t *testing.T) {
 	readers := map[string]func(r io.Reader) error{
-		"relation":      func(r io.Reader) error { _, err := ReadRelation(r); return err },
-		"join-relation": func(r io.Reader) error { _, _, err := ReadJoinRelation(r); return err },
-		"token":         func(r io.Reader) error { _, err := ReadToken(r); return err },
-		"hosted-relation": func(r io.Reader) error {
-			_, _, err := ReadHostedRelation(r)
-			return err
-		},
-		"hosted-shards": func(r io.Reader) error {
-			_, _, err := ReadHostedShards(r)
-			return err
-		},
+		"token": func(r io.Reader) error { _, err := ReadToken(r); return err },
 		"hosted-join-relation": func(r io.Reader) error {
 			_, _, _, _, err := ReadHostedJoinRelation(r)
 			return err
@@ -61,8 +42,6 @@ func TestFutureVersionRejectedEveryKind(t *testing.T) {
 		"join-owner": func(r io.Reader) error { _, err := ReadJoinOwnerBundle(r); return err },
 		"keys":       func(r io.Reader) error { _, err := ReadKeyMaterial(r); return err },
 		"owner":      func(r io.Reader) error { _, err := ReadOwnerBundle(r); return err },
-		"pubkey":     func(r io.Reader) error { _, err := ReadPublicKey(r); return err },
-		"items":      func(r io.Reader) error { _, err := ReadItems(r); return err },
 		"delta":      func(r io.Reader) error { _, _, err := ReadDelta(r); return err },
 		"hosted-mutable": func(r io.Reader) error {
 			_, _, err := ReadMutableHosted(r)
@@ -79,28 +58,25 @@ func TestFutureVersionRejectedEveryKind(t *testing.T) {
 		"candidates": func(r io.Reader) error { _, err := ReadCandidates(r); return err },
 	}
 	for kind, read := range readers {
-		t.Run(kind, func(t *testing.T) {
-			err := read(futureStream(t, kind))
-			if err == nil {
-				t.Fatalf("%s reader accepted a version-99 stream", kind)
-			}
-			if !errors.Is(err, secerr.ErrBadRequest) {
-				t.Fatalf("%s: err = %v (code %q), want bad_request", kind, err, secerr.CodeOf(err))
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, "99") {
-				t.Fatalf("%s: error %q does not name the found version", kind, msg)
-			}
-			if !strings.Contains(msg, "1..2") {
-				t.Fatalf("%s: error %q does not name the supported range", kind, msg)
-			}
-		})
-	}
-	// The legacy-adoption sniff in ReadMutableHosted must not bypass the
-	// version gate for the kinds it adopts.
-	for _, kind := range []string{"hosted-relation", "hosted-shards"} {
-		if _, _, err := ReadMutableHosted(futureStream(t, kind)); !errors.Is(err, secerr.ErrBadRequest) {
-			t.Fatalf("ReadMutableHosted(%s v99): err = %v, want bad_request", kind, err)
+		for _, v := range []int{version - 1, version + 1, 99} {
+			t.Run(fmt.Sprintf("%s/v%d", kind, v), func(t *testing.T) {
+				// A header and no body: the refusal must come from the header.
+				var buf bytes.Buffer
+				if err := gob.NewEncoder(&buf).Encode(header{Magic: magic, Version: v, Kind: kind}); err != nil {
+					t.Fatalf("encoding header: %v", err)
+				}
+				err := read(&buf)
+				if !errors.Is(err, secerr.ErrBadRequest) {
+					t.Fatalf("err = %v (code %q), want bad_request", err, secerr.CodeOf(err))
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, fmt.Sprintf("version %d ", v)) {
+					t.Fatalf("error %q does not name the found version", msg)
+				}
+				if !strings.Contains(msg, fmt.Sprintf("version %d only", version)) {
+					t.Fatalf("error %q does not name the supported version", msg)
+				}
+			})
 		}
 	}
 }
@@ -226,44 +202,6 @@ func TestMutableHostedRoundTrip(t *testing.T) {
 	}
 	if err := WriteMutableHosted(io.Discard, nil, r.scheme.PublicKey()); err == nil {
 		t.Fatal("expected error for nil mutable relation")
-	}
-}
-
-// TestMutableHostedAdoptsLegacy checks ReadMutableHosted accepts the
-// pre-mutation hosted kinds, adopting them as epoch-1 state with no
-// tombstone debt — every bundle an older build wrote hosts cleanly.
-func TestMutableHostedAdoptsLegacy(t *testing.T) {
-	r := getRig(t)
-	er1, err := r.scheme.EncryptRelation(testRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sharded legacy bundle ("hosted-shards").
-	var buf bytes.Buffer
-	if err := WriteHostedShards(&buf, []*core.EncryptedRelation{er1, er1}, r.scheme.PublicKey()); err != nil {
-		t.Fatalf("WriteHostedShards: %v", err)
-	}
-	st, _, err := ReadMutableHosted(&buf)
-	if err != nil {
-		t.Fatalf("ReadMutableHosted(hosted-shards): %v", err)
-	}
-	if st.Epoch != 1 || st.DeadRows() != 0 || len(st.Shards) != 2 {
-		t.Fatalf("adopted state wrong: epoch=%d dead=%d shards=%d", st.Epoch, st.DeadRows(), len(st.Shards))
-	}
-	if st.LiveRows() != 2*er1.N {
-		t.Fatalf("adopted live rows = %d, want %d", st.LiveRows(), 2*er1.N)
-	}
-	// Single-relation legacy bundle ("hosted-relation").
-	buf.Reset()
-	if err := WriteHostedRelation(&buf, er1, r.scheme.PublicKey()); err != nil {
-		t.Fatalf("WriteHostedRelation: %v", err)
-	}
-	st, _, err = ReadMutableHosted(&buf)
-	if err != nil {
-		t.Fatalf("ReadMutableHosted(hosted-relation): %v", err)
-	}
-	if st.Epoch != 1 || len(st.Shards) != 1 || st.IDSpace != er1.N {
-		t.Fatalf("adopted single-shard state wrong: %+v", st)
 	}
 }
 

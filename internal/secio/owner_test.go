@@ -72,43 +72,6 @@ func TestOwnerBundleFile(t *testing.T) {
 	}
 }
 
-func TestPublicKeyRoundTrip(t *testing.T) {
-	r := getRig(t)
-	var buf bytes.Buffer
-	if err := WritePublicKey(&buf, r.scheme.PublicKey()); err != nil {
-		t.Fatalf("WritePublicKey: %v", err)
-	}
-	pk, err := ReadPublicKey(&buf)
-	if err != nil {
-		t.Fatalf("ReadPublicKey: %v", err)
-	}
-	if pk.N.Cmp(r.scheme.PublicKey().N) != 0 {
-		t.Fatal("modulus mismatch")
-	}
-	// Loaded public key must encrypt values decryptable by the owner.
-	ct, err := pk.EncryptInt64(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.scheme.KeyMaterial().Paillier.Decrypt(ct)
-	if err != nil || m.Int64() != 5 {
-		t.Fatalf("cross decrypt: %v %v", m, err)
-	}
-	if err := WritePublicKey(&buf, nil); err == nil {
-		t.Fatal("expected error for nil key")
-	}
-	path := filepath.Join(t.TempDir(), "pk")
-	if err := SavePublicKey(path, r.scheme.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPublicKey(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPublicKey(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}
-
 func TestRestoreSchemeValidation(t *testing.T) {
 	r := getRig(t)
 	params := r.scheme.Params()

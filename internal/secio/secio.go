@@ -9,13 +9,11 @@
 package secio
 
 import (
-	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/ehl"
@@ -24,23 +22,19 @@ import (
 	"repro/internal/secerr"
 )
 
-// magic identifies sectopk gob streams; the version range gates format
-// changes. Writers stamp the current version; readers accept the whole
-// [minVersion, version] range, so every v1 artifact stays loadable.
-// Version 2 added the mutation-plane kinds ("delta", "hosted-mutable",
-// "mutable-owner"); the pre-mutation kinds carry the same payloads in
-// both versions.
+// magic identifies sectopk gob streams; version gates format changes.
+// Every artifact is written and read by the same build, so writers stamp
+// the one current version and readers refuse any other.
 const (
-	magic      = "sectopk-er"
-	version    = 2
-	minVersion = 1
+	magic   = "sectopk-er"
+	version = 2
 )
 
 // header leads every stream.
 type header struct {
 	Magic   string
 	Version int
-	Kind    string // "relation", "join-relation", "token"
+	Kind    string // "token", "result", "hosted-mutable", ...
 }
 
 // wireEncItem flattens one encrypted item.
@@ -88,40 +82,6 @@ func encodeRelation(er *core.EncryptedRelation) (*wireRelation, error) {
 	return wr, nil
 }
 
-// WriteRelation serializes an encrypted relation.
-func WriteRelation(w io.Writer, er *core.EncryptedRelation) error {
-	wr, err := encodeRelation(er)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "relation"}); err != nil {
-		return fmt.Errorf("secio: writing header: %w", err)
-	}
-	if err := enc.Encode(wr); err != nil {
-		return fmt.Errorf("secio: writing relation: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadRelation deserializes an encrypted relation.
-func ReadRelation(r io.Reader) (*core.EncryptedRelation, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("secio: reading header: %w", err)
-	}
-	if err := h.check("relation"); err != nil {
-		return nil, err
-	}
-	var wr wireRelation
-	if err := dec.Decode(&wr); err != nil {
-		return nil, fmt.Errorf("secio: reading relation: %w", err)
-	}
-	return decodeRelation(&wr)
-}
-
 // decodeRelation rebuilds an encrypted relation from its wire form.
 func decodeRelation(wr *wireRelation) (*core.EncryptedRelation, error) {
 	params := ehl.Params{Kind: ehl.Kind(wr.EHLKind), S: wr.EHLS, H: wr.EHLH}
@@ -158,44 +118,21 @@ func decodeRelation(wr *wireRelation) (*core.EncryptedRelation, error) {
 
 // check validates a stream header. All failures are typed
 // secerr.CodeBadRequest so callers (and wire peers) can distinguish "you
-// handed me a bad/foreign/future artifact" from internal faults; the
-// version branch names both the found version and the supported range,
-// which is what a stranded operator needs to see.
+// handed me a bad/foreign artifact" from internal faults; the version
+// branch names both the found version and the supported one, which is
+// what a stranded operator needs to see.
 func (h header) check(kind string) error {
 	if h.Magic != magic {
 		return secerr.New(secerr.CodeBadRequest, "secio: not a sectopk stream (magic %q)", h.Magic)
 	}
-	if h.Version < minVersion || h.Version > version {
+	if h.Version != version {
 		return secerr.New(secerr.CodeBadRequest,
-			"secio: unsupported format version %d (supported %d..%d)", h.Version, minVersion, version)
+			"secio: unsupported format version %d (this build reads and writes version %d only)", h.Version, version)
 	}
 	if h.Kind != kind {
 		return secerr.New(secerr.CodeBadRequest, "secio: stream holds %q, expected %q", h.Kind, kind)
 	}
 	return nil
-}
-
-// SaveRelation writes the relation to a file.
-func SaveRelation(path string, er *core.EncryptedRelation) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteRelation(f, er); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadRelation reads a relation from a file.
-func LoadRelation(path string) (*core.EncryptedRelation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadRelation(f)
 }
 
 // wireJoinAttr flattens one encrypted join attribute cell.
@@ -239,40 +176,6 @@ func encodeJoinRelation(er *join.EncRelation, params ehl.Params) (*wireJoinRelat
 		wr.Tuples[i] = wt
 	}
 	return wr, nil
-}
-
-// WriteJoinRelation serializes an encrypted join relation.
-func WriteJoinRelation(w io.Writer, er *join.EncRelation, params ehl.Params) error {
-	wr, err := encodeJoinRelation(er, params)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "join-relation"}); err != nil {
-		return err
-	}
-	if err := enc.Encode(wr); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadJoinRelation deserializes an encrypted join relation.
-func ReadJoinRelation(r io.Reader) (*join.EncRelation, ehl.Params, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, ehl.Params{}, err
-	}
-	if err := h.check("join-relation"); err != nil {
-		return nil, ehl.Params{}, err
-	}
-	var wr wireJoinRelation
-	if err := dec.Decode(&wr); err != nil {
-		return nil, ehl.Params{}, err
-	}
-	return decodeJoinRelation(&wr)
 }
 
 // decodeJoinRelation rebuilds a join relation from its wire form.

@@ -3,8 +3,6 @@ package secio
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +12,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ehl"
 	"repro/internal/join"
+	"repro/internal/mutate"
+	"repro/internal/protocols"
 	"repro/internal/transport"
 )
 
@@ -58,20 +58,32 @@ func testRelation() *dataset.Relation {
 	}
 }
 
+// hostedStream serializes a freshly encrypted relation the way the facade
+// does: as an epoch-1 "hosted-mutable" bundle.
+func hostedStream(t *testing.T, r *rigT, er *core.EncryptedRelation) *bytes.Buffer {
+	t.Helper()
+	st, err := mutate.New([]*core.EncryptedRelation{er}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteMutableHosted(&buf, st, r.scheme.PublicKey()); err != nil {
+		t.Fatalf("WriteMutableHosted: %v", err)
+	}
+	return &buf
+}
+
 func TestRelationRoundTripAndQuery(t *testing.T) {
 	r := getRig(t)
 	er, err := r.scheme.EncryptRelation(testRelation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteRelation(&buf, er); err != nil {
-		t.Fatalf("WriteRelation: %v", err)
-	}
-	loaded, err := ReadRelation(&buf)
+	st, _, err := ReadMutableHosted(hostedStream(t, r, er))
 	if err != nil {
-		t.Fatalf("ReadRelation: %v", err)
+		t.Fatalf("ReadMutableHosted: %v", err)
 	}
+	loaded := st.LiveShards()[0]
 	if loaded.Name != er.Name || loaded.N != er.N || loaded.M != er.M ||
 		loaded.MaxScoreBits != er.MaxScoreBits || loaded.EHLParams != er.EHLParams {
 		t.Fatalf("metadata mismatch: %+v vs %+v", loaded, er)
@@ -89,45 +101,32 @@ func TestRelationRoundTripAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SecQuery over loaded relation: %v", err)
 	}
+	// The answer must survive its own codec too.
+	var buf bytes.Buffer
+	if err := WriteQueryResult(&buf, res.Items, res.Depth, res.Halted); err != nil {
+		t.Fatalf("WriteQueryResult: %v", err)
+	}
+	items, depth, halted, err := ReadQueryResult(&buf)
+	if err != nil || depth != res.Depth || halted != res.Halted {
+		t.Fatalf("ReadQueryResult: depth=%d halted=%v, %v", depth, halted, err)
+	}
 	rev, err := r.scheme.NewRevealer(loaded.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	revealed, err := rev.RevealTopK(res.Items)
+	revealed, err := rev.RevealTopK(items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if revealed[0].Obj != 2 || revealed[0].Worst != 18 {
 		t.Fatalf("loaded-relation query top-1 = %+v", revealed[0])
 	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	r := getRig(t)
-	er, err := r.scheme.EncryptRelation(testRelation())
-	if err != nil {
-		t.Fatal(err)
+	// Malformed result items and an empty stream are errors.
+	if err := WriteQueryResult(&buf, []protocols.Item{{}}, 1, true); err == nil {
+		t.Fatal("expected error for item without EHL")
 	}
-	path := filepath.Join(t.TempDir(), "rel.er")
-	if err := SaveRelation(path, er); err != nil {
-		t.Fatalf("SaveRelation: %v", err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() == 0 {
-		t.Fatal("empty file")
-	}
-	loaded, err := LoadRelation(path)
-	if err != nil {
-		t.Fatalf("LoadRelation: %v", err)
-	}
-	if loaded.N != er.N {
-		t.Fatalf("loaded N = %d", loaded.N)
-	}
-	if _, err := LoadRelation(filepath.Join(t.TempDir(), "missing.er")); err == nil {
-		t.Fatal("expected error for missing file")
+	if _, _, _, err := ReadQueryResult(bytes.NewReader(nil)); err == nil {
+		t.Fatal("expected error for empty stream")
 	}
 }
 
@@ -138,10 +137,10 @@ func TestHeaderValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Garbage stream.
-	if _, err := ReadRelation(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, _, err := ReadMutableHosted(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
-	// Wrong kind: a token stream read as a relation.
+	// Wrong kind: a token stream read as a hosted relation.
 	var buf bytes.Buffer
 	tk, err := r.scheme.Token(er, []int{0}, nil, 1)
 	if err != nil {
@@ -150,11 +149,8 @@ func TestHeaderValidation(t *testing.T) {
 	if err := WriteToken(&buf, tk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRelation(&buf); err == nil || !strings.Contains(err.Error(), "expected") {
+	if _, _, err := ReadMutableHosted(&buf); err == nil || !strings.Contains(err.Error(), "expected") {
 		t.Fatalf("expected kind mismatch error, got %v", err)
-	}
-	if err := WriteRelation(&buf, nil); err == nil {
-		t.Fatal("expected error for nil relation")
 	}
 }
 
@@ -205,15 +201,15 @@ func TestJoinRelationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteJoinRelation(&buf, er, params.EHL); err != nil {
-		t.Fatalf("WriteJoinRelation: %v", err)
+	if err := WriteHostedJoinRelation(&buf, er, params.EHL, params.MaxScoreBits, r.scheme.PublicKey()); err != nil {
+		t.Fatalf("WriteHostedJoinRelation: %v", err)
 	}
-	loaded, gotParams, err := ReadJoinRelation(&buf)
+	loaded, gotParams, gotBits, pk, err := ReadHostedJoinRelation(&buf)
 	if err != nil {
-		t.Fatalf("ReadJoinRelation: %v", err)
+		t.Fatalf("ReadHostedJoinRelation: %v", err)
 	}
-	if gotParams != params.EHL {
-		t.Fatalf("params mismatch: %+v", gotParams)
+	if gotParams != params.EHL || gotBits != params.MaxScoreBits || pk.N.Cmp(r.scheme.PublicKey().N) != 0 {
+		t.Fatalf("metadata mismatch: %+v, %d bits", gotParams, gotBits)
 	}
 	if loaded.Name != er.Name || loaded.N != er.N || loaded.M != er.M {
 		t.Fatalf("metadata mismatch")
@@ -221,7 +217,7 @@ func TestJoinRelationRoundTrip(t *testing.T) {
 	if len(loaded.Tuples) != 2 || len(loaded.Tuples[0]) != 2 {
 		t.Fatalf("tuple shape wrong")
 	}
-	if err := WriteJoinRelation(&buf, nil, params.EHL); err == nil {
+	if err := WriteHostedJoinRelation(&buf, nil, params.EHL, params.MaxScoreBits, r.scheme.PublicKey()); err == nil {
 		t.Fatal("expected error for nil join relation")
 	}
 }
@@ -232,13 +228,9 @@ func TestCorruptedStreamRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteRelation(&buf, er); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := hostedStream(t, r, er).Bytes()
 	// Truncate mid-stream.
-	if _, err := ReadRelation(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, _, err := ReadMutableHosted(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }

@@ -3,17 +3,20 @@ package transport
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/secerr"
 )
 
-// stallResponder never answers, simulating a hung peer.
+// stallResponder holds "stall" until released or canceled and answers
+// every other method at once.
 type stallResponder struct{ release chan struct{} }
 
 func (s stallResponder) Serve(ctx context.Context, method string, body []byte) ([]byte, error) {
+	if method != "stall" {
+		return body, nil
+	}
 	select {
 	case <-s.release:
 	case <-ctx.Done():
@@ -21,18 +24,15 @@ func (s stallResponder) Serve(ctx context.Context, method string, body []byte) (
 	return nil, errors.New("stalled")
 }
 
-// TestNetCallerCancelMidRound cancels a context while the call is blocked
+// TestCallCancelMidRound cancels a context while the call is blocked
 // waiting for the reply: the call must return the context error promptly
-// instead of hanging on the read.
-func TestNetCallerCancelMidRound(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
+// instead of hanging on the read, and — the frame being abandoned, not
+// the stream — the connection must serve the next call.
+func TestCallCancelMidRound(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	go func() { _ = ServeConn(context.Background(), c2, stallResponder{release: release}) }()
+	caller, _ := pipePair(t, stallResponder{release: release}, nil)
 
-	caller := NewNetCaller(c1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- caller.Call(ctx, "stall", 1, nil) }()
@@ -46,20 +46,14 @@ func TestNetCallerCancelMidRound(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Call did not return after cancellation")
 	}
-	// The stream is mid-frame now: later calls must fail fast with a
-	// typed transport error rather than misparse the abandoned reply.
-	err := caller.Call(context.Background(), "next", 1, nil)
-	if !errors.Is(err, secerr.ErrTransport) {
-		t.Fatalf("call on broken connection: want ErrTransport, got %v", err)
+	if err := caller.Call(context.Background(), "next", 1, nil); err != nil {
+		t.Fatalf("connection unusable after a canceled round: %v", err)
 	}
 }
 
-// TestNetCallerPreCanceled rejects a dead context before any I/O.
-func TestNetCallerPreCanceled(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	caller := NewNetCaller(c1, nil)
+// TestCallPreCanceled rejects a dead context before any I/O.
+func TestCallPreCanceled(t *testing.T) {
+	caller, _ := pipePair(t, echoResponder{}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := caller.Call(ctx, "x", 1, nil); !errors.Is(err, context.Canceled) {
@@ -67,34 +61,14 @@ func TestNetCallerPreCanceled(t *testing.T) {
 	}
 }
 
-// TestNetCallerDoubleClose checks Close is idempotent.
-func TestNetCallerDoubleClose(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	caller := NewNetCaller(c1, nil)
+// TestCallerDoubleClose checks Close is idempotent.
+func TestCallerDoubleClose(t *testing.T) {
+	caller, _ := pipePair(t, echoResponder{}, nil)
 	if err := caller.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
 	if err := caller.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// TestStructuredWireError checks the (code, message) error encoding
-// round-trips through the framed transport.
-func TestStructuredWireError(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	go func() {
-		_ = ServeConn(context.Background(), c2, codedResponder{})
-	}()
-	caller := NewNetCaller(c1, nil)
-	err := caller.Call(context.Background(), "boom", 1, nil)
-	if !errors.Is(err, secerr.ErrUnknownRelation) {
-		t.Fatalf("code lost over the wire: %v", err)
-	}
-	if got := secerr.CodeOf(err); got != secerr.CodeUnknownRelation {
-		t.Fatalf("CodeOf = %q", got)
 	}
 }
 

@@ -15,71 +15,80 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Wire protocol v2: frame-ID multiplexing.
+// The S1↔S2 framing: frame-ID multiplexing.
 //
-// A v2 connection opens with a fixed 4-byte preface in each direction
-// (magic + the highest version that side speaks); the negotiated version
-// is the smaller of the two. After the preface, frames carry an explicit
-// frame ID so many calls can be in flight on one connection:
+// A connection opens with a fixed 4-byte preface in each direction (magic
+// + ProtocolVersion); both sides require the other's version to equal
+// their own. After the preface, frames carry an explicit frame ID so many
+// calls can be in flight on one connection:
 //
 //	request: uvarint(id) uvarint(len(method)) method uvarint(len(body)) body
 //	reply:   uvarint(id) status byte uvarint(len(payload)) payload
 //
 // Replies may arrive in any order; the caller matches them to requests by
-// ID. The preface's first byte (0xF7) can never begin a v1 request frame
-// (a method-length uvarint is always < 0x80), so one listener serves both
-// framings: ServeConn sniffs the first byte and falls back to the v1
-// lockstep loop for peers that never send a preface.
+// ID.
 //
 // Cancellation is per call: a canceled context abandons only its own
 // frame — the reply is discarded when it arrives and every other in-flight
-// call proceeds undisturbed — in contrast to the v1 NetCaller, where the
-// only way to interrupt a round is a connection deadline that poisons the
-// whole stream. Only a genuine connection failure fails the remaining
-// in-flight calls, and each of those errors names its own frame.
+// call proceeds undisturbed. Only a genuine connection failure fails the
+// remaining in-flight calls, and each of those errors names its own frame.
 
-// muxMagic prefaces a v2 multiplexed connection. The first byte is >=
-// 0x80, which no v1 request frame can start with.
+// muxMagic opens the preface.
 var muxMagic = [3]byte{0xF7, 'S', 'K'}
 
 // maxMuxHandlers bounds the handler goroutines ServeConn runs per
-// multiplexed connection, so a peer flooding frames queues instead of
-// exhausting the server.
+// connection, so a peer flooding frames queues instead of exhausting the
+// server.
 const maxMuxHandlers = 32
 
-// writePreface sends this side's preface: magic plus max version.
+// writePreface sends this side's preface: magic plus version.
 func writePreface(conn net.Conn) error {
 	buf := [4]byte{muxMagic[0], muxMagic[1], muxMagic[2], byte(ProtocolVersion)}
 	_, err := conn.Write(buf[:])
 	return err
 }
 
-// readPrefaceVersion reads the peer's preface after the magic byte has
-// already been consumed (or verified) by the caller.
-func readPrefaceVersion(r io.Reader) (int, error) {
-	var rest [3]byte
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
+// readPreface reads the peer's preface and returns the version it
+// carries. It reads byte by byte and fails on the first one that is not
+// the magic's, so a peer speaking something else is refused without
+// waiting for more of it.
+func readPreface(r io.Reader) (version int, err error) {
+	var b [1]byte
+	for _, want := range muxMagic {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			return 0, err
+		}
+		if b[0] != want {
+			return 0, secerr.New(secerr.CodeTransport, "transport: peer did not open with the connection preface")
+		}
+	}
+	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return 0, err
 	}
-	if rest[0] != muxMagic[1] || rest[1] != muxMagic[2] {
-		return 0, errors.New("transport: malformed multiplex preface")
+	return int(b[0]), nil
+}
+
+// checkPrefaceVersion refuses a peer whose preface carries any version
+// but this build's.
+func checkPrefaceVersion(peer int) error {
+	if peer != ProtocolVersion {
+		return secerr.New(secerr.CodeProtocolVersion,
+			"transport: peer's preface says wire v%d, this side speaks v%d only", peer, ProtocolVersion)
 	}
-	return int(rest[2]), nil
+	return nil
 }
 
 // prefaceTimeout bounds the preface exchange when the caller's context
-// carries no deadline of its own: a pre-v2 responder parses the preface
-// as the start of a lockstep frame and waits for more bytes, so without
-// a bound both sides would hang forever.
+// carries no deadline of its own: a peer that accepts the connection and
+// then says nothing would otherwise hold Connect forever.
 const prefaceTimeout = 10 * time.Second
 
-// Connect negotiates the wire framing over an established connection to
-// a responder: it sends the v2 preface and, when the peer confirms,
-// returns a multiplexed MuxCaller. The preface answer is itself v2
-// framing, so a well-formed answer never claims an older version; a
-// pre-v2 peer simply never answers, and the exchange fails with a
-// transport error when the context (or the built-in preface timeout, if
-// the context has no deadline) expires.
+// Connect opens the framing over an established connection to a
+// responder: it sends the preface, requires the peer's in return, and
+// returns a MuxCaller. A peer at another version fails typed
+// (ErrProtocolVersion); a peer that never answers fails with a transport
+// error when the context (or the built-in preface timeout, if the context
+// has no deadline) expires.
 func Connect(ctx context.Context, conn net.Conn, stats *Stats) (ConnCaller, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: connect: %w", err)
@@ -89,7 +98,7 @@ func Connect(ctx context.Context, conn net.Conn, stats *Stats) (ConnCaller, erro
 		ctx, cancel = context.WithTimeout(ctx, prefaceTimeout)
 		defer cancel()
 	}
-	// Bound the whole exchange — the preface write and both reads — with a
+	// Bound the whole exchange — the preface write and the reads — with a
 	// connection deadline set up front, not armed only at cancellation:
 	// arming on cancel leaves each individual I/O unbounded if the watcher
 	// goroutine loses its race with a blocking read, whereas an upfront
@@ -109,22 +118,14 @@ func Connect(ctx context.Context, conn net.Conn, stats *Stats) (ConnCaller, erro
 		conn.SetDeadline(time.Time{})
 	}()
 	if err := writePreface(conn); err != nil {
-		return nil, secerr.Wrap(secerr.CodeTransport, err, "sending multiplex preface")
+		return nil, secerr.Wrap(secerr.CodeTransport, err, "sending connection preface")
 	}
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, secerr.Wrap(secerr.CodeTransport, err, "reading multiplex preface (a peer that predates wire v2 never answers it)")
-	}
-	if first[0] != muxMagic[0] {
-		return nil, secerr.New(secerr.CodeTransport, "transport: peer did not answer the multiplex preface")
-	}
-	ver, err := readPrefaceVersion(conn)
+	ver, err := readPreface(conn)
 	if err != nil {
-		return nil, secerr.Wrap(secerr.CodeTransport, err, "reading multiplex preface")
+		return nil, secerr.Wrap(secerr.CodeTransport, err, "reading the peer's connection preface")
 	}
-	if ver < 2 {
-		return nil, secerr.New(secerr.CodeProtocolVersion,
-			"transport: peer answered the multiplex preface claiming v%d, this side v%d..v%d", ver, MinProtocolVersion, ProtocolVersion)
+	if err := checkPrefaceVersion(ver); err != nil {
+		return nil, err
 	}
 	return NewMuxCaller(conn, stats), nil
 }
@@ -148,7 +149,7 @@ type muxReply struct {
 	err     error
 }
 
-// MuxCaller is the v2 multiplexed Caller: any number of calls may be in
+// MuxCaller is the multiplexed Caller: any number of calls may be in
 // flight concurrently on one connection, matched to replies by frame ID.
 // It is safe for concurrent use. A canceled call abandons only its own
 // frame (the connection stays healthy); a connection failure fails every
@@ -169,7 +170,7 @@ type MuxCaller struct {
 }
 
 // NewMuxCaller wraps an established connection whose peer already
-// confirmed wire v2 (see Connect) and starts the reply reader.
+// answered the preface (see Connect) and starts the reply reader.
 func NewMuxCaller(conn net.Conn, stats *Stats) *MuxCaller {
 	c := &MuxCaller{
 		conn:    conn,
@@ -346,7 +347,7 @@ func readMuxReply(r *bufio.Reader) (id uint64, status byte, payload []byte, err 
 	return id, status, payload, err
 }
 
-// serveMux serves one negotiated v2 connection: every request frame is
+// serveMux serves one connection past its preface: every request frame is
 // handled on its own goroutine (bounded by maxMuxHandlers) so slow
 // handlers never block unrelated frames; replies are written under a
 // mutex in completion order.

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,7 +55,7 @@ func (r *gatedResponder) Serve(ctx context.Context, method string, body []byte) 
 	return Encode(method + " handled")
 }
 
-// muxPair starts a negotiated v2 client/server over TCP loopback.
+// muxPair starts a connected client/server over TCP loopback.
 func muxPair(t *testing.T, responder Responder) (*MuxCaller, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -137,9 +141,9 @@ func TestMuxConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestMuxCancelOneOfN is the multiplexing contract the v1 transport
-// cannot offer: canceling one of N in-flight calls abandons only that
-// call's frame — its siblings complete and the connection stays usable.
+// TestMuxCancelOneOfN is the multiplexing contract: canceling one of N
+// in-flight calls abandons only that call's frame — its siblings complete
+// and the connection stays usable.
 func TestMuxCancelOneOfN(t *testing.T) {
 	resp := newGatedResponder()
 	mux, stop := muxPair(t, resp)
@@ -239,33 +243,15 @@ func TestMuxTeardownInFlight(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestServeConnV1Fallback checks the sniffing server still speaks the
-// lockstep v1 framing to a peer that never sends the preface.
-func TestServeConnV1Fallback(t *testing.T) {
-	resp := newGatedResponder()
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	go func() { _ = ServeConn(context.Background(), c2, resp) }()
-	caller := NewNetCaller(c1, nil)
-	defer caller.Close()
-	var out string
-	if err := caller.Call(context.Background(), "legacy", 1, &out); err != nil {
-		t.Fatalf("v1 caller against sniffing server: %v", err)
-	}
-	if out != "legacy handled" {
-		t.Fatalf("v1 reply %q", out)
-	}
-}
-
-// TestConnectPrefaceNoAnswer pins the fail-fast behavior against a
-// responder that never answers the preface (a pre-v2 build would parse
-// it as the start of a lockstep frame and wait forever): Connect must
-// return a transport error when the context expires, not hang.
+// TestConnectPrefaceNoAnswer pins the fail-fast behavior against a peer
+// that accepts the connection, reads, and never answers the preface:
+// Connect must return a transport error when the context expires, not
+// hang.
 func TestConnectPrefaceNoAnswer(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	go func() { // swallow the preface like a v1 readFrame would, answer nothing
+	go func() { // swallow the preface, answer nothing
 		buf := make([]byte, 4)
 		io.ReadFull(c2, buf)
 	}()
@@ -280,43 +266,183 @@ func TestConnectPrefaceNoAnswer(t *testing.T) {
 	}
 }
 
-// TestMuxStructuredErrors checks (code, message) pairs survive the v2
-// framing exactly like v1.
+// TestMuxStructuredErrors checks (code, message) pairs survive the
+// framing.
 func TestMuxStructuredErrors(t *testing.T) {
 	mux, stop := muxPair(t, codedResponder{})
 	defer stop()
 	err := mux.Call(context.Background(), "boom", 1, nil)
 	if !errors.Is(err, secerr.ErrUnknownRelation) {
-		t.Fatalf("code lost over v2 framing: %v", err)
+		t.Fatalf("code lost over the wire: %v", err)
 	}
 }
 
-// TestNetCallerBrokenNamesFrame pins the satellite fix: after a canceled
-// round poisons a v1 connection, the fail-fast error names which frame
-// broke it, so multiplo-session operators can tell the victim from the
-// culprit.
-func TestNetCallerBrokenNamesFrame(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	release := make(chan struct{})
-	defer close(release)
-	go func() { _ = ServeConn(context.Background(), c2, stallResponder{release: release}) }()
+// prefaceBytes is a preface carrying the given version; frameBytes a
+// well-formed request frame; claim a bare length prefix.
+func prefaceBytes(ver int) []byte {
+	return []byte{muxMagic[0], muxMagic[1], muxMagic[2], byte(ver)}
+}
 
-	caller := NewNetCaller(c1, nil)
+func frameBytes(id uint64, method string, body []byte) []byte {
+	var b bytes.Buffer
+	writeMuxFrame(bufio.NewWriter(&b), id, []byte(method), body)
+	return b.Bytes()
+}
+
+func claim(n uint64) []byte { return binary.AppendUvarint(nil, n) }
+
+// countingResponder counts what reaches the handler layer.
+type countingResponder struct{ served atomic.Int32 }
+
+func (c *countingResponder) Serve(context.Context, string, []byte) ([]byte, error) {
+	c.served.Add(1)
+	return nil, nil
+}
+
+// TestPrefaceRefused: a connection that does not open with the preface
+// at this build's version is refused — typed, at once, and before
+// anything reaches the responder — whichever side is the odd one out.
+func TestPrefaceRefused(t *testing.T) {
+	cases := []struct {
+		name string
+		open []byte
+		want error
+	}{
+		{"older version", prefaceBytes(ProtocolVersion - 1), secerr.ErrProtocolVersion},
+		{"newer version", prefaceBytes(ProtocolVersion + 1), secerr.ErrProtocolVersion},
+		{"no preface", frameBytes(0, "Hello", []byte("body")), secerr.ErrTransport},
+		{"wrong magic", []byte{muxMagic[0], 'X'}, secerr.ErrTransport},
+	}
+	for _, tc := range cases {
+		t.Run("server/"+tc.name, func(t *testing.T) {
+			c1, c2 := net.Pipe()
+			defer c1.Close()
+			resp := &countingResponder{}
+			served := make(chan error, 1)
+			go func() { defer c2.Close(); served <- ServeConn(context.Background(), c2, resp) }()
+			// net.Pipe is unbuffered: the write returns once the server has
+			// read as far as it is going to; what it leaves unread is dropped
+			// when it closes. The odd peer is never waited on for more.
+			go c1.Write(tc.open)
+			go io.Copy(io.Discard, c1) // the server's own preface, where it sends one
+			select {
+			case err := <-served:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("ServeConn = %v, want %v", err, tc.want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("ServeConn kept waiting on a peer it should have refused")
+			}
+			if n := resp.served.Load(); n != 0 {
+				t.Fatalf("%d calls reached the responder", n)
+			}
+		})
+	}
+	// The other direction: a server at another version answers the preface
+	// with its own, and Connect refuses it typed.
+	for _, ver := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		t.Run(fmt.Sprintf("client/peer-v%d", ver), func(t *testing.T) {
+			c1, c2 := net.Pipe()
+			defer c1.Close()
+			defer c2.Close()
+			go func() {
+				io.ReadFull(c2, make([]byte, 4))
+				c2.Write(prefaceBytes(ver))
+			}()
+			start := time.Now()
+			_, err := Connect(context.Background(), c1, nil)
+			if !errors.Is(err, secerr.ErrProtocolVersion) {
+				t.Fatalf("Connect = %v, want ErrProtocolVersion", err)
+			}
+			if time.Since(start) > 2*time.Second {
+				t.Fatalf("refusal took %v", time.Since(start))
+			}
+		})
+	}
+}
+
+// TestServeRefusesWrongVersionTyped runs the real pair: a client whose
+// preface carries another version gets the server's preface back before
+// the close, so the refusal it sees is ErrProtocolVersion, not a bare EOF.
+func TestServeRefusesWrongVersionTyped(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- caller.Call(ctx, "CulpritRound", 1, nil) }()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	defer cancel()
+	go func() { _ = Serve(ctx, l, echoResponder{}) }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := caller.Call(context.Background(), "VictimRound", 1, nil)
-	if !errors.Is(err, secerr.ErrTransport) {
-		t.Fatalf("want ErrTransport, got %v", err)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(prefaceBytes(ProtocolVersion + 1)); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "CulpritRound") {
-		t.Fatalf("broken-connection error does not name the culprit frame: %v", err)
+	ver, err := readPreface(conn)
+	if err != nil || ver != ProtocolVersion {
+		t.Fatalf("server's preface: v%d, %v", ver, err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("server kept the connection open: %v", err)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrived: a length prefix is a claim by a peer
+// that has proved nothing. Ten bytes claiming a gigabyte must cost about
+// ten bytes, for the method name, the body and the reply payload alike.
+func TestReadFrameAllocatesWhatArrived(t *testing.T) {
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := []struct {
+		name string
+		in   []byte
+		read func(*bufio.Reader) error
+	}{
+		{"method", cat(claim(maxFrame), []byte("0123456789")),
+			func(r *bufio.Reader) error { _, _, err := readFrame(r); return err }},
+		{"body", cat(claim(1), []byte("m"), claim(maxFrame), []byte("0123456789")),
+			func(r *bufio.Reader) error { _, _, err := readFrame(r); return err }},
+		{"reply", cat([]byte{statusOK}, claim(maxFrame), []byte("0123456789")),
+			func(r *bufio.Reader) error { _, _, err := readReply(r); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bufio.NewReader(bytes.NewReader(tc.in))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.read(r)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("a truncated frame was accepted")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 4*readChunk {
+				t.Fatalf("%d bytes allocated for a %d-byte input", got, len(tc.in))
+			}
+		})
+	}
+	// A method name over the cap is refused on its length alone.
+	r := bufio.NewReader(bytes.NewReader(cat(claim(maxMethodLen+1), make([]byte, maxMethodLen+1))))
+	if _, _, err := readFrame(r); err == nil || !strings.Contains(err.Error(), "oversized method name") {
+		t.Fatalf("over-long method name: %v", err)
+	}
+}
+
+// TestReadPayloadLargeRoundTrip checks the chunked growth reassembles a
+// body several chunks long byte for byte.
+func TestReadPayloadLargeRoundTrip(t *testing.T) {
+	body := make([]byte, 3*readChunk+17)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	if err := writeFrame(w, []byte("m"), body); err != nil {
+		t.Fatal(err)
+	}
+	method, got, err := readFrame(bufio.NewReader(&b))
+	if err != nil || string(method) != "m" || !bytes.Equal(got, body) {
+		t.Fatalf("round trip: method %q, %d bytes, %v", method, len(got), err)
 	}
 }

@@ -8,30 +8,37 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/secerr"
 )
 
-// Frame format (both directions):
+// Frame payloads (the frame-ID envelope around them is in mux.go):
 //
-//	request:  uvarint(len(method)) method uvarint(len(body)) body
-//	response: status byte (0 ok, 1 error) uvarint(len(payload)) payload
+//	request: uvarint(len(method)) method uvarint(len(body)) body
+//	reply:   status byte (0 ok, 1 error) uvarint(len(payload)) payload
 //
 // where an error payload is the gob encoding of wireError, carrying the
-// structured (code, message) pair of the typed error taxonomy. One
-// goroutine per connection; calls on one connection are serialized, which
-// matches the strictly sequential round structure of the protocols.
+// structured (code, message) pair of the typed error taxonomy.
 
 const (
 	statusOK  = 0
 	statusErr = 1
 )
 
-// maxFrame bounds a single frame to keep a corrupted length prefix from
-// allocating unbounded memory.
-const maxFrame = 1 << 30
+// maxFrame bounds a single body or reply payload; maxMethodLen bounds a
+// method name. Both lengths arrive from a peer that has proved nothing
+// yet, so neither is trusted for an allocation: see readPayload.
+const (
+	maxFrame     = 1 << 30
+	maxMethodLen = 256
+)
+
+// readChunk is the most readPayload allocates ahead of the bytes that
+// have actually arrived.
+const readChunk = 64 << 10
 
 // wireError is the serialized form of a handler error: the secerr code
 // plus the rendered message. Wrapped causes stay on the serving side.
@@ -40,123 +47,15 @@ type wireError struct {
 	Msg  string
 }
 
-// NetCaller is a Caller over a net.Conn (TCP loopback, unix socket, or
-// net.Pipe). It is safe for concurrent use; calls are serialized.
-type NetCaller struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	r     *bufio.Reader
-	w     *bufio.Writer
-	stats *Stats
-	// brokenBy names the method of the in-flight frame whose cancellation
-	// (or I/O failure) interrupted the stream: the connection is mid-frame
-	// and no further call can be framed correctly, so every later Call
-	// fails fast with a typed transport error naming the frame at fault
-	// instead of silently misparsing the peer's bytes.
-	brokenBy string
-
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// NewNetCaller wraps an established connection to S2.
-func NewNetCaller(conn net.Conn, stats *Stats) *NetCaller {
-	return &NetCaller{
-		conn:  conn,
-		r:     bufio.NewReader(conn),
-		w:     bufio.NewWriter(conn),
-		stats: stats,
-	}
-}
-
-// Call implements Caller. A context canceled before the call starts stops
-// it immediately; cancellation mid-round interrupts the in-flight I/O via
-// a connection deadline, which leaves the stream mid-frame — the caller
-// is then marked broken and every subsequent Call fails fast with a
-// typed transport error (reconnect to recover).
-func (c *NetCaller) Call(ctx context.Context, method string, req, resp any) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("transport: %s: %w", method, err)
-	}
-	body, err := Encode(req)
-	if err != nil {
-		return secerr.Wrap(secerr.CodeTransport, err, "encoding %s request", method)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.brokenBy != "" {
-		return secerr.New(secerr.CodeTransport,
-			"transport: %s: connection broken by an earlier interrupted %s round; reconnect", method, c.brokenBy)
-	}
-
-	// Interrupt in-flight I/O when the context fires. AfterFunc costs
-	// nothing until cancellation; fired joins the interrupt body so the
-	// deadline state is deterministic before the next round.
-	fired := make(chan struct{})
-	stop := context.AfterFunc(ctx, func() {
-		c.conn.SetDeadline(time.Now())
-		close(fired)
-	})
-	finishWatch := func() {
-		if !stop() {
-			<-fired
-			c.conn.SetDeadline(time.Time{})
-		}
-	}
-
-	if err := writeFrame(c.w, []byte(method), body); err != nil {
-		finishWatch()
-		return c.callErr(ctx, method, "sending", err)
-	}
-	status, payload, err := readReply(c.r)
-	finishWatch()
-	if err != nil {
-		return c.callErr(ctx, method, "receiving reply for", err)
-	}
-	if c.stats != nil {
-		c.stats.Record(method, len(body)+len(method), len(payload)+1)
-	}
-	if status == statusErr {
-		return fmt.Errorf("transport: %s: remote: %w", method, decodeWireError(payload))
-	}
-	if resp == nil {
-		return nil
-	}
-	if err := Decode(payload, resp); err != nil {
-		return secerr.Wrap(secerr.CodeTransport, err, "decoding %s response", method)
-	}
-	return nil
-}
-
-// callErr classifies an I/O failure (called with c.mu held): any failed
-// round leaves the stream in an unknown framing state, so the caller is
-// marked broken either way — recording which frame broke it — and if the
-// context fired, surface the cancellation, otherwise wrap as a transport
-// error.
-func (c *NetCaller) callErr(ctx context.Context, method, verb string, err error) error {
-	c.brokenBy = method
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return fmt.Errorf("transport: %s: %w", method, ctxErr)
-	}
-	return secerr.Wrap(secerr.CodeTransport, err, "%s %s", verb, method)
-}
-
 // decodeWireError reconstructs the peer's structured error. Payloads that
-// do not decode (e.g. from a pre-versioning peer) degrade to an internal
-// error carrying the raw bytes as the message.
+// do not decode degrade to an internal error carrying the raw bytes as
+// the message.
 func decodeWireError(payload []byte) error {
 	var we wireError
 	if err := Decode(payload, &we); err != nil {
 		return secerr.FromWire(string(secerr.CodeInternal), string(payload))
 	}
 	return secerr.FromWire(we.Code, we.Msg)
-}
-
-// Close closes the underlying connection. Safe to call more than once;
-// later calls return the first result.
-func (c *NetCaller) Close() error {
-	c.closeOnce.Do(func() { c.closeErr = c.conn.Close() })
-	return c.closeErr
 }
 
 func writeFrame(w *bufio.Writer, method, body []byte) error {
@@ -178,27 +77,34 @@ func writeFrame(w *bufio.Writer, method, body []byte) error {
 	return w.Flush()
 }
 
+// readPayload reads one length-prefixed byte string of at most limit
+// bytes. The buffer grows as bytes arrive, readChunk at a time, so what a
+// connection can make this side allocate is bounded by what it has
+// actually sent — not by the length it claims.
+func readPayload(r *bufio.Reader, limit uint64, what string) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, fmt.Errorf("transport: oversized %s (%d bytes, limit %d)", what, n, limit)
+	}
+	buf := make([]byte, 0, min(n, readChunk))
+	for uint64(len(buf)) < n {
+		have, step := len(buf), int(min(n-uint64(len(buf)), readChunk))
+		buf = slices.Grow(buf, step)[:have+step]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 func readFrame(r *bufio.Reader) (method, body []byte, err error) {
-	mlen, err := binary.ReadUvarint(r)
-	if err != nil {
+	if method, err = readPayload(r, maxMethodLen, "method name"); err != nil {
 		return nil, nil, err
 	}
-	if mlen > maxFrame {
-		return nil, nil, errors.New("transport: oversized method frame")
-	}
-	method = make([]byte, mlen)
-	if _, err := io.ReadFull(r, method); err != nil {
-		return nil, nil, err
-	}
-	blen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if blen > maxFrame {
-		return nil, nil, errors.New("transport: oversized body frame")
-	}
-	body = make([]byte, blen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if body, err = readPayload(r, maxFrame, "request body"); err != nil {
 		return nil, nil, err
 	}
 	return method, body, nil
@@ -220,75 +126,35 @@ func writeReply(w *bufio.Writer, status byte, payload []byte) error {
 }
 
 func readReply(r *bufio.Reader) (status byte, payload []byte, err error) {
-	status, err = r.ReadByte()
-	if err != nil {
+	if status, err = r.ReadByte(); err != nil {
 		return 0, nil, err
 	}
-	plen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	if plen > maxFrame {
-		return 0, nil, errors.New("transport: oversized reply frame")
-	}
-	payload = make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return status, payload, nil
+	payload, err = readPayload(r, maxFrame, "reply payload")
+	return status, payload, err
 }
 
 // ServeConn serves a single connection until it closes, the context is
 // canceled, or a transport error occurs. Handler errors are reported to
 // the peer as structured (code, message) pairs, not returned.
 //
-// The first byte decides the framing: a v2 peer opens with the multiplex
-// preface (first byte 0xF7, which no v1 frame can start with) and gets
-// the frame-ID multiplexed loop; everything else is served with the v1
-// lockstep loop, so old peers keep working on the same listener.
+// The connection must open with the preface at this build's
+// ProtocolVersion. A peer that opens with anything else is refused on its
+// first wrong byte, before any frame is read; a peer that sends the magic
+// with another version is answered with this side's preface first, so its
+// Connect fails typed (ErrProtocolVersion) instead of seeing a bare close.
 func ServeConn(ctx context.Context, conn net.Conn, responder Responder) error {
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	if first, err := r.Peek(1); err == nil && first[0] == muxMagic[0] {
-		r.Discard(1)
-		peerMax, err := readPrefaceVersion(r)
-		if err != nil {
-			return err
-		}
-		if peerMax < 2 {
-			return fmt.Errorf("transport: peer sent a multiplex preface claiming v%d", peerMax)
-		}
-		if err := writePreface(conn); err != nil {
-			return err
-		}
-		return serveMux(ctx, conn, r, responder)
+	ver, err := readPreface(r)
+	if err != nil {
+		return err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		method, body, err := readFrame(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		out, herr := responder.Serve(ctx, string(method), body)
-		if herr != nil {
-			payload, err := Encode(wireError{Code: string(secerr.CodeOf(herr)), Msg: herr.Error()})
-			if err != nil {
-				payload = nil
-			}
-			if err := writeReply(w, statusErr, payload); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := writeReply(w, statusOK, out); err != nil {
-			return err
-		}
+	if err := writePreface(conn); err != nil {
+		return err
 	}
+	if err := checkPrefaceVersion(ver); err != nil {
+		return err
+	}
+	return serveMux(ctx, conn, r, responder)
 }
 
 // Serve accepts connections from the listener and serves each in its own
@@ -310,7 +176,7 @@ type ServeOptions struct {
 	// NewResponder, when set, builds a fresh Responder per accepted
 	// connection instead of sharing the one passed to ServeWith — for
 	// protocols that carry per-connection state (e.g. the client wire's
-	// negotiated tenant identity).
+	// announced tenant identity).
 	NewResponder func() Responder
 }
 

@@ -31,15 +31,15 @@ type ReconnectConfig struct {
 // ReconnectCaller is a Caller that survives connection loss: it dials
 // lazily, re-dials (with capped exponential backoff and jitter) after a
 // transport failure, and re-runs the OnConnect hook — the Hello
-// handshake — on every fresh connection, so replaced links re-negotiate
-// before serving calls.
+// handshake — on every fresh connection, so replaced links are
+// re-checked before serving calls.
 //
 // It deliberately does NOT re-issue the failed round: whether a round is
 // safe to repeat is protocol knowledge (see the retry policy layer),
 // while this type only knows links. A Call that fails with a transport
 // code invalidates the connection; the next Call finds no connection and
 // dials anew. Concurrent calls share one connection (the mux layer
-// interleaves them) and dialing is single-flight.
+// interleaves them) and wait for one shared dial.
 type ReconnectCaller struct {
 	cfg ReconnectConfig
 

@@ -214,7 +214,7 @@ func TestReconnectConcurrentSingleFlight(t *testing.T) {
 		}
 	}
 	if got := dials.Load(); got != 1 {
-		t.Fatalf("dials = %d, want 1 (single-flight)", got)
+		t.Fatalf("dials = %d, want 1 (one shared dial)", got)
 	}
 }
 

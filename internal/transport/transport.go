@@ -12,11 +12,12 @@
 //   - a framed TCP/pipe transport for running S1 and S2 as genuinely
 //     separate processes.
 //
-// The wire protocol is versioned (ProtocolVersion); peers negotiate with
-// a Hello round before issuing protocol methods, and handler errors cross
-// the wire as structured (code, message) pairs so the typed error
-// taxonomy of internal/secerr survives serialization: errors.Is against
-// the secerr sentinels behaves identically in-process and over TCP.
+// The wire protocol has one version (ProtocolVersion): a connection opens
+// with a preface carrying it and a Hello round repeats it, and a peer at
+// any other version is refused typed. Handler errors cross the wire as
+// structured (code, message) pairs so the typed error taxonomy of
+// internal/secerr survives serialization: errors.Is against the secerr
+// sentinels behaves identically in-process and over TCP.
 package transport
 
 import (
@@ -32,21 +33,12 @@ import (
 	"repro/internal/secerr"
 )
 
-// ProtocolVersion is the highest version of the S1↔S2 wire protocol this
-// build speaks: the method set, the request/response gob schemas, the
-// error encoding, and the framing. v2 adds frame-ID multiplexing (many
-// in-flight calls per connection, per-call cancellation; see mux.go) and
-// the batch envelope method; every v1 request/response schema is
-// unchanged. Interop is asymmetric: a v2 listener (ServeConn) still
-// serves v1 clients by sniffing for the preface, but Connect requires a
-// v2 responder — a pre-v2 responder never answers the preface and the
-// exchange fails fast instead of downgrading.
+// ProtocolVersion is the version of the S1↔S2 wire protocol this build
+// speaks: the framing (preface, frame-ID multiplexing with per-call
+// cancellation; see mux.go), the method set including the batch envelope,
+// the request/response gob schemas and the error encoding. Both ends of a
+// connection must carry exactly this value.
 const ProtocolVersion = 2
-
-// MinProtocolVersion is the oldest wire version this build still accepts
-// from a connecting peer: v1 clients get the lockstep single-flight
-// framing.
-const MinProtocolVersion = 1
 
 // Responder is the server side: S2 handles one method call. The context
 // is the per-call (or per-connection) context; handlers use it to bound

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/secerr"
 )
 
 // echoResponder implements Responder for tests: "echo" returns the body,
@@ -141,14 +143,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNetCallerOverPipe(t *testing.T) {
+// pipePair serves responder on one end of a net.Pipe and connects the
+// other end.
+func pipePair(t *testing.T, responder Responder, stats *Stats) (ConnCaller, net.Conn) {
+	t.Helper()
 	c1, c2 := net.Pipe()
-	defer c1.Close()
-	go func() {
-		_ = ServeConn(context.Background(), c2, echoResponder{})
-	}()
+	t.Cleanup(func() { c1.Close(); c2.Close() })
+	go func() { _ = ServeConn(context.Background(), c2, responder) }()
+	caller, err := Connect(context.Background(), c1, stats)
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	return caller, c2
+}
+
+func TestConnectOverPipe(t *testing.T) {
 	stats := NewStats()
-	caller := NewNetCaller(c1, stats)
+	caller, _ := pipePair(t, echoResponder{}, stats)
 	var out int
 	if err := caller.Call(context.Background(), "double", 100, &out); err != nil {
 		t.Fatalf("Call: %v", err)
@@ -176,36 +187,13 @@ func TestNetCallerOverPipe(t *testing.T) {
 	}
 }
 
-func TestNetCallerOverTCP(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer l.Close()
-	go func() { _ = Serve(context.Background(), l, echoResponder{}) }()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	caller := NewNetCaller(conn, NewStats())
-	defer caller.Close()
+// TestCallPeerClosedConn: once the peer has gone, a call is a typed
+// transport error, not a hang and not a bare io error.
+func TestCallPeerClosedConn(t *testing.T) {
+	caller, peer := pipePair(t, echoResponder{}, nil)
+	peer.Close()
 	var out int
-	if err := caller.Call(context.Background(), "double", 8, &out); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if out != 16 {
-		t.Fatalf("double(8) = %d", out)
-	}
-}
-
-func TestNetCallerClosedConn(t *testing.T) {
-	c1, c2 := net.Pipe()
-	caller := NewNetCaller(c1, nil)
-	c2.Close()
-	c1.Close()
-	var out int
-	if err := caller.Call(context.Background(), "double", 8, &out); err == nil {
-		t.Fatal("expected error on closed connection")
+	if err := caller.Call(context.Background(), "double", 8, &out); !errors.Is(err, secerr.ErrTransport) {
+		t.Fatalf("call on a closed connection: want ErrTransport, got %v", err)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // Modulus is a fixed, long-lived odd modulus with every constant the
@@ -68,26 +66,6 @@ const ciosMaxLimbs = 12
 // drift chain beats a Barrett one-shot per element (measured crossover on
 // amd64 between 1536 and 2048 bits).
 const chainKernelMaxLimbs = 24
-
-// montDisabled flips the whole engine to the plain big.Int path. The
-// zero value means enabled; SECTOPK_MONT=0/off/false disables at startup
-// (the CI matrix runs both settings). Both paths return canonical
-// residues in [0, n), so flipping the switch never changes an output bit.
-var montDisabled atomic.Bool
-
-func init() {
-	switch os.Getenv("SECTOPK_MONT") {
-	case "0", "off", "false", "no":
-		montDisabled.Store(true)
-	}
-}
-
-// MontgomeryEnabled reports whether the limb kernels are active.
-func MontgomeryEnabled() bool { return !montDisabled.Load() }
-
-// SetMontgomeryEnabled toggles the limb kernels at runtime (tests and the
-// bench harness use this to measure both paths in one process).
-func SetMontgomeryEnabled(on bool) { montDisabled.Store(!on) }
 
 // montScratch is the per-call working set: limb vectors for the kernels
 // and big.Int temporaries for the Barrett/hybrid paths.
@@ -188,9 +166,9 @@ func MustModulus(n *big.Int) *Modulus {
 // N returns the modulus value. Callers must treat it as read-only.
 func (m *Modulus) N() *big.Int { return m.n }
 
-// active reports whether the limb kernels should run for this call.
+// active reports whether the limb kernels run for this modulus.
 func (m *Modulus) active() bool {
-	return m != nil && !m.fallback && !montDisabled.Load()
+	return m != nil && !m.fallback
 }
 
 // natFromBig copies x's limbs into dst (little-endian, zero-padded).

@@ -22,18 +22,18 @@ func randOddModulus(t *testing.T, bits int) *big.Int {
 	return n
 }
 
-func withBothEngineModes(t *testing.T, f func(t *testing.T)) {
+// onBothPaths runs f on the limb-kernel Modulus for n and on the big.Int
+// fallback a non-64-bit platform gets. Every caller also checks against
+// math/big directly, so the two paths are pinned bit-identical here, where
+// the choice between them is made.
+func onBothPaths(t *testing.T, n *big.Int, f func(t *testing.T, m *Modulus)) {
 	t.Helper()
-	prev := MontgomeryEnabled()
-	defer SetMontgomeryEnabled(prev)
-	for _, on := range []bool{true, false} {
-		SetMontgomeryEnabled(on)
-		name := "mont-on"
-		if !on {
-			name = "mont-off"
-		}
-		t.Run(name, f)
+	m, err := NewModulus(n)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Run("kernels", func(t *testing.T) { f(t, m) })
+	t.Run("fallback", func(t *testing.T) { f(t, &Modulus{n: n, fallback: true}) })
 }
 
 func TestNewModulusRejections(t *testing.T) {
@@ -48,13 +48,9 @@ func TestNewModulusRejections(t *testing.T) {
 }
 
 func TestMulModMatchesBigInt(t *testing.T) {
-	withBothEngineModes(t, func(t *testing.T) {
-		for _, bits := range testModulusBits {
-			n := randOddModulus(t, bits)
-			m, err := NewModulus(n)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, bits := range testModulusBits {
+		n := randOddModulus(t, bits)
+		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 			nm1 := new(big.Int).Sub(n, One)
 			above := new(big.Int).Mul(n, big.NewInt(7)) // a >= N
 			above.Add(above, big.NewInt(3))
@@ -77,8 +73,8 @@ func TestMulModMatchesBigInt(t *testing.T) {
 					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestExpModMatchesBigInt(t *testing.T) {
@@ -101,13 +97,9 @@ func TestExpModMatchesBigInt(t *testing.T) {
 }
 
 func TestProdModMatchesBigInt(t *testing.T) {
-	withBothEngineModes(t, func(t *testing.T) {
-		for _, bits := range []int{256, 1024, 2048} {
-			n := randOddModulus(t, bits)
-			m, err := NewModulus(n)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, bits := range []int{256, 1024, 2048} {
+		n := randOddModulus(t, bits)
+		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 			for _, size := range []int{0, 1, 2, 17} {
 				xs := make([]*big.Int, size)
 				want := new(big.Int).Mod(One, n)
@@ -121,18 +113,14 @@ func TestProdModMatchesBigInt(t *testing.T) {
 					t.Fatalf("bits=%d size=%d ProdMod mismatch", bits, size)
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestMultiExpModMatchesBigInt(t *testing.T) {
-	withBothEngineModes(t, func(t *testing.T) {
-		for _, bits := range []int{256, 1024, 2048} {
-			n := randOddModulus(t, bits)
-			m, err := NewModulus(n)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, bits := range []int{256, 1024, 2048} {
+		n := randOddModulus(t, bits)
+		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 			for _, cfg := range []struct{ count, expBits int }{
 				{1, 8}, {2, 32}, {4, 256}, {3, bits},
 			} {
@@ -170,17 +158,13 @@ func TestMultiExpModMatchesBigInt(t *testing.T) {
 			if _, err := m.MultiExpMod([]*big.Int{One}, nil); err == nil {
 				t.Fatal("MultiExpMod accepted mismatched lengths")
 			}
-		}
-	})
+		})
+	}
 }
 
 func TestBatchModInverseMod(t *testing.T) {
-	withBothEngineModes(t, func(t *testing.T) {
-		n := randOddModulus(t, 1024)
-		m, err := NewModulus(n)
-		if err != nil {
-			t.Fatal(err)
-		}
+	n := randOddModulus(t, 1024)
+	onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 		xs := make([]*big.Int, 33)
 		for i := range xs {
 			u, err := RandUnit(rand.Reader, n)
@@ -218,67 +202,36 @@ func TestBatchModInverseMod(t *testing.T) {
 func TestFixedBaseTableModMatchesPlain(t *testing.T) {
 	n := randOddModulus(t, 1024)
 	n2 := new(big.Int).Mul(n, n)
-	m, err := NewModulus(n2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base, _ := rand.Int(rand.Reader, n2)
 	plain, err := NewFixedBaseTable(base, n2, 6, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mont, err := NewFixedBaseTableMod(base, m, 6, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := MontgomeryEnabled()
-	defer SetMontgomeryEnabled(prev)
 	exps := []*big.Int{Zero, One, new(big.Int).Sub(new(big.Int).Lsh(One, 256), One)}
 	for i := 0; i < 8; i++ {
 		e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(One, 256))
 		exps = append(exps, e)
 	}
-	for _, e := range exps {
-		want, err := plain.Exp(e)
+	onBothPaths(t, n2, func(t *testing.T, m *Modulus) {
+		mont, err := NewFixedBaseTableMod(base, m, 6, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, on := range []bool{true, false} {
-			SetMontgomeryEnabled(on)
+		for _, e := range exps {
+			want, err := plain.Exp(e)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, err := mont.Exp(e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Cmp(want) != 0 {
-				t.Fatalf("mont=%v FixedBaseTableMod.Exp(%v) = %v, want %v", on, e, got, want)
+				t.Fatalf("FixedBaseTableMod.Exp(%v) = %v, want %v", e, got, want)
 			}
 		}
-	}
+	})
 	if _, err := NewFixedBaseTableMod(base, nil, 6, 256); err == nil {
 		t.Fatal("NewFixedBaseTableMod accepted a nil engine")
-	}
-}
-
-func TestEngineToggleBitIdentical(t *testing.T) {
-	// The same inputs must produce byte-identical residues with the
-	// kernels on and off — this is the contract that lets the crypto
-	// layers route through the engine without a compatibility mode.
-	prev := MontgomeryEnabled()
-	defer SetMontgomeryEnabled(prev)
-	for _, bits := range []int{512, 2048} {
-		n := randOddModulus(t, bits)
-		m, err := NewModulus(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := rand.Int(rand.Reader, n)
-		b, _ := rand.Int(rand.Reader, n)
-		SetMontgomeryEnabled(true)
-		on := m.MulMod(a, b)
-		SetMontgomeryEnabled(false)
-		off := m.MulMod(a, b)
-		if on.Cmp(off) != 0 {
-			t.Fatalf("bits=%d toggle changed MulMod output", bits)
-		}
 	}
 }

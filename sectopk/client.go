@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net"
-	"sync/atomic"
 
 	"repro/internal/backoff"
 	"repro/internal/secerr"
@@ -34,15 +33,10 @@ type Client struct {
 	// tenant is the name announced in the Hello (WithTenant); the server
 	// buckets this connection's requests under it for QoS admission.
 	tenant string
-	// version is the negotiated client-plane protocol version (updated
-	// atomically — a self-healing connection renegotiates on every
-	// reconnect). Apply requires v2; a v1 server fails it typed instead
-	// of getting a method it cannot decode.
-	version atomic.Int32
 }
 
-// Dial connects to a DataCloud serving clients at addr (TCP), negotiates
-// the multiplexed framing, and runs the client-plane version handshake.
+// Dial connects to a DataCloud serving clients at addr (TCP), opens the
+// multiplexed framing, and runs the client-plane version handshake.
 // WithTenant names the tenant the connection identifies as; other
 // options are ignored.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
@@ -60,10 +54,10 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 }
 
 // NewClient wraps an established connection to a DataCloud client
-// listener (TCP, unix socket, ...): it negotiates the multiplexed
-// framing and runs the version handshake. The connection is owned by the
-// client from here on and closed by Close. WithTenant names the tenant
-// the connection identifies as; other options are ignored.
+// listener (TCP, unix socket, ...): it opens the multiplexed framing and
+// runs the version handshake. The connection is owned by the client from
+// here on and closed by Close. WithTenant names the tenant the connection
+// identifies as; other options are ignored.
 func NewClient(ctx context.Context, conn net.Conn, opts ...Option) (*Client, error) {
 	stats := transport.NewStats()
 	mc, err := transport.Connect(ctx, conn, stats)
@@ -71,46 +65,25 @@ func NewClient(ctx context.Context, conn net.Conn, opts ...Option) (*Client, err
 		return nil, err
 	}
 	c := &Client{conn: mc, stats: stats, tenant: buildConfig(opts).tenant}
-	if err := c.hello(ctx); err != nil {
+	if err := c.helloOn(ctx, mc); err != nil {
 		mc.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// hello runs the client-plane version handshake.
-func (c *Client) hello(ctx context.Context) error {
-	return c.helloOn(ctx, c.conn)
-}
-
 // helloOn runs the client-plane version handshake over any caller — the
 // freshly connected client, or each reconnect of a self-healing
-// transport (ReconnectCaller's OnConnect) — and records the negotiated
+// transport (ReconnectCaller's OnConnect). It announces this build's
+// version and the tenant, and requires the server to answer at the same
 // version.
 func (c *Client) helloOn(ctx context.Context, caller transport.Caller) error {
-	v, err := clientHelloOn(ctx, caller, c.tenant)
-	if err != nil {
+	var rep clientHelloReply
+	req := clientHello{Version: clientProtocolVersion, Tenant: c.tenant}
+	if err := caller.Call(ctx, methodClientHello, req, &rep); err != nil {
 		return err
 	}
-	c.version.Store(int32(v))
-	return nil
-}
-
-// clientHelloOn runs the client-plane version handshake and returns the
-// negotiated version. The tenant rides the Hello (v3); a pre-v3 server
-// simply never decodes the field and buckets the peer as default.
-func clientHelloOn(ctx context.Context, caller transport.Caller, tenant string) (int, error) {
-	var rep clientHelloReply
-	req := clientHello{Min: clientMinProtocolVersion, Max: clientProtocolVersion, Tenant: tenant}
-	if err := caller.Call(ctx, methodClientHello, req, &rep); err != nil {
-		return 0, err
-	}
-	if rep.Version < clientMinProtocolVersion || rep.Version > clientProtocolVersion {
-		return 0, secerr.New(secerr.CodeProtocolVersion,
-			"sectopk: server negotiated query plane v%d, this client speaks v%d..v%d",
-			rep.Version, clientMinProtocolVersion, clientProtocolVersion)
-	}
-	return rep.Version, nil
+	return checkClientVersion("server", rep.Version)
 }
 
 // DialRetry connects to a DataCloud like Dial, but through the
@@ -205,7 +178,7 @@ func (c *Client) Execute(ctx context.Context, req Request) (*Answer, error) {
 	ans.Traffic = Traffic{
 		Rounds: after.Calls - before.Calls,
 		Bytes:  (after.BytesSent + after.BytesReceived) - (before.BytesSent + before.BytesReceived),
-		// The server-side span fields (v3; zero from older servers).
+		// The server-side span fields.
 		S2Calls:        rep.S2Calls,
 		FanOut:         rep.FanOut,
 		MergeFallbacks: rep.MergeFallbacks,
@@ -216,19 +189,13 @@ func (c *Client) Execute(ctx context.Context, req Request) (*Answer, error) {
 
 // Apply ships one mutation delta to the remote DataCloud and returns
 // the epoch the relation reached — the remote counterpart of
-// DataCloud.Apply. The method needs client-plane v2; against a v1
-// server it fails typed (ErrProtocolVersion) without touching the
-// wire. A client built with DialRetry retries Apply like Execute:
-// the retry is safe even though Apply mutates, because the delta's
-// embedded idempotency key makes the server replay the recorded epoch
-// instead of reapplying.
+// DataCloud.Apply. A client built with DialRetry retries Apply like
+// Execute: the retry is safe even though Apply mutates, because the
+// delta's embedded idempotency key makes the server replay the recorded
+// epoch instead of reapplying.
 func (c *Client) Apply(ctx context.Context, relation string, delta *Delta) (uint64, error) {
 	if delta == nil {
 		return 0, secerr.New(secerr.CodeBadRequest, "sectopk: nil delta")
-	}
-	if v := c.version.Load(); v < 2 {
-		return 0, secerr.New(secerr.CodeProtocolVersion,
-			"sectopk: Apply needs client wire protocol v2, connection negotiated v%d", v)
 	}
 	var buf bytes.Buffer
 	if err := secio.WriteDelta(&buf, delta.d, delta.params); err != nil {
@@ -259,10 +226,6 @@ func (c *Client) Apply(ctx context.Context, relation string, delta *Delta) (uint
 // compaction landed, and the owner resolves that by re-hosting from its
 // bundle rather than by guessing.
 func (c *Client) Compact(ctx context.Context, relation string) (uint64, error) {
-	if v := c.version.Load(); v < 2 {
-		return 0, secerr.New(secerr.CodeProtocolVersion,
-			"sectopk: Compact needs client wire protocol v2, connection negotiated v%d", v)
-	}
 	var rep clientApplyReply
 	if err := c.conn.Call(ctx, methodClientCompact, clientCompactRequest{Relation: relation}, &rep); err != nil {
 		return 0, err

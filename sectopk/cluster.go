@@ -441,15 +441,13 @@ func (cl *hostedCluster) close() {
 // clusterHello runs the cluster-plane version handshake and returns the
 // member's inventory.
 func clusterHello(ctx context.Context, caller transport.Caller) (*cluster.HelloReply, error) {
-	req := cluster.HelloRequest{Min: cluster.MinProtocolVersion, Max: cluster.ProtocolVersion}
+	req := cluster.HelloRequest{Version: cluster.ProtocolVersion}
 	var rep cluster.HelloReply
 	if err := caller.Call(ctx, cluster.MethodHello, req, &rep); err != nil {
 		return nil, err
 	}
-	if rep.Version < cluster.MinProtocolVersion || rep.Version > cluster.ProtocolVersion {
-		return nil, secerr.New(secerr.CodeProtocolVersion,
-			"sectopk: member negotiated cluster wire v%d, this node speaks v%d..v%d",
-			rep.Version, cluster.MinProtocolVersion, cluster.ProtocolVersion)
+	if err := cluster.CheckVersion(rep.Version); err != nil {
+		return nil, err
 	}
 	return &rep, nil
 }
@@ -699,9 +697,8 @@ func (d *DataCloud) forwardExecute(ctx context.Context, rt *clusterRoute, req Re
 	if err != nil {
 		return nil, err
 	}
-	// Carry the member's span fields through the front door (zero from a
-	// pre-v3 member; the front door's own rounds/bytes delta overwrites
-	// the wire-level counters either way).
+	// Carry the member's span fields through the front door (its own
+	// rounds/bytes delta overwrites the wire-level counters).
 	ans.Traffic.S2Calls = rep.S2Calls
 	ans.Traffic.FanOut = rep.FanOut
 	ans.Traffic.MergeFallbacks = rep.MergeFallbacks

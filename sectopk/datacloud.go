@@ -64,10 +64,11 @@ func (a *admission) release() {
 //
 // Connect it exactly once (ConnectLocal, Connect, or Dial), then Host
 // relations and open Sessions. All methods are safe for concurrent use.
-// TCP connections negotiate the multiplexed wire v2 framing, so
-// concurrent sessions keep many calls in flight on one connection; the
-// batch scheduler (on by default, WithBatching(false) to disable)
-// additionally coalesces their calls into batch envelopes.
+// TCP connections carry the multiplexed framing, so concurrent sessions
+// keep many calls in flight on one connection; the batch scheduler
+// additionally coalesces their calls into batch envelopes — one round
+// trip for many calls — flushed on size, on a ~1ms tick, or immediately
+// while the link is idle (so a lone session pays no added latency).
 type DataCloud struct {
 	cfg    config
 	ledger *cloud.Ledger
@@ -90,7 +91,7 @@ type DataCloud struct {
 	mu        sync.Mutex
 	caller    transport.Caller     // what hosted clients issue rounds on
 	conn      transport.ConnCaller // owning handle for a network transport
-	batcher   *cloud.Batcher       // non-nil when batching is enabled
+	batcher   *cloud.Batcher       // wraps the transport; what caller points at
 	relations map[string]*hostedRelation
 	joins     map[string]*hostedJoin
 	knns      map[string]*hostedKNN
@@ -231,8 +232,8 @@ func NewDataCloud(opts ...Option) *DataCloud {
 }
 
 // setCaller installs the transport exactly once. raw is the transport
-// the rounds travel on; the batch scheduler (when enabled) wraps it and
-// becomes the caller the hosted clients see.
+// the rounds travel on; the batch scheduler wraps it and becomes the
+// caller the hosted clients see.
 func (d *DataCloud) setCaller(raw transport.Caller, conn transport.ConnCaller) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -248,11 +249,8 @@ func (d *DataCloud) setCaller(raw transport.Caller, conn transport.ConnCaller) e
 		// actual wire envelope, re-issued only per the retryability table.
 		caller = cloud.NewRetryCaller(caller, d.cfg.retryPolicy())
 	}
-	if d.cfg.batching {
-		d.batcher = cloud.NewBatcher(caller)
-		caller = d.batcher
-	}
-	d.caller = caller
+	d.batcher = cloud.NewBatcher(caller)
+	d.caller = d.batcher
 	d.conn = conn
 	return nil
 }
@@ -302,10 +300,8 @@ func (d *DataCloud) ConnectLocal(ctx context.Context, cc *CryptoCloud) error {
 }
 
 // Connect wires this data cloud to a CryptoCloud over an established
-// connection: the frame-ID multiplexed wire v2 framing is negotiated
-// (a responder that predates v2 fails the preface exchange with a
-// transport error), then the version handshake runs. The connection is
-// closed by Close.
+// connection: the preface opens the frame-ID multiplexed framing, then
+// the version handshake runs. The connection is closed by Close.
 func (d *DataCloud) Connect(ctx context.Context, conn net.Conn) error {
 	nc, err := transport.Connect(ctx, conn, d.stats)
 	if err != nil {
@@ -491,13 +487,10 @@ func (d *DataCloud) Host(ctx context.Context, id string, er *EncryptedRelation) 
 	// Materialize the mutable state the mutation plane versions: either
 	// the epoch-stamped state the relation was loaded with, or a fresh
 	// epoch-1 wrapping of the shards.
-	state := er.mst
-	if state == nil {
-		state, err = mutate.New(er.sh.Shards, 0)
-		if err != nil {
-			client.Close()
-			return err
-		}
+	state, err := er.mutableState()
+	if err != nil {
+		client.Close()
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -704,17 +697,16 @@ func (d *DataCloud) Traffic() Traffic {
 }
 
 // s2Calls reads the cumulative count of protocol calls shipped to the
-// crypto cloud: the batch scheduler's item counter when batching is on,
-// else the raw round counter (one call per round then). Executions
-// measure deltas of it for their span accounting.
+// crypto cloud (the batch scheduler's item counter; zero while not
+// connected). Executions measure deltas of it for their span accounting.
 func (d *DataCloud) s2Calls() int64 {
 	d.mu.Lock()
 	b := d.batcher
 	d.mu.Unlock()
-	if b != nil {
-		return b.Items()
+	if b == nil {
+		return 0
 	}
-	return d.stats.Rounds()
+	return b.Items()
 }
 
 // LeakageEvents returns everything this cloud could observe beyond the

@@ -45,11 +45,11 @@
 //
 // # Wire protocols
 //
-// The S1↔S2 wire protocol is versioned; peers negotiate with a Hello
+// The S1↔S2 wire protocol has one version; peers confirm it with a Hello
 // round when a DataCloud connects (and again when it hosts a relation,
 // which also confirms the crypto cloud serves that relation). The
-// querier↔S1 client plane is versioned separately and negotiated when a
+// querier↔S1 client plane carries its own version, confirmed when a
 // Client dials in; both ride the same multiplexed framing and the same
-// structured error encoding. See DESIGN.md "Wire versioning and error
-// codes" and "Client wire protocol v1" for the schemes.
+// structured error encoding, and a peer at any other version is refused
+// with ErrProtocolVersion. See DESIGN.md "S1↔S2 wire" and "Client wire".
 package sectopk

@@ -93,26 +93,21 @@ func LoadKeys(path string) (*Keys, error) {
 }
 
 // Save persists the encrypted relation (with its public key) for upload
-// to a data cloud. Only public/encrypted material is written. A
-// relation that has lived through mutations — a non-initial epoch,
-// tombstones awaiting compaction, or an advanced id space — is written
-// in the mutable-hosted format so all of that survives the round trip;
-// a pristine relation keeps the legacy format byte-for-byte, so bundles
-// produced before mutation existed and bundles produced now are
-// interchangeable.
+// to a data cloud. Only public/encrypted material is written. The bundle
+// is always the "hosted-mutable" kind — shards, epoch, tombstones, id
+// space — a fresh encryption being epoch 1 with no tombstones.
 func (er *EncryptedRelation) Save(path string) error {
 	return saveTo(path, func(w io.Writer) error {
-		if st := er.mst; st != nil && (st.Epoch > 1 || st.DeadRows() > 0 || st.IDSpace > er.sh.N) {
-			return secio.WriteMutableHosted(w, st, er.pk)
+		st, err := er.mutableState()
+		if err != nil {
+			return err
 		}
-		return secio.WriteHostedShards(w, er.sh.Shards, er.pk)
+		return secio.WriteMutableHosted(w, st, er.pk)
 	})
 }
 
-// LoadEncryptedRelation reads an encrypted relation bundle: the
-// mutable-hosted format, the sharded format, or the legacy
-// single-relation format. Legacy bundles adopt mutation state at epoch
-// 1 with no tombstones, so every loaded relation is Apply-ready.
+// LoadEncryptedRelation reads an encrypted relation bundle; every loaded
+// relation is Apply-ready.
 func LoadEncryptedRelation(path string) (*EncryptedRelation, error) {
 	var out *EncryptedRelation
 	err := loadFrom(path, func(r io.Reader) error {

@@ -117,13 +117,9 @@ func (o *Owner) NewMutable(rel *Relation, er *EncryptedRelation) (*MutableRelati
 			"sectopk: plaintext has %d rows, encrypted relation has %d", len(rel.Rows), n)
 	}
 	m := er.sh.M
-	state := er.mst
-	if state == nil {
-		st, err := mutate.New(er.sh.Shards, 0)
-		if err != nil {
-			return nil, err
-		}
-		state = st
+	state, err := er.mutableState()
+	if err != nil {
+		return nil, err
 	}
 	mr := &MutableRelation{
 		owner: o, name: er.Name(), m: m, p: len(er.sh.Shards),

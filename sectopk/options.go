@@ -22,10 +22,7 @@ type config struct {
 	maxScoreBits int
 	parallelism  int
 	fastNonce    bool
-	crtNonce     bool
-	noncePools   bool
 	shards       int
-	batching     bool
 	sessionLimit int
 	retry        *RetryPolicy
 	drainTimeout time.Duration
@@ -56,10 +53,7 @@ func defaultConfig() config {
 		keyBits:      p.KeyBits,
 		ehlDigests:   p.EHL.S,
 		maxScoreBits: p.MaxScoreBits,
-		crtNonce:     true,
-		noncePools:   true,
 		shards:       1,
-		batching:     true,
 	}
 }
 
@@ -84,15 +78,10 @@ func (c config) coreParams() core.Params {
 
 // cloudOptions maps the config to the cloud-layer option set.
 func (c config) cloudOptions() []cloud.Option {
-	opts := []cloud.Option{
+	return []cloud.Option{
 		cloud.WithParallelism(c.parallelism),
 		cloud.WithFastNonce(c.fastNonce),
-		cloud.WithCRTNonce(c.crtNonce),
 	}
-	if !c.noncePools {
-		opts = append(opts, cloud.WithoutNoncePools())
-	}
-	return opts
 }
 
 // WithKeyBits sets the Paillier modulus size. The default matches the
@@ -128,17 +117,6 @@ func WithFastNonce(on bool) Option {
 	return func(c *config) { c.fastNonce = on }
 }
 
-// WithCRTNonce toggles the assumption-free CRT nonce fast path for
-// surfaces whose private key the role holds. On by default.
-func WithCRTNonce(on bool) Option {
-	return func(c *config) { c.crtNonce = on }
-}
-
-// WithoutNoncePools disables the background nonce-precompute pools.
-func WithoutNoncePools() Option {
-	return func(c *config) { c.noncePools = false }
-}
-
 // WithShards partitions relations into p round-robin shards at Enc time
 // (Owner option; the other roles infer the shard count from the relation
 // itself). A sharded relation's query runs P per-shard sub-engines
@@ -152,16 +130,6 @@ func WithShards(p int) Option {
 			c.shards = p
 		}
 	}
-}
-
-// WithBatching toggles the data cloud's batch scheduler (on by default):
-// protocol calls from concurrent sessions coalesce into wire-v2 batch
-// envelopes — one round trip for many calls — flushed on size, on a ~1ms
-// tick, or immediately while the link is idle (so a lone session pays no
-// added latency). Turn it off to reproduce the one-call-per-round wire
-// v1 behavior exactly.
-func WithBatching(on bool) Option {
-	return func(c *config) { c.batching = on }
 }
 
 // WithSessionLimit bounds the requests a DataCloud executes
@@ -350,7 +318,7 @@ type queryConfig struct {
 	// the same ID so the leakage ledger counts them once.
 	queryID string
 	// tenant is the admission bucket the request runs under (set by the
-	// client wire from the connection's negotiated tenant, not a public
+	// client wire from the connection's announced tenant, not a public
 	// QueryOption); "" is the default tenant.
 	tenant string
 }

@@ -13,41 +13,35 @@ import (
 	"repro/internal/transport"
 )
 
-// Client wire protocol v3 (querier ↔ data cloud).
+// Client wire protocol (querier ↔ data cloud).
 //
-// The client plane rides on the same framing stack as the S1↔S2 wire:
-// connections negotiate the frame-ID multiplexed v2 framing (transport
-// preface), so one querier connection keeps any number of requests in
-// flight, replies match by frame ID, and a canceled request abandons
-// only its own frame. On top of that framing the client plane defines
-// its own method set and version number:
+// The client plane rides on the same framing stack as the S1↔S2 wire
+// (transport preface, then frame-ID multiplexed frames), so one querier
+// connection keeps any number of requests in flight, replies match by
+// frame ID, and a canceled request abandons only its own frame. On top
+// of that framing the client plane defines its own method set and
+// version number:
 //
-//	Client.Hello    {Min, Max, Tenant}    -> {Version}
+//	Client.Hello    {Version, Tenant}     -> {Version}
 //	Client.Execute  {Relation, Workload,  -> {Answer, span fields}
 //	                 Token, Options}
-//	Client.Apply    {Relation, Delta}     -> {Epoch}      (v2+)
-//	Client.Compact  {Relation}            -> {Epoch}      (v2+)
+//	Client.Apply    {Relation, Delta}     -> {Epoch}
+//	Client.Compact  {Relation}            -> {Epoch}
 //
-// Token, Answer, and Delta are secio streams — byte-identical to the
-// on-disk persistence formats — of the kind selected by Workload
-// ("topk", "join", "knn") or, for Apply, the "delta" kind. Handler
-// errors cross the wire as the structured (code, message) pairs of
-// internal/secerr, so errors.Is against the sectopk.Err* sentinels
-// behaves identically for remote and in-process callers. Version 2
-// added Client.Apply, Client.Compact, and the epoch pin in the query
-// options; a v1 peer negotiates down to v1 and simply has neither.
-// Version 3 added the tenant field in the Hello (QoS admission buckets
-// the connection's requests under it) and the span fields in the
-// Execute reply; both ride gob's missing-field tolerance, so v1/v2
-// peers interoperate unchanged — an absent tenant buckets as the
-// default tenant, absent span fields decode as zero. See DESIGN.md
-// "Client wire protocol" and "Telemetry and QoS".
+// Both sides of the Hello must carry clientProtocolVersion exactly; any
+// other value is refused with ErrProtocolVersion. Token, Answer, and
+// Delta are secio streams — byte-identical to the on-disk persistence
+// formats — of the kind selected by Workload ("topk", "join", "knn") or,
+// for Apply, the "delta" kind. Handler errors cross the wire as the
+// structured (code, message) pairs of internal/secerr, so errors.Is
+// against the sectopk.Err* sentinels behaves identically for remote and
+// in-process callers. QoS admission buckets a connection's requests
+// under the Hello's tenant ("" is the default tenant). See DESIGN.md
+// "Client wire" and "Telemetry and QoS".
 const (
-	// clientProtocolVersion is the highest client-plane version this
-	// build speaks.
+	// clientProtocolVersion is the client-plane version this build
+	// speaks.
 	clientProtocolVersion = 3
-	// clientMinProtocolVersion is the oldest version still accepted.
-	clientMinProtocolVersion = 1
 
 	methodClientHello   = "Client.Hello"
 	methodClientExecute = "Client.Execute"
@@ -58,17 +52,26 @@ const (
 	methodClientCompact = "Client.Compact"
 )
 
-// clientHello announces the querier's supported version range and (v3)
-// the tenant it identifies as; pre-v3 hellos decode with Tenant "",
-// which buckets the connection as the default tenant.
+// clientHello announces the querier's version and the tenant it
+// identifies as ("" buckets the connection as the default tenant).
 type clientHello struct {
-	Min, Max int
-	Tenant   string
+	Version int
+	Tenant  string
 }
 
-// clientHelloReply confirms the negotiated version.
+// clientHelloReply carries the server's version.
 type clientHelloReply struct {
 	Version int
+}
+
+// checkClientVersion refuses a peer at any client-plane version but this
+// build's.
+func checkClientVersion(peer string, v int) error {
+	if v != clientProtocolVersion {
+		return secerr.New(secerr.CodeProtocolVersion,
+			"sectopk: %s speaks query plane v%d, this side v%d only", peer, v, clientProtocolVersion)
+	}
+	return nil
 }
 
 // wireQueryOptions flattens a query configuration for the wire. Zero
@@ -80,8 +83,7 @@ type wireQueryOptions struct {
 	BatchDepth  int
 	MaxDepth    int
 	Parallelism int
-	// Epoch pins the query to one relation epoch (v2; v1 streams decode
-	// it as 0 = unpinned, which is exactly the v1 behavior).
+	// Epoch pins the query to one relation epoch (0 = unpinned).
 	Epoch uint64
 }
 
@@ -108,8 +110,8 @@ func queryConfigFromWire(w wireQueryOptions) queryConfig {
 // options. Idempotency, when non-empty, is the query's run key: retries
 // of the same logical query carry the same key (with Attempt counting
 // up), so the server's leakage ledger counts a retried query once
-// instead of recording a phantom repeated-query pattern. Old clients
-// that omit the fields get the old behavior (every arrival counts).
+// instead of recording a phantom repeated-query pattern. An empty key
+// disables the dedup (every arrival counts).
 type clientExecuteRequest struct {
 	Relation    string
 	Workload    string
@@ -120,9 +122,8 @@ type clientExecuteRequest struct {
 }
 
 // clientExecuteReply carries the encrypted answer as a secio stream of
-// the workload's result kind, plus (v3) the server-side span fields the
-// client merges into Answer.Traffic. Pre-v3 replies decode them as
-// zero.
+// the workload's result kind, plus the server-side span fields the
+// client merges into Answer.Traffic.
 type clientExecuteReply struct {
 	Answer         []byte
 	S2Calls        int64
@@ -212,7 +213,7 @@ func (r *clientResponder) setTenant(tenant string) {
 	r.mu.Unlock()
 }
 
-// tenantName returns the connection's announced tenant ("" until a v3
+// tenantName returns the connection's announced tenant ("" until a
 // Hello names one).
 func (r *clientResponder) tenantName() string {
 	r.mu.Lock()
@@ -228,17 +229,11 @@ func (r *clientResponder) Serve(ctx context.Context, method string, body []byte)
 		if err := transport.Decode(body, &req); err != nil {
 			return nil, secerr.Wrap(secerr.CodeBadRequest, err, "sectopk: decoding client hello")
 		}
-		if req.Max < clientMinProtocolVersion || req.Min > clientProtocolVersion {
-			return nil, secerr.New(secerr.CodeProtocolVersion,
-				"sectopk: client speaks query plane v%d..v%d, this server v%d..v%d",
-				req.Min, req.Max, clientMinProtocolVersion, clientProtocolVersion)
-		}
-		v := clientProtocolVersion
-		if req.Max < v {
-			v = req.Max
+		if err := checkClientVersion("client", req.Version); err != nil {
+			return nil, err
 		}
 		r.setTenant(req.Tenant)
-		return transport.Encode(clientHelloReply{Version: v})
+		return transport.Encode(clientHelloReply{Version: clientProtocolVersion})
 	case methodClientExecute:
 		var wreq clientExecuteRequest
 		if err := transport.Decode(body, &wreq); err != nil {

@@ -52,8 +52,8 @@ func plainTopK(rel *sectopk.Relation, k int) []sectopk.Result {
 
 // TestShardedSessionPoolOverTCP drives the whole throughput-first data
 // plane through the public API: a sharded relation (WithShards), a TCP
-// connection that negotiates the multiplexed wire v2, the batch
-// scheduler (on by default), and a SessionPool issuing concurrent
+// connection carrying the multiplexed framing, the batch scheduler, and
+// a SessionPool issuing concurrent
 // queries — every result identical to the plaintext ground truth.
 func TestShardedSessionPoolOverTCP(t *testing.T) {
 	ctx := context.Background()

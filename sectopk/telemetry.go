@@ -9,8 +9,7 @@ import (
 )
 
 // DefaultTenant is the admission bucket unidentified callers land in:
-// in-process callers, wire v1/v2 peers (whose Hello predates the tenant
-// field), and v3 clients that never set WithTenant.
+// in-process callers and clients that never set WithTenant.
 const DefaultTenant = qos.DefaultTenant
 
 // Rate is one tenant's admission budget: a sustained request rate plus
@@ -42,11 +41,10 @@ func WithTenantLimits(limits map[string]Rate) Option {
 	}
 }
 
-// WithTenant names the tenant a Client identifies as in its Hello
-// (client wire v3). The server buckets the connection's requests under
-// that name for QoS admission and telemetry. Unset — or against a
-// pre-v3 server, which has no tenant field to read — the connection
-// lands in DefaultTenant. Client-side option; DataCloud ignores it.
+// WithTenant names the tenant a Client identifies as in its Hello. The
+// server buckets the connection's requests under that name for QoS
+// admission and telemetry. Unset, the connection lands in
+// DefaultTenant. Client-side option; DataCloud ignores it.
 func WithTenant(name string) Option {
 	return func(c *config) { c.tenant = name }
 }

@@ -79,10 +79,10 @@ type Result struct {
 // Traffic summarizes wire usage: request/response rounds and bytes in
 // both directions. Answers produced by the serving plane additionally
 // carry the span fields below; they stay zero on the cumulative
-// connection-level accessors (DataCloud.Traffic, Client.Traffic) and on
-// answers from servers predating client wire v3. Like Rounds and Bytes,
-// the span counters are measured as deltas on shared per-process
-// counters, so they are approximate when requests execute concurrently.
+// connection-level accessors (DataCloud.Traffic, Client.Traffic). Like
+// Rounds and Bytes, the span counters are measured as deltas on shared
+// per-process counters, so they are approximate when requests execute
+// concurrently.
 type Traffic struct {
 	Rounds int64
 	Bytes  int64
@@ -112,8 +112,17 @@ type EncryptedRelation struct {
 	// mst, when non-nil, is the relation's mutable state: the epoch, the
 	// id space high-water mark, and the tombstone tails behind sh's live
 	// views. A freshly encrypted relation has none (nil = epoch-1 state
-	// with no tombstones); Host and the mutation plane materialize it.
+	// with no tombstones); mutableState materializes it.
 	mst *mutate.Relation
+}
+
+// mutableState returns the relation's mutable state, wrapping a fresh
+// encryption's shards as epoch-1 state with no tombstones.
+func (er *EncryptedRelation) mutableState() (*mutate.Relation, error) {
+	if er.mst != nil {
+		return er.mst, nil
+	}
+	return mutate.New(er.sh.Shards, 0)
 }
 
 // Epoch returns the relation's mutation epoch (1 for a fresh
