@@ -294,7 +294,10 @@ func (s *Server) eqBits(ctx context.Context, req *EqBitsRequest) (*EqBitsReply, 
 }
 
 // recover strips the outer DJ layer from each blinded double encryption
-// (Algorithm 5, server side).
+// (Algorithm 5, server side) and re-randomizes what it found: S1 knows the
+// blind it applied, so a reply sent back as decrypted would unblind to the
+// very ciphertext S1 put under the outer layer and tell it which branch of
+// a selection won.
 func (s *Server) recover(req *RecoverRequest) (*RecoverReply, error) {
 	wrapped := make([]*dj.Ciphertext, len(req.Cts))
 	for i, c := range req.Cts {
@@ -305,6 +308,9 @@ func (s *Server) recover(req *RecoverRequest) (*RecoverReply, error) {
 	}
 	inner, err := s.keys.DJ.DecryptInnerBatch(wrapped, s.par)
 	if err != nil {
+		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
+	}
+	if inner, err = paillier.RerandomizeBatch(s.pkEnc, inner, s.par); err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
 	}
 	out := make([]*big.Int, len(inner))

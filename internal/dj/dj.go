@@ -209,6 +209,21 @@ func (pk *PublicKey) EncryptInner(inner *paillier.Ciphertext) (*Ciphertext, erro
 	return pk.Encrypt(inner.C)
 }
 
+// EmbedInner returns (1+N)^{Enc(m)} mod N^{s+1}: the outer-layer encryption
+// of a first-layer ciphertext under nonce 1, from the closed form below (no
+// exponentiation, no randomness). It hides nothing by itself; it is the
+// constant factor of a selection term, which S1 raises to a fresh Enc(r)
+// before the term leaves it.
+func (pk *PublicKey) EmbedInner(inner *paillier.Ciphertext) (*Ciphertext, error) {
+	if pk.S < 2 {
+		return nil, fmt.Errorf("dj: EmbedInner needs s >= 2, have s = %d", pk.S)
+	}
+	if inner == nil || inner.C == nil {
+		return nil, ErrMessageRange
+	}
+	return &Ciphertext{C: pk.expOnePlusN(new(big.Int).Mod(inner.C, pk.NS))}, nil
+}
+
 // expOnePlusN computes (1+N)^m mod N^{s+1} via the binomial expansion:
 // (1+N)^m = sum_{k=0..s} C(m,k) N^k mod N^{s+1}. The running term
 // C(m,k)*N^k is kept as an exact integer so the incremental division by k
@@ -356,14 +371,8 @@ func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	return pk.Add(a, nb)
 }
 
-// OneMinus returns E(1-t), the complement used for encrypted selection
-// bits: E2(1) * E2(t)^{-1}.
-func (pk *PublicKey) OneMinus(t *Ciphertext) (*Ciphertext, error) {
-	return OneMinusEnc(pk, t)
-}
-
-// OneMinusEnc is OneMinus with an explicit encryption surface, so hot
-// paths can draw the E(1) from a nonce pool.
+// OneMinusEnc returns E(1-t) = E(1) * E(t)^{-1}, the complement of a
+// hidden bit, drawing the E(1) from enc so hot paths can use a nonce pool.
 func OneMinusEnc(enc Encryptor, t *Ciphertext) (*Ciphertext, error) {
 	one, err := enc.Encrypt(zmath.One)
 	if err != nil {

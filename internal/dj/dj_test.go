@@ -164,36 +164,41 @@ func TestLayeredHomomorphism(t *testing.T) {
 }
 
 func TestSelectionIdentity(t *testing.T) {
-	// E2(t)^{Enc(x)} * E2(1-t)^{Enc(y)} = E2(t*Enc(x) + (1-t)*Enc(y)),
+	// (1+N)^{Enc(y)} * E2(t)^{Enc(x)-Enc(y) mod N^2} = E2(t*Enc(x) + (1-t)*Enc(y)),
 	// i.e. the inner plaintext selects Enc(x) when t=1 and Enc(y) when t=0.
-	// This is the select gadget used by SecWorst/SecBest/EncSort.
+	// This is the select gadget used by SecWorst/SecBest/EncSort; the
+	// difference is negative for one of the two orders of (x, y).
 	pail, sk := keys(t)
 	x, _ := pail.EncryptInt64(111)
 	y, _ := pail.EncryptInt64(222)
-	for _, tBit := range []int64{0, 1} {
-		et, _ := sk.EncryptInt64(tBit)
-		notT, err := sk.OneMinus(et)
-		if err != nil {
-			t.Fatalf("OneMinus: %v", err)
+	for _, pair := range [][2]*paillier.Ciphertext{{x, y}, {y, x}} {
+		a, b := pair[0], pair[1]
+		for _, tBit := range []int64{0, 1} {
+			et, _ := sk.EncryptInt64(tBit)
+			base, err := sk.EmbedInner(b)
+			if err != nil {
+				t.Fatalf("EmbedInner: %v", err)
+			}
+			term, err := sk.ExpConst(et, new(big.Int).Sub(a.C, b.C))
+			if err != nil {
+				t.Fatalf("ExpConst: %v", err)
+			}
+			sel, _ := sk.Add(base, term)
+			inner, err := sk.DecryptInner(sel)
+			if err != nil {
+				t.Fatalf("DecryptInner: %v", err)
+			}
+			want := b
+			if tBit == 1 {
+				want = a
+			}
+			if inner.C.Cmp(want.C) != 0 {
+				t.Fatalf("select(t=%d) did not return the chosen ciphertext", tBit)
+			}
 		}
-		termX, _ := sk.ExpCipher(et, x)
-		termY, _ := sk.ExpCipher(notT, y)
-		sel, _ := sk.Add(termX, termY)
-		inner, err := sk.DecryptInner(sel)
-		if err != nil {
-			t.Fatalf("DecryptInner: %v", err)
-		}
-		m, err := pail.Decrypt(inner)
-		if err != nil {
-			t.Fatalf("inner decrypt: %v", err)
-		}
-		want := int64(222)
-		if tBit == 1 {
-			want = 111
-		}
-		if m.Int64() != want {
-			t.Fatalf("select(t=%d) = %v, want %d", tBit, m, want)
-		}
+	}
+	if _, err := sk.EmbedInner(nil); err == nil {
+		t.Fatal("EmbedInner(nil) should fail")
 	}
 }
 

@@ -89,7 +89,6 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 		return nil, err
 	}
 	pk := e.client.PK()
-	djPK := e.client.DJPK()
 
 	// Phase 1: hidden equality bits for every candidate pair, in random
 	// order (Algorithm 11 line 3).
@@ -121,27 +120,17 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 		bits[idx] = bitsPermuted[perm[idx]]
 	}
 
-	// Phase 2: assemble each candidate tuple under the outer layer:
+	// Phase 2: select each candidate tuple under the outer layer:
 	// score s_ij = t * (x_scoreA + x_scoreB), attributes x' = t * x
-	// (Algorithm 11 lines 7-10). The (1-t) * Enc(0) complement keeps the
-	// inner plaintext a valid ciphertext. One recovery round resolves the
-	// whole nested loop.
+	// (Algorithm 11 lines 7-10), Enc(0) when t = 0. One recovery round
+	// resolves the whole nested loop.
 	zero, err := pk.EncryptZero()
 	if err != nil {
 		return nil, err
 	}
 	nCols := 1 + len(tk.Proj1) + len(tk.Proj2)
-	jobs := make([]*dj.Ciphertext, 0, len(pairs)*nCols)
+	sels := make([]protocols.Selection, 0, len(pairs)*nCols)
 	for idx, p := range pairs {
-		t := bits[idx]
-		notT, err := djPK.OneMinus(t)
-		if err != nil {
-			return nil, err
-		}
-		zeroTerm, err := djPK.ExpCipher(notT, zero)
-		if err != nil {
-			return nil, err
-		}
 		scoreSum, err := pk.Add(e.er1.Tuples[p.i][tk.ScorePos1].Value, e.er2.Tuples[p.j][tk.ScorePos2].Value)
 		if err != nil {
 			return nil, err
@@ -155,17 +144,10 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 			cols = append(cols, e.er2.Tuples[p.j][pos].Value)
 		}
 		for _, colCt := range cols {
-			term, err := djPK.ExpCipher(t, colCt)
-			if err != nil {
-				return nil, err
-			}
-			if term, err = djPK.Add(term, zeroTerm); err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, term)
+			sels = append(sels, protocols.Pick(bits[idx], colCt, zero))
 		}
 	}
-	resolved, err := protocols.RecoverEnc(ctx, e.client, jobs)
+	resolved, err := protocols.Select(ctx, e.client, sels)
 	if err != nil {
 		return nil, err
 	}

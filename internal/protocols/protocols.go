@@ -66,8 +66,8 @@ func (it Item) Validate(cols int) error {
 // RecoverEnc strips the outer DJ layer from each double encryption
 // E2(Enc(c)) with additive blinding (Algorithm 5), batched into a single
 // round: S1 blinds with Enc(r_i), S2 removes the outer layer, S1 divides
-// the blind back out. Blinding and unblinding fan out over the client's
-// worker budget.
+// the blind back out. The blinding exponentiations fan out over the
+// client's worker budget.
 func RecoverEnc(ctx context.Context, c *cloud.Client, cts []*dj.Ciphertext) ([]*paillier.Ciphertext, error) {
 	if len(cts) == 0 {
 		return nil, nil
@@ -100,96 +100,101 @@ func RecoverEnc(ctx context.Context, c *cloud.Client, cts []*dj.Ciphertext) ([]*
 	if err != nil {
 		return nil, err
 	}
-	// The reply is exactly Enc(c_i) * Enc(r_i) as a group element;
-	// dividing by the same Enc(r_i) restores Enc(c_i). All the inverses
-	// come from one Montgomery batch inversion (1 inversion + 3 mults per
-	// ciphertext instead of an extended-GCD each).
-	blindVals := make([]*big.Int, len(blinds))
-	for i, b := range blinds {
-		blindVals[i] = b.C
+	// The reply encrypts c_i + r_i; dividing by the same Enc(r_i) leaves
+	// Enc(c_i) under the fresh randomness S2 put on it.
+	return subAll(pk, recovered, blinds)
+}
+
+// subAll returns Enc(a_i - b_i) for every pair. All the inverses come from
+// one Montgomery batch inversion (1 inversion + 3 mults per ciphertext
+// instead of an extended-GCD each).
+func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	vals := make([]*big.Int, len(bs))
+	for i, b := range bs {
+		vals[i] = b.C
 	}
 	var invs []*big.Int
+	var err error
 	if eng := pk.EngineN2(); eng != nil {
-		invs, err = zmath.BatchModInverseMod(blindVals, eng)
+		invs, err = zmath.BatchModInverseMod(vals, eng)
 	} else {
-		invs, err = zmath.BatchModInverse(blindVals, pk.N2)
+		invs, err = zmath.BatchModInverse(vals, pk.N2)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("protocols: RecoverEnc unblind: %w", err)
+		return nil, fmt.Errorf("protocols: batch inversion: %w", err)
 	}
-	return parallel.MapErrCtx(ctx, c.Parallelism(), recovered, func(i int, rec *paillier.Ciphertext) (*paillier.Ciphertext, error) {
-		if eng := pk.EngineN2(); eng != nil {
-			return &paillier.Ciphertext{C: eng.MulMod(rec.C, invs[i])}, nil
+	out := make([]*paillier.Ciphertext, len(as))
+	for i, a := range as {
+		if out[i], err = pk.Add(a, &paillier.Ciphertext{C: invs[i]}); err != nil {
+			return nil, err
 		}
-		v := new(big.Int).Mul(rec.C, invs[i])
-		v.Mod(v, pk.N2)
-		return &paillier.Ciphertext{C: v}, nil
-	})
+	}
+	return out, nil
 }
 
-// selector accumulates encrypted-selection jobs so a whole batch resolves
-// with one RecoverEnc round. Each job is the paper's gadget
+// Selection is one oblivious choice among first-layer ciphertexts, made
+// under the outer layer: it resolves to an encryption of A[e]'s plaintext
+// for the one e whose hidden bit T[e] is 1, and of Else's when no bit is
+// set. At most one bit may be set.
+type Selection struct {
+	T    []*dj.Ciphertext
+	A    []*paillier.Ciphertext
+	Else *paillier.Ciphertext
+}
+
+// Pick is the two-way selection: a when t = 1, b when t = 0.
+func Pick(t *dj.Ciphertext, a, b *paillier.Ciphertext) Selection {
+	return Selection{T: []*dj.Ciphertext{t}, A: []*paillier.Ciphertext{a}, Else: b}
+}
+
+// term builds E2(sum_e t_e*A_e + (1 - sum_e t_e)*Else) as
 //
-//	E2(t)^{Enc(a)} * (E2(1)E2(t)^{-1})^{Enc(b)} = E2(Enc(t*a + (1-t)*b))
+//	(1+N)^{Else'} * prod_e E2(t_e)^{(A_e' - Else') mod N^2}
 //
-// which picks Enc(a) when t = 1 and Enc(b) when t = 0.
-//
-// add and addRaw only queue; the layered exponentiations — the dominant
-// S1-side cost, since the exponent is a full first-layer ciphertext — are
-// deferred to resolve, which builds every queued term in parallel before
-// the single recovery round.
-type selector struct {
-	client *cloud.Client
-	jobs   []selJob
-}
-
-// selJob is one queued selection. raw short-circuits term construction for
-// callers that assembled the outer-layer ciphertext themselves.
-type selJob struct {
-	raw     *dj.Ciphertext
-	t, notT *dj.Ciphertext
-	a, b    *paillier.Ciphertext
-}
-
-func newSelector(c *cloud.Client) *selector { return &selector{client: c} }
-
-// addRaw queues an already-built E2(Enc(x)) for recovery and returns its
-// slot index.
-func (s *selector) addRaw(ct *dj.Ciphertext) int {
-	s.jobs = append(s.jobs, selJob{raw: ct})
-	return len(s.jobs) - 1
-}
-
-// add queues select(t, a, b) and returns its slot index. notT must be
-// E2(1-t) (callers typically reuse it across selects on the same bit).
-// Queueing cannot fail; construction errors surface from resolve.
-func (s *selector) add(t, notT *dj.Ciphertext, a, b *paillier.Ciphertext) int {
-	s.jobs = append(s.jobs, selJob{t: t, notT: notT, a: a, b: b})
-	return len(s.jobs) - 1
-}
-
-// resolve builds every queued selection term in parallel and executes the
-// batched RecoverEnc round.
-func (s *selector) resolve(ctx context.Context) ([]*paillier.Ciphertext, error) {
-	djPK := s.client.DJPK()
-	terms, err := parallel.MapErrCtx(ctx, s.client.Parallelism(), s.jobs, func(_ int, j selJob) (*dj.Ciphertext, error) {
-		if j.raw != nil {
-			return j.raw, nil
+// where x' is the ciphertext x read as an integer: the plaintext under the
+// outer layer is Else' + sum_e t_e*(A_e' - Else') mod N^2. That is one
+// layered exponentiation per bit — the dominant S1-side cost, since the
+// exponent is as wide as a first-layer ciphertext — none for the Else
+// branch, and none for a bit whose two branches are the same ciphertext.
+func (s Selection) term(djPK *dj.PublicKey) (*dj.Ciphertext, error) {
+	if len(s.T) != len(s.A) {
+		return nil, fmt.Errorf("protocols: selection has %d bits for %d choices", len(s.T), len(s.A))
+	}
+	term, err := djPK.EmbedInner(s.Else)
+	if err != nil {
+		return nil, err
+	}
+	for e, t := range s.T {
+		if s.A[e] == nil || s.A[e].C == nil {
+			return nil, fmt.Errorf("protocols: selection choice %d is nil", e)
 		}
-		termA, err := djPK.ExpCipher(j.t, j.a)
+		diff := new(big.Int).Sub(s.A[e].C, s.Else.C)
+		if diff.Sign() == 0 {
+			continue
+		}
+		contrib, err := djPK.ExpConst(t, diff)
 		if err != nil {
 			return nil, err
 		}
-		termB, err := djPK.ExpCipher(j.notT, j.b)
-		if err != nil {
+		if term, err = djPK.Add(term, contrib); err != nil {
 			return nil, err
 		}
-		return djPK.Add(termA, termB)
+	}
+	return term, nil
+}
+
+// Select resolves a batch of selections with one RecoverEnc round; the
+// terms build in parallel. Every result carries fresh randomness, so it
+// cannot be matched to the branch it came from.
+func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier.Ciphertext, error) {
+	djPK := c.DJPK()
+	terms, err := parallel.MapErrCtx(ctx, c.Parallelism(), sels, func(_ int, s Selection) (*dj.Ciphertext, error) {
+		return s.term(djPK)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return RecoverEnc(ctx, s.client, terms)
+	return RecoverEnc(ctx, c, terms)
 }
 
 // eqBitsPermuted ships randomized equality ciphertexts to S2 under a fresh
@@ -214,14 +219,6 @@ func eqBitsPermuted(ctx context.Context, c *cloud.Client, eqCts []*paillier.Ciph
 		bits[i] = bitsPermuted[perm[i]]
 	}
 	return bits, nil
-}
-
-// oneMinusAll computes E2(1-t) for a batch of hidden bits, drawing the
-// E2(1) encryptions from the client's DJ nonce pool.
-func oneMinusAll(ctx context.Context, c *cloud.Client, bits []*dj.Ciphertext) ([]*dj.Ciphertext, error) {
-	return parallel.MapErrCtx(ctx, c.Parallelism(), bits, func(_ int, b *dj.Ciphertext) (*dj.Ciphertext, error) {
-		return dj.OneMinusEnc(c.DJEnc(), b)
-	})
 }
 
 // SecMult computes Enc(a_i * b_i) for each pair using the standard

@@ -7,7 +7,6 @@ import (
 	"math/big"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
@@ -152,6 +151,18 @@ func batcherLayers(n int) [][]gate {
 	return layers
 }
 
+// slots lists every ciphertext of the item, id digests first.
+func (it Item) slots() []*paillier.Ciphertext {
+	return append(append([]*paillier.Ciphertext(nil), it.EHL.Cts...), it.Scores...)
+}
+
+// withSlots returns an item shaped like it that holds the given slots. The
+// two halves are capped, so appending to one cannot reach its neighbour.
+func (it Item) withSlots(slots []*paillier.Ciphertext) Item {
+	w, n := len(it.EHL.Cts), len(slots)
+	return Item{EHL: &ehl.List{Kind: it.EHL.Kind, Cts: slots[:w:w]}, Scores: slots[w:n:n]}
+}
+
 // runGateLayer executes one layer of independent compare-exchange gates in
 // two rounds: a hidden-comparison batch and a selection/recovery batch.
 func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gate, col int, desc bool, magBits int) error {
@@ -170,61 +181,42 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 	if err != nil {
 		return err
 	}
-	notBits, err := oneMinusAll(ctx, c, bits)
-	if err != nil {
-		return err
-	}
 
-	// Round 2: oblivious swap of every slot of both items.
-	sel := newSelector(c)
-	type slotRef struct {
-		gate  int
-		side  int // 0 = position i, 1 = position j
-		isEHL bool
-		idx   int
-		slot  int
-	}
-	var refs []slotRef
-	queue := func(k int, t, notT *dj.Ciphertext, a, b *paillier.Ciphertext, side int, isEHL bool, idx int) {
-		refs = append(refs, slotRef{gate: k, side: side, isEHL: isEHL, idx: idx, slot: sel.add(t, notT, a, b)})
-	}
+	// Round 2: oblivious swap. Only position i's slots are selected; the
+	// partner follows homomorphically as Enc(I) * Enc(J) * Enc(new_i)^-1,
+	// which encrypts I + J - new_i: the other of the two, for id digests
+	// mod N as for scores. The recovered new_i carries randomness neither
+	// input has, so new_j does not repeat an input ciphertext either.
+	var sels []Selection
+	var sums []*paillier.Ciphertext
+	pk := c.PK()
 	for k, g := range layer {
-		I, J := work[g.i], work[g.j]
-		for idx := range I.EHL.Cts {
-			queue(k, bits[k], notBits[k], I.EHL.Cts[idx], J.EHL.Cts[idx], 0, true, idx)
-			queue(k, bits[k], notBits[k], J.EHL.Cts[idx], I.EHL.Cts[idx], 1, true, idx)
+		if len(work[g.i].EHL.Cts) != len(work[g.j].EHL.Cts) || len(work[g.i].Scores) != len(work[g.j].Scores) {
+			return fmt.Errorf("protocols: gate (%d,%d) items differ in shape", g.i, g.j)
 		}
-		for idx := range I.Scores {
-			queue(k, bits[k], notBits[k], I.Scores[idx], J.Scores[idx], 0, false, idx)
-			queue(k, bits[k], notBits[k], J.Scores[idx], I.Scores[idx], 1, false, idx)
+		I, J := work[g.i].slots(), work[g.j].slots()
+		for s := range I {
+			sum, err := pk.Add(I[s], J[s])
+			if err != nil {
+				return err
+			}
+			sels = append(sels, Pick(bits[k], I[s], J[s]))
+			sums = append(sums, sum)
 		}
 	}
-	resolved, err := sel.resolve(ctx)
+	first, err := Select(ctx, c, sels)
 	if err != nil {
 		return err
 	}
-	// Materialize the new items, then write them back.
-	newItems := make(map[int]*Item)
+	second, err := subAll(pk, sums, first)
+	if err != nil {
+		return err
+	}
+	at := 0
 	for _, g := range layer {
-		ni := &Item{EHL: &ehl.List{Kind: work[g.i].EHL.Kind, Cts: make([]*paillier.Ciphertext, len(work[g.i].EHL.Cts))}, Scores: make([]*paillier.Ciphertext, len(work[g.i].Scores))}
-		nj := &Item{EHL: &ehl.List{Kind: work[g.j].EHL.Kind, Cts: make([]*paillier.Ciphertext, len(work[g.j].EHL.Cts))}, Scores: make([]*paillier.Ciphertext, len(work[g.j].Scores))}
-		newItems[g.i] = ni
-		newItems[g.j] = nj
-	}
-	for _, r := range refs {
-		g := layer[r.gate]
-		pos := g.i
-		if r.side == 1 {
-			pos = g.j
-		}
-		if r.isEHL {
-			newItems[pos].EHL.Cts[r.idx] = resolved[r.slot]
-		} else {
-			newItems[pos].Scores[r.idx] = resolved[r.slot]
-		}
-	}
-	for pos, it := range newItems {
-		work[pos] = *it
+		w := len(work[g.i].EHL.Cts) + len(work[g.i].Scores)
+		work[g.i], work[g.j] = work[g.i].withSlots(first[at:at+w]), work[g.j].withSlots(second[at:at+w])
+		at += w
 	}
 	return nil
 }

@@ -3,10 +3,8 @@ package protocols
 import (
 	"context"
 	"fmt"
-	"math/big"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
@@ -71,22 +69,17 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	if err != nil {
 		return nil, err
 	}
-	notBits, err := oneMinusAll(ctx, c, bits)
-	if err != nil {
-		return nil, err
-	}
 
-	// Build all selection terms; resolve with one RecoverEnc round.
+	// Build all selections; resolve with one RecoverEnc round.
 	zero, err := c.Enc().EncryptZero()
 	if err != nil {
 		return nil, err
 	}
-	djPK := c.DJPK()
-	one, err := c.DJEnc().Encrypt(big.NewInt(1))
-	if err != nil {
-		return nil, err
+	var sels []Selection
+	add := func(s Selection) int {
+		sels = append(sels, s)
+		return len(sels) - 1
 	}
-	sel := newSelector(c)
 	type jobKind int
 	const (
 		jobExistingAdd jobKind = iota // add t*value to existing column
@@ -100,11 +93,6 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 		slot int
 	}
 	var jobs []job
-	// bitIdx[g][t] locates the equality bit of pair (gamma g, existing t).
-	bitIdx := make(map[[2]int]int, len(refs))
-	for k, r := range refs {
-		bitIdx[[2]int{r.g, r.t}] = k
-	}
 	for k, r := range refs {
 		g, t := r.g, r.t
 		// Additive columns: W and any payload columns beyond B. Adding
@@ -114,58 +102,26 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 				continue
 			}
 			jobs = append(jobs,
-				job{kind: jobExistingAdd, item: t, col: col, slot: sel.add(bits[k], notBits[k], gamma[g].Scores[col], zero)},
-				job{kind: jobNewAdd, item: g, col: col, slot: sel.add(bits[k], notBits[k], T[t].Scores[col], zero)})
+				job{kind: jobExistingAdd, item: t, col: col, slot: add(Pick(bits[k], gamma[g].Scores[col], zero))},
+				job{kind: jobNewAdd, item: g, col: col, slot: add(Pick(bits[k], T[t].Scores[col], zero))})
 		}
 	}
 	// Best bound: replace with the fresher value when matched. This must
 	// compose across all gamma items of one existing entry at once —
 	// B' = sum_g t_g * B_g + (1 - sum_g t_g) * B_old — a per-pair select
-	// would let a later unmatched pair overwrite the refresh. Each entry's
-	// exponentiation chain is independent, so they build in parallel.
+	// would let a later unmatched pair overwrite the refresh. refs is
+	// gamma-major, so pair (gamma g, existing t) has bit g*len(T)+t.
 	if cols > ColBest {
-		terms := make([]*dj.Ciphertext, len(T))
-		err := parallel.ForEachCtx(ctx, c.Parallelism(), len(T), func(ti int) error {
-			var term, tSum *dj.Ciphertext
+		for ti := range T {
+			s := Selection{Else: T[ti].Scores[ColBest]}
 			for gi := range gamma {
-				k := bitIdx[[2]int{gi, ti}]
-				contrib, err := djPK.ExpCipher(bits[k], gamma[gi].Scores[ColBest])
-				if err != nil {
-					return err
-				}
-				if term == nil {
-					term, tSum = contrib, bits[k]
-				} else {
-					if term, err = djPK.Add(term, contrib); err != nil {
-						return err
-					}
-					if tSum, err = djPK.Add(tSum, bits[k]); err != nil {
-						return err
-					}
-				}
+				s.T = append(s.T, bits[gi*len(T)+ti])
+				s.A = append(s.A, gamma[gi].Scores[ColBest])
 			}
-			notT, err := djPK.Sub(one, tSum)
-			if err != nil {
-				return err
-			}
-			oldTerm, err := djPK.ExpCipher(notT, T[ti].Scores[ColBest])
-			if err != nil {
-				return err
-			}
-			if term, err = djPK.Add(term, oldTerm); err != nil {
-				return err
-			}
-			terms[ti] = term
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for ti, term := range terms {
-			jobs = append(jobs, job{kind: jobExistingSet, item: ti, col: ColBest, slot: sel.addRaw(term)})
+			jobs = append(jobs, job{kind: jobExistingSet, item: ti, col: ColBest, slot: add(s)})
 		}
 	}
-	resolved, err := sel.resolve(ctx)
+	resolved, err := Select(ctx, c, sels)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
-	"repro/internal/zmath"
 )
 
 // DepthItem is one encrypted data item E(I) = (EHL(o), Enc(x)) read from a
@@ -100,7 +99,6 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 		}
 	}
 	pk := c.PK()
-	djPK := c.DJPK()
 	m := len(items)
 	ownScores := func() []*paillier.Ciphertext {
 		out := make([]*paillier.Ciphertext, m)
@@ -138,7 +136,6 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 			refs = append(refs, ref{i, j, last(j)})
 		}
 	}
-	sameDepth := len(refs)
 	for i := 0; wantBest && i < m; i++ {
 		for j := 0; j < m; j++ {
 			for e := 0; j != i && e < last(j); e++ {
@@ -176,80 +173,45 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 			}
 		}
 	}
-	sel := newSelector(c)
-	var worstSlots, bestSlots []int
+	// Worst selections first, then best, each in keys order.
+	var sels []Selection
 	if wantWorst {
 		// t_ij*x_j + (1-t_ij)*0.
-		notBits, err := oneMinusAll(ctx, c, bits[:sameDepth])
-		if err != nil {
-			return nil, nil, err
-		}
 		zero, err := c.Enc().EncryptZero()
 		if err != nil {
 			return nil, nil, err
 		}
 		for _, k := range keys {
-			b := bitAt[k.i][k.j][last(k.j)]
-			worstSlots = append(worstSlots, sel.add(bits[b], notBits[b], items[k.j].Score, zero))
+			sels = append(sels, Pick(bits[bitAt[k.i][k.j][last(k.j)]], items[k.j].Score, zero))
 		}
 	}
+	bestAt := len(sels)
 	if wantBest {
-		// sum_e t_e*Enc(x_j^e) + (1 - sum_e t_e)*Enc(bottom_j), assembled
-		// under the outer layer. The (i, j) groups are independent, so
-		// their exponentiation chains — the dominant S1-side cost here —
-		// build in parallel.
-		one, err := c.DJEnc().Encrypt(zmath.One)
-		if err != nil {
-			return nil, nil, err
-		}
-		terms, err := parallel.MapErrCtx(ctx, c.Parallelism(), keys, func(_ int, k key) (*dj.Ciphertext, error) {
+		// sum_e t_e*Enc(x_j^e) + (1 - sum_e t_e)*Enc(bottom_j): the object
+		// matches at most one depth of list j, else the bottom stands in.
+		// The current depth's entry is the bottom itself, which Selection
+		// recognises and spends no exponentiation on.
+		for _, k := range keys {
 			h := histories[k.j]
-			var term, tSum *dj.Ciphertext
+			ts := make([]*dj.Ciphertext, len(h.Scores))
 			for e, b := range bitAt[k.i][k.j] {
-				contrib, err := djPK.ExpCipher(bits[b], h.Scores[e])
-				if err != nil {
-					return nil, err
-				}
-				if term == nil {
-					term, tSum = contrib, bits[b]
-					continue
-				}
-				if term, err = djPK.Add(term, contrib); err != nil {
-					return nil, err
-				}
-				if tSum, err = djPK.Add(tSum, bits[b]); err != nil {
-					return nil, err
-				}
+				ts[e] = bits[b]
 			}
-			notT, err := djPK.Sub(one, tSum)
-			if err != nil {
-				return nil, err
-			}
-			bottomTerm, err := djPK.ExpCipher(notT, h.Scores[last(k.j)])
-			if err != nil {
-				return nil, err
-			}
-			return djPK.Add(term, bottomTerm)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, term := range terms {
-			bestSlots = append(bestSlots, sel.addRaw(term))
+			sels = append(sels, Selection{T: ts, A: h.Scores, Else: h.Scores[last(k.j)]})
 		}
 	}
-	resolved, err := sel.resolve(ctx)
+	resolved, err := Select(ctx, c, sels)
 	if err != nil {
 		return nil, nil, err
 	}
 	for g, k := range keys {
 		if wantWorst {
-			if worst[k.i], err = pk.Add(worst[k.i], resolved[worstSlots[g]]); err != nil {
+			if worst[k.i], err = pk.Add(worst[k.i], resolved[g]); err != nil {
 				return nil, nil, err
 			}
 		}
 		if wantBest {
-			if best[k.i], err = pk.Add(best[k.i], resolved[bestSlots[g]]); err != nil {
+			if best[k.i], err = pk.Add(best[k.i], resolved[bestAt+g]); err != nil {
 				return nil, nil, err
 			}
 		}
