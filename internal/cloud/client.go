@@ -13,10 +13,10 @@ import (
 )
 
 // Client is the data cloud S1's stub for talking to the crypto cloud S2.
-// It owns S1's ephemeral Paillier key pair (the pk' of Algorithm 7), whose
-// modulus is kept at least 2x+64 bits larger than the main modulus so that
-// blind bookkeeping (integer sums of additive blinds, one integer product
-// for the multiplicative join blind) never wraps before S1 reduces mod N.
+// It owns S1's one ephemeral Paillier key pair (the pk' of Algorithm 7),
+// whose modulus is ephemeralBits wider than the main one: every blind
+// record is an integer sum of additive blinds, and that much headroom
+// keeps the sum from wrapping before S1 reduces it mod N.
 //
 // The client also carries S1's parallelism knob and nonce-precompute
 // pools; the protocols layer reads them through Parallelism, Enc, and
@@ -49,8 +49,7 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	if err != nil {
 		return nil, err
 	}
-	ephBits := 2*pk.N.BitLen() + 64
-	eph, err := paillier.GenerateKey(rand.Reader, ephBits)
+	eph, err := paillier.GenerateKey(rand.Reader, pk.N.BitLen()+ephemeralBits)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: generating ephemeral key: %w", err)
 	}
@@ -58,8 +57,7 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	c := &Client{caller: caller, relation: cfg.relation, pk: pk, djPK: djPK, eph: eph, ledger: ledger, par: cfg.parallelism}
 	// S1 holds only the ephemeral private key: the main and DJ surfaces
 	// get the fast-nonce table when opted in (spec path otherwise), while
-	// the ephemeral surface — the hottest client-side one, with a modulus
-	// more than twice the main size — additionally defaults to CRT.
+	// the ephemeral surface additionally defaults to CRT.
 	var closer func()
 	c.pkEnc, closer, err = cfg.newPaillierEnc(pk, nil)
 	if err != nil {
@@ -140,9 +138,7 @@ func (c *Client) Parallelism() int { return c.par }
 // pooling is enabled).
 func (c *Client) Enc() paillier.Encryptor { return c.pkEnc }
 
-// EphEnc returns the encryption surface for the ephemeral key — the
-// hottest client-side operation, since the ephemeral modulus is more than
-// twice the size of the main one.
+// EphEnc returns the encryption surface for the ephemeral key.
 func (c *Client) EphEnc() paillier.Encryptor { return c.ephEnc }
 
 // DJEnc returns the encryption surface for the Damgård-Jurik layer.

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/dj"
 	"repro/internal/paillier"
+	"repro/internal/secerr"
 	"repro/internal/transport"
 )
 
@@ -410,26 +412,28 @@ func TestFilterDropsAndRecovers(t *testing.T) {
 	e := env(t)
 	pk := &e.keys.Paillier.PublicKey
 	eph := e.client.Ephemeral()
-
-	// Row A: score 9 blinded multiplicatively by r; payload 55 blinded by 0.
-	r := big.NewInt(123457)
-	rInv := new(big.Int).ModInverse(r, pk.N)
-	sBlinded := new(big.Int).Mul(big.NewInt(9), r)
-	sBlinded.Mod(sBlinded, pk.N)
-	sCt, _ := pk.Encrypt(sBlinded)
-	payloadCt, _ := pk.EncryptInt64(55)
-	bl0, _ := eph.Encrypt(rInv)
-	bl1, _ := eph.EncryptInt64(0)
-	rowA := WireRow{Scores: []*big.Int{sCt.C, payloadCt.C}, Blinds: []*big.Int{bl0.C, bl1.C}}
-
-	// Row B: score 0 (fails the join condition) — must be dropped.
-	zeroCt, _ := pk.EncryptInt64(0)
-	pay2, _ := pk.EncryptInt64(66)
-	bl20, _ := eph.EncryptInt64(1)
-	bl21, _ := eph.EncryptInt64(0)
-	rowB := WireRow{Scores: []*big.Int{zeroCt.C, pay2.C}, Blinds: []*big.Int{bl20.C, bl21.C}}
-
-	resp, err := e.client.FilterRound(context.Background(), &FilterRequest{Rows: []WireRow{rowA, rowB}})
+	enc := func(k *paillier.PublicKey, v int64) *big.Int {
+		ct, err := k.EncryptInt64(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct.C
+	}
+	// Row A: score 9 blinded by 1000, payload 55 blinded by 7; its test is
+	// the score times 123457. Row B's test is zero — it failed the join
+	// condition and must be dropped whatever its row holds.
+	rowA := WireRow{
+		Scores: []*big.Int{enc(pk, 1009), enc(pk, 62)},
+		Blinds: []*big.Int{enc(&eph.PublicKey, 1000), enc(&eph.PublicKey, 7)},
+	}
+	rowB := WireRow{
+		Scores: []*big.Int{enc(pk, 31), enc(pk, 66)},
+		Blinds: []*big.Int{enc(&eph.PublicKey, 1), enc(&eph.PublicKey, 0)},
+	}
+	resp, err := e.client.FilterRound(context.Background(), &FilterRequest{
+		Rows:  []WireRow{rowA, rowB},
+		Tests: []*big.Int{enc(pk, 9*123457), enc(pk, 0)},
+	})
 	if err != nil {
 		t.Fatalf("FilterRound: %v", err)
 	}
@@ -437,51 +441,78 @@ func TestFilterDropsAndRecovers(t *testing.T) {
 		t.Fatalf("expected 1 surviving row, got %d", len(resp.Rows))
 	}
 	out := resp.Rows[0]
-	// Unblind the score: decrypt the returned inverse (an integer product
-	// r^{-1} * gamma^{-1} below the ephemeral modulus), reduce mod N, and
-	// exponentiate.
-	invRaw, err := eph.Decrypt(&paillier.Ciphertext{C: out.Blinds[0]})
-	if err != nil {
-		t.Fatal(err)
+	if out.Scores[0].Cmp(rowA.Scores[0]) == 0 || out.Blinds[0].Cmp(rowA.Blinds[0]) == 0 {
+		t.Fatal("the surviving row came back without a re-blind")
 	}
-	invRaw.Mod(invRaw, pk.N)
-	unblinded, err := pk.MulConst(&paillier.Ciphertext{C: out.Scores[0]}, invRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.keys.Paillier.Decrypt(unblinded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Int64() != 9 {
-		t.Fatalf("unblinded join score = %v, want 9", m)
-	}
-	// Unblind the payload column.
-	padBlind, err := eph.Decrypt(&paillier.Ciphertext{C: out.Blinds[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	padCt, err := pk.AddPlain(&paillier.Ciphertext{C: out.Scores[1]}, new(big.Int).Neg(padBlind))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := e.keys.Paillier.Decrypt(padCt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pm.Int64() != 55 {
-		t.Fatalf("unblinded payload = %v, want 55", pm)
+	// The score and the payload unblind the same way: subtract the
+	// recorded blind, reduced mod N by AddPlain.
+	for j, want := range []int64{9, 55} {
+		blind, err := eph.Decrypt(&paillier.Ciphertext{C: out.Blinds[j]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := pk.AddPlain(&paillier.Ciphertext{C: out.Scores[j]}, blind.Neg(blind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := e.keys.Paillier.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Int64() != want {
+			t.Fatalf("unblinded column %d = %v, want %d", j, m, want)
+		}
 	}
 }
 
 func TestFilterMalformedRow(t *testing.T) {
 	e := env(t)
-	bad := &FilterRequest{Rows: []WireRow{{Scores: nil, Blinds: nil}}}
+	bad := &FilterRequest{Rows: []WireRow{{Scores: nil, Blinds: nil}}, Tests: []*big.Int{big.NewInt(1)}}
 	if _, err := e.client.FilterRound(context.Background(), bad); err == nil {
 		t.Fatal("expected malformed row error")
 	}
 	if _, err := e.client.FilterRound(context.Background(), nil); err == nil {
 		t.Fatal("expected nil request error")
+	}
+}
+
+// TestBlindRecordRequestsRefused sends S2 the blind-record requests it must
+// refuse as typed bad_request before it builds a key or exponentiates: an
+// ephemeral modulus of any width but |N|+64 bits (narrower wraps records,
+// wider buys a wide exponentiation per slot), and a Filter whose tests do
+// not pair up with its rows.
+func TestBlindRecordRequestsRefused(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk := &e.keys.Paillier.PublicKey
+	ephN := e.client.Ephemeral().N
+	one := big.NewInt(1)
+	row := WireRow{Scores: []*big.Int{one}, Blinds: []*big.Int{one}}
+	if ephN.BitLen() != pk.N.BitLen()+64 {
+		t.Fatalf("client's ephemeral modulus is %d bits beside a %d-bit N", ephN.BitLen(), pk.N.BitLen())
+	}
+	for name, req := range map[string]any{
+		"dedup narrow":      &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(pk.N.BitLen() + 63)},
+		"dedup head-width":  &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(2*pk.N.BitLen() + 64)},
+		"dedup megabit":     &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(1 << 20)},
+		"dedup nil":         &DedupRequest{Rows: []WireRow{row}},
+		"filter narrow":     &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(128)},
+		"filter megabit":    &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 20)},
+		"filter no tests":   &FilterRequest{Rows: []WireRow{row}, EphemeralN: ephN},
+		"filter more tests": &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one, one}, EphemeralN: ephN},
+		"filter nil test":   &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{nil}, EphemeralN: ephN},
+	} {
+		method := MethodDedup
+		if _, ok := req.(*FilterRequest); ok {
+			method = MethodFilter
+		}
+		body, err := transport.Encode(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.server.Serve(ctx, method, body); !errors.Is(err, secerr.ErrBadRequest) {
+			t.Errorf("%s: got %v, want a bad_request", name, err)
+		}
 	}
 }
 

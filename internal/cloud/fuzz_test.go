@@ -26,6 +26,12 @@ type applyEnvelope struct {
 	Delta    []byte
 }
 
+// oddOfBits returns the odd integer 2^(bits-1) + 1.
+func oddOfBits(bits int) *big.Int {
+	n := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
+	return n.Add(n, big.NewInt(1))
+}
+
 // fuzzSeedBodies are structurally plausible but hostile request bodies:
 // nil ciphertexts, mismatched lengths, nil moduli, and shape-violating
 // rows — each a case that must come back as an error, never a panic.
@@ -64,6 +70,14 @@ func fuzzSeedBodies(t testing.TB) [][]byte {
 		}),
 		enc(&FilterRequest{Rows: []WireRow{{Scores: []*big.Int{nil}, Blinds: []*big.Int{one}}}, EphemeralN: one}),
 		enc(&FilterRequest{Rows: []WireRow{{EHL: []*big.Int{one}, Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, EphemeralN: one}),
+		// Ephemeral moduli of the wrong width (a bit short of |N|+64, and
+		// wide enough to make one exponentiation a denial of service), and
+		// Filter tests that do not pair up with the rows or are nil under a
+		// modulus of the right width.
+		enc(&DedupRequest{Rows: []WireRow{{Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, EphemeralN: oddOfBits(256 + 63)}),
+		enc(&FilterRequest{Rows: []WireRow{{Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 17)}),
+		enc(&FilterRequest{Rows: []WireRow{{Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, EphemeralN: oddOfBits(256 + 64)}),
+		enc(&FilterRequest{Rows: []WireRow{{Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, Tests: []*big.Int{nil}, EphemeralN: oddOfBits(256 + 64)}),
 		// Batch envelopes: hostile item bodies, bogus item methods, nested
 		// envelopes, and nil bodies — each must fail per item (or as
 		// bad_request), never panic.

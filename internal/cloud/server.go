@@ -484,9 +484,9 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Dedup")
 	}
 	pk := &s.keys.Paillier.PublicKey
-	ephPK, err := paillier.NewPublicKeyFromN(req.EphemeralN)
+	ephPK, err := ephemeralKey(pk, req.EphemeralN)
 	if err != nil {
-		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Dedup ephemeral key")
+		return nil, err
 	}
 	n := len(req.Rows)
 	pairMs, err := s.decryptRaw(req.PairCts, "Dedup pair")
@@ -511,33 +511,6 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 	s.ledger.Record("S2", MethodDedup, "mode=%s rows=%d equal-pairs=%d groups=%d",
 		req.Mode, n, equalPairs, len(groups))
 
-	sentinel := new(big.Int).Sub(pk.N, zmath.One) // Z = N-1 ≡ -1
-
-	// Replace mode rebuilds every duplicate as a sentinel row; those rows
-	// are independent, so construct them ahead of assembly in parallel.
-	var sentinels []*WireRow
-	if req.Mode == DedupReplace {
-		sentinels = make([]*WireRow, n)
-		var dups []int
-		for i := 0; i < n; i++ {
-			if groups[uf.find(i)][0] != i {
-				dups = append(dups, i)
-			}
-		}
-		err := parallel.ForEachCtx(ctx, s.par, len(dups), func(k int) error {
-			i := dups[k]
-			repl, err := s.sentinelRow(pk, ephPK, len(req.Rows[i].EHL), len(req.Rows[i].Scores), sentinel)
-			if err != nil {
-				return err
-			}
-			sentinels[i] = repl
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Assemble the surviving rows (pre re-blinding).
 	var rows []WireRow
 	for i := 0; i < n; i++ {
@@ -550,10 +523,11 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 				rows = append(rows, req.Rows[i])
 				continue
 			}
-			// Replace with a random id and sentinel scores; the recorded
-			// blinds are fresh so S1's unblinding yields uniformly random
-			// digests and the sentinel value Z.
-			rows = append(rows, *sentinels[i])
+			repl, err := sentinelRow(pk, len(req.Rows[i].EHL), len(req.Rows[i].Scores))
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, *repl)
 		case DedupEliminate:
 			if isRep {
 				rows = append(rows, req.Rows[i])
@@ -587,9 +561,46 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 	}
 
 	// Re-blind every surviving row (Algorithm 7 lines 26-30) so S1 cannot
-	// tell which rows were touched, then re-permute (line 31). Rows are
-	// independent, so the re-blinding fans out row-per-worker.
-	err = parallel.ForEachCtx(ctx, s.par, len(rows), func(i int) error {
+	// tell which rows were touched, then re-permute (line 31).
+	out, err := s.reblindAndPermute(ctx, pk, ephPK, rows)
+	if err != nil {
+		return nil, err
+	}
+	return &DedupReply{Rows: out}, nil
+}
+
+// ephemeralBits is how much wider than N S1's ephemeral modulus is, and
+// reblindBits how much wider than N the range S2 draws a re-blind from.
+// A recorded blind is the integer alpha + delta (a sum of up to 2^20
+// alphas after a merge) with alpha < N S1's own blind; delta below
+// N*2^reblindBits leaves that sum below N*(2^40 + 2^20) < N_e, so nothing
+// wraps before S1 reduces mod N, and masks alpha statistically: whatever
+// alpha was, the sum S1 decrypts lies in [alpha, alpha + N*2^40), which
+// excludes no row's alpha except with probability about 2^-40.
+const (
+	ephemeralBits = 64
+	reblindBits   = 40
+)
+
+// ephemeralKey rebuilds S1's ephemeral public key from the modulus a
+// request carries, refusing any width but |N| + ephemeralBits: a narrower
+// one would wrap blind records silently, a wider one buys S2 an
+// exponentiation as wide as the peer cares to make it.
+func ephemeralKey(pk *paillier.PublicKey, n *big.Int) (*paillier.PublicKey, error) {
+	if want := pk.N.BitLen() + ephemeralBits; n == nil || n.BitLen() != want {
+		return nil, secerr.New(secerr.CodeBadRequest, "cloud: ephemeral modulus missing or not %d bits", want)
+	}
+	ephPK, err := paillier.NewPublicKeyFromN(n)
+	if err != nil {
+		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: ephemeral key")
+	}
+	return ephPK, nil
+}
+
+// reblindAndPermute re-blinds every row (row-per-worker) and returns them
+// under a fresh random permutation.
+func (s *Server) reblindAndPermute(ctx context.Context, pk, ephPK *paillier.PublicKey, rows []WireRow) ([]WireRow, error) {
+	err := parallel.ForEachCtx(ctx, s.par, len(rows), func(i int) error {
 		return s.reblindRow(pk, ephPK, &rows[i])
 	})
 	if err != nil {
@@ -603,7 +614,7 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 	for i := range rows {
 		out[perm[i]] = rows[i]
 	}
-	return &DedupReply{Rows: out}, nil
+	return out, nil
 }
 
 // mulModN2 multiplies two ciphertext group elements mod pk.N^2 through the
@@ -618,60 +629,45 @@ func mulModN2(pk *paillier.PublicKey, a, b *big.Int) *big.Int {
 }
 
 // sentinelRow builds the replacement row for a duplicate in Replace mode:
-// random id digests and sentinel scores Z, with fresh recorded blinds.
-func (s *Server) sentinelRow(pk, ephPK *paillier.PublicKey, ehlWidth, scoreCols int, sentinel *big.Int) (*WireRow, error) {
+// uniformly random id digests and sentinel scores Z = N-1, as nonce-1
+// encryptions (1+N)^m with nonce-1 zero blinds. It hides nothing yet: the
+// re-blinding every reply row goes through puts fresh randomness and a
+// recorded blind on each slot, after which S1 cannot tell it from a kept
+// row.
+func sentinelRow(pk *paillier.PublicKey, ehlWidth, scoreCols int) (*WireRow, error) {
 	row := WireRow{
 		EHL:    make([]*big.Int, ehlWidth),
 		Scores: make([]*big.Int, scoreCols),
 		Blinds: make([]*big.Int, ehlWidth+scoreCols),
 	}
-	for j := 0; j < ehlWidth; j++ {
+	embed := func(m *big.Int) *big.Int {
+		m = new(big.Int).Mul(m, pk.N)
+		return m.Add(m, zmath.One)
+	}
+	for j := range row.EHL {
 		u, err := zmath.RandInt(rand.Reader, pk.N)
 		if err != nil {
 			return nil, err
 		}
-		alpha, err := zmath.RandInt(rand.Reader, pk.N)
-		if err != nil {
-			return nil, err
-		}
-		// Store Enc(u + alpha); after S1 subtracts alpha the digest is the
-		// uniformly random u.
-		ct, err := s.pkEnc.Encrypt(new(big.Int).Add(u, alpha))
-		if err != nil {
-			return nil, err
-		}
-		row.EHL[j] = ct.C
-		bct, err := ephPK.Encrypt(alpha)
-		if err != nil {
-			return nil, err
-		}
-		row.Blinds[j] = bct.C
+		row.EHL[j] = embed(u)
 	}
-	for j := 0; j < scoreCols; j++ {
-		beta, err := zmath.RandInt(rand.Reader, pk.N)
-		if err != nil {
-			return nil, err
-		}
-		ct, err := s.pkEnc.Encrypt(new(big.Int).Add(sentinel, beta))
-		if err != nil {
-			return nil, err
-		}
-		row.Scores[j] = ct.C
-		bct, err := ephPK.Encrypt(beta)
-		if err != nil {
-			return nil, err
-		}
-		row.Blinds[ehlWidth+j] = bct.C
+	for j := range row.Scores {
+		row.Scores[j] = embed(new(big.Int).Sub(pk.N, zmath.One))
+	}
+	for j := range row.Blinds {
+		row.Blinds[j] = zmath.One
 	}
 	return &row, nil
 }
 
-// reblindRow adds fresh additive blinds to every slot of the row and
-// accumulates them into the recorded blind vector, re-randomizing all
-// ciphertexts in the process.
+// reblindRow adds a fresh additive blind delta to every slot of the row —
+// delta mod N under the main key, delta as drawn under the ephemeral key,
+// multiplied into the recorded blind — re-randomizing all ciphertexts in
+// the process.
 func (s *Server) reblindRow(pk, ephPK *paillier.PublicKey, row *WireRow) error {
-	apply := func(slot **big.Int, blind **big.Int) error {
-		delta, err := zmath.RandInt(rand.Reader, pk.N)
+	bound := new(big.Int).Lsh(pk.N, reblindBits)
+	apply := func(slot, blind **big.Int) error {
+		delta, err := zmath.RandInt(rand.Reader, bound)
 		if err != nil {
 			return err
 		}
@@ -701,14 +697,17 @@ func (s *Server) reblindRow(pk, ephPK *paillier.PublicKey, row *WireRow) error {
 }
 
 // filter is the S2 side of SecFilter (Algorithm 12 lines 11-23): drop the
-// rows whose multiplicatively blinded join score decrypts to zero, then
-// re-blind and re-permute the survivors. Score decryptions and per-row
-// re-blinding fan out over the worker pool.
+// rows whose zero-test ciphertext — the join score times a random unit —
+// decrypts to zero, then re-blind and re-permute the survivors exactly as
+// dedup does. The test plaintexts are dropped once read.
 func (s *Server) filter(ctx context.Context, req *FilterRequest) (*FilterReply, error) {
+	if len(req.Tests) != len(req.Rows) {
+		return nil, secerr.New(secerr.CodeBadRequest, "cloud: Filter has %d tests for %d rows", len(req.Tests), len(req.Rows))
+	}
 	pk := &s.keys.Paillier.PublicKey
-	ephPK, err := paillier.NewPublicKeyFromN(req.EphemeralN)
+	ephPK, err := ephemeralKey(pk, req.EphemeralN)
 	if err != nil {
-		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Filter ephemeral key")
+		return nil, err
 	}
 	for i := range req.Rows {
 		r := &req.Rows[i]
@@ -719,82 +718,20 @@ func (s *Server) filter(ctx context.Context, req *FilterRequest) (*FilterReply, 
 			return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Filter")
 		}
 	}
-	scores := make([]*big.Int, len(req.Rows))
-	err = parallel.ForEachCtx(ctx, s.par, len(req.Rows), func(i int) error {
-		r := req.Rows[i]
-		m, err := s.keys.Paillier.Decrypt(&paillier.Ciphertext{C: r.Scores[0]})
-		if err != nil {
-			return secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Filter row %d score", i)
-		}
-		scores[i] = m
-		return nil
-	})
+	tests, err := s.decryptRaw(req.Tests, "Filter test")
 	if err != nil {
 		return nil, err
 	}
 	var rows []WireRow
-	for i, r := range req.Rows {
-		if scores[i].Sign() == 0 {
-			continue // did not satisfy the join condition
+	for i, m := range tests {
+		if m.Sign() != 0 { // zero: did not satisfy the join condition
+			rows = append(rows, req.Rows[i])
 		}
-		rows = append(rows, r)
 	}
 	s.ledger.Record("S2", MethodFilter, "joined %d of %d candidate tuples", len(rows), len(req.Rows))
-
-	err = parallel.ForEachCtx(ctx, s.par, len(rows), func(i int) error {
-		row := &rows[i]
-		// Multiplicative re-blind of the join score: s'' = s' * gamma,
-		// with the recorded inverse updated to r^{-1} * gamma^{-1}. The
-		// ephemeral modulus is at least twice the main modulus size, so
-		// the integer product never wraps and S1 can reduce mod N.
-		gamma, err := zmath.RandUnit(rand.Reader, pk.N)
-		if err != nil {
-			return err
-		}
-		gammaInv, err := zmath.ModInverse(gamma, pk.N)
-		if err != nil {
-			return err
-		}
-		v := new(big.Int).Exp(row.Scores[0], gamma, pk.N2)
-		// Re-randomize so the transformation is not a deterministic
-		// function of the input ciphertext.
-		z, err := s.pkEnc.EncryptZero()
-		if err != nil {
-			return err
-		}
-		row.Scores[0] = mulModN2(pk, v, z.C)
-		b := new(big.Int).Exp(row.Blinds[0], gammaInv, ephPK.N2)
-		row.Blinds[0] = b
-
-		// Additive re-blind of the payload columns.
-		for j := 1; j < len(row.Scores); j++ {
-			delta, err := zmath.RandInt(rand.Reader, pk.N)
-			if err != nil {
-				return err
-			}
-			dct, err := s.pkEnc.Encrypt(delta)
-			if err != nil {
-				return err
-			}
-			row.Scores[j] = mulModN2(pk, row.Scores[j], dct.C)
-			bct, err := ephPK.Encrypt(delta)
-			if err != nil {
-				return err
-			}
-			row.Blinds[j] = mulModN2(ephPK, row.Blinds[j], bct.C)
-		}
-		return nil
-	})
+	out, err := s.reblindAndPermute(ctx, pk, ephPK, rows)
 	if err != nil {
 		return nil, err
-	}
-	perm, err := prf.RandomPerm(len(rows))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]WireRow, len(rows))
-	for i := range rows {
-		out[perm[i]] = rows[i]
 	}
 	return &FilterReply{Rows: out}, nil
 }

@@ -184,6 +184,8 @@ func (m DedupMode) String() string {
 
 // WireRow is one blinded, permuted scored item E(I~) together with its
 // blind vector encrypted under S1's ephemeral key (the H_i of Algorithm 7).
+// Every blind is additive: a slot encrypts x + b mod N and its record
+// encrypts the integer b.
 //
 // Scores is a flat list of Paillier ciphertexts; by convention column 0 is
 // the worst score W and column 1 the best score B, with any further
@@ -219,17 +221,18 @@ type DedupReply struct {
 	Rows []WireRow
 }
 
-// FilterRequest is one SecFilter round (Algorithm 12): rows whose
-// multiplicatively blinded score decrypts to zero did not satisfy the join
-// condition and are dropped.
+// FilterRequest is one SecFilter round (Algorithm 12). Tests[i] encrypts
+// row i's join score times a random unit of Z_N — zero iff the tuple did
+// not satisfy the join condition, uniform otherwise — and is all S2 reads
+// to decide; rows whose test decrypts to zero are dropped.
 //
-// By convention Scores[0] is the multiplicatively blinded join score
-// s' = s*r and Blinds[0] encrypts r^{-1} mod N under the ephemeral key;
-// remaining Scores columns are additively blinded attributes with additive
-// blind entries. EHL is unused (empty) for join tuples.
+// Scores[0] of a row is the join score and the remaining columns its
+// attributes, all additively blinded with one recorded blind each. EHL is
+// unused (empty) for join tuples.
 type FilterRequest struct {
 	Relation   string
 	Rows       []WireRow
+	Tests      []*big.Int // Paillier ciphertexts, one per row
 	EphemeralN *big.Int
 }
 

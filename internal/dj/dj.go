@@ -63,26 +63,30 @@ func (pk *PublicKey) mulNS1(a, b *big.Int) *big.Int {
 	return out.Mod(out, pk.NS1)
 }
 
-// PrivateKey carries the decryption exponent d with d = 1 mod N^s and
-// d = 0 mod lambda, plus the precomputed k!^{-1} mod N^s table used by the
-// plaintext extraction and the CRT caches that split the dominating
-// c^d mod N^{s+1} exponentiation into two half-width ones.
+// PrivateKey carries the factorization N = p*q and what decryption and the
+// CRT encryptor derive from it. There is no decryption exponent d: Decrypt
+// works modulo each prime power separately, where the exponent p-1 does
+// what d mod p^s(p-1) would at a third of the width (for s = 2).
 type PrivateKey struct {
 	PublicKey
-	d *big.Int
-	// factInv[k] = (k!)^{-1} mod N^s for k in [0, s].
-	factInv []*big.Int
 
-	// CRT decryption caches derived from the factorization N = p*q:
-	// c^d mod p^{s+1} needs only d mod |Z*_{p^{s+1}}| = p^s(p-1), which is
-	// s/(s+1) the width of d, over a modulus half the width of N^{s+1}.
-	p, q         *big.Int
 	ps1, qs1     *big.Int // p^{s+1}, q^{s+1}
-	dp, dq       *big.Int // d mod p^s(p-1), d mod q^s(q-1)
 	ps1InvModQs1 *big.Int // p^{s+1}^{-1} mod q^{s+1}
 	// ordP, ordQ are the unit-group orders p^s(p-1), q^s(q-1), kept for
 	// the CRT nonce encryptor's exponent reduction.
 	ordP, ordQ *big.Int
+
+	halfP, halfQ primeHalf
+	psInvModQs   *big.Int // p^s^{-1} mod q^s, recombines the two halves
+}
+
+// primeHalf is what Decrypt needs modulo one prime factor p of N.
+type primeHalf struct {
+	pm1     *big.Int   // p-1, the decryption exponent
+	pow     []*big.Int // pow[j] = p^j for j in [0, s+1]
+	cofInv  *big.Int   // (N/p)^{-1} mod p^s
+	factInv []*big.Int // factInv[k] = (k!)^{-1} mod p^s for k in [0, s]
+	pm1Inv  *big.Int   // (p-1)^{-1} mod p^s
 }
 
 // Ciphertext is a DJ ciphertext: an element of Z*_{N^{s+1}}.
@@ -120,38 +124,46 @@ func NewPrivateKey(sk *paillier.PrivateKey, s int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	// CRT: d = 1 mod N^s, d = 0 mod lambda. gcd(N^s, lambda) = 1.
-	lambdaInv, err := zmath.ModInverse(sk.Lambda, pub.NS)
-	if err != nil {
-		return nil, fmt.Errorf("dj: lambda not invertible mod N^s: %w", err)
+	out := &PrivateKey{PublicKey: *pub}
+	if out.halfP, err = newPrimeHalf(sk.P, sk.Q, s); err != nil {
+		return nil, err
 	}
-	d := new(big.Int).Mul(sk.Lambda, lambdaInv) // = 1 mod N^s, = 0 mod lambda
-	out := &PrivateKey{PublicKey: *pub, d: d}
-	out.factInv = make([]*big.Int, s+1)
-	for k := 0; k <= s; k++ {
-		inv, err := zmath.ModInverse(zmath.Factorial(k), pub.NS)
-		if err != nil {
-			return nil, fmt.Errorf("dj: %d! not invertible mod N^s: %w", k, err)
-		}
-		out.factInv[k] = inv
+	if out.halfQ, err = newPrimeHalf(sk.Q, sk.P, s); err != nil {
+		return nil, err
 	}
-	// CRT caches (the factorization rides along from the Paillier key).
-	out.p = new(big.Int).Set(sk.P)
-	out.q = new(big.Int).Set(sk.Q)
-	out.ps1 = new(big.Int).Exp(sk.P, big.NewInt(int64(s+1)), nil)
-	out.qs1 = new(big.Int).Exp(sk.Q, big.NewInt(int64(s+1)), nil)
-	pm1 := new(big.Int).Sub(sk.P, zmath.One)
-	qm1 := new(big.Int).Sub(sk.Q, zmath.One)
-	out.ordP = new(big.Int).Exp(sk.P, big.NewInt(int64(s)), nil)
-	out.ordP.Mul(out.ordP, pm1)
-	out.ordQ = new(big.Int).Exp(sk.Q, big.NewInt(int64(s)), nil)
-	out.ordQ.Mul(out.ordQ, qm1)
-	out.dp = new(big.Int).Mod(d, out.ordP)
-	out.dq = new(big.Int).Mod(d, out.ordQ)
+	out.ps1, out.qs1 = out.halfP.pow[s+1], out.halfQ.pow[s+1]
+	out.ordP = new(big.Int).Mul(out.halfP.pow[s], out.halfP.pm1)
+	out.ordQ = new(big.Int).Mul(out.halfQ.pow[s], out.halfQ.pm1)
 	if out.ps1InvModQs1, err = zmath.ModInverse(out.ps1, out.qs1); err != nil {
 		return nil, fmt.Errorf("dj: p^{s+1} not invertible mod q^{s+1}: %w", err)
 	}
+	if out.psInvModQs, err = zmath.ModInverse(out.halfP.pow[s], out.halfQ.pow[s]); err != nil {
+		return nil, fmt.Errorf("dj: p^s not invertible mod q^s: %w", err)
+	}
 	return out, nil
+}
+
+// newPrimeHalf precomputes the decryption half for the factor p of N = p*cof.
+func newPrimeHalf(p, cof *big.Int, s int) (primeHalf, error) {
+	h := primeHalf{pm1: new(big.Int).Sub(p, zmath.One), pow: make([]*big.Int, s+2), factInv: make([]*big.Int, s+1)}
+	h.pow[0] = big.NewInt(1)
+	for j := 1; j <= s+1; j++ {
+		h.pow[j] = new(big.Int).Mul(h.pow[j-1], p)
+	}
+	ps := h.pow[s]
+	var err error
+	if h.cofInv, err = zmath.ModInverse(cof, ps); err != nil {
+		return h, fmt.Errorf("dj: cofactor not invertible mod p^s: %w", err)
+	}
+	if h.pm1Inv, err = zmath.ModInverse(h.pm1, ps); err != nil {
+		return h, fmt.Errorf("dj: p-1 not invertible mod p^s: %w", err)
+	}
+	for k := 0; k <= s; k++ {
+		if h.factInv[k], err = zmath.ModInverse(zmath.Factorial(k), ps); err != nil {
+			return h, fmt.Errorf("dj: %d! not invertible mod p^s: %w", k, err)
+		}
+	}
+	return h, nil
 }
 
 func (pk *PublicKey) validateMessage(m *big.Int) (*big.Int, error) {
@@ -245,27 +257,21 @@ func (pk *PublicKey) expOnePlusN(m *big.Int) *big.Int {
 	return out
 }
 
-// Decrypt recovers m in [0, N^s).
+// Decrypt recovers m in [0, N^s): m mod p^s and m mod q^s from the two
+// prime halves, recombined by CRT.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	if err := sk.validateCiphertext(c); err != nil {
 		return nil, err
 	}
-	// c^d = (1+N)^m mod N^{s+1} because d = 0 mod lambda kills the
-	// randomness and d = 1 mod N^s preserves m.
-	return sk.extract(sk.powD(c.C))
-}
-
-// powD computes c^d mod N^{s+1} by CRT: two exponentiations over the
-// half-width moduli p^{s+1}, q^{s+1} with d reduced mod the respective
-// unit-group orders, recombined with the precomputed inverse. For s = 2
-// this replaces one 2n-bit exponent over a 3n-bit modulus with two
-// 1.5n-bit exponents over 1.5n-bit moduli (~2.7x fewer word
-// multiplications). Bit-identical to the direct exponentiation for every
-// c in Z*_{N^{s+1}}.
-func (sk *PrivateKey) powD(c *big.Int) *big.Int {
-	ap := new(big.Int).Exp(new(big.Int).Mod(c, sk.ps1), sk.dp, sk.ps1)
-	aq := new(big.Int).Exp(new(big.Int).Mod(c, sk.qs1), sk.dq, sk.qs1)
-	return zmath.CRTPair(ap, aq, sk.ps1, sk.qs1, sk.ps1InvModQs1)
+	mp, err := sk.halfP.residue(&sk.PublicKey, c.C)
+	if err != nil {
+		return nil, err
+	}
+	mq, err := sk.halfQ.residue(&sk.PublicKey, c.C)
+	if err != nil {
+		return nil, err
+	}
+	return zmath.CRTPair(mp, mq, sk.halfP.pow[sk.S], sk.halfQ.pow[sk.S], sk.psInvModQs), nil
 }
 
 // DecryptInner decrypts the outer DJ layer and reinterprets the plaintext
@@ -281,38 +287,47 @@ func (sk *PrivateKey) DecryptInner(c *Ciphertext) (*paillier.Ciphertext, error) 
 	return &paillier.Ciphertext{C: m}, nil
 }
 
-// extract computes i from a = (1+N)^i mod N^{s+1} using the iterative
-// algorithm from the Damgård-Jurik paper (Section 4.2): recover i mod N^j
-// for j = 1..s by peeling binomial terms.
-func (sk *PrivateKey) extract(a *big.Int) (*big.Int, error) {
+// residue returns m mod p^s for c = (1+N)^m * r^{N^s}. Modulo p^{s+1} the
+// nonce part r^{N^s} has order dividing p-1, so a = c^{p-1} mod p^{s+1} is
+// (1+N)^{m(p-1)}; the iterative algorithm of the Damgård-Jurik paper
+// (Section 4.2) then recovers i = m(p-1) mod p^j for j = 1..s by peeling
+// binomial terms, with the one change working modulo a prime power needs:
+// (a mod p^{j+1} - 1)/p still carries a factor q^k on the k-th term, which
+// the cofactor's inverse takes back to the N^{k-1} the peel expects.
+func (h *primeHalf) residue(pk *PublicKey, c *big.Int) (*big.Int, error) {
+	p, ps1 := h.pow[1], h.pow[pk.S+1]
+	a := new(big.Int).Mod(c, ps1)
+	a.Exp(a, h.pm1, ps1)
 	i := new(big.Int)
 	t1 := new(big.Int)
 	t2 := new(big.Int)
 	tmp := new(big.Int)
-	for j := 1; j <= sk.S; j++ {
-		nj := sk.nPow[j]
-		nj1 := sk.nPow[j+1]
-		// t1 = L(a mod N^{j+1}) = ((a mod N^{j+1}) - 1) / N
-		t1.Mod(a, nj1)
+	for j := 1; j <= pk.S; j++ {
+		pj := h.pow[j]
+		// t1 = L_p(a mod p^{j+1}) * q^{-1} mod p^j
+		t1.Mod(a, h.pow[j+1])
 		t1.Sub(t1, zmath.One)
-		if new(big.Int).Mod(t1, sk.N).Sign() != 0 {
+		if tmp.Mod(t1, p).Sign() != 0 {
 			return nil, errors.New("dj: ciphertext is not a valid (1+N)-power")
 		}
-		t1.Div(t1, sk.N)
+		t1.Div(t1, p)
+		t1.Mul(t1, h.cofInv)
+		t1.Mod(t1, pj)
 		t2.Set(i)
 		for k := 2; k <= j; k++ {
 			i.Sub(i, zmath.One)
 			t2.Mul(t2, i)
-			t2.Mod(t2, nj)
+			t2.Mod(t2, pj)
 			// t1 -= t2 * N^{k-1} / k!
-			tmp.Mul(t2, sk.nPow[k-1])
-			tmp.Mul(tmp, sk.factInv[k])
+			tmp.Mul(t2, pk.nPow[k-1])
+			tmp.Mul(tmp, h.factInv[k])
 			t1.Sub(t1, tmp)
-			t1.Mod(t1, nj)
+			t1.Mod(t1, pj)
 		}
-		i.Mod(t1, nj)
+		i.Set(t1)
 	}
-	return i, nil
+	i.Mul(i, h.pm1Inv)
+	return i.Mod(i, h.pow[pk.S]), nil
 }
 
 // Add returns E(x+y) = E(x) * E(y) mod N^{s+1}.

@@ -56,13 +56,12 @@ type CRTEncryptor struct {
 // CRTEncryptor returns the CRT-accelerated encryption surface for the
 // private key.
 func (sk *PrivateKey) CRTEncryptor() *CRTEncryptor {
-	s := big.NewInt(int64(sk.S))
 	return &CRTEncryptor{
 		sk: sk,
 		ep: new(big.Int).Mod(sk.NS, sk.ordP),
 		eq: new(big.Int).Mod(sk.NS, sk.ordQ),
-		pS: new(big.Int).Exp(sk.p, s, nil),
-		qS: new(big.Int).Exp(sk.q, s, nil),
+		pS: sk.halfP.pow[sk.S],
+		qS: sk.halfQ.pow[sk.S],
 	}
 }
 
@@ -82,11 +81,11 @@ func (e *CRTEncryptor) noncePowerOf(r *big.Int) *big.Int {
 // NoncePower returns a uniform N^s-th residue mod N^{s+1} by sampling
 // its CRT components directly (see the type comment).
 func (e *CRTEncryptor) NoncePower() (*big.Int, error) {
-	xp, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.ps1, e.sk.p, e.pS)
+	xp, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.ps1, e.sk.halfP.pow[1], e.pS)
 	if err != nil {
 		return nil, err
 	}
-	xq, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.qs1, e.sk.q, e.qS)
+	xq, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.qs1, e.sk.halfQ.pow[1], e.qS)
 	if err != nil {
 		return nil, err
 	}

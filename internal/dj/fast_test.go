@@ -9,18 +9,94 @@ import (
 	"repro/internal/zmath"
 )
 
-// TestCRTDecryptMatchesDirect pins the CRT-split c^d against the direct
-// full-width exponentiation, bit for bit, across fresh ciphertexts.
-func TestCRTDecryptMatchesDirect(t *testing.T) {
-	_, sk := keys(t)
-	for i := 0; i < 10; i++ {
-		ct, err := sk.PublicKey.EncryptInt64(int64(i * 1000003))
+// referenceDecrypt is textbook Damgård-Jurik decryption in math/big alone:
+// raise to d (d = 1 mod N^s, d = 0 mod lambda) over the full modulus, then
+// run the paper's Section 4.2 extraction on (1+N)^m mod N^{s+1}.
+func referenceDecrypt(pail *paillier.PrivateKey, s int, c *big.Int) (*big.Int, bool) {
+	nPow := []*big.Int{big.NewInt(1)}
+	for j := 1; j <= s+1; j++ {
+		nPow = append(nPow, new(big.Int).Mul(nPow[j-1], pail.N))
+	}
+	ns, ns1 := nPow[s], nPow[s+1]
+	d := new(big.Int).ModInverse(pail.Lambda, ns)
+	d.Mul(d, pail.Lambda)
+	a := new(big.Int).Exp(c, d, ns1)
+	i := new(big.Int)
+	for j := 1; j <= s; j++ {
+		t1 := new(big.Int).Mod(a, nPow[j+1])
+		t1.Sub(t1, zmath.One)
+		if new(big.Int).Mod(t1, pail.N).Sign() != 0 {
+			return nil, false
+		}
+		t1.Div(t1, pail.N)
+		t2 := new(big.Int).Set(i)
+		for k := 2; k <= j; k++ {
+			i.Sub(i, zmath.One)
+			t2.Mul(t2, i)
+			t2.Mod(t2, nPow[j])
+			term := new(big.Int).ModInverse(zmath.Factorial(k), nPow[j])
+			term.Mul(term, t2)
+			term.Mul(term, nPow[k-1])
+			t1.Sub(t1, term)
+			t1.Mod(t1, nPow[j])
+		}
+		i.Mod(t1, nPow[j])
+	}
+	return i, true
+}
+
+// TestDecryptMatchesReference holds the per-prime Decrypt to the textbook
+// one for s = 1, 2, 3 on the edge plaintexts, random ones and (where it
+// fits) a first-layer ciphertext, and checks that an input no encryption
+// can produce earns an error from both, never a panic.
+func TestDecryptMatchesReference(t *testing.T) {
+	pail, _ := keys(t)
+	inner, err := pail.EncryptInt64(77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 1; s <= 3; s++ {
+		sk, err := NewPrivateKey(pail, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := new(big.Int).Exp(ct.C, sk.d, sk.NS1)
-		if crt := sk.powD(ct.C); crt.Cmp(direct) != 0 {
-			t.Fatalf("powD differs from direct exponentiation at %d", i)
+		ms := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sk.NS, zmath.One)}
+		for i := 0; i < 4; i++ {
+			m, err := zmath.RandInt(rand.Reader, sk.NS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, m)
+		}
+		if s >= 2 {
+			ms = append(ms, inner.C)
+		}
+		for _, m := range ms {
+			ct, err := sk.Encrypt(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sk.Decrypt(ct)
+			if err != nil {
+				t.Fatalf("s=%d: Decrypt: %v", s, err)
+			}
+			want, ok := referenceDecrypt(pail, s, ct.C)
+			if !ok || want.Cmp(m) != 0 {
+				t.Fatalf("s=%d: the reference itself does not decrypt %v", s, m)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("s=%d: Decrypt = %v, reference %v", s, got, want)
+			}
+		}
+		// Multiples of a prime factor are not units: no power of them is
+		// 1 mod N, so neither extraction has a (1+N)-power to read.
+		for _, bad := range []*big.Int{pail.P, pail.Q, sk.N, new(big.Int).Mul(pail.P, big.NewInt(6))} {
+			if _, ok := referenceDecrypt(pail, s, bad); ok {
+				t.Fatalf("s=%d: the reference accepted %v", s, bad)
+			}
+			if m, err := sk.Decrypt(&Ciphertext{C: bad}); err == nil {
+				t.Fatalf("s=%d: Decrypt(%v) = %v, want an error", s, bad, m)
+			}
 		}
 	}
 }

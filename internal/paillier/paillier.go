@@ -88,7 +88,7 @@ type PrivateKey struct {
 	hp, hq     *big.Int // CRT decryption multipliers
 	pInvModQ   *big.Int // p^{-1} mod q for plaintext recombination
 	p2InvModQ2 *big.Int // p^2^{-1} mod q^2 for recombination
-	Lambda     *big.Int // lcm(p-1, q-1); exposed for the DJ extension
+	Lambda     *big.Int // lcm(p-1, q-1), the textbook decryption exponent (reference decryptions in tests)
 }
 
 // Ciphertext is a Paillier ciphertext: an element of Z*_{N^2}.

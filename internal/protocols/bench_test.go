@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/paillier"
 )
 
@@ -83,19 +82,16 @@ func BenchmarkEncCompare(b *testing.B) {
 	}
 }
 
-func BenchmarkRecoverEncBatch8(b *testing.B) {
+func BenchmarkSecFilter8(b *testing.B) {
 	e := env(b)
-	var outers []*dj.Ciphertext
-	for i := 0; i < 8; i++ {
-		outer, err := e.client.DJPK().EncryptInner(e.enc(b, int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		outers = append(outers, outer)
+	tuples := make([]JoinTuple, 8)
+	for i := range tuples {
+		// Every other tuple joined.
+		tuples[i] = JoinTuple{Score: e.enc(b, int64(i%2*(100+i))), Attrs: []*paillier.Ciphertext{e.enc(b, int64(i)), e.enc(b, int64(2*i))}}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RecoverEnc(context.Background(), e.client, outers); err != nil {
+		if _, err := SecFilter(context.Background(), e.client, tuples); err != nil {
 			b.Fatal(err)
 		}
 	}

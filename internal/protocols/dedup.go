@@ -88,20 +88,20 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 		return nil, err
 	}
 
-	// Step 2: blind and permute. Blinding encrypts every slot's blind
-	// under the oversized ephemeral key — the hottest S1-side loop in the
-	// dedup round — so items fan out item-per-worker.
+	// Step 2: blind and permute, item-per-worker (every slot's blind is
+	// encrypted under the ephemeral key).
 	perm, err := prf.RandomPerm(len(items))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]cloud.WireRow, len(items))
 	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(items), func(i int) error {
-		row, err := blindItem(pk, c.EphEnc(), items[i])
+		cts, blinds, err := blindSlots(pk, c.EphEnc(), items[i].slots())
 		if err != nil {
 			return fmt.Errorf("protocols: SecDedup blinding item %d: %w", i, err)
 		}
-		rows[perm[i]] = *row
+		w := len(items[i].EHL.Cts)
+		rows[perm[i]] = cloud.WireRow{EHL: cts[:w:w], Scores: cts[w:], Blinds: blinds}
 		return nil
 	})
 	if err != nil {
@@ -134,13 +134,16 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 	// vector under the ephemeral key).
 	out := make([]Item, len(resp.Rows))
 	width := items[0].EHL.Width()
-	kind := items[0].EHL.Kind
 	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(resp.Rows), func(i int) error {
-		it, err := unblindRow(pk, c.Ephemeral(), resp.Rows[i], width, cols, kind)
+		row := resp.Rows[i]
+		if len(row.EHL) != width || len(row.Scores) != cols {
+			return fmt.Errorf("protocols: SecDedup reply row %d has unexpected shape", i)
+		}
+		slots, err := unblindSlots(pk, c.Ephemeral(), append(row.EHL[:width:width], row.Scores...), row.Blinds)
 		if err != nil {
 			return fmt.Errorf("protocols: SecDedup unblinding row %d: %w", i, err)
 		}
-		out[i] = *it
+		out[i] = items[0].withSlots(slots)
 		return nil
 	})
 	if err != nil {
@@ -149,75 +152,42 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 	return out, nil
 }
 
-// blindItem additively blinds every slot and records the blinds under the
-// ephemeral key (Algorithm 7 lines 8-11).
-func blindItem(pk *paillier.PublicKey, ephEnc paillier.Encryptor, it Item) (*cloud.WireRow, error) {
-	row := &cloud.WireRow{}
-	for _, slot := range it.EHL.Cts {
+// blindSlots additively blinds every ciphertext with a fresh alpha < N and
+// records each alpha under the ephemeral key (Algorithm 7 lines 8-11).
+func blindSlots(pk *paillier.PublicKey, ephEnc paillier.Encryptor, slots []*paillier.Ciphertext) (cts, blinds []*big.Int, err error) {
+	for _, slot := range slots {
 		alpha, err := zmath.RandInt(rand.Reader, pk.N)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		blinded, err := pk.AddPlain(slot, alpha)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		row.EHL = append(row.EHL, blinded.C)
 		bct, err := ephEnc.Encrypt(alpha)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		row.Blinds = append(row.Blinds, bct.C)
+		cts, blinds = append(cts, blinded.C), append(blinds, bct.C)
 	}
-	for _, score := range it.Scores {
-		beta, err := zmath.RandInt(rand.Reader, pk.N)
-		if err != nil {
-			return nil, err
-		}
-		blinded, err := pk.AddPlain(score, beta)
-		if err != nil {
-			return nil, err
-		}
-		row.Scores = append(row.Scores, blinded.C)
-		bct, err := ephEnc.Encrypt(beta)
-		if err != nil {
-			return nil, err
-		}
-		row.Blinds = append(row.Blinds, bct.C)
-	}
-	return row, nil
+	return cts, blinds, nil
 }
 
-// unblindRow decrypts the blind vector with the ephemeral secret key and
-// removes the blinds (Algorithm 7 lines 32-35).
-func unblindRow(pk *paillier.PublicKey, eph *paillier.PrivateKey, row cloud.WireRow, ehlWidth, cols int, kind ehl.Kind) (*Item, error) {
-	if len(row.EHL) != ehlWidth || len(row.Scores) != cols || len(row.Blinds) != ehlWidth+cols {
+// unblindSlots decrypts each recorded blind with the ephemeral secret key,
+// reduces it mod N and takes it off its slot (Algorithm 7 lines 32-35).
+func unblindSlots(pk *paillier.PublicKey, eph *paillier.PrivateKey, cts, blinds []*big.Int) ([]*paillier.Ciphertext, error) {
+	if len(blinds) != len(cts) {
 		return nil, errors.New("protocols: returned row has unexpected shape")
 	}
-	it := &Item{EHL: &ehl.List{Kind: kind}}
-	for i, slot := range row.EHL {
-		blind, err := eph.Decrypt(&paillier.Ciphertext{C: row.Blinds[i]})
+	out := make([]*paillier.Ciphertext, len(cts))
+	for i, ct := range cts {
+		blind, err := eph.Decrypt(&paillier.Ciphertext{C: blinds[i]})
 		if err != nil {
 			return nil, err
 		}
-		blind.Mod(blind, pk.N)
-		ct, err := pk.AddPlain(&paillier.Ciphertext{C: slot}, new(big.Int).Neg(blind))
-		if err != nil {
+		if out[i], err = pk.AddPlain(&paillier.Ciphertext{C: ct}, blind.Neg(blind)); err != nil {
 			return nil, err
 		}
-		it.EHL.Cts = append(it.EHL.Cts, ct)
 	}
-	for i, slot := range row.Scores {
-		blind, err := eph.Decrypt(&paillier.Ciphertext{C: row.Blinds[ehlWidth+i]})
-		if err != nil {
-			return nil, err
-		}
-		blind.Mod(blind, pk.N)
-		ct, err := pk.AddPlain(&paillier.Ciphertext{C: slot}, new(big.Int).Neg(blind))
-		if err != nil {
-			return nil, err
-		}
-		it.Scores = append(it.Scores, ct)
-	}
-	return it, nil
+	return out, nil
 }

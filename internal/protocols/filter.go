@@ -31,12 +31,12 @@ func (t JoinTuple) Clone() JoinTuple {
 }
 
 // SecFilter removes the candidate tuples that did not satisfy the join
-// condition (Algorithm 12): S1 blinds the join score multiplicatively
-// (zero stays zero, nonzero becomes uniform) and the attributes
-// additively, ships the blind bookkeeping under its ephemeral key,
-// permutes, and lets S2 drop the zero rows, re-blind, and re-permute. S1
-// then removes the combined blinds. Both parties learn only the number of
-// surviving tuples.
+// condition (Algorithm 12). For each tuple S1 sends a zero-test — the join
+// score times a random unit, so zero stays zero and nonzero becomes
+// uniform — beside the score and attributes blinded additively, as
+// SecDedup blinds an item; everything is permuted. S2 drops the rows whose
+// test is zero, re-blinds and re-permutes the rest, and S1 removes the
+// combined blinds. Both parties learn only the number of surviving tuples.
 //
 // Join scores must be nonzero for genuinely joined tuples, which holds for
 // the paper's positive attribute domains.
@@ -45,72 +45,45 @@ func SecFilter(ctx context.Context, c *cloud.Client, tuples []JoinTuple) ([]Join
 		return nil, nil
 	}
 	pk := c.PK()
-	eph := c.Ephemeral()
 	nAttrs := len(tuples[0].Attrs)
-	rows := make([]cloud.WireRow, len(tuples))
-	perm, err := prf.RandomPerm(len(tuples))
-	if err != nil {
-		return nil, err
-	}
 	for i, t := range tuples {
 		if t.Score == nil || len(t.Attrs) != nAttrs {
 			return nil, fmt.Errorf("protocols: SecFilter tuple %d malformed", i)
 		}
 	}
-	// Sample every multiplicative blind up front and invert them in one
-	// Montgomery batch inversion instead of an extended GCD per tuple.
-	rs := make([]*big.Int, len(tuples))
-	for i := range rs {
-		r, err := zmath.RandUnit(rand.Reader, pk.N)
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = r
-	}
-	rInvs, err := zmath.BatchModInverse(rs, pk.N)
+	perm, err := prf.RandomPerm(len(tuples))
 	if err != nil {
-		return nil, fmt.Errorf("protocols: SecFilter blinds: %w", err)
+		return nil, err
 	}
+	req := &cloud.FilterRequest{Rows: make([]cloud.WireRow, len(tuples)), Tests: make([]*big.Int, len(tuples))}
 	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(tuples), func(i int) error {
 		t := tuples[i]
-		r, rInv := rs[i], rInvs[i]
-		blindedScore, err := pk.MulConst(t.Score, r)
+		r, err := zmath.RandUnit(rand.Reader, pk.N)
 		if err != nil {
 			return err
 		}
-		if blindedScore, err = c.Enc().Rerandomize(blindedScore); err != nil {
-			return err
-		}
-		row := cloud.WireRow{Scores: []*big.Int{blindedScore.C}}
-		invCt, err := c.EphEnc().Encrypt(rInv)
+		test, err := pk.MulConst(t.Score, r)
 		if err != nil {
 			return err
 		}
-		row.Blinds = []*big.Int{invCt.C}
-		for _, attr := range t.Attrs {
-			delta, err := zmath.RandInt(rand.Reader, pk.N)
-			if err != nil {
-				return err
-			}
-			blinded, err := pk.AddPlain(attr, delta)
-			if err != nil {
-				return err
-			}
-			row.Scores = append(row.Scores, blinded.C)
-			dCt, err := c.EphEnc().Encrypt(delta)
-			if err != nil {
-				return err
-			}
-			row.Blinds = append(row.Blinds, dCt.C)
+		// Re-randomize so S2 cannot link the test to a ciphertext it may
+		// have produced earlier.
+		if test, err = c.Enc().Rerandomize(test); err != nil {
+			return err
 		}
-		rows[perm[i]] = row
+		cts, blinds, err := blindSlots(pk, c.EphEnc(), append([]*paillier.Ciphertext{t.Score}, t.Attrs...))
+		if err != nil {
+			return err
+		}
+		req.Tests[perm[i]] = test.C
+		req.Rows[perm[i]] = cloud.WireRow{Scores: cts, Blinds: blinds}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	resp, err := c.FilterRound(ctx, &cloud.FilterRequest{Rows: rows})
+	resp, err := c.FilterRound(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -119,35 +92,14 @@ func SecFilter(ctx context.Context, c *cloud.Client, tuples []JoinTuple) ([]Join
 	out := make([]JoinTuple, len(resp.Rows))
 	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(resp.Rows), func(i int) error {
 		row := resp.Rows[i]
-		if len(row.Scores) != nAttrs+1 || len(row.Blinds) != nAttrs+1 {
+		if len(row.Scores) != nAttrs+1 {
 			return fmt.Errorf("protocols: SecFilter reply row %d malformed", i)
 		}
-		// Unblind the score: the returned blind is the integer product
-		// r^{-1} * gamma^{-1} (below the ephemeral modulus by
-		// construction); reduce mod N and exponentiate.
-		invRaw, err := eph.Decrypt(&paillier.Ciphertext{C: row.Blinds[0]})
+		slots, err := unblindSlots(pk, c.Ephemeral(), row.Scores, row.Blinds)
 		if err != nil {
-			return err
+			return fmt.Errorf("protocols: SecFilter unblinding row %d: %w", i, err)
 		}
-		invRaw.Mod(invRaw, pk.N)
-		score, err := pk.MulConst(&paillier.Ciphertext{C: row.Scores[0]}, invRaw)
-		if err != nil {
-			return err
-		}
-		tuple := JoinTuple{Score: score}
-		for j := 0; j < nAttrs; j++ {
-			blind, err := eph.Decrypt(&paillier.Ciphertext{C: row.Blinds[j+1]})
-			if err != nil {
-				return err
-			}
-			blind.Mod(blind, pk.N)
-			attr, err := pk.AddPlain(&paillier.Ciphertext{C: row.Scores[j+1]}, new(big.Int).Neg(blind))
-			if err != nil {
-				return err
-			}
-			tuple.Attrs = append(tuple.Attrs, attr)
-		}
-		out[i] = tuple
+		out[i] = JoinTuple{Score: slots[0], Attrs: slots[1:]}
 		return nil
 	})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package protocols implements the S1 side of the paper's two-party
-// sub-protocols (Section 8.2 and Section 10): RecoverEnc, EncCompare,
-// the encrypted-selection gadget, SecWorst, SecBest, SecDedup/SecDupElim,
-// SecUpdate, EncSort / top-k selection, SecMult, and SecFilter.
+// sub-protocols (Section 8.2 and Section 10): EncCompare, the
+// encrypted-selection gadget (which carries RecoverEnc's blind), SecWorst,
+// SecBest, SecDedup/SecDupElim, SecUpdate, EncSort / top-k selection,
+// SecMult, and SecFilter.
 //
 // All functions drive the crypto cloud S2 through a cloud.Client; every
 // value S2 sees is blinded and/or permuted first.
@@ -63,48 +64,6 @@ func (it Item) Validate(cols int) error {
 	return nil
 }
 
-// RecoverEnc strips the outer DJ layer from each double encryption
-// E2(Enc(c)) with additive blinding (Algorithm 5), batched into a single
-// round: S1 blinds with Enc(r_i), S2 removes the outer layer, S1 divides
-// the blind back out. The blinding exponentiations fan out over the
-// client's worker budget.
-func RecoverEnc(ctx context.Context, c *cloud.Client, cts []*dj.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, nil
-	}
-	pk := c.PK()
-	djPK := c.DJPK()
-	blinded := make([]*dj.Ciphertext, len(cts))
-	blinds := make([]*paillier.Ciphertext, len(cts))
-	err := parallel.ForEachCtx(ctx, c.Parallelism(), len(cts), func(i int) error {
-		r, err := zmath.RandInt(rand.Reader, pk.N)
-		if err != nil {
-			return err
-		}
-		encR, err := c.Enc().Encrypt(r)
-		if err != nil {
-			return err
-		}
-		blinds[i] = encR
-		b, err := djPK.ExpCipher(cts[i], encR)
-		if err != nil {
-			return fmt.Errorf("protocols: RecoverEnc blind %d: %w", i, err)
-		}
-		blinded[i] = b
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	recovered, err := c.Recover(ctx, blinded)
-	if err != nil {
-		return nil, err
-	}
-	// The reply encrypts c_i + r_i; dividing by the same Enc(r_i) leaves
-	// Enc(c_i) under the fresh randomness S2 put on it.
-	return subAll(pk, recovered, blinds)
-}
-
 // subAll returns Enc(a_i - b_i) for every pair. All the inverses come from
 // one Montgomery batch inversion (1 inversion + 3 mults per ciphertext
 // instead of an extended-GCD each).
@@ -147,20 +106,28 @@ func Pick(t *dj.Ciphertext, a, b *paillier.Ciphertext) Selection {
 	return Selection{T: []*dj.Ciphertext{t}, A: []*paillier.Ciphertext{a}, Else: b}
 }
 
-// term builds E2(sum_e t_e*A_e + (1 - sum_e t_e)*Else) as
+// term builds E2(R * (sum_e t_e*A_e + (1 - sum_e t_e)*Else)) for the blind
+// R = Enc(r) as
 //
-//	(1+N)^{Else'} * prod_e E2(t_e)^{(A_e' - Else') mod N^2}
+//	(1+N)^{Else'*R' mod N^2} * prod_e E2(t_e)^{(A_e' - Else')*R' mod N^2}
 //
 // where x' is the ciphertext x read as an integer: the plaintext under the
-// outer layer is Else' + sum_e t_e*(A_e' - Else') mod N^2. That is one
-// layered exponentiation per bit — the dominant S1-side cost, since the
-// exponent is as wide as a first-layer ciphertext — none for the Else
-// branch, and none for a bit whose two branches are the same ciphertext.
-func (s Selection) term(djPK *dj.PublicKey) (*dj.Ciphertext, error) {
+// outer layer is (Else' + sum_e t_e*(A_e' - Else')) * R' mod N^2, the chosen
+// ciphertext times Enc(r) — an encryption of the chosen plaintext plus r,
+// which is all S2 may see (Algorithm 5's blind, folded into the exponents
+// the selection raises to anyway). That is one layered exponentiation per
+// bit — the dominant S1-side cost, since the exponent is as wide as a
+// first-layer ciphertext — none for the Else branch, and none for a bit
+// whose two branches are the same ciphertext.
+func (s Selection) term(pk *paillier.PublicKey, djPK *dj.PublicKey, blind *paillier.Ciphertext) (*dj.Ciphertext, error) {
 	if len(s.T) != len(s.A) {
 		return nil, fmt.Errorf("protocols: selection has %d bits for %d choices", len(s.T), len(s.A))
 	}
-	term, err := djPK.EmbedInner(s.Else)
+	blindedElse, err := pk.Add(s.Else, blind)
+	if err != nil {
+		return nil, err
+	}
+	term, err := djPK.EmbedInner(blindedElse)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +139,7 @@ func (s Selection) term(djPK *dj.PublicKey) (*dj.Ciphertext, error) {
 		if diff.Sign() == 0 {
 			continue
 		}
-		contrib, err := djPK.ExpConst(t, diff)
+		contrib, err := djPK.ExpConst(t, diff.Mul(diff, blind.C))
 		if err != nil {
 			return nil, err
 		}
@@ -183,18 +150,34 @@ func (s Selection) term(djPK *dj.PublicKey) (*dj.Ciphertext, error) {
 	return term, nil
 }
 
-// Select resolves a batch of selections with one RecoverEnc round; the
-// terms build in parallel. Every result carries fresh randomness, so it
-// cannot be matched to the branch it came from.
+// Select resolves a batch of selections in one Recover round: S1 builds
+// each term under a fresh blind Enc(r) (in parallel), S2 strips the outer
+// layer and re-randomizes, S1 divides the blind back out. Every result
+// carries S2's fresh randomness, so it cannot be matched to the branch it
+// came from.
 func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier.Ciphertext, error) {
-	djPK := c.DJPK()
-	terms, err := parallel.MapErrCtx(ctx, c.Parallelism(), sels, func(_ int, s Selection) (*dj.Ciphertext, error) {
-		return s.term(djPK)
+	pk, djPK := c.PK(), c.DJPK()
+	blinds := make([]*paillier.Ciphertext, len(sels))
+	terms, err := parallel.MapErrCtx(ctx, c.Parallelism(), sels, func(i int, s Selection) (*dj.Ciphertext, error) {
+		r, err := zmath.RandInt(rand.Reader, pk.N)
+		if err != nil {
+			return nil, err
+		}
+		if blinds[i], err = c.Enc().Encrypt(r); err != nil {
+			return nil, err
+		}
+		return s.term(pk, djPK, blinds[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	return RecoverEnc(ctx, c, terms)
+	recovered, err := c.Recover(ctx, terms)
+	if err != nil {
+		return nil, err
+	}
+	// Each reply encrypts selected_i + r_i; dividing by the same Enc(r_i)
+	// leaves the selected plaintext under the randomness S2 put on it.
+	return subAll(pk, recovered, blinds)
 }
 
 // eqBitsPermuted ships randomized equality ciphertexts to S2 under a fresh

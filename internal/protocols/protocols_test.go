@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/prf"
@@ -113,31 +112,6 @@ func (e *testEnv) revealObj(t testing.TB, l *ehl.List, candidates []uint64) (uin
 		}
 	}
 	return 0, false
-}
-
-func TestRecoverEncRoundTrip(t *testing.T) {
-	e := env(t)
-	vals := []int64{0, 1, 777, 1 << 20}
-	var outers []*dj.Ciphertext
-	for _, v := range vals {
-		outer, err := e.client.DJPK().EncryptInner(e.enc(t, v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		outers = append(outers, outer)
-	}
-	inners, err := RecoverEnc(context.Background(), e.client, outers)
-	if err != nil {
-		t.Fatalf("RecoverEnc: %v", err)
-	}
-	for i, v := range vals {
-		if got := e.dec(t, inners[i]); got != v {
-			t.Errorf("recovered[%d] = %d, want %d", i, got, v)
-		}
-	}
-	if out, err := RecoverEnc(context.Background(), e.client, nil); err != nil || out != nil {
-		t.Fatal("empty RecoverEnc should be a no-op")
-	}
 }
 
 func TestSecMult(t *testing.T) {
@@ -716,40 +690,65 @@ func TestEncSelectTop(t *testing.T) {
 	}
 }
 
-func TestSecFilterProtocol(t *testing.T) {
+// TestSecFilterOracle runs SecFilter against the plaintext filter: with
+// none, some or all of the tuples joining and 0-3 attributes each, exactly
+// the tuples with a nonzero score survive, each with its own score and
+// attributes, in some order.
+func TestSecFilterOracle(t *testing.T) {
 	e := env(t)
-	tuples := []JoinTuple{
-		{Score: e.enc(t, 15), Attrs: []*paillier.Ciphertext{e.enc(t, 1), e.enc(t, 2)}},
-		{Score: e.enc(t, 0), Attrs: []*paillier.Ciphertext{e.enc(t, 3), e.enc(t, 4)}},
-		{Score: e.enc(t, 27), Attrs: []*paillier.Ciphertext{e.enc(t, 5), e.enc(t, 6)}},
-	}
-	out, err := SecFilter(context.Background(), e.client, tuples)
-	if err != nil {
-		t.Fatalf("SecFilter: %v", err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("expected 2 surviving tuples, got %d", len(out))
-	}
-	found := map[int64][]int64{}
-	for _, tp := range out {
-		s := e.dec(t, tp.Score)
-		var attrs []int64
-		for _, a := range tp.Attrs {
-			attrs = append(attrs, e.dec(t, a))
+	ctx := context.Background()
+	for name, joins := range map[string][]bool{
+		"none": {false, false, false},
+		"some": {true, false, true, false, false},
+		"all":  {true, true, true, true},
+	} {
+		for nAttrs := 0; nAttrs <= 3; nAttrs++ {
+			var tuples []JoinTuple
+			want := map[int64][]int64{}
+			for i, joined := range joins {
+				score := int64(0)
+				tp := JoinTuple{}
+				var attrs []int64
+				for a := 0; a < nAttrs; a++ {
+					attrs = append(attrs, int64(100*i+a-50))
+					tp.Attrs = append(tp.Attrs, e.enc(t, attrs[a]))
+				}
+				if joined {
+					score = int64(15 + 12*i)
+					want[score] = attrs
+				}
+				tp.Score = e.enc(t, score)
+				tuples = append(tuples, tp)
+			}
+			out, err := SecFilter(ctx, e.client, tuples)
+			if err != nil {
+				t.Fatalf("%s/%d attrs: SecFilter: %v", name, nAttrs, err)
+			}
+			if len(out) != len(want) {
+				t.Fatalf("%s/%d attrs: %d tuples survived, want %d", name, nAttrs, len(out), len(want))
+			}
+			for _, tp := range out {
+				attrs, ok := want[e.dec(t, tp.Score)]
+				if !ok || len(tp.Attrs) != len(attrs) {
+					t.Fatalf("%s/%d attrs: unexpected survivor with score %d", name, nAttrs, e.dec(t, tp.Score))
+				}
+				for a, ct := range tp.Attrs {
+					if got := e.dec(t, ct); got != attrs[a] {
+						t.Errorf("%s/%d attrs: score %d attribute %d = %d, want %d", name, nAttrs, e.dec(t, tp.Score), a, got, attrs[a])
+					}
+				}
+				delete(want, e.dec(t, tp.Score))
+			}
 		}
-		found[s] = attrs
 	}
-	if a, ok := found[15]; !ok || a[0] != 1 || a[1] != 2 {
-		t.Fatalf("tuple 15 wrong: %v", found)
-	}
-	if a, ok := found[27]; !ok || a[0] != 5 || a[1] != 6 {
-		t.Fatalf("tuple 27 wrong: %v", found)
-	}
-	if out, err := SecFilter(context.Background(), e.client, nil); err != nil || out != nil {
+	if out, err := SecFilter(ctx, e.client, nil); err != nil || out != nil {
 		t.Fatal("empty filter should be a no-op")
 	}
-	if _, err := SecFilter(context.Background(), e.client, []JoinTuple{{Score: nil}}); err == nil {
+	if _, err := SecFilter(ctx, e.client, []JoinTuple{{Score: nil}}); err == nil {
 		t.Fatal("expected malformed tuple error")
+	}
+	if _, err := SecFilter(ctx, e.client, []JoinTuple{{Score: e.enc(t, 1)}, {Score: e.enc(t, 1), Attrs: []*paillier.Ciphertext{e.enc(t, 2)}}}); err == nil {
+		t.Fatal("expected ragged tuple error")
 	}
 }
 

@@ -25,24 +25,18 @@ func (e *testEnv) hiddenBit(t testing.TB, v int64) *dj.Ciphertext {
 	return ct
 }
 
-// TestPropertySelect holds Selection to its plaintext meaning: with at most
-// one of 1-4 hidden bits set, the term's outer-layer plaintext is exactly
-// the ciphertext of the chosen branch (Else when no bit is set), whichever
-// way the integer difference A' - Else' points, a branch equal to Else
-// costs no exponentiation, and the recovered value decrypts to the chosen
-// plaintext without repeating any input ciphertext.
-func TestPropertySelect(t *testing.T) {
-	e := env(t)
-	ctx := context.Background()
-	djPK := e.client.DJPK()
+// selectionCases builds one selection per (bit count 1-4, which bit is set
+// or none) over fresh ciphertexts, with the branch each must resolve to. It
+// fails the test unless the integer differences A' - Else' come out with
+// both signs, so the mod-N^2 reduction of a negative exponent is exercised.
+func (e *testEnv) selectionCases(t testing.TB) (sels []Selection, chosen []*paillier.Ciphertext) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(14))
-	var sels []Selection
-	var want []*paillier.Ciphertext
 	negative, positive := 0, 0
 	for n := 1; n <= 4; n++ {
 		for set := -1; set < n; set++ { // -1: no bit set
 			s := Selection{Else: e.enc(t, int64(1000+rng.Intn(1000)))}
-			chosen := s.Else
+			pick := s.Else
 			for i := 0; i < n; i++ {
 				a := e.enc(t, int64(rng.Intn(1000)))
 				if a.C.Cmp(s.Else.C) < 0 {
@@ -52,26 +46,47 @@ func TestPropertySelect(t *testing.T) {
 				}
 				bit := int64(0)
 				if i == set {
-					bit, chosen = 1, a
+					bit, pick = 1, a
 				}
 				s.T, s.A = append(s.T, e.hiddenBit(t, bit)), append(s.A, a)
 			}
-			term, err := s.term(djPK)
-			if err != nil {
-				t.Fatalf("term(n=%d, set=%d): %v", n, set, err)
-			}
-			inner, err := e.keys.DJ.DecryptInner(term)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inner.C.Cmp(chosen.C) != 0 {
-				t.Fatalf("n=%d set=%d: the term does not hold the chosen ciphertext", n, set)
-			}
-			sels, want = append(sels, s), append(want, chosen)
+			sels, chosen = append(sels, s), append(chosen, pick)
 		}
 	}
 	if negative == 0 || positive == 0 {
 		t.Fatalf("differences of one sign only (%d negative, %d positive): the mod-N^2 reduction went untested", negative, positive)
+	}
+	return sels, chosen
+}
+
+// TestPropertySelect holds Selection to its plaintext meaning: with at most
+// one of 1-4 hidden bits set, the term's outer-layer plaintext is exactly
+// the ciphertext of the chosen branch (Else when no bit is set) times the
+// blind, whichever way the integer difference A' - Else' points, a branch
+// equal to Else costs no exponentiation, and the recovered value decrypts
+// to the chosen plaintext without repeating any input ciphertext.
+func TestPropertySelect(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk, djPK := e.client.PK(), e.client.DJPK()
+	blind := e.enc(t, 123456789)
+	blinded := func(ct *paillier.Ciphertext) *big.Int {
+		v := new(big.Int).Mul(ct.C, blind.C)
+		return v.Mod(v, pk.N2)
+	}
+	sels, want := e.selectionCases(t)
+	for i, s := range sels {
+		term, err := s.term(pk, djPK, blind)
+		if err != nil {
+			t.Fatalf("term(selection %d): %v", i, err)
+		}
+		inner, err := e.keys.DJ.DecryptInner(term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inner.C.Cmp(blinded(want[i])) != 0 {
+			t.Fatalf("selection %d: the term does not hold the chosen ciphertext times the blind", i)
+		}
 	}
 	got, err := Select(ctx, e.client, sels)
 	if err != nil {
@@ -89,14 +104,14 @@ func TestPropertySelect(t *testing.T) {
 	}
 
 	// A branch that is the Else ciphertext contributes no factor: the term
-	// is the bare embedding whatever the bit says.
+	// is the bare embedding of the blinded Else whatever the bit says.
 	same := e.enc(t, 7)
-	bare, err := djPK.EmbedInner(same)
+	bare, err := djPK.EmbedInner(&paillier.Ciphertext{C: blinded(same)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bit := range []int64{0, 1} {
-		term, err := Pick(e.hiddenBit(t, bit), same, same).term(djPK)
+		term, err := Pick(e.hiddenBit(t, bit), same, same).term(pk, djPK, blind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,15 +120,178 @@ func TestPropertySelect(t *testing.T) {
 		}
 	}
 
-	if _, err := (Selection{T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, Else: same}).term(djPK); err == nil {
+	if _, err := (Selection{T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, Else: same}).term(pk, djPK, blind); err == nil {
 		t.Error("a bit without a choice should fail")
 	}
-	if _, err := (Selection{T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, A: []*paillier.Ciphertext{nil}, Else: same}).term(djPK); err == nil {
+	if _, err := (Selection{T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, A: []*paillier.Ciphertext{nil}, Else: same}).term(pk, djPK, blind); err == nil {
 		t.Error("a nil choice should fail")
 	}
-	if _, err := Pick(e.hiddenBit(t, 0), same, nil).term(djPK); err == nil {
+	if _, err := Pick(e.hiddenBit(t, 0), same, nil).term(pk, djPK, blind); err == nil {
 		t.Error("a nil Else should fail")
 	}
+}
+
+// recoverTap keeps the terms and replies of every Recover round.
+type recoverTap struct {
+	inner          transport.Caller
+	terms, replies []*big.Int
+}
+
+func (c *recoverTap) Call(ctx context.Context, method string, req, resp any) error {
+	err := c.inner.Call(ctx, method, req, resp)
+	if r, ok := req.(*cloud.RecoverRequest); ok && err == nil {
+		c.terms = append(c.terms, r.Cts...)
+		c.replies = append(c.replies, resp.(*cloud.RecoverReply).Cts...)
+	}
+	return err
+}
+
+// TestSelectTermIsBlindedOnce reads Select off the wire: the blind S1
+// divides out of reply i is Enc(r_i)' = reply_i / output_i mod N^2, and the
+// term S1 sent for selection i must decrypt to the chosen ciphertext times
+// exactly that — one blind, applied once, and never the chosen ciphertext
+// itself — for 1-4 bits and differences of both signs.
+func TestSelectTermIsBlindedOnce(t *testing.T) {
+	e := env(t)
+	tap := &recoverTap{inner: transport.NewLocal(e.server, nil)}
+	client, err := cloud.NewClient(tap, &e.keys.Paillier.PublicKey, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	pk := client.PK()
+	sels, chosen := e.selectionCases(t)
+	out, err := Select(context.Background(), client, sels)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if len(tap.terms) != len(sels) || len(tap.replies) != len(sels) {
+		t.Fatalf("%d terms and %d replies on the wire for %d selections", len(tap.terms), len(tap.replies), len(sels))
+	}
+	seen := map[string]bool{}
+	for i := range sels {
+		blind := new(big.Int).ModInverse(out[i].C, pk.N2)
+		blind.Mul(blind, tap.replies[i]).Mod(blind, pk.N2)
+		if seen[blind.String()] {
+			t.Errorf("selection %d reuses another selection's blind", i)
+		}
+		seen[blind.String()] = true
+		inner, err := e.keys.DJ.DecryptInner(&dj.Ciphertext{C: tap.terms[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Int).Mul(chosen[i].C, blind)
+		if want.Mod(want, pk.N2); inner.C.Cmp(want) != 0 {
+			t.Errorf("selection %d: the term does not hold the chosen ciphertext times the blind that unblinds its reply", i)
+		}
+		if inner.C.Cmp(chosen[i].C) == 0 {
+			t.Errorf("selection %d: the term holds the chosen ciphertext unblinded", i)
+		}
+		if got, want := e.dec(t, out[i]), e.dec(t, chosen[i]); got != want {
+			t.Errorf("selection %d resolved to %d, want %d", i, got, want)
+		}
+	}
+}
+
+// blindTap decrypts, with S1's ephemeral key, the blind records of every
+// Dedup and Filter round: alphas[row][slot] as S1 sent them, seen[row][slot]
+// as S2 returned them.
+type blindTap struct {
+	t            testing.TB
+	inner        transport.Caller
+	eph          *paillier.PrivateKey
+	alphas, seen [][]*big.Int
+}
+
+func (c *blindTap) open(rows []cloud.WireRow) [][]*big.Int {
+	out := make([][]*big.Int, len(rows))
+	for i, row := range rows {
+		for _, b := range row.Blinds {
+			v, err := c.eph.Decrypt(&paillier.Ciphertext{C: b})
+			if err != nil {
+				c.t.Fatal(err)
+			}
+			out[i] = append(out[i], v)
+		}
+	}
+	return out
+}
+
+func (c *blindTap) Call(ctx context.Context, method string, req, resp any) error {
+	err := c.inner.Call(ctx, method, req, resp)
+	if err != nil {
+		return err
+	}
+	switch r := req.(type) {
+	case *cloud.DedupRequest:
+		c.alphas, c.seen = c.open(r.Rows), c.open(resp.(*cloud.DedupReply).Rows)
+	case *cloud.FilterRequest:
+		c.alphas, c.seen = c.open(r.Rows), c.open(resp.(*cloud.FilterReply).Rows)
+	}
+	return nil
+}
+
+// TestBlindRecordsHideRows is the S1-side leakage check of the two
+// blind-record rounds. S1 knows the alpha it put on every slot of every row
+// and decrypts the integer S2 left in every returned record; a returned
+// value v that could not have come from input row i — v - alpha_i outside
+// the range [0, N*2^40) S2 draws its re-blind from — tells S1 that the
+// reply row is not row i, and enough of those undo S2's permutation (or, in
+// SecFilter, name the tuples that joined). No reply slot may exclude any
+// input row, over SecDedup's three modes and SecFilter.
+func TestBlindRecordsHideRows(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	tap := &blindTap{t: t, inner: transport.NewLocal(e.server, nil)}
+	client, err := cloud.NewClient(tap, &e.keys.Paillier.PublicKey, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	tap.eph = client.Ephemeral()
+	span := new(big.Int).Lsh(client.PK().N, 40)
+	check := func(what string, wantRows int) {
+		t.Helper()
+		if len(tap.seen) != wantRows {
+			t.Fatalf("%s: %d reply rows, want %d", what, len(tap.seen), wantRows)
+		}
+		excluded := 0
+		for _, reply := range tap.seen {
+			for _, in := range tap.alphas {
+				for s, v := range reply {
+					if d := new(big.Int).Sub(v, in[s]); d.Sign() < 0 || d.Cmp(span) >= 0 {
+						excluded++
+					}
+				}
+			}
+		}
+		if excluded > 0 {
+			t.Errorf("%s: %d of %d (reply slot, input row) pairs tell S1 the slot is not that row's",
+				what, excluded, len(tap.seen)*len(tap.alphas)*len(tap.seen[0]))
+		}
+	}
+
+	items := func() []Item {
+		return []Item{e.item(t, 1, 10, 20), e.item(t, 2, 30, 40), e.item(t, 1, 5, 20), e.item(t, 3, 50, 60), e.item(t, 4, 70, 80)}
+	}
+	for _, tc := range []struct {
+		mode cloud.DedupMode
+		rows int
+		cols []int
+	}{{cloud.DedupReplace, 5, nil}, {cloud.DedupEliminate, 4, nil}, {cloud.DedupMerge, 4, []int{ColWorst}}} {
+		if _, err := SecDedup(ctx, client, items(), tc.mode, AllPairs(5), tc.cols); err != nil {
+			t.Fatalf("SecDedup %s: %v", tc.mode, err)
+		}
+		check("SecDedup "+tc.mode.String(), tc.rows)
+	}
+	var tuples []JoinTuple
+	for i := 0; i < 6; i++ {
+		tuples = append(tuples, JoinTuple{Score: e.enc(t, int64(i%2*(7+i))), Attrs: []*paillier.Ciphertext{e.enc(t, int64(i)), e.enc(t, int64(-i))}})
+	}
+	if _, err := SecFilter(ctx, client, tuples); err != nil {
+		t.Fatalf("SecFilter: %v", err)
+	}
+	check("SecFilter", 3)
 }
 
 // slotValues decrypts every slot of an item, id digests first.

@@ -70,7 +70,7 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 		return nil, err
 	}
 
-	// Build all selections; resolve with one RecoverEnc round.
+	// Build all selections; resolve with one Recover round.
 	zero, err := c.Enc().EncryptZero()
 	if err != nil {
 		return nil, err

@@ -60,7 +60,7 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 
 // SecWorstBestAll runs SecWorst (Algorithm 4) and SecBest (Algorithm 6)
 // for every item at the current depth in two rounds: one permuted EqBits
-// batch and one RecoverEnc batch.
+// batch and one Recover batch.
 //
 // The worst (lower-bound) contribution of this depth for the item of list
 // i is its own score plus the scores of every other same-depth item that

@@ -38,7 +38,7 @@ import (
 // cancellation; see mux.go), the method set including the batch envelope,
 // the request/response gob schemas and the error encoding. Both ends of a
 // connection must carry exactly this value.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Responder is the server side: S2 handles one method call. The context
 // is the per-call (or per-connection) context; handlers use it to bound
