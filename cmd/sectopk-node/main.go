@@ -67,24 +67,13 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
-	"time"
 
-	"repro/internal/telemetry"
 	"repro/sectopk"
 )
 
@@ -166,550 +155,6 @@ func parseWorkloads(s string) (map[string]bool, error) {
 	return out, nil
 }
 
-func runOwner(args []string) error {
-	fs := flag.NewFlagSet("owner", flag.ExitOnError)
-	dir := fs.String("dir", ".", "artifact directory")
-	name := fs.String("dataset", "insurance", "dataset spec (insurance|diabetes|PAMAP|synthetic)")
-	rows := fs.Int("rows", 40, "dataset rows")
-	seed := fs.Int64("seed", 1, "dataset seed")
-	keyBits := fs.Int("keybits", 256, "Paillier modulus bits")
-	attrsFlag := fs.String("attrs", "0,1,2", "queried attributes (comma separated)")
-	k := fs.Int("k", 3, "top-k")
-	par := fs.Int("parallelism", 0, "encryption worker goroutines (0 = all cores, 1 = serial)")
-	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
-	shards := fs.Int("shards", 1, "partition the relation into p shards at encryption time (queries run shards concurrently)")
-	nodesFlag := fs.String("nodes", "", "also cut cluster shard subsets for these fleet sizes (comma list, e.g. 1,2): writes relation.node<i>-of-<n>.er per member")
-	workloadsFlag := fs.String("workloads", "topk", "workloads to provision: comma list of topk,join,knn")
-	joinRows := fs.Int("join-rows", 8, "rows per join relation (the oblivious join costs O(n1*n2))")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	workloads, err := parseWorkloads(*workloadsFlag)
-	if err != nil {
-		return err
-	}
-	rel, err := sectopk.GenerateDataset(*name, *rows, *seed)
-	if err != nil {
-		return err
-	}
-	opts := append(commonOpts(*par, *fastNonce),
-		sectopk.WithKeyBits(*keyBits),
-		sectopk.WithEHLDigests(3),
-		sectopk.WithMaxScoreBits(20),
-		sectopk.WithShards(*shards),
-	)
-	owner, err := sectopk.NewOwner(opts...)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
-		return err
-	}
-	attrs, err := parseInts(*attrsFlag)
-	if err != nil {
-		return err
-	}
-
-	if workloads["topk"] {
-		start := time.Now()
-		er, err := owner.Encrypt(rel)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("encrypted %s (%dx%d, %d shard(s)) in %s\n", er.Name(), er.Rows(), er.Attributes(),
-			er.Shards(), time.Since(start).Round(time.Millisecond))
-		if err := er.Save(filepath.Join(*dir, relationFile)); err != nil {
-			return err
-		}
-		tk, err := owner.Token(er, sectopk.Query{Attrs: attrs, K: *k})
-		if err != nil {
-			return err
-		}
-		if err := tk.Save(filepath.Join(*dir, tokenFile)); err != nil {
-			return err
-		}
-		// The mutable mirror is what lets the owner produce encrypted
-		// deltas later (sectopk-node apply) without re-encrypting.
-		mr, err := owner.NewMutable(rel, er)
-		if err != nil {
-			return err
-		}
-		if err := mr.Save(filepath.Join(*dir, mirrorFile)); err != nil {
-			return err
-		}
-		// Cluster provisioning: for each requested fleet size n, deal the
-		// relation's shards round-robin into n subset files — member i of
-		// an n-node fleet hosts relation.node<i>-of-<n>.er. The subsets
-		// tile the relation exactly, which the front door verifies when it
-		// assembles the placement.
-		if *nodesFlag != "" {
-			sizes, err := parseInts(*nodesFlag)
-			if err != nil {
-				return err
-			}
-			for _, n := range sizes {
-				if n < 1 || n > er.Shards() {
-					return fmt.Errorf("-nodes %d: fleet size must be in 1..%d (the shard count)", n, er.Shards())
-				}
-				for i := 0; i < n; i++ {
-					var indices []int
-					for j := i; j < er.Shards(); j += n {
-						indices = append(indices, j)
-					}
-					sub, err := er.Subset(indices...)
-					if err != nil {
-						return err
-					}
-					name := fmt.Sprintf("relation.node%d-of-%d.er", i, n)
-					if err := sub.Save(filepath.Join(*dir, name)); err != nil {
-						return err
-					}
-					fmt.Printf("cut %s: shards %v of %d\n", name, indices, er.Shards())
-				}
-			}
-		}
-	}
-
-	if workloads["knn"] {
-		ker, err := owner.EncryptKNN(rel)
-		if err != nil {
-			return err
-		}
-		if err := ker.Save(filepath.Join(*dir, knnFile)); err != nil {
-			return err
-		}
-		// Demo query: the k records nearest to the first record.
-		point := append([]int64(nil), rel.Rows[0]...)
-		ktk, err := owner.KNNToken(ker, sectopk.KNNQuery{Point: point, K: *k})
-		if err != nil {
-			return err
-		}
-		if err := ktk.Save(filepath.Join(*dir, knnTokenFile)); err != nil {
-			return err
-		}
-		fmt.Printf("encrypted kNN store %s (%dx%d), token asks the %d nearest to row 0\n",
-			ker.Name(), ker.Rows(), ker.Attributes(), *k)
-	}
-
-	if workloads["join"] {
-		if len(rel.Rows[0]) < 3 {
-			return fmt.Errorf("join workload needs >= 3 attributes, dataset has %d", len(rel.Rows[0]))
-		}
-		n := *joinRows
-		if n > len(rel.Rows) {
-			n = len(rel.Rows)
-		}
-		// Two relations sharing join-attribute values: every r1 tuple has
-		// at least its twin in r2, so the demo equi-join is never empty.
-		r1 := &sectopk.Relation{Name: rel.Name + "-j1", Rows: rel.Rows[:n]}
-		r2 := &sectopk.Relation{Name: rel.Name + "-j2", Rows: rel.Rows[:n]}
-		jowner, err := sectopk.NewJoinOwner(opts...)
-		if err != nil {
-			return err
-		}
-		jr1, err := jowner.Encrypt(r1)
-		if err != nil {
-			return err
-		}
-		jr2, err := jowner.Encrypt(r2)
-		if err != nil {
-			return err
-		}
-		jq := sectopk.JoinQuery{
-			JoinAttr1: 0, JoinAttr2: 0,
-			ScoreAttr1: 1, ScoreAttr2: 2,
-			Project1: []int{0}, Project2: []int{1},
-			K: *k,
-		}
-		jtk, err := jowner.Token(jr1, jr2, jq)
-		if err != nil {
-			return err
-		}
-		if err := jowner.Keys().Save(filepath.Join(*dir, joinKeysFile)); err != nil {
-			return err
-		}
-		if err := jowner.Save(filepath.Join(*dir, joinOwnerFile)); err != nil {
-			return err
-		}
-		if err := jr1.Save(filepath.Join(*dir, join1File)); err != nil {
-			return err
-		}
-		if err := jr2.Save(filepath.Join(*dir, join2File)); err != nil {
-			return err
-		}
-		if err := jtk.Save(filepath.Join(*dir, joinTokenFile)); err != nil {
-			return err
-		}
-		fmt.Printf("encrypted join pair %s/%s (%d rows each)\n", r1.Name, r2.Name, n)
-	}
-
-	if err := owner.Keys().Save(filepath.Join(*dir, s2KeysFile)); err != nil {
-		return err
-	}
-	if err := owner.Save(filepath.Join(*dir, ownerFile)); err != nil {
-		return err
-	}
-	fmt.Printf("wrote owner artifacts for %s under %s\n", strings.Join(sortedKeys(workloads), ","), *dir)
-	return nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	order := []string{"topk", "join", "knn"}
-	out := make([]string, 0, len(m))
-	for _, k := range order {
-		if m[k] {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func runS2(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("s2", flag.ExitOnError)
-	dir := fs.String("dir", ".", "artifact directory")
-	listen := fs.String("listen", "127.0.0.1:9042", "listen address")
-	relation := fs.String("relation", "default", "relation ID to register the owner keys under")
-	joinRelation := fs.String("join-relation", "", "also register the join keys under this relation ID")
-	knnRelation := fs.String("knn-relation", "", "also register the owner keys under this relation ID for kNN queries")
-	par := fs.Int("parallelism", 0, "handler worker goroutines (0 = all cores, 1 = serial)")
-	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	keys, err := sectopk.LoadKeys(filepath.Join(*dir, s2KeysFile))
-	if err != nil {
-		return err
-	}
-	cc := sectopk.NewCryptoCloud(commonOpts(*par, *fastNonce)...)
-	defer cc.Close()
-	if err := cc.Register(*relation, keys); err != nil {
-		return err
-	}
-	if *knnRelation != "" {
-		if err := cc.Register(*knnRelation, keys); err != nil {
-			return err
-		}
-	}
-	if *joinRelation != "" {
-		jkeys, err := sectopk.LoadKeys(filepath.Join(*dir, joinKeysFile))
-		if err != nil {
-			return err
-		}
-		if err := cc.Register(*joinRelation, jkeys); err != nil {
-			return err
-		}
-	}
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("crypto cloud S2 serving relations %v on %s (ctrl-c to stop)\n", cc.Relations(), l.Addr())
-	if err := cc.Serve(ctx, l); err != nil && ctx.Err() == nil {
-		return err
-	}
-	return nil
-}
-
-func runS1(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("s1", flag.ExitOnError)
-	dir := fs.String("dir", ".", "artifact directory")
-	connect := fs.String("connect", "127.0.0.1:9042", "S2 address")
-	relation := fs.String("relation", "default", "relation ID registered on S2")
-	joinRelation := fs.String("join-relation", "", "host the join pair under this relation ID")
-	knnRelation := fs.String("knn-relation", "", "host the kNN store under this relation ID")
-	clientListen := fs.String("client-listen", "", "serve remote queriers on this address (long-running server mode)")
-	clusterListen := fs.String("cluster-listen", "", "serve the cluster plane on this address (member mode; implies server mode)")
-	clusterNodes := fs.String("cluster-nodes", "", "assemble a cluster front door over these member cluster addresses (comma separated)")
-	subset := fs.String("subset", "", "host this shard subset file (relative to -dir) instead of the full relation (cluster member mode)")
-	memberID := fs.String("member-id", "", "cluster member identity announced in Hellos and on /readyz")
-	probeListen := fs.String("probe-listen", "", "serve /healthz, /readyz (JSON), and /metrics (Prometheus text) on this address")
-	pprofListen := fs.String("pprof-listen", "", "serve net/http/pprof profiling endpoints on this address")
-	sessionLimit := fs.Int("session-limit", 0, "bound concurrently executing requests; overflow sheds with a typed overloaded error (0 = GOMAXPROCS queueing gate for remote clients)")
-	tenantLimits := fs.String("tenant-limits", "", "per-tenant QoS admission budgets: comma list of name=rate[:burst] (requests/s), e.g. 'alice=5:10,bob=1'; unlisted tenants stay unlimited")
-	drain := fs.Duration("drain-timeout", 0, "graceful shutdown window: let in-flight queries finish this long before aborting (0 = abort immediately)")
-	mode := fs.String("mode", "e", "query mode: f|e|ba (one-shot mode only)")
-	strict := fs.Bool("strict", true, "use strict NRA halting (one-shot mode only)")
-	par := fs.Int("parallelism", 0, "S1 worker goroutines (0 = all cores, 1 = serial)")
-	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	serverMode := *clientListen != "" || *clusterListen != "" || *clusterNodes != ""
-	// The top-k relation is required in one-shot mode (it is the query
-	// that runs); in server mode an owner may have provisioned only
-	// join/knn workloads, so a missing relation file just skips hosting
-	// it. A cluster member given -subset hosts that instead of the full
-	// relation, and a front door (-cluster-nodes) hosts nothing locally —
-	// its relations come from the member fleet.
-	var er *sectopk.EncryptedRelation
-	if *subset == "" && *clusterNodes == "" {
-		var erErr error
-		er, erErr = sectopk.LoadEncryptedRelation(filepath.Join(*dir, relationFile))
-		if erErr != nil && (!serverMode || !os.IsNotExist(erErr)) {
-			return erErr
-		}
-	}
-	opts := commonOpts(*par, *fastNonce)
-	if *memberID != "" {
-		opts = append(opts, sectopk.WithMemberID(*memberID))
-	}
-	if *sessionLimit > 0 {
-		opts = append(opts, sectopk.WithSessionLimit(*sessionLimit))
-	}
-	if *drain > 0 {
-		opts = append(opts, sectopk.WithDrainTimeout(*drain))
-	}
-	if *tenantLimits != "" {
-		limits, err := parseTenantLimits(*tenantLimits)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, sectopk.WithTenantLimits(limits))
-	}
-	dc := sectopk.NewDataCloud(opts...)
-	defer dc.Close()
-
-	if *pprofListen != "" {
-		pl, err := net.Listen("tcp", *pprofListen)
-		if err != nil {
-			return err
-		}
-		defer pl.Close()
-		startPprof(pl)
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", pl.Addr())
-	}
-
-	// Probes come up before the S2 dial: /healthz answers as soon as the
-	// process lives, /readyz flips only once the handshakes are done and
-	// the relations are hosted (and back off again while draining).
-	var hosted atomic.Bool
-	if *probeListen != "" {
-		pl, err := net.Listen("tcp", *probeListen)
-		if err != nil {
-			return err
-		}
-		defer pl.Close()
-		startProbes(pl, s1Ready(dc, &hosted, *relation))
-		fmt.Printf("probes on http://%s/healthz and /readyz\n", pl.Addr())
-	}
-
-	// The self-healing transport rides out an S2 that is still starting
-	// (or restarts later): dialing backs off under the default policy,
-	// and every fresh link re-runs the handshakes before serving rounds.
-	if err := dc.DialRetry(ctx, *connect); err != nil {
-		return err
-	}
-	if *subset != "" {
-		sub, err := sectopk.LoadShardSubset(filepath.Join(*dir, *subset))
-		if err != nil {
-			return err
-		}
-		if err := dc.HostShards(ctx, *relation, sub); err != nil {
-			return err
-		}
-		fmt.Printf("hosting shard subset %v of %d for relation %s\n", sub.Indices(), sub.Total(), *relation)
-	} else if er != nil {
-		if err := dc.Host(ctx, *relation, er); err != nil {
-			return err
-		}
-	}
-	if *joinRelation != "" {
-		jr1, err := sectopk.LoadEncryptedJoinRelation(filepath.Join(*dir, join1File))
-		if err != nil {
-			return err
-		}
-		jr2, err := sectopk.LoadEncryptedJoinRelation(filepath.Join(*dir, join2File))
-		if err != nil {
-			return err
-		}
-		if err := dc.HostJoin(ctx, *joinRelation, jr1, jr2); err != nil {
-			return err
-		}
-	}
-	if *knnRelation != "" {
-		ker, err := sectopk.LoadEncryptedKNNRelation(filepath.Join(*dir, knnFile))
-		if err != nil {
-			return err
-		}
-		if err := dc.HostKNN(ctx, *knnRelation, ker); err != nil {
-			return err
-		}
-	}
-	// Front-door mode: dial the member fleet, assemble the placement, and
-	// serve queriers over it. The members must be up and serving their
-	// cluster planes before this node starts.
-	if *clusterNodes != "" {
-		addrs := splitList(*clusterNodes)
-		if len(addrs) == 0 {
-			return fmt.Errorf("-cluster-nodes lists no addresses")
-		}
-		if err := dc.HostCluster(ctx, addrs); err != nil {
-			return err
-		}
-		fmt.Printf("front door over %d member(s), cluster relations %v\n", len(addrs), dc.ClusterRelations())
-	}
-	hosted.Store(len(dc.Hosted()) > 0)
-
-	if serverMode {
-		if len(dc.Hosted()) == 0 {
-			return fmt.Errorf("nothing to host: no %s and no -subset/-cluster-nodes/-join-relation/-knn-relation given", relationFile)
-		}
-		// A member serves the cluster plane (which also answers the client
-		// wire for its whole-relation workloads); a front door serves
-		// queriers. Both listeners may run side by side.
-		var (
-			serves int
-			errc   = make(chan error, 2)
-		)
-		if *clusterListen != "" {
-			l, err := net.Listen("tcp", *clusterListen)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("data cloud S1 member %q hosting %v, cluster plane on %s (ctrl-c to stop)\n",
-				dc.MemberID(), dc.Hosted(), l.Addr())
-			serves++
-			go func() { errc <- dc.ServeCluster(ctx, l) }()
-		}
-		if *clientListen != "" {
-			l, err := net.Listen("tcp", *clientListen)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("data cloud S1 hosting %v, serving queriers on %s (ctrl-c to stop)\n", dc.Hosted(), l.Addr())
-			serves++
-			go func() { errc <- dc.ServeClients(ctx, l) }()
-		}
-		for i := 0; i < serves; i++ {
-			if err := <-errc; err != nil && ctx.Err() == nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// One-shot mode: run the stored top-k token in-process.
-	tk, err := sectopk.LoadToken(filepath.Join(*dir, tokenFile))
-	if err != nil {
-		return err
-	}
-	qmode, halt, err := parseQueryOpts(*mode, *strict)
-	if err != nil {
-		return err
-	}
-	sess, err := dc.NewSession(*relation, tk, sectopk.WithMode(qmode), sectopk.WithHalting(halt))
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := sess.Execute(ctx)
-	if err != nil {
-		return err
-	}
-	tr := sess.Traffic()
-	fmt.Printf("query done: depth=%d halted=%v elapsed=%s rounds=%d bytes=%d\n",
-		res.Depth, res.Halted, time.Since(start).Round(time.Millisecond), tr.Rounds, tr.Bytes)
-	return res.Save(filepath.Join(*dir, resultFile))
-}
-
-// readyStatus is the structured /readyz body. State is "ready" (HTTP
-// 200) or "not_ready" (503); Reason explains either way. Epoch is the
-// named relation's current epoch (0 when none is hosted); Member and
-// Shards identify a cluster member; Members lists a front door's fleet.
-type readyStatus struct {
-	State   string           `json:"state"`
-	Reason  string           `json:"reason"`
-	Epoch   uint64           `json:"epoch,omitempty"`
-	Member  string           `json:"member,omitempty"`
-	Shards  map[string][]int `json:"shards,omitempty"`
-	Members []string         `json:"members,omitempty"`
-}
-
-// s1Ready is the readiness predicate behind /readyz: the S2 handshakes
-// are done (the transport is connected), the relations are hosted, the
-// data cloud is not draining for shutdown, and no shard handoff is
-// mid-swap. A cluster member reports its identity and assigned shard
-// set; a front door verifies every member still answers a cluster Hello
-// before claiming ready. A ready top-k relation also reports its epoch,
-// so an orchestrator (or a curious owner) can watch deltas land without
-// issuing a query.
-func s1Ready(dc *sectopk.DataCloud, hosted *atomic.Bool, relation string) func() readyStatus {
-	return func() readyStatus {
-		st := readyStatus{State: "not_ready", Member: dc.MemberID()}
-		switch {
-		case dc.Draining():
-			st.Reason = "draining"
-			return st
-		case !dc.Connected():
-			st.Reason = "not connected to S2"
-			return st
-		case dc.HandoffInFlight():
-			st.Reason = "shard handoff in flight"
-			return st
-		case !hosted.Load():
-			st.Reason = "relations not hosted"
-			return st
-		}
-		if subs := dc.HostedShardSubsets(); len(subs) > 0 {
-			st.Shards = subs
-		}
-		if nodes := dc.ClusterNodes(); len(nodes) > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := dc.ClusterReachable(ctx); err != nil {
-				st.Reason = fmt.Sprintf("cluster member unreachable: %v", err)
-				return st
-			}
-			sort.Strings(nodes)
-			st.Members = nodes
-		}
-		if epoch, err := dc.Epoch(relation); err == nil {
-			st.Epoch = epoch
-		}
-		st.State = "ready"
-		st.Reason = "ready"
-		return st
-	}
-}
-
-// startProbes serves the operational endpoints on the listener until it
-// closes: /healthz (liveness: the process is up), /readyz (readiness as
-// a structured JSON body; HTTP 200 when ready, 503 otherwise), and
-// /metrics (the process-wide telemetry registry in Prometheus text
-// exposition format).
-func startProbes(l net.Listener, ready func() readyStatus) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		st := ready()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if st.State != "ready" {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		enc := json.NewEncoder(w)
-		enc.Encode(st)
-	})
-	mux.Handle("/metrics", telemetry.Default().Handler())
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(l)
-}
-
-// startPprof serves the net/http/pprof profiling endpoints on the
-// listener until it closes (on its own mux, so the probe plane never
-// exposes profiling by accident).
-func startPprof(l net.Listener) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(l)
-}
-
 // parseTenantLimits parses the -tenant-limits syntax: comma-separated
 // name=rate[:burst] entries, rate in requests/second.
 func parseTenantLimits(s string) (map[string]sectopk.Rate, error) {
@@ -763,38 +208,6 @@ func parseQueryOpts(mode string, strict bool) (sectopk.Mode, sectopk.Halting, er
 	return qmode, halt, nil
 }
 
-// dialClient dials a data cloud client listener through the shared
-// recovery stack: capped exponential backoff with jitter bounded by the
-// wait window (the querier typically races the server's startup), and a
-// client that keeps re-dialing and retrying shed/transport failures for
-// the session. A protocol-version mismatch is final and surfaces
-// immediately. Given a comma-separated list the dial fans across the
-// nodes in order, splitting the wait window between them, and a fully
-// failed fan surfaces the LAST node's error: in a half-up cluster the
-// early entries fail with whatever transient state they were caught in,
-// while the final attempt ran with the most time elapsed — that is the
-// message that diagnoses what is still down.
-func dialClient(ctx context.Context, addrs string, wait time.Duration, opts ...sectopk.Option) (*sectopk.Client, error) {
-	list := splitList(addrs)
-	if len(list) == 0 {
-		return nil, fmt.Errorf("no data cloud address to dial")
-	}
-	per := wait / time.Duration(len(list))
-	var lastErr error
-	for _, addr := range list {
-		client, err := sectopk.DialRetry(ctx, addr, append([]sectopk.Option{sectopk.WithRetry(sectopk.RetryPolicy{
-			Initial:    50 * time.Millisecond,
-			Max:        time.Second,
-			MaxElapsed: per,
-		})}, opts...)...)
-		if err == nil {
-			return client, nil
-		}
-		lastErr = fmt.Errorf("dialing %s: %w", addr, err)
-	}
-	return nil, lastErr
-}
-
 // splitList splits a comma-separated flag value, dropping empties.
 func splitList(s string) []string {
 	var out []string
@@ -804,204 +217,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func runQuery(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	dir := fs.String("dir", ".", "artifact directory")
-	connect := fs.String("connect", "127.0.0.1:9142", "data cloud client-listen address(es), comma separated — first reachable wins")
-	workload := fs.String("workload", "topk", "workload: topk|join|knn")
-	relation := fs.String("relation", "", "relation ID (defaults to \"default\" for topk, the workload name otherwise)")
-	mode := fs.String("mode", "e", "query mode: f|e|ba (topk only)")
-	strict := fs.Bool("strict", true, "use strict NRA halting (topk only)")
-	tenant := fs.String("tenant", "", "tenant to identify as in the Hello (QoS admission bucket; empty = default tenant)")
-	wait := fs.Duration("wait", 15*time.Second, "how long to retry dialing the server")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rel := *relation
-	if rel == "" {
-		if *workload == "topk" {
-			rel = "default"
-		} else {
-			rel = *workload
-		}
-	}
-	var req sectopk.Request
-	var out string
-	switch *workload {
-	case "topk":
-		tk, err := sectopk.LoadToken(filepath.Join(*dir, tokenFile))
-		if err != nil {
-			return err
-		}
-		qmode, halt, err := parseQueryOpts(*mode, *strict)
-		if err != nil {
-			return err
-		}
-		req = sectopk.TopKRequest(rel, tk, sectopk.WithMode(qmode), sectopk.WithHalting(halt))
-		out = resultFile
-	case "join":
-		tk, err := sectopk.LoadJoinToken(filepath.Join(*dir, joinTokenFile))
-		if err != nil {
-			return err
-		}
-		req = sectopk.JoinRequest(rel, tk)
-		out = joinResultFile
-	case "knn":
-		tk, err := sectopk.LoadKNNToken(filepath.Join(*dir, knnTokenFile))
-		if err != nil {
-			return err
-		}
-		req = sectopk.KNNRequest(rel, tk)
-		out = knnResultFile
-	default:
-		return fmt.Errorf("unknown workload %q (want topk, join, or knn)", *workload)
-	}
-	var dialOpts []sectopk.Option
-	if *tenant != "" {
-		dialOpts = append(dialOpts, sectopk.WithTenant(*tenant))
-	}
-	client, err := dialClient(ctx, *connect, *wait, dialOpts...)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	start := time.Now()
-	ans, err := client.Execute(ctx, req)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s query done: elapsed=%s client-rounds=%d client-bytes=%d s2-calls=%d fan-out=%d epoch=%d\n",
-		*workload, time.Since(start).Round(time.Millisecond), ans.Traffic.Rounds, ans.Traffic.Bytes,
-		ans.Traffic.S2Calls, ans.Traffic.FanOut, ans.Traffic.Epoch)
-	path := filepath.Join(*dir, out)
-	switch *workload {
-	case "topk":
-		fmt.Printf("depth=%d halted=%v\n", ans.TopK.Depth, ans.TopK.Halted)
-		return ans.TopK.Save(path)
-	case "join":
-		return ans.Join.Save(path)
-	default:
-		return ans.KNN.Save(path)
-	}
-}
-
-// runApply is the owner's live-update loop: load the mutable mirror,
-// turn the flags into encrypted deltas (deletes, then updates, then
-// inserts — three independent mutations in a fixed order), ship each to
-// the data cloud over the client wire, adopt the epochs the Applies
-// report, and persist the advanced owner state. The mirror is re-saved
-// after every landed delta, so a failure mid-sequence leaves the disk
-// state consistent with the hosting (the unshipped mutations are simply
-// not applied anywhere).
-func runApply(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("apply", flag.ExitOnError)
-	dir := fs.String("dir", ".", "artifact directory")
-	connect := fs.String("connect", "127.0.0.1:9142", "data cloud client-listen address")
-	relation := fs.String("relation", "default", "relation ID")
-	insertFlag := fs.String("insert", "", "rows to insert: semicolon-separated comma-lists, e.g. '3,5,7;2,9,1'")
-	deleteFlag := fs.String("delete", "", "global row ids to delete: comma list, e.g. '0,4'")
-	updateFlag := fs.String("update", "", "rows to update: semicolon-separated id=comma-list, e.g. '2=8,8,8'")
-	compact := fs.Bool("compact", false, "fold accumulated tombstones after the mutations land")
-	wait := fs.Duration("wait", 15*time.Second, "how long to retry dialing the server")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *insertFlag == "" && *deleteFlag == "" && *updateFlag == "" && !*compact {
-		return fmt.Errorf("nothing to do: give -insert, -delete, -update, or -compact")
-	}
-	owner, err := sectopk.LoadOwner(filepath.Join(*dir, ownerFile))
-	if err != nil {
-		return err
-	}
-	mr, err := owner.LoadMutable(filepath.Join(*dir, mirrorFile))
-	if err != nil {
-		return err
-	}
-	client, err := dialClient(ctx, *connect, *wait)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	mirrorPath := filepath.Join(*dir, mirrorFile)
-	ship := func(d *sectopk.Delta, what string) error {
-		epoch, err := client.Apply(ctx, *relation, d)
-		if err != nil {
-			return fmt.Errorf("%s: %w", what, err)
-		}
-		if err := mr.Adopt(epoch); err != nil {
-			return err
-		}
-		ins, del := d.Rows()
-		fmt.Printf("%s applied: +%d/-%d rows -> epoch %d\n", what, ins, del, epoch)
-		return mr.Save(mirrorPath)
-	}
-	if *deleteFlag != "" {
-		ids, err := parseInts(*deleteFlag)
-		if err != nil {
-			return err
-		}
-		d, err := mr.DeleteRows(ids)
-		if err != nil {
-			return err
-		}
-		if err := ship(d, "delete"); err != nil {
-			return err
-		}
-	}
-	if *updateFlag != "" {
-		updates, err := parseUpdates(*updateFlag)
-		if err != nil {
-			return err
-		}
-		d, err := mr.UpdateScores(updates)
-		if err != nil {
-			return err
-		}
-		if err := ship(d, "update"); err != nil {
-			return err
-		}
-	}
-	if *insertFlag != "" {
-		rows, err := parseRows(*insertFlag)
-		if err != nil {
-			return err
-		}
-		d, err := mr.InsertRows(rows)
-		if err != nil {
-			return err
-		}
-		if err := ship(d, "insert"); err != nil {
-			return err
-		}
-	}
-	if *compact {
-		epoch, err := client.Compact(ctx, *relation)
-		if err != nil {
-			return err
-		}
-		if err := mr.Adopt(epoch); err != nil {
-			return err
-		}
-		fmt.Printf("compacted -> epoch %d\n", epoch)
-		if err := mr.Save(mirrorPath); err != nil {
-			return err
-		}
-	}
-	// Refresh the hosted bundle at the new epoch: reveal sizes its
-	// revealer off this file, which must cover the grown id space.
-	er, err := mr.Encrypted()
-	if err != nil {
-		return err
-	}
-	if err := er.Save(filepath.Join(*dir, relationFile)); err != nil {
-		return err
-	}
-	fmt.Printf("relation %s now at epoch %d: %d live rows, %d awaiting compaction\n",
-		*relation, mr.Epoch(), mr.LiveRows(), mr.DeadRows())
-	return nil
 }
 
 // parseRows parses the -insert syntax: rows split by ';', attribute
@@ -1063,76 +278,6 @@ func parseInt64s(s string) ([]int64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func runReveal(args []string) error {
-	fs := flag.NewFlagSet("reveal", flag.ExitOnError)
-	dir := fs.String("dir", ".", "artifact directory")
-	workload := fs.String("workload", "topk", "workload: topk|join|knn")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch *workload {
-	case "topk":
-		owner, err := sectopk.LoadOwner(filepath.Join(*dir, ownerFile))
-		if err != nil {
-			return err
-		}
-		er, err := sectopk.LoadEncryptedRelation(filepath.Join(*dir, relationFile))
-		if err != nil {
-			return err
-		}
-		res, err := sectopk.LoadEncryptedResult(filepath.Join(*dir, resultFile))
-		if err != nil {
-			return err
-		}
-		revealed, err := owner.Reveal(er, res)
-		if err != nil {
-			return err
-		}
-		for rank, item := range revealed {
-			fmt.Printf("top-%d: object %d, score %d\n", rank+1, item.Object, item.Score)
-		}
-	case "join":
-		jowner, err := sectopk.LoadJoinOwner(filepath.Join(*dir, joinOwnerFile))
-		if err != nil {
-			return err
-		}
-		res, err := sectopk.LoadEncryptedJoinResult(filepath.Join(*dir, joinResultFile))
-		if err != nil {
-			return err
-		}
-		revealed, err := jowner.Reveal(res)
-		if err != nil {
-			return err
-		}
-		for rank, tup := range revealed {
-			fmt.Printf("join-%d: score %d, attrs %v\n", rank+1, tup.Score, tup.Attrs)
-		}
-	case "knn":
-		owner, err := sectopk.LoadOwner(filepath.Join(*dir, ownerFile))
-		if err != nil {
-			return err
-		}
-		ker, err := sectopk.LoadEncryptedKNNRelation(filepath.Join(*dir, knnFile))
-		if err != nil {
-			return err
-		}
-		res, err := sectopk.LoadEncryptedKNNResult(filepath.Join(*dir, knnResultFile))
-		if err != nil {
-			return err
-		}
-		revealed, err := owner.RevealKNN(ker, res)
-		if err != nil {
-			return err
-		}
-		for rank, item := range revealed {
-			fmt.Printf("nn-%d: object %d, distance %d\n", rank+1, item.Object, item.Distance)
-		}
-	default:
-		return fmt.Errorf("unknown workload %q (want topk, join, or knn)", *workload)
-	}
-	return nil
 }
 
 func parseInts(s string) ([]int, error) {
