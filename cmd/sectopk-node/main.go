@@ -14,7 +14,7 @@
 //	    -join-relation join -knn-relation knn
 //
 //	# Data cloud S1, one-shot mode: load the encrypted relation +
-//	# token, run a query session against S2, store the encrypted
+//	# token, execute the query against S2, store the encrypted
 //	# result.
 //	sectopk-node s1 -dir ./deploy -connect 127.0.0.1:9042 -mode e
 //

@@ -206,16 +206,12 @@ func runS1(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sess, err := dc.NewSession(*relation, tk, sectopk.WithMode(qmode), sectopk.WithHalting(halt))
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	res, err := sess.Execute(ctx)
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest(*relation, tk, sectopk.WithMode(qmode), sectopk.WithHalting(halt)))
 	if err != nil {
 		return err
 	}
-	tr := sess.Traffic()
+	res, tr := ans.TopK, ans.Traffic
 	fmt.Printf("query done: depth=%d halted=%v elapsed=%s rounds=%d bytes=%d\n",
 		res.Depth, res.Halted, time.Since(start).Round(time.Millisecond), tr.Rounds, tr.Bytes)
 	return res.Save(filepath.Join(*dir, resultFile))

@@ -6,7 +6,7 @@
 //
 // The stable entry point is the repro/sectopk package — the public v1
 // API exposing the four deployment roles (Owner, CryptoCloud, DataCloud,
-// Session) with context-first calls, typed errors, and a versioned wire
+// Client) with context-first calls, typed errors, and a versioned wire
 // protocol. Everything under internal/ is implementation.
 //
 // See README.md for the architecture overview, the layer diagram, and

@@ -53,11 +53,8 @@ func main() {
 		log.Fatalf("token: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		sess, err := dc.NewSession("insurance", tk, sectopk.WithMode(sectopk.ModeEliminate))
-		if err != nil {
-			log.Fatalf("session: %v", err)
-		}
-		if _, err := sess.Execute(ctx); err != nil {
+		req := sectopk.TopKRequest("insurance", tk, sectopk.WithMode(sectopk.ModeEliminate))
+		if _, err := dc.Execute(ctx, req); err != nil {
 			log.Fatalf("query: %v", err)
 		}
 	}

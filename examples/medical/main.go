@@ -73,17 +73,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("token: %v", err)
 	}
-	sess, err := dc.NewSession("patients", tk,
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("patients", tk,
 		sectopk.WithMode(sectopk.ModeFull),
 		sectopk.WithHalting(sectopk.HaltingStrict),
-	)
-	if err != nil {
-		log.Fatalf("session: %v", err)
-	}
-	res, err := sess.Execute(ctx)
+	))
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
+	res := ans.TopK
 
 	results, err := owner.Reveal(er, res)
 	if err != nil {

@@ -1,13 +1,13 @@
 // Quickstart: the full SecTopK pipeline through the public sectopk API —
-// encrypt a tiny relation, stand up the two clouds, run a secure top-k
-// query session, and reveal the result.
+// encrypt a tiny relation, stand up the two clouds, execute a secure
+// top-k query, and reveal the result.
 //
-// The four roles map onto the paper's Section 3.2 architecture:
+// The roles map onto the paper's Section 3.2 architecture:
 //
 //	sectopk.Owner        the data owner (keys, Enc, Token, Reveal)
 //	sectopk.CryptoCloud  S2, the only key holder, serving relations
 //	sectopk.DataCloud    S1, hosting ciphertexts and driving the rounds
-//	sectopk.Session      one query's lifecycle: token -> result
+//	DataCloud.Execute    one query's lifecycle: token -> encrypted answer
 package main
 
 import (
@@ -68,24 +68,20 @@ func main() {
 	}
 
 	// 3. An authorized client asks for the top-2 by the sum of all three
-	//    attributes and opens a session with the token. The context
+	//    attributes and submits the token as a request. The context
 	//    cancels the query cooperatively, bounded by one protocol round.
 	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	if err != nil {
 		log.Fatalf("token: %v", err)
 	}
-	sess, err := dc.NewSession("demo", tk,
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk,
 		sectopk.WithMode(sectopk.ModeEliminate),
 		sectopk.WithHalting(sectopk.HaltingStrict),
-	)
-	if err != nil {
-		log.Fatalf("session: %v", err)
-	}
-	res, err := sess.Execute(ctx)
+	))
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}
-	tr := sess.Traffic()
+	res, tr := ans.TopK, ans.Traffic
 	fmt.Printf("halted at depth %d after %d protocol rounds, %d bytes exchanged\n",
 		res.Depth, tr.Rounds, tr.Bytes)
 

@@ -80,15 +80,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("token: %v", err)
 	}
-	sess, err := dc.NewJoinSession("hr", tk)
-	if err != nil {
-		log.Fatalf("session: %v", err)
-	}
-	enc, err := sess.Execute(ctx)
+	ans, err := dc.Execute(ctx, sectopk.JoinRequest("hr", tk))
 	if err != nil {
 		log.Fatalf("join: %v", err)
 	}
-	got, err := owner.Reveal(enc)
+	got, err := owner.Reveal(ans.Join)
 	if err != nil {
 		log.Fatalf("reveal: %v", err)
 	}
@@ -97,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("plain join: %v", err)
 	}
-	tr := sess.Traffic()
+	tr := ans.Traffic
 	fmt.Printf("secure top-%d join over %d x %d candidate pairs (%d rounds, %d bytes):\n",
 		q.K, len(r1.Rows), len(r2.Rows), tr.Rounds, tr.Bytes)
 	for i, t := range got {

@@ -25,9 +25,7 @@ func TestNonceKnobSurfaces(t *testing.T) {
 		wantPK interface{}
 	}{
 		{"default-crt", []Option{WithParallelism(1)}, (*paillier.CRTEncryptor)(nil)},
-		{"crt-off", []Option{WithParallelism(1), WithCRTNonce(false)}, (*paillier.PublicKey)(nil)},
 		{"fast", []Option{WithParallelism(1), WithFastNonce(true)}, (*paillier.FastEncryptor)(nil)},
-		{"fast-overrides-crt", []Option{WithParallelism(1), WithFastNonce(true), WithCRTNonce(true)}, (*paillier.FastEncryptor)(nil)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,10 +41,6 @@ func TestNonceKnobSurfaces(t *testing.T) {
 				}
 				if _, ok := srv.djEnc.(*dj.CRTEncryptor); !ok {
 					t.Errorf("djEnc is %T, want *dj.CRTEncryptor", srv.djEnc)
-				}
-			case *paillier.PublicKey:
-				if _, ok := srv.pkEnc.(*paillier.PublicKey); !ok {
-					t.Errorf("pkEnc is %T, want *paillier.PublicKey", srv.pkEnc)
 				}
 			case *paillier.FastEncryptor:
 				if _, ok := srv.pkEnc.(*paillier.FastEncryptor); !ok {

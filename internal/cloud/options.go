@@ -15,7 +15,6 @@ type Option func(*config)
 type config struct {
 	parallelism int
 	fastNonce   bool
-	crtOff      bool
 	relation    string
 }
 
@@ -45,15 +44,6 @@ func WithParallelism(n int) Option {
 // faster, and applies even to surfaces without the private key.
 func WithFastNonce(on bool) Option {
 	return func(c *config) { c.fastNonce = on }
-}
-
-// WithCRTNonce toggles the CRT nonce fast path for surfaces whose private
-// key the party holds (S2's main and DJ keys, S1's ephemeral key). On by
-// default: the CRT split is assumption-free and bit-compatible with the
-// spec path, ~2-3x cheaper per nonce. Turn it off to benchmark the spec
-// path or to pin down a suspected CRT-related miscomputation.
-func WithCRTNonce(on bool) Option {
-	return func(c *config) { c.crtOff = !on }
 }
 
 func buildConfig(opts []Option) config {
@@ -100,8 +90,9 @@ type paillierSurface interface {
 
 // newPaillierEnc returns the encryption surface for pk under this config.
 // sk may be nil (the party does not hold the private key). Precedence:
-// fast-nonce table (opt-in) > CRT split (default when sk is present) >
-// spec path; a background pool wraps whichever base was picked when
+// fast-nonce table (opt-in) > CRT split (whenever sk is present: it is
+// assumption-free, bit-compatible with the spec path and ~2-3x cheaper
+// per nonce) > spec path; a background pool wraps whichever base was picked when
 // pooling is enabled. The returned closer is non-nil only when a pool was
 // started.
 func (c config) newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) (paillier.Encryptor, func(), error) {
@@ -113,7 +104,7 @@ func (c config) newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) 
 			return nil, nil, err
 		}
 		base = fast
-	case sk != nil && !c.crtOff:
+	case sk != nil:
 		base = sk.CRTEncryptor()
 	}
 	if !c.poolsEnabled() {
@@ -139,7 +130,7 @@ func (c config) newDJEnc(pk *dj.PublicKey, sk *dj.PrivateKey) (dj.Encryptor, fun
 			return nil, nil, err
 		}
 		base = fast
-	case sk != nil && !c.crtOff:
+	case sk != nil:
 		base = sk.CRTEncryptor()
 	}
 	if !c.poolsEnabled() {

@@ -10,10 +10,9 @@ import (
 
 // TestSecQueryFastPathEquivalence pins the precomputation contract: the
 // same query over the same keys and encrypted relation returns identical
-// top-k results at identical halting depths with every fast-path knob
-// combination — spec nonces (CRT off), CRT subgroup sampling (the
-// default), and the opt-in short-exponent fast-nonce tables — in every
-// query mode. Under `go test -race` this doubles as the data-race check
+// top-k results at identical halting depths on both nonce paths — CRT
+// subgroup sampling (the default) and the opt-in short-exponent
+// fast-nonce tables — in every query mode. Under `go test -race` this doubles as the data-race check
 // for the fast-path surfaces feeding the pooled fan-out.
 func TestSecQueryFastPathEquivalence(t *testing.T) {
 	r := getRig(t)
@@ -64,7 +63,6 @@ func TestSecQueryFastPathEquivalence(t *testing.T) {
 		name string
 		opts []cloud.Option
 	}{
-		{"spec", []cloud.Option{cloud.WithCRTNonce(false)}},
 		{"crt", nil},
 		{"fast", []cloud.Option{cloud.WithFastNonce(true)}},
 	}
@@ -73,7 +71,7 @@ func TestSecQueryFastPathEquivalence(t *testing.T) {
 		for _, k := range knobs[1:] {
 			got := run(mode, k.opts...)
 			if base.depth != got.depth || base.halted != got.halted {
-				t.Errorf("%v: spec (depth=%d halted=%v) vs %s (depth=%d halted=%v)",
+				t.Errorf("%v: crt (depth=%d halted=%v) vs %s (depth=%d halted=%v)",
 					mode, base.depth, base.halted, k.name, got.depth, got.halted)
 			}
 			if len(base.revealed) != len(got.revealed) {
@@ -81,7 +79,7 @@ func TestSecQueryFastPathEquivalence(t *testing.T) {
 			}
 			for i := range base.revealed {
 				if base.revealed[i] != got.revealed[i] {
-					t.Errorf("%v/%s: rank %d differs: spec %+v vs %+v",
+					t.Errorf("%v/%s: rank %d differs: crt %+v vs %+v",
 						mode, k.name, i, base.revealed[i], got.revealed[i])
 				}
 			}

@@ -3,10 +3,12 @@ package sectopk_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,7 +143,7 @@ func serveClients(t testing.TB, dc *sectopk.DataCloud) (addr string, stop func()
 
 // TestExecuteUnified runs all three workloads through the single
 // DataCloud.Execute entry point and checks each against its plaintext
-// oracle.
+// oracle, then every (hosted kind, workload) pair that must be refused.
 func TestExecuteUnified(t *testing.T) {
 	r := newFullRig(t)
 	ctx := context.Background()
@@ -211,6 +213,28 @@ func TestExecuteUnified(t *testing.T) {
 	if !reflect.DeepEqual(gotKNN, wantKNN) {
 		t.Fatalf("unified knn = %+v, want %+v", gotKNN, wantKNN)
 	}
+
+	// The other half of "one entry point": an id hosted as any of the six
+	// kinds refuses every workload it does not serve — and a shard subset
+	// refuses even its own, it answers only on the cluster plane — with
+	// ErrUnknownRelation naming what the id is hosted as.
+	six := newSixKindRig(t)
+	reqs := map[sectopk.Workload]func(id string) sectopk.Request{
+		sectopk.WorkloadTopK: func(id string) sectopk.Request { return sectopk.TopKRequest(id, tk) },
+		sectopk.WorkloadJoin: func(id string) sectopk.Request { return sectopk.JoinRequest(id, jtk) },
+		sectopk.WorkloadKNN:  func(id string) sectopk.Request { return sectopk.KNNRequest(id, ktk) },
+	}
+	for kind, id := range six.ids {
+		for w, req := range reqs {
+			if w == six.serves[kind] && kind != "shard subset" {
+				continue
+			}
+			_, err := six.front.Execute(ctx, req(id))
+			if !errors.Is(err, sectopk.ErrUnknownRelation) || !strings.Contains(err.Error(), kind) {
+				t.Errorf("%s request against the %s id %q: err = %v, want ErrUnknownRelation naming the kind", w, kind, id, err)
+			}
+		}
+	}
 }
 
 // TestExecuteRequestValidation pins the unified surface's error
@@ -259,7 +283,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Top-k: remote vs in-process Session.
+	// Top-k: remote vs in-process.
 	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +316,36 @@ func TestClientRemoteEquivalence(t *testing.T) {
 		t.Fatalf("remote answer recorded no client-wire traffic: %+v", remote.Traffic)
 	}
 
-	// Join: remote vs in-process JoinSession.
+	// The Qry_Ba parameter p and the depth cap cross the wire too: a
+	// batched, depth-capped query answers identically both ways.
+	batched := sectopk.TopKRequest("topk", tk, sectopk.WithMode(sectopk.ModeBatched),
+		sectopk.WithBatchDepth(tk.K()+1), sectopk.WithMaxDepth(4))
+	remoteBa, err := client.Execute(ctx, batched)
+	if err != nil {
+		t.Fatalf("remote batched topk: %v", err)
+	}
+	localBa, err := r.dc.Execute(ctx, batched)
+	if err != nil {
+		t.Fatalf("local batched topk: %v", err)
+	}
+	remoteBaRev, err := r.owner.Reveal(r.er, remoteBa.TopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localBaRev, err := r.owner.Reveal(r.er, localBa.TopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(remoteBaRev, localBaRev) || remoteBa.TopK.Depth != localBa.TopK.Depth ||
+		remoteBa.TopK.Halted != localBa.TopK.Halted {
+		t.Fatalf("remote batched topk = %+v (depth=%d halted=%v), in-process = %+v (depth=%d halted=%v)",
+			remoteBaRev, remoteBa.TopK.Depth, remoteBa.TopK.Halted, localBaRev, localBa.TopK.Depth, localBa.TopK.Halted)
+	}
+	if localBa.TopK.Depth > 4 {
+		t.Fatalf("WithMaxDepth(4) scanned to depth %d", localBa.TopK.Depth)
+	}
+
+	// Join: remote vs in-process.
 	jq := demoJoinQuery()
 	jtk, err := r.jowner.Token(r.jr1, r.jr2, jq)
 	if err != nil {
@@ -302,11 +355,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote join: %v", err)
 	}
-	sess, err := r.dc.NewJoinSession("join", jtk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localJoin, err := sess.Execute(ctx)
+	localJoin, err := r.dc.Execute(ctx, sectopk.JoinRequest("join", jtk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +363,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localJRev, err := r.jowner.Reveal(localJoin)
+	localJRev, err := r.jowner.Reveal(localJoin.Join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,6 +474,31 @@ func TestClientErrorsAcrossWire(t *testing.T) {
 	}
 	if !errors.Is(remoteErr, sectopk.ErrInvalidToken) {
 		t.Fatalf("remote kNN dimension mismatch: err = %v, want ErrInvalidToken", remoteErr)
+	}
+
+	// Query options outside their documented range are refused before
+	// admission with the same sentinel both ways: the server validates
+	// the integers a peer sent, not just what WithMode can spell.
+	for _, tc := range []struct {
+		name string
+		opts []sectopk.QueryOption
+	}{
+		{"mode out of range", []sectopk.QueryOption{sectopk.WithMode(sectopk.Mode(7))}},
+		{"negative mode", []sectopk.QueryOption{sectopk.WithMode(sectopk.Mode(-1))}},
+		{"halting out of range", []sectopk.QueryOption{sectopk.WithHalting(sectopk.Halting(9))}},
+		{"negative max depth", []sectopk.QueryOption{sectopk.WithMaxDepth(-1)}},
+		{"negative batch depth", []sectopk.QueryOption{sectopk.WithBatchDepth(-3)}},
+		{"batch depth below k", []sectopk.QueryOption{sectopk.WithMode(sectopk.ModeBatched), sectopk.WithBatchDepth(1)}},
+	} {
+		req := sectopk.TopKRequest("topk", tk, tc.opts...)
+		_, localErr := r.dc.Execute(ctx, req)
+		_, remoteErr := client.Execute(ctx, req)
+		if !errors.Is(localErr, sectopk.ErrBadRequest) {
+			t.Errorf("in-process %s: err = %v, want ErrBadRequest", tc.name, localErr)
+		}
+		if !errors.Is(remoteErr, sectopk.ErrBadRequest) {
+			t.Errorf("remote %s: err = %v, want ErrBadRequest", tc.name, remoteErr)
+		}
 	}
 
 	// The request itself failing client-side validation never touches
@@ -542,26 +616,15 @@ func TestServeClientsTeardownLeaksNoGoroutines(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestSessionPoolAllWorkloads extends the pool's admission control to
-// join and kNN requests.
-func TestSessionPoolAllWorkloads(t *testing.T) {
-	r := newFullRig(t)
+// TestSessionLimitAllWorkloads pins that the session limit is one
+// admission bound across workloads: concurrent join and kNN requests under
+// a limit that fits them all answer oracle-correct, none shed.
+func TestSessionLimitAllWorkloads(t *testing.T) {
+	r := newFullRig(t, sectopk.WithSessionLimit(4))
 	ctx := context.Background()
 
 	jq := demoJoinQuery()
 	jtk, err := r.jowner.Token(r.jr1, r.jr2, jq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpool, err := r.dc.NewSessionPool("join", 2)
-	if err != nil {
-		t.Fatalf("NewSessionPool(join): %v", err)
-	}
-	jres, err := jpool.ExecuteJoin(ctx, jtk)
-	if err != nil {
-		t.Fatalf("pool ExecuteJoin: %v", err)
-	}
-	gotJoin, err := r.jowner.Reveal(jres)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,23 +633,7 @@ func TestSessionPoolAllWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotJoin, wantJoin) {
-		t.Fatalf("pool join = %+v, want %+v", gotJoin, wantJoin)
-	}
-
 	ktk, err := r.owner.KNNToken(r.ker, sectopk.KNNQuery{Point: []int64{5, 5, 5}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kpool, err := r.dc.NewSessionPool("knn", 2)
-	if err != nil {
-		t.Fatalf("NewSessionPool(knn): %v", err)
-	}
-	kres, err := kpool.ExecuteKNN(ctx, ktk)
-	if err != nil {
-		t.Fatalf("pool ExecuteKNN: %v", err)
-	}
-	gotKNN, err := r.owner.RevealKNN(r.ker, kres)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,26 +641,38 @@ func TestSessionPoolAllWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotKNN, wantKNN) {
-		t.Fatalf("pool knn = %+v, want %+v", gotKNN, wantKNN)
-	}
 
-	// A request naming a different relation than the pool's is rejected
-	// before execution.
-	if _, err := jpool.ExecuteRequest(ctx, sectopk.JoinRequest("topk", jtk)); !errors.Is(err, sectopk.ErrBadRequest) {
-		t.Fatalf("pool relation mismatch: err = %v, want ErrBadRequest", err)
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for i := 0; i < 2; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			ans, err := r.dc.Execute(ctx, sectopk.JoinRequest("join", jtk))
+			if err != nil {
+				errCh <- fmt.Errorf("join under session limit: %w", err)
+				return
+			}
+			if got, err := r.jowner.Reveal(ans.Join); err != nil || !reflect.DeepEqual(got, wantJoin) {
+				errCh <- fmt.Errorf("join = %+v (err %v), want %+v", got, err, wantJoin)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			ans, err := r.dc.Execute(ctx, sectopk.KNNRequest("knn", ktk))
+			if err != nil {
+				errCh <- fmt.Errorf("knn under session limit: %w", err)
+				return
+			}
+			if got, err := r.owner.RevealKNN(r.ker, ans.KNN); err != nil || !reflect.DeepEqual(got, wantKNN) {
+				errCh <- fmt.Errorf("knn = %+v (err %v), want %+v", got, err, wantKNN)
+			}
+		}()
 	}
-	// A workload the pooled relation is not hosted for fails like the
-	// unified path does.
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jpool.Execute(ctx, tk); !errors.Is(err, sectopk.ErrUnknownRelation) {
-		t.Fatalf("pool workload mismatch: err = %v, want ErrUnknownRelation", err)
-	}
-	if _, err := r.dc.NewSessionPool("ghost", 1); !errors.Is(err, sectopk.ErrUnknownRelation) {
-		t.Fatalf("pool over unknown relation: err = %v, want ErrUnknownRelation", err)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
 	}
 }
 

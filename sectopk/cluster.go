@@ -21,8 +21,8 @@ import (
 // process: the owner cuts the encrypted relation into ShardSubsets, each
 // member data cloud hosts one subset (HostShards + ServeCluster), and a
 // front-door data cloud assembles the placement (HostCluster) and serves
-// queries against it through the same Execute/Session surface as a
-// local relation. Top-k queries fan out to every member and merge under
+// queries against it through the same Execute surface as a local
+// relation. Top-k queries fan out to every member and merge under
 // the NRA bound check (internal/cluster); join and kNN relations are not
 // shard-partitioned, so a member announces them whole and the front door
 // forwards those queries to it over the ordinary client wire. Cluster
@@ -123,27 +123,44 @@ type hostedShards struct {
 	sub    *ShardSubset
 }
 
-// hostedView builds the cluster-plane announcement for the subset's
-// current state.
+func (hs *hostedShards) kind() (string, Workload) { return "shard subset", WorkloadTopK }
+
+func (hs *hostedShards) close() { hs.client.Close() }
+
+// execute refuses typed: a subset holds part of a relation, so a query
+// answered from it alone would be wrong. Its candidates are served on the
+// cluster plane (ServeCluster) to a front door, which is what to query.
+func (hs *hostedShards) execute(_ context.Context, req Request, _ queryConfig) (*Answer, error) {
+	return nil, secerr.New(secerr.CodeUnknownRelation,
+		"sectopk: relation %q is hosted as a shard subset, served on the cluster plane; query it through a front door",
+		req.Relation)
+}
+
+// view builds the cluster-plane announcement for a subset served by
+// engine.
+func (s *ShardSubset) view(relation string, engine *shard.Engine) *cluster.Hosted {
+	rows := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		rows[i] = sh.N
+	}
+	return &cluster.Hosted{
+		Engine: engine,
+		Info: cluster.SubsetInfo{
+			Relation: relation,
+			Total:    s.total,
+			Indices:  append([]int(nil), s.indices...),
+			Rows:     rows,
+			M:        s.shards[0].M, MaxScoreBits: s.shards[0].MaxScoreBits,
+			Epoch: s.epoch, PK: s.pk.N,
+		},
+	}
+}
+
+// hostedView announces the subset's current state.
 func (hs *hostedShards) hostedView(relation string) *cluster.Hosted {
 	hs.mu.Lock()
 	defer hs.mu.Unlock()
-	sub := hs.sub
-	rows := make([]int, len(sub.shards))
-	for i, s := range sub.shards {
-		rows[i] = s.N
-	}
-	return &cluster.Hosted{
-		Engine: hs.engine,
-		Info: cluster.SubsetInfo{
-			Relation: relation,
-			Total:    sub.total,
-			Indices:  append([]int(nil), sub.indices...),
-			Rows:     rows,
-			M:        sub.shards[0].M, MaxScoreBits: sub.shards[0].MaxScoreBits,
-			Epoch: sub.epoch, PK: sub.pk.N,
-		},
-	}
+	return hs.sub.view(relation, hs.engine)
 }
 
 // hostedView announces a fully hosted relation as the complete subset
@@ -152,24 +169,12 @@ func (hs *hostedShards) hostedView(relation string) *cluster.Hosted {
 func (h *hostedRelation) hostedView(relation string) *cluster.Hosted {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p := len(h.er.sh.Shards)
-	indices := make([]int, p)
-	rows := make([]int, p)
-	for i, s := range h.er.sh.Shards {
-		indices[i] = i
-		rows[i] = s.N
+	shards := h.er.sh.Shards
+	all := &ShardSubset{total: len(shards), indices: make([]int, len(shards)), shards: shards, epoch: h.state.Epoch, pk: h.er.pk}
+	for i := range all.indices {
+		all.indices[i] = i
 	}
-	return &cluster.Hosted{
-		Engine: h.engine,
-		Info: cluster.SubsetInfo{
-			Relation: relation,
-			Total:    p,
-			Indices:  indices,
-			Rows:     rows,
-			M:        h.er.sh.M, MaxScoreBits: h.er.sh.MaxScoreBits,
-			Epoch: h.state.Epoch, PK: h.er.pk.N,
-		},
-	}
+	return all.view(relation, h.engine)
 }
 
 // HostShards registers a relation's shard subset under id, making this
@@ -183,48 +188,19 @@ func (d *DataCloud) HostShards(ctx context.Context, id string, sub *ShardSubset)
 	if id == "" || sub == nil || len(sub.shards) == 0 {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or shard subset")
 	}
-	caller, err := d.connectedCaller()
-	if err != nil {
-		return err
-	}
 	d.mu.Lock()
-	existing := d.shardHosts[id]
-	if existing == nil {
-		if err := d.hostableLocked(id); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-	}
+	existing, _ := d.hosted[id].(*hostedShards)
 	d.mu.Unlock()
 	if existing != nil {
 		return d.handoffShards(id, existing, sub)
 	}
-	client, err := cloud.NewClient(caller, sub.pk, d.ledger, append(d.cfg.cloudOptions(), cloud.WithRelation(id))...)
-	if err != nil {
-		return err
-	}
-	if err := client.Handshake(ctx); err != nil {
-		client.Close()
-		return err
-	}
-	sh, err := shard.New(sub.shards)
-	if err != nil {
-		client.Close()
-		return err
-	}
-	engine, err := shard.NewEngine(client, sh)
-	if err != nil {
-		client.Close()
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.hostableLocked(id); err != nil {
-		client.Close()
-		return err
-	}
-	d.shardHosts[id] = &hostedShards{client: client, engine: engine, sub: sub}
-	return nil
+	return d.host(ctx, id, sub.pk, func(client *cloud.Client) (hosted, error) {
+		_, engine, err := shardEngine(client, sub.shards)
+		if err != nil {
+			return nil, err
+		}
+		return &hostedShards{client: client, engine: engine, sub: sub}, nil
+	})
 }
 
 // handoffShards swaps a hosted subset for its replacement.
@@ -244,11 +220,7 @@ func (d *DataCloud) handoffShards(id string, hs *hostedShards, sub *ShardSubset)
 		d.handoffs--
 		d.mu.Unlock()
 	}()
-	sh, err := shard.New(sub.shards)
-	if err != nil {
-		return err
-	}
-	engine, err := shard.NewEngine(hs.client, sh)
+	_, engine, err := shardEngine(hs.client, sub.shards)
 	if err != nil {
 		return err
 	}
@@ -275,22 +247,18 @@ func (d *DataCloud) MemberID() string { return d.cfg.memberID }
 // HostedShardSubsets reports the shard subsets this member serves:
 // relation id to the hosted global shard indices.
 func (d *DataCloud) HostedShardSubsets() map[string][]int {
-	d.mu.Lock()
-	hosts := make(map[string]*hostedShards, len(d.shardHosts))
-	for id, hs := range d.shardHosts {
-		hosts[id] = hs
-	}
-	d.mu.Unlock()
-	out := make(map[string][]int, len(hosts))
-	for id, hs := range hosts {
-		hs.mu.Lock()
-		out[id] = append([]int(nil), hs.sub.indices...)
-		hs.mu.Unlock()
+	out := map[string][]int{}
+	for id, h := range d.entries() {
+		if hs, ok := h.(*hostedShards); ok {
+			hs.mu.Lock()
+			out[id] = append([]int(nil), hs.sub.indices...)
+			hs.mu.Unlock()
+		}
 	}
 	return out
 }
 
-// clusterInventory adapts the data cloud's registries to the member-side
+// clusterInventory adapts the data cloud's registry to the member-side
 // cluster plane: shard subsets (and fully hosted relations, announced as
 // complete subsets) fan in to the coordinator's merge; join and kNN
 // relations announce as whole-relation routes.
@@ -298,54 +266,46 @@ type clusterInventory struct{ d *DataCloud }
 
 func (v *clusterInventory) Member() string { return v.d.cfg.memberID }
 
+// announce returns the cluster-plane view of an entry that fans in to a
+// coordinator's merge, nil for every other kind.
+func announce(relation string, h hosted) *cluster.Hosted {
+	switch h := h.(type) {
+	case *hostedShards:
+		return h.hostedView(relation)
+	case *hostedRelation:
+		return h.hostedView(relation)
+	}
+	return nil
+}
+
 func (v *clusterInventory) Subsets() []*cluster.Hosted {
-	d := v.d
-	d.mu.Lock()
-	hosts := make(map[string]*hostedShards, len(d.shardHosts))
-	for id, hs := range d.shardHosts {
-		hosts[id] = hs
-	}
-	full := make(map[string]*hostedRelation, len(d.relations))
-	for id, h := range d.relations {
-		full[id] = h
-	}
-	d.mu.Unlock()
-	out := make([]*cluster.Hosted, 0, len(hosts)+len(full))
-	for id, hs := range hosts {
-		out = append(out, hs.hostedView(id))
-	}
-	for id, h := range full {
-		out = append(out, h.hostedView(id))
+	var out []*cluster.Hosted
+	for id, h := range v.d.entries() {
+		if view := announce(id, h); view != nil {
+			out = append(out, view)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Relation < out[j].Info.Relation })
 	return out
 }
 
 func (v *clusterInventory) Subset(relation string) (*cluster.Hosted, bool) {
-	d := v.d
-	d.mu.Lock()
-	hs := d.shardHosts[relation]
-	h := d.relations[relation]
-	d.mu.Unlock()
-	switch {
-	case hs != nil:
-		return hs.hostedView(relation), true
-	case h != nil:
-		return h.hostedView(relation), true
+	h, err := v.d.lookup(relation)
+	if err != nil {
+		return nil, false
 	}
-	return nil, false
+	view := announce(relation, h)
+	return view, view != nil
 }
 
 func (v *clusterInventory) Routes() []cluster.RouteInfo {
-	d := v.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]cluster.RouteInfo, 0, len(d.joins)+len(d.knns))
-	for id := range d.joins {
-		out = append(out, cluster.RouteInfo{Relation: id, Workload: string(WorkloadJoin)})
-	}
-	for id := range d.knns {
-		out = append(out, cluster.RouteInfo{Relation: id, Workload: string(WorkloadKNN)})
+	var out []cluster.RouteInfo
+	for id, h := range v.d.entries() {
+		switch h.(type) {
+		case *hostedJoin, *hostedKNN:
+			_, w := h.kind()
+			out = append(out, cluster.RouteInfo{Relation: id, Workload: string(w)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Relation < out[j].Relation })
 	return out
@@ -360,13 +320,12 @@ func (v *clusterInventory) Begin(ctx context.Context) (func(), error) {
 	if err := d.beginExecute(); err != nil {
 		return nil, err
 	}
-	gate := d.clientAdmission()
-	if err := gate.acquire(ctx); err != nil {
+	if err := d.clientGate.acquire(ctx); err != nil {
 		d.endExecute()
 		return nil, err
 	}
 	return func() {
-		gate.release()
+		d.clientGate.release()
 		d.endExecute()
 	}, nil
 }
@@ -395,7 +354,7 @@ func (r *clusterResponder) Serve(ctx context.Context, method string, body []byte
 func (d *DataCloud) ServeCluster(ctx context.Context, l net.Listener) error {
 	responder := &clusterResponder{
 		inv:    &clusterInventory{d: d},
-		client: &clientResponder{dc: d, gate: d.clientAdmission()},
+		client: &clientResponder{dc: d},
 	}
 	return transport.ServeWith(ctx, l, responder, transport.ServeOptions{Drain: d.cfg.drainTimeout})
 }
@@ -414,25 +373,79 @@ type clusterCoord struct {
 	client *cloud.Client
 }
 
+func (cc *clusterCoord) kind() (string, Workload) {
+	return "cluster-coordinated relation", WorkloadTopK
+}
+
+func (cc *clusterCoord) close() { cc.client.Close() }
+
+// execute fans the query out to every member and merges under the NRA
+// bound check. The placement pins one epoch for its whole lifetime
+// (members reject any other), so the front-door pin check mirrors the
+// local-snapshot one.
+func (cc *clusterCoord) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
+	if err := cfg.checkEpoch(req.Relation, cc.coord.Epoch()); err != nil {
+		return nil, err
+	}
+	res, err := cc.coord.SecQuery(ctx, req.TopK.tk, cfg.coreOptions())
+	if err != nil {
+		return nil, err
+	}
+	return topKAnswer(res, cc.coord.Members(), cc.coord.Epoch()), nil
+}
+
 // clusterRoute is one whole-relation workload forwarded to the member
-// hosting it.
+// hosting it. The member connection belongs to the hostedCluster.
 type clusterRoute struct {
 	workload Workload
 	member   string
 	node     *clusterNode
 }
 
-// hostedCluster is the front door's view of the member fleet.
+func (rt *clusterRoute) kind() (string, Workload) { return "cluster-routed relation", rt.workload }
+
+func (rt *clusterRoute) close() {}
+
+// execute ships a whole-relation query to the member hosting it over the
+// client wire and decodes the answer, so forwarded queries keep the exact
+// error taxonomy and result encoding of direct ones.
+func (rt *clusterRoute) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
+	token, err := encodeWireToken(req, rt.workload)
+	if err != nil {
+		return nil, err
+	}
+	wreq := clientExecuteRequest{
+		Relation:    req.Relation,
+		Workload:    string(rt.workload),
+		Token:       token,
+		Options:     cfg.wire(),
+		Idempotency: cfg.queryID,
+	}
+	var rep clientExecuteReply
+	if err := rt.node.conn.Call(ctx, methodClientExecute, wreq, &rep); err != nil {
+		if secerr.CodeOf(err) == secerr.CodeTransport {
+			return nil, secerr.Wrap(secerr.CodeUnavailable, err, "sectopk: cluster member %s unreachable", rt.member)
+		}
+		return nil, err
+	}
+	ans, err := decodeWireAnswer(rt.workload, rep.Answer)
+	if err != nil {
+		return nil, err
+	}
+	// Carry the member's fan-out and epoch through the front door; the
+	// rounds, bytes and S2 calls reported are the front door's own.
+	ans.Traffic.FanOut = rep.FanOut
+	ans.Traffic.Epoch = rep.Epoch
+	return ans, nil
+}
+
+// hostedCluster is the front door's member fleet: the connections its
+// registered clusterCoords fan out on and its clusterRoutes forward on.
 type hostedCluster struct {
-	nodes  []*clusterNode
-	coords map[string]*clusterCoord
-	routes map[string]*clusterRoute
+	nodes []*clusterNode
 }
 
 func (cl *hostedCluster) close() {
-	for _, cc := range cl.coords {
-		cc.client.Close()
-	}
 	for _, n := range cl.nodes {
 		n.conn.Close()
 	}
@@ -458,27 +471,50 @@ func clusterHello(ctx context.Context, caller transport.Caller) (*cluster.HelloR
 // its relation exactly, and registers a coordinator per sharded relation
 // plus a forwarding route per whole-hosted join/kNN relation. The data
 // cloud must already be connected to the crypto cloud — the merge rounds
-// run on its own S2 link. Queries then flow through the ordinary
-// Execute/Session surface; cluster-hosted relations are read-only here
-// (mutate at the owner and re-provision the members). One cluster per
-// data cloud; a second HostCluster fails typed.
+// run on its own S2 link. Queries then flow through the ordinary Execute
+// surface; cluster-hosted relations are read-only here (mutate at the
+// owner and re-provision the members). One cluster per data cloud; a
+// second HostCluster fails typed.
 func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 	if len(nodes) == 0 {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: cluster has no member nodes")
 	}
-	caller, err := d.connectedCaller()
-	if err != nil {
+	if _, err := d.connectedCaller(); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	already := d.cluster != nil
-	d.mu.Unlock()
-	if already {
-		return secerr.New(secerr.CodeRelationExists, "sectopk: a cluster is already hosted")
-	}
-	cl := &hostedCluster{coords: map[string]*clusterCoord{}, routes: map[string]*clusterRoute{}}
+	// entries is what gets registered: routes as the members announce
+	// them, coordinators as they are prepared. ids names every relation
+	// the fleet announced, known once the member Hellos are in.
+	cl := &hostedCluster{}
+	entries := map[string]hosted{}
+	var ids []string
 	fail := func(err error) error {
+		for _, h := range entries {
+			h.close()
+		}
 		cl.close()
+		return err
+	}
+	// registrable reports whether the cluster slot and every announced id
+	// are free. It runs three times: before dialing (slot only), after the
+	// Hellos — so a taken id costs no S2 round — and under the storing lock.
+	registrableLocked := func() error {
+		if d.cluster != nil {
+			return secerr.New(secerr.CodeRelationExists, "sectopk: a cluster is already hosted")
+		}
+		for _, rel := range ids {
+			if err := d.hostableLocked(rel); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	registrable := func() error {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return registrableLocked()
+	}
+	if err := registrable(); err != nil {
 		return err
 	}
 	contribs := map[string][]cluster.Contribution{}
@@ -508,53 +544,49 @@ func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 				cluster.Contribution{Member: node.member, Caller: mc, Info: info})
 		}
 		for _, rt := range rep.Routes {
-			if prev := cl.routes[rt.Relation]; prev != nil {
+			if prev, ok := entries[rt.Relation].(*clusterRoute); ok {
 				return fail(secerr.New(secerr.CodeBadRequest,
 					"sectopk: relation %q hosted whole by both %s and %s", rt.Relation, prev.member, node.member))
 			}
-			cl.routes[rt.Relation] = &clusterRoute{workload: Workload(rt.Workload), member: node.member, node: node}
+			entries[rt.Relation] = &clusterRoute{workload: Workload(rt.Workload), member: node.member, node: node}
+			ids = append(ids, rt.Relation)
 		}
 	}
-	for rel, ms := range contribs {
-		if rt := cl.routes[rel]; rt != nil {
+	for rel := range contribs {
+		if rt, ok := entries[rel].(*clusterRoute); ok {
 			return fail(secerr.New(secerr.CodeBadRequest,
 				"sectopk: relation %q announced both sharded and whole (member %s)", rel, rt.member))
 		}
+		ids = append(ids, rel)
+	}
+	if err := registrable(); err != nil {
+		return fail(err)
+	}
+	for rel, ms := range contribs {
 		pk, err := paillier.NewPublicKeyFromN(ms[0].Info.PK)
 		if err != nil {
 			return fail(secerr.Wrap(secerr.CodeBadRequest, err,
 				"sectopk: member %s announced relation %q with bad key material", ms[0].Member, rel))
 		}
-		client, err := cloud.NewClient(caller, pk, d.ledger,
-			append(d.cfg.cloudOptions(), cloud.WithRelation(rel))...)
+		h, err := d.prepare(ctx, rel, pk, func(client *cloud.Client) (hosted, error) {
+			coord, err := cluster.NewCoordinator(client, rel, ms)
+			if err != nil {
+				return nil, err
+			}
+			return &clusterCoord{coord: coord, client: client}, nil
+		})
 		if err != nil {
 			return fail(err)
 		}
-		if err := client.Handshake(ctx); err != nil {
-			client.Close()
-			return fail(err)
-		}
-		coord, err := cluster.NewCoordinator(client, rel, ms)
-		if err != nil {
-			client.Close()
-			return fail(err)
-		}
-		cl.coords[rel] = &clusterCoord{coord: coord, client: client}
+		entries[rel] = h
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cluster != nil {
-		return fail(secerr.New(secerr.CodeRelationExists, "sectopk: a cluster is already hosted"))
+	if err := registrableLocked(); err != nil {
+		return fail(err)
 	}
-	for rel := range cl.coords {
-		if err := d.hostableLocked(rel); err != nil {
-			return fail(err)
-		}
-	}
-	for rel := range cl.routes {
-		if err := d.hostableLocked(rel); err != nil {
-			return fail(err)
-		}
+	for rel, h := range entries {
+		d.hosted[rel] = h
 	}
 	d.cluster = cl
 	return nil
@@ -584,16 +616,12 @@ func (d *DataCloud) ClusterNodes() []string {
 // ClusterRelations returns the relation ids served through the cluster,
 // sorted.
 func (d *DataCloud) ClusterRelations() []string {
-	cl := d.clusterView()
-	if cl == nil {
-		return nil
-	}
-	out := make([]string, 0, len(cl.coords)+len(cl.routes))
-	for id := range cl.coords {
-		out = append(out, id)
-	}
-	for id := range cl.routes {
-		out = append(out, id)
+	var out []string
+	for id, h := range d.entries() {
+		switch h.(type) {
+		case *clusterCoord, *clusterRoute:
+			out = append(out, id)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -613,95 +641,4 @@ func (d *DataCloud) ClusterReachable(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// clusterMutable rejects mutations aimed at cluster-hosted relations:
-// the front door is read-only — owners mutate the source relation and
-// re-provision the member subsets, then re-assemble the placement.
-func (d *DataCloud) clusterMutable(relation string) error {
-	cl := d.clusterView()
-	if cl == nil {
-		return nil
-	}
-	if cl.coords[relation] != nil || cl.routes[relation] != nil {
-		return secerr.New(secerr.CodeBadRequest,
-			"sectopk: relation %q is cluster-hosted and read-only at the front door; re-provision the members to mutate it", relation)
-	}
-	return nil
-}
-
-// clusterAnswer executes a request against the hosted cluster when its
-// relation is cluster-served. handled=false means the relation is not
-// cluster-hosted and the caller should resolve it locally.
-func (d *DataCloud) clusterAnswer(ctx context.Context, w Workload, req Request, cfg queryConfig) (*Answer, bool, error) {
-	cl := d.clusterView()
-	if cl == nil {
-		return nil, false, nil
-	}
-	if cc := cl.coords[req.Relation]; cc != nil {
-		if w != WorkloadTopK {
-			return nil, true, secerr.New(secerr.CodeUnknownRelation,
-				"sectopk: relation %q is cluster-hosted for %s queries, not %s", req.Relation, WorkloadTopK, w)
-		}
-		// The placement pins one epoch for its whole lifetime (members
-		// reject any other), so the front-door pin check mirrors the
-		// local-snapshot one.
-		if cfg.epoch != 0 && cfg.epoch != cc.coord.Epoch() {
-			return nil, true, secerr.New(secerr.CodeRelationStale,
-				"sectopk: query pinned to epoch %d, cluster placement of %q is at epoch %d",
-				cfg.epoch, req.Relation, cc.coord.Epoch())
-		}
-		res, err := cc.coord.SecQuery(ctx, req.TopK.tk, cfg.coreOptions())
-		if err != nil {
-			return nil, true, err
-		}
-		ans := &Answer{TopK: &EncryptedResult{items: res.Items, Depth: res.Depth, Halted: res.Halted}}
-		ans.Traffic.FanOut = cc.coord.Members()
-		ans.Traffic.Epoch = cc.coord.Epoch()
-		return ans, true, nil
-	}
-	if rt := cl.routes[req.Relation]; rt != nil {
-		if w != rt.workload {
-			return nil, true, secerr.New(secerr.CodeUnknownRelation,
-				"sectopk: relation %q is cluster-hosted for %s queries, not %s", req.Relation, rt.workload, w)
-		}
-		ans, err := d.forwardExecute(ctx, rt, req, w, cfg)
-		return ans, true, err
-	}
-	return nil, false, nil
-}
-
-// forwardExecute ships a whole-relation query to the member hosting it
-// over the client wire and decodes the answer, so forwarded queries keep
-// the exact error taxonomy and result encoding of direct ones.
-func (d *DataCloud) forwardExecute(ctx context.Context, rt *clusterRoute, req Request, w Workload, cfg queryConfig) (*Answer, error) {
-	token, err := encodeWireToken(req, w)
-	if err != nil {
-		return nil, err
-	}
-	wreq := clientExecuteRequest{
-		Relation:    req.Relation,
-		Workload:    string(w),
-		Token:       token,
-		Options:     cfg.wire(),
-		Idempotency: cfg.queryID,
-	}
-	var rep clientExecuteReply
-	if err := rt.node.conn.Call(ctx, methodClientExecute, wreq, &rep); err != nil {
-		if secerr.CodeOf(err) == secerr.CodeTransport {
-			return nil, secerr.Wrap(secerr.CodeUnavailable, err, "sectopk: cluster member %s unreachable", rt.member)
-		}
-		return nil, err
-	}
-	ans, err := decodeWireAnswer(w, rep.Answer)
-	if err != nil {
-		return nil, err
-	}
-	// Carry the member's span fields through the front door (its own
-	// rounds/bytes delta overwrites the wire-level counters).
-	ans.Traffic.S2Calls = rep.S2Calls
-	ans.Traffic.FanOut = rep.FanOut
-	ans.Traffic.MergeFallbacks = rep.MergeFallbacks
-	ans.Traffic.Epoch = rep.Epoch
-	return ans, nil
 }

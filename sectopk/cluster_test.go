@@ -556,3 +556,119 @@ func TestHostClusterPlacementGap(t *testing.T) {
 		t.Fatalf("dead member dial: err = %v, want ErrUnavailable", err)
 	}
 }
+
+// sixKindRig is one data cloud holding an id of every hosted kind: the
+// cluster rig's front door (coordinated "topk", routed "join" and "knn")
+// additionally hosting a top-k relation, a join pair, a kNN store and a
+// shard subset locally.
+type sixKindRig struct {
+	*clusterRig
+	sub *sectopk.ShardSubset
+	// ids maps each kind's name, as error messages spell it, to the id
+	// hosted as that kind; serves is the workload that kind answers.
+	ids    map[string]string
+	serves map[string]sectopk.Workload
+}
+
+func newSixKindRig(t testing.TB) *sixKindRig {
+	t.Helper()
+	ctx := context.Background()
+	r := newClusterRig(t, 1, nil)
+	for id, keys := range map[string]*sectopk.Keys{
+		"t": r.owner.Keys(), "k": r.owner.Keys(), "s": r.owner.Keys(), "j": r.jowner.Keys(),
+	} {
+		if err := r.cc.Register(id, keys); err != nil {
+			t.Fatalf("Register %s: %v", id, err)
+		}
+	}
+	sub, err := r.er.Subset(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.front.Host(ctx, "t", r.er); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.front.HostJoin(ctx, "j", r.jr1, r.jr2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.front.HostKNN(ctx, "k", r.ker); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.front.HostShards(ctx, "s", sub); err != nil {
+		t.Fatal(err)
+	}
+	return &sixKindRig{
+		clusterRig: r, sub: sub,
+		ids: map[string]string{
+			"top-k relation": "t", "join pair": "j", "kNN store": "k", "shard subset": "s",
+			"cluster-coordinated relation": "topk", "cluster-routed relation": "join",
+		},
+		serves: map[string]sectopk.Workload{
+			"top-k relation": sectopk.WorkloadTopK, "join pair": sectopk.WorkloadJoin,
+			"kNN store": sectopk.WorkloadKNN, "shard subset": sectopk.WorkloadTopK,
+			"cluster-coordinated relation": sectopk.WorkloadTopK, "cluster-routed relation": sectopk.WorkloadJoin,
+		},
+	}
+}
+
+// TestHostNamespace pins that hosted ids share one namespace and that a
+// clash is found before anything is spent on it: under an id taken by any
+// of the six kinds, every Host* fails ErrRelationExists without an S2
+// round, and a front door whose members announce a taken id refuses the
+// placement after the member Hellos but before preparing a coordinator.
+func TestHostNamespace(t *testing.T) {
+	ctx := context.Background()
+	r := newSixKindRig(t)
+	// announced is the id the rig's member announces with the matching key
+	// material, for the front-door half below.
+	hosts := []struct {
+		name, announced string
+		host            func(dc *sectopk.DataCloud, id string) error
+	}{
+		{"Host", "topk", func(dc *sectopk.DataCloud, id string) error { return dc.Host(ctx, id, r.er) }},
+		{"HostJoin", "join", func(dc *sectopk.DataCloud, id string) error { return dc.HostJoin(ctx, id, r.jr1, r.jr2) }},
+		{"HostKNN", "knn", func(dc *sectopk.DataCloud, id string) error { return dc.HostKNN(ctx, id, r.ker) }},
+		{"HostShards", "topk", func(dc *sectopk.DataCloud, id string) error { return dc.HostShards(ctx, id, r.sub) }},
+	}
+	for kind, id := range r.ids {
+		for _, h := range hosts {
+			if h.name == "HostShards" && kind == "shard subset" {
+				continue // re-hosting a subset id is a handoff, not a clash
+			}
+			before := r.front.Traffic().Rounds
+			err := h.host(r.front, id)
+			if !errors.Is(err, sectopk.ErrRelationExists) {
+				t.Errorf("%s over the %s id %q: err = %v, want ErrRelationExists", h.name, kind, id, err)
+			}
+			if spent := r.front.Traffic().Rounds - before; spent != 0 {
+				t.Errorf("%s over the %s id %q spent %d round(s) before refusing", h.name, kind, id, spent)
+			}
+		}
+	}
+
+	// The member announces "topk" sharded and "join"/"knn" whole. A data
+	// cloud already holding one of those ids, as any local kind, cannot
+	// become its front door; the only rounds it spends are the member's
+	// cluster Hello (member links share the data cloud's counters).
+	member := []string{r.members[0].addr}
+	for _, h := range hosts {
+		dc := sectopk.NewDataCloud(testOpts()...)
+		t.Cleanup(dc.Close)
+		if err := dc.ConnectLocal(ctx, r.cc); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.host(dc, h.announced); err != nil {
+			t.Fatalf("%s %q on a fresh data cloud: %v", h.name, h.announced, err)
+		}
+		before := dc.Traffic().Rounds
+		if err := dc.HostCluster(ctx, member); !errors.Is(err, sectopk.ErrRelationExists) {
+			t.Errorf("HostCluster over an id taken by %s: err = %v, want ErrRelationExists", h.name, err)
+		}
+		if spent := dc.Traffic().Rounds - before; spent != int64(len(member)) {
+			t.Errorf("HostCluster over an id taken by %s spent %d round(s), want %d (the member Hello)", h.name, spent, len(member))
+		}
+		if nodes := dc.ClusterNodes(); nodes != nil {
+			t.Errorf("refused HostCluster left a cluster behind: %v", nodes)
+		}
+	}
+}

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/mutate"
+	"repro/internal/paillier"
 	"repro/internal/qos"
 	"repro/internal/secerr"
 	"repro/internal/shard"
@@ -63,12 +65,13 @@ func (a *admission) release() {
 // blinding keys.
 //
 // Connect it exactly once (ConnectLocal, Connect, or Dial), then Host
-// relations and open Sessions. All methods are safe for concurrent use.
-// TCP connections carry the multiplexed framing, so concurrent sessions
-// keep many calls in flight on one connection; the batch scheduler
-// additionally coalesces their calls into batch envelopes — one round
-// trip for many calls — flushed on size, on a ~1ms tick, or immediately
-// while the link is idle (so a lone session pays no added latency).
+// relations and Execute requests against them. All methods are safe for
+// concurrent use. TCP connections carry the multiplexed framing, so
+// concurrent queries keep many calls in flight on one connection; the
+// batch scheduler additionally coalesces their calls into batch envelopes
+// — one round trip for many calls — flushed on size, on a ~1ms tick, or
+// immediately while the link is idle (so a lone query pays no added
+// latency).
 type DataCloud struct {
 	cfg    config
 	ledger *cloud.Ledger
@@ -79,29 +82,29 @@ type DataCloud struct {
 	// the duration of its run, and overflow sheds with ErrOverloaded.
 	// nil means unbounded.
 	admit *admission
-	// clientGate lazily builds the remote plane's default gate when no
-	// session limit was configured (see ServeClients).
-	clientGateOnce sync.Once
-	clientGate     *admission
+	// clientGate is what the remote planes (ServeClients, ServeCluster)
+	// admit under: admit when a session limit is set, else a
+	// GOMAXPROCS-sized queueing gate, so an open listener never admits
+	// unbounded concurrent work.
+	clientGate *admission
 	// qos is the per-tenant admission layer (WithTenantLimits). Always
 	// non-nil: with no limits configured it admits everything but still
 	// does deadline-aware shedding and per-tenant accounting.
 	qos *qos.Limiter
 
-	mu        sync.Mutex
-	caller    transport.Caller     // what hosted clients issue rounds on
-	conn      transport.ConnCaller // owning handle for a network transport
-	batcher   *cloud.Batcher       // wraps the transport; what caller points at
-	relations map[string]*hostedRelation
-	joins     map[string]*hostedJoin
-	knns      map[string]*hostedKNN
-	// shardHosts are the cluster-member subsets (HostShards); cluster is
-	// the front-door placement (HostCluster); handoffs counts in-flight
-	// HostShards replacements for readiness reporting.
-	shardHosts map[string]*hostedShards
-	cluster    *hostedCluster
-	handoffs   int
-	closed     bool
+	mu      sync.Mutex
+	caller  transport.Caller     // what hosted clients issue rounds on
+	conn    transport.ConnCaller // owning handle for a network transport
+	batcher *cloud.Batcher       // wraps the transport; what caller points at
+	// hosted is the one registry: every hosted id, whatever its kind,
+	// lives here, so the id namespace is shared by construction.
+	hosted map[string]hosted
+	// cluster holds the front door's member connections (HostCluster);
+	// handoffs counts in-flight HostShards replacements for readiness
+	// reporting.
+	cluster  *hostedCluster
+	handoffs int
+	closed   bool
 
 	// Drain state (WithDrainTimeout): once draining, new executes shed
 	// with ErrOverloaded while the inflight ones run to completion;
@@ -109,6 +112,31 @@ type DataCloud struct {
 	draining  bool
 	inflight  int
 	drainDone chan struct{}
+}
+
+// hosted is one entry of the DataCloud's registry: something an id names
+// and a request can be aimed at. Six kinds implement it — *hostedRelation
+// (Host), *hostedJoin (HostJoin), *hostedKNN (HostKNN), *hostedShards
+// (HostShards), and the front door's *clusterCoord and *clusterRoute
+// (HostCluster).
+type hosted interface {
+	// kind names the entry for error messages and reports the one
+	// workload its execute answers.
+	kind() (name string, serves Workload)
+	// execute answers one admitted request of the served workload. It
+	// runs outside d.mu and fills the answer's workload field plus the
+	// FanOut/Epoch span fields; the caller adds the traffic deltas.
+	execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error)
+	// close releases what the entry owns (its S2 client and pools).
+	close()
+}
+
+// mismatch is the typed refusal for an id that is hosted, but not as
+// what the caller needs.
+func mismatch(relation string, h hosted, want Workload) error {
+	name, serves := h.kind()
+	return secerr.New(secerr.CodeUnknownRelation,
+		"sectopk: relation %q is hosted as a %s for %s queries, not %s", relation, name, serves, want)
 }
 
 // hostedRelation is one relation this data cloud serves queries for. The
@@ -136,11 +164,43 @@ type hostedRelation struct {
 	applied map[string]uint64
 }
 
+func (h *hostedRelation) kind() (string, Workload) { return "top-k relation", WorkloadTopK }
+
+func (h *hostedRelation) close() { h.client.Close() }
+
 // snapshot returns the consistent view one query executes against.
 func (h *hostedRelation) snapshot() (*shard.Engine, uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.engine, h.state.Epoch
+}
+
+// execute runs SecQuery start-to-finish on one immutable snapshot: a
+// concurrent Apply/Compact swaps the hosted engine but never this one. An
+// epoch pin (WithEpoch) fences version skew at entry — after that, the
+// snapshot IS the pinned epoch.
+func (h *hostedRelation) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
+	engine, epoch := h.snapshot()
+	if err := cfg.checkEpoch(req.Relation, epoch); err != nil {
+		return nil, err
+	}
+	if err := engine.ValidateToken(req.TopK.tk); err != nil {
+		return nil, err
+	}
+	res, err := engine.SecQuery(ctx, req.TopK.tk, cfg.coreOptions())
+	if err != nil {
+		return nil, err
+	}
+	return topKAnswer(res, engine.Shards(), epoch), nil
+}
+
+// topKAnswer wraps a core result with the span fields a top-k execution
+// reports: the parallel width it spread over and the epoch it answered.
+func topKAnswer(res *core.QueryResult, fanOut int, epoch uint64) *Answer {
+	ans := &Answer{TopK: &EncryptedResult{items: res.Items, Depth: res.Depth, Halted: res.Halted}}
+	ans.Traffic.FanOut = fanOut
+	ans.Traffic.Epoch = epoch
+	return ans
 }
 
 // apply lands one delta (exactly once) and returns the resulting epoch.
@@ -188,11 +248,7 @@ func (h *hostedRelation) compact() (uint64, error) {
 // disturb in-flight queries: they hold the old engine, whose relations
 // the copy-on-write snapshots never touch.
 func (h *hostedRelation) swapLocked(next *mutate.Relation) error {
-	sh, err := shard.New(next.LiveShards())
-	if err != nil {
-		return err
-	}
-	engine, err := shard.NewEngine(h.client, sh)
+	sh, engine, err := shardEngine(h.client, next.LiveShards())
 	if err != nil {
 		return err
 	}
@@ -202,33 +258,54 @@ func (h *hostedRelation) swapLocked(next *mutate.Relation) error {
 	return nil
 }
 
+// shardEngine assembles per-shard relations into one sharded relation and
+// builds the query engine over it on the given S2 client.
+func shardEngine(client *cloud.Client, shards []*core.EncryptedRelation) (*shard.Relation, *shard.Engine, error) {
+	sh, err := shard.New(shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	engine, err := shard.NewEngine(client, sh)
+	return sh, engine, err
+}
+
 // hostedJoin is one join-relation pair this data cloud serves joins for.
 type hostedJoin struct {
 	client *cloud.Client
 	engine *join.Engine
-	er1    *EncryptedJoinRelation
-	er2    *EncryptedJoinRelation
+}
+
+func (h *hostedJoin) kind() (string, Workload) { return "join pair", WorkloadJoin }
+
+func (h *hostedJoin) close() { h.client.Close() }
+
+// execute runs the oblivious nested-loop equi-join (SecJoin, Algorithm
+// 11) followed by SecFilter and top-k selection.
+func (h *hostedJoin) execute(ctx context.Context, req Request, _ queryConfig) (*Answer, error) {
+	tuples, err := h.engine.SecJoin(ctx, req.Join.tk)
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{Join: &EncryptedJoinResult{tuples: tuples}}, nil
 }
 
 // NewDataCloud builds an unconnected data cloud. Options configure the
 // S1-side worker pools and nonce paths.
 func NewDataCloud(opts ...Option) *DataCloud {
 	cfg := buildConfig(opts)
-	var admit *admission
-	if cfg.sessionLimit > 0 {
-		admit = &admission{slots: make(chan struct{}, cfg.sessionLimit), shed: true}
-	}
-	return &DataCloud{
+	d := &DataCloud{
 		cfg:        cfg,
 		ledger:     cloud.NewLedger(),
 		stats:      transport.NewStats(),
-		admit:      admit,
+		clientGate: &admission{slots: make(chan struct{}, runtime.GOMAXPROCS(0))},
 		qos:        qos.NewLimiter(cfg.tenantLimits),
-		relations:  map[string]*hostedRelation{},
-		joins:      map[string]*hostedJoin{},
-		knns:       map[string]*hostedKNN{},
-		shardHosts: map[string]*hostedShards{},
+		hosted:     map[string]hosted{},
 	}
+	if cfg.sessionLimit > 0 {
+		d.admit = &admission{slots: make(chan struct{}, cfg.sessionLimit), shed: true}
+		d.clientGate = d.admit
+	}
+	return d
 }
 
 // setCaller installs the transport exactly once. raw is the transport
@@ -275,10 +352,23 @@ func (d *DataCloud) unsetCaller() {
 	}
 }
 
-// handshake runs the Hello round over the connected transport via the
-// shared cloud-layer implementation.
-func (d *DataCloud) handshake(ctx context.Context, relation string) error {
-	return cloud.Handshake(ctx, d.caller, relation)
+// connect installs a transport and runs the version handshake over it;
+// on failure the link is closed and the data cloud stays unconnected.
+func (d *DataCloud) connect(ctx context.Context, raw transport.Caller, conn transport.ConnCaller) error {
+	if err := d.setCaller(raw, conn); err != nil {
+		if conn != nil {
+			conn.Close()
+		}
+		return err
+	}
+	caller, err := d.connectedCaller()
+	if err == nil {
+		err = cloud.Handshake(ctx, caller, "")
+	}
+	if err != nil {
+		d.unsetCaller()
+	}
+	return err
 }
 
 // ConnectLocal wires this data cloud to a CryptoCloud in the same
@@ -288,15 +378,7 @@ func (d *DataCloud) ConnectLocal(ctx context.Context, cc *CryptoCloud) error {
 	if cc == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: nil crypto cloud")
 	}
-	caller := transport.NewLocal(cc.responder(), d.stats)
-	if err := d.setCaller(caller, nil); err != nil {
-		return err
-	}
-	if err := d.handshake(ctx, ""); err != nil {
-		d.unsetCaller()
-		return err
-	}
-	return nil
+	return d.connect(ctx, transport.NewLocal(cc.responder(), d.stats), nil)
 }
 
 // Connect wires this data cloud to a CryptoCloud over an established
@@ -307,15 +389,7 @@ func (d *DataCloud) Connect(ctx context.Context, conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	if err := d.setCaller(nc, nc); err != nil {
-		nc.Close()
-		return err
-	}
-	if err := d.handshake(ctx, ""); err != nil {
-		d.unsetCaller()
-		return err
-	}
-	return nil
+	return d.connect(ctx, nc, nc)
 }
 
 // Dial connects to a CryptoCloud serving at addr (TCP) and runs the
@@ -451,6 +525,90 @@ func (d *DataCloud) connectedCaller() (transport.Caller, error) {
 	return d.caller, nil
 }
 
+// lookup resolves a hosted id of any kind.
+func (d *DataCloud) lookup(relation string) (hosted, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if h := d.hosted[relation]; h != nil {
+		return h, nil
+	}
+	return nil, secerr.New(secerr.CodeUnknownRelation, "sectopk: relation %q not hosted", relation)
+}
+
+// entries snapshots the registry for callers that walk it outside d.mu.
+func (d *DataCloud) entries() map[string]hosted {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[string]hosted, len(d.hosted))
+	for id, h := range d.hosted {
+		out[id] = h
+	}
+	return out
+}
+
+// hostableLocked checks (under d.mu) that the data cloud is still open
+// and the id is free. There is one namespace: an id taken by any kind of
+// hosting refuses every other.
+func (d *DataCloud) hostableLocked(id string) error {
+	if d.closed {
+		return secerr.New(secerr.CodeInternal, "sectopk: data cloud is closed")
+	}
+	if h := d.hosted[id]; h != nil {
+		name, _ := h.kind()
+		return secerr.New(secerr.CodeRelationExists, "sectopk: relation %q already hosted as a %s", id, name)
+	}
+	return nil
+}
+
+// prepare builds the hosted entry for id without registering it: the id
+// must be free before anything is spent on it, then an S2 client bound
+// to the id proves (one Hello round) that the connected crypto cloud
+// serves it, and build wraps the client in the entry. The client is
+// closed on every failure path; on success the entry owns it.
+func (d *DataCloud) prepare(ctx context.Context, id string, pk *paillier.PublicKey, build func(*cloud.Client) (hosted, error)) (hosted, error) {
+	caller, err := d.connectedCaller()
+	if err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	err = d.hostableLocked(id)
+	d.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	client, err := cloud.NewClient(caller, pk, d.ledger, append(d.cfg.cloudOptions(), cloud.WithRelation(id))...)
+	if err != nil {
+		return nil, err
+	}
+	var h hosted
+	if err = client.Handshake(ctx); err == nil {
+		h, err = build(client)
+	}
+	if err != nil {
+		client.Close()
+		return nil, err
+	}
+	return h, nil
+}
+
+// host is the one registration path behind Host, HostJoin, HostKNN and
+// HostShards: prepare the entry, then re-check the id under the lock —
+// concurrent Host* calls for one id must not all succeed — and store it.
+func (d *DataCloud) host(ctx context.Context, id string, pk *paillier.PublicKey, build func(*cloud.Client) (hosted, error)) error {
+	h, err := d.prepare(ctx, id, pk, build)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.hostableLocked(id); err != nil {
+		h.close()
+		return err
+	}
+	d.hosted[id] = h
+	return nil
+}
+
 // Host registers an encrypted relation under id: it confirms (via a
 // Hello round) that the connected crypto cloud serves the relation, then
 // builds the S1 query engine for it. Hosting an ID twice fails with
@@ -460,49 +618,42 @@ func (d *DataCloud) Host(ctx context.Context, id string, er *EncryptedRelation) 
 	if id == "" || er == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or relation")
 	}
-	caller, err := d.connectedCaller()
-	if err != nil {
-		return err
+	return d.host(ctx, id, er.pk, func(client *cloud.Client) (hosted, error) {
+		engine, err := shard.NewEngine(client, er.sh)
+		if err != nil {
+			return nil, err
+		}
+		// Materialize the mutable state the mutation plane versions: either
+		// the epoch-stamped state the relation was loaded with, or a fresh
+		// epoch-1 wrapping of the shards.
+		state, err := er.mutableState()
+		if err != nil {
+			return nil, err
+		}
+		return &hostedRelation{
+			client: client, state: state, engine: engine, er: er,
+			applied: map[string]uint64{},
+		}, nil
+	})
+}
+
+// HostJoin registers a pair of join relations under id (the ID names the
+// shared key material registered on the crypto cloud). Both relations
+// must come from the same JoinOwner.
+func (d *DataCloud) HostJoin(ctx context.Context, id string, er1, er2 *EncryptedJoinRelation) error {
+	if id == "" || er1 == nil || er2 == nil {
+		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or join relations")
 	}
-	d.mu.Lock()
-	_, taken := d.relations[id]
-	_, takenJoin := d.joins[id]
-	d.mu.Unlock()
-	if taken || takenJoin {
-		return secerr.New(secerr.CodeRelationExists, "sectopk: relation %q already hosted", id)
+	if er1.pk.N.Cmp(er2.pk.N) != 0 {
+		return secerr.New(secerr.CodeBadRequest, "sectopk: join relations encrypted under different keys")
 	}
-	client, err := cloud.NewClient(caller, er.pk, d.ledger, append(d.cfg.cloudOptions(), cloud.WithRelation(id))...)
-	if err != nil {
-		return err
-	}
-	if err := client.Handshake(ctx); err != nil {
-		client.Close()
-		return err
-	}
-	engine, err := shard.NewEngine(client, er.sh)
-	if err != nil {
-		client.Close()
-		return err
-	}
-	// Materialize the mutable state the mutation plane versions: either
-	// the epoch-stamped state the relation was loaded with, or a fresh
-	// epoch-1 wrapping of the shards.
-	state, err := er.mutableState()
-	if err != nil {
-		client.Close()
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.hostableLocked(id); err != nil {
-		client.Close()
-		return err
-	}
-	d.relations[id] = &hostedRelation{
-		client: client, state: state, engine: engine, er: er,
-		applied: map[string]uint64{},
-	}
-	return nil
+	return d.host(ctx, id, er1.pk, func(client *cloud.Client) (hosted, error) {
+		engine, err := join.NewEngine(client, er1.er, er2.er, er1.maxScoreBits)
+		if err != nil {
+			return nil, err
+		}
+		return &hostedJoin{client: client, engine: engine}, nil
+	})
 }
 
 // Apply lands one owner-produced mutation delta on a hosted top-k
@@ -525,25 +676,44 @@ func (d *DataCloud) Apply(ctx context.Context, relation string, delta *Delta) (u
 	return d.applyDelta(ctx, relation, delta.d)
 }
 
+// mutable brackets one mutation into the drain accounting and resolves
+// its target, which must be a locally hosted top-k relation. The front
+// door is read-only — owners mutate the source relation and re-provision
+// the member subsets, then re-assemble the placement. Mutations are local
+// to S1 (no protocol rounds), so cancellation only gates entry: once
+// started, one lands atomically. The caller must call endExecute iff the
+// error is nil.
+func (d *DataCloud) mutable(ctx context.Context, relation string) (*hostedRelation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := d.beginExecute(); err != nil {
+		return nil, err
+	}
+	h, err := d.lookup(relation)
+	if err == nil {
+		switch h := h.(type) {
+		case *hostedRelation:
+			return h, nil
+		case *clusterCoord, *clusterRoute:
+			err = secerr.New(secerr.CodeBadRequest,
+				"sectopk: relation %q is cluster-hosted and read-only at the front door; re-provision the members to mutate it", relation)
+		default:
+			err = mismatch(relation, h, WorkloadTopK)
+		}
+	}
+	d.endExecute()
+	return nil, err
+}
+
 // applyDelta is the internal Apply entry point (shared with the client
 // wire, which decodes straight to the internal delta type).
 func (d *DataCloud) applyDelta(ctx context.Context, relation string, delta *mutate.Delta) (uint64, error) {
-	// Application is local to S1 (no protocol rounds), so cancellation
-	// only gates entry: once started, a delta lands atomically.
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := d.clusterMutable(relation); err != nil {
-		return 0, err
-	}
-	if err := d.beginExecute(); err != nil {
-		return 0, err
-	}
-	defer d.endExecute()
-	rel, err := d.hostedTopK(relation)
+	rel, err := d.mutable(ctx, relation)
 	if err != nil {
 		return 0, err
 	}
+	defer d.endExecute()
 	ins, del := delta.Rows()
 	epoch, err := rel.apply(delta, d.cfg.compactGoal)
 	if err != nil {
@@ -563,20 +733,11 @@ func (d *DataCloud) applyDelta(ctx context.Context, relation string, delta *muta
 // identically — but positions shift meaning, so the epoch advances and
 // in-flight deltas against the old epoch fail ErrRelationStale.
 func (d *DataCloud) Compact(ctx context.Context, relation string) (uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := d.clusterMutable(relation); err != nil {
-		return 0, err
-	}
-	if err := d.beginExecute(); err != nil {
-		return 0, err
-	}
-	defer d.endExecute()
-	rel, err := d.hostedTopK(relation)
+	rel, err := d.mutable(ctx, relation)
 	if err != nil {
 		return 0, err
 	}
+	defer d.endExecute()
 	epoch, err := rel.compact()
 	if err != nil {
 		return 0, err
@@ -588,77 +749,18 @@ func (d *DataCloud) Compact(ctx context.Context, relation string) (uint64, error
 // Epoch reports the current epoch of a hosted top-k relation (for a
 // cluster-hosted relation, the epoch the placement is pinned to).
 func (d *DataCloud) Epoch(relation string) (uint64, error) {
-	if cl := d.clusterView(); cl != nil {
-		if cc := cl.coords[relation]; cc != nil {
-			return cc.coord.Epoch(), nil
-		}
-	}
-	rel, err := d.hostedTopK(relation)
+	h, err := d.lookup(relation)
 	if err != nil {
 		return 0, err
 	}
-	_, epoch := rel.snapshot()
-	return epoch, nil
-}
-
-// hostableLocked re-checks (under d.mu) that the data cloud is still
-// open and the ID is free in EVERY workload registry — concurrent Host,
-// HostJoin, and HostKNN calls for the same ID must not all succeed.
-func (d *DataCloud) hostableLocked(id string) error {
-	if d.closed {
-		return secerr.New(secerr.CodeInternal, "sectopk: data cloud is closed")
+	switch h := h.(type) {
+	case *hostedRelation:
+		_, epoch := h.snapshot()
+		return epoch, nil
+	case *clusterCoord:
+		return h.coord.Epoch(), nil
 	}
-	if d.relations[id] != nil || d.joins[id] != nil || d.knns[id] != nil || d.shardHosts[id] != nil {
-		return secerr.New(secerr.CodeRelationExists, "sectopk: relation %q already hosted", id)
-	}
-	if cl := d.cluster; cl != nil && (cl.coords[id] != nil || cl.routes[id] != nil) {
-		return secerr.New(secerr.CodeRelationExists, "sectopk: relation %q already cluster-hosted", id)
-	}
-	return nil
-}
-
-// HostJoin registers a pair of join relations under id (the ID names the
-// shared key material registered on the crypto cloud). Both relations
-// must come from the same JoinOwner.
-func (d *DataCloud) HostJoin(ctx context.Context, id string, er1, er2 *EncryptedJoinRelation) error {
-	if id == "" || er1 == nil || er2 == nil {
-		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or join relations")
-	}
-	if er1.pk.N.Cmp(er2.pk.N) != 0 {
-		return secerr.New(secerr.CodeBadRequest, "sectopk: join relations encrypted under different keys")
-	}
-	caller, err := d.connectedCaller()
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	_, taken := d.relations[id]
-	_, takenJoin := d.joins[id]
-	d.mu.Unlock()
-	if taken || takenJoin {
-		return secerr.New(secerr.CodeRelationExists, "sectopk: relation %q already hosted", id)
-	}
-	client, err := cloud.NewClient(caller, er1.pk, d.ledger, append(d.cfg.cloudOptions(), cloud.WithRelation(id))...)
-	if err != nil {
-		return err
-	}
-	if err := client.Handshake(ctx); err != nil {
-		client.Close()
-		return err
-	}
-	engine, err := join.NewEngine(client, er1.er, er2.er, er1.maxScoreBits)
-	if err != nil {
-		client.Close()
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.hostableLocked(id); err != nil {
-		client.Close()
-		return err
-	}
-	d.joins[id] = &hostedJoin{client: client, engine: engine, er1: er1, er2: er2}
-	return nil
+	return 0, mismatch(relation, h, WorkloadTopK)
 }
 
 // Hosted lists the hosted relation IDs (top-k, join, kNN, cluster-member
@@ -666,26 +768,9 @@ func (d *DataCloud) HostJoin(ctx context.Context, id string, er1, er2 *Encrypted
 func (d *DataCloud) Hosted() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.relations)+len(d.joins)+len(d.knns)+len(d.shardHosts))
-	for id := range d.relations {
+	out := make([]string, 0, len(d.hosted))
+	for id := range d.hosted {
 		out = append(out, id)
-	}
-	for id := range d.joins {
-		out = append(out, id)
-	}
-	for id := range d.knns {
-		out = append(out, id)
-	}
-	for id := range d.shardHosts {
-		out = append(out, id)
-	}
-	if d.cluster != nil {
-		for id := range d.cluster.coords {
-			out = append(out, id)
-		}
-		for id := range d.cluster.routes {
-			out = append(out, id)
-		}
 	}
 	return out
 }
@@ -746,34 +831,19 @@ func (d *DataCloud) Close() {
 			d.drainDone = nil
 		}
 	}
-	rels := d.relations
-	joins := d.joins
-	knns := d.knns
-	shardHosts := d.shardHosts
+	entries := d.hosted
 	clu := d.cluster
 	conn := d.conn
 	batcher := d.batcher
-	d.relations = map[string]*hostedRelation{}
-	d.joins = map[string]*hostedJoin{}
-	d.knns = map[string]*hostedKNN{}
-	d.shardHosts = map[string]*hostedShards{}
+	d.hosted = map[string]hosted{}
 	d.cluster = nil
 	d.caller = nil
 	d.conn = nil
 	d.batcher = nil
 	d.closed = true
 	d.mu.Unlock()
-	for _, r := range rels {
-		r.client.Close()
-	}
-	for _, j := range joins {
-		j.client.Close()
-	}
-	for _, k := range knns {
-		k.client.Close()
-	}
-	for _, hs := range shardHosts {
-		hs.client.Close()
+	for _, h := range entries {
+		h.close()
 	}
 	if clu != nil {
 		clu.close()
@@ -788,210 +858,4 @@ func (d *DataCloud) Close() {
 	if batcher != nil {
 		batcher.Close()
 	}
-}
-
-// Session is one top-k query's lifecycle: built from a token, executed
-// against the crypto cloud, yielding an encrypted result the client
-// reveals with the owner's keys. It is a thin wrapper over
-// DataCloud.Execute that adds eager validation and result retention.
-type Session struct {
-	dc       *DataCloud
-	relation string
-	tk       *Token
-	cfg      queryConfig
-
-	mu      sync.Mutex
-	res     *EncryptedResult
-	traffic Traffic
-}
-
-// NewSession validates the token against the hosted relation and
-// prepares a query session. Unknown relation IDs fail with
-// ErrUnknownRelation; invalid tokens with ErrInvalidToken.
-func (d *DataCloud) NewSession(relation string, tk *Token, opts ...QueryOption) (*Session, error) {
-	if tk == nil {
-		return nil, secerr.New(secerr.CodeInvalidToken, "sectopk: nil token")
-	}
-	if cl := d.clusterView(); cl != nil {
-		if cc := cl.coords[relation]; cc != nil {
-			if err := cc.coord.ValidateToken(tk.tk); err != nil {
-				return nil, err
-			}
-			return &Session{dc: d, relation: relation, tk: tk, cfg: buildQueryConfig(opts)}, nil
-		}
-	}
-	rel, err := d.hostedTopK(relation)
-	if err != nil {
-		return nil, err
-	}
-	engine, _ := rel.snapshot()
-	if err := engine.ValidateToken(tk.tk); err != nil {
-		return nil, err
-	}
-	return &Session{dc: d, relation: relation, tk: tk, cfg: buildQueryConfig(opts)}, nil
-}
-
-// Execute runs the query (SecQuery, Algorithm 3). Cancellation via ctx
-// is cooperative and bounded by one protocol round. The result is also
-// retained on the session (Result).
-func (s *Session) Execute(ctx context.Context) (*EncryptedResult, error) {
-	ans, err := s.dc.execute(ctx, Request{Relation: s.relation, TopK: s.tk}, s.cfg, s.dc.admit)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.res = ans.TopK
-	s.traffic = ans.Traffic
-	s.mu.Unlock()
-	return ans.TopK, nil
-}
-
-// Result returns the last Execute outcome (nil before the first).
-func (s *Session) Result() *EncryptedResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.res
-}
-
-// Traffic returns the rounds/bytes of the last Execute. With concurrent
-// sessions on one connection the numbers are approximate (the link is
-// shared).
-func (s *Session) Traffic() Traffic {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traffic
-}
-
-// JoinSession is one top-k equi-join's lifecycle — a thin wrapper over
-// DataCloud.Execute.
-type JoinSession struct {
-	dc       *DataCloud
-	relation string
-	tk       *JoinToken
-	cfg      queryConfig
-
-	mu      sync.Mutex
-	res     *EncryptedJoinResult
-	traffic Traffic
-}
-
-// NewJoinSession prepares a join session over a hosted join pair.
-func (d *DataCloud) NewJoinSession(relation string, tk *JoinToken, opts ...QueryOption) (*JoinSession, error) {
-	if tk == nil {
-		return nil, secerr.New(secerr.CodeInvalidToken, "sectopk: nil join token")
-	}
-	if _, err := d.hostedJoinRelation(relation); err != nil {
-		return nil, err
-	}
-	return &JoinSession{dc: d, relation: relation, tk: tk, cfg: buildQueryConfig(opts)}, nil
-}
-
-// Execute runs the oblivious nested-loop equi-join (SecJoin, Algorithm
-// 11) followed by SecFilter and top-k selection.
-func (s *JoinSession) Execute(ctx context.Context) (*EncryptedJoinResult, error) {
-	ans, err := s.dc.execute(ctx, Request{Relation: s.relation, Join: s.tk}, s.cfg, s.dc.admit)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.res = ans.Join
-	s.traffic = ans.Traffic
-	s.mu.Unlock()
-	return ans.Join, nil
-}
-
-// Result returns the last Execute outcome (nil before the first).
-func (s *JoinSession) Result() *EncryptedJoinResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.res
-}
-
-// Traffic returns the rounds/bytes of the last Execute.
-func (s *JoinSession) Traffic() Traffic {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traffic
-}
-
-// SessionPool executes requests over one hosted relation with bounded
-// concurrency: each Execute claims a slot, runs through the unified
-// DataCloud.Execute path, and releases the slot. Admission is uniform
-// across workloads — a pool over a join or kNN relation bounds those
-// queries exactly like a top-k pool does. On a multiplexed connection
-// the concurrent requests' protocol rounds genuinely overlap (and the
-// batch scheduler coalesces them into shared envelopes), which is what
-// turns S2's idle cores into throughput. Safe for concurrent use from
-// any number of goroutines.
-type SessionPool struct {
-	dc       *DataCloud
-	relation string
-	sem      chan struct{}
-}
-
-// NewSessionPool prepares a pool over a hosted relation of any workload
-// (top-k, join, or kNN). maxConcurrent bounds the simultaneously
-// executing requests (<= 0 picks GOMAXPROCS). Unknown relations fail
-// with ErrUnknownRelation.
-func (d *DataCloud) NewSessionPool(relation string, maxConcurrent int) (*SessionPool, error) {
-	d.mu.Lock()
-	ok := d.relations[relation] != nil || d.joins[relation] != nil || d.knns[relation] != nil
-	if cl := d.cluster; !ok && cl != nil {
-		ok = cl.coords[relation] != nil || cl.routes[relation] != nil
-	}
-	d.mu.Unlock()
-	if !ok {
-		return nil, secerr.New(secerr.CodeUnknownRelation, "sectopk: relation %q not hosted", relation)
-	}
-	if maxConcurrent <= 0 {
-		maxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	return &SessionPool{dc: d, relation: relation, sem: make(chan struct{}, maxConcurrent)}, nil
-}
-
-// ExecuteRequest runs one request of any workload through the pool: it
-// blocks for a slot (or the context), then executes via the unified
-// entry point. The request's Relation must be empty (the pool's
-// relation fills in) or equal to the pool's relation.
-func (p *SessionPool) ExecuteRequest(ctx context.Context, req Request) (*Answer, error) {
-	if req.Relation == "" {
-		req.Relation = p.relation
-	} else if req.Relation != p.relation {
-		return nil, secerr.New(secerr.CodeBadRequest,
-			"sectopk: session pool serves relation %q, request names %q", p.relation, req.Relation)
-	}
-	select {
-	case p.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("sectopk: session pool: %w", ctx.Err())
-	}
-	defer func() { <-p.sem }()
-	return p.dc.Execute(ctx, req)
-}
-
-// Execute runs one top-k query through the pool.
-func (p *SessionPool) Execute(ctx context.Context, tk *Token, opts ...QueryOption) (*EncryptedResult, error) {
-	ans, err := p.ExecuteRequest(ctx, TopKRequest("", tk, opts...))
-	if err != nil {
-		return nil, err
-	}
-	return ans.TopK, nil
-}
-
-// ExecuteJoin runs one top-k equi-join through the pool.
-func (p *SessionPool) ExecuteJoin(ctx context.Context, tk *JoinToken, opts ...QueryOption) (*EncryptedJoinResult, error) {
-	ans, err := p.ExecuteRequest(ctx, JoinRequest("", tk, opts...))
-	if err != nil {
-		return nil, err
-	}
-	return ans.Join, nil
-}
-
-// ExecuteKNN runs one k-nearest-neighbors query through the pool.
-func (p *SessionPool) ExecuteKNN(ctx context.Context, tk *KNNToken, opts ...QueryOption) (*EncryptedKNNResult, error) {
-	ans, err := p.ExecuteRequest(ctx, KNNRequest("", tk, opts...))
-	if err != nil {
-		return nil, err
-	}
-	return ans.KNN, nil
 }

@@ -16,16 +16,14 @@
 //     of registered relations, each under its own key material.
 //   - DataCloud — the data cloud S1: hosts encrypted relations (Host,
 //     HostJoin, HostKNN) and executes queries by driving protocol rounds
-//     against a CryptoCloud, in-process or over TCP. One unified entry
-//     point — Execute(ctx, Request) — runs all three workloads;
+//     against a CryptoCloud, in-process or over TCP. One entry point —
+//     Execute(ctx, Request) — runs all three workloads and returns an
+//     Answer: the encrypted result plus that query's traffic accounting.
 //     ServeClients puts it on the wire for remote queriers.
 //   - Client — the authorized querier: holds trapdoors, dials a
 //     DataCloud's client listener, and submits Requests over the client
 //     wire protocol. It never holds key material; encrypted answers
 //     travel back to the owner for revealing.
-//   - Session — one query's lifecycle on a DataCloud: token in,
-//     encrypted result out, with per-session traffic accounting (a thin
-//     wrapper over Execute, as are JoinSession and SessionPool).
 //
 // # Contexts and cancellation
 //

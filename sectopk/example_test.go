@@ -9,8 +9,8 @@ import (
 )
 
 // Example runs the full SecTopK pipeline through the public API: the
-// owner encrypts a relation, the two clouds stand up in-process, a
-// session executes a top-2 query, and the owner reveals the answer.
+// owner encrypts a relation, the two clouds stand up in-process, the
+// data cloud executes a top-2 query, and the owner reveals the answer.
 func Example() {
 	ctx := context.Background()
 
@@ -54,25 +54,21 @@ func Example() {
 	}
 
 	// An authorized client asks for the top-2 by the sum of all three
-	// attributes; one session is one query's lifecycle.
+	// attributes; one Execute is one query's lifecycle.
 	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := dc.NewSession("demo", tk,
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk,
 		sectopk.WithMode(sectopk.ModeEliminate),
 		sectopk.WithHalting(sectopk.HaltingStrict),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := sess.Execute(ctx)
+	))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The client reveals the encrypted answer with the owner's keys.
-	results, err := owner.Reveal(er, res)
+	results, err := owner.Reveal(er, ans.TopK)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -106,25 +106,32 @@ func (o *Owner) KNNToken(er *EncryptedKNNRelation, q KNNQuery) (*KNNToken, error
 	if er == nil {
 		return nil, secerr.New(secerr.CodeInvalidToken, "sectopk: nil encrypted kNN relation")
 	}
-	if len(q.Point) != er.db.M {
-		return nil, secerr.New(secerr.CodeInvalidToken,
-			"sectopk: kNN query point has %d coordinates, relation has %d attributes", len(q.Point), er.db.M)
-	}
-	if q.K <= 0 {
-		return nil, secerr.New(secerr.CodeInvalidToken, "sectopk: kNN k=%d must be positive", q.K)
-	}
-	if err := validateKNNPoint(q.Point, er.maxScoreBits); err != nil {
+	if err := er.validateQuery(q.Point, q.K); err != nil {
 		return nil, err
 	}
 	point := append([]int64(nil), q.Point...)
 	return &KNNToken{point: point, k: q.K}, nil
 }
 
+// validateQuery checks a kNN query against the store it targets: one
+// coordinate per attribute, a positive k, every coordinate in bounds.
+// Enforced both at token issue time and on the execution path, so a token
+// rebuilt from the wire (or a tampered file) fails with the same
+// ErrInvalidToken an in-process caller would get.
+func (er *EncryptedKNNRelation) validateQuery(point []int64, k int) error {
+	if len(point) != er.db.M {
+		return secerr.New(secerr.CodeInvalidToken,
+			"sectopk: kNN query point has %d coordinates, relation has %d attributes", len(point), er.db.M)
+	}
+	if k <= 0 {
+		return secerr.New(secerr.CodeInvalidToken, "sectopk: kNN k=%d must be positive", k)
+	}
+	return validateKNNPoint(point, er.maxScoreBits)
+}
+
 // validateKNNPoint bounds every query coordinate to [0, 2^maxScoreBits):
 // out-of-range values would overflow the distance-comparison masks and
-// rank silently wrong. Enforced both at token issue time and on the
-// execution path, so a hand-crafted wire token fails with the same
-// ErrInvalidToken an in-process caller would get.
+// rank silently wrong.
 func validateKNNPoint(point []int64, maxScoreBits int) error {
 	for j, v := range point {
 		// maxScoreBits >= 63 admits every non-negative int64 (shifting
@@ -185,43 +192,37 @@ type hostedKNN struct {
 	er     *EncryptedKNNRelation
 }
 
+func (h *hostedKNN) kind() (string, Workload) { return "kNN store", WorkloadKNN }
+
+func (h *hostedKNN) close() { h.client.Close() }
+
+// execute re-validates the token against the hosted store, then runs the
+// SkNN protocol.
+func (h *hostedKNN) execute(ctx context.Context, req Request, _ queryConfig) (*Answer, error) {
+	tk := req.KNN
+	if err := h.er.validateQuery(tk.point, tk.k); err != nil {
+		return nil, err
+	}
+	items, err := h.engine.Query(ctx, tk.point, tk.k)
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{KNN: &EncryptedKNNResult{items: items}}, nil
+}
+
 // HostKNN registers an encrypted kNN relation under id: it confirms (via
 // a Hello round) that the connected crypto cloud serves the relation,
 // then builds the S1 kNN engine for it. The ID shares one namespace with
-// top-k and join relations.
+// every other hosted kind.
 func (d *DataCloud) HostKNN(ctx context.Context, id string, er *EncryptedKNNRelation) error {
 	if id == "" || er == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or kNN relation")
 	}
-	caller, err := d.connectedCaller()
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	err = d.hostableLocked(id)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	client, err := cloud.NewClient(caller, er.pk, d.ledger, append(d.cfg.cloudOptions(), cloud.WithRelation(id))...)
-	if err != nil {
-		return err
-	}
-	if err := client.Handshake(ctx); err != nil {
-		client.Close()
-		return err
-	}
-	engine, err := knn.NewEngine(client, er.db, er.maxScoreBits)
-	if err != nil {
-		client.Close()
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.hostableLocked(id); err != nil {
-		client.Close()
-		return err
-	}
-	d.knns[id] = &hostedKNN{client: client, engine: engine, er: er}
-	return nil
+	return d.host(ctx, id, er.pk, func(client *cloud.Client) (hosted, error) {
+		engine, err := knn.NewEngine(client, er.db, er.maxScoreBits)
+		if err != nil {
+			return nil, err
+		}
+		return &hostedKNN{client: client, engine: engine, er: er}, nil
+	})
 }

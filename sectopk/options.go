@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ehl"
 	"repro/internal/qos"
+	"repro/internal/secerr"
 )
 
 // Option configures an Owner, JoinOwner, CryptoCloud, or DataCloud at
@@ -133,17 +134,16 @@ func WithShards(p int) Option {
 }
 
 // WithSessionLimit bounds the requests a DataCloud executes
-// concurrently, across every workload and entry point: DataCloud.Execute,
-// Session/JoinSession, SessionPool runs, and requests admitted from
-// remote clients (ServeClients) all claim one admission slot for the
-// duration of their run. An explicit limit SHEDS on overflow: a request
-// arriving with every slot taken fails immediately with ErrOverloaded
-// (which also crosses the client wire typed, and which the retrying
-// client plane backs off and retries) instead of queueing into an
-// unbounded backlog. n <= 0 (the default) leaves in-process execution
-// unbounded; the remote client plane then falls back to a
-// GOMAXPROCS-sized queueing gate of its own, so an open listener never
-// admits unbounded concurrent work.
+// concurrently, across every workload and both planes: DataCloud.Execute
+// calls and requests admitted from remote clients (ServeClients) all
+// claim one admission slot for the duration of their run. An explicit
+// limit SHEDS on overflow: a request arriving with every slot taken fails
+// immediately with ErrOverloaded (which also crosses the client wire
+// typed, and which the retrying client plane backs off and retries)
+// instead of queueing into an unbounded backlog. n <= 0 (the default)
+// leaves in-process execution unbounded; the remote client plane then
+// falls back to a GOMAXPROCS-sized queueing gate of its own, so an open
+// listener never admits unbounded concurrent work.
 func WithSessionLimit(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -281,33 +281,14 @@ func (h Halting) coreHalt() core.HaltPolicy {
 	return core.HaltPaper
 }
 
-// SortStrategy selects how the worst-score ranking is maintained.
-type SortStrategy int
-
-const (
-	// SortTopK runs the O(k*l) oblivious selection (the default).
-	SortTopK SortStrategy = iota
-	// SortFull runs the full Batcher-network EncSort.
-	SortFull
-)
-
-func (s SortStrategy) coreSort() core.SortStrategy {
-	if s == SortFull {
-		return core.SortFull
-	}
-	return core.SortTopK
-}
-
-// QueryOption configures one Session (one query execution).
+// QueryOption configures one query execution (one Request).
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	mode        Mode
-	halt        Halting
-	sort        SortStrategy
-	batchDepth  int
-	maxDepth    int
-	parallelism int
+	mode       Mode
+	halt       Halting
+	batchDepth int
+	maxDepth   int
 	// epoch, when non-zero, pins the query to one relation epoch: if a
 	// concurrent Apply or Compact advanced the relation past it, the
 	// query fails fast with ErrRelationStale instead of answering over a
@@ -333,14 +314,43 @@ func buildQueryConfig(opts []QueryOption) queryConfig {
 
 func (q queryConfig) coreOptions() core.Options {
 	return core.Options{
-		Mode:        q.mode.coreMode(),
-		Halt:        q.halt.coreHalt(),
-		Sort:        q.sort.coreSort(),
-		BatchDepth:  q.batchDepth,
-		MaxDepth:    q.maxDepth,
-		Parallelism: q.parallelism,
-		QueryID:     q.queryID,
+		Mode:       q.mode.coreMode(),
+		Halt:       q.halt.coreHalt(),
+		BatchDepth: q.batchDepth,
+		MaxDepth:   q.maxDepth,
+		QueryID:    q.queryID,
 	}
+}
+
+// validate refuses option values outside what the QueryOption
+// constructors document. An in-process caller reaches them with a cast;
+// a peer on the client wire reaches them with any integer it likes, and
+// unchecked a stray mode would run (and be ledgered) as Qry_F.
+func (q queryConfig) validate(req Request) error {
+	switch {
+	case q.mode < ModeFull || q.mode > ModeBatched:
+		return secerr.New(secerr.CodeBadRequest, "sectopk: unknown query mode %d", int(q.mode))
+	case q.halt < HaltingPaper || q.halt > HaltingStrict:
+		return secerr.New(secerr.CodeBadRequest, "sectopk: unknown halting policy %d", int(q.halt))
+	case q.batchDepth < 0 || q.maxDepth < 0:
+		return secerr.New(secerr.CodeBadRequest,
+			"sectopk: negative depth option (batch depth %d, max depth %d)", q.batchDepth, q.maxDepth)
+	}
+	if tk := req.TopK; q.mode == ModeBatched && q.batchDepth > 0 && tk != nil && tk.tk != nil && q.batchDepth < tk.tk.K {
+		return secerr.New(secerr.CodeBadRequest,
+			"sectopk: batch depth p=%d must be >= k=%d (Section 10.2)", q.batchDepth, tk.tk.K)
+	}
+	return nil
+}
+
+// checkEpoch enforces a WithEpoch pin against the epoch a query is about
+// to answer over.
+func (q queryConfig) checkEpoch(relation string, epoch uint64) error {
+	if q.epoch != 0 && q.epoch != epoch {
+		return secerr.New(secerr.CodeRelationStale,
+			"sectopk: query pinned to epoch %d, relation %q is at epoch %d", q.epoch, relation, epoch)
+	}
+	return nil
 }
 
 // WithMode selects the query-processing variant.
@@ -353,11 +363,6 @@ func WithHalting(h Halting) QueryOption {
 	return func(c *queryConfig) { c.halt = h }
 }
 
-// WithSortStrategy selects the ranking strategy.
-func WithSortStrategy(s SortStrategy) QueryOption {
-	return func(c *queryConfig) { c.sort = s }
-}
-
 // WithBatchDepth sets the batching parameter p (ModeBatched only; must be
 // >= k; 0 picks max(2k, 8)).
 func WithBatchDepth(p int) QueryOption {
@@ -368,12 +373,6 @@ func WithBatchDepth(p int) QueryOption {
 // query may return an unhalted, best-effort result.
 func WithMaxDepth(d int) QueryOption {
 	return func(c *queryConfig) { c.maxDepth = d }
-}
-
-// WithQueryParallelism bounds this query's engine workers, overriding the
-// DataCloud's knob (0 inherits it).
-func WithQueryParallelism(n int) QueryOption {
-	return func(c *queryConfig) { c.parallelism = n }
 }
 
 // WithEpoch pins the query to one relation epoch (DataCloud.Epoch or the

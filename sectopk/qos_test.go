@@ -52,8 +52,7 @@ func newOverloadRig(t *testing.T, extra ...sectopk.Option) *overloadRig {
 }
 
 // TestSessionLimitSustainedOverload drives a WithSessionLimit(1) data
-// cloud — directly and through a wider SessionPool — with sustained
-// concurrent load. The contract under overload: excess requests shed
+// cloud with sustained concurrent load. The contract under overload: excess requests shed
 // immediately with typed ErrOverloaded (no unbounded queueing), admitted
 // requests complete, and teardown leaves no goroutine behind.
 func TestSessionLimitSustainedOverload(t *testing.T) {
@@ -62,16 +61,10 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 	ctx := context.Background()
 	req := sectopk.TopKRequest("demo", rig.tk)
 
-	// The pool admits 4 concurrent runners, so the pool's own gate never
-	// blocks here — every collision lands on the session limit and must
-	// shed, not queue.
-	pool, err := rig.dc.NewSessionPool("demo", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// Every collision lands on the session limit and must shed, not
+	// queue.
 	const (
-		workers  = 4
+		workers  = 8
 		attempts = 3
 	)
 	var (
@@ -81,10 +74,10 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 		shed    int
 		unknown []error
 	)
-	run := func(exec func() error) {
+	run := func() {
 		defer wg.Done()
 		for a := 0; a < attempts; a++ {
-			err := exec()
+			_, err := rig.dc.Execute(ctx, req)
 			mu.Lock()
 			switch {
 			case err == nil:
@@ -98,9 +91,8 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 		}
 	}
 	for i := 0; i < workers; i++ {
-		wg.Add(2)
-		go run(func() error { _, err := rig.dc.Execute(ctx, req); return err })
-		go run(func() error { _, err := pool.Execute(ctx, rig.tk); return err })
+		wg.Add(1)
+		go run()
 	}
 	wg.Wait()
 
@@ -111,7 +103,7 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 		t.Fatal("no request completed under overload")
 	}
 	if shed == 0 {
-		t.Fatalf("no request shed: %d workers x %d attempts against limit 1 all fit", 2*workers, attempts)
+		t.Fatalf("no request shed: %d workers x %d attempts against limit 1 all fit", workers, attempts)
 	}
 	// A shed request released everything it held: after the load stops,
 	// one more request must be admitted straight away.

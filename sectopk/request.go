@@ -35,8 +35,8 @@ type Request struct {
 	Join *JoinToken
 	KNN  *KNNToken
 	// Options configure this query's execution (mode, halting, depth
-	// caps, per-query parallelism). Join and kNN runs currently ignore
-	// the top-k-specific options.
+	// caps, epoch pin). Join and kNN runs currently ignore the
+	// top-k-specific options.
 	Options []QueryOption
 }
 
@@ -111,38 +111,42 @@ func (a *Answer) Workload() Workload {
 }
 
 // Execute runs one request of any workload against a hosted relation:
-// it validates the sum shape, resolves the relation in the matching
-// registry, and drives the workload's protocol against the connected
-// crypto cloud. Unknown (or workload-mismatched) relation IDs fail with
-// ErrUnknownRelation; malformed trapdoors with ErrInvalidToken. With
-// WithSessionLimit the call first claims an admission slot — a request
-// arriving with every slot taken sheds immediately with ErrOverloaded
-// rather than queueing. A draining data cloud (Close under
-// WithDrainTimeout) likewise sheds new requests while the in-flight
-// ones finish. Session, JoinSession, SessionPool, and the remote client
-// plane (ServeClients) are all thin wrappers over this entry point.
+// it validates the sum shape and the query options, resolves the
+// relation in the registry, and drives the workload's protocol against
+// the connected crypto cloud. Unknown (or workload-mismatched) relation
+// IDs fail with ErrUnknownRelation; malformed trapdoors with
+// ErrInvalidToken; option values outside their documented range with
+// ErrBadRequest. With WithSessionLimit the call first claims an admission
+// slot — a request arriving with every slot taken sheds immediately with
+// ErrOverloaded rather than queueing; bound in-process concurrency by
+// setting the limit and calling Execute from as many goroutines as you
+// like. A draining data cloud (Close under WithDrainTimeout) likewise
+// sheds new requests while the in-flight ones finish. This is the only
+// way to run a query: the remote client plane (ServeClients) and a
+// cluster front door's forwarding both funnel into it.
 func (d *DataCloud) Execute(ctx context.Context, req Request) (*Answer, error) {
 	return d.execute(ctx, req, buildQueryConfig(req.Options), d.admit)
 }
 
-// execute is the shared execution path: every wrapper funnels here with
-// its resolved query config and admission gate (nil = unbounded). It
-// brackets the run for the telemetry plane — one QuerySpan per request,
-// shed and failed ones included — and feeds successful service times
-// into the QoS limiter's deadline estimator.
+// execute is the shared execution path: in-process and remote requests
+// funnel here with their resolved query config and admission gate (nil =
+// unbounded). The config is validated here, where both paths meet, so a
+// value cast from a peer's wire integers fails exactly like an in-process
+// caller's. It brackets the run for the telemetry plane — one QuerySpan
+// per request, shed and failed ones included — and feeds successful
+// service times into the QoS limiter's deadline estimator.
 func (d *DataCloud) execute(ctx context.Context, req Request, cfg queryConfig, adm *admission) (*Answer, error) {
 	w, err := req.workload()
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.validate(req); err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	s2Before := d.s2Calls()
-	fbBefore := mergeFallbackCount()
 	ans, err := d.executeWorkload(ctx, w, req, cfg, adm)
 	elapsed := time.Since(start)
 	if err == nil {
-		ans.Traffic.S2Calls = d.s2Calls() - s2Before
-		ans.Traffic.MergeFallbacks = mergeFallbackCount() - fbBefore
 		d.qos.Observe(elapsed)
 	}
 	d.emitSpan(w, req.Relation, cfg.tenant, ans, err, elapsed)
@@ -150,9 +154,11 @@ func (d *DataCloud) execute(ctx context.Context, req Request, cfg queryConfig, a
 }
 
 // executeWorkload runs one validated request through admission and its
-// workload's protocol. Admission is layered: the drain/closed check
+// hosted entry's protocol. Admission is layered: the drain/closed check
 // first, then the per-tenant QoS budget (which sheds typed, never
-// queues), then the session-limit gate.
+// queues), then the session-limit gate. Only then is the id resolved —
+// an entry that serves another workload refuses typed, naming its kind —
+// and executed outside d.mu, with the span counters measured around it.
 func (d *DataCloud) executeWorkload(ctx context.Context, w Workload, req Request, cfg queryConfig, adm *admission) (*Answer, error) {
 	if err := d.beginExecute(); err != nil {
 		return nil, err
@@ -165,131 +171,22 @@ func (d *DataCloud) executeWorkload(ctx context.Context, w Workload, req Request
 		return nil, err
 	}
 	defer adm.release()
-	before := d.Traffic()
-	// Cluster-hosted relations execute through the front-door placement —
-	// coordinator fan-out for top-k, client-wire forwarding for join/kNN;
-	// everything else resolves in the local registries.
-	ans, handled, err := d.clusterAnswer(ctx, w, req, cfg)
+	h, err := d.lookup(req.Relation)
 	if err != nil {
 		return nil, err
 	}
-	if handled {
-		after := d.Traffic()
-		ans.Traffic.Rounds = after.Rounds - before.Rounds
-		ans.Traffic.Bytes = after.Bytes - before.Bytes
-		return ans, nil
+	if _, serves := h.kind(); serves != w {
+		return nil, mismatch(req.Relation, h, w)
 	}
-	ans = &Answer{}
-	switch w {
-	case WorkloadTopK:
-		rel, err := d.hostedTopK(req.Relation)
-		if err != nil {
-			return nil, err
-		}
-		// The query runs start-to-finish on one immutable snapshot: a
-		// concurrent Apply/Compact swaps the hosted engine but never this
-		// one. An epoch pin (WithEpoch) fences version skew at entry —
-		// after that, the snapshot IS the pinned epoch.
-		engine, epoch := rel.snapshot()
-		if cfg.epoch != 0 && cfg.epoch != epoch {
-			return nil, secerr.New(secerr.CodeRelationStale,
-				"sectopk: query pinned to epoch %d, relation %q is at epoch %d", cfg.epoch, req.Relation, epoch)
-		}
-		if err := engine.ValidateToken(req.TopK.tk); err != nil {
-			return nil, err
-		}
-		res, err := engine.SecQuery(ctx, req.TopK.tk, cfg.coreOptions())
-		if err != nil {
-			return nil, err
-		}
-		ans.TopK = &EncryptedResult{items: res.Items, Depth: res.Depth, Halted: res.Halted}
-		ans.Traffic.FanOut = engine.Shards()
-		ans.Traffic.Epoch = epoch
-	case WorkloadJoin:
-		hj, err := d.hostedJoinRelation(req.Relation)
-		if err != nil {
-			return nil, err
-		}
-		tuples, err := hj.engine.SecJoin(ctx, req.Join.tk)
-		if err != nil {
-			return nil, err
-		}
-		ans.Join = &EncryptedJoinResult{tuples: tuples}
-	case WorkloadKNN:
-		hk, err := d.hostedKNNRelation(req.Relation)
-		if err != nil {
-			return nil, err
-		}
-		if got, want := len(req.KNN.point), hk.er.db.M; got != want {
-			return nil, secerr.New(secerr.CodeInvalidToken,
-				"sectopk: kNN token has %d coordinates, relation has %d attributes", got, want)
-		}
-		// Re-validate k and the coordinate bounds here, not just at token
-		// issue time: a token rebuilt from the wire (or a tampered file)
-		// must fail exactly like an in-process one would.
-		if req.KNN.k <= 0 {
-			return nil, secerr.New(secerr.CodeInvalidToken, "sectopk: kNN k=%d must be positive", req.KNN.k)
-		}
-		if err := validateKNNPoint(req.KNN.point, hk.er.maxScoreBits); err != nil {
-			return nil, err
-		}
-		items, err := hk.engine.Query(ctx, req.KNN.point, req.KNN.k)
-		if err != nil {
-			return nil, err
-		}
-		ans.KNN = &EncryptedKNNResult{items: items}
+	before, s2Before, fbBefore := d.Traffic(), d.s2Calls(), mergeFallbackCount()
+	ans, err := h.execute(ctx, req, cfg)
+	if err != nil {
+		return nil, err
 	}
 	after := d.Traffic()
 	ans.Traffic.Rounds = after.Rounds - before.Rounds
 	ans.Traffic.Bytes = after.Bytes - before.Bytes
+	ans.Traffic.S2Calls = d.s2Calls() - s2Before
+	ans.Traffic.MergeFallbacks = mergeFallbackCount() - fbBefore
 	return ans, nil
-}
-
-// hostedTopK resolves a top-k relation, reporting workload mismatches as
-// unknown-relation errors that name the actual kind.
-func (d *DataCloud) hostedTopK(relation string) (*hostedRelation, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if rel := d.relations[relation]; rel != nil {
-		return rel, nil
-	}
-	return nil, d.unknownRelationLocked(relation, WorkloadTopK)
-}
-
-// hostedJoinRelation resolves a join relation pair.
-func (d *DataCloud) hostedJoinRelation(relation string) (*hostedJoin, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if hj := d.joins[relation]; hj != nil {
-		return hj, nil
-	}
-	return nil, d.unknownRelationLocked(relation, WorkloadJoin)
-}
-
-// hostedKNNRelation resolves a kNN record store.
-func (d *DataCloud) hostedKNNRelation(relation string) (*hostedKNN, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if hk := d.knns[relation]; hk != nil {
-		return hk, nil
-	}
-	return nil, d.unknownRelationLocked(relation, WorkloadKNN)
-}
-
-// unknownRelationLocked (d.mu held) builds the unknown-relation error,
-// naming the hosted workload when the ID exists under a different one.
-func (d *DataCloud) unknownRelationLocked(relation string, want Workload) error {
-	var got Workload
-	switch {
-	case d.relations[relation] != nil:
-		got = WorkloadTopK
-	case d.joins[relation] != nil:
-		got = WorkloadJoin
-	case d.knns[relation] != nil:
-		got = WorkloadKNN
-	default:
-		return secerr.New(secerr.CodeUnknownRelation, "sectopk: relation %q not hosted", relation)
-	}
-	return secerr.New(secerr.CodeUnknownRelation,
-		"sectopk: relation %q is hosted for %s queries, not %s", relation, got, want)
 }

@@ -66,15 +66,11 @@ func runSession(t testing.TB, owner *sectopk.Owner, dc *sectopk.DataCloud, relat
 	if err != nil {
 		t.Fatalf("Token: %v", err)
 	}
-	sess, err := dc.NewSession(relation, tk, opts...)
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	res, err := sess.Execute(context.Background())
+	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest(relation, tk, opts...))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	out, err := owner.Reveal(er, res)
+	out, err := owner.Reveal(er, ans.TopK)
 	if err != nil {
 		t.Fatalf("Reveal: %v", err)
 	}
@@ -101,32 +97,23 @@ func TestEndToEndLocal(t *testing.T) {
 	}
 }
 
-// TestSessionAccounting checks the per-session lifecycle surface.
-func TestSessionAccounting(t *testing.T) {
+// TestExecuteAccounting checks the per-query accounting on the answer.
+func TestExecuteAccounting(t *testing.T) {
 	owner, cc, dc, er := localRig(t, "demo")
 	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1}, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := dc.NewSession("demo", tk, sectopk.WithMode(sectopk.ModeEliminate))
+	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest("demo", tk, sectopk.WithMode(sectopk.ModeEliminate)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Result() != nil {
-		t.Fatal("Result before Execute should be nil")
-	}
-	res, err := sess.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Result() != res {
-		t.Fatal("Result() does not return the Execute outcome")
-	}
+	res := ans.TopK
 	if res.Len() != 2 || res.Depth == 0 || !res.Halted {
 		t.Fatalf("unexpected result shape: len=%d depth=%d halted=%v", res.Len(), res.Depth, res.Halted)
 	}
-	if tr := sess.Traffic(); tr.Rounds == 0 || tr.Bytes == 0 {
-		t.Fatalf("session traffic empty: %+v", tr)
+	if tr := ans.Traffic; tr.Rounds == 0 || tr.Bytes == 0 {
+		t.Fatalf("answer traffic empty: %+v", tr)
 	}
 	if len(cc.LeakageEvents()) == 0 {
 		t.Fatal("S2 leakage ledger empty")
@@ -145,12 +132,12 @@ func TestTypedErrorsFacade(t *testing.T) {
 	if _, err := owner.Token(er, sectopk.Query{Attrs: []int{99}, K: 1}); !errors.Is(err, sectopk.ErrInvalidToken) {
 		t.Fatalf("bad attr: want ErrInvalidToken, got %v", err)
 	}
-	// Unknown relation at session creation.
+	// Unknown relation.
 	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dc.NewSession("ghost", tk); !errors.Is(err, sectopk.ErrUnknownRelation) {
+	if _, err := dc.Execute(ctx, sectopk.TopKRequest("ghost", tk)); !errors.Is(err, sectopk.ErrUnknownRelation) {
 		t.Fatalf("want ErrUnknownRelation, got %v", err)
 	}
 	// Duplicate registration / hosting.
@@ -325,18 +312,15 @@ func TestFacadeCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := dc.NewSession("demo", tk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := sectopk.TopKRequest("demo", tk)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sess.Execute(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := dc.Execute(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// The session (and its connection) remain usable for a fresh context.
-	if _, err := sess.Execute(context.Background()); err != nil {
-		t.Fatalf("session unusable after canceled run: %v", err)
+	// The data cloud (and its connection) remain usable for a fresh context.
+	if _, err := dc.Execute(context.Background(), req); err != nil {
+		t.Fatalf("data cloud unusable after canceled run: %v", err)
 	}
 }
 
@@ -382,15 +366,11 @@ func TestSecureJoinFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := dc.NewJoinSession("hr", tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Execute(ctx)
+	ans, err := dc.Execute(ctx, sectopk.JoinRequest("hr", tk))
 	if err != nil {
 		t.Fatalf("join Execute: %v", err)
 	}
-	got, err := jo.Reveal(res)
+	got, err := jo.Reveal(ans.Join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +386,8 @@ func TestSecureJoinFacade(t *testing.T) {
 			t.Fatalf("tuple %d score %d, want %d", i, got[i].Score, want[i].Score)
 		}
 	}
-	if tr := sess.Traffic(); tr.Rounds == 0 {
-		t.Fatal("join session recorded no traffic")
+	if ans.Traffic.Rounds == 0 {
+		t.Fatal("join answer recorded no traffic")
 	}
 }
 
@@ -474,14 +454,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := dc.Host(ctx, "demo", er2); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := dc.NewSession("demo", tk2, sectopk.WithHalting(sectopk.HaltingStrict))
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk2, sectopk.WithHalting(sectopk.HaltingStrict)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := ans.TopK
 	if err := res.Save(paths["res"]); err != nil {
 		t.Fatal(err)
 	}

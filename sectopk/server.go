@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"net"
-	"runtime"
 	"sync"
 
 	"repro/internal/cloud"
@@ -77,12 +76,10 @@ func checkClientVersion(peer string, v int) error {
 // wireQueryOptions flattens a query configuration for the wire. Zero
 // values mean "default", matching the in-process QueryOption semantics.
 type wireQueryOptions struct {
-	Mode        int
-	Halt        int
-	Sort        int
-	BatchDepth  int
-	MaxDepth    int
-	Parallelism int
+	Mode       int
+	Halt       int
+	BatchDepth int
+	MaxDepth   int
 	// Epoch pins the query to one relation epoch (0 = unpinned).
 	Epoch uint64
 }
@@ -90,17 +87,18 @@ type wireQueryOptions struct {
 // wire flattens a resolved query config.
 func (q queryConfig) wire() wireQueryOptions {
 	return wireQueryOptions{
-		Mode: int(q.mode), Halt: int(q.halt), Sort: int(q.sort),
-		BatchDepth: q.batchDepth, MaxDepth: q.maxDepth, Parallelism: q.parallelism,
+		Mode: int(q.mode), Halt: int(q.halt),
+		BatchDepth: q.batchDepth, MaxDepth: q.maxDepth,
 		Epoch: q.epoch,
 	}
 }
 
-// queryConfigFromWire rebuilds a query config from its wire form.
+// queryConfigFromWire rebuilds a query config from its wire form. The
+// integers are whatever the peer sent; DataCloud.execute validates them.
 func queryConfigFromWire(w wireQueryOptions) queryConfig {
 	return queryConfig{
-		mode: Mode(w.Mode), halt: Halting(w.Halt), sort: SortStrategy(w.Sort),
-		batchDepth: w.BatchDepth, maxDepth: w.MaxDepth, parallelism: w.Parallelism,
+		mode: Mode(w.Mode), halt: Halting(w.Halt),
+		batchDepth: w.BatchDepth, maxDepth: w.MaxDepth,
 		epoch: w.Epoch,
 	}
 }
@@ -160,8 +158,8 @@ type clientCompactRequest struct {
 // executes through the same unified path as in-process callers, gated
 // by the data cloud's admission bound (WithSessionLimit — which sheds
 // overflow with ErrOverloaded — defaulting to a GOMAXPROCS-sized
-// queueing gate for the remote plane), so N remote clients get the same
-// bounded-concurrency guarantees a SessionPool gives local callers.
+// queueing gate for the remote plane), so an open listener never admits
+// unbounded concurrent work.
 // Handler errors are reported to the peer as structured (code, message)
 // pairs, never by tearing the serving loop down.
 //
@@ -176,30 +174,16 @@ func (d *DataCloud) ServeClients(ctx context.Context, l net.Listener) error {
 		// Each connection gets its own responder: the tenant the peer
 		// announces in its Hello is per-connection protocol state.
 		NewResponder: func() transport.Responder {
-			return &clientResponder{dc: d, gate: d.clientAdmission()}
+			return &clientResponder{dc: d}
 		},
 	})
-}
-
-// clientAdmission returns the gate remote requests execute under: the
-// configured session limit when one is set, else a shared
-// GOMAXPROCS-sized queueing gate built on first use.
-func (d *DataCloud) clientAdmission() *admission {
-	if d.admit != nil {
-		return d.admit
-	}
-	d.clientGateOnce.Do(func() {
-		d.clientGate = &admission{slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
-	})
-	return d.clientGate
 }
 
 // clientResponder handles client-plane methods for ONE connection: the
 // tenant announced in the connection's Hello is held here and stamped
 // onto every request the connection executes.
 type clientResponder struct {
-	dc   *DataCloud
-	gate *admission
+	dc *DataCloud
 
 	mu     sync.Mutex
 	tenant string
@@ -246,7 +230,7 @@ func (r *clientResponder) Serve(ctx context.Context, method string, body []byte)
 		cfg := queryConfigFromWire(wreq.Options)
 		cfg.queryID = wreq.Idempotency
 		cfg.tenant = r.tenantName()
-		ans, err := r.dc.execute(ctx, req, cfg, r.gate)
+		ans, err := r.dc.execute(ctx, req, cfg, r.dc.clientGate)
 		if err != nil {
 			return nil, err
 		}

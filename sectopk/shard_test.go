@@ -50,12 +50,12 @@ func plainTopK(rel *sectopk.Relation, k int) []sectopk.Result {
 	return out
 }
 
-// TestShardedSessionPoolOverTCP drives the whole throughput-first data
+// TestShardedConcurrentOverTCP drives the whole throughput-first data
 // plane through the public API: a sharded relation (WithShards), a TCP
 // connection carrying the multiplexed framing, the batch scheduler, and
-// a SessionPool issuing concurrent
-// queries — every result identical to the plaintext ground truth.
-func TestShardedSessionPoolOverTCP(t *testing.T) {
+// concurrent Execute calls under a session limit — every result identical
+// to the plaintext ground truth.
+func TestShardedConcurrentOverTCP(t *testing.T) {
 	ctx := context.Background()
 	const n, k, p = 12, 3, 3
 	rel := shardDemoRelation(n)
@@ -89,7 +89,8 @@ func TestShardedSessionPoolOverTCP(t *testing.T) {
 	defer stopServe()
 	go func() { _ = cc.Serve(serveCtx, l) }()
 
-	dc := sectopk.NewDataCloud(testOpts()...)
+	const queries = 4
+	dc := sectopk.NewDataCloud(testOpts(sectopk.WithSessionLimit(queries))...)
 	defer dc.Close()
 	if err := dc.Dial(ctx, l.Addr().String()); err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -101,15 +102,7 @@ func TestShardedSessionPoolOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Token: %v", err)
 	}
-	pool, err := dc.NewSessionPool("sharddemo", 4)
-	if err != nil {
-		t.Fatalf("NewSessionPool: %v", err)
-	}
-	if _, err := dc.NewSessionPool("ghost", 4); err == nil {
-		t.Fatal("NewSessionPool accepted an unhosted relation")
-	}
-
-	const queries = 4
+	req := sectopk.TopKRequest("sharddemo", tk, sectopk.WithMode(sectopk.ModeEliminate), sectopk.WithHalting(sectopk.HaltingStrict))
 	var wg sync.WaitGroup
 	results := make([][]sectopk.Result, queries)
 	errs := make([]error, queries)
@@ -117,12 +110,12 @@ func TestShardedSessionPoolOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := pool.Execute(ctx, tk, sectopk.WithMode(sectopk.ModeEliminate), sectopk.WithHalting(sectopk.HaltingStrict))
+			ans, err := dc.Execute(ctx, req)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = owner.Reveal(er, res)
+			results[i], errs[i] = owner.Reveal(er, ans.TopK)
 		}(i)
 	}
 	wg.Wait()
@@ -185,15 +178,11 @@ func TestShardedRelationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := dc.NewSession("rt", tk, sectopk.WithMode(sectopk.ModeEliminate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Execute(ctx)
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("rt", tk, sectopk.WithMode(sectopk.ModeEliminate)))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	got, err := owner.Reveal(loaded, res)
+	got, err := owner.Reveal(loaded, ans.TopK)
 	if err != nil {
 		t.Fatalf("Reveal: %v", err)
 	}
