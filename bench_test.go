@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation: one testing.B benchmark
-// per table and figure (DESIGN.md section 3 maps each id to its
-// workload). Each iteration runs the corresponding bench.Registry
+// per table and figure (DESIGN.md "Which tool answers which question"
+// lists the ids). Each iteration runs the corresponding bench.Registry
 // experiment end to end over the real two-party protocols at the scaled
 // default configuration; per-iteration metrics are reported through
 // b.ReportMetric so `go test -bench=.` output doubles as the measured
@@ -8,19 +8,13 @@
 package repro_test
 
 import (
-	"context"
 	"crypto/rand"
 	"math/big"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/cloud"
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/ehl"
 	"repro/internal/paillier"
-	"repro/internal/transport"
 )
 
 var (
@@ -154,67 +148,4 @@ func BenchmarkBatchEncrypt(b *testing.B) {
 	pool := paillier.NewNoncePool(pk, 2, 4*batch)
 	defer pool.Close()
 	run("parallel-pooled", pool, 0)
-}
-
-// BenchmarkSecQueryParallel runs the same SecQuery end to end with every
-// layer at Parallelism 1 (the exact pre-parallel serial path) and at
-// Parallelism 0 (all cores, nonce pools on), sharing one key pair so only
-// the execution substrate differs.
-func BenchmarkSecQueryParallel(b *testing.B) {
-	keys, err := cloud.KeyMaterialFromPaillier(sharedKey(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := dataset.Generate(dataset.Spec{
-		Name: "bench", N: 24, M: 3, MaxScore: 200,
-		Shape: dataset.ShapeGaussian, Correlation: 0.8,
-	}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, par := range []int{1, 0} {
-		name := "serial"
-		if par == 0 {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			scheme, err := core.NewSchemeFromKeys(core.Params{
-				KeyBits: 512, EHL: ehl.Params{Kind: ehl.KindPlus, S: 3},
-				MaxScoreBits: 20, Parallelism: par,
-			}, keys)
-			if err != nil {
-				b.Fatal(err)
-			}
-			er, err := scheme.EncryptRelation(rel)
-			if err != nil {
-				b.Fatal(err)
-			}
-			server, err := cloud.NewServer(keys, nil, cloud.WithParallelism(par))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer server.Close()
-			client, err := cloud.NewClient(transport.NewLocal(server, transport.NewStats()),
-				scheme.PublicKey(), nil, cloud.WithParallelism(par))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
-			tk, err := scheme.Token(er, []int{0, 1, 2}, nil, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine, err := core.NewEngine(client, er)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := core.Options{Mode: core.QryE, Halt: core.HaltStrict, MaxDepth: 4, Parallelism: par}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.SecQuery(context.Background(), tk, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

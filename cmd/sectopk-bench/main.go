@@ -1,24 +1,28 @@
-// Command sectopk-bench regenerates the paper's evaluation artifacts: one
-// -exp flag per table/figure (see DESIGN.md's experiment index).
+// Command sectopk-bench runs the measurements benchmark/ does not: the
+// paper's evaluation artifacts (one -exp id per table/figure of Section
+// 11), the multi-tenant soak, and one throughput row against a running
+// sectopk-node fleet. DESIGN.md "Which tool answers which question" says
+// what each tool is for; timings of the system itself come from
+// `bash benchmark/run.sh`.
 //
 // Usage:
 //
 //	sectopk-bench -exp fig9                 # one experiment, scaled defaults
 //	sectopk-bench -exp all -rows 200        # the full evaluation sweep
 //	sectopk-bench -exp fig7 -keybits 512    # paper-like key size
-//	sectopk-bench -exp micro                # crypto hot paths -> BENCH_<date>.json
+//	sectopk-bench -exp soak -json soak.json # serving-plane soak
+//	sectopk-bench -exp cluster -cluster-connect 127.0.0.1:9779 -json cluster.json
 //	sectopk-bench -list                     # list experiment ids
 //
-// Markdown output (-md) emits tables ready for EXPERIMENTS.md. The micro
-// experiment additionally writes a machine-readable BENCH_<date>.json
-// (op, ns/op, key bits, knob settings) so the perf trajectory is tracked
-// across PRs; -json overrides its path.
+// Markdown output (-md) emits tables ready for EXPERIMENTS.md. The soak
+// and cluster experiments also write a machine-readable record, under
+// their own key, into the file -json names (no -json, no record).
 //
 // Unlike sectopk-node and the examples — which sit entirely on the
 // public sectopk API — this binary deliberately drives internal/bench:
-// the evaluation harness measures implementation internals (fixed
-// tokens, per-method wire stats, leakage ledgers, crypto micro-paths)
-// that a stable public facade intentionally does not expose.
+// the figure runners measure implementation internals (fixed tokens,
+// depth caps, EHL variants, per-method wire stats) that a stable public
+// facade intentionally does not expose.
 package main
 
 import (
@@ -34,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (micro, qps, mutate, soak, fig7, fig8, fig9, fig10, fig11, fig12, tab3, fig13, knn, fig14, ablation, or 'all')")
+		exp       = flag.String("exp", "", "experiment id (see -list), or 'all' for every paper figure")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		keyBits   = flag.Int("keybits", 256, "Paillier modulus bits (paper-scale: 512)")
 		ehlS      = flag.Int("ehl-s", 3, "number of EHL+ digests s (paper: 5)")
@@ -43,30 +47,26 @@ func main() {
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
 		par       = flag.Int("parallelism", 0, "worker goroutines per layer (0 = all cores, 1 = serial)")
 		fastNonce = flag.Bool("fast-nonce", false, "enable the short-exponent fixed-base nonce path in every layer (extra assumption; see DESIGN.md)")
-		shards    = flag.Int("shards", 4, "shard count for the qps experiment's sharded scenarios")
-		clients   = flag.Int("clients", 8, "concurrent client sessions for the qps experiment")
-		queries   = flag.Int("queries", 4, "timed queries per client in the qps experiment (larger damps variance)")
+		shards    = flag.Int("shards", 4, "cluster: provisioned shard count, recorded per row")
+		clients   = flag.Int("clients", 8, "cluster: concurrent querier connections")
+		queries   = flag.Int("queries", 4, "cluster: timed queries per querier (larger damps variance)")
 		md        = flag.Bool("md", false, "emit markdown tables instead of text")
-		jsonPath  = flag.String("json", "", "output path for the micro/qps experiments' JSON record (default BENCH_<date>.json)")
+		jsonPath  = flag.String("json", "", "soak, cluster: file to keep the JSON record in, under the experiment's key (empty = no record)")
 
 		soakClients  = flag.Int("soak-clients", 200, "soak: total concurrent clients across all tenants")
 		soakDuration = flag.Duration("soak-duration", 8*time.Second, "soak: wall-clock budget for the timed window")
 		soakSessions = flag.Int("soak-sessions", 0, "soak: serving node session limit (0 = node default)")
 		soakTenants  = flag.String("soak-tenants", "", "soak: comma list of name=clients[@rate[:burst]] tenant slices, e.g. gold=8,bronze=8@2:2 (empty = gold/bronze default split)")
 
-		clusterConnect  = flag.String("cluster-connect", "", "qps: measure a running cluster front door at this client address instead of the in-process matrix (rows append to the existing qps record)")
-		clusterNodes    = flag.Int("cluster-nodes", 0, "qps: S1 member count behind -cluster-connect, recorded per row")
-		clusterToken    = flag.String("cluster-token", "query.tk", "qps: stored top-k trapdoor for the cluster rows (sectopk-node owner artifact)")
-		clusterRelation = flag.String("cluster-relation", "default", "qps: relation ID hosted by the cluster front door")
+		clusterConnect  = flag.String("cluster-connect", "", "cluster: client address of the running front door to measure (required; rows append to the record's cluster key)")
+		clusterNodes    = flag.Int("cluster-nodes", 0, "cluster: S1 member count behind -cluster-connect, recorded per row")
+		clusterToken    = flag.String("cluster-token", "query.tk", "cluster: stored top-k trapdoor (sectopk-node owner artifact)")
+		clusterRelation = flag.String("cluster-relation", "default", "cluster: relation ID hosted by the cluster front door")
 	)
 	flag.Parse()
 
 	if *list {
-		fmt.Println("micro")
-		fmt.Println("qps")
-		fmt.Println("mutate")
-		fmt.Println("soak")
-		for _, id := range bench.ExperimentIDs() {
+		for _, id := range append([]string{"soak", "cluster"}, bench.ExperimentIDs()...) {
 			fmt.Println(id)
 		}
 		return
@@ -77,45 +77,34 @@ func main() {
 	}
 
 	cfg := bench.Config{
-		KeyBits:          *keyBits,
-		EHLS:             *ehlS,
-		MaxScoreBits:     20,
-		Rows:             *rows,
-		MaxDepth:         *maxDepth,
-		Seed:             *seed,
-		Parallelism:      *par,
-		FastNonce:        *fastNonce,
-		Shards:           *shards,
-		Clients:          *clients,
-		QueriesPerClient: *queries,
+		KeyBits:      *keyBits,
+		EHLS:         *ehlS,
+		MaxScoreBits: 20,
+		Rows:         *rows,
+		MaxDepth:     *maxDepth,
+		Seed:         *seed,
+		Parallelism:  *par,
+		FastNonce:    *fastNonce,
 	}
 	if !*md {
 		cfg.Out = os.Stdout
 	}
 
-	if *exp == "micro" {
-		runMicro(cfg, *md, *jsonPath)
-		return
-	}
-	if *exp == "qps" {
-		if *clusterConnect != "" {
-			runQPSCluster(bench.ClusterConfig{
-				Connect:          *clusterConnect,
-				Nodes:            *clusterNodes,
-				Shards:           *shards,
-				Relation:         *clusterRelation,
-				TokenPath:        *clusterToken,
-				KeyBits:          *keyBits,
-				Clients:          *clients,
-				QueriesPerClient: *queries,
-			}, *md, *jsonPath)
-			return
+	if *exp == "cluster" {
+		if *clusterConnect == "" {
+			fmt.Fprintln(os.Stderr, "sectopk-bench: -exp cluster measures a running fleet: -cluster-connect is required")
+			os.Exit(2)
 		}
-		runQPS(cfg, *md, *jsonPath)
-		return
-	}
-	if *exp == "mutate" {
-		runMutate(cfg, *md, *jsonPath)
+		runCluster(bench.ClusterConfig{
+			Connect:          *clusterConnect,
+			Nodes:            *clusterNodes,
+			Shards:           *shards,
+			Relation:         *clusterRelation,
+			TokenPath:        *clusterToken,
+			KeyBits:          *keyBits,
+			Clients:          *clients,
+			QueriesPerClient: *queries,
+		}, *md, *jsonPath)
 		return
 	}
 	if *exp == "soak" {
@@ -124,21 +113,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", err)
 			os.Exit(2)
 		}
-		scfg := bench.SoakConfig{
+		runSoak(bench.SoakConfig{
 			Config:       cfg,
+			Clients:      *soakClients,
 			Duration:     *soakDuration,
 			SessionLimit: *soakSessions,
 			Tenants:      tenants,
-		}
-		scfg.Clients = *soakClients
-		runSoak(scfg, *md, *jsonPath)
+		}, *md, *jsonPath)
 		return
 	}
 
 	rig, err := bench.NewRig(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", err)
-		os.Exit(1)
+		fail("rig", err)
 	}
 	defer rig.Close()
 
@@ -150,14 +137,12 @@ func main() {
 		start := time.Now()
 		reports, err := bench.Run(rig, id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sectopk-bench: %s: %v\n", id, err)
-			os.Exit(1)
+			fail(id, err)
 		}
 		if *md {
 			for _, rep := range reports {
 				if err := rep.Markdown(os.Stdout); err != nil {
-					fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", err)
-					os.Exit(1)
+					fail(id, err)
 				}
 			}
 		}
@@ -165,63 +150,30 @@ func main() {
 	}
 }
 
-// runMicro measures the crypto hot paths and writes the machine-readable
-// BENCH_<date>.json perf record alongside the human-readable table.
-func runMicro(cfg bench.Config, md bool, jsonPath string) {
-	start := time.Now()
-	rep, err := bench.RunMicro(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: micro: %v\n", err)
-		os.Exit(1)
-	}
-	table := rep.Report()
-	var renderErr error
-	if md {
-		renderErr = table.Markdown(os.Stdout)
-	} else {
-		renderErr = table.Render(os.Stdout)
-	}
-	if renderErr != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", renderErr)
-		os.Exit(1)
-	}
-	path, err := rep.SaveJSON(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: writing perf record: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "[micro done in %s; perf record -> %s]\n",
-		time.Since(start).Round(time.Millisecond), path)
+// fail prints the error and exits non-zero.
+func fail(what string, err error) {
+	fmt.Fprintf(os.Stderr, "sectopk-bench: %s: %v\n", what, err)
+	os.Exit(1)
 }
 
-// runMutate measures the incremental-write plane (delta apply cost,
-// compaction, post-mutation query latency vs a fresh re-encryption) and
-// merges the machine-readable record into BENCH_<date>.json.
-func runMutate(cfg bench.Config, md bool, jsonPath string) {
-	start := time.Now()
-	rep, err := bench.RunMutate(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: mutate: %v\n", err)
-		os.Exit(1)
+// finish saves the record when -json named a file, prints the table and
+// the timing line. Saving first lets a record that merges earlier runs
+// (the cluster rows) show them in the table.
+func finish(id string, start time.Time, jsonPath string, save func(string) error, table func() *bench.Report, md bool) {
+	if jsonPath != "" {
+		if err := save(jsonPath); err != nil {
+			fail(id+": writing record", err)
+		}
 	}
-	table := rep.Report()
-	var renderErr error
+	t := table()
+	render := t.Render
 	if md {
-		renderErr = table.Markdown(os.Stdout)
-	} else {
-		renderErr = table.Render(os.Stdout)
+		render = t.Markdown
 	}
-	if renderErr != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", renderErr)
-		os.Exit(1)
+	if err := render(os.Stdout); err != nil {
+		fail(id, err)
 	}
-	path, err := rep.SaveJSON(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: writing perf record: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "[mutate done in %s; perf record -> %s]\n",
-		time.Since(start).Round(time.Millisecond), path)
+	fmt.Fprintf(os.Stderr, "[%s done in %s]\n", id, time.Since(start).Round(time.Millisecond))
 }
 
 // parseSoakTenants parses the -soak-tenants spec: a comma list of
@@ -269,95 +221,29 @@ func parseSoakTenants(s string) ([]bench.SoakTenant, error) {
 }
 
 // runSoak soaks the serving plane (mixed tenants and workloads over real
-// TCP) and merges the tail-latency/shed record into BENCH_<date>.json.
-// A run that fails with anything other than typed overload/deadline
-// sheds exits non-zero — the CI smoke leans on that.
+// TCP). A run that fails with anything other than typed
+// overload/deadline sheds exits non-zero — the CI smoke leans on that.
 func runSoak(scfg bench.SoakConfig, md bool, jsonPath string) {
 	start := time.Now()
 	rep, err := bench.RunSoak(scfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: soak: %v\n", err)
-		os.Exit(1)
+		fail("soak", err)
 	}
-	table := rep.Report()
-	var renderErr error
-	if md {
-		renderErr = table.Markdown(os.Stdout)
-	} else {
-		renderErr = table.Render(os.Stdout)
-	}
-	if renderErr != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", renderErr)
-		os.Exit(1)
-	}
-	path, err := rep.SaveJSON(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: writing perf record: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "[soak done in %s; perf record -> %s]\n",
-		time.Since(start).Round(time.Millisecond), path)
+	finish("soak", start, jsonPath, rep.SaveJSON, rep.Report, md)
 	if !rep.Clean() {
 		fmt.Fprintf(os.Stderr, "sectopk-bench: soak: non-typed errors observed: %v\n", rep.Errors)
 		os.Exit(1)
 	}
 }
 
-// runQPSCluster measures one cluster throughput row against a running
-// sectopk-node front door and appends it to the qps record in
-// BENCH_<date>.json (the in-process rows, if present, are kept).
-func runQPSCluster(ccfg bench.ClusterConfig, md bool, jsonPath string) {
+// runCluster measures one throughput row against a running sectopk-node
+// front door and appends it to the record's cluster rows, so the 2-node
+// run's table shows its ratio to the 1-node row.
+func runCluster(ccfg bench.ClusterConfig, md bool, jsonPath string) {
 	start := time.Now()
 	rep, err := bench.RunQPSCluster(ccfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: qps cluster: %v\n", err)
-		os.Exit(1)
+		fail("cluster", err)
 	}
-	table := rep.Report()
-	var renderErr error
-	if md {
-		renderErr = table.Markdown(os.Stdout)
-	} else {
-		renderErr = table.Render(os.Stdout)
-	}
-	if renderErr != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", renderErr)
-		os.Exit(1)
-	}
-	path, err := rep.AppendJSON(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: writing perf record: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "[qps cluster row (nodes=%d clients=%d) done in %s; appended -> %s]\n",
-		ccfg.Nodes, ccfg.Clients, time.Since(start).Round(time.Millisecond), path)
-}
-
-// runQPS measures data-plane throughput (shards x clients)
-// and merges the machine-readable record into BENCH_<date>.json.
-func runQPS(cfg bench.Config, md bool, jsonPath string) {
-	start := time.Now()
-	rep, err := bench.RunQPS(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: qps: %v\n", err)
-		os.Exit(1)
-	}
-	table := rep.Report()
-	var renderErr error
-	if md {
-		renderErr = table.Markdown(os.Stdout)
-	} else {
-		renderErr = table.Render(os.Stdout)
-	}
-	if renderErr != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: %v\n", renderErr)
-		os.Exit(1)
-	}
-	path, err := rep.SaveJSON(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sectopk-bench: writing perf record: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "[qps done in %s; perf record -> %s]\n",
-		time.Since(start).Round(time.Millisecond), path)
+	finish("cluster", start, jsonPath, rep.AppendJSON, rep.Report, md)
 }

@@ -13,5 +13,6 @@
 // the Parallelism knob that tunes the worker-pooled execution core. The
 // root-level benchmarks in bench_test.go regenerate every table and
 // figure of the paper's evaluation; the same runners are reachable
-// through cmd/sectopk-bench.
+// through cmd/sectopk-bench. Timings of the system itself, end to end
+// and per layer, come from `bash benchmark/run.sh`.
 package repro

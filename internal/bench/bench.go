@@ -7,11 +7,20 @@
 // Absolute numbers differ from the paper's C++/24-core testbed; the
 // harness is about reproducing the *shapes* (who wins, scaling in k, m,
 // p, n). EXPERIMENTS.md records paper-vs-measured for every run.
+//
+// Two more experiments live here because nothing else can run them: the
+// multi-tenant soak (soak.go) and the throughput row against a running
+// multi-process fleet (cluster.go). How fast the system itself is, end
+// to end and per layer, is benchmark/'s question, not this package's.
 package bench
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"strings"
 	"time"
 )
@@ -40,16 +49,6 @@ type Config struct {
 	// FastNonce opts every layer into the short-exponent fixed-base nonce
 	// path (see cloud.WithFastNonce for the assumption it carries).
 	FastNonce bool
-	// Shards is the shard count the qps experiment partitions its
-	// relation into (0 picks 4, capped at Rows).
-	Shards int
-	// Clients is the concurrent-session count the qps experiment loads
-	// the data plane with (0 picks 8).
-	Clients int
-	// QueriesPerClient is how many timed queries each qps client runs
-	// (0 picks 4). Larger samples cost linearly more wall clock but damp
-	// run-to-run variance in the tracked QPS numbers.
-	QueriesPerClient int
 	// Out receives the rendered tables; nil discards.
 	Out io.Writer
 }
@@ -155,6 +154,41 @@ func (r *Report) Markdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
+}
+
+// readRecord parses the JSON record at path into its top-level keys; a
+// missing file is an empty record, an unparsable one an error.
+func readRecord(path string) (map[string]json.RawMessage, error) {
+	doc := map[string]json.RawMessage{}
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return doc, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return nil, fmt.Errorf("bench: %s is not a JSON record: %w", path, err)
+	}
+	return doc, nil
+}
+
+// saveUnder installs v under key in the JSON record at path, keeping
+// the record's other keys. It is the package's only record writer, and
+// it refuses to overwrite a file it cannot parse.
+func saveUnder(path, key string, v any) error {
+	doc, err := readRecord(path)
+	if err != nil {
+		return err
+	}
+	if doc[key], err = json.Marshal(v); err != nil {
+		return err
+	}
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // fmtDur renders a duration with 3 significant figures.

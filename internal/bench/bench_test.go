@@ -2,10 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/sectopk"
 )
 
 var (
@@ -104,61 +110,127 @@ func TestExperimentIDsCoverRegistry(t *testing.T) {
 	}
 }
 
-// TestSmokeFastExperiments runs the cheaper experiments end to end with a
-// tiny configuration; the heavyweight query sweeps are exercised by the
+// TestSmokeFastExperiments runs the cheaper experiments end to end over
+// the shared tiny rig; the heavyweight query sweeps are exercised by the
 // root-level benchmarks instead.
 func TestSmokeFastExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke tests are not short")
 	}
 	r := getRig(t)
-	for _, id := range []string{"fig7", "fig13", "tab3"} {
-		reports, err := Run(r, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(reports) == 0 {
-			t.Fatalf("%s produced no reports", id)
-		}
-		for _, rep := range reports {
-			if len(rep.Rows) == 0 {
-				t.Fatalf("%s: report %s has no rows", id, rep.ID)
+	for _, id := range []string{"fig7", "fig13", "tab3", "knn"} {
+		t.Run(id, func(t *testing.T) {
+			reports, err := Run(r, id)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(reports) == 0 {
+				t.Fatal("no reports")
+			}
+			for _, rep := range reports {
+				if len(rep.Rows) == 0 {
+					t.Fatalf("report %s has no rows", rep.ID)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckTopK pins what the cluster driver accepts as an answer: only
+// a top-k result of exactly k items.
+func TestCheckTopK(t *testing.T) {
+	opts := []sectopk.Option{sectopk.WithKeyBits(256), sectopk.WithEHLDigests(2), sectopk.WithMaxScoreBits(20)}
+	owner, err := sectopk.NewOwner(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := owner.Encrypt(soakRelation(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1}, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := sectopk.NewCryptoCloud(opts...)
+	defer cc.Close()
+	if err := cc.Register("r", owner.Keys()); err != nil {
+		t.Fatal(err)
+	}
+	dc := sectopk.NewDataCloud(opts...)
+	defer dc.Close()
+	ctx := context.Background()
+	if err := dc.ConnectLocal(ctx, cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.Host(ctx, "r", er); err != nil {
+		t.Fatal(err)
+	}
+	real, err := dc.Execute(ctx, sectopk.TopKRequest("r", tk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkTopK(real, tk.K()); err != nil {
+		t.Fatalf("real %d-item answer refused: %v", tk.K(), err)
+	}
+	for name, tc := range map[string]struct {
+		ans *sectopk.Answer
+		k   int
+	}{
+		"nil":   {nil, 2},
+		"empty": {&sectopk.Answer{}, 2},
+		"join":  {&sectopk.Answer{Join: &sectopk.EncryptedJoinResult{}}, 2},
+		"short": {real, tk.K() + 1},
+	} {
+		if checkTopK(tc.ans, tc.k) == nil {
+			t.Errorf("%s answer accepted", name)
 		}
 	}
 }
 
-// TestSmokeMutateExperiment runs the mutation-plane benchmark end to end
-// with a tiny configuration and checks the record is well-formed.
-func TestSmokeMutateExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke tests are not short")
+// TestSaveUnder pins the one record writer: keys coexist, cluster rows
+// accumulate across runs, and a record that does not parse is reported
+// and left as it was instead of being overwritten.
+func TestSaveUnder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.json")
+	if err := (&SoakReport{OK: 7}).SaveJSON(path); err != nil {
+		t.Fatal(err)
 	}
-	rep, err := RunMutate(tinyConfig())
+	for nodes := 1; nodes <= 2; nodes++ {
+		rep := &QPSReport{Results: []QPSResult{{Nodes: nodes, Clients: 8, QPS: float64(10 * nodes)}}}
+		if err := rep.AppendJSON(path); err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Results) != nodes {
+			t.Fatalf("after run %d the report holds %d rows", nodes, len(rep.Results))
+		}
+	}
+	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("RunMutate: %v", err)
+		t.Fatal(err)
 	}
-	if len(rep.Results) < 6 {
-		t.Fatalf("mutate report has %d result rows, want >= 6", len(rep.Results))
+	var doc struct {
+		Soak    SoakReport
+		Cluster QPSReport
 	}
-	if rep.SpeedupVsReencrypt <= 0 {
-		t.Fatalf("speedup vs re-encrypt = %v, want > 0", rep.SpeedupVsReencrypt)
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Report().Rows) != len(rep.Results) {
-		t.Fatal("rendered table drops result rows")
+	if doc.Soak.OK != 7 || len(doc.Cluster.Results) != 2 || doc.Cluster.Results[1].Nodes != 2 {
+		t.Fatalf("record lost a key or a row:\n%s", b)
 	}
-}
 
-func TestSmokeKNNExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke tests are not short")
+	const corrupt = `{"soak": `
+	if err := os.WriteFile(path, []byte(corrupt), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	r := getRig(t)
-	reports, err := Run(r, "knn")
-	if err != nil {
-		t.Fatalf("knn: %v", err)
+	if err := (&SoakReport{}).SaveJSON(path); err == nil {
+		t.Fatal("corrupt record overwritten without an error")
 	}
-	if len(reports[0].Rows) == 0 {
-		t.Fatal("knn comparison produced no rows")
+	if err := (&QPSReport{}).AppendJSON(path); err == nil {
+		t.Fatal("corrupt record appended to without an error")
+	}
+	if b, _ := os.ReadFile(path); string(b) != corrupt {
+		t.Fatalf("corrupt record was modified: %q", b)
 	}
 }

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -17,14 +15,14 @@ import (
 	"repro/sectopk"
 )
 
-// The soak experiment exercises the serving plane the way the qps
-// experiment exercises the data plane: many concurrent clients — mixed
-// tenants, mixed workloads — hammer one data cloud's client port over
-// real TCP for a fixed wall-clock budget. It publishes the numbers the
-// QoS admission layer is judged by: tail latency (p50/p90/p99/max),
-// shed rate, and an error-code histogram. A healthy run sheds only with
-// typed overload/deadline errors; anything else in the histogram is a
-// serving-plane bug, which is what the CI smoke gates on.
+// The soak experiment exercises the serving plane: many concurrent
+// clients — mixed tenants, mixed workloads — hammer one data cloud's
+// client port over real TCP for a fixed wall-clock budget. It publishes
+// the numbers the QoS admission layer is judged by: tail latency
+// (p50/p90/p99/max), shed rate, and an error-code histogram. A healthy
+// run sheds only with typed overload/deadline errors; anything else in
+// the histogram is a serving-plane bug, which is what the CI smoke gates
+// on.
 
 // SoakTenant describes one tenant's slice of the client fleet: how many
 // concurrent clients it runs and the admission rate the serving node
@@ -37,10 +35,11 @@ type SoakTenant struct {
 }
 
 // SoakConfig drives one soak run. The embedded Config supplies the
-// crypto knobs and the total client count; Tenants splits that fleet
-// (nil = DefaultSoakTenants over Config.Clients).
+// crypto knobs; Tenants splits the fleet (nil = DefaultSoakTenants over
+// Clients).
 type SoakConfig struct {
 	Config
+	Clients      int           // total concurrent clients when Tenants is nil (0 picks 200)
 	Duration     time.Duration // wall-clock budget (default 8s)
 	SessionLimit int           // WithSessionLimit on the serving node (0 = node default)
 	Tenants      []SoakTenant
@@ -79,8 +78,8 @@ type SoakResult struct {
 	MaxMs     float64        `json:"max_ms"`
 }
 
-// SoakReport is the machine-readable record merged into BENCH_<date>.json
-// under the "soak" key. The top-level fields aggregate across tenants;
+// SoakReport is the machine-readable record SaveJSON keeps under the
+// "soak" key. The top-level fields aggregate across tenants;
 // Results keeps the per-tenant split.
 type SoakReport struct {
 	Date       string         `json:"date"`
@@ -100,6 +99,18 @@ type SoakReport struct {
 	P99Ms      float64        `json:"p99_ms"`
 	MaxMs      float64        `json:"max_ms"`
 	Results    []SoakResult   `json:"results"`
+}
+
+// soakRelation builds a rank-correlated relation so top-k queries halt
+// after a few depths — the run is then bound by round trips, S2
+// throughput and admission, which is what the serving plane is judged on.
+func soakRelation(rows int) *sectopk.Relation {
+	rel := &sectopk.Relation{Name: "soak"}
+	n := int64(rows)
+	for i := int64(0); i < n; i++ {
+		rel.Rows = append(rel.Rows, []int64{3*n - 3*i, 2*n - 2*i + 1, n - i + 2})
+	}
+	return rel
 }
 
 // soakWorker is one concurrent client's tally, merged per tenant after
@@ -155,8 +166,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: soak owner: %w", err)
 	}
-	src := qpsRelation(rows)
-	rel := &sectopk.Relation{Name: "soak", Rows: src.Rows}
+	rel := soakRelation(rows)
 	er, err := owner.Encrypt(rel)
 	if err != nil {
 		return nil, err
@@ -169,7 +179,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	ktk, err := owner.KNNToken(ker, sectopk.KNNQuery{Point: append([]int64(nil), src.Rows[0]...), K: k})
+	ktk, err := owner.KNNToken(ker, sectopk.KNNQuery{Point: append([]int64(nil), rel.Rows[0]...), K: k})
 	if err != nil {
 		return nil, err
 	}
@@ -364,32 +374,10 @@ func (r *SoakReport) Clean() bool {
 	return len(r.Errors) == 0
 }
 
-// SaveJSON merges the soak record into path (BENCH_<date>.json when
-// empty) under the "soak" key; other experiments' keys in the dated
-// record are preserved.
-func (r *SoakReport) SaveJSON(path string) (string, error) {
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", r.Date)
-	}
-	doc := map[string]any{}
-	if b, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(b, &doc)
-	}
-	doc["soak"] = r
-	if _, ok := doc["date"]; !ok {
-		doc["date"] = r.Date
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
+// SaveJSON installs the soak record under the "soak" key of path; other
+// keys in that record are preserved.
+func (r *SoakReport) SaveJSON(path string) error {
+	return saveUnder(path, "soak", r)
 }
 
 // Report renders the per-tenant table plus the aggregate row.
@@ -436,9 +424,7 @@ func (r *SoakReport) Report() *Report {
 	} else {
 		out.Notes = append(out.Notes, fmt.Sprintf("NON-TYPED ERRORS observed: %v", r.Errors))
 	}
-	out.Notes = append(out.Notes,
-		"sheds are the admission layer working; the error histogram must stay empty",
-		fmt.Sprintf("emitted into BENCH_%s.json under the \"soak\" key", r.Date))
+	out.Notes = append(out.Notes, "sheds are the admission layer working; the error histogram must stay empty")
 	return out
 }
 

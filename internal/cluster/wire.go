@@ -88,7 +88,6 @@ type HelloReply struct {
 type Options struct {
 	Mode, Halt, Sort     int
 	BatchDepth, MaxDepth int
-	Parallelism          int
 	QueryID              string
 }
 
@@ -97,7 +96,7 @@ func FromCore(o core.Options) Options {
 	return Options{
 		Mode: int(o.Mode), Halt: int(o.Halt), Sort: int(o.Sort),
 		BatchDepth: o.BatchDepth, MaxDepth: o.MaxDepth,
-		Parallelism: o.Parallelism, QueryID: o.QueryID,
+		QueryID: o.QueryID,
 	}
 }
 
@@ -106,7 +105,7 @@ func (o Options) Core() core.Options {
 	return core.Options{
 		Mode: core.Mode(o.Mode), Halt: core.HaltPolicy(o.Halt), Sort: core.SortStrategy(o.Sort),
 		BatchDepth: o.BatchDepth, MaxDepth: o.MaxDepth,
-		Parallelism: o.Parallelism, QueryID: o.QueryID,
+		QueryID: o.QueryID,
 	}
 }
 

@@ -53,7 +53,7 @@ func TestSecQueryCancellation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := engine.SecQuery(ctx, tk, Options{Mode: QryE, Halt: HaltStrict, Parallelism: par})
+				res, err := engine.SecQuery(ctx, tk, Options{Mode: QryE, Halt: HaltStrict})
 				if err == nil {
 					t.Fatalf("expected cancellation, got result depth=%d", res.Depth)
 				}

@@ -80,13 +80,6 @@ type Options struct {
 	// MaxDepth caps the scan for benchmarking time-per-depth; zero means
 	// scan to completion.
 	MaxDepth int
-	// Parallelism bounds the engine's own worker goroutines: 0 inherits
-	// the client's knob (which defaults to all cores), 1 reproduces the
-	// serial pre-parallel behavior exactly, n caps workers at n. The
-	// sub-protocol layers read the client's knob directly, so for a fully
-	// serial query construct the cloud.Client with
-	// cloud.WithParallelism(1) as well.
-	Parallelism int
 	// ExactScan disables the halting tests: the scan runs to MaxDepth (or
 	// the whole relation), so after a full scan every returned score is
 	// the exact aggregate. The shard merge uses it as its fallback when
@@ -135,15 +128,6 @@ func NewEngine(client *cloud.Client, er *EncryptedRelation) (*Engine, error) {
 		return nil, errors.New("core: encrypted relation missing MaxScoreBits")
 	}
 	return &Engine{client: client, er: er, seenTokens: map[string]int{}, seenRuns: map[string]struct{}{}}, nil
-}
-
-// par resolves the effective engine parallelism for one query: the
-// query's own knob when set, the client's otherwise.
-func (e *Engine) par(opts Options) int {
-	if opts.Parallelism != 0 {
-		return opts.Parallelism
-	}
-	return e.client.Parallelism()
 }
 
 // MagBits bounds |W|, |B| magnitudes for comparison masking: m weighted
@@ -290,7 +274,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 		}
 		depth = d + 1
 		depthItems := make([]protocols.DepthItem, m)
-		err := parallel.ForEachCtx(ctx, e.par(opts), m, func(i int) error {
+		err := parallel.ForEachCtx(ctx, e.client.Parallelism(), m, func(i int) error {
 			score, err := e.depthScore(tk, i, d)
 			if err != nil {
 				return err
@@ -388,7 +372,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		// Each list's depth item needs 1+m encryptions (score + indicator
 		// vector); the m items build in parallel.
 		depthItems := make([]protocols.Item, m)
-		err := parallel.ForEachCtx(ctx, e.par(opts), m, func(i int) error {
+		err := parallel.ForEachCtx(ctx, e.client.Parallelism(), m, func(i int) error {
 			score, err := e.depthScore(tk, i, d)
 			if err != nil {
 				return err
@@ -438,17 +422,17 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		if opts.ExactScan || len(T) < k+1 {
 			continue
 		}
-		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, opts, bottoms, e.batchBest(bottoms, e.par(opts)))
+		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, opts, bottoms, e.batchBest(bottoms))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
 		}
 		T = ranked
 		if halted {
 			res := &QueryResult{Items: T[:k], Depth: depth, Halted: true}
-			return res, &runInfo{ranked: T, bottoms: bottoms, best: e.batchBest(bottoms, e.par(opts))}, nil
+			return res, &runInfo{ranked: T, bottoms: bottoms, best: e.batchBest(bottoms)}, nil
 		}
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms, e.par(opts)))
+	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms))
 }
 
 // bestFunc computes exact best bounds for the given (ranked) items.
@@ -457,8 +441,8 @@ type bestFunc func(ctx context.Context, items []protocols.Item) ([]*paillier.Cip
 // batchBest returns the Qry_Ba bound computer: for each item,
 // B = W + sum_j bottom_j - sum_j v_j * bottom_j, with the v_j * bottom_j
 // products resolved through one batched SecMult round and the per-item
-// bound assembly fanned out over par workers.
-func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, par int) bestFunc {
+// bound assembly fanned out over the client's workers.
+func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 	return func(ctx context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error) {
 		pk := e.client.PK()
 		m := len(bottoms)
@@ -491,7 +475,7 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, par int) bestFunc {
 			}
 		}
 		out := make([]*paillier.Ciphertext, len(items))
-		err = parallel.ForEachCtx(ctx, par, len(items), func(i int) error {
+		err = parallel.ForEachCtx(ctx, e.client.Parallelism(), len(items), func(i int) error {
 			// B = W + sum_j bottom_j - sum_j v_j*bottom_j, folded in one
 			// product chain over N^2.
 			terms := make([]*paillier.Ciphertext, 0, 2+m)

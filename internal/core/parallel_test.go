@@ -45,7 +45,7 @@ func TestSecQuerySerialParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode, Halt: HaltStrict, Parallelism: par})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode, Halt: HaltStrict})
 		if err != nil {
 			t.Fatalf("SecQuery(%v, par=%d): %v", mode, par, err)
 		}
