@@ -495,12 +495,12 @@ func TestBlindRecordRequestsRefused(t *testing.T) {
 		"dedup narrow":      &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(pk.N.BitLen() + 63)},
 		"dedup head-width":  &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(2*pk.N.BitLen() + 64)},
 		"dedup megabit":     &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(1 << 20)},
-		"dedup nil":         &DedupRequest{Rows: []WireRow{row}},
+		"dedup zero":        &DedupRequest{Rows: []WireRow{row}, EphemeralN: new(big.Int)},
 		"filter narrow":     &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(128)},
 		"filter megabit":    &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 20)},
 		"filter no tests":   &FilterRequest{Rows: []WireRow{row}, EphemeralN: ephN},
 		"filter more tests": &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one, one}, EphemeralN: ephN},
-		"filter nil test":   &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{nil}, EphemeralN: ephN},
+		"filter zero test":  &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{new(big.Int)}, EphemeralN: ephN},
 	} {
 		method := MethodDedup
 		if _, ok := req.(*FilterRequest); ok {

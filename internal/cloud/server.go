@@ -106,9 +106,9 @@ func (s *Server) Ledger() *Ledger { return s.ledger }
 func (s *Server) Parallelism() int { return s.par }
 
 // decryptRaw decrypts a batch of raw ciphertext values in parallel via
-// the paillier batch helper. Nil or out-of-group values — which a hostile
-// peer can inject freely, since the body is attacker-controlled gob —
-// surface as bad-request errors, never panics.
+// the paillier batch helper. Nil or out-of-group values — the body is
+// attacker-controlled bytes, and a caller in this process can hand over
+// anything — surface as bad-request errors, never panics.
 func (s *Server) decryptRaw(cts []*big.Int, label string) ([]*big.Int, error) {
 	wrapped := make([]*paillier.Ciphertext, len(cts))
 	for i, c := range cts {
@@ -124,59 +124,16 @@ func (s *Server) decryptRaw(cts []*big.Int, label string) ([]*big.Int, error) {
 	return out, nil
 }
 
-// decodeRequest decodes the typed request for a protocol method and
-// reports the relation it names. Hello is handled by the dispatch layers
-// directly and is not a relation-scoped request.
-func decodeRequest(method string, body []byte) (relationRequest, error) {
-	var req relationRequest
-	switch method {
-	case MethodEqBits:
-		req = new(EqBitsRequest)
-	case MethodRecover:
-		req = new(RecoverRequest)
-	case MethodCompare:
-		req = new(CompareRequest)
-	case MethodCompareHidden:
-		req = new(CompareHiddenRequest)
-	case MethodMult:
-		req = new(MultRequest)
-	case MethodDedup:
-		req = new(DedupRequest)
-	case MethodFilter:
-		req = new(FilterRequest)
-	default:
-		return nil, secerr.New(secerr.CodeUnknownMethod, "cloud: unknown method %q", method)
-	}
-	if err := transport.Decode(body, req); err != nil {
-		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: decoding %s", method)
-	}
-	return req, nil
-}
-
 // Serve implements transport.Responder for a single-relation deployment:
 // the relation ID carried by requests is accepted verbatim. Multi-relation
 // deployments wrap Servers in a Service, which routes on the relation ID.
 func (s *Server) Serve(ctx context.Context, method string, body []byte) ([]byte, error) {
-	switch method {
-	case MethodHello:
-		var req HelloRequest
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: decoding %s", method)
-		}
-		resp, err := s.hello(&req)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(resp)
-	case MethodBatch:
-		return serveBatch(ctx, body, s.par, s.Serve)
-	}
-	req, err := decodeRequest(method, body)
-	if err != nil {
-		return nil, err
-	}
-	return s.handle(ctx, req)
+	return serve(ctx, s, method, body)
 }
+
+func (s *Server) route(string) (*Server, error) { return s, nil }
+
+func (s *Server) batchWorkers() int { return s.par }
 
 // hello answers the version-check round. A single-relation Server serves
 // whatever relation the peer names, so only the version is checked.
@@ -197,24 +154,24 @@ func acceptVersion(v int) error {
 	return nil
 }
 
-// serveBatch unwraps a batch envelope and dispatches every item through
-// the given single-call dispatcher, fanning items out over the worker
-// budget. Item failures are reported per item as structured (code,
-// message) pairs — one malformed item never fails its neighbours — and
-// envelopes must not nest.
-func serveBatch(ctx context.Context, body []byte, par int, dispatch func(context.Context, string, []byte) ([]byte, error)) ([]byte, error) {
+// serveBatch unwraps a batch envelope and serves every item as a round of
+// its own, fanning items out over the responder's worker budget. Item
+// failures are reported per item as structured (code, message) pairs —
+// one malformed item never fails its neighbours — and envelopes must not
+// nest.
+func serveBatch(ctx context.Context, r responder, body []byte) ([]byte, error) {
 	var req BatchRequest
-	if err := transport.Decode(body, &req); err != nil {
-		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: decoding %s", MethodBatch)
+	if err := decodeBody(MethodBatch, body, &req); err != nil {
+		return nil, err
 	}
 	reply := BatchReply{Items: make([]BatchResult, len(req.Items))}
-	err := parallel.ForEachCtx(ctx, par, len(req.Items), func(i int) error {
+	err := parallel.ForEachCtx(ctx, r.batchWorkers(), len(req.Items), func(i int) error {
 		item := req.Items[i]
 		if item.Method == MethodBatch {
 			reply.Items[i] = BatchResult{ErrCode: string(secerr.CodeBadRequest), ErrMsg: "cloud: nested batch envelope"}
 			return nil
 		}
-		out, herr := dispatch(ctx, item.Method, item.Body)
+		out, herr := serve(ctx, r, item.Method, item.Body)
 		if herr != nil {
 			reply.Items[i] = BatchResult{ErrCode: string(secerr.CodeOf(herr)), ErrMsg: herr.Error()}
 			return nil
@@ -226,37 +183,6 @@ func serveBatch(ctx context.Context, body []byte, par int, dispatch func(context
 		return nil, err
 	}
 	return transport.Encode(&reply)
-}
-
-// handle dispatches a decoded request to its handler and encodes the
-// reply.
-func (s *Server) handle(ctx context.Context, req relationRequest) ([]byte, error) {
-	var (
-		resp any
-		err  error
-	)
-	switch r := req.(type) {
-	case *EqBitsRequest:
-		resp, err = s.eqBits(ctx, r)
-	case *RecoverRequest:
-		resp, err = s.recover(r)
-	case *CompareRequest:
-		resp, err = s.compare(r)
-	case *CompareHiddenRequest:
-		resp, err = s.compareHidden(ctx, r)
-	case *MultRequest:
-		resp, err = s.mult(ctx, r)
-	case *DedupRequest:
-		resp, err = s.dedup(ctx, r)
-	case *FilterRequest:
-		resp, err = s.filter(ctx, r)
-	default:
-		err = secerr.New(secerr.CodeUnknownMethod, "cloud: unroutable request %T", req)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return transport.Encode(resp)
 }
 
 // eqBits decrypts each randomized EHL difference and answers E2(t),

@@ -116,33 +116,20 @@ func (s *Service) Close() {
 // optionally that a relation is served; every other method routes to
 // the Server registered for the request's relation ID.
 func (s *Service) Serve(ctx context.Context, method string, body []byte) ([]byte, error) {
-	switch method {
-	case MethodHello:
-		var req HelloRequest
-		if err := transport.Decode(body, &req); err != nil {
-			return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: decoding %s", method)
-		}
-		resp, err := s.hello(&req)
-		if err != nil {
-			return nil, err
-		}
-		return transport.Encode(resp)
-	case MethodBatch:
-		// Items route individually on the relation IDs they carry, so one
-		// envelope can serve many relations; item fan-out uses the full
-		// worker budget (each relation's handlers apply their own knob).
-		return serveBatch(ctx, body, 0, s.Serve)
-	}
-	req, err := decodeRequest(method, body)
-	if err != nil {
-		return nil, err
-	}
-	srv := s.Relation(req.relationID())
-	if srv == nil {
-		return nil, secerr.New(secerr.CodeUnknownRelation, "cloud: relation %q not registered", req.relationID())
-	}
-	return srv.handle(ctx, req)
+	return serve(ctx, s, method, body)
 }
+
+func (s *Service) route(relation string) (*Server, error) {
+	if srv := s.Relation(relation); srv != nil {
+		return srv, nil
+	}
+	return nil, secerr.New(secerr.CodeUnknownRelation, "cloud: relation %q not registered", relation)
+}
+
+// batchWorkers: an envelope's items route individually on the relation IDs
+// they carry, so one envelope can serve many relations; the fan-out uses
+// the full worker budget (each relation's handlers apply their own knob).
+func (s *Service) batchWorkers() int { return 0 }
 
 // hello checks the wire version and, when the peer names the relation
 // it intends to query, confirms the relation is registered. The reply
@@ -154,8 +141,8 @@ func (s *Service) hello(req *HelloRequest) (*HelloReply, error) {
 	}
 	reply := &HelloReply{Version: transport.ProtocolVersion}
 	if req.Relation != "" {
-		if s.Relation(req.Relation) == nil {
-			return nil, secerr.New(secerr.CodeUnknownRelation, "cloud: relation %q not registered", req.Relation)
+		if _, err := s.route(req.Relation); err != nil {
+			return nil, err
 		}
 		reply.Relations = []string{req.Relation}
 	}

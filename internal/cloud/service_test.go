@@ -169,9 +169,10 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 	if !errors.Is(err, secerr.ErrUnknownMethod) {
 		t.Fatalf("want ErrUnknownMethod over TCP, got %v", err)
 	}
-	// Bad request (nil ciphertext) routed to a registered relation.
+	// Bad request (a zero ciphertext; the wire has no nil) routed to a
+	// registered relation.
 	var eq EqBitsReply
-	err = caller.Call(ctx, MethodEqBits, &EqBitsRequest{Relation: "r", Cts: []*big.Int{nil}}, &eq)
+	err = caller.Call(ctx, MethodEqBits, &EqBitsRequest{Relation: "r", Cts: []*big.Int{new(big.Int)}}, &eq)
 	if !errors.Is(err, secerr.ErrBadRequest) {
 		t.Fatalf("want ErrBadRequest over TCP, got %v", err)
 	}

@@ -12,6 +12,11 @@
 // key material — the deployment shape the paper's Section 3.2 assumes.
 // Peers confirm they speak the same wire protocol version with a Hello
 // round before issuing protocol methods.
+//
+// Every message below is its own encoding.BinaryMarshaler/Unmarshaler
+// (which is what transport.Encode/Decode call): its fields in declaration
+// order, written with the primitives of wirecodec.go. The layout of each
+// is the comment on its MarshalBinary.
 package cloud
 
 import "math/big"
@@ -53,6 +58,30 @@ type BatchRequest struct {
 	Items []BatchItem
 }
 
+// MarshalBinary: count, then per item string(Method) bytes(Body) — the
+// item bodies as they were encoded, concatenated, not encoded again.
+func (m BatchRequest) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.uvarint(uint64(len(m.Items)))
+	for _, it := range m.Items {
+		w.string(it.Method)
+		w.bytes(it.Body)
+	}
+	return w.finish()
+}
+
+func (m *BatchRequest) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	m.Items = nil
+	if n := r.count("Items", 2); n > 0 {
+		m.Items = make([]BatchItem, n)
+	}
+	for i := range m.Items {
+		m.Items[i] = BatchItem{Method: r.string("Method"), Body: r.bytes("Body")}
+	}
+	return r.finish()
+}
+
 // BatchResult is one item's outcome: either the encoded reply body or a
 // structured (code, message) error pair — per item, so one hostile or
 // malformed item cannot fail its co-batched neighbours.
@@ -67,13 +96,52 @@ type BatchReply struct {
 	Items []BatchResult
 }
 
+// MarshalBinary: count, then per result bytes(Body) string(ErrCode)
+// string(ErrMsg).
+func (m BatchReply) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.uvarint(uint64(len(m.Items)))
+	for _, it := range m.Items {
+		w.bytes(it.Body)
+		w.string(it.ErrCode)
+		w.string(it.ErrMsg)
+	}
+	return w.finish()
+}
+
+func (m *BatchReply) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	m.Items = nil
+	if n := r.count("Items", 3); n > 0 {
+		m.Items = make([]BatchResult, n)
+	}
+	for i := range m.Items {
+		m.Items[i] = BatchResult{Body: r.bytes("Body"), ErrCode: r.string("ErrCode"), ErrMsg: r.string("ErrMsg")}
+	}
+	return r.finish()
+}
+
 // HelloRequest opens a connection: the caller announces the wire protocol
 // version it speaks and, optionally, the relation it intends to query, so
 // incompatible peers and unknown relations are rejected up front instead
-// of gob-failing mid-round.
+// of failing mid-round.
 type HelloRequest struct {
 	Version  int
 	Relation string // optional: "" checks only the version
+}
+
+// MarshalBinary: uvarint(Version) string(Relation).
+func (m HelloRequest) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.int("Version", m.Version)
+	w.string(m.Relation)
+	return w.finish()
+}
+
+func (m *HelloRequest) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	*m = HelloRequest{Version: r.int("Version"), Relation: r.string("Relation")}
+	return r.finish()
 }
 
 // HelloReply confirms the handshake: the responder's version and, when
@@ -85,6 +153,58 @@ type HelloReply struct {
 	Relations []string
 }
 
+// MarshalBinary: uvarint(Version), count, then each relation as a string.
+func (m HelloReply) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.int("Version", m.Version)
+	w.uvarint(uint64(len(m.Relations)))
+	for _, rel := range m.Relations {
+		w.string(rel)
+	}
+	return w.finish()
+}
+
+func (m *HelloReply) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	*m = HelloReply{Version: r.int("Version")}
+	if n := r.count("Relations", 1); n > 0 {
+		m.Relations = make([]string, n)
+	}
+	for i := range m.Relations {
+		m.Relations[i] = r.string("Relations")
+	}
+	return r.finish()
+}
+
+// The four ciphertext-list requests share one layout, string(Relation)
+// then the integer list, and the four ciphertext-list replies another, the
+// integer list alone.
+
+func marshalCtsRequest(relation string, cts []*big.Int) ([]byte, error) {
+	var w wireWriter
+	w.string(relation)
+	w.bigs("Cts", cts)
+	return w.finish()
+}
+
+func unmarshalCtsRequest(b []byte) (string, []*big.Int, error) {
+	r := wireReader{b: b}
+	relation, cts := r.string("Relation"), r.bigs("Cts")
+	return relation, cts, r.finish()
+}
+
+func marshalCts(what string, cts []*big.Int) ([]byte, error) {
+	var w wireWriter
+	w.bigs(what, cts)
+	return w.finish()
+}
+
+func unmarshalCts(what string, b []byte) ([]*big.Int, error) {
+	r := wireReader{b: b}
+	cts := r.bigs(what)
+	return cts, r.finish()
+}
+
 // EqBitsRequest carries randomized EHL differences Enc(b_i) (outputs of
 // the ⊖ operator). S2 decrypts each and answers with E2(t_i), t_i = 1 iff
 // b_i = 0 (the two objects were equal), per Algorithm 4 lines 11-13.
@@ -93,9 +213,25 @@ type EqBitsRequest struct {
 	Cts      []*big.Int // Paillier ciphertexts
 }
 
+// MarshalBinary: string(Relation), then Cts as an integer list.
+func (m EqBitsRequest) MarshalBinary() ([]byte, error) { return marshalCtsRequest(m.Relation, m.Cts) }
+
+func (m *EqBitsRequest) UnmarshalBinary(b []byte) (err error) {
+	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
+	return err
+}
+
 // EqBitsReply carries the hidden equality bits E2(t_i).
 type EqBitsReply struct {
 	Bits []*big.Int // Damgård-Jurik ciphertexts
+}
+
+// MarshalBinary: Bits as an integer list.
+func (m EqBitsReply) MarshalBinary() ([]byte, error) { return marshalCts("Bits", m.Bits) }
+
+func (m *EqBitsReply) UnmarshalBinary(b []byte) (err error) {
+	m.Bits, err = unmarshalCts("Bits", b)
+	return err
 }
 
 // RecoverRequest carries blinded double encryptions E2(Enc(c+r)); S2
@@ -105,9 +241,25 @@ type RecoverRequest struct {
 	Cts      []*big.Int // DJ ciphertexts
 }
 
+// MarshalBinary: string(Relation), then Cts as an integer list.
+func (m RecoverRequest) MarshalBinary() ([]byte, error) { return marshalCtsRequest(m.Relation, m.Cts) }
+
+func (m *RecoverRequest) UnmarshalBinary(b []byte) (err error) {
+	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
+	return err
+}
+
 // RecoverReply carries the inner Paillier ciphertexts Enc(c+r).
 type RecoverReply struct {
 	Cts []*big.Int
+}
+
+// MarshalBinary: Cts as an integer list.
+func (m RecoverReply) MarshalBinary() ([]byte, error) { return marshalCts("Cts", m.Cts) }
+
+func (m *RecoverReply) UnmarshalBinary(b []byte) (err error) {
+	m.Cts, err = unmarshalCts("Cts", b)
+	return err
 }
 
 // CompareRequest carries sign-blinded differences Enc(±r(2a-2b-1)); S2
@@ -118,10 +270,32 @@ type CompareRequest struct {
 	Cts      []*big.Int
 }
 
+// MarshalBinary: string(Relation), then Cts as an integer list.
+func (m CompareRequest) MarshalBinary() ([]byte, error) { return marshalCtsRequest(m.Relation, m.Cts) }
+
+func (m *CompareRequest) UnmarshalBinary(b []byte) (err error) {
+	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
+	return err
+}
+
 // CompareReply reports, for each input, whether the decrypted value is
 // negative under the signed interpretation.
 type CompareReply struct {
 	Neg []bool
+}
+
+// MarshalBinary: count, then Neg as a bitset of ⌈count/8⌉ bytes, least
+// significant bit first, padding bits zero.
+func (m CompareReply) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.bools(m.Neg)
+	return w.finish()
+}
+
+func (m *CompareReply) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	m.Neg = r.bools("Neg")
+	return r.finish()
 }
 
 // CompareHiddenRequest is CompareRequest for the oblivious variant: the
@@ -132,9 +306,27 @@ type CompareHiddenRequest struct {
 	Cts      []*big.Int
 }
 
+// MarshalBinary: string(Relation), then Cts as an integer list.
+func (m CompareHiddenRequest) MarshalBinary() ([]byte, error) {
+	return marshalCtsRequest(m.Relation, m.Cts)
+}
+
+func (m *CompareHiddenRequest) UnmarshalBinary(b []byte) (err error) {
+	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
+	return err
+}
+
 // CompareHiddenReply carries E2(neg_i).
 type CompareHiddenReply struct {
 	Bits []*big.Int
+}
+
+// MarshalBinary: Bits as an integer list.
+func (m CompareHiddenReply) MarshalBinary() ([]byte, error) { return marshalCts("Bits", m.Bits) }
+
+func (m *CompareHiddenReply) UnmarshalBinary(b []byte) (err error) {
+	m.Bits, err = unmarshalCts("Bits", b)
+	return err
 }
 
 // MultRequest carries additively blinded factor pairs Enc(a+r_a),
@@ -147,10 +339,33 @@ type MultRequest struct {
 	B        []*big.Int
 }
 
+// MarshalBinary: string(Relation), then A and B as integer lists.
+func (m MultRequest) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.string(m.Relation)
+	w.bigs("A", m.A)
+	w.bigs("B", m.B)
+	return w.finish()
+}
+
+func (m *MultRequest) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	*m = MultRequest{Relation: r.string("Relation"), A: r.bigs("A"), B: r.bigs("B")}
+	return r.finish()
+}
+
 // MultReply carries Enc((a+r_a)(b+r_b)); S1 strips the cross terms
 // homomorphically.
 type MultReply struct {
 	Products []*big.Int
+}
+
+// MarshalBinary: Products as an integer list.
+func (m MultReply) MarshalBinary() ([]byte, error) { return marshalCts("Products", m.Products) }
+
+func (m *MultReply) UnmarshalBinary(b []byte) (err error) {
+	m.Products, err = unmarshalCts("Products", b)
+	return err
 }
 
 // DedupMode selects the behaviour of the oblivious deduplication round.
@@ -215,10 +430,62 @@ type DedupRequest struct {
 	MergeCols []int
 }
 
+// MarshalBinary: string(Relation) uvarint(Mode), the rows (count, then per
+// row the EHL, Scores and Blinds integer lists), PairI and PairJ as uvarint
+// lists, PairCts as an integer list, EphemeralN, MergeCols as a uvarint
+// list.
+func (m DedupRequest) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.string(m.Relation)
+	w.int("Mode", int(m.Mode))
+	w.rows(m.Rows)
+	w.ints("PairI", m.PairI)
+	w.ints("PairJ", m.PairJ)
+	w.bigs("PairCts", m.PairCts)
+	w.big("EphemeralN", m.EphemeralN)
+	w.ints("MergeCols", m.MergeCols)
+	return w.finish()
+}
+
+func (m *DedupRequest) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	*m = DedupRequest{
+		Relation:   r.string("Relation"),
+		Mode:       DedupMode(r.int("Mode")),
+		Rows:       r.rows(),
+		PairI:      r.ints("PairI"),
+		PairJ:      r.ints("PairJ"),
+		PairCts:    r.bigs("PairCts"),
+		EphemeralN: r.big("EphemeralN"),
+		MergeCols:  r.ints("MergeCols"),
+	}
+	return r.finish()
+}
+
 // DedupReply returns the re-blinded, re-permuted rows. In Replace mode the
 // row count is unchanged; in Eliminate/Merge modes duplicates are gone.
 type DedupReply struct {
 	Rows []WireRow
+}
+
+// MarshalBinary: the rows, as in DedupRequest.
+func (m DedupReply) MarshalBinary() ([]byte, error) { return marshalRows(m.Rows) }
+
+func (m *DedupReply) UnmarshalBinary(b []byte) (err error) {
+	m.Rows, err = unmarshalRows(b)
+	return err
+}
+
+func marshalRows(rows []WireRow) ([]byte, error) {
+	var w wireWriter
+	w.rows(rows)
+	return w.finish()
+}
+
+func unmarshalRows(b []byte) ([]WireRow, error) {
+	r := wireReader{b: b}
+	rows := r.rows()
+	return rows, r.finish()
 }
 
 // FilterRequest is one SecFilter round (Algorithm 12). Tests[i] encrypts
@@ -236,9 +503,39 @@ type FilterRequest struct {
 	EphemeralN *big.Int
 }
 
+// MarshalBinary: string(Relation), the rows as in DedupRequest, Tests as
+// an integer list, EphemeralN.
+func (m FilterRequest) MarshalBinary() ([]byte, error) {
+	var w wireWriter
+	w.string(m.Relation)
+	w.rows(m.Rows)
+	w.bigs("Tests", m.Tests)
+	w.big("EphemeralN", m.EphemeralN)
+	return w.finish()
+}
+
+func (m *FilterRequest) UnmarshalBinary(b []byte) error {
+	r := wireReader{b: b}
+	*m = FilterRequest{
+		Relation:   r.string("Relation"),
+		Rows:       r.rows(),
+		Tests:      r.bigs("Tests"),
+		EphemeralN: r.big("EphemeralN"),
+	}
+	return r.finish()
+}
+
 // FilterReply returns the surviving rows, re-blinded and re-permuted.
 type FilterReply struct {
 	Rows []WireRow
+}
+
+// MarshalBinary: the rows, as in DedupRequest.
+func (m FilterReply) MarshalBinary() ([]byte, error) { return marshalRows(m.Rows) }
+
+func (m *FilterReply) UnmarshalBinary(b []byte) (err error) {
+	m.Rows, err = unmarshalRows(b)
+	return err
 }
 
 // relationRequest is implemented by every protocol request so the

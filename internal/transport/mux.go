@@ -385,7 +385,7 @@ func serveMux(ctx context.Context, conn net.Conn, r *bufio.Reader, responder Res
 			if herr != nil {
 				status = statusErr
 				code = string(secerr.CodeOf(herr))
-				payload, _ = Encode(wireError{Code: code, Msg: herr.Error()})
+				payload = encodeWireError(herr)
 			}
 			telemetry.EmitFrame(telemetry.FrameEvent{
 				Side: "server", Method: string(method), Frame: id,

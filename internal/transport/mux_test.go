@@ -277,6 +277,64 @@ func TestMuxStructuredErrors(t *testing.T) {
 	}
 }
 
+// TestLocalCountsWhatTheMuxCounts runs the same calls, one answered and
+// one refused, through the in-process caller and over a connection: both
+// record method name + body out and status byte + payload back, so the
+// in-process byte counts are the wire's.
+func TestLocalCountsWhatTheMuxCounts(t *testing.T) {
+	mux, stop := muxPair(t, echoResponder{})
+	defer stop()
+	localStats := NewStats()
+	local := NewLocal(echoResponder{}, localStats)
+	ctx := context.Background()
+	for _, c := range []Caller{local, mux} {
+		var out int
+		if err := c.Call(ctx, "double", 21, &out); err != nil || out != 42 {
+			t.Fatalf("double = %d, %v", out, err)
+		}
+		if err := c.Call(ctx, "fail", 1, nil); err == nil {
+			t.Fatal("fail succeeded")
+		}
+	}
+	for _, method := range []string{"double", "fail"} {
+		l, m := localStats.Method(method), mux.stats.Method(method)
+		if l != m || l.BytesSent <= int64(len(method)) || l.BytesReceived <= 1 {
+			t.Errorf("%s: Local recorded %+v, MuxCaller %+v", method, l, m)
+		}
+	}
+}
+
+// TestWireErrorCodec: the (code, message) pair round-trips, and a payload
+// that is cut short, claims more than it holds or carries trailing bytes
+// is refused (decodeWireError then degrades it to an internal error).
+func TestWireErrorCodec(t *testing.T) {
+	in := wireError{Code: "bad_request", Msg: "cloud: decoding EqBits: ☃"}
+	b, err := Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(in.Code) + len(in.Msg) + 2; len(b) != want {
+		t.Errorf("error payload is %d bytes, want %d", len(b), want)
+	}
+	var out wireError
+	if err := Decode(b, &out); err != nil || out != in {
+		t.Fatalf("round trip: %+v, %v", out, err)
+	}
+	for name, bad := range map[string][]byte{
+		"empty":     {},
+		"cut short": b[:len(b)-1],
+		"trailing":  append(append([]byte{}, b...), 0),
+		"overrun":   {0xff, 0xff, 0xff, 0xff, 0x0f, 'x'},
+	} {
+		if err := Decode(bad, &out); err == nil {
+			t.Errorf("%s: decoded %x", name, bad)
+		}
+	}
+	if err := decodeWireError([]byte("not a pair")); secerr.CodeOf(err) != secerr.CodeInternal {
+		t.Errorf("undecodable payload became %v", err)
+	}
+}
+
 // prefaceBytes is a preface carrying the given version; frameBytes a
 // well-formed request frame; claim a bare length prefix.
 func prefaceBytes(ver int) []byte {
@@ -309,6 +367,7 @@ func TestPrefaceRefused(t *testing.T) {
 		want error
 	}{
 		{"older version", prefaceBytes(ProtocolVersion - 1), secerr.ErrProtocolVersion},
+		{"wire v3, the gob-framed messages", prefaceBytes(3), secerr.ErrProtocolVersion},
 		{"newer version", prefaceBytes(ProtocolVersion + 1), secerr.ErrProtocolVersion},
 		{"no preface", frameBytes(0, "Hello", []byte("body")), secerr.ErrTransport},
 		{"wrong magic", []byte{muxMagic[0], 'X'}, secerr.ErrTransport},

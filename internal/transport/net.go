@@ -20,7 +20,7 @@ import (
 //	request: uvarint(len(method)) method uvarint(len(body)) body
 //	reply:   status byte (0 ok, 1 error) uvarint(len(payload)) payload
 //
-// where an error payload is the gob encoding of wireError, carrying the
+// where an error payload is the encoding of wireError, carrying the
 // structured (code, message) pair of the typed error taxonomy.
 
 const (
@@ -45,6 +45,37 @@ const readChunk = 64 << 10
 type wireError struct {
 	Code string
 	Msg  string
+}
+
+// MarshalBinary: uvarint(len(Code)) Code uvarint(len(Msg)) Msg.
+func (e wireError) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 0, len(e.Code)+len(e.Msg)+2*binary.MaxVarintLen32)
+	b = append(binary.AppendUvarint(b, uint64(len(e.Code))), e.Code...)
+	return append(binary.AppendUvarint(b, uint64(len(e.Msg))), e.Msg...), nil
+}
+
+// UnmarshalBinary refuses a length that overruns the payload and any
+// bytes after the message.
+func (e *wireError) UnmarshalBinary(b []byte) error {
+	var fields [2]string
+	for i := range fields {
+		n, used := binary.Uvarint(b)
+		if used <= 0 || n > uint64(len(b)-used) {
+			return errors.New("transport: malformed error payload")
+		}
+		fields[i], b = string(b[used:used+int(n)]), b[used+int(n):]
+	}
+	if len(b) > 0 {
+		return errors.New("transport: trailing bytes after the error payload")
+	}
+	e.Code, e.Msg = fields[0], fields[1]
+	return nil
+}
+
+// encodeWireError renders a handler error as an error reply's payload.
+func encodeWireError(err error) []byte {
+	payload, _ := Encode(wireError{Code: string(secerr.CodeOf(err)), Msg: err.Error()}) // cannot fail
+	return payload
 }
 
 // decodeWireError reconstructs the peer's structured error. Payloads that

@@ -2,8 +2,8 @@
 // cloud S1 and the crypto cloud S2 (Section 3.2's architecture). Every
 // protocol round is one Call. The package provides:
 //
-//   - a Caller/Responder pair with gob serialization, so the exact wire
-//     bytes are counted even for the in-process transport;
+//   - a Caller/Responder pair that serializes every message (Encode), so
+//     the exact wire bytes are counted even for the in-process transport;
 //   - Stats, the per-method byte/round accounting that regenerates the
 //     paper's communication results (Table 3, Figure 13);
 //   - a LinkModel that converts counted traffic into estimated latency
@@ -23,6 +23,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -36,9 +37,9 @@ import (
 // ProtocolVersion is the version of the S1↔S2 wire protocol this build
 // speaks: the framing (preface, frame-ID multiplexing with per-call
 // cancellation; see mux.go), the method set including the batch envelope,
-// the request/response gob schemas and the error encoding. Both ends of a
+// the request/response encodings and the error encoding. Both ends of a
 // connection must carry exactly this value.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // Responder is the server side: S2 handles one method call. The context
 // is the per-call (or per-connection) context; handlers use it to bound
@@ -171,9 +172,12 @@ func (l LinkModel) Latency(s *Stats) time.Duration {
 	return time.Duration(seconds*float64(time.Second)) + time.Duration(t.Calls)*l.RTT
 }
 
-// Local is the in-process Caller: it gob-serializes both directions (so
-// the byte counts are the true wire sizes) and dispatches to the
-// Responder directly.
+// Local is the in-process Caller: it serializes both directions and
+// dispatches to the Responder directly. It counts a round as MuxCaller
+// does — method name and body out, status byte and payload (an error's
+// encoded (code, message) pair included) back — so the byte counts are
+// what the same call costs on a connection, frame IDs and length prefixes
+// aside.
 type Local struct {
 	responder Responder
 	stats     *Stats
@@ -199,7 +203,11 @@ func (l *Local) Call(ctx context.Context, method string, req, resp any) error {
 	}
 	out, err := l.responder.Serve(ctx, method, body)
 	if l.stats != nil {
-		l.stats.Record(method, len(body), len(out))
+		payload := out
+		if err != nil {
+			payload = encodeWireError(err)
+		}
+		l.stats.Record(method, len(body)+len(method), len(payload)+1)
 	}
 	if err != nil {
 		return fmt.Errorf("transport: %s: %w", method, err)
@@ -213,8 +221,15 @@ func (l *Local) Call(ctx context.Context, method string, req, resp any) error {
 	return nil
 }
 
-// Encode gob-encodes a value.
+// Encode serializes a message. A message that is its own
+// encoding.BinaryMarshaler — every S1↔S2 message of internal/cloud, and
+// the error pair — is encoded by that method and by nothing else; gob is
+// the fallback for the types that are not: the client and cluster planes,
+// one frame per query whose body is a secio stream.
 func Encode(v any) ([]byte, error) {
+	if m, ok := v.(encoding.BinaryMarshaler); ok {
+		return m.MarshalBinary()
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
@@ -222,7 +237,10 @@ func Encode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode gob-decodes into v (a pointer).
+// Decode is Encode's inverse into v (a pointer), dispatching the same way.
 func Decode(b []byte, v any) error {
+	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
+		return u.UnmarshalBinary(b)
+	}
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
