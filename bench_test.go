@@ -139,7 +139,7 @@ func BenchmarkBatchEncrypt(b *testing.B) {
 	}
 	run("serial", pk, 1)
 	run("crt", sk.CRTEncryptor(), 1)
-	fast, err := paillier.NewFastEncryptor(pk, 0)
+	fast, err := paillier.NewFastEncryptor(pk)
 	if err != nil {
 		b.Fatal(err)
 	}

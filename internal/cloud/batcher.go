@@ -27,9 +27,8 @@ import (
 // Hello rounds bypass the scheduler: handshakes run before traffic and
 // must not wait on it. All methods are safe for concurrent use.
 type Batcher struct {
-	caller   transport.Caller
-	maxItems int
-	window   time.Duration
+	caller transport.Caller
+	window time.Duration
 
 	mu         sync.Mutex
 	queue      []*batchCall
@@ -71,15 +70,6 @@ const DefaultBatchWindow = time.Millisecond
 // BatcherOption tunes a Batcher.
 type BatcherOption func(*Batcher)
 
-// WithBatchSize sets the flush-on-size threshold (minimum 1).
-func WithBatchSize(n int) BatcherOption {
-	return func(b *Batcher) {
-		if n > 0 {
-			b.maxItems = n
-		}
-	}
-}
-
 // WithBatchWindow sets the flush tick.
 func WithBatchWindow(d time.Duration) BatcherOption {
 	return func(b *Batcher) {
@@ -92,7 +82,7 @@ func WithBatchWindow(d time.Duration) BatcherOption {
 // NewBatcher wraps a transport with the batch scheduler. Call Close when
 // done; the underlying caller is not closed.
 func NewBatcher(caller transport.Caller, opts ...BatcherOption) *Batcher {
-	b := &Batcher{caller: caller, maxItems: DefaultBatchSize, window: DefaultBatchWindow}
+	b := &Batcher{caller: caller, window: DefaultBatchWindow}
 	for _, o := range opts {
 		o(b)
 	}
@@ -126,7 +116,7 @@ func (b *Batcher) Call(ctx context.Context, method string, req, resp any) error 
 		// Idle link: flush immediately, so a lone session pays no
 		// scheduling latency at all.
 		b.flushLocked("idle")
-	case len(b.queue) >= b.maxItems:
+	case len(b.queue) >= DefaultBatchSize:
 		b.flushLocked("size")
 	default:
 		b.armTimerLocked()

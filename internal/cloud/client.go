@@ -58,30 +58,23 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	// S1 holds only the ephemeral private key: the main and DJ surfaces
 	// get the fast-nonce table when opted in (spec path otherwise), while
 	// the ephemeral surface additionally defaults to CRT.
-	var closer func()
-	c.pkEnc, closer, err = cfg.newPaillierEnc(pk, nil)
+	pkEnc, err := cfg.newPaillierEnc(pk, nil)
 	if err != nil {
 		return nil, err
 	}
-	if closer != nil {
-		c.close = append(c.close, closer)
-	}
-	c.ephEnc, closer, err = cfg.newPaillierEnc(&eph.PublicKey, eph)
+	c.pkEnc, c.close = pkEnc, append(c.close, pkEnc.Close)
+	ephEnc, err := cfg.newPaillierEnc(&eph.PublicKey, eph)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if closer != nil {
-		c.close = append(c.close, closer)
-	}
-	c.djEnc, closer, err = cfg.newDJEnc(djPK, nil)
+	c.ephEnc, c.close = ephEnc, append(c.close, ephEnc.Close)
+	djEnc, err := cfg.newDJEnc(djPK, nil)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if closer != nil {
-		c.close = append(c.close, closer)
-	}
+	c.djEnc, c.close = djEnc, append(c.close, djEnc.Close)
 	return c, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dj"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
+	"repro/internal/zmath"
 )
 
 // Option configures a Server or Client at construction time. Both parties
@@ -36,12 +37,12 @@ func WithParallelism(n int) Option {
 }
 
 // WithFastNonce toggles the short-exponent fixed-base nonce path
-// (paillier.FastEncryptor / dj.FastEncryptor) for every encryption
-// surface the party owns. Off by default: the fast path rests on the
-// standard short-exponent/subgroup indistinguishability assumption on top
-// of DCR, so it is strictly opt-in (see DESIGN.md "Precomputation fast
-// paths"). When enabled it takes precedence over the CRT path — it is
-// faster, and applies even to surfaces without the private key.
+// (zmath.FastNonce) for every encryption surface the party owns. Off by
+// default: the fast path rests on the standard short-exponent/subgroup
+// indistinguishability assumption on top of DCR, so it is strictly opt-in
+// (see DESIGN.md "Precomputation fast paths"). When enabled it takes
+// precedence over the CRT path — it is faster, and applies even to
+// surfaces without the private key.
 func WithFastNonce(on bool) Option {
 	return func(c *config) { c.fastNonce = on }
 }
@@ -80,62 +81,44 @@ func (c config) poolWorkers() int {
 // poolCapacity bounds how far ahead the fillers may run.
 const poolCapacity = 128
 
-// paillierSurface is what every Paillier nonce producer offers: the
-// Encryptor methods the protocols consume plus the NonceSource feed a
-// pool can buffer.
-type paillierSurface interface {
-	paillier.Encryptor
-	paillier.NonceSource
+// newEnc builds one encryption surface of either scheme. Precedence:
+// fast-nonce table (opt-in) > CRT sampler (crt is non-nil whenever the
+// party holds the private key: it is assumption-free, bit-compatible with
+// the spec path and ~2-3x cheaper per nonce) > spec path; a background
+// pool buffers whichever was picked when pooling is enabled. The caller
+// owes the surface a Close.
+func newEnc[K zmath.NonceKey[C], C any](c config, pk K, crt func() *zmath.NonceEncryptor[K, C], fast func(K) (*zmath.NonceEncryptor[K, C], error)) (*zmath.NonceEncryptor[K, C], error) {
+	enc := zmath.NewNonceEncryptor(pk, pk.NoncePower)
+	switch {
+	case c.fastNonce:
+		var err error
+		if enc, err = fast(pk); err != nil {
+			return nil, err
+		}
+	case crt != nil:
+		enc = crt()
+	}
+	if c.poolsEnabled() {
+		enc = zmath.NewPooledEncryptor(pk, enc.NoncePower, c.poolWorkers(), poolCapacity)
+	}
+	return enc, nil
 }
 
 // newPaillierEnc returns the encryption surface for pk under this config.
-// sk may be nil (the party does not hold the private key). Precedence:
-// fast-nonce table (opt-in) > CRT split (whenever sk is present: it is
-// assumption-free, bit-compatible with the spec path and ~2-3x cheaper
-// per nonce) > spec path; a background pool wraps whichever base was picked when
-// pooling is enabled. The returned closer is non-nil only when a pool was
-// started.
-func (c config) newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) (paillier.Encryptor, func(), error) {
-	var base paillierSurface = pk
-	switch {
-	case c.fastNonce:
-		fast, err := paillier.NewFastEncryptor(pk, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		base = fast
-	case sk != nil:
-		base = sk.CRTEncryptor()
+// sk may be nil (the party does not hold the private key).
+func (c config) newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) (*paillier.NonceEncryptor, error) {
+	var crt func() *paillier.NonceEncryptor
+	if sk != nil {
+		crt = sk.CRTEncryptor
 	}
-	if !c.poolsEnabled() {
-		return base, nil, nil
-	}
-	pool := paillier.NewNoncePool(base, c.poolWorkers(), poolCapacity)
-	return pool, pool.Close, nil
-}
-
-// djSurface mirrors paillierSurface for the Damgård-Jurik layer.
-type djSurface interface {
-	dj.Encryptor
-	dj.NonceSource
+	return newEnc(c, pk, crt, paillier.NewFastEncryptor)
 }
 
 // newDJEnc is newPaillierEnc for the Damgård-Jurik layer.
-func (c config) newDJEnc(pk *dj.PublicKey, sk *dj.PrivateKey) (dj.Encryptor, func(), error) {
-	var base djSurface = pk
-	switch {
-	case c.fastNonce:
-		fast, err := dj.NewFastEncryptor(pk, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		base = fast
-	case sk != nil:
-		base = sk.CRTEncryptor()
+func (c config) newDJEnc(pk *dj.PublicKey, sk *dj.PrivateKey) (*dj.NonceEncryptor, error) {
+	var crt func() *dj.NonceEncryptor
+	if sk != nil {
+		crt = sk.CRTEncryptor
 	}
-	if !c.poolsEnabled() {
-		return base, nil, nil
-	}
-	pool := dj.NewNoncePool(base, c.poolWorkers(), poolCapacity)
-	return pool, pool.Close, nil
+	return newEnc(c, pk, crt, dj.NewFastEncryptor)
 }

@@ -70,23 +70,17 @@ func NewServer(keys *KeyMaterial, ledger *Ledger, opts ...Option) (*Server, erro
 	s := &Server{keys: keys, ledger: ledger, par: cfg.parallelism}
 	// S2 holds both private keys, so its surfaces default to the CRT
 	// nonce fast path (fast-nonce table when opted in).
-	var closer func()
-	var err error
-	s.pkEnc, closer, err = cfg.newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
+	pkEnc, err := cfg.newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
 	if err != nil {
 		return nil, err
 	}
-	if closer != nil {
-		s.close = append(s.close, closer)
-	}
-	s.djEnc, closer, err = cfg.newDJEnc(&keys.DJ.PublicKey, keys.DJ)
+	s.pkEnc, s.close = pkEnc, append(s.close, pkEnc.Close)
+	djEnc, err := cfg.newDJEnc(&keys.DJ.PublicKey, keys.DJ)
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	if closer != nil {
-		s.close = append(s.close, closer)
-	}
+	s.djEnc, s.close = djEnc, append(s.close, djEnc.Close)
 	return s, nil
 }
 

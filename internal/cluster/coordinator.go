@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/secerr"
 	"repro/internal/secio"
 	"repro/internal/transport"
 )
@@ -173,24 +172,7 @@ func (c *Coordinator) MemberIDs() []string {
 // ValidateToken checks a token against the global relation dimensions —
 // the same checks a single node hosting all shards would make.
 func (c *Coordinator) ValidateToken(tk *core.Token) error {
-	if tk == nil {
-		return secerr.New(secerr.CodeInvalidToken, "cluster: nil token")
-	}
-	if len(tk.Lists) == 0 {
-		return secerr.New(secerr.CodeInvalidToken, "cluster: token selects no lists")
-	}
-	for _, p := range tk.Lists {
-		if p < 0 || p >= c.m {
-			return secerr.New(secerr.CodeInvalidToken, "cluster: token list position %d out of range", p)
-		}
-	}
-	if tk.Weights != nil && len(tk.Weights) != len(tk.Lists) {
-		return secerr.New(secerr.CodeInvalidToken, "cluster: token has %d weights for %d lists", len(tk.Weights), len(tk.Lists))
-	}
-	if tk.K <= 0 || tk.K > c.n {
-		return secerr.New(secerr.CodeInvalidToken, "cluster: token k=%d out of range", tk.K)
-	}
-	return nil
+	return core.ValidateToken(tk, c.m, c.n)
 }
 
 // SecQuery executes one distributed top-k query through the coordinator

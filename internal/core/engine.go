@@ -150,9 +150,18 @@ func (e *Engine) magBits(tk *Token) int {
 }
 
 // ValidateToken checks a token against the engine's relation without
-// executing anything. Failures carry the secerr.ErrInvalidToken code, so
-// callers (and peers across the wire) can classify them with errors.Is.
+// executing anything.
 func (e *Engine) ValidateToken(tk *Token) error {
+	return ValidateToken(tk, len(e.er.Lists), e.er.N)
+}
+
+// ValidateToken checks a token's shape against a relation of m lists and
+// n rows: the one check the core engine, the sharded engine and the
+// cluster coordinator all make. A cluster member, which hosts part of the
+// relation and clamps k per shard, passes math.MaxInt for n. Failures
+// carry the secerr.ErrInvalidToken code, so callers (and peers across the
+// wire) can classify them with errors.Is.
+func ValidateToken(tk *Token, m, n int) error {
 	if tk == nil {
 		return secerr.New(secerr.CodeInvalidToken, "core: nil token")
 	}
@@ -160,14 +169,14 @@ func (e *Engine) ValidateToken(tk *Token) error {
 		return secerr.New(secerr.CodeInvalidToken, "core: token selects no lists")
 	}
 	for _, p := range tk.Lists {
-		if p < 0 || p >= len(e.er.Lists) {
+		if p < 0 || p >= m {
 			return secerr.New(secerr.CodeInvalidToken, "core: token list position %d out of range", p)
 		}
 	}
 	if tk.Weights != nil && len(tk.Weights) != len(tk.Lists) {
 		return secerr.New(secerr.CodeInvalidToken, "core: token has %d weights for %d lists", len(tk.Weights), len(tk.Lists))
 	}
-	if tk.K <= 0 || tk.K > e.er.N {
+	if tk.K <= 0 || tk.K > n {
 		return secerr.New(secerr.CodeInvalidToken, "core: token k=%d out of range", tk.K)
 	}
 	return nil

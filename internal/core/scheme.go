@@ -44,7 +44,7 @@ type Params struct {
 	// engine layers.
 	Parallelism int
 	// FastNonce opts the owner's bulk encryption into the short-exponent
-	// fixed-base nonce path (paillier.FastEncryptor). Off by default: it
+	// fixed-base nonce path (paillier.NewFastEncryptor). Off by default: it
 	// rests on the short-exponent/subgroup assumption (see DESIGN.md
 	// "Precomputation fast paths"). When off, the owner still uses the
 	// assumption-free CRT split — it holds the private key — which is
@@ -88,7 +88,7 @@ type Scheme struct {
 // ownerEncryptor picks the owner's encryption surface for the params.
 func ownerEncryptor(params Params, keys *cloud.KeyMaterial) (paillier.Encryptor, error) {
 	if params.FastNonce {
-		return paillier.NewFastEncryptor(&keys.Paillier.PublicKey, 0)
+		return paillier.NewFastEncryptor(&keys.Paillier.PublicKey)
 	}
 	return keys.Paillier.CRTEncryptor(), nil
 }

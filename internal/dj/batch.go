@@ -6,11 +6,10 @@ import (
 
 	"repro/internal/paillier"
 	"repro/internal/parallel"
-	"repro/internal/zmath"
 )
 
 // Encryptor is the DJ encryption surface shared by PublicKey and
-// NoncePool, mirroring paillier.Encryptor.
+// NonceEncryptor, mirroring paillier.Encryptor.
 type Encryptor interface {
 	Encrypt(m *big.Int) (*Ciphertext, error)
 	Rerandomize(a *Ciphertext) (*Ciphertext, error)
@@ -20,52 +19,16 @@ type Encryptor interface {
 // Key returns the public key itself, making PublicKey an Encryptor.
 func (pk *PublicKey) Key() *PublicKey { return pk }
 
-// encryptWithRN assembles E(m) from a precomputed nonce power
-// rn = r^{N^s} mod N^{s+1}.
-func (pk *PublicKey) encryptWithRN(m, rn *big.Int) (*Ciphertext, error) {
+// EncryptWithPower assembles E(m) = (1+N)^m * rn mod N^{s+1} from a nonce
+// power rn = r^{N^s} mod N^{s+1}. Every encryption ends here; rn comes
+// from one of zmath's nonce producers (or, in EncryptWithNonce, from the
+// caller's r).
+func (pk *PublicKey) EncryptWithPower(m, rn *big.Int) (*Ciphertext, error) {
 	mm, err := pk.validateMessage(m)
 	if err != nil {
 		return nil, err
 	}
-	gm := pk.expOnePlusN(mm)
-	return &Ciphertext{C: pk.mulNS1(gm, rn)}, nil
-}
-
-// EncryptBatch encrypts every message with fresh randomness over at most
-// parallel.Workers(par) goroutines (0 = all cores, 1 = serial).
-func EncryptBatch(enc Encryptor, ms []*big.Int, par int) ([]*Ciphertext, error) {
-	return parallel.MapErr(par, ms, func(_ int, m *big.Int) (*Ciphertext, error) {
-		return enc.Encrypt(m)
-	})
-}
-
-// EncryptWithNonceBatch encrypts ms[i] under rs[i]; deterministic given
-// the nonces.
-func (pk *PublicKey) EncryptWithNonceBatch(ms, rs []*big.Int, par int) ([]*Ciphertext, error) {
-	if len(ms) != len(rs) {
-		return nil, fmt.Errorf("dj: %d messages for %d nonces", len(ms), len(rs))
-	}
-	return parallel.MapErr(par, ms, func(i int, m *big.Int) (*Ciphertext, error) {
-		return pk.EncryptWithNonce(m, rs[i])
-	})
-}
-
-// RerandomizeBatch re-randomizes every ciphertext.
-func RerandomizeBatch(enc Encryptor, cts []*Ciphertext, par int) ([]*Ciphertext, error) {
-	return parallel.MapErr(par, cts, func(_ int, c *Ciphertext) (*Ciphertext, error) {
-		return enc.Rerandomize(c)
-	})
-}
-
-// DecryptBatch decrypts every ciphertext. Errors carry the failing index.
-func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext, par int) ([]*big.Int, error) {
-	return parallel.MapErr(par, cts, func(i int, c *Ciphertext) (*big.Int, error) {
-		m, err := sk.Decrypt(c)
-		if err != nil {
-			return nil, fmt.Errorf("dj: DecryptBatch[%d]: %w", i, err)
-		}
-		return m, nil
-	})
+	return &Ciphertext{C: pk.mulNS1(pk.expOnePlusN(mm), rn)}, nil
 }
 
 // DecryptInnerBatch strips the outer DJ layer from every ciphertext.
@@ -78,55 +41,4 @@ func (sk *PrivateKey) DecryptInnerBatch(cts []*Ciphertext, par int) ([]*paillier
 		}
 		return inner, nil
 	})
-}
-
-// NoncePool precomputes DJ nonce powers r^{N^s} mod N^{s+1} on background
-// goroutines; drained pools fall back inline, so pooling never changes
-// results. The powers come from any NonceSource (spec path, CRT, or
-// fast-nonce table). See parallel.Pool for the shared machinery.
-type NoncePool struct {
-	src  NonceSource
-	pool *parallel.Pool[*big.Int]
-}
-
-// NewNoncePool starts workers filler goroutines maintaining up to capacity
-// precomputed nonce powers drawn from src. Close must be called to
-// release them.
-func NewNoncePool(src NonceSource, workers, capacity int) *NoncePool {
-	return &NoncePool{src: src, pool: parallel.NewPool(workers, capacity, src.NoncePower)}
-}
-
-// Close stops the background fillers; the pool stays usable (inline path).
-func (np *NoncePool) Close() { np.pool.Close() }
-
-func (np *NoncePool) get() (*big.Int, error) {
-	if rn, ok := np.pool.Get(); ok {
-		return rn, nil
-	}
-	return np.src.NoncePower()
-}
-
-// Key returns the underlying public key.
-func (np *NoncePool) Key() *PublicKey { return np.src.Key() }
-
-// NoncePower returns a pooled nonce power (inline when drained), making
-// the pool itself a NonceSource.
-func (np *NoncePool) NoncePower() (*big.Int, error) { return np.get() }
-
-// Encrypt encrypts m using a pooled nonce power.
-func (np *NoncePool) Encrypt(m *big.Int) (*Ciphertext, error) {
-	rn, err := np.get()
-	if err != nil {
-		return nil, err
-	}
-	return np.Key().encryptWithRN(m, rn)
-}
-
-// Rerandomize multiplies by a pooled fresh encryption of zero.
-func (np *NoncePool) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	z, err := np.Encrypt(zmath.Zero)
-	if err != nil {
-		return nil, err
-	}
-	return np.Key().Add(a, z)
 }

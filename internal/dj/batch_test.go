@@ -1,97 +1,9 @@
 package dj
 
-import (
-	"crypto/rand"
-	"math/big"
-	"testing"
-
-	"repro/internal/paillier"
-	"repro/internal/zmath"
-)
-
-func testKeys(t testing.TB) (*PrivateKey, *PublicKey) {
-	t.Helper()
-	sk, _ := testKeysFull(t)
-	return sk, &sk.PublicKey
-}
-
-func testKeysFull(t testing.TB) (*PrivateKey, *paillier.PrivateKey) {
-	t.Helper()
-	psk, err := paillier.GenerateKey(rand.Reader, 256)
-	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
-	}
-	sk, err := NewPrivateKey(psk, 2)
-	if err != nil {
-		t.Fatalf("NewPrivateKey: %v", err)
-	}
-	return sk, psk
-}
-
-func TestEncryptWithNonceBatchEquivalence(t *testing.T) {
-	sk, pk := testKeys(t)
-	const n = 32
-	ms := make([]*big.Int, n)
-	rs := make([]*big.Int, n)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i*i + 1))
-		r, err := zmath.RandUnit(rand.Reader, pk.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs[i] = r
-	}
-	serial, err := pk.EncryptWithNonceBatch(ms, rs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel8, err := pk.EncryptWithNonceBatch(ms, rs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		want, err := pk.EncryptWithNonce(ms[i], rs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial[i].C.Cmp(want.C) != 0 || parallel8[i].C.Cmp(want.C) != 0 {
-			t.Fatalf("batch diverges from EncryptWithNonce at %d", i)
-		}
-	}
-	_ = sk
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	sk, pk := testKeys(t)
-	const n = 24
-	ms := make([]*big.Int, n)
-	for i := range ms {
-		ms[i] = new(big.Int).Lsh(big.NewInt(int64(i+1)), 70) // exercise N < m < N^2
-	}
-	for _, par := range []int{1, 8} {
-		cts, err := EncryptBatch(pk, ms, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts, err = RerandomizeBatch(pk, cts, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.DecryptBatch(cts, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ms {
-			if got[i].Cmp(ms[i]) != 0 {
-				t.Fatalf("par=%d: round trip broke at %d", par, i)
-			}
-		}
-	}
-}
+import "testing"
 
 func TestDecryptInnerBatch(t *testing.T) {
-	sk, psk := testKeysFull(t)
-	pk := &sk.PublicKey
+	psk, sk := keys(t)
 	const n = 8
 	outer := make([]*Ciphertext, n)
 	for i := range outer {
@@ -99,7 +11,7 @@ func TestDecryptInnerBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := pk.EncryptInner(ict)
+		ct, err := sk.EncryptInner(ict)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,30 +29,5 @@ func TestDecryptInnerBatch(t *testing.T) {
 		if m.Int64() != int64(100+i) {
 			t.Fatalf("inner batch slot %d: got %v", i, m)
 		}
-	}
-}
-
-func TestNoncePool(t *testing.T) {
-	sk, pk := testKeys(t)
-	pool := NewNoncePool(pk, 2, 8)
-	defer pool.Close()
-	seen := map[string]bool{}
-	for i := 0; i < 16; i++ {
-		m := big.NewInt(int64(i + 3))
-		ct, err := pool.Encrypt(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(m) != 0 {
-			t.Fatalf("pooled encryption of %v decrypts to %v", m, got)
-		}
-		if seen[ct.C.String()] {
-			t.Fatal("pooled encryptions share randomness")
-		}
-		seen[ct.C.String()] = true
 	}
 }

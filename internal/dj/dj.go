@@ -15,7 +15,6 @@
 package dj
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
@@ -70,12 +69,7 @@ func (pk *PublicKey) mulNS1(a, b *big.Int) *big.Int {
 type PrivateKey struct {
 	PublicKey
 
-	ps1, qs1     *big.Int // p^{s+1}, q^{s+1}
-	ps1InvModQs1 *big.Int // p^{s+1}^{-1} mod q^{s+1}
-	// ordP, ordQ are the unit-group orders p^s(p-1), q^s(q-1), kept for
-	// the CRT nonce encryptor's exponent reduction.
-	ordP, ordQ *big.Int
-
+	ps1InvModQs1 *big.Int // p^{s+1}^{-1} mod q^{s+1}, for the CRT nonce sampler
 	halfP, halfQ primeHalf
 	psInvModQs   *big.Int // p^s^{-1} mod q^s, recombines the two halves
 }
@@ -131,10 +125,7 @@ func NewPrivateKey(sk *paillier.PrivateKey, s int) (*PrivateKey, error) {
 	if out.halfQ, err = newPrimeHalf(sk.Q, sk.P, s); err != nil {
 		return nil, err
 	}
-	out.ps1, out.qs1 = out.halfP.pow[s+1], out.halfQ.pow[s+1]
-	out.ordP = new(big.Int).Mul(out.halfP.pow[s], out.halfP.pm1)
-	out.ordQ = new(big.Int).Mul(out.halfQ.pow[s], out.halfQ.pm1)
-	if out.ps1InvModQs1, err = zmath.ModInverse(out.ps1, out.qs1); err != nil {
+	if out.ps1InvModQs1, err = zmath.ModInverse(out.halfP.pow[s+1], out.halfQ.pow[s+1]); err != nil {
 		return nil, fmt.Errorf("dj: p^{s+1} not invertible mod q^{s+1}: %w", err)
 	}
 	if out.psInvModQs, err = zmath.ModInverse(out.halfP.pow[s], out.halfQ.pow[s]); err != nil {
@@ -182,25 +173,19 @@ func (pk *PublicKey) validateCiphertext(c *Ciphertext) error {
 
 // Encrypt encrypts m in Z_{N^s}: c = (1+N)^m * r^{N^s} mod N^{s+1}.
 func (pk *PublicKey) Encrypt(m *big.Int) (*Ciphertext, error) {
-	r, err := zmath.RandUnit(rand.Reader, pk.N)
+	rn, err := pk.NoncePower()
 	if err != nil {
-		return nil, fmt.Errorf("dj: sampling randomness: %w", err)
+		return nil, err
 	}
-	return pk.EncryptWithNonce(m, r)
+	return pk.EncryptWithPower(m, rn)
 }
 
 // EncryptWithNonce encrypts m with caller-provided nonce r in Z*_N.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
-	mm, err := pk.validateMessage(m)
-	if err != nil {
-		return nil, err
-	}
 	if r == nil || r.Sign() <= 0 || r.Cmp(pk.N) >= 0 {
 		return nil, errors.New("dj: nonce outside (0, N)")
 	}
-	gm := pk.expOnePlusN(mm)
-	rn := new(big.Int).Exp(r, pk.NS, pk.NS1)
-	return &Ciphertext{C: pk.mulNS1(gm, rn)}, nil
+	return pk.EncryptWithPower(m, new(big.Int).Exp(r, pk.NS, pk.NS1))
 }
 
 // EncryptInt64 is a convenience wrapper around Encrypt.

@@ -1,18 +1,16 @@
 package dj
 
 import (
-	"crypto/rand"
-	"fmt"
 	"math/big"
 
-	"repro/internal/paillier"
 	"repro/internal/zmath"
 )
 
 // NonceSource produces the nonce powers r^{N^s} mod N^{s+1} that dominate
-// DJ encryption, mirroring paillier.NonceSource: PublicKey is the spec
-// path, CRTEncryptor and FastEncryptor the precomputation fast paths, and
-// NoncePool buffers any of them.
+// DJ encryption, as paillier.NonceSource does at s = 1: PublicKey is the
+// spec path, a NonceEncryptor draws from the CRT sampler, the fast-nonce
+// table or a pool. The producers are zmath's (nonce.go), taken at this
+// key's degree s.
 type NonceSource interface {
 	Key() *PublicKey
 	NoncePower() (*big.Int, error)
@@ -21,174 +19,38 @@ type NonceSource interface {
 // NoncePower samples a fresh r in Z*_N and returns r^{N^s} mod N^{s+1} —
 // the spec path, one full-width exponentiation per nonce.
 func (pk *PublicKey) NoncePower() (*big.Int, error) {
-	r, err := zmath.RandUnit(rand.Reader, pk.N)
-	if err != nil {
-		return nil, fmt.Errorf("dj: sampling randomness: %w", err)
-	}
-	return new(big.Int).Exp(r, pk.NS, pk.NS1), nil
+	return zmath.SpecNoncePower(pk.N, pk.NS, pk.NS1)
 }
 
-// encryptFromSource assembles a fresh encryption of m from src's next
-// nonce power.
-func encryptFromSource(src NonceSource, m *big.Int) (*Ciphertext, error) {
-	rn, err := src.NoncePower()
-	if err != nil {
-		return nil, err
-	}
-	return src.Key().encryptWithRN(m, rn)
+// NonceEncryptor is every DJ encryption surface other than the bare
+// PublicKey: the key plus one of zmath's nonce producers.
+type NonceEncryptor = zmath.NonceEncryptor[*PublicKey, *Ciphertext]
+
+// CRTEncryptor returns the key holder's encryption surface: nonce powers
+// from zmath.CRTNonce, the spec path's exact distribution at a fraction
+// of its cost.
+func (sk *PrivateKey) CRTEncryptor() *NonceEncryptor {
+	return zmath.NewNonceEncryptor(&sk.PublicKey, sk.crtNonce().NoncePower)
 }
 
-// CRTEncryptor is the key holder's fast path for DJ nonces, mirroring
-// paillier.CRTEncryptor: the spec path's nonce powers
-// {r^{N^s} mod N^{s+1}} are uniform over the N^s-th residue subgroup,
-// whose CRT components are the unique order-(p-1) / order-(q-1)
-// subgroups of Z*_{p^{s+1}} / Z*_{q^{s+1}}; each is sampled directly as
-// sp^{p^s} for a uniform unit sp. Assumption-free: the nonce
-// distribution is exactly the spec path's, at a fraction of the cost
-// (for s = 2, two 2n/2-bit-exponent exponentiations over 1.5n-bit moduli
-// replace one 2n-bit-exponent exponentiation over a 3n-bit modulus).
-type CRTEncryptor struct {
-	sk     *PrivateKey
-	ep, eq *big.Int // N^s reduced mod p^s(p-1) and q^s(q-1), for noncePowerOf
-	pS, qS *big.Int // p^s, q^s, the direct-sampling exponents
+// crtNonce is the CRT sampler over this key's factors, at the key's degree.
+func (sk *PrivateKey) crtNonce() *zmath.CRTNonce {
+	return zmath.NewCRTNonce(sk.halfP.pow[1], sk.halfQ.pow[1], sk.ps1InvModQs1, sk.S)
 }
 
-// CRTEncryptor returns the CRT-accelerated encryption surface for the
-// private key.
-func (sk *PrivateKey) CRTEncryptor() *CRTEncryptor {
-	return &CRTEncryptor{
-		sk: sk,
-		ep: new(big.Int).Mod(sk.NS, sk.ordP),
-		eq: new(big.Int).Mod(sk.NS, sk.ordQ),
-		pS: sk.halfP.pow[sk.S],
-		qS: sk.halfQ.pow[sk.S],
-	}
-}
-
-// Key returns the underlying public key.
-func (e *CRTEncryptor) Key() *PublicKey { return &e.sk.PublicKey }
-
-// noncePowerOf computes r^{N^s} mod N^{s+1} for a caller-provided r via
-// the classic CRT split (exponent reduced mod the unit-group orders);
-// kept so tests can pin bit-identical equivalence with the spec path.
-// NoncePower uses the cheaper direct subgroup sampling.
-func (e *CRTEncryptor) noncePowerOf(r *big.Int) *big.Int {
-	rp := new(big.Int).Exp(new(big.Int).Mod(r, e.sk.ps1), e.ep, e.sk.ps1)
-	rq := new(big.Int).Exp(new(big.Int).Mod(r, e.sk.qs1), e.eq, e.sk.qs1)
-	return zmath.CRTPair(rp, rq, e.sk.ps1, e.sk.qs1, e.sk.ps1InvModQs1)
-}
-
-// NoncePower returns a uniform N^s-th residue mod N^{s+1} by sampling
-// its CRT components directly (see the type comment).
-func (e *CRTEncryptor) NoncePower() (*big.Int, error) {
-	xp, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.ps1, e.sk.halfP.pow[1], e.pS)
+// NewFastEncryptor precomputes pk's fast-nonce table (zmath.FastNonce:
+// short exponents, an extra assumption on top of DCR, hence opt-in).
+func NewFastEncryptor(pk *PublicKey) (*NonceEncryptor, error) {
+	fast, err := zmath.NewFastNonce(pk.N, pk.NS, pk.NS1, pk.engNS1)
 	if err != nil {
 		return nil, err
 	}
-	xq, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.qs1, e.sk.halfQ.pow[1], e.qS)
-	if err != nil {
-		return nil, err
-	}
-	return zmath.CRTPair(xp, xq, e.sk.ps1, e.sk.qs1, e.sk.ps1InvModQs1), nil
+	return zmath.NewNonceEncryptor(pk, fast.NoncePower), nil
 }
 
-// Encrypt encrypts m with a CRT-computed nonce power.
-func (e *CRTEncryptor) Encrypt(m *big.Int) (*Ciphertext, error) {
-	return encryptFromSource(e, m)
-}
-
-// EncryptInner encrypts a first-layer Paillier ciphertext under the outer
-// DJ layer through the CRT path.
-func (e *CRTEncryptor) EncryptInner(inner *paillier.Ciphertext) (*Ciphertext, error) {
-	if e.sk.S < 2 {
-		return nil, fmt.Errorf("dj: EncryptInner needs s >= 2, have s = %d", e.sk.S)
-	}
-	if inner == nil || inner.C == nil {
-		return nil, ErrMessageRange
-	}
-	return e.Encrypt(inner.C)
-}
-
-// Rerandomize multiplies by a fresh encryption of zero.
-func (e *CRTEncryptor) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	z, err := e.Encrypt(zmath.Zero)
-	if err != nil {
-		return nil, err
-	}
-	return e.Key().Add(a, z)
-}
-
-// FastEncryptor is the opt-in short-exponent fast path for DJ nonces,
-// mirroring paillier.FastEncryptor: precompute hNs = h^{N^s} mod N^{s+1}
-// once for a random quadratic residue h, then draw nonce powers as
-// hNs^alpha for short random alpha through a fixed-base windowed table.
-// Carries the same short-exponent/subgroup assumption as the Paillier
-// variant and is therefore opt-in; see the security note in DESIGN.md.
-type FastEncryptor struct {
-	pk      *PublicKey
-	table   *zmath.FixedBaseTable
-	expHi   *big.Int
-	expBits int
-}
-
-// NewFastEncryptor precomputes the fast-nonce table for pk. expBits <= 0
-// selects paillier.FastNonceBits.
-func NewFastEncryptor(pk *PublicKey, expBits int) (*FastEncryptor, error) {
-	if expBits <= 0 {
-		expBits = paillier.FastNonceBits
-	}
-	if expBits < 2*64 {
-		return nil, fmt.Errorf("dj: fast-nonce exponent %d bits below the short-exponent safety margin", expBits)
-	}
-	x, err := zmath.RandUnit(rand.Reader, pk.N)
-	if err != nil {
-		return nil, fmt.Errorf("dj: sampling fast-nonce base: %w", err)
-	}
-	h := new(big.Int).Mul(x, x)
-	h.Mod(h, pk.N)
-	hNs := new(big.Int).Exp(h, pk.NS, pk.NS1)
-	// Keep the table entries in Montgomery form when the key carries an
-	// engine, so nonce draws run their window chains division-free.
-	var table *zmath.FixedBaseTable
-	if eng := pk.EngineNS1(); eng != nil {
-		table, err = zmath.NewFixedBaseTableMod(hNs, eng, paillier.FastNonceWindow, expBits)
-	} else {
-		table, err = zmath.NewFixedBaseTable(hNs, pk.NS1, paillier.FastNonceWindow, expBits)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dj: building fast-nonce table: %w", err)
-	}
-	return &FastEncryptor{
-		pk:      pk,
-		table:   table,
-		expHi:   new(big.Int).Lsh(zmath.One, uint(expBits)),
-		expBits: expBits,
-	}, nil
-}
-
-// Key returns the underlying public key.
-func (e *FastEncryptor) Key() *PublicKey { return e.pk }
-
-// NoncePower draws a short random exponent alpha and returns
-// (h^{N^s})^alpha mod N^{s+1} from the fixed-base table.
-func (e *FastEncryptor) NoncePower() (*big.Int, error) {
-	alpha, err := zmath.RandRange(rand.Reader, zmath.One, e.expHi)
-	if err != nil {
-		return nil, fmt.Errorf("dj: sampling fast-nonce exponent: %w", err)
-	}
-	return e.table.Exp(alpha)
-}
-
-// Encrypt encrypts m with a fast-path nonce power.
-func (e *FastEncryptor) Encrypt(m *big.Int) (*Ciphertext, error) {
-	return encryptFromSource(e, m)
-}
-
-// Rerandomize multiplies by a fresh encryption of zero.
-func (e *FastEncryptor) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	z, err := e.Encrypt(zmath.Zero)
-	if err != nil {
-		return nil, err
-	}
-	return e.pk.Add(a, z)
+// NewNoncePool buffers up to capacity of src's nonce powers on workers
+// background goroutines (a drained pool computes inline). Close must be
+// called to release them.
+func NewNoncePool(src NonceSource, workers, capacity int) *NonceEncryptor {
+	return zmath.NewPooledEncryptor(src.Key(), src.NoncePower, workers, capacity)
 }

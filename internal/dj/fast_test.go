@@ -2,6 +2,7 @@ package dj
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -101,162 +102,194 @@ func TestDecryptMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDJCRTNoncePowerMatchesSpec pins the CRT nonce split against the
-// spec-path exponentiation on fixed nonces.
-func TestDJCRTNoncePowerMatchesSpec(t *testing.T) {
-	_, sk := keys(t)
-	enc := sk.CRTEncryptor()
-	for i := 0; i < 10; i++ {
-		r, err := zmath.RandUnit(rand.Reader, sk.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := new(big.Int).Exp(r, sk.NS, sk.NS1)
-		if got := enc.noncePowerOf(r); got.Cmp(want) != 0 {
-			t.Fatalf("CRT nonce power differs from spec for r=%v", r)
-		}
+// The nonce producers themselves are tested once, for s = 1 and s = 2, in
+// zmath (nonce_test.go). The tests below hold this package's wiring of
+// them at both degrees — s = 1 is plain Paillier, s = 2 the outer layer
+// SecTopK uses — through the same table.
+
+// atDegrees runs fn against the shared test modulus at s = 1 and s = 2.
+func atDegrees(t *testing.T, fn func(t *testing.T, pail *paillier.PrivateKey, sk *PrivateKey)) {
+	pail, sk2 := keys(t)
+	sk1, err := NewPrivateKey(pail, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, sk := range []*PrivateKey{sk1, sk2} {
+		t.Run(fmt.Sprintf("s=%d", sk.S), func(t *testing.T) { fn(t, pail, sk) })
+	}
+}
+
+// TestDJCRTNoncePowerMatchesSpec pins the CRT split this key builds, bit
+// for bit on fixed nonces, to EncryptWithNonce's own r^{N^s} mod N^{s+1}
+// (an encryption of zero is its bare nonce power).
+func TestDJCRTNoncePowerMatchesSpec(t *testing.T) {
+	atDegrees(t, func(t *testing.T, _ *paillier.PrivateKey, sk *PrivateKey) {
+		crt := sk.crtNonce()
+		for i := 0; i < 10; i++ {
+			r, err := zmath.RandUnit(rand.Reader, sk.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sk.EncryptWithNonce(zmath.Zero, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := crt.PowerOf(r); got.Cmp(want.C) != 0 {
+				t.Fatalf("CRT nonce power differs from spec for r=%v", r)
+			}
+			ct, err := sk.EncryptWithNonce(big.NewInt(int64(i)), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := sk.Decrypt(ct); err != nil || m.Int64() != int64(i) {
+				t.Fatalf("EncryptWithNonce(%d) decrypts to %v (%v)", i, m, err)
+			}
+		}
+	})
 }
 
 // TestDJCRTNoncePowerIsResidue pins the distribution invariant of the
 // direct subgroup sampler: every drawn nonce power is a unit of order
 // dividing phi(N) — a genuine N^s-th residue mod N^{s+1}.
 func TestDJCRTNoncePowerIsResidue(t *testing.T) {
-	pail, sk := keys(t)
-	enc := sk.CRTEncryptor()
-	phi := new(big.Int).Mul(
-		new(big.Int).Sub(pail.P, zmath.One), new(big.Int).Sub(pail.Q, zmath.One))
-	gcd := new(big.Int)
-	for i := 0; i < 5; i++ {
-		x, err := enc.NoncePower()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gcd.GCD(nil, nil, x, sk.NS1); gcd.Cmp(zmath.One) != 0 {
-			t.Fatal("nonce power is not a unit")
-		}
-		if new(big.Int).Exp(x, phi, sk.NS1).Cmp(zmath.One) != 0 {
-			t.Fatal("nonce power is not an N^s-th residue")
-		}
-	}
-}
-
-// TestDJCRTEncryptorRoundTrip checks CRT-path DJ ciphertexts decrypt to
-// the plaintext, remain probabilistic, and interoperate with the layered
-// EncryptInner/DecryptInner trick.
-func TestDJCRTEncryptorRoundTrip(t *testing.T) {
-	pail, sk := keys(t)
-	enc := sk.CRTEncryptor()
-	m := new(big.Int).Lsh(zmath.One, 300) // needs the full Z_{N^2} range
-	c1, err := enc.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := enc.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.C.Cmp(c2.C) == 0 {
-		t.Error("CRT DJ encryption is deterministic")
-	}
-	got, err := sk.Decrypt(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(m) != 0 {
-		t.Errorf("round trip mismatch: %v != %v", got, m)
-	}
-	rr, err := enc.Rerandomize(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.C.Cmp(c1.C) == 0 {
-		t.Error("Rerandomize returned the same ciphertext")
-	}
-	// Layered: E2(Enc(x)) -> Enc(x) through the CRT surface.
-	inner, err := pail.PublicKey.EncryptInt64(77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outer, err := enc.EncryptInner(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := sk.DecryptInner(outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := pail.Decrypt(back); err != nil || v.Int64() != 77 {
-		t.Fatalf("layered round trip -> %v (%v)", v, err)
-	}
-}
-
-// TestDJFastEncryptorRoundTrip checks fast-nonce DJ ciphertexts decrypt
-// correctly and remain probabilistic.
-func TestDJFastEncryptorRoundTrip(t *testing.T) {
-	_, sk := keys(t)
-	enc, err := NewFastEncryptor(&sk.PublicKey, 0)
-	if err != nil {
-		t.Fatalf("NewFastEncryptor: %v", err)
-	}
-	for _, m := range []int64{0, 1, 424242} {
-		c1, err := enc.Encrypt(big.NewInt(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := enc.Encrypt(big.NewInt(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1.C.Cmp(c2.C) == 0 {
-			t.Errorf("fast DJ encryption of %d is deterministic", m)
-		}
-		got, err := sk.Decrypt(c1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Int64() != m {
-			t.Errorf("round trip %d -> %v", m, got)
-		}
-	}
-	if _, err := NewFastEncryptor(&sk.PublicKey, 64); err == nil {
-		t.Error("expected error for a 64-bit short exponent")
-	}
-}
-
-// TestDJNoncePoolOverFastSources checks the generalized pool composes
-// with all three DJ nonce sources.
-func TestDJNoncePoolOverFastSources(t *testing.T) {
-	_, sk := keys(t)
-	fast, err := NewFastEncryptor(&sk.PublicKey, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range map[string]NonceSource{
-		"spec": &sk.PublicKey,
-		"crt":  sk.CRTEncryptor(),
-		"fast": fast,
-	} {
-		pool := NewNoncePool(src, 1, 4)
-		for i := 0; i < 6; i++ {
-			ct, err := pool.Encrypt(big.NewInt(int64(i)))
+	atDegrees(t, func(t *testing.T, pail *paillier.PrivateKey, sk *PrivateKey) {
+		enc := sk.CRTEncryptor()
+		phi := new(big.Int).Mul(
+			new(big.Int).Sub(pail.P, zmath.One), new(big.Int).Sub(pail.Q, zmath.One))
+		gcd := new(big.Int)
+		for i := 0; i < 5; i++ {
+			x, err := enc.NoncePower()
 			if err != nil {
-				t.Fatalf("%s pooled Encrypt: %v", name, err)
+				t.Fatal(err)
 			}
-			m, err := sk.Decrypt(ct)
-			if err != nil || m.Int64() != int64(i) {
-				t.Fatalf("%s pooled round trip %d -> %v (%v)", name, i, m, err)
+			if gcd.GCD(nil, nil, x, sk.NS1); gcd.Cmp(zmath.One) != 0 {
+				t.Fatal("nonce power is not a unit")
 			}
+			if new(big.Int).Exp(x, phi, sk.NS1).Cmp(zmath.One) != 0 {
+				t.Fatal("nonce power is not an N^s-th residue")
+			}
+		}
+	})
+}
+
+// checkSurface holds one encryption surface to the Encryptor contract:
+// it names sk's public key, its ciphertexts decrypt to the plaintext over
+// the full Z_{N^s} range, never repeat, compose homomorphically with
+// spec-path ones and survive Rerandomize.
+func checkSurface(t *testing.T, sk *PrivateKey, enc Encryptor) {
+	t.Helper()
+	if enc.Key() != &sk.PublicKey {
+		t.Fatal("Key() should return the underlying public key")
+	}
+	seen := map[string]bool{}
+	fresh := func(ct *Ciphertext, err error) *Ciphertext {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[ct.C.String()] {
+			t.Fatal("two ciphertexts share randomness")
+		}
+		seen[ct.C.String()] = true
+		return ct
+	}
+	top := new(big.Int).Sub(sk.NS, zmath.One)
+	for _, m := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(424242), top, top} {
+		ct := fresh(enc.Encrypt(m))
+		if got, err := sk.Decrypt(ct); err != nil || got.Cmp(m) != 0 {
+			t.Errorf("round trip %v -> %v (%v)", m, got, err)
+		}
+	}
+	a := fresh(enc.Encrypt(big.NewInt(30)))
+	b, err := sk.PublicKey.Encrypt(big.NewInt(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := sk.Add(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := sk.Decrypt(sum); m.Int64() != 42 {
+		t.Errorf("homomorphic sum with a spec-path ciphertext = %v, want 42", m)
+	}
+	rr := fresh(enc.Rerandomize(a))
+	if m, err := sk.Decrypt(rr); err != nil || m.Int64() != 30 {
+		t.Errorf("rerandomized ciphertext decrypts to %v (%v)", m, err)
+	}
+}
+
+// TestDJCRTEncryptorRoundTrip also takes the CRT surface through the
+// layered trick at s = 2: E2(Enc(x)) -> Enc(x).
+func TestDJCRTEncryptorRoundTrip(t *testing.T) {
+	atDegrees(t, func(t *testing.T, pail *paillier.PrivateKey, sk *PrivateKey) {
+		enc := sk.CRTEncryptor()
+		checkSurface(t, sk, enc)
+		if sk.S < 2 {
+			return
+		}
+		inner, err := pail.EncryptInt64(77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outer, err := enc.Encrypt(inner.C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := sk.DecryptInner(outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := pail.Decrypt(back); err != nil || v.Int64() != 77 {
+			t.Fatalf("layered round trip -> %v (%v)", v, err)
+		}
+	})
+}
+
+func TestDJFastEncryptorRoundTrip(t *testing.T) {
+	atDegrees(t, func(t *testing.T, _ *paillier.PrivateKey, sk *PrivateKey) {
+		enc, err := NewFastEncryptor(&sk.PublicKey)
+		if err != nil {
+			t.Fatalf("NewFastEncryptor: %v", err)
+		}
+		checkSurface(t, sk, enc)
+	})
+}
+
+// TestNoncePool draws more encryptions than the pool holds, so some come
+// from the buffer and some from the inline fallback of a drained pool;
+// a closed pool has only the fallback.
+func TestNoncePool(t *testing.T) {
+	atDegrees(t, func(t *testing.T, _ *paillier.PrivateKey, sk *PrivateKey) {
+		pool := NewNoncePool(&sk.PublicKey, 2, 4)
+		for i := 0; i < 2; i++ {
+			checkSurface(t, sk, pool)
 		}
 		pool.Close()
-	}
+		checkSurface(t, sk, pool)
+	})
 }
 
-// TestDJFastSourcesSatisfyEncryptor pins the interface contracts at
-// compile time.
-var (
-	_ Encryptor            = (*CRTEncryptor)(nil)
-	_ Encryptor            = (*FastEncryptor)(nil)
-	_ NonceSource          = (*NoncePool)(nil)
-	_ paillier.NonceSource = (*paillier.NoncePool)(nil)
-)
+// TestDJNoncePoolOverFastSources checks the pool composes with every
+// producer, a pool included.
+func TestDJNoncePoolOverFastSources(t *testing.T) {
+	atDegrees(t, func(t *testing.T, _ *paillier.PrivateKey, sk *PrivateKey) {
+		fast, err := NewFastEncryptor(&sk.PublicKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := NewNoncePool(&sk.PublicKey, 1, 4)
+		defer inner.Close()
+		for name, src := range map[string]NonceSource{
+			"spec": &sk.PublicKey,
+			"crt":  sk.CRTEncryptor(),
+			"fast": fast,
+			"pool": inner,
+		} {
+			t.Run(name, func(t *testing.T) {
+				pool := NewNoncePool(src, 1, 4)
+				defer pool.Close()
+				checkSurface(t, sk, pool)
+			})
+		}
+	})
+}

@@ -4,8 +4,6 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
-
-	"repro/internal/zmath"
 )
 
 func testKey(t testing.TB) *PrivateKey {
@@ -15,45 +13,6 @@ func testKey(t testing.TB) *PrivateKey {
 		t.Fatalf("GenerateKey: %v", err)
 	}
 	return sk
-}
-
-// TestEncryptWithNonceBatchEquivalence pins the serial/parallel contract:
-// with fixed nonces, the parallel batch is bit-identical to the serial
-// loop (and to the pre-batch EncryptWithNonce path).
-func TestEncryptWithNonceBatchEquivalence(t *testing.T) {
-	sk := testKey(t)
-	pk := &sk.PublicKey
-	const n = 64
-	ms := make([]*big.Int, n)
-	rs := make([]*big.Int, n)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i * 31))
-		r, err := zmath.RandUnit(rand.Reader, pk.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs[i] = r
-	}
-	serial, err := pk.EncryptWithNonceBatch(ms, rs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel8, err := pk.EncryptWithNonceBatch(ms, rs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		want, err := pk.EncryptWithNonce(ms[i], rs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial[i].C.Cmp(want.C) != 0 {
-			t.Fatalf("serial batch diverges from EncryptWithNonce at %d", i)
-		}
-		if parallel8[i].C.Cmp(want.C) != 0 {
-			t.Fatalf("parallel batch diverges from EncryptWithNonce at %d", i)
-		}
-	}
 }
 
 func TestBatchRoundTrip(t *testing.T) {
@@ -81,80 +40,6 @@ func TestBatchRoundTrip(t *testing.T) {
 			if got[i].Cmp(ms[i]) != 0 {
 				t.Fatalf("par=%d: round trip broke at %d: got %v want %v", par, i, got[i], ms[i])
 			}
-		}
-	}
-}
-
-func TestEncryptZeroBatch(t *testing.T) {
-	sk := testKey(t)
-	cts, err := EncryptZeroBatch(&sk.PublicKey, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for i, ct := range cts {
-		m, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Sign() != 0 {
-			t.Fatalf("zero batch slot %d decrypts to %v", i, m)
-		}
-		key := ct.C.String()
-		if seen[key] {
-			t.Fatal("two zero encryptions share randomness")
-		}
-		seen[key] = true
-	}
-}
-
-// TestNoncePool verifies pooled encryptions decrypt correctly, never share
-// randomness, and that a closed (drained) pool still works via the inline
-// fallback.
-func TestNoncePool(t *testing.T) {
-	sk := testKey(t)
-	pk := &sk.PublicKey
-	pool := NewNoncePool(pk, 2, 8)
-	defer pool.Close()
-	seen := map[string]bool{}
-	for i := 0; i < 32; i++ {
-		m := big.NewInt(int64(i))
-		ct, err := pool.Encrypt(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(m) != 0 {
-			t.Fatalf("pooled encryption of %v decrypts to %v", m, got)
-		}
-		if seen[ct.C.String()] {
-			t.Fatal("pooled encryptions share randomness")
-		}
-		seen[ct.C.String()] = true
-	}
-	rr, err := pool.Rerandomize(mustEncrypt(t, pk, big.NewInt(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := sk.Decrypt(rr); err != nil || got.Int64() != 7 {
-		t.Fatalf("pooled rerandomize: got %v, %v", got, err)
-	}
-}
-
-func TestNoncePoolClosedFallback(t *testing.T) {
-	sk := testKey(t)
-	pool := NewNoncePool(&sk.PublicKey, 1, 2)
-	pool.Close()
-	for i := 0; i < 4; i++ {
-		ct, err := pool.Encrypt(big.NewInt(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := sk.Decrypt(ct); err != nil || got.Int64() != 9 {
-			t.Fatalf("closed pool fallback: got %v, %v", got, err)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package paillier
 
 import (
-	"crypto/rand"
-	"fmt"
 	"math/big"
 
 	"repro/internal/zmath"
@@ -10,9 +8,10 @@ import (
 
 // NonceSource produces the nonce powers r^N mod N^2 that dominate
 // Paillier encryption. PublicKey computes them with a full-width
-// variable-base exponentiation (the spec path); CRTEncryptor and
-// FastEncryptor are the precomputation fast paths; NoncePool buffers any
-// of them on background goroutines.
+// variable-base exponentiation (the spec path); a NonceEncryptor draws
+// them from the key holder's CRT sampler, the opt-in fast-nonce table or
+// a background pool over any NonceSource. The producers themselves are
+// zmath's (nonce.go), shared with the Damgård–Jurik layer.
 type NonceSource interface {
 	Key() *PublicKey
 	NoncePower() (*big.Int, error)
@@ -21,206 +20,38 @@ type NonceSource interface {
 // NoncePower samples a fresh r in Z*_N and returns r^N mod N^2 — the spec
 // path, one full-width exponentiation per nonce.
 func (pk *PublicKey) NoncePower() (*big.Int, error) {
-	r, err := zmath.RandUnit(rand.Reader, pk.N)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: sampling randomness: %w", err)
-	}
-	return new(big.Int).Exp(r, pk.N, pk.N2), nil
+	return zmath.SpecNoncePower(pk.N, pk.N, pk.N2)
 }
 
-// encryptFromSource assembles a fresh encryption of m from src's next
-// nonce power.
-func encryptFromSource(src NonceSource, m *big.Int) (*Ciphertext, error) {
-	rn, err := src.NoncePower()
-	if err != nil {
-		return nil, err
-	}
-	return src.Key().encryptWithRN(m, rn)
+// NonceEncryptor is every Paillier encryption surface other than the
+// bare PublicKey: the key plus one of zmath's nonce producers.
+type NonceEncryptor = zmath.NonceEncryptor[*PublicKey, *Ciphertext]
+
+// CRTEncryptor returns the key holder's encryption surface: nonce powers
+// from zmath.CRTNonce, the spec path's exact distribution at a fraction
+// of its cost.
+func (sk *PrivateKey) CRTEncryptor() *NonceEncryptor {
+	return zmath.NewNonceEncryptor(&sk.PublicKey, sk.crtNonce().NoncePower)
 }
 
-// CRTEncryptor is the key holder's fast path. The spec path's nonce
-// powers {r^N mod N^2 : r uniform in Z*_N} are exactly the uniform
-// distribution over the subgroup R of N-th residues, whose CRT
-// components are the unique order-(p-1) and order-(q-1) subgroups of the
-// cyclic groups Z*_{p^2} and Z*_{q^2} (gcd(q, p-1) = gcd(p, q-1) = 1 for
-// distinct same-size primes). With the factorization available each
-// component can be sampled directly: the p-power map s -> s^p on
-// Z*_{p^2} surjects uniformly onto that same order-(p-1) subgroup, so a
-// uniform nonce power is CRT(sp^p mod p^2, sq^q mod q^2) for uniform
-// units sp, sq — two half-width exponents over half-width moduli instead
-// of one full-width exponentiation over N^2. Identical output
-// distribution to the spec path — assumption-free — at a quarter of the
-// word-multiplication count.
-//
-// Only parties holding the private key can construct one: the data owner
-// bulk-encrypting a relation, the crypto cloud S2 re-blinding, and S1 for
-// its own ephemeral key.
-type CRTEncryptor struct {
-	sk     *PrivateKey
-	ep, eq *big.Int // N reduced mod p(p-1) and q(q-1), for noncePowerOf
+// crtNonce is the CRT sampler over this key's factors, at s = 1.
+func (sk *PrivateKey) crtNonce() *zmath.CRTNonce {
+	return zmath.NewCRTNonce(sk.P, sk.Q, sk.p2InvModQ2, 1)
 }
 
-// CRTEncryptor returns the CRT-accelerated encryption surface for the
-// private key.
-func (sk *PrivateKey) CRTEncryptor() *CRTEncryptor {
-	ordP := new(big.Int).Mul(sk.P, sk.pOrder) // |Z*_{p^2}| = p(p-1)
-	ordQ := new(big.Int).Mul(sk.Q, sk.qOrder)
-	return &CRTEncryptor{
-		sk: sk,
-		ep: new(big.Int).Mod(sk.N, ordP),
-		eq: new(big.Int).Mod(sk.N, ordQ),
-	}
-}
-
-// Key returns the underlying public key.
-func (e *CRTEncryptor) Key() *PublicKey { return &e.sk.PublicKey }
-
-// noncePowerOf computes r^N mod N^2 for a caller-provided r via the
-// classic CRT split (exponent reduced mod the unit-group orders). Kept
-// so tests can pin bit-identical equivalence with the spec path on fixed
-// nonces; NoncePower uses the cheaper direct subgroup sampling.
-func (e *CRTEncryptor) noncePowerOf(r *big.Int) *big.Int {
-	rp := new(big.Int).Exp(new(big.Int).Mod(r, e.sk.p2), e.ep, e.sk.p2)
-	rq := new(big.Int).Exp(new(big.Int).Mod(r, e.sk.q2), e.eq, e.sk.q2)
-	return zmath.CRTPair(rp, rq, e.sk.p2, e.sk.q2, e.sk.p2InvModQ2)
-}
-
-// NoncePower returns a uniform N-th residue mod N^2 by sampling its CRT
-// components directly (see the type comment for why this matches the
-// spec path's distribution exactly).
-func (e *CRTEncryptor) NoncePower() (*big.Int, error) {
-	xp, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.p2, e.sk.P, e.sk.P)
+// NewFastEncryptor precomputes pk's fast-nonce table (zmath.FastNonce:
+// short exponents, an extra assumption on top of DCR, hence opt-in).
+func NewFastEncryptor(pk *PublicKey) (*NonceEncryptor, error) {
+	fast, err := zmath.NewFastNonce(pk.N, pk.N, pk.N2, pk.engN2)
 	if err != nil {
 		return nil, err
 	}
-	xq, err := zmath.SampleSubgroupPower(rand.Reader, e.sk.q2, e.sk.Q, e.sk.Q)
-	if err != nil {
-		return nil, err
-	}
-	return zmath.CRTPair(xp, xq, e.sk.p2, e.sk.q2, e.sk.p2InvModQ2), nil
+	return zmath.NewNonceEncryptor(pk, fast.NoncePower), nil
 }
 
-// Encrypt encrypts m with a CRT-computed nonce power.
-func (e *CRTEncryptor) Encrypt(m *big.Int) (*Ciphertext, error) {
-	return encryptFromSource(e, m)
-}
-
-// EncryptZero returns a fresh encryption of zero.
-func (e *CRTEncryptor) EncryptZero() (*Ciphertext, error) {
-	return e.Encrypt(zmath.Zero)
-}
-
-// Rerandomize multiplies by a fresh encryption of zero.
-func (e *CRTEncryptor) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	z, err := e.EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	return e.Key().Add(a, z)
-}
-
-// FastNonceBits is the default short-exponent length for FastEncryptor:
-// twice a 128-bit security parameter, the standard margin for the
-// short-exponent indistinguishability assumption.
-const FastNonceBits = 256
-
-// FastNonceWindow is the fixed-base window width shared by the Paillier
-// and DJ fast-nonce tables; 6 keeps the per-key table a few thousand
-// entries while cutting a 256-bit exponent to ~43 multiplications.
-const FastNonceWindow = 6
-
-// FastEncryptor is the opt-in fast-nonce path, usable by any party
-// holding only the public key: precompute hN = h^N mod N^2 once for a
-// random quadratic residue h, then draw nonce powers as hN^alpha for
-// short random alpha (FastNonceBits bits) through a fixed-base windowed
-// table — ~45 modular multiplications per nonce instead of a full-width
-// exponentiation.
-//
-// SECURITY: the spec path draws nonces uniformly from the N-th residues;
-// this path draws them from the subgroup generated by h^N with
-// short exponents. Indistinguishability rests on the standard
-// short-exponent / subgroup assumption (as in the Damgård–Jurik–Nielsen
-// fast variant of Paillier), which is an extra assumption on top of DCR.
-// It is therefore opt-in everywhere (cloud.WithFastNonce, -fast-nonce);
-// the default remains spec-faithful. See DESIGN.md "Precomputation fast
-// paths".
-type FastEncryptor struct {
-	pk      *PublicKey
-	table   *zmath.FixedBaseTable
-	expHi   *big.Int // 2^expBits, the exclusive sampling bound
-	expBits int
-}
-
-// NewFastEncryptor precomputes the fast-nonce table for pk. expBits <= 0
-// selects FastNonceBits. The table build costs a few full-width
-// exponentiations' worth of multiplications and ~(expBits/6 * 63)
-// cached big.Ints; it amortizes after a handful of encryptions.
-func NewFastEncryptor(pk *PublicKey, expBits int) (*FastEncryptor, error) {
-	if expBits <= 0 {
-		expBits = FastNonceBits
-	}
-	if expBits < 2*64 {
-		return nil, fmt.Errorf("paillier: fast-nonce exponent %d bits below the short-exponent safety margin", expBits)
-	}
-	x, err := zmath.RandUnit(rand.Reader, pk.N)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: sampling fast-nonce base: %w", err)
-	}
-	// h = x^2 mod N is a uniform quadratic residue; hN = h^N generates the
-	// subgroup the short-exponent nonces are drawn from.
-	h := new(big.Int).Mul(x, x)
-	h.Mod(h, pk.N)
-	hN := new(big.Int).Exp(h, pk.N, pk.N2)
-	// With an engine on the key the table keeps its entries in Montgomery
-	// form, so every nonce draw runs its whole window chain division-free.
-	var table *zmath.FixedBaseTable
-	if eng := pk.EngineN2(); eng != nil {
-		table, err = zmath.NewFixedBaseTableMod(hN, eng, FastNonceWindow, expBits)
-	} else {
-		table, err = zmath.NewFixedBaseTable(hN, pk.N2, FastNonceWindow, expBits)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("paillier: building fast-nonce table: %w", err)
-	}
-	return &FastEncryptor{
-		pk:      pk,
-		table:   table,
-		expHi:   new(big.Int).Lsh(zmath.One, uint(expBits)),
-		expBits: expBits,
-	}, nil
-}
-
-// Key returns the underlying public key.
-func (e *FastEncryptor) Key() *PublicKey { return e.pk }
-
-// ExpBits returns the short-exponent length in bits.
-func (e *FastEncryptor) ExpBits() int { return e.expBits }
-
-// NoncePower draws a short random exponent alpha and returns
-// (h^N)^alpha mod N^2 from the fixed-base table.
-func (e *FastEncryptor) NoncePower() (*big.Int, error) {
-	alpha, err := zmath.RandRange(rand.Reader, zmath.One, e.expHi)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: sampling fast-nonce exponent: %w", err)
-	}
-	return e.table.Exp(alpha)
-}
-
-// Encrypt encrypts m with a fast-path nonce power.
-func (e *FastEncryptor) Encrypt(m *big.Int) (*Ciphertext, error) {
-	return encryptFromSource(e, m)
-}
-
-// EncryptZero returns a fresh encryption of zero.
-func (e *FastEncryptor) EncryptZero() (*Ciphertext, error) {
-	return e.Encrypt(zmath.Zero)
-}
-
-// Rerandomize multiplies by a fresh encryption of zero.
-func (e *FastEncryptor) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	z, err := e.EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	return e.pk.Add(a, z)
+// NewNoncePool buffers up to capacity of src's nonce powers on workers
+// background goroutines (a drained pool computes inline). Close must be
+// called to release them.
+func NewNoncePool(src NonceSource, workers, capacity int) *NonceEncryptor {
+	return zmath.NewPooledEncryptor(src.Key(), src.NoncePower, workers, capacity)
 }

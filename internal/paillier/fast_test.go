@@ -8,19 +8,35 @@ import (
 	"repro/internal/zmath"
 )
 
-// TestCRTNoncePowerMatchesSpec pins bit-identical equivalence of the CRT
-// split against the spec-path exponentiation on fixed nonces.
+// The nonce producers themselves are tested once, for s = 1 and s = 2, in
+// zmath (nonce_test.go). The tests here hold this package's wiring of
+// them: the right key parts reach zmath, and every surface the
+// constructors build encrypts under the key it names.
+
+// TestCRTNoncePowerMatchesSpec pins the CRT split this key builds, bit
+// for bit on fixed nonces, to EncryptWithNonce's own r^N mod N^2 (an
+// encryption of zero is its bare nonce power).
 func TestCRTNoncePowerMatchesSpec(t *testing.T) {
 	sk := testKey(t)
-	enc := sk.CRTEncryptor()
+	crt := sk.crtNonce()
 	for i := 0; i < 25; i++ {
 		r, err := zmath.RandUnit(rand.Reader, sk.N)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := new(big.Int).Exp(r, sk.N, sk.N2)
-		if got := enc.noncePowerOf(r); got.Cmp(want) != 0 {
+		want, err := sk.EncryptWithNonce(zmath.Zero, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := crt.PowerOf(r); got.Cmp(want.C) != 0 {
 			t.Fatalf("CRT nonce power differs from spec for r=%v", r)
+		}
+		ct, err := sk.EncryptWithNonce(big.NewInt(int64(i)), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := sk.Decrypt(ct); err != nil || m.Int64() != int64(i) {
+			t.Fatalf("EncryptWithNonce(%d) decrypts to %v (%v)", i, m, err)
 		}
 	}
 }
@@ -48,148 +64,105 @@ func TestCRTNoncePowerIsNthResidue(t *testing.T) {
 	}
 }
 
-// TestCRTEncryptorRoundTrip checks CRT-path ciphertexts decrypt to the
-// plaintext and stay probabilistic.
-func TestCRTEncryptorRoundTrip(t *testing.T) {
-	sk := testKey(t)
-	enc := sk.CRTEncryptor()
+// checkSurface holds one encryption surface to the Encryptor contract:
+// it names sk's public key, its ciphertexts decrypt to the plaintext
+// (negatives as residues), never repeat, compose homomorphically with
+// spec-path ones — they live in the same group — and survive Rerandomize.
+func checkSurface(t *testing.T, sk *PrivateKey, enc Encryptor) {
+	t.Helper()
 	if enc.Key() != &sk.PublicKey {
 		t.Fatal("Key() should return the underlying public key")
 	}
-	for _, m := range []int64{0, 1, 42, 1 << 40, -1} {
-		c1, err := enc.Encrypt(big.NewInt(m))
-		if err != nil {
-			t.Fatalf("Encrypt(%d): %v", m, err)
-		}
-		c2, err := enc.Encrypt(big.NewInt(m))
+	seen := map[string]bool{}
+	fresh := func(ct *Ciphertext, err error) *Ciphertext {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c1.C.Cmp(c2.C) == 0 {
-			t.Errorf("CRT encryption of %d is deterministic", m)
+		if seen[ct.C.String()] {
+			t.Fatal("two ciphertexts share randomness")
 		}
-		got, err := sk.DecryptSigned(c1)
-		if err != nil {
-			t.Fatalf("Decrypt: %v", err)
-		}
-		if got.Int64() != m {
-			t.Errorf("round trip %d -> %v", m, got)
-		}
+		seen[ct.C.String()] = true
+		return ct
 	}
-	z, err := enc.EncryptZero()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, err := sk.Decrypt(z); err != nil || m.Sign() != 0 {
-		t.Fatalf("EncryptZero decrypts to %v (%v)", m, err)
-	}
-	c, err := enc.Encrypt(big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := enc.Rerandomize(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.C.Cmp(c.C) == 0 {
-		t.Error("Rerandomize returned the same ciphertext")
-	}
-	if m, _ := sk.Decrypt(rr); m.Int64() != 7 {
-		t.Errorf("rerandomized ciphertext decrypts to %v", m)
-	}
-}
-
-// TestFastEncryptorRoundTrip checks fast-nonce ciphertexts decrypt
-// identically to the spec path and remain probabilistic.
-func TestFastEncryptorRoundTrip(t *testing.T) {
-	sk := testKey(t)
-	enc, err := NewFastEncryptor(&sk.PublicKey, 0)
-	if err != nil {
-		t.Fatalf("NewFastEncryptor: %v", err)
-	}
-	if enc.ExpBits() != FastNonceBits {
-		t.Errorf("default ExpBits = %d, want %d", enc.ExpBits(), FastNonceBits)
-	}
-	for _, m := range []int64{0, 1, 42, 1 << 40, -1} {
-		c1, err := enc.Encrypt(big.NewInt(m))
-		if err != nil {
-			t.Fatalf("Encrypt(%d): %v", m, err)
-		}
-		c2, err := enc.Encrypt(big.NewInt(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1.C.Cmp(c2.C) == 0 {
-			t.Errorf("fast-nonce encryption of %d is deterministic", m)
-		}
-		got, err := sk.DecryptSigned(c1)
-		if err != nil {
-			t.Fatalf("Decrypt: %v", err)
-		}
-		if got.Int64() != m {
-			t.Errorf("round trip %d -> %v", m, got)
+	for _, m := range []int64{0, 1, 42, 1 << 40, -1, 42} {
+		ct := fresh(enc.Encrypt(big.NewInt(m)))
+		if got, err := sk.DecryptSigned(ct); err != nil || got.Int64() != m {
+			t.Errorf("round trip %d -> %v (%v)", m, got, err)
 		}
 	}
-	// Fast-path ciphertexts must compose homomorphically with spec-path
-	// ones — they live in the same group.
-	a, err := enc.Encrypt(big.NewInt(30))
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if m, err := sk.Decrypt(fresh(enc.EncryptZero())); err != nil || m.Sign() != 0 {
+			t.Fatalf("EncryptZero decrypts to %v (%v)", m, err)
+		}
 	}
-	b, err := sk.PublicKey.Encrypt(big.NewInt(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := sk.PublicKey.Add(a, b)
+	a := fresh(enc.Encrypt(big.NewInt(30)))
+	sum, err := sk.Add(a, mustEncrypt(t, &sk.PublicKey, big.NewInt(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m, _ := sk.Decrypt(sum); m.Int64() != 42 {
-		t.Errorf("fast+spec homomorphic sum = %v, want 42", m)
+		t.Errorf("homomorphic sum with a spec-path ciphertext = %v, want 42", m)
 	}
-	rr, err := enc.Rerandomize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.C.Cmp(a.C) == 0 {
-		t.Error("Rerandomize returned the same ciphertext")
-	}
-	if m, _ := sk.Decrypt(rr); m.Int64() != 30 {
-		t.Errorf("rerandomized ciphertext decrypts to %v", m)
+	rr := fresh(enc.Rerandomize(a))
+	if m, err := sk.Decrypt(rr); err != nil || m.Int64() != 30 {
+		t.Errorf("rerandomized ciphertext decrypts to %v (%v)", m, err)
 	}
 }
 
-func TestFastEncryptorRejectsShortExponent(t *testing.T) {
+func TestCRTEncryptorRoundTrip(t *testing.T) {
 	sk := testKey(t)
-	if _, err := NewFastEncryptor(&sk.PublicKey, 64); err == nil {
-		t.Fatal("expected error for a 64-bit short exponent")
+	checkSurface(t, sk, sk.CRTEncryptor())
+}
+
+func TestFastEncryptorRoundTrip(t *testing.T) {
+	sk := testKey(t)
+	enc, err := NewFastEncryptor(&sk.PublicKey)
+	if err != nil {
+		t.Fatalf("NewFastEncryptor: %v", err)
+	}
+	checkSurface(t, sk, enc)
+}
+
+// TestNoncePool draws more encryptions than the pool holds, so some come
+// from the buffer and some from the inline fallback of a drained pool.
+func TestNoncePool(t *testing.T) {
+	sk := testKey(t)
+	pool := NewNoncePool(&sk.PublicKey, 2, 4)
+	defer pool.Close()
+	for i := 0; i < 3; i++ {
+		checkSurface(t, sk, pool)
 	}
 }
 
-// TestNoncePoolOverFastSources checks the pool composes with both fast
-// paths: pooled encryptions still decrypt correctly.
+func TestNoncePoolClosedFallback(t *testing.T) {
+	sk := testKey(t)
+	pool := NewNoncePool(&sk.PublicKey, 1, 2)
+	pool.Close()
+	checkSurface(t, sk, pool)
+	pool.Close()
+}
+
+// TestNoncePoolOverFastSources checks the pool composes with every
+// producer, a pool included.
 func TestNoncePoolOverFastSources(t *testing.T) {
 	sk := testKey(t)
-	fast, err := NewFastEncryptor(&sk.PublicKey, 0)
+	fast, err := NewFastEncryptor(&sk.PublicKey)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inner := NewNoncePool(&sk.PublicKey, 1, 4)
+	defer inner.Close()
 	for name, src := range map[string]NonceSource{
 		"spec": &sk.PublicKey,
 		"crt":  sk.CRTEncryptor(),
 		"fast": fast,
+		"pool": inner,
 	} {
-		pool := NewNoncePool(src, 1, 8)
-		for i := 0; i < 12; i++ {
-			ct, err := pool.Encrypt(big.NewInt(int64(i)))
-			if err != nil {
-				t.Fatalf("%s pooled Encrypt: %v", name, err)
-			}
-			m, err := sk.Decrypt(ct)
-			if err != nil || m.Int64() != int64(i) {
-				t.Fatalf("%s pooled round trip %d -> %v (%v)", name, i, m, err)
-			}
-		}
-		pool.Close()
+		t.Run(name, func(t *testing.T) {
+			pool := NewNoncePool(src, 1, 8)
+			defer pool.Close()
+			checkSurface(t, sk, pool)
+		})
 	}
 }

@@ -220,29 +220,20 @@ func (pk *PublicKey) validateMessage(m *big.Int) (*big.Int, error) {
 
 // Encrypt encrypts m (interpreted mod N) with fresh randomness.
 func (pk *PublicKey) Encrypt(m *big.Int) (*Ciphertext, error) {
-	r, err := zmath.RandUnit(rand.Reader, pk.N)
+	rn, err := pk.NoncePower()
 	if err != nil {
-		return nil, fmt.Errorf("paillier: sampling randomness: %w", err)
+		return nil, err
 	}
-	return pk.EncryptWithNonce(m, r)
+	return pk.EncryptWithPower(m, rn)
 }
 
 // EncryptWithNonce encrypts m with the caller-provided nonce r in Z*_N.
 // With g = 1+N, Enc(m) = (1 + m*N) * r^N mod N^2.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
-	mm, err := pk.validateMessage(m)
-	if err != nil {
-		return nil, err
-	}
 	if r == nil || r.Sign() <= 0 || r.Cmp(pk.N) >= 0 {
 		return nil, errors.New("paillier: nonce outside (0, N)")
 	}
-	// gm = 1 + m*N is already < N^2 (m < N), so no reduction is needed
-	// before the nonce multiply.
-	gm := new(big.Int).Mul(mm, pk.N)
-	gm.Add(gm, zmath.One)
-	rn := new(big.Int).Exp(r, pk.N, pk.N2)
-	return &Ciphertext{C: pk.mulN2(gm, rn)}, nil
+	return pk.EncryptWithPower(m, new(big.Int).Exp(r, pk.N, pk.N2))
 }
 
 // EncryptInt64 is a convenience wrapper around Encrypt.

@@ -7,9 +7,11 @@ import (
 
 // Pool runs background filler goroutines that keep a bounded buffer of
 // precomputed values. Get never blocks — a drained pool reports !ok and
-// the caller computes inline — so a Pool is purely a throughput
-// optimization and can never change results. The crypto layers use it to
-// precompute the nonce powers that dominate Paillier/DJ encryption.
+// Next computes inline — so a Pool is purely a throughput optimization
+// and can never change results. The crypto layers use it to precompute
+// the nonce powers that dominate Paillier/DJ encryption — the single
+// hottest operation in the system — so that a foreground encryption
+// reduces to two modular multiplications.
 //
 // Fillers start lazily on the first Get: a pool a consumer never draws
 // from (e.g. the DJ surface during a query mode that never encrypts under
@@ -101,8 +103,17 @@ func (p *Pool[T]) Get() (v T, ok bool) {
 	}
 }
 
+// Next returns a precomputed value, or computes one inline — surfacing
+// fill's error, if any — when the buffer is drained or the pool closed.
+func (p *Pool[T]) Next() (T, error) {
+	if v, ok := p.Get(); ok {
+		return v, nil
+	}
+	return p.fill()
+}
+
 // Close stops the background fillers. The pool stays usable afterwards
-// (Get reports drained and callers fall back to inline computation).
+// (Get reports drained and Next computes inline).
 // Safe to call more than once.
 func (p *Pool[T]) Close() {
 	p.mu.Lock()

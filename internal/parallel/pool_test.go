@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,5 +64,54 @@ func TestPoolFillErrorDegradesToInline(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if _, ok := p.Get(); ok {
 		t.Fatal("erroring pool produced a value")
+	}
+}
+
+// TestPoolNextHandsEachValueOutOnce numbers fill's outputs, so a value
+// the pool handed to two callers would show as a repeat: concurrent
+// drawers across the buffer, the drained-pool fallback and Close see
+// every number at most once, and draws after Close still succeed.
+func TestPoolNextHandsEachValueOutOnce(t *testing.T) {
+	var next atomic.Int64
+	pool := NewPool(2, 4, func() (int64, error) { return next.Add(1), nil })
+
+	var mu sync.Mutex
+	seen := map[int64]bool{}
+	draw := func(n int) {
+		for i := 0; i < n; i++ {
+			v, err := pool.Next()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			if seen[v] {
+				t.Errorf("value #%d handed out twice", v)
+			}
+			seen[v] = true
+			mu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); draw(200) }()
+	}
+	wg.Wait()
+	pool.Close()
+	draw(20)
+	if len(seen) != 4*200+20 {
+		t.Errorf("%d distinct values for %d draws", len(seen), 4*200+20)
+	}
+}
+
+// TestPoolNextSurfacesFillError: a pool whose fill fails has nothing
+// buffered, and Next reports the failure from its inline attempt.
+func TestPoolNextSurfacesFillError(t *testing.T) {
+	boom := errors.New("rand broke")
+	p := NewPool(1, 2, func() (int, error) { return 0, boom })
+	defer p.Close()
+	if _, err := p.Next(); !errors.Is(err, boom) {
+		t.Fatalf("Next = %v, want fill's error", err)
 	}
 }

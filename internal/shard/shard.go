@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cloud"
@@ -172,38 +173,7 @@ func (e *Engine) ShardSizes() []int {
 
 // ValidateToken checks a token against the *global* relation dimensions.
 func (e *Engine) ValidateToken(tk *core.Token) error {
-	if err := e.validateShape(tk); err != nil {
-		return err
-	}
-	if tk.K > e.rel.N {
-		return secerr.New(secerr.CodeInvalidToken, "shard: token k=%d out of range", tk.K)
-	}
-	return nil
-}
-
-// validateShape checks everything about a token except the upper bound
-// on k — a cluster member hosts only part of the relation, so the global
-// k may legitimately exceed the local row count (it is clamped per
-// shard; the coordinator validated it against the global N).
-func (e *Engine) validateShape(tk *core.Token) error {
-	if tk == nil {
-		return secerr.New(secerr.CodeInvalidToken, "shard: nil token")
-	}
-	if len(tk.Lists) == 0 {
-		return secerr.New(secerr.CodeInvalidToken, "shard: token selects no lists")
-	}
-	for _, p := range tk.Lists {
-		if p < 0 || p >= e.rel.M {
-			return secerr.New(secerr.CodeInvalidToken, "shard: token list position %d out of range", p)
-		}
-	}
-	if tk.Weights != nil && len(tk.Weights) != len(tk.Lists) {
-		return secerr.New(secerr.CodeInvalidToken, "shard: token has %d weights for %d lists", len(tk.Weights), len(tk.Lists))
-	}
-	if tk.K <= 0 {
-		return secerr.New(secerr.CodeInvalidToken, "shard: token k=%d out of range", tk.K)
-	}
-	return nil
+	return core.ValidateToken(tk, e.rel.M, e.rel.N)
 }
 
 // magBits is the core engine's comparison-mask sizing, so merged
@@ -263,7 +233,7 @@ func (e *Engine) SecQuery(ctx context.Context, tk *core.Token, opts core.Options
 // by the local row count — the coordinator validated k against the
 // global relation and each shard clamps it to its own size.
 func (e *Engine) Candidates(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
-	if err := e.validateShape(tk); err != nil {
+	if err := core.ValidateToken(tk, e.rel.M, math.MaxInt); err != nil {
 		return nil, err
 	}
 	return e.runShards(ctx, tk, opts)
@@ -336,7 +306,22 @@ func Merge(ctx context.Context, client *cloud.Client, k, magBits int, sets []*co
 		depth     int
 		halted    = true
 	)
-	for _, cs := range sets {
+	// A set may come off the wire from a cluster member (secio.ReadCandidates
+	// checks no shapes), and the bound check below indexes both columns.
+	for i, cs := range sets {
+		if cs == nil {
+			return nil, false, secerr.New(secerr.CodeBadRequest, "shard: no candidate set for shard %d", i)
+		}
+		for j, it := range cs.Items {
+			if err := it.Validate(protocols.ColBest + 1); err != nil {
+				return nil, false, secerr.Wrap(secerr.CodeBadRequest, err, "shard: shard %d candidate %d", i, j)
+			}
+		}
+		for j, r := range cs.Residuals {
+			if r == nil || r.C == nil {
+				return nil, false, secerr.New(secerr.CodeBadRequest, "shard: shard %d residual %d is nil", i, j)
+			}
+		}
 		union = append(union, cs.Items...)
 		residuals = append(residuals, cs.Residuals...)
 		if cs.Depth > depth {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ehl"
 	"repro/internal/nra"
+	"repro/internal/paillier"
+	"repro/internal/protocols"
+	"repro/internal/secerr"
 	"repro/internal/transport"
 )
 
@@ -405,5 +409,69 @@ func TestShardedOversizedK(t *testing.T) {
 		if g.Obj != truth[i].Obj || g.Worst != truth[i].Worst {
 			t.Errorf("rank %d: got %+v, ground truth %+v", i, g, truth[i])
 		}
+	}
+}
+
+// TestMergeRefusesMalformedSets feeds Merge what a cluster member's reply
+// can decode to — secio.ReadCandidates checks no shapes — and wants a
+// typed bad_request naming the shard where it used to index a missing
+// bound column and take the front door down with it.
+func TestMergeRefusesMalformedSets(t *testing.T) {
+	r := getRig(t)
+	const n, k = 8, 2
+	rel := correlated(n)
+	attrs := []int{0, 1, 2}
+	tk, err := r.scheme.TokenFor(n, rel.M(), attrs, nil, k)
+	if err != nil {
+		t.Fatalf("TokenFor: %v", err)
+	}
+	sh, err := Encrypt(r.scheme, rel, 2)
+	if err != nil {
+		t.Fatalf("shard.Encrypt: %v", err)
+	}
+	eng, err := NewEngine(r.client, sh)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	ctx := context.Background()
+	good, err := eng.Candidates(ctx, tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+	if err != nil {
+		t.Fatalf("Candidates: %v", err)
+	}
+	if len(good[1].Items) < k || len(good[1].Residuals) == 0 {
+		t.Fatalf("shard 1 returned %d items, %d residuals; the cases below need both", len(good[1].Items), len(good[1].Residuals))
+	}
+	// tamper returns the two sets with a changed copy of shard 1's.
+	tamper := func(change func(cs *core.CandidateSet)) []*core.CandidateSet {
+		cs := *good[1]
+		cs.Items = append([]protocols.Item(nil), cs.Items...)
+		cs.Residuals = append([]*paillier.Ciphertext(nil), cs.Residuals...)
+		change(&cs)
+		return []*core.CandidateSet{good[0], &cs}
+	}
+	cases := map[string][]*core.CandidateSet{
+		// Passes EncSelectTop (it ranks on column 0), then has no ColBest.
+		"one score column": tamper(func(cs *core.CandidateSet) {
+			for i, it := range cs.Items {
+				it.Scores = it.Scores[:1]
+				cs.Items[i] = it
+			}
+		}),
+		"nil score":    tamper(func(cs *core.CandidateSet) { cs.Items[0].Scores = []*paillier.Ciphertext{cs.Items[0].Scores[0], nil} }),
+		"missing EHL":  tamper(func(cs *core.CandidateSet) { cs.Items[0].EHL = nil }),
+		"nil residual": tamper(func(cs *core.CandidateSet) { cs.Residuals[0] = nil }),
+		"nil set":      {good[0], nil},
+	}
+	for name, sets := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, _, err := Merge(ctx, r.client, k, eng.magBits(tk), sets)
+			if secerr.CodeOf(err) != secerr.CodeBadRequest || !strings.Contains(err.Error(), "shard 1") {
+				t.Fatalf("Merge = %v, want a bad_request naming shard 1", err)
+			}
+		})
+	}
+	res, certified, err := Merge(ctx, r.client, k, eng.magBits(tk), good)
+	if err != nil || !certified || len(res.Items) != k {
+		t.Fatalf("well-formed sets: %d items, certified %v, err %v", len(res.Items), certified, err)
 	}
 }

@@ -372,8 +372,10 @@ func (d *DataCloud) connect(ctx context.Context, raw transport.Caller, conn tran
 }
 
 // ConnectLocal wires this data cloud to a CryptoCloud in the same
-// process (gob-serializing both directions, so byte accounting matches
-// the TCP wire exactly) and runs the version handshake.
+// process (every message still goes through the wire codec in both
+// directions, so byte accounting matches what the same call costs on a
+// TCP connection, frame IDs and length prefixes aside) and runs the
+// version handshake.
 func (d *DataCloud) ConnectLocal(ctx context.Context, cc *CryptoCloud) error {
 	if cc == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: nil crypto cloud")
