@@ -1,29 +1,20 @@
 // Package cluster fans one top-k query out across many S1 processes and
 // merges the results under the same NRA-style soundness argument as the
-// in-process shard merge.
+// in-process shard merge — with the same code: a front door is a
+// shard.Engine whose sources are cluster members.
 //
 // The placement model is a tiling: a relation is Split round-robin into
 // P shards (internal/shard), and every cluster member hosts a disjoint
 // subset of those shards under the owner's shared keys, provisioned via
-// the secio "hosted-subset" handoff format. A Coordinator — the query
-// front door — learns each member's subset from its Hello, validates
-// that the subsets tile the relation exactly (every global shard index
-// hosted exactly once, shape metadata and key material consistent
-// everywhere), and then serves queries in rounds:
-//
-//	round 1 (fan-out):  send the token to every member concurrently; each
-//	                    runs its shards' candidate scans against S2 and
-//	                    returns P_i candidate sets.
-//	round 2 (merge):    union the P candidate sets in global shard order,
-//	                    EncSelectTop the k best by worst-score, and check
-//	                    the NRA bound — every non-selected upper bound and
-//	                    every shard residual dominated by the merged k-th
-//	                    worst — in one EncCompareBatch.
-//	round 3 (rescan):   only if the check could not certify (a relaxed-
-//	                    halting or depth-capped shard may hide a better
-//	                    object): repeat the fan-out with ExactScan, after
-//	                    which every bound is the exact aggregate and the
-//	                    re-merge is unconditionally certified.
+// the secio "hosted-subset" handoff format. NewCoordinator — the query
+// front door's constructor — takes each member's subset from its Hello,
+// validates that the subsets agree on shape metadata, key material and
+// epoch, and returns the shard engine over one source per member: the
+// engine checks that the subsets tile the relation exactly, fans every
+// query out (a member's Run is one Candidates call over the wire),
+// reassembles the P candidate sets in global shard order, merges, and —
+// only when the merge bound check cannot certify — repeats the fan-out
+// with ExactScan (ledger event ClusterMerge, metric scope "cluster").
 //
 // Soundness is inherited unchanged from the in-process merge (see
 // internal/shard and DESIGN.md's "Shard merge bound" errata note):
@@ -44,12 +35,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/big"
-	"sort"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/secerr"
 	"repro/internal/secio"
+	"repro/internal/shard"
 	"repro/internal/transport"
 )
 
@@ -62,148 +53,83 @@ type Contribution struct {
 	Info   SubsetInfo
 }
 
-// Coordinator serves distributed top-k queries over one relation's
-// placement. It is safe for concurrent use: queries build only per-call
-// state.
-type Coordinator struct {
-	client  *cloud.Client
-	name    string
-	members []Contribution
-
-	total        int // global shard count P
-	n, m         int // global dimensions
-	maxScoreBits int
-	epoch        uint64
-	pk           *big.Int
-}
-
-// NewCoordinator validates that the contributions tile the relation —
-// every global shard index hosted exactly once, consistent shape
-// metadata, key material, and epoch — and assembles the global
-// dimensions the token validation and merge bound need. The client is
-// the coordinator's own S2 connection (the merge rounds run on it).
-func NewCoordinator(client *cloud.Client, name string, members []Contribution) (*Coordinator, error) {
-	if client == nil {
-		return nil, fmt.Errorf("cluster: nil client")
-	}
+// NewCoordinator validates that the contributions agree on shape
+// metadata, key material and epoch, and returns the sharded engine that
+// serves distributed top-k queries over them (which checks the tiling).
+// The client is the front door's own S2 connection (the merge rounds run
+// on it).
+func NewCoordinator(client *cloud.Client, name string, members []Contribution) (*shard.Engine, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: relation %q has no contributing members", name)
 	}
 	first := members[0].Info
-	if first.Total < 1 {
-		return nil, fmt.Errorf("cluster: member %s announces shard total %d", members[0].Member, first.Total)
-	}
-	c := &Coordinator{
-		client: client, name: name, members: members,
-		total: first.Total, m: first.M, maxScoreBits: first.MaxScoreBits,
-		epoch: first.Epoch, pk: first.PK,
-	}
-	owner := make(map[int]string, c.total)
+	n := 0
 	for _, mc := range members {
 		info := mc.Info
 		if info.Relation != name {
 			return nil, fmt.Errorf("cluster: member %s contributed relation %q to placement of %q", mc.Member, info.Relation, name)
 		}
-		if info.Total != c.total || info.M != c.m || info.MaxScoreBits != c.maxScoreBits {
+		if info.Total != first.Total || info.M != first.M || info.MaxScoreBits != first.MaxScoreBits {
 			return nil, fmt.Errorf("cluster: member %s shape (P=%d, m=%d, scorebits=%d) differs from member %s (P=%d, m=%d, scorebits=%d)",
-				mc.Member, info.Total, info.M, info.MaxScoreBits, members[0].Member, c.total, c.m, c.maxScoreBits)
+				mc.Member, info.Total, info.M, info.MaxScoreBits, members[0].Member, first.Total, first.M, first.MaxScoreBits)
 		}
-		if info.Epoch != c.epoch {
+		if info.Epoch != first.Epoch {
 			return nil, fmt.Errorf("cluster: member %s hosts epoch %d but member %s hosts epoch %d — re-provision before joining",
-				mc.Member, info.Epoch, members[0].Member, c.epoch)
+				mc.Member, info.Epoch, members[0].Member, first.Epoch)
 		}
-		if info.PK == nil || c.pk == nil || info.PK.Cmp(c.pk) != 0 {
+		if info.PK == nil || first.PK == nil || info.PK.Cmp(first.PK) != 0 {
 			return nil, fmt.Errorf("cluster: member %s announces different key material than member %s", mc.Member, members[0].Member)
 		}
 		if len(info.Rows) != len(info.Indices) {
 			return nil, fmt.Errorf("cluster: member %s announces %d row counts for %d shards", mc.Member, len(info.Rows), len(info.Indices))
 		}
-		for j, ix := range info.Indices {
-			if ix < 0 || ix >= c.total {
-				return nil, fmt.Errorf("cluster: member %s announces shard index %d out of range [0,%d)", mc.Member, ix, c.total)
-			}
-			if prev, dup := owner[ix]; dup {
-				return nil, fmt.Errorf("cluster: shard %d of %q hosted by both %s and %s", ix, name, prev, mc.Member)
-			}
-			owner[ix] = mc.Member
-			c.n += info.Rows[j]
+		for _, rows := range info.Rows {
+			n += rows
 		}
 	}
-	if len(owner) != c.total {
-		missing := make([]int, 0, c.total-len(owner))
-		for ix := 0; ix < c.total; ix++ {
-			if _, ok := owner[ix]; !ok {
-				missing = append(missing, ix)
-			}
-		}
-		return nil, fmt.Errorf("cluster: placement of %q does not tile the relation: shards %v unhosted", name, missing)
+	// The members' calls run concurrently, so their order is immaterial:
+	// the engine reassembles candidate sets in global shard order.
+	sources := make([]shard.Source, len(members))
+	for i, mc := range members {
+		sources[i] = memberSource(name, first.Epoch, mc)
 	}
-	// Deterministic fan-out order (members sorted by their first shard)
-	// keeps logs and traffic stable across restarts; the merge itself
-	// reassembles candidate sets in global shard order regardless.
-	sort.SliceStable(c.members, func(i, j int) bool {
-		return c.members[i].Info.Indices[0] < c.members[j].Info.Indices[0]
-	})
-	return c, nil
-}
-
-// Relation returns the placement's relation id.
-func (c *Coordinator) Relation() string { return c.name }
-
-// N and M return the global relation dimensions; Shards the global shard
-// count P; Members the member count; Epoch the pinned relation epoch.
-func (c *Coordinator) N() int        { return c.n }
-func (c *Coordinator) M() int        { return c.m }
-func (c *Coordinator) Shards() int   { return c.total }
-func (c *Coordinator) Members() int  { return len(c.members) }
-func (c *Coordinator) Epoch() uint64 { return c.epoch }
-func (c *Coordinator) PK() *big.Int  { return c.pk }
-
-// MemberIDs returns the contributing members' identities in fan-out
-// order.
-func (c *Coordinator) MemberIDs() []string {
-	ids := make([]string, len(c.members))
-	for i, m := range c.members {
-		ids[i] = m.Member
-	}
-	return ids
-}
-
-// ValidateToken checks a token against the global relation dimensions —
-// the same checks a single node hosting all shards would make.
-func (c *Coordinator) ValidateToken(tk *core.Token) error {
-	return core.ValidateToken(tk, c.m, c.n)
-}
-
-// SecQuery executes one distributed top-k query through the coordinator
-// rounds: fan-out, merge-and-certify, and — only when certification
-// fails — the exact-rescan fallback. The result is revealed-identical to
-// a single node hosting every shard.
-func (c *Coordinator) SecQuery(ctx context.Context, tk *core.Token, opts core.Options) (*core.QueryResult, error) {
-	if err := c.ValidateToken(tk); err != nil {
-		return nil, err
-	}
-	tkBytes, err := encodeToken(tk)
+	engine, err := shard.NewFanOut(client, "cluster", first.Total, first.M, n, first.MaxScoreBits, sources)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: placement of %q: %w", name, err)
 	}
-	st := &state{c: c, tk: tk, tkBytes: tkBytes, opts: opts}
-	var r round = &roundFanOut{st: st}
-	for r != nil {
-		r, err = r.run(ctx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return st.res, nil
+	return engine, nil
 }
 
-// encodeToken serializes the token once per query; every member receives
-// the same bytes.
-func encodeToken(tk *core.Token) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := secio.WriteToken(&buf, tk); err != nil {
-		return nil, err
+// memberSource is one member as a fan-out source: Run is one Candidates
+// call pinned to the placement's epoch. A failed link is wrapped as a
+// typed unavailable error naming the member, so a half-up cluster is
+// diagnosable from the message alone.
+func memberSource(relation string, epoch uint64, mc Contribution) shard.Source {
+	return shard.Source{
+		Name:    "member " + mc.Member,
+		Indices: mc.Info.Indices,
+		Run: func(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
+			var token bytes.Buffer
+			if err := secio.WriteToken(&token, tk); err != nil {
+				return nil, err
+			}
+			req := CandidatesRequest{Relation: relation, Token: token.Bytes(), Options: opts, Epoch: epoch}
+			var reply CandidatesReply
+			if err := mc.Caller.Call(ctx, MethodCandidates, req, &reply); err != nil {
+				if secerr.CodeOf(err) == secerr.CodeTransport {
+					return nil, secerr.Wrap(secerr.CodeUnavailable, err, "cluster: member %s unreachable", mc.Member)
+				}
+				return nil, secerr.Wrap(secerr.CodeOf(err), err, "cluster: member %s", mc.Member)
+			}
+			sets := make([]*core.CandidateSet, len(reply.Sets))
+			for i, b := range reply.Sets {
+				cs, err := secio.ReadCandidates(bytes.NewReader(b))
+				if err != nil {
+					return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cluster: member %s candidate set %d", mc.Member, i)
+				}
+				sets[i] = cs
+			}
+			return sets, nil
+		},
 	}
-	return buf.Bytes(), nil
 }

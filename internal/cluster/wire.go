@@ -21,8 +21,9 @@ import (
 // member that hosts them using the ordinary client encoding.
 const (
 	// ProtocolVersion is the cluster wire version; both sides of a Hello
-	// must carry exactly this value.
-	ProtocolVersion = 1
+	// must carry exactly this value. v2: CandidatesRequest carries
+	// core.Options itself.
+	ProtocolVersion = 2
 
 	// MethodHello checks versions and announces the member's
 	// inventory: which shard subsets and whole-relation routes it hosts.
@@ -83,44 +84,16 @@ type HelloReply struct {
 	Routes  []RouteInfo
 }
 
-// Options carries core.Options across the cluster wire (ExactScan and
-// the idempotency key travel in the enclosing request).
-type Options struct {
-	Mode, Halt, Sort     int
-	BatchDepth, MaxDepth int
-	QueryID              string
-}
-
-// FromCore converts engine options to their wire form.
-func FromCore(o core.Options) Options {
-	return Options{
-		Mode: int(o.Mode), Halt: int(o.Halt), Sort: int(o.Sort),
-		BatchDepth: o.BatchDepth, MaxDepth: o.MaxDepth,
-		QueryID: o.QueryID,
-	}
-}
-
-// Core converts wire options back to engine options.
-func (o Options) Core() core.Options {
-	return core.Options{
-		Mode: core.Mode(o.Mode), Halt: core.HaltPolicy(o.Halt), Sort: core.SortStrategy(o.Sort),
-		BatchDepth: o.BatchDepth, MaxDepth: o.MaxDepth,
-		QueryID: o.QueryID,
-	}
-}
-
 // CandidatesRequest asks a member to run one token over its shards of a
-// relation. Epoch pins the member's hosted epoch (non-zero always: the
-// coordinator pins the epoch it assembled the placement at, so a cluster
-// never merges candidates from mixed epochs). Exact requests the
-// merge-bound fallback rescan: an exact full scan, after which every
-// returned bound is the exact aggregate.
+// relation under the front door's engine options (ExactScan set on the
+// merge-bound fallback rescan). Epoch pins the member's hosted epoch
+// (non-zero always: the coordinator pins the epoch it assembled the
+// placement at, so a cluster never merges candidates from mixed epochs).
 type CandidatesRequest struct {
 	Relation string
 	Token    []byte // secio "token" stream
-	Options  Options
+	Options  core.Options
 	Epoch    uint64
-	Exact    bool
 }
 
 // CandidatesReply carries one secio "candidates" stream per hosted
@@ -203,17 +176,15 @@ func serveCandidates(ctx context.Context, inv Inventory, body []byte) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
+	if err := req.Options.Validate(tk.K); err != nil {
+		return nil, err
+	}
 	release, err := inv.Begin(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	opts := req.Options.Core()
-	if req.Exact {
-		opts.ExactScan = true
-		opts.MaxDepth = 0
-	}
-	sets, err := h.Engine.Candidates(ctx, tk, opts)
+	sets, err := h.Engine.Candidates(ctx, tk, req.Options)
 	if err != nil {
 		// A canceled serve context means this member is draining or its
 		// peer link died mid-query; either way the member is unavailable

@@ -93,6 +93,29 @@ type Options struct {
 	QueryID string
 }
 
+// Validate refuses option values no engine path defines — an unknown
+// mode, halting test or sort, a negative depth, a Qry_Ba batch depth
+// below k (Section 10.2) — typed bad_request: peers on the client and
+// the cluster wire send these as bare integers, and unchecked a stray
+// mode would run (and be ledgered) as Qry_F.
+func (o Options) Validate(k int) error {
+	switch {
+	case o.Mode < QryF || o.Mode > QryBa:
+		return secerr.New(secerr.CodeBadRequest, "core: unknown query mode %d", int(o.Mode))
+	case o.Halt < HaltPaper || o.Halt > HaltStrict:
+		return secerr.New(secerr.CodeBadRequest, "core: unknown halting policy %d", int(o.Halt))
+	case o.Sort < SortTopK || o.Sort > SortFull:
+		return secerr.New(secerr.CodeBadRequest, "core: unknown sort strategy %d", int(o.Sort))
+	case o.BatchDepth < 0 || o.MaxDepth < 0:
+		return secerr.New(secerr.CodeBadRequest,
+			"core: negative depth option (batch depth %d, max depth %d)", o.BatchDepth, o.MaxDepth)
+	case o.Mode == QryBa && o.BatchDepth > 0 && o.BatchDepth < k:
+		return secerr.New(secerr.CodeBadRequest,
+			"core: batch depth p=%d must be >= k=%d (Section 10.2)", o.BatchDepth, k)
+	}
+	return nil
+}
+
 // QueryResult is the outcome of SecQuery: the encrypted top-k items
 // (column 0 = worst score), the number of depths scanned, and whether the
 // halting condition fired (false only when MaxDepth cut the scan short).
@@ -242,16 +265,28 @@ type runInfo struct {
 // rounds (and the sub-protocol layers check it inside their worker
 // loops), so a canceled query stops within one round.
 func (e *Engine) SecQuery(ctx context.Context, tk *Token, opts Options) (*QueryResult, error) {
-	if err := e.ValidateToken(tk); err != nil {
+	if err := e.admit(tk, opts); err != nil {
 		return nil, err
 	}
-	e.recordQueryPattern(tk, opts.QueryID)
 	res, _, err := e.run(ctx, tk, opts)
 	if err != nil {
 		return nil, err
 	}
 	e.client.Ledger().Record("S1", "Query", "halting depth D_q = %d (halted=%v)", res.Depth, res.Halted)
 	return res, nil
+}
+
+// admit validates a query's token and options, then records its query
+// pattern: a refused query leaves no trace on the ledger.
+func (e *Engine) admit(tk *Token, opts Options) error {
+	if err := e.ValidateToken(tk); err != nil {
+		return err
+	}
+	if err := opts.Validate(tk.K); err != nil {
+		return err
+	}
+	e.recordQueryPattern(tk, opts.QueryID)
+	return nil
 }
 
 // run dispatches to the mode's pipeline.
@@ -356,9 +391,6 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		if p < 8 {
 			p = 8
 		}
-	}
-	if p < k {
-		return nil, nil, fmt.Errorf("core: batch depth p=%d must be >= k=%d (Section 10.2)", p, k)
 	}
 	maxD := e.er.N
 	if opts.MaxDepth > 0 && opts.MaxDepth < maxD {
@@ -623,10 +655,9 @@ type CandidateSet struct {
 // per shard and combines them with an EncSelectTop merge plus an
 // NRA-style domination check (see shard.Engine).
 func (e *Engine) SecQueryCandidates(ctx context.Context, tk *Token, opts Options) (*CandidateSet, error) {
-	if err := e.ValidateToken(tk); err != nil {
+	if err := e.admit(tk, opts); err != nil {
 		return nil, err
 	}
-	e.recordQueryPattern(tk, opts.QueryID)
 	res, info, err := e.run(ctx, tk, opts)
 	if err != nil {
 		return nil, err

@@ -6,10 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
-	"repro/internal/prf"
 	"repro/internal/protocols"
 )
 
@@ -99,25 +97,17 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 			pairs = append(pairs, pair{i, j})
 		}
 	}
-	perm, err := prf.RandomPerm(len(pairs))
-	if err != nil {
-		return nil, err
-	}
 	eqCts := make([]*paillier.Ciphertext, len(pairs))
 	for idx, p := range pairs {
 		ct, err := ehl.Sub(pk, e.er1.Tuples[p.i][tk.JoinPos1].EHL, e.er2.Tuples[p.j][tk.JoinPos2].EHL)
 		if err != nil {
 			return nil, fmt.Errorf("join: eq(%d,%d): %w", p.i, p.j, err)
 		}
-		eqCts[perm[idx]] = ct
+		eqCts[idx] = ct
 	}
-	bitsPermuted, err := e.client.EqBits(ctx, eqCts)
+	bits, err := protocols.EqBitsPermuted(ctx, e.client, eqCts)
 	if err != nil {
 		return nil, err
-	}
-	bits := make([]*dj.Ciphertext, len(pairs))
-	for idx := range pairs {
-		bits[idx] = bitsPermuted[perm[idx]]
 	}
 
 	// Phase 2: select each candidate tuple under the outer layer:

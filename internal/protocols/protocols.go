@@ -180,11 +180,11 @@ func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier
 	return subAll(pk, recovered, blinds)
 }
 
-// eqBitsPermuted ships randomized equality ciphertexts to S2 under a fresh
-// random permutation (Algorithm 4 line 2), so S2 sees the equality pattern
-// but not which pair a bit belongs to, and returns the hidden bits E2(t)
-// in the order of eqCts.
-func eqBitsPermuted(ctx context.Context, c *cloud.Client, eqCts []*paillier.Ciphertext) ([]*dj.Ciphertext, error) {
+// EqBitsPermuted ships randomized equality ciphertexts to S2 under a fresh
+// random permutation (Algorithm 4 line 2; SecJoin's Algorithm 11 line 3),
+// so S2 sees the equality pattern but not which pair a bit belongs to,
+// and returns the hidden bits E2(t) in the order of eqCts.
+func EqBitsPermuted(ctx context.Context, c *cloud.Client, eqCts []*paillier.Ciphertext) ([]*dj.Ciphertext, error) {
 	perm, err := prf.RandomPerm(len(eqCts))
 	if err != nil {
 		return nil, err

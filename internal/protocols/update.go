@@ -65,7 +65,7 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	if err != nil {
 		return nil, err
 	}
-	bits, err := eqBitsPermuted(ctx, c, eqCts)
+	bits, err := EqBitsPermuted(ctx, c, eqCts)
 	if err != nil {
 		return nil, err
 	}

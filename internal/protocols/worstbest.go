@@ -157,7 +157,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	if err != nil {
 		return nil, nil, err
 	}
-	bits, err := eqBitsPermuted(ctx, c, eqCts)
+	bits, err := EqBitsPermuted(ctx, c, eqCts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,9 +7,13 @@
 // the owner's shared keys with *global* object ids, so the crypto cloud
 // serves all shards of a relation from one key registration and one
 // Revealer resolves any shard's output. At query time an Engine runs the
-// same token over every shard concurrently — on a multiplexed transport
+// same token over every source concurrently — on a multiplexed transport
 // the per-shard protocol rounds genuinely overlap — and merges the
-// P·k candidates with the existing EncSelectTop selection.
+// P·k candidates with the existing EncSelectTop selection. A source
+// answers for some of the P global shard indices: a local shard for its
+// own, a cluster member (internal/cluster) for the subset it announced
+// over the wire. Where the candidates were scanned does not enter the
+// argument below, so the fan-out, merge and fallback are written once.
 //
 // Soundness of the merge is NRA-style. Every object belongs to exactly
 // one shard, and the global top-k objects are each within their own
@@ -25,7 +29,8 @@
 // shard halted under the paper's relaxed condition or was depth-capped —
 // the engine falls back to an exact rescan (ExactScan over every shard),
 // after which all bounds equal the exact aggregates and the check is
-// guaranteed to pass. See DESIGN.md's errata note "Shard merge bound".
+// guaranteed to pass (an uncertified re-merge is therefore an internal
+// error). See DESIGN.md's errata note "Shard merge bound".
 package shard
 
 import (
@@ -120,128 +125,196 @@ func New(shards []*core.EncryptedRelation) (*Relation, error) {
 	return r, nil
 }
 
-// Engine executes one token over every shard concurrently and merges the
+// fallbackEvent is the ledger event an uncertified merge records, by
+// scope.
+var fallbackEvent = map[string]string{"shard": "ShardMerge", "cluster": "ClusterMerge"}
+
+// Source is one participant in a fan-out: Run answers a token with one
+// candidate set per global shard index in Indices, in that order. Name
+// identifies the source in errors ("shard 2", "member m1"); Run is
+// expected to name it too in the errors it returns.
+type Source struct {
+	Name    string
+	Indices []int
+	Run     func(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error)
+}
+
+// Engine executes one token over every source concurrently and merges the
 // candidates. It is safe for concurrent use (each query builds only
-// per-call state; the per-shard core engines are themselves concurrent).
+// per-call state; the sources are themselves concurrent).
 type Engine struct {
-	client  *cloud.Client
-	rel     *Relation
-	engines []*core.Engine
+	client *cloud.Client
+	// scope labels the merge fallback: "shard" for local shards, "cluster"
+	// for members at a front door.
+	scope        string
+	m, n         int // global dimensions
+	maxScoreBits int
+	total        int // global shard count P
+	sources      []Source
+	// single is the unsharded relation's engine: SecQuery runs it
+	// directly, with no merge round.
+	single *core.Engine
 }
 
 // NewEngine builds the sharded query engine over one client (the shards
 // share S2 key material, so every shard's rounds carry the same relation
-// ID and route to one registered Server).
+// ID and route to one registered Server). Each shard is a source of its
+// own index.
 func NewEngine(client *cloud.Client, rel *Relation) (*Engine, error) {
-	if client == nil {
-		return nil, errors.New("shard: nil client")
-	}
 	if rel == nil || len(rel.Shards) == 0 {
 		return nil, errors.New("shard: empty sharded relation")
 	}
-	e := &Engine{client: client, rel: rel, engines: make([]*core.Engine, len(rel.Shards))}
+	sources := make([]Source, len(rel.Shards))
+	var single *core.Engine
 	for i, er := range rel.Shards {
 		sub, err := core.NewEngine(client, er)
 		if err != nil {
 			return nil, fmt.Errorf("shard: engine for shard %d: %w", i, err)
 		}
-		e.engines[i] = sub
+		sources[i] = localSource(i, er.N, sub)
+		single = sub
 	}
-	return e, nil
+	e, err := NewFanOut(client, "shard", len(sources), rel.M, rel.N, rel.MaxScoreBits, sources)
+	if err == nil && len(sources) == 1 {
+		e.single = single
+	}
+	return e, err
 }
 
-// Shards returns the shard count P.
-func (e *Engine) Shards() int { return len(e.engines) }
-
-// N returns the global row count across all shards.
-func (e *Engine) N() int { return e.rel.N }
-
-// M returns the attribute count shared by every shard.
-func (e *Engine) M() int { return e.rel.M }
-
-// MaxScoreBits returns the shared per-attribute score bound.
-func (e *Engine) MaxScoreBits() int { return e.rel.MaxScoreBits }
-
-// ShardSizes returns the per-shard row counts, in shard order.
-func (e *Engine) ShardSizes() []int {
-	sizes := make([]int, len(e.rel.Shards))
-	for i, er := range e.rel.Shards {
-		sizes[i] = er.N
+// localSource runs one shard's candidate scan with k clamped to the
+// shard's size.
+func localSource(i, rows int, sub *core.Engine) Source {
+	return Source{
+		Name:    fmt.Sprintf("shard %d", i),
+		Indices: []int{i},
+		Run: func(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
+			if rows == 0 {
+				// A shard drained empty by deletions contributes nothing: no
+				// candidates, no residual bound (it hosts no unseen objects).
+				return []*core.CandidateSet{{Halted: true}}, nil
+			}
+			local := &core.Token{K: min(tk.K, rows), Lists: tk.Lists, Weights: tk.Weights}
+			cs, err := sub.SecQueryCandidates(ctx, local, opts)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
+			}
+			return []*core.CandidateSet{cs}, nil
+		},
 	}
-	return sizes
 }
+
+// NewFanOut builds an engine over sources that tile the total global
+// shards of a relation of n rows and m lists: every index in [0, total)
+// hosted by exactly one source. scope ("shard" or "cluster") labels the
+// merge fallback's ledger event and metric.
+func NewFanOut(client *cloud.Client, scope string, total, m, n, maxScoreBits int, sources []Source) (*Engine, error) {
+	if client == nil {
+		return nil, errors.New("shard: nil client")
+	}
+	if total < 1 {
+		return nil, fmt.Errorf("shard: shard total %d", total)
+	}
+	host := make(map[int]string, total)
+	for _, src := range sources {
+		for _, ix := range src.Indices {
+			if ix < 0 || ix >= total {
+				return nil, fmt.Errorf("shard: %s holds shard index %d out of range [0,%d)", src.Name, ix, total)
+			}
+			if prev, dup := host[ix]; dup {
+				return nil, fmt.Errorf("shard: shard %d hosted by both %s and %s", ix, prev, src.Name)
+			}
+			host[ix] = src.Name
+		}
+	}
+	if len(host) != total {
+		var missing []int
+		for ix := 0; ix < total; ix++ {
+			if _, ok := host[ix]; !ok {
+				missing = append(missing, ix)
+			}
+		}
+		return nil, fmt.Errorf("shard: sources do not tile the relation: shards %v unhosted", missing)
+	}
+	return &Engine{client: client, scope: scope, m: m, n: n, maxScoreBits: maxScoreBits,
+		total: total, sources: sources}, nil
+}
+
+// Shards returns the fan-out width: the number of sources (shards
+// locally, members at a cluster front door).
+func (e *Engine) Shards() int { return len(e.sources) }
 
 // ValidateToken checks a token against the *global* relation dimensions.
 func (e *Engine) ValidateToken(tk *core.Token) error {
-	return core.ValidateToken(tk, e.rel.M, e.rel.N)
+	return core.ValidateToken(tk, e.m, e.n)
 }
 
 // magBits is the core engine's comparison-mask sizing, so merged
 // candidates compare under the same magnitude bound the shards used.
 func (e *Engine) magBits(tk *core.Token) int {
-	return core.MagBits(e.rel.MaxScoreBits, tk)
+	return core.MagBits(e.maxScoreBits, tk)
 }
 
-// SecQuery executes the top-k query over every shard concurrently and
-// merges. With a single shard it is exactly the unsharded core engine.
+// SecQuery executes the top-k query over every source concurrently and
+// merges. An unsharded relation runs exactly the core engine.
 func (e *Engine) SecQuery(ctx context.Context, tk *core.Token, opts core.Options) (*core.QueryResult, error) {
+	if e.single != nil {
+		return e.single.SecQuery(ctx, tk, opts)
+	}
 	if err := e.ValidateToken(tk); err != nil {
 		return nil, err
 	}
-	if len(e.engines) == 1 {
-		return e.engines[0].SecQuery(ctx, tk, opts)
-	}
-	sets, err := e.runShards(ctx, tk, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, certified, err := e.merge(ctx, tk, sets)
-	if err != nil {
-		return nil, err
-	}
-	if certified {
-		return res, nil
+	res, certified, err := e.fanOutMerge(ctx, tk, opts)
+	if err != nil || certified {
+		return res, err
 	}
 	// A residual bound survived the NRA check (a relaxed-halting or
 	// depth-capped shard could still hide a better object): rescan every
-	// shard exactly, after which every bound is the exact aggregate and
-	// the merge is unconditionally correct.
-	e.client.Ledger().Record("S1", "ShardMerge", "merge bound check failed; exact rescan over %d shards", len(e.engines))
-	telemetry.Default().Counter("sectopk_merge_fallbacks_total", "scope", "shard").Inc()
+	// shard exactly, after which every bound is the exact aggregate and the
+	// merge is unconditionally correct.
+	e.client.Ledger().Record("S1", fallbackEvent[e.scope],
+		"merge bound check failed; exact rescan over %d shards from %d sources", e.total, len(e.sources))
+	telemetry.Default().Counter("sectopk_merge_fallbacks_total", "scope", e.scope).Inc()
 	exact := opts
 	exact.ExactScan = true
 	exact.MaxDepth = 0
-	sets, err = e.runShards(ctx, tk, exact)
-	if err != nil {
-		return nil, err
-	}
-	res, certified, err = e.merge(ctx, tk, sets)
+	res, certified, err = e.fanOutMerge(ctx, tk, exact)
 	if err != nil {
 		return nil, err
 	}
 	if !certified {
-		return nil, errors.New("shard: merge bound check failed after exact rescan")
+		return nil, secerr.New(secerr.CodeInternal, "shard: %s merge bound check failed after exact rescan", e.scope)
 	}
 	return res, nil
 }
 
-// Candidates runs the token over every shard concurrently and returns
-// the per-shard candidate sets *without* merging them. This is the
+// Candidates runs the token over every source concurrently and returns
+// the candidate sets in shard order *without* merging them. This is the
 // cluster member's half of a distributed query: each member contributes
-// its shards' candidates and the coordinator merges across members with
-// Merge. The token's shape is validated locally but its k is not bounded
-// by the local row count — the coordinator validated k against the
-// global relation and each shard clamps it to its own size.
+// its shards' candidates and the front door merges across members. The
+// token's shape is validated locally but its k is not bounded by the
+// local row count — the front door validated k against the global
+// relation and each shard clamps it to its own size.
 func (e *Engine) Candidates(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
-	if err := core.ValidateToken(tk, e.rel.M, math.MaxInt); err != nil {
+	if err := core.ValidateToken(tk, e.m, math.MaxInt); err != nil {
 		return nil, err
 	}
-	return e.runShards(ctx, tk, opts)
+	return e.fanOut(ctx, tk, opts)
 }
 
-// runShards executes the clamped token on every shard concurrently.
-func (e *Engine) runShards(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
-	sets := make([]*core.CandidateSet, len(e.engines))
+// fanOutMerge is one fan-out and its certified-or-not merge.
+func (e *Engine) fanOutMerge(ctx context.Context, tk *core.Token, opts core.Options) (*core.QueryResult, bool, error) {
+	sets, err := e.fanOut(ctx, tk, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	return Merge(ctx, e.client, tk.K, e.magBits(tk), sets)
+}
+
+// fanOut runs the token on every source concurrently and places each
+// source's sets at its global shard indices. The first failure cancels
+// the siblings, and it — not a sibling's cancellation — is returned.
+func (e *Engine) fanOut(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
+	sets := make([]*core.CandidateSet, e.total)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -249,46 +322,34 @@ func (e *Engine) runShards(ctx context.Context, tk *core.Token, opts core.Option
 		mu       sync.Mutex
 		firstErr error
 	)
-	for i := range e.engines {
-		sub := e.engines[i]
-		shardN := e.rel.Shards[i].N
-		if shardN == 0 {
-			// A shard drained empty by deletions contributes nothing: no
-			// candidates, no residual bound (it hosts no unseen objects).
-			sets[i] = &core.CandidateSet{Halted: true}
-			continue
-		}
-		local := &core.Token{K: tk.K, Lists: tk.Lists, Weights: tk.Weights}
-		if local.K > shardN {
-			local.K = shardN
-		}
+	for _, src := range e.sources {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			cs, err := sub.SecQueryCandidates(ctx, local, opts)
+			got, err := src.Run(ctx, tk, opts)
+			if err == nil && len(got) != len(src.Indices) {
+				err = secerr.New(secerr.CodeBadRequest,
+					"shard: %s returned %d candidate sets for %d shards", src.Name, len(got), len(src.Indices))
+			}
+			mu.Lock()
+			defer mu.Unlock()
 			if err != nil {
-				mu.Lock()
 				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %d: %w", i, err)
-					cancel() // stop sibling shards within one round
+					firstErr = err
+					cancel() // stop sibling sources within one round
 				}
-				mu.Unlock()
 				return
 			}
-			sets[i] = cs
-		}(i)
+			for j, cs := range got {
+				sets[src.Indices[j]] = cs
+			}
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return sets, nil
-}
-
-// merge delegates to the package-level Merge under this engine's global
-// k and magnitude bound.
-func (e *Engine) merge(ctx context.Context, tk *core.Token, sets []*core.CandidateSet) (*core.QueryResult, bool, error) {
-	return Merge(ctx, e.client, tk.K, e.magBits(tk), sets)
 }
 
 // Merge unions candidate sets, selects the global top-k with

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
@@ -473,5 +476,156 @@ func TestMergeRefusesMalformedSets(t *testing.T) {
 	res, certified, err := Merge(ctx, r.client, k, eng.magBits(tk), good)
 	if err != nil || !certified || len(res.Items) != k {
 		t.Fatalf("well-formed sets: %d items, certified %v, err %v", len(res.Items), certified, err)
+	}
+}
+
+// fake is a source that answers with run, for exercising the fan-out
+// loop without a shard behind it.
+func fake(name string, run func(ctx context.Context) ([]*core.CandidateSet, error), indices ...int) Source {
+	return Source{Name: name, Indices: indices, Run: func(ctx context.Context, _ *core.Token, _ core.Options) ([]*core.CandidateSet, error) {
+		return run(ctx)
+	}}
+}
+
+// halted returns n empty, certified-by-construction candidate sets.
+func halted(n int) func(context.Context) ([]*core.CandidateSet, error) {
+	return func(context.Context) ([]*core.CandidateSet, error) {
+		sets := make([]*core.CandidateSet, n)
+		for i := range sets {
+			sets[i] = &core.CandidateSet{Halted: true}
+		}
+		return sets, nil
+	}
+}
+
+// TestFanOutSourceSetCount: a source answering with more or fewer sets
+// than the shards it holds cannot be placed by index, and is refused
+// typed bad_request naming it.
+func TestFanOutSourceSetCount(t *testing.T) {
+	r := getRig(t)
+	tk := &core.Token{K: 2, Lists: []int{0, 1}}
+	for _, n := range []int{1, 3} {
+		eng, err := NewFanOut(r.client, "cluster", 3, 3, 12, 20, []Source{
+			fake("member ok", halted(1), 0),
+			fake("member liar", halted(n), 1, 2),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.SecQuery(context.Background(), tk, core.Options{})
+		if secerr.CodeOf(err) != secerr.CodeBadRequest || !strings.Contains(err.Error(), "member liar") {
+			t.Errorf("%d sets for 2 shards: err = %v, want a bad_request naming the source", n, err)
+		}
+	}
+}
+
+// TestFanOutTiling: sources that overlap, leave a shard unhosted, or
+// hold an index past the total are refused at construction.
+func TestFanOutTiling(t *testing.T) {
+	r := getRig(t)
+	for name, tc := range map[string]struct {
+		indices [][]int
+		want    string
+	}{
+		"overlap":      {[][]int{{0, 1}, {1, 2}}, "hosted by both"},
+		"gap":          {[][]int{{0}, {2}}, "unhosted"},
+		"out of range": {[][]int{{0, 1}, {2, 3}}, "out of range"},
+	} {
+		var sources []Source
+		for i, ix := range tc.indices {
+			sources = append(sources, fake(fmt.Sprintf("s%d", i), halted(len(ix)), ix...))
+		}
+		if _, err := NewFanOut(r.client, "shard", 3, 3, 12, 20, sources); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestFanOutUncertifiableAfterRescan: a source whose residual bound no
+// merged W_k can dominate — even on the exact rescan — fails typed
+// internal under both scopes, after recording the scope's fallback.
+func TestFanOutUncertifiableAfterRescan(t *testing.T) {
+	r := getRig(t)
+	const n, k = 8, 2
+	rel := correlated(n)
+	tk, err := r.scheme.TokenFor(n, rel.M(), []int{0, 1, 2}, nil, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := Encrypt(r.scheme, rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, err := r.scheme.PublicKey().EncryptInt64(1 << 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sources []Source
+	for i, er := range sh.Shards {
+		sub, err := core.NewEngine(r.client, er)
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest := localSource(i, er.N, sub)
+		src := honest
+		if i == 1 {
+			src.Run = func(ctx context.Context, tk *core.Token, opts core.Options) ([]*core.CandidateSet, error) {
+				sets, err := honest.Run(ctx, tk, opts)
+				if err != nil {
+					return nil, err
+				}
+				cs := *sets[0]
+				cs.Residuals = append(append([]*paillier.Ciphertext(nil), cs.Residuals...), huge)
+				return []*core.CandidateSet{&cs}, nil
+			}
+		}
+		sources = append(sources, src)
+	}
+	for scope, event := range map[string]string{"shard": "ShardMerge", "cluster": "ClusterMerge"} {
+		eng, err := NewFanOut(r.client, scope, 2, rel.M(), n, sh.MaxScoreBits, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := len(r.s1led.Events())
+		_, err = eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+		if secerr.CodeOf(err) != secerr.CodeInternal {
+			t.Errorf("%s scope: err = %v (code %q), want internal", scope, err, secerr.CodeOf(err))
+		}
+		fellBack := false
+		for _, ev := range r.s1led.Events()[before:] {
+			fellBack = fellBack || ev.Method == event
+		}
+		if !fellBack {
+			t.Errorf("%s scope: no %s ledger event before the rescan", scope, event)
+		}
+	}
+}
+
+// TestFanOutFirstErrorWins: when one source fails, its siblings are
+// canceled, and the error returned is the failing source's — not a
+// sibling's context.Canceled — whichever order the sources are listed.
+func TestFanOutFirstErrorWins(t *testing.T) {
+	r := getRig(t)
+	down := func(context.Context) ([]*core.CandidateSet, error) {
+		time.Sleep(20 * time.Millisecond)
+		return nil, secerr.New(secerr.CodeUnavailable, "member down unreachable")
+	}
+	blocked := func(ctx context.Context) ([]*core.CandidateSet, error) {
+		<-ctx.Done()
+		return nil, fmt.Errorf("member blocked: %w", ctx.Err())
+	}
+	tk := &core.Token{K: 2, Lists: []int{0}}
+	for _, sources := range [][]Source{
+		{fake("member down", down, 0), fake("member blocked", blocked, 1)},
+		{fake("member blocked", blocked, 0), fake("member down", down, 1)},
+	} {
+		eng, err := NewFanOut(r.client, "cluster", 2, 3, 12, 20, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.SecQuery(context.Background(), tk, core.Options{})
+		if !errors.Is(err, secerr.ErrUnavailable) || errors.Is(err, context.Canceled) {
+			t.Errorf("sources %s, %s: err = %v, want the failing source's unavailable", sources[0].Name, sources[1].Name, err)
+		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 // front-door data cloud assembles the placement (HostCluster) and serves
 // queries against it through the same Execute surface as a local
 // relation. Top-k queries fan out to every member and merge under
-// the NRA bound check (internal/cluster); join and kNN relations are not
+// the NRA bound check (the front door runs the same shard.Engine as a
+// local relation, with members as its sources; internal/cluster builds
+// it); join and kNN relations are not
 // shard-partitioned, so a member announces them whole and the front door
 // forwards those queries to it over the ordinary client wire. Cluster
 // answers are revealed-identical to a single node hosting everything.
@@ -352,11 +354,15 @@ func (r *clusterResponder) Serve(ctx context.Context, method string, body []byte
 // it forwards for whole-relation workloads. Admission, drain, and error
 // semantics match ServeClients.
 func (d *DataCloud) ServeCluster(ctx context.Context, l net.Listener) error {
-	responder := &clusterResponder{
-		inv:    &clusterInventory{d: d},
-		client: &clientResponder{dc: d},
-	}
-	return transport.ServeWith(ctx, l, responder, transport.ServeOptions{Drain: d.cfg.drainTimeout})
+	inv := &clusterInventory{d: d}
+	return transport.ServeWith(ctx, l, nil, transport.ServeOptions{
+		Drain: d.cfg.drainTimeout,
+		// Per connection, as on ServeClients: the client-plane half holds
+		// the tenant its connection's Hello announced.
+		NewResponder: func() transport.Responder {
+			return &clusterResponder{inv: inv, client: &clientResponder{dc: d}}
+		},
+	})
 }
 
 // clusterNode is one dialed member of the hosted cluster.
@@ -366,10 +372,12 @@ type clusterNode struct {
 	conn   transport.ConnCaller
 }
 
-// clusterCoord is one relation's assembled placement: the coordinator
-// plus the front door's own S2 client the merge rounds run on.
+// clusterCoord is one relation's assembled placement: the sharded engine
+// whose sources are the members, over the front door's own S2 client
+// (the merge rounds run on it), pinned to the placement's epoch.
 type clusterCoord struct {
-	coord  *cluster.Coordinator
+	engine *shard.Engine
+	epoch  uint64
 	client *cloud.Client
 }
 
@@ -384,14 +392,7 @@ func (cc *clusterCoord) close() { cc.client.Close() }
 // (members reject any other), so the front-door pin check mirrors the
 // local-snapshot one.
 func (cc *clusterCoord) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
-	if err := cfg.checkEpoch(req.Relation, cc.coord.Epoch()); err != nil {
-		return nil, err
-	}
-	res, err := cc.coord.SecQuery(ctx, req.TopK.tk, cfg.coreOptions())
-	if err != nil {
-		return nil, err
-	}
-	return topKAnswer(res, cc.coord.Members(), cc.coord.Epoch()), nil
+	return executeTopK(ctx, cc.engine, cc.epoch, req, cfg)
 }
 
 // clusterRoute is one whole-relation workload forwarded to the member
@@ -569,11 +570,11 @@ func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 				"sectopk: member %s announced relation %q with bad key material", ms[0].Member, rel))
 		}
 		h, err := d.prepare(ctx, rel, pk, func(client *cloud.Client) (hosted, error) {
-			coord, err := cluster.NewCoordinator(client, rel, ms)
+			engine, err := cluster.NewCoordinator(client, rel, ms)
 			if err != nil {
 				return nil, err
 			}
-			return &clusterCoord{coord: coord, client: client}, nil
+			return &clusterCoord{engine: engine, epoch: ms[0].Info.Epoch, client: client}, nil
 		})
 		if err != nil {
 			return fail(err)

@@ -176,31 +176,29 @@ func (h *hostedRelation) snapshot() (*shard.Engine, uint64) {
 }
 
 // execute runs SecQuery start-to-finish on one immutable snapshot: a
-// concurrent Apply/Compact swaps the hosted engine but never this one. An
-// epoch pin (WithEpoch) fences version skew at entry — after that, the
-// snapshot IS the pinned epoch.
+// concurrent Apply/Compact swaps the hosted engine but never this one.
 func (h *hostedRelation) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
 	engine, epoch := h.snapshot()
+	return executeTopK(ctx, engine, epoch, req, cfg)
+}
+
+// executeTopK answers a top-k request on an engine that answers over one
+// epoch — a local relation's snapshot or a front door's placement. An
+// epoch pin (WithEpoch) fences version skew at entry; after that, the
+// engine IS the pinned epoch. FanOut is the engine's source count:
+// shards locally, members at a front door.
+func executeTopK(ctx context.Context, engine *shard.Engine, epoch uint64, req Request, cfg queryConfig) (*Answer, error) {
 	if err := cfg.checkEpoch(req.Relation, epoch); err != nil {
-		return nil, err
-	}
-	if err := engine.ValidateToken(req.TopK.tk); err != nil {
 		return nil, err
 	}
 	res, err := engine.SecQuery(ctx, req.TopK.tk, cfg.coreOptions())
 	if err != nil {
 		return nil, err
 	}
-	return topKAnswer(res, engine.Shards(), epoch), nil
-}
-
-// topKAnswer wraps a core result with the span fields a top-k execution
-// reports: the parallel width it spread over and the epoch it answered.
-func topKAnswer(res *core.QueryResult, fanOut int, epoch uint64) *Answer {
 	ans := &Answer{TopK: &EncryptedResult{items: res.Items, Depth: res.Depth, Halted: res.Halted}}
-	ans.Traffic.FanOut = fanOut
+	ans.Traffic.FanOut = engine.Shards()
 	ans.Traffic.Epoch = epoch
-	return ans
+	return ans, nil
 }
 
 // apply lands one delta (exactly once) and returns the resulting epoch.
@@ -760,7 +758,7 @@ func (d *DataCloud) Epoch(relation string) (uint64, error) {
 		_, epoch := h.snapshot()
 		return epoch, nil
 	case *clusterCoord:
-		return h.coord.Epoch(), nil
+		return h.epoch, nil
 	}
 	return 0, mismatch(relation, h, WorkloadTopK)
 }

@@ -252,16 +252,9 @@ const (
 
 func (m Mode) String() string { return m.coreMode().String() }
 
-func (m Mode) coreMode() core.Mode {
-	switch m {
-	case ModeEliminate:
-		return core.QryE
-	case ModeBatched:
-		return core.QryBa
-	default:
-		return core.QryF
-	}
-}
+// coreMode is a cast: the facade's modes are core's, in core's order, so
+// an out-of-range value reaches core.Options.Validate as itself.
+func (m Mode) coreMode() core.Mode { return core.Mode(m) }
 
 // Halting selects the halting test.
 type Halting int
@@ -274,12 +267,8 @@ const (
 	HaltingStrict
 )
 
-func (h Halting) coreHalt() core.HaltPolicy {
-	if h == HaltingStrict {
-		return core.HaltStrict
-	}
-	return core.HaltPaper
-}
+// coreHalt is a cast, like coreMode.
+func (h Halting) coreHalt() core.HaltPolicy { return core.HaltPolicy(h) }
 
 // QueryOption configures one query execution (one Request).
 type QueryOption func(*queryConfig)
@@ -323,24 +312,15 @@ func (q queryConfig) coreOptions() core.Options {
 }
 
 // validate refuses option values outside what the QueryOption
-// constructors document. An in-process caller reaches them with a cast;
-// a peer on the client wire reaches them with any integer it likes, and
-// unchecked a stray mode would run (and be ledgered) as Qry_F.
+// constructors document (core.Options.Validate, typed bad_request). An
+// in-process caller reaches them with a cast; a peer on the client wire
+// with any integer it likes.
 func (q queryConfig) validate(req Request) error {
-	switch {
-	case q.mode < ModeFull || q.mode > ModeBatched:
-		return secerr.New(secerr.CodeBadRequest, "sectopk: unknown query mode %d", int(q.mode))
-	case q.halt < HaltingPaper || q.halt > HaltingStrict:
-		return secerr.New(secerr.CodeBadRequest, "sectopk: unknown halting policy %d", int(q.halt))
-	case q.batchDepth < 0 || q.maxDepth < 0:
-		return secerr.New(secerr.CodeBadRequest,
-			"sectopk: negative depth option (batch depth %d, max depth %d)", q.batchDepth, q.maxDepth)
+	k := 0
+	if tk := req.TopK; tk != nil && tk.tk != nil {
+		k = tk.tk.K
 	}
-	if tk := req.TopK; q.mode == ModeBatched && q.batchDepth > 0 && tk != nil && tk.tk != nil && q.batchDepth < tk.tk.K {
-		return secerr.New(secerr.CodeBadRequest,
-			"sectopk: batch depth p=%d must be >= k=%d (Section 10.2)", q.batchDepth, tk.tk.K)
-	}
-	return nil
+	return q.coreOptions().Validate(k)
 }
 
 // checkEpoch enforces a WithEpoch pin against the epoch a query is about

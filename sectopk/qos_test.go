@@ -190,3 +190,39 @@ func TestTenantLimitsIsolation(t *testing.T) {
 	rig.cc.Close()
 	waitForGoroutines(t, baseline)
 }
+
+// TestTenantLimitsPerClusterConnection: a member's cluster listener also
+// serves the client plane, and each of its connections keeps the tenant
+// its own Hello announced — a later client's Hello (here "gold") must
+// not re-bucket an earlier connection's queries ("bronze").
+func TestTenantLimitsPerClusterConnection(t *testing.T) {
+	rig := newOverloadRig(t, sectopk.WithTenantLimits(map[string]sectopk.Rate{
+		"bronze": {PerSecond: 0.05, Burst: 1},
+	}))
+	ctx := context.Background()
+	addr, _ := serveCluster(t, rig.dc)
+	bronze, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("bronze"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bronze.Close()
+	gold, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("gold"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gold.Close()
+	const queries = 3
+	shed := 0
+	for i := 0; i < queries; i++ {
+		_, err := bronze.Execute(ctx, sectopk.TopKRequest("demo", rig.tk))
+		switch {
+		case errors.Is(err, sectopk.ErrOverloaded):
+			shed++
+		case err != nil:
+			t.Errorf("bronze query %d failed non-typed: %v", i, err)
+		}
+	}
+	if shed < queries-1 {
+		t.Errorf("bronze shed %d of %d queries on the cluster listener, want >= %d", shed, queries, queries-1)
+	}
+}
