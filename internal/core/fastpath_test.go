@@ -2,11 +2,56 @@ package core
 
 import (
 	"context"
+	"math/big"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/transport"
 )
+
+// TestSchemeHasherEncryptsThroughOwnerSurface pins that the owner's EHL
+// digests and scores share one encryption surface — whichever
+// ownerEncryptor picked — on both constructors, and that FastNonce
+// therefore covers the digests: a ciphertext c = (1+dN)·rn is congruent
+// to its nonce power rn modulo p and q, and the fast-nonce table draws
+// powers of a squared base, so every digest of a fast-nonce owner is a
+// quadratic residue modulo both primes. A uniform nonce power is with
+// probability 1/4, so fifteen in a row from the CRT owner slip through
+// once in a billion runs.
+func TestSchemeHasherEncryptsThroughOwnerSurface(t *testing.T) {
+	r := getRig(t)
+	sk := r.scheme.KeyMaterial().Paillier
+	for _, fast := range []bool{false, true} {
+		params := r.scheme.Params()
+		params.FastNonce = fast
+		fresh, err := NewSchemeFromKeys(params, r.scheme.KeyMaterial())
+		if err != nil {
+			t.Fatalf("NewSchemeFromKeys: %v", err)
+		}
+		restored, err := RestoreScheme(params, r.scheme.KeyMaterial(), r.scheme.Secrets())
+		if err != nil {
+			t.Fatalf("RestoreScheme: %v", err)
+		}
+		for name, s := range map[string]*Scheme{"fresh": fresh, "restored": restored} {
+			if s.hasher.Encryptor() != s.enc {
+				t.Fatalf("FastNonce=%v %s: the hasher encrypts through another surface than the scores", fast, name)
+			}
+			residues := true
+			for id := 0; id < 5; id++ {
+				it, err := s.EncryptEntry(id, 1)
+				if err != nil {
+					t.Fatalf("EncryptEntry: %v", err)
+				}
+				for _, ct := range it.EHL.Cts {
+					residues = residues && big.Jacobi(ct.C, sk.P) == 1 && big.Jacobi(ct.C, sk.Q) == 1
+				}
+			}
+			if residues != fast {
+				t.Errorf("FastNonce=%v %s: digests all quadratic residues = %v", fast, name, residues)
+			}
+		}
+	}
+}
 
 // TestSecQueryFastPathEquivalence pins the precomputation contract: the
 // same query over the same keys and encrypted relation returns identical

@@ -43,10 +43,11 @@ type Params struct {
 	// cores, 1 = serial), matching the knob convention of the cloud and
 	// engine layers.
 	Parallelism int
-	// FastNonce opts the owner's bulk encryption into the short-exponent
-	// fixed-base nonce path (paillier.NewFastEncryptor). Off by default: it
-	// rests on the short-exponent/subgroup assumption (see DESIGN.md
-	// "Precomputation fast paths"). When off, the owner still uses the
+	// FastNonce opts the owner's bulk encryption (scores and EHL digests)
+	// into the short-exponent fixed-base nonce path
+	// (paillier.NewFastEncryptor). Off by default: it rests on the
+	// short-exponent/subgroup assumption (see DESIGN.md "Precomputation
+	// fast paths"). When off, the owner still uses the
 	// assumption-free CRT split — it holds the private key — which is
 	// bit-compatible with the spec path.
 	FastNonce bool
@@ -79,9 +80,10 @@ type Scheme struct {
 	master  prf.Key // EHL master key (kappa_1..kappa_s derive from it)
 	permKey prf.Key // PRP key K for list permutation
 	hasher  *ehl.Hasher
-	// enc is the owner's bulk-encryption surface: the CRT nonce split by
-	// default (the owner holds the factorization), the fast-nonce table
-	// when Params.FastNonce is set.
+	// enc is the owner's bulk-encryption surface, for scores and (through
+	// hasher) EHL digests alike: the CRT nonce split by default (the owner
+	// holds the factorization), the fast-nonce table when Params.FastNonce
+	// is set.
 	enc paillier.Encryptor
 }
 
@@ -122,11 +124,11 @@ func NewSchemeFromKeys(params Params, keys *cloud.KeyMaterial) (*Scheme, error) 
 	if err != nil {
 		return nil, err
 	}
-	hasher, err := ehl.NewHasher(master, params.EHL, &keys.Paillier.PublicKey)
+	enc, err := ownerEncryptor(params, keys)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := ownerEncryptor(params, keys)
+	hasher, err := ehl.NewHasher(master, params.EHL, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -164,11 +166,11 @@ func RestoreScheme(params Params, keys *cloud.KeyMaterial, secrets Secrets) (*Sc
 	if len(secrets.Master) == 0 || len(secrets.Perm) == 0 {
 		return nil, errors.New("core: missing scheme secrets")
 	}
-	hasher, err := ehl.NewHasher(secrets.Master, params.EHL, &keys.Paillier.PublicKey)
+	enc, err := ownerEncryptor(params, keys)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := ownerEncryptor(params, keys)
+	hasher, err := ehl.NewHasher(secrets.Master, params.EHL, enc)
 	if err != nil {
 		return nil, err
 	}

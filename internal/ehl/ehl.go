@@ -8,9 +8,7 @@
 //
 // Both support the randomized equality operator Sub (the paper's ⊖,
 // Equation 1): Sub(EHL(x), EHL(y)) is an encryption of 0 when x = y and of
-// a uniformly random group element otherwise. They also support the
-// block-wise blinding operator Blind (the paper's ⊙) used by SecDedup and
-// SecFilter.
+// a uniformly random group element otherwise.
 package ehl
 
 import (
@@ -91,26 +89,31 @@ func (p Params) Width() int {
 type Hasher struct {
 	params Params
 	keys   []prf.Key
-	pk     *paillier.PublicKey
+	enc    paillier.Encryptor
 }
 
-// NewHasher derives the s subkeys from the master key.
-func NewHasher(master prf.Key, params Params, pk *paillier.PublicKey) (*Hasher, error) {
+// NewHasher derives the s subkeys from the master key. Lists are encrypted
+// through enc: the owner passes the surface it encrypts scores with, and a
+// bare *paillier.PublicKey is the spec path.
+func NewHasher(master prf.Key, params Params, enc paillier.Encryptor) (*Hasher, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if pk == nil {
+	if enc == nil || enc.Key() == nil {
 		return nil, errors.New("ehl: nil public key")
 	}
 	keys, err := prf.DeriveKeys(master, params.S)
 	if err != nil {
 		return nil, err
 	}
-	return &Hasher{params: params, keys: keys, pk: pk}, nil
+	return &Hasher{params: params, keys: keys, enc: enc}, nil
 }
 
 // Params returns the structure parameters.
 func (h *Hasher) Params() Params { return h.params }
+
+// Encryptor returns the surface lists are encrypted through.
+func (h *Hasher) Encryptor() paillier.Encryptor { return h.enc }
 
 // List is an encrypted hash list: Width() Paillier ciphertexts.
 type List struct {
@@ -151,7 +154,7 @@ func (h *Hasher) DigestsBytes(data []byte) ([]*big.Int, error) {
 	}
 	out := make([]*big.Int, h.params.S)
 	for i := 0; i < h.params.S; i++ {
-		d, err := prf.ToZn(h.keys[i], data, h.pk.N)
+		d, err := prf.ToZn(h.keys[i], data, h.enc.Key().N)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +176,7 @@ func (h *Hasher) BuildBytes(data []byte) (*List, error) {
 	}
 	cts := make([]*paillier.Ciphertext, len(digests))
 	for i, d := range digests {
-		ct, err := h.pk.Encrypt(d)
+		ct, err := h.enc.Encrypt(d)
 		if err != nil {
 			return nil, fmt.Errorf("ehl: encrypting digest %d: %w", i, err)
 		}
@@ -182,20 +185,20 @@ func (h *Hasher) BuildBytes(data []byte) (*List, error) {
 	return &List{Kind: h.params.Kind, Cts: cts}, nil
 }
 
-// RandomList builds a list of encryptions of uniformly random Z_N values.
-// S2 uses it to replace duplicated objects in SecDedup (Algorithm 7 line
-// 22): with overwhelming probability it matches no real object.
-func RandomList(pk *paillier.PublicKey, params Params) (*List, error) {
+// RandomList builds a list of encryptions of uniformly random Z_N values
+// through enc. S1 pads sorting networks and names join results with it:
+// with overwhelming probability it matches no real object.
+func RandomList(enc paillier.Encryptor, params Params) (*List, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	cts := make([]*paillier.Ciphertext, params.Width())
 	for i := range cts {
-		r, err := zmath.RandInt(rand.Reader, pk.N)
+		r, err := zmath.RandInt(rand.Reader, enc.Key().N)
 		if err != nil {
 			return nil, err
 		}
-		ct, err := pk.Encrypt(r)
+		ct, err := enc.Encrypt(r)
 		if err != nil {
 			return nil, err
 		}
@@ -309,64 +312,6 @@ func SubEnc(enc paillier.Encryptor, a, b *List) (*paillier.Ciphertext, error) {
 		}
 	}
 	return acc, nil
-}
-
-// Blind is the block-wise operator ⊙: it homomorphically adds the blind
-// vector alpha to the list's plaintext digests. Passing the negated vector
-// removes a previous blind.
-func Blind(pk *paillier.PublicKey, l *List, alpha []*big.Int) (*List, error) {
-	if l == nil {
-		return nil, errors.New("ehl: nil list")
-	}
-	if len(alpha) != len(l.Cts) {
-		return nil, fmt.Errorf("ehl: blind vector length %d != list width %d", len(alpha), len(l.Cts))
-	}
-	out := &List{Kind: l.Kind, Cts: make([]*paillier.Ciphertext, len(l.Cts))}
-	for i := range l.Cts {
-		ct, err := pk.AddPlain(l.Cts[i], alpha[i])
-		if err != nil {
-			return nil, fmt.Errorf("ehl: Blind slot %d: %w", i, err)
-		}
-		out.Cts[i] = ct
-	}
-	return out, nil
-}
-
-// BlindCipher is Blind with an encrypted blind vector (componentwise
-// ciphertext multiplication), matching the paper's c <- Enc(x) ⊙ EHL(y).
-func BlindCipher(pk *paillier.PublicKey, l *List, alpha []*paillier.Ciphertext) (*List, error) {
-	if l == nil {
-		return nil, errors.New("ehl: nil list")
-	}
-	if len(alpha) != len(l.Cts) {
-		return nil, fmt.Errorf("ehl: blind vector length %d != list width %d", len(alpha), len(l.Cts))
-	}
-	out := &List{Kind: l.Kind, Cts: make([]*paillier.Ciphertext, len(l.Cts))}
-	for i := range l.Cts {
-		ct, err := pk.Add(l.Cts[i], alpha[i])
-		if err != nil {
-			return nil, fmt.Errorf("ehl: BlindCipher slot %d: %w", i, err)
-		}
-		out.Cts[i] = ct
-	}
-	return out, nil
-}
-
-// Rerandomize re-randomizes every slot (same plaintexts, fresh
-// ciphertexts).
-func Rerandomize(pk *paillier.PublicKey, l *List) (*List, error) {
-	if l == nil {
-		return nil, errors.New("ehl: nil list")
-	}
-	out := &List{Kind: l.Kind, Cts: make([]*paillier.Ciphertext, len(l.Cts))}
-	for i := range l.Cts {
-		ct, err := pk.Rerandomize(l.Cts[i])
-		if err != nil {
-			return nil, err
-		}
-		out.Cts[i] = ct
-	}
-	return out, nil
 }
 
 // ByteSize returns the serialized size of the list under pk, for the

@@ -4,11 +4,11 @@ import (
 	"crypto/rand"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/paillier"
 	"repro/internal/prf"
-	"repro/internal/zmath"
 )
 
 var (
@@ -30,16 +30,106 @@ func testKey(t testing.TB) *paillier.PrivateKey {
 
 func newHasher(t testing.TB, params Params) *Hasher {
 	t.Helper()
-	sk := testKey(t)
+	return hasherOn(t, params, &testKey(t).PublicKey)
+}
+
+// hasherOn builds a hasher with a fixed master key over the given
+// encryption surface, so hashers on different surfaces share digests.
+func hasherOn(t testing.TB, params Params, enc paillier.Encryptor) *Hasher {
+	t.Helper()
 	master := prf.Key(make([]byte, prf.KeySize))
 	for i := range master {
 		master[i] = byte(i)
 	}
-	h, err := NewHasher(master, params, &sk.PublicKey)
+	h, err := NewHasher(master, params, enc)
 	if err != nil {
 		t.Fatalf("NewHasher: %v", err)
 	}
 	return h
+}
+
+// countingEnc counts every encryption drawn through it.
+type countingEnc struct {
+	paillier.Encryptor
+	n atomic.Int64
+}
+
+func (c *countingEnc) Encrypt(m *big.Int) (*paillier.Ciphertext, error) {
+	c.n.Add(1)
+	return c.Encryptor.Encrypt(m)
+}
+
+func (c *countingEnc) EncryptZero() (*paillier.Ciphertext, error) {
+	c.n.Add(1)
+	return c.Encryptor.EncryptZero()
+}
+
+func (c *countingEnc) Rerandomize(a *paillier.Ciphertext) (*paillier.Ciphertext, error) {
+	c.n.Add(1)
+	return c.Encryptor.Rerandomize(a)
+}
+
+func TestListsEncryptThroughTheGivenSurface(t *testing.T) {
+	sk := testKey(t)
+	for _, params := range []Params{DefaultPlusParams(), DefaultClassicParams()} {
+		enc := &countingEnc{Encryptor: sk.CRTEncryptor()}
+		h := hasherOn(t, params, enc)
+		if _, err := h.Build(7); err != nil {
+			t.Fatalf("%v Build: %v", params.Kind, err)
+		}
+		if got := enc.n.Load(); got != int64(params.Width()) {
+			t.Fatalf("%v Build drew %d encryptions from the hasher's surface, want %d", params.Kind, got, params.Width())
+		}
+		if _, err := h.BuildBytes([]byte("value-7")); err != nil {
+			t.Fatalf("%v BuildBytes: %v", params.Kind, err)
+		}
+		if got := enc.n.Load(); got != 2*int64(params.Width()) {
+			t.Fatalf("%v BuildBytes drew %d encryptions, want %d", params.Kind, got-int64(params.Width()), params.Width())
+		}
+		rnd := &countingEnc{Encryptor: sk.CRTEncryptor()}
+		if _, err := RandomList(rnd, params); err != nil {
+			t.Fatalf("%v RandomList: %v", params.Kind, err)
+		}
+		if got := rnd.n.Load(); got != int64(params.Width()) {
+			t.Fatalf("%v RandomList drew %d encryptions, want %d", params.Kind, got, params.Width())
+		}
+	}
+}
+
+func TestListsMatchAcrossSurfaces(t *testing.T) {
+	// A list built through the owner's CRT surface and one built on the
+	// bare key encrypt the same digests: Sub sees only plaintexts.
+	sk := testKey(t)
+	for _, params := range []Params{DefaultPlusParams(), DefaultClassicParams()} {
+		crt := hasherOn(t, params, sk.CRTEncryptor())
+		spec := hasherOn(t, params, &sk.PublicKey)
+		a, err := crt.Build(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same, err := spec.Build(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := spec.Build(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Sub(&sk.PublicKey, a, same)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := sk.Decrypt(d); m.Sign() != 0 {
+			t.Fatalf("%v: CRT and spec lists of one id differ (Sub decrypts to %v)", params.Kind, m)
+		}
+		d, err = Sub(&sk.PublicKey, a, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := sk.Decrypt(d); m.Sign() == 0 {
+			t.Fatalf("%v: CRT and spec lists of distinct ids match", params.Kind)
+		}
+	}
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -156,79 +246,6 @@ func TestSubIncompatibleLists(t *testing.T) {
 	}
 }
 
-func TestBlindUnblindRoundTrip(t *testing.T) {
-	sk := testKey(t)
-	h := newHasher(t, DefaultPlusParams())
-	l, _ := h.Build(3)
-	alpha := make([]*big.Int, l.Width())
-	negAlpha := make([]*big.Int, l.Width())
-	for i := range alpha {
-		r, err := zmath.RandInt(rand.Reader, sk.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alpha[i] = r
-		negAlpha[i] = new(big.Int).Neg(r)
-	}
-	blinded, err := Blind(&sk.PublicKey, l, alpha)
-	if err != nil {
-		t.Fatalf("Blind: %v", err)
-	}
-	// Blinded list must no longer match the original object.
-	l2, _ := h.Build(3)
-	d, _ := Sub(&sk.PublicKey, blinded, l2)
-	if m, _ := sk.Decrypt(d); m.Sign() == 0 {
-		t.Fatal("blinded list still matches the object")
-	}
-	// Unblinding restores equality.
-	restored, err := Blind(&sk.PublicKey, blinded, negAlpha)
-	if err != nil {
-		t.Fatalf("unblind: %v", err)
-	}
-	d2, _ := Sub(&sk.PublicKey, restored, l2)
-	if m, _ := sk.Decrypt(d2); m.Sign() != 0 {
-		t.Fatal("unblinded list no longer matches the object")
-	}
-}
-
-func TestBlindCipher(t *testing.T) {
-	sk := testKey(t)
-	h := newHasher(t, DefaultPlusParams())
-	l, _ := h.Build(4)
-	alpha := make([]*paillier.Ciphertext, l.Width())
-	neg := make([]*paillier.Ciphertext, l.Width())
-	for i := range alpha {
-		r, _ := zmath.RandInt(rand.Reader, sk.N)
-		alpha[i], _ = sk.Encrypt(r)
-		neg[i], _ = sk.PublicKey.Neg(alpha[i])
-	}
-	blinded, err := BlindCipher(&sk.PublicKey, l, alpha)
-	if err != nil {
-		t.Fatalf("BlindCipher: %v", err)
-	}
-	restored, err := BlindCipher(&sk.PublicKey, blinded, neg)
-	if err != nil {
-		t.Fatalf("unblind: %v", err)
-	}
-	ref, _ := h.Build(4)
-	d, _ := Sub(&sk.PublicKey, restored, ref)
-	if m, _ := sk.Decrypt(d); m.Sign() != 0 {
-		t.Fatal("cipher blind/unblind broke equality")
-	}
-}
-
-func TestBlindLengthMismatch(t *testing.T) {
-	sk := testKey(t)
-	h := newHasher(t, DefaultPlusParams())
-	l, _ := h.Build(1)
-	if _, err := Blind(&sk.PublicKey, l, make([]*big.Int, 2)); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-	if _, err := BlindCipher(&sk.PublicKey, l, make([]*paillier.Ciphertext, 2)); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-}
-
 func TestRandomListNeverMatches(t *testing.T) {
 	sk := testKey(t)
 	h := newHasher(t, DefaultPlusParams())
@@ -245,26 +262,6 @@ func TestRandomListNeverMatches(t *testing.T) {
 	d2, _ := Sub(&sk.PublicKey, rnd, rnd2)
 	if m, _ := sk.Decrypt(d2); m.Sign() == 0 {
 		t.Fatal("two random lists matched")
-	}
-}
-
-func TestRerandomizePreservesEquality(t *testing.T) {
-	sk := testKey(t)
-	h := newHasher(t, DefaultPlusParams())
-	l, _ := h.Build(5)
-	rr, err := Rerandomize(&sk.PublicKey, l)
-	if err != nil {
-		t.Fatalf("Rerandomize: %v", err)
-	}
-	for i := range l.Cts {
-		if l.Cts[i].C.Cmp(rr.Cts[i].C) == 0 {
-			t.Fatalf("slot %d unchanged", i)
-		}
-	}
-	ref, _ := h.Build(5)
-	d, _ := Sub(&sk.PublicKey, rr, ref)
-	if m, _ := sk.Decrypt(d); m.Sign() != 0 {
-		t.Fatal("rerandomized list no longer matches")
 	}
 }
 

@@ -86,7 +86,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	if err := e.validateToken(tk); err != nil {
 		return nil, err
 	}
-	pk := e.client.PK()
+	pk, enc := e.client.PK(), e.client.Enc()
 
 	// Phase 1: hidden equality bits for every candidate pair, in random
 	// order (Algorithm 11 line 3).
@@ -99,7 +99,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	}
 	eqCts := make([]*paillier.Ciphertext, len(pairs))
 	for idx, p := range pairs {
-		ct, err := ehl.Sub(pk, e.er1.Tuples[p.i][tk.JoinPos1].EHL, e.er2.Tuples[p.j][tk.JoinPos2].EHL)
+		ct, err := ehl.SubEnc(enc, e.er1.Tuples[p.i][tk.JoinPos1].EHL, e.er2.Tuples[p.j][tk.JoinPos2].EHL)
 		if err != nil {
 			return nil, fmt.Errorf("join: eq(%d,%d): %w", p.i, p.j, err)
 		}
@@ -114,7 +114,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	// score s_ij = t * (x_scoreA + x_scoreB), attributes x' = t * x
 	// (Algorithm 11 lines 7-10), Enc(0) when t = 0. One recovery round
 	// resolves the whole nested loop.
-	zero, err := pk.EncryptZero()
+	zero, err := enc.EncryptZero()
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	// (Section 12.4's final EncSort step, via the top-k selection).
 	items := make([]protocols.Item, len(joined))
 	for i, t := range joined {
-		id, err := ehl.RandomList(pk, ehl.Params{Kind: ehl.KindPlus, S: 1})
+		id, err := ehl.RandomList(enc, ehl.Params{Kind: ehl.KindPlus, S: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -42,8 +42,9 @@ type Scheme struct {
 	hasher  *ehl.Hasher
 	master  prf.Key
 	permKey prf.Key
-	// enc is the owner's bulk-encryption surface: the assumption-free CRT
-	// nonce split, since the owner holds the factorization.
+	// enc is the owner's bulk-encryption surface, for values and (through
+	// hasher) value digests: the assumption-free CRT nonce split, since the
+	// owner holds the factorization.
 	enc paillier.Encryptor
 }
 
@@ -93,14 +94,15 @@ func RestoreScheme(params Params, keys *cloud.KeyMaterial, secrets Secrets) (*Sc
 	if len(secrets.Master) == 0 || len(secrets.Perm) == 0 {
 		return nil, errors.New("join: missing symmetric secrets")
 	}
-	hasher, err := ehl.NewHasher(prf.Key(secrets.Master), params.EHL, &keys.Paillier.PublicKey)
+	enc := keys.Paillier.CRTEncryptor()
+	hasher, err := ehl.NewHasher(prf.Key(secrets.Master), params.EHL, enc)
 	if err != nil {
 		return nil, err
 	}
 	return &Scheme{
 		params: params, keys: keys, hasher: hasher,
 		master: prf.Key(secrets.Master), permKey: prf.Key(secrets.Perm),
-		enc: keys.Paillier.CRTEncryptor(),
+		enc: enc,
 	}, nil
 }
 

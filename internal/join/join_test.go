@@ -278,3 +278,18 @@ func TestValueEqualityAcrossRelations(t *testing.T) {
 		t.Fatalf("cross-relation equality broken: %+v", got)
 	}
 }
+
+// TestHasherEncryptsThroughOwnerSurface pins that the owner's value
+// digests are encrypted through the same CRT surface as its values.
+func TestHasherEncryptsThroughOwnerSurface(t *testing.T) {
+	r := getRig(t)
+	s, err := RestoreScheme(r.scheme.Params(), r.scheme.KeyMaterial(), r.scheme.Secrets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Scheme{r.scheme, s} {
+		if s.hasher.Encryptor() != s.enc {
+			t.Fatal("the hasher encrypts through another surface than the values")
+		}
+	}
+}

@@ -31,8 +31,9 @@ type Scheme struct {
 	hasher       *ehl.Hasher
 	master       prf.Key
 	maxScoreBits int
-	// enc is the owner's bulk-encryption surface: the assumption-free CRT
-	// nonce split, since the owner holds the factorization.
+	// enc is the owner's bulk-encryption surface, for values and (through
+	// hasher) id digests: the assumption-free CRT nonce split, since the
+	// owner holds the factorization.
 	enc paillier.Encryptor
 }
 
@@ -60,14 +61,12 @@ func NewSchemeWithMaster(keys *cloud.KeyMaterial, master prf.Key, ehlParams ehl.
 	if maxScoreBits <= 0 {
 		return nil, errors.New("knn: maxScoreBits must be positive")
 	}
-	hasher, err := ehl.NewHasher(master, ehlParams, &keys.Paillier.PublicKey)
+	enc := keys.Paillier.CRTEncryptor()
+	hasher, err := ehl.NewHasher(master, ehlParams, enc)
 	if err != nil {
 		return nil, err
 	}
-	return &Scheme{
-		keys: keys, hasher: hasher, master: master, maxScoreBits: maxScoreBits,
-		enc: keys.Paillier.CRTEncryptor(),
-	}, nil
+	return &Scheme{keys: keys, hasher: hasher, master: master, maxScoreBits: maxScoreBits, enc: enc}, nil
 }
 
 // Master returns the id-hashing master key, for owner-side persistence.

@@ -194,3 +194,18 @@ func TestConstructorValidation(t *testing.T) {
 		t.Fatal("expected error for n=0")
 	}
 }
+
+// TestHasherEncryptsThroughOwnerSurface pins that the owner's id digests
+// are encrypted through the same CRT surface as its values.
+func TestHasherEncryptsThroughOwnerSurface(t *testing.T) {
+	r := getRig(t)
+	s, err := NewSchemeWithMaster(r.keys, r.scheme.Master(), ehl.DefaultPlusParams(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Scheme{r.scheme, s} {
+		if s.hasher.Encryptor() != s.enc {
+			t.Fatal("the hasher encrypts through another surface than the values")
+		}
+	}
+}

@@ -80,7 +80,7 @@ func EncSort(ctx context.Context, c *cloud.Client, items []Item, col int, desc b
 // key value; non-key columns are zero and the id is random.
 func sentinelItem(enc paillier.Encryptor, template Item, key *big.Int) (*Item, error) {
 	params := ehl.Params{Kind: template.EHL.Kind, S: template.EHL.Width(), H: template.EHL.Width()}
-	id, err := ehl.RandomList(enc.Key(), params)
+	id, err := ehl.RandomList(enc, params)
 	if err != nil {
 		return nil, err
 	}
