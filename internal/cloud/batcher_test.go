@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/secerr"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // TestBatchEnvelopeServer feeds a mixed envelope to a real Server: valid
@@ -65,6 +66,21 @@ func TestBatchEnvelopeServer(t *testing.T) {
 	}
 }
 
+// note is the stub's message: one string in the wire codec.
+type note string
+
+func (n note) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(string(n))
+	return w.Finish()
+}
+
+func (n *note) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*n = note(r.String("note"))
+	return r.Finish()
+}
+
 // stubCaller is a transport.Caller that records every envelope and can
 // hold the first one until released.
 type stubCaller struct {
@@ -92,7 +108,7 @@ func (s *stubCaller) Call(ctx context.Context, method string, req, resp any) err
 	}
 	rep := resp.(*BatchReply)
 	for _, it := range breq.Items {
-		body, err := transport.Encode(it.Method + " ok")
+		body, err := transport.Encode(note(it.Method + " ok"))
 		if err != nil {
 			return err
 		}
@@ -117,8 +133,8 @@ func TestBatcherCoalesces(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		var out string
-		firstDone <- b.Call(context.Background(), "First", 1, &out)
+		var out note
+		firstDone <- b.Call(context.Background(), "First", note(""), &out)
 	}()
 	waitFor(t, func() bool { return stub.count() == 1 })
 
@@ -129,9 +145,9 @@ func TestBatcherCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var out string
-			errs[i] = b.Call(context.Background(), fmt.Sprintf("Q%d", i), i, &out)
-			if errs[i] == nil && out != fmt.Sprintf("Q%d ok", i) {
+			var out note
+			errs[i] = b.Call(context.Background(), fmt.Sprintf("Q%d", i), note(""), &out)
+			if errs[i] == nil && string(out) != fmt.Sprintf("Q%d ok", i) {
 				errs[i] = fmt.Errorf("reply %q routed to the wrong call", out)
 			}
 		}(i)
@@ -169,12 +185,12 @@ func TestBatcherTickFlush(t *testing.T) {
 	b := NewBatcher(stub, WithBatchWindow(time.Millisecond))
 	defer b.Close()
 	go func() {
-		var out string
-		_ = b.Call(context.Background(), "Blocked", 1, &out)
+		var out note
+		_ = b.Call(context.Background(), "Blocked", note(""), &out)
 	}()
 	waitFor(t, func() bool { return stub.count() == 1 })
-	var out string
-	if err := b.Call(context.Background(), "Ticked", 1, &out); err != nil {
+	var out note
+	if err := b.Call(context.Background(), "Ticked", note(""), &out); err != nil {
 		t.Fatalf("ticked call: %v", err)
 	}
 	if out != "Ticked ok" {
@@ -193,21 +209,21 @@ func TestBatcherCancelOneOfN(t *testing.T) {
 	b := NewBatcher(stub, WithBatchWindow(time.Hour))
 	defer b.Close()
 	go func() {
-		var out string
-		_ = b.Call(context.Background(), "Blocked", 1, &out)
+		var out note
+		_ = b.Call(context.Background(), "Blocked", note(""), &out)
 	}()
 	waitFor(t, func() bool { return stub.count() == 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	canceledDone := make(chan error, 1)
 	go func() {
-		var out string
-		canceledDone <- b.Call(ctx, "Canceled", 1, &out)
+		var out note
+		canceledDone <- b.Call(ctx, "Canceled", note(""), &out)
 	}()
 	survivorDone := make(chan error, 1)
 	go func() {
-		var out string
-		survivorDone <- b.Call(context.Background(), "Survivor", 1, &out)
+		var out note
+		survivorDone <- b.Call(context.Background(), "Survivor", note(""), &out)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
@@ -233,14 +249,14 @@ func TestBatcherCloseQueued(t *testing.T) {
 	b := NewBatcher(stub, WithBatchWindow(time.Hour))
 	inflightDone := make(chan error, 1)
 	go func() {
-		var out string
-		inflightDone <- b.Call(context.Background(), "Inflight", 1, &out)
+		var out note
+		inflightDone <- b.Call(context.Background(), "Inflight", note(""), &out)
 	}()
 	waitFor(t, func() bool { return stub.count() == 1 })
 	queuedDone := make(chan error, 1)
 	go func() {
-		var out string
-		queuedDone <- b.Call(context.Background(), "Queued", 1, &out)
+		var out note
+		queuedDone <- b.Call(context.Background(), "Queued", note(""), &out)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	go close(stub.blockOnce) // let the in-flight envelope drain under Close
@@ -252,7 +268,7 @@ func TestBatcherCloseQueued(t *testing.T) {
 		t.Fatalf("in-flight call: %v", err)
 	}
 	// Post-Close calls fail fast; double Close is safe.
-	if err := b.Call(context.Background(), "Post", 1, nil); !errors.Is(err, secerr.ErrTransport) {
+	if err := b.Call(context.Background(), "Post", note(""), nil); !errors.Is(err, secerr.ErrTransport) {
 		t.Fatalf("post-Close call: want ErrTransport, got %v", err)
 	}
 	b.Close()
@@ -272,7 +288,7 @@ func TestBatcherLinkFailure(t *testing.T) {
 	stub := &stubCaller{fail: true}
 	b := NewBatcher(stub)
 	defer b.Close()
-	err := b.Call(context.Background(), "Doomed", 1, nil)
+	err := b.Call(context.Background(), "Doomed", note(""), nil)
 	if !errors.Is(err, secerr.ErrTransport) {
 		t.Fatalf("want ErrTransport, got %v", err)
 	}

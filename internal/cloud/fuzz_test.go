@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/secerr"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // fuzzMethods is every wire method a hostile S1 could name — the method
@@ -30,6 +31,14 @@ func fuzzMethods() []string {
 type applyEnvelope struct {
 	Relation string
 	Delta    []byte
+}
+
+// MarshalBinary is the client plane's Apply layout: string(Relation) bytes(Delta).
+func (m applyEnvelope) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Bytes(m.Delta)
+	return w.Finish()
 }
 
 // oddOfBits returns the odd integer 2^(bits-1) + 1.
@@ -67,10 +76,14 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		return b
 	}
 	// raw builds a body field by field, for the shapes Encode refuses.
-	raw := func(build func(w *wireWriter)) []byte {
-		var w wireWriter
+	raw := func(build func(w *wire.Writer)) []byte {
+		var w wire.Writer
 		build(&w)
-		return w.b
+		b, err := w.Finish()
+		if err != nil {
+			t.Fatalf("encoding seed: %v", err)
+		}
+		return b
 	}
 	const rel = fuzzSeedRelation
 	zero, one := new(big.Int), big.NewInt(1)
@@ -80,10 +93,10 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{method: MethodHello, body: enc(&HelloRequest{Version: 99}), code: secerr.CodeProtocolVersion},
 		{method: MethodHello, body: append(enc(&HelloRequest{Version: transport.ProtocolVersion}), 0), code: bad}, // trailing byte
 		{method: MethodEqBits, body: enc(&EqBitsRequest{Relation: rel, Cts: []*big.Int{zero, one}}), code: bad},
-		{method: MethodEqBits, body: raw(func(w *wireWriter) { w.string(rel); w.uvarint(1 << 40) }), code: bad},                               // count overruns the body
-		{method: MethodEqBits, body: raw(func(w *wireWriter) { w.string(rel); w.uvarint(1); w.uvarint(9); w.b = append(w.b, 1) }), code: bad}, // integer overruns the body
-		{method: MethodEqBits, body: raw(func(w *wireWriter) { w.string(rel); w.uvarint(1); w.bytes([]byte{0, 1}) }), code: bad},              // leading zero byte
-		{method: MethodEqBits, body: raw(func(w *wireWriter) { w.string(rel); w.b = append(w.b, 0x80, 0) }), code: bad},                       // overlong varint
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1 << 40) }), code: bad},                       // count overruns the body
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(9); w.Uvarint(1) }), code: bad}, // integer overruns the body
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Bytes([]byte{0, 1}) }), code: bad},      // leading zero byte
+		{method: MethodEqBits, body: append(raw(func(w *wire.Writer) { w.String(rel) }), 0x80, 0), code: bad},                          // overlong varint
 		{method: MethodRecover, body: enc(&RecoverRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
 		{method: MethodCompare, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
 		{method: MethodCompareHidden, body: append(enc(&CompareHiddenRequest{Relation: rel, Cts: []*big.Int{one}}), 0xff, 0xff), code: bad}, // trailing garbage
@@ -97,7 +110,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{method: MethodDedup, body: enc(&DedupRequest{
 			Relation: rel, Mode: DedupMerge, Rows: []WireRow{row}, MergeCols: []int{7}, EphemeralN: one,
 		}), code: bad},
-		{method: MethodDedup, body: raw(func(w *wireWriter) { w.string(rel); w.uvarint(0); w.uvarint(1 << 20) }), code: bad}, // row count overruns the body
+		{method: MethodDedup, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(0); w.Uvarint(1 << 20) }), code: bad}, // row count overruns the body
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{{Scores: []*big.Int{zero}, Blinds: []*big.Int{one}}}, EphemeralN: one}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{{EHL: []*big.Int{one}, Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, EphemeralN: one}), code: bad},
 		// Ephemeral moduli of the wrong width (a bit short of |N|+64, and
@@ -119,7 +132,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 			{Method: MethodRecover, Body: enc(&RecoverRequest{Relation: rel, Cts: []*big.Int{zero}})},
 			{Method: MethodHello, Body: enc(&HelloRequest{Version: transport.ProtocolVersion})},
 		}}), items: []secerr.Code{unknown, bad, bad, ""}},
-		{method: MethodBatch, body: raw(func(w *wireWriter) { w.uvarint(3); w.string(MethodHello); w.bytes(nil) }), code: bad},
+		{method: MethodBatch, body: raw(func(w *wire.Writer) { w.Uvarint(3); w.String(MethodHello); w.Bytes(nil) }), code: bad},
 		// Apply envelopes: a plausible one, an empty one, a garbage delta,
 		// and one smuggled in a batch. S2 has no Apply handler, so every
 		// shape must come back unknown_method / per-item error.

@@ -15,11 +15,15 @@
 //
 // Every message below is its own encoding.BinaryMarshaler/Unmarshaler
 // (which is what transport.Encode/Decode call): its fields in declaration
-// order, written with the primitives of wirecodec.go. The layout of each
+// order, written with the primitives of internal/wire. The layout of each
 // is the comment on its MarshalBinary.
 package cloud
 
-import "math/big"
+import (
+	"math/big"
+
+	"repro/internal/wire"
+)
 
 // Method names for the transport layer.
 const (
@@ -61,25 +65,25 @@ type BatchRequest struct {
 // MarshalBinary: count, then per item string(Method) bytes(Body) — the
 // item bodies as they were encoded, concatenated, not encoded again.
 func (m BatchRequest) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.uvarint(uint64(len(m.Items)))
+	var w wire.Writer
+	w.Uvarint(uint64(len(m.Items)))
 	for _, it := range m.Items {
-		w.string(it.Method)
-		w.bytes(it.Body)
+		w.String(it.Method)
+		w.Bytes(it.Body)
 	}
-	return w.finish()
+	return w.Finish()
 }
 
 func (m *BatchRequest) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	m.Items = nil
-	if n := r.count("Items", 2); n > 0 {
+	if n := r.Count("Items", 2); n > 0 {
 		m.Items = make([]BatchItem, n)
 	}
 	for i := range m.Items {
-		m.Items[i] = BatchItem{Method: r.string("Method"), Body: r.bytes("Body")}
+		m.Items[i] = BatchItem{Method: r.String("Method"), Body: r.Bytes("Body")}
 	}
-	return r.finish()
+	return r.Finish()
 }
 
 // BatchResult is one item's outcome: either the encoded reply body or a
@@ -99,26 +103,26 @@ type BatchReply struct {
 // MarshalBinary: count, then per result bytes(Body) string(ErrCode)
 // string(ErrMsg).
 func (m BatchReply) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.uvarint(uint64(len(m.Items)))
+	var w wire.Writer
+	w.Uvarint(uint64(len(m.Items)))
 	for _, it := range m.Items {
-		w.bytes(it.Body)
-		w.string(it.ErrCode)
-		w.string(it.ErrMsg)
+		w.Bytes(it.Body)
+		w.String(it.ErrCode)
+		w.String(it.ErrMsg)
 	}
-	return w.finish()
+	return w.Finish()
 }
 
 func (m *BatchReply) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	m.Items = nil
-	if n := r.count("Items", 3); n > 0 {
+	if n := r.Count("Items", 3); n > 0 {
 		m.Items = make([]BatchResult, n)
 	}
 	for i := range m.Items {
-		m.Items[i] = BatchResult{Body: r.bytes("Body"), ErrCode: r.string("ErrCode"), ErrMsg: r.string("ErrMsg")}
+		m.Items[i] = BatchResult{Body: r.Bytes("Body"), ErrCode: r.String("ErrCode"), ErrMsg: r.String("ErrMsg")}
 	}
-	return r.finish()
+	return r.Finish()
 }
 
 // HelloRequest opens a connection: the caller announces the wire protocol
@@ -132,16 +136,16 @@ type HelloRequest struct {
 
 // MarshalBinary: uvarint(Version) string(Relation).
 func (m HelloRequest) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.int("Version", m.Version)
-	w.string(m.Relation)
-	return w.finish()
+	var w wire.Writer
+	w.Int("Version", m.Version)
+	w.String(m.Relation)
+	return w.Finish()
 }
 
 func (m *HelloRequest) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
-	*m = HelloRequest{Version: r.int("Version"), Relation: r.string("Relation")}
-	return r.finish()
+	r := wire.NewReader(b)
+	*m = HelloRequest{Version: r.Int("Version"), Relation: r.String("Relation")}
+	return r.Finish()
 }
 
 // HelloReply confirms the handshake: the responder's version and, when
@@ -155,25 +159,25 @@ type HelloReply struct {
 
 // MarshalBinary: uvarint(Version), count, then each relation as a string.
 func (m HelloReply) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.int("Version", m.Version)
-	w.uvarint(uint64(len(m.Relations)))
+	var w wire.Writer
+	w.Int("Version", m.Version)
+	w.Uvarint(uint64(len(m.Relations)))
 	for _, rel := range m.Relations {
-		w.string(rel)
+		w.String(rel)
 	}
-	return w.finish()
+	return w.Finish()
 }
 
 func (m *HelloReply) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
-	*m = HelloReply{Version: r.int("Version")}
-	if n := r.count("Relations", 1); n > 0 {
+	r := wire.NewReader(b)
+	*m = HelloReply{Version: r.Int("Version")}
+	if n := r.Count("Relations", 1); n > 0 {
 		m.Relations = make([]string, n)
 	}
 	for i := range m.Relations {
-		m.Relations[i] = r.string("Relations")
+		m.Relations[i] = r.String("Relations")
 	}
-	return r.finish()
+	return r.Finish()
 }
 
 // The four ciphertext-list requests share one layout, string(Relation)
@@ -181,28 +185,28 @@ func (m *HelloReply) UnmarshalBinary(b []byte) error {
 // integer list alone.
 
 func marshalCtsRequest(relation string, cts []*big.Int) ([]byte, error) {
-	var w wireWriter
-	w.string(relation)
-	w.bigs("Cts", cts)
-	return w.finish()
+	var w wire.Writer
+	w.String(relation)
+	w.Bigs("Cts", cts)
+	return w.Finish()
 }
 
 func unmarshalCtsRequest(b []byte) (string, []*big.Int, error) {
-	r := wireReader{b: b}
-	relation, cts := r.string("Relation"), r.bigs("Cts")
-	return relation, cts, r.finish()
+	r := wire.NewReader(b)
+	relation, cts := r.String("Relation"), r.Bigs("Cts")
+	return relation, cts, r.Finish()
 }
 
 func marshalCts(what string, cts []*big.Int) ([]byte, error) {
-	var w wireWriter
-	w.bigs(what, cts)
-	return w.finish()
+	var w wire.Writer
+	w.Bigs(what, cts)
+	return w.Finish()
 }
 
 func unmarshalCts(what string, b []byte) ([]*big.Int, error) {
-	r := wireReader{b: b}
-	cts := r.bigs(what)
-	return cts, r.finish()
+	r := wire.NewReader(b)
+	cts := r.Bigs(what)
+	return cts, r.Finish()
 }
 
 // EqBitsRequest carries randomized EHL differences Enc(b_i) (outputs of
@@ -287,15 +291,15 @@ type CompareReply struct {
 // MarshalBinary: count, then Neg as a bitset of ⌈count/8⌉ bytes, least
 // significant bit first, padding bits zero.
 func (m CompareReply) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.bools(m.Neg)
-	return w.finish()
+	var w wire.Writer
+	w.Bools(m.Neg)
+	return w.Finish()
 }
 
 func (m *CompareReply) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
-	m.Neg = r.bools("Neg")
-	return r.finish()
+	r := wire.NewReader(b)
+	m.Neg = r.Bools("Neg")
+	return r.Finish()
 }
 
 // CompareHiddenRequest is CompareRequest for the oblivious variant: the
@@ -341,17 +345,17 @@ type MultRequest struct {
 
 // MarshalBinary: string(Relation), then A and B as integer lists.
 func (m MultRequest) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.string(m.Relation)
-	w.bigs("A", m.A)
-	w.bigs("B", m.B)
-	return w.finish()
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Bigs("A", m.A)
+	w.Bigs("B", m.B)
+	return w.Finish()
 }
 
 func (m *MultRequest) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
-	*m = MultRequest{Relation: r.string("Relation"), A: r.bigs("A"), B: r.bigs("B")}
-	return r.finish()
+	r := wire.NewReader(b)
+	*m = MultRequest{Relation: r.String("Relation"), A: r.Bigs("A"), B: r.Bigs("B")}
+	return r.Finish()
 }
 
 // MultReply carries Enc((a+r_a)(b+r_b)); S1 strips the cross terms
@@ -435,31 +439,31 @@ type DedupRequest struct {
 // lists, PairCts as an integer list, EphemeralN, MergeCols as a uvarint
 // list.
 func (m DedupRequest) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.string(m.Relation)
-	w.int("Mode", int(m.Mode))
-	w.rows(m.Rows)
-	w.ints("PairI", m.PairI)
-	w.ints("PairJ", m.PairJ)
-	w.bigs("PairCts", m.PairCts)
-	w.big("EphemeralN", m.EphemeralN)
-	w.ints("MergeCols", m.MergeCols)
-	return w.finish()
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Int("Mode", int(m.Mode))
+	writeRows(&w, m.Rows)
+	w.Ints("PairI", m.PairI)
+	w.Ints("PairJ", m.PairJ)
+	w.Bigs("PairCts", m.PairCts)
+	w.Big("EphemeralN", m.EphemeralN)
+	w.Ints("MergeCols", m.MergeCols)
+	return w.Finish()
 }
 
 func (m *DedupRequest) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	*m = DedupRequest{
-		Relation:   r.string("Relation"),
-		Mode:       DedupMode(r.int("Mode")),
-		Rows:       r.rows(),
-		PairI:      r.ints("PairI"),
-		PairJ:      r.ints("PairJ"),
-		PairCts:    r.bigs("PairCts"),
-		EphemeralN: r.big("EphemeralN"),
-		MergeCols:  r.ints("MergeCols"),
+		Relation:   r.String("Relation"),
+		Mode:       DedupMode(r.Int("Mode")),
+		Rows:       readRows(r),
+		PairI:      r.Ints("PairI"),
+		PairJ:      r.Ints("PairJ"),
+		PairCts:    r.Bigs("PairCts"),
+		EphemeralN: r.Big("EphemeralN"),
+		MergeCols:  r.Ints("MergeCols"),
 	}
-	return r.finish()
+	return r.Finish()
 }
 
 // DedupReply returns the re-blinded, re-permuted rows. In Replace mode the
@@ -477,15 +481,15 @@ func (m *DedupReply) UnmarshalBinary(b []byte) (err error) {
 }
 
 func marshalRows(rows []WireRow) ([]byte, error) {
-	var w wireWriter
-	w.rows(rows)
-	return w.finish()
+	var w wire.Writer
+	writeRows(&w, rows)
+	return w.Finish()
 }
 
 func unmarshalRows(b []byte) ([]WireRow, error) {
-	r := wireReader{b: b}
-	rows := r.rows()
-	return rows, r.finish()
+	r := wire.NewReader(b)
+	rows := readRows(r)
+	return rows, r.Finish()
 }
 
 // FilterRequest is one SecFilter round (Algorithm 12). Tests[i] encrypts
@@ -506,23 +510,23 @@ type FilterRequest struct {
 // MarshalBinary: string(Relation), the rows as in DedupRequest, Tests as
 // an integer list, EphemeralN.
 func (m FilterRequest) MarshalBinary() ([]byte, error) {
-	var w wireWriter
-	w.string(m.Relation)
-	w.rows(m.Rows)
-	w.bigs("Tests", m.Tests)
-	w.big("EphemeralN", m.EphemeralN)
-	return w.finish()
+	var w wire.Writer
+	w.String(m.Relation)
+	writeRows(&w, m.Rows)
+	w.Bigs("Tests", m.Tests)
+	w.Big("EphemeralN", m.EphemeralN)
+	return w.Finish()
 }
 
 func (m *FilterRequest) UnmarshalBinary(b []byte) error {
-	r := wireReader{b: b}
+	r := wire.NewReader(b)
 	*m = FilterRequest{
-		Relation:   r.string("Relation"),
-		Rows:       r.rows(),
-		Tests:      r.bigs("Tests"),
-		EphemeralN: r.big("EphemeralN"),
+		Relation:   r.String("Relation"),
+		Rows:       readRows(r),
+		Tests:      r.Bigs("Tests"),
+		EphemeralN: r.Big("EphemeralN"),
 	}
-	return r.finish()
+	return r.Finish()
 }
 
 // FilterReply returns the surviving rows, re-blinded and re-permuted.
@@ -550,3 +554,29 @@ func (r *CompareHiddenRequest) relationID() string { return r.Relation }
 func (r *MultRequest) relationID() string          { return r.Relation }
 func (r *DedupRequest) relationID() string         { return r.Relation }
 func (r *FilterRequest) relationID() string        { return r.Relation }
+
+// writeRows appends a row list: the count, then per row its EHL, Scores
+// and Blinds integer lists.
+func writeRows(w *wire.Writer, rows []WireRow) {
+	w.Uvarint(uint64(len(rows)))
+	for i := range rows {
+		w.Bigs("EHL", rows[i].EHL)
+		w.Bigs("Scores", rows[i].Scores)
+		w.Bigs("Blinds", rows[i].Blinds)
+	}
+}
+
+func readRows(r *wire.Reader) []WireRow {
+	n := r.Count("Rows", 3) // three list counts at the least
+	if n == 0 {
+		return nil
+	}
+	out := make([]WireRow, n)
+	for i := range out {
+		out[i] = WireRow{EHL: r.Bigs("EHL"), Scores: r.Bigs("Scores"), Blinds: r.Bigs("Blinds")}
+		if r.Err() != nil {
+			return nil
+		}
+	}
+	return out
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/secio"
 	"repro/internal/shard"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Cluster wire: the two methods a member serves on its cluster
@@ -22,8 +23,9 @@ import (
 const (
 	// ProtocolVersion is the cluster wire version; both sides of a Hello
 	// must carry exactly this value. v2: CandidatesRequest carries
-	// core.Options itself.
-	ProtocolVersion = 2
+	// core.Options itself. v3: every frame is its own internal/wire
+	// message (the layout is the comment on its MarshalBinary).
+	ProtocolVersion = 3
 
 	// MethodHello checks versions and announces the member's
 	// inventory: which shard subsets and whole-relation routes it hosts.
@@ -38,6 +40,23 @@ const (
 // coordinator speaks.
 type HelloRequest struct {
 	Version int
+}
+
+// MarshalBinary: uvarint(Version).
+func (m HelloRequest) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Int("Version", m.Version)
+	return w.Finish()
+}
+
+// UnmarshalBinary reads the version first and, at any other version than
+// this build's, nothing after it: the caller's CheckVersion refuses it.
+func (m *HelloRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	if m.Version = r.Int("Version"); m.Version != ProtocolVersion {
+		return r.Err()
+	}
+	return r.Finish()
 }
 
 // CheckVersion refuses a peer at any cluster wire version but this
@@ -84,6 +103,53 @@ type HelloReply struct {
 	Routes  []RouteInfo
 }
 
+// MarshalBinary: uvarint(Version) string(Member), then per subset
+// string(Relation) uvarint(Total) uvarint list(Indices) uvarint list(Rows)
+// uvarint(M) uvarint(MaxScoreBits) uvarint(Epoch) integer(PK), then per
+// route string(Relation) string(Workload); both lists count-prefixed.
+func (m HelloReply) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Int("Version", m.Version)
+	w.String(m.Member)
+	w.Uvarint(uint64(len(m.Subsets)))
+	for _, s := range m.Subsets {
+		w.String(s.Relation)
+		w.Int("Total", s.Total)
+		w.Ints("Indices", s.Indices)
+		w.Ints("Rows", s.Rows)
+		w.Int("M", s.M)
+		w.Int("MaxScoreBits", s.MaxScoreBits)
+		w.Uvarint(s.Epoch)
+		w.Big("PK", s.PK)
+	}
+	w.Uvarint(uint64(len(m.Routes)))
+	for _, rt := range m.Routes {
+		w.String(rt.Relation)
+		w.String(rt.Workload)
+	}
+	return w.Finish()
+}
+
+// UnmarshalBinary stops after the version at any other version, as
+// HelloRequest's does.
+func (m *HelloReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	if m.Version = r.Int("Version"); m.Version != ProtocolVersion {
+		return r.Err()
+	}
+	m.Member = r.String("Member")
+	m.Subsets = make([]SubsetInfo, r.Count("Subsets", 8))
+	for i := range m.Subsets {
+		m.Subsets[i] = SubsetInfo{Relation: r.String("Relation"), Total: r.Int("Total"), Indices: r.Ints("Indices"),
+			Rows: r.Ints("Rows"), M: r.Int("M"), MaxScoreBits: r.Int("MaxScoreBits"), Epoch: r.Uvarint(), PK: r.Big("PK")}
+	}
+	m.Routes = make([]RouteInfo, r.Count("Routes", 2))
+	for i := range m.Routes {
+		m.Routes[i] = RouteInfo{Relation: r.String("Relation"), Workload: r.String("Workload")}
+	}
+	return r.Finish()
+}
+
 // CandidatesRequest asks a member to run one token over its shards of a
 // relation under the front door's engine options (ExactScan set on the
 // merge-bound fallback rescan). Epoch pins the member's hosted epoch
@@ -96,11 +162,61 @@ type CandidatesRequest struct {
 	Epoch    uint64
 }
 
+// MarshalBinary: string(Relation) bytes(Token), the options as signed
+// Mode, Halt, Sort, BatchDepth, MaxDepth, then uvarint(ExactScan)
+// string(QueryID), then uvarint(Epoch). The options go as the peer set
+// them; the member's Options.Validate refuses what no engine path defines.
+func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Bytes(m.Token)
+	o := m.Options
+	for _, v := range []int{int(o.Mode), int(o.Halt), int(o.Sort), o.BatchDepth, o.MaxDepth} {
+		w.Varint(int64(v))
+	}
+	w.Bool(o.ExactScan)
+	w.String(o.QueryID)
+	w.Uvarint(m.Epoch)
+	return w.Finish()
+}
+
+func (m *CandidatesRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Relation, m.Token = r.String("Relation"), r.Bytes("Token")
+	o := &m.Options
+	o.Mode, o.Halt, o.Sort = core.Mode(r.Varint()), core.HaltPolicy(r.Varint()), core.SortStrategy(r.Varint())
+	o.BatchDepth, o.MaxDepth = int(r.Varint()), int(r.Varint())
+	o.ExactScan, o.QueryID = r.Bool("ExactScan"), r.String("QueryID")
+	m.Epoch = r.Uvarint()
+	return r.Finish()
+}
+
 // CandidatesReply carries one secio "candidates" stream per hosted
 // shard, aligned with the member's announced Indices.
 type CandidatesReply struct {
 	Epoch uint64
 	Sets  [][]byte
+}
+
+// MarshalBinary: uvarint(Epoch) uvarint(count), then bytes(set) each.
+func (m CandidatesReply) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Uvarint(m.Epoch)
+	w.Uvarint(uint64(len(m.Sets)))
+	for _, set := range m.Sets {
+		w.Bytes(set)
+	}
+	return w.Finish()
+}
+
+func (m *CandidatesReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Epoch = r.Uvarint()
+	m.Sets = make([][]byte, r.Count("Sets", 1))
+	for i := range m.Sets {
+		m.Sets[i] = r.Bytes("set")
+	}
+	return r.Finish()
 }
 
 // Hosted is one shard subset a member serves: the engine over its local

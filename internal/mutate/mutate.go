@@ -237,8 +237,9 @@ func applyShard(s *Shard, sd *ShardDelta) (*Shard, error) {
 			return nil, secerr.New(secerr.CodeBadRequest, "mutate: shard %d: insert has %d positions / %d items for m=%d", sd.Shard, len(ins.Pos), len(ins.Items), m)
 		}
 		for p, it := range ins.Items {
-			if it.EHL == nil || it.Score == nil {
-				return nil, secerr.New(secerr.CodeBadRequest, "mutate: shard %d: insert item for list %d is incomplete", sd.Shard, p)
+			if it.EHL == nil || it.Score == nil || len(it.EHL.Cts) != s.ER.EHLParams.Width() {
+				return nil, secerr.New(secerr.CodeBadRequest, "mutate: shard %d: insert item for list %d is incomplete or not %d digests wide",
+					sd.Shard, p, s.ER.EHLParams.Width())
 			}
 		}
 	}

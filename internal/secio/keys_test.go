@@ -2,8 +2,6 @@ package secio
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -43,30 +41,5 @@ func TestKeyMaterialRoundTrip(t *testing.T) {
 	}
 	if err := WriteKeyMaterial(&buf, nil); err == nil {
 		t.Fatal("expected error for nil keys")
-	}
-}
-
-func TestKeyMaterialFilePermissions(t *testing.T) {
-	r := getRig(t)
-	path := filepath.Join(t.TempDir(), "owner.keys")
-	if err := SaveKeyMaterial(path, r.scheme.KeyMaterial()); err != nil {
-		t.Fatalf("SaveKeyMaterial: %v", err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Mode().Perm() != 0o600 {
-		t.Fatalf("key file permissions = %v, want 0600", info.Mode().Perm())
-	}
-	loaded, err := LoadKeyMaterial(path)
-	if err != nil {
-		t.Fatalf("LoadKeyMaterial: %v", err)
-	}
-	if loaded.Paillier.N.Cmp(r.scheme.KeyMaterial().Paillier.N) != 0 {
-		t.Fatal("loaded wrong key")
-	}
-	if _, err := LoadKeyMaterial(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }

@@ -1,21 +1,16 @@
 package secio
 
 import (
-	"bufio"
-	"encoding/gob"
-	"errors"
-	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/ehl"
 	"repro/internal/mutate"
 	"repro/internal/paillier"
+	"repro/internal/wire"
 )
 
-// This file serializes the mutation plane's artifacts, all format
-// version 2:
+// The mutation plane's kinds:
 //
 //   - "delta": an owner-produced mutation bundle (the Client.Apply wire
 //     payload and the `sectopk-node apply` hand-off artifact);
@@ -26,236 +21,135 @@ import (
 //     allocator + epoch) bundled with its encrypted shadow state. This
 //     stream holds plaintext and must never leave the owner.
 
-// wireDeleteRow, wireInsertRow, wireShardDelta and wireDelta flatten
-// mutate.Delta. The EHL parameters ride along so the decoder can
-// validate digest widths without out-of-band schema knowledge.
-type wireDeleteRow struct {
-	ID  int
-	Pos []int
-}
-
-type wireInsertRow struct {
-	ID    int
-	Pos   []int
-	Items []wireEncItem
-}
-
-type wireShardDelta struct {
-	Shard   int
-	Deletes []wireDeleteRow
-	Inserts []wireInsertRow
-}
-
-type wireDelta struct {
-	BaseEpoch  uint64
-	ID         string
-	EHLKind    int
-	EHLS, EHLH int
-	Shards     []wireShardDelta
-}
-
-// encodeDelta flattens a delta to its wire form.
-func encodeDelta(d *mutate.Delta, params ehl.Params) (*wireDelta, error) {
-	if d == nil {
-		return nil, errors.New("secio: nil delta")
-	}
-	wd := &wireDelta{
-		BaseEpoch: d.BaseEpoch, ID: d.ID,
-		EHLKind: int(params.Kind), EHLS: params.S, EHLH: params.H,
-		Shards: make([]wireShardDelta, len(d.Shards)),
-	}
-	for i, sd := range d.Shards {
-		ws := wireShardDelta{Shard: sd.Shard}
-		for _, del := range sd.Deletes {
-			ws.Deletes = append(ws.Deletes, wireDeleteRow{ID: del.ID, Pos: del.Pos})
-		}
-		for _, ins := range sd.Inserts {
-			wi := wireInsertRow{ID: ins.ID, Pos: ins.Pos}
-			for j, it := range ins.Items {
-				if it.EHL == nil || it.Score == nil {
-					return nil, fmt.Errorf("secio: delta shard %d: incomplete insert item %d", sd.Shard, j)
-				}
-				w := wireEncItem{Score: it.Score.C}
-				for _, ct := range it.EHL.Cts {
-					w.EHL = append(w.EHL, ct.C)
-				}
-				wi.Items = append(wi.Items, w)
-			}
-			ws.Inserts = append(ws.Inserts, wi)
-		}
-		wd.Shards[i] = ws
-	}
-	return wd, nil
-}
-
-// decodeDelta rebuilds a delta from its wire form.
-func decodeDelta(wd *wireDelta) (*mutate.Delta, error) {
-	params := ehl.Params{Kind: ehl.Kind(wd.EHLKind), S: wd.EHLS, H: wd.EHLH}
-	if err := params.Validate(); err != nil {
-		return nil, fmt.Errorf("secio: stored delta EHL params invalid: %w", err)
-	}
-	d := &mutate.Delta{BaseEpoch: wd.BaseEpoch, ID: wd.ID, Shards: make([]mutate.ShardDelta, len(wd.Shards))}
-	for i, ws := range wd.Shards {
-		sd := mutate.ShardDelta{Shard: ws.Shard}
-		for _, del := range ws.Deletes {
-			sd.Deletes = append(sd.Deletes, mutate.DeleteRow{ID: del.ID, Pos: del.Pos})
-		}
-		for _, wi := range ws.Inserts {
-			ins := mutate.InsertRow{ID: wi.ID, Pos: wi.Pos}
-			for j, w := range wi.Items {
-				if w.Score == nil || len(w.EHL) != params.Width() {
-					return nil, fmt.Errorf("secio: stored delta shard %d: malformed insert item %d", ws.Shard, j)
-				}
-				l := &ehl.List{Kind: params.Kind}
-				for _, v := range w.EHL {
-					l.Cts = append(l.Cts, &paillier.Ciphertext{C: v})
-				}
-				ins.Items = append(ins.Items, core.EncItem{EHL: l, Score: &paillier.Ciphertext{C: w.Score}})
-			}
-			sd.Inserts = append(sd.Inserts, ins)
-		}
-		d.Shards[i] = sd
-	}
-	return d, nil
-}
-
 // WriteDelta serializes a mutation delta; params are the relation's EHL
-// parameters (needed to validate digest widths on the reading side).
+// parameters, so the reader can check digest widths without out-of-band
+// schema knowledge. Layout: uvarint(BaseEpoch) string(ID) EHL parameters
+// uvarint(shard count), then per shard uvarint(Shard), uvarint(delete
+// count) and per delete uvarint(ID) uvarint list(Pos), uvarint(insert
+// count) and per insert uvarint(ID) uvarint list(Pos) and one cell list
+// of len(Pos) cells.
 func WriteDelta(w io.Writer, d *mutate.Delta, params ehl.Params) error {
-	wd, err := encodeDelta(d, params)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "delta"}); err != nil {
-		return fmt.Errorf("secio: writing header: %w", err)
-	}
-	if err := enc.Encode(wd); err != nil {
-		return fmt.Errorf("secio: writing delta: %w", err)
-	}
-	return bw.Flush()
+	return write(w, "delta", func(w *wire.Writer) {
+		if d == nil {
+			w.Fail("secio: nil delta")
+			return
+		}
+		w.Uvarint(d.BaseEpoch)
+		w.String(d.ID)
+		putEHL(w, params)
+		w.Uvarint(uint64(len(d.Shards)))
+		for _, sd := range d.Shards {
+			w.Int("Shard", sd.Shard)
+			w.Uvarint(uint64(len(sd.Deletes)))
+			for _, del := range sd.Deletes {
+				w.Int("ID", del.ID)
+				w.Ints("Pos", del.Pos)
+			}
+			w.Uvarint(uint64(len(sd.Inserts)))
+			for _, ins := range sd.Inserts {
+				if len(ins.Items) != len(ins.Pos) {
+					w.Fail("secio: insert of %d items at %d positions", len(ins.Items), len(ins.Pos))
+					return
+				}
+				w.Int("ID", ins.ID)
+				w.Ints("Pos", ins.Pos)
+				putCells(w, "Items", len(ins.Items), params.Width(), func(i int) (*ehl.List, *paillier.Ciphertext) {
+					return ins.Items[i].EHL, ins.Items[i].Score
+				})
+			}
+		}
+	})
 }
 
 // ReadDelta deserializes a mutation delta, returning the EHL parameters
-// it was validated against alongside (so a loaded delta can be
+// it was checked against alongside (so a loaded delta can be
 // re-serialized without out-of-band schema knowledge).
 func ReadDelta(r io.Reader) (*mutate.Delta, ehl.Params, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, ehl.Params{}, fmt.Errorf("secio: reading header: %w", err)
-	}
-	if err := h.check("delta"); err != nil {
-		return nil, ehl.Params{}, err
-	}
-	var wd wireDelta
-	if err := dec.Decode(&wd); err != nil {
-		return nil, ehl.Params{}, fmt.Errorf("secio: reading delta: %w", err)
-	}
-	d, err := decodeDelta(&wd)
+	var d mutate.Delta
+	var params ehl.Params
+	err := read(r, "delta", func(r *wire.Reader) {
+		d.BaseEpoch, d.ID, params = r.Uvarint(), r.String("ID"), getEHL(r)
+		n := r.Count("shards", 3)
+		if r.Err() != nil {
+			return
+		}
+		d.Shards = make([]mutate.ShardDelta, n)
+		for i := range d.Shards {
+			sd := &d.Shards[i]
+			sd.Shard = r.Int("Shard")
+			if n := r.Count("deletes", 2); n > 0 {
+				sd.Deletes = make([]mutate.DeleteRow, n)
+			}
+			for j := range sd.Deletes {
+				sd.Deletes[j] = mutate.DeleteRow{ID: r.Int("ID"), Pos: r.Ints("Pos")}
+			}
+			if n := r.Count("inserts", 3); n > 0 {
+				sd.Inserts = make([]mutate.InsertRow, n)
+			}
+			for j := range sd.Inserts {
+				ins := mutate.InsertRow{ID: r.Int("ID"), Pos: r.Ints("Pos")}
+				cells := getCells(r, "Items", len(ins.Pos), params)
+				if r.Err() != nil {
+					return
+				}
+				ins.Items = make([]core.EncItem, len(cells))
+				for k, c := range cells {
+					ins.Items[k] = core.EncItem{EHL: c.ehl, Score: c.ct}
+				}
+				sd.Inserts[j] = ins
+			}
+		}
+	})
 	if err != nil {
 		return nil, ehl.Params{}, err
 	}
-	return d, ehl.Params{Kind: ehl.Kind(wd.EHLKind), S: wd.EHLS, H: wd.EHLH}, nil
+	return &d, params, nil
 }
 
-// wireMutableMeta stamps a hosted-mutable stream with its version state.
-type wireMutableMeta struct {
-	Epoch   uint64
-	IDSpace int
-	Shards  int
-}
-
-// wireMutableShard carries one shard's tombstone bookkeeping; the shard
-// body follows as a wireRelation whose N is the TOTAL (live + dead)
-// entry count, Live of which lead each list.
-type wireMutableShard struct {
-	Live    int
-	DeadIDs []int
-}
-
-// writeMutableBody emits the shared payload of the "hosted-mutable" and
-// "mutable-owner" kinds: public key, epoch metadata, then per shard the
-// tombstone bookkeeping and the full (live + dead) lists.
-func writeMutableBody(enc *gob.Encoder, st *mutate.Relation, pk *paillier.PublicKey) error {
+// putMutable emits the shared body of "hosted-mutable" and
+// "mutable-owner": integer(N) uvarint(Epoch) uvarint(IDSpace)
+// uvarint(shard count), then per shard uvarint(live) uvarint
+// list(DeadIDs) and its relation at its full live + dead depth.
+func putMutable(w *wire.Writer, st *mutate.Relation, pk *paillier.PublicKey) {
 	if st == nil || len(st.Shards) == 0 {
-		return errors.New("secio: empty mutable relation")
+		w.Fail("secio: empty mutable relation")
+		return
 	}
-	if pk == nil || pk.N == nil {
-		return errors.New("secio: nil public key")
+	putKey(w, pk)
+	w.Uvarint(st.Epoch)
+	w.Int("IDSpace", st.IDSpace)
+	w.Uvarint(uint64(len(st.Shards)))
+	for _, s := range st.Shards {
+		w.Int("live", s.ER.N)
+		w.Ints("DeadIDs", s.DeadIDs)
+		putRelation(w, s.ER, s.ER.N+s.Dead)
 	}
-	if err := enc.Encode(wirePub{N: pk.N}); err != nil {
-		return fmt.Errorf("secio: writing public key: %w", err)
-	}
-	if err := enc.Encode(wireMutableMeta{Epoch: st.Epoch, IDSpace: st.IDSpace, Shards: len(st.Shards)}); err != nil {
-		return fmt.Errorf("secio: writing mutable metadata: %w", err)
-	}
-	for i, s := range st.Shards {
-		if err := enc.Encode(wireMutableShard{Live: s.ER.N, DeadIDs: s.DeadIDs}); err != nil {
-			return fmt.Errorf("secio: writing shard %d metadata: %w", i, err)
-		}
-		wr, err := encodeRelation(s.ER)
-		if err != nil {
-			return err
-		}
-		// The stored lists run Live+Dead deep; stamp the wire N with the
-		// total so the relation codec's shape check holds.
-		wr.N = s.ER.N + s.Dead
-		if err := enc.Encode(wr); err != nil {
-			return fmt.Errorf("secio: writing shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
-// maxShardCount bounds a decoded shard count so a corrupt stream cannot
-// force an absurd allocation.
-const maxShardCount = 1 << 16
-
-// readMutableBody decodes the shared payload written by
-// writeMutableBody.
-func readMutableBody(dec *gob.Decoder) (*mutate.Relation, *paillier.PublicKey, error) {
-	var wp wirePub
-	if err := dec.Decode(&wp); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading public key: %w", err)
+func getMutable(r *wire.Reader) (*mutate.Relation, *paillier.PublicKey) {
+	pk := getKey(r)
+	st := &mutate.Relation{Epoch: r.Uvarint(), IDSpace: r.Int("IDSpace")}
+	n := r.Count("shards", 3)
+	if r.Err() == nil && (n < 1 || n > maxShardCount || st.Epoch == 0) {
+		r.Fail("secio: mutable relation of %d shards at epoch %d", n, st.Epoch)
 	}
-	pk, err := paillier.NewPublicKeyFromN(wp.N)
-	if err != nil {
-		return nil, nil, err
+	if r.Err() != nil {
+		return nil, nil
 	}
-	var meta wireMutableMeta
-	if err := dec.Decode(&meta); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading mutable metadata: %w", err)
-	}
-	if meta.Shards < 1 || meta.Shards > maxShardCount {
-		return nil, nil, fmt.Errorf("secio: shard count %d out of range", meta.Shards)
-	}
-	if meta.Epoch == 0 {
-		return nil, nil, errors.New("secio: mutable bundle has zero epoch")
-	}
-	st := &mutate.Relation{Epoch: meta.Epoch, IDSpace: meta.IDSpace, Shards: make([]*mutate.Shard, meta.Shards)}
+	st.Shards = make([]*mutate.Shard, n)
 	for i := range st.Shards {
-		var ws wireMutableShard
-		if err := dec.Decode(&ws); err != nil {
-			return nil, nil, fmt.Errorf("secio: reading shard %d metadata: %w", i, err)
+		live, deadIDs := r.Int("live"), r.Ints("DeadIDs")
+		er := getRelation(r)
+		if r.Err() == nil && live > er.N {
+			r.Fail("secio: shard %d live count %d exceeds its depth %d", i, live, er.N)
 		}
-		var wr wireRelation
-		if err := dec.Decode(&wr); err != nil {
-			return nil, nil, fmt.Errorf("secio: reading shard %d: %w", i, err)
+		if r.Err() != nil {
+			return nil, nil
 		}
-		er, err := decodeRelation(&wr)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ws.Live < 0 || ws.Live > er.N {
-			return nil, nil, fmt.Errorf("secio: shard %d live count %d out of range [0,%d]", i, ws.Live, er.N)
-		}
-		dead := er.N - ws.Live
-		er.N = ws.Live
-		st.Shards[i] = &mutate.Shard{ER: er, Dead: dead, DeadIDs: ws.DeadIDs}
+		st.Shards[i] = &mutate.Shard{ER: er, Dead: er.N - live, DeadIDs: deadIDs}
+		er.N = live
 	}
-	return st, pk, nil
+	return st, pk
 }
 
 // WriteMutableHosted serializes an epoch-stamped hosted relation: the
@@ -263,28 +157,15 @@ func readMutableBody(dec *gob.Decoder) (*mutate.Relation, *paillier.PublicKey, e
 // plus the public key — everything the data cloud needs to host it and
 // keep applying deltas against it.
 func WriteMutableHosted(w io.Writer, st *mutate.Relation, pk *paillier.PublicKey) error {
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "hosted-mutable"}); err != nil {
-		return fmt.Errorf("secio: writing header: %w", err)
-	}
-	if err := writeMutableBody(enc, st, pk); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return write(w, "hosted-mutable", func(w *wire.Writer) { putMutable(w, st, pk) })
 }
 
 // ReadMutableHosted deserializes an epoch-stamped hosted relation.
-func ReadMutableHosted(r io.Reader) (*mutate.Relation, *paillier.PublicKey, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, nil, fmt.Errorf("secio: reading header: %w", err)
-	}
-	if err := h.check("hosted-mutable"); err != nil {
+func ReadMutableHosted(r io.Reader) (st *mutate.Relation, pk *paillier.PublicKey, err error) {
+	if err := read(r, "hosted-mutable", func(r *wire.Reader) { st, pk = getMutable(r) }); err != nil {
 		return nil, nil, err
 	}
-	return readMutableBody(dec)
+	return st, pk, nil
 }
 
 // OwnerMirror is the owner-side plaintext mirror of a mutable relation:
@@ -301,74 +182,42 @@ type OwnerMirror struct {
 }
 
 // WriteOwnerMutable serializes the owner's mutable-relation bundle: the
-// plaintext mirror followed by the encrypted shadow state (the owner's
-// copy of exactly what the data cloud hosts). Plaintext rows are inside
-// — this stream must never leave the owner.
+// mirror — string(Name) uvarint(P) uvarint(M) uvarint(NextID)
+// uvarint(Epoch) uvarint list(IDs), then one signed list per row — and
+// the encrypted shadow state (the owner's copy of exactly what the data
+// cloud hosts) in the "hosted-mutable" body.
 func WriteOwnerMutable(w io.Writer, mir *OwnerMirror, st *mutate.Relation, pk *paillier.PublicKey) error {
-	if mir == nil {
-		return errors.New("secio: nil owner mirror")
-	}
-	if len(mir.IDs) != len(mir.Rows) {
-		return fmt.Errorf("secio: mirror has %d ids for %d rows", len(mir.IDs), len(mir.Rows))
-	}
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "mutable-owner"}); err != nil {
-		return fmt.Errorf("secio: writing header: %w", err)
-	}
-	if err := enc.Encode(mir); err != nil {
-		return fmt.Errorf("secio: writing owner mirror: %w", err)
-	}
-	if err := writeMutableBody(enc, st, pk); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return write(w, "mutable-owner", func(w *wire.Writer) {
+		if mir == nil || len(mir.IDs) != len(mir.Rows) {
+			w.Fail("secio: nil owner mirror or ids that disagree with its rows")
+			return
+		}
+		w.String(mir.Name)
+		w.Int("P", mir.P)
+		w.Int("M", mir.M)
+		w.Int("NextID", mir.NextID)
+		w.Uvarint(mir.Epoch)
+		w.Ints("IDs", mir.IDs)
+		for _, row := range mir.Rows {
+			w.Varints(row)
+		}
+		putMutable(w, st, pk)
+	})
 }
 
 // ReadOwnerMutable deserializes an owner mutable-relation bundle.
-func ReadOwnerMutable(r io.Reader) (*OwnerMirror, *mutate.Relation, *paillier.PublicKey, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, nil, nil, fmt.Errorf("secio: reading header: %w", err)
-	}
-	if err := h.check("mutable-owner"); err != nil {
-		return nil, nil, nil, err
-	}
-	var mir OwnerMirror
-	if err := dec.Decode(&mir); err != nil {
-		return nil, nil, nil, fmt.Errorf("secio: reading owner mirror: %w", err)
-	}
-	if len(mir.IDs) != len(mir.Rows) {
-		return nil, nil, nil, fmt.Errorf("secio: stored mirror has %d ids for %d rows", len(mir.IDs), len(mir.Rows))
-	}
-	st, pk, err := readMutableBody(dec)
+func ReadOwnerMutable(r io.Reader) (mir *OwnerMirror, st *mutate.Relation, pk *paillier.PublicKey, err error) {
+	err = read(r, "mutable-owner", func(r *wire.Reader) {
+		mir = &OwnerMirror{Name: r.String("Name"), P: r.Int("P"), M: r.Int("M"), NextID: r.Int("NextID"), Epoch: r.Uvarint()}
+		mir.IDs = r.Ints("IDs")
+		mir.Rows = make([][]int64, len(mir.IDs))
+		for i := range mir.Rows {
+			mir.Rows[i] = r.Varints("row")
+		}
+		st, pk = getMutable(r)
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &mir, st, pk, nil
-}
-
-// SaveOwnerMutable writes the owner bundle to a 0600 file (it holds
-// plaintext rows).
-func SaveOwnerMutable(path string, mir *OwnerMirror, st *mutate.Relation, pk *paillier.PublicKey) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if err := WriteOwnerMutable(f, mir, st, pk); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadOwnerMutable reads an owner bundle from a file.
-func LoadOwnerMutable(path string) (*OwnerMirror, *mutate.Relation, *paillier.PublicKey, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer f.Close()
-	return ReadOwnerMutable(f)
+	return mir, st, pk, nil
 }

@@ -3,6 +3,7 @@ package secio
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -57,18 +58,26 @@ func TestOwnerBundleRoundTrip(t *testing.T) {
 func TestOwnerBundleFile(t *testing.T) {
 	r := getRig(t)
 	path := filepath.Join(t.TempDir(), "owner.bundle")
-	if err := SaveOwnerBundle(path, r.scheme); err != nil {
-		t.Fatalf("SaveOwnerBundle: %v", err)
-	}
-	restored, err := LoadOwnerBundle(path)
+	f, err := os.Create(path)
 	if err != nil {
-		t.Fatalf("LoadOwnerBundle: %v", err)
+		t.Fatal(err)
+	}
+	if err := WriteOwnerBundle(f, r.scheme); err != nil {
+		t.Fatalf("WriteOwnerBundle: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	restored, err := ReadOwnerBundle(f)
+	if err != nil {
+		t.Fatalf("ReadOwnerBundle: %v", err)
 	}
 	if restored.PublicKey().N.Cmp(r.scheme.PublicKey().N) != 0 {
 		t.Fatal("restored scheme has different modulus")
-	}
-	if _, err := LoadOwnerBundle(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }
 

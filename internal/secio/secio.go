@@ -1,233 +1,290 @@
-// Package secio serializes the system's persistent artifacts: encrypted
-// relations (the ER a data owner uploads to S1), encrypted join
-// relations, and query tokens. The format is a versioned gob stream, so
-// a stored ER can be loaded by a different process — the deployment shape
-// of Section 3.2 where the data owner uploads once and goes offline.
+// Package secio serializes the artifacts the parties hand each other:
+// encrypted relations (the ER a data owner uploads to S1), join and kNN
+// relations, tokens, answers, candidate sets, deltas and key material.
+// Every stream is one internal/wire message,
 //
-// Only public/encrypted material is ever serialized here; key material
-// stays with the owner and the crypto cloud.
+//	string("sectopk-er") uvarint(version) string(kind), then the kind's fields
+//
+// (DESIGN.md "Stored and client-plane streams" lays out each kind), so a
+// stored ER can be loaded by a different process — the deployment shape
+// of Section 3.2 where the data owner uploads once and goes offline — and
+// a stored token or answer is byte-identical to its client-wire payload.
+// A reader refuses any other magic, version or kind, any field that does
+// not parse, any byte after the last field and any body that breaks its
+// own declared shape, always typed secerr.CodeBadRequest.
+//
+// The "keys", "owner", "join-owner" and "mutable-owner" kinds hold secrets
+// or plaintext; every other kind holds only public or encrypted material.
 package secio
 
 import (
-	"encoding/gob"
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"math/big"
 
 	"repro/internal/core"
 	"repro/internal/ehl"
-	"repro/internal/join"
 	"repro/internal/paillier"
+	"repro/internal/protocols"
 	"repro/internal/secerr"
+	"repro/internal/wire"
 )
 
-// magic identifies sectopk gob streams; version gates format changes.
 // Every artifact is written and read by the same build, so writers stamp
-// the one current version and readers refuse any other.
+// the one current version and readers refuse any other. Version 3 is the
+// first in the wire codec; versions up to 2 were gob streams.
 const (
 	magic   = "sectopk-er"
-	version = 2
+	version = 3
 )
 
-// header leads every stream.
-type header struct {
-	Magic   string
-	Version int
-	Kind    string // "token", "result", "hosted-mutable", ...
-}
-
-// wireEncItem flattens one encrypted item.
-type wireEncItem struct {
-	EHL   []*big.Int
-	Score *big.Int
-}
-
-// wireRelation flattens core.EncryptedRelation.
-type wireRelation struct {
-	Name         string
-	N, M         int
-	EHLKind      int
-	EHLS         int
-	EHLH         int
-	MaxScoreBits int
-	Lists        [][]wireEncItem
-}
-
-// encodeRelation flattens an encrypted relation to its wire form.
-func encodeRelation(er *core.EncryptedRelation) (*wireRelation, error) {
-	if er == nil {
-		return nil, errors.New("secio: nil relation")
+// Kinds lists every stream kind this build writes and reads.
+func Kinds() []string {
+	return []string{
+		"token", "join-token", "knn-token", "result", "join-result", "knn-result", "candidates",
+		"keys", "owner", "join-owner", "hosted-join-relation", "hosted-knn-relation",
+		"hosted-subset", "hosted-mutable", "mutable-owner", "delta",
 	}
-	wr := &wireRelation{
-		Name: er.Name, N: er.N, M: er.M,
-		EHLKind: int(er.EHLParams.Kind), EHLS: er.EHLParams.S, EHLH: er.EHLParams.H,
-		MaxScoreBits: er.MaxScoreBits,
-		Lists:        make([][]wireEncItem, len(er.Lists)),
+}
+
+// write encodes one stream: the header, then the kind's fields.
+func write(out io.Writer, kind string, body func(w *wire.Writer)) error {
+	var w wire.Writer
+	w.String(magic)
+	w.Int("version", version)
+	w.String(kind)
+	body(&w)
+	b, err := w.Finish()
+	if err != nil {
+		return fmt.Errorf("secio: writing %s: %w", kind, err)
 	}
-	for i, list := range er.Lists {
-		wl := make([]wireEncItem, len(list))
-		for j, it := range list {
-			if it.EHL == nil || it.Score == nil {
-				return nil, fmt.Errorf("secio: incomplete item at (%d,%d)", i, j)
-			}
-			w := wireEncItem{Score: it.Score.C}
-			for _, ct := range it.EHL.Cts {
-				w.EHL = append(w.EHL, ct.C)
-			}
-			wl[j] = w
+	_, err = out.Write(b)
+	return err
+}
+
+// read decodes one stream of the given kind. The header failures name
+// what a stranded operator needs to see: the version found and the one
+// this build supports.
+func read(in io.Reader, kind string, body func(r *wire.Reader)) error {
+	b, err := io.ReadAll(in)
+	if err != nil {
+		return secerr.Wrap(secerr.CodeBadRequest, err, "secio: reading %s", kind)
+	}
+	r := wire.NewReader(b)
+	if r.String("magic") != magic {
+		if bytes.Contains(b[:min(len(b), 128)], []byte(magic)) {
+			return secerr.New(secerr.CodeBadRequest,
+				"secio: unsupported format version 2 or older, a gob stream (this build reads and writes version %d only)", version)
 		}
-		wr.Lists[i] = wl
+		return secerr.New(secerr.CodeBadRequest, "secio: not a sectopk stream")
 	}
-	return wr, nil
-}
-
-// decodeRelation rebuilds an encrypted relation from its wire form.
-func decodeRelation(wr *wireRelation) (*core.EncryptedRelation, error) {
-	params := ehl.Params{Kind: ehl.Kind(wr.EHLKind), S: wr.EHLS, H: wr.EHLH}
-	if err := params.Validate(); err != nil {
-		return nil, fmt.Errorf("secio: stored EHL params invalid: %w", err)
-	}
-	er := &core.EncryptedRelation{
-		Name: wr.Name, N: wr.N, M: wr.M,
-		EHLParams: params, MaxScoreBits: wr.MaxScoreBits,
-		Lists: make([][]core.EncItem, len(wr.Lists)),
-	}
-	if len(wr.Lists) != wr.M {
-		return nil, fmt.Errorf("secio: stored relation has %d lists for M=%d", len(wr.Lists), wr.M)
-	}
-	for i, wl := range wr.Lists {
-		if len(wl) != wr.N {
-			return nil, fmt.Errorf("secio: list %d has %d items for N=%d", i, len(wl), wr.N)
-		}
-		list := make([]core.EncItem, len(wl))
-		for j, w := range wl {
-			if w.Score == nil || len(w.EHL) != params.Width() {
-				return nil, fmt.Errorf("secio: malformed item at (%d,%d)", i, j)
-			}
-			l := &ehl.List{Kind: params.Kind}
-			for _, v := range w.EHL {
-				l.Cts = append(l.Cts, &paillier.Ciphertext{C: v})
-			}
-			list[j] = core.EncItem{EHL: l, Score: &paillier.Ciphertext{C: w.Score}}
-		}
-		er.Lists[i] = list
-	}
-	return er, nil
-}
-
-// check validates a stream header. All failures are typed
-// secerr.CodeBadRequest so callers (and wire peers) can distinguish "you
-// handed me a bad/foreign artifact" from internal faults; the version
-// branch names both the found version and the supported one, which is
-// what a stranded operator needs to see.
-func (h header) check(kind string) error {
-	if h.Magic != magic {
-		return secerr.New(secerr.CodeBadRequest, "secio: not a sectopk stream (magic %q)", h.Magic)
-	}
-	if h.Version != version {
+	if v := r.Int("version"); r.Err() == nil && v != version {
 		return secerr.New(secerr.CodeBadRequest,
-			"secio: unsupported format version %d (this build reads and writes version %d only)", h.Version, version)
+			"secio: unsupported format version %d (this build reads and writes version %d only)", v, version)
 	}
-	if h.Kind != kind {
-		return secerr.New(secerr.CodeBadRequest, "secio: stream holds %q, expected %q", h.Kind, kind)
+	if k := r.String("kind"); r.Err() == nil && k != kind {
+		return secerr.New(secerr.CodeBadRequest, "secio: stream holds %q, expected %q", k, kind)
 	}
-	return nil
+	if r.Err() == nil {
+		body(r)
+	}
+	return r.Finish()
 }
 
-// wireJoinAttr flattens one encrypted join attribute cell.
-type wireJoinAttr struct {
-	EHL   []*big.Int
-	Value *big.Int
+// maxEHLWidth bounds a decoded digest count (s, or H for classic EHL) far
+// above any the schemes use.
+const maxEHLWidth = 1 << 16
+
+// putEHL: uvarint(Kind) uvarint(S) uvarint(H).
+func putEHL(w *wire.Writer, p ehl.Params) {
+	w.Int("EHL kind", int(p.Kind))
+	w.Int("EHL s", p.S)
+	w.Int("EHL h", p.H)
 }
 
-// wireJoinRelation flattens join.EncRelation.
-type wireJoinRelation struct {
-	Name    string
-	N, M    int
-	EHLKind int
-	EHLS    int
-	EHLH    int
-	Tuples  [][]wireJoinAttr
-}
-
-// encodeJoinRelation flattens a join relation to its wire form.
-func encodeJoinRelation(er *join.EncRelation, params ehl.Params) (*wireJoinRelation, error) {
-	if er == nil {
-		return nil, errors.New("secio: nil join relation")
-	}
-	wr := &wireJoinRelation{
-		Name: er.Name, N: er.N, M: er.M,
-		EHLKind: int(params.Kind), EHLS: params.S, EHLH: params.H,
-		Tuples: make([][]wireJoinAttr, len(er.Tuples)),
-	}
-	for i, tuple := range er.Tuples {
-		wt := make([]wireJoinAttr, len(tuple))
-		for j, a := range tuple {
-			if a.EHL == nil || a.Value == nil {
-				return nil, fmt.Errorf("secio: incomplete join attr at (%d,%d)", i, j)
-			}
-			wa := wireJoinAttr{Value: a.Value.C}
-			for _, ct := range a.EHL.Cts {
-				wa.EHL = append(wa.EHL, ct.C)
-			}
-			wt[j] = wa
+func getEHL(r *wire.Reader) ehl.Params {
+	p := ehl.Params{Kind: ehl.Kind(r.Int("EHL kind")), S: r.Int("EHL s"), H: r.Int("EHL h")}
+	if r.Err() == nil {
+		if err := p.Validate(); err != nil || p.Width() > maxEHLWidth {
+			r.Fail("secio: EHL parameters %+v out of range", p)
 		}
-		wr.Tuples[i] = wt
 	}
-	return wr, nil
+	return p
 }
 
-// decodeJoinRelation rebuilds a join relation from its wire form.
-func decodeJoinRelation(wr *wireJoinRelation) (*join.EncRelation, ehl.Params, error) {
-	params := ehl.Params{Kind: ehl.Kind(wr.EHLKind), S: wr.EHLS, H: wr.EHLH}
-	if err := params.Validate(); err != nil {
-		return nil, ehl.Params{}, err
+func getKind(r *wire.Reader) ehl.Kind {
+	k := ehl.Kind(r.Int("EHL kind"))
+	if k != ehl.KindPlus && k != ehl.KindClassic {
+		r.Fail("secio: unknown EHL kind %d", k)
 	}
-	er := &join.EncRelation{Name: wr.Name, N: wr.N, M: wr.M, Tuples: make([][]join.EncAttr, len(wr.Tuples))}
-	for i, wt := range wr.Tuples {
-		tuple := make([]join.EncAttr, len(wt))
-		for j, wa := range wt {
-			if wa.Value == nil || len(wa.EHL) != params.Width() {
-				return nil, ehl.Params{}, fmt.Errorf("secio: malformed join attr at (%d,%d)", i, j)
-			}
-			l := &ehl.List{Kind: params.Kind}
-			for _, v := range wa.EHL {
-				l.Cts = append(l.Cts, &paillier.Ciphertext{C: v})
-			}
-			tuple[j] = join.EncAttr{EHL: l, Value: &paillier.Ciphertext{C: wa.Value}}
+	return k
+}
+
+// putKey: integer(N).
+func putKey(w *wire.Writer, pk *paillier.PublicKey) {
+	if pk == nil || pk.N == nil {
+		w.Fail("secio: nil public key")
+		return
+	}
+	w.Big("N", pk.N)
+}
+
+// getKey reads the public modulus and caps every integer after it at
+// |N²| bytes, the width of a ciphertext under it.
+func getKey(r *wire.Reader) *paillier.PublicKey {
+	n := r.Big("N")
+	if r.Err() != nil {
+		return nil
+	}
+	pk, err := paillier.NewPublicKeyFromN(n)
+	if err != nil {
+		r.Fail("secio: %v", err)
+		return nil
+	}
+	r.LimitWidth((pk.N2.BitLen() + 7) / 8)
+	return pk
+}
+
+// appendCts appends the integers of cs; a nil ciphertext becomes a nil
+// integer, which the writer refuses.
+func appendCts(dst []*big.Int, cs ...*paillier.Ciphertext) []*big.Int {
+	for _, c := range cs {
+		if c == nil {
+			dst = append(dst, nil)
+		} else {
+			dst = append(dst, c.C)
 		}
-		er.Tuples[i] = tuple
 	}
-	return er, params, nil
+	return dst
 }
 
-// WriteToken serializes a query token (what an authorized client sends to
-// S1).
-func WriteToken(w io.Writer, tk *core.Token) error {
-	if tk == nil {
-		return errors.New("secio: nil token")
+func ctList(vs []*big.Int) []*paillier.Ciphertext {
+	if len(vs) == 0 {
+		return nil
 	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version, Kind: "token"}); err != nil {
-		return err
+	out := make([]*paillier.Ciphertext, len(vs))
+	for i, v := range vs {
+		out[i] = &paillier.Ciphertext{C: v}
 	}
-	return enc.Encode(tk)
+	return out
 }
 
-// ReadToken deserializes a query token.
-func ReadToken(r io.Reader) (*core.Token, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, err
+// cell is one encrypted cell: an EHL list and one ciphertext (a score,
+// or a join attribute's value).
+type cell struct {
+	ehl *ehl.List
+	ct  *paillier.Ciphertext
+}
+
+// putCells appends n cells as one integer list: cell i's EHL digests
+// (exactly width of them), then its ciphertext.
+func putCells(w *wire.Writer, what string, n, width int, at func(i int) (*ehl.List, *paillier.Ciphertext)) {
+	vs := make([]*big.Int, 0, n*(width+1))
+	for i := 0; i < n; i++ {
+		l, c := at(i)
+		if l == nil || c == nil || len(l.Cts) != width {
+			w.Fail("secio: %s: cell %d is incomplete", what, i)
+			return
+		}
+		vs = appendCts(appendCts(vs, l.Cts...), c)
 	}
-	if err := h.check("token"); err != nil {
-		return nil, err
+	w.Bigs(what, vs)
+}
+
+// getCells reads a list putCells wrote, which must hold exactly n cells
+// under the EHL parameters p.
+func getCells(r *wire.Reader, what string, n int, p ehl.Params) []cell {
+	vs := r.Bigs(what)
+	width := p.Width() + 1
+	if r.Err() == nil && (len(vs)%width != 0 || len(vs)/width != n) {
+		r.Fail("secio: %s holds %d ciphertexts, not %d cells of %d", what, len(vs), n, width)
 	}
-	var tk core.Token
-	if err := dec.Decode(&tk); err != nil {
-		return nil, err
+	if r.Err() != nil {
+		return nil
 	}
-	return &tk, nil
+	out := make([]cell, n)
+	for i := range out {
+		row := ctList(vs[i*width : (i+1)*width])
+		out[i] = cell{ehl: &ehl.List{Kind: p.Kind, Cts: row[: width-1 : width-1]}, ct: row[width-1]}
+	}
+	return out
+}
+
+// putRelation: string(Name) uvarint(M) EHL parameters uvarint(MaxScoreBits)
+// uvarint(depth), then per list one cell list of depth cells. The depth is
+// N, except in a mutable shard, whose lists run live + dead deep.
+func putRelation(w *wire.Writer, er *core.EncryptedRelation, depth int) {
+	if er == nil || len(er.Lists) != er.M {
+		w.Fail("secio: nil relation or lists that disagree with M")
+		return
+	}
+	w.String(er.Name)
+	w.Int("M", er.M)
+	putEHL(w, er.EHLParams)
+	w.Int("MaxScoreBits", er.MaxScoreBits)
+	w.Int("N", depth)
+	for p, list := range er.Lists {
+		if len(list) != depth {
+			w.Fail("secio: list %d holds %d items for depth %d", p, len(list), depth)
+			return
+		}
+		putCells(w, "list", depth, er.EHLParams.Width(), func(i int) (*ehl.List, *paillier.Ciphertext) {
+			return list[i].EHL, list[i].Score
+		})
+	}
+}
+
+// getRelation reads putRelation's layout; the relation's N is the depth.
+func getRelation(r *wire.Reader) *core.EncryptedRelation {
+	er := &core.EncryptedRelation{Name: r.String("Name"), M: r.Count("M", 1), EHLParams: getEHL(r)}
+	er.MaxScoreBits, er.N = r.Int("MaxScoreBits"), r.Count("N", 1)
+	er.Lists = make([][]core.EncItem, er.M)
+	for p := range er.Lists {
+		cells := getCells(r, "list", er.N, er.EHLParams)
+		if r.Err() != nil {
+			return nil
+		}
+		list := make([]core.EncItem, len(cells))
+		for i, c := range cells {
+			list[i] = core.EncItem{EHL: c.ehl, Score: c.ct}
+		}
+		er.Lists[p] = list
+	}
+	return er
+}
+
+// putItems: uvarint(EHL kind) uvarint(count), then per item its EHL
+// digests and its scores, two integer lists.
+func putItems(w *wire.Writer, items []protocols.Item) {
+	kind := ehl.KindPlus
+	if len(items) > 0 && items[0].EHL != nil {
+		kind = items[0].EHL.Kind
+	}
+	w.Int("EHL kind", int(kind))
+	w.Uvarint(uint64(len(items)))
+	var vs []*big.Int
+	for i, it := range items {
+		if it.EHL == nil {
+			w.Fail("secio: item %d has no EHL", i)
+			return
+		}
+		vs = appendCts(vs[:0], it.EHL.Cts...)
+		w.Bigs("EHL", vs)
+		vs = appendCts(vs[:0], it.Scores...)
+		w.Bigs("Scores", vs)
+	}
+}
+
+func getItems(r *wire.Reader) []protocols.Item {
+	kind := getKind(r)
+	n := r.Count("items", 2)
+	if r.Err() != nil {
+		return nil
+	}
+	out := make([]protocols.Item, n)
+	for i := range out {
+		out[i] = protocols.Item{EHL: &ehl.List{Kind: kind, Cts: ctList(r.Bigs("EHL"))}, Scores: ctList(r.Bigs("Scores"))}
+	}
+	return out
 }

@@ -35,7 +35,7 @@ func TestCallCancelMidRound(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- caller.Call(ctx, "stall", 1, nil) }()
+	go func() { done <- caller.Call(ctx, "stall", num(1), nil) }()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
@@ -46,7 +46,7 @@ func TestCallCancelMidRound(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Call did not return after cancellation")
 	}
-	if err := caller.Call(context.Background(), "next", 1, nil); err != nil {
+	if err := caller.Call(context.Background(), "next", num(1), nil); err != nil {
 		t.Fatalf("connection unusable after a canceled round: %v", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestCallPreCanceled(t *testing.T) {
 	caller, _ := pipePair(t, echoResponder{}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := caller.Call(ctx, "x", 1, nil); !errors.Is(err, context.Canceled) {
+	if err := caller.Call(ctx, "x", num(1), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

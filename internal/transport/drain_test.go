@@ -82,8 +82,8 @@ func TestServeWithDrainCompletesInFlight(t *testing.T) {
 
 	inFlight := make(chan error, 1)
 	go func() {
-		var out []byte
-		inFlight <- caller.Call(context.Background(), "wait", []byte("payload"), &out)
+		var out text
+		inFlight <- caller.Call(context.Background(), "wait", text("payload"), &out)
 	}()
 	select {
 	case <-r.started:
@@ -147,7 +147,7 @@ func TestServeWithDrainDeadlineAborts(t *testing.T) {
 
 	inFlight := make(chan error, 1)
 	go func() {
-		inFlight <- caller.Call(context.Background(), "wait", []byte("x"), nil)
+		inFlight <- caller.Call(context.Background(), "wait", text("x"), nil)
 	}()
 	select {
 	case <-r.started:
@@ -182,7 +182,7 @@ func TestServeWithoutDrainAbortsImmediately(t *testing.T) {
 
 	inFlight := make(chan error, 1)
 	go func() {
-		inFlight <- caller.Call(context.Background(), "wait", []byte("x"), nil)
+		inFlight <- caller.Call(context.Background(), "wait", text("x"), nil)
 	}()
 	select {
 	case <-r.started:

@@ -47,7 +47,7 @@ func FuzzServeMux(f *testing.F) {
 		}
 		runtime.ReadMemStats(&after)
 		// Generous per-byte allowance (a 3-byte frame costs a handler
-		// goroutine and a gob-encoded reply); the point is that no term
+		// goroutine and an encoded reply); the point is that no term
 		// depends on a claimed length.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+4096*len(data)); got > limit {
 			t.Fatalf("%d bytes allocated serving %d bytes of input (limit %d)", got, len(data), limit)

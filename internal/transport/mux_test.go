@@ -52,7 +52,7 @@ func (r *gatedResponder) Serve(ctx context.Context, method string, body []byte) 
 			return nil, ctx.Err()
 		}
 	}
-	return Encode(method + " handled")
+	return Encode(text(method + " handled"))
 }
 
 // muxPair starts a connected client/server over TCP loopback.
@@ -123,12 +123,12 @@ func TestMuxConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			method := fmt.Sprintf("m%d", i)
-			var out string
-			if err := mux.Call(context.Background(), method, i, &out); err != nil {
+			var out text
+			if err := mux.Call(context.Background(), method, num(i), &out); err != nil {
 				errs[i] = err
 				return
 			}
-			if want := method + " handled"; out != want {
+			if want := text(method + " handled"); out != want {
 				errs[i] = fmt.Errorf("reply %q routed to %q", out, want)
 			}
 		}(i)
@@ -159,16 +159,16 @@ func TestMuxCancelOneOfN(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var out string
-			sibErrs[i] = mux.Call(context.Background(), "slow", i, &out)
+			var out text
+			sibErrs[i] = mux.Call(context.Background(), "slow", num(i), &out)
 		}(i)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	stuckDone := make(chan error, 1)
 	go func() {
-		var out string
-		stuckDone <- mux.Call(ctx, "stuck", 0, &out)
+		var out text
+		stuckDone <- mux.Call(ctx, "stuck", num(0), &out)
 	}()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
@@ -193,8 +193,8 @@ func TestMuxCancelOneOfN(t *testing.T) {
 		}
 	}
 	// And the connection is still healthy for new calls.
-	var out string
-	if err := mux.Call(context.Background(), "after", 0, &out); err != nil {
+	var out text
+	if err := mux.Call(context.Background(), "after", num(0), &out); err != nil {
 		t.Fatalf("connection unusable after a canceled call: %v", err)
 	}
 	releaseStuck()
@@ -214,8 +214,8 @@ func TestMuxTeardownInFlight(t *testing.T) {
 	done := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
 		go func(i int) {
-			var out string
-			done <- mux.Call(context.Background(), "held", i, &out)
+			var out text
+			done <- mux.Call(context.Background(), "held", num(i), &out)
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -234,7 +234,7 @@ func TestMuxTeardownInFlight(t *testing.T) {
 		}
 	}
 	// New calls fail fast, and Close is idempotent.
-	if err := mux.Call(context.Background(), "post", 0, nil); !errors.Is(err, secerr.ErrTransport) {
+	if err := mux.Call(context.Background(), "post", num(0), nil); !errors.Is(err, secerr.ErrTransport) {
 		t.Fatalf("call after Close: want ErrTransport, got %v", err)
 	}
 	mux.Close()
@@ -271,7 +271,7 @@ func TestConnectPrefaceNoAnswer(t *testing.T) {
 func TestMuxStructuredErrors(t *testing.T) {
 	mux, stop := muxPair(t, codedResponder{})
 	defer stop()
-	err := mux.Call(context.Background(), "boom", 1, nil)
+	err := mux.Call(context.Background(), "boom", num(1), nil)
 	if !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("code lost over the wire: %v", err)
 	}
@@ -288,11 +288,11 @@ func TestLocalCountsWhatTheMuxCounts(t *testing.T) {
 	local := NewLocal(echoResponder{}, localStats)
 	ctx := context.Background()
 	for _, c := range []Caller{local, mux} {
-		var out int
-		if err := c.Call(ctx, "double", 21, &out); err != nil || out != 42 {
+		var out num
+		if err := c.Call(ctx, "double", num(21), &out); err != nil || out != 42 {
 			t.Fatalf("double = %d, %v", out, err)
 		}
-		if err := c.Call(ctx, "fail", 1, nil); err == nil {
+		if err := c.Call(ctx, "fail", num(1), nil); err == nil {
 			t.Fatal("fail succeeded")
 		}
 	}

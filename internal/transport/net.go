@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/secerr"
+	"repro/internal/wire"
 )
 
 // Frame payloads (the frame-ID envelope around them is in mux.go):
@@ -47,29 +48,18 @@ type wireError struct {
 	Msg  string
 }
 
-// MarshalBinary: uvarint(len(Code)) Code uvarint(len(Msg)) Msg.
+// MarshalBinary: string(Code) string(Msg).
 func (e wireError) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, len(e.Code)+len(e.Msg)+2*binary.MaxVarintLen32)
-	b = append(binary.AppendUvarint(b, uint64(len(e.Code))), e.Code...)
-	return append(binary.AppendUvarint(b, uint64(len(e.Msg))), e.Msg...), nil
+	var w wire.Writer
+	w.String(e.Code)
+	w.String(e.Msg)
+	return w.Finish()
 }
 
-// UnmarshalBinary refuses a length that overruns the payload and any
-// bytes after the message.
 func (e *wireError) UnmarshalBinary(b []byte) error {
-	var fields [2]string
-	for i := range fields {
-		n, used := binary.Uvarint(b)
-		if used <= 0 || n > uint64(len(b)-used) {
-			return errors.New("transport: malformed error payload")
-		}
-		fields[i], b = string(b[used:used+int(n)]), b[used+int(n):]
-	}
-	if len(b) > 0 {
-		return errors.New("transport: trailing bytes after the error payload")
-	}
-	e.Code, e.Msg = fields[0], fields[1]
-	return nil
+	r := wire.NewReader(b)
+	e.Code, e.Msg = r.String("Code"), r.String("Msg")
+	return r.Finish()
 }
 
 // encodeWireError renders a handler error as an error reply's payload.

@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"context"
 	"encoding"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -221,26 +220,22 @@ func (l *Local) Call(ctx context.Context, method string, req, resp any) error {
 	return nil
 }
 
-// Encode serializes a message. A message that is its own
-// encoding.BinaryMarshaler — every S1↔S2 message of internal/cloud, and
-// the error pair — is encoded by that method and by nothing else; gob is
-// the fallback for the types that are not: the client and cluster planes,
-// one frame per query whose body is a secio stream.
+// Encode serializes a message. Every message is its own
+// encoding.BinaryMarshaler, written with internal/wire; a value that is
+// not has no encoding.
 func Encode(v any) ([]byte, error) {
-	if m, ok := v.(encoding.BinaryMarshaler); ok {
-		return m.MarshalBinary()
+	m, ok := v.(encoding.BinaryMarshaler)
+	if !ok {
+		return nil, fmt.Errorf("transport: %T has no binary encoding", v)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return m.MarshalBinary()
 }
 
-// Decode is Encode's inverse into v (a pointer), dispatching the same way.
+// Decode is Encode's inverse into v, a pointer to a message.
 func Decode(b []byte, v any) error {
-	if u, ok := v.(encoding.BinaryUnmarshaler); ok {
-		return u.UnmarshalBinary(b)
+	u, ok := v.(encoding.BinaryUnmarshaler)
+	if !ok {
+		return fmt.Errorf("transport: %T has no binary decoding", v)
 	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	return u.UnmarshalBinary(b)
 }

@@ -10,7 +10,38 @@ import (
 	"time"
 
 	"repro/internal/secerr"
+	"repro/internal/wire"
 )
+
+// num and text are the test messages: an integer and a string in the
+// shared codec.
+type num int
+
+func (n num) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Varint(int64(n))
+	return w.Finish()
+}
+
+func (n *num) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*n = num(r.Varint())
+	return r.Finish()
+}
+
+type text string
+
+func (s text) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(string(s))
+	return w.Finish()
+}
+
+func (s *text) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*s = text(r.String("text"))
+	return r.Finish()
+}
 
 // echoResponder implements Responder for tests: "echo" returns the body,
 // "fail" returns an error, "double" decodes an int and doubles it.
@@ -23,7 +54,7 @@ func (echoResponder) Serve(_ context.Context, method string, body []byte) ([]byt
 	case "fail":
 		return nil, errors.New("handler exploded")
 	case "double":
-		var v int
+		var v num
 		if err := Decode(body, &v); err != nil {
 			return nil, err
 		}
@@ -36,8 +67,8 @@ func (echoResponder) Serve(_ context.Context, method string, body []byte) ([]byt
 func TestLocalCallRoundTrip(t *testing.T) {
 	stats := NewStats()
 	c := NewLocal(echoResponder{}, stats)
-	var out int
-	if err := c.Call(context.Background(), "double", 21, &out); err != nil {
+	var out num
+	if err := c.Call(context.Background(), "double", num(21), &out); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if out != 42 {
@@ -53,26 +84,26 @@ func TestLocalCallRoundTrip(t *testing.T) {
 
 func TestLocalCallError(t *testing.T) {
 	c := NewLocal(echoResponder{}, nil)
-	var out int
-	err := c.Call(context.Background(), "fail", 1, &out)
+	var out num
+	err := c.Call(context.Background(), "fail", num(1), &out)
 	if err == nil || !strings.Contains(err.Error(), "handler exploded") {
 		t.Fatalf("expected handler error, got %v", err)
 	}
-	if err := c.Call(context.Background(), "nope", 1, &out); err == nil {
+	if err := c.Call(context.Background(), "nope", num(1), &out); err == nil {
 		t.Fatal("expected unknown-method error")
 	}
 }
 
 func TestLocalNilResponder(t *testing.T) {
 	c := NewLocal(nil, nil)
-	if err := c.Call(context.Background(), "echo", 1, nil); err == nil {
+	if err := c.Call(context.Background(), "echo", num(1), nil); err == nil {
 		t.Fatal("expected error for nil responder")
 	}
 }
 
 func TestLocalNilResponse(t *testing.T) {
 	c := NewLocal(echoResponder{}, nil)
-	if err := c.Call(context.Background(), "echo", "hello", nil); err != nil {
+	if err := c.Call(context.Background(), "echo", text("hello"), nil); err != nil {
 		t.Fatalf("nil resp should be allowed: %v", err)
 	}
 }
@@ -123,23 +154,24 @@ func TestLinkModelLatency(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: a message round-trips through its own
+// codec, and a value that is not a message has no encoding either way.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	type payload struct {
-		A int
-		B string
-		C []int64
-	}
-	in := payload{A: 7, B: "x", C: []int64{1, 2, 3}}
-	b, err := Encode(in)
+	b, err := Encode(num(-7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	if err := Decode(b, &out); err != nil {
-		t.Fatal(err)
+	var out num
+	if err := Decode(b, &out); err != nil || out != -7 {
+		t.Fatalf("round trip: %d, %v", out, err)
 	}
-	if out.A != in.A || out.B != in.B || len(out.C) != 3 {
-		t.Fatalf("round trip mismatch: %+v", out)
+	type plain struct{ A int }
+	if _, err := Encode(plain{A: 1}); err == nil {
+		t.Fatal("a struct without MarshalBinary was encoded")
+	}
+	var p plain
+	if err := Decode(b, &p); err == nil {
+		t.Fatal("a struct without UnmarshalBinary was decoded")
 	}
 }
 
@@ -160,15 +192,15 @@ func pipePair(t *testing.T, responder Responder, stats *Stats) (ConnCaller, net.
 func TestConnectOverPipe(t *testing.T) {
 	stats := NewStats()
 	caller, _ := pipePair(t, echoResponder{}, stats)
-	var out int
-	if err := caller.Call(context.Background(), "double", 100, &out); err != nil {
+	var out num
+	if err := caller.Call(context.Background(), "double", num(100), &out); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if out != 200 {
 		t.Fatalf("double(100) = %d", out)
 	}
-	var s string
-	if err := caller.Call(context.Background(), "echo", "ping", &s); err != nil {
+	var s text
+	if err := caller.Call(context.Background(), "echo", text("ping"), &s); err != nil {
 		t.Fatalf("echo: %v", err)
 	}
 	if s != "ping" {
@@ -179,10 +211,10 @@ func TestConnectOverPipe(t *testing.T) {
 	}
 	// Remote handler errors surface as call errors but keep the
 	// connection usable.
-	if err := caller.Call(context.Background(), "fail", 1, nil); err == nil || !strings.Contains(err.Error(), "handler exploded") {
+	if err := caller.Call(context.Background(), "fail", num(1), nil); err == nil || !strings.Contains(err.Error(), "handler exploded") {
 		t.Fatalf("expected remote error, got %v", err)
 	}
-	if err := caller.Call(context.Background(), "double", 2, &out); err != nil || out != 4 {
+	if err := caller.Call(context.Background(), "double", num(2), &out); err != nil || out != 4 {
 		t.Fatalf("connection unusable after remote error: %v", err)
 	}
 }
@@ -192,8 +224,8 @@ func TestConnectOverPipe(t *testing.T) {
 func TestCallPeerClosedConn(t *testing.T) {
 	caller, peer := pipePair(t, echoResponder{}, nil)
 	peer.Close()
-	var out int
-	if err := caller.Call(context.Background(), "double", 8, &out); !errors.Is(err, secerr.ErrTransport) {
+	var out num
+	if err := caller.Call(context.Background(), "double", num(8), &out); !errors.Is(err, secerr.ErrTransport) {
 		t.Fatalf("call on a closed connection: want ErrTransport, got %v", err)
 	}
 }

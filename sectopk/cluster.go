@@ -94,7 +94,7 @@ func (s *ShardSubset) Rows() int {
 // Save persists the subset for handoff to a member node. Only
 // public/encrypted material is written.
 func (s *ShardSubset) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteHostedSubset(w, s.total, s.indices, s.shards, s.epoch, s.pk)
 	})
 }

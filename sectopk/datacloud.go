@@ -212,6 +212,9 @@ func (h *hostedRelation) apply(d *mutate.Delta, threshold int) (uint64, error) {
 			return epoch, nil
 		}
 	}
+	if err := fitsKey(d, h.er.pk); err != nil {
+		return 0, err
+	}
 	next, err := h.state.Apply(d)
 	if err != nil {
 		return 0, err
@@ -226,6 +229,28 @@ func (h *hostedRelation) apply(d *mutate.Delta, threshold int) (uint64, error) {
 		h.applied[d.ID] = next.Epoch
 	}
 	return next.Epoch, nil
+}
+
+// fitsKey refuses a delta carrying a ciphertext that is not below the
+// hosted relation's N²: a delta has no key of its own, so its relation's
+// bounds it.
+func fitsKey(d *mutate.Delta, pk *paillier.PublicKey) error {
+	for _, sd := range d.Shards {
+		for _, ins := range sd.Inserts {
+			for _, it := range ins.Items {
+				if it.EHL == nil || it.Score == nil {
+					continue // mutate refuses the incomplete item
+				}
+				for _, c := range append([]*paillier.Ciphertext{it.Score}, it.EHL.Cts...) {
+					if c == nil || c.C == nil || c.C.Cmp(pk.N2) >= 0 {
+						return secerr.New(secerr.CodeBadRequest,
+							"sectopk: delta shard %d carries a ciphertext outside the relation's key", sd.Shard)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // compact folds the relation's tombstones and returns the new epoch.

@@ -9,12 +9,15 @@ import (
 	"repro/internal/transport"
 )
 
-// replyAt answers every call with a {Version} reply at a fixed version —
-// a peer built at another version, as the dialing side sees it.
+// replyAt answers every Hello with a reply at a fixed version — a peer
+// built at another version, as the dialing side sees it.
 type replyAt int
 
-func (v replyAt) Serve(context.Context, string, []byte) ([]byte, error) {
-	return transport.Encode(struct{ Version int }{int(v)})
+func (v replyAt) Serve(_ context.Context, method string, _ []byte) ([]byte, error) {
+	if method == cluster.MethodHello {
+		return transport.Encode(cluster.HelloReply{Version: int(v)})
+	}
+	return transport.Encode(clientHelloReply{Version: int(v)})
 }
 
 // TestHelloWrongVersionRefused: the querier plane and the cluster plane

@@ -4,20 +4,32 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/ehl"
+	"repro/internal/join"
 	"repro/internal/secio"
 	"repro/internal/shard"
 )
 
 // Persistence for the artifacts a deployment moves between parties.
-// Every stream is versioned gob with a magic header; key-bearing files
-// are written with owner-only (0600) permissions. The same secio codecs
-// back the client wire protocol, so a stored token or encrypted answer
-// is byte-identical to its wire payload.
+// Every file is one secio stream (magic, format version, kind, then the
+// kind's fields in the internal/wire codec); files that hold keys or
+// plaintext are written owner-only. The same secio codecs back the client
+// wire protocol, so a stored token or encrypted answer is byte-identical
+// to its wire payload.
 
-// saveTo creates path and streams one artifact into it.
-func saveTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+// File modes: publicFile holds only public or encrypted material, privateFile
+// holds keys or plaintext.
+const (
+	publicFile  os.FileMode = 0o666
+	privateFile os.FileMode = 0o600
+)
+
+// saveTo creates path with the given mode (umask applied) and streams one
+// artifact into it.
+func saveTo(path string, perm os.FileMode, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
@@ -41,7 +53,9 @@ func loadFrom(path string, read func(io.Reader) error) error {
 // Save persists the owner's full scheme state (keys and symmetric
 // secrets) to a 0600 file. The bundle must never leave the owner.
 func (o *Owner) Save(path string) error {
-	return secio.SaveOwnerBundle(path, o.scheme)
+	return saveTo(path, privateFile, func(w io.Writer) error {
+		return secio.WriteOwnerBundle(w, o.scheme)
+	})
 }
 
 // LoadOwner restores an owner from a saved bundle. Relations, tokens,
@@ -53,24 +67,33 @@ func (o *Owner) Save(path string) error {
 // (WithShards) to re-apply them — the bundle does not record them, and
 // omitting them restores an unsharded owner.
 func LoadOwner(path string, opts ...Option) (*Owner, error) {
-	scheme, err := secio.LoadOwnerBundle(path)
+	var scheme *core.Scheme
+	err := loadFrom(path, func(r io.Reader) (err error) {
+		scheme, err = secio.ReadOwnerBundle(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg := buildConfig(opts)
-	return newOwner(scheme, cfg.shards), nil
+	return newOwner(scheme, buildConfig(opts).shards), nil
 }
 
 // Save persists the join owner's full scheme state to a 0600 file. The
 // bundle must never leave the owner.
 func (o *JoinOwner) Save(path string) error {
-	return secio.SaveJoinOwnerBundle(path, o.scheme)
+	return saveTo(path, privateFile, func(w io.Writer) error {
+		return secio.WriteJoinOwnerBundle(w, o.scheme)
+	})
 }
 
 // LoadJoinOwner restores a join owner from a saved bundle. Relations,
 // tokens, and results produced by the original owner remain valid.
 func LoadJoinOwner(path string) (*JoinOwner, error) {
-	scheme, err := secio.LoadJoinOwnerBundle(path)
+	var scheme *join.Scheme
+	err := loadFrom(path, func(r io.Reader) (err error) {
+		scheme, err = secio.ReadJoinOwnerBundle(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -80,12 +103,18 @@ func LoadJoinOwner(path string) (*JoinOwner, error) {
 // Save persists the key material for provisioning a CryptoCloud
 // (0600 file: whoever reads it can decrypt the owner's data).
 func (k *Keys) Save(path string) error {
-	return secio.SaveKeyMaterial(path, k.km)
+	return saveTo(path, privateFile, func(w io.Writer) error {
+		return secio.WriteKeyMaterial(w, k.km)
+	})
 }
 
 // LoadKeys reads provisioned key material.
 func LoadKeys(path string) (*Keys, error) {
-	km, err := secio.LoadKeyMaterial(path)
+	var km *cloud.KeyMaterial
+	err := loadFrom(path, func(r io.Reader) (err error) {
+		km, err = secio.ReadKeyMaterial(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +126,7 @@ func LoadKeys(path string) (*Keys, error) {
 // is always the "hosted-mutable" kind — shards, epoch, tombstones, id
 // space — a fresh encryption being epoch 1 with no tombstones.
 func (er *EncryptedRelation) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		st, err := er.mutableState()
 		if err != nil {
 			return err
@@ -127,7 +156,7 @@ func LoadEncryptedRelation(path string) (*EncryptedRelation, error) {
 
 // Save persists an encrypted join relation bundle.
 func (er *EncryptedJoinRelation) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		params := ehl.Params{Kind: ehl.KindPlus, S: er.ehlS}
 		return secio.WriteHostedJoinRelation(w, er.er, params, er.maxScoreBits, er.pk)
 	})
@@ -150,7 +179,7 @@ func LoadEncryptedJoinRelation(path string) (*EncryptedJoinRelation, error) {
 // Save persists an encrypted kNN relation bundle for upload to a data
 // cloud. Only public/encrypted material is written.
 func (er *EncryptedKNNRelation) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteHostedKNNRelation(w, er.db, er.maxScoreBits, er.pk)
 	})
 }
@@ -171,7 +200,7 @@ func LoadEncryptedKNNRelation(path string) (*EncryptedKNNRelation, error) {
 
 // Save persists a query token (what an authorized client sends to S1).
 func (t *Token) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteToken(w, t.tk)
 	})
 }
@@ -192,7 +221,7 @@ func LoadToken(path string) (*Token, error) {
 
 // Save persists a join token.
 func (t *JoinToken) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteJoinToken(w, t.tk)
 	})
 }
@@ -213,7 +242,7 @@ func LoadJoinToken(path string) (*JoinToken, error) {
 
 // Save persists a kNN token (what an authorized client sends to S1).
 func (t *KNNToken) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteKNNToken(w, t.point, t.k)
 	})
 }
@@ -235,7 +264,7 @@ func LoadKNNToken(path string) (*KNNToken, error) {
 // Save persists an encrypted query result (what S1 returns to the
 // client for revealing).
 func (r *EncryptedResult) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteQueryResult(w, r.items, r.Depth, r.Halted)
 	})
 }
@@ -257,7 +286,7 @@ func LoadEncryptedResult(path string) (*EncryptedResult, error) {
 // Save persists an encrypted join result (what S1 returns to the client
 // for revealing).
 func (r *EncryptedJoinResult) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteJoinResult(w, r.tuples)
 	})
 }
@@ -279,7 +308,7 @@ func LoadEncryptedJoinResult(path string) (*EncryptedJoinResult, error) {
 // Save persists an encrypted kNN result (what S1 returns to the client
 // for revealing).
 func (r *EncryptedKNNResult) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteKNNResult(w, r.items)
 	})
 }

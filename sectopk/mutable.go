@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ehl"
 	"repro/internal/mutate"
+	"repro/internal/paillier"
 	"repro/internal/secerr"
 	"repro/internal/secio"
 	"repro/internal/shard"
@@ -39,7 +40,7 @@ func (d *Delta) Rows() (inserted, deleted int) { return d.d.Rows() }
 // Save persists the delta for out-of-band hand-off (e.g. the
 // sectopk-node apply subcommand).
 func (d *Delta) Save(path string) error {
-	return saveTo(path, func(w io.Writer) error {
+	return saveTo(path, publicFile, func(w io.Writer) error {
 		return secio.WriteDelta(w, d.d, d.params)
 	})
 }
@@ -465,7 +466,9 @@ func (mr *MutableRelation) Save(path string) error {
 		NextID: mr.nextID, Epoch: mr.state.Epoch,
 		IDs: ids, Rows: rows,
 	}
-	return secio.SaveOwnerMutable(path, mir, mr.state, mr.owner.scheme.PublicKey())
+	return saveTo(path, privateFile, func(w io.Writer) error {
+		return secio.WriteOwnerMutable(w, mir, mr.state, mr.owner.scheme.PublicKey())
+	})
 }
 
 // LoadMutable reopens a mutable relation from the bundle
@@ -473,7 +476,13 @@ func (mr *MutableRelation) Save(path string) error {
 // copy of the one) that encrypted it — foreign key material is
 // rejected.
 func (o *Owner) LoadMutable(path string) (*MutableRelation, error) {
-	mir, st, pk, err := secio.LoadOwnerMutable(path)
+	var mir *secio.OwnerMirror
+	var st *mutate.Relation
+	var pk *paillier.PublicKey
+	err := loadFrom(path, func(r io.Reader) (err error) {
+		mir, st, pk, err = secio.ReadOwnerMutable(r)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

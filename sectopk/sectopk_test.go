@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -480,5 +482,54 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	want := []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored pipeline top-2 = %+v, want %+v", got, want)
+	}
+}
+
+// TestKeyMaterialFilePermissions: every file that holds keys or plaintext
+// — the crypto cloud's keys, the owner bundles, the mutable-relation
+// mirror — is written owner-only, and a missing file fails to load.
+func TestKeyMaterialFilePermissions(t *testing.T) {
+	dir := t.TempDir()
+	owner, err := sectopk.NewOwner(testOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jowner, err := sectopk.NewJoinOwner(testOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := demoRelation()
+	er, err := owner.Encrypt(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := owner.NewMutable(rel, er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, save := range map[string]func(string) error{
+		"s2.keys":       owner.Keys().Save,
+		"owner.bundle":  owner.Save,
+		"join.bundle":   jowner.Save,
+		"mutable.owner": mr.Save,
+	} {
+		path := filepath.Join(dir, name)
+		if err := save(path); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().Perm() != 0o600 {
+			t.Errorf("%s permissions = %v, want 0600", name, info.Mode().Perm())
+		}
+	}
+	keys, err := sectopk.LoadKeys(filepath.Join(dir, "s2.keys"))
+	if err != nil || keys == nil {
+		t.Fatalf("LoadKeys: %v", err)
+	}
+	if _, err := sectopk.LoadKeys(filepath.Join(dir, "nope")); err == nil {
+		t.Fatal("expected error for missing file")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/secerr"
 	"repro/internal/secio"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Client wire protocol (querier ↔ data cloud).
@@ -27,8 +28,10 @@ import (
 //	Client.Apply    {Relation, Delta}     -> {Epoch}
 //	Client.Compact  {Relation}            -> {Epoch}
 //
-// Both sides of the Hello must carry clientProtocolVersion exactly; any
-// other value is refused with ErrProtocolVersion. Token, Answer, and
+// Every request and reply is its own internal/wire message; the layout
+// is the comment on its MarshalBinary. Both sides of the Hello must carry
+// clientProtocolVersion exactly; any other value is refused with
+// ErrProtocolVersion. Token, Answer, and
 // Delta are secio streams — byte-identical to the on-disk persistence
 // formats — of the kind selected by Workload ("topk", "join", "knn") or,
 // for Apply, the "delta" kind. Handler errors cross the wire as the
@@ -39,8 +42,8 @@ import (
 // "Client wire" and "Telemetry and QoS".
 const (
 	// clientProtocolVersion is the client-plane version this build
-	// speaks.
-	clientProtocolVersion = 3
+	// speaks. v4: the frames left gob for internal/wire.
+	clientProtocolVersion = 4
 
 	methodClientHello   = "Client.Hello"
 	methodClientExecute = "Client.Execute"
@@ -58,9 +61,37 @@ type clientHello struct {
 	Tenant  string
 }
 
+// MarshalBinary: uvarint(Version) string(Tenant).
+func (m clientHello) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Int("Version", m.Version)
+	w.String(m.Tenant)
+	return w.Finish()
+}
+
+// UnmarshalBinary reads the version first and, at any other version than
+// this build's, nothing after it: checkClientVersion refuses it.
+func (m *clientHello) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	if m.Version = r.Int("Version"); m.Version != clientProtocolVersion {
+		return r.Err()
+	}
+	m.Tenant = r.String("Tenant")
+	return r.Finish()
+}
+
 // clientHelloReply carries the server's version.
 type clientHelloReply struct {
 	Version int
+}
+
+// MarshalBinary: uvarint(Version).
+func (m clientHelloReply) MarshalBinary() ([]byte, error) { return uvarintFrame(uint64(m.Version)) }
+
+func (m *clientHelloReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Version = r.Int("Version")
+	return r.Finish()
 }
 
 // checkClientVersion refuses a peer at any client-plane version but this
@@ -73,8 +104,9 @@ func checkClientVersion(peer string, v int) error {
 	return nil
 }
 
-// wireQueryOptions flattens a query configuration for the wire. Zero
-// values mean "default", matching the in-process QueryOption semantics.
+// wireQueryOptions flattens a query configuration for the wire: signed
+// Mode, Halt, BatchDepth, MaxDepth, then uvarint(Epoch). Zero values mean
+// "default", matching the in-process QueryOption semantics.
 type wireQueryOptions struct {
 	Mode       int
 	Halt       int
@@ -119,6 +151,32 @@ type clientExecuteRequest struct {
 	Attempt     int
 }
 
+// MarshalBinary: string(Relation) string(Workload) bytes(Token), the
+// options, string(Idempotency) uvarint(Attempt).
+func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(m.Relation)
+	w.String(m.Workload)
+	w.Bytes(m.Token)
+	o := m.Options
+	for _, v := range []int{o.Mode, o.Halt, o.BatchDepth, o.MaxDepth} {
+		w.Varint(int64(v))
+	}
+	w.Uvarint(o.Epoch)
+	w.String(m.Idempotency)
+	w.Int("Attempt", m.Attempt)
+	return w.Finish()
+}
+
+func (m *clientExecuteRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Relation, m.Workload, m.Token = r.String("Relation"), r.String("Workload"), r.Bytes("Token")
+	m.Options = wireQueryOptions{Mode: int(r.Varint()), Halt: int(r.Varint()),
+		BatchDepth: int(r.Varint()), MaxDepth: int(r.Varint()), Epoch: r.Uvarint()}
+	m.Idempotency, m.Attempt = r.String("Idempotency"), r.Int("Attempt")
+	return r.Finish()
+}
+
 // clientExecuteReply carries the encrypted answer as a secio stream of
 // the workload's result kind, plus the server-side span fields the
 // client merges into Answer.Traffic.
@@ -130,6 +188,25 @@ type clientExecuteReply struct {
 	Epoch          uint64
 }
 
+// MarshalBinary: bytes(Answer) signed(S2Calls) uvarint(FanOut)
+// signed(MergeFallbacks) uvarint(Epoch).
+func (m clientExecuteReply) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Bytes(m.Answer)
+	w.Varint(m.S2Calls)
+	w.Int("FanOut", m.FanOut)
+	w.Varint(m.MergeFallbacks)
+	w.Uvarint(m.Epoch)
+	return w.Finish()
+}
+
+func (m *clientExecuteReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Answer, m.S2Calls, m.FanOut = r.Bytes("Answer"), r.Varint(), r.Int("FanOut")
+	m.MergeFallbacks, m.Epoch = r.Varint(), r.Uvarint()
+	return r.Finish()
+}
+
 // clientApplyRequest carries one mutation delta as a secio "delta"
 // stream. The delta's embedded idempotency key is what makes retries of
 // this side-effecting call safe — the server's applied-table replays
@@ -139,16 +216,59 @@ type clientApplyRequest struct {
 	Delta    []byte
 }
 
+// MarshalBinary: string(Relation) bytes(Delta).
+func (m clientApplyRequest) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Bytes(m.Delta)
+	return w.Finish()
+}
+
+func (m *clientApplyRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Relation, m.Delta = r.String("Relation"), r.Bytes("Delta")
+	return r.Finish()
+}
+
 // clientApplyReply reports the epoch the application produced (or had
 // already produced, for an idempotent replay).
 type clientApplyReply struct {
 	Epoch uint64
 }
 
+// MarshalBinary: uvarint(Epoch).
+func (m clientApplyReply) MarshalBinary() ([]byte, error) { return uvarintFrame(m.Epoch) }
+
+func (m *clientApplyReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Epoch = r.Uvarint()
+	return r.Finish()
+}
+
+// uvarintFrame encodes a one-integer reply.
+func uvarintFrame(v uint64) ([]byte, error) {
+	var w wire.Writer
+	w.Uvarint(v)
+	return w.Finish()
+}
+
 // clientCompactRequest asks the data cloud to fold a relation's
 // tombstones; the reply is a clientApplyReply with the new epoch.
 type clientCompactRequest struct {
 	Relation string
+}
+
+// MarshalBinary: string(Relation).
+func (m clientCompactRequest) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(m.Relation)
+	return w.Finish()
+}
+
+func (m *clientCompactRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Relation = r.String("Relation")
+	return r.Finish()
 }
 
 // ServeClients accepts querier connections on the listener and serves
