@@ -10,7 +10,7 @@
 //	E2(Enc(m1))^{Enc(m2)} = E2(Enc(m1) * Enc(m2) mod N^2) = E2(Enc(m1+m2))
 //
 // is the only homomorphic property the construction relies on. That
-// identity is exactly ExpConst below, applied with the inner ciphertext
+// identity is exactly ExpConsts below, applied with the inner ciphertext
 // as exponent.
 package dj
 
@@ -326,28 +326,52 @@ func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C: pk.mulNS1(a.C, b.C)}, nil
 }
 
-// ExpConst returns E(k*x) = E(x)^k for a plaintext exponent k in Z_{N^s}.
-// With k an inner Paillier ciphertext value this is the paper's layered
-// homomorphism E2(Enc(a))^{Enc(b)} = E2(Enc(a+b)).
-func (pk *PublicKey) ExpConst(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
+// ExpConsts returns E(k*x) = E(x)^k for every plaintext exponent k in
+// Z_{N^s}. With k an inner Paillier ciphertext value this is the paper's
+// layered homomorphism E2(Enc(a))^{Enc(b)} = E2(Enc(a+b)). The powers of
+// one ciphertext share one squaring chain (zmath.Modulus.ExpModShared) when
+// there are enough of them to pay for it.
+func (pk *PublicKey) ExpConsts(a *Ciphertext, ks []*big.Int) ([]*Ciphertext, error) {
 	if err := pk.validateCiphertext(a); err != nil {
 		return nil, err
 	}
-	if k == nil {
-		return nil, ErrMessageRange
+	kks := make([]*big.Int, len(ks))
+	for i, k := range ks {
+		if k == nil {
+			return nil, ErrMessageRange
+		}
+		kks[i] = new(big.Int).Mod(k, pk.NS)
 	}
-	kk := new(big.Int).Mod(k, pk.NS)
-	c := new(big.Int).Exp(a.C, kk, pk.NS1)
-	return &Ciphertext{C: c}, nil
+	var cs []*big.Int
+	if pk.engNS1 != nil {
+		var err error
+		if cs, err = pk.engNS1.ExpModShared(a.C, kks); err != nil {
+			return nil, err
+		}
+	} else {
+		cs = make([]*big.Int, len(kks))
+		for i, k := range kks {
+			cs[i] = new(big.Int).Exp(a.C, k, pk.NS1)
+		}
+	}
+	out := make([]*Ciphertext, len(cs))
+	for i, c := range cs {
+		out[i] = &Ciphertext{C: c}
+	}
+	return out, nil
 }
 
-// ExpCipher is ExpConst with a first-layer Paillier ciphertext as the
+// ExpCipher is ExpConsts with one first-layer Paillier ciphertext as the
 // exponent: E2(x)^{Enc(m)} = E2(x * Enc(m) mod N^2).
 func (pk *PublicKey) ExpCipher(a *Ciphertext, e *paillier.Ciphertext) (*Ciphertext, error) {
 	if e == nil || e.C == nil {
 		return nil, ErrMessageRange
 	}
-	return pk.ExpConst(a, e.C)
+	out, err := pk.ExpConsts(a, []*big.Int{e.C})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // Neg returns E(-x) = E(x)^{-1} mod N^{s+1}.

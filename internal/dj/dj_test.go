@@ -127,12 +127,26 @@ func TestHomomorphicAdd(t *testing.T) {
 func TestExpConst(t *testing.T) {
 	_, sk := keys(t)
 	a, _ := sk.EncryptInt64(7)
-	b, err := sk.ExpConst(a, big.NewInt(6))
-	if err != nil {
-		t.Fatalf("ExpConst: %v", err)
+	// One exponent takes big.Int.Exp, six the shared squaring chain; a
+	// negative exponent is reduced mod N^s first.
+	for _, ks := range [][]int64{{6}, {6, 0, 1, -1, 1000, 3}} {
+		exps := make([]*big.Int, len(ks))
+		for i, k := range ks {
+			exps[i] = big.NewInt(k)
+		}
+		out, err := sk.ExpConsts(a, exps)
+		if err != nil {
+			t.Fatalf("ExpConsts: %v", err)
+		}
+		for i, k := range ks {
+			want := new(big.Int).Mod(big.NewInt(7*k), sk.NS)
+			if m, _ := sk.Decrypt(out[i]); m.Cmp(want) != 0 {
+				t.Fatalf("7*%d = %v, want %v", k, m, want)
+			}
+		}
 	}
-	if m, _ := sk.Decrypt(b); m.Int64() != 42 {
-		t.Fatalf("7*6 = %v", m)
+	if _, err := sk.ExpConsts(a, []*big.Int{big.NewInt(1), nil}); err == nil {
+		t.Fatal("ExpConsts accepted a nil exponent")
 	}
 }
 
@@ -179,11 +193,11 @@ func TestSelectionIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EmbedInner: %v", err)
 			}
-			term, err := sk.ExpConst(et, new(big.Int).Sub(a.C, b.C))
+			term, err := sk.ExpConsts(et, []*big.Int{new(big.Int).Sub(a.C, b.C)})
 			if err != nil {
-				t.Fatalf("ExpConst: %v", err)
+				t.Fatalf("ExpConsts: %v", err)
 			}
-			sel, _ := sk.Add(base, term)
+			sel, _ := sk.Add(base, term[0])
 			inner, err := sk.DecryptInner(sel)
 			if err != nil {
 				t.Fatalf("DecryptInner: %v", err)

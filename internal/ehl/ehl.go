@@ -185,24 +185,22 @@ func (h *Hasher) BuildBytes(data []byte) (*List, error) {
 	return &List{Kind: h.params.Kind, Cts: cts}, nil
 }
 
-// RandomList builds a list of encryptions of uniformly random Z_N values
-// through enc. S1 pads sorting networks and names join results with it:
-// with overwhelming probability it matches no real object.
-func RandomList(enc paillier.Encryptor, params Params) (*List, error) {
+// RandomList builds a list of encryptions of uniformly random Z_N values:
+// uniform units of Z*_{N^2}, which is the same distribution (with g = 1+N,
+// (r, rho) -> g^r * rho^N is a bijection from Z_N x Z*_N onto Z*_{N^2})
+// drawn without a nonce power. S1 pads sorting networks and names join
+// results with it: with overwhelming probability it matches no real object.
+func RandomList(pk *paillier.PublicKey, params Params) (*List, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	cts := make([]*paillier.Ciphertext, params.Width())
 	for i := range cts {
-		r, err := zmath.RandInt(rand.Reader, enc.Key().N)
+		u, err := zmath.RandUnit(rand.Reader, pk.N2)
 		if err != nil {
 			return nil, err
 		}
-		ct, err := enc.Encrypt(r)
-		if err != nil {
-			return nil, err
-		}
-		cts[i] = ct
+		cts[i] = &paillier.Ciphertext{C: u}
 	}
 	return &List{Kind: params.Kind, Cts: cts}, nil
 }

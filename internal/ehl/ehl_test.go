@@ -86,12 +86,36 @@ func TestListsEncryptThroughTheGivenSurface(t *testing.T) {
 		if got := enc.n.Load(); got != 2*int64(params.Width()) {
 			t.Fatalf("%v BuildBytes drew %d encryptions, want %d", params.Kind, got-int64(params.Width()), params.Width())
 		}
-		rnd := &countingEnc{Encryptor: sk.CRTEncryptor()}
-		if _, err := RandomList(rnd, params); err != nil {
-			t.Fatalf("%v RandomList: %v", params.Kind, err)
-		}
-		if got := rnd.n.Load(); got != int64(params.Width()) {
-			t.Fatalf("%v RandomList drew %d encryptions, want %d", params.Kind, got, params.Width())
+	}
+}
+
+// TestRandomListIsUnits holds RandomList to what stands in for an
+// encryption of a uniform value: the list's width, every slot a unit of
+// Z*_{N^2}, and no slot repeated within or across lists.
+func TestRandomListIsUnits(t *testing.T) {
+	sk := testKey(t)
+	seen := map[string]bool{}
+	for _, params := range []Params{DefaultPlusParams(), DefaultClassicParams()} {
+		for rep := 0; rep < 3; rep++ {
+			l, err := RandomList(&sk.PublicKey, params)
+			if err != nil {
+				t.Fatalf("%v RandomList: %v", params.Kind, err)
+			}
+			if l.Kind != params.Kind || l.Width() != params.Width() {
+				t.Fatalf("%v RandomList: kind %v width %d, want width %d", params.Kind, l.Kind, l.Width(), params.Width())
+			}
+			for i, ct := range l.Cts {
+				if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
+					t.Fatalf("%v slot %d is outside [1, N^2)", params.Kind, i)
+				}
+				if new(big.Int).GCD(nil, nil, ct.C, sk.N).Cmp(big.NewInt(1)) != 0 {
+					t.Fatalf("%v slot %d is not a unit mod N^2", params.Kind, i)
+				}
+				if seen[ct.C.String()] {
+					t.Fatalf("%v slot %d repeats an earlier slot", params.Kind, i)
+				}
+				seen[ct.C.String()] = true
+			}
 		}
 	}
 }

@@ -163,7 +163,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	// (Section 12.4's final EncSort step, via the top-k selection).
 	items := make([]protocols.Item, len(joined))
 	for i, t := range joined {
-		id, err := ehl.RandomList(enc, ehl.Params{Kind: ehl.KindPlus, S: 1})
+		id, err := ehl.RandomList(pk, ehl.Params{Kind: ehl.KindPlus, S: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -106,77 +106,140 @@ func Pick(t *dj.Ciphertext, a, b *paillier.Ciphertext) Selection {
 	return Selection{T: []*dj.Ciphertext{t}, A: []*paillier.Ciphertext{a}, Else: b}
 }
 
-// term builds E2(R * (sum_e t_e*A_e + (1 - sum_e t_e)*Else)) for the blind
-// R = Enc(r) as
+// check reports a selection Select cannot build a term for.
+func (s Selection) check(djPK *dj.PublicKey) error {
+	if len(s.T) != len(s.A) {
+		return fmt.Errorf("%d bits for %d choices", len(s.T), len(s.A))
+	}
+	if s.Else == nil || s.Else.C == nil {
+		return errors.New("nil Else")
+	}
+	for e, t := range s.T {
+		if s.A[e] == nil || s.A[e].C == nil {
+			return fmt.Errorf("choice %d is nil", e)
+		}
+		if t == nil || t.C == nil || t.C.Sign() <= 0 || t.C.Cmp(djPK.NS1) >= 0 {
+			return fmt.Errorf("hidden bit %d is outside [1, N^3)", e)
+		}
+	}
+	return nil
+}
+
+// Select resolves a batch of selections in one Recover round. For the
+// blind R_i of selection i, S1 sends
 //
 //	(1+N)^{Else'*R' mod N^2} * prod_e E2(t_e)^{(A_e' - Else')*R' mod N^2}
 //
 // where x' is the ciphertext x read as an integer: the plaintext under the
 // outer layer is (Else' + sum_e t_e*(A_e' - Else')) * R' mod N^2, the chosen
-// ciphertext times Enc(r) — an encryption of the chosen plaintext plus r,
-// which is all S2 may see (Algorithm 5's blind, folded into the exponents
-// the selection raises to anyway). That is one layered exponentiation per
-// bit — the dominant S1-side cost, since the exponent is as wide as a
-// first-layer ciphertext — none for the Else branch, and none for a bit
-// whose two branches are the same ciphertext.
-func (s Selection) term(pk *paillier.PublicKey, djPK *dj.PublicKey, blind *paillier.Ciphertext) (*dj.Ciphertext, error) {
-	if len(s.T) != len(s.A) {
-		return nil, fmt.Errorf("protocols: selection has %d bits for %d choices", len(s.T), len(s.A))
-	}
-	blindedElse, err := pk.Add(s.Else, blind)
-	if err != nil {
-		return nil, err
-	}
-	term, err := djPK.EmbedInner(blindedElse)
-	if err != nil {
-		return nil, err
-	}
-	for e, t := range s.T {
-		if s.A[e] == nil || s.A[e].C == nil {
-			return nil, fmt.Errorf("protocols: selection choice %d is nil", e)
-		}
-		diff := new(big.Int).Sub(s.A[e].C, s.Else.C)
-		if diff.Sign() == 0 {
-			continue
-		}
-		contrib, err := djPK.ExpConst(t, diff.Mul(diff, blind.C))
-		if err != nil {
-			return nil, err
-		}
-		if term, err = djPK.Add(term, contrib); err != nil {
-			return nil, err
-		}
-	}
-	return term, nil
-}
-
-// Select resolves a batch of selections in one Recover round: S1 builds
-// each term under a fresh blind Enc(r) (in parallel), S2 strips the outer
-// layer and re-randomizes, S1 divides the blind back out. Every result
-// carries S2's fresh randomness, so it cannot be matched to the branch it
-// came from.
+// ciphertext times R. R is a uniform unit of Z*_{N^2}, which is an
+// encryption of a uniform r (with g = 1+N, (r, rho) -> g^r * rho^N is a
+// bijection from Z_N x Z*_N onto Z*_{N^2}) drawn without a nonce power, so
+// the term holds an encryption of the chosen plaintext plus r — all S2 may
+// see (Algorithm 5's blind, folded into the exponents the selection raises
+// to anyway). S2 strips the outer layer and re-randomizes, and S1 divides R
+// back out; every result carries S2's fresh randomness, so it cannot be
+// matched to the branch it came from.
+//
+// The layered exponentiations are the dominant S1-side cost: one per bit,
+// none for the Else branch and none for a bit whose branch is Else. The
+// powers of one hidden bit (a gate's slots, a SecUpdate pair's picks and
+// bound) are raised together, sharing one squaring chain, and the bits fan
+// out over the client's parallelism.
 func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier.Ciphertext, error) {
 	pk, djPK := c.PK(), c.DJPK()
+	// exps[i][e] starts as A_e' - Else' (nil where it is 0) and becomes the
+	// exponent once R_i is drawn; groups[g] lists the (i, e) raising bits[g].
+	type power struct{ sel, bit int }
+	var (
+		bits    []*dj.Ciphertext
+		groups  [][]power
+		groupOf = map[*dj.Ciphertext]int{}
+		exps    = make([][]*big.Int, len(sels))
+	)
+	for i, s := range sels {
+		if err := s.check(djPK); err != nil {
+			return nil, fmt.Errorf("protocols: selection %d: %w", i, err)
+		}
+		exps[i] = make([]*big.Int, len(s.T))
+		for e, t := range s.T {
+			diff := new(big.Int).Sub(s.A[e].C, s.Else.C)
+			if diff.Sign() == 0 {
+				continue
+			}
+			exps[i][e] = diff
+			g, ok := groupOf[t]
+			if !ok {
+				g = len(groups)
+				groupOf[t] = g
+				bits, groups = append(bits, t), append(groups, nil)
+			}
+			groups[g] = append(groups[g], power{i, e})
+		}
+	}
 	blinds := make([]*paillier.Ciphertext, len(sels))
-	terms, err := parallel.MapErrCtx(ctx, c.Parallelism(), sels, func(i int, s Selection) (*dj.Ciphertext, error) {
-		r, err := zmath.RandInt(rand.Reader, pk.N)
+	terms := make([]*dj.Ciphertext, len(sels))
+	err := parallel.ForEachCtx(ctx, c.Parallelism(), len(sels), func(i int) error {
+		r, err := zmath.RandUnit(rand.Reader, pk.N2)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if blinds[i], err = c.Enc().Encrypt(r); err != nil {
-			return nil, err
+		blinds[i] = &paillier.Ciphertext{C: r}
+		blindedElse, err := pk.Add(sels[i].Else, blinds[i])
+		if err != nil {
+			return err
 		}
-		return s.term(pk, djPK, blinds[i])
+		if terms[i], err = djPK.EmbedInner(blindedElse); err != nil {
+			return err
+		}
+		for _, d := range exps[i] {
+			if d != nil {
+				d.Mul(d, r).Mod(d, pk.N2)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	raised := make([][]*dj.Ciphertext, len(sels))
+	for i := range sels {
+		raised[i] = make([]*dj.Ciphertext, len(exps[i]))
+	}
+	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(groups), func(g int) error {
+		ks := make([]*big.Int, len(groups[g]))
+		for j, p := range groups[g] {
+			ks[j] = exps[p.sel][p.bit]
+		}
+		out, err := djPK.ExpConsts(bits[g], ks)
+		if err != nil {
+			return err
+		}
+		// Each (i, e) belongs to one group, so no slot is written twice.
+		for j, p := range groups[g] {
+			raised[p.sel][p.bit] = out[j]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range terms {
+		for _, x := range raised[i] {
+			if x == nil {
+				continue
+			}
+			if terms[i], err = djPK.Add(terms[i], x); err != nil {
+				return nil, err
+			}
+		}
 	}
 	recovered, err := c.Recover(ctx, terms)
 	if err != nil {
 		return nil, err
 	}
-	// Each reply encrypts selected_i + r_i; dividing by the same Enc(r_i)
-	// leaves the selected plaintext under the randomness S2 put on it.
+	// Each reply encrypts selected_i + r_i; dividing by the same R_i leaves
+	// the selected plaintext under the randomness S2 put on it.
 	return subAll(pk, recovered, blinds)
 }
 

@@ -56,39 +56,74 @@ func (e *testEnv) selectionCases(t testing.TB) (sels []Selection, chosen []*pail
 	if negative == 0 || positive == 0 {
 		t.Fatalf("differences of one sign only (%d negative, %d positive): the mod-N^2 reduction went untested", negative, positive)
 	}
+
+	// Selections that share a hidden bit, as Select's callers build them,
+	// so the bit's powers are raised together.
+	pick := func(bit *dj.Ciphertext, set bool, a, b *paillier.Ciphertext) {
+		sels = append(sels, Pick(bit, a, b))
+		if set {
+			chosen = append(chosen, a)
+		} else {
+			chosen = append(chosen, b)
+		}
+	}
+	fresh := func() *paillier.Ciphertext { return e.enc(t, int64(rng.Intn(1000))) }
+	// A gate: five slots swap on one bit, and a gate in which one slot's
+	// two branches are the same ciphertext.
+	for _, v := range []int64{1, 0} {
+		bit := e.hiddenBit(t, v)
+		for slot := 0; slot < 5; slot++ {
+			a, b := fresh(), fresh()
+			if v == 0 && slot == 2 {
+				a = b
+			}
+			pick(bit, v == 1, a, b)
+		}
+	}
+	// SecUpdate's shape: a pair's bit picks into two columns and is also
+	// the first bit of the existing entry's bound chain.
+	zero := e.enc(t, 0)
+	for set := 0; set < 3; set++ { // which of the chain's three bits is 1
+		var ts []*dj.Ciphertext
+		for b := 0; b < 3; b++ {
+			v := int64(0)
+			if b == set {
+				v = 1
+			}
+			ts = append(ts, e.hiddenBit(t, v))
+		}
+		pick(ts[0], set == 0, fresh(), zero)
+		pick(ts[0], set == 0, fresh(), zero)
+		chain := Selection{T: ts, A: []*paillier.Ciphertext{fresh(), fresh(), fresh()}, Else: fresh()}
+		sels, chosen = append(sels, chain), append(chosen, chain.A[set])
+	}
 	return sels, chosen
 }
 
-// TestPropertySelect holds Selection to its plaintext meaning: with at most
-// one of 1-4 hidden bits set, the term's outer-layer plaintext is exactly
-// the ciphertext of the chosen branch (Else when no bit is set) times the
-// blind, whichever way the integer difference A' - Else' points, a branch
-// equal to Else costs no exponentiation, and the recovered value decrypts
-// to the chosen plaintext without repeating any input ciphertext.
+// TestPropertySelect holds Select to its plaintext meaning: with at most
+// one hidden bit of a selection set, the result decrypts to the chosen
+// branch (Else when no bit is set) without repeating any input ciphertext,
+// a branch equal to Else puts no factor into the term on the wire, and a
+// selection Select cannot build a term for is an error, not a panic.
 func TestPropertySelect(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
-	pk, djPK := e.client.PK(), e.client.DJPK()
-	blind := e.enc(t, 123456789)
-	blinded := func(ct *paillier.Ciphertext) *big.Int {
-		v := new(big.Int).Mul(ct.C, blind.C)
-		return v.Mod(v, pk.N2)
+	tap := &recoverTap{inner: transport.NewLocal(e.server, nil)}
+	client, err := cloud.NewClient(tap, &e.keys.Paillier.PublicKey, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer client.Close()
+	pk, djPK := client.PK(), client.DJPK()
 	sels, want := e.selectionCases(t)
-	for i, s := range sels {
-		term, err := s.term(pk, djPK, blind)
-		if err != nil {
-			t.Fatalf("term(selection %d): %v", i, err)
-		}
-		inner, err := e.keys.DJ.DecryptInner(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inner.C.Cmp(blinded(want[i])) != 0 {
-			t.Fatalf("selection %d: the term does not hold the chosen ciphertext times the blind", i)
-		}
+	// A branch that is the Else ciphertext contributes no factor: the term
+	// is the bare embedding of the blinded Else whatever the bit says.
+	same := e.enc(t, 7)
+	equalAt := len(sels)
+	for _, bit := range []int64{0, 1} {
+		sels, want = append(sels, Pick(e.hiddenBit(t, bit), same, same)), append(want, same)
 	}
-	got, err := Select(ctx, e.client, sels)
+	got, err := Select(ctx, client, sels)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -102,32 +137,36 @@ func TestPropertySelect(t *testing.T) {
 			}
 		}
 	}
-
-	// A branch that is the Else ciphertext contributes no factor: the term
-	// is the bare embedding of the blinded Else whatever the bit says.
-	same := e.enc(t, 7)
-	bare, err := djPK.EmbedInner(&paillier.Ciphertext{C: blinded(same)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bit := range []int64{0, 1} {
-		term, err := Pick(e.hiddenBit(t, bit), same, same).term(pk, djPK, blind)
+	for i := equalAt; i < len(sels); i++ {
+		blind := new(big.Int).ModInverse(got[i].C, pk.N2)
+		blind.Mul(blind, tap.replies[i]).Mod(blind, pk.N2)
+		blinded := new(big.Int).Mul(same.C, blind)
+		bare, err := djPK.EmbedInner(&paillier.Ciphertext{C: blinded.Mod(blinded, pk.N2)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if term.C.Cmp(bare.C) != 0 {
-			t.Errorf("bit %d: equal branches still multiplied a factor in", bit)
+		if tap.terms[i].Cmp(bare.C) != 0 {
+			t.Errorf("selection %d: equal branches still multiplied a factor in", i)
 		}
 	}
 
-	if _, err := (Selection{T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, Else: same}).term(pk, djPK, blind); err == nil {
-		t.Error("a bit without a choice should fail")
+	rounds := len(tap.terms)
+	n3 := djPK.NS1
+	for name, s := range map[string]Selection{
+		"a bit without a choice": {T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, Else: same},
+		"a nil choice":           {T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, A: []*paillier.Ciphertext{nil}, Else: same},
+		"a nil Else":             Pick(e.hiddenBit(t, 0), same, nil),
+		"a nil hidden bit":       Pick(nil, e.enc(t, 1), same),
+		"a hidden bit of 0":      Pick(&dj.Ciphertext{C: big.NewInt(0)}, e.enc(t, 1), same),
+		"a hidden bit of N^3":    Pick(&dj.Ciphertext{C: new(big.Int).Set(n3)}, e.enc(t, 1), same),
+		"a negative hidden bit":  Pick(&dj.Ciphertext{C: big.NewInt(-5)}, e.enc(t, 1), same),
+	} {
+		if _, err := Select(ctx, client, []Selection{Pick(e.hiddenBit(t, 1), same, e.enc(t, 2)), s}); err == nil {
+			t.Errorf("%s: Select succeeded", name)
+		}
 	}
-	if _, err := (Selection{T: []*dj.Ciphertext{e.hiddenBit(t, 0)}, A: []*paillier.Ciphertext{nil}, Else: same}).term(pk, djPK, blind); err == nil {
-		t.Error("a nil choice should fail")
-	}
-	if _, err := Pick(e.hiddenBit(t, 0), same, nil).term(pk, djPK, blind); err == nil {
-		t.Error("a nil Else should fail")
+	if len(tap.terms) != rounds {
+		t.Errorf("refused selections still sent %d terms to S2", len(tap.terms)-rounds)
 	}
 }
 
@@ -147,10 +186,11 @@ func (c *recoverTap) Call(ctx context.Context, method string, req, resp any) err
 }
 
 // TestSelectTermIsBlindedOnce reads Select off the wire: the blind S1
-// divides out of reply i is Enc(r_i)' = reply_i / output_i mod N^2, and the
-// term S1 sent for selection i must decrypt to the chosen ciphertext times
-// exactly that — one blind, applied once, and never the chosen ciphertext
-// itself — for 1-4 bits and differences of both signs.
+// divides out of reply i is R_i = reply_i / output_i mod N^2, and the term
+// S1 sent for selection i must decrypt to the chosen ciphertext times
+// exactly that — one blind, a distinct unit below N^2, applied once, and
+// never the chosen ciphertext itself — for 1-4 bits, differences of both
+// signs, and hidden bits shared across selections.
 func TestSelectTermIsBlindedOnce(t *testing.T) {
 	e := env(t)
 	tap := &recoverTap{inner: transport.NewLocal(e.server, nil)}
@@ -174,6 +214,9 @@ func TestSelectTermIsBlindedOnce(t *testing.T) {
 		blind.Mul(blind, tap.replies[i]).Mod(blind, pk.N2)
 		if seen[blind.String()] {
 			t.Errorf("selection %d reuses another selection's blind", i)
+		}
+		if blind.Sign() <= 0 || new(big.Int).GCD(nil, nil, blind, pk.N).Cmp(big.NewInt(1)) != 0 {
+			t.Errorf("selection %d: the blind is not a unit mod N^2", i)
 		}
 		seen[blind.String()] = true
 		inner, err := e.keys.DJ.DecryptInner(&dj.Ciphertext{C: tap.terms[i]})

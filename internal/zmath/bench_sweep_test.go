@@ -58,6 +58,40 @@ func BenchmarkMultiExpSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkExpModShared sets the shared squaring chain against one
+// big.Int.Exp per exponent in the selection gadget's shape: the N^3
+// modulus of a 256- to 2048-bit key, 2N-bit exponents (a first-layer
+// ciphertext times the blind, mod N^2), groups of 1-5 powers of one base.
+// "shared" runs the chain at every size, below the cutoff too; the
+// smallest size at which it wins at every key size is sharedExpMinGroup.
+func BenchmarkExpModShared(b *testing.B) {
+	for _, keyBits := range []int{256, 512, 1024, 2048} {
+		n := randOddModulusB(3 * keyBits)
+		m, _ := NewModulus(n)
+		base, _ := rand.Int(rand.Reader, n)
+		exps := make([]*big.Int, 5)
+		for i := range exps {
+			exps[i], _ = rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(2*keyBits)))
+		}
+		for g := 1; g <= len(exps); g++ {
+			group := exps[:g]
+			b.Run(fmt.Sprintf("key=%d/g=%d/big", keyBits, g), func(b *testing.B) {
+				z := new(big.Int)
+				for i := 0; i < b.N; i++ {
+					for _, e := range group {
+						z.Exp(base, e, n)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("key=%d/g=%d/shared", keyBits, g), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.expShared(base, group)
+				}
+			})
+		}
+	}
+}
+
 func randOddModulusB(bits int) *big.Int {
 	n, _ := rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(bits)))
 	n.SetBit(n, bits-1, 1)

@@ -162,6 +162,65 @@ func TestMultiExpModMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestExpModSharedMatchesBigInt holds ExpModShared to big.Int.Exp at 4, 8
+// and 12 limbs (the CIOS kernel) and 24 and 48 (the hybrid), for groups of
+// 1-8 exponents of unequal lengths with 0 and 1 among them and a base at
+// or above n. On the kernel path the shared chain itself runs at every
+// group size, including those below the cutoff ExpModShared routes to
+// big.Int.Exp.
+func TestExpModSharedMatchesBigInt(t *testing.T) {
+	for _, bits := range []int{256, 512, 768, 1536, 3072} {
+		n := randOddModulus(t, bits)
+		// Selections raise to N^2-wide exponents over N^3: two thirds of n.
+		expBits := 2 * bits / 3
+		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
+			for size := 1; size <= 8; size++ {
+				base, _ := rand.Int(rand.Reader, n)
+				if size == 3 {
+					base.Add(base, new(big.Int).Mul(n, big.NewInt(5))) // base >= n
+				}
+				exps := make([]*big.Int, size)
+				for i := range exps {
+					exps[i], _ = rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(expBits*(i+1)/size)))
+				}
+				exps[0] = big.NewInt(int64(size % 2)) // 0 or 1
+				want := make([]*big.Int, size)
+				for i, e := range exps {
+					want[i] = new(big.Int).Exp(base, e, n)
+				}
+				check := func(what string, got []*big.Int) {
+					t.Helper()
+					if len(got) != size {
+						t.Fatalf("bits=%d size=%d %s: %d results", bits, size, what, len(got))
+					}
+					for i := range want {
+						if got[i].Cmp(want[i]) != 0 {
+							t.Fatalf("bits=%d size=%d %s: exponent %d (%d bits) mismatch", bits, size, what, i, exps[i].BitLen())
+						}
+					}
+				}
+				got, err := m.ExpModShared(base, exps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("ExpModShared", got)
+				if m.active() {
+					check("shared chain", m.expShared(base, exps))
+				}
+			}
+			if got, err := m.ExpModShared(big.NewInt(5), nil); err != nil || len(got) != 0 {
+				t.Fatalf("ExpModShared with no exponents = %v, %v", got, err)
+			}
+			if _, err := m.ExpModShared(One, []*big.Int{One, One, big.NewInt(-1)}); err == nil {
+				t.Fatal("ExpModShared accepted a negative exponent")
+			}
+			if _, err := m.ExpModShared(One, []*big.Int{One, nil, One}); err == nil {
+				t.Fatal("ExpModShared accepted a nil exponent")
+			}
+		})
+	}
+}
+
 func TestBatchModInverseMod(t *testing.T) {
 	n := randOddModulus(t, 1024)
 	onBothPaths(t, n, func(t *testing.T, m *Modulus) {

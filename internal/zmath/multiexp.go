@@ -106,6 +106,147 @@ func (m *Modulus) MultiExpMod(bases, exps []*big.Int) (*big.Int, error) {
 	return natToBig(acc), nil
 }
 
+// sharedExpMinGroup is the smallest group of exponents ExpModShared raises
+// through its shared chain: the smallest group size at which the chain beat
+// one big.Int.Exp per exponent at every width BenchmarkExpModShared
+// measured (N^3 of 256- to 2048-bit keys; EXPERIMENTS.md). Smaller groups
+// take big.Int.Exp, whose assembly ladder wins when there is no squaring
+// chain to share.
+const sharedExpMinGroup = 3
+
+// ExpModShared returns base^exps[i] mod n for every i: many powers of one
+// base. From sharedExpMinGroup exponents on it runs Yao's method — a single
+// in-domain squaring chain base^(2^(w*j)) serves every exponent, and each
+// exponent then costs one multiplication per nonzero w-bit digit plus one
+// per digit value (the descending-digit product), instead of a full ladder
+// of its own. Exponents must be non-negative. Outputs are canonical
+// residues, bit-identical to big.Int.Exp.
+func (m *Modulus) ExpModShared(base *big.Int, exps []*big.Int) ([]*big.Int, error) {
+	for i, e := range exps {
+		if e == nil || e.Sign() < 0 {
+			return nil, fmt.Errorf("zmath: ExpModShared exponent %d must be non-negative", i)
+		}
+	}
+	if !m.active() || len(exps) < sharedExpMinGroup {
+		out := make([]*big.Int, len(exps))
+		for i, e := range exps {
+			out[i] = new(big.Int).Exp(base, e, m.n)
+		}
+		return out, nil
+	}
+	return m.expShared(base, exps), nil
+}
+
+// yaoWindow picks the digit width w minimizing the per-exponent cost of
+// Yao's method, ceil(bits/w) digit multiplications plus 2^w - 1 for the
+// descending-digit product; the shared chain costs about bits squarings
+// whatever w is.
+func yaoWindow(bits int) uint {
+	best, bestCost := uint(1), bits+1
+	for w := uint(2); w <= 8; w++ {
+		if cost := (bits+int(w)-1)/int(w) + 1<<w - 1; cost < bestCost {
+			best, bestCost = w, cost
+		}
+	}
+	return best
+}
+
+// expShared is Yao's fixed-exponent-set method on an active Modulus, for
+// non-negative exponents. Writing e = sum_j d_j 2^(w*j),
+//
+//	base^e = prod_{d >= 1} (prod_{j: d_j = d} c_j)^d,  c_j = base^(2^(w*j)),
+//
+// and the outer product is a running product: walking d from the top digit
+// down, run multiplies in the c_j of digit d and acc multiplies in run, so
+// each c_j ends up raised to its own digit.
+func (m *Modulus) expShared(base *big.Int, exps []*big.Int) []*big.Int {
+	maxBits := 0
+	for _, e := range exps {
+		if b := e.BitLen(); b > maxBits {
+			maxBits = b
+		}
+	}
+	w := yaoWindow(maxBits)
+	windows := (maxBits + int(w) - 1) / int(w)
+	k := m.k
+	s := m.pool.Get().(*montScratch)
+	defer m.pool.Put(s)
+
+	// chain[j*k : (j+1)*k] = base^(2^(w*j)) * R: the one squaring chain.
+	chain := make([]uint64, windows*k)
+	if windows > 0 {
+		c0 := chain[:k]
+		natFromBig(c0, m.canon(s.red1, base))
+		m.montMul(c0, c0, m.r2l, s) // enter the domain
+		for j := 1; j < windows; j++ {
+			prev, cur := chain[(j-1)*k:j*k], chain[j*k:(j+1)*k]
+			m.montMul(cur, prev, prev, s)
+			for sq := 1; sq < int(w); sq++ {
+				m.montMul(cur, cur, cur, s)
+			}
+		}
+	}
+
+	out := make([]*big.Int, len(exps))
+	digits := make([]uint, windows)
+	byDigit := make([]int, windows) // window indices sorted by digit, descending
+	count := make([]int, 1<<w)
+	acc := make([]uint64, k)
+	run := make([]uint64, k)
+	for i, e := range exps {
+		for d := range count {
+			count[d] = 0
+		}
+		for j := range digits {
+			var d uint
+			for b := 0; b < int(w); b++ {
+				d |= e.Bit(j*int(w)+b) << b
+			}
+			digits[j] = d
+			count[d]++
+		}
+		// Counting sort, top digit first: count[d] becomes the offset of
+		// digit d's windows in byDigit.
+		at := 0
+		for d := len(count) - 1; d >= 1; d-- {
+			at, count[d] = at+count[d], at
+		}
+		for j, d := range digits {
+			if d != 0 {
+				byDigit[count[d]] = j
+				count[d]++
+			}
+		}
+		// count[d] now ends digit d's run in byDigit.
+		copy(acc, m.rl) // the domain's 1
+		runSet, accSet := false, false
+		next := 0
+		for d := len(count) - 1; d >= 1; d-- {
+			for ; next < count[d]; next++ {
+				cj := chain[byDigit[next]*k : (byDigit[next]+1)*k]
+				if runSet {
+					m.montMul(run, run, cj, s)
+				} else {
+					copy(run, cj)
+					runSet = true
+				}
+			}
+			if !runSet {
+				continue
+			}
+			if accSet {
+				m.montMul(acc, acc, run, s)
+			} else {
+				copy(acc, run)
+				accSet = true
+			}
+		}
+		m.montMul(acc, acc, m.onel, s) // exit the domain
+		out[i] = natToBig(acc)
+	}
+	return out
+}
+
 // BatchModInverseMod is BatchModInverse with the prefix/suffix product
 // chains routed through a precomputed Modulus, so the 3(len-1)
 // multiplications of the batch trick stop paying the division tax. A nil

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -550,16 +551,57 @@ func TestOverloadedRoundTripsClientWire(t *testing.T) {
 	t.Logf("%d completed, %d shed with ErrOverloaded over the wire", completed, shed)
 }
 
+// holdConn passes traffic through until armed; from then on every Write
+// waits for release, and the first one to wait closes held. It keeps a
+// query in flight for exactly as long as a test needs, however fast the
+// query itself is.
+type holdConn struct {
+	net.Conn
+	armed   atomic.Bool
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (c *holdConn) Write(b []byte) (int, error) {
+	if c.armed.Load() {
+		c.once.Do(func() { close(c.held) })
+		<-c.release
+	}
+	return c.Conn.Write(b)
+}
+
 // TestCloseDrainCompletesInFlight checks the graceful-drain contract on
 // the data cloud itself: Close under WithDrainTimeout lets the in-flight
 // query finish (and its answer reveal correctly) while a request
-// arriving during the drain window sheds with ErrOverloaded.
+// arriving during the drain window sheds with ErrOverloaded. The query's
+// S1↔S2 link holds its first request until the drain has been observed,
+// so the query is still in flight when Close starts.
 func TestCloseDrainCompletesInFlight(t *testing.T) {
 	rig := newChaosRig(t)
+	s2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveCtx, stopServe := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- rig.cc.Serve(serveCtx, s2) }()
+	t.Cleanup(func() {
+		stopServe()
+		<-serveDone
+	})
+	raw, err := net.Dial("tcp", s2.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &holdConn{Conn: raw, held: make(chan struct{}), release: make(chan struct{})}
 	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
+		return dc.Connect(context.Background(), link)
 	}, sectopk.WithDrainTimeout(time.Minute))
 	t.Cleanup(dc.Close)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(link.release) }) }
+	t.Cleanup(release) // runs before dc.Close if the test stops early
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -578,12 +620,17 @@ func TestCloseDrainCompletesInFlight(t *testing.T) {
 		err error
 	}
 	inflight := make(chan outcome, 1)
+	link.armed.Store(true)
 	go func() {
 		ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
 		inflight <- outcome{ans, err}
 	}()
 	// Wait for the query to be executing, then start the drain.
-	time.Sleep(150 * time.Millisecond)
+	select {
+	case <-link.held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the query never reached S2")
+	}
 	closeDone := make(chan struct{})
 	go func() {
 		dc.Close()
@@ -603,6 +650,7 @@ func TestCloseDrainCompletesInFlight(t *testing.T) {
 	}
 
 	// The in-flight query still completes with the right answer.
+	release()
 	select {
 	case out := <-inflight:
 		if out.err != nil {
