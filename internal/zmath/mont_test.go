@@ -2,14 +2,46 @@ package zmath
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 )
 
-// testModulusBits spans both kernel regimes: <= ciosMaxLimbs*64 exercises
-// the fused CIOS path, the larger sizes the hybrid/Barrett path. The odd
-// sizes check non-limb-aligned widths.
-var testModulusBits = []int{64, 100, 512, 768, 1024, 2048, 3072}
+// testLimbs are the widths every operator is held to math/big at: 1-5
+// limbs (the row loop's shortest rows), the N, N^2 and N^3 of 256- to
+// 2048-bit keys (4, 8, 12, 16, 24, 32, 48, 64 and 96 limbs, DESIGN.md
+// "Montgomery engine"), and 13, a width that is neither a power of two nor
+// a key's.
+var testLimbs = []int{1, 2, 3, 4, 5, 8, 12, 13, 16, 24, 32, 48, 64, 96}
+
+// testModulus is one modulus of testModuli, named for failure messages.
+type testModulus struct {
+	n    *big.Int
+	name string
+}
+
+// testModuli returns two odd moduli per width in testLimbs: one five bits
+// short of the full width, and one whose top limb is all ones. With
+// x = y = n-1 the second drives the row loop's final carry, and so the
+// subtract after the loop (TestMontMulFinalCarry).
+func testModuli(t *testing.T) []testModulus {
+	t.Helper()
+	var out []testModulus
+	for _, k := range testLimbs {
+		out = append(out,
+			testModulus{randOddModulus(t, 64*k-5), fmt.Sprintf("k=%d short", k)},
+			testModulus{topOnesModulus(t, k), fmt.Sprintf("k=%d top-ones", k)})
+	}
+	return out
+}
+
+// topOnesModulus returns a random odd k-limb modulus whose top limb is all
+// ones.
+func topOnesModulus(t *testing.T, k int) *big.Int {
+	t.Helper()
+	n := randOddModulus(t, 64*k)
+	return n.Or(n, new(big.Int).Lsh(new(big.Int).SetUint64(^uint64(0)), uint(64*(k-1))))
+}
 
 func randOddModulus(t *testing.T, bits int) *big.Int {
 	t.Helper()
@@ -22,10 +54,20 @@ func randOddModulus(t *testing.T, bits int) *big.Int {
 	return n
 }
 
+// randBelow returns a uniform value in [0, 2^bits).
+func randBelow(t *testing.T, bits int) *big.Int {
+	t.Helper()
+	v, err := rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(bits)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 // onBothPaths runs f on the limb-kernel Modulus for n and on the big.Int
-// fallback a non-64-bit platform gets. Every caller also checks against
-// math/big directly, so the two paths are pinned bit-identical here, where
-// the choice between them is made.
+// fallback a non-64-bit platform or a math_big_pure_go build gets. Every
+// caller also checks against math/big directly, so the two paths are
+// pinned bit-identical here, where the choice between them is made.
 func onBothPaths(t *testing.T, n *big.Int, f func(t *testing.T, m *Modulus)) {
 	t.Helper()
 	m, err := NewModulus(n)
@@ -47,9 +89,47 @@ func TestNewModulusRejections(t *testing.T) {
 	}
 }
 
+// TestMontMulFinalCarry runs the kernel on x = y = n-1 over a top-ones
+// modulus of every test width. There x*y + Q*n (Q the multiple of n that
+// clears the low k limbs) reaches R^2, so the rows carry out of the window
+// and the result needs the subtract after the loop.
+func TestMontMulFinalCarry(t *testing.T) {
+	for _, k := range testLimbs {
+		n := topOnesModulus(t, k)
+		m, err := NewModulus(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.active() {
+			t.Skip("no kernel: a non-64-bit platform or a math_big_pure_go build")
+		}
+		r := new(big.Int).Lsh(One, uint(64*k))
+		x := new(big.Int).Sub(n, One)
+		xy := new(big.Int).Mul(x, x)
+		// Q = -xy * n^{-1} mod R; the rows compute (xy + Q*n) / R.
+		q := new(big.Int).ModInverse(n, r)
+		q.Mul(q, xy).Neg(q).Mod(q, r)
+		pre := new(big.Int).Mul(q, n)
+		if pre.Add(pre, xy).Rsh(pre, uint(64*k)); pre.Cmp(r) < 0 {
+			t.Fatalf("k=%d: (xy + Qn)/R stays below R; the carry is not exercised", k)
+		}
+
+		s := m.pool.Get().(*montScratch)
+		xl := natFromBig(make([]big.Word, k), x)
+		z := make([]big.Word, k)
+		m.montMul(z, xl, xl, s)
+		m.pool.Put(s)
+		want := new(big.Int).ModInverse(r, n)
+		want.Mul(want, xy).Mod(want, n)
+		if got := natToBig(z); got.Cmp(want) != 0 {
+			t.Fatalf("k=%d: montMul(n-1, n-1) = %v, want %v", k, got, want)
+		}
+	}
+}
+
 func TestMulModMatchesBigInt(t *testing.T) {
-	for _, bits := range testModulusBits {
-		n := randOddModulus(t, bits)
+	for _, tm := range testModuli(t) {
+		n := tm.n
 		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 			nm1 := new(big.Int).Sub(n, One)
 			above := new(big.Int).Mul(n, big.NewInt(7)) // a >= N
@@ -69,7 +149,7 @@ func TestMulModMatchesBigInt(t *testing.T) {
 					want := new(big.Int).Mul(a, b)
 					want.Mod(want, n)
 					if got.Cmp(want) != 0 {
-						t.Fatalf("bits=%d MulMod(%v, %v) = %v, want %v", bits, a, b, got, want)
+						t.Fatalf("%s MulMod(%v, %v) = %v, want %v", tm.name, a, b, got, want)
 					}
 				}
 			}
@@ -97,29 +177,40 @@ func TestExpModMatchesBigInt(t *testing.T) {
 }
 
 func TestProdModMatchesBigInt(t *testing.T) {
-	for _, bits := range []int{256, 1024, 2048} {
-		n := randOddModulus(t, bits)
+	for _, tm := range testModuli(t) {
+		n := tm.n
 		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
+			nm1 := new(big.Int).Sub(n, One)
 			for _, size := range []int{0, 1, 2, 17} {
 				xs := make([]*big.Int, size)
 				want := new(big.Int).Mod(One, n)
 				for i := range xs {
 					x, _ := rand.Int(rand.Reader, n)
+					if i%2 == 1 {
+						x = nm1
+					}
 					xs[i] = x
 					want.Mul(want, x)
 					want.Mod(want, n)
 				}
 				if got := m.ProdMod(xs); got.Cmp(want) != 0 {
-					t.Fatalf("bits=%d size=%d ProdMod mismatch", bits, size)
+					t.Fatalf("%s size=%d ProdMod mismatch", tm.name, size)
 				}
 			}
 		})
 	}
 }
 
+// maxTestExpBits caps the exponents the wide-modulus tests raise to, so
+// the 96-limb rows cost a fraction of a second. It is the N^2 width of the
+// paper's 512-bit keys, the exponent a selection raises to over N^3 (24
+// limbs), and wide enough that ExpModShared's digit width reaches 6 there.
+const maxTestExpBits = 1024
+
 func TestMultiExpModMatchesBigInt(t *testing.T) {
-	for _, bits := range []int{256, 1024, 2048} {
-		n := randOddModulus(t, bits)
+	for _, tm := range testModuli(t) {
+		n := tm.n
+		bits := min(n.BitLen(), maxTestExpBits)
 		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 			for _, cfg := range []struct{ count, expBits int }{
 				{1, 8}, {2, 32}, {4, 256}, {3, bits},
@@ -130,7 +221,7 @@ func TestMultiExpModMatchesBigInt(t *testing.T) {
 				tmp := new(big.Int)
 				for i := range bases {
 					b, _ := rand.Int(rand.Reader, n)
-					e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(cfg.expBits)))
+					e := randBelow(t, cfg.expBits)
 					bases[i], exps[i] = b, e
 					tmp.Exp(b, e, n)
 					want.Mul(want, tmp)
@@ -141,15 +232,15 @@ func TestMultiExpModMatchesBigInt(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got.Cmp(want) != 0 {
-					t.Fatalf("bits=%d count=%d expBits=%d MultiExpMod mismatch", bits, cfg.count, cfg.expBits)
+					t.Fatalf("%s count=%d expBits=%d MultiExpMod mismatch", tm.name, cfg.count, cfg.expBits)
 				}
 			}
 			// Zero exponents and the empty product are 1 mod n.
 			got, err := m.MultiExpMod([]*big.Int{big.NewInt(5)}, []*big.Int{Zero})
-			if err != nil || got.Cmp(One) != 0 {
+			if err != nil || got.Cmp(new(big.Int).Mod(One, n)) != 0 {
 				t.Fatalf("MultiExpMod zero exponent = %v, %v", got, err)
 			}
-			if got, err = m.MultiExpMod(nil, nil); err != nil || got.Cmp(One) != 0 {
+			if got, err = m.MultiExpMod(nil, nil); err != nil || got.Cmp(new(big.Int).Mod(One, n)) != 0 {
 				t.Fatalf("MultiExpMod empty = %v, %v", got, err)
 			}
 			if _, err := m.MultiExpMod([]*big.Int{One}, []*big.Int{big.NewInt(-1)}); err == nil {
@@ -162,17 +253,19 @@ func TestMultiExpModMatchesBigInt(t *testing.T) {
 	}
 }
 
-// TestExpModSharedMatchesBigInt holds ExpModShared to big.Int.Exp at 4, 8
-// and 12 limbs (the CIOS kernel) and 24 and 48 (the hybrid), for groups of
-// 1-8 exponents of unequal lengths with 0 and 1 among them and a base at
-// or above n. On the kernel path the shared chain itself runs at every
-// group size, including those below the cutoff ExpModShared routes to
-// big.Int.Exp.
+// TestExpModSharedMatchesBigInt holds ExpModShared to big.Int.Exp at every
+// test width, for groups of 1-8 exponents of unequal lengths with 0 and 1
+// among them and a base at or above n. On the kernel path the shared chain
+// itself runs at every group size, including those below the cutoff
+// ExpModShared routes to big.Int.Exp. The longest exponent of a group is
+// exactly expBits long, so the group runs at digit width yaoWindow(expBits).
 func TestExpModSharedMatchesBigInt(t *testing.T) {
-	for _, bits := range []int{256, 512, 768, 1536, 3072} {
-		n := randOddModulus(t, bits)
+	widest := uint(0)
+	for _, tm := range testModuli(t) {
+		n := tm.n
 		// Selections raise to N^2-wide exponents over N^3: two thirds of n.
-		expBits := 2 * bits / 3
+		expBits := min(2*n.BitLen()/3, maxTestExpBits)
+		widest = max(widest, yaoWindow(expBits))
 		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
 			for size := 1; size <= 8; size++ {
 				base, _ := rand.Int(rand.Reader, n)
@@ -181,8 +274,9 @@ func TestExpModSharedMatchesBigInt(t *testing.T) {
 				}
 				exps := make([]*big.Int, size)
 				for i := range exps {
-					exps[i], _ = rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(expBits*(i+1)/size)))
+					exps[i] = randBelow(t, expBits*(i+1)/size)
 				}
+				exps[size-1].SetBit(exps[size-1], expBits-1, 1)
 				exps[0] = big.NewInt(int64(size % 2)) // 0 or 1
 				want := make([]*big.Int, size)
 				for i, e := range exps {
@@ -191,11 +285,11 @@ func TestExpModSharedMatchesBigInt(t *testing.T) {
 				check := func(what string, got []*big.Int) {
 					t.Helper()
 					if len(got) != size {
-						t.Fatalf("bits=%d size=%d %s: %d results", bits, size, what, len(got))
+						t.Fatalf("%s size=%d %s: %d results", tm.name, size, what, len(got))
 					}
 					for i := range want {
 						if got[i].Cmp(want[i]) != 0 {
-							t.Fatalf("bits=%d size=%d %s: exponent %d (%d bits) mismatch", bits, size, what, i, exps[i].BitLen())
+							t.Fatalf("%s size=%d %s: exponent %d (%d bits) mismatch", tm.name, size, what, i, exps[i].BitLen())
 						}
 					}
 				}
@@ -219,78 +313,74 @@ func TestExpModSharedMatchesBigInt(t *testing.T) {
 			}
 		})
 	}
+	// Selections at the paper's 512-bit keys raise 1024-bit exponents, for
+	// which the chain reads 6-bit digits.
+	if widest < 6 {
+		t.Fatalf("widest digit width exercised is %d, want 6 (the paper's keys)", widest)
+	}
 }
 
 func TestBatchModInverseMod(t *testing.T) {
-	n := randOddModulus(t, 1024)
-	onBothPaths(t, n, func(t *testing.T, m *Modulus) {
-		xs := make([]*big.Int, 33)
-		for i := range xs {
-			u, err := RandUnit(rand.Reader, n)
+	for _, tm := range testModuli(t) {
+		n := tm.n
+		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
+			xs := []*big.Int{new(big.Int).Sub(n, One)}
+			for len(xs) < 33 {
+				u, err := RandUnit(rand.Reader, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				xs = append(xs, u)
+			}
+			invs, err := BatchModInverseMod(xs, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			xs[i] = u
-		}
-		invs, err := BatchModInverseMod(xs, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := BatchModInverse(xs, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			if invs[i].Cmp(ref[i]) != 0 {
-				t.Fatalf("BatchModInverseMod[%d] diverges from BatchModInverse", i)
+			for i := range xs {
+				want := new(big.Int).ModInverse(xs[i], n)
+				if invs[i].Cmp(want) != 0 {
+					t.Fatalf("%s BatchModInverseMod[%d] = %v, want %v", tm.name, i, invs[i], want)
+				}
 			}
-			prod := new(big.Int).Mul(xs[i], invs[i])
-			if prod.Mod(prod, n); prod.Cmp(One) != 0 {
-				t.Fatalf("BatchModInverseMod[%d] is not an inverse", i)
+			if out, err := BatchModInverseMod(nil, m); err != nil || out != nil {
+				t.Fatalf("BatchModInverseMod(empty) = %v, %v", out, err)
 			}
-		}
-		if out, err := BatchModInverseMod(nil, m); err != nil || out != nil {
-			t.Fatalf("BatchModInverseMod(empty) = %v, %v", out, err)
-		}
-		if _, err := BatchModInverseMod([]*big.Int{Zero}, m); err == nil {
-			t.Fatal("BatchModInverseMod inverted a non-unit")
-		}
-	})
+			if _, err := BatchModInverseMod([]*big.Int{Zero}, m); err == nil {
+				t.Fatal("BatchModInverseMod inverted a non-unit")
+			}
+		})
+	}
 }
 
+// TestFixedBaseTableModMatchesPlain builds every table in the fast-nonce
+// shape FastNonce uses in production.
 func TestFixedBaseTableModMatchesPlain(t *testing.T) {
-	n := randOddModulus(t, 1024)
-	n2 := new(big.Int).Mul(n, n)
-	base, _ := rand.Int(rand.Reader, n2)
-	plain, err := NewFixedBaseTable(base, n2, 6, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exps := []*big.Int{Zero, One, new(big.Int).Sub(new(big.Int).Lsh(One, 256), One)}
-	for i := 0; i < 8; i++ {
-		e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(One, 256))
-		exps = append(exps, e)
-	}
-	onBothPaths(t, n2, func(t *testing.T, m *Modulus) {
-		mont, err := NewFixedBaseTableMod(base, m, 6, 256)
-		if err != nil {
-			t.Fatal(err)
+	const window, maxBits = fastNonceWindow, fastNonceBits
+	for _, tm := range testModuli(t) {
+		n := tm.n
+		base := randBelow(t, n.BitLen()+3) // below n or above it
+		base.SetBit(base, 0, 1)            // positive
+		exps := []*big.Int{Zero, One, new(big.Int).Sub(new(big.Int).Lsh(One, maxBits), One)}
+		for i := 0; i < 8; i++ {
+			exps = append(exps, randBelow(t, maxBits))
 		}
-		for _, e := range exps {
-			want, err := plain.Exp(e)
+		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
+			mont, err := NewFixedBaseTableMod(base, m, window, maxBits)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := mont.Exp(e)
-			if err != nil {
-				t.Fatal(err)
+			for _, e := range exps {
+				got, err := mont.Exp(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := new(big.Int).Exp(base, e, n); got.Cmp(want) != 0 {
+					t.Fatalf("%s FixedBaseTableMod.Exp(%v) = %v, want %v", tm.name, e, got, want)
+				}
 			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("FixedBaseTableMod.Exp(%v) = %v, want %v", e, got, want)
-			}
-		}
-	})
-	if _, err := NewFixedBaseTableMod(base, nil, 6, 256); err == nil {
+		})
+	}
+	if _, err := NewFixedBaseTableMod(big.NewInt(3), nil, window, maxBits); err == nil {
 		t.Fatal("NewFixedBaseTableMod accepted a nil engine")
 	}
 }

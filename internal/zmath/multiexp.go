@@ -64,22 +64,22 @@ func (m *Modulus) MultiExpMod(bases, exps []*big.Int) (*big.Int, error) {
 	defer m.pool.Put(s)
 
 	// Per-base in-domain window tables: tbl[i][d-1] = bases[i]^d * R.
-	tbl := make([][][]uint64, len(bases))
+	tbl := make([][][]big.Word, len(bases))
 	for i, b := range bases {
-		row := make([][]uint64, size-1)
-		ent := make([]uint64, m.k)
+		row := make([][]big.Word, size-1)
+		ent := make([]big.Word, m.k)
 		natFromBig(ent, m.canon(s.red1, b))
 		m.montMul(ent, ent, m.r2l, s) // enter the domain
 		row[0] = ent
 		for d := 2; d < size; d++ {
-			nxt := make([]uint64, m.k)
+			nxt := make([]big.Word, m.k)
 			m.montMul(nxt, row[d-2], ent, s)
 			row[d-1] = nxt
 		}
 		tbl[i] = row
 	}
 
-	acc := make([]uint64, m.k)
+	acc := make([]big.Word, m.k)
 	copy(acc, m.rl)  // Montgomery form of 1
 	started := false // skip squarings while the accumulator is still 1
 	windows := (maxBits + int(w) - 1) / int(w)
@@ -109,10 +109,11 @@ func (m *Modulus) MultiExpMod(bases, exps []*big.Int) (*big.Int, error) {
 // sharedExpMinGroup is the smallest group of exponents ExpModShared raises
 // through its shared chain: the smallest group size at which the chain beat
 // one big.Int.Exp per exponent at every width BenchmarkExpModShared
-// measured (N^3 of 256- to 2048-bit keys; EXPERIMENTS.md). Smaller groups
-// take big.Int.Exp, whose assembly ladder wins when there is no squaring
-// chain to share.
-const sharedExpMinGroup = 3
+// measured (N^3 of 256- to 2048-bit keys; EXPERIMENTS.md "One Montgomery
+// kernel"). A lone power takes big.Int.Exp: with no squaring chain to
+// share, Yao's digit products lose 5-10 % to math/big's ladder at 12 limbs
+// (the N^3 of 256-bit keys) and win by at most 5 % from 48.
+const sharedExpMinGroup = 2
 
 // ExpModShared returns base^exps[i] mod n for every i: many powers of one
 // base. From sharedExpMinGroup exponents on it runs Yao's method — a single
@@ -173,7 +174,7 @@ func (m *Modulus) expShared(base *big.Int, exps []*big.Int) []*big.Int {
 	defer m.pool.Put(s)
 
 	// chain[j*k : (j+1)*k] = base^(2^(w*j)) * R: the one squaring chain.
-	chain := make([]uint64, windows*k)
+	chain := make([]big.Word, windows*k)
 	if windows > 0 {
 		c0 := chain[:k]
 		natFromBig(c0, m.canon(s.red1, base))
@@ -191,8 +192,8 @@ func (m *Modulus) expShared(base *big.Int, exps []*big.Int) []*big.Int {
 	digits := make([]uint, windows)
 	byDigit := make([]int, windows) // window indices sorted by digit, descending
 	count := make([]int, 1<<w)
-	acc := make([]uint64, k)
-	run := make([]uint64, k)
+	acc := make([]big.Word, k)
+	run := make([]big.Word, k)
 	for i, e := range exps {
 		for d := range count {
 			count[d] = 0
@@ -247,10 +248,14 @@ func (m *Modulus) expShared(base *big.Int, exps []*big.Int) []*big.Int {
 	return out
 }
 
-// BatchModInverseMod is BatchModInverse with the prefix/suffix product
-// chains routed through a precomputed Modulus, so the 3(len-1)
-// multiplications of the batch trick stop paying the division tax. A nil
-// engine falls back to the plain implementation.
+// BatchModInverseMod is BatchModInverse with the prefix and suffix chains
+// on the Montgomery kernel, one kernel call per multiplication and no
+// domain conversion at all. The prefix chain lets R^{-1} pile up:
+// p_i = x_0...x_i * R^{-i}, so inverting p_last yields
+// (x_0...x_last)^{-1} * R^last. Walking down, every kernel call eats one
+// R: inv * p_{i-1} * R^{-1} is exactly x_i^{-1}, and inv * x_i * R^{-1}
+// carries R^{i-1} on to the next step, reaching R^0 at x_0. A nil engine
+// is an error; the fallback runs the plain implementation.
 func BatchModInverseMod(xs []*big.Int, m *Modulus) ([]*big.Int, error) {
 	if m == nil {
 		return nil, fmt.Errorf("zmath: BatchModInverseMod requires a modulus")
@@ -263,20 +268,28 @@ func BatchModInverseMod(xs []*big.Int, m *Modulus) ([]*big.Int, error) {
 	}
 	s := m.pool.Get().(*montScratch)
 	defer m.pool.Put(s)
-	prefix := make([]*big.Int, len(xs))
-	prefix[0] = new(big.Int).Set(m.canon(s.red1, xs[0]))
-	for i := 1; i < len(xs); i++ {
-		prefix[i] = m.mulModInto(new(big.Int), prefix[i-1], xs[i], s)
+	k, last := m.k, len(xs)-1
+	x := make([]big.Word, len(xs)*k) // canonical inputs
+	p := make([]big.Word, len(xs)*k) // drifted prefix products
+	for i, v := range xs {
+		natFromBig(x[i*k:(i+1)*k], m.canon(s.red1, v))
+		if i == 0 {
+			copy(p[:k], x[:k])
+		} else {
+			m.montMul(p[i*k:(i+1)*k], p[(i-1)*k:i*k], x[i*k:(i+1)*k], s)
+		}
 	}
-	inv := new(big.Int).ModInverse(prefix[len(xs)-1], m.n)
-	if inv == nil {
+	invB := new(big.Int).ModInverse(natToBig(p[last*k:]), m.n)
+	if invB == nil {
 		return nil, ErrNotInvertible
 	}
+	inv := natFromBig(s.z, invB)
 	out := make([]*big.Int, len(xs))
-	for i := len(xs) - 1; i > 0; i-- {
-		out[i] = m.mulModInto(new(big.Int), inv, prefix[i-1], s)
-		m.mulModInto(inv, inv, xs[i], s)
+	for i := last; i > 0; i-- {
+		m.montMul(s.y, inv, p[(i-1)*k:i*k], s)
+		out[i] = natToBig(s.y)
+		m.montMul(inv, inv, x[i*k:(i+1)*k], s)
 	}
-	out[0] = inv
+	out[0] = natToBig(inv)
 	return out, nil
 }

@@ -204,7 +204,7 @@ type FixedBaseTable struct {
 	// per nonzero window, one exit at the end, and no divisions at all.
 	mod *Modulus
 	// powMont[j][i-1] = pow[j][i-1] * R mod m
-	powMont [][][]uint64
+	powMont [][][]big.Word
 }
 
 // NewFixedBaseTable builds the table for exponents up to maxBits bits.
@@ -264,14 +264,14 @@ func newFixedBaseTable(base, m *big.Int, mod *Modulus, window uint, maxBits int)
 			g = next.Mod(next, m)
 		}
 	}
-	if mod != nil && !mod.fallback {
+	if mod.active() {
 		t.mod = mod
-		t.powMont = make([][][]uint64, windows)
+		t.powMont = make([][][]big.Word, windows)
 		s := mod.pool.Get().(*montScratch)
 		for j, row := range t.pow {
-			mrow := make([][]uint64, len(row))
+			mrow := make([][]big.Word, len(row))
 			for i, e := range row {
-				ent := natFromBig(make([]uint64, mod.k), e)
+				ent := natFromBig(make([]big.Word, mod.k), e)
 				mod.montMul(ent, ent, mod.r2l, s) // enter the domain once
 				mrow[i] = ent
 			}
@@ -324,7 +324,7 @@ func (t *FixedBaseTable) Exp(e *big.Int) (*big.Int, error) {
 func (t *FixedBaseTable) expMont(e *big.Int) *big.Int {
 	mod := t.mod
 	s := mod.pool.Get().(*montScratch)
-	acc := make([]uint64, mod.k)
+	acc := make([]big.Word, mod.k)
 	copy(acc, mod.rl)
 	mask := uint(1<<t.window) - 1
 	bits := e.BitLen()
