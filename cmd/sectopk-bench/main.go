@@ -45,7 +45,6 @@ func main() {
 		rows      = flag.Int("rows", 120, "dataset rows after scaling")
 		maxDepth  = flag.Int("maxdepth", 6, "depth cap for time-per-depth measurements")
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
-		par       = flag.Int("parallelism", 0, "worker goroutines per layer (0 = all cores, 1 = serial)")
 		fastNonce = flag.Bool("fast-nonce", false, "enable the short-exponent fixed-base nonce path in every layer (extra assumption; see DESIGN.md)")
 		shards    = flag.Int("shards", 4, "cluster: provisioned shard count, recorded per row")
 		clients   = flag.Int("clients", 8, "cluster: concurrent querier connections")
@@ -83,7 +82,6 @@ func main() {
 		Rows:         *rows,
 		MaxDepth:     *maxDepth,
 		Seed:         *seed,
-		Parallelism:  *par,
 		FastNonce:    *fastNonce,
 	}
 	if !*md {

@@ -63,6 +63,8 @@
 // never travel to S2; the querier holds only tokens and encrypted
 // answers. All serving roles honor SIGINT/SIGTERM by canceling the
 // serving/query context, which stops a query within one protocol round.
+// No flag sizes a role's worker goroutines: GOMAXPROCS does, and
+// GOMAXPROCS=1 runs a role serially with nonce pools off.
 package main
 
 import (
@@ -126,15 +128,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: sectopk-node {owner|s2|s1|query|apply|reveal} [flags]")
+	fmt.Fprintln(os.Stderr, "worker goroutines per role: GOMAXPROCS (GOMAXPROCS=1 runs serially)")
 	os.Exit(2)
-}
-
-// commonOpts maps shared flags to facade options.
-func commonOpts(par int, fastNonce bool) []sectopk.Option {
-	return []sectopk.Option{
-		sectopk.WithParallelism(par),
-		sectopk.WithFastNonce(fastNonce),
-	}
 }
 
 // parseWorkloads splits and validates the -workloads flag.

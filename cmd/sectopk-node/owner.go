@@ -20,7 +20,6 @@ func runOwner(args []string) error {
 	keyBits := fs.Int("keybits", 256, "Paillier modulus bits")
 	attrsFlag := fs.String("attrs", "0,1,2", "queried attributes (comma separated)")
 	k := fs.Int("k", 3, "top-k")
-	par := fs.Int("parallelism", 0, "encryption worker goroutines (0 = all cores, 1 = serial)")
 	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
 	shards := fs.Int("shards", 1, "partition the relation into p shards at encryption time (queries run shards concurrently)")
 	nodesFlag := fs.String("nodes", "", "also cut cluster shard subsets for these fleet sizes (comma list, e.g. 1,2): writes relation.node<i>-of-<n>.er per member")
@@ -37,12 +36,13 @@ func runOwner(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := append(commonOpts(*par, *fastNonce),
+	opts := []sectopk.Option{
+		sectopk.WithFastNonce(*fastNonce),
 		sectopk.WithKeyBits(*keyBits),
 		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 		sectopk.WithShards(*shards),
-	)
+	}
 	owner, err := sectopk.NewOwner(opts...)
 	if err != nil {
 		return err

@@ -38,7 +38,6 @@ func runS1(ctx context.Context, args []string) error {
 	drain := fs.Duration("drain-timeout", 0, "graceful shutdown window: let in-flight queries finish this long before aborting (0 = abort immediately)")
 	mode := fs.String("mode", "e", "query mode: f|e|ba (one-shot mode only)")
 	strict := fs.Bool("strict", true, "use strict NRA halting (one-shot mode only)")
-	par := fs.Int("parallelism", 0, "S1 worker goroutines (0 = all cores, 1 = serial)")
 	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +57,7 @@ func runS1(ctx context.Context, args []string) error {
 			return erErr
 		}
 	}
-	opts := commonOpts(*par, *fastNonce)
+	opts := []sectopk.Option{sectopk.WithFastNonce(*fastNonce)}
 	if *memberID != "" {
 		opts = append(opts, sectopk.WithMemberID(*memberID))
 	}

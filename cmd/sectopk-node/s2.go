@@ -17,7 +17,6 @@ func runS2(ctx context.Context, args []string) error {
 	relation := fs.String("relation", "default", "relation ID to register the owner keys under")
 	joinRelation := fs.String("join-relation", "", "also register the join keys under this relation ID")
 	knnRelation := fs.String("knn-relation", "", "also register the owner keys under this relation ID for kNN queries")
-	par := fs.Int("parallelism", 0, "handler worker goroutines (0 = all cores, 1 = serial)")
 	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -26,7 +25,7 @@ func runS2(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cc := sectopk.NewCryptoCloud(commonOpts(*par, *fastNonce)...)
+	cc := sectopk.NewCryptoCloud(sectopk.WithFastNonce(*fastNonce))
 	defer cc.Close()
 	if err := cc.Register(*relation, keys); err != nil {
 		return err

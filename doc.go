@@ -10,7 +10,8 @@
 // protocol. Everything under internal/ is implementation.
 //
 // See README.md for the architecture overview, the layer diagram, and
-// the Parallelism knob that tunes the worker-pooled execution core. The
+// the concurrency model: GOMAXPROCS is the one worker budget of the
+// worker-pooled execution core. The
 // root-level benchmarks in bench_test.go regenerate every table and
 // figure of the paper's evaluation; the same runners are reachable
 // through cmd/sectopk-bench. Timings of the system itself, end to end

@@ -42,10 +42,6 @@ type Config struct {
 	MaxDepth int
 	// Seed feeds the dataset generators.
 	Seed int64
-	// Parallelism bounds worker goroutines in every layer (owner
-	// encryption, S1 blinding, S2 handlers): 0 = all cores, 1 = the exact
-	// serial pre-parallel behavior.
-	Parallelism int
 	// FastNonce opts every layer into the short-exponent fixed-base nonce
 	// path (see cloud.WithFastNonce for the assumption it carries).
 	FastNonce bool

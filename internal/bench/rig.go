@@ -34,7 +34,6 @@ func NewRig(cfg Config) (*Rig, error) {
 		KeyBits:      cfg.KeyBits,
 		EHL:          ehl.Params{Kind: ehl.KindPlus, S: cfg.EHLS},
 		MaxScoreBits: cfg.MaxScoreBits,
-		Parallelism:  cfg.Parallelism,
 		FastNonce:    cfg.FastNonce,
 	}
 	scheme, err := core.NewScheme(params)
@@ -43,14 +42,14 @@ func NewRig(cfg Config) (*Rig, error) {
 	}
 	s2led := cloud.NewLedger()
 	server, err := cloud.NewServer(scheme.KeyMaterial(), s2led,
-		cloud.WithParallelism(cfg.Parallelism), cloud.WithFastNonce(cfg.FastNonce))
+		cloud.WithFastNonce(cfg.FastNonce))
 	if err != nil {
 		return nil, fmt.Errorf("bench: server: %w", err)
 	}
 	stats := transport.NewStats()
 	s1led := cloud.NewLedger()
 	client, err := cloud.NewClient(transport.NewLocal(server, stats), scheme.PublicKey(), s1led,
-		cloud.WithParallelism(cfg.Parallelism), cloud.WithFastNonce(cfg.FastNonce))
+		cloud.WithFastNonce(cfg.FastNonce))
 	if err != nil {
 		server.Close()
 		return nil, fmt.Errorf("bench: client: %w", err)

@@ -160,7 +160,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		sectopk.WithKeyBits(cfg.KeyBits),
 		sectopk.WithEHLDigests(cfg.EHLS),
 		sectopk.WithMaxScoreBits(cfg.MaxScoreBits),
-		sectopk.WithParallelism(cfg.Parallelism),
 	}
 	owner, err := sectopk.NewOwner(cryptoOpts...)
 	if err != nil {

@@ -67,26 +67,10 @@ const DefaultBatchSize = 64
 // behind an in-flight envelope before draining anyway.
 const DefaultBatchWindow = time.Millisecond
 
-// BatcherOption tunes a Batcher.
-type BatcherOption func(*Batcher)
-
-// WithBatchWindow sets the flush tick.
-func WithBatchWindow(d time.Duration) BatcherOption {
-	return func(b *Batcher) {
-		if d > 0 {
-			b.window = d
-		}
-	}
-}
-
 // NewBatcher wraps a transport with the batch scheduler. Call Close when
 // done; the underlying caller is not closed.
-func NewBatcher(caller transport.Caller, opts ...BatcherOption) *Batcher {
-	b := &Batcher{caller: caller, window: DefaultBatchWindow}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
+func NewBatcher(caller transport.Caller) *Batcher {
+	return &Batcher{caller: caller, window: DefaultBatchWindow}
 }
 
 // Call implements transport.Caller: the request is encoded, queued into

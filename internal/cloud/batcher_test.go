@@ -128,7 +128,8 @@ func (s *stubCaller) count() int {
 // envelope coalesce into a single follow-up envelope when it returns.
 func TestBatcherCoalesces(t *testing.T) {
 	stub := &stubCaller{blockOnce: make(chan struct{})}
-	b := NewBatcher(stub, WithBatchWindow(time.Hour)) // tick out of the picture
+	b := NewBatcher(stub)
+	b.window = time.Hour // tick out of the picture
 	defer b.Close()
 
 	firstDone := make(chan error, 1)
@@ -182,7 +183,8 @@ func TestBatcherCoalesces(t *testing.T) {
 // an envelope is still in flight.
 func TestBatcherTickFlush(t *testing.T) {
 	stub := &stubCaller{blockOnce: make(chan struct{})}
-	b := NewBatcher(stub, WithBatchWindow(time.Millisecond))
+	b := NewBatcher(stub)
+	b.window = time.Millisecond
 	defer b.Close()
 	go func() {
 		var out note
@@ -206,7 +208,8 @@ func TestBatcherTickFlush(t *testing.T) {
 // with the context error while its co-batched neighbours complete.
 func TestBatcherCancelOneOfN(t *testing.T) {
 	stub := &stubCaller{blockOnce: make(chan struct{})}
-	b := NewBatcher(stub, WithBatchWindow(time.Hour))
+	b := NewBatcher(stub)
+	b.window = time.Hour
 	defer b.Close()
 	go func() {
 		var out note
@@ -246,7 +249,8 @@ func TestBatcherCancelOneOfN(t *testing.T) {
 func TestBatcherCloseQueued(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	stub := &stubCaller{blockOnce: make(chan struct{})}
-	b := NewBatcher(stub, WithBatchWindow(time.Hour))
+	b := NewBatcher(stub)
+	b.window = time.Hour
 	inflightDone := make(chan error, 1)
 	go func() {
 		var out note
@@ -259,7 +263,17 @@ func TestBatcherCloseQueued(t *testing.T) {
 		queuedDone <- b.Call(context.Background(), "Queued", note(""), &out)
 	}()
 	time.Sleep(50 * time.Millisecond)
-	go close(stub.blockOnce) // let the in-flight envelope drain under Close
+	// Let the in-flight envelope drain under Close, and only once Close
+	// has taken the queue: released earlier, its return would ship the
+	// queued call itself.
+	go func() {
+		for closed := false; !closed; time.Sleep(time.Millisecond) {
+			b.mu.Lock()
+			closed = b.closed
+			b.mu.Unlock()
+		}
+		close(stub.blockOnce)
+	}()
 	b.Close()
 	if err := <-queuedDone; !errors.Is(err, secerr.ErrTransport) {
 		t.Fatalf("queued call after Close: want ErrTransport, got %v", err)

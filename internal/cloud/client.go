@@ -18,9 +18,9 @@ import (
 // record is an integer sum of additive blinds, and that much headroom
 // keeps the sum from wrapping before S1 reduces it mod N.
 //
-// The client also carries S1's parallelism knob and nonce-precompute
-// pools; the protocols layer reads them through Parallelism, Enc, and
-// EphEnc so every S1-side blinding loop shares one configuration.
+// The client also carries S1's nonce-precompute pools; the protocols
+// layer reads them through Enc, EphEnc and DJEnc so every S1-side
+// blinding loop shares one configuration.
 type Client struct {
 	caller   transport.Caller
 	relation string
@@ -28,7 +28,6 @@ type Client struct {
 	djPK     *dj.PublicKey
 	eph      *paillier.PrivateKey
 	ledger   *Ledger
-	par      int
 	pkEnc    paillier.Encryptor
 	ephEnc   paillier.Encryptor
 	djEnc    dj.Encryptor
@@ -54,7 +53,7 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 		return nil, fmt.Errorf("cloud: generating ephemeral key: %w", err)
 	}
 	cfg := buildConfig(opts)
-	c := &Client{caller: caller, relation: cfg.relation, pk: pk, djPK: djPK, eph: eph, ledger: ledger, par: cfg.parallelism}
+	c := &Client{caller: caller, relation: cfg.relation, pk: pk, djPK: djPK, eph: eph, ledger: ledger}
 	// S1 holds only the ephemeral private key: the main and DJ surfaces
 	// get the fast-nonce table when opted in (spec path otherwise), while
 	// the ephemeral surface additionally defaults to CRT.
@@ -123,9 +122,6 @@ func (c *Client) Ephemeral() *paillier.PrivateKey { return c.eph }
 
 // Ledger returns S1's leakage ledger (may be nil).
 func (c *Client) Ledger() *Ledger { return c.ledger }
-
-// Parallelism returns S1's parallelism knob (0 = all cores, 1 = serial).
-func (c *Client) Parallelism() int { return c.par }
 
 // Enc returns the encryption surface for the main public key (pooled when
 // pooling is enabled).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,8 +70,8 @@ func (k labelKey) Add(a, b int64) (int64, error) { return a + b, nil }
 
 // pickedProducer runs newEnc for a party that does or does not hold the
 // private key and returns the label of the producer its surface draws
-// from, checking on the way that the surface is pooled exactly when cfg
-// enables pools.
+// from, checking on the way that the surface is pooled exactly when pools
+// are enabled (GOMAXPROCS above 1).
 func pickedProducer(t *testing.T, cfg config, holdsKey bool) int64 {
 	t.Helper()
 	key := labelKey{draws: new(atomic.Int64)}
@@ -93,22 +94,25 @@ func pickedProducer(t *testing.T, cfg config, holdsKey bool) int64 {
 	}
 	// One encryption is one draw, unless pool fillers are running ahead.
 	deadline := time.Now().Add(2 * time.Second)
-	for cfg.poolsEnabled() && key.draws.Load() < 2 && time.Now().Before(deadline) {
+	for poolsEnabled() && key.draws.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if prefetching := key.draws.Load() > 1; prefetching != cfg.poolsEnabled() {
-		t.Errorf("%d draws for one encryption with pools enabled = %v", key.draws.Load(), cfg.poolsEnabled())
+	if prefetching := key.draws.Load() > 1; prefetching != poolsEnabled() {
+		t.Errorf("%d draws for one encryption with pools enabled = %v", key.draws.Load(), poolsEnabled())
 	}
 	return label
 }
 
 // TestNonceKnobSurfaces pins which nonce producer each knob combination
-// selects — the choice itself on newEnc with labelled producers, its
-// effect on a real server's two surfaces — and that every combination
-// still produces ciphertexts the key holder can decrypt.
+// selects — the choice itself on newEnc with labelled producers, at one
+// core (pools off) and at eight (pools on), its effect on a real server's
+// two surfaces — and that every combination still produces ciphertexts
+// the key holder can decrypt.
 func TestNonceKnobSurfaces(t *testing.T) {
 	e := env(t)
 	keys := e.keys
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
 	cases := []struct {
 		name string
@@ -122,16 +126,21 @@ func TestNonceKnobSurfaces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, par := range []int{0, 1} {
-				cfg := buildConfig(append([]Option{WithParallelism(par)}, tc.opts...))
+			cfg := buildConfig(tc.opts)
+			for _, procs := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
+				if poolsEnabled() != (procs > 1) {
+					t.Errorf("GOMAXPROCS %d: pools enabled = %v", procs, poolsEnabled())
+				}
 				if got := pickedProducer(t, cfg, true); got != tc.withKey {
-					t.Errorf("parallelism %d, key held: picked producer %d, want %d", par, got, tc.withKey)
+					t.Errorf("GOMAXPROCS %d, key held: picked producer %d, want %d", procs, got, tc.withKey)
 				}
 				if got := pickedProducer(t, cfg, false); got != tc.withoutKey {
-					t.Errorf("parallelism %d, no key: picked producer %d, want %d", par, got, tc.withoutKey)
+					t.Errorf("GOMAXPROCS %d, no key: picked producer %d, want %d", procs, got, tc.withoutKey)
 				}
 			}
-			srv, err := NewServer(keys, nil, append([]Option{WithParallelism(1)}, tc.opts...)...)
+			runtime.GOMAXPROCS(1) // a server without pools: its surfaces draw inline
+			srv, err := NewServer(keys, nil, tc.opts...)
 			if err != nil {
 				t.Fatalf("NewServer: %v", err)
 			}

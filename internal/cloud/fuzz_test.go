@@ -163,13 +163,13 @@ func fuzzResponders(t testing.TB) map[string]transport.Responder {
 	if err != nil {
 		t.Fatalf("NewKeyMaterial: %v", err)
 	}
-	srv, err := NewServer(keys, nil, WithParallelism(1))
+	srv, err := NewServer(keys, nil)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(srv.Close)
 	svc := NewService()
-	if err := svc.Register(fuzzSeedRelation, keys, nil, WithParallelism(1)); err != nil {
+	if err := svc.Register(fuzzSeedRelation, keys, nil); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	t.Cleanup(svc.Close)

@@ -103,8 +103,6 @@ type responder interface {
 	hello(req *HelloRequest) (*HelloReply, error)
 	// route returns the Server that handles requests for the relation.
 	route(relation string) (*Server, error)
-	// batchWorkers is the worker budget for fanning out an envelope's items.
-	batchWorkers() int
 }
 
 // serve is one S2 round for either responder: Hello and Batch are

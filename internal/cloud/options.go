@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dj"
 	"repro/internal/paillier"
-	"repro/internal/parallel"
 	"repro/internal/zmath"
 )
 
@@ -14,9 +13,8 @@ import (
 type Option func(*config)
 
 type config struct {
-	parallelism int
-	fastNonce   bool
-	relation    string
+	fastNonce bool
+	relation  string
 }
 
 // WithRelation sets the relation ID a Client stamps on every request, so
@@ -25,15 +23,6 @@ type config struct {
 // ignore the option.
 func WithRelation(id string) Option {
 	return func(c *config) { c.relation = id }
-}
-
-// WithParallelism sets the party's parallelism knob: 0 (the default) uses
-// all cores, 1 reproduces the serial pre-parallel behavior exactly, n caps
-// foreground worker goroutines at n. Note the background nonce-pool
-// fillers (up to 4 per pool, see poolWorkers) run in addition to this
-// cap; only parallelism 1 (no pools) is a hard concurrency bound.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithFastNonce toggles the short-exponent fixed-base nonce path
@@ -55,20 +44,17 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// poolsEnabled reports whether background nonce pools should run: they
-// are off at parallelism 1 (so the serial path stays byte-for-byte
-// identical to the pre-parallel implementation) and on single-core hosts,
-// where background precompute can only steal cycles from the foreground
-// rounds it is meant to feed.
-func (c config) poolsEnabled() bool {
-	return c.parallelism != 1 && runtime.GOMAXPROCS(0) > 1
-}
+// poolsEnabled reports whether background nonce pools should run; it is
+// read when a surface is built. Pools are off at GOMAXPROCS 1: the serial
+// path stays a plain loop, and on one core background precompute can only
+// steal cycles from the foreground rounds it is meant to feed.
+func poolsEnabled() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // poolWorkers sizes a pool's background filler count, scaled to (but not
-// deducted from) the foreground worker budget and capped low so
+// deducted from) the GOMAXPROCS foreground worker budget and capped low so
 // precompute never starves foreground rounds.
-func (c config) poolWorkers() int {
-	w := parallel.Workers(c.parallelism) / 2
+func poolWorkers() int {
+	w := runtime.GOMAXPROCS(0) / 2
 	if w < 1 {
 		w = 1
 	}
@@ -98,8 +84,8 @@ func newEnc[K zmath.NonceKey[C], C any](c config, pk K, crt func() *zmath.NonceE
 	case crt != nil:
 		enc = crt()
 	}
-	if c.poolsEnabled() {
-		enc = zmath.NewPooledEncryptor(pk, enc.NoncePower, c.poolWorkers(), poolCapacity)
+	if poolsEnabled() {
+		enc = zmath.NewPooledEncryptor(pk, enc.NoncePower, poolWorkers(), poolCapacity)
 	}
 	return enc, nil
 }

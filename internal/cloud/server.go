@@ -48,13 +48,11 @@ func KeyMaterialFromPaillier(sk *paillier.PrivateKey) (*KeyMaterial, error) {
 // apart from the leakage ledger and the nonce-precompute pools.
 //
 // Every per-ciphertext loop in the handlers runs on the shared parallel
-// substrate, bounded by the WithParallelism option; encryptions draw from
-// background nonce pools unless pooling is disabled (parallelism 1, or a
-// single-core host).
+// substrate, bounded by GOMAXPROCS; encryptions draw from background
+// nonce pools unless the server was built at GOMAXPROCS 1.
 type Server struct {
 	keys   *KeyMaterial
 	ledger *Ledger
-	par    int
 	pkEnc  paillier.Encryptor
 	djEnc  dj.Encryptor
 	close  []func()
@@ -67,7 +65,7 @@ func NewServer(keys *KeyMaterial, ledger *Ledger, opts ...Option) (*Server, erro
 		return nil, errors.New("cloud: incomplete key material")
 	}
 	cfg := buildConfig(opts)
-	s := &Server{keys: keys, ledger: ledger, par: cfg.parallelism}
+	s := &Server{keys: keys, ledger: ledger}
 	// S2 holds both private keys, so its surfaces default to the CRT
 	// nonce fast path (fast-nonce table when opted in).
 	pkEnc, err := cfg.newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
@@ -96,9 +94,6 @@ func (s *Server) Close() {
 // Ledger returns the server's leakage ledger (may be nil).
 func (s *Server) Ledger() *Ledger { return s.ledger }
 
-// Parallelism returns the server's parallelism knob (0 = all cores).
-func (s *Server) Parallelism() int { return s.par }
-
 // decryptRaw decrypts a batch of raw ciphertext values in parallel via
 // the paillier batch helper. Nil or out-of-group values — the body is
 // attacker-controlled bytes, and a caller in this process can hand over
@@ -111,7 +106,7 @@ func (s *Server) decryptRaw(cts []*big.Int, label string) ([]*big.Int, error) {
 		}
 		wrapped[i] = &paillier.Ciphertext{C: c}
 	}
-	out, err := s.keys.Paillier.DecryptBatch(wrapped, s.par)
+	out, err := s.keys.Paillier.DecryptBatch(wrapped)
 	if err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: %s", label)
 	}
@@ -126,8 +121,6 @@ func (s *Server) Serve(ctx context.Context, method string, body []byte) ([]byte,
 }
 
 func (s *Server) route(string) (*Server, error) { return s, nil }
-
-func (s *Server) batchWorkers() int { return s.par }
 
 // hello answers the version-check round. A single-relation Server serves
 // whatever relation the peer names, so only the version is checked.
@@ -149,7 +142,7 @@ func acceptVersion(v int) error {
 }
 
 // serveBatch unwraps a batch envelope and serves every item as a round of
-// its own, fanning items out over the responder's worker budget. Item
+// its own, fanning items out over the worker budget. Item
 // failures are reported per item as structured (code, message) pairs —
 // one malformed item never fails its neighbours — and envelopes must not
 // nest.
@@ -159,7 +152,7 @@ func serveBatch(ctx context.Context, r responder, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	reply := BatchReply{Items: make([]BatchResult, len(req.Items))}
-	err := parallel.ForEachCtx(ctx, r.batchWorkers(), len(req.Items), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(req.Items), func(i int) error {
 		item := req.Items[i]
 		if item.Method == MethodBatch {
 			reply.Items[i] = BatchResult{ErrCode: string(secerr.CodeBadRequest), ErrMsg: "cloud: nested batch envelope"}
@@ -198,7 +191,7 @@ func (s *Server) eqBits(ctx context.Context, req *EqBitsRequest) (*EqBitsReply, 
 		}
 	}
 	out := make([]*big.Int, len(ts))
-	err = parallel.ForEachCtx(ctx, s.par, len(ts), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(ts), func(i int) error {
 		ct, err := s.djEnc.Encrypt(ts[i])
 		if err != nil {
 			return err
@@ -226,11 +219,11 @@ func (s *Server) recover(req *RecoverRequest) (*RecoverReply, error) {
 		}
 		wrapped[i] = &dj.Ciphertext{C: c}
 	}
-	inner, err := s.keys.DJ.DecryptInnerBatch(wrapped, s.par)
+	inner, err := s.keys.DJ.DecryptInnerBatch(wrapped)
 	if err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
 	}
-	if inner, err = paillier.RerandomizeBatch(s.pkEnc, inner, s.par); err != nil {
+	if inner, err = paillier.RerandomizeBatch(s.pkEnc, inner); err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
 	}
 	out := make([]*big.Int, len(inner))
@@ -263,7 +256,7 @@ func (s *Server) compareHidden(ctx context.Context, req *CompareHiddenRequest) (
 		return nil, err
 	}
 	out := make([]*big.Int, len(ms))
-	err = parallel.ForEachCtx(ctx, s.par, len(ms), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(ms), func(i int) error {
 		t := zmath.Zero
 		if zmath.IsNegative(ms[i], s.keys.Paillier.N) {
 			t = zmath.One
@@ -295,7 +288,7 @@ func (s *Server) mult(ctx context.Context, req *MultRequest) (*MultReply, error)
 	}
 	pk := &s.keys.Paillier.PublicKey
 	out := make([]*big.Int, len(req.A))
-	err := parallel.ForEachCtx(ctx, s.par, len(req.A), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(req.A), func(i int) error {
 		a, err := s.keys.Paillier.Decrypt(&paillier.Ciphertext{C: req.A[i]})
 		if err != nil {
 			return fmt.Errorf("cloud: Mult a[%d]: %w", i, err)
@@ -304,14 +297,7 @@ func (s *Server) mult(ctx context.Context, req *MultRequest) (*MultReply, error)
 		if err != nil {
 			return fmt.Errorf("cloud: Mult b[%d]: %w", i, err)
 		}
-		var prod *big.Int
-		if eng := pk.EngineN(); eng != nil {
-			prod = eng.MulMod(a, b)
-		} else {
-			prod = new(big.Int).Mul(a, b)
-			prod.Mod(prod, pk.N)
-		}
-		ct, err := s.pkEnc.Encrypt(prod)
+		ct, err := s.pkEnc.Encrypt(pk.EngineN().MulMod(a, b))
 		if err != nil {
 			return err
 		}
@@ -520,7 +506,7 @@ func ephemeralKey(pk *paillier.PublicKey, n *big.Int) (*paillier.PublicKey, erro
 // reblindAndPermute re-blinds every row (row-per-worker) and returns them
 // under a fresh random permutation.
 func (s *Server) reblindAndPermute(ctx context.Context, pk, ephPK *paillier.PublicKey, rows []WireRow) ([]WireRow, error) {
-	err := parallel.ForEachCtx(ctx, s.par, len(rows), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(rows), func(i int) error {
 		return s.reblindRow(pk, ephPK, &rows[i])
 	})
 	if err != nil {
@@ -538,14 +524,9 @@ func (s *Server) reblindAndPermute(ctx context.Context, pk, ephPK *paillier.Publ
 }
 
 // mulModN2 multiplies two ciphertext group elements mod pk.N^2 through the
-// key's Montgomery engine when it carries one, falling back to a plain
-// big.Int multiply-and-reduce. Both paths return the canonical residue.
+// key's reduction engine, returning the canonical residue.
 func mulModN2(pk *paillier.PublicKey, a, b *big.Int) *big.Int {
-	if eng := pk.EngineN2(); eng != nil {
-		return eng.MulMod(a, b)
-	}
-	v := new(big.Int).Mul(a, b)
-	return v.Mod(v, pk.N2)
+	return pk.EngineN2().MulMod(a, b)
 }
 
 // sentinelRow builds the replacement row for a duplicate in Replace mode:

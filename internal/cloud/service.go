@@ -10,8 +10,8 @@ import (
 )
 
 // Service is the multi-relation crypto cloud: a registry of relation IDs
-// to per-relation Servers (each with its own key material, encryption
-// surfaces, and parallelism configuration). It implements
+// to per-relation Servers (each with its own key material and encryption
+// surfaces). It implements
 // transport.Responder by routing every protocol request on the relation
 // ID it carries, so one S2 process serves many outsourced relations — the
 // many-relations deployment Section 3.2's architecture assumes.
@@ -125,11 +125,6 @@ func (s *Service) route(relation string) (*Server, error) {
 	}
 	return nil, secerr.New(secerr.CodeUnknownRelation, "cloud: relation %q not registered", relation)
 }
-
-// batchWorkers: an envelope's items route individually on the relation IDs
-// they carry, so one envelope can serve many relations; the fan-out uses
-// the full worker budget (each relation's handlers apply their own knob).
-func (s *Service) batchWorkers() int { return 0 }
 
 // hello checks the wire version and, when the peer names the relation
 // it intends to query, confirms the relation is registered. The reply

@@ -42,13 +42,13 @@ func TestServiceRouting(t *testing.T) {
 	e := env(t)
 	svc := NewService()
 	defer svc.Close()
-	if err := svc.Register("r1", e.keys, nil, WithParallelism(1)); err != nil {
+	if err := svc.Register("r1", e.keys, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
 	client, err := NewClient(transport.NewLocal(svc, nil), &e.keys.Paillier.PublicKey, nil,
-		WithRelation("r1"), WithParallelism(1))
+		WithRelation("r1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestServiceRouting(t *testing.T) {
 
 	// A client naming an unregistered relation is rejected with the code.
 	stranger, err := NewClient(transport.NewLocal(svc, nil), &e.keys.Paillier.PublicKey, nil,
-		WithRelation("nope"), WithParallelism(1))
+		WithRelation("nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestHelloWrongVersionRefused(t *testing.T) {
 	e := env(t)
 	svc := NewService()
 	defer svc.Close()
-	if err := svc.Register("r", e.keys, nil, WithParallelism(1)); err != nil {
+	if err := svc.Register("r", e.keys, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -132,7 +132,7 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 	e := env(t)
 	svc := NewService()
 	defer svc.Close()
-	if err := svc.Register("r", e.keys, nil, WithParallelism(1)); err != nil {
+	if err := svc.Register("r", e.keys, nil); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")

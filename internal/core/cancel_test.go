@@ -28,19 +28,21 @@ func (c *cancelingCaller) Call(ctx context.Context, method string, req, resp any
 }
 
 // TestSecQueryCancellation cancels a query mid-round at several points
-// and at both serial and fanned-out parallelism: the engine must return
+// and at both GOMAXPROCS 1 (serial) and 8 (fanned out): the engine must return
 // context.Canceled promptly — within the round the cancellation landed
 // in (no further rounds are issued).
 func TestSecQueryCancellation(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
-	for _, par := range []int{1, 8} {
+	for _, procs := range []int{1, 8} {
 		for _, after := range []int64{1, 2, 5, 9} {
-			t.Run(fmt.Sprintf("par=%d/round=%d", par, after), func(t *testing.T) {
+			// par names the GOMAXPROCS the parties run at.
+			t.Run(fmt.Sprintf("par=%d/round=%d", procs, after), func(t *testing.T) {
+				withProcs(t, procs)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				cc := &cancelingCaller{inner: transport.NewLocal(r.server, nil), cancel: cancel, after: after}
-				client, err := cloud.NewClient(cc, r.scheme.PublicKey(), nil, cloud.WithParallelism(par))
+				client, err := cloud.NewClient(cc, r.scheme.PublicKey(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

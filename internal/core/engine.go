@@ -318,7 +318,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 		}
 		depth = d + 1
 		depthItems := make([]protocols.DepthItem, m)
-		err := parallel.ForEachCtx(ctx, e.client.Parallelism(), m, func(i int) error {
+		err := parallel.ForEachCtx(ctx, m, func(i int) error {
 			score, err := e.depthScore(tk, i, d)
 			if err != nil {
 				return err
@@ -413,7 +413,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		// Each list's depth item needs 1+m encryptions (score + indicator
 		// vector); the m items build in parallel.
 		depthItems := make([]protocols.Item, m)
-		err := parallel.ForEachCtx(ctx, e.client.Parallelism(), m, func(i int) error {
+		err := parallel.ForEachCtx(ctx, m, func(i int) error {
 			score, err := e.depthScore(tk, i, d)
 			if err != nil {
 				return err
@@ -516,7 +516,7 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 			}
 		}
 		out := make([]*paillier.Ciphertext, len(items))
-		err = parallel.ForEachCtx(ctx, e.client.Parallelism(), len(items), func(i int) error {
+		err = parallel.ForEachCtx(ctx, len(items), func(i int) error {
 			// B = W + sum_j bottom_j - sum_j v_j*bottom_j, folded in one
 			// product chain over N^2.
 			terms := make([]*paillier.Ciphertext, 0, 2+m)

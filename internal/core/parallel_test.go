@@ -2,19 +2,28 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/transport"
 )
 
-// TestSecQuerySerialParallelEquivalence pins the Parallelism contract: a
-// query executed at Parallelism 1 (the exact serial pre-parallel path,
-// nonce pools off) and one at Parallelism 8 over the same keys and
-// encrypted relation return identical top-k results at identical halting
-// depths, in every query mode. Under `go test -race` this doubles as the
-// data-race check for the whole fan-out (engine, protocols, cloud,
-// paillier, dj).
+// withProcs sets GOMAXPROCS, the one worker budget, until the test ends.
+// Parties decide on nonce pools when they are built, so it must run
+// before construction.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestSecQuerySerialParallelEquivalence pins the concurrency contract: a
+// query executed at GOMAXPROCS 1 (plain serial loops, nonce pools off)
+// and one at GOMAXPROCS 8 over the same keys and encrypted relation
+// return identical top-k results at identical halting depths, in every
+// query mode. Under `go test -race` this doubles as the data-race check
+// for the whole fan-out (engine, protocols, cloud, paillier, dj).
 func TestSecQuerySerialParallelEquivalence(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
@@ -24,17 +33,18 @@ func TestSecQuerySerialParallelEquivalence(t *testing.T) {
 		depth    int
 		halted   bool
 	}
-	run := func(par int, mode Mode) outcome {
+	run := func(procs int, mode Mode) outcome {
 		t.Helper()
-		server, err := cloud.NewServer(r.scheme.KeyMaterial(), nil, cloud.WithParallelism(par))
+		withProcs(t, procs)
+		server, err := cloud.NewServer(r.scheme.KeyMaterial(), nil)
 		if err != nil {
-			t.Fatalf("NewServer(par=%d): %v", par, err)
+			t.Fatalf("NewServer(GOMAXPROCS=%d): %v", procs, err)
 		}
 		defer server.Close()
 		client, err := cloud.NewClient(transport.NewLocal(server, transport.NewStats()),
-			r.scheme.PublicKey(), nil, cloud.WithParallelism(par))
+			r.scheme.PublicKey(), nil)
 		if err != nil {
-			t.Fatalf("NewClient(par=%d): %v", par, err)
+			t.Fatalf("NewClient(GOMAXPROCS=%d): %v", procs, err)
 		}
 		defer client.Close()
 		tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, 3)
@@ -47,7 +57,7 @@ func TestSecQuerySerialParallelEquivalence(t *testing.T) {
 		}
 		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode, Halt: HaltStrict})
 		if err != nil {
-			t.Fatalf("SecQuery(%v, par=%d): %v", mode, par, err)
+			t.Fatalf("SecQuery(%v, GOMAXPROCS=%d): %v", mode, procs, err)
 		}
 		rev, err := r.scheme.NewRevealer(er.N)
 		if err != nil {

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -39,10 +40,6 @@ type Params struct {
 	// MaxScoreBits bounds a single attribute value: scores must lie in
 	// [0, 2^MaxScoreBits). Used to size comparison masks.
 	MaxScoreBits int
-	// Parallelism bounds the data owner's encryption workers (0 = all
-	// cores, 1 = serial), matching the knob convention of the cloud and
-	// engine layers.
-	Parallelism int
 	// FastNonce opts the owner's bulk encryption (scores and EHL digests)
 	// into the short-exponent fixed-base nonce path
 	// (paillier.NewFastEncryptor). Off by default: it rests on the
@@ -228,7 +225,7 @@ func (er *EncryptedRelation) ByteSize(pk *paillier.PublicKey) int64 {
 // EncryptRelation implements Enc (Algorithm 2): sort each attribute list
 // descending, encrypt ids with EHL and scores with Paillier, and permute
 // the lists with the PRP P_K. Encryption parallelizes across items the
-// way the paper's 64-thread setup does, bounded by Params.Parallelism.
+// way the paper's 64-thread setup does, bounded by GOMAXPROCS.
 func (s *Scheme) EncryptRelation(rel *dataset.Relation) (*EncryptedRelation, error) {
 	return s.EncryptRelationWithIDs(rel, nil)
 }
@@ -290,7 +287,7 @@ func (s *Scheme) EncryptRelationWithIDs(rel *dataset.Relation, ids []int) (*Encr
 	}
 	// One job per (list, depth) cell on the shared worker substrate; each
 	// cell owns its output slot, so no synchronization is needed.
-	err = parallel.ForEach(s.params.Parallelism, m*n, func(idx int) error {
+	err = parallel.ForEachCtx(context.Background(), m*n, func(idx int) error {
 		j, d := idx/n, idx%n
 		entry := lists[j][d]
 		l, err := s.hasher.Build(uint64(gid(entry.obj)))

@@ -1,6 +1,7 @@
 package dj
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -33,8 +34,8 @@ func (pk *PublicKey) EncryptWithPower(m, rn *big.Int) (*Ciphertext, error) {
 
 // DecryptInnerBatch strips the outer DJ layer from every ciphertext.
 // Errors carry the failing index.
-func (sk *PrivateKey) DecryptInnerBatch(cts []*Ciphertext, par int) ([]*paillier.Ciphertext, error) {
-	return parallel.MapErr(par, cts, func(i int, c *Ciphertext) (*paillier.Ciphertext, error) {
+func (sk *PrivateKey) DecryptInnerBatch(cts []*Ciphertext) ([]*paillier.Ciphertext, error) {
+	return parallel.MapErrCtx(context.Background(), cts, func(i int, c *Ciphertext) (*paillier.Ciphertext, error) {
 		inner, err := sk.DecryptInner(c)
 		if err != nil {
 			return nil, fmt.Errorf("dj: DecryptInnerBatch[%d]: %w", i, err)

@@ -17,7 +17,7 @@ func TestDecryptInnerBatch(t *testing.T) {
 		}
 		outer[i] = ct
 	}
-	recovered, err := sk.DecryptInnerBatch(outer, 4)
+	recovered, err := sk.DecryptInnerBatch(outer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,23 +44,16 @@ type PublicKey struct {
 	nPow []*big.Int
 
 	// engNS1 is the reduction engine for the ciphertext modulus N^{s+1},
-	// precomputed by NewPublicKey; nil on literal-constructed keys, in
-	// which case every helper falls back to plain big.Int arithmetic.
+	// precomputed by NewPublicKey.
 	engNS1 *zmath.Modulus
 }
 
 // EngineNS1 returns the reduction engine for the ciphertext modulus
-// N^{s+1} (nil on keys built without NewPublicKey). Read-only.
+// N^{s+1}. Read-only.
 func (pk *PublicKey) EngineNS1() *zmath.Modulus { return pk.engNS1 }
 
-// mulNS1 multiplies mod N^{s+1} through the engine when available.
-func (pk *PublicKey) mulNS1(a, b *big.Int) *big.Int {
-	if pk.engNS1 != nil {
-		return pk.engNS1.MulMod(a, b)
-	}
-	out := new(big.Int).Mul(a, b)
-	return out.Mod(out, pk.NS1)
-}
+// mulNS1 multiplies mod N^{s+1} through the engine.
+func (pk *PublicKey) mulNS1(a, b *big.Int) *big.Int { return pk.engNS1.MulMod(a, b) }
 
 // PrivateKey carries the factorization N = p*q and what decryption and the
 // CRT encryptor derive from it. There is no decryption exponent d: Decrypt
@@ -102,11 +95,9 @@ func NewPublicKey(pk *paillier.PublicKey, s int) (*PublicKey, error) {
 	}
 	out.NS = out.nPow[s]
 	out.NS1 = out.nPow[s+1]
-	// N is odd for every valid Paillier modulus, hence so is N^{s+1};
-	// the guard only spares hand-built test keys with toy moduli.
-	if out.NS1.Bit(0) == 1 {
-		out.engNS1 = zmath.MustModulus(out.NS1)
-	}
+	// N is odd for every Paillier key a constructor builds, hence so is
+	// N^{s+1}.
+	out.engNS1 = zmath.MustModulus(out.NS1)
 	return out, nil
 }
 
@@ -342,17 +333,9 @@ func (pk *PublicKey) ExpConsts(a *Ciphertext, ks []*big.Int) ([]*Ciphertext, err
 		}
 		kks[i] = new(big.Int).Mod(k, pk.NS)
 	}
-	var cs []*big.Int
-	if pk.engNS1 != nil {
-		var err error
-		if cs, err = pk.engNS1.ExpModShared(a.C, kks); err != nil {
-			return nil, err
-		}
-	} else {
-		cs = make([]*big.Int, len(kks))
-		for i, k := range kks {
-			cs[i] = new(big.Int).Exp(a.C, k, pk.NS1)
-		}
+	cs, err := pk.engNS1.ExpModShared(a.C, kks)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*Ciphertext, len(cs))
 	for i, c := range cs {

@@ -245,71 +245,50 @@ func Sub(pk *paillier.PublicKey, a, b *List) (*paillier.Ciphertext, error) {
 // SubEnc is Sub with an explicit encryption surface, so hot paths can
 // draw the leading zero-encryption from a nonce pool.
 //
-// With an engine on the key the operator runs its batch form: one
-// Montgomery batch inversion for all the y-slots, one multiply per slot
-// for the differences, and a single Straus multi-exponentiation that
-// shares its squaring ladder across every slot — instead of a full-width
-// exponentiation plus an extended-GCD inverse per slot. The randomness
-// draw order matches the slot-by-slot path exactly (the zero encryption,
-// then r_1..r_s), so fixed randomness produces bit-identical ciphertexts
-// on either path.
+// The operator runs in batch form: one Montgomery batch inversion for all
+// the y-slots, one multiply per slot for the differences, and a single
+// Straus multi-exponentiation that shares its squaring ladder across every
+// slot — instead of a full-width exponentiation plus an extended-GCD
+// inverse per slot. Randomness is drawn in a fixed order (the zero
+// encryption, then r_1..r_s).
 func SubEnc(enc paillier.Encryptor, a, b *List) (*paillier.Ciphertext, error) {
 	if err := compatible(a, b); err != nil {
 		return nil, err
 	}
 	pk := enc.Key()
+	eng := pk.EngineN2()
 	acc, err := enc.EncryptZero()
 	if err != nil {
 		return nil, err
 	}
-	if eng := pk.EngineN2(); eng != nil {
-		bvals := make([]*big.Int, len(b.Cts))
-		avals := make([]*big.Int, len(a.Cts))
-		for i := range a.Cts {
-			if a.Cts[i] == nil || a.Cts[i].C == nil || b.Cts[i] == nil || b.Cts[i].C == nil {
-				return nil, fmt.Errorf("ehl: Sub slot %d: nil ciphertext", i)
-			}
-			avals[i] = a.Cts[i].C
-			bvals[i] = b.Cts[i].C
-		}
-		rs := make([]*big.Int, len(a.Cts))
-		for i := range rs {
-			if rs[i], err = zmath.RandUnit(rand.Reader, pk.N); err != nil {
-				return nil, err
-			}
-		}
-		binvs, err := zmath.BatchModInverseMod(bvals, eng)
-		if err != nil {
-			return nil, fmt.Errorf("ehl: Sub inverses: %w", err)
-		}
-		diffs := make([]*big.Int, len(avals))
-		for i := range diffs {
-			diffs[i] = eng.MulMod(avals[i], binvs[i])
-		}
-		prod, err := eng.MultiExpMod(diffs, rs)
-		if err != nil {
-			return nil, fmt.Errorf("ehl: Sub multi-exp: %w", err)
-		}
-		return &paillier.Ciphertext{C: eng.MulMod(acc.C, prod)}, nil
-	}
+	bvals := make([]*big.Int, len(b.Cts))
+	avals := make([]*big.Int, len(a.Cts))
 	for i := range a.Cts {
-		diff, err := pk.Sub(a.Cts[i], b.Cts[i])
-		if err != nil {
-			return nil, fmt.Errorf("ehl: Sub slot %d: %w", i, err)
+		if a.Cts[i] == nil || a.Cts[i].C == nil || b.Cts[i] == nil || b.Cts[i].C == nil {
+			return nil, fmt.Errorf("ehl: Sub slot %d: nil ciphertext", i)
 		}
-		r, err := zmath.RandUnit(rand.Reader, pk.N)
-		if err != nil {
-			return nil, err
-		}
-		term, err := pk.MulConst(diff, r)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = pk.Add(acc, term); err != nil {
+		avals[i] = a.Cts[i].C
+		bvals[i] = b.Cts[i].C
+	}
+	rs := make([]*big.Int, len(a.Cts))
+	for i := range rs {
+		if rs[i], err = zmath.RandUnit(rand.Reader, pk.N); err != nil {
 			return nil, err
 		}
 	}
-	return acc, nil
+	binvs, err := zmath.BatchModInverseMod(bvals, eng)
+	if err != nil {
+		return nil, fmt.Errorf("ehl: Sub inverses: %w", err)
+	}
+	diffs := make([]*big.Int, len(avals))
+	for i := range diffs {
+		diffs[i] = eng.MulMod(avals[i], binvs[i])
+	}
+	prod, err := eng.MultiExpMod(diffs, rs)
+	if err != nil {
+		return nil, fmt.Errorf("ehl: Sub multi-exp: %w", err)
+	}
+	return &paillier.Ciphertext{C: eng.MulMod(acc.C, prod)}, nil
 }
 
 // ByteSize returns the serialized size of the list under pk, for the

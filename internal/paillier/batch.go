@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -40,24 +41,23 @@ func (pk *PublicKey) EncryptWithPower(m, rn *big.Int) (*Ciphertext, error) {
 }
 
 // EncryptBatch encrypts every message with fresh randomness, fanning the
-// nonce exponentiations out over at most parallel.Workers(par) goroutines.
-// par follows the shared knob convention (0 = all cores, 1 = serial).
-func EncryptBatch(enc Encryptor, ms []*big.Int, par int) ([]*Ciphertext, error) {
-	return parallel.MapErr(par, ms, func(_ int, m *big.Int) (*Ciphertext, error) {
+// nonce exponentiations out over at most GOMAXPROCS goroutines.
+func EncryptBatch(enc Encryptor, ms []*big.Int) ([]*Ciphertext, error) {
+	return parallel.MapErrCtx(context.Background(), ms, func(_ int, m *big.Int) (*Ciphertext, error) {
 		return enc.Encrypt(m)
 	})
 }
 
 // RerandomizeBatch re-randomizes every ciphertext.
-func RerandomizeBatch(enc Encryptor, cts []*Ciphertext, par int) ([]*Ciphertext, error) {
-	return parallel.MapErr(par, cts, func(_ int, c *Ciphertext) (*Ciphertext, error) {
+func RerandomizeBatch(enc Encryptor, cts []*Ciphertext) ([]*Ciphertext, error) {
+	return parallel.MapErrCtx(context.Background(), cts, func(_ int, c *Ciphertext) (*Ciphertext, error) {
 		return enc.Rerandomize(c)
 	})
 }
 
 // DecryptBatch decrypts every ciphertext. Errors carry the failing index.
-func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext, par int) ([]*big.Int, error) {
-	return parallel.MapErr(par, cts, func(i int, c *Ciphertext) (*big.Int, error) {
+func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext) ([]*big.Int, error) {
+	return parallel.MapErrCtx(context.Background(), cts, func(i int, c *Ciphertext) (*big.Int, error) {
 		m, err := sk.Decrypt(c)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: DecryptBatch[%d]: %w", i, err)

@@ -3,6 +3,7 @@ package paillier
 import (
 	"crypto/rand"
 	"math/big"
+	"runtime"
 	"testing"
 )
 
@@ -23,22 +24,25 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range ms {
 		ms[i] = big.NewInt(int64(1000 - i))
 	}
-	for _, par := range []int{1, 8} {
-		cts, err := EncryptBatch(pk, ms, par)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		cts, err := EncryptBatch(pk, ms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cts, err = RerandomizeBatch(pk, cts, par)
+		cts, err = RerandomizeBatch(pk, cts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sk.DecryptBatch(cts, par)
+		got, err := sk.DecryptBatch(cts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range ms {
 			if got[i].Cmp(ms[i]) != 0 {
-				t.Fatalf("par=%d: round trip broke at %d: got %v want %v", par, i, got[i], ms[i])
+				t.Fatalf("GOMAXPROCS=%d: round trip broke at %d: got %v want %v", procs, i, got[i], ms[i])
 			}
 		}
 	}

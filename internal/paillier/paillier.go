@@ -43,39 +43,29 @@ type PublicKey struct {
 	N  *big.Int // modulus
 	N2 *big.Int // N^2, the ciphertext modulus
 
-	// engN and engN2 are the Montgomery/Barrett reduction engines for the
-	// two long-lived moduli, precomputed by the constructors. They are nil
-	// on literal-constructed keys, in which case every helper falls back
-	// to plain big.Int arithmetic with identical outputs.
+	// engN and engN2 are the reduction engines for the two long-lived
+	// moduli, precomputed by the constructors (every key is built by one).
 	engN  *zmath.Modulus
 	engN2 *zmath.Modulus
 }
 
-// EngineN returns the reduction engine for N (nil on keys built without
-// constructors). Callers must treat it as read-only.
+// EngineN returns the reduction engine for N. Callers must treat it as
+// read-only.
 func (pk *PublicKey) EngineN() *zmath.Modulus { return pk.engN }
 
 // EngineN2 returns the reduction engine for the ciphertext modulus N^2.
 func (pk *PublicKey) EngineN2() *zmath.Modulus { return pk.engN2 }
 
-// attachEngines populates the reduction engines; N is odd for every valid
-// key (a product of odd primes — the guard only spares hand-built toy
-// keys), so construction cannot fail.
+// attachEngines populates the reduction engines. N is odd for every key a
+// constructor builds (a product of odd primes, or a transmitted modulus
+// NewPublicKeyFromN checked), so construction cannot fail.
 func (pk *PublicKey) attachEngines() {
-	if pk.N.Bit(0) == 1 {
-		pk.engN = zmath.MustModulus(pk.N)
-		pk.engN2 = zmath.MustModulus(pk.N2)
-	}
+	pk.engN = zmath.MustModulus(pk.N)
+	pk.engN2 = zmath.MustModulus(pk.N2)
 }
 
-// mulN2 multiplies mod N^2 through the engine when the key has one.
-func (pk *PublicKey) mulN2(a, b *big.Int) *big.Int {
-	if pk.engN2 != nil {
-		return pk.engN2.MulMod(a, b)
-	}
-	out := new(big.Int).Mul(a, b)
-	return out.Mod(out, pk.N2)
-}
+// mulN2 multiplies mod N^2 through the engine.
+func (pk *PublicKey) mulN2(a, b *big.Int) *big.Int { return pk.engN2.MulMod(a, b) }
 
 // PrivateKey holds the factorization and the CRT decryption caches.
 type PrivateKey struct {
@@ -310,15 +300,7 @@ func (pk *PublicKey) AddAll(cts []*Ciphertext) (*Ciphertext, error) {
 		}
 		vals[i] = ct.C
 	}
-	if pk.engN2 != nil {
-		return &Ciphertext{C: pk.engN2.ProdMod(vals)}, nil
-	}
-	acc := new(big.Int).Set(vals[0])
-	for _, v := range vals[1:] {
-		acc.Mul(acc, v)
-		acc.Mod(acc, pk.N2)
-	}
-	return &Ciphertext{C: acc}, nil
+	return &Ciphertext{C: pk.engN2.ProdMod(vals)}, nil
 }
 
 // AddPlain returns Enc(x + k) for plaintext k without consuming randomness:

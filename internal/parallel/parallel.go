@@ -2,17 +2,16 @@
 // worker pool over index ranges that every per-element big.Int loop in the
 // crypto, protocol, cloud, and engine layers runs on.
 //
-// The parallelism knob follows one convention everywhere:
+// The worker budget is runtime.GOMAXPROCS, read when the work runs: at 1
+// every loop is strictly serial, in index order — byte-for-byte the
+// behavior of a plain for loop, so serial/parallel equivalence is
+// testable by running at GOMAXPROCS 1 (go test -cpu 1) — and above 1 at
+// most GOMAXPROCS goroutines share the items.
 //
-//	0  use all cores (runtime.GOMAXPROCS)
-//	1  strictly serial, in index order — byte-for-byte the behavior of a
-//	   plain for loop, so serial/parallel equivalence is testable
-//	n  at most n worker goroutines
-//
-// Work items must be independent; ForEach gives each invocation exclusive
+// Work items must be independent; ForEachCtx gives each invocation exclusive
 // ownership of its index, so writing out[i] from fn(i) is race-free.
 //
-// Cancellation is cooperative: the Ctx variants check the context before
+// Cancellation is cooperative: the context is checked before
 // every work item (serial path) or before every claim (worker path), so a
 // canceled query stops burning exponentiations after at most one
 // in-flight item per worker.
@@ -25,32 +24,16 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a parallelism knob to a concrete worker count:
-// 0 (or negative) means all cores, otherwise the knob itself.
-func Workers(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most Workers(p)
-// goroutines. With p == 1 (or n < 2, or a single available core) it
-// degenerates to a plain serial loop in index order. The first error stops
-// further scheduling and is returned; in-flight items finish first.
-func ForEach(p, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), p, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is
-// canceled, no further items start (in-flight items finish) and the
-// context's error is returned. With the background context the behavior —
-// including the strictly serial p == 1 path — is byte-for-byte ForEach.
-func ForEachCtx(ctx context.Context, p, n int, fn func(i int) error) error {
+// ForEachCtx runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines. With a single available core (or n < 2) it degenerates to a
+// plain serial loop in index order. The first error stops further
+// scheduling and is returned; in-flight items finish first. Once ctx is
+// canceled, no further items start and the context's error is returned.
+func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := Workers(p)
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -102,16 +85,11 @@ func ForEachCtx(ctx context.Context, p, n int, fn func(i int) error) error {
 // values (CompareAndSwap requires a consistent concrete type).
 type errBox struct{ err error }
 
-// MapErr applies fn to every element of in and collects the results in
-// order, scheduling on ForEach with the same knob semantics.
-func MapErr[T, U any](p int, in []T, fn func(i int, v T) (U, error)) ([]U, error) {
-	return MapErrCtx(context.Background(), p, in, fn)
-}
-
-// MapErrCtx is MapErr with cooperative cancellation via ForEachCtx.
-func MapErrCtx[T, U any](ctx context.Context, p int, in []T, fn func(i int, v T) (U, error)) ([]U, error) {
+// MapErrCtx applies fn to every element of in and collects the results in
+// order, scheduling on ForEachCtx.
+func MapErrCtx[T, U any](ctx context.Context, in []T, fn func(i int, v T) (U, error)) ([]U, error) {
 	out := make([]U, len(in))
-	err := ForEachCtx(ctx, p, len(in), func(i int) error {
+	err := ForEachCtx(ctx, len(in), func(i int) error {
 		v, err := fn(i, in[i])
 		if err != nil {
 			return err

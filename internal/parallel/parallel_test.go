@@ -1,32 +1,26 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(-3) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(1); got != 1 {
-		t.Errorf("Workers(1) = %d, want 1", got)
-	}
-	if got := Workers(7); got != 7 {
-		t.Errorf("Workers(7) = %d, want 7", got)
-	}
+// withProcs sets GOMAXPROCS, the worker budget, for the rest of the test.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestForEachCoversEveryIndex(t *testing.T) {
-	for _, p := range []int{0, 1, 2, 8} {
+	for _, p := range []int{1, 2, 8} {
+		withProcs(t, p)
 		n := 257
 		hits := make([]int32, n)
-		err := ForEach(p, n, func(i int) error {
+		err := ForEachCtx(context.Background(), n, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -42,9 +36,10 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 }
 
 func TestForEachSerialOrder(t *testing.T) {
+	withProcs(t, 1)
 	var order []int
-	err := ForEach(1, 10, func(i int) error {
-		order = append(order, i) // no locking: p=1 must be single-goroutine
+	err := ForEachCtx(context.Background(), 10, func(i int) error {
+		order = append(order, i) // no locking: one core must mean one goroutine
 		return nil
 	})
 	if err != nil {
@@ -60,8 +55,9 @@ func TestForEachSerialOrder(t *testing.T) {
 func TestForEachError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, p := range []int{1, 4} {
+		withProcs(t, p)
 		var calls atomic.Int32
-		err := ForEach(p, 1000, func(i int) error {
+		err := ForEachCtx(context.Background(), 1000, func(i int) error {
 			calls.Add(1)
 			if i == 3 {
 				return sentinel
@@ -79,17 +75,18 @@ func TestForEachError(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMapErr(t *testing.T) {
+	withProcs(t, 8)
 	in := make([]int, 100)
 	for i := range in {
 		in[i] = i
 	}
-	out, err := MapErr(8, in, func(i, v int) (int, error) { return v * v, nil })
+	out, err := MapErrCtx(context.Background(), in, func(i, v int) (int, error) { return v * v, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestMapErr(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
 		}
 	}
-	if _, err := MapErr(8, in, func(i, v int) (int, error) {
+	if _, err := MapErrCtx(context.Background(), in, func(i, v int) (int, error) {
 		if v == 42 {
 			return 0, errors.New("boom")
 		}

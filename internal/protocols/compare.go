@@ -98,7 +98,7 @@ func EncCompareBatch(ctx context.Context, c *cloud.Client, as, bs []*paillier.Ci
 	}
 	masked := make([]*paillier.Ciphertext, len(as))
 	flips := make([]bool, len(as))
-	err := parallel.ForEachCtx(ctx, c.Parallelism(), len(as), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(as), func(i int) error {
 		m, flip, err := maskedDiff(c.Enc(), as[i], bs[i], magBits)
 		if err != nil {
 			return err
@@ -133,7 +133,7 @@ func EncCompareHiddenBatch(ctx context.Context, c *cloud.Client, as, bs []*paill
 	}
 	masked := make([]*paillier.Ciphertext, len(as))
 	flips := make([]bool, len(as))
-	err := parallel.ForEachCtx(ctx, c.Parallelism(), len(as), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(as), func(i int) error {
 		m, flip, err := maskedDiff(c.Enc(), as[i], bs[i], magBits)
 		if err != nil {
 			return err
@@ -148,7 +148,7 @@ func EncCompareHiddenBatch(ctx context.Context, c *cloud.Client, as, bs []*paill
 	if err != nil {
 		return nil, err
 	}
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(bits), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(bits), func(i int) error {
 		if !flips[i] {
 			return nil
 		}

@@ -77,7 +77,7 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 			return nil, fmt.Errorf("protocols: SecDedup pair %v out of range", p)
 		}
 	}
-	eqCts, err := parallel.MapErrCtx(ctx, c.Parallelism(), pairs.Pairs, func(_ int, p [2]int) (*big.Int, error) {
+	eqCts, err := parallel.MapErrCtx(ctx, pairs.Pairs, func(_ int, p [2]int) (*big.Int, error) {
 		ct, err := ehl.SubEnc(c.Enc(), items[p[0]].EHL, items[p[1]].EHL)
 		if err != nil {
 			return nil, fmt.Errorf("protocols: SecDedup eq %v: %w", p, err)
@@ -95,7 +95,7 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 		return nil, err
 	}
 	rows := make([]cloud.WireRow, len(items))
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(items), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(items), func(i int) error {
 		cts, blinds, err := blindSlots(pk, c.EphEnc(), items[i].slots())
 		if err != nil {
 			return fmt.Errorf("protocols: SecDedup blinding item %d: %w", i, err)
@@ -134,7 +134,7 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 	// vector under the ephemeral key).
 	out := make([]Item, len(resp.Rows))
 	width := items[0].EHL.Width()
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(resp.Rows), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(resp.Rows), func(i int) error {
 		row := resp.Rows[i]
 		if len(row.EHL) != width || len(row.Scores) != cols {
 			return fmt.Errorf("protocols: SecDedup reply row %d has unexpected shape", i)

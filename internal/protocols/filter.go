@@ -56,7 +56,7 @@ func SecFilter(ctx context.Context, c *cloud.Client, tuples []JoinTuple) ([]Join
 		return nil, err
 	}
 	req := &cloud.FilterRequest{Rows: make([]cloud.WireRow, len(tuples)), Tests: make([]*big.Int, len(tuples))}
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(tuples), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(tuples), func(i int) error {
 		t := tuples[i]
 		r, err := zmath.RandUnit(rand.Reader, pk.N)
 		if err != nil {
@@ -90,7 +90,7 @@ func SecFilter(ctx context.Context, c *cloud.Client, tuples []JoinTuple) ([]Join
 	c.Ledger().Record("S1", cloud.MethodFilter, "join cardinality: %d of %d tuples", len(resp.Rows), len(tuples))
 
 	out := make([]JoinTuple, len(resp.Rows))
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(resp.Rows), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(resp.Rows), func(i int) error {
 		row := resp.Rows[i]
 		if len(row.Scores) != nAttrs+1 {
 			return fmt.Errorf("protocols: SecFilter reply row %d malformed", i)

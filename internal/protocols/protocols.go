@@ -72,13 +72,7 @@ func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.
 	for i, b := range bs {
 		vals[i] = b.C
 	}
-	var invs []*big.Int
-	var err error
-	if eng := pk.EngineN2(); eng != nil {
-		invs, err = zmath.BatchModInverseMod(vals, eng)
-	} else {
-		invs, err = zmath.BatchModInverse(vals, pk.N2)
-	}
+	invs, err := zmath.BatchModInverseMod(vals, pk.EngineN2())
 	if err != nil {
 		return nil, fmt.Errorf("protocols: batch inversion: %w", err)
 	}
@@ -145,7 +139,7 @@ func (s Selection) check(djPK *dj.PublicKey) error {
 // none for the Else branch and none for a bit whose branch is Else. The
 // powers of one hidden bit (a gate's slots, a SecUpdate pair's picks and
 // bound) are raised together, sharing one squaring chain, and the bits fan
-// out over the client's parallelism.
+// out over GOMAXPROCS workers.
 func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier.Ciphertext, error) {
 	pk, djPK := c.PK(), c.DJPK()
 	// exps[i][e] starts as A_e' - Else' (nil where it is 0) and becomes the
@@ -179,7 +173,7 @@ func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier
 	}
 	blinds := make([]*paillier.Ciphertext, len(sels))
 	terms := make([]*dj.Ciphertext, len(sels))
-	err := parallel.ForEachCtx(ctx, c.Parallelism(), len(sels), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(sels), func(i int) error {
 		r, err := zmath.RandUnit(rand.Reader, pk.N2)
 		if err != nil {
 			return err
@@ -206,7 +200,7 @@ func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier
 	for i := range sels {
 		raised[i] = make([]*dj.Ciphertext, len(exps[i]))
 	}
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(groups), func(g int) error {
+	err = parallel.ForEachCtx(ctx, len(groups), func(g int) error {
 		ks := make([]*big.Int, len(groups[g]))
 		for j, p := range groups[g] {
 			ks[j] = exps[p.sel][p.bit]
@@ -283,7 +277,7 @@ func SecMult(ctx context.Context, c *cloud.Client, as, bs []*paillier.Ciphertext
 	blindedB := make([]*paillier.Ciphertext, len(as))
 	ras := make([]*big.Int, len(as))
 	rbs := make([]*big.Int, len(as))
-	err := parallel.ForEachCtx(ctx, c.Parallelism(), len(as), func(i int) error {
+	err := parallel.ForEachCtx(ctx, len(as), func(i int) error {
 		ra, err := zmath.RandInt(rand.Reader, pk.N)
 		if err != nil {
 			return err
@@ -317,7 +311,7 @@ func SecMult(ctx context.Context, c *cloud.Client, as, bs []*paillier.Ciphertext
 		return nil, err
 	}
 	out := make([]*paillier.Ciphertext, len(as))
-	err = parallel.ForEachCtx(ctx, c.Parallelism(), len(as), func(i int) error {
+	err = parallel.ForEachCtx(ctx, len(as), func(i int) error {
 		// ab = (a+ra)(b+rb) - ra*b - rb*a - ra*rb
 		t1, err := pk.MulConst(bs[i], new(big.Int).Neg(ras[i]))
 		if err != nil {

@@ -54,7 +54,7 @@ func EncSort(ctx context.Context, c *cloud.Client, items []Item, col int, desc b
 		if desc {
 			padKey.Neg(padKey)
 		}
-		err := parallel.ForEachCtx(ctx, c.Parallelism(), p2-n, func(i int) error {
+		err := parallel.ForEachCtx(ctx, p2-n, func(i int) error {
 			pad, err := sentinelItem(c.Enc(), items[0], padKey)
 			if err != nil {
 				return err

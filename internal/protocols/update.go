@@ -55,7 +55,7 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 			refs = append(refs, pairRef{gi, ti})
 		}
 	}
-	eqCts, err := parallel.MapErrCtx(ctx, c.Parallelism(), refs, func(_ int, r pairRef) (*paillier.Ciphertext, error) {
+	eqCts, err := parallel.MapErrCtx(ctx, refs, func(_ int, r pairRef) (*paillier.Ciphertext, error) {
 		ct, err := ehl.SubEnc(c.Enc(), gamma[r.g].EHL, T[r.t].EHL)
 		if err != nil {
 			return nil, fmt.Errorf("protocols: SecUpdate eq(%d,%d): %w", r.g, r.t, err)

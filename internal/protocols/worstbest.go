@@ -147,7 +147,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	// The randomized equality ciphertexts are independent, so they build
 	// in parallel — this is the largest S1-side batch of the per-depth
 	// pipeline.
-	eqCts, err := parallel.MapErrCtx(ctx, c.Parallelism(), refs, func(_ int, r ref) (*paillier.Ciphertext, error) {
+	eqCts, err := parallel.MapErrCtx(ctx, refs, func(_ int, r ref) (*paillier.Ciphertext, error) {
 		ct, err := ehl.SubEnc(c.Enc(), items[r.i].EHL, histories[r.j].EHLs[r.e])
 		if err != nil {
 			return nil, fmt.Errorf("protocols: SecWorstBest eq(%d,%d,%d): %w", r.i, r.j, r.e, err)

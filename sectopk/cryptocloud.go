@@ -23,7 +23,7 @@ type CryptoCloud struct {
 }
 
 // NewCryptoCloud builds an empty crypto cloud. Options configure the
-// per-relation handler pools (parallelism, nonce paths).
+// per-relation encryption surfaces (nonce paths).
 func NewCryptoCloud(opts ...Option) *CryptoCloud {
 	return &CryptoCloud{
 		svc:    cloud.NewService(),

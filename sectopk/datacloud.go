@@ -202,9 +202,7 @@ func executeTopK(ctx context.Context, engine *shard.Engine, epoch uint64, req Re
 }
 
 // apply lands one delta (exactly once) and returns the resulting epoch.
-// threshold > 0 folds tombstones in the same transition once the dead
-// count reaches it.
-func (h *hostedRelation) apply(d *mutate.Delta, threshold int) (uint64, error) {
+func (h *hostedRelation) apply(d *mutate.Delta) (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if d.ID != "" {
@@ -218,9 +216,6 @@ func (h *hostedRelation) apply(d *mutate.Delta, threshold int) (uint64, error) {
 	next, err := h.state.Apply(d)
 	if err != nil {
 		return 0, err
-	}
-	if threshold > 0 && next.DeadRows() >= threshold {
-		next = next.Compact()
 	}
 	if err := h.swapLocked(next); err != nil {
 		return 0, err
@@ -682,9 +677,8 @@ func (d *DataCloud) HostJoin(ctx context.Context, id string, er1, er2 *Encrypted
 }
 
 // Apply lands one owner-produced mutation delta on a hosted top-k
-// relation and returns the resulting epoch (BaseEpoch+1, or one more
-// when WithCompactThreshold folded tombstones in the same transition —
-// the owner's Adopt handles both). Application is atomic and
+// relation and returns the resulting epoch, BaseEpoch+1. Application is
+// atomic and
 // exactly-once: a delta that fails validation (or targets a stale
 // epoch, ErrRelationStale) changes nothing, and a retry of a delta that
 // already landed — same idempotency key — reports the recorded epoch
@@ -740,7 +734,7 @@ func (d *DataCloud) applyDelta(ctx context.Context, relation string, delta *muta
 	}
 	defer d.endExecute()
 	ins, del := delta.Rows()
-	epoch, err := rel.apply(delta, d.cfg.compactGoal)
+	epoch, err := rel.apply(delta)
 	if err != nil {
 		return 0, err
 	}

@@ -415,9 +415,8 @@ func (mr *MutableRelation) validRow(row []int64) error {
 
 // Adopt synchronizes the owner's shadow with the epoch an Apply or
 // Compact reported. Equal epochs are a no-op; one ahead means the data
-// cloud compacted (threshold-triggered inside an Apply, or an explicit
-// Compact), which the shadow replays — compaction never changes live
-// views, so the mirror needs no adjustment. Anything further fails
+// cloud ran a Compact, which the shadow replays — compaction never
+// changes live views, so the mirror needs no adjustment. Anything further fails
 // with ErrRelationStale: the hosting has moved in a way this owner
 // did not produce, and must be re-hosted from the owner's bundle.
 func (mr *MutableRelation) Adopt(epoch uint64) error {

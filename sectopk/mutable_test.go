@@ -25,11 +25,11 @@ type mutationRig struct {
 
 // newMutationRig stands the stack up over p shards with n random rows
 // of m attributes.
-func newMutationRig(t testing.TB, p, n, m int, rng *rand.Rand, opts ...sectopk.Option) *mutationRig {
+func newMutationRig(t testing.TB, p, n, m int, rng *rand.Rand) *mutationRig {
 	t.Helper()
 	ctx := context.Background()
 	rel := &sectopk.Relation{Name: "mut", Rows: randomRows(rng, n, m)}
-	owner, err := sectopk.NewOwner(testOpts(append(opts, sectopk.WithShards(p))...)...)
+	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(p))...)
 	if err != nil {
 		t.Fatalf("NewOwner: %v", err)
 	}
@@ -41,12 +41,12 @@ func newMutationRig(t testing.TB, p, n, m int, rng *rand.Rand, opts ...sectopk.O
 	if err != nil {
 		t.Fatalf("NewMutable: %v", err)
 	}
-	cc := sectopk.NewCryptoCloud(testOpts(opts...)...)
+	cc := sectopk.NewCryptoCloud(testOpts()...)
 	t.Cleanup(cc.Close)
 	if err := cc.Register("mut", owner.Keys()); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	dc := sectopk.NewDataCloud(testOpts(opts...)...)
+	dc := sectopk.NewDataCloud(testOpts()...)
 	t.Cleanup(dc.Close)
 	if err := dc.ConnectLocal(ctx, cc); err != nil {
 		t.Fatalf("ConnectLocal: %v", err)
@@ -372,47 +372,6 @@ func TestMutationWrongWorkload(t *testing.T) {
 	if _, err := rig.dc.Apply(ctx, "topk", nil); !errors.Is(err, sectopk.ErrBadRequest) {
 		t.Fatalf("Apply(nil) err = %v, want ErrBadRequest", err)
 	}
-}
-
-// TestMutationCompactThreshold checks the server-side trigger: once the
-// dead count reaches WithCompactThreshold, an Apply folds tombstones in
-// the same transition (epoch +2) and the owner's Adopt replays it.
-func TestMutationCompactThreshold(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(13))
-	rig := newMutationRig(t, 2, 8, 3, rng, sectopk.WithCompactThreshold(2))
-
-	d1, err := rig.mr.DeleteRows([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch, err := rig.dc.Apply(ctx, "mut", d1)
-	if err != nil || epoch != 2 {
-		t.Fatalf("Apply(d1) = (%d, %v), want (2, nil) — below threshold", epoch, err)
-	}
-	if err := rig.mr.Adopt(epoch); err != nil {
-		t.Fatal(err)
-	}
-	delete(rig.oracle, 1)
-
-	// Second delete reaches the threshold: the transition lands the delta
-	// AND the compaction, so the epoch advances by two.
-	d2, err := rig.mr.DeleteRows([]int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch, err = rig.dc.Apply(ctx, "mut", d2)
-	if err != nil || epoch != 4 {
-		t.Fatalf("Apply(d2) = (%d, %v), want (4, nil) — threshold compaction", epoch, err)
-	}
-	if err := rig.mr.Adopt(epoch); err != nil {
-		t.Fatalf("Adopt(%d): %v", epoch, err)
-	}
-	delete(rig.oracle, 2)
-	if dead := rig.mr.DeadRows(); dead != 0 {
-		t.Fatalf("DeadRows after threshold compaction = %d, want 0", dead)
-	}
-	rig.checkEquivalence(t, []int{0, 1, 2}, 3)
 }
 
 // TestMutablePersistence saves and reloads every mutable artifact

@@ -21,13 +21,11 @@ type config struct {
 	keyBits      int
 	ehlDigests   int
 	maxScoreBits int
-	parallelism  int
 	fastNonce    bool
 	shards       int
 	sessionLimit int
 	retry        *RetryPolicy
 	drainTimeout time.Duration
-	compactGoal  int
 	memberID     string
 	// tenant names the tenant a Client identifies as (WithTenant).
 	tenant string
@@ -72,7 +70,6 @@ func (c config) coreParams() core.Params {
 		KeyBits:      c.keyBits,
 		EHL:          ehl.Params{Kind: ehl.KindPlus, S: c.ehlDigests},
 		MaxScoreBits: c.maxScoreBits,
-		Parallelism:  c.parallelism,
 		FastNonce:    c.fastNonce,
 	}
 }
@@ -80,7 +77,6 @@ func (c config) coreParams() core.Params {
 // cloudOptions maps the config to the cloud-layer option set.
 func (c config) cloudOptions() []cloud.Option {
 	return []cloud.Option{
-		cloud.WithParallelism(c.parallelism),
 		cloud.WithFastNonce(c.fastNonce),
 	}
 }
@@ -102,12 +98,6 @@ func WithEHLDigests(s int) Option {
 // comparison masks.
 func WithMaxScoreBits(bits int) Option {
 	return func(c *config) { c.maxScoreBits = bits }
-}
-
-// WithParallelism bounds a role's worker goroutines: 0 (the default)
-// uses all cores, 1 is strictly serial, n caps workers at n.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithFastNonce opts into the short-exponent fixed-base nonce path for
@@ -204,22 +194,6 @@ func WithRetry(p RetryPolicy) Option {
 // address instead.
 func WithMemberID(id string) Option {
 	return func(c *config) { c.memberID = id }
-}
-
-// WithCompactThreshold makes a DataCloud fold tombstones automatically:
-// when a relation's tombstoned-row count reaches n after an Apply, the
-// compaction runs in the same epoch transition (the Apply reports the
-// post-compaction epoch, so the owner adopts both steps at once). Zero
-// (the default) leaves compaction entirely owner-triggered
-// (DataCloud.Compact). Compaction trades the O(dead) storage debt for
-// an epoch bump: queries pinned to the pre-compaction epoch fail with
-// ErrRelationStale, exactly like they would across any other Apply.
-func WithCompactThreshold(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.compactGoal = n
-		}
-	}
 }
 
 // WithDrainTimeout makes a DataCloud's shutdown graceful: Close (and a
