@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/bits"
 	"testing"
 
 	"repro/internal/cloud"
@@ -79,20 +78,15 @@ var depthBudget = []struct {
 		return 1
 	}},
 	{"EncSelectTop layer", []string{cloud.MethodCompareHidden, cloud.MethodRecover}, func(_, ranked, k int) int {
-		// Passes 0..k rank k+1 items; pass p is a tournament of
-		// ceil(log2(ranked-p)) layers.
-		layers := 0
-		for p := 0; p <= k && p < ranked; p++ {
-			layers += bits.Len(uint(ranked - p - 1))
-		}
-		return layers
+		// Passes 0..k rank k+1 items, scheduled together.
+		return protocols.SelectTopLayers(ranked, k+1)
 	}},
 	{"halting test", []string{cloud.MethodCompare}, func(int, int, int) int { return 1 }},
 }
 
 // TestRoundBudget runs the benchmark's query shape — Qry_F, m=3, k=2 on a
 // rank-correlated relation, which halts at depth 2 — and holds every wire
-// method to depthBudget: 10 rounds at depth 1, 23 at depth 2.
+// method to depthBudget: 10 rounds at depth 1, 19 at depth 2.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
 	const m, k = 3, 2
@@ -145,16 +139,16 @@ func TestRoundBudget(t *testing.T) {
 			t.Errorf("%s: %d rounds, budget %d", method, got, n)
 		}
 	}
-	if got := stats.Rounds(); got != total || total != 33 {
-		t.Fatalf("query took %d rounds, budget %d, want 33\n%s", got, total, stats.Snapshot())
+	if got := stats.Rounds(); got != total || total != 29 {
+		t.Fatalf("query took %d rounds, budget %d, want 29\n%s", got, total, stats.Snapshot())
 	}
 }
 
 // TestRankingLayersScaleWithK confirms the other side of the complexity
 // split at the protocols level: the oblivious top-k selection pays one
-// hidden-comparison round per tournament layer, ceil(log2(|T|-p)) layers
-// for pass p. Measured on a fixed item list so halting behaviour cannot
-// confound the count (which it does inside a full query run).
+// hidden-comparison round per scheduled layer. Measured on a fixed item
+// list so halting behaviour cannot confound the count (which it does
+// inside a full query run).
 func TestRankingLayersScaleWithK(t *testing.T) {
 	r := getRig(t)
 	items := newTestItems(t, r)
@@ -170,12 +164,13 @@ func TestRankingLayersScaleWithK(t *testing.T) {
 		}
 		return stats.Method(cloud.MethodCompareHidden).Calls
 	}
-	// Five items: passes over 5, 4 and 3 positions.
+	// Five items: one pass over 5 positions takes ceil(log2 5) layers;
+	// passes over 5, 4 and 3 positions overlap into 5, not 3+2+2.
 	if l1 := layers(1); l1 != 3 {
 		t.Fatalf("k=1 layers = %d, want 3", l1)
 	}
-	if l3 := layers(3); l3 != 3+2+2 {
-		t.Fatalf("k=3 layers = %d, want 7", l3)
+	if l3 := layers(3); l3 != 5 {
+		t.Fatalf("k=3 layers = %d, want 5", l3)
 	}
 }
 

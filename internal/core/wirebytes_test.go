@@ -51,7 +51,7 @@ func sumIntegerBytes(v reflect.Value) (n int64) {
 // TestWireBytesAreCiphertextBytes runs TestRoundBudget's query — the
 // benchmark's shape: Qry_F, m=3, k=2, halting at depth 2 — through the
 // batcher, as a deployment does, and holds what the link counts to within
-// 3 % of the ciphertext bytes the 33 rounds carry: the paper's measure of
+// 3 % of the ciphertext bytes the 29 rounds carry: the paper's measure of
 // bandwidth (Section 11.2.5) and the one transport.Stats reports.
 func TestWireBytesAreCiphertextBytes(t *testing.T) {
 	r := getRig(t)
@@ -85,8 +85,8 @@ func TestWireBytesAreCiphertextBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Halted || res.Depth != 2 || stats.Rounds() != 33 {
-		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/33", res.Depth, res.Halted, stats.Rounds())
+	if !res.Halted || res.Depth != 2 || stats.Rounds() != 29 {
+		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/29", res.Depth, res.Halted, stats.Rounds())
 	}
 	wire, cts := stats.Bytes(), payload.n.Load()
 	t.Logf("%d bytes on the link for %d bytes of integers: %.2f%% framing", wire, cts, 100*float64(wire-cts)/float64(cts))

@@ -2,7 +2,9 @@ package protocols
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -560,46 +562,102 @@ func TestEncSortEdgeCases(t *testing.T) {
 	}
 }
 
-// TestTournamentLayers checks the selection schedule without any crypto:
-// pass p over positions p..n-1 has n-1-p gates in ceil(log2(n-p)) layers,
-// no position appears twice in a layer, and running the k passes on
-// plaintext keys leaves the top k, in order, at 0..k-1.
-func TestTournamentLayers(t *testing.T) {
+// checkSchedule holds a schedule of n positions to the rules its layers
+// keep whatever the program: every gate is ordered and in range, no
+// position appears twice in a layer, and each position's gates run in the
+// order the program adds them.
+func checkSchedule(t *testing.T, name string, n int, s *schedule) {
+	t.Helper()
+	inLayers, inProgram := map[int][]gate{}, map[int][]gate{}
+	for l, layer := range s.layers {
+		seen := map[int]bool{}
+		for _, g := range layer {
+			if g.i < 0 || g.i >= g.j || g.j >= n {
+				t.Fatalf("%s: layer %d gate %v out of order or range", name, l, g)
+			}
+			if seen[g.i] || seen[g.j] {
+				t.Fatalf("%s: layer %d reuses a position: %v", name, l, layer)
+			}
+			seen[g.i], seen[g.j] = true, true
+			inLayers[g.i] = append(inLayers[g.i], g)
+			inLayers[g.j] = append(inLayers[g.j], g)
+		}
+	}
+	for _, g := range s.program {
+		inProgram[g.i] = append(inProgram[g.i], g)
+		inProgram[g.j] = append(inProgram[g.j], g)
+	}
+	if !reflect.DeepEqual(inLayers, inProgram) {
+		t.Fatalf("%s: the layers run a position's gates out of program order:\nlayers  %v\nprogram %v", name, inLayers, inProgram)
+	}
+}
+
+// runPlain runs a schedule's layers on plaintext keys, smallest first.
+func runPlain(s *schedule, vals []int) {
+	for _, layer := range s.layers {
+		for _, g := range layer {
+			if vals[g.i] > vals[g.j] {
+				vals[g.i], vals[g.j] = vals[g.j], vals[g.i]
+			}
+		}
+	}
+}
+
+// TestSelectSchedule checks the selection schedule without any crypto for
+// n <= 17 and k <= n+1: the schedule rules, Σ_p (n-1-p) gates, the sorted
+// top k at 0..k-1 after a plaintext run, and never more layers than the
+// ceil(log2(n-p)) per pass of running the passes one after another. It
+// pins the layer counts of EncSelectTop's callers.
+func TestSelectSchedule(t *testing.T) {
+	perPass := func(n, k int) (gates, layers int) {
+		for p := 0; p < k && p < n; p++ {
+			gates += n - 1 - p
+			layers += bits.Len(uint(n - p - 1))
+		}
+		return gates, layers
+	}
 	for n := 1; n <= 17; n++ {
 		for k := 0; k <= n+1; k++ {
-			vals, err := prf.RandomPerm(n)
-			if err != nil {
-				t.Fatal(err)
+			name := fmt.Sprintf("n=%d k=%d", n, k)
+			s := selectSchedule(n, k)
+			checkSchedule(t, name, n, s)
+			gates, layers := perPass(n, k)
+			if len(s.program) != gates {
+				t.Fatalf("%s: %d gates, want %d", name, len(s.program), gates)
 			}
-			for p := 0; p < k && p < n; p++ {
-				layers := tournamentLayers(p, n)
-				if want := bits.Len(uint(n - p - 1)); len(layers) != want {
-					t.Fatalf("n=%d pass %d: %d layers, want %d", n, p, len(layers), want)
+			if len(s.layers) > layers {
+				t.Fatalf("%s: %d layers, more than the %d of one pass after another", name, len(s.layers), layers)
+			}
+			for trial := 0; trial < 4; trial++ {
+				vals, err := prf.RandomPerm(n)
+				if err != nil {
+					t.Fatal(err)
 				}
-				gates := 0
-				for _, layer := range layers {
-					seen := map[int]bool{}
-					for _, g := range layer {
-						if g.i < p || g.i >= g.j || g.j >= n {
-							t.Fatalf("n=%d pass %d: gate %v out of order or range", n, p, g)
-						}
-						if seen[g.i] || seen[g.j] {
-							t.Fatalf("n=%d pass %d: layer reuses a position: %v", n, p, layer)
-						}
-						seen[g.i], seen[g.j] = true, true
-						if vals[g.i] > vals[g.j] {
-							vals[g.i], vals[g.j] = vals[g.j], vals[g.i]
-						}
+				runPlain(s, vals)
+				for p := 0; p < k && p < n; p++ {
+					if vals[p] != p {
+						t.Fatalf("%s: position %d holds rank %d: %v", name, p, vals[p], vals)
 					}
-					gates += len(layer)
-				}
-				if gates != n-1-p {
-					t.Fatalf("n=%d pass %d: %d gates, want %d", n, p, gates, n-1-p)
-				}
-				if vals[p] != p {
-					t.Fatalf("n=%d pass %d: position %d holds rank %d: %v", n, p, p, vals[p], vals)
 				}
 			}
+		}
+	}
+	for _, tc := range []struct {
+		caller        string
+		n, k          int
+		before, after int
+	}{
+		{"checkHalt", 6, 3, 8, 6},
+		{"shard.Merge", 4, 2, 4, 3},
+		{"knn.Query", 12, 3, 12, 8},
+		{"join.SecJoin", 5, 3, 7, 5},
+		{"a depth-20 query", 60, 3, 18, 12},
+	} {
+		if _, layers := perPass(tc.n, tc.k); layers != tc.before {
+			t.Errorf("%s (n=%d k=%d): %d layers one pass after another, want %d", tc.caller, tc.n, tc.k, layers, tc.before)
+		}
+		if got := SelectTopLayers(tc.n, tc.k); got != tc.after {
+			t.Errorf("%s (n=%d k=%d): %d layers, want %d", tc.caller, tc.n, tc.k, got, tc.after)
 		}
 	}
 }
@@ -607,7 +665,7 @@ func TestTournamentLayers(t *testing.T) {
 // TestEncSelectTop decrypts the selection's output: the first min(k, n)
 // positions must equal the plaintext sort, the rest must be the leftover
 // multiset, payload columns must travel with their key, and every
-// tournament layer must cost exactly two rounds.
+// scheduled layer must cost exactly two rounds.
 func TestEncSelectTop(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -638,14 +696,8 @@ func TestEncSelectTop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EncSelectTop: %v", err)
 			}
-			k := tc.k
-			if k > n {
-				k = n
-			}
-			var layers int64
-			for p := 0; p < k; p++ {
-				layers += int64(bits.Len(uint(n - p - 1)))
-			}
+			k := min(tc.k, n)
+			layers := int64(len(selectSchedule(n, tc.k).layers))
 			if rounds := e.stats.Rounds() - before; rounds != 2*layers {
 				t.Errorf("%d rounds for %d layers, want %d", rounds, layers, 2*layers)
 			}
@@ -752,35 +804,40 @@ func TestSecFilterOracle(t *testing.T) {
 	}
 }
 
+// TestBatcherLayersProduceValidNetwork checks EncSort's schedule without
+// any crypto: the schedule rules at every n up to 32, Batcher's depth
+// log2(n)·(log2(n)+1)/2 at the powers of two, and, by the 0-1 principle,
+// a sort of every n in 1..17 with no pad position: every 0-1 input ends
+// with its ones at the top.
 func TestBatcherLayersProduceValidNetwork(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16, 32} {
-		layers := batcherLayers(n)
-		// Verify with a 0/1 principle-ish spot check: sorting random
-		// permutations of ints through the comparator network.
-		for trial := 0; trial < 20; trial++ {
-			vals, err := prf.RandomPerm(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, layer := range layers {
-				seen := map[int]bool{}
+	for n := 1; n <= 32; n++ {
+		checkSchedule(t, fmt.Sprintf("n=%d", n), n, sortSchedule(n))
+	}
+	for n, depth := range map[int]int{2: 1, 4: 3, 8: 6, 16: 10, 32: 15} {
+		if got := len(sortSchedule(n).layers); got != depth {
+			t.Errorf("n=%d: %d layers, want %d", n, got, depth)
+		}
+	}
+	for n, want := range map[int][2]int{6: {12, 6}, 9: {28, 9}} {
+		s := sortSchedule(n)
+		if got := [2]int{len(s.program), len(s.layers)}; got != want {
+			t.Errorf("n=%d: %d gates in %d layers, want %d in %d", n, got[0], got[1], want[0], want[1])
+		}
+	}
+	for n := 1; n <= 17; n++ {
+		s := sortSchedule(n)
+		for in := uint32(0); in < 1<<n; in++ {
+			out := in
+			for _, layer := range s.layers {
 				for _, g := range layer {
-					if g.i >= g.j {
-						t.Fatalf("gate %v not ordered", g)
-					}
-					if seen[g.i] || seen[g.j] {
-						t.Fatalf("layer reuses index: %v", layer)
-					}
-					seen[g.i], seen[g.j] = true, true
-					if vals[g.i] > vals[g.j] {
-						vals[g.i], vals[g.j] = vals[g.j], vals[g.i]
+					if out>>g.i&1 == 1 && out>>g.j&1 == 0 {
+						out ^= 1<<g.i | 1<<g.j
 					}
 				}
 			}
-			for i := 1; i < n; i++ {
-				if vals[i-1] > vals[i] {
-					t.Fatalf("n=%d: network failed to sort: %v", n, vals)
-				}
+			ones := bits.OnesCount32(in)
+			if want := uint32(1)<<n - uint32(1)<<(n-ones); out != want {
+				t.Fatalf("n=%d: input %0*b sorted to %0*b", n, n, in, n, out)
 			}
 		}
 	}

@@ -1,15 +1,14 @@
 package protocols
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"repro/internal/cloud"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
-	"repro/internal/parallel"
 )
 
 // EncSort realizes the EncSort building block of [7] ("sorting behind the
@@ -17,16 +16,14 @@ import (
 // items ordered by the designated score column, learning nothing about the
 // order; S2 sees only masked comparator differences.
 //
-// Implementation: a Batcher odd-even merge sorting network whose
-// compare-exchange gates are built from EncCompareHidden (the comparison
-// bit stays encrypted) and the encrypted-selection gadget. Gates within a
-// network layer are independent, so each layer costs two rounds (one
-// comparison batch, one recovery batch) — the parallelism the paper
-// invokes for its O(log^2 m) depth claim (Section 10.3).
-//
-// The list is padded to a power of two with sentinel items that sort last
-// and are stripped before returning. col selects the key column; desc
-// selects descending order; magBits bounds the key magnitudes.
+// Implementation: a Batcher odd-even merge sorting network (sortSchedule)
+// whose compare-exchange gates are built from EncCompareHidden (the
+// comparison bit stays encrypted) and the encrypted-selection gadget. The
+// gates are grouped into layers as soon as their positions are written
+// (see schedule), and each layer costs two rounds (one comparison batch,
+// one recovery batch): O(log^2 m) layers, the depth the paper claims for
+// the network (Section 10.3). col selects the key column; desc selects
+// descending order; magBits bounds the key magnitudes.
 func EncSort(ctx context.Context, c *cloud.Client, items []Item, col int, desc bool, magBits int) ([]Item, error) {
 	n := len(items)
 	if n <= 1 {
@@ -42,68 +39,56 @@ func EncSort(ctx context.Context, c *cloud.Client, items []Item, col int, desc b
 		}
 	}
 
-	// Pad to the next power of two with items whose key sorts last.
-	p2 := 1
-	for p2 < n {
-		p2 <<= 1
-	}
-	work := make([]Item, p2)
-	copy(work, items)
-	if p2 > n {
-		padKey := new(big.Int).Lsh(big.NewInt(1), uint(magBits)+1)
-		if desc {
-			padKey.Neg(padKey)
-		}
-		err := parallel.ForEachCtx(ctx, p2-n, func(i int) error {
-			pad, err := sentinelItem(c.Enc(), items[0], padKey)
-			if err != nil {
-				return err
-			}
-			work[n+i] = *pad
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	layers := batcherLayers(p2)
-	for _, layer := range layers {
+	work := append([]Item(nil), items...)
+	for _, layer := range sortSchedule(n).layers {
 		if err := runGateLayer(ctx, c, work, layer, col, desc, magBits+2); err != nil {
 			return nil, err
 		}
 	}
-	return work[:n], nil
-}
-
-// sentinelItem builds a pad item shaped like the template with the given
-// key value; non-key columns are zero and the id is random.
-func sentinelItem(enc paillier.Encryptor, template Item, key *big.Int) (*Item, error) {
-	params := ehl.Params{Kind: template.EHL.Kind, S: template.EHL.Width(), H: template.EHL.Width()}
-	id, err := ehl.RandomList(enc.Key(), params)
-	if err != nil {
-		return nil, err
-	}
-	out := &Item{EHL: id}
-	for range template.Scores {
-		ct, err := enc.Encrypt(key)
-		if err != nil {
-			return nil, err
-		}
-		out.Scores = append(out.Scores, ct)
-	}
-	return out, nil
+	return work, nil
 }
 
 // gate is one compare-exchange: after execution, position i holds the item
 // that sorts first.
 type gate struct{ i, j int }
 
-// batcherLayers generates the odd-even merge sort network for n a power of
-// two, grouped into layers of independent gates.
-func batcherLayers(n int) [][]gate {
-	var seq []gate
-	var sortRange func(lo, cnt int)
+// schedule groups a gate program into layers as the gates are added: each
+// gate goes in the first layer after the last gate that wrote either of
+// its two positions. A gate reads and writes both its positions, so that
+// is the earliest layer that keeps every position's gates in program
+// order, and no position appears twice in a layer. The layers depend on
+// the program alone, never on a key.
+type schedule struct {
+	program []gate // every gate, in the order added
+	ready   []int  // ready[x] is the first layer after x's last gate
+	layers  [][]gate
+}
+
+func newSchedule(n int) *schedule { return &schedule{ready: make([]int, n)} }
+
+func (s *schedule) add(g gate) {
+	l := max(s.ready[g.i], s.ready[g.j])
+	if l == len(s.layers) {
+		s.layers = append(s.layers, nil)
+	}
+	s.program = append(s.program, g)
+	s.layers[l] = append(s.layers[l], g)
+	s.ready[g.i], s.ready[g.j] = l+1, l+1
+}
+
+// sortSchedule schedules Batcher's odd-even merge sort for n items: the
+// network for the next power of two less every gate that touches a
+// position >= n. Padding those positions with keys that sort after every
+// real key would keep the pads there through every gate, since a gate puts
+// the item that sorts first at its lower position; so none of the dropped
+// gates would swap, and the rest sort any n items.
+func sortSchedule(n int) *schedule {
+	s := newSchedule(n)
+	add := func(i, j int) {
+		if j < n {
+			s.add(gate{i, j})
+		}
+	}
 	var mergeRange func(lo, cnt, step int)
 	mergeRange = func(lo, cnt, step int) {
 		s2 := step * 2
@@ -111,12 +96,13 @@ func batcherLayers(n int) [][]gate {
 			mergeRange(lo, cnt, s2)
 			mergeRange(lo+step, cnt, s2)
 			for i := lo + step; i+step < lo+cnt; i += s2 {
-				seq = append(seq, gate{i, i + step})
+				add(i, i+step)
 			}
 		} else {
-			seq = append(seq, gate{lo, lo + step})
+			add(lo, lo+step)
 		}
 	}
+	var sortRange func(lo, cnt int)
 	sortRange = func(lo, cnt int) {
 		if cnt > 1 {
 			m := cnt / 2
@@ -125,30 +111,12 @@ func batcherLayers(n int) [][]gate {
 			mergeRange(lo, cnt, 1)
 		}
 	}
-	sortRange(0, n)
-
-	// Greedy layering preserving sequential order: a gate joins the
-	// current layer only if neither endpoint is already used in it.
-	var layers [][]gate
-	used := map[int]bool{}
-	var cur []gate
-	flush := func() {
-		if len(cur) > 0 {
-			layers = append(layers, cur)
-			cur = nil
-			used = map[int]bool{}
-		}
+	p2 := 1
+	for p2 < n {
+		p2 <<= 1
 	}
-	for _, g := range seq {
-		if used[g.i] || used[g.j] {
-			flush()
-		}
-		cur = append(cur, g)
-		used[g.i] = true
-		used[g.j] = true
-	}
-	flush()
-	return layers
+	sortRange(0, p2)
+	return s
 }
 
 // slots lists every ciphertext of the item, id digests first.
@@ -221,34 +189,67 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 	return nil
 }
 
-// tournamentLayers returns selection pass p over positions p..n-1 as a
-// single-elimination tournament: layer l holds the independent gates
-// (p + j*2^(l+1), p + j*2^(l+1) + 2^l), a position without a partner gets
-// a bye, and after the last layer position p holds the winner. That is
-// n-1-p gates in ceil(log2(n-p)) layers.
-func tournamentLayers(p, n int) [][]gate {
-	var layers [][]gate
-	for step := 1; p+step < n; step <<= 1 {
-		var layer []gate
-		for i := p; i+step < n; i += 2 * step {
-			layer = append(layer, gate{i, i + step})
+// selectSchedule schedules k selection passes over n positions. Pass p is
+// a single-elimination bracket over the live positions p..n-1: it pairs
+// the two live positions whose last write is earliest (the lower positions
+// on a tie), the gate's winner lands at the lower of the two and stays
+// live, and the other leaves the pass. Position p is the lowest live
+// position, so it is never the one that leaves: it ends holding the pass's
+// winner. That is n-1-p gates per pass, and a pass starts on the positions
+// the previous one has finished with while that one is still running.
+func selectSchedule(n, k int) *schedule {
+	s := newSchedule(n)
+	for p := 0; p < k && p < n; p++ {
+		live := &byReady{ready: s.ready}
+		for x := p; x < n; x++ {
+			live.pos = append(live.pos, x)
 		}
-		layers = append(layers, layer)
+		heap.Init(live)
+		for live.Len() > 1 {
+			a, b := heap.Pop(live).(int), heap.Pop(live).(int)
+			g := gate{min(a, b), max(a, b)}
+			s.add(g)
+			heap.Push(live, g.i)
+		}
 	}
-	return layers
+	return s
 }
+
+// byReady is a heap of positions, earliest last write first, then lowest.
+type byReady struct {
+	pos   []int
+	ready []int
+}
+
+func (h *byReady) Len() int { return len(h.pos) }
+func (h *byReady) Less(a, b int) bool {
+	x, y := h.pos[a], h.pos[b]
+	return h.ready[x] < h.ready[y] || h.ready[x] == h.ready[y] && x < y
+}
+func (h *byReady) Swap(a, b int) { h.pos[a], h.pos[b] = h.pos[b], h.pos[a] }
+func (h *byReady) Push(x any)    { h.pos = append(h.pos, x.(int)) }
+func (h *byReady) Pop() any {
+	x := h.pos[len(h.pos)-1]
+	h.pos = h.pos[:len(h.pos)-1]
+	return x
+}
+
+// SelectTopLayers is the number of gate layers EncSelectTop runs to put
+// the top k of n items first. Each layer costs two rounds: one
+// CompareHidden batch and one Recover batch.
+func SelectTopLayers(n, k int) int { return len(selectSchedule(n, k).layers) }
 
 // EncSelectTop partially orders items so positions 0..k-1 hold the top k
 // by the key column (descending when desc, which is the engine's use:
 // largest worst scores first). It runs k selection passes; pass p is a
-// tournament over positions p..n-1 that leaves the best remaining item at
-// p (see tournamentLayers). The gate count is O(k*l), cheaper than a full
-// sort for the small k of a top-k query, and the gates of one tournament
-// layer do not depend on each other, so they share one comparison batch
-// and one recovery batch as Section 10.3 argues for EncSort's network
-// layers: 2*ceil(log2(n-p)) rounds per pass, not 2*(n-1-p). Equal keys
-// keep the lower position. The remaining positions hold the leftovers in
-// arbitrary order.
+// bracket over positions p..n-1 that leaves the best remaining item at p
+// (see selectSchedule). The gate count is O(k*l), cheaper than a full sort
+// for the small k of a top-k query, and gates that touch no common
+// position share one comparison batch and one recovery batch, as Section
+// 10.3 argues for EncSort's network layers, whichever pass they belong
+// to. The schedule is a function of n and k alone. Equal keys keep the
+// lower position. The remaining positions hold the leftovers in arbitrary
+// order.
 func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, desc bool, k, magBits int) ([]Item, error) {
 	n := len(items)
 	if n == 0 {
@@ -261,16 +262,10 @@ func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, d
 	if k < 0 {
 		return nil, errors.New("protocols: negative k")
 	}
-	work := make([]Item, n)
-	copy(work, items)
-	if k > n {
-		k = n
-	}
-	for p := 0; p < k; p++ {
-		for _, layer := range tournamentLayers(p, n) {
-			if err := runGateLayer(ctx, c, work, layer, col, desc, magBits+2); err != nil {
-				return nil, err
-			}
+	work := append([]Item(nil), items...)
+	for _, layer := range selectSchedule(n, k).layers {
+		if err := runGateLayer(ctx, c, work, layer, col, desc, magBits+2); err != nil {
+			return nil, err
 		}
 	}
 	return work, nil
