@@ -183,24 +183,17 @@ func parseTenantLimits(s string) (map[string]sectopk.Rate, error) {
 	return out, nil
 }
 
-// parseQueryOpts maps the shared -mode / -strict flags to query options.
-func parseQueryOpts(mode string, strict bool) (sectopk.Mode, sectopk.Halting, error) {
-	var qmode sectopk.Mode
+// parseMode maps the shared -mode flag to a query mode.
+func parseMode(mode string) (sectopk.Mode, error) {
 	switch mode {
 	case "f":
-		qmode = sectopk.ModeFull
+		return sectopk.ModeFull, nil
 	case "e":
-		qmode = sectopk.ModeEliminate
+		return sectopk.ModeEliminate, nil
 	case "ba":
-		qmode = sectopk.ModeBatched
-	default:
-		return 0, 0, fmt.Errorf("unknown mode %q", mode)
+		return sectopk.ModeBatched, nil
 	}
-	halt := sectopk.HaltingPaper
-	if strict {
-		halt = sectopk.HaltingStrict
-	}
-	return qmode, halt, nil
+	return 0, fmt.Errorf("unknown mode %q", mode)
 }
 
 // splitList splits a comma-separated flag value, dropping empties.

@@ -49,7 +49,6 @@ func runQuery(ctx context.Context, args []string) error {
 	workload := fs.String("workload", "topk", "workload: topk|join|knn")
 	relation := fs.String("relation", "", "relation ID (defaults to \"default\" for topk, the workload name otherwise)")
 	mode := fs.String("mode", "e", "query mode: f|e|ba (topk only)")
-	strict := fs.Bool("strict", true, "use strict NRA halting (topk only)")
 	tenant := fs.String("tenant", "", "tenant to identify as in the Hello (QoS admission bucket; empty = default tenant)")
 	wait := fs.Duration("wait", 15*time.Second, "how long to retry dialing the server")
 	if err := fs.Parse(args); err != nil {
@@ -71,11 +70,11 @@ func runQuery(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		qmode, halt, err := parseQueryOpts(*mode, *strict)
+		qmode, err := parseMode(*mode)
 		if err != nil {
 			return err
 		}
-		req = sectopk.TopKRequest(rel, tk, sectopk.WithMode(qmode), sectopk.WithHalting(halt))
+		req = sectopk.TopKRequest(rel, tk, sectopk.WithMode(qmode))
 		out = resultFile
 	case "join":
 		tk, err := sectopk.LoadJoinToken(filepath.Join(*dir, joinTokenFile))

@@ -73,10 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("token: %v", err)
 	}
-	ans, err := dc.Execute(ctx, sectopk.TopKRequest("patients", tk,
-		sectopk.WithMode(sectopk.ModeFull),
-		sectopk.WithHalting(sectopk.HaltingStrict),
-	))
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("patients", tk, sectopk.WithMode(sectopk.ModeFull)))
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}

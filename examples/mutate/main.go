@@ -129,7 +129,7 @@ func main() {
 			log.Fatalf("token: %v", err)
 		}
 		ans, err := dc.Execute(ctx, sectopk.TopKRequest("live", tk,
-			sectopk.WithEpoch(mr.Epoch()), sectopk.WithHalting(sectopk.HaltingStrict)))
+			sectopk.WithEpoch(mr.Epoch())))
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}

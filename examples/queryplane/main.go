@@ -109,7 +109,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("token: %v", err)
 	}
-	ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+	ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", tk))
 	if err != nil {
 		log.Fatalf("topk query: %v", err)
 	}

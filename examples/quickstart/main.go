@@ -74,10 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("token: %v", err)
 	}
-	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk,
-		sectopk.WithMode(sectopk.ModeEliminate),
-		sectopk.WithHalting(sectopk.HaltingStrict),
-	))
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk, sectopk.WithMode(sectopk.ModeEliminate)))
 	if err != nil {
 		log.Fatalf("query: %v", err)
 	}

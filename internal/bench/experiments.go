@@ -186,7 +186,7 @@ func queryFigure(r *Rig, id, title string, opts core.Options, ks []int, fixedM i
 // testbed.
 func Fig9(r *Rig) ([]*Report, error) {
 	return queryFigure(r, "fig9", "Qry_F",
-		core.Options{Mode: core.QryF, Halt: core.HaltPaper},
+		core.Options{Mode: core.QryF},
 		[]int{2, 4, 6, 8}, 3, []int{2, 3, 4}, 3)
 }
 
@@ -194,7 +194,7 @@ func Fig9(r *Rig) ([]*Report, error) {
 // Qry_F in the paper.
 func Fig10(r *Rig) ([]*Report, error) {
 	return queryFigure(r, "fig10", "Qry_E",
-		core.Options{Mode: core.QryE, Halt: core.HaltPaper},
+		core.Options{Mode: core.QryE},
 		[]int{2, 4, 6, 8}, 3, []int{2, 3, 4}, 3)
 }
 
@@ -202,7 +202,7 @@ func Fig10(r *Rig) ([]*Report, error) {
 // batching-parameter sweep of Figure 11c.
 func Fig11(r *Rig) ([]*Report, error) {
 	reports, err := queryFigure(r, "fig11", "Qry_Ba",
-		core.Options{Mode: core.QryBa, Halt: core.HaltPaper, BatchDepth: 4},
+		core.Options{Mode: core.QryBa, BatchDepth: 4},
 		[]int{2, 4, 6, 8}, 3, []int{2, 3, 4}, 3)
 	if err != nil {
 		return nil, err
@@ -220,7 +220,7 @@ func Fig11(r *Rig) ([]*Report, error) {
 		row := []string{spec.Name}
 		for _, p := range []int{3, 4, 6, 8} {
 			m, err := r.timeQuery(er, firstAttrs(3), 3,
-				core.Options{Mode: core.QryBa, Halt: core.HaltPaper, BatchDepth: p, MaxDepth: 2 * p})
+				core.Options{Mode: core.QryBa, BatchDepth: p, MaxDepth: 2 * p})
 			if err != nil {
 				return nil, err
 			}
@@ -248,9 +248,9 @@ func Fig12(r *Rig) ([]*Report, error) {
 		}
 		row := []string{spec.Name}
 		for _, opts := range []core.Options{
-			{Mode: core.QryF, Halt: core.HaltPaper},
-			{Mode: core.QryE, Halt: core.HaltPaper},
-			{Mode: core.QryBa, Halt: core.HaltPaper, BatchDepth: 6},
+			{Mode: core.QryF},
+			{Mode: core.QryE},
+			{Mode: core.QryBa, BatchDepth: 6},
 		} {
 			m, err := r.timeQuery(er, firstAttrs(3), 3, opts)
 			if err != nil {
@@ -287,7 +287,7 @@ func Table3(r *Rig) ([]*Report, error) {
 		}
 		// timeQuery resets the counters, so the link model sees exactly
 		// one query's traffic.
-		m, err := r.timeQuery(er, firstAttrs(4), k, core.Options{Mode: core.QryF, Halt: core.HaltPaper})
+		m, err := r.timeQuery(er, firstAttrs(4), k, core.Options{Mode: core.QryF})
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +314,7 @@ func Fig13(r *Rig) ([]*Report, error) {
 		Header: []string{"m", "bytes/depth"},
 	}
 	for _, m := range []int{2, 3, 4, 5, 6} {
-		meas, err := r.timeQuery(er, firstAttrs(m), 3, core.Options{Mode: core.QryF, Halt: core.HaltPaper})
+		meas, err := r.timeQuery(er, firstAttrs(m), 3, core.Options{Mode: core.QryF})
 		if err != nil {
 			return nil, err
 		}
@@ -327,7 +327,7 @@ func Fig13(r *Rig) ([]*Report, error) {
 		Header: []string{"k", "total bytes", "depths"},
 	}
 	for _, k := range []int{2, 4, 6, 8} {
-		meas, err := r.timeQuery(er, firstAttrs(4), k, core.Options{Mode: core.QryF, Halt: core.HaltPaper})
+		meas, err := r.timeQuery(er, firstAttrs(4), k, core.Options{Mode: core.QryF})
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +378,7 @@ func KNNCompare(r *Rig) ([]*Report, error) {
 		}
 		r.Stats.Reset()
 		start := time.Now()
-		meas, err := r.timeQuery(er, firstAttrs(3), k, core.Options{Mode: core.QryE, Halt: core.HaltPaper, MaxDepth: er.N})
+		meas, err := r.timeQuery(er, firstAttrs(3), k, core.Options{Mode: core.QryE, MaxDepth: er.N})
 		if err != nil {
 			return nil, err
 		}
@@ -492,8 +492,9 @@ func Fig14(r *Rig) ([]*Report, error) {
 	return []*Report{rep}, nil
 }
 
-// Ablations runs the design-choice studies DESIGN.md commits to: halting
-// policy, ranking strategy, and EHL structure inside the full query.
+// Ablations runs the design-choice studies DESIGN.md commits to: ranking
+// strategy and EHL structure inside the full query. The ids keep their
+// numbers: abl1 was the study of the deleted relaxed halting test.
 func Ablations(r *Rig) ([]*Report, error) {
 	spec := dataset.Synthetic().WithN(48).WithM(3)
 	spec.Correlation = 0.85
@@ -505,24 +506,6 @@ func Ablations(r *Rig) ([]*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	halt := &Report{
-		ID:     "abl1",
-		Title:  "Ablation: halting policy (Qry_E, k=3, m=3, run to halt)",
-		Header: []string{"policy", "halting depth", "total time"},
-	}
-	for _, row := range []struct {
-		name string
-		h    core.HaltPolicy
-	}{{"paper", core.HaltPaper}, {"strict", core.HaltStrict}} {
-		m, err := r.timeQuery(er, firstAttrs(3), 3, core.Options{Mode: core.QryE, Halt: row.h, MaxDepth: er.N})
-		if err != nil {
-			return nil, err
-		}
-		halt.Rows = append(halt.Rows, []string{row.name, fmt.Sprint(m.depth), fmtDur(m.elapsed)})
-	}
-	halt.Notes = append(halt.Notes,
-		"strict halting restores NRA's guarantee at the cost of extra comparisons and (possibly) later halting")
-
 	sortRep := &Report{
 		ID:     "abl2",
 		Title:  "Ablation: ranking strategy (Qry_E, k=3, m=3, capped depth)",
@@ -532,7 +515,7 @@ func Ablations(r *Rig) ([]*Report, error) {
 		name string
 		s    core.SortStrategy
 	}{{"top-k selection", core.SortTopK}, {"full EncSort [7]", core.SortFull}} {
-		m, err := r.timeQuery(er, firstAttrs(3), 3, core.Options{Mode: core.QryE, Halt: core.HaltPaper, Sort: row.s})
+		m, err := r.timeQuery(er, firstAttrs(3), 3, core.Options{Mode: core.QryE, Sort: row.s})
 		if err != nil {
 			return nil, err
 		}
@@ -570,7 +553,7 @@ func Ablations(r *Rig) ([]*Report, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltPaper, MaxDepth: r.Cfg.MaxDepth})
+		res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, MaxDepth: r.Cfg.MaxDepth})
 		if err != nil {
 			return nil, err
 		}
@@ -578,7 +561,7 @@ func Ablations(r *Rig) ([]*Report, error) {
 		ehlRep.Rows = append(ehlRep.Rows, []string{row.name, fmtDur(perDepth), fmtBytes(er2.ByteSize(r.Scheme.PublicKey()))})
 	}
 	ehlRep.Notes = append(ehlRep.Notes, "EHL+ wins on both query time (s vs H ciphertext ops per ⊖) and storage")
-	return []*Report{halt, sortRep, ehlRep}, nil
+	return []*Report{sortRep, ehlRep}, nil
 }
 
 // Registry maps experiment ids to runners.

@@ -228,8 +228,8 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []core.Options{
-		{Mode: core.QryE, Halt: core.HaltPaper},
-		{Mode: core.QryE, Halt: core.HaltPaper, MaxDepth: 1}, // forces the rescan fallback
+		{Mode: core.QryE},
+		{Mode: core.QryE, MaxDepth: 1}, // forces the rescan fallback
 	} {
 		ctx := context.Background()
 		want, err := single.SecQuery(ctx, tk, opts)
@@ -280,7 +280,7 @@ func TestCoordinatorEpochPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = coord.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltPaper})
+	_, err = coord.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
 	if !errors.Is(err, secerr.ErrRelationStale) {
 		t.Fatalf("mixed-epoch query: err = %v (code %q), want relation_stale", err, secerr.CodeOf(err))
 	}
@@ -311,7 +311,6 @@ func TestCandidatesRefusesBadOptions(t *testing.T) {
 	}
 	for name, opts := range map[string]core.Options{
 		"mode 7":             {Mode: 7},
-		"halt 9":             {Halt: 9},
 		"sort 5":             {Sort: 5},
 		"max depth -3":       {MaxDepth: -3},
 		"batch depth -1":     {BatchDepth: -1},

@@ -24,8 +24,9 @@ const (
 	// ProtocolVersion is the cluster wire version; both sides of a Hello
 	// must carry exactly this value. v2: CandidatesRequest carries
 	// core.Options itself. v3: every frame is its own internal/wire
-	// message (the layout is the comment on its MarshalBinary).
-	ProtocolVersion = 3
+	// message (the layout is the comment on its MarshalBinary). v4: the
+	// options lost Halt (strict NRA halting is the only test).
+	ProtocolVersion = 4
 
 	// MethodHello checks versions and announces the member's
 	// inventory: which shard subsets and whole-relation routes it hosts.
@@ -163,7 +164,7 @@ type CandidatesRequest struct {
 }
 
 // MarshalBinary: string(Relation) bytes(Token), the options as signed
-// Mode, Halt, Sort, BatchDepth, MaxDepth, then uvarint(ExactScan)
+// Mode, Sort, BatchDepth, MaxDepth, then uvarint(ExactScan)
 // string(QueryID), then uvarint(Epoch). The options go as the peer set
 // them; the member's Options.Validate refuses what no engine path defines.
 func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
@@ -171,7 +172,7 @@ func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
 	w.String(m.Relation)
 	w.Bytes(m.Token)
 	o := m.Options
-	for _, v := range []int{int(o.Mode), int(o.Halt), int(o.Sort), o.BatchDepth, o.MaxDepth} {
+	for _, v := range []int{int(o.Mode), int(o.Sort), o.BatchDepth, o.MaxDepth} {
 		w.Varint(int64(v))
 	}
 	w.Bool(o.ExactScan)
@@ -184,7 +185,7 @@ func (m *CandidatesRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
 	m.Relation, m.Token = r.String("Relation"), r.Bytes("Token")
 	o := &m.Options
-	o.Mode, o.Halt, o.Sort = core.Mode(r.Varint()), core.HaltPolicy(r.Varint()), core.SortStrategy(r.Varint())
+	o.Mode, o.Sort = core.Mode(r.Varint()), core.SortStrategy(r.Varint())
 	o.BatchDepth, o.MaxDepth = int(r.Varint()), int(r.Varint())
 	o.ExactScan, o.QueryID = r.Bool("ExactScan"), r.String("QueryID")
 	m.Epoch = r.Uvarint()

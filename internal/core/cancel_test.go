@@ -55,7 +55,7 @@ func TestSecQueryCancellation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := engine.SecQuery(ctx, tk, Options{Mode: QryE, Halt: HaltStrict})
+				res, err := engine.SecQuery(ctx, tk, Options{Mode: QryE})
 				if err == nil {
 					t.Fatalf("expected cancellation, got result depth=%d", res.Depth)
 				}

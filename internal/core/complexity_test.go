@@ -36,14 +36,15 @@ func TestRoundComplexityPerDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper, MaxDepth: maxDepth}); err != nil {
+		if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: maxDepth}); err != nil {
 			t.Fatal(err)
 		}
 		// Pipeline methods only (ranking uses Compare/CompareHidden and
 		// its own Recover calls, which scale with k and |T|).
 		return stats.Method(cloud.MethodEqBits).Calls + stats.Method(cloud.MethodDedup).Calls
 	}
-	// The Figure 3 query halts at depth 3, so measure strictly below it.
+	// The Figure 3 query halts at depth fig3Depth, so measure strictly
+	// below it.
 	r2 := pipelineRounds(2)
 	r3 := pipelineRounds(3)
 	// Steady state per depth: EqBits for SecWorstBest (1) + SecUpdate (1),

@@ -66,6 +66,14 @@ func figure3() *dataset.Relation {
 	}
 }
 
+// fig3Depth is where the engine halts the Figure 3 top-2 query in Qry_F
+// and Qry_E. Exact NRA (nra.Run) halts at depth 3, Figure 3c. The engine's
+// stored best bounds refresh only at depths where their object appears
+// (SecBest): X4, seen at depth 1 in R3 only, still carries 8+10+8 = 26 at
+// depth 3, where its exact bound is 8+5+3 = 16 <= W_2 = 16. X4 reappears
+// at depth 4, and there every bound is dominated.
+const fig3Depth = 4
+
 func encryptFig3(t *testing.T, r *testRig) *EncryptedRelation {
 	t.Helper()
 	er, err := r.scheme.EncryptRelation(figure3())
@@ -103,12 +111,19 @@ func runQuery(t *testing.T, r *testRig, er *EncryptedRelation, attrs []int, weig
 func TestPaperExampleQryF(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
-	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryF, Halt: HaltPaper})
+	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryF})
 	if !res.Halted {
 		t.Fatal("query should have halted")
 	}
-	if res.Depth != 3 {
-		t.Fatalf("halting depth = %d, want 3 (Figure 3c)", res.Depth)
+	lists, err := nra.SortedLists(figure3(), []int{0, 1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, exact, err := nra.Run(lists, 2); err != nil || exact != 3 {
+		t.Fatalf("nra.Run depth = %d (%v), want 3 (Figure 3c)", exact, err)
+	}
+	if res.Depth != fig3Depth {
+		t.Fatalf("halting depth = %d, want %d (exact NRA's 3 plus X4's stale bound)", res.Depth, fig3Depth)
 	}
 	if len(revealed) != 2 {
 		t.Fatalf("got %d results", len(revealed))
@@ -125,9 +140,9 @@ func TestPaperExampleQryF(t *testing.T) {
 func TestPaperExampleQryE(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
-	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE, Halt: HaltPaper})
-	if !res.Halted || res.Depth != 3 {
-		t.Fatalf("QryE: depth=%d halted=%v, want 3/true", res.Depth, res.Halted)
+	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE})
+	if !res.Halted || res.Depth != fig3Depth {
+		t.Fatalf("QryE: depth=%d halted=%v, want %d/true", res.Depth, res.Halted, fig3Depth)
 	}
 	if revealed[0].Obj != 2 || revealed[1].Obj != 1 {
 		t.Fatalf("QryE top-2 = %+v", revealed)
@@ -138,7 +153,7 @@ func TestPaperExampleQryBa(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
 	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2,
-		Options{Mode: QryBa, Halt: HaltPaper, BatchDepth: 2})
+		Options{Mode: QryBa, BatchDepth: 2})
 	if !res.Halted {
 		t.Fatal("QryBa should halt")
 	}
@@ -154,8 +169,8 @@ func TestPaperExampleWithFullSort(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
 	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2,
-		Options{Mode: QryF, Halt: HaltPaper, Sort: SortFull})
-	if res.Depth != 3 || revealed[0].Obj != 2 || revealed[1].Obj != 1 {
+		Options{Mode: QryF, Sort: SortFull})
+	if res.Depth != fig3Depth || revealed[0].Obj != 2 || revealed[1].Obj != 1 {
 		t.Fatalf("full-sort run: depth=%d revealed=%+v", res.Depth, revealed)
 	}
 }
@@ -185,7 +200,7 @@ func TestStrictHaltingMatchesGroundTruthAcrossModes(t *testing.T) {
 		wantScores[i] = w.Worst
 	}
 	for _, mode := range []Mode{QryF, QryE, QryBa} {
-		opts := Options{Mode: mode, Halt: HaltStrict}
+		opts := Options{Mode: mode}
 		if mode == QryBa {
 			opts.BatchDepth = 4
 		}
@@ -220,7 +235,7 @@ func TestWeightedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, revealed := runQuery(t, r, er, attrs, weights, 1, Options{Mode: QryE, Halt: HaltStrict})
+	_, revealed := runQuery(t, r, er, attrs, weights, 1, Options{Mode: QryE})
 	if revealed[0].Obj != want[0].Obj {
 		t.Fatalf("weighted top-1 = %+v, want obj %d", revealed[0], want[0].Obj)
 	}
@@ -238,7 +253,7 @@ func TestSubsetOfAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, revealed := runQuery(t, r, er, attrs, nil, 2, Options{Mode: QryE, Halt: HaltStrict})
+	_, revealed := runQuery(t, r, er, attrs, nil, 2, Options{Mode: QryE})
 	gotObjs := []int{revealed[0].Obj, revealed[1].Obj}
 	sort.Ints(gotObjs)
 	wantObjs := []int{want[0].Obj, want[1].Obj}
@@ -259,7 +274,7 @@ func TestMaxDepthCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltStrict, MaxDepth: 1})
+	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +291,13 @@ func TestK1AndKn(t *testing.T) {
 	er := encryptFig3(t, r)
 	rel := figure3()
 	attrs := []int{0, 1, 2}
-	_, revealed := runQuery(t, r, er, attrs, nil, 1, Options{Mode: QryE, Halt: HaltStrict})
+	_, revealed := runQuery(t, r, er, attrs, nil, 1, Options{Mode: QryE})
 	want, _ := nra.TopKExact(rel, attrs, nil, 1)
 	if revealed[0].Obj != want[0].Obj || revealed[0].Worst != want[0].Worst {
 		t.Fatalf("k=1: %+v, want %+v", revealed[0], want[0])
 	}
 	// k = n forces a full scan; results must be the complete ranking.
-	res, revealedAll := runQuery(t, r, er, attrs, nil, 5, Options{Mode: QryE, Halt: HaltStrict})
+	res, revealedAll := runQuery(t, r, er, attrs, nil, 5, Options{Mode: QryE})
 	if len(revealedAll) != 5 {
 		t.Fatalf("k=n returned %d items", len(revealedAll))
 	}
@@ -301,7 +316,7 @@ func TestLeakageProfile(t *testing.T) {
 	er := encryptFig3(t, r)
 	r.s1led.Reset()
 	r.s2led.Reset()
-	_, _ = runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE, Halt: HaltPaper})
+	_, _ = runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE})
 
 	// S1's view: query pattern + halting depth (+ uniqueness pattern in
 	// Qry_E).
@@ -327,14 +342,14 @@ func TestLeakageProfile(t *testing.T) {
 	}
 	// Query pattern detection: repeat the query and check the counter.
 	r.s1led.Reset()
-	_, _ = runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE, Halt: HaltPaper})
+	_, _ = runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE})
 	// The runQuery helper builds a fresh engine, so instead check directly:
 	engine, _ := NewEngine(r.client, er)
 	tk, _ := r.scheme.Token(er, []int{0, 1, 2}, nil, 2)
-	if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper, MaxDepth: 1}); err != nil {
+	if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper, MaxDepth: 1}); err != nil {
+	if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var sawRepeat bool
@@ -363,7 +378,7 @@ func TestQueryPatternIdempotencyKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.s1led.Reset()
-	opts := Options{Mode: QryE, Halt: HaltPaper, MaxDepth: 1, QueryID: "q-1"}
+	opts := Options{Mode: QryE, MaxDepth: 1, QueryID: "q-1"}
 	for i := 0; i < 2; i++ { // same QueryID twice: one retry
 		if _, err := engine.SecQuery(context.Background(), tk, opts); err != nil {
 			t.Fatal(err)

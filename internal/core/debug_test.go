@@ -29,11 +29,11 @@ func TestDebugQryEFlake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Depth == 3 {
+		if res.Depth == fig3Depth {
 			continue
 		}
 		t.Logf("trial %d: depth=%d halted=%v", trial, res.Depth, res.Halted)

@@ -44,19 +44,6 @@ func (m Mode) String() string {
 	}
 }
 
-// HaltPolicy selects the halting test.
-type HaltPolicy int
-
-const (
-	// HaltPaper is Algorithm 3 line 10 verbatim: compare the k-th worst
-	// against the (k+1)-th item's best. A relaxation of NRA's condition
-	// (see DESIGN.md errata).
-	HaltPaper HaltPolicy = iota
-	// HaltStrict restores NRA's guarantee: every tracked non-top-k bound
-	// and the unseen-object bound must be dominated.
-	HaltStrict
-)
-
 // SortStrategy selects how the worst-score ranking is maintained.
 type SortStrategy int
 
@@ -72,7 +59,6 @@ const (
 // Options configures one SecQuery execution.
 type Options struct {
 	Mode Mode
-	Halt HaltPolicy
 	Sort SortStrategy
 	// BatchDepth is the batching parameter p (Qry_Ba only); the paper
 	// requires p >= k. Zero picks max(2k, 8).
@@ -94,7 +80,7 @@ type Options struct {
 }
 
 // Validate refuses option values no engine path defines — an unknown
-// mode, halting test or sort, a negative depth, a Qry_Ba batch depth
+// mode or sort, a negative depth, a Qry_Ba batch depth
 // below k (Section 10.2) — typed bad_request: peers on the client and
 // the cluster wire send these as bare integers, and unchecked a stray
 // mode would run (and be ledgered) as Qry_F.
@@ -102,8 +88,6 @@ func (o Options) Validate(k int) error {
 	switch {
 	case o.Mode < QryF || o.Mode > QryBa:
 		return secerr.New(secerr.CodeBadRequest, "core: unknown query mode %d", int(o.Mode))
-	case o.Halt < HaltPaper || o.Halt > HaltStrict:
-		return secerr.New(secerr.CodeBadRequest, "core: unknown halting policy %d", int(o.Halt))
 	case o.Sort < SortTopK || o.Sort > SortFull:
 		return secerr.New(secerr.CodeBadRequest, "core: unknown sort strategy %d", int(o.Sort))
 	case o.BatchDepth < 0 || o.MaxDepth < 0:
@@ -536,7 +520,12 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 	}
 }
 
-// checkHalt ranks T by worst score and evaluates the halting condition.
+// checkHalt ranks T by worst score and evaluates NRA's halting condition:
+// W_k must dominate every tracked non-top-k bound and the unseen-object
+// bound (the sum of the current bottoms). Algorithm 3 line 10 checks only
+// the (k+1)-th item's bound, which can halt on a wrong top-k (DESIGN.md
+// errata). All the comparisons go to S2 as one batch, and S1 learns each
+// outcome: one dominance bit per bound, recorded on the ledger.
 // When best is nil, stored best-bound columns (ColBest) are used (Qry_F /
 // Qry_E); otherwise best computes bounds on demand (Qry_Ba).
 func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits int, opts Options, bottoms []*paillier.Ciphertext, best bestFunc) (bool, []protocols.Item, error) {
@@ -550,15 +539,7 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 	if err != nil {
 		return false, nil, err
 	}
-	wk := ranked[k-1].Scores[protocols.ColWorst]
-	pk := e.client.PK()
-
-	var tail []protocols.Item
-	if opts.Halt == HaltPaper {
-		tail = ranked[k : k+1]
-	} else {
-		tail = ranked[k:]
-	}
+	tail := ranked[k:]
 	var bounds []*paillier.Ciphertext
 	if best != nil {
 		if bounds, err = best(ctx, tail); err != nil {
@@ -569,27 +550,16 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 			bounds = append(bounds, it.Scores[protocols.ColBest])
 		}
 	}
-	if opts.Halt == HaltPaper {
-		// Faithful Algorithm 3 line 10: f = EncCompare(W_k, B_{k+1});
-		// halt iff f = 0, i.e. W_k > B_{k+1}.
-		f, err := protocols.EncCompare(ctx, e.client, wk, bounds[0], magBits)
-		if err != nil {
-			return false, nil, err
-		}
-		return !f, ranked, nil
-	}
-	// Strict NRA halting: every tracked non-top-k bound plus the
-	// unseen-object bound (sum of the current bottoms) must be dominated
-	// by W_k.
 	zero, err := e.client.Enc().EncryptZero()
 	if err != nil {
 		return false, nil, err
 	}
-	sum, err := pk.AddAll(append([]*paillier.Ciphertext{zero}, bottoms...))
+	sum, err := e.client.PK().AddAll(append([]*paillier.Ciphertext{zero}, bottoms...))
 	if err != nil {
 		return false, nil, err
 	}
 	bounds = append(bounds, sum)
+	wk := ranked[k-1].Scores[protocols.ColWorst]
 	wks := make([]*paillier.Ciphertext, len(bounds))
 	for i := range wks {
 		wks[i] = wk
@@ -598,6 +568,7 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 	if err != nil {
 		return false, nil, err
 	}
+	e.client.Ledger().Record("S1", "Query", "halting check: %d dominance bits", len(fs))
 	for _, f := range fs {
 		if !f {
 			return false, ranked, nil

@@ -49,7 +49,7 @@ func TestTransportFailureSurfacesAsError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
 		if err == nil {
 			t.Fatalf("failFrom=%d: expected error, got result depth=%d", failFrom, res.Depth)
 		}
@@ -86,7 +86,7 @@ func TestCorruptedCiphertextRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper}); err == nil {
+	if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE}); err == nil {
 		t.Fatal("expected error for corrupted ciphertext")
 	}
 }
@@ -114,7 +114,7 @@ func TestWrongKeyRelationFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper, MaxDepth: 2})
+	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: 2})
 	if err != nil {
 		return // clean failure is acceptable
 	}

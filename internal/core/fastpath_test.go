@@ -89,7 +89,7 @@ func TestSecQueryFastPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode, Halt: HaltStrict})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode})
 		if err != nil {
 			t.Fatalf("SecQuery(%v): %v", mode, err)
 		}
@@ -155,7 +155,7 @@ func TestFastNonceSchemeEncryption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltStrict})
+	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
 	if err != nil {
 		t.Fatalf("SecQuery: %v", err)
 	}

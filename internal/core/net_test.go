@@ -40,12 +40,12 @@ func TestSecQueryOverNetworkTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltPaper})
+	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
 	if err != nil {
 		t.Fatalf("SecQuery over network: %v", err)
 	}
-	if res.Depth != 3 || !res.Halted {
-		t.Fatalf("network run: depth=%d halted=%v, want 3/true", res.Depth, res.Halted)
+	if res.Depth != fig3Depth || !res.Halted {
+		t.Fatalf("network run: depth=%d halted=%v, want %d/true", res.Depth, res.Halted, fig3Depth)
 	}
 	rev, err := r.scheme.NewRevealer(er.N)
 	if err != nil {

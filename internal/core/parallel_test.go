@@ -55,7 +55,7 @@ func TestSecQuerySerialParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode, Halt: HaltStrict})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: mode})
 		if err != nil {
 			t.Fatalf("SecQuery(%v, GOMAXPROCS=%d): %v", mode, procs, err)
 		}

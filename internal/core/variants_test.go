@@ -41,7 +41,7 @@ func TestClassicEHLEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltStrict})
+	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
 	if err != nil {
 		t.Fatalf("SecQuery: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestRandomRelationsAcrossSeeds(t *testing.T) {
 		}
 		attrs := []int{0, 1, 2}
 		const k = 3
-		_, revealed := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryE, Halt: HaltStrict})
+		_, revealed := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryE})
 		want, err := nra.TopKExact(rel, attrs, nil, k)
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +118,8 @@ func TestQryBaMatchesQryEOnSameData(t *testing.T) {
 	}
 	attrs := []int{0, 1, 2}
 	const k = 3
-	_, revealedE := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryE, Halt: HaltStrict})
-	_, revealedBa := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryBa, Halt: HaltStrict, BatchDepth: 3})
+	_, revealedE := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryE})
+	_, revealedBa := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryBa, BatchDepth: 3})
 	scoresOf := func(rev []RevealedResult) []int64 {
 		out := make([]int64, len(rev))
 		for i, g := range rev {
@@ -158,7 +158,7 @@ func TestRepeatedQueriesAreStable(t *testing.T) {
 	}
 	var prev []RevealedResult
 	for i := 0; i < 3; i++ {
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, Halt: HaltStrict})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestBandwidthIndependentOfK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryF, Halt: HaltPaper, MaxDepth: 2})
+		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryF, MaxDepth: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,12 +70,10 @@ type Result struct {
 
 // objState tracks one seen object during a run.
 type objState struct {
-	obj      int
-	seen     []bool
-	scores   []int64
-	worst    int64
-	staleB   int64 // best bound as of the last depth the object appeared
-	lastSeen int
+	obj    int
+	seen   []bool
+	scores []int64
+	worst  int64
 }
 
 // bestAt returns the exact NRA upper bound given current bottom values.
@@ -95,19 +93,6 @@ func (o *objState) bestAt(bottoms []int64) int64 {
 // beat the current top-k's k-th lower bound. Returns the top-k and the
 // halting depth (1-based count of scanned depths).
 func Run(lists [][]Item, k int) ([]Result, int, error) {
-	return run(lists, k, false)
-}
-
-// RunPaperVariant mirrors the encrypted engine's bookkeeping instead:
-// upper bounds are refreshed only at depths where the object reappears
-// (SecBest semantics), and the halting test compares only the k-th worst
-// against the (k+1)-th item's stale bound in the worst-score ordering
-// (Algorithm 3 lines 9-12).
-func RunPaperVariant(lists [][]Item, k int) ([]Result, int, error) {
-	return run(lists, k, true)
-}
-
-func run(lists [][]Item, k int, paperVariant bool) ([]Result, int, error) {
 	if len(lists) == 0 {
 		return nil, 0, errors.New("nra: no lists")
 	}
@@ -132,18 +117,13 @@ func run(lists [][]Item, k int, paperVariant bool) ([]Result, int, error) {
 		out := make([]Result, 0, k)
 		for i := 0; i < k && i < len(ranked); i++ {
 			st := ranked[i]
-			best := st.staleB
-			if !paperVariant {
-				best = st.bestAt(bottoms)
-			}
-			out = append(out, Result{Obj: st.obj, Worst: st.worst, Best: best})
+			out = append(out, Result{Obj: st.obj, Worst: st.worst, Best: st.bestAt(bottoms)})
 		}
 		return out, depth, nil
 	}
 
 	for d := 0; d < n; d++ {
 		// Sorted access to each list at depth d.
-		touched := map[int]bool{}
 		for j, l := range lists {
 			it := l[d]
 			bottoms[j] = it.Score
@@ -157,17 +137,6 @@ func run(lists [][]Item, k int, paperVariant bool) ([]Result, int, error) {
 				st.scores[j] = it.Score
 				st.worst += it.Score
 			}
-			touched[it.Obj] = true
-		}
-		// Refresh bounds: the paper variant refreshes only touched
-		// objects (stale bounds for dormant ones), exact NRA refreshes
-		// everyone.
-		for obj, st := range states {
-			if paperVariant && !touched[obj] {
-				continue
-			}
-			st.staleB = st.bestAt(bottoms)
-			st.lastSeen = d
 		}
 
 		if len(states) < k+1 {
@@ -178,31 +147,24 @@ func run(lists [][]Item, k int, paperVariant bool) ([]Result, int, error) {
 		}
 		ranked := rankByWorst(states)
 		mk := ranked[k-1].worst
-		if paperVariant {
-			// Compare only the (k+1)-th item's stale bound.
-			if ranked[k].staleB < mk {
-				return finish(d + 1)
-			}
-		} else {
-			halt := true
-			for _, st := range ranked[k:] {
-				if st.bestAt(bottoms) > mk {
-					halt = false
-					break
-				}
-			}
-			// Unseen-object bound: an object never seen anywhere could
-			// still reach the sum of the bottoms.
-			var unseenBound int64
-			for _, b := range bottoms {
-				unseenBound += b
-			}
-			if len(states) < n && unseenBound > mk {
+		halt := true
+		for _, st := range ranked[k:] {
+			if st.bestAt(bottoms) > mk {
 				halt = false
+				break
 			}
-			if halt {
-				return finish(d + 1)
-			}
+		}
+		// Unseen-object bound: an object never seen anywhere could still
+		// reach the sum of the bottoms.
+		var unseenBound int64
+		for _, b := range bottoms {
+			unseenBound += b
+		}
+		if len(states) < n && unseenBound > mk {
+			halt = false
+		}
+		if halt {
+			return finish(d + 1)
 		}
 	}
 	// Full scan: every bound is exact now.

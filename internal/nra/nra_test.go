@@ -55,7 +55,7 @@ func TestRunPaperExampleTop2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, depth, err := RunPaperVariant(lists, 2)
+	res, depth, err := Run(lists, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +67,6 @@ func TestRunPaperExampleTop2(t *testing.T) {
 	}
 	if res[0].Worst != 18 || res[1].Worst != 16 {
 		t.Fatalf("worst scores = %d,%d want 18,16", res[0].Worst, res[1].Worst)
-	}
-
-	exact, depthExact, err := Run(lists, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact[0].Obj != 2 || exact[1].Obj != 1 {
-		t.Fatalf("exact top-2 = %+v", exact)
-	}
-	if depthExact > 5 {
-		t.Fatalf("exact depth = %d", depthExact)
 	}
 }
 
@@ -132,55 +121,6 @@ func TestRunMatchesExactTopK(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPaperVariantBehaviourOnCorrelatedData(t *testing.T) {
-	// The paper's halting test (Algorithm 3 line 10) compares only the
-	// k-th worst against the (k+1)-th item's bound, which is a relaxation
-	// of NRA's halting condition: it can fire before every outside
-	// object is ruled out. This test documents that behaviour: the
-	// variant must always return k items, halt within the scan, and be
-	// *mostly* accurate on the evaluation-style correlated data — while
-	// at least occasionally deviating from the exact top-k (the reason
-	// the engine offers HaltStrict; see DESIGN.md errata).
-	spec := dataset.Spec{Name: "c", N: 300, M: 3, MaxScore: 200, Shape: dataset.ShapeGaussian, Correlation: 0.7}
-	attrs := []int{0, 1, 2}
-	const k, seeds = 5, 10
-	total, wrong := 0, 0
-	for seed := int64(0); seed < seeds; seed++ {
-		rel, err := dataset.Generate(spec, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lists, err := SortedLists(rel, attrs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, depth, err := RunPaperVariant(lists, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != k {
-			t.Fatalf("seed %d: returned %d items, want %d", seed, len(got), k)
-		}
-		if depth <= 0 || depth > rel.N() {
-			t.Fatalf("seed %d: depth %d out of range", seed, depth)
-		}
-		kth, err := KthScore(rel, attrs, nil, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range got {
-			total++
-			if rel.Score(r.Obj, attrs, nil) < kth {
-				wrong++
-			}
-		}
-	}
-	if wrong*5 > total {
-		t.Fatalf("paper-variant halting wrong on %d/%d results; relaxation should be mostly accurate", wrong, total)
-	}
-	t.Logf("paper-variant halting: %d/%d results below the exact kth score (documented relaxation)", wrong, total)
 }
 
 func TestStrictRunIsAlwaysValidOnCorrelatedData(t *testing.T) {

@@ -95,7 +95,7 @@ func TestCandidatesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := engine.SecQueryCandidates(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltPaper})
+	cs, err := engine.SecQueryCandidates(context.Background(), tk, core.Options{Mode: core.QryE})
 	if err != nil {
 		t.Fatalf("SecQueryCandidates: %v", err)
 	}

@@ -34,7 +34,7 @@ func TestOwnerBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+	res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
 	if err != nil {
 		t.Fatalf("SecQuery with restored token: %v", err)
 	}

@@ -97,7 +97,7 @@ func TestRelationRoundTripAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+	res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
 	if err != nil {
 		t.Fatalf("SecQuery over loaded relation: %v", err)
 	}

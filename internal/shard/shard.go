@@ -25,8 +25,8 @@
 // still verifies the full NRA condition explicitly: every non-selected
 // candidate's upper bound B and every shard residual bound (tracked
 // non-top-k bounds plus the unseen-object bound) must be <= W_k, in one
-// EncCompareBatch round. If any bound survives — possible only when a
-// shard halted under the paper's relaxed condition or was depth-capped —
+// EncCompareBatch round. If any bound survives — a non-selected
+// candidate's best bound above W_k, or a depth-capped shard's residual —
 // the engine falls back to an exact rescan (ExactScan over every shard),
 // after which all bounds equal the exact aggregates and the check is
 // guaranteed to pass (an uncertified re-merge is therefore an internal
@@ -267,7 +267,7 @@ func (e *Engine) SecQuery(ctx context.Context, tk *core.Token, opts core.Options
 	if err != nil || certified {
 		return res, err
 	}
-	// A residual bound survived the NRA check (a relaxed-halting or
+	// A bound survived the NRA check (a non-selected candidate or a
 	// depth-capped shard could still hide a better object): rescan every
 	// shard exactly, after which every bound is the exact aggregate and the
 	// merge is unconditionally correct.

@@ -67,7 +67,7 @@ func correlated(n int) *dataset.Relation {
 }
 
 // antiCorrelated builds lists with opposing orders, the adversarial case
-// for relaxed halting and for merge bounds. Columns 0 and 1 sum to a
+// for NRA halting and for merge bounds. Columns 0 and 1 sum to a
 // constant, so the quadratic-residue third column decides the ranking
 // (and keeps every aggregate distinct for n <= 12: i² mod 23 is
 // injective there).
@@ -165,7 +165,7 @@ func TestShardedEquivalence(t *testing.T) {
 		modes = []core.Mode{core.QryE, core.QryBa}
 	}
 	for _, mode := range modes {
-		opts := core.Options{Mode: mode, Halt: core.HaltStrict}
+		opts := core.Options{Mode: mode}
 		baseEngine, err := core.NewEngine(r.client, er)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -233,9 +233,9 @@ func TestShardedAdversarialOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	// Paper halting per shard is the adversarial regime: a shard can halt
-	// with undominated bounds, which the merge check must then catch.
-	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltPaper})
+	// Shards halt with partial scores, so a non-selected candidate's best
+	// bound can exceed the merged W_k, which the merge check must catch.
+	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
 	if err != nil {
 		t.Fatalf("SecQuery: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestShardedMergeBoundFallback(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	before := len(r.s1led.Events())
-	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict, MaxDepth: 2})
+	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, MaxDepth: 2})
 	if err != nil {
 		t.Fatalf("SecQuery: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestShardedExactScanFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict, ExactScan: true})
+	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, ExactScan: true})
 	if err != nil {
 		t.Fatalf("SecQuery(ExactScan): %v", err)
 	}
@@ -400,7 +400,7 @@ func TestShardedOversizedK(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
 	if err != nil {
 		t.Fatalf("SecQuery: %v", err)
 	}
@@ -437,7 +437,7 @@ func TestMergeRefusesMalformedSets(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	ctx := context.Background()
-	good, err := eng.Candidates(ctx, tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+	good, err := eng.Candidates(ctx, tk, core.Options{Mode: core.QryE})
 	if err != nil {
 		t.Fatalf("Candidates: %v", err)
 	}
@@ -587,7 +587,7 @@ func TestFanOutUncertifiableAfterRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := len(r.s1led.Events())
-		_, err = eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, Halt: core.HaltStrict})
+		_, err = eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
 		if secerr.CodeOf(err) != secerr.CodeInternal {
 			t.Errorf("%s scope: err = %v (code %q), want internal", scope, err, secerr.CodeOf(err))
 		}

@@ -105,7 +105,7 @@ func (r *chaosRig) newDataCloud(t *testing.T, connect func(dc *sectopk.DataCloud
 // subtest built itself and did not close.
 func (r *chaosRig) warm(t *testing.T, dc *sectopk.DataCloud) {
 	t.Helper()
-	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest("topk", r.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest("topk", r.tk))
 	if err != nil {
 		t.Fatalf("warm-up query: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestChaosS1S2Link(t *testing.T) {
 			completed := 0
 			for q := 0; q < 3; q++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				ans, err := dc.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+				ans, err := dc.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
 				cancel()
 				var res *sectopk.EncryptedResult
 				if ans != nil {
@@ -310,7 +310,7 @@ func TestChaosClientWireWithRetries(t *testing.T) {
 				t.Fatalf("DialRetry: %v\ninjected: %s", err, injected())
 			}
 			for q := 0; q < 4; q++ {
-				ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+				ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
 				if err != nil {
 					t.Fatalf("query %d failed despite retries: %v\ninjected: %s", q, err, injected())
 				}
@@ -384,7 +384,7 @@ func TestChaosClientWireWithoutRetries(t *testing.T) {
 			completed, failed := 0, 0
 			for q := 0; q < 5; q++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+				ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
 				cancel()
 				if err != nil {
 					if errors.Is(err, context.DeadlineExceeded) {
@@ -519,7 +519,7 @@ func TestOverloadedRoundTripsClientWire(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			answers[i], results[i] = client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+			answers[i], results[i] = client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
 		}(i)
 	}
 	wg.Wait()
@@ -622,7 +622,7 @@ func TestCloseDrainCompletesInFlight(t *testing.T) {
 	inflight := make(chan outcome, 1)
 	link.armed.Store(true)
 	go func() {
-		ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+		ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
 		inflight <- outcome{ans, err}
 	}()
 	// Wait for the query to be executing, then start the drain.
@@ -728,7 +728,7 @@ func TestDialRetryFlakyListener(t *testing.T) {
 		t.Fatalf("DialRetry through flaky listener: %v", err)
 	}
 	defer client.Close()
-	ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+	ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

@@ -152,7 +152,7 @@ func TestExecuteUnified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := r.dc.Execute(ctx, sectopk.TopKRequest("topk", tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+	ans, err := r.dc.Execute(ctx, sectopk.TopKRequest("topk", tk))
 	if err != nil {
 		t.Fatalf("Execute topk: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := sectopk.TopKRequest("topk", tk, sectopk.WithMode(sectopk.ModeEliminate), sectopk.WithHalting(sectopk.HaltingStrict))
+	req := sectopk.TopKRequest("topk", tk, sectopk.WithMode(sectopk.ModeEliminate))
 	remote, err := client.Execute(ctx, req)
 	if err != nil {
 		t.Fatalf("remote topk: %v", err)
@@ -485,7 +485,6 @@ func TestClientErrorsAcrossWire(t *testing.T) {
 	}{
 		{"mode out of range", []sectopk.QueryOption{sectopk.WithMode(sectopk.Mode(7))}},
 		{"negative mode", []sectopk.QueryOption{sectopk.WithMode(sectopk.Mode(-1))}},
-		{"halting out of range", []sectopk.QueryOption{sectopk.WithHalting(sectopk.Halting(9))}},
 		{"negative max depth", []sectopk.QueryOption{sectopk.WithMaxDepth(-1)}},
 		{"negative batch depth", []sectopk.QueryOption{sectopk.WithBatchDepth(-3)}},
 		{"batch depth below k", []sectopk.QueryOption{sectopk.WithMode(sectopk.ModeBatched), sectopk.WithBatchDepth(1)}},
@@ -540,7 +539,7 @@ func TestClientConcurrentOverTCP(t *testing.T) {
 			wg.Add(1)
 			go func(cl *sectopk.Client) {
 				defer wg.Done()
-				ans, err := cl.Execute(ctx, sectopk.TopKRequest("topk", tk, sectopk.WithHalting(sectopk.HaltingStrict)))
+				ans, err := cl.Execute(ctx, sectopk.TopKRequest("topk", tk))
 				if err != nil {
 					errCh <- err
 					return

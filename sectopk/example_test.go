@@ -60,9 +60,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk,
-		sectopk.WithMode(sectopk.ModeEliminate),
-		sectopk.WithHalting(sectopk.HaltingStrict),
-	))
+		sectopk.WithMode(sectopk.ModeEliminate)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -153,8 +153,7 @@ func (r *mutationRig) checkEquivalence(t *testing.T, attrs []int, k int) {
 	if err != nil {
 		t.Fatalf("Token: %v", err)
 	}
-	ans, err := r.dc.Execute(context.Background(), sectopk.TopKRequest("mut", tk,
-		sectopk.WithHalting(sectopk.HaltingStrict)))
+	ans, err := r.dc.Execute(context.Background(), sectopk.TopKRequest("mut", tk))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -504,7 +503,7 @@ func TestMutationOverWire(t *testing.T) {
 		t.Fatalf("wire pinned-stale err = %v, want ErrRelationStale", err)
 	}
 	ans, err := client.Execute(ctx, sectopk.TopKRequest("mut", tk,
-		sectopk.WithEpoch(epoch), sectopk.WithHalting(sectopk.HaltingStrict)))
+		sectopk.WithEpoch(epoch)))
 	if err != nil {
 		t.Fatalf("wire Execute: %v", err)
 	}

@@ -230,26 +230,11 @@ func (m Mode) String() string { return m.coreMode().String() }
 // an out-of-range value reaches core.Options.Validate as itself.
 func (m Mode) coreMode() core.Mode { return core.Mode(m) }
 
-// Halting selects the halting test.
-type Halting int
-
-const (
-	// HaltingPaper is Algorithm 3 line 10 verbatim.
-	HaltingPaper Halting = iota
-	// HaltingStrict restores NRA's guarantee (every tracked bound and the
-	// unseen-object bound must be dominated).
-	HaltingStrict
-)
-
-// coreHalt is a cast, like coreMode.
-func (h Halting) coreHalt() core.HaltPolicy { return core.HaltPolicy(h) }
-
 // QueryOption configures one query execution (one Request).
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
 	mode       Mode
-	halt       Halting
 	batchDepth int
 	maxDepth   int
 	// epoch, when non-zero, pins the query to one relation epoch: if a
@@ -278,7 +263,6 @@ func buildQueryConfig(opts []QueryOption) queryConfig {
 func (q queryConfig) coreOptions() core.Options {
 	return core.Options{
 		Mode:       q.mode.coreMode(),
-		Halt:       q.halt.coreHalt(),
 		BatchDepth: q.batchDepth,
 		MaxDepth:   q.maxDepth,
 		QueryID:    q.queryID,
@@ -310,11 +294,6 @@ func (q queryConfig) checkEpoch(relation string, epoch uint64) error {
 // WithMode selects the query-processing variant.
 func WithMode(m Mode) QueryOption {
 	return func(c *queryConfig) { c.mode = m }
-}
-
-// WithHalting selects the halting test.
-func WithHalting(h Halting) QueryOption {
-	return func(c *queryConfig) { c.halt = h }
 }
 
 // WithBatchDepth sets the batching parameter p (ModeBatched only; must be

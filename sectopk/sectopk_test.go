@@ -86,7 +86,7 @@ func TestEndToEndLocal(t *testing.T) {
 	want := []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}}
 	for _, mode := range []sectopk.Mode{sectopk.ModeFull, sectopk.ModeEliminate, sectopk.ModeBatched} {
 		got := runSession(t, owner, dc, "demo", er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2},
-			sectopk.WithMode(mode), sectopk.WithHalting(sectopk.HaltingStrict))
+			sectopk.WithMode(mode))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: top-2 = %+v, want %+v", mode, got, want)
 		}
@@ -192,7 +192,7 @@ func TestEndToEndTCP(t *testing.T) {
 		t.Fatalf("Host: %v", err)
 	}
 	got := runSession(t, owner, dc, "demo", er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2},
-		sectopk.WithMode(sectopk.ModeEliminate), sectopk.WithHalting(sectopk.HaltingStrict))
+		sectopk.WithMode(sectopk.ModeEliminate))
 	want := []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TCP top-2 = %+v, want %+v", got, want)
@@ -248,7 +248,7 @@ func TestMultiRelationIsolation(t *testing.T) {
 		}
 		var out [][]sectopk.Result
 		for _, q := range queries {
-			out = append(out, runSession(t, owner, dc, rel.Name, er, q, sectopk.WithHalting(sectopk.HaltingStrict)))
+			out = append(out, runSession(t, owner, dc, rel.Name, er, q))
 		}
 		return out
 	}
@@ -295,8 +295,8 @@ func TestMultiRelationIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		gotA := runSession(t, ownerA, dc, "A", erA, q, sectopk.WithHalting(sectopk.HaltingStrict))
-		gotB := runSession(t, ownerB, dc, "B", erB, q, sectopk.WithHalting(sectopk.HaltingStrict))
+		gotA := runSession(t, ownerA, dc, "A", erA, q)
+		gotB := runSession(t, ownerB, dc, "B", erB, q)
 		if !reflect.DeepEqual(gotA, wantA[i]) {
 			t.Fatalf("query %d relation A: multi-rig %+v != single-rig %+v", i, gotA, wantA[i])
 		}
@@ -456,7 +456,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err := dc.Host(ctx, "demo", er2); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk2, sectopk.WithHalting(sectopk.HaltingStrict)))
+	ans, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,9 @@ import (
 // "Client wire" and "Telemetry and QoS".
 const (
 	// clientProtocolVersion is the client-plane version this build
-	// speaks. v4: the frames left gob for internal/wire.
-	clientProtocolVersion = 4
+	// speaks. v4: the frames left gob for internal/wire. v5: the query
+	// options lost Halt (strict NRA halting is the only test).
+	clientProtocolVersion = 5
 
 	methodClientHello   = "Client.Hello"
 	methodClientExecute = "Client.Execute"
@@ -105,11 +106,10 @@ func checkClientVersion(peer string, v int) error {
 }
 
 // wireQueryOptions flattens a query configuration for the wire: signed
-// Mode, Halt, BatchDepth, MaxDepth, then uvarint(Epoch). Zero values mean
+// Mode, BatchDepth, MaxDepth, then uvarint(Epoch). Zero values mean
 // "default", matching the in-process QueryOption semantics.
 type wireQueryOptions struct {
 	Mode       int
-	Halt       int
 	BatchDepth int
 	MaxDepth   int
 	// Epoch pins the query to one relation epoch (0 = unpinned).
@@ -119,7 +119,7 @@ type wireQueryOptions struct {
 // wire flattens a resolved query config.
 func (q queryConfig) wire() wireQueryOptions {
 	return wireQueryOptions{
-		Mode: int(q.mode), Halt: int(q.halt),
+		Mode:       int(q.mode),
 		BatchDepth: q.batchDepth, MaxDepth: q.maxDepth,
 		Epoch: q.epoch,
 	}
@@ -129,7 +129,7 @@ func (q queryConfig) wire() wireQueryOptions {
 // integers are whatever the peer sent; DataCloud.execute validates them.
 func queryConfigFromWire(w wireQueryOptions) queryConfig {
 	return queryConfig{
-		mode: Mode(w.Mode), halt: Halting(w.Halt),
+		mode:       Mode(w.Mode),
 		batchDepth: w.BatchDepth, maxDepth: w.MaxDepth,
 		epoch: w.Epoch,
 	}
@@ -159,7 +159,7 @@ func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 	w.String(m.Workload)
 	w.Bytes(m.Token)
 	o := m.Options
-	for _, v := range []int{o.Mode, o.Halt, o.BatchDepth, o.MaxDepth} {
+	for _, v := range []int{o.Mode, o.BatchDepth, o.MaxDepth} {
 		w.Varint(int64(v))
 	}
 	w.Uvarint(o.Epoch)
@@ -171,7 +171,7 @@ func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 func (m *clientExecuteRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
 	m.Relation, m.Workload, m.Token = r.String("Relation"), r.String("Workload"), r.Bytes("Token")
-	m.Options = wireQueryOptions{Mode: int(r.Varint()), Halt: int(r.Varint()),
+	m.Options = wireQueryOptions{Mode: int(r.Varint()),
 		BatchDepth: int(r.Varint()), MaxDepth: int(r.Varint()), Epoch: r.Uvarint()}
 	m.Idempotency, m.Attempt = r.String("Idempotency"), r.Int("Attempt")
 	return r.Finish()

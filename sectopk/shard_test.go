@@ -102,7 +102,7 @@ func TestShardedConcurrentOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Token: %v", err)
 	}
-	req := sectopk.TopKRequest("sharddemo", tk, sectopk.WithMode(sectopk.ModeEliminate), sectopk.WithHalting(sectopk.HaltingStrict))
+	req := sectopk.TopKRequest("sharddemo", tk, sectopk.WithMode(sectopk.ModeEliminate))
 	var wg sync.WaitGroup
 	results := make([][]sectopk.Result, queries)
 	errs := make([]error, queries)
