@@ -492,9 +492,10 @@ func Fig14(r *Rig) ([]*Report, error) {
 	return []*Report{rep}, nil
 }
 
-// Ablations runs the design-choice studies DESIGN.md commits to: ranking
-// strategy and EHL structure inside the full query. The ids keep their
-// numbers: abl1 was the study of the deleted relaxed halting test.
+// Ablations runs the design-choice study DESIGN.md commits to: EHL
+// structure inside the full query. The id keeps its number: abl1 was the
+// study of the deleted relaxed halting test, abl2 the ranking strategy
+// EncSelectTop now picks from (n, k) alone.
 func Ablations(r *Rig) ([]*Report, error) {
 	spec := dataset.Synthetic().WithN(48).WithM(3)
 	spec.Correlation = 0.85
@@ -502,26 +503,6 @@ func Ablations(r *Rig) ([]*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	er, err := r.Scheme.EncryptRelation(rel)
-	if err != nil {
-		return nil, err
-	}
-	sortRep := &Report{
-		ID:     "abl2",
-		Title:  "Ablation: ranking strategy (Qry_E, k=3, m=3, capped depth)",
-		Header: []string{"strategy", "time/depth"},
-	}
-	for _, row := range []struct {
-		name string
-		s    core.SortStrategy
-	}{{"top-k selection", core.SortTopK}, {"full EncSort [7]", core.SortFull}} {
-		m, err := r.timeQuery(er, firstAttrs(3), 3, core.Options{Mode: core.QryE, Sort: row.s})
-		if err != nil {
-			return nil, err
-		}
-		sortRep.Rows = append(sortRep.Rows, []string{row.name, fmtDur(m.timePerDepth)})
-	}
-
 	ehlRep := &Report{
 		ID:     "abl3",
 		Title:  "Ablation: EHL structure inside the full query (Qry_E, k=3, m=3)",
@@ -540,15 +521,15 @@ func Ablations(r *Rig) ([]*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		er2, err := scheme.EncryptRelation(rel)
+		er, err := scheme.EncryptRelation(rel)
 		if err != nil {
 			return nil, err
 		}
-		tk, err := scheme.Token(er2, firstAttrs(3), nil, 3)
+		tk, err := scheme.Token(er, firstAttrs(3), nil, 3)
 		if err != nil {
 			return nil, err
 		}
-		engine, err := core.NewEngine(r.Client, er2)
+		engine, err := core.NewEngine(r.Client, er)
 		if err != nil {
 			return nil, err
 		}
@@ -558,10 +539,10 @@ func Ablations(r *Rig) ([]*Report, error) {
 			return nil, err
 		}
 		perDepth := time.Since(start) / time.Duration(maxI(res.Depth, 1))
-		ehlRep.Rows = append(ehlRep.Rows, []string{row.name, fmtDur(perDepth), fmtBytes(er2.ByteSize(r.Scheme.PublicKey()))})
+		ehlRep.Rows = append(ehlRep.Rows, []string{row.name, fmtDur(perDepth), fmtBytes(er.ByteSize(r.Scheme.PublicKey()))})
 	}
 	ehlRep.Notes = append(ehlRep.Notes, "EHL+ wins on both query time (s vs H ciphertext ops per ⊖) and storage")
-	return []*Report{sortRep, ehlRep}, nil
+	return []*Report{ehlRep}, nil
 }
 
 // Registry maps experiment ids to runners.

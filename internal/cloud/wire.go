@@ -304,7 +304,7 @@ func (m *CompareReply) UnmarshalBinary(b []byte) error {
 
 // CompareHiddenRequest is CompareRequest for the oblivious variant: the
 // sign comes back encrypted so not even S1 learns the order (used inside
-// EncSort compare-exchange gates).
+// EncSelectTop's compare-exchange gates).
 type CompareHiddenRequest struct {
 	Relation string
 	Cts      []*big.Int

@@ -311,7 +311,6 @@ func TestCandidatesRefusesBadOptions(t *testing.T) {
 	}
 	for name, opts := range map[string]core.Options{
 		"mode 7":             {Mode: 7},
-		"sort 5":             {Sort: 5},
 		"max depth -3":       {MaxDepth: -3},
 		"batch depth -1":     {BatchDepth: -1},
 		"Qry_Ba batch p < k": {Mode: core.QryBa, BatchDepth: 2},

@@ -25,8 +25,9 @@ const (
 	// must carry exactly this value. v2: CandidatesRequest carries
 	// core.Options itself. v3: every frame is its own internal/wire
 	// message (the layout is the comment on its MarshalBinary). v4: the
-	// options lost Halt (strict NRA halting is the only test).
-	ProtocolVersion = 4
+	// options lost Halt (strict NRA halting is the only test). v5: they
+	// lost Sort (EncSelectTop is the one ranker).
+	ProtocolVersion = 5
 
 	// MethodHello checks versions and announces the member's
 	// inventory: which shard subsets and whole-relation routes it hosts.
@@ -164,7 +165,7 @@ type CandidatesRequest struct {
 }
 
 // MarshalBinary: string(Relation) bytes(Token), the options as signed
-// Mode, Sort, BatchDepth, MaxDepth, then uvarint(ExactScan)
+// Mode, BatchDepth, MaxDepth, then uvarint(ExactScan)
 // string(QueryID), then uvarint(Epoch). The options go as the peer set
 // them; the member's Options.Validate refuses what no engine path defines.
 func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
@@ -172,7 +173,7 @@ func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
 	w.String(m.Relation)
 	w.Bytes(m.Token)
 	o := m.Options
-	for _, v := range []int{int(o.Mode), int(o.Sort), o.BatchDepth, o.MaxDepth} {
+	for _, v := range []int{int(o.Mode), o.BatchDepth, o.MaxDepth} {
 		w.Varint(int64(v))
 	}
 	w.Bool(o.ExactScan)
@@ -185,7 +186,7 @@ func (m *CandidatesRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
 	m.Relation, m.Token = r.String("Relation"), r.Bytes("Token")
 	o := &m.Options
-	o.Mode, o.Sort = core.Mode(r.Varint()), core.SortStrategy(r.Varint())
+	o.Mode = core.Mode(r.Varint())
 	o.BatchDepth, o.MaxDepth = int(r.Varint()), int(r.Varint())
 	o.ExactScan, o.QueryID = r.Bool("ExactScan"), r.String("QueryID")
 	m.Epoch = r.Uvarint()

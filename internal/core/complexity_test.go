@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/cloud"
@@ -79,18 +80,31 @@ var depthBudget = []struct {
 		return 1
 	}},
 	{"EncSelectTop layer", []string{cloud.MethodCompareHidden, cloud.MethodRecover}, func(_, ranked, k int) int {
-		// Passes 0..k rank k+1 items, scheduled together.
+		if ranked < k+1 {
+			return 0 // too few items to test halting on
+		}
+		// The top k+1 of ranked items: k+1 selection passes scheduled
+		// together, or Batcher's network where that is cheaper.
 		return protocols.SelectTopLayers(ranked, k+1)
 	}},
-	{"halting test", []string{cloud.MethodCompare}, func(int, int, int) int { return 1 }},
+	{"halting test", []string{cloud.MethodCompare}, func(_, ranked, k int) int {
+		if ranked < k+1 {
+			return 0
+		}
+		return 1
+	}},
 }
 
-// TestRoundBudget runs the benchmark's query shape — Qry_F, m=3, k=2 on a
-// rank-correlated relation, which halts at depth 2 — and holds every wire
-// method to depthBudget: 10 rounds at depth 1, 19 at depth 2.
+// TestRoundBudget runs Qry_F, m=3 on a rank-correlated relation, which
+// halts at depth k, and holds every wire method to depthBudget. At k=2,
+// the benchmark's query shape, that is 10 rounds at depth 1 and 19 at
+// depth 2. At k=6 the halting check first runs at depth 3, and there and
+// at depths 4-6 Batcher's network ranks 7 of |T| = 9..18 items in 16
+// fewer layers than the selection passes: the query takes 125 rounds
+// where the passes alone took 157.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
-	const m, k = 3, 2
+	const m = 3
 	rel := &dataset.Relation{Name: "ranked"}
 	for i := 0; i < 8; i++ {
 		base := int64(100 - 10*i)
@@ -100,48 +114,53 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	stats := transport.NewStats()
-	client, err := cloud.NewClient(transport.NewLocal(r.server, stats), r.scheme.PublicKey(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := NewEngine(client, er)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryF})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Halted || res.Depth != 2 {
-		t.Fatalf("depth=%d halted=%v, want 2/true", res.Depth, res.Halted)
-	}
-
-	want := map[string]int64{}
-	var total int64
-	for d := 0; d < res.Depth; d++ {
-		// Qry_F keeps duplicates as sentinel rows: |T| grows by m a depth.
-		tracked, ranked := d*m, (d+1)*m
-		for _, b := range depthBudget {
-			n := int64(b.times(tracked, ranked, k))
-			for _, method := range b.methods {
-				want[method] += n
+	for _, tc := range []struct{ k, rounds int }{{2, 29}, {6, 125}} {
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			k := tc.k
+			stats := transport.NewStats()
+			client, err := cloud.NewClient(transport.NewLocal(r.server, stats), r.scheme.PublicKey(), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			total += n * int64(len(b.methods))
-		}
-	}
-	for method, n := range want {
-		if got := stats.Method(method).Calls; got != n {
-			t.Errorf("%s: %d rounds, budget %d", method, got, n)
-		}
-	}
-	if got := stats.Rounds(); got != total || total != 29 {
-		t.Fatalf("query took %d rounds, budget %d, want 29\n%s", got, total, stats.Snapshot())
+			defer client.Close()
+			tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine, err := NewEngine(client, er)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryF})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Halted || res.Depth != k {
+				t.Fatalf("depth=%d halted=%v, want %d/true", res.Depth, res.Halted, k)
+			}
+
+			want := map[string]int64{}
+			var total int64
+			for d := 0; d < res.Depth; d++ {
+				// Qry_F keeps duplicates as sentinel rows: |T| grows by m a depth.
+				tracked, ranked := d*m, (d+1)*m
+				for _, b := range depthBudget {
+					n := int64(b.times(tracked, ranked, k))
+					for _, method := range b.methods {
+						want[method] += n
+					}
+					total += n * int64(len(b.methods))
+				}
+			}
+			for method, n := range want {
+				if got := stats.Method(method).Calls; got != n {
+					t.Errorf("%s: %d rounds, budget %d", method, got, n)
+				}
+			}
+			if got := stats.Rounds(); got != total || total != int64(tc.rounds) {
+				t.Fatalf("query took %d rounds, budget %d, want %d\n%s", got, total, tc.rounds, stats.Snapshot())
+			}
+		})
 	}
 }
 

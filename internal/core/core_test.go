@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ehl"
 	"repro/internal/nra"
+	"repro/internal/protocols"
 	"repro/internal/transport"
 )
 
@@ -165,13 +166,30 @@ func TestPaperExampleQryBa(t *testing.T) {
 	}
 }
 
+// TestPaperExampleWithFullSort runs the Figure 3 query at k=4, where the
+// halting check ranks 5 of |T| = 6 items at depth 2 on Batcher's network
+// (6 layers, 12 gates) rather than five selection passes (8 layers, 15
+// gates), and holds the answer to the plaintext top 4.
 func TestPaperExampleWithFullSort(t *testing.T) {
+	const k = 4
+	if got := protocols.SelectTopLayers(6, k+1); got != 6 {
+		t.Fatalf("ranking 5 of 6 items takes %d layers, want the network's 6", got)
+	}
 	r := getRig(t)
 	er := encryptFig3(t, r)
-	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2,
-		Options{Mode: QryF, Sort: SortFull})
-	if res.Depth != fig3Depth || revealed[0].Obj != 2 || revealed[1].Obj != 1 {
-		t.Fatalf("full-sort run: depth=%d revealed=%+v", res.Depth, revealed)
+	attrs := []int{0, 1, 2}
+	res, revealed := runQuery(t, r, er, attrs, nil, k, Options{Mode: QryF})
+	want, err := nra.TopKExact(figure3(), attrs, nil, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Halted || len(revealed) != k {
+		t.Fatalf("network run: halted=%v, %d results", res.Halted, len(revealed))
+	}
+	for i, w := range want {
+		if revealed[i].Obj != w.Obj {
+			t.Fatalf("network run: revealed %+v, want %+v", revealed, want)
+		}
 	}
 }
 

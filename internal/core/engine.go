@@ -44,22 +44,9 @@ func (m Mode) String() string {
 	}
 }
 
-// SortStrategy selects how the worst-score ranking is maintained.
-type SortStrategy int
-
-const (
-	// SortTopK runs the O(k*l) oblivious selection (default; linear in k,
-	// matching the paper's reported scaling).
-	SortTopK SortStrategy = iota
-	// SortFull runs the full Batcher-network EncSort of [7], as Algorithm
-	// 3 line 9 states.
-	SortFull
-)
-
 // Options configures one SecQuery execution.
 type Options struct {
 	Mode Mode
-	Sort SortStrategy
 	// BatchDepth is the batching parameter p (Qry_Ba only); the paper
 	// requires p >= k. Zero picks max(2k, 8).
 	BatchDepth int
@@ -80,7 +67,7 @@ type Options struct {
 }
 
 // Validate refuses option values no engine path defines — an unknown
-// mode or sort, a negative depth, a Qry_Ba batch depth
+// mode, a negative depth, a Qry_Ba batch depth
 // below k (Section 10.2) — typed bad_request: peers on the client and
 // the cluster wire send these as bare integers, and unchecked a stray
 // mode would run (and be ledgered) as Qry_F.
@@ -88,8 +75,6 @@ func (o Options) Validate(k int) error {
 	switch {
 	case o.Mode < QryF || o.Mode > QryBa:
 		return secerr.New(secerr.CodeBadRequest, "core: unknown query mode %d", int(o.Mode))
-	case o.Sort < SortTopK || o.Sort > SortFull:
-		return secerr.New(secerr.CodeBadRequest, "core: unknown sort strategy %d", int(o.Sort))
 	case o.BatchDepth < 0 || o.MaxDepth < 0:
 		return secerr.New(secerr.CodeBadRequest,
 			"core: negative depth option (batch depth %d, max depth %d)", o.BatchDepth, o.MaxDepth)
@@ -344,7 +329,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 		for i := 0; i < m; i++ {
 			bottoms[i] = histories[i].Scores[len(histories[i].Scores)-1]
 		}
-		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, opts, bottoms, nil)
+		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
 		}
@@ -447,7 +432,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		if opts.ExactScan || len(T) < k+1 {
 			continue
 		}
-		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, opts, bottoms, e.batchBest(bottoms))
+		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, e.batchBest(bottoms))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
 		}
@@ -528,14 +513,8 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 // outcome: one dominance bit per bound, recorded on the ledger.
 // When best is nil, stored best-bound columns (ColBest) are used (Qry_F /
 // Qry_E); otherwise best computes bounds on demand (Qry_Ba).
-func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits int, opts Options, bottoms []*paillier.Ciphertext, best bestFunc) (bool, []protocols.Item, error) {
-	var ranked []protocols.Item
-	var err error
-	if opts.Sort == SortFull {
-		ranked, err = protocols.EncSort(ctx, e.client, T, protocols.ColWorst, true, magBits)
-	} else {
-		ranked, err = protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k+1, magBits)
-	}
+func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits int, bottoms []*paillier.Ciphertext, best bestFunc) (bool, []protocols.Item, error) {
+	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k+1, magBits)
 	if err != nil {
 		return false, nil, err
 	}

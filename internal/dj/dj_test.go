@@ -180,7 +180,7 @@ func TestLayeredHomomorphism(t *testing.T) {
 func TestSelectionIdentity(t *testing.T) {
 	// (1+N)^{Enc(y)} * E2(t)^{Enc(x)-Enc(y) mod N^2} = E2(t*Enc(x) + (1-t)*Enc(y)),
 	// i.e. the inner plaintext selects Enc(x) when t=1 and Enc(y) when t=0.
-	// This is the select gadget used by SecWorst/SecBest/EncSort; the
+	// This is the select gadget used by SecWorst/SecBest/EncSelectTop; the
 	// difference is negative for one of the two orders of (x, y).
 	pail, sk := keys(t)
 	x, _ := pail.EncryptInt64(111)

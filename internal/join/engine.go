@@ -160,7 +160,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	}
 
 	// Phase 4: rank by score and return the encrypted top-k
-	// (Section 12.4's final EncSort step, via the top-k selection).
+	// (Section 12.4's final EncSort step, via EncSelectTop).
 	items := make([]protocols.Item, len(joined))
 	for i, t := range joined {
 		id, err := ehl.RandomList(pk, ehl.Params{Kind: ehl.KindPlus, S: 1})

@@ -23,8 +23,8 @@ import (
 // random magnitude r and a random sign flip s, and sends Enc(±r*d). S2
 // reports only the sign of the decryption; S1 undoes the flip. The hidden
 // variant gets the sign back as E2(t) and undoes the flip homomorphically
-// so not even S1 learns the order — that is the comparator used inside
-// EncSort.
+// so not even S1 learns the order — that is the comparator inside
+// EncSelectTop's compare-exchange gates.
 
 // maskedDiff builds Enc(±r(2a-2b-1)) and returns the ciphertext plus the
 // sign flip that was applied. magBits bounds |a|,|b| so the mask range can

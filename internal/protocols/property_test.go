@@ -105,8 +105,9 @@ func TestPropertySecWorstBest(t *testing.T) {
 	}
 }
 
-// TestPropertyEncSortIsPermutationSorted checks that EncSort outputs a
-// sorted permutation of its input multiset for random values.
+// TestPropertyEncSortIsPermutationSorted checks that EncSelectTop asked
+// for all n of n items outputs a sorted permutation of its input multiset
+// for random values.
 func TestPropertyEncSortIsPermutationSorted(t *testing.T) {
 	e := env(t)
 	f := func(seed int64) bool {
@@ -118,9 +119,9 @@ func TestPropertyEncSortIsPermutationSorted(t *testing.T) {
 			vals[i] = int64(rng.Intn(100))
 			items[i] = e.item(t, uint64(200+i), vals[i])
 		}
-		out, err := EncSort(context.Background(), e.client, items, 0, false, 16)
+		out, err := EncSelectTop(context.Background(), e.client, items, 0, false, n, 16)
 		if err != nil {
-			t.Logf("EncSort: %v", err)
+			t.Logf("EncSelectTop: %v", err)
 			return false
 		}
 		counts := map[int64]int{}

@@ -1,8 +1,9 @@
 // Package protocols implements the S1 side of the paper's two-party
 // sub-protocols (Section 8.2 and Section 10): EncCompare, the
 // encrypted-selection gadget (which carries RecoverEnc's blind), SecWorst,
-// SecBest, SecDedup/SecDupElim, SecUpdate, EncSort / top-k selection,
-// SecMult, and SecFilter.
+// SecBest, SecDedup/SecDupElim, SecUpdate, EncSelectTop (EncSort's
+// ranking: Batcher's network or top-k selection passes), SecMult, and
+// SecFilter.
 //
 // All functions drive the crypto cloud S2 through a cloud.Client; every
 // value S2 sees is blinded and/or permuted first.

@@ -495,15 +495,21 @@ func TestSecUpdateEmptyCases(t *testing.T) {
 	}
 }
 
+// sortCheck asks the one ranker for all n of n items, which at these
+// sizes runs Batcher's network, and checks a full sort.
 func sortCheck(t *testing.T, e *testEnv, vals []int64, desc bool) {
 	t.Helper()
-	items := make([]Item, len(vals))
+	n := len(vals)
+	if s := rankSchedule(n, n); reflect.DeepEqual(s.program, selectSchedule(n, n).program) {
+		t.Fatalf("n=%d: the ranker runs the selection passes, not the network", n)
+	}
+	items := make([]Item, n)
 	for i, v := range vals {
 		items[i] = e.item(t, uint64(100+i), v, int64(i))
 	}
-	out, err := EncSort(context.Background(), e.client, items, 0, desc, 16)
+	out, err := EncSelectTop(context.Background(), e.client, items, 0, desc, n, 16)
 	if err != nil {
-		t.Fatalf("EncSort: %v", err)
+		t.Fatalf("EncSelectTop: %v", err)
 	}
 	if len(out) != len(vals) {
 		t.Fatalf("sort changed length %d -> %d", len(vals), len(out))
@@ -549,15 +555,15 @@ func TestEncSortWithDuplicatesAndNegatives(t *testing.T) {
 
 func TestEncSortEdgeCases(t *testing.T) {
 	e := env(t)
-	if out, err := EncSort(context.Background(), e.client, nil, 0, false, 8); err != nil || len(out) != 0 {
+	if out, err := EncSelectTop(context.Background(), e.client, nil, 0, false, 0, 8); err != nil || len(out) != 0 {
 		t.Fatal("empty sort should be a no-op")
 	}
 	one := []Item{e.item(t, 1, 5)}
-	out, err := EncSort(context.Background(), e.client, one, 0, false, 8)
+	out, err := EncSelectTop(context.Background(), e.client, one, 0, false, 1, 8)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("singleton sort: %v", err)
 	}
-	if _, err := EncSort(context.Background(), e.client, []Item{e.item(t, 1, 5), e.item(t, 2, 6)}, 3, false, 8); err == nil {
+	if _, err := EncSelectTop(context.Background(), e.client, []Item{e.item(t, 1, 5), e.item(t, 2, 6)}, 3, false, 2, 8); err == nil {
 		t.Fatal("expected column range error")
 	}
 }
@@ -662,6 +668,81 @@ func TestSelectSchedule(t *testing.T) {
 	}
 }
 
+// TestRankSchedule checks the one ranker's choice without any crypto for
+// n <= 64 and k <= n+1: it never has more gates or more layers than the
+// selection passes, and a plaintext run leaves the sorted top k at
+// 0..k-1. At the shapes the benchmark's queries rank, the network is no
+// cheaper on both counts, so the ranker runs the selection passes gate
+// for gate there. Run with -v for the counts of both schedules at the
+// callers' shapes and at the Qry_F depth sums.
+func TestRankSchedule(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		for k := 0; k <= n+1; k++ {
+			name := fmt.Sprintf("n=%d k=%d", n, k)
+			s, sel := rankSchedule(n, k), selectSchedule(n, k)
+			if len(s.program) > len(sel.program) || len(s.layers) > len(sel.layers) {
+				t.Fatalf("%s: %d gates in %d layers, the passes take %d in %d",
+					name, len(s.program), len(s.layers), len(sel.program), len(sel.layers))
+			}
+			for trial := 0; trial < 2; trial++ {
+				vals, err := prf.RandomPerm(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runPlain(s, vals)
+				for p := 0; p < k && p < n; p++ {
+					if vals[p] != p {
+						t.Fatalf("%s: position %d holds rank %d: %v", name, p, vals[p], vals)
+					}
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		caller string
+		n, k   int
+	}{
+		{"checkHalt at depth 1", 3, 3},
+		{"checkHalt at depth 2", 6, 3},
+		{"shard.Merge", 4, 2},
+		{"join.SecJoin", 5, 3},
+		{"knn.Query", 12, 3},
+		{"the selecttop seam", 8, 3},
+	} {
+		s, sel := rankSchedule(tc.n, tc.k), selectSchedule(tc.n, tc.k)
+		if !reflect.DeepEqual(s.layers, sel.layers) {
+			t.Errorf("%s (n=%d k=%d): the ranker leaves the selection passes", tc.caller, tc.n, tc.k)
+		}
+	}
+
+	counts := func(s *schedule) string { return fmt.Sprintf("%d/%d", len(s.layers), len(s.program)) }
+	t.Log("layers/gates: selection passes -> ranker (Batcher's network)")
+	for _, tc := range []struct {
+		caller string
+		n, k   int
+	}{
+		{"checkHalt", 6, 3},
+		{"shard.Merge", 4, 2},
+		{"knn.Query", 12, 3},
+		{"join.SecJoin", 5, 3},
+		{"a depth-20 query", 60, 3},
+		{"the selecttop seam", 8, 3},
+		{"Figure 3 at k=4", 6, 5},
+	} {
+		t.Logf("  %-20s (%2d, %d): %7s -> %-6s (%s)", tc.caller, tc.n, tc.k,
+			counts(selectSchedule(tc.n, tc.k)), counts(rankSchedule(tc.n, tc.k)), counts(sortSchedule(tc.n)))
+	}
+	t.Log("checkHalt layers summed over depths 1-10 at |T| = 3d (Qry_F, m=3), selection passes -> ranker:")
+	for _, k := range []int{2, 4, 6, 8} {
+		var sel, ranked int
+		for d := 1; d <= 10; d++ {
+			sel += len(selectSchedule(3*d, k+1).layers)
+			ranked += SelectTopLayers(3*d, k+1)
+		}
+		t.Logf("  k=%d: %d -> %d", k, sel, ranked)
+	}
+}
+
 // TestEncSelectTop decrypts the selection's output: the first min(k, n)
 // positions must equal the plaintext sort, the rest must be the leftover
 // multiset, payload columns must travel with their key, and every
@@ -697,7 +778,7 @@ func TestEncSelectTop(t *testing.T) {
 				t.Fatalf("EncSelectTop: %v", err)
 			}
 			k := min(tc.k, n)
-			layers := int64(len(selectSchedule(n, tc.k).layers))
+			layers := int64(len(rankSchedule(n, tc.k).layers))
 			if rounds := e.stats.Rounds() - before; rounds != 2*layers {
 				t.Errorf("%d rounds for %d layers, want %d", rounds, layers, 2*layers)
 			}
@@ -739,6 +820,16 @@ func TestEncSelectTop(t *testing.T) {
 	}
 	if out, err := EncSelectTop(ctx, e.client, nil, 0, true, 1, 16); err != nil || out != nil {
 		t.Fatal("empty selection should be a no-op")
+	}
+	// Each would reach a gate's slots and panic there unvalidated.
+	good := e.item(t, 3, 7, 1)
+	for name, bad := range map[string]Item{
+		"nil EHL":             {Scores: good.Scores},
+		"fewer score columns": {EHL: good.EHL, Scores: good.Scores[:1]},
+	} {
+		if _, err := EncSelectTop(ctx, e.client, []Item{good, bad}, 1, true, 1, 16); err == nil {
+			t.Errorf("%s: expected malformed item error", name)
+		}
 	}
 }
 
@@ -804,7 +895,7 @@ func TestSecFilterOracle(t *testing.T) {
 	}
 }
 
-// TestBatcherLayersProduceValidNetwork checks EncSort's schedule without
+// TestBatcherLayersProduceValidNetwork checks the network's schedule without
 // any crypto: the schedule rules at every n up to 32, Batcher's depth
 // log2(n)·(log2(n)+1)/2 at the powers of two, and, by the 0-1 principle,
 // a sort of every n in 1..17 with no pad position: every 0-1 input ends

@@ -442,7 +442,7 @@ func TestGateLayerRecoverCount(t *testing.T) {
 // TestSelectionOutputsUnlinkable is the S1-side leakage check of every
 // protocol that ends in a selection: S1 holds all input ciphertexts, so an
 // output slot that repeats one of them as an integer tells S1 where that
-// input went — the order EncSort and EncSelectTop exist to hide, the match
+// input went — the order EncSelectTop exists to hide, the match
 // pattern SecWorst/SecBest/SecUpdate exist to hide. No output may equal any
 // input, and the outputs must still decrypt to the oracle's values.
 func TestSelectionOutputsUnlinkable(t *testing.T) {
@@ -489,15 +489,18 @@ func TestSelectionOutputsUnlinkable(t *testing.T) {
 			t.Errorf("EncSelectTop position %d: payload decoupled from key", i)
 		}
 	}
-	sorted, err := EncSort(ctx, e.client, items, 0, false, 16)
+	// All four of four items run Batcher's network, not the passes.
+	four := append(items, e.item(t, 303, 9, 3))
+	note(four[3].slots()...)
+	sorted, err := EncSelectTop(ctx, e.client, four, 0, false, len(four), 16)
 	if err != nil {
-		t.Fatalf("EncSort: %v", err)
+		t.Fatalf("EncSelectTop network: %v", err)
 	}
-	if got := keysOf(sorted); !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) || len(got) != 3 {
-		t.Errorf("EncSort keys = %v, want ascending", got)
+	if got := keysOf(sorted); !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) || len(got) != 4 {
+		t.Errorf("EncSelectTop network keys = %v, want ascending", got)
 	}
 	for _, it := range sorted {
-		check("EncSort", it.slots()...)
+		check("EncSelectTop network", it.slots()...)
 	}
 
 	// Lists 0 and 1 meet on object 7 at this depth; list 2 saw it earlier.

@@ -11,43 +11,6 @@ import (
 	"repro/internal/paillier"
 )
 
-// EncSort realizes the EncSort building block of [7] ("sorting behind the
-// curtain"): S1 holds encrypted items and ends with the same multiset of
-// items ordered by the designated score column, learning nothing about the
-// order; S2 sees only masked comparator differences.
-//
-// Implementation: a Batcher odd-even merge sorting network (sortSchedule)
-// whose compare-exchange gates are built from EncCompareHidden (the
-// comparison bit stays encrypted) and the encrypted-selection gadget. The
-// gates are grouped into layers as soon as their positions are written
-// (see schedule), and each layer costs two rounds (one comparison batch,
-// one recovery batch): O(log^2 m) layers, the depth the paper claims for
-// the network (Section 10.3). col selects the key column; desc selects
-// descending order; magBits bounds the key magnitudes.
-func EncSort(ctx context.Context, c *cloud.Client, items []Item, col int, desc bool, magBits int) ([]Item, error) {
-	n := len(items)
-	if n <= 1 {
-		return append([]Item(nil), items...), nil
-	}
-	cols := len(items[0].Scores)
-	if col < 0 || col >= cols {
-		return nil, fmt.Errorf("protocols: sort column %d out of range", col)
-	}
-	for i, it := range items {
-		if err := it.Validate(cols); err != nil {
-			return nil, fmt.Errorf("protocols: EncSort item %d: %w", i, err)
-		}
-	}
-
-	work := append([]Item(nil), items...)
-	for _, layer := range sortSchedule(n).layers {
-		if err := runGateLayer(ctx, c, work, layer, col, desc, magBits+2); err != nil {
-			return nil, err
-		}
-	}
-	return work, nil
-}
-
 // gate is one compare-exchange: after execution, position i holds the item
 // that sorts first.
 type gate struct{ i, j int }
@@ -234,22 +197,43 @@ func (h *byReady) Pop() any {
 	return x
 }
 
+// rankSchedule is the schedule EncSelectTop runs for the top k of n
+// items. Batcher's network (sortSchedule: the EncSort of [7] that
+// Algorithm 3 line 9 names) sorts all n; k selection passes
+// (selectSchedule) order only the first k. Every gate costs the same
+// (runGateLayer), and every layer two rounds, so the gate and layer counts
+// are the whole difference: the network runs where it has no more of
+// either and fewer of one, the passes otherwise, ties included. Both
+// schedules and the choice are functions of n and k alone.
+func rankSchedule(n, k int) *schedule {
+	sel, net := selectSchedule(n, k), sortSchedule(n)
+	gs, ls := len(sel.program), len(sel.layers)
+	gn, ln := len(net.program), len(net.layers)
+	if gn <= gs && ln <= ls && (gn < gs || ln < ls) {
+		return net
+	}
+	return sel
+}
+
 // SelectTopLayers is the number of gate layers EncSelectTop runs to put
 // the top k of n items first. Each layer costs two rounds: one
 // CompareHidden batch and one Recover batch.
-func SelectTopLayers(n, k int) int { return len(selectSchedule(n, k).layers) }
+func SelectTopLayers(n, k int) int { return len(rankSchedule(n, k).layers) }
 
 // EncSelectTop partially orders items so positions 0..k-1 hold the top k
 // by the key column (descending when desc, which is the engine's use:
-// largest worst scores first). It runs k selection passes; pass p is a
-// bracket over positions p..n-1 that leaves the best remaining item at p
-// (see selectSchedule). The gate count is O(k*l), cheaper than a full sort
-// for the small k of a top-k query, and gates that touch no common
-// position share one comparison batch and one recovery batch, as Section
-// 10.3 argues for EncSort's network layers, whichever pass they belong
-// to. The schedule is a function of n and k alone. Equal keys keep the
-// lower position. The remaining positions hold the leftovers in arbitrary
-// order.
+// largest worst scores first). S1 ends with the items reordered and
+// learns nothing about the order; S2 sees only masked comparator
+// differences. Each compare-exchange gate is built from EncCompareHidden
+// (the comparison bit stays encrypted) and the encrypted-selection
+// gadget, and gates that touch no common position share one comparison
+// batch and one recovery batch, as Section 10.3 argues for EncSort's
+// network layers. The gates come from rankSchedule: k selection passes,
+// O(k*l) gates for the small k of a top-k query, or Batcher's network
+// where that is cheaper, which sorts every position. Either way the
+// schedule is a function of n and k alone. With the passes, equal keys
+// keep the lower position and the remaining positions hold the leftovers
+// in arbitrary order. magBits bounds the key magnitudes.
 func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, desc bool, k, magBits int) ([]Item, error) {
 	n := len(items)
 	if n == 0 {
@@ -262,8 +246,13 @@ func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, d
 	if k < 0 {
 		return nil, errors.New("protocols: negative k")
 	}
+	for i, it := range items {
+		if err := it.Validate(cols); err != nil {
+			return nil, fmt.Errorf("protocols: EncSelectTop item %d: %w", i, err)
+		}
+	}
 	work := append([]Item(nil), items...)
-	for _, layer := range selectSchedule(n, k).layers {
+	for _, layer := range rankSchedule(n, k).layers {
 		if err := runGateLayer(ctx, c, work, layer, col, desc, magBits+2); err != nil {
 			return nil, err
 		}

@@ -248,7 +248,7 @@ func buildSamples() (map[string][]byte, error) {
 			Subsets: []cluster.SubsetInfo{{Relation: "r", Total: 2, Indices: []int{1}, Rows: []int{2}, M: 3, MaxScoreBits: 20, Epoch: 1, PK: pk.N}},
 			Routes:  []cluster.RouteInfo{{Relation: "j", Workload: "join"}}},
 		"cluster/candidates": cluster.CandidatesRequest{Relation: "r", Token: out["secio/token"],
-			Options: core.Options{Mode: core.QryE, ExactScan: true, QueryID: "q"}, Epoch: 1},
+			Options: core.Options{Mode: core.QryBa, BatchDepth: 4, MaxDepth: 6, ExactScan: true, QueryID: "q"}, Epoch: 1},
 		"cluster/candidates-reply": cluster.CandidatesReply{Epoch: 1, Sets: [][]byte{out["secio/candidates"]}},
 	}
 	for name, m := range frames {
