@@ -728,6 +728,7 @@ func TestRankSchedule(t *testing.T) {
 		{"a depth-20 query", 60, 3},
 		{"the selecttop seam", 8, 3},
 		{"Figure 3 at k=4", 6, 5},
+		{"checkHalt at m=2", 4, 3},
 	} {
 		t.Logf("  %-20s (%2d, %d): %7s -> %-6s (%s)", tc.caller, tc.n, tc.k,
 			counts(selectSchedule(tc.n, tc.k)), counts(rankSchedule(tc.n, tc.k)), counts(sortSchedule(tc.n)))
