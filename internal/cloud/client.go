@@ -19,8 +19,9 @@ import (
 // keeps the sum from wrapping before S1 reduces it mod N.
 //
 // The client also carries S1's nonce-precompute pools; the protocols
-// layer reads them through Enc, EphEnc and DJEnc so every S1-side
-// blinding loop shares one configuration.
+// layer reads them through Enc and EphEnc so every S1-side blinding loop
+// shares one configuration. S1 encrypts nothing under the Damgård-Jurik
+// layer (S2 makes every hidden bit), so it has no surface for it.
 type Client struct {
 	caller   transport.Caller
 	relation string
@@ -30,7 +31,6 @@ type Client struct {
 	ledger   *Ledger
 	pkEnc    paillier.Encryptor
 	ephEnc   paillier.Encryptor
-	djEnc    dj.Encryptor
 	close    []func()
 }
 
@@ -54,9 +54,9 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	}
 	cfg := buildConfig(opts)
 	c := &Client{caller: caller, relation: cfg.relation, pk: pk, djPK: djPK, eph: eph, ledger: ledger}
-	// S1 holds only the ephemeral private key: the main and DJ surfaces
-	// get the fast-nonce table when opted in (spec path otherwise), while
-	// the ephemeral surface additionally defaults to CRT.
+	// S1 holds only the ephemeral private key: the main surface gets the
+	// fast-nonce table when opted in (spec path otherwise), while the
+	// ephemeral surface additionally defaults to CRT.
 	pkEnc, err := cfg.newPaillierEnc(pk, nil)
 	if err != nil {
 		return nil, err
@@ -68,12 +68,6 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 		return nil, err
 	}
 	c.ephEnc, c.close = ephEnc, append(c.close, ephEnc.Close)
-	djEnc, err := cfg.newDJEnc(djPK, nil)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.djEnc, c.close = djEnc, append(c.close, djEnc.Close)
 	return c, nil
 }
 
@@ -129,9 +123,6 @@ func (c *Client) Enc() paillier.Encryptor { return c.pkEnc }
 
 // EphEnc returns the encryption surface for the ephemeral key.
 func (c *Client) EphEnc() paillier.Encryptor { return c.ephEnc }
-
-// DJEnc returns the encryption surface for the Damgård-Jurik layer.
-func (c *Client) DJEnc() dj.Encryptor { return c.djEnc }
 
 func ctsToBig(cts []*paillier.Ciphertext) ([]*big.Int, error) {
 	out := make([]*big.Int, len(cts))
@@ -229,23 +220,33 @@ func (c *Client) CompareSigns(ctx context.Context, cts []*paillier.Ciphertext) (
 	return resp.Neg, nil
 }
 
-// CompareSignsHidden is CompareSigns with encrypted result bits.
-func (c *Client) CompareSignsHidden(ctx context.Context, cts []*paillier.Ciphertext) ([]*dj.Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, nil
+// CompareHidden sends one layer of compare-exchange gates: a sign-blinded
+// difference per gate and, per gate, two halves of width blinded payloads
+// (pay[(2g+h)*width:] is half h of gate g). S2 answers Enc(b_g) and half
+// b_g of gate g, re-randomized, where b_g = 1 iff difference g is
+// negative.
+func (c *Client) CompareHidden(ctx context.Context, width int, diffs, pay []*paillier.Ciphertext) (bits, picked []*paillier.Ciphertext, err error) {
+	if len(diffs) == 0 {
+		return nil, nil, nil
 	}
-	vals, err := ctsToBig(cts)
-	if err != nil {
-		return nil, err
+	if width < 1 || len(pay) != 2*width*len(diffs) {
+		return nil, nil, fmt.Errorf("cloud: CompareHidden: %d payloads for %d gates of width %d", len(pay), len(diffs), width)
+	}
+	req := &CompareHiddenRequest{Relation: c.relation, Width: width}
+	if req.Cts, err = ctsToBig(diffs); err != nil {
+		return nil, nil, err
+	}
+	if req.Pay, err = ctsToBig(pay); err != nil {
+		return nil, nil, err
 	}
 	var resp CompareHiddenReply
-	if err := c.caller.Call(ctx, MethodCompareHidden, &CompareHiddenRequest{Relation: c.relation, Cts: vals}, &resp); err != nil {
-		return nil, err
+	if err := c.caller.Call(ctx, MethodCompareHidden, req, &resp); err != nil {
+		return nil, nil, err
 	}
-	if len(resp.Bits) != len(cts) {
-		return nil, fmt.Errorf("cloud: CompareHidden reply length %d != %d", len(resp.Bits), len(cts))
+	if len(resp.Bits) != len(diffs) || len(resp.Cts) != width*len(diffs) {
+		return nil, nil, fmt.Errorf("cloud: CompareHidden reply has %d bits and %d slots for %d gates of width %d", len(resp.Bits), len(resp.Cts), len(diffs), width)
 	}
-	return bigToDJ(resp.Bits), nil
+	return bigToCts(resp.Bits), bigToCts(resp.Cts), nil
 }
 
 // MultBlinded sends blinded factor pairs and returns the raw products

@@ -136,19 +136,71 @@ func TestCompareSigns(t *testing.T) {
 	}
 }
 
-func TestCompareSignsHidden(t *testing.T) {
+// TestCompareHiddenSwap is one layer of two gates through the client
+// call: S2 returns Enc(b) and half b of each gate, b = 1 iff the
+// difference decrypts negative, every returned slot under a nonce of its
+// own, and refuses a malformed layer typed before it decrypts anything.
+func TestCompareHiddenSwap(t *testing.T) {
 	e := env(t)
 	pk := &e.keys.Paillier.PublicKey
-	pos, _ := pk.EncryptInt64(3)
-	neg, _ := pk.EncryptInt64(-3)
-	bits, err := e.client.CompareSignsHidden(context.Background(), []*paillier.Ciphertext{pos, neg})
-	if err != nil {
-		t.Fatalf("CompareSignsHidden: %v", err)
+	enc := func(v int64) *paillier.Ciphertext {
+		ct, err := pk.EncryptInt64(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
 	}
-	m0, _ := e.keys.DJ.Decrypt(bits[0])
-	m1, _ := e.keys.DJ.Decrypt(bits[1])
-	if m0.Int64() != 0 || m1.Int64() != 1 {
-		t.Fatalf("hidden bits = %v %v, want 0 1", m0, m1)
+	diffs := []*paillier.Ciphertext{enc(3), enc(-3)}
+	// Gate g's half h holds 100g + 10h + slot.
+	var pay []*paillier.Ciphertext
+	for g := 0; g < 2; g++ {
+		for h := 0; h < 2; h++ {
+			for s := 0; s < 2; s++ {
+				pay = append(pay, enc(int64(100*g+10*h+s)))
+			}
+		}
+	}
+	bits, picked, err := e.client.CompareHidden(context.Background(), 2, diffs, pay)
+	if err != nil {
+		t.Fatalf("CompareHidden: %v", err)
+	}
+	if len(bits) != 2 || len(picked) != 4 {
+		t.Fatalf("%d bits and %d slots, want 2 and 4", len(bits), len(picked))
+	}
+	for g, want := range []int64{0, 1} {
+		if m, _ := e.keys.Paillier.Decrypt(bits[g]); m.Int64() != want {
+			t.Errorf("gate %d: bit %v, want %d", g, m, want)
+		}
+		for s := 0; s < 2; s++ {
+			got := picked[2*g+s]
+			if m, _ := e.keys.Paillier.Decrypt(got); m.Int64() != int64(100*g+10*int(want)+s) {
+				t.Errorf("gate %d slot %d = %v, want half %d's", g, s, m, want)
+			}
+			for _, p := range pay {
+				if got.C.Cmp(p.C) == 0 {
+					t.Errorf("gate %d slot %d is a payload verbatim", g, s)
+				}
+			}
+		}
+	}
+	if _, _, err := e.client.CompareHidden(context.Background(), 2, diffs, pay[:7]); err == nil {
+		t.Error("client sent a layer with a payload missing")
+	}
+
+	one, zero := big.NewInt(1), new(big.Int)
+	for name, req := range map[string]*CompareHiddenRequest{
+		"width zero":          {Width: 0, Cts: []*big.Int{one}},
+		"a payload short":     {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"width past the body": {Width: 1 << 62, Cts: []*big.Int{one, one}},
+		"nil payload":         {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, nil}},
+		"payload outside N^2": {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{pk.N2, one}},
+		"zero payload":        {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}},
+		"nil difference":      {Width: 1, Cts: []*big.Int{nil}, Pay: []*big.Int{one, one}},
+		"difference not a ct": {Width: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}},
+	} {
+		if _, err := e.server.compareHidden(context.Background(), req); !errors.Is(err, secerr.ErrBadRequest) {
+			t.Errorf("%s: got %v, want bad_request", name, err)
+		}
 	}
 }
 

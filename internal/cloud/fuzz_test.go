@@ -99,7 +99,13 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{method: MethodEqBits, body: append(raw(func(w *wire.Writer) { w.String(rel) }), 0x80, 0), code: bad},                          // overlong varint
 		{method: MethodRecover, body: enc(&RecoverRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
 		{method: MethodCompare, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
-		{method: MethodCompareHidden, body: append(enc(&CompareHiddenRequest{Relation: rel, Cts: []*big.Int{one}}), 0xff, 0xff), code: bad}, // trailing garbage
+		{method: MethodCompareHidden, body: append(enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, one}}), 0xff, 0xff), code: bad}, // trailing garbage
+		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, one}})},
+		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Cts: []*big.Int{one}}), code: bad},                                       // width zero
+		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}}), code: bad},       // a payload short
+		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1 << 62, Cts: []*big.Int{one, one}}), code: bad},                  // 2*Width*gates wraps to 0
+		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}}), code: bad}, // zero payload
+		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}}), code: bad}, // zero difference
 		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: nil}), code: bad},
 		{method: MethodDedup, body: enc(&DedupRequest{
 			Relation: rel,

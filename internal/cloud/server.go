@@ -248,31 +248,54 @@ func (s *Server) compare(req *CompareRequest) (*CompareReply, error) {
 	return &CompareReply{Neg: out}, nil
 }
 
-// compareHidden is compare with the result bit re-encrypted under DJ so
-// S1 learns nothing either.
+// compareHidden serves one layer of compare-exchange gates: for each gate
+// it decrypts the sign-blinded difference, takes b = 1 iff it is
+// negative, and answers Enc(b) and half b of the gate's payloads,
+// re-randomized so S1 cannot tell which half came back. S1's sign flip
+// keeps b uniform, and every payload is blinded, so S2 learns nothing it
+// did not learn from the sign alone. The whole request is checked before
+// anything is decrypted: an error that depended on b would tell S1 the bit.
 func (s *Server) compareHidden(ctx context.Context, req *CompareHiddenRequest) (*CompareHiddenReply, error) {
+	g, w := len(req.Cts), req.Width
+	if w < 1 || g > 0 && w > len(req.Pay) || len(req.Pay) != 2*g*w {
+		return nil, secerr.New(secerr.CodeBadRequest, "cloud: CompareHidden: %d payloads for %d gates of width %d", len(req.Pay), g, w)
+	}
+	n2 := s.keys.Paillier.N2
+	for i, c := range req.Pay {
+		if c == nil || c.Sign() <= 0 || c.Cmp(n2) >= 0 {
+			return nil, secerr.New(secerr.CodeBadRequest, "cloud: CompareHidden: payload %d is not a ciphertext", i)
+		}
+	}
 	ms, err := s.decryptRaw(req.Cts, "CompareHidden")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*big.Int, len(ms))
-	err = parallel.ForEachCtx(ctx, len(ms), func(i int) error {
-		t := zmath.Zero
+	out := &CompareHiddenReply{Bits: make([]*big.Int, g), Cts: make([]*big.Int, g*w)}
+	err = parallel.ForEachCtx(ctx, g, func(i int) error {
+		b := 0
 		if zmath.IsNegative(ms[i], s.keys.Paillier.N) {
-			t = zmath.One
+			b = 1
 		}
-		ct, err := s.djEnc.Encrypt(t)
+		bit, err := s.pkEnc.Encrypt(big.NewInt(int64(b)))
 		if err != nil {
 			return err
 		}
-		out[i] = ct.C
+		out.Bits[i] = bit.C
+		half := req.Pay[(2*i+b)*w : (2*i+b+1)*w]
+		for j, c := range half {
+			ct, err := s.pkEnc.Rerandomize(&paillier.Ciphertext{C: c})
+			if err != nil {
+				return err
+			}
+			out.Cts[i*w+j] = ct.C
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.ledger.Record("S2", MethodCompareHidden, "compared %d blinded differences (hidden)", len(req.Cts))
-	return &CompareHiddenReply{Bits: out}, nil
+	s.ledger.Record("S2", MethodCompareHidden, "compared %d blinded differences (hidden), returned %d of %d blinded slots", g, g*w, len(req.Pay))
+	return out, nil
 }
 
 // mult decrypts blinded factor pairs and returns the encrypted products;

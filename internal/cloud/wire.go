@@ -180,8 +180,8 @@ func (m *HelloReply) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// The four ciphertext-list requests share one layout, string(Relation)
-// then the integer list, and the four ciphertext-list replies another, the
+// The three ciphertext-list requests share one layout, string(Relation)
+// then the integer list, and the three ciphertext-list replies another, the
 // integer list alone.
 
 func marshalCtsRequest(relation string, cts []*big.Int) ([]byte, error) {
@@ -302,35 +302,56 @@ func (m *CompareReply) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// CompareHiddenRequest is CompareRequest for the oblivious variant: the
-// sign comes back encrypted so not even S1 learns the order (used inside
-// EncSelectTop's compare-exchange gates).
+// CompareHiddenRequest is one layer of EncSelectTop's compare-exchange
+// gates in one round. Per gate g, Cts[g] is the sign-blinded difference
+// Enc(±r(2a-2b-1)) of the two items' keys, and Pay holds the gate's two
+// orderings of its items' Width slots, each slot additively blinded and
+// freshly randomized: Pay[(2g+h)*Width : (2g+h+1)*Width] is half h. S2
+// applies the sign it reads: it returns half b, b = 1 iff Cts[g] decrypts
+// negative, and Enc(b), so neither party learns which way the gate went.
 type CompareHiddenRequest struct {
 	Relation string
-	Cts      []*big.Int
+	Width    int
+	Cts      []*big.Int // Paillier ciphertexts, one per gate
+	Pay      []*big.Int // Paillier ciphertexts, 2*Width per gate
 }
 
-// MarshalBinary: string(Relation), then Cts as an integer list.
+// MarshalBinary: string(Relation) uvarint(Width), then Cts and Pay as
+// integer lists.
 func (m CompareHiddenRequest) MarshalBinary() ([]byte, error) {
-	return marshalCtsRequest(m.Relation, m.Cts)
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Int("Width", m.Width)
+	w.Bigs("Cts", m.Cts)
+	w.Bigs("Pay", m.Pay)
+	return w.Finish()
 }
 
-func (m *CompareHiddenRequest) UnmarshalBinary(b []byte) (err error) {
-	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
-	return err
+func (m *CompareHiddenRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*m = CompareHiddenRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay")}
+	return r.Finish()
 }
 
-// CompareHiddenReply carries E2(neg_i).
+// CompareHiddenReply carries, per gate, Enc(b) in Bits and the Width slots
+// of half b, re-randomized, in Cts.
 type CompareHiddenReply struct {
-	Bits []*big.Int
+	Bits []*big.Int // Paillier ciphertexts, one per gate
+	Cts  []*big.Int // Paillier ciphertexts, Width per gate
 }
 
-// MarshalBinary: Bits as an integer list.
-func (m CompareHiddenReply) MarshalBinary() ([]byte, error) { return marshalCts("Bits", m.Bits) }
+// MarshalBinary: Bits, then Cts, as integer lists.
+func (m CompareHiddenReply) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Bigs("Bits", m.Bits)
+	w.Bigs("Cts", m.Cts)
+	return w.Finish()
+}
 
-func (m *CompareHiddenReply) UnmarshalBinary(b []byte) (err error) {
-	m.Bits, err = unmarshalCts("Bits", b)
-	return err
+func (m *CompareHiddenReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*m = CompareHiddenReply{Bits: r.Bigs("Bits"), Cts: r.Bigs("Cts")}
+	return r.Finish()
 }
 
 // MultRequest carries additively blinded factor pairs Enc(a+r_a),

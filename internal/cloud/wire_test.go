@@ -260,6 +260,31 @@ func TestWireOverhead(t *testing.T) {
 	if enc, err := transport.Encode(&CompareReply{Neg: neg}); err != nil || len(enc) > 2+125 {
 		t.Errorf("CompareReply of 1000 signs: %d bytes (%v), want a bitset", len(enc), err)
 	}
+	// A gate layer of g gates over w-slot items, at 64-byte ciphertexts:
+	// g differences and 2gw payloads go up, g bits and gw slots come back.
+	const g, w, ct = 3, 5, 64
+	full := func(n int) []*big.Int {
+		out := make([]*big.Int, n)
+		for i := range out {
+			out[i] = new(big.Int).SetBytes(bytes.Repeat([]byte{0xa5}, ct))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		m    any
+		bigs int
+	}{
+		{&CompareHiddenRequest{Relation: "relation-7", Width: w, Cts: full(g), Pay: full(2 * g * w)}, g + 2*g*w},
+		{&CompareHiddenReply{Bits: full(g), Cts: full(g * w)}, g + g*w},
+	} {
+		enc, err := transport.Encode(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget := tc.bigs*(ct+2) + 24 + len("relation-7"); len(enc) > budget {
+			t.Errorf("%T of a %d-gate layer: %d bytes, budget %d", tc.m, g, len(enc), budget)
+		}
+	}
 }
 
 // FuzzWireDecode feeds arbitrary bytes to every message's decoder: it

@@ -40,8 +40,8 @@ func TestRoundComplexityPerDepth(t *testing.T) {
 		if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: maxDepth}); err != nil {
 			t.Fatal(err)
 		}
-		// Pipeline methods only (ranking uses Compare/CompareHidden and
-		// its own Recover calls, which scale with k and |T|).
+		// Pipeline methods only (ranking uses Compare and CompareHidden,
+		// which scale with k and |T|).
 		return stats.Method(cloud.MethodEqBits).Calls + stats.Method(cloud.MethodDedup).Calls
 	}
 	// The Figure 3 query halts at depth fig3Depth, so measure strictly
@@ -79,13 +79,13 @@ var depthBudget = []struct {
 		}
 		return 1
 	}},
-	{"EncSelectTop layer", []string{cloud.MethodCompareHidden, cloud.MethodRecover}, func(_, ranked, k int) int {
+	{"EncSelectTop layer", []string{cloud.MethodCompareHidden}, func(_, ranked, k int) int {
 		if ranked < k+1 {
 			return 0 // too few items to test halting on
 		}
-		// The top k+1 of ranked items: k+1 selection passes scheduled
+		// The top k of ranked items: k selection passes scheduled
 		// together, or Batcher's network where that is cheaper.
-		return protocols.SelectTopLayers(ranked, k+1)
+		return protocols.SelectTopLayers(ranked, k)
 	}},
 	{"halting test", []string{cloud.MethodCompare}, func(_, ranked, k int) int {
 		if ranked < k+1 {
@@ -97,11 +97,11 @@ var depthBudget = []struct {
 
 // TestRoundBudget runs Qry_F, m=3 on a rank-correlated relation, which
 // halts at depth k, and holds every wire method to depthBudget. At k=2,
-// the benchmark's query shape, that is 10 rounds at depth 1 and 19 at
-// depth 2. At k=6 the halting check first runs at depth 3, and there and
-// at depths 4-6 Batcher's network ranks 7 of |T| = 9..18 items in 16
-// fewer layers than the selection passes: the query takes 125 rounds
-// where the passes alone took 157.
+// the benchmark's query shape, that is 7 rounds at depth 1 and 12 at
+// depth 2, one round a gate layer. At k=6 the halting check first runs at
+// depth 3, and at depths 3-5 Batcher's network ranks 6 of |T| = 9..15
+// items in 10 fewer layers than the selection passes: the query takes 81
+// rounds where the passes alone took 91.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
 	const m = 3
@@ -114,7 +114,7 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	for _, tc := range []struct{ k, rounds int }{{2, 29}, {6, 125}} {
+	for _, tc := range []struct{ k, rounds int }{{2, 19}, {6, 81}} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			k := tc.k
 			stats := transport.NewStats()

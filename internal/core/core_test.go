@@ -167,13 +167,13 @@ func TestPaperExampleQryBa(t *testing.T) {
 }
 
 // TestPaperExampleWithFullSort runs the Figure 3 query at k=4, where the
-// halting check ranks 5 of |T| = 6 items at depth 2 on Batcher's network
-// (6 layers, 12 gates) rather than five selection passes (8 layers, 15
+// halting check ranks 4 of |T| = 6 items at depth 2 on Batcher's network
+// (6 layers, 12 gates) rather than four selection passes (7 layers, 14
 // gates), and holds the answer to the plaintext top 4.
 func TestPaperExampleWithFullSort(t *testing.T) {
 	const k = 4
-	if got := protocols.SelectTopLayers(6, k+1); got != 6 {
-		t.Fatalf("ranking 5 of 6 items takes %d layers, want the network's 6", got)
+	if got := protocols.SelectTopLayers(6, k); got != 6 {
+		t.Fatalf("ranking 4 of 6 items takes %d layers, want the network's 6", got)
 	}
 	r := getRig(t)
 	er := encryptFig3(t, r)

@@ -505,8 +505,9 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 	}
 }
 
-// checkHalt ranks T by worst score and evaluates NRA's halting condition:
-// W_k must dominate every tracked non-top-k bound and the unseen-object
+// checkHalt puts T's top k by worst score first and evaluates NRA's
+// halting condition, for which the tail's order does not matter: W_k must
+// dominate every tracked non-top-k bound and the unseen-object
 // bound (the sum of the current bottoms). Algorithm 3 line 10 checks only
 // the (k+1)-th item's bound, which can halt on a wrong top-k (DESIGN.md
 // errata). All the comparisons go to S2 as one batch, and S1 learns each
@@ -514,7 +515,7 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 // When best is nil, stored best-bound columns (ColBest) are used (Qry_F /
 // Qry_E); otherwise best computes bounds on demand (Qry_Ba).
 func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits int, bottoms []*paillier.Ciphertext, best bestFunc) (bool, []protocols.Item, error) {
-	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k+1, magBits)
+	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k, magBits)
 	if err != nil {
 		return false, nil, err
 	}
@@ -558,8 +559,9 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 
 // finalize returns the best-effort top-k after the scan ended without the
 // halting condition firing. A full scan is exact (all bounds are tight at
-// depth n); a MaxDepth-capped scan is marked unhalted. One extra position
-// beyond k is ranked so the shard merge sees the (k+1)-th residual.
+// depth n); a MaxDepth-capped scan is marked unhalted. Only the top k
+// positions are ranked: the shard merge takes every bound beyond them as
+// a residual, in any order.
 func (e *Engine) finalize(ctx context.Context, T []protocols.Item, k, magBits, depth int, fullScan bool, bottoms []*paillier.Ciphertext, best bestFunc) (*QueryResult, *runInfo, error) {
 	info := &runInfo{bottoms: bottoms, best: best, fullScan: fullScan}
 	if len(T) == 0 {
@@ -568,11 +570,7 @@ func (e *Engine) finalize(ctx context.Context, T []protocols.Item, k, magBits, d
 	if k > len(T) {
 		k = len(T)
 	}
-	sel := k + 1
-	if sel > len(T) {
-		sel = len(T)
-	}
-	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, sel, magBits)
+	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k, magBits)
 	if err != nil {
 		return nil, nil, err
 	}

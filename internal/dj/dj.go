@@ -378,16 +378,6 @@ func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	return pk.Add(a, nb)
 }
 
-// OneMinusEnc returns E(1-t) = E(1) * E(t)^{-1}, the complement of a
-// hidden bit, drawing the E(1) from enc so hot paths can use a nonce pool.
-func OneMinusEnc(enc Encryptor, t *Ciphertext) (*Ciphertext, error) {
-	one, err := enc.Encrypt(zmath.One)
-	if err != nil {
-		return nil, err
-	}
-	return enc.Key().Sub(one, t)
-}
-
 // Rerandomize multiplies by a fresh encryption of zero.
 func (pk *PublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
 	z, err := pk.Encrypt(zmath.Zero)

@@ -7,7 +7,6 @@ import (
 	"math/big"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
 	"repro/internal/zmath"
@@ -21,10 +20,10 @@ import (
 // d = 2a - 2b - 1 (strictly negative iff a <= b, and never zero, which
 // removes the equality corner case), masks it multiplicatively with a
 // random magnitude r and a random sign flip s, and sends Enc(±r*d). S2
-// reports only the sign of the decryption; S1 undoes the flip. The hidden
-// variant gets the sign back as E2(t) and undoes the flip homomorphically
-// so not even S1 learns the order — that is the comparator inside
-// EncSelectTop's compare-exchange gates.
+// reports only the sign of the decryption; S1 undoes the flip. Inside
+// EncSelectTop's compare-exchange gates the sign is never revealed: S1
+// orders the gate's two payloads by its flip and S2 returns the one the
+// sign names (runGateLayer), so not even S1 learns the order.
 
 // maskedDiff builds Enc(±r(2a-2b-1)) and returns the ciphertext plus the
 // sign flip that was applied. magBits bounds |a|,|b| so the mask range can
@@ -119,49 +118,4 @@ func EncCompareBatch(ctx context.Context, c *cloud.Client, as, bs []*paillier.Ci
 		out[i] = negs[i] != flips[i]
 	}
 	return out, nil
-}
-
-// EncCompareHiddenBatch evaluates t_i = (a_i <= b_i) with the result left
-// encrypted as E2(t_i): S2 sees only masked differences, S1 sees only
-// ciphertext bits. One round.
-func EncCompareHiddenBatch(ctx context.Context, c *cloud.Client, as, bs []*paillier.Ciphertext, magBits int) ([]*dj.Ciphertext, error) {
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("protocols: EncCompareHidden length mismatch %d vs %d", len(as), len(bs))
-	}
-	if len(as) == 0 {
-		return nil, nil
-	}
-	masked := make([]*paillier.Ciphertext, len(as))
-	flips := make([]bool, len(as))
-	err := parallel.ForEachCtx(ctx, len(as), func(i int) error {
-		m, flip, err := maskedDiff(c.Enc(), as[i], bs[i], magBits)
-		if err != nil {
-			return err
-		}
-		masked[i], flips[i] = m, flip
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	bits, err := c.CompareSignsHidden(ctx, masked)
-	if err != nil {
-		return nil, err
-	}
-	err = parallel.ForEachCtx(ctx, len(bits), func(i int) error {
-		if !flips[i] {
-			return nil
-		}
-		// Undo the sign flip homomorphically: t = 1 - neg.
-		nb, err := dj.OneMinusEnc(c.DJEnc(), bits[i])
-		if err != nil {
-			return err
-		}
-		bits[i] = nb
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return bits, nil
 }

@@ -96,7 +96,7 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 	}
 	rows := make([]cloud.WireRow, len(items))
 	err = parallel.ForEachCtx(ctx, len(items), func(i int) error {
-		cts, blinds, err := blindSlots(pk, c.EphEnc(), items[i].slots())
+		cts, blinds, err := blindSlots(c.Enc(), c.EphEnc(), items[i].slots())
 		if err != nil {
 			return fmt.Errorf("protocols: SecDedup blinding item %d: %w", i, err)
 		}
@@ -153,14 +153,22 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 }
 
 // blindSlots additively blinds every ciphertext with a fresh alpha < N and
-// records each alpha under the ephemeral key (Algorithm 7 lines 8-11).
-func blindSlots(pk *paillier.PublicKey, ephEnc paillier.Encryptor, slots []*paillier.Ciphertext) (cts, blinds []*big.Int, err error) {
+// records each alpha under the ephemeral key (Algorithm 7 lines 8-11). The
+// blind is a fresh Enc(alpha) from enc, not (1+N)^alpha: the slots are
+// often S2's own earlier replies, and a slot that kept its nonce power
+// would let S2 link the row across rounds whatever the permutation.
+func blindSlots(enc, ephEnc paillier.Encryptor, slots []*paillier.Ciphertext) (cts, blinds []*big.Int, err error) {
+	pk := enc.Key()
 	for _, slot := range slots {
 		alpha, err := zmath.RandInt(rand.Reader, pk.N)
 		if err != nil {
 			return nil, nil, err
 		}
-		blinded, err := pk.AddPlain(slot, alpha)
+		blind, err := enc.Encrypt(alpha)
+		if err != nil {
+			return nil, nil, err
+		}
+		blinded, err := pk.Add(slot, blind)
 		if err != nil {
 			return nil, nil, err
 		}

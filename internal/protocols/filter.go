@@ -71,7 +71,7 @@ func SecFilter(ctx context.Context, c *cloud.Client, tuples []JoinTuple) ([]Join
 		if test, err = c.Enc().Rerandomize(test); err != nil {
 			return err
 		}
-		cts, blinds, err := blindSlots(pk, c.EphEnc(), append([]*paillier.Ciphertext{t.Score}, t.Attrs...))
+		cts, blinds, err := blindSlots(c.Enc(), c.EphEnc(), append([]*paillier.Ciphertext{t.Score}, t.Attrs...))
 		if err != nil {
 			return err
 		}

@@ -138,8 +138,8 @@ func (s Selection) check(djPK *dj.PublicKey) error {
 //
 // The layered exponentiations are the dominant S1-side cost: one per bit,
 // none for the Else branch and none for a bit whose branch is Else. The
-// powers of one hidden bit (a gate's slots, a SecUpdate pair's picks and
-// bound) are raised together, sharing one squaring chain, and the bits fan
+// powers of one hidden bit (a SecUpdate pair's picks and bound) are
+// raised together, sharing one squaring chain, and the bits fan
 // out over GOMAXPROCS workers.
 func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier.Ciphertext, error) {
 	pk, djPK := c.PK(), c.DJPK()

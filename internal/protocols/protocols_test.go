@@ -188,25 +188,56 @@ func TestEncCompareBatchAndValidation(t *testing.T) {
 	}
 }
 
+// TestEncCompareHidden runs the gate's hidden comparison over key pairs
+// of both orders, equal keys and negative keys, ascending and descending,
+// all in one layer and many times over: position i must end with the item
+// that sorts first, payload included, and the sign S2 reads must take
+// both values, since S1's flip makes it independent of the order.
 func TestEncCompareHidden(t *testing.T) {
 	e := env(t)
-	as := []*paillier.Ciphertext{e.enc(t, 3), e.enc(t, 9), e.enc(t, 4)}
-	bs := []*paillier.Ciphertext{e.enc(t, 7), e.enc(t, 2), e.enc(t, 4)}
-	want := []int64{1, 0, 1} // a <= b
-	for rep := 0; rep < 4; rep++ {
-		bits, err := EncCompareHiddenBatch(context.Background(), e.client, as, bs, 16)
-		if err != nil {
-			t.Fatal(err)
+	tap := &gateTap{inner: transport.NewLocal(e.server, nil)}
+	client, err := cloud.NewClient(tap, &e.keys.Paillier.PublicKey, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	pairs := [][2]int64{{3, 7}, {9, 2}, {4, 4}, {-5, -5}, {-6, 1}, {1, -6}}
+	for _, desc := range []bool{false, true} {
+		for rep := 0; rep < 4; rep++ {
+			var work []Item
+			var layer []gate
+			for p, kv := range pairs {
+				work = append(work, e.item(t, uint64(2*p), kv[0], 0), e.item(t, uint64(2*p+1), kv[1], 1))
+				layer = append(layer, gate{2 * p, 2*p + 1})
+			}
+			if err := runGateLayer(context.Background(), client, work, layer, 0, desc, 18); err != nil {
+				t.Fatal(err)
+			}
+			for p, kv := range pairs {
+				first := 0 // index of the pair's key that sorts first; ties keep it
+				if !desc && kv[1] < kv[0] || desc && kv[1] > kv[0] {
+					first = 1
+				}
+				got0, got1 := work[2*p], work[2*p+1]
+				if e.dec(t, got0.Scores[0]) != kv[first] || e.dec(t, got0.Scores[1]) != int64(first) ||
+					e.dec(t, got1.Scores[0]) != kv[1-first] || e.dec(t, got1.Scores[1]) != int64(1-first) {
+					t.Fatalf("desc=%v rep %d: gate over %v did not put item %d first", desc, rep, kv, first)
+				}
+			}
 		}
-		for i, b := range bits {
-			m, err := e.keys.DJ.Decrypt(b)
+	}
+	seen := map[int64]int{}
+	for _, r := range tap.replies {
+		for _, b := range r.Bits {
+			m, err := e.keys.Paillier.Decrypt(&paillier.Ciphertext{C: b})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Int64() != want[i] {
-				t.Fatalf("rep %d: hidden bit %d = %v, want %d", rep, i, m, want[i])
-			}
+			seen[m.Int64()]++
 		}
+	}
+	if len(seen) != 2 || seen[0]+seen[1] != 8*len(pairs) {
+		t.Fatalf("S2 read signs %v over %d gates, want both values", seen, 8*len(pairs))
 	}
 }
 
@@ -653,11 +684,11 @@ func TestSelectSchedule(t *testing.T) {
 		n, k          int
 		before, after int
 	}{
-		{"checkHalt", 6, 3, 8, 6},
+		{"checkHalt", 6, 2, 6, 5},
 		{"shard.Merge", 4, 2, 4, 3},
 		{"knn.Query", 12, 3, 12, 8},
 		{"join.SecJoin", 5, 3, 7, 5},
-		{"a depth-20 query", 60, 3, 18, 12},
+		{"a depth-20 query", 60, 2, 12, 9},
 	} {
 		if _, layers := perPass(tc.n, tc.k); layers != tc.before {
 			t.Errorf("%s (n=%d k=%d): %d layers one pass after another, want %d", tc.caller, tc.n, tc.k, layers, tc.before)
@@ -702,8 +733,8 @@ func TestRankSchedule(t *testing.T) {
 		caller string
 		n, k   int
 	}{
-		{"checkHalt at depth 1", 3, 3},
-		{"checkHalt at depth 2", 6, 3},
+		{"checkHalt at depth 1", 3, 2},
+		{"checkHalt at depth 2", 6, 2},
 		{"shard.Merge", 4, 2},
 		{"join.SecJoin", 5, 3},
 		{"knn.Query", 12, 3},
@@ -721,14 +752,14 @@ func TestRankSchedule(t *testing.T) {
 		caller string
 		n, k   int
 	}{
-		{"checkHalt", 6, 3},
+		{"checkHalt", 6, 2},
 		{"shard.Merge", 4, 2},
 		{"knn.Query", 12, 3},
 		{"join.SecJoin", 5, 3},
-		{"a depth-20 query", 60, 3},
+		{"a depth-20 query", 60, 2},
 		{"the selecttop seam", 8, 3},
-		{"Figure 3 at k=4", 6, 5},
-		{"checkHalt at m=2", 4, 3},
+		{"Figure 3 at k=4", 6, 4},
+		{"checkHalt at m=2", 4, 2},
 	} {
 		t.Logf("  %-20s (%2d, %d): %7s -> %-6s (%s)", tc.caller, tc.n, tc.k,
 			counts(selectSchedule(tc.n, tc.k)), counts(rankSchedule(tc.n, tc.k)), counts(sortSchedule(tc.n)))
@@ -737,8 +768,8 @@ func TestRankSchedule(t *testing.T) {
 	for _, k := range []int{2, 4, 6, 8} {
 		var sel, ranked int
 		for d := 1; d <= 10; d++ {
-			sel += len(selectSchedule(3*d, k+1).layers)
-			ranked += SelectTopLayers(3*d, k+1)
+			sel += len(selectSchedule(3*d, k).layers)
+			ranked += SelectTopLayers(3*d, k)
 		}
 		t.Logf("  k=%d: %d -> %d", k, sel, ranked)
 	}
@@ -747,7 +778,7 @@ func TestRankSchedule(t *testing.T) {
 // TestEncSelectTop decrypts the selection's output: the first min(k, n)
 // positions must equal the plaintext sort, the rest must be the leftover
 // multiset, payload columns must travel with their key, and every
-// scheduled layer must cost exactly two rounds.
+// scheduled layer must cost exactly one round.
 func TestEncSelectTop(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -780,8 +811,8 @@ func TestEncSelectTop(t *testing.T) {
 			}
 			k := min(tc.k, n)
 			layers := int64(len(rankSchedule(n, tc.k).layers))
-			if rounds := e.stats.Rounds() - before; rounds != 2*layers {
-				t.Errorf("%d rounds for %d layers, want %d", rounds, layers, 2*layers)
+			if rounds := e.stats.Rounds() - before; rounds != layers {
+				t.Errorf("%d rounds for %d layers, want one a layer", rounds, layers)
 			}
 			if len(out) != n {
 				t.Fatalf("selection changed length %d -> %d", n, len(out))

@@ -1,0 +1,313 @@
+package protocols_test
+
+import (
+	"context"
+	"fmt"
+	"math/big"
+	"sync"
+	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/dj"
+	"repro/internal/ehl"
+	"repro/internal/join"
+	"repro/internal/knn"
+	"repro/internal/nra"
+	"repro/internal/paillier"
+	"repro/internal/transport"
+)
+
+// wireRecorder is a transport.Caller between S1's stub and S2 that keeps
+// both parties' views of one query and holds S2's keys, so it can read
+// what S2 can read: the nonce power c*(1+N)^(-Dec(c)) mod N^2 of every
+// Paillier ciphertext, the one part of a ciphertext blinding does not
+// touch. It checks the two views as the query runs:
+//
+//   - S2's: no Paillier ciphertext S2 receives, and no inner ciphertext S2
+//     decrypts out of a Recover term, carries a nonce power S2 has already
+//     sent or received in the query. One that did would link the two
+//     messages, whatever blinds and permutations S1 put between them.
+//   - S1's: no integer S1 receives equals one S1 sent. One that did would
+//     tell S1 where its own ciphertext went.
+type wireRecorder struct {
+	t     testing.TB
+	inner transport.Caller
+	keys  *cloud.KeyMaterial
+
+	mu     sync.Mutex
+	powers map[string]string // nonce power -> the message that first carried it
+	sent   map[string]string // integer S1 sent -> its message
+	calls  int
+}
+
+func newWireRecorder(t testing.TB, inner transport.Caller, keys *cloud.KeyMaterial) *wireRecorder {
+	return &wireRecorder{t: t, inner: inner, keys: keys, powers: map[string]string{}, sent: map[string]string{}}
+}
+
+func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) error {
+	err := r.inner.Call(ctx, method, req, resp)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls++
+	in, inInner, inOther := s2Receives(req)
+	out, outOther := s2Sends(resp)
+	at := fmt.Sprintf("%s #%d", method, r.calls)
+	for i, c := range in {
+		r.s2Reads(c, fmt.Sprintf("%s request ciphertext %d", at, i))
+	}
+	for i, c := range inInner {
+		inner, err := r.keys.DJ.DecryptInner(&dj.Ciphertext{C: c})
+		if err != nil {
+			r.t.Fatalf("%s: term %d does not decrypt: %v", at, i, err)
+		}
+		r.s2Reads(inner.C, fmt.Sprintf("%s term %d's inner ciphertext", at, i))
+	}
+	for i, c := range out {
+		r.powers[r.noncePower(c)] = fmt.Sprintf("%s reply ciphertext %d", at, i)
+	}
+	for _, c := range append(append(append([]*big.Int(nil), in...), inInner...), inOther...) {
+		r.sent[c.String()] = at
+	}
+	for i, c := range append(append([]*big.Int(nil), out...), outOther...) {
+		if from, ok := r.sent[c.String()]; ok {
+			r.t.Errorf("S1 view: %s reply integer %d is what S1 sent in %s", at, i, from)
+		}
+	}
+	return nil
+}
+
+// s2Reads checks one ciphertext S2 can decrypt against every nonce power
+// of the query so far, then adds its own.
+func (r *wireRecorder) s2Reads(c *big.Int, what string) {
+	p := r.noncePower(c)
+	if first, ok := r.powers[p]; ok {
+		r.t.Errorf("S2 view: %s carries the nonce power of %s", what, first)
+		return
+	}
+	r.powers[p] = what
+}
+
+func (r *wireRecorder) noncePower(c *big.Int) string {
+	sk := r.keys.Paillier
+	m, err := sk.Decrypt(&paillier.Ciphertext{C: c})
+	if err != nil {
+		r.t.Fatalf("a Paillier slot on the wire does not decrypt: %v", err)
+	}
+	// (1+N)^(-m) = 1 - m*N mod N^2.
+	g := new(big.Int).Mul(m, sk.N)
+	g.Sub(big.NewInt(1), g)
+	g.Mul(g, c)
+	return g.Mod(g, sk.N2).String()
+}
+
+// s2Receives splits a request into the Paillier ciphertexts S2 decrypts,
+// the DJ terms whose inner ciphertexts it decrypts, and the integers it
+// cannot open (blind records under S1's ephemeral key, its modulus).
+func s2Receives(req any) (paillierCts, djTerms, other []*big.Int) {
+	switch r := req.(type) {
+	case *cloud.EqBitsRequest:
+		return r.Cts, nil, nil
+	case *cloud.RecoverRequest:
+		return nil, r.Cts, nil
+	case *cloud.CompareRequest:
+		return r.Cts, nil, nil
+	case *cloud.CompareHiddenRequest:
+		return append(append([]*big.Int(nil), r.Cts...), r.Pay...), nil, nil
+	case *cloud.MultRequest:
+		return append(append([]*big.Int(nil), r.A...), r.B...), nil, nil
+	case *cloud.DedupRequest:
+		cts, blinds := rowInts(r.Rows)
+		return append(cts, r.PairCts...), nil, append(blinds, r.EphemeralN)
+	case *cloud.FilterRequest:
+		cts, blinds := rowInts(r.Rows)
+		return append(cts, r.Tests...), nil, append(blinds, r.EphemeralN)
+	}
+	return nil, nil, nil
+}
+
+// s2Sends splits a reply into the Paillier ciphertexts S2 made and every
+// other integer (DJ bits, blind records).
+func s2Sends(resp any) (paillierCts, other []*big.Int) {
+	switch r := resp.(type) {
+	case *cloud.EqBitsReply:
+		return nil, r.Bits
+	case *cloud.RecoverReply:
+		return r.Cts, nil
+	case *cloud.CompareHiddenReply:
+		return append(append([]*big.Int(nil), r.Bits...), r.Cts...), nil
+	case *cloud.MultReply:
+		return r.Products, nil
+	case *cloud.DedupReply:
+		return rowInts(r.Rows)
+	case *cloud.FilterReply:
+		return rowInts(r.Rows)
+	}
+	return nil, nil
+}
+
+func rowInts(rows []cloud.WireRow) (cts, blinds []*big.Int) {
+	for _, row := range rows {
+		cts = append(append(cts, row.EHL...), row.Scores...)
+		blinds = append(blinds, row.Blinds...)
+	}
+	return cts, blinds
+}
+
+// TestWireRecorder runs top-k in Qry_F, Qry_E and Qry_Ba, a top-k join and
+// a kNN query, each through a fresh wireRecorder, and holds both parties'
+// views to its two rules. Every query must also return the plaintext
+// answer, so the recorder watched the protocol run to its end.
+func TestWireRecorder(t *testing.T) {
+	const keyBits, scoreBits = 256, 16
+	ehlParams := ehl.Params{Kind: ehl.KindPlus, S: 3}
+	keys, err := cloud.NewKeyMaterial(keyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := cloud.NewServer(keys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	ctx := context.Background()
+	// client starts a query's recorder: a stub of its own, so the blinds
+	// and nonces of one query are never another's.
+	client := func(t *testing.T) *cloud.Client {
+		rec := newWireRecorder(t, transport.NewLocal(server, nil), keys)
+		c, err := cloud.NewClient(rec, &keys.Paillier.PublicKey, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			c.Close()
+			if rec.calls == 0 {
+				t.Error("the query made no S2 call")
+			}
+		})
+		return c
+	}
+
+	scheme, err := core.NewSchemeFromKeys(core.Params{KeyBits: keyBits, EHL: ehlParams, MaxScoreBits: scoreBits}, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Objects recur across lists at different depths, so SecWorstBest,
+	// SecDedup and SecUpdate all find matches, and the query halts at
+	// depth 3 or later.
+	rel := &dataset.Relation{Name: "recorded", Rows: [][]int64{
+		{10, 3, 2}, {8, 8, 0}, {5, 7, 6}, {3, 2, 8}, {1, 1, 1}, {7, 9, 3},
+	}}
+	er, err := scheme.EncryptRelation(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 2
+	attrs := []int{0, 1, 2}
+	want, err := nra.TopKExact(rel, attrs, nil, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := scheme.NewRevealer(er.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []core.Options{{Mode: core.QryF}, {Mode: core.QryE}, {Mode: core.QryBa, BatchDepth: 2}} {
+		t.Run("topk/"+opts.Mode.String(), func(t *testing.T) {
+			engine, err := core.NewEngine(client(t), er)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := scheme.Token(er, attrs, nil, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := engine.SecQuery(ctx, tk, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rev.RevealTopK(res.Items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k || res.Depth < 3 {
+				t.Fatalf("%d items at depth %d, want %d items past depth 2", len(got), res.Depth, k)
+			}
+			for i := range want {
+				if got[i].Obj != want[i].Obj {
+					t.Fatalf("top-%d is object %d, want %d", i+1, got[i].Obj, want[i].Obj)
+				}
+			}
+		})
+	}
+
+	t.Run("join", func(t *testing.T) {
+		js, err := join.NewSchemeFromKeys(join.Params{KeyBits: keyBits, EHL: ehlParams, MaxScoreBits: scoreBits}, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1 := &dataset.Relation{Name: "R1", Rows: [][]int64{{1, 10, 100}, {2, 20, 200}, {3, 30, 300}, {2, 25, 250}}}
+		r2 := &dataset.Relation{Name: "R2", Rows: [][]int64{{2, 5, 500}, {3, 7, 700}, {4, 9, 900}}}
+		er1, err := js.EncryptRelation(r1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		er2, err := js.EncryptRelation(r2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := js.NewToken(er1, er2, 0, 0, 1, 1, []int{2}, []int{2}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := join.NewEngine(client(t), er1, er2, scoreBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples, err := engine.SecJoin(ctx, tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := js.Reveal(tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got[0].Score != 37 || got[1].Score != 30 {
+			t.Fatalf("join top-2 = %+v, want scores 37, 30", got)
+		}
+	})
+
+	t.Run("knn", func(t *testing.T) {
+		ks, err := knn.NewScheme(keys, ehlParams, scoreBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := &dataset.Relation{Name: "pts", Rows: [][]int64{{1, 1}, {10, 10}, {4, 5}, {9, 8}, {2, 7}}}
+		db, err := ks.Encrypt(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, err := knn.NewEngine(client(t), db, scoreBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := engine.Query(ctx, []int64{9, 9}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv, err := ks.NewRevealer(len(pts.Rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, wantObj := range []int{3, 1} {
+			obj, _, err := rv.Reveal(items[i])
+			if err != nil || obj != wantObj {
+				t.Fatalf("nn-%d = object %d (%v), want %d", i+1, obj, err, wantObj)
+			}
+		}
+	})
+}

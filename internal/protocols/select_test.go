@@ -5,7 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"repro/internal/cloud"
@@ -68,8 +68,8 @@ func (e *testEnv) selectionCases(t testing.TB) (sels []Selection, chosen []*pail
 		}
 	}
 	fresh := func() *paillier.Ciphertext { return e.enc(t, int64(rng.Intn(1000))) }
-	// A gate: five slots swap on one bit, and a gate in which one slot's
-	// two branches are the same ciphertext.
+	// Five slots that swap on one bit, and five in which one slot's two
+	// branches are the same ciphertext.
 	for _, v := range []int64{1, 0} {
 		bit := e.hiddenBit(t, v)
 		for slot := 0; slot < 5; slot++ {
@@ -394,30 +394,40 @@ func TestGateSwap(t *testing.T) {
 	}
 }
 
-// countingCaller counts the ciphertexts of every CompareHidden and Recover
-// request on their way to S2.
-type countingCaller struct {
-	inner            transport.Caller
-	compare, recover atomic.Int64
+// gateTap keeps every CompareHidden request and reply and counts the
+// rounds of every method.
+type gateTap struct {
+	inner    transport.Caller
+	mu       sync.Mutex
+	requests []*cloud.CompareHiddenRequest
+	replies  []*cloud.CompareHiddenReply
+	calls    map[string]int
 }
 
-func (c *countingCaller) Call(ctx context.Context, method string, req, resp any) error {
-	switch r := req.(type) {
-	case *cloud.CompareHiddenRequest:
-		c.compare.Add(int64(len(r.Cts)))
-	case *cloud.RecoverRequest:
-		c.recover.Add(int64(len(r.Cts)))
+func (c *gateTap) Call(ctx context.Context, method string, req, resp any) error {
+	err := c.inner.Call(ctx, method, req, resp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.calls == nil {
+		c.calls = map[string]int{}
 	}
-	return c.inner.Call(ctx, method, req, resp)
+	c.calls[method]++
+	if r, ok := req.(*cloud.CompareHiddenRequest); ok && err == nil {
+		c.requests = append(c.requests, r)
+		c.replies = append(c.replies, resp.(*cloud.CompareHiddenReply))
+	}
+	return err
 }
 
-// TestGateLayerRecoverCount pins what a layer puts on the wire: g gates
-// over w-slot items send g masked differences and g*w blinded selections —
-// one per slot pair, not one per slot.
-func TestGateLayerRecoverCount(t *testing.T) {
+// TestGateLayerWireShape pins what a layer puts on the wire: g gates over
+// w-slot items are one CompareHidden round carrying g masked differences
+// and both orderings of every gate's slots, 2gw payloads, and S2 answers g
+// bits and gw slots. Nothing else is called: no Recover round, no second
+// round of any kind.
+func TestGateLayerWireShape(t *testing.T) {
 	e := env(t)
-	caller := &countingCaller{inner: transport.NewLocal(e.server, nil)}
-	client, err := cloud.NewClient(caller, &e.keys.Paillier.PublicKey, nil)
+	tap := &gateTap{inner: transport.NewLocal(e.server, nil)}
+	client, err := cloud.NewClient(tap, &e.keys.Paillier.PublicKey, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +441,15 @@ func TestGateLayerRecoverCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	const g, w = 3, 5
-	if got := caller.compare.Load(); got != g {
-		t.Errorf("CompareHidden carried %d ciphertexts, want %d", got, g)
+	if len(tap.calls) != 1 || tap.calls[cloud.MethodCompareHidden] != 1 {
+		t.Fatalf("rounds by method %v, want one CompareHidden", tap.calls)
 	}
-	if got := caller.recover.Load(); got != g*w {
-		t.Errorf("Recover carried %d ciphertexts, want %d", got, g*w)
+	req, resp := tap.requests[0], tap.replies[0]
+	if req.Width != w || len(req.Cts) != g || len(req.Pay) != 2*g*w {
+		t.Errorf("request: width %d, %d differences, %d payloads; want %d, %d, %d", req.Width, len(req.Cts), len(req.Pay), w, g, 2*g*w)
+	}
+	if len(resp.Bits) != g || len(resp.Cts) != g*w {
+		t.Errorf("reply: %d bits, %d slots; want %d, %d", len(resp.Bits), len(resp.Cts), g, g*w)
 	}
 }
 

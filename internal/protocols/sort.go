@@ -3,12 +3,16 @@ package protocols
 import (
 	"container/heap"
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 
 	"repro/internal/cloud"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
+	"repro/internal/parallel"
+	"repro/internal/zmath"
 )
 
 // gate is one compare-exchange: after execution, position i holds the item
@@ -95,59 +99,120 @@ func (it Item) withSlots(slots []*paillier.Ciphertext) Item {
 }
 
 // runGateLayer executes one layer of independent compare-exchange gates in
-// two rounds: a hidden-comparison batch and a selection/recovery batch.
+// one round. For gate (i, j) S1 sends the masked key difference and both
+// orderings of the two items' slots, every slot blinded with a fresh
+// Enc(r) (so it carries a nonce power S2 has never seen: the slots are
+// often S2's own earlier replies). maskedDiff's flip orders the halves so
+// that half b, where b is the sign S2 reads, always holds what position i
+// must end with; S2 returns that half and Enc(b), and S1 takes the blinds
+// off with Enc(b)^(r0-r1) * Enc(-r0), whichever half came back. The
+// partner follows homomorphically as Enc(I) * Enc(J) * Enc(new_i)^-1,
+// which encrypts I + J - new_i: the other of the two, for id digests mod
+// N as for scores. Every output carries randomness S2 put on it, so S1
+// cannot match it to an input either.
 func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gate, col int, desc bool, magBits int) error {
-	// Round 1: hidden comparison bits. For ascending order the gate keeps
-	// (i, j) when key_i <= key_j; descending swaps the operands.
-	as := make([]*paillier.Ciphertext, len(layer))
-	bs := make([]*paillier.Ciphertext, len(layer))
-	for k, g := range layer {
-		if desc {
-			as[k], bs[k] = work[g.j].Scores[col], work[g.i].Scores[col]
-		} else {
-			as[k], bs[k] = work[g.i].Scores[col], work[g.j].Scores[col]
+	if len(layer) == 0 {
+		return nil
+	}
+	first := work[layer[0].i]
+	w := len(first.EHL.Cts) + len(first.Scores)
+	for _, g := range layer {
+		a, b := work[g.i], work[g.j]
+		if len(a.EHL.Cts) != len(b.EHL.Cts) || len(a.Scores) != len(b.Scores) || len(a.EHL.Cts)+len(a.Scores) != w {
+			return fmt.Errorf("protocols: gate (%d,%d) items differ in shape", g.i, g.j)
 		}
 	}
-	bits, err := EncCompareHiddenBatch(ctx, c, as, bs, magBits)
+	pk := c.PK()
+	diffs := make([]*paillier.Ciphertext, len(layer))
+	pay := make([]*paillier.Ciphertext, 2*w*len(layer))
+	// r0[k][s] is the blind on slot s of gate k's half 0, and exps[k][s]
+	// the exponent r0 - r1 mod N that Enc(b) is raised to.
+	r0 := make([][]*big.Int, len(layer))
+	exps := make([][]*big.Int, len(layer))
+	err := parallel.ForEachCtx(ctx, len(layer), func(k int) error {
+		g := layer[k]
+		// For ascending order the gate keeps (i, j) when key_i <= key_j;
+		// descending swaps the operands.
+		a, b := work[g.i].Scores[col], work[g.j].Scores[col]
+		if desc {
+			a, b = b, a
+		}
+		d, flip, err := maskedDiff(c.Enc(), a, b, magBits)
+		if err != nil {
+			return err
+		}
+		diffs[k] = d
+		// S2 reads b = keep XOR flip, so half 1 is I unless flipped.
+		I, J := work[g.i].slots(), work[g.j].slots()
+		halves := [2][]*paillier.Ciphertext{J, I}
+		if flip {
+			halves = [2][]*paillier.Ciphertext{I, J}
+		}
+		r0[k], exps[k] = make([]*big.Int, w), make([]*big.Int, w)
+		for h, half := range halves {
+			for s, slot := range half {
+				r, err := zmath.RandInt(rand.Reader, pk.N)
+				if err != nil {
+					return err
+				}
+				blind, err := c.Enc().Encrypt(r)
+				if err != nil {
+					return err
+				}
+				if pay[(2*k+h)*w+s], err = pk.Add(slot, blind); err != nil {
+					return err
+				}
+				if h == 0 {
+					r0[k][s] = r
+				} else {
+					exps[k][s] = r.Sub(r0[k][s], r).Mod(r, pk.N)
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-
-	// Round 2: oblivious swap. Only position i's slots are selected; the
-	// partner follows homomorphically as Enc(I) * Enc(J) * Enc(new_i)^-1,
-	// which encrypts I + J - new_i: the other of the two, for id digests
-	// mod N as for scores. The recovered new_i carries randomness neither
-	// input has, so new_j does not repeat an input ciphertext either.
-	var sels []Selection
-	var sums []*paillier.Ciphertext
-	pk := c.PK()
-	for k, g := range layer {
-		if len(work[g.i].EHL.Cts) != len(work[g.j].EHL.Cts) || len(work[g.i].Scores) != len(work[g.j].Scores) {
-			return fmt.Errorf("protocols: gate (%d,%d) items differ in shape", g.i, g.j)
+	bits, picked, err := c.CompareHidden(ctx, w, diffs, pay)
+	if err != nil {
+		return err
+	}
+	// picked slot s of gate k encrypts new_i + r_b, and Enc(b)^(r0-r1)
+	// adds b*(r0-r1): both leave new_i + r0 for the last step to strip.
+	// One squaring chain of Enc(b) serves all w exponents of the gate.
+	out := make([]*paillier.Ciphertext, w*len(layer))
+	sums := make([]*paillier.Ciphertext, w*len(layer))
+	err = parallel.ForEachCtx(ctx, len(layer), func(k int) error {
+		powers, err := pk.EngineN2().ExpModShared(bits[k].C, exps[k])
+		if err != nil {
+			return err
 		}
-		I, J := work[g.i].slots(), work[g.j].slots()
-		for s := range I {
-			sum, err := pk.Add(I[s], J[s])
+		I, J := work[layer[k].i].slots(), work[layer[k].j].slots()
+		for s, p := range powers {
+			x, err := pk.Add(picked[k*w+s], &paillier.Ciphertext{C: p})
 			if err != nil {
 				return err
 			}
-			sels = append(sels, Pick(bits[k], I[s], J[s]))
-			sums = append(sums, sum)
+			if out[k*w+s], err = pk.AddPlain(x, new(big.Int).Neg(r0[k][s])); err != nil {
+				return err
+			}
+			if sums[k*w+s], err = pk.Add(I[s], J[s]); err != nil {
+				return err
+			}
 		}
-	}
-	first, err := Select(ctx, c, sels)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	second, err := subAll(pk, sums, first)
+	second, err := subAll(pk, sums, out)
 	if err != nil {
 		return err
 	}
-	at := 0
-	for _, g := range layer {
-		w := len(work[g.i].EHL.Cts) + len(work[g.i].Scores)
-		work[g.i], work[g.j] = work[g.i].withSlots(first[at:at+w]), work[g.j].withSlots(second[at:at+w])
-		at += w
+	for k, g := range layer {
+		at := k * w
+		work[g.i], work[g.j] = work[g.i].withSlots(out[at:at+w]), work[g.j].withSlots(second[at:at+w])
 	}
 	return nil
 }
@@ -201,7 +266,7 @@ func (h *byReady) Pop() any {
 // items. Batcher's network (sortSchedule: the EncSort of [7] that
 // Algorithm 3 line 9 names) sorts all n; k selection passes
 // (selectSchedule) order only the first k. Every gate costs the same
-// (runGateLayer), and every layer two rounds, so the gate and layer counts
+// (runGateLayer), and every layer one round, so the gate and layer counts
 // are the whole difference: the network runs where it has no more of
 // either and fewer of one, the passes otherwise, ties included. Both
 // schedules and the choice are functions of n and k alone.
@@ -216,19 +281,17 @@ func rankSchedule(n, k int) *schedule {
 }
 
 // SelectTopLayers is the number of gate layers EncSelectTop runs to put
-// the top k of n items first. Each layer costs two rounds: one
-// CompareHidden batch and one Recover batch.
+// the top k of n items first. Each layer costs one CompareHidden round.
 func SelectTopLayers(n, k int) int { return len(rankSchedule(n, k).layers) }
 
 // EncSelectTop partially orders items so positions 0..k-1 hold the top k
 // by the key column (descending when desc, which is the engine's use:
 // largest worst scores first). S1 ends with the items reordered and
 // learns nothing about the order; S2 sees only masked comparator
-// differences. Each compare-exchange gate is built from EncCompareHidden
-// (the comparison bit stays encrypted) and the encrypted-selection
-// gadget, and gates that touch no common position share one comparison
-// batch and one recovery batch, as Section 10.3 argues for EncSort's
-// network layers. The gates come from rankSchedule: k selection passes,
+// differences and blinded payloads. Each compare-exchange gate is a hidden
+// comparison whose bit S2 applies to the gate's payloads itself
+// (runGateLayer), and gates that touch no common position share one
+// round, as Section 10.3 argues for EncSort's network layers. The gates come from rankSchedule: k selection passes,
 // O(k*l) gates for the small k of a top-k query, or Batcher's network
 // where that is cheaper, which sorts every position. Either way the
 // schedule is a function of n and k alone. With the passes, equal keys
