@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/dj"
 	"repro/internal/paillier"
 	"repro/internal/transport"
 )
@@ -20,13 +19,11 @@ import (
 //
 // The client also carries S1's nonce-precompute pools; the protocols
 // layer reads them through Enc and EphEnc so every S1-side blinding loop
-// shares one configuration. S1 encrypts nothing under the Damgård-Jurik
-// layer (S2 makes every hidden bit), so it has no surface for it.
+// shares one configuration.
 type Client struct {
 	caller   transport.Caller
 	relation string
 	pk       *paillier.PublicKey
-	djPK     *dj.PublicKey
 	eph      *paillier.PrivateKey
 	ledger   *Ledger
 	pkEnc    paillier.Encryptor
@@ -44,16 +41,12 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	if pk == nil {
 		return nil, errors.New("cloud: nil public key")
 	}
-	djPK, err := dj.NewPublicKey(pk, 2)
-	if err != nil {
-		return nil, err
-	}
 	eph, err := paillier.GenerateKey(rand.Reader, pk.N.BitLen()+ephemeralBits)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: generating ephemeral key: %w", err)
 	}
 	cfg := buildConfig(opts)
-	c := &Client{caller: caller, relation: cfg.relation, pk: pk, djPK: djPK, eph: eph, ledger: ledger}
+	c := &Client{caller: caller, relation: cfg.relation, pk: pk, eph: eph, ledger: ledger}
 	// S1 holds only the ephemeral private key: the main surface gets the
 	// fast-nonce table when opted in (spec path otherwise), while the
 	// ephemeral surface additionally defaults to CRT.
@@ -108,9 +101,6 @@ func Handshake(ctx context.Context, caller transport.Caller, relation string) er
 // PK returns the main Paillier public key.
 func (c *Client) PK() *paillier.PublicKey { return c.pk }
 
-// DJPK returns the degree-2 Damgård-Jurik public key.
-func (c *Client) DJPK() *dj.PublicKey { return c.djPK }
-
 // Ephemeral returns S1's ephemeral key pair.
 func (c *Client) Ephemeral() *paillier.PrivateKey { return c.eph }
 
@@ -135,70 +125,12 @@ func ctsToBig(cts []*paillier.Ciphertext) ([]*big.Int, error) {
 	return out, nil
 }
 
-func djToBig(cts []*dj.Ciphertext) ([]*big.Int, error) {
-	out := make([]*big.Int, len(cts))
-	for i, c := range cts {
-		if c == nil || c.C == nil {
-			return nil, fmt.Errorf("cloud: nil ciphertext at %d", i)
-		}
-		out[i] = c.C
-	}
-	return out, nil
-}
-
 func bigToCts(vals []*big.Int) []*paillier.Ciphertext {
 	out := make([]*paillier.Ciphertext, len(vals))
 	for i, v := range vals {
 		out[i] = &paillier.Ciphertext{C: v}
 	}
 	return out
-}
-
-func bigToDJ(vals []*big.Int) []*dj.Ciphertext {
-	out := make([]*dj.Ciphertext, len(vals))
-	for i, v := range vals {
-		out[i] = &dj.Ciphertext{C: v}
-	}
-	return out
-}
-
-// EqBits sends randomized EHL differences and returns the hidden equality
-// bits E2(t_i).
-func (c *Client) EqBits(ctx context.Context, cts []*paillier.Ciphertext) ([]*dj.Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, nil
-	}
-	vals, err := ctsToBig(cts)
-	if err != nil {
-		return nil, err
-	}
-	var resp EqBitsReply
-	if err := c.caller.Call(ctx, MethodEqBits, &EqBitsRequest{Relation: c.relation, Cts: vals}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Bits) != len(cts) {
-		return nil, fmt.Errorf("cloud: EqBits reply length %d != %d", len(resp.Bits), len(cts))
-	}
-	return bigToDJ(resp.Bits), nil
-}
-
-// Recover strips the outer layer from blinded double encryptions.
-func (c *Client) Recover(ctx context.Context, cts []*dj.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if len(cts) == 0 {
-		return nil, nil
-	}
-	vals, err := djToBig(cts)
-	if err != nil {
-		return nil, err
-	}
-	var resp RecoverReply
-	if err := c.caller.Call(ctx, MethodRecover, &RecoverRequest{Relation: c.relation, Cts: vals}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Cts) != len(cts) {
-		return nil, fmt.Errorf("cloud: Recover reply length %d != %d", len(resp.Cts), len(cts))
-	}
-	return bigToCts(resp.Cts), nil
 }
 
 // CompareSigns sends sign-blinded differences and returns each sign.
@@ -220,31 +152,30 @@ func (c *Client) CompareSigns(ctx context.Context, cts []*paillier.Ciphertext) (
 	return resp.Neg, nil
 }
 
-// CompareHidden sends one layer of compare-exchange gates: a sign-blinded
-// difference per gate and, per gate, two halves of width blinded payloads
-// (pay[(2g+h)*width:] is half h of gate g). S2 answers Enc(b_g) and half
-// b_g of gate g, re-randomized, where b_g = 1 iff difference g is
-// negative.
-func (c *Client) CompareHidden(ctx context.Context, width int, diffs, pay []*paillier.Ciphertext) (bits, picked []*paillier.Ciphertext, err error) {
-	if len(diffs) == 0 {
+// Gadget runs one round of the hidden-bit gadget under method
+// (MethodEqBits or MethodCompareHidden): per bit a test ciphertext and
+// width blinded payloads (pay[k*width:] are bit k's). S2 answers Enc(t_k)
+// and, per payload, Enc(t_k * payload), re-randomized.
+func (c *Client) Gadget(ctx context.Context, method string, width int, tests, pay []*paillier.Ciphertext) (bits, out []*paillier.Ciphertext, err error) {
+	if len(tests) == 0 {
 		return nil, nil, nil
 	}
-	if width < 1 || len(pay) != 2*width*len(diffs) {
-		return nil, nil, fmt.Errorf("cloud: CompareHidden: %d payloads for %d gates of width %d", len(pay), len(diffs), width)
+	if width < 1 || len(pay) != width*len(tests) {
+		return nil, nil, fmt.Errorf("cloud: %s: %d payloads for %d bits of width %d", method, len(pay), len(tests), width)
 	}
-	req := &CompareHiddenRequest{Relation: c.relation, Width: width}
-	if req.Cts, err = ctsToBig(diffs); err != nil {
+	req := &GadgetRequest{Relation: c.relation, Width: width}
+	if req.Cts, err = ctsToBig(tests); err != nil {
 		return nil, nil, err
 	}
 	if req.Pay, err = ctsToBig(pay); err != nil {
 		return nil, nil, err
 	}
-	var resp CompareHiddenReply
-	if err := c.caller.Call(ctx, MethodCompareHidden, req, &resp); err != nil {
+	var resp GadgetReply
+	if err := c.caller.Call(ctx, method, req, &resp); err != nil {
 		return nil, nil, err
 	}
-	if len(resp.Bits) != len(diffs) || len(resp.Cts) != width*len(diffs) {
-		return nil, nil, fmt.Errorf("cloud: CompareHidden reply has %d bits and %d slots for %d gates of width %d", len(resp.Bits), len(resp.Cts), len(diffs), width)
+	if len(resp.Bits) != len(tests) || len(resp.Cts) != len(pay) {
+		return nil, nil, fmt.Errorf("cloud: %s reply has %d bits and %d payloads for %d bits of width %d", method, len(resp.Bits), len(resp.Cts), len(tests), width)
 	}
 	return bigToCts(resp.Bits), bigToCts(resp.Cts), nil
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dj"
 	"repro/internal/paillier"
 	"repro/internal/secerr"
 	"repro/internal/transport"
@@ -69,55 +68,99 @@ func TestNewClientValidation(t *testing.T) {
 	}
 }
 
-func TestEqBits(t *testing.T) {
+// checkGadget runs one round of the hidden-bit gadget under method through
+// the client: tests[k] decides bit k (want[k]), and bit k's two payloads
+// encrypt 10k and 10k+1. S2 must answer Enc(t_k) and, per payload, its
+// plaintext when t_k = 1 and zero when t_k = 0, every reply ciphertext
+// under a nonce of its own. It then holds S2 to refusing a malformed round
+// typed, before it decrypts anything.
+func checkGadget(t *testing.T, method string, tests []*paillier.Ciphertext, want []int64) {
+	t.Helper()
 	e := env(t)
 	pk := &e.keys.Paillier.PublicKey
-	zero, _ := pk.EncryptInt64(0)
-	nz, _ := pk.EncryptInt64(991)
-	zero2, _ := pk.EncryptInt64(0)
-	bits, err := e.client.EqBits(context.Background(), []*paillier.Ciphertext{zero, nz, zero2})
+	var pay []*paillier.Ciphertext
+	for k := range tests {
+		for s := 0; s < 2; s++ {
+			ct, err := pk.EncryptInt64(int64(10*k + s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pay = append(pay, ct)
+		}
+	}
+	bits, out, err := e.client.Gadget(context.Background(), method, 2, tests, pay)
 	if err != nil {
-		t.Fatalf("EqBits: %v", err)
+		t.Fatalf("%s: %v", method, err)
 	}
-	want := []int64{1, 0, 1}
-	for i, b := range bits {
-		m, err := e.keys.DJ.Decrypt(b)
-		if err != nil {
-			t.Fatalf("decrypt bit %d: %v", i, err)
+	if len(bits) != len(tests) || len(out) != len(pay) {
+		t.Fatalf("%s: %d bits and %d payloads, want %d and %d", method, len(bits), len(out), len(tests), len(pay))
+	}
+	for k, w := range want {
+		if m, _ := e.keys.Paillier.Decrypt(bits[k]); m.Int64() != w {
+			t.Errorf("%s bit %d = %v, want %d", method, k, m, w)
 		}
-		if m.Int64() != want[i] {
-			t.Errorf("bit %d = %v, want %d", i, m, want[i])
+		for s := 0; s < 2; s++ {
+			got := out[2*k+s]
+			if m, _ := e.keys.Paillier.Decrypt(got); m.Int64() != w*int64(10*k+s) {
+				t.Errorf("%s bit %d payload %d = %v, want %d", method, k, s, m, w*int64(10*k+s))
+			}
+			for _, p := range pay {
+				if got.C.Cmp(p.C) == 0 {
+					t.Errorf("%s bit %d payload %d is a request payload verbatim", method, k, s)
+				}
+			}
 		}
 	}
-	if out, err := e.client.EqBits(context.Background(), nil); err != nil || out != nil {
-		t.Fatal("empty EqBits should be a no-op")
+	if out, _, err := e.client.Gadget(context.Background(), method, 2, nil, nil); err != nil || out != nil {
+		t.Errorf("%s: an empty round should be a no-op", method)
 	}
-	if _, err := e.client.EqBits(context.Background(), []*paillier.Ciphertext{nil}); err == nil {
-		t.Fatal("expected error for nil ciphertext")
+	if _, _, err := e.client.Gadget(context.Background(), method, 2, tests, pay[1:]); err == nil {
+		t.Errorf("%s: client sent a round with a payload missing", method)
+	}
+	if _, _, err := e.client.Gadget(context.Background(), method, 2, []*paillier.Ciphertext{nil}, pay[:2]); err == nil {
+		t.Errorf("%s: client sent a nil test ciphertext", method)
+	}
+
+	one, zero := big.NewInt(1), new(big.Int)
+	for name, req := range map[string]*GadgetRequest{
+		"width zero":          {Width: 0, Cts: []*big.Int{one}},
+		"a payload short":     {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"width past the body": {Width: 1 << 62, Cts: []*big.Int{one, one}},
+		"nil payload":         {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one, nil}},
+		"payload outside N^2": {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{pk.N2, one}},
+		"zero payload":        {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}},
+		"nil test":            {Width: 2, Cts: []*big.Int{nil}, Pay: []*big.Int{one, one}},
+		"test not a ct":       {Width: 2, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}},
+	} {
+		if _, err := e.server.gadget(context.Background(), method, req); !errors.Is(err, secerr.ErrBadRequest) {
+			t.Errorf("%s, %s: got %v, want bad_request", method, name, err)
+		}
 	}
 }
 
+// TestEqBits: under EqBits the bit is the zero test of the difference.
+func TestEqBits(t *testing.T) {
+	pk := &env(t).keys.Paillier.PublicKey
+	zero, _ := pk.EncryptInt64(0)
+	nz, _ := pk.EncryptInt64(991)
+	zero2, _ := pk.EncryptInt64(0)
+	checkGadget(t, MethodEqBits, []*paillier.Ciphertext{zero, nz, zero2}, []int64{1, 0, 1})
+}
+
+// TestRecover: S2 no longer serves Algorithm 5's Recover round; a request
+// under its name is refused typed unknown_method, whatever it carries,
+// and the retry policy does not re-issue it.
 func TestRecover(t *testing.T) {
 	e := env(t)
-	pk := &e.keys.Paillier.PublicKey
-	inner, _ := pk.EncryptInt64(4242)
-	outer, err := e.client.DJPK().EncryptInner(inner)
+	body, err := transport.Encode(&CompareRequest{Cts: []*big.Int{big.NewInt(1)}})
 	if err != nil {
-		t.Fatalf("EncryptInner: %v", err)
+		t.Fatal(err)
 	}
-	got, err := e.client.Recover(context.Background(), []*dj.Ciphertext{outer})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
+	if _, err := e.server.Serve(context.Background(), MethodRecover, body); !errors.Is(err, secerr.ErrUnknownMethod) {
+		t.Fatalf("Recover: got %v, want unknown_method", err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("got %d ciphertexts", len(got))
-	}
-	m, err := e.keys.Paillier.Decrypt(got[0])
-	if err != nil {
-		t.Fatalf("decrypt: %v", err)
-	}
-	if m.Int64() != 4242 {
-		t.Fatalf("recovered plaintext %v, want 4242", m)
+	if MethodRetryable(MethodRecover) {
+		t.Error("Recover is tabled as retryable")
 	}
 }
 
@@ -136,72 +179,13 @@ func TestCompareSigns(t *testing.T) {
 	}
 }
 
-// TestCompareHiddenSwap is one layer of two gates through the client
-// call: S2 returns Enc(b) and half b of each gate, b = 1 iff the
-// difference decrypts negative, every returned slot under a nonce of its
-// own, and refuses a malformed layer typed before it decrypts anything.
+// TestCompareHiddenSwap: under CompareHidden the bit is the sign of the
+// difference, b = 1 iff it decrypts negative.
 func TestCompareHiddenSwap(t *testing.T) {
-	e := env(t)
-	pk := &e.keys.Paillier.PublicKey
-	enc := func(v int64) *paillier.Ciphertext {
-		ct, err := pk.EncryptInt64(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ct
-	}
-	diffs := []*paillier.Ciphertext{enc(3), enc(-3)}
-	// Gate g's half h holds 100g + 10h + slot.
-	var pay []*paillier.Ciphertext
-	for g := 0; g < 2; g++ {
-		for h := 0; h < 2; h++ {
-			for s := 0; s < 2; s++ {
-				pay = append(pay, enc(int64(100*g+10*h+s)))
-			}
-		}
-	}
-	bits, picked, err := e.client.CompareHidden(context.Background(), 2, diffs, pay)
-	if err != nil {
-		t.Fatalf("CompareHidden: %v", err)
-	}
-	if len(bits) != 2 || len(picked) != 4 {
-		t.Fatalf("%d bits and %d slots, want 2 and 4", len(bits), len(picked))
-	}
-	for g, want := range []int64{0, 1} {
-		if m, _ := e.keys.Paillier.Decrypt(bits[g]); m.Int64() != want {
-			t.Errorf("gate %d: bit %v, want %d", g, m, want)
-		}
-		for s := 0; s < 2; s++ {
-			got := picked[2*g+s]
-			if m, _ := e.keys.Paillier.Decrypt(got); m.Int64() != int64(100*g+10*int(want)+s) {
-				t.Errorf("gate %d slot %d = %v, want half %d's", g, s, m, want)
-			}
-			for _, p := range pay {
-				if got.C.Cmp(p.C) == 0 {
-					t.Errorf("gate %d slot %d is a payload verbatim", g, s)
-				}
-			}
-		}
-	}
-	if _, _, err := e.client.CompareHidden(context.Background(), 2, diffs, pay[:7]); err == nil {
-		t.Error("client sent a layer with a payload missing")
-	}
-
-	one, zero := big.NewInt(1), new(big.Int)
-	for name, req := range map[string]*CompareHiddenRequest{
-		"width zero":          {Width: 0, Cts: []*big.Int{one}},
-		"a payload short":     {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
-		"width past the body": {Width: 1 << 62, Cts: []*big.Int{one, one}},
-		"nil payload":         {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, nil}},
-		"payload outside N^2": {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{pk.N2, one}},
-		"zero payload":        {Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}},
-		"nil difference":      {Width: 1, Cts: []*big.Int{nil}, Pay: []*big.Int{one, one}},
-		"difference not a ct": {Width: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}},
-	} {
-		if _, err := e.server.compareHidden(context.Background(), req); !errors.Is(err, secerr.ErrBadRequest) {
-			t.Errorf("%s: got %v, want bad_request", name, err)
-		}
-	}
+	pk := &env(t).keys.Paillier.PublicKey
+	pos, _ := pk.EncryptInt64(3)
+	neg, _ := pk.EncryptInt64(-3)
+	checkGadget(t, MethodCompareHidden, []*paillier.Ciphertext{pos, neg}, []int64{0, 1})
 }
 
 func TestMultBlinded(t *testing.T) {
@@ -577,7 +561,7 @@ func TestUnknownMethod(t *testing.T) {
 
 func TestMalformedBody(t *testing.T) {
 	e := env(t)
-	for _, m := range []string{MethodEqBits, MethodRecover, MethodCompare, MethodCompareHidden, MethodMult, MethodDedup, MethodFilter} {
+	for _, m := range []string{MethodEqBits, MethodCompare, MethodCompareHidden, MethodMult, MethodDedup, MethodFilter} {
 		if _, err := e.server.Serve(context.Background(), m, []byte{0xff, 0x01, 0x02}); err == nil {
 			t.Errorf("method %s: expected decode error", m)
 		}
@@ -590,7 +574,7 @@ func TestLedgerRecordsEqualityPattern(t *testing.T) {
 	pk := &e.keys.Paillier.PublicKey
 	zero, _ := pk.EncryptInt64(0)
 	nz, _ := pk.EncryptInt64(5)
-	if _, err := e.client.EqBits(context.Background(), []*paillier.Ciphertext{zero, nz}); err != nil {
+	if _, _, err := e.client.Gadget(context.Background(), MethodEqBits, 1, []*paillier.Ciphertext{zero, nz}, []*paillier.Ciphertext{nz, zero}); err != nil {
 		t.Fatal(err)
 	}
 	events := e.s2led.ByMethod(MethodEqBits)
@@ -619,7 +603,7 @@ func TestStatsAccumulate(t *testing.T) {
 	before := e.stats.Rounds()
 	pk := &e.keys.Paillier.PublicKey
 	a, _ := pk.EncryptInt64(0)
-	if _, err := e.client.EqBits(context.Background(), []*paillier.Ciphertext{a}); err != nil {
+	if _, _, err := e.client.Gadget(context.Background(), MethodEqBits, 1, []*paillier.Ciphertext{a}, []*paillier.Ciphertext{a}); err != nil {
 		t.Fatal(err)
 	}
 	if e.stats.Rounds() != before+1 {

@@ -43,11 +43,15 @@ func paillierZero(enc paillier.Encryptor) func() (*big.Int, error) {
 	}
 }
 
-// labelKey stands in for a scheme's public key in newEnc: a nonce power is
-// its producer's label and a "ciphertext" is the nonce power it was built
-// from, so one encryption reads off which producer newEnc picked, and the
-// shared draw count shows whether a pool is prefetching behind it.
-type labelKey struct{ draws *atomic.Int64 }
+// labelKey is a public key whose spec path, like the producers
+// pickedProducer hands newEnc, draws a label as its nonce power: an
+// encryption of zero is then the bare label, so one encryption reads off
+// which producer newEnc picked, and the shared draw count shows whether a
+// pool is prefetching behind it.
+type labelKey struct {
+	*paillier.PublicKey
+	draws *atomic.Int64
+}
 
 const (
 	specLabel = iota + 1
@@ -64,31 +68,27 @@ func (k labelKey) producer(label int64) func() (*big.Int, error) {
 
 func (k labelKey) NoncePower() (*big.Int, error) { return k.producer(specLabel)() }
 
-func (k labelKey) EncryptWithPower(_, power *big.Int) (int64, error) { return power.Int64(), nil }
-
-func (k labelKey) Add(a, b int64) (int64, error) { return a + b, nil }
-
 // pickedProducer runs newEnc for a party that does or does not hold the
 // private key and returns the label of the producer its surface draws
 // from, checking on the way that the surface is pooled exactly when pools
 // are enabled (GOMAXPROCS above 1).
 func pickedProducer(t *testing.T, cfg config, holdsKey bool) int64 {
 	t.Helper()
-	key := labelKey{draws: new(atomic.Int64)}
-	var crt func() *zmath.NonceEncryptor[labelKey, int64]
+	key := labelKey{PublicKey: &env(t).keys.Paillier.PublicKey, draws: new(atomic.Int64)}
+	var crt func() *paillier.NonceEncryptor
 	if holdsKey {
-		crt = func() *zmath.NonceEncryptor[labelKey, int64] {
-			return zmath.NewNonceEncryptor(key, key.producer(crtLabel))
+		crt = func() *paillier.NonceEncryptor {
+			return zmath.NewNonceEncryptor(key.PublicKey, key.producer(crtLabel))
 		}
 	}
-	enc, err := newEnc(cfg, key, crt, func(k labelKey) (*zmath.NonceEncryptor[labelKey, int64], error) {
-		return zmath.NewNonceEncryptor(k, k.producer(fastLabel)), nil
+	enc, err := newEnc(cfg, key, crt, func(pk *paillier.PublicKey) (*paillier.NonceEncryptor, error) {
+		return zmath.NewNonceEncryptor(pk, key.producer(fastLabel)), nil
 	})
 	if err != nil {
 		t.Fatalf("newEnc: %v", err)
 	}
 	defer enc.Close()
-	label, err := enc.Encrypt(new(big.Int))
+	ct, err := enc.Encrypt(new(big.Int))
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -100,14 +100,14 @@ func pickedProducer(t *testing.T, cfg config, holdsKey bool) int64 {
 	if prefetching := key.draws.Load() > 1; prefetching != poolsEnabled() {
 		t.Errorf("%d draws for one encryption with pools enabled = %v", key.draws.Load(), poolsEnabled())
 	}
-	return label
+	return ct.C.Int64()
 }
 
 // TestNonceKnobSurfaces pins which nonce producer each knob combination
 // selects — the choice itself on newEnc with labelled producers, at one
 // core (pools off) and at eight (pools on), its effect on a real server's
-// two surfaces — and that every combination still produces ciphertexts
-// the key holder can decrypt.
+// surface — and that every combination still produces ciphertexts the
+// key holder can decrypt.
 func TestNonceKnobSurfaces(t *testing.T) {
 	e := env(t)
 	keys := e.keys
@@ -149,16 +149,6 @@ func TestNonceKnobSurfaces(t *testing.T) {
 			if got := fastNonces(t, keys.Paillier, paillierZero(srv.pkEnc)); got != wantFast {
 				t.Errorf("pkEnc draws fast nonces = %v, want %v", got, wantFast)
 			}
-			djZero := func() (*big.Int, error) {
-				ct, err := srv.djEnc.Encrypt(new(big.Int))
-				if err != nil {
-					return nil, err
-				}
-				return ct.C, nil
-			}
-			if got := fastNonces(t, keys.Paillier, djZero); got != wantFast {
-				t.Errorf("djEnc draws fast nonces = %v, want %v", got, wantFast)
-			}
 			ct, err := srv.pkEnc.Encrypt(big.NewInt(99))
 			if err != nil {
 				t.Fatalf("Encrypt: %v", err)
@@ -170,8 +160,8 @@ func TestNonceKnobSurfaces(t *testing.T) {
 	}
 	t.Run("fast-error", func(t *testing.T) {
 		boom := errors.New("boom")
-		enc, err := newEnc(buildConfig([]Option{WithFastNonce(true)}), labelKey{}, nil,
-			func(labelKey) (*zmath.NonceEncryptor[labelKey, int64], error) { return nil, boom })
+		enc, err := newEnc(buildConfig([]Option{WithFastNonce(true)}), &e.keys.Paillier.PublicKey, nil,
+			func(*paillier.PublicKey) (*paillier.NonceEncryptor, error) { return nil, boom })
 		if !errors.Is(err, boom) || enc != nil {
 			t.Errorf("newEnc = %v, %v; want no surface and the table's error", enc, err)
 		}

@@ -91,21 +91,14 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	bad, unknown := secerr.CodeBadRequest, secerr.CodeUnknownMethod
 	seeds := []fuzzSeed{
 		{method: MethodHello, body: enc(&HelloRequest{Version: 99}), code: secerr.CodeProtocolVersion},
-		{method: MethodHello, body: append(enc(&HelloRequest{Version: transport.ProtocolVersion}), 0), code: bad}, // trailing byte
-		{method: MethodEqBits, body: enc(&EqBitsRequest{Relation: rel, Cts: []*big.Int{zero, one}}), code: bad},
-		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1 << 40) }), code: bad},                       // count overruns the body
-		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(9); w.Uvarint(1) }), code: bad}, // integer overruns the body
-		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Bytes([]byte{0, 1}) }), code: bad},      // leading zero byte
-		{method: MethodEqBits, body: append(raw(func(w *wire.Writer) { w.String(rel) }), 0x80, 0), code: bad},                          // overlong varint
-		{method: MethodRecover, body: enc(&RecoverRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
+		{method: MethodHello, body: append(enc(&HelloRequest{Version: transport.ProtocolVersion}), 0), code: bad},                                    // trailing byte
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1 << 40) }), code: bad},                       // count overruns the body
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Uvarint(9); w.Uvarint(1) }), code: bad}, // integer overruns the body
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Bytes([]byte{0, 1}) }), code: bad},      // leading zero byte
+		{method: MethodEqBits, body: append(raw(func(w *wire.Writer) { w.String(rel) }), 0x80, 0), code: bad},                                        // overlong varint
+		// Algorithm 5's Recover round is gone from the method table.
+		{method: MethodRecover, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: unknown},
 		{method: MethodCompare, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
-		{method: MethodCompareHidden, body: append(enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, one}}), 0xff, 0xff), code: bad}, // trailing garbage
-		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, one}})},
-		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Cts: []*big.Int{one}}), code: bad},                                       // width zero
-		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}}), code: bad},       // a payload short
-		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1 << 62, Cts: []*big.Int{one, one}}), code: bad},                  // 2*Width*gates wraps to 0
-		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}}), code: bad}, // zero payload
-		{method: MethodCompareHidden, body: enc(&CompareHiddenRequest{Relation: rel, Width: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}}), code: bad}, // zero difference
 		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: nil}), code: bad},
 		{method: MethodDedup, body: enc(&DedupRequest{
 			Relation: rel,
@@ -135,9 +128,9 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{method: MethodBatch, body: enc(&BatchRequest{Items: []BatchItem{
 			{Method: "Bogus"},
 			{Method: MethodBatch, Body: enc(&BatchRequest{})},
-			{Method: MethodRecover, Body: enc(&RecoverRequest{Relation: rel, Cts: []*big.Int{zero}})},
+			{Method: MethodRecover, Body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}})},
 			{Method: MethodHello, Body: enc(&HelloRequest{Version: transport.ProtocolVersion})},
-		}}), items: []secerr.Code{unknown, bad, bad, ""}},
+		}}), items: []secerr.Code{unknown, bad, unknown, ""}},
 		{method: MethodBatch, body: raw(func(w *wire.Writer) { w.Uvarint(3); w.String(MethodHello); w.Bytes(nil) }), code: bad},
 		// Apply envelopes: a plausible one, an empty one, a garbage delta,
 		// and one smuggled in a batch. S2 has no Apply handler, so every
@@ -149,6 +142,28 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 			{Method: MethodApply, Body: enc(&applyEnvelope{Relation: rel})},
 		}}), items: []secerr.Code{unknown}},
 		{method: "Bogus", body: nil, code: unknown},
+	}
+	// The gadget's shared request under both of its names: the shapes
+	// FuzzWireDecode is seeded with, trailing garbage, and a test
+	// ciphertext that does not decrypt.
+	shapes := gadgetShapes()
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, method := range []string{MethodEqBits, MethodCompareHidden} {
+		for _, name := range names {
+			code := bad
+			if name == "served" {
+				code = ""
+			}
+			seeds = append(seeds, fuzzSeed{method: method, body: enc(shapes[name]), code: code})
+		}
+		seeds = append(seeds,
+			fuzzSeed{method: method, body: append(enc(shapes["served"]), 0xff, 0xff), code: bad},
+			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one}}), code: bad},
+			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1 << 62, Cts: []*big.Int{one, one}}), code: bad}) // Width*bits wraps to 0
 	}
 	// An empty body and plain garbage, as every method that decodes one.
 	for _, name := range fuzzMethods() {

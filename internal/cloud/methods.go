@@ -33,17 +33,12 @@ var methods = map[string]method{
 	// themselves retryable; serve answers both itself.
 	MethodHello: {retryable: true},
 	MethodBatch: {retryable: true},
+	// The two rows of the hidden-bit gadget share a request, a handler
+	// and a reply; they differ only in the test S2 reads the bit with.
 	MethodEqBits: {
-		newRequest: func() relationRequest { return new(EqBitsRequest) },
+		newRequest: func() relationRequest { return new(GadgetRequest) },
 		handle: func(ctx context.Context, s *Server, req relationRequest) (any, error) {
-			return s.eqBits(ctx, req.(*EqBitsRequest))
-		},
-		retryable: true,
-	},
-	MethodRecover: {
-		newRequest: func() relationRequest { return new(RecoverRequest) },
-		handle: func(_ context.Context, s *Server, req relationRequest) (any, error) {
-			return s.recover(req.(*RecoverRequest))
+			return s.gadget(ctx, MethodEqBits, req.(*GadgetRequest))
 		},
 		retryable: true,
 	},
@@ -55,9 +50,9 @@ var methods = map[string]method{
 		retryable: true,
 	},
 	MethodCompareHidden: {
-		newRequest: func() relationRequest { return new(CompareHiddenRequest) },
+		newRequest: func() relationRequest { return new(GadgetRequest) },
 		handle: func(ctx context.Context, s *Server, req relationRequest) (any, error) {
-			return s.compareHidden(ctx, req.(*CompareHiddenRequest))
+			return s.gadget(ctx, MethodCompareHidden, req.(*GadgetRequest))
 		},
 		retryable: true,
 	},

@@ -3,7 +3,6 @@ package cloud
 import (
 	"runtime"
 
-	"repro/internal/dj"
 	"repro/internal/paillier"
 	"repro/internal/zmath"
 )
@@ -67,14 +66,15 @@ func poolWorkers() int {
 // poolCapacity bounds how far ahead the fillers may run.
 const poolCapacity = 128
 
-// newEnc builds one encryption surface of either scheme. Precedence:
-// fast-nonce table (opt-in) > CRT sampler (crt is non-nil whenever the
-// party holds the private key: it is assumption-free, bit-compatible with
-// the spec path and ~2-3x cheaper per nonce) > spec path; a background
-// pool buffers whichever was picked when pooling is enabled. The caller
-// owes the surface a Close.
-func newEnc[K zmath.NonceKey[C], C any](c config, pk K, crt func() *zmath.NonceEncryptor[K, C], fast func(K) (*zmath.NonceEncryptor[K, C], error)) (*zmath.NonceEncryptor[K, C], error) {
-	enc := zmath.NewNonceEncryptor(pk, pk.NoncePower)
+// newEnc builds one Paillier encryption surface for spec's key.
+// Precedence: fast-nonce table (opt-in) > CRT sampler (crt is non-nil
+// whenever the party holds the private key: it is assumption-free,
+// bit-compatible with the spec path and ~2-3x cheaper per nonce) > spec
+// path; a background pool buffers whichever was picked when pooling is
+// enabled. The caller owes the surface a Close.
+func newEnc(c config, spec paillier.NonceSource, crt func() *paillier.NonceEncryptor, fast func(*paillier.PublicKey) (*paillier.NonceEncryptor, error)) (*paillier.NonceEncryptor, error) {
+	pk := spec.Key()
+	enc := zmath.NewNonceEncryptor(pk, spec.NoncePower)
 	switch {
 	case c.fastNonce:
 		var err error
@@ -98,13 +98,4 @@ func (c config) newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) 
 		crt = sk.CRTEncryptor
 	}
 	return newEnc(c, pk, crt, paillier.NewFastEncryptor)
-}
-
-// newDJEnc is newPaillierEnc for the Damgård-Jurik layer.
-func (c config) newDJEnc(pk *dj.PublicKey, sk *dj.PrivateKey) (*dj.NonceEncryptor, error) {
-	var crt func() *dj.NonceEncryptor
-	if sk != nil {
-		crt = sk.CRTEncryptor
-	}
-	return newEnc(c, pk, crt, dj.NewFastEncryptor)
 }

@@ -17,8 +17,9 @@ import (
 )
 
 // KeyMaterial is the secret key material the data owner provisions to the
-// crypto cloud S2 (Algorithm 2 line 10): the Paillier key pair and the
-// derived degree-2 Damgård-Jurik key.
+// crypto cloud S2 (Algorithm 2 line 10): the Paillier key pair. S2 works
+// under Paillier alone; the derived degree-2 Damgård-Jurik key is kept
+// only for the benchmark's DJ kernel rows (benchmark/seams.go).
 type KeyMaterial struct {
 	Paillier *paillier.PrivateKey
 	DJ       *dj.PrivateKey
@@ -54,32 +55,22 @@ type Server struct {
 	keys   *KeyMaterial
 	ledger *Ledger
 	pkEnc  paillier.Encryptor
-	djEnc  dj.Encryptor
 	close  []func()
 }
 
 // NewServer builds S2 from its key material. ledger may be nil. Call Close
 // when done to release the background nonce pools.
 func NewServer(keys *KeyMaterial, ledger *Ledger, opts ...Option) (*Server, error) {
-	if keys == nil || keys.Paillier == nil || keys.DJ == nil {
+	if keys == nil || keys.Paillier == nil {
 		return nil, errors.New("cloud: incomplete key material")
 	}
-	cfg := buildConfig(opts)
-	s := &Server{keys: keys, ledger: ledger}
-	// S2 holds both private keys, so its surfaces default to the CRT
-	// nonce fast path (fast-nonce table when opted in).
-	pkEnc, err := cfg.newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
+	// S2 holds the private key, so its surface defaults to the CRT nonce
+	// fast path (fast-nonce table when opted in).
+	pkEnc, err := buildConfig(opts).newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
 	if err != nil {
 		return nil, err
 	}
-	s.pkEnc, s.close = pkEnc, append(s.close, pkEnc.Close)
-	djEnc, err := cfg.newDJEnc(&keys.DJ.PublicKey, keys.DJ)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	s.djEnc, s.close = djEnc, append(s.close, djEnc.Close)
-	return s, nil
+	return &Server{keys: keys, ledger: ledger, pkEnc: pkEnc, close: []func(){pkEnc.Close}}, nil
 }
 
 // Close stops the server's background nonce pools. The server stays usable
@@ -172,66 +163,77 @@ func serveBatch(ctx context.Context, r responder, body []byte) ([]byte, error) {
 	return transport.Encode(&reply)
 }
 
-// eqBits decrypts each randomized EHL difference and answers E2(t),
-// t = 1 iff the difference is zero (Algorithm 4, server side). The
-// decryptions and the reply encryptions each fan out over the worker pool.
-func (s *Server) eqBits(ctx context.Context, req *EqBitsRequest) (*EqBitsReply, error) {
-	ms, err := s.decryptRaw(req.Cts, "EqBits")
+// gadget is the S2 side of the hidden-bit gadget, one handler for both of
+// its method rows. For bit k it decrypts Cts[k] and reads t_k — the sign
+// for CompareHidden (t = 1 iff negative), the zero test for EqBits (t = 1
+// iff the EHL difference is zero, Algorithm 4 lines 11-13) — then answers
+// Enc(t_k) and, for each of the bit's payloads, the payload re-randomized
+// (t = 1) or a fresh Enc(0) (t = 0). Every reply ciphertext carries a nonce
+// power S2 drew, so S1 cannot tell which way a bit went; every payload is
+// blinded, so S2 learns nothing it did not learn from the bit alone. The
+// whole request is checked before anything is decrypted: an error that
+// depended on a bit would tell S1 the bit.
+func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) (*GadgetReply, error) {
+	g, w := len(req.Cts), req.Width
+	if w < 1 || g > 0 && w > len(req.Pay) || len(req.Pay) != g*w {
+		return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: %d payloads for %d bits of width %d", method, len(req.Pay), g, w)
+	}
+	n2 := s.keys.Paillier.N2
+	for i, c := range req.Pay {
+		if c == nil || c.Sign() <= 0 || c.Cmp(n2) >= 0 {
+			return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: payload %d is not a ciphertext", method, i)
+		}
+	}
+	ms, err := s.decryptRaw(req.Cts, method)
 	if err != nil {
 		return nil, err
 	}
-	ts := make([]*big.Int, len(ms))
-	equal := 0
+	ts := make([]bool, g)
+	set := 0
 	for i, m := range ms {
-		if m.Sign() == 0 {
-			ts[i] = zmath.One
-			equal++
+		if method == MethodEqBits {
+			ts[i] = m.Sign() == 0
 		} else {
-			ts[i] = zmath.Zero
+			ts[i] = zmath.IsNegative(m, s.keys.Paillier.N)
+		}
+		if ts[i] {
+			set++
 		}
 	}
-	out := make([]*big.Int, len(ts))
-	err = parallel.ForEachCtx(ctx, len(ts), func(i int) error {
-		ct, err := s.djEnc.Encrypt(ts[i])
+	out := &GadgetReply{Bits: make([]*big.Int, g), Cts: make([]*big.Int, g*w)}
+	err = parallel.ForEachCtx(ctx, g, func(i int) error {
+		t := zmath.Zero
+		if ts[i] {
+			t = zmath.One
+		}
+		bit, err := s.pkEnc.Encrypt(t)
 		if err != nil {
 			return err
 		}
-		out[i] = ct.C
+		out.Bits[i] = bit.C
+		for j, c := range req.Pay[i*w : (i+1)*w] {
+			var ct *paillier.Ciphertext
+			if ts[i] {
+				ct, err = s.pkEnc.Rerandomize(&paillier.Ciphertext{C: c})
+			} else {
+				ct, err = s.pkEnc.EncryptZero()
+			}
+			if err != nil {
+				return err
+			}
+			out.Cts[i*w+j] = ct.C
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.ledger.Record("S2", MethodEqBits, "equality pattern: %d equal of %d pairs", equal, len(req.Cts))
-	return &EqBitsReply{Bits: out}, nil
-}
-
-// recover strips the outer DJ layer from each blinded double encryption
-// (Algorithm 5, server side) and re-randomizes what it found: S1 knows the
-// blind it applied, so a reply sent back as decrypted would unblind to the
-// very ciphertext S1 put under the outer layer and tell it which branch of
-// a selection won.
-func (s *Server) recover(req *RecoverRequest) (*RecoverReply, error) {
-	wrapped := make([]*dj.Ciphertext, len(req.Cts))
-	for i, c := range req.Cts {
-		if c == nil {
-			return nil, secerr.New(secerr.CodeBadRequest, "cloud: Recover: nil ciphertext at %d", i)
-		}
-		wrapped[i] = &dj.Ciphertext{C: c}
+	if method == MethodEqBits {
+		s.ledger.Record("S2", method, "equality pattern: %d equal of %d pairs, %d blinded payloads each", set, g, w)
+	} else {
+		s.ledger.Record("S2", method, "compared %d blinded differences (hidden), %d blinded payloads each", g, w)
 	}
-	inner, err := s.keys.DJ.DecryptInnerBatch(wrapped)
-	if err != nil {
-		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
-	}
-	if inner, err = paillier.RerandomizeBatch(s.pkEnc, inner); err != nil {
-		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Recover")
-	}
-	out := make([]*big.Int, len(inner))
-	for i, ct := range inner {
-		out[i] = ct.C
-	}
-	s.ledger.Record("S2", MethodRecover, "recovered %d blinded ciphertexts", len(req.Cts))
-	return &RecoverReply{Cts: out}, nil
+	return out, nil
 }
 
 // compare decrypts each sign-blinded difference and reports its sign.
@@ -246,56 +248,6 @@ func (s *Server) compare(req *CompareRequest) (*CompareReply, error) {
 	}
 	s.ledger.Record("S2", MethodCompare, "compared %d blinded differences", len(req.Cts))
 	return &CompareReply{Neg: out}, nil
-}
-
-// compareHidden serves one layer of compare-exchange gates: for each gate
-// it decrypts the sign-blinded difference, takes b = 1 iff it is
-// negative, and answers Enc(b) and half b of the gate's payloads,
-// re-randomized so S1 cannot tell which half came back. S1's sign flip
-// keeps b uniform, and every payload is blinded, so S2 learns nothing it
-// did not learn from the sign alone. The whole request is checked before
-// anything is decrypted: an error that depended on b would tell S1 the bit.
-func (s *Server) compareHidden(ctx context.Context, req *CompareHiddenRequest) (*CompareHiddenReply, error) {
-	g, w := len(req.Cts), req.Width
-	if w < 1 || g > 0 && w > len(req.Pay) || len(req.Pay) != 2*g*w {
-		return nil, secerr.New(secerr.CodeBadRequest, "cloud: CompareHidden: %d payloads for %d gates of width %d", len(req.Pay), g, w)
-	}
-	n2 := s.keys.Paillier.N2
-	for i, c := range req.Pay {
-		if c == nil || c.Sign() <= 0 || c.Cmp(n2) >= 0 {
-			return nil, secerr.New(secerr.CodeBadRequest, "cloud: CompareHidden: payload %d is not a ciphertext", i)
-		}
-	}
-	ms, err := s.decryptRaw(req.Cts, "CompareHidden")
-	if err != nil {
-		return nil, err
-	}
-	out := &CompareHiddenReply{Bits: make([]*big.Int, g), Cts: make([]*big.Int, g*w)}
-	err = parallel.ForEachCtx(ctx, g, func(i int) error {
-		b := 0
-		if zmath.IsNegative(ms[i], s.keys.Paillier.N) {
-			b = 1
-		}
-		bit, err := s.pkEnc.Encrypt(big.NewInt(int64(b)))
-		if err != nil {
-			return err
-		}
-		out.Bits[i] = bit.C
-		half := req.Pay[(2*i+b)*w : (2*i+b+1)*w]
-		for j, c := range half {
-			ct, err := s.pkEnc.Rerandomize(&paillier.Ciphertext{C: c})
-			if err != nil {
-				return err
-			}
-			out.Cts[i*w+j] = ct.C
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.ledger.Record("S2", MethodCompareHidden, "compared %d blinded differences (hidden), returned %d of %d blinded slots", g, g*w, len(req.Pay))
-	return out, nil
 }
 
 // mult decrypts blinded factor pairs and returns the encrypted products;

@@ -60,7 +60,7 @@ func TestServiceRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits, err := client.EqBits(ctx, []*paillier.Ciphertext{zero})
+	bits, _, err := client.Gadget(ctx, MethodEqBits, 1, []*paillier.Ciphertext{zero}, []*paillier.Ciphertext{zero})
 	if err != nil {
 		t.Fatalf("EqBits via service: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestServiceRouting(t *testing.T) {
 	if err := stranger.Handshake(ctx); !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("Handshake for unknown relation: want ErrUnknownRelation, got %v", err)
 	}
-	if _, err := stranger.EqBits(ctx, []*paillier.Ciphertext{zero}); !errors.Is(err, secerr.ErrUnknownRelation) {
+	if _, _, err := stranger.Gadget(ctx, MethodEqBits, 1, []*paillier.Ciphertext{zero}, []*paillier.Ciphertext{zero}); !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("EqBits for unknown relation: want ErrUnknownRelation, got %v", err)
 	}
 }
@@ -171,8 +171,8 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 	}
 	// Bad request (a zero ciphertext; the wire has no nil) routed to a
 	// registered relation.
-	var eq EqBitsReply
-	err = caller.Call(ctx, MethodEqBits, &EqBitsRequest{Relation: "r", Cts: []*big.Int{new(big.Int)}}, &eq)
+	var eq GadgetReply
+	err = caller.Call(ctx, MethodEqBits, &GadgetRequest{Relation: "r", Width: 1, Cts: []*big.Int{new(big.Int)}, Pay: []*big.Int{big.NewInt(1)}}, &eq)
 	if !errors.Is(err, secerr.ErrBadRequest) {
 		t.Fatalf("want ErrBadRequest over TCP, got %v", err)
 	}

@@ -27,8 +27,12 @@ import (
 
 // Method names for the transport layer.
 const (
-	MethodHello         = "Hello"
-	MethodEqBits        = "EqBits"
+	MethodHello  = "Hello"
+	MethodEqBits = "EqBits"
+	// MethodRecover named the round that stripped the Damgård-Jurik
+	// layer of Algorithm 5's selections. S2 no longer serves it (it
+	// answers unknown_method); the name is kept only because
+	// benchmark/seams.go lists it among the per-method ledger rows.
 	MethodRecover       = "Recover"
 	MethodCompare       = "Compare"
 	MethodCompareHidden = "CompareHidden"
@@ -180,90 +184,57 @@ func (m *HelloReply) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// The three ciphertext-list requests share one layout, string(Relation)
-// then the integer list, and the three ciphertext-list replies another, the
-// integer list alone.
+// GadgetRequest is one round of the hidden-bit gadget, shared by
+// MethodEqBits and MethodCompareHidden. Per bit k, Cts[k] is the
+// ciphertext S2 reads the bit from — an EHL difference whose zero test is
+// t_k (EqBits), or a sign-blinded difference Enc(±r(2a-2b-1)) whose sign
+// is t_k (CompareHidden) — and Pay[k*Width : (k+1)*Width] are the
+// payloads Enc(d + r) the bit scales, each blinded with a fresh Enc(r).
+// S2 applies the bit it reads: it answers Enc(t_k) and Enc(t_k*(d + r))
+// for every payload, so neither party learns the bit.
+type GadgetRequest struct {
+	Relation string
+	Width    int
+	Cts      []*big.Int // Paillier ciphertexts, one per bit
+	Pay      []*big.Int // Paillier ciphertexts, Width per bit
+}
 
-func marshalCtsRequest(relation string, cts []*big.Int) ([]byte, error) {
+// MarshalBinary: string(Relation) uvarint(Width), then Cts and Pay as
+// integer lists.
+func (m GadgetRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
-	w.String(relation)
-	w.Bigs("Cts", cts)
+	w.String(m.Relation)
+	w.Int("Width", m.Width)
+	w.Bigs("Cts", m.Cts)
+	w.Bigs("Pay", m.Pay)
 	return w.Finish()
 }
 
-func unmarshalCtsRequest(b []byte) (string, []*big.Int, error) {
+func (m *GadgetRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	relation, cts := r.String("Relation"), r.Bigs("Cts")
-	return relation, cts, r.Finish()
+	*m = GadgetRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay")}
+	return r.Finish()
 }
 
-func marshalCts(what string, cts []*big.Int) ([]byte, error) {
+// GadgetReply carries, per bit, Enc(t) in Bits and in Cts the bit's Width
+// payloads re-randomized (t = 1) or fresh encryptions of zero (t = 0).
+type GadgetReply struct {
+	Bits []*big.Int // Paillier ciphertexts, one per bit
+	Cts  []*big.Int // Paillier ciphertexts, Width per bit
+}
+
+// MarshalBinary: Bits, then Cts, as integer lists.
+func (m GadgetReply) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
-	w.Bigs(what, cts)
+	w.Bigs("Bits", m.Bits)
+	w.Bigs("Cts", m.Cts)
 	return w.Finish()
 }
 
-func unmarshalCts(what string, b []byte) ([]*big.Int, error) {
+func (m *GadgetReply) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	cts := r.Bigs(what)
-	return cts, r.Finish()
-}
-
-// EqBitsRequest carries randomized EHL differences Enc(b_i) (outputs of
-// the ⊖ operator). S2 decrypts each and answers with E2(t_i), t_i = 1 iff
-// b_i = 0 (the two objects were equal), per Algorithm 4 lines 11-13.
-type EqBitsRequest struct {
-	Relation string
-	Cts      []*big.Int // Paillier ciphertexts
-}
-
-// MarshalBinary: string(Relation), then Cts as an integer list.
-func (m EqBitsRequest) MarshalBinary() ([]byte, error) { return marshalCtsRequest(m.Relation, m.Cts) }
-
-func (m *EqBitsRequest) UnmarshalBinary(b []byte) (err error) {
-	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
-	return err
-}
-
-// EqBitsReply carries the hidden equality bits E2(t_i).
-type EqBitsReply struct {
-	Bits []*big.Int // Damgård-Jurik ciphertexts
-}
-
-// MarshalBinary: Bits as an integer list.
-func (m EqBitsReply) MarshalBinary() ([]byte, error) { return marshalCts("Bits", m.Bits) }
-
-func (m *EqBitsReply) UnmarshalBinary(b []byte) (err error) {
-	m.Bits, err = unmarshalCts("Bits", b)
-	return err
-}
-
-// RecoverRequest carries blinded double encryptions E2(Enc(c+r)); S2
-// strips the outer layer (Algorithm 5).
-type RecoverRequest struct {
-	Relation string
-	Cts      []*big.Int // DJ ciphertexts
-}
-
-// MarshalBinary: string(Relation), then Cts as an integer list.
-func (m RecoverRequest) MarshalBinary() ([]byte, error) { return marshalCtsRequest(m.Relation, m.Cts) }
-
-func (m *RecoverRequest) UnmarshalBinary(b []byte) (err error) {
-	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
-	return err
-}
-
-// RecoverReply carries the inner Paillier ciphertexts Enc(c+r).
-type RecoverReply struct {
-	Cts []*big.Int
-}
-
-// MarshalBinary: Cts as an integer list.
-func (m RecoverReply) MarshalBinary() ([]byte, error) { return marshalCts("Cts", m.Cts) }
-
-func (m *RecoverReply) UnmarshalBinary(b []byte) (err error) {
-	m.Cts, err = unmarshalCts("Cts", b)
-	return err
+	*m = GadgetReply{Bits: r.Bigs("Bits"), Cts: r.Bigs("Cts")}
+	return r.Finish()
 }
 
 // CompareRequest carries sign-blinded differences Enc(±r(2a-2b-1)); S2
@@ -275,11 +246,17 @@ type CompareRequest struct {
 }
 
 // MarshalBinary: string(Relation), then Cts as an integer list.
-func (m CompareRequest) MarshalBinary() ([]byte, error) { return marshalCtsRequest(m.Relation, m.Cts) }
+func (m CompareRequest) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.String(m.Relation)
+	w.Bigs("Cts", m.Cts)
+	return w.Finish()
+}
 
-func (m *CompareRequest) UnmarshalBinary(b []byte) (err error) {
-	m.Relation, m.Cts, err = unmarshalCtsRequest(b)
-	return err
+func (m *CompareRequest) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	*m = CompareRequest{Relation: r.String("Relation"), Cts: r.Bigs("Cts")}
+	return r.Finish()
 }
 
 // CompareReply reports, for each input, whether the decrypted value is
@@ -299,58 +276,6 @@ func (m CompareReply) MarshalBinary() ([]byte, error) {
 func (m *CompareReply) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
 	m.Neg = r.Bools("Neg")
-	return r.Finish()
-}
-
-// CompareHiddenRequest is one layer of EncSelectTop's compare-exchange
-// gates in one round. Per gate g, Cts[g] is the sign-blinded difference
-// Enc(±r(2a-2b-1)) of the two items' keys, and Pay holds the gate's two
-// orderings of its items' Width slots, each slot additively blinded and
-// freshly randomized: Pay[(2g+h)*Width : (2g+h+1)*Width] is half h. S2
-// applies the sign it reads: it returns half b, b = 1 iff Cts[g] decrypts
-// negative, and Enc(b), so neither party learns which way the gate went.
-type CompareHiddenRequest struct {
-	Relation string
-	Width    int
-	Cts      []*big.Int // Paillier ciphertexts, one per gate
-	Pay      []*big.Int // Paillier ciphertexts, 2*Width per gate
-}
-
-// MarshalBinary: string(Relation) uvarint(Width), then Cts and Pay as
-// integer lists.
-func (m CompareHiddenRequest) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.String(m.Relation)
-	w.Int("Width", m.Width)
-	w.Bigs("Cts", m.Cts)
-	w.Bigs("Pay", m.Pay)
-	return w.Finish()
-}
-
-func (m *CompareHiddenRequest) UnmarshalBinary(b []byte) error {
-	r := wire.NewReader(b)
-	*m = CompareHiddenRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay")}
-	return r.Finish()
-}
-
-// CompareHiddenReply carries, per gate, Enc(b) in Bits and the Width slots
-// of half b, re-randomized, in Cts.
-type CompareHiddenReply struct {
-	Bits []*big.Int // Paillier ciphertexts, one per gate
-	Cts  []*big.Int // Paillier ciphertexts, Width per gate
-}
-
-// MarshalBinary: Bits, then Cts, as integer lists.
-func (m CompareHiddenReply) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Bigs("Bits", m.Bits)
-	w.Bigs("Cts", m.Cts)
-	return w.Finish()
-}
-
-func (m *CompareHiddenReply) UnmarshalBinary(b []byte) error {
-	r := wire.NewReader(b)
-	*m = CompareHiddenReply{Bits: r.Bigs("Bits"), Cts: r.Bigs("Cts")}
 	return r.Finish()
 }
 
@@ -386,11 +311,16 @@ type MultReply struct {
 }
 
 // MarshalBinary: Products as an integer list.
-func (m MultReply) MarshalBinary() ([]byte, error) { return marshalCts("Products", m.Products) }
+func (m MultReply) MarshalBinary() ([]byte, error) {
+	var w wire.Writer
+	w.Bigs("Products", m.Products)
+	return w.Finish()
+}
 
-func (m *MultReply) UnmarshalBinary(b []byte) (err error) {
-	m.Products, err = unmarshalCts("Products", b)
-	return err
+func (m *MultReply) UnmarshalBinary(b []byte) error {
+	r := wire.NewReader(b)
+	m.Products = r.Bigs("Products")
+	return r.Finish()
 }
 
 // DedupMode selects the behaviour of the oblivious deduplication round.
@@ -568,13 +498,11 @@ func (m *FilterReply) UnmarshalBinary(b []byte) (err error) {
 // registered for its relation.
 type relationRequest interface{ relationID() string }
 
-func (r *EqBitsRequest) relationID() string        { return r.Relation }
-func (r *RecoverRequest) relationID() string       { return r.Relation }
-func (r *CompareRequest) relationID() string       { return r.Relation }
-func (r *CompareHiddenRequest) relationID() string { return r.Relation }
-func (r *MultRequest) relationID() string          { return r.Relation }
-func (r *DedupRequest) relationID() string         { return r.Relation }
-func (r *FilterRequest) relationID() string        { return r.Relation }
+func (r *GadgetRequest) relationID() string  { return r.Relation }
+func (r *CompareRequest) relationID() string { return r.Relation }
+func (r *MultRequest) relationID() string    { return r.Relation }
+func (r *DedupRequest) relationID() string   { return r.Relation }
+func (r *FilterRequest) relationID() string  { return r.Relation }
 
 // writeRows appends a row list: the count, then per row its EHL, Scores
 // and Blinds integer lists.

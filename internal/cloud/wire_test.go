@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/transport"
@@ -19,18 +20,18 @@ type wireMessage interface {
 }
 
 // wireTypes lists every S1↔S2 message type, as constructors of the empty
-// message. FuzzWireDecode's corpus indexes it, so new types go at the end.
+// message, under each method name that sends it: the two rows of the
+// hidden-bit gadget share one request and one reply type. FuzzWireDecode's
+// corpus indexes it, so new types go at the end.
 var wireTypes = []func() wireMessage{
 	func() wireMessage { return new(HelloRequest) },
 	func() wireMessage { return new(HelloReply) },
-	func() wireMessage { return new(EqBitsRequest) },
-	func() wireMessage { return new(EqBitsReply) },
-	func() wireMessage { return new(RecoverRequest) },
-	func() wireMessage { return new(RecoverReply) },
+	func() wireMessage { return new(GadgetRequest) }, // EqBits
+	func() wireMessage { return new(GadgetReply) },
 	func() wireMessage { return new(CompareRequest) },
 	func() wireMessage { return new(CompareReply) },
-	func() wireMessage { return new(CompareHiddenRequest) },
-	func() wireMessage { return new(CompareHiddenReply) },
+	func() wireMessage { return new(GadgetRequest) }, // CompareHidden
+	func() wireMessage { return new(GadgetReply) },
 	func() wireMessage { return new(MultRequest) },
 	func() wireMessage { return new(MultReply) },
 	func() wireMessage { return new(DedupRequest) },
@@ -260,8 +261,8 @@ func TestWireOverhead(t *testing.T) {
 	if enc, err := transport.Encode(&CompareReply{Neg: neg}); err != nil || len(enc) > 2+125 {
 		t.Errorf("CompareReply of 1000 signs: %d bytes (%v), want a bitset", len(enc), err)
 	}
-	// A gate layer of g gates over w-slot items, at 64-byte ciphertexts:
-	// g differences and 2gw payloads go up, g bits and gw slots come back.
+	// A gadget round of g bits of width w, at 64-byte ciphertexts: g tests
+	// and gw payloads go up, g bits and gw payloads come back.
 	const g, w, ct = 3, 5, 64
 	full := func(n int) []*big.Int {
 		out := make([]*big.Int, n)
@@ -274,16 +275,31 @@ func TestWireOverhead(t *testing.T) {
 		m    any
 		bigs int
 	}{
-		{&CompareHiddenRequest{Relation: "relation-7", Width: w, Cts: full(g), Pay: full(2 * g * w)}, g + 2*g*w},
-		{&CompareHiddenReply{Bits: full(g), Cts: full(g * w)}, g + g*w},
+		{&GadgetRequest{Relation: "relation-7", Width: w, Cts: full(g), Pay: full(g * w)}, g * (w + 1)},
+		{&GadgetReply{Bits: full(g), Cts: full(g * w)}, g * (w + 1)},
 	} {
 		enc, err := transport.Encode(tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if budget := tc.bigs*(ct+2) + 24 + len("relation-7"); len(enc) > budget {
-			t.Errorf("%T of a %d-gate layer: %d bytes, budget %d", tc.m, g, len(enc), budget)
+			t.Errorf("%T of a %d-bit round: %d bytes, budget %d", tc.m, g, len(enc), budget)
 		}
+	}
+}
+
+// gadgetShapes are the gadget request shapes both of its method names
+// are fuzzed with: one S2 serves, and one for each refusal S2 makes before
+// it decrypts anything.
+func gadgetShapes() map[string]*GadgetRequest {
+	one, zero := big.NewInt(1), new(big.Int)
+	wide := oddOfBits(1024) // at least N^2 for any key the tests build
+	return map[string]*GadgetRequest{
+		"served":              {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"width zero":          {Relation: fuzzSeedRelation, Cts: []*big.Int{one}},
+		"count mismatch":      {Relation: fuzzSeedRelation, Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"nil payload":         {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{zero}}, // a zero-length integer: the wire has no nil
+		"payload N^2 or past": {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{wide}},
 	}
 }
 
@@ -301,6 +317,22 @@ func FuzzWireDecode(f *testing.F) {
 			m := newMsg()
 			fillWire(rng, reflect.ValueOf(m).Elem(), 40)
 			enc, err := transport.Encode(m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(ti, enc)
+			f.Add(ti, append(enc, 0))
+		}
+	}
+	shapes := gadgetShapes()
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, ti := range []int{2, 6} { // the gadget request, as EqBits and as CompareHidden
+		for _, name := range names {
+			enc, err := transport.Encode(shapes[name])
 			if err != nil {
 				f.Fatal(err)
 			}

@@ -3,15 +3,16 @@
 // in Z_{N^s} and ciphertexts in Z*_{N^{s+1}}; s = 1 recovers plain
 // Paillier.
 //
-// SecTopK uses s = 2 for its double-layer trick (Section 3.3 of the
-// paper): a first-layer Paillier ciphertext c = Enc(m) in Z_{N^2} is a
-// valid *plaintext* for the s = 2 scheme, and
+// The paper's double-layer trick (Section 3.3) uses s = 2: a first-layer
+// Paillier ciphertext c = Enc(m) in Z_{N^2} is a valid *plaintext* for
+// the s = 2 scheme, and
 //
 //	E2(Enc(m1))^{Enc(m2)} = E2(Enc(m1) * Enc(m2) mod N^2) = E2(Enc(m1+m2))
 //
-// is the only homomorphic property the construction relies on. That
-// identity is exactly ExpConsts below, applied with the inner ciphertext
-// as exponent.
+// is ExpCipher below. The query path no longer uses the scheme: every
+// hidden bit goes through a Paillier gadget (protocols.ApplyBits). The
+// package stays only for the benchmark's DJ kernel rows, through
+// cloud.KeyMaterial.DJ.
 package dj
 
 import (
@@ -171,6 +172,18 @@ func (pk *PublicKey) Encrypt(m *big.Int) (*Ciphertext, error) {
 	return pk.EncryptWithPower(m, rn)
 }
 
+// EncryptWithPower assembles E(m) = (1+N)^m * rn mod N^{s+1} from a nonce
+// power rn = r^{N^s} mod N^{s+1}. Every encryption ends here; rn comes
+// from one of zmath's nonce producers (or, in EncryptWithNonce, from the
+// caller's r).
+func (pk *PublicKey) EncryptWithPower(m, rn *big.Int) (*Ciphertext, error) {
+	mm, err := pk.validateMessage(m)
+	if err != nil {
+		return nil, err
+	}
+	return &Ciphertext{C: pk.mulNS1(pk.expOnePlusN(mm), rn)}, nil
+}
+
 // EncryptWithNonce encrypts m with caller-provided nonce r in Z*_N.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	if r == nil || r.Sign() <= 0 || r.Cmp(pk.N) >= 0 {
@@ -195,21 +208,6 @@ func (pk *PublicKey) EncryptInner(inner *paillier.Ciphertext) (*Ciphertext, erro
 		return nil, ErrMessageRange
 	}
 	return pk.Encrypt(inner.C)
-}
-
-// EmbedInner returns (1+N)^{Enc(m)} mod N^{s+1}: the outer-layer encryption
-// of a first-layer ciphertext under nonce 1, from the closed form below (no
-// exponentiation, no randomness). It hides nothing by itself; it is the
-// constant factor of a selection term, which S1 raises to a fresh Enc(r)
-// before the term leaves it.
-func (pk *PublicKey) EmbedInner(inner *paillier.Ciphertext) (*Ciphertext, error) {
-	if pk.S < 2 {
-		return nil, fmt.Errorf("dj: EmbedInner needs s >= 2, have s = %d", pk.S)
-	}
-	if inner == nil || inner.C == nil {
-		return nil, ErrMessageRange
-	}
-	return &Ciphertext{C: pk.expOnePlusN(new(big.Int).Mod(inner.C, pk.NS))}, nil
 }
 
 // expOnePlusN computes (1+N)^m mod N^{s+1} via the binomial expansion:
@@ -317,74 +315,17 @@ func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C: pk.mulNS1(a.C, b.C)}, nil
 }
 
-// ExpConsts returns E(k*x) = E(x)^k for every plaintext exponent k in
-// Z_{N^s}. With k an inner Paillier ciphertext value this is the paper's
-// layered homomorphism E2(Enc(a))^{Enc(b)} = E2(Enc(a+b)). The powers of
-// one ciphertext share one squaring chain (zmath.Modulus.ExpModShared) when
-// there are enough of them to pay for it.
-func (pk *PublicKey) ExpConsts(a *Ciphertext, ks []*big.Int) ([]*Ciphertext, error) {
+// ExpCipher raises a to a first-layer Paillier ciphertext read as a
+// plaintext exponent in Z_{N^s}: E2(x)^{Enc(m)} = E2(x * Enc(m) mod N^2),
+// the paper's layered homomorphism.
+func (pk *PublicKey) ExpCipher(a *Ciphertext, e *paillier.Ciphertext) (*Ciphertext, error) {
 	if err := pk.validateCiphertext(a); err != nil {
 		return nil, err
 	}
-	kks := make([]*big.Int, len(ks))
-	for i, k := range ks {
-		if k == nil {
-			return nil, ErrMessageRange
-		}
-		kks[i] = new(big.Int).Mod(k, pk.NS)
-	}
-	cs, err := pk.engNS1.ExpModShared(a.C, kks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Ciphertext, len(cs))
-	for i, c := range cs {
-		out[i] = &Ciphertext{C: c}
-	}
-	return out, nil
-}
-
-// ExpCipher is ExpConsts with one first-layer Paillier ciphertext as the
-// exponent: E2(x)^{Enc(m)} = E2(x * Enc(m) mod N^2).
-func (pk *PublicKey) ExpCipher(a *Ciphertext, e *paillier.Ciphertext) (*Ciphertext, error) {
 	if e == nil || e.C == nil {
 		return nil, ErrMessageRange
 	}
-	out, err := pk.ExpConsts(a, []*big.Int{e.C})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// Neg returns E(-x) = E(x)^{-1} mod N^{s+1}.
-func (pk *PublicKey) Neg(a *Ciphertext) (*Ciphertext, error) {
-	if err := pk.validateCiphertext(a); err != nil {
-		return nil, err
-	}
-	inv, err := zmath.ModInverse(a.C, pk.NS1)
-	if err != nil {
-		return nil, fmt.Errorf("dj: Neg: %w", err)
-	}
-	return &Ciphertext{C: inv}, nil
-}
-
-// Sub returns E(x-y).
-func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	nb, err := pk.Neg(b)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(a, nb)
-}
-
-// Rerandomize multiplies by a fresh encryption of zero.
-func (pk *PublicKey) Rerandomize(a *Ciphertext) (*Ciphertext, error) {
-	z, err := pk.Encrypt(zmath.Zero)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(a, z)
+	return &Ciphertext{C: pk.engNS1.ExpMod(a.C, new(big.Int).Mod(e.C, pk.NS))}, nil
 }
 
 // Clone returns a deep copy of the ciphertext.

@@ -127,26 +127,19 @@ func TestHomomorphicAdd(t *testing.T) {
 func TestExpConst(t *testing.T) {
 	_, sk := keys(t)
 	a, _ := sk.EncryptInt64(7)
-	// One exponent takes big.Int.Exp, six the shared squaring chain; a
-	// negative exponent is reduced mod N^s first.
-	for _, ks := range [][]int64{{6}, {6, 0, 1, -1, 1000, 3}} {
-		exps := make([]*big.Int, len(ks))
-		for i, k := range ks {
-			exps[i] = big.NewInt(k)
-		}
-		out, err := sk.ExpConsts(a, exps)
+	// A negative exponent is reduced mod N^s first.
+	for _, k := range []int64{6, 0, 1, -1, 1000, 3} {
+		out, err := sk.ExpCipher(a, &paillier.Ciphertext{C: big.NewInt(k)})
 		if err != nil {
-			t.Fatalf("ExpConsts: %v", err)
+			t.Fatalf("ExpCipher: %v", err)
 		}
-		for i, k := range ks {
-			want := new(big.Int).Mod(big.NewInt(7*k), sk.NS)
-			if m, _ := sk.Decrypt(out[i]); m.Cmp(want) != 0 {
-				t.Fatalf("7*%d = %v, want %v", k, m, want)
-			}
+		want := new(big.Int).Mod(big.NewInt(7*k), sk.NS)
+		if m, _ := sk.Decrypt(out); m.Cmp(want) != 0 {
+			t.Fatalf("7*%d = %v, want %v", k, m, want)
 		}
 	}
-	if _, err := sk.ExpConsts(a, []*big.Int{big.NewInt(1), nil}); err == nil {
-		t.Fatal("ExpConsts accepted a nil exponent")
+	if _, err := sk.ExpCipher(a, &paillier.Ciphertext{}); err == nil {
+		t.Fatal("ExpCipher accepted a nil exponent")
 	}
 }
 
@@ -180,8 +173,9 @@ func TestLayeredHomomorphism(t *testing.T) {
 func TestSelectionIdentity(t *testing.T) {
 	// (1+N)^{Enc(y)} * E2(t)^{Enc(x)-Enc(y) mod N^2} = E2(t*Enc(x) + (1-t)*Enc(y)),
 	// i.e. the inner plaintext selects Enc(x) when t=1 and Enc(y) when t=0.
-	// This is the select gadget used by SecWorst/SecBest/EncSelectTop; the
-	// difference is negative for one of the two orders of (x, y).
+	// This is Algorithm 5's selection, which the query path replaced with a
+	// Paillier gadget; the difference is negative for one of the two
+	// orders of (x, y).
 	pail, sk := keys(t)
 	x, _ := pail.EncryptInt64(111)
 	y, _ := pail.EncryptInt64(222)
@@ -189,15 +183,16 @@ func TestSelectionIdentity(t *testing.T) {
 		a, b := pair[0], pair[1]
 		for _, tBit := range []int64{0, 1} {
 			et, _ := sk.EncryptInt64(tBit)
-			base, err := sk.EmbedInner(b)
+			// (1+N)^{Enc(y)}: the outer encryption of b under nonce 1.
+			base, err := sk.EncryptWithPower(b.C, big.NewInt(1))
 			if err != nil {
-				t.Fatalf("EmbedInner: %v", err)
+				t.Fatalf("EncryptWithPower: %v", err)
 			}
-			term, err := sk.ExpConsts(et, []*big.Int{new(big.Int).Sub(a.C, b.C)})
+			term, err := sk.ExpCipher(et, &paillier.Ciphertext{C: new(big.Int).Sub(a.C, b.C)})
 			if err != nil {
-				t.Fatalf("ExpConsts: %v", err)
+				t.Fatalf("ExpCipher: %v", err)
 			}
-			sel, _ := sk.Add(base, term[0])
+			sel, _ := sk.Add(base, term)
 			inner, err := sk.DecryptInner(sel)
 			if err != nil {
 				t.Fatalf("DecryptInner: %v", err)
@@ -210,37 +205,6 @@ func TestSelectionIdentity(t *testing.T) {
 				t.Fatalf("select(t=%d) did not return the chosen ciphertext", tBit)
 			}
 		}
-	}
-	if _, err := sk.EmbedInner(nil); err == nil {
-		t.Fatal("EmbedInner(nil) should fail")
-	}
-}
-
-func TestSubNeg(t *testing.T) {
-	_, sk := keys(t)
-	a, _ := sk.EncryptInt64(10)
-	b, _ := sk.EncryptInt64(4)
-	d, err := sk.Sub(a, b)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if m, _ := sk.Decrypt(d); m.Int64() != 6 {
-		t.Fatalf("10-4 = %v", m)
-	}
-}
-
-func TestRerandomize(t *testing.T) {
-	_, sk := keys(t)
-	a, _ := sk.EncryptInt64(5)
-	b, err := sk.Rerandomize(a)
-	if err != nil {
-		t.Fatalf("Rerandomize: %v", err)
-	}
-	if a.C.Cmp(b.C) == 0 {
-		t.Fatal("rerandomized ciphertext equals input")
-	}
-	if m, _ := sk.Decrypt(b); m.Int64() != 5 {
-		t.Fatalf("plaintext changed: %v", m)
 	}
 }
 

@@ -16,6 +16,9 @@ type NonceSource interface {
 	NoncePower() (*big.Int, error)
 }
 
+// Key returns the public key itself, making PublicKey a NonceSource.
+func (pk *PublicKey) Key() *PublicKey { return pk }
+
 // NoncePower samples a fresh r in Z*_N and returns r^{N^s} mod N^{s+1} —
 // the spec path, one full-width exponentiation per nonce.
 func (pk *PublicKey) NoncePower() (*big.Int, error) {

@@ -172,11 +172,11 @@ func TestDJCRTNoncePowerIsResidue(t *testing.T) {
 	})
 }
 
-// checkSurface holds one encryption surface to the Encryptor contract:
+// checkSurface holds one encryption surface to the surface contract:
 // it names sk's public key, its ciphertexts decrypt to the plaintext over
 // the full Z_{N^s} range, never repeat, compose homomorphically with
 // spec-path ones and survive Rerandomize.
-func checkSurface(t *testing.T, sk *PrivateKey, enc Encryptor) {
+func checkSurface(t *testing.T, sk *PrivateKey, enc *NonceEncryptor) {
 	t.Helper()
 	if enc.Key() != &sk.PublicKey {
 		t.Fatal("Key() should return the underlying public key")

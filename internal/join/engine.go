@@ -88,8 +88,11 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 	}
 	pk, enc := e.client.PK(), e.client.Enc()
 
-	// Phase 1: hidden equality bits for every candidate pair, in random
-	// order (Algorithm 11 line 3).
+	// Phases 1-2: one hidden equality bit per candidate pair, in random
+	// order (Algorithm 11 line 3), selects each candidate tuple: score
+	// s_ij = t * (x_scoreA + x_scoreB), attributes x' = t * x (Algorithm
+	// 11 lines 7-10), Enc(0) when t = 0. One gadget round resolves the
+	// whole nested loop.
 	type pair struct{ i, j int }
 	pairs := make([]pair, 0, e.er1.N*e.er2.N)
 	for i := 0; i < e.er1.N; i++ {
@@ -97,47 +100,28 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 			pairs = append(pairs, pair{i, j})
 		}
 	}
-	eqCts := make([]*paillier.Ciphertext, len(pairs))
+	nCols := 1 + len(tk.Proj1) + len(tk.Proj2)
+	tests := make([]*paillier.Ciphertext, len(pairs))
+	pay := make([]*paillier.Ciphertext, 0, len(pairs)*nCols)
 	for idx, p := range pairs {
 		ct, err := ehl.SubEnc(enc, e.er1.Tuples[p.i][tk.JoinPos1].EHL, e.er2.Tuples[p.j][tk.JoinPos2].EHL)
 		if err != nil {
 			return nil, fmt.Errorf("join: eq(%d,%d): %w", p.i, p.j, err)
 		}
-		eqCts[idx] = ct
-	}
-	bits, err := protocols.EqBitsPermuted(ctx, e.client, eqCts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: select each candidate tuple under the outer layer:
-	// score s_ij = t * (x_scoreA + x_scoreB), attributes x' = t * x
-	// (Algorithm 11 lines 7-10), Enc(0) when t = 0. One recovery round
-	// resolves the whole nested loop.
-	zero, err := enc.EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	nCols := 1 + len(tk.Proj1) + len(tk.Proj2)
-	sels := make([]protocols.Selection, 0, len(pairs)*nCols)
-	for idx, p := range pairs {
+		tests[idx] = ct
 		scoreSum, err := pk.Add(e.er1.Tuples[p.i][tk.ScorePos1].Value, e.er2.Tuples[p.j][tk.ScorePos2].Value)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]*paillier.Ciphertext, 0, nCols)
-		cols = append(cols, scoreSum)
+		pay = append(pay, scoreSum)
 		for _, pos := range tk.Proj1 {
-			cols = append(cols, e.er1.Tuples[p.i][pos].Value)
+			pay = append(pay, e.er1.Tuples[p.i][pos].Value)
 		}
 		for _, pos := range tk.Proj2 {
-			cols = append(cols, e.er2.Tuples[p.j][pos].Value)
-		}
-		for _, colCt := range cols {
-			sels = append(sels, protocols.Pick(bits[idx], colCt, zero))
+			pay = append(pay, e.er2.Tuples[p.j][pos].Value)
 		}
 	}
-	resolved, err := protocols.Select(ctx, e.client, sels)
+	resolved, err := protocols.ApplyBits(ctx, e.client, cloud.MethodEqBits, nCols, tests, pay)
 	if err != nil {
 		return nil, err
 	}

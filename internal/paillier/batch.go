@@ -48,13 +48,6 @@ func EncryptBatch(enc Encryptor, ms []*big.Int) ([]*Ciphertext, error) {
 	})
 }
 
-// RerandomizeBatch re-randomizes every ciphertext.
-func RerandomizeBatch(enc Encryptor, cts []*Ciphertext) ([]*Ciphertext, error) {
-	return parallel.MapErrCtx(context.Background(), cts, func(_ int, c *Ciphertext) (*Ciphertext, error) {
-		return enc.Rerandomize(c)
-	})
-}
-
 // DecryptBatch decrypts every ciphertext. Errors carry the failing index.
 func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext) ([]*big.Int, error) {
 	return parallel.MapErrCtx(context.Background(), cts, func(i int, c *Ciphertext) (*big.Int, error) {

@@ -32,10 +32,6 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cts, err = RerandomizeBatch(pk, cts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := sk.DecryptBatch(cts)
 		if err != nil {
 			t.Fatal(err)

@@ -9,13 +9,13 @@ import (
 // precomputed values. Get never blocks — a drained pool reports !ok and
 // Next computes inline — so a Pool is purely a throughput optimization
 // and can never change results. The crypto layers use it to precompute
-// the nonce powers that dominate Paillier/DJ encryption — the single
+// the nonce powers that dominate Paillier encryption — the single
 // hottest operation in the system — so that a foreground encryption
 // reduces to two modular multiplications.
 //
 // Fillers start lazily on the first Get: a pool a consumer never draws
-// from (e.g. the DJ surface during a query mode that never encrypts under
-// it) costs nothing.
+// from (e.g. S1's ephemeral surface during a query that runs no blind
+// record round) costs nothing.
 type Pool[T any] struct {
 	workers int
 	fill    func() (T, error)

@@ -1,9 +1,9 @@
 // Package protocols implements the S1 side of the paper's two-party
-// sub-protocols (Section 8.2 and Section 10): EncCompare, the
-// encrypted-selection gadget (which carries RecoverEnc's blind), SecWorst,
-// SecBest, SecDedup/SecDupElim, SecUpdate, EncSelectTop (EncSort's
-// ranking: Batcher's network or top-k selection passes), SecMult, and
-// SecFilter.
+// sub-protocols (Section 8.2 and Section 10): EncCompare, the hidden-bit
+// gadget every oblivious choice goes through (in place of Algorithm 5's
+// double layer), SecWorst, SecBest, SecDedup/SecDupElim, SecUpdate,
+// EncSelectTop (EncSort's ranking: Batcher's network or top-k selection
+// passes), SecMult, and SecFilter.
 //
 // All functions drive the crypto cloud S2 through a cloud.Client; every
 // value S2 sees is blinded and/or permuted first.
@@ -17,7 +17,6 @@ import (
 	"math/big"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
@@ -86,110 +85,90 @@ func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.
 	return out, nil
 }
 
-// Selection is one oblivious choice among first-layer ciphertexts, made
-// under the outer layer: it resolves to an encryption of A[e]'s plaintext
-// for the one e whose hidden bit T[e] is 1, and of Else's when no bit is
-// set. At most one bit may be set.
-type Selection struct {
-	T    []*dj.Ciphertext
-	A    []*paillier.Ciphertext
-	Else *paillier.Ciphertext
-}
-
-// Pick is the two-way selection: a when t = 1, b when t = 0.
-func Pick(t *dj.Ciphertext, a, b *paillier.Ciphertext) Selection {
-	return Selection{T: []*dj.Ciphertext{t}, A: []*paillier.Ciphertext{a}, Else: b}
-}
-
-// check reports a selection Select cannot build a term for.
-func (s Selection) check(djPK *dj.PublicKey) error {
-	if len(s.T) != len(s.A) {
-		return fmt.Errorf("%d bits for %d choices", len(s.T), len(s.A))
-	}
-	if s.Else == nil || s.Else.C == nil {
-		return errors.New("nil Else")
-	}
-	for e, t := range s.T {
-		if s.A[e] == nil || s.A[e].C == nil {
-			return fmt.Errorf("choice %d is nil", e)
-		}
-		if t == nil || t.C == nil || t.C.Sign() <= 0 || t.C.Cmp(djPK.NS1) >= 0 {
-			return fmt.Errorf("hidden bit %d is outside [1, N^3)", e)
-		}
-	}
-	return nil
-}
-
-// Select resolves a batch of selections in one Recover round. For the
-// blind R_i of selection i, S1 sends
+// ApplyBits is the one hidden-bit gadget every oblivious choice goes
+// through. Bit k is read by S2 from tests[k] — the zero test of an EHL
+// difference under cloud.MethodEqBits, the sign of a masked difference
+// under cloud.MethodCompareHidden — and scales the width payloads
+// pay[k*width : (k+1)*width]. For each payload Enc(d) it returns
+// Enc(t_k*d), in the order given: with a choice between c0 and c1 a
+// caller passes d = c1 - c0 and adds c0 back, for new = c0 + t*(c1 - c0).
 //
-//	(1+N)^{Else'*R' mod N^2} * prod_e E2(t_e)^{(A_e' - Else')*R' mod N^2}
-//
-// where x' is the ciphertext x read as an integer: the plaintext under the
-// outer layer is (Else' + sum_e t_e*(A_e' - Else')) * R' mod N^2, the chosen
-// ciphertext times R. R is a uniform unit of Z*_{N^2}, which is an
-// encryption of a uniform r (with g = 1+N, (r, rho) -> g^r * rho^N is a
-// bijection from Z_N x Z*_N onto Z*_{N^2}) drawn without a nonce power, so
-// the term holds an encryption of the chosen plaintext plus r — all S2 may
-// see (Algorithm 5's blind, folded into the exponents the selection raises
-// to anyway). S2 strips the outer layer and re-randomizes, and S1 divides R
-// back out; every result carries S2's fresh randomness, so it cannot be
-// matched to the branch it came from.
-//
-// The layered exponentiations are the dominant S1-side cost: one per bit,
-// none for the Else branch and none for a bit whose branch is Else. The
-// powers of one hidden bit (a SecUpdate pair's picks and bound) are
-// raised together, sharing one squaring chain, and the bits fan
-// out over GOMAXPROCS workers.
-func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier.Ciphertext, error) {
-	pk, djPK := c.PK(), c.DJPK()
-	// exps[i][e] starts as A_e' - Else' (nil where it is 0) and becomes the
-	// exponent once R_i is drawn; groups[g] lists the (i, e) raising bits[g].
-	type power struct{ sel, bit int }
-	var (
-		bits    []*dj.Ciphertext
-		groups  [][]power
-		groupOf = map[*dj.Ciphertext]int{}
-		exps    = make([][]*big.Int, len(sels))
-	)
-	for i, s := range sels {
-		if err := s.check(djPK); err != nil {
-			return nil, fmt.Errorf("protocols: selection %d: %w", i, err)
+// S1 sends every payload as Enc(d + r) with a fresh pooled Enc(r) of a
+// known r, so it carries a nonce power S2 has never seen; S2 answers
+// Enc(t) and Enc(t*(d + r)) re-randomized (cloud.Server.gadget), and S1
+// takes the blind off as Enc(t*(d + r)) * Enc(t)^(N-r) = Enc(t*d). A
+// uniform unit would hide d as well, but S1 must know r to unblind. One
+// squaring chain of Enc(t) serves all of the bit's width exponents, and
+// the bits fan out over GOMAXPROCS workers. Equality bits go to S2 under
+// a fresh random permutation, each with its payloads (Algorithm 4 line 2;
+// SecJoin's Algorithm 11 line 3), so S2 sees the pattern of bits but not
+// which pair a bit belongs to. Comparison bits keep the caller's order,
+// which is the public gate schedule: S1's sign flip already makes each
+// one uniform.
+func ApplyBits(ctx context.Context, c *cloud.Client, method string, width int, tests, pay []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	if width < 1 || len(pay) != width*len(tests) {
+		return nil, fmt.Errorf("protocols: %d payloads for %d hidden bits of width %d", len(pay), len(tests), width)
+	}
+	if len(tests) == 0 {
+		return nil, nil
+	}
+	pk := c.PK()
+	// at[k] is where bit k travels on the wire.
+	at := make([]int, len(tests))
+	for k := range at {
+		at[k] = k
+	}
+	if method == cloud.MethodEqBits {
+		var err error
+		if at, err = prf.RandomPerm(len(tests)); err != nil {
+			return nil, err
 		}
-		exps[i] = make([]*big.Int, len(s.T))
-		for e, t := range s.T {
-			diff := new(big.Int).Sub(s.A[e].C, s.Else.C)
-			if diff.Sign() == 0 {
-				continue
+	}
+	wireTests := make([]*paillier.Ciphertext, len(tests))
+	wirePay := make([]*paillier.Ciphertext, len(pay))
+	// exps[k][s] is N - r for the blind r on bit k's payload s.
+	exps := make([][]*big.Int, len(tests))
+	err := parallel.ForEachCtx(ctx, len(tests), func(k int) error {
+		if tests[k] == nil || tests[k].C == nil {
+			return fmt.Errorf("protocols: hidden bit %d has no test ciphertext", k)
+		}
+		wireTests[at[k]] = tests[k]
+		exps[k] = make([]*big.Int, width)
+		for s, d := range pay[k*width : (k+1)*width] {
+			if d == nil || d.C == nil {
+				return fmt.Errorf("protocols: hidden bit %d payload %d is nil", k, s)
 			}
-			exps[i][e] = diff
-			g, ok := groupOf[t]
-			if !ok {
-				g = len(groups)
-				groupOf[t] = g
-				bits, groups = append(bits, t), append(groups, nil)
+			r, err := zmath.RandInt(rand.Reader, pk.N)
+			if err != nil {
+				return err
 			}
-			groups[g] = append(groups[g], power{i, e})
+			blind, err := c.Enc().Encrypt(r)
+			if err != nil {
+				return err
+			}
+			if wirePay[at[k]*width+s], err = pk.Add(d, blind); err != nil {
+				return err
+			}
+			exps[k][s] = r.Sub(pk.N, r)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	blinds := make([]*paillier.Ciphertext, len(sels))
-	terms := make([]*dj.Ciphertext, len(sels))
-	err := parallel.ForEachCtx(ctx, len(sels), func(i int) error {
-		r, err := zmath.RandUnit(rand.Reader, pk.N2)
+	bits, out, err := c.Gadget(ctx, method, width, wireTests, wirePay)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]*paillier.Ciphertext, len(pay))
+	err = parallel.ForEachCtx(ctx, len(tests), func(k int) error {
+		powers, err := pk.EngineN2().ExpModShared(bits[at[k]].C, exps[k])
 		if err != nil {
 			return err
 		}
-		blinds[i] = &paillier.Ciphertext{C: r}
-		blindedElse, err := pk.Add(sels[i].Else, blinds[i])
-		if err != nil {
-			return err
-		}
-		if terms[i], err = djPK.EmbedInner(blindedElse); err != nil {
-			return err
-		}
-		for _, d := range exps[i] {
-			if d != nil {
-				d.Mul(d, r).Mod(d, pk.N2)
+		for s, p := range powers {
+			if res[k*width+s], err = pk.Add(out[at[k]*width+s], &paillier.Ciphertext{C: p}); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -197,69 +176,7 @@ func Select(ctx context.Context, c *cloud.Client, sels []Selection) ([]*paillier
 	if err != nil {
 		return nil, err
 	}
-	raised := make([][]*dj.Ciphertext, len(sels))
-	for i := range sels {
-		raised[i] = make([]*dj.Ciphertext, len(exps[i]))
-	}
-	err = parallel.ForEachCtx(ctx, len(groups), func(g int) error {
-		ks := make([]*big.Int, len(groups[g]))
-		for j, p := range groups[g] {
-			ks[j] = exps[p.sel][p.bit]
-		}
-		out, err := djPK.ExpConsts(bits[g], ks)
-		if err != nil {
-			return err
-		}
-		// Each (i, e) belongs to one group, so no slot is written twice.
-		for j, p := range groups[g] {
-			raised[p.sel][p.bit] = out[j]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range terms {
-		for _, x := range raised[i] {
-			if x == nil {
-				continue
-			}
-			if terms[i], err = djPK.Add(terms[i], x); err != nil {
-				return nil, err
-			}
-		}
-	}
-	recovered, err := c.Recover(ctx, terms)
-	if err != nil {
-		return nil, err
-	}
-	// Each reply encrypts selected_i + r_i; dividing by the same R_i leaves
-	// the selected plaintext under the randomness S2 put on it.
-	return subAll(pk, recovered, blinds)
-}
-
-// EqBitsPermuted ships randomized equality ciphertexts to S2 under a fresh
-// random permutation (Algorithm 4 line 2; SecJoin's Algorithm 11 line 3),
-// so S2 sees the equality pattern but not which pair a bit belongs to,
-// and returns the hidden bits E2(t) in the order of eqCts.
-func EqBitsPermuted(ctx context.Context, c *cloud.Client, eqCts []*paillier.Ciphertext) ([]*dj.Ciphertext, error) {
-	perm, err := prf.RandomPerm(len(eqCts))
-	if err != nil {
-		return nil, err
-	}
-	permuted := make([]*paillier.Ciphertext, len(eqCts))
-	for i := range eqCts {
-		permuted[perm[i]] = eqCts[i]
-	}
-	bitsPermuted, err := c.EqBits(ctx, permuted)
-	if err != nil {
-		return nil, err
-	}
-	bits := make([]*dj.Ciphertext, len(eqCts))
-	for i := range bits {
-		bits[i] = bitsPermuted[perm[i]]
-	}
-	return bits, nil
+	return res, nil
 }
 
 // SecMult computes Enc(a_i * b_i) for each pair using the standard

@@ -195,7 +195,7 @@ func TestEncCompareBatchAndValidation(t *testing.T) {
 // both values, since S1's flip makes it independent of the order.
 func TestEncCompareHidden(t *testing.T) {
 	e := env(t)
-	tap := &gateTap{inner: transport.NewLocal(e.server, nil)}
+	tap := &gadgetTap{inner: transport.NewLocal(e.server, nil)}
 	client, err := cloud.NewClient(tap, &e.keys.Paillier.PublicKey, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/join"
 	"repro/internal/knn"
@@ -20,25 +19,40 @@ import (
 )
 
 // wireRecorder is a transport.Caller between S1's stub and S2 that keeps
-// both parties' views of one query and holds S2's keys, so it can read
-// what S2 can read: the nonce power c*(1+N)^(-Dec(c)) mod N^2 of every
-// Paillier ciphertext, the one part of a ciphertext blinding does not
-// touch. It checks the two views as the query runs:
+// both parties' views of one query and holds S2's keys and S1's ephemeral
+// one, so it can read what either party can read. It reads the nonce
+// power c*(1+N)^(-Dec(c)) mod N^2 of every Paillier ciphertext — the one
+// part of a ciphertext that adding a plaintext or multiplying by a known
+// factor (1+N)^k does not touch — and checks three rules as the query
+// runs:
 //
-//   - S2's: no Paillier ciphertext S2 receives, and no inner ciphertext S2
-//     decrypts out of a Recover term, carries a nonce power S2 has already
-//     sent or received in the query. One that did would link the two
-//     messages, whatever blinds and permutations S1 put between them.
-//   - S1's: no integer S1 receives equals one S1 sent. One that did would
-//     tell S1 where its own ciphertext went.
+//   - S2's: no Paillier ciphertext S2 receives carries a nonce power that
+//     any ciphertext of the query, sent or received, carried before. One
+//     that did would link the two messages, whatever blinds and
+//     permutations S1 put between them.
+//   - S1's: no Paillier ciphertext S1 receives carries such a nonce power
+//     either, and no other integer S1 receives equals one S1 sent. A
+//     reply that repeated, or was a known-factor multiple of, a
+//     ciphertext S1 sent would tell S1 where its ciphertext went; one
+//     that repeated an earlier reply's randomness (a nonce-1 encryption,
+//     say) would let S1 match the two.
+//   - The blind records' (Algorithm 7): S1 knows the alpha it put on
+//     every slot of every Dedup and Filter row and decrypts the integer
+//     S2 left in every returned record. A returned value v that could not
+//     have come from input row i — v - alpha_i outside the range
+//     [0, N*2^40) S2 draws its re-blind from — tells S1 that the reply row
+//     is not row i, and enough of those undo S2's permutation (or, in
+//     SecFilter, name the tuples that joined). No reply slot may exclude
+//     any input row.
 type wireRecorder struct {
 	t     testing.TB
 	inner transport.Caller
 	keys  *cloud.KeyMaterial
+	eph   *paillier.PrivateKey // S1's, set once its stub exists
 
 	mu     sync.Mutex
 	powers map[string]string // nonce power -> the message that first carried it
-	sent   map[string]string // integer S1 sent -> its message
+	sent   map[string]string // other integer S1 sent -> its message
 	calls  int
 }
 
@@ -54,42 +68,78 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls++
-	in, inInner, inOther := s2Receives(req)
+	in, inOther := s2Receives(req)
 	out, outOther := s2Sends(resp)
 	at := fmt.Sprintf("%s #%d", method, r.calls)
 	for i, c := range in {
-		r.s2Reads(c, fmt.Sprintf("%s request ciphertext %d", at, i))
-	}
-	for i, c := range inInner {
-		inner, err := r.keys.DJ.DecryptInner(&dj.Ciphertext{C: c})
-		if err != nil {
-			r.t.Fatalf("%s: term %d does not decrypt: %v", at, i, err)
-		}
-		r.s2Reads(inner.C, fmt.Sprintf("%s term %d's inner ciphertext", at, i))
+		r.fresh("S2", c, fmt.Sprintf("%s request ciphertext %d", at, i))
 	}
 	for i, c := range out {
-		r.powers[r.noncePower(c)] = fmt.Sprintf("%s reply ciphertext %d", at, i)
+		r.fresh("S1", c, fmt.Sprintf("%s reply ciphertext %d", at, i))
 	}
-	for _, c := range append(append(append([]*big.Int(nil), in...), inInner...), inOther...) {
+	for _, c := range inOther {
 		r.sent[c.String()] = at
 	}
-	for i, c := range append(append([]*big.Int(nil), out...), outOther...) {
+	for i, c := range outOther {
 		if from, ok := r.sent[c.String()]; ok {
 			r.t.Errorf("S1 view: %s reply integer %d is what S1 sent in %s", at, i, from)
 		}
 	}
+	switch q := req.(type) {
+	case *cloud.DedupRequest:
+		r.blindRecords(at, q.Rows, resp.(*cloud.DedupReply).Rows)
+	case *cloud.FilterRequest:
+		r.blindRecords(at, q.Rows, resp.(*cloud.FilterReply).Rows)
+	}
 	return nil
 }
 
-// s2Reads checks one ciphertext S2 can decrypt against every nonce power
-// of the query so far, then adds its own.
-func (r *wireRecorder) s2Reads(c *big.Int, what string) {
+// fresh checks that ciphertext c, which the named party receives, carries
+// a nonce power no earlier ciphertext of the query carried, and records it.
+func (r *wireRecorder) fresh(party string, c *big.Int, what string) {
 	p := r.noncePower(c)
 	if first, ok := r.powers[p]; ok {
-		r.t.Errorf("S2 view: %s carries the nonce power of %s", what, first)
+		r.t.Errorf("%s view: %s carries the nonce power of %s", party, what, first)
 		return
 	}
 	r.powers[p] = what
+}
+
+// blindRecords holds one blind-record round to the third rule.
+func (r *wireRecorder) blindRecords(at string, sent, returned []cloud.WireRow) {
+	alphas, seen := r.openBlinds(sent), r.openBlinds(returned)
+	span := new(big.Int).Lsh(r.keys.Paillier.N, 40)
+	excluded, pairs := 0, 0
+	for _, reply := range seen {
+		for _, in := range alphas {
+			for s, v := range reply {
+				pairs++
+				if d := new(big.Int).Sub(v, in[s]); d.Sign() < 0 || d.Cmp(span) >= 0 {
+					excluded++
+				}
+			}
+		}
+	}
+	if excluded > 0 {
+		r.t.Errorf("S1 view: %s: %d of %d (reply slot, input row) pairs tell S1 the slot is not that row's", at, excluded, pairs)
+	}
+}
+
+func (r *wireRecorder) openBlinds(rows []cloud.WireRow) [][]*big.Int {
+	if r.eph == nil {
+		r.t.Fatal("the recorder has no ephemeral key to read blind records with")
+	}
+	out := make([][]*big.Int, len(rows))
+	for i, row := range rows {
+		for _, b := range row.Blinds {
+			v, err := r.eph.Decrypt(&paillier.Ciphertext{C: b})
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			out[i] = append(out[i], v)
+		}
+	}
+	return out
 }
 
 func (r *wireRecorder) noncePower(c *big.Int) string {
@@ -105,40 +155,32 @@ func (r *wireRecorder) noncePower(c *big.Int) string {
 	return g.Mod(g, sk.N2).String()
 }
 
-// s2Receives splits a request into the Paillier ciphertexts S2 decrypts,
-// the DJ terms whose inner ciphertexts it decrypts, and the integers it
-// cannot open (blind records under S1's ephemeral key, its modulus).
-func s2Receives(req any) (paillierCts, djTerms, other []*big.Int) {
+// s2Receives splits a request into the Paillier ciphertexts S2 decrypts
+// and the integers it cannot open (blind records under S1's ephemeral
+// key, its modulus).
+func s2Receives(req any) (paillierCts, other []*big.Int) {
 	switch r := req.(type) {
-	case *cloud.EqBitsRequest:
-		return r.Cts, nil, nil
-	case *cloud.RecoverRequest:
-		return nil, r.Cts, nil
+	case *cloud.GadgetRequest:
+		return append(append([]*big.Int(nil), r.Cts...), r.Pay...), nil
 	case *cloud.CompareRequest:
-		return r.Cts, nil, nil
-	case *cloud.CompareHiddenRequest:
-		return append(append([]*big.Int(nil), r.Cts...), r.Pay...), nil, nil
+		return r.Cts, nil
 	case *cloud.MultRequest:
-		return append(append([]*big.Int(nil), r.A...), r.B...), nil, nil
+		return append(append([]*big.Int(nil), r.A...), r.B...), nil
 	case *cloud.DedupRequest:
 		cts, blinds := rowInts(r.Rows)
-		return append(cts, r.PairCts...), nil, append(blinds, r.EphemeralN)
+		return append(cts, r.PairCts...), append(blinds, r.EphemeralN)
 	case *cloud.FilterRequest:
 		cts, blinds := rowInts(r.Rows)
-		return append(cts, r.Tests...), nil, append(blinds, r.EphemeralN)
+		return append(cts, r.Tests...), append(blinds, r.EphemeralN)
 	}
-	return nil, nil, nil
+	return nil, nil
 }
 
 // s2Sends splits a reply into the Paillier ciphertexts S2 made and every
-// other integer (DJ bits, blind records).
+// other integer (blind records).
 func s2Sends(resp any) (paillierCts, other []*big.Int) {
 	switch r := resp.(type) {
-	case *cloud.EqBitsReply:
-		return nil, r.Bits
-	case *cloud.RecoverReply:
-		return r.Cts, nil
-	case *cloud.CompareHiddenReply:
+	case *cloud.GadgetReply:
 		return append(append([]*big.Int(nil), r.Bits...), r.Cts...), nil
 	case *cloud.MultReply:
 		return r.Products, nil
@@ -183,6 +225,7 @@ func TestWireRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec.eph = c.Ephemeral()
 		t.Cleanup(func() {
 			c.Close()
 			if rec.calls == 0 {

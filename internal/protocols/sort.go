@@ -3,16 +3,13 @@ package protocols
 import (
 	"container/heap"
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"repro/internal/cloud"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
-	"repro/internal/zmath"
 )
 
 // gate is one compare-exchange: after execution, position i holds the item
@@ -99,17 +96,15 @@ func (it Item) withSlots(slots []*paillier.Ciphertext) Item {
 }
 
 // runGateLayer executes one layer of independent compare-exchange gates in
-// one round. For gate (i, j) S1 sends the masked key difference and both
-// orderings of the two items' slots, every slot blinded with a fresh
-// Enc(r) (so it carries a nonce power S2 has never seen: the slots are
-// often S2's own earlier replies). maskedDiff's flip orders the halves so
-// that half b, where b is the sign S2 reads, always holds what position i
-// must end with; S2 returns that half and Enc(b), and S1 takes the blinds
-// off with Enc(b)^(r0-r1) * Enc(-r0), whichever half came back. The
-// partner follows homomorphically as Enc(I) * Enc(J) * Enc(new_i)^-1,
-// which encrypts I + J - new_i: the other of the two, for id digests mod
-// N as for scores. Every output carries randomness S2 put on it, so S1
-// cannot match it to an input either.
+// one round of the hidden-bit gadget (ApplyBits). For gate (i, j) S1 sends
+// the masked key difference as the test and, per slot, the difference
+// c1 - c0 of the gate's two orderings: maskedDiff's flip orders them so
+// that c_b, where b is the sign S2 reads, is what position i must end
+// with. The gadget returns Enc(b*(c1 - c0)), and position i takes
+// new_i = c0 + b*(c1 - c0) = c_b. The partner follows homomorphically as
+// Enc(I) * Enc(J) * Enc(new_i)^-1, which encrypts I + J - new_i: the
+// other of the two, for id digests mod N as for scores. Every output
+// carries randomness S2 put on it, so S1 cannot match it to an input.
 func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gate, col int, desc bool, magBits int) error {
 	if len(layer) == 0 {
 		return nil
@@ -124,11 +119,8 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 	}
 	pk := c.PK()
 	diffs := make([]*paillier.Ciphertext, len(layer))
-	pay := make([]*paillier.Ciphertext, 2*w*len(layer))
-	// r0[k][s] is the blind on slot s of gate k's half 0, and exps[k][s]
-	// the exponent r0 - r1 mod N that Enc(b) is raised to.
-	r0 := make([][]*big.Int, len(layer))
-	exps := make([][]*big.Int, len(layer))
+	c0s := make([]*paillier.Ciphertext, w*len(layer))
+	c1s := make([]*paillier.Ciphertext, w*len(layer))
 	err := parallel.ForEachCtx(ctx, len(layer), func(k int) error {
 		g := layer[k]
 		// For ascending order the gate keeps (i, j) when key_i <= key_j;
@@ -142,59 +134,33 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 			return err
 		}
 		diffs[k] = d
-		// S2 reads b = keep XOR flip, so half 1 is I unless flipped.
-		I, J := work[g.i].slots(), work[g.j].slots()
-		halves := [2][]*paillier.Ciphertext{J, I}
+		// S2 reads b = keep XOR flip, so c1 is I unless flipped.
+		c0, c1 := work[g.j].slots(), work[g.i].slots()
 		if flip {
-			halves = [2][]*paillier.Ciphertext{I, J}
+			c0, c1 = c1, c0
 		}
-		r0[k], exps[k] = make([]*big.Int, w), make([]*big.Int, w)
-		for h, half := range halves {
-			for s, slot := range half {
-				r, err := zmath.RandInt(rand.Reader, pk.N)
-				if err != nil {
-					return err
-				}
-				blind, err := c.Enc().Encrypt(r)
-				if err != nil {
-					return err
-				}
-				if pay[(2*k+h)*w+s], err = pk.Add(slot, blind); err != nil {
-					return err
-				}
-				if h == 0 {
-					r0[k][s] = r
-				} else {
-					exps[k][s] = r.Sub(r0[k][s], r).Mod(r, pk.N)
-				}
-			}
-		}
+		copy(c0s[k*w:], c0)
+		copy(c1s[k*w:], c1)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	bits, picked, err := c.CompareHidden(ctx, w, diffs, pay)
+	pay, err := subAll(pk, c1s, c0s)
 	if err != nil {
 		return err
 	}
-	// picked slot s of gate k encrypts new_i + r_b, and Enc(b)^(r0-r1)
-	// adds b*(r0-r1): both leave new_i + r0 for the last step to strip.
-	// One squaring chain of Enc(b) serves all w exponents of the gate.
+	picked, err := ApplyBits(ctx, c, cloud.MethodCompareHidden, w, diffs, pay)
+	if err != nil {
+		return err
+	}
 	out := make([]*paillier.Ciphertext, w*len(layer))
 	sums := make([]*paillier.Ciphertext, w*len(layer))
 	err = parallel.ForEachCtx(ctx, len(layer), func(k int) error {
-		powers, err := pk.EngineN2().ExpModShared(bits[k].C, exps[k])
-		if err != nil {
-			return err
-		}
 		I, J := work[layer[k].i].slots(), work[layer[k].j].slots()
-		for s, p := range powers {
-			x, err := pk.Add(picked[k*w+s], &paillier.Ciphertext{C: p})
-			if err != nil {
-				return err
-			}
-			if out[k*w+s], err = pk.AddPlain(x, new(big.Int).Neg(r0[k][s])); err != nil {
+		for s := 0; s < w; s++ {
+			var err error
+			if out[k*w+s], err = pk.Add(c0s[k*w+s], picked[k*w+s]); err != nil {
 				return err
 			}
 			if sums[k*w+s], err = pk.Add(I[s], J[s]); err != nil {

@@ -46,8 +46,10 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	}
 	pk := c.PK()
 
-	// One EqBits round over all (new, existing) pairs, permuted. The
-	// equality ciphertexts build in parallel.
+	// One gadget round over all (new, existing) pairs, permuted, each bit
+	// with the same width: per additive column (W and any payload beyond
+	// B) new.col for the existing copy and existing.col for the new one,
+	// then new.B - existing.B. The equality ciphertexts build in parallel.
 	type pairRef struct{ g, t int }
 	var refs []pairRef
 	for gi := range gamma {
@@ -55,7 +57,7 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 			refs = append(refs, pairRef{gi, ti})
 		}
 	}
-	eqCts, err := parallel.MapErrCtx(ctx, refs, func(_ int, r pairRef) (*paillier.Ciphertext, error) {
+	tests, err := parallel.MapErrCtx(ctx, refs, func(_ int, r pairRef) (*paillier.Ciphertext, error) {
 		ct, err := ehl.SubEnc(c.Enc(), gamma[r.g].EHL, T[r.t].EHL)
 		if err != nil {
 			return nil, fmt.Errorf("protocols: SecUpdate eq(%d,%d): %w", r.g, r.t, err)
@@ -65,68 +67,43 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	if err != nil {
 		return nil, err
 	}
-	bits, err := EqBitsPermuted(ctx, c, eqCts)
+	var addCols []int
+	for col := 0; col < cols; col++ {
+		if col != ColBest {
+			addCols = append(addCols, col)
+		}
+	}
+	hasBest := cols > ColBest
+	width := 2 * len(addCols)
+	var fresher, older []*paillier.Ciphertext
+	if hasBest {
+		width++
+		for _, r := range refs {
+			fresher, older = append(fresher, gamma[r.g].Scores[ColBest]), append(older, T[r.t].Scores[ColBest])
+		}
+	}
+	bestDiffs, err := subAll(pk, fresher, older)
 	if err != nil {
 		return nil, err
 	}
-
-	// Build all selections; resolve with one Recover round.
-	zero, err := c.Enc().EncryptZero()
-	if err != nil {
-		return nil, err
-	}
-	var sels []Selection
-	add := func(s Selection) int {
-		sels = append(sels, s)
-		return len(sels) - 1
-	}
-	type jobKind int
-	const (
-		jobExistingAdd jobKind = iota // add t*value to existing column
-		jobExistingSet                // overwrite existing col (composed select)
-		jobNewAdd                     // add t*value to new column
-	)
-	type job struct {
-		kind jobKind
-		item int // index into T or gamma depending on kind
-		col  int
-		slot int
-	}
-	var jobs []job
+	pay := make([]*paillier.Ciphertext, 0, width*len(refs))
 	for k, r := range refs {
-		g, t := r.g, r.t
-		// Additive columns: W and any payload columns beyond B. Adding
-		// composes safely across pairs because at most one pair matches.
-		for col := 0; col < cols; col++ {
-			if col == ColBest {
-				continue
-			}
-			jobs = append(jobs,
-				job{kind: jobExistingAdd, item: t, col: col, slot: add(Pick(bits[k], gamma[g].Scores[col], zero))},
-				job{kind: jobNewAdd, item: g, col: col, slot: add(Pick(bits[k], T[t].Scores[col], zero))})
+		for _, col := range addCols {
+			pay = append(pay, gamma[r.g].Scores[col], T[r.t].Scores[col])
+		}
+		if hasBest {
+			pay = append(pay, bestDiffs[k])
 		}
 	}
-	// Best bound: replace with the fresher value when matched. This must
-	// compose across all gamma items of one existing entry at once —
-	// B' = sum_g t_g * B_g + (1 - sum_g t_g) * B_old — a per-pair select
-	// would let a later unmatched pair overwrite the refresh. refs is
-	// gamma-major, so pair (gamma g, existing t) has bit g*len(T)+t.
-	if cols > ColBest {
-		for ti := range T {
-			s := Selection{Else: T[ti].Scores[ColBest]}
-			for gi := range gamma {
-				s.T = append(s.T, bits[gi*len(T)+ti])
-				s.A = append(s.A, gamma[gi].Scores[ColBest])
-			}
-			jobs = append(jobs, job{kind: jobExistingSet, item: ti, col: ColBest, slot: add(s)})
-		}
-	}
-	resolved, err := Select(ctx, c, sels)
+	chosen, err := ApplyBits(ctx, c, cloud.MethodEqBits, width, tests, pay)
 	if err != nil {
 		return nil, err
 	}
 
-	// Apply updates on fresh copies.
+	// Apply updates on fresh copies. Adding composes across pairs because
+	// each object matches at most one pair: W and the payload columns
+	// accumulate t*value on both copies, and the best bound becomes
+	// B_old + sum_g t_g*(B_g - B_old), the fresher value when matched.
 	newT := make([]Item, len(T))
 	for i := range T {
 		newT[i] = T[i].Clone()
@@ -135,22 +112,20 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	for i := range gamma {
 		newGamma[i] = gamma[i].Clone()
 	}
-	for _, j := range jobs {
-		switch j.kind {
-		case jobExistingAdd:
-			sum, err := pk.Add(newT[j.item].Scores[j.col], resolved[j.slot])
-			if err != nil {
+	for k, r := range refs {
+		out := chosen[k*width : (k+1)*width]
+		for a, col := range addCols {
+			if newT[r.t].Scores[col], err = pk.Add(newT[r.t].Scores[col], out[2*a]); err != nil {
 				return nil, err
 			}
-			newT[j.item].Scores[j.col] = sum
-		case jobExistingSet:
-			newT[j.item].Scores[j.col] = resolved[j.slot]
-		case jobNewAdd:
-			sum, err := pk.Add(newGamma[j.item].Scores[j.col], resolved[j.slot])
-			if err != nil {
+			if newGamma[r.g].Scores[col], err = pk.Add(newGamma[r.g].Scores[col], out[2*a+1]); err != nil {
 				return nil, err
 			}
-			newGamma[j.item].Scores[j.col] = sum
+		}
+		if hasBest {
+			if newT[r.t].Scores[ColBest], err = pk.Add(newT[r.t].Scores[ColBest], out[width-1]); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/cloud"
-	"repro/internal/dj"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
@@ -59,8 +58,8 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 }
 
 // SecWorstBestAll runs SecWorst (Algorithm 4) and SecBest (Algorithm 6)
-// for every item at the current depth in two rounds: one permuted EqBits
-// batch and one Recover batch.
+// for every item at the current depth in one round of the hidden-bit
+// gadget (ApplyBits), its bits permuted.
 //
 // The worst (lower-bound) contribution of this depth for the item of list
 // i is its own score plus the scores of every other same-depth item that
@@ -72,20 +71,20 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 // queried list j, either the object's actual score in L_j if it already
 // appeared there, or L_j's current bottom value:
 //
-//	B_i = x_i + sum_{j != i} [ sum_e t_e * x_j^e + (1 - sum_e t_e) * bottom_j ]
+//	B_i = x_i + sum_{j != i} [ bottom_j + sum_{e < d} t_e * (x_j^e - bottom_j) ]
 //
 // histories[j] must contain list j's seen prefix including the current
-// depth; item i must be the current-depth item of histories[i]. SecBest's
-// equality bits (item i, list j, depth e) at the current depth are the
-// t_ij SecWorst needs, and t_ij = t_ji, so each same-depth pair is asked
-// once and serves both bounds of both items. S2's view is the permuted
-// equality pattern of the depth (leakage EP^d).
+// depth; item i must be the current-depth item of histories[i]. There is
+// one bit per ordered (item i, list j, depth e <= d) with one payload
+// each: x_j at the current depth, for W_i, and x_j^e - bottom_j at an
+// earlier one, for B_i. That is Algorithm 6's bit set, so S2's view is
+// the permuted equality pattern of the depth (leakage EP^d) and no more.
 func SecWorstBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) (worst, best []*paillier.Ciphertext, err error) {
 	return secWorstBest(ctx, c, items, histories, true, true)
 }
 
 // secWorstBest is SecWorstBestAll computing only the requested halves; an
-// unrequested half costs no equality bit and no recovery slot.
+// unrequested half costs no equality bit.
 func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory, wantWorst, wantBest bool) (worst, best []*paillier.Ciphertext, err error) {
 	if err := validateDepthItems(items); err != nil {
 		return nil, nil, err
@@ -100,54 +99,57 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	}
 	pk := c.PK()
 	m := len(items)
-	ownScores := func() []*paillier.Ciphertext {
-		out := make([]*paillier.Ciphertext, m)
-		for i := range out {
-			out[i] = items[i].Score.Clone()
-		}
-		return out
-	}
-	if wantWorst {
-		worst = ownScores()
-	}
-	if wantBest {
-		best = ownScores()
-	}
-	if m == 1 {
-		return worst, best, nil
-	}
 	last := func(j int) int { return len(histories[j].EHLs) - 1 }
-
-	// One equality ciphertext per unordered same-depth pair, then one per
-	// (item i, other list j, earlier depth e), which only SecBest looks
-	// at; bitAt[i][j][e] locates [o_i = o_j^e] in that batch.
-	type ref struct{ i, j, e int }
-	var refs []ref
-	bitAt := make([][][]int, m)
-	for i := range bitAt {
-		bitAt[i] = make([][]int, m)
-		for j := range bitAt[i] {
-			bitAt[i][j] = make([]int, last(j)+1)
-		}
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			bitAt[i][j][last(j)], bitAt[j][i][last(i)] = len(refs), len(refs)
-			refs = append(refs, ref{i, j, last(j)})
-		}
-	}
-	for i := 0; wantBest && i < m; i++ {
-		for j := 0; j < m; j++ {
-			for e := 0; j != i && e < last(j); e++ {
-				bitAt[i][j][e] = len(refs)
-				refs = append(refs, ref{i, j, e})
+	bottom := func(j int) *paillier.Ciphertext { return histories[j].Scores[last(j)] }
+	// Both bounds start from the item's own score; the best bound also
+	// takes every other list's bottom, which an earlier-depth match
+	// replaces below.
+	worst, best = make([]*paillier.Ciphertext, m), make([]*paillier.Ciphertext, m)
+	for i := range items {
+		worst[i], best[i] = items[i].Score.Clone(), items[i].Score.Clone()
+		for j := 0; wantBest && j < m; j++ {
+			if j != i {
+				if best[i], err = pk.Add(best[i], bottom(j)); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
+	}
+	// One bit per (i, j, e) with one payload: x_j at the current depth,
+	// x_j^e - bottom_j at an earlier one (the differences in one batch).
+	type ref struct{ i, j, e int }
+	var refs []ref
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			for e := 0; j != i && e <= last(j); e++ {
+				if e == last(j) && wantWorst || e < last(j) && wantBest {
+					refs = append(refs, ref{i, j, e})
+				}
+			}
+		}
+	}
+	pay := make([]*paillier.Ciphertext, len(refs))
+	var at []int
+	var earlier, bottoms []*paillier.Ciphertext
+	for k, r := range refs {
+		if r.e == last(r.j) {
+			pay[k] = items[r.j].Score
+			continue
+		}
+		at = append(at, k)
+		earlier, bottoms = append(earlier, histories[r.j].Scores[r.e]), append(bottoms, bottom(r.j))
+	}
+	diffs, err := subAll(pk, earlier, bottoms)
+	if err != nil {
+		return nil, nil, err
+	}
+	for n, k := range at {
+		pay[k] = diffs[n]
 	}
 	// The randomized equality ciphertexts are independent, so they build
 	// in parallel — this is the largest S1-side batch of the per-depth
 	// pipeline.
-	eqCts, err := parallel.MapErrCtx(ctx, refs, func(_ int, r ref) (*paillier.Ciphertext, error) {
+	tests, err := parallel.MapErrCtx(ctx, refs, func(_ int, r ref) (*paillier.Ciphertext, error) {
 		ct, err := ehl.SubEnc(c.Enc(), items[r.i].EHL, histories[r.j].EHLs[r.e])
 		if err != nil {
 			return nil, fmt.Errorf("protocols: SecWorstBest eq(%d,%d,%d): %w", r.i, r.j, r.e, err)
@@ -157,64 +159,24 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	if err != nil {
 		return nil, nil, err
 	}
-	bits, err := EqBitsPermuted(ctx, c, eqCts)
+	chosen, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, tests, pay)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Every ordered pair (i, j) contributes one term to W_i and one to
-	// B_i; all of them resolve in one recover round.
-	type key struct{ i, j int }
-	var keys []key
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if j != i {
-				keys = append(keys, key{i, j})
-			}
+	for k, r := range refs {
+		bound := best
+		if r.e == last(r.j) {
+			bound = worst
 		}
-	}
-	// Worst selections first, then best, each in keys order.
-	var sels []Selection
-	if wantWorst {
-		// t_ij*x_j + (1-t_ij)*0.
-		zero, err := c.Enc().EncryptZero()
-		if err != nil {
+		if bound[r.i], err = pk.Add(bound[r.i], chosen[k]); err != nil {
 			return nil, nil, err
 		}
-		for _, k := range keys {
-			sels = append(sels, Pick(bits[bitAt[k.i][k.j][last(k.j)]], items[k.j].Score, zero))
-		}
 	}
-	bestAt := len(sels)
-	if wantBest {
-		// sum_e t_e*Enc(x_j^e) + (1 - sum_e t_e)*Enc(bottom_j): the object
-		// matches at most one depth of list j, else the bottom stands in.
-		// The current depth's entry is the bottom itself, which Selection
-		// recognises and spends no exponentiation on.
-		for _, k := range keys {
-			h := histories[k.j]
-			ts := make([]*dj.Ciphertext, len(h.Scores))
-			for e, b := range bitAt[k.i][k.j] {
-				ts[e] = bits[b]
-			}
-			sels = append(sels, Selection{T: ts, A: h.Scores, Else: h.Scores[last(k.j)]})
-		}
+	if !wantWorst {
+		worst = nil
 	}
-	resolved, err := Select(ctx, c, sels)
-	if err != nil {
-		return nil, nil, err
-	}
-	for g, k := range keys {
-		if wantWorst {
-			if worst[k.i], err = pk.Add(worst[k.i], resolved[g]); err != nil {
-				return nil, nil, err
-			}
-		}
-		if wantBest {
-			if best[k.i], err = pk.Add(best[k.i], resolved[bestAt+g]); err != nil {
-				return nil, nil, err
-			}
-		}
+	if !wantBest {
+		best = nil
 	}
 	return worst, best, nil
 }
