@@ -153,17 +153,20 @@ func (c *Client) CompareSigns(ctx context.Context, cts []*paillier.Ciphertext) (
 }
 
 // Gadget runs one round of the hidden-bit gadget under method
-// (MethodEqBits or MethodCompareHidden): per bit a test ciphertext and
-// width blinded payloads (pay[k*width:] are bit k's). S2 answers Enc(t_k)
-// and, per payload, Enc(t_k * payload), re-randomized.
-func (c *Client) Gadget(ctx context.Context, method string, width int, tests, pay []*paillier.Ciphertext) (bits, out []*paillier.Ciphertext, err error) {
+// (MethodEqBits or MethodCompareHidden): per bit group test ciphertexts
+// (tests[k*group:] are bit k's; group is 1 but for grouped EqBits, where
+// the bit is the OR of the group's zero tests) and width blinded payloads
+// (pay[k*width:] are bit k's). S2 answers Enc(t_k) and, per payload,
+// Enc(t_k * payload), re-randomized.
+func (c *Client) Gadget(ctx context.Context, method string, group, width int, tests, pay []*paillier.Ciphertext) (bits, out []*paillier.Ciphertext, err error) {
 	if len(tests) == 0 {
 		return nil, nil, nil
 	}
-	if width < 1 || len(pay) != width*len(tests) {
-		return nil, nil, fmt.Errorf("cloud: %s: %d payloads for %d bits of width %d", method, len(pay), len(tests), width)
+	if group < 1 || width < 1 || len(tests)%group != 0 || len(pay) != width*(len(tests)/group) {
+		return nil, nil, fmt.Errorf("cloud: %s: %d tests and %d payloads for groups of %d and width %d", method, len(tests), len(pay), group, width)
 	}
-	req := &GadgetRequest{Relation: c.relation, Width: width}
+	n := len(tests) / group
+	req := &GadgetRequest{Relation: c.relation, Width: width, Group: group}
 	if req.Cts, err = ctsToBig(tests); err != nil {
 		return nil, nil, err
 	}
@@ -174,8 +177,8 @@ func (c *Client) Gadget(ctx context.Context, method string, width int, tests, pa
 	if err := c.caller.Call(ctx, method, req, &resp); err != nil {
 		return nil, nil, err
 	}
-	if len(resp.Bits) != len(tests) || len(resp.Cts) != len(pay) {
-		return nil, nil, fmt.Errorf("cloud: %s reply has %d bits and %d payloads for %d bits of width %d", method, len(resp.Bits), len(resp.Cts), len(tests), width)
+	if len(resp.Bits) != n || len(resp.Cts) != len(pay) {
+		return nil, nil, fmt.Errorf("cloud: %s reply has %d bits and %d payloads for %d bits of width %d", method, len(resp.Bits), len(resp.Cts), n, width)
 	}
 	return bigToCts(resp.Bits), bigToCts(resp.Cts), nil
 }

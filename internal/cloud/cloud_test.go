@@ -69,17 +69,18 @@ func TestNewClientValidation(t *testing.T) {
 }
 
 // checkGadget runs one round of the hidden-bit gadget under method through
-// the client: tests[k] decides bit k (want[k]), and bit k's two payloads
-// encrypt 10k and 10k+1. S2 must answer Enc(t_k) and, per payload, its
-// plaintext when t_k = 1 and zero when t_k = 0, every reply ciphertext
-// under a nonce of its own. It then holds S2 to refusing a malformed round
-// typed, before it decrypts anything.
-func checkGadget(t *testing.T, method string, tests []*paillier.Ciphertext, want []int64) {
+// the client: the group tests[k*group : (k+1)*group] decides bit k
+// (want[k]), and bit k's two payloads encrypt 10k and 10k+1. S2 must
+// answer Enc(t_k) and, per payload, its plaintext when t_k = 1 and zero
+// when t_k = 0, every reply ciphertext under a nonce of its own. It then
+// holds S2 to refusing a malformed round typed, before it decrypts
+// anything.
+func checkGadget(t *testing.T, method string, group int, tests []*paillier.Ciphertext, want []int64) {
 	t.Helper()
 	e := env(t)
 	pk := &e.keys.Paillier.PublicKey
 	var pay []*paillier.Ciphertext
-	for k := range tests {
+	for k := range want {
 		for s := 0; s < 2; s++ {
 			ct, err := pk.EncryptInt64(int64(10*k + s))
 			if err != nil {
@@ -88,12 +89,12 @@ func checkGadget(t *testing.T, method string, tests []*paillier.Ciphertext, want
 			pay = append(pay, ct)
 		}
 	}
-	bits, out, err := e.client.Gadget(context.Background(), method, 2, tests, pay)
+	bits, out, err := e.client.Gadget(context.Background(), method, group, 2, tests, pay)
 	if err != nil {
 		t.Fatalf("%s: %v", method, err)
 	}
-	if len(bits) != len(tests) || len(out) != len(pay) {
-		t.Fatalf("%s: %d bits and %d payloads, want %d and %d", method, len(bits), len(out), len(tests), len(pay))
+	if len(bits) != len(want) || len(out) != len(pay) {
+		t.Fatalf("%s: %d bits and %d payloads, want %d and %d", method, len(bits), len(out), len(want), len(pay))
 	}
 	for k, w := range want {
 		if m, _ := e.keys.Paillier.Decrypt(bits[k]); m.Int64() != w {
@@ -111,27 +112,37 @@ func checkGadget(t *testing.T, method string, tests []*paillier.Ciphertext, want
 			}
 		}
 	}
-	if out, _, err := e.client.Gadget(context.Background(), method, 2, nil, nil); err != nil || out != nil {
+	if out, _, err := e.client.Gadget(context.Background(), method, group, 2, nil, nil); err != nil || out != nil {
 		t.Errorf("%s: an empty round should be a no-op", method)
 	}
-	if _, _, err := e.client.Gadget(context.Background(), method, 2, tests, pay[1:]); err == nil {
+	if _, _, err := e.client.Gadget(context.Background(), method, group, 2, tests, pay[1:]); err == nil {
 		t.Errorf("%s: client sent a round with a payload missing", method)
 	}
-	if _, _, err := e.client.Gadget(context.Background(), method, 2, []*paillier.Ciphertext{nil}, pay[:2]); err == nil {
+	if _, _, err := e.client.Gadget(context.Background(), method, group+1, 2, tests, pay); err == nil {
+		t.Errorf("%s: client sent a round whose tests do not split into its bits", method)
+	}
+	if _, _, err := e.client.Gadget(context.Background(), method, 1, 2, []*paillier.Ciphertext{nil}, pay[:2]); err == nil {
 		t.Errorf("%s: client sent a nil test ciphertext", method)
 	}
 
 	one, zero := big.NewInt(1), new(big.Int)
-	for name, req := range map[string]*GadgetRequest{
-		"width zero":          {Width: 0, Cts: []*big.Int{one}},
-		"a payload short":     {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
-		"width past the body": {Width: 1 << 62, Cts: []*big.Int{one, one}},
-		"nil payload":         {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one, nil}},
-		"payload outside N^2": {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{pk.N2, one}},
-		"zero payload":        {Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}},
-		"nil test":            {Width: 2, Cts: []*big.Int{nil}, Pay: []*big.Int{one, one}},
-		"test not a ct":       {Width: 2, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}},
-	} {
+	malformed := map[string]*GadgetRequest{
+		"width zero":          {Width: 0, Group: 1, Cts: []*big.Int{one}},
+		"group zero":          {Width: 1, Group: 0, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"tests split a group": {Width: 1, Group: 2, Cts: []*big.Int{one, one, one}, Pay: []*big.Int{one, one}},
+		"a payload short":     {Width: 2, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"width past the body": {Width: 1 << 62, Group: 1, Cts: []*big.Int{one, one}},
+		"group past the body": {Width: 1, Group: 1 << 62, Cts: []*big.Int{one}},
+		"nil payload":         {Width: 2, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, nil}},
+		"payload outside N^2": {Width: 2, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{pk.N2, one}},
+		"zero payload":        {Width: 2, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one, zero}},
+		"nil test":            {Width: 2, Group: 1, Cts: []*big.Int{nil}, Pay: []*big.Int{one, one}},
+		"test not a ct":       {Width: 2, Group: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one, one}},
+	}
+	if method != MethodEqBits {
+		malformed["grouped"] = &GadgetRequest{Width: 1, Group: 2, Cts: []*big.Int{one, one}, Pay: []*big.Int{one}}
+	}
+	for name, req := range malformed {
 		if _, err := e.server.gadget(context.Background(), method, req); !errors.Is(err, secerr.ErrBadRequest) {
 			t.Errorf("%s, %s: got %v, want bad_request", method, name, err)
 		}
@@ -144,7 +155,26 @@ func TestEqBits(t *testing.T) {
 	zero, _ := pk.EncryptInt64(0)
 	nz, _ := pk.EncryptInt64(991)
 	zero2, _ := pk.EncryptInt64(0)
-	checkGadget(t, MethodEqBits, []*paillier.Ciphertext{zero, nz, zero2}, []int64{1, 0, 1})
+	checkGadget(t, MethodEqBits, 1, []*paillier.Ciphertext{zero, nz, zero2}, []int64{1, 0, 1})
+}
+
+// TestEqBitsGrouped: a group of EqBits tests sets its bit iff any of them
+// is zero, once or more (SecDedup's OR over a row's earlier rows).
+func TestEqBitsGrouped(t *testing.T) {
+	pk := &env(t).keys.Paillier.PublicKey
+	enc := func(m int64) *paillier.Ciphertext {
+		ct, err := pk.EncryptInt64(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	tests := []*paillier.Ciphertext{
+		enc(17), enc(0), enc(4), // one equal
+		enc(5), enc(901), enc(-3), // none
+		enc(0), enc(0), enc(0), // all equal
+	}
+	checkGadget(t, MethodEqBits, 3, tests, []int64{1, 0, 1})
 }
 
 // TestRecover: S2 no longer serves Algorithm 5's Recover round; a request
@@ -185,7 +215,7 @@ func TestCompareHiddenSwap(t *testing.T) {
 	pk := &env(t).keys.Paillier.PublicKey
 	pos, _ := pk.EncryptInt64(3)
 	neg, _ := pk.EncryptInt64(-3)
-	checkGadget(t, MethodCompareHidden, []*paillier.Ciphertext{pos, neg}, []int64{0, 1})
+	checkGadget(t, MethodCompareHidden, 1, []*paillier.Ciphertext{pos, neg}, []int64{0, 1})
 }
 
 func TestMultBlinded(t *testing.T) {
@@ -288,44 +318,30 @@ func eqPair(t *testing.T, e *testEnv, equal bool) *big.Int {
 	return ct.C
 }
 
+// TestDedupReplace: S2 refuses a Replace-mode Dedup round typed, however
+// well formed, before it decrypts a pair: Qry_F's dedup keeps every row,
+// so S1 runs it through the gadget (grouped EqBits) and no blind record
+// ever carries it.
 func TestDedupReplace(t *testing.T) {
 	e := env(t)
-	// Rows 0 and 1 are duplicates (digest 11); row 2 is distinct.
 	rows := []WireRow{
 		buildRow(t, e, []int64{11}, []int64{100, 200}),
 		buildRow(t, e, []int64{11}, []int64{100, 200}),
 		buildRow(t, e, []int64{22}, []int64{300, 400}),
 	}
-	req := &DedupRequest{
+	e.s2led.Reset()
+	_, err := e.client.DedupRound(context.Background(), &DedupRequest{
 		Mode:    DedupReplace,
 		Rows:    rows,
 		PairI:   []int{0, 0, 1},
 		PairJ:   []int{1, 2, 2},
 		PairCts: []*big.Int{eqPair(t, e, true), eqPair(t, e, false), eqPair(t, e, false)},
+	})
+	if !errors.Is(err, secerr.ErrBadRequest) {
+		t.Fatalf("Replace-mode Dedup: got %v, want bad_request", err)
 	}
-	resp, err := e.client.DedupRound(context.Background(), req)
-	if err != nil {
-		t.Fatalf("DedupRound: %v", err)
-	}
-	if len(resp.Rows) != 3 {
-		t.Fatalf("replace mode must preserve row count, got %d", len(resp.Rows))
-	}
-	var keptDup, keptUnique, sentinels int
-	for _, r := range resp.Rows {
-		digests, scores := decodeRow(t, e, r)
-		switch {
-		case digests[0].Int64() == 11 && scores[0].Int64() == 100:
-			keptDup++
-		case digests[0].Int64() == 22 && scores[0].Int64() == 300:
-			keptUnique++
-		case scores[0].Int64() == -1 && scores[1].Int64() == -1:
-			sentinels++
-		default:
-			t.Fatalf("unexpected row: digests=%v scores=%v", digests, scores)
-		}
-	}
-	if keptDup != 1 || keptUnique != 1 || sentinels != 1 {
-		t.Fatalf("kept=%d unique=%d sentinels=%d", keptDup, keptUnique, sentinels)
+	if n := len(e.s2led.ByMethod(MethodDedup)); n != 0 {
+		t.Fatalf("S2 recorded %d Dedup events for a round it refused", n)
 	}
 }
 
@@ -412,7 +428,7 @@ func TestDedupValidation(t *testing.T) {
 	e := env(t)
 	row := buildRow(t, e, []int64{1}, []int64{2})
 	bad := &DedupRequest{
-		Mode:    DedupReplace,
+		Mode:    DedupEliminate,
 		Rows:    []WireRow{row},
 		PairI:   []int{0},
 		PairJ:   []int{5}, // out of range
@@ -422,7 +438,7 @@ func TestDedupValidation(t *testing.T) {
 		t.Fatal("expected out-of-range pair error")
 	}
 	short := &DedupRequest{
-		Mode:    DedupReplace,
+		Mode:    DedupEliminate,
 		Rows:    []WireRow{{EHL: row.EHL, Scores: row.Scores, Blinds: row.Blinds[:1]}},
 		PairI:   nil,
 		PairJ:   nil,
@@ -528,10 +544,10 @@ func TestBlindRecordRequestsRefused(t *testing.T) {
 		t.Fatalf("client's ephemeral modulus is %d bits beside a %d-bit N", ephN.BitLen(), pk.N.BitLen())
 	}
 	for name, req := range map[string]any{
-		"dedup narrow":      &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(pk.N.BitLen() + 63)},
-		"dedup head-width":  &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(2*pk.N.BitLen() + 64)},
-		"dedup megabit":     &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(1 << 20)},
-		"dedup zero":        &DedupRequest{Rows: []WireRow{row}, EphemeralN: new(big.Int)},
+		"dedup narrow":      &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(pk.N.BitLen() + 63)},
+		"dedup head-width":  &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(2*pk.N.BitLen() + 64)},
+		"dedup megabit":     &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(1 << 20)},
+		"dedup zero":        &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: new(big.Int)},
 		"filter narrow":     &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(128)},
 		"filter megabit":    &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 20)},
 		"filter no tests":   &FilterRequest{Rows: []WireRow{row}, EphemeralN: ephN},
@@ -574,7 +590,7 @@ func TestLedgerRecordsEqualityPattern(t *testing.T) {
 	pk := &e.keys.Paillier.PublicKey
 	zero, _ := pk.EncryptInt64(0)
 	nz, _ := pk.EncryptInt64(5)
-	if _, _, err := e.client.Gadget(context.Background(), MethodEqBits, 1, []*paillier.Ciphertext{zero, nz}, []*paillier.Ciphertext{nz, zero}); err != nil {
+	if _, _, err := e.client.Gadget(context.Background(), MethodEqBits, 1, 1, []*paillier.Ciphertext{zero, nz}, []*paillier.Ciphertext{nz, zero}); err != nil {
 		t.Fatal(err)
 	}
 	events := e.s2led.ByMethod(MethodEqBits)
@@ -603,7 +619,7 @@ func TestStatsAccumulate(t *testing.T) {
 	before := e.stats.Rounds()
 	pk := &e.keys.Paillier.PublicKey
 	a, _ := pk.EncryptInt64(0)
-	if _, _, err := e.client.Gadget(context.Background(), MethodEqBits, 1, []*paillier.Ciphertext{a}, []*paillier.Ciphertext{a}); err != nil {
+	if _, _, err := e.client.Gadget(context.Background(), MethodEqBits, 1, 1, []*paillier.Ciphertext{a}, []*paillier.Ciphertext{a}); err != nil {
 		t.Fatal(err)
 	}
 	if e.stats.Rounds() != before+1 {

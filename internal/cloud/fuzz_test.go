@@ -91,32 +91,39 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	bad, unknown := secerr.CodeBadRequest, secerr.CodeUnknownMethod
 	seeds := []fuzzSeed{
 		{method: MethodHello, body: enc(&HelloRequest{Version: 99}), code: secerr.CodeProtocolVersion},
-		{method: MethodHello, body: append(enc(&HelloRequest{Version: transport.ProtocolVersion}), 0), code: bad},                                    // trailing byte
-		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1 << 40) }), code: bad},                       // count overruns the body
-		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Uvarint(9); w.Uvarint(1) }), code: bad}, // integer overruns the body
-		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Bytes([]byte{0, 1}) }), code: bad},      // leading zero byte
-		{method: MethodEqBits, body: append(raw(func(w *wire.Writer) { w.String(rel) }), 0x80, 0), code: bad},                                        // overlong varint
+		{method: MethodHello, body: append(enc(&HelloRequest{Version: transport.ProtocolVersion}), 0), code: bad},                            // trailing byte
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Uvarint(1 << 40) }), code: bad}, // count overruns the body
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) {
+			w.String(rel)
+			w.Uvarint(1)
+			w.Uvarint(1)
+			w.Uvarint(1)
+			w.Uvarint(9)
+			w.Uvarint(1)
+		}), code: bad}, // integer overruns the body
+		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Uvarint(1); w.Bytes([]byte{0, 1}) }), code: bad}, // leading zero byte
+		{method: MethodEqBits, body: append(raw(func(w *wire.Writer) { w.String(rel) }), 0x80, 0), code: bad},                                                 // overlong varint
 		// Algorithm 5's Recover round is gone from the method table.
 		{method: MethodRecover, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: unknown},
 		{method: MethodCompare, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
 		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: nil}), code: bad},
 		{method: MethodDedup, body: enc(&DedupRequest{
-			Relation: rel,
-			Rows:     []WireRow{{EHL: []*big.Int{zero}, Scores: []*big.Int{one}, Blinds: []*big.Int{one, one}}},
-			PairI:    []int{0}, PairJ: []int{0}, PairCts: []*big.Int{one}, EphemeralN: zero,
+			Relation: rel, Mode: DedupEliminate,
+			Rows:  []WireRow{{EHL: []*big.Int{zero}, Scores: []*big.Int{one}, Blinds: []*big.Int{one, one}}},
+			PairI: []int{0}, PairJ: []int{0}, PairCts: []*big.Int{one}, EphemeralN: zero,
 		}), code: bad},
-		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: zero}), code: bad},
+		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: zero}), code: bad},
 		{method: MethodDedup, body: enc(&DedupRequest{
 			Relation: rel, Mode: DedupMerge, Rows: []WireRow{row}, MergeCols: []int{7}, EphemeralN: one,
 		}), code: bad},
-		{method: MethodDedup, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(0); w.Uvarint(1 << 20) }), code: bad}, // row count overruns the body
+		{method: MethodDedup, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(uint64(DedupEliminate)); w.Uvarint(1 << 20) }), code: bad}, // row count overruns the body
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{{Scores: []*big.Int{zero}, Blinds: []*big.Int{one}}}, EphemeralN: one}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{{EHL: []*big.Int{one}, Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, EphemeralN: one}), code: bad},
 		// Ephemeral moduli of the wrong width (a bit short of |N|+64, and
 		// wide enough to make one exponentiation a denial of service), and
 		// Filter tests that do not pair up with the rows or are zero under
 		// a modulus of the right width.
-		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 63)}), code: bad},
+		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 63)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 17)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 64)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{zero}, EphemeralN: oddOfBits(256 + 64)}), code: bad},
@@ -145,7 +152,8 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	}
 	// The gadget's shared request under both of its names: the shapes
 	// FuzzWireDecode is seeded with, trailing garbage, and a test
-	// ciphertext that does not decrypt.
+	// ciphertext that does not decrypt. A Replace-mode Dedup round is
+	// refused however well formed: Qry_F dedups through the gadget.
 	shapes := gadgetShapes()
 	names := make([]string, 0, len(shapes))
 	for name := range shapes {
@@ -155,16 +163,20 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	for _, method := range []string{MethodEqBits, MethodCompareHidden} {
 		for _, name := range names {
 			code := bad
-			if name == "served" {
+			if name == "served" || name == "grouped" && method == MethodEqBits {
 				code = ""
 			}
 			seeds = append(seeds, fuzzSeed{method: method, body: enc(shapes[name]), code: code})
 		}
 		seeds = append(seeds,
 			fuzzSeed{method: method, body: append(enc(shapes["served"]), 0xff, 0xff), code: bad},
-			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one}}), code: bad},
-			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1 << 62, Cts: []*big.Int{one, one}}), code: bad}) // Width*bits wraps to 0
+			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1, Group: 1, Cts: []*big.Int{zero}, Pay: []*big.Int{one}}), code: bad},
+			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1 << 62, Group: 1, Cts: []*big.Int{one, one}}), code: bad}, // Width*bits wraps to 0
+			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1, Group: 1 << 62, Cts: []*big.Int{one}}), code: bad})      // no whole group
 	}
+	seeds = append(seeds, fuzzSeed{method: MethodDedup, body: enc(&DedupRequest{
+		Relation: rel, Mode: DedupReplace, Rows: []WireRow{row, row}, PairI: []int{0}, PairJ: []int{1}, PairCts: []*big.Int{one}, EphemeralN: oddOfBits(256 + 64),
+	}), code: bad})
 	// An empty body and plain garbage, as every method that decodes one.
 	for _, name := range fuzzMethods() {
 		if methods[name].handle != nil || name == MethodHello || name == MethodBatch {

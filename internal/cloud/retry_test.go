@@ -100,8 +100,11 @@ func TestRetryCallerExhaustionCarriesHistory(t *testing.T) {
 
 // TestRetryCallerEveryWireMethodIsTabled checks the retryability table
 // covers exactly the declared method set, so adding a method without
-// deciding its retryability is caught here. Recover, which S2 no longer
-// serves, is an unknown method and so not retryable.
+// deciding its retryability is caught here. EqBits stays retryable in its
+// grouped form (wire v7): an OR over a group is as stateless as one zero
+// test, and Dedup's two remaining modes are the same transform as
+// before. Recover, which S2 no longer serves, is an unknown method and so
+// not retryable.
 func TestRetryCallerEveryWireMethodIsTabled(t *testing.T) {
 	for _, m := range []string{
 		MethodHello, MethodEqBits, MethodCompare,

@@ -164,19 +164,25 @@ func serveBatch(ctx context.Context, r responder, body []byte) ([]byte, error) {
 }
 
 // gadget is the S2 side of the hidden-bit gadget, one handler for both of
-// its method rows. For bit k it decrypts Cts[k] and reads t_k — the sign
-// for CompareHidden (t = 1 iff negative), the zero test for EqBits (t = 1
-// iff the EHL difference is zero, Algorithm 4 lines 11-13) — then answers
-// Enc(t_k) and, for each of the bit's payloads, the payload re-randomized
-// (t = 1) or a fresh Enc(0) (t = 0). Every reply ciphertext carries a nonce
-// power S2 drew, so S1 cannot tell which way a bit went; every payload is
-// blinded, so S2 learns nothing it did not learn from the bit alone. The
-// whole request is checked before anything is decrypted: an error that
-// depended on a bit would tell S1 the bit.
+// its method rows. For bit k it decrypts the Group ciphertexts
+// Cts[k*Group : (k+1)*Group] and reads t_k — the sign for CompareHidden
+// (t = 1 iff negative, Group 1), the zero test for EqBits (t = 1 iff any
+// of the group's EHL differences is zero, Algorithm 4 lines 11-13; a
+// group wider than one is SecDedup's OR over a row's earlier rows) — then
+// answers Enc(t_k) and, for each of the bit's payloads, the payload
+// re-randomized (t = 1) or a fresh Enc(0) (t = 0). Every reply ciphertext
+// carries a nonce power S2 drew, so S1 cannot tell which way a bit went;
+// every payload is blinded, so S2 learns nothing it did not learn from
+// the tests alone. The whole request is checked before anything is
+// decrypted: an error that depended on a bit would tell S1 the bit.
 func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) (*GadgetReply, error) {
-	g, w := len(req.Cts), req.Width
-	if w < 1 || g > 0 && w > len(req.Pay) || len(req.Pay) != g*w {
-		return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: %d payloads for %d bits of width %d", method, len(req.Pay), g, w)
+	grp, w := req.Group, req.Width
+	if grp < 1 || grp != 1 && method != MethodEqBits {
+		return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: groups of %d tests", method, grp)
+	}
+	g := len(req.Cts) / grp
+	if len(req.Cts) != g*grp || w < 1 || g > 0 && w > len(req.Pay) || len(req.Pay) != g*w {
+		return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: %d tests and %d payloads for bits of %d tests and width %d", method, len(req.Cts), len(req.Pay), grp, w)
 	}
 	n2 := s.keys.Paillier.N2
 	for i, c := range req.Pay {
@@ -189,14 +195,19 @@ func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) 
 		return nil, err
 	}
 	ts := make([]bool, g)
-	set := 0
+	set, zeros := 0, 0
 	for i, m := range ms {
 		if method == MethodEqBits {
-			ts[i] = m.Sign() == 0
+			if m.Sign() == 0 {
+				ts[i/grp] = true
+				zeros++
+			}
 		} else {
 			ts[i] = zmath.IsNegative(m, s.keys.Paillier.N)
 		}
-		if ts[i] {
+	}
+	for _, t := range ts {
+		if t {
 			set++
 		}
 	}
@@ -229,7 +240,7 @@ func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) 
 		return nil, err
 	}
 	if method == MethodEqBits {
-		s.ledger.Record("S2", method, "equality pattern: %d equal of %d pairs, %d blinded payloads each", set, g, w)
+		s.ledger.Record("S2", method, "equality pattern: %d equal of %d bits, %d zero tests in groups of %d, %d blinded payloads each", set, g, zeros, grp, w)
 	} else {
 		s.ledger.Record("S2", method, "compared %d blinded differences (hidden), %d blinded payloads each", g, w)
 	}
@@ -317,6 +328,11 @@ func (u *unionFind) union(a, b int) {
 }
 
 func (s *Server) validateDedup(req *DedupRequest) error {
+	if req.Mode != DedupEliminate && req.Mode != DedupMerge {
+		// Replace mode never shrinks the list, so it needs no blind
+		// records: S1 runs it through the gadget (protocols.SecDedup).
+		return fmt.Errorf("cloud: Dedup serves the eliminate and merge modes, not %s", req.Mode)
+	}
 	n := len(req.Rows)
 	if len(req.PairI) != len(req.PairJ) || len(req.PairI) != len(req.PairCts) {
 		return errors.New("cloud: Dedup pair arrays have mismatched lengths")
@@ -355,11 +371,13 @@ func (s *Server) validateDedup(req *DedupRequest) error {
 	return nil
 }
 
-// dedup is the S2 side of SecDedup (Algorithm 7 lines 16-31) and its
-// SecDupElim / merge variants. Rows arrive blinded and permuted by S1;
-// the equality pattern of the permuted pair set is the only thing S2
-// learns (the leakage EP^d of Section 9). The pair decryptions, sentinel
-// construction, and re-blinding all fan out over the worker pool.
+// dedup is the S2 side of SecDupElim (Section 10.1) and of its merge
+// variant, on Algorithm 7's blind records (lines 16-31): the two modes
+// that shrink the list. Replace mode is refused: it keeps every row, so
+// S1 runs it through the gadget instead. Rows arrive blinded and permuted
+// by S1; the equality pattern of the permuted pair set is the only thing
+// S2 learns (the leakage EP^d of Section 9). The pair decryptions and the
+// re-blinding fan out over the worker pool.
 func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, error) {
 	if err := s.validateDedup(req); err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Dedup")
@@ -392,53 +410,32 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 	s.ledger.Record("S2", MethodDedup, "mode=%s rows=%d equal-pairs=%d groups=%d",
 		req.Mode, n, equalPairs, len(groups))
 
-	// Assemble the surviving rows (pre re-blinding).
+	// Keep each group's representative (pre re-blinding); in Merge mode it
+	// carries the group's sum in every merge column.
 	var rows []WireRow
 	for i := 0; i < n; i++ {
-		root := uf.find(i)
-		members := groups[root]
-		isRep := members[0] == i
-		switch req.Mode {
-		case DedupReplace:
-			if isRep {
-				rows = append(rows, req.Rows[i])
-				continue
-			}
-			repl, err := sentinelRow(pk, len(req.Rows[i].EHL), len(req.Rows[i].Scores))
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, *repl)
-		case DedupEliminate:
-			if isRep {
-				rows = append(rows, req.Rows[i])
-			}
-		case DedupMerge:
-			if !isRep {
-				continue
-			}
-			merged := req.Rows[i]
-			if len(members) > 1 {
-				mergedCopy := WireRow{
-					EHL:    append([]*big.Int(nil), merged.EHL...),
-					Scores: append([]*big.Int(nil), merged.Scores...),
-					Blinds: append([]*big.Int(nil), merged.Blinds...),
-				}
-				for _, col := range req.MergeCols {
-					for _, other := range members[1:] {
-						// Homomorphic sum of blinded scores...
-						mergedCopy.Scores[col] = mulModN2(pk, mergedCopy.Scores[col], req.Rows[other].Scores[col])
-						// ...and of their blinds under the ephemeral key.
-						bIdx := len(merged.EHL) + col
-						mergedCopy.Blinds[bIdx] = mulModN2(ephPK, mergedCopy.Blinds[bIdx], req.Rows[other].Blinds[bIdx])
-					}
-				}
-				merged = mergedCopy
-			}
-			rows = append(rows, merged)
-		default:
-			return nil, fmt.Errorf("cloud: unknown dedup mode %d", req.Mode)
+		members := groups[uf.find(i)]
+		if members[0] != i {
+			continue
 		}
+		kept := req.Rows[i]
+		if req.Mode == DedupMerge && len(members) > 1 {
+			kept = WireRow{
+				EHL:    append([]*big.Int(nil), kept.EHL...),
+				Scores: append([]*big.Int(nil), kept.Scores...),
+				Blinds: append([]*big.Int(nil), kept.Blinds...),
+			}
+			for _, col := range req.MergeCols {
+				for _, other := range members[1:] {
+					// Homomorphic sum of blinded scores...
+					kept.Scores[col] = mulModN2(pk, kept.Scores[col], req.Rows[other].Scores[col])
+					// ...and of their blinds under the ephemeral key.
+					bIdx := len(kept.EHL) + col
+					kept.Blinds[bIdx] = mulModN2(ephPK, kept.Blinds[bIdx], req.Rows[other].Blinds[bIdx])
+				}
+			}
+		}
+		rows = append(rows, kept)
 	}
 
 	// Re-blind every surviving row (Algorithm 7 lines 26-30) so S1 cannot
@@ -502,38 +499,6 @@ func (s *Server) reblindAndPermute(ctx context.Context, pk, ephPK *paillier.Publ
 // key's reduction engine, returning the canonical residue.
 func mulModN2(pk *paillier.PublicKey, a, b *big.Int) *big.Int {
 	return pk.EngineN2().MulMod(a, b)
-}
-
-// sentinelRow builds the replacement row for a duplicate in Replace mode:
-// uniformly random id digests and sentinel scores Z = N-1, as nonce-1
-// encryptions (1+N)^m with nonce-1 zero blinds. It hides nothing yet: the
-// re-blinding every reply row goes through puts fresh randomness and a
-// recorded blind on each slot, after which S1 cannot tell it from a kept
-// row.
-func sentinelRow(pk *paillier.PublicKey, ehlWidth, scoreCols int) (*WireRow, error) {
-	row := WireRow{
-		EHL:    make([]*big.Int, ehlWidth),
-		Scores: make([]*big.Int, scoreCols),
-		Blinds: make([]*big.Int, ehlWidth+scoreCols),
-	}
-	embed := func(m *big.Int) *big.Int {
-		m = new(big.Int).Mul(m, pk.N)
-		return m.Add(m, zmath.One)
-	}
-	for j := range row.EHL {
-		u, err := zmath.RandInt(rand.Reader, pk.N)
-		if err != nil {
-			return nil, err
-		}
-		row.EHL[j] = embed(u)
-	}
-	for j := range row.Scores {
-		row.Scores[j] = embed(new(big.Int).Sub(pk.N, zmath.One))
-	}
-	for j := range row.Blinds {
-		row.Blinds[j] = zmath.One
-	}
-	return &row, nil
 }
 
 // reblindRow adds a fresh additive blind delta to every slot of the row —

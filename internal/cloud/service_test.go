@@ -60,7 +60,7 @@ func TestServiceRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits, _, err := client.Gadget(ctx, MethodEqBits, 1, []*paillier.Ciphertext{zero}, []*paillier.Ciphertext{zero})
+	bits, _, err := client.Gadget(ctx, MethodEqBits, 1, 1, []*paillier.Ciphertext{zero}, []*paillier.Ciphertext{zero})
 	if err != nil {
 		t.Fatalf("EqBits via service: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestServiceRouting(t *testing.T) {
 	if err := stranger.Handshake(ctx); !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("Handshake for unknown relation: want ErrUnknownRelation, got %v", err)
 	}
-	if _, _, err := stranger.Gadget(ctx, MethodEqBits, 1, []*paillier.Ciphertext{zero}, []*paillier.Ciphertext{zero}); !errors.Is(err, secerr.ErrUnknownRelation) {
+	if _, _, err := stranger.Gadget(ctx, MethodEqBits, 1, 1, []*paillier.Ciphertext{zero}, []*paillier.Ciphertext{zero}); !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("EqBits for unknown relation: want ErrUnknownRelation, got %v", err)
 	}
 }

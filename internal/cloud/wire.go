@@ -185,26 +185,29 @@ func (m *HelloReply) UnmarshalBinary(b []byte) error {
 }
 
 // GadgetRequest is one round of the hidden-bit gadget, shared by
-// MethodEqBits and MethodCompareHidden. Per bit k, Cts[k] is the
-// ciphertext S2 reads the bit from — an EHL difference whose zero test is
-// t_k (EqBits), or a sign-blinded difference Enc(±r(2a-2b-1)) whose sign
-// is t_k (CompareHidden) — and Pay[k*Width : (k+1)*Width] are the
+// MethodEqBits and MethodCompareHidden. Per bit k, Cts[k*Group :
+// (k+1)*Group] are the ciphertexts S2 reads the bit from — EHL
+// differences, t_k = 1 iff any of them is zero (EqBits), or one
+// sign-blinded difference Enc(±r(2a-2b-1)) whose sign is t_k
+// (CompareHidden, Group 1) — and Pay[k*Width : (k+1)*Width] are the
 // payloads Enc(d + r) the bit scales, each blinded with a fresh Enc(r).
 // S2 applies the bit it reads: it answers Enc(t_k) and Enc(t_k*(d + r))
 // for every payload, so neither party learns the bit.
 type GadgetRequest struct {
 	Relation string
 	Width    int
-	Cts      []*big.Int // Paillier ciphertexts, one per bit
+	Group    int        // tests per bit
+	Cts      []*big.Int // Paillier ciphertexts, Group per bit
 	Pay      []*big.Int // Paillier ciphertexts, Width per bit
 }
 
-// MarshalBinary: string(Relation) uvarint(Width), then Cts and Pay as
-// integer lists.
+// MarshalBinary: string(Relation) uvarint(Width) uvarint(Group), then Cts
+// and Pay as integer lists.
 func (m GadgetRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.String(m.Relation)
 	w.Int("Width", m.Width)
+	w.Int("Group", m.Group)
 	w.Bigs("Cts", m.Cts)
 	w.Bigs("Pay", m.Pay)
 	return w.Finish()
@@ -212,7 +215,7 @@ func (m GadgetRequest) MarshalBinary() ([]byte, error) {
 
 func (m *GadgetRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	*m = GadgetRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay")}
+	*m = GadgetRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Group: r.Int("Group"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay")}
 	return r.Finish()
 }
 
@@ -329,6 +332,8 @@ type DedupMode int
 const (
 	// DedupReplace is Algorithm 7 (SecDedup): duplicates are replaced in
 	// place with random ids and sentinel scores, preserving list length.
+	// S1 runs it through the hidden-bit gadget (protocols.SecDedup), not
+	// as a Dedup round: S2 refuses a Replace-mode DedupRequest.
 	DedupReplace DedupMode = iota
 	// DedupEliminate is Section 10.1 (SecDupElim): duplicates are removed,
 	// leaking the uniqueness pattern (the kept count) to S1.
@@ -339,17 +344,13 @@ const (
 	DedupMerge
 )
 
+var dedupModeNames = [...]string{DedupReplace: "replace", DedupEliminate: "eliminate", DedupMerge: "merge"}
+
 func (m DedupMode) String() string {
-	switch m {
-	case DedupReplace:
-		return "replace"
-	case DedupEliminate:
-		return "eliminate"
-	case DedupMerge:
-		return "merge"
-	default:
+	if m < 0 || int(m) >= len(dedupModeNames) {
 		return "unknown"
 	}
+	return dedupModeNames[m]
 }
 
 // WireRow is one blinded, permuted scored item E(I~) together with its
@@ -417,8 +418,7 @@ func (m *DedupRequest) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// DedupReply returns the re-blinded, re-permuted rows. In Replace mode the
-// row count is unchanged; in Eliminate/Merge modes duplicates are gone.
+// DedupReply returns the re-blinded, re-permuted rows, duplicates gone.
 type DedupReply struct {
 	Rows []WireRow
 }

@@ -262,7 +262,8 @@ func TestWireOverhead(t *testing.T) {
 		t.Errorf("CompareReply of 1000 signs: %d bytes (%v), want a bitset", len(enc), err)
 	}
 	// A gadget round of g bits of width w, at 64-byte ciphertexts: g tests
-	// and gw payloads go up, g bits and gw payloads come back.
+	// (g(g-1) in SecDedup's groups of g-1) and gw payloads go up, g bits
+	// and gw payloads come back.
 	const g, w, ct = 3, 5, 64
 	full := func(n int) []*big.Int {
 		out := make([]*big.Int, n)
@@ -275,7 +276,8 @@ func TestWireOverhead(t *testing.T) {
 		m    any
 		bigs int
 	}{
-		{&GadgetRequest{Relation: "relation-7", Width: w, Cts: full(g), Pay: full(g * w)}, g * (w + 1)},
+		{&GadgetRequest{Relation: "relation-7", Width: w, Group: 1, Cts: full(g), Pay: full(g * w)}, g * (w + 1)},
+		{&GadgetRequest{Relation: "relation-7", Width: w, Group: g - 1, Cts: full(g * (g - 1)), Pay: full(g * w)}, g * (w + g - 1)},
 		{&GadgetReply{Bits: full(g), Cts: full(g * w)}, g * (w + 1)},
 	} {
 		enc, err := transport.Encode(tc.m)
@@ -289,17 +291,21 @@ func TestWireOverhead(t *testing.T) {
 }
 
 // gadgetShapes are the gadget request shapes both of its method names
-// are fuzzed with: one S2 serves, and one for each refusal S2 makes before
-// it decrypts anything.
+// are fuzzed with: the ones S2 serves, and one for each refusal S2 makes
+// before it decrypts anything. "grouped" is served as EqBits only: a sign
+// test is read alone, so CompareHidden refuses a group of two.
 func gadgetShapes() map[string]*GadgetRequest {
 	one, zero := big.NewInt(1), new(big.Int)
 	wide := oddOfBits(1024) // at least N^2 for any key the tests build
 	return map[string]*GadgetRequest{
-		"served":              {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
-		"width zero":          {Relation: fuzzSeedRelation, Cts: []*big.Int{one}},
-		"count mismatch":      {Relation: fuzzSeedRelation, Width: 2, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
-		"nil payload":         {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{zero}}, // a zero-length integer: the wire has no nil
-		"payload N^2 or past": {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{wide}},
+		"served":              {Relation: fuzzSeedRelation, Width: 1, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"grouped":             {Relation: fuzzSeedRelation, Width: 1, Group: 2, Cts: []*big.Int{one, one, one, one}, Pay: []*big.Int{one, one}},
+		"width zero":          {Relation: fuzzSeedRelation, Group: 1, Cts: []*big.Int{one}},
+		"group zero":          {Relation: fuzzSeedRelation, Width: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"tests split a group": {Relation: fuzzSeedRelation, Width: 1, Group: 2, Cts: []*big.Int{one, one, one}, Pay: []*big.Int{one, one}},
+		"count mismatch":      {Relation: fuzzSeedRelation, Width: 2, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
+		"nil payload":         {Relation: fuzzSeedRelation, Width: 1, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{zero}}, // a zero-length integer: the wire has no nil
+		"payload N^2 or past": {Relation: fuzzSeedRelation, Width: 1, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{wide}},
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 type Mode int
 
 const (
-	// QryF is the fully private baseline: SecDedup (replace mode) and the
-	// halting machinery run at every depth (Section 8).
+	// QryF is the fully private baseline: SecDedup (replace mode, one
+	// grouped gadget round) and the halting machinery run at every depth
+	// (Section 8).
 	QryF Mode = iota
 	// QryE swaps SecDedup for SecDupElim, shrinking the tracked list and
 	// leaking the uniqueness pattern UP^d to S1 (Section 10.1).

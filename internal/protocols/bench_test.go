@@ -55,6 +55,9 @@ func BenchmarkSecBestM3D4(b *testing.B) {
 	}
 }
 
+// BenchmarkSecDedupReplace times Qry_F's dedup of one depth's m = 3 rows:
+// one grouped gadget round (EqBits, groups of m - 1 tests), the blind
+// records' Dedup round it replaced gone.
 func BenchmarkSecDedupReplace(b *testing.B) {
 	e := env(b)
 	items := []Item{

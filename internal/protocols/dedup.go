@@ -44,16 +44,23 @@ func Bipartite(a, b []int) PairSet {
 	return out
 }
 
-// SecDedup runs the oblivious deduplication protocol (Algorithm 7, plus
-// the SecDupElim variant of Section 10.1 and the score-merging variant
-// used by batched processing):
+// SecDedup runs the oblivious deduplication protocol over the pair set:
+// Algorithm 7 (Replace mode, Qry_F), the SecDupElim variant of Section
+// 10.1 (Eliminate, Qry_E) and the score-merging variant used by batched
+// processing (Merge).
+//
+// Replace mode keeps every row, so it runs as one grouped round of the
+// hidden-bit gadget (replaceDuplicates): S2 reads, per row, the OR of
+// its equality tests and applies it to payloads S1 built, and neither
+// party learns which rows were replaced. The two modes that shrink the
+// list run on Algorithm 7's blind records:
 //
 //  1. S1 computes randomized equality ciphertexts over the pair set from
 //     the *unblinded* EHLs;
 //  2. S1 additively blinds every slot of every item, encrypts the blind
 //     vector under its own ephemeral key, and permutes everything;
-//  3. one round with S2 replaces/eliminates/merges duplicates and
-//     re-blinds + re-permutes the survivors;
+//  3. one round with S2 eliminates/merges duplicates and re-blinds +
+//     re-permutes the survivors;
 //  4. S1 decrypts the returned blind vectors and removes them.
 //
 // S2 learns only the equality pattern of the permuted pair set; S1 learns
@@ -69,14 +76,17 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 			return nil, fmt.Errorf("protocols: SecDedup item %d: %w", i, err)
 		}
 	}
-	pk := c.PK()
-
-	// Step 1: equality ciphertexts over unblinded EHLs, built in parallel.
 	for _, p := range pairs.Pairs {
 		if p[0] < 0 || p[0] >= len(items) || p[1] < 0 || p[1] >= len(items) || p[0] == p[1] {
 			return nil, fmt.Errorf("protocols: SecDedup pair %v out of range", p)
 		}
 	}
+	if mode == cloud.DedupReplace {
+		return replaceDuplicates(ctx, c, items, pairs)
+	}
+	pk := c.PK()
+
+	// Step 1: equality ciphertexts over unblinded EHLs, built in parallel.
 	eqCts, err := parallel.MapErrCtx(ctx, pairs.Pairs, func(_ int, p [2]int) (*big.Int, error) {
 		ct, err := ehl.SubEnc(c.Enc(), items[p[0]].EHL, items[p[1]].EHL)
 		if err != nil {
@@ -123,12 +133,7 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 	if err != nil {
 		return nil, err
 	}
-	if mode == cloud.DedupReplace && len(resp.Rows) != len(items) {
-		return nil, fmt.Errorf("protocols: replace-mode dedup changed row count %d -> %d", len(items), len(resp.Rows))
-	}
-	if mode != cloud.DedupReplace {
-		c.Ledger().Record("S1", cloud.MethodDedup, "uniqueness pattern: %d of %d items kept", len(resp.Rows), len(items))
-	}
+	c.Ledger().Record("S1", cloud.MethodDedup, "uniqueness pattern: %d of %d items kept", len(resp.Rows), len(items))
 
 	// Step 4: unblind, row-per-worker (each row decrypts its whole blind
 	// vector under the ephemeral key).
@@ -150,6 +155,123 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 		return nil, err
 	}
 	return out, nil
+}
+
+// replaceDuplicates is SecDedup's Replace mode as one round of the gadget
+// with grouped tests. S1 draws a fresh order of the n rows; row i's group
+// holds its zero tests against the rows the pair set links it to that
+// come before it in that order, so its bit t_i — the OR S2 reads — is set
+// iff an earlier row is the same object, and the row becomes
+// row + t_i*(sentinel_i - row). Exactly the first copy of each object in
+// S1's order survives; an OR and not a sum is what keeps a third copy
+// from landing on twice the sentinel. Every group is padded to n - 1 with
+// pooled encryptions of uniform values — distributed as an unequal test,
+// zero only with probability 1/N — and shuffled, so the groups S2
+// reads have one size whatever the equality pattern. Row count and order
+// are unchanged, and no blind record, ephemeral key or S2 permutation is
+// involved: S2 never sees a row, only blinded payloads.
+func replaceDuplicates(ctx context.Context, c *cloud.Client, items []Item, pairs PairSet) ([]Item, error) {
+	n := len(items)
+	if n < 2 {
+		return append([]Item(nil), items...), nil
+	}
+	pk := c.PK()
+	order, err := prf.RandomPerm(n)
+	if err != nil {
+		return nil, err
+	}
+	linked := make(map[[2]int]bool, 2*len(pairs.Pairs))
+	for _, p := range pairs.Pairs {
+		linked[p], linked[[2]int{p[1], p[0]}] = true, true
+	}
+	// against[i*group+x] is the row test x of row i's group compares it
+	// with, or -1 for padding.
+	group := n - 1
+	against := make([]int, n*group)
+	for i := range items {
+		var earlier []int
+		for j := range items {
+			if order[j] < order[i] && linked[[2]int{i, j}] {
+				earlier = append(earlier, j)
+			}
+		}
+		shuffle, err := prf.RandomPerm(group)
+		if err != nil {
+			return nil, err
+		}
+		for x := range shuffle {
+			j := -1
+			if x < len(earlier) {
+				j = earlier[x]
+			}
+			against[i*group+shuffle[x]] = j
+		}
+	}
+	tests, err := parallel.MapErrCtx(ctx, against, func(x, j int) (*paillier.Ciphertext, error) {
+		if j < 0 {
+			u, err := zmath.RandInt(rand.Reader, pk.N)
+			if err != nil {
+				return nil, err
+			}
+			return c.Enc().Encrypt(u)
+		}
+		ct, err := ehl.SubEnc(c.Enc(), items[x/group].EHL, items[j].EHL)
+		if err != nil {
+			return nil, fmt.Errorf("protocols: SecDedup eq(%d,%d): %w", x/group, j, err)
+		}
+		return ct, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pay, err := sentinelDiffs(pk, items)
+	if err != nil {
+		return nil, err
+	}
+	width := len(pay) / n
+	applied, err := ApplyBits(ctx, c, cloud.MethodEqBits, group, width, tests, pay)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Item, n)
+	for i, it := range items {
+		slots := it.slots()
+		for s := range slots {
+			if slots[s], err = pk.Add(slots[s], applied[i*width+s]); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = it.withSlots(slots)
+	}
+	return out, nil
+}
+
+// sentinelDiffs returns Enc(sentinel - slot) for every slot of every
+// item, item after item: the payloads with which row + t*(sentinel - row)
+// turns a duplicate into Algorithm 7's replacement row, a fresh uniform
+// digest in every EHL slot and -1 in every score column. The sentinels
+// are S1's own (1+N)^m, never sent: the gadget blinds each payload under
+// a fresh nonce before S2 sees it.
+func sentinelDiffs(pk *paillier.PublicKey, items []Item) ([]*paillier.Ciphertext, error) {
+	one := &paillier.Ciphertext{C: zmath.One}
+	var sentinels, slots []*paillier.Ciphertext
+	for _, it := range items {
+		for s, slot := range it.slots() {
+			m := big.NewInt(-1)
+			if s < it.EHL.Width() {
+				var err error
+				if m, err = zmath.RandInt(rand.Reader, pk.N); err != nil {
+					return nil, err
+				}
+			}
+			sentinel, err := pk.AddPlain(one, m)
+			if err != nil {
+				return nil, err
+			}
+			sentinels, slots = append(sentinels, sentinel), append(slots, slot)
+		}
+	}
+	return subAll(pk, sentinels, slots)
 }
 
 // blindSlots additively blinds every ciphertext with a fresh alpha < N and

@@ -86,12 +86,13 @@ func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.
 }
 
 // ApplyBits is the one hidden-bit gadget every oblivious choice goes
-// through. Bit k is read by S2 from tests[k] — the zero test of an EHL
-// difference under cloud.MethodEqBits, the sign of a masked difference
-// under cloud.MethodCompareHidden — and scales the width payloads
-// pay[k*width : (k+1)*width]. For each payload Enc(d) it returns
-// Enc(t_k*d), in the order given: with a choice between c0 and c1 a
-// caller passes d = c1 - c0 and adds c0 back, for new = c0 + t*(c1 - c0).
+// through. Bit k is read by S2 from its group of tests
+// tests[k*group : (k+1)*group] — the zero tests of EHL differences under
+// cloud.MethodEqBits, t_k = 1 iff any is zero, or the sign of one masked
+// difference under cloud.MethodCompareHidden (group 1) — and scales the
+// width payloads pay[k*width : (k+1)*width]. For each payload Enc(d) it
+// returns Enc(t_k*d), in the order given: with a choice between c0 and c1
+// a caller passes d = c1 - c0 and adds c0 back, for new = c0 + t*(c1 - c0).
 //
 // S1 sends every payload as Enc(d + r) with a fresh pooled Enc(r) of a
 // known r, so it carries a nonce power S2 has never seen; S2 answers
@@ -100,39 +101,42 @@ func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.
 // uniform unit would hide d as well, but S1 must know r to unblind. One
 // squaring chain of Enc(t) serves all of the bit's width exponents, and
 // the bits fan out over GOMAXPROCS workers. Equality bits go to S2 under
-// a fresh random permutation, each with its payloads (Algorithm 4 line 2;
-// SecJoin's Algorithm 11 line 3), so S2 sees the pattern of bits but not
-// which pair a bit belongs to. Comparison bits keep the caller's order,
-// which is the public gate schedule: S1's sign flip already makes each
-// one uniform.
-func ApplyBits(ctx context.Context, c *cloud.Client, method string, width int, tests, pay []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if width < 1 || len(pay) != width*len(tests) {
-		return nil, fmt.Errorf("protocols: %d payloads for %d hidden bits of width %d", len(pay), len(tests), width)
+// a fresh random permutation, each with its tests and its payloads
+// (Algorithm 4 line 2; SecJoin's Algorithm 11 line 3), so S2 sees the
+// pattern of bits but not which pair or row a bit belongs to. Comparison
+// bits keep the caller's order, which is the public gate schedule: S1's
+// sign flip already makes each one uniform.
+func ApplyBits(ctx context.Context, c *cloud.Client, method string, group, width int, tests, pay []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	if group < 1 || width < 1 || len(tests)%group != 0 || len(pay) != width*(len(tests)/group) {
+		return nil, fmt.Errorf("protocols: %d tests and %d payloads for hidden bits of %d tests and width %d", len(tests), len(pay), group, width)
 	}
-	if len(tests) == 0 {
+	n := len(tests) / group
+	if n == 0 {
 		return nil, nil
 	}
 	pk := c.PK()
 	// at[k] is where bit k travels on the wire.
-	at := make([]int, len(tests))
+	at := make([]int, n)
 	for k := range at {
 		at[k] = k
 	}
 	if method == cloud.MethodEqBits {
 		var err error
-		if at, err = prf.RandomPerm(len(tests)); err != nil {
+		if at, err = prf.RandomPerm(n); err != nil {
 			return nil, err
 		}
 	}
 	wireTests := make([]*paillier.Ciphertext, len(tests))
 	wirePay := make([]*paillier.Ciphertext, len(pay))
 	// exps[k][s] is N - r for the blind r on bit k's payload s.
-	exps := make([][]*big.Int, len(tests))
-	err := parallel.ForEachCtx(ctx, len(tests), func(k int) error {
-		if tests[k] == nil || tests[k].C == nil {
-			return fmt.Errorf("protocols: hidden bit %d has no test ciphertext", k)
+	exps := make([][]*big.Int, n)
+	err := parallel.ForEachCtx(ctx, n, func(k int) error {
+		for j, test := range tests[k*group : (k+1)*group] {
+			if test == nil || test.C == nil {
+				return fmt.Errorf("protocols: hidden bit %d has no test ciphertext %d", k, j)
+			}
+			wireTests[at[k]*group+j] = test
 		}
-		wireTests[at[k]] = tests[k]
 		exps[k] = make([]*big.Int, width)
 		for s, d := range pay[k*width : (k+1)*width] {
 			if d == nil || d.C == nil {
@@ -156,12 +160,12 @@ func ApplyBits(ctx context.Context, c *cloud.Client, method string, width int, t
 	if err != nil {
 		return nil, err
 	}
-	bits, out, err := c.Gadget(ctx, method, width, wireTests, wirePay)
+	bits, out, err := c.Gadget(ctx, method, group, width, wireTests, wirePay)
 	if err != nil {
 		return nil, err
 	}
 	res := make([]*paillier.Ciphertext, len(pay))
-	err = parallel.ForEachCtx(ctx, len(tests), func(k int) error {
+	err = parallel.ForEachCtx(ctx, n, func(k int) error {
 		powers, err := pk.EngineN2().ExpModShared(bits[at[k]].C, exps[k])
 		if err != nil {
 			return err

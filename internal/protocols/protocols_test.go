@@ -339,37 +339,59 @@ func TestSecBestAll(t *testing.T) {
 	}
 }
 
+// TestSecDedupReplaceFullProtocol runs Qry_F's dedup — one grouped
+// gadget round — on a pair, a three-way duplicate (all rows one object)
+// and distinct rows: every object keeps exactly one live row, at one of
+// its own positions, the row count and every live row's scores are
+// unchanged, and each replaced row is a sentinel, no object and scores
+// -1. It takes one EqBits round and no Dedup round.
 func TestSecDedupReplaceFullProtocol(t *testing.T) {
 	e := env(t)
-	items := []Item{
-		e.item(t, 1, 100, 200),
-		e.item(t, 1, 100, 200),
-		e.item(t, 2, 300, 400),
-	}
-	out, err := SecDedup(context.Background(), e.client, items, cloud.DedupReplace, AllPairs(3), nil)
-	if err != nil {
-		t.Fatalf("SecDedup: %v", err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("replace mode should keep 3 rows, got %d", len(out))
-	}
-	var real1, real2, sentinels int
-	for _, it := range out {
-		obj, ok := e.revealObj(t, it.EHL, []uint64{1, 2})
-		w := e.dec(t, it.Scores[0])
-		switch {
-		case ok && obj == 1 && w == 100:
-			real1++
-		case ok && obj == 2 && w == 300:
-			real2++
-		case !ok && w == -1:
-			sentinels++
-		default:
-			t.Fatalf("unexpected row: obj=%d ok=%v w=%d", obj, ok, w)
+	client, tap := e.tappedClient(t)
+	for _, tc := range []struct {
+		name string
+		objs []uint64
+	}{
+		{"a pair", []uint64{1, 1, 2}},
+		{"three copies", []uint64{4, 4, 4}},
+		{"no duplicates", []uint64{5, 6, 7, 8}},
+		{"two pairs", []uint64{9, 3, 3, 9}},
+	} {
+		items := make([]Item, len(tc.objs))
+		for i, obj := range tc.objs {
+			items[i] = e.item(t, obj, int64(100*obj), int64(200*obj))
 		}
-	}
-	if real1 != 1 || real2 != 1 || sentinels != 1 {
-		t.Fatalf("real1=%d real2=%d sentinels=%d", real1, real2, sentinels)
+		before := len(tap.requests)
+		out, err := SecDedup(context.Background(), client, items, cloud.DedupReplace, AllPairs(len(items)), nil)
+		if err != nil {
+			t.Fatalf("%s: SecDedup: %v", tc.name, err)
+		}
+		if len(out) != len(items) {
+			t.Fatalf("%s: replace mode kept %d of %d rows", tc.name, len(out), len(items))
+		}
+		live := map[uint64]int{}
+		for i, it := range out {
+			obj, ok := e.revealObj(t, it.EHL, tc.objs)
+			w, b := e.dec(t, it.Scores[0]), e.dec(t, it.Scores[1])
+			switch {
+			case ok && obj == tc.objs[i] && w == int64(100*obj) && b == int64(200*obj):
+				live[obj]++
+			case !ok && w == -1 && b == -1:
+			default:
+				t.Fatalf("%s: row %d: obj=%d ok=%v scores %d, %d", tc.name, i, obj, ok, w, b)
+			}
+		}
+		for _, obj := range tc.objs {
+			if live[obj] != 1 {
+				t.Errorf("%s: object %d has %d live rows, want 1", tc.name, obj, live[obj])
+			}
+		}
+		if n := len(tap.requests) - before; n != 1 || tap.calls[cloud.MethodDedup] != 0 {
+			t.Errorf("%s: %d gadget rounds and %d Dedup rounds, want 1 and 0", tc.name, n, tap.calls[cloud.MethodDedup])
+		}
+		if req := tap.requests[len(tap.requests)-1]; req.Group != len(items)-1 {
+			t.Errorf("%s: groups of %d tests over %d rows", tc.name, req.Group, len(items))
+		}
 	}
 }
 
@@ -484,31 +506,43 @@ func TestSecUpdateMergesMatchedObjects(t *testing.T) {
 	}
 }
 
+// TestSecUpdateReplaceModeKeepsSentinels: in Replace mode SecUpdate is
+// one gadget round. T's copy of a matched object keeps its place with
+// W_t + W_g and the fresher B_g, the matched new item becomes a sentinel
+// in its own place, and everything else is untouched, so |T| grows by
+// |gamma|.
 func TestSecUpdateReplaceModeKeepsSentinels(t *testing.T) {
 	e := env(t)
-	T := []Item{e.item(t, 1, 10, 20)}
-	gamma := []Item{e.item(t, 1, 5, 18)}
-	out, err := SecUpdate(context.Background(), e.client, T, gamma, cloud.DedupReplace)
+	client, tap := e.tappedClient(t)
+	T := []Item{e.item(t, 1, 10, 20), e.item(t, 2, 7, 19)}
+	gamma := []Item{e.item(t, 3, 4, 17), e.item(t, 1, 5, 18)}
+	out, err := SecUpdate(context.Background(), client, T, gamma, cloud.DedupReplace)
 	if err != nil {
 		t.Fatalf("SecUpdate: %v", err)
 	}
-	// Replace mode keeps the duplicate slot as a sentinel: 2 rows total.
-	if len(out) != 2 {
-		t.Fatalf("expected 2 rows in replace mode, got %d", len(out))
+	if len(tap.calls) != 1 || tap.calls[cloud.MethodEqBits] != 1 {
+		t.Fatalf("rounds by method %v, want one EqBits", tap.calls)
 	}
-	var merged, sentinels int
-	for _, it := range out {
-		if _, ok := e.revealObj(t, it.EHL, []uint64{1}); ok {
-			if w := e.dec(t, it.Scores[0]); w != 15 {
-				t.Fatalf("merged W = %d, want 15", w)
-			}
-			merged++
-		} else if e.dec(t, it.Scores[0]) == -1 {
-			sentinels++
+	// Per pair bit: W_g for T's copy, B_g - B_t, and sentinel - g for
+	// every slot of g: 2*cols + the id width.
+	if req, w := tap.requests[0], 2*2+gamma[0].EHL.Width(); req.Width != w || req.Group != 1 {
+		t.Errorf("pair bits of width %d in groups of %d, want %d and 1", req.Width, req.Group, w)
+	}
+	want := []struct {
+		obj  uint64 // 0: a sentinel
+		w, b int64
+	}{{1, 15, 18}, {2, 7, 19}, {3, 4, 17}, {0, -1, -1}}
+	if len(out) != len(want) {
+		t.Fatalf("%d rows, want %d", len(out), len(want))
+	}
+	for i, it := range out {
+		obj, ok := e.revealObj(t, it.EHL, []uint64{1, 2, 3})
+		if !ok {
+			obj = 0
 		}
-	}
-	if merged != 1 || sentinels != 1 {
-		t.Fatalf("merged=%d sentinels=%d", merged, sentinels)
+		if w, b := e.dec(t, it.Scores[0]), e.dec(t, it.Scores[1]); obj != want[i].obj || w != want[i].w || b != want[i].b {
+			t.Errorf("row %d = object %d (%d, %d), want %d (%d, %d)", i, obj, w, b, want[i].obj, want[i].w, want[i].b)
+		}
 	}
 }
 

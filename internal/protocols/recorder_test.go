@@ -44,16 +44,24 @@ import (
 //     is not row i, and enough of those undo S2's permutation (or, in
 //     SecFilter, name the tuples that joined). No reply slot may exclude
 //     any input row.
+//
+// It also holds grouped EqBits requests (Qry_F's SecDedup) to the
+// uniform-width rule: every group of one request has n - 1 tests, n the
+// request's bit count, so a group's size never tells S2 how many earlier
+// rows it was tested against. That no padding test repeats a nonce power
+// is S2's rule above, applied to every test of the group.
 type wireRecorder struct {
 	t     testing.TB
 	inner transport.Caller
 	keys  *cloud.KeyMaterial
 	eph   *paillier.PrivateKey // S1's, set once its stub exists
 
-	mu     sync.Mutex
-	powers map[string]string // nonce power -> the message that first carried it
-	sent   map[string]string // other integer S1 sent -> its message
-	calls  int
+	mu      sync.Mutex
+	powers  map[string]string // nonce power -> the message that first carried it
+	sent    map[string]string // other integer S1 sent -> its message
+	calls   int
+	dedups  int // Dedup calls
+	grouped int // EqBits calls with groups wider than one test
 }
 
 func newWireRecorder(t testing.TB, inner transport.Caller, keys *cloud.KeyMaterial) *wireRecorder {
@@ -86,7 +94,15 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 		}
 	}
 	switch q := req.(type) {
+	case *cloud.GadgetRequest:
+		if q.Group > 1 {
+			r.grouped++
+			if bits := len(q.Pay) / q.Width; q.Group != bits-1 {
+				r.t.Errorf("S2 view: %s reads %d bits from groups of %d tests, not %d", at, bits, q.Group, bits-1)
+			}
+		}
 	case *cloud.DedupRequest:
+		r.dedups++
 		r.blindRecords(at, q.Rows, resp.(*cloud.DedupReply).Rows)
 	case *cloud.FilterRequest:
 		r.blindRecords(at, q.Rows, resp.(*cloud.FilterReply).Rows)
@@ -219,7 +235,7 @@ func TestWireRecorder(t *testing.T) {
 	ctx := context.Background()
 	// client starts a query's recorder: a stub of its own, so the blinds
 	// and nonces of one query are never another's.
-	client := func(t *testing.T) *cloud.Client {
+	client := func(t *testing.T) (*cloud.Client, *wireRecorder) {
 		rec := newWireRecorder(t, transport.NewLocal(server, nil), keys)
 		c, err := cloud.NewClient(rec, &keys.Paillier.PublicKey, nil)
 		if err != nil {
@@ -232,7 +248,7 @@ func TestWireRecorder(t *testing.T) {
 				t.Error("the query made no S2 call")
 			}
 		})
-		return c
+		return c, rec
 	}
 
 	scheme, err := core.NewSchemeFromKeys(core.Params{KeyBits: keyBits, EHL: ehlParams, MaxScoreBits: scoreBits}, keys)
@@ -261,7 +277,8 @@ func TestWireRecorder(t *testing.T) {
 	}
 	for _, opts := range []core.Options{{Mode: core.QryF}, {Mode: core.QryE}, {Mode: core.QryBa, BatchDepth: 2}} {
 		t.Run("topk/"+opts.Mode.String(), func(t *testing.T) {
-			engine, err := core.NewEngine(client(t), er)
+			c, rec := client(t)
+			engine, err := core.NewEngine(c, er)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,6 +302,11 @@ func TestWireRecorder(t *testing.T) {
 					t.Fatalf("top-%d is object %d, want %d", i+1, got[i].Obj, want[i].Obj)
 				}
 			}
+			// Qry_F keeps every row, so it has no blind records at all:
+			// its dedups are grouped gadget rounds.
+			if opts.Mode == core.QryF && (rec.dedups != 0 || rec.grouped == 0) {
+				t.Errorf("Qry_F sent %d Dedup requests and %d grouped EqBits, want none and some", rec.dedups, rec.grouped)
+			}
 		})
 	}
 
@@ -307,7 +329,8 @@ func TestWireRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine, err := join.NewEngine(client(t), er1, er2, scoreBits)
+		c, _ := client(t)
+		engine, err := join.NewEngine(c, er1, er2, scoreBits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +357,8 @@ func TestWireRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine, err := knn.NewEngine(client(t), db, scoreBits)
+		c, _ := client(t)
+		engine, err := knn.NewEngine(c, db, scoreBits)
 		if err != nil {
 			t.Fatal(err)
 		}

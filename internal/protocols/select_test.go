@@ -12,34 +12,40 @@ import (
 	"repro/internal/transport"
 )
 
-// bitCase is one hidden bit of a gadget round: the test ciphertext S2
-// reads it from, the bit it must read, and the bit's payloads.
+// bitCase is one hidden bit of a gadget round: the group of test
+// ciphertexts S2 reads it from, the bit it must read, and the bit's
+// payloads.
 type bitCase struct {
-	test *paillier.Ciphertext
-	bit  int64
-	pay  []*paillier.Ciphertext
+	tests []*paillier.Ciphertext
+	bit   int64
+	pay   []*paillier.Ciphertext
 }
 
 // bitCases builds width-w bits under method, both values of the bit, over
 // fresh payloads of both signs, so a payload's plaintext d wraps mod N
-// for half of them.
-func (e *testEnv) bitCases(t testing.TB, method string, width int) []bitCase {
+// for half of them. An EqBits bit reads a group of tests: a set bit has
+// one zero test in it, or every test zero, the OR of a row that equals
+// all the rows before it.
+func (e *testEnv) bitCases(t testing.TB, method string, group, width int) []bitCase {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(35 + width)))
+	rng := rand.New(rand.NewSource(int64(35 + 8*group + width)))
 	var out []bitCase
 	for i := 0; i < 4; i++ {
 		bit := int64(i % 2)
-		// EqBits reads t = [m = 0]; CompareHidden reads t = [m < 0].
-		var m int64
-		switch {
-		case method == cloud.MethodEqBits && bit == 0:
-			m = 1 + rng.Int63n(1000)
-		case method == cloud.MethodCompareHidden && bit == 1:
-			m = -1 - rng.Int63n(1000)
-		case method == cloud.MethodCompareHidden:
-			m = 1 + rng.Int63n(1000)
+		c := bitCase{bit: bit}
+		for x := 0; x < group; x++ {
+			// EqBits reads t = [some m = 0]; CompareHidden reads t = [m < 0].
+			var m int64
+			switch {
+			case method == cloud.MethodEqBits && (bit == 0 || i == 1 && x != group/2):
+				m = 1 + rng.Int63n(1000)
+			case method == cloud.MethodCompareHidden && bit == 1:
+				m = -1 - rng.Int63n(1000)
+			case method == cloud.MethodCompareHidden:
+				m = 1 + rng.Int63n(1000)
+			}
+			c.tests = append(c.tests, e.enc(t, m))
 		}
-		c := bitCase{test: e.enc(t, m), bit: bit}
 		for s := 0; s < width; s++ {
 			c.pay = append(c.pay, e.enc(t, rng.Int63n(2000)-1000))
 		}
@@ -51,7 +57,7 @@ func (e *testEnv) bitCases(t testing.TB, method string, width int) []bitCase {
 // flatten lays the cases out as ApplyBits takes them.
 func flatten(cases []bitCase) (tests, pay []*paillier.Ciphertext) {
 	for _, c := range cases {
-		tests, pay = append(tests, c.test), append(pay, c.pay...)
+		tests, pay = append(tests, c.tests...), append(pay, c.pay...)
 	}
 	return tests, pay
 }
@@ -93,31 +99,38 @@ func (e *testEnv) tappedClient(t testing.TB) (*cloud.Client, *gadgetTap) {
 }
 
 // TestPropertySelect holds the gadget to its plaintext meaning under both
-// of its methods, at widths 1-4: every output decrypts to t*d for its
-// bit t and payload d, differences of both signs included, none repeats
-// an input ciphertext, and a round ApplyBits cannot build is an error,
-// not a panic, that sends nothing to S2.
+// of its methods, at widths 1-4 and, for EqBits, groups of 1-3 tests:
+// every output decrypts to t*d for its bit t and payload d, differences
+// of both signs included, none repeats an input ciphertext, and a round
+// ApplyBits cannot build is an error, not a panic, that sends nothing to
+// S2.
 func TestPropertySelect(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
 	client, tap := e.tappedClient(t)
 	for _, method := range []string{cloud.MethodEqBits, cloud.MethodCompareHidden} {
-		for width := 1; width <= 4; width++ {
-			cases := e.bitCases(t, method, width)
-			tests, pay := flatten(cases)
-			out, err := ApplyBits(ctx, client, method, width, tests, pay)
-			if err != nil {
-				t.Fatalf("%s width %d: %v", method, width, err)
-			}
-			for k, c := range cases {
-				for s, d := range c.pay {
-					got := out[k*width+s]
-					if g, w := e.dec(t, got), c.bit*e.dec(t, d); g != w {
-						t.Errorf("%s width %d bit %d payload %d = %d, want %d", method, width, k, s, g, w)
-					}
-					for _, in := range append(tests, pay...) {
-						if got.C.Cmp(in.C) == 0 {
-							t.Errorf("%s width %d bit %d payload %d returned an input ciphertext verbatim", method, width, k, s)
+		groups := 1
+		if method == cloud.MethodEqBits {
+			groups = 3
+		}
+		for group := 1; group <= groups; group++ {
+			for width := 1; width <= 4; width++ {
+				cases := e.bitCases(t, method, group, width)
+				tests, pay := flatten(cases)
+				out, err := ApplyBits(ctx, client, method, group, width, tests, pay)
+				if err != nil {
+					t.Fatalf("%s group %d width %d: %v", method, group, width, err)
+				}
+				for k, c := range cases {
+					for s, d := range c.pay {
+						got := out[k*width+s]
+						if g, w := e.dec(t, got), c.bit*e.dec(t, d); g != w {
+							t.Errorf("%s group %d width %d bit %d payload %d = %d, want %d", method, group, width, k, s, g, w)
+						}
+						for _, in := range append(tests, pay...) {
+							if got.C.Cmp(in.C) == 0 {
+								t.Errorf("%s group %d width %d bit %d payload %d returned an input ciphertext verbatim", method, group, width, k, s)
+							}
 						}
 					}
 				}
@@ -128,24 +141,28 @@ func TestPropertySelect(t *testing.T) {
 	rounds := len(tap.requests)
 	one, two := e.enc(t, 1), e.enc(t, 2)
 	for name, tc := range map[string]struct {
-		width     int
-		tests, in []*paillier.Ciphertext
+		group, width int
+		tests, in    []*paillier.Ciphertext
 	}{
-		"width zero":         {0, []*paillier.Ciphertext{one}, nil},
-		"a payload short":    {2, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}},
-		"a payload too many": {1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two, two}},
-		"a nil payload":      {1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{nil}},
-		"an empty payload":   {1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{{}}},
-		"a nil test":         {1, []*paillier.Ciphertext{nil}, []*paillier.Ciphertext{two}},
+		"width zero":           {1, 0, []*paillier.Ciphertext{one}, nil},
+		"group zero":           {0, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}},
+		"a test short":         {2, 1, []*paillier.Ciphertext{one, one, one}, []*paillier.Ciphertext{two, two}},
+		"a payload short":      {1, 2, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}},
+		"a payload too many":   {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two, two}},
+		"a payload per test":   {2, 1, []*paillier.Ciphertext{one, one}, []*paillier.Ciphertext{two, two}},
+		"a nil payload":        {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{nil}},
+		"an empty payload":     {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{{}}},
+		"a nil test":           {1, 1, []*paillier.Ciphertext{nil}, []*paillier.Ciphertext{two}},
+		"a nil test in groups": {2, 1, []*paillier.Ciphertext{one, nil}, []*paillier.Ciphertext{two}},
 	} {
-		if _, err := ApplyBits(ctx, client, cloud.MethodEqBits, tc.width, tc.tests, tc.in); err == nil {
+		if _, err := ApplyBits(ctx, client, cloud.MethodEqBits, tc.group, tc.width, tc.tests, tc.in); err == nil {
 			t.Errorf("%s: ApplyBits succeeded", name)
 		}
 	}
 	if len(tap.requests) != rounds {
 		t.Errorf("refused rounds still sent %d requests to S2", len(tap.requests)-rounds)
 	}
-	if out, err := ApplyBits(ctx, client, cloud.MethodEqBits, 3, nil, nil); err != nil || out != nil || len(tap.requests) != rounds {
+	if out, err := ApplyBits(ctx, client, cloud.MethodEqBits, 2, 3, nil, nil); err != nil || out != nil || len(tap.requests) != rounds {
 		t.Errorf("a round of no bits = %v, %v, and went to S2", out, err)
 	}
 }
@@ -162,9 +179,9 @@ func TestSelectTermIsBlindedOnce(t *testing.T) {
 	client, tap := e.tappedClient(t)
 	pk := client.PK()
 	const width = 3
-	cases := e.bitCases(t, cloud.MethodCompareHidden, width)
+	cases := e.bitCases(t, cloud.MethodCompareHidden, 1, width)
 	tests, pay := flatten(cases)
-	out, err := ApplyBits(context.Background(), client, cloud.MethodCompareHidden, width, tests, pay)
+	out, err := ApplyBits(context.Background(), client, cloud.MethodCompareHidden, 1, width, tests, pay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +189,13 @@ func TestSelectTermIsBlindedOnce(t *testing.T) {
 		t.Fatalf("%d gadget rounds, want 1", len(tap.requests))
 	}
 	req, resp := tap.requests[0], tap.replies[0]
-	if req.Width != width || len(req.Cts) != len(cases) || len(req.Pay) != width*len(cases) {
-		t.Fatalf("request: width %d, %d tests, %d payloads; want %d, %d, %d", req.Width, len(req.Cts), len(req.Pay), width, len(cases), width*len(cases))
+	if req.Width != width || req.Group != 1 || len(req.Cts) != len(cases) || len(req.Pay) != width*len(cases) {
+		t.Fatalf("request: width %d, groups of %d, %d tests, %d payloads; want %d, 1, %d, %d", req.Width, req.Group, len(req.Cts), len(req.Pay), width, len(cases), width*len(cases))
 	}
 	seen := map[string]bool{}
 	for k, c := range cases {
 		// Comparison bits keep the caller's order on the wire.
-		if req.Cts[k].Cmp(c.test.C) != 0 {
+		if req.Cts[k].Cmp(c.tests[0].C) != 0 {
 			t.Fatalf("bit %d travels at another position", k)
 		}
 		for s, d := range c.pay {

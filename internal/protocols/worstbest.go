@@ -159,7 +159,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	if err != nil {
 		return nil, nil, err
 	}
-	chosen, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, tests, pay)
+	chosen, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, 1, tests, pay)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -370,6 +370,7 @@ func TestPrefaceRefused(t *testing.T) {
 		{"wire v3, the gob-framed messages", prefaceBytes(3), secerr.ErrProtocolVersion},
 		{"wire v4, the two-round compare-exchange gates", prefaceBytes(4), secerr.ErrProtocolVersion},
 		{"wire v5, the Recover round of the equality selections", prefaceBytes(5), secerr.ErrProtocolVersion},
+		{"wire v6, the ungrouped gadget beside Replace-mode Dedup", prefaceBytes(6), secerr.ErrProtocolVersion},
 		{"newer version", prefaceBytes(ProtocolVersion + 1), secerr.ErrProtocolVersion},
 		{"no preface", frameBytes(0, "Hello", []byte("body")), secerr.ErrTransport},
 		{"wrong magic", []byte{muxMagic[0], 'X'}, secerr.ErrTransport},
@@ -399,10 +400,10 @@ func TestPrefaceRefused(t *testing.T) {
 			}
 		})
 	}
-	// The other direction: a server at another version (the three older
+	// The other direction: a server at another version (the four older
 	// wires by name, and a newer one) answers the preface with its own, and
 	// Connect refuses it typed.
-	for _, ver := range []int{3, 4, 5, ProtocolVersion + 1} {
+	for _, ver := range []int{3, 4, 5, 6, ProtocolVersion + 1} {
 		t.Run(fmt.Sprintf("client/peer-v%d", ver), func(t *testing.T) {
 			c1, c2 := net.Pipe()
 			defer c1.Close()
