@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation: one testing.B benchmark
-// per table and figure (DESIGN.md "Which tool answers which question"
+// per query table and figure (DESIGN.md "Which tool answers which question"
 // lists the ids). Each iteration runs the corresponding bench.Registry
 // experiment end to end over the real two-party protocols at the scaled
 // default configuration; per-iteration metrics are reported through
@@ -53,14 +53,6 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-// BenchmarkFig7_EHLConstruction regenerates Figure 7 (EHL vs EHL+
-// construction time and size sweep).
-func BenchmarkFig7_EHLConstruction(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig8_DatasetEncryption regenerates Figure 8 (relation
-// encryption time/size on the four evaluation datasets).
-func BenchmarkFig8_DatasetEncryption(b *testing.B) { runExperiment(b, "fig8") }
-
 // BenchmarkFig9_QryF regenerates Figure 9 (Qry_F time per depth varying k
 // and m).
 func BenchmarkFig9_QryF(b *testing.B) { runExperiment(b, "fig9") }
@@ -91,10 +83,6 @@ func BenchmarkKNNComparison(b *testing.B) { runExperiment(b, "knn") }
 // BenchmarkFig14_Join regenerates Figure 14 (top-k join time vs combined
 // attributes).
 func BenchmarkFig14_Join(b *testing.B) { runExperiment(b, "fig14") }
-
-// BenchmarkAblation_DesignChoices runs the halting-policy, ranking
-// strategy, and EHL-structure ablations.
-func BenchmarkAblation_DesignChoices(b *testing.B) { runExperiment(b, "ablation") }
 
 var (
 	benchKeyOnce sync.Once

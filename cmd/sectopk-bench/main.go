@@ -1,15 +1,15 @@
 // Command sectopk-bench runs the measurements benchmark/ does not: the
-// paper's evaluation artifacts (one -exp id per table/figure of Section
-// 11), the multi-tenant soak, and one throughput row against a running
-// sectopk-node fleet. DESIGN.md "Which tool answers which question" says
-// what each tool is for; timings of the system itself come from
-// `bash benchmark/run.sh`.
+// paper's evaluation artifacts (one -exp id per query table/figure of
+// Section 11), the multi-tenant soak, and one throughput row against a
+// running sectopk-node fleet. DESIGN.md "Which tool answers which
+// question" says what each tool is for; timings of the system itself come
+// from `bash benchmark/run.sh`.
 //
 // Usage:
 //
 //	sectopk-bench -exp fig9                 # one experiment, scaled defaults
 //	sectopk-bench -exp all -rows 200        # the full evaluation sweep
-//	sectopk-bench -exp fig7 -keybits 512    # paper-like key size
+//	sectopk-bench -exp fig13 -keybits 512   # paper-like key size
 //	sectopk-bench -exp soak -json soak.json # serving-plane soak
 //	sectopk-bench -exp cluster -cluster-connect 127.0.0.1:9779 -json cluster.json
 //	sectopk-bench -list                     # list experiment ids
@@ -21,8 +21,8 @@
 // Unlike sectopk-node and the examples — which sit entirely on the
 // public sectopk API — this binary deliberately drives internal/bench:
 // the figure runners measure implementation internals (fixed tokens,
-// depth caps, EHL variants, per-method wire stats) that a stable public
-// facade intentionally does not expose.
+// depth caps, per-method wire stats) that a stable public facade
+// intentionally does not expose.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 		exp       = flag.String("exp", "", "experiment id (see -list), or 'all' for every paper figure")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		keyBits   = flag.Int("keybits", 256, "Paillier modulus bits (paper-scale: 512)")
-		ehlS      = flag.Int("ehl-s", 3, "number of EHL+ digests s (paper: 5)")
 		rows      = flag.Int("rows", 120, "dataset rows after scaling")
 		maxDepth  = flag.Int("maxdepth", 6, "depth cap for time-per-depth measurements")
 		seed      = flag.Int64("seed", 1, "dataset generator seed")
@@ -77,7 +76,6 @@ func main() {
 
 	cfg := bench.Config{
 		KeyBits:      *keyBits,
-		EHLS:         *ehlS,
 		MaxScoreBits: 20,
 		Rows:         *rows,
 		MaxDepth:     *maxDepth,

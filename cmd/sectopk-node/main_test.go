@@ -148,7 +148,7 @@ func TestProbeEndpoints(t *testing.T) {
 	}
 
 	// Stand up the minimal stack: keys on S2, one hosted relation on S1.
-	owner, err := sectopk.NewOwner(sectopk.WithKeyBits(256), sectopk.WithEHLDigests(3), sectopk.WithMaxScoreBits(20))
+	owner, err := sectopk.NewOwner(sectopk.WithKeyBits(256), sectopk.WithMaxScoreBits(20))
 	if err != nil {
 		t.Fatal(err)
 	}

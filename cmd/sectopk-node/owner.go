@@ -39,7 +39,6 @@ func runOwner(args []string) error {
 	opts := []sectopk.Option{
 		sectopk.WithFastNonce(*fastNonce),
 		sectopk.WithKeyBits(*keyBits),
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 		sectopk.WithShards(*shards),
 	}

@@ -17,7 +17,6 @@ func main() {
 	ctx := context.Background()
 	owner, err := sectopk.NewOwner(
 		sectopk.WithKeyBits(256),
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 	)
 	if err != nil {

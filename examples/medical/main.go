@@ -41,7 +41,6 @@ func main() {
 	// ciphertexts.
 	owner, err := sectopk.NewOwner(
 		sectopk.WithKeyBits(256),
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(16),
 	)
 	if err != nil {

@@ -33,7 +33,6 @@ func main() {
 	//    the owner can build deltas and re-issue tokens at any epoch.
 	owner, err := sectopk.NewOwner(
 		sectopk.WithKeyBits(256),
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 		sectopk.WithShards(2),
 	)

@@ -19,7 +19,6 @@ func main() {
 	ctx := context.Background()
 	opts := []sectopk.Option{
 		sectopk.WithKeyBits(256), // demo-sized; production wants 2048+
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 	}
 

@@ -25,7 +25,6 @@ func main() {
 	//    construction knob is a functional option.
 	owner, err := sectopk.NewOwner(
 		sectopk.WithKeyBits(256), // demo-sized; production wants 2048+
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 	)
 	if err != nil {

@@ -37,7 +37,6 @@ func main() {
 	// the clouds can evaluate the equi-join condition across them.
 	owner, err := sectopk.NewJoinOwner(
 		sectopk.WithKeyBits(256),
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(16),
 	)
 	if err != nil {

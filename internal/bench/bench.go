@@ -1,8 +1,8 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the paper's evaluation (Section 11 and Section 12.4.1), plus
-// the ablations DESIGN.md calls out. Each runner builds its workload,
-// drives the real two-party protocols, and prints the same series/rows
-// the paper reports.
+// Package bench is the experiment harness: one runner per query table and
+// figure of the paper's evaluation (Section 11 and Section 12.4.1). Each
+// runner builds its workload, drives the real two-party protocols, and
+// prints the same series/rows the paper reports. Figures 7 and 8, which
+// set the classic EHL against EHL+, have no runner: only EHL+ is built.
 //
 // Absolute numbers differ from the paper's C++/24-core testbed; the
 // harness is about reproducing the *shapes* (who wins, scaling in k, m,
@@ -30,8 +30,6 @@ type Config struct {
 	// KeyBits is the Paillier modulus size (256 keeps runs fast; the
 	// paper's own modulus is comparably small, Section 11.2.5).
 	KeyBits int
-	// EHLS is the number of EHL+ digests (paper: 5).
-	EHLS int
 	// MaxScoreBits bounds attribute values.
 	MaxScoreBits int
 	// Rows scales every dataset to this many rows (0 = per-experiment
@@ -54,7 +52,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		KeyBits:      256,
-		EHLS:         3,
 		MaxScoreBits: 20,
 		Rows:         120,
 		MaxDepth:     6,

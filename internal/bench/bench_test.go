@@ -23,7 +23,6 @@ var (
 func tinyConfig() Config {
 	return Config{
 		KeyBits:      256,
-		EHLS:         2,
 		MaxScoreBits: 20,
 		Rows:         16,
 		MaxDepth:     2,
@@ -118,7 +117,7 @@ func TestSmokeFastExperiments(t *testing.T) {
 		t.Skip("bench smoke tests are not short")
 	}
 	r := getRig(t)
-	for _, id := range []string{"fig7", "fig13", "tab3", "knn"} {
+	for _, id := range []string{"fig13", "tab3", "knn"} {
 		t.Run(id, func(t *testing.T) {
 			reports, err := Run(r, id)
 			if err != nil {
@@ -139,7 +138,7 @@ func TestSmokeFastExperiments(t *testing.T) {
 // TestCheckTopK pins what the cluster driver accepts as an answer: only
 // a top-k result of exactly k items.
 func TestCheckTopK(t *testing.T) {
-	opts := []sectopk.Option{sectopk.WithKeyBits(256), sectopk.WithEHLDigests(2), sectopk.WithMaxScoreBits(20)}
+	opts := []sectopk.Option{sectopk.WithKeyBits(256), sectopk.WithMaxScoreBits(20)}
 	owner, err := sectopk.NewOwner(opts...)
 	if err != nil {
 		t.Fatal(err)

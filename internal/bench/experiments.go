@@ -11,123 +11,8 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/join"
 	"repro/internal/knn"
-	"repro/internal/prf"
 	"repro/internal/transport"
 )
-
-// Fig7 regenerates Figure 7: EHL vs EHL+ construction time (a) and size
-// overhead (b) as the number of items grows. The paper sweeps 0.1M..1M;
-// the default scaled sweep keeps the same linear shape at laptop scale.
-func Fig7(r *Rig) ([]*Report, error) {
-	counts := []int{100, 200, 400, 600, 800, 1000}
-	if r.Cfg.Rows > 1000 {
-		counts = []int{r.Cfg.Rows / 4, r.Cfg.Rows / 2, r.Cfg.Rows}
-	}
-	pk := r.Scheme.PublicKey()
-	master, err := prf.NewKey()
-	if err != nil {
-		return nil, err
-	}
-	classic, err := ehl.NewHasher(master, ehl.Params{Kind: ehl.KindClassic, S: 5, H: 23}, pk)
-	if err != nil {
-		return nil, err
-	}
-	plus, err := ehl.NewHasher(master, ehl.Params{Kind: ehl.KindPlus, S: r.Cfg.EHLS}, pk)
-	if err != nil {
-		return nil, err
-	}
-	timeRep := &Report{
-		ID:     "fig7a",
-		Title:  "EHL vs EHL+ construction time vs number of items",
-		Header: []string{"items", "EHL", "EHL+"},
-	}
-	sizeRep := &Report{
-		ID:     "fig7b",
-		Title:  "EHL vs EHL+ size overhead vs number of items",
-		Header: []string{"items", "EHL", "EHL+"},
-	}
-	for _, n := range counts {
-		var classicSize, plusSize int64
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			l, err := classic.Build(uint64(i))
-			if err != nil {
-				return nil, err
-			}
-			classicSize += int64(l.ByteSize(pk))
-		}
-		classicTime := time.Since(start)
-		start = time.Now()
-		for i := 0; i < n; i++ {
-			l, err := plus.Build(uint64(i))
-			if err != nil {
-				return nil, err
-			}
-			plusSize += int64(l.ByteSize(pk))
-		}
-		plusTime := time.Since(start)
-		timeRep.Rows = append(timeRep.Rows, []string{fmt.Sprint(n), fmtDur(classicTime), fmtDur(plusTime)})
-		sizeRep.Rows = append(sizeRep.Rows, []string{fmt.Sprint(n), fmtBytes(classicSize), fmtBytes(plusSize)})
-	}
-	timeRep.Notes = append(timeRep.Notes,
-		"paper shape: both linear in n, EHL+ cheaper (54s / 1M items on their 64-thread testbed)")
-	sizeRep.Notes = append(sizeRep.Notes,
-		"paper shape: EHL+ ~4.6x smaller (H=23 slots vs s=5 digests); 111MB for 1M EHL+ items")
-	return []*Report{timeRep, sizeRep}, nil
-}
-
-// Fig8 regenerates Figure 8: full-relation encryption time and size for
-// the four evaluation datasets under both structures.
-func Fig8(r *Rig) ([]*Report, error) {
-	timeRep := &Report{
-		ID:     "fig8a",
-		Title:  "Relation encryption time: EHL vs EHL+ (scaled datasets)",
-		Header: []string{"dataset", "rows", "attrs", "EHL", "EHL+"},
-	}
-	sizeRep := &Report{
-		ID:     "fig8b",
-		Title:  "Encrypted relation size: EHL vs EHL+ (scaled datasets)",
-		Header: []string{"dataset", "rows", "attrs", "EHL", "EHL+"},
-	}
-	for _, spec := range dataset.All() {
-		rel, err := r.relation(spec)
-		if err != nil {
-			return nil, err
-		}
-		var cells [2]struct {
-			dur  time.Duration
-			size int64
-		}
-		for i, params := range []ehl.Params{
-			{Kind: ehl.KindClassic, S: 5, H: 23},
-			{Kind: ehl.KindPlus, S: r.Cfg.EHLS},
-		} {
-			scheme, err := core.NewSchemeFromKeys(core.Params{
-				KeyBits: r.Cfg.KeyBits, EHL: params, MaxScoreBits: r.Cfg.MaxScoreBits,
-			}, r.Scheme.KeyMaterial())
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			er, err := scheme.EncryptRelation(rel)
-			if err != nil {
-				return nil, err
-			}
-			cells[i].dur = time.Since(start)
-			cells[i].size = er.ByteSize(r.Scheme.PublicKey())
-		}
-		timeRep.Rows = append(timeRep.Rows, []string{
-			spec.Name, fmt.Sprint(rel.N()), fmt.Sprint(rel.M()),
-			fmtDur(cells[0].dur), fmtDur(cells[1].dur),
-		})
-		sizeRep.Rows = append(sizeRep.Rows, []string{
-			spec.Name, fmt.Sprint(rel.N()), fmt.Sprint(rel.M()),
-			fmtBytes(cells[0].size), fmtBytes(cells[1].size),
-		})
-	}
-	timeRep.Notes = append(timeRep.Notes, "paper shape: EHL+ faster on every dataset; one-time offline cost")
-	return []*Report{timeRep, sizeRep}, nil
-}
 
 // queryFigure is the shared sweep runner behind Figures 9, 10 and 11a/b:
 // average time per depth for one engine mode, varying k at fixed m and
@@ -346,7 +231,7 @@ func KNNCompare(r *Rig) ([]*Report, error) {
 		Title:  "SecTopK (Qry_E) vs secure-kNN baseline [21], sum-of-squares top-k",
 		Header: []string{"n", "SecTopK/query", "SkNN/query", "SkNN bytes", "SecTopK bytes"},
 	}
-	kScheme, err := knn.NewScheme(r.Scheme.KeyMaterial(), ehl.Params{Kind: ehl.KindPlus, S: r.Cfg.EHLS}, r.Cfg.MaxScoreBits)
+	kScheme, err := knn.NewScheme(r.Scheme.KeyMaterial(), ehl.DefaultPlusParams(), r.Cfg.MaxScoreBits)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +304,7 @@ func Fig14(r *Rig) ([]*Report, error) {
 		Header: []string{"m", "join time", "joined tuples"},
 	}
 	jScheme, err := join.NewSchemeFromKeys(join.Params{
-		KeyBits: r.Cfg.KeyBits, EHL: ehl.Params{Kind: ehl.KindPlus, S: r.Cfg.EHLS}, MaxScoreBits: r.Cfg.MaxScoreBits,
+		KeyBits: r.Cfg.KeyBits, EHL: ehl.DefaultPlusParams(), MaxScoreBits: r.Cfg.MaxScoreBits,
 	}, r.Scheme.KeyMaterial())
 	if err != nil {
 		return nil, err
@@ -492,77 +377,21 @@ func Fig14(r *Rig) ([]*Report, error) {
 	return []*Report{rep}, nil
 }
 
-// Ablations runs the design-choice study DESIGN.md commits to: EHL
-// structure inside the full query. The id keeps its number: abl1 was the
-// study of the deleted relaxed halting test, abl2 the ranking strategy
-// EncSelectTop now picks from (n, k) alone.
-func Ablations(r *Rig) ([]*Report, error) {
-	spec := dataset.Synthetic().WithN(48).WithM(3)
-	spec.Correlation = 0.85
-	rel, err := dataset.Generate(spec, r.Cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ehlRep := &Report{
-		ID:     "abl3",
-		Title:  "Ablation: EHL structure inside the full query (Qry_E, k=3, m=3)",
-		Header: []string{"structure", "time/depth", "ER size"},
-	}
-	for _, row := range []struct {
-		name   string
-		params ehl.Params
-	}{
-		{"EHL (H=23)", ehl.Params{Kind: ehl.KindClassic, S: 5, H: 23}},
-		{"EHL+ (s=3)", ehl.Params{Kind: ehl.KindPlus, S: 3}},
-	} {
-		scheme, err := core.NewSchemeFromKeys(core.Params{
-			KeyBits: r.Cfg.KeyBits, EHL: row.params, MaxScoreBits: r.Cfg.MaxScoreBits,
-		}, r.Scheme.KeyMaterial())
-		if err != nil {
-			return nil, err
-		}
-		er, err := scheme.EncryptRelation(rel)
-		if err != nil {
-			return nil, err
-		}
-		tk, err := scheme.Token(er, firstAttrs(3), nil, 3)
-		if err != nil {
-			return nil, err
-		}
-		engine, err := core.NewEngine(r.Client, er)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := engine.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, MaxDepth: r.Cfg.MaxDepth})
-		if err != nil {
-			return nil, err
-		}
-		perDepth := time.Since(start) / time.Duration(maxI(res.Depth, 1))
-		ehlRep.Rows = append(ehlRep.Rows, []string{row.name, fmtDur(perDepth), fmtBytes(er.ByteSize(r.Scheme.PublicKey()))})
-	}
-	ehlRep.Notes = append(ehlRep.Notes, "EHL+ wins on both query time (s vs H ciphertext ops per ⊖) and storage")
-	return []*Report{ehlRep}, nil
-}
-
 // Registry maps experiment ids to runners.
 var Registry = map[string]func(*Rig) ([]*Report, error){
-	"fig7":     Fig7,
-	"fig8":     Fig8,
-	"fig9":     Fig9,
-	"fig10":    Fig10,
-	"fig11":    Fig11,
-	"fig12":    Fig12,
-	"tab3":     Table3,
-	"fig13":    Fig13,
-	"knn":      KNNCompare,
-	"fig14":    Fig14,
-	"ablation": Ablations,
+	"fig9":  Fig9,
+	"fig10": Fig10,
+	"fig11": Fig11,
+	"fig12": Fig12,
+	"tab3":  Table3,
+	"fig13": Fig13,
+	"knn":   KNNCompare,
+	"fig14": Fig14,
 }
 
 // ExperimentIDs lists the registry keys in the paper's order.
 func ExperimentIDs() []string {
-	return []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tab3", "fig13", "knn", "fig14", "ablation"}
+	return []string{"fig9", "fig10", "fig11", "fig12", "tab3", "fig13", "knn", "fig14"}
 }
 
 // Run executes one experiment and renders its reports.
@@ -599,11 +428,4 @@ func maxInt(vals []int) int {
 		}
 	}
 	return out
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -32,7 +32,7 @@ type Rig struct {
 func NewRig(cfg Config) (*Rig, error) {
 	params := core.Params{
 		KeyBits:      cfg.KeyBits,
-		EHL:          ehl.Params{Kind: ehl.KindPlus, S: cfg.EHLS},
+		EHL:          ehl.DefaultPlusParams(),
 		MaxScoreBits: cfg.MaxScoreBits,
 		FastNonce:    cfg.FastNonce,
 	}

@@ -158,7 +158,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	cryptoOpts := []sectopk.Option{
 		sectopk.WithKeyBits(cfg.KeyBits),
-		sectopk.WithEHLDigests(cfg.EHLS),
 		sectopk.WithMaxScoreBits(cfg.MaxScoreBits),
 	}
 	owner, err := sectopk.NewOwner(cryptoOpts...)

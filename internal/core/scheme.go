@@ -50,7 +50,7 @@ type Params struct {
 	FastNonce bool
 }
 
-// DefaultParams returns the evaluation configuration: EHL+ with s = 5 and
+// DefaultParams returns the evaluation configuration: one EHL+ digest and
 // 20-bit scores.
 func DefaultParams() Params {
 	return Params{KeyBits: 512, EHL: ehl.DefaultPlusParams(), MaxScoreBits: 20}
@@ -444,8 +444,7 @@ type Revealer struct {
 	hasher *ehl.Hasher
 }
 
-// digestKey canonically encodes a full digest vector. Keying on the whole
-// vector matters for the classic EHL, where a single slot is just a bit.
+// digestKey canonically encodes a full digest vector.
 func digestKey(digests []*big.Int) string {
 	var b strings.Builder
 	for _, d := range digests {

@@ -7,59 +7,9 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/dataset"
-	"repro/internal/ehl"
 	"repro/internal/nra"
 	"repro/internal/transport"
 )
-
-// TestClassicEHLEngine runs the full pipeline with the H-slot classic EHL
-// instead of EHL+ (the paper's Section 5 fallback structure).
-func TestClassicEHLEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("classic-EHL engine sweep is slow; skipped in -short mode")
-	}
-	r := getRig(t)
-	scheme, err := NewSchemeFromKeys(Params{
-		KeyBits: 256,
-		EHL:     ehl.Params{Kind: ehl.KindClassic, S: 3, H: 17},
-		// Classic EHL has a nontrivial false-positive rate; H=17/s=3
-		// keeps it tiny for n=5.
-		MaxScoreBits: 20,
-	}, r.scheme.KeyMaterial())
-	if err != nil {
-		t.Fatalf("NewSchemeFromKeys: %v", err)
-	}
-	er, err := scheme.EncryptRelation(figure3())
-	if err != nil {
-		t.Fatalf("EncryptRelation: %v", err)
-	}
-	tk, err := scheme.Token(er, []int{0, 1, 2}, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := NewEngine(r.client, er)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
-	if err != nil {
-		t.Fatalf("SecQuery: %v", err)
-	}
-	rev, err := scheme.NewRevealer(er.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revealed, err := rev.RevealTopK(res.Items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if revealed[0].Obj != 2 || revealed[0].Worst != 18 {
-		t.Fatalf("classic-EHL top-1 = %+v, want X3/18", revealed[0])
-	}
-	if revealed[1].Obj != 1 || revealed[1].Worst != 16 {
-		t.Fatalf("classic-EHL top-2 = %+v, want X2/16", revealed[1])
-	}
-}
 
 // TestRandomRelationsAcrossSeeds runs strict-mode Qry_E over several
 // random relations and checks the answers against the exhaustive ground

@@ -1,14 +1,11 @@
-// Package ehl implements the Encrypted Hash List structures of Section 5:
+// Package ehl implements EHL+, the encrypted hash list of Section 5: an
+// object is mapped through s HMAC PRFs straight into Z_N and the s digests
+// are Paillier-encrypted. It supports the randomized equality operator Sub
+// (the paper's ⊖, Equation 1): Sub(EHL(x), EHL(y)) is an encryption of 0
+// when x = y and of a uniformly random group element otherwise.
 //
-//   - EHL: a probabilistically encrypted Bloom-filter-style bit list of
-//     length H. An object is hashed to s positions with HMAC PRFs, the
-//     resulting bit list is Paillier-encrypted slot by slot.
-//   - EHL+: the compact variant that maps the object through s PRFs
-//     straight into Z_N and encrypts the s digests.
-//
-// Both support the randomized equality operator Sub (the paper's ⊖,
-// Equation 1): Sub(EHL(x), EHL(y)) is an encryption of 0 when x = y and of
-// a uniformly random group element otherwise.
+// The paper's classic H-slot bit-list EHL is not built here: the paper's
+// query evaluation runs on EHL+ alone.
 package ehl
 
 import (
@@ -16,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 
 	"repro/internal/paillier"
@@ -24,64 +20,46 @@ import (
 	"repro/internal/zmath"
 )
 
-// Kind distinguishes the two structures.
+// Kind names the structure. EHL+ is the only one; the type stays while
+// the benchmark module still names KindPlus.
 type Kind int
 
-const (
-	// KindPlus is the compact EHL+ (default everywhere in the paper's
-	// evaluation).
-	KindPlus Kind = iota
-	// KindClassic is the H-slot bit-list EHL.
-	KindClassic
-)
+// KindPlus is EHL+.
+const KindPlus Kind = 0
 
 func (k Kind) String() string {
-	switch k {
-	case KindPlus:
+	if k == KindPlus {
 		return "EHL+"
-	case KindClassic:
-		return "EHL"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Params fixes the structure shape: the number of PRF keys s and, for the
-// classic EHL, the list length H.
+// Params fixes the structure shape: the number of PRF digests s.
 type Params struct {
 	Kind Kind
 	S    int // number of HMAC keys (s)
-	H    int // classic list length (H); ignored for EHL+
 }
 
-// DefaultPlusParams matches the paper's evaluation: s = 5 EHL+ digests.
-func DefaultPlusParams() Params { return Params{Kind: KindPlus, S: 5} }
-
-// DefaultClassicParams matches the paper's evaluation: H = 23, s = 5.
-func DefaultClassicParams() Params { return Params{Kind: KindClassic, S: 5, H: 23} }
+// DefaultPlusParams is one digest. More buy no accuracy: Sub returns
+// Enc(Σ r_i·δ_i) for fresh units r_i, so two distinct objects match with
+// probability about 1/N at any s — at s = 1, exactly when their PRF
+// digests collide.
+func DefaultPlusParams() Params { return Params{Kind: KindPlus, S: 1} }
 
 // Validate checks the parameters are usable.
 func (p Params) Validate() error {
 	if p.S <= 0 {
 		return fmt.Errorf("ehl: s must be positive, got %d", p.S)
 	}
-	if p.Kind == KindClassic && p.H <= 0 {
-		return fmt.Errorf("ehl: classic EHL needs H > 0, got %d", p.H)
-	}
-	if p.Kind != KindClassic && p.Kind != KindPlus {
+	if p.Kind != KindPlus {
 		return fmt.Errorf("ehl: unknown kind %d", int(p.Kind))
 	}
 	return nil
 }
 
 // Width returns the number of ciphertexts a list of these parameters
-// holds (s for EHL+, H for classic).
-func (p Params) Width() int {
-	if p.Kind == KindClassic {
-		return p.H
-	}
-	return p.S
-}
+// holds: s.
+func (p Params) Width() int { return p.S }
 
 // Hasher holds the secret PRF keys kappa_1..kappa_s and builds lists.
 // Only the data owner (and, for the join setting, token holders) has one;
@@ -117,8 +95,7 @@ func (h *Hasher) Encryptor() paillier.Encryptor { return h.enc }
 
 // List is an encrypted hash list: Width() Paillier ciphertexts.
 type List struct {
-	Kind Kind
-	Cts  []*paillier.Ciphertext
+	Cts []*paillier.Ciphertext
 }
 
 // objectBytes encodes an object id for hashing.
@@ -128,9 +105,8 @@ func objectBytes(obj uint64) []byte {
 	return buf[:]
 }
 
-// Digests returns the plaintext digest vector for an object: the s Z_N
-// values for EHL+, or the H-slot 0/1 vector for the classic EHL. The
-// client uses this to recognize decrypted result ids.
+// Digests returns the plaintext digest vector for an object: its s Z_N
+// values. The client uses this to recognize decrypted result ids.
 func (h *Hasher) Digests(obj uint64) ([]*big.Int, error) {
 	return h.DigestsBytes(objectBytes(obj))
 }
@@ -138,20 +114,6 @@ func (h *Hasher) Digests(obj uint64) ([]*big.Int, error) {
 // DigestsBytes is Digests for an arbitrary byte encoding (used by the join
 // setting, which hashes attribute values rather than row ids).
 func (h *Hasher) DigestsBytes(data []byte) ([]*big.Int, error) {
-	if h.params.Kind == KindClassic {
-		bits := make([]*big.Int, h.params.H)
-		for i := range bits {
-			bits[i] = new(big.Int)
-		}
-		for i := 0; i < h.params.S; i++ {
-			pos, err := prf.ToRange(h.keys[i], data, h.params.H)
-			if err != nil {
-				return nil, err
-			}
-			bits[pos] = big.NewInt(1)
-		}
-		return bits, nil
-	}
 	out := make([]*big.Int, h.params.S)
 	for i := 0; i < h.params.S; i++ {
 		d, err := prf.ToZn(h.keys[i], data, h.enc.Key().N)
@@ -182,7 +144,7 @@ func (h *Hasher) BuildBytes(data []byte) (*List, error) {
 		}
 		cts[i] = ct
 	}
-	return &List{Kind: h.params.Kind, Cts: cts}, nil
+	return &List{Cts: cts}, nil
 }
 
 // RandomList builds a list of encryptions of uniformly random Z_N values:
@@ -202,7 +164,7 @@ func RandomList(pk *paillier.PublicKey, params Params) (*List, error) {
 		}
 		cts[i] = &paillier.Ciphertext{C: u}
 	}
-	return &List{Kind: params.Kind, Cts: cts}, nil
+	return &List{Cts: cts}, nil
 }
 
 // Clone deep-copies the list.
@@ -210,7 +172,7 @@ func (l *List) Clone() *List {
 	if l == nil {
 		return nil
 	}
-	out := &List{Kind: l.Kind, Cts: make([]*paillier.Ciphertext, len(l.Cts))}
+	out := &List{Cts: make([]*paillier.Ciphertext, len(l.Cts))}
 	for i, c := range l.Cts {
 		out.Cts[i] = c.Clone()
 	}
@@ -224,9 +186,8 @@ func compatible(a, b *List) error {
 	if a == nil || b == nil {
 		return errors.New("ehl: nil list")
 	}
-	if a.Kind != b.Kind || len(a.Cts) != len(b.Cts) {
-		return fmt.Errorf("ehl: incompatible lists (%v/%d vs %v/%d)",
-			a.Kind, len(a.Cts), b.Kind, len(b.Cts))
+	if len(a.Cts) != len(b.Cts) {
+		return fmt.Errorf("ehl: incompatible lists (width %d vs %d)", len(a.Cts), len(b.Cts))
 	}
 	return nil
 }
@@ -236,8 +197,8 @@ func compatible(a, b *List) error {
 //	Sub(x, y) = prod_i (x[i] * y[i]^{-1})^{r_i}
 //
 // with fresh random r_i in Z_N. The result encrypts 0 iff the underlying
-// objects are equal (up to the structure's false-positive rate) and a
-// uniformly random value otherwise.
+// objects are equal and a uniformly random value otherwise: two distinct
+// objects match with probability about 1/N, whatever the width.
 func Sub(pk *paillier.PublicKey, a, b *List) (*paillier.Ciphertext, error) {
 	return SubEnc(pk, a, b)
 }
@@ -291,40 +252,7 @@ func SubEnc(enc paillier.Encryptor, a, b *List) (*paillier.Ciphertext, error) {
 	return &paillier.Ciphertext{C: eng.MulMod(acc.C, prod)}, nil
 }
 
-// ByteSize returns the serialized size of the list under pk, for the
-// storage-overhead experiments (Figures 7b and 8b).
+// ByteSize returns the serialized size of the list under pk.
 func (l *List) ByteSize(pk *paillier.PublicKey) int {
 	return len(l.Cts) * pk.ByteLen()
-}
-
-// FalsePositiveRate returns the analytic FPR of the structure for a
-// database of n objects, per Section 5:
-//
-//	classic: (1 - e^{-sn/H})^s per pair — with the paper's per-object
-//	         lists this is the probability two objects map to identical
-//	         slot sets;
-//	plus:    n^2 / N^s union bound.
-func (p Params) FalsePositiveRate(n int, modulus *big.Int) float64 {
-	switch p.Kind {
-	case KindClassic:
-		// Probability a specific slot is set by one object: each of the s
-		// hashes picks a slot; the pairwise collision probability is the
-		// chance the two objects' slot sets coincide, approximated by the
-		// standard Bloom filter bound with one element per filter.
-		perSlot := 1.0
-		for i := 0; i < p.S; i++ {
-			perSlot *= float64(p.S) / float64(p.H)
-		}
-		return perSlot
-	case KindPlus:
-		nsBits := float64(p.S * modulus.BitLen())
-		// n^2 / N^s in log space to avoid underflow.
-		log2 := 2*math.Log2(float64(n)) - nsBits
-		if log2 < -1020 {
-			return 0
-		}
-		return math.Exp2(log2)
-	default:
-		return 1
-	}
 }

@@ -71,20 +71,20 @@ func (c *countingEnc) Rerandomize(a *paillier.Ciphertext) (*paillier.Ciphertext,
 
 func TestListsEncryptThroughTheGivenSurface(t *testing.T) {
 	sk := testKey(t)
-	for _, params := range []Params{DefaultPlusParams(), DefaultClassicParams()} {
+	for _, params := range []Params{DefaultPlusParams(), {Kind: KindPlus, S: 3}} {
 		enc := &countingEnc{Encryptor: sk.CRTEncryptor()}
 		h := hasherOn(t, params, enc)
 		if _, err := h.Build(7); err != nil {
-			t.Fatalf("%v Build: %v", params.Kind, err)
+			t.Fatalf("s = %d Build: %v", params.S, err)
 		}
 		if got := enc.n.Load(); got != int64(params.Width()) {
-			t.Fatalf("%v Build drew %d encryptions from the hasher's surface, want %d", params.Kind, got, params.Width())
+			t.Fatalf("s = %d Build drew %d encryptions from the hasher's surface, want %d", params.S, got, params.Width())
 		}
 		if _, err := h.BuildBytes([]byte("value-7")); err != nil {
-			t.Fatalf("%v BuildBytes: %v", params.Kind, err)
+			t.Fatalf("s = %d BuildBytes: %v", params.S, err)
 		}
 		if got := enc.n.Load(); got != 2*int64(params.Width()) {
-			t.Fatalf("%v BuildBytes drew %d encryptions, want %d", params.Kind, got-int64(params.Width()), params.Width())
+			t.Fatalf("s = %d BuildBytes drew %d encryptions, want %d", params.S, got-int64(params.Width()), params.Width())
 		}
 	}
 }
@@ -95,24 +95,24 @@ func TestListsEncryptThroughTheGivenSurface(t *testing.T) {
 func TestRandomListIsUnits(t *testing.T) {
 	sk := testKey(t)
 	seen := map[string]bool{}
-	for _, params := range []Params{DefaultPlusParams(), DefaultClassicParams()} {
+	for _, params := range []Params{DefaultPlusParams(), {Kind: KindPlus, S: 3}} {
 		for rep := 0; rep < 3; rep++ {
 			l, err := RandomList(&sk.PublicKey, params)
 			if err != nil {
-				t.Fatalf("%v RandomList: %v", params.Kind, err)
+				t.Fatalf("s = %d RandomList: %v", params.S, err)
 			}
-			if l.Kind != params.Kind || l.Width() != params.Width() {
-				t.Fatalf("%v RandomList: kind %v width %d, want width %d", params.Kind, l.Kind, l.Width(), params.Width())
+			if l.Width() != params.Width() {
+				t.Fatalf("s = %d RandomList: width %d, want %d", params.S, l.Width(), params.Width())
 			}
 			for i, ct := range l.Cts {
 				if ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
-					t.Fatalf("%v slot %d is outside [1, N^2)", params.Kind, i)
+					t.Fatalf("s = %d slot %d is outside [1, N^2)", params.S, i)
 				}
 				if new(big.Int).GCD(nil, nil, ct.C, sk.N).Cmp(big.NewInt(1)) != 0 {
-					t.Fatalf("%v slot %d is not a unit mod N^2", params.Kind, i)
+					t.Fatalf("s = %d slot %d is not a unit mod N^2", params.S, i)
 				}
 				if seen[ct.C.String()] {
-					t.Fatalf("%v slot %d repeats an earlier slot", params.Kind, i)
+					t.Fatalf("s = %d slot %d repeats an earlier slot", params.S, i)
 				}
 				seen[ct.C.String()] = true
 			}
@@ -124,7 +124,7 @@ func TestListsMatchAcrossSurfaces(t *testing.T) {
 	// A list built through the owner's CRT surface and one built on the
 	// bare key encrypt the same digests: Sub sees only plaintexts.
 	sk := testKey(t)
-	for _, params := range []Params{DefaultPlusParams(), DefaultClassicParams()} {
+	for _, params := range []Params{DefaultPlusParams(), {Kind: KindPlus, S: 3}} {
 		crt := hasherOn(t, params, sk.CRTEncryptor())
 		spec := hasherOn(t, params, &sk.PublicKey)
 		a, err := crt.Build(7)
@@ -144,14 +144,14 @@ func TestListsMatchAcrossSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		if m, _ := sk.Decrypt(d); m.Sign() != 0 {
-			t.Fatalf("%v: CRT and spec lists of one id differ (Sub decrypts to %v)", params.Kind, m)
+			t.Fatalf("s = %d: CRT and spec lists of one id differ (Sub decrypts to %v)", params.S, m)
 		}
 		d, err = Sub(&sk.PublicKey, a, other)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m, _ := sk.Decrypt(d); m.Sign() == 0 {
-			t.Fatalf("%v: CRT and spec lists of distinct ids match", params.Kind)
+			t.Fatalf("s = %d: CRT and spec lists of distinct ids match", params.S)
 		}
 	}
 }
@@ -159,8 +159,8 @@ func TestListsMatchAcrossSurfaces(t *testing.T) {
 func TestParamsValidate(t *testing.T) {
 	bad := []Params{
 		{Kind: KindPlus, S: 0},
-		{Kind: KindClassic, S: 5, H: 0},
-		{Kind: Kind(9), S: 5, H: 10},
+		{Kind: KindPlus, S: -1},
+		{Kind: Kind(9), S: 5},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -170,13 +170,10 @@ func TestParamsValidate(t *testing.T) {
 	if err := DefaultPlusParams().Validate(); err != nil {
 		t.Errorf("default plus params invalid: %v", err)
 	}
-	if err := DefaultClassicParams().Validate(); err != nil {
-		t.Errorf("default classic params invalid: %v", err)
-	}
 }
 
 func TestKindString(t *testing.T) {
-	if KindPlus.String() != "EHL+" || KindClassic.String() != "EHL" {
+	if KindPlus.String() != "EHL+" {
 		t.Fatal("Kind String() wrong")
 	}
 	if Kind(7).String() == "" {
@@ -185,17 +182,17 @@ func TestKindString(t *testing.T) {
 }
 
 func TestWidth(t *testing.T) {
-	if DefaultPlusParams().Width() != 5 {
-		t.Fatal("EHL+ width should be s")
+	if DefaultPlusParams().Width() != 1 {
+		t.Fatal("the default list should hold one digest")
 	}
-	if DefaultClassicParams().Width() != 23 {
-		t.Fatal("classic width should be H")
+	if (Params{Kind: KindPlus, S: 3}).Width() != 3 {
+		t.Fatal("EHL+ width should be s")
 	}
 }
 
-func testEqualityForParams(t *testing.T, params Params) {
+func TestEqualityPlus(t *testing.T) {
 	sk := testKey(t)
-	h := newHasher(t, params)
+	h := newHasher(t, DefaultPlusParams())
 	a1, err := h.Build(7)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -214,7 +211,7 @@ func testEqualityForParams(t *testing.T, params Params) {
 		t.Fatalf("Sub: %v", err)
 	}
 	if m, _ := sk.Decrypt(same); m.Sign() != 0 {
-		t.Fatalf("%v: Sub of equal objects decrypts to %v, want 0", params.Kind, m)
+		t.Fatalf("Sub of equal objects decrypts to %v, want 0", m)
 	}
 
 	diff, err := Sub(&sk.PublicKey, a1, b)
@@ -222,12 +219,9 @@ func testEqualityForParams(t *testing.T, params Params) {
 		t.Fatalf("Sub: %v", err)
 	}
 	if m, _ := sk.Decrypt(diff); m.Sign() == 0 {
-		t.Fatalf("%v: Sub of distinct objects decrypts to 0", params.Kind)
+		t.Fatal("Sub of distinct objects decrypts to 0")
 	}
 }
-
-func TestEqualityPlus(t *testing.T)    { testEqualityForParams(t, DefaultPlusParams()) }
-func TestEqualityClassic(t *testing.T) { testEqualityForParams(t, DefaultClassicParams()) }
 
 func TestSubRandomizedAcrossCalls(t *testing.T) {
 	sk := testKey(t)
@@ -258,12 +252,12 @@ func TestListsAreIndistinguishableInForm(t *testing.T) {
 
 func TestSubIncompatibleLists(t *testing.T) {
 	sk := testKey(t)
-	hp := newHasher(t, DefaultPlusParams())
-	hc := newHasher(t, DefaultClassicParams())
-	a, _ := hp.Build(1)
-	b, _ := hc.Build(1)
+	h1 := newHasher(t, DefaultPlusParams())
+	h3 := newHasher(t, Params{Kind: KindPlus, S: 3})
+	a, _ := h1.Build(1)
+	b, _ := h3.Build(1)
 	if _, err := Sub(&sk.PublicKey, a, b); err == nil {
-		t.Fatal("expected error for incompatible kinds")
+		t.Fatal("expected error for lists of different widths")
 	}
 	if _, err := Sub(&sk.PublicKey, nil, a); err == nil {
 		t.Fatal("expected error for nil list")
@@ -304,31 +298,11 @@ func TestClone(t *testing.T) {
 
 func TestByteSize(t *testing.T) {
 	sk := testKey(t)
-	hp := newHasher(t, DefaultPlusParams())
-	hc := newHasher(t, DefaultClassicParams())
-	lp, _ := hp.Build(1)
-	lc, _ := hc.Build(1)
-	// The paper's core claim: EHL+ is much smaller than classic EHL.
-	if lp.ByteSize(&sk.PublicKey) >= lc.ByteSize(&sk.PublicKey) {
-		t.Fatalf("EHL+ (%d bytes) should be smaller than EHL (%d bytes)",
-			lp.ByteSize(&sk.PublicKey), lc.ByteSize(&sk.PublicKey))
-	}
-}
-
-func TestFalsePositiveRateAnalytic(t *testing.T) {
-	sk := testKey(t)
-	plus := DefaultPlusParams()
-	fpr := plus.FalsePositiveRate(1_000_000, sk.N)
-	if fpr > 1e-30 {
-		t.Fatalf("EHL+ FPR should be negligible, got %g", fpr)
-	}
-	classic := DefaultClassicParams()
-	cfpr := classic.FalsePositiveRate(1_000_000, sk.N)
-	if cfpr <= fpr {
-		t.Fatal("classic EHL FPR should exceed EHL+ FPR")
-	}
-	if cfpr <= 0 || cfpr >= 1 {
-		t.Fatalf("classic FPR out of (0,1): %g", cfpr)
+	for _, params := range []Params{DefaultPlusParams(), {Kind: KindPlus, S: 3}} {
+		l, _ := newHasher(t, params).Build(1)
+		if got, want := l.ByteSize(&sk.PublicKey), params.Width()*sk.PublicKey.ByteLen(); got != want {
+			t.Fatalf("s = %d: list of %d bytes, want %d (one ciphertext per digest)", params.S, got, want)
+		}
 	}
 }
 
@@ -366,16 +340,6 @@ func TestNewHasherValidation(t *testing.T) {
 
 func BenchmarkBuildPlus(b *testing.B) {
 	h := newHasher(b, DefaultPlusParams())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Build(uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildClassic(b *testing.B) {
-	h := newHasher(b, DefaultClassicParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := h.Build(uint64(i)); err != nil {

@@ -87,19 +87,6 @@ func ToZn(key Key, data []byte, n *big.Int) (*big.Int, error) {
 	return out.Mod(out, n), nil
 }
 
-// ToRange maps data into [0, n) for a small int range; used by the classic
-// EHL to pick bit positions (HMAC(k, o) mod H).
-func ToRange(key Key, data []byte, n int) (int, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("prf: ToRange bound must be positive, got %d", n)
-	}
-	v, err := ToZn(key, data, big.NewInt(int64(n)))
-	if err != nil {
-		return 0, err
-	}
-	return int(v.Int64()), nil
-}
-
 // Perm is a keyed pseudorandom permutation over [0, n): the paper's P_K.
 // It is realized by sorting the domain by PRF value, which yields a
 // permutation computationally indistinguishable from random under the PRF

@@ -98,29 +98,6 @@ func TestToZnDeterministic(t *testing.T) {
 	}
 }
 
-func TestToRange(t *testing.T) {
-	k := Key(bytes.Repeat([]byte{5}, KeySize))
-	counts := make([]int, 8)
-	for i := 0; i < 800; i++ {
-		v, err := ToRange(k, []byte{byte(i), byte(i >> 8)}, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < 0 || v >= 8 {
-			t.Fatalf("ToRange out of bounds: %d", v)
-		}
-		counts[v]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("bucket %d never hit; suspicious for 800 samples", i)
-		}
-	}
-	if _, err := ToRange(k, []byte("x"), 0); err == nil {
-		t.Fatal("expected error for zero bound")
-	}
-}
-
 func TestPermIsBijection(t *testing.T) {
 	k := Key(bytes.Repeat([]byte{6}, KeySize))
 	for _, n := range []int{1, 2, 7, 64, 500} {

@@ -395,6 +395,48 @@ func TestSecDedupReplaceFullProtocol(t *testing.T) {
 	}
 }
 
+// TestSecDedupReplaceShufflesGroups reads S2's side of Qry_F's dedup:
+// the zero test of a duplicate must land anywhere in its group, not where
+// S1 listed it. Over [A, A, B] the later copy of A in S1's order tests
+// the earlier one first by index, so without the in-group shuffle the
+// zero always sits at position 0 and S2 learns which earlier row matched.
+// Over 40 calls the zero must show up at both positions of the two-test
+// groups; with the shuffle that fails with probability 2^-39.
+func TestSecDedupReplaceShufflesGroups(t *testing.T) {
+	e := env(t)
+	client, tap := e.tappedClient(t)
+	items := []Item{e.item(t, 1, 10, 20), e.item(t, 1, 10, 20), e.item(t, 2, 30, 40)}
+	var at [2]int
+	for call := 0; call < 40; call++ {
+		before := len(tap.requests)
+		if _, err := SecDedup(context.Background(), client, items, cloud.DedupReplace, AllPairs(len(items)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(tap.requests) != before+1 {
+			t.Fatalf("call %d sent %d gadget rounds, want 1", call, len(tap.requests)-before)
+		}
+		req := tap.requests[before]
+		if req.Group != 2 || len(req.Cts) != 2*len(items) {
+			t.Fatalf("call %d: %d tests in groups of %d, want 6 in groups of 2", call, len(req.Cts), req.Group)
+		}
+		zeros := 0
+		for x, c := range req.Cts {
+			if m, err := e.keys.Paillier.Decrypt(&paillier.Ciphertext{C: c}); err != nil {
+				t.Fatal(err)
+			} else if m.Sign() == 0 {
+				at[x%req.Group]++
+				zeros++
+			}
+		}
+		if zeros != 1 {
+			t.Fatalf("call %d: S2 read %d zero tests, want the one of A's later copy", call, zeros)
+		}
+	}
+	if at[0] == 0 || at[1] == 0 {
+		t.Fatalf("the zero test sat at group positions %v over 40 calls: S1 does not shuffle within a group", at)
+	}
+}
+
 func TestSecDedupEliminate(t *testing.T) {
 	e := env(t)
 	items := []Item{

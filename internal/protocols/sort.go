@@ -92,7 +92,7 @@ func (it Item) slots() []*paillier.Ciphertext {
 // two halves are capped, so appending to one cannot reach its neighbour.
 func (it Item) withSlots(slots []*paillier.Ciphertext) Item {
 	w, n := len(it.EHL.Cts), len(slots)
-	return Item{EHL: &ehl.List{Kind: it.EHL.Kind, Cts: slots[:w:w]}, Scores: slots[w:n:n]}
+	return Item{EHL: &ehl.List{Cts: slots[:w:w]}, Scores: slots[w:n:n]}
 }
 
 // runGateLayer executes one layer of independent compare-exchange gates in

@@ -76,7 +76,7 @@ func ReadHostedJoinRelation(r io.Reader) (er *join.EncRelation, params ehl.Param
 
 // WriteHostedKNNRelation serializes an encrypted kNN database with its
 // public key and score-bit bound: integer(N) uvarint(MaxScoreBits)
-// string(Name) uvarint(n) uvarint(m) uvarint(EHL kind) uvarint(digests),
+// string(Name) uvarint(n) uvarint(m) uvarint(digests),
 // then per record one integer list: its id's digests, then its m values.
 func WriteHostedKNNRelation(w io.Writer, db *knn.EncDatabase, maxScoreBits int, pk *paillier.PublicKey) error {
 	return write(w, "hosted-knn-relation", func(w *wire.Writer) {
@@ -90,8 +90,7 @@ func WriteHostedKNNRelation(w io.Writer, db *knn.EncDatabase, maxScoreBits int, 
 		w.String(db.Name)
 		w.Int("N", db.N)
 		w.Int("M", db.M)
-		w.Int("EHL kind", int(id.Kind))
-		w.Int("digests", len(id.Cts))
+		w.Int("EHL s", len(id.Cts))
 		var vs []*big.Int
 		for i, rec := range db.Records {
 			if rec.ID == nil || len(rec.ID.Cts) != len(id.Cts) || len(rec.Values) != db.M {
@@ -109,10 +108,7 @@ func ReadHostedKNNRelation(r io.Reader) (db *knn.EncDatabase, maxScoreBits int, 
 	err = read(r, "hosted-knn-relation", func(r *wire.Reader) {
 		pk, maxScoreBits = getKey(r), r.Int("MaxScoreBits")
 		db = &knn.EncDatabase{Name: r.String("Name"), N: r.Count("N", 1), M: r.Int("M")}
-		kind, digests := getKind(r), r.Int("digests")
-		if r.Err() == nil && (digests == 0 || digests > maxEHLWidth) {
-			r.Fail("secio: kNN id digest count %d out of range", digests)
-		}
+		digests := getDigests(r)
 		if r.Err() != nil {
 			return
 		}
@@ -126,7 +122,7 @@ func ReadHostedKNNRelation(r io.Reader) (db *knn.EncDatabase, maxScoreBits int, 
 				return
 			}
 			cts := ctList(vs)
-			db.Records[i] = knn.EncRecord{ID: &ehl.List{Kind: kind, Cts: cts[:digests:digests]}, Values: cts[digests:]}
+			db.Records[i] = knn.EncRecord{ID: &ehl.List{Cts: cts[:digests:digests]}, Values: cts[digests:]}
 		}
 	})
 	if err != nil {

@@ -2,15 +2,20 @@ package secio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ehl"
+	"repro/internal/join"
+	"repro/internal/knn"
 	"repro/internal/mutate"
+	"repro/internal/paillier"
 	"repro/internal/secerr"
 	"repro/internal/wire"
 )
@@ -60,7 +65,9 @@ func TestWrongVersionRefusedEveryKind(t *testing.T) {
 		"candidates": func(r io.Reader) error { _, err := ReadCandidates(r); return err },
 	}
 	for kind, read := range readers {
-		for _, v := range []int{1, 2, version, version + 1, 99} {
+		// Version 3 is the last one before EHL parameters became a bare
+		// digest count: a build that wrote it must be told so by number.
+		for _, v := range []int{1, 2, 3, version, version + 1, 99} {
 			t.Run(fmt.Sprintf("%s/v%d", kind, v), func(t *testing.T) {
 				// A header and no body: the refusal must come from the
 				// header, except at the current version, which passes the
@@ -89,6 +96,133 @@ func TestWrongVersionRefusedEveryKind(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEHLDigestCountRefusedEveryKind: every stream that carries EHL
+// parameters refuses a digest count of zero or above maxEHLWidth, typed
+// bad_request and naming the count, before it reads a single cell. Each
+// kind is written at s = 1 and s = 2 with everything before the count
+// alike, so the first byte the two streams differ in is the count; the
+// s = 1 stream is then read back with that byte replaced.
+func TestEHLDigestCountRefusedEveryKind(t *testing.T) {
+	r := getRig(t)
+	keys, pk := r.scheme.KeyMaterial(), r.scheme.PublicKey()
+	ct := func(v int64) *paillier.Ciphertext { return &paillier.Ciphertext{C: big.NewInt(v)} }
+	list := func(s int) *ehl.List {
+		l := &ehl.List{}
+		for i := 0; i < s; i++ {
+			l.Cts = append(l.Cts, ct(int64(11+i)))
+		}
+		return l
+	}
+	relation := func(s int) *core.EncryptedRelation {
+		return &core.EncryptedRelation{Name: "r", M: 1, N: 1, EHLParams: ehl.Params{S: s}, MaxScoreBits: 20,
+			Lists: [][]core.EncItem{{{EHL: list(s), Score: ct(5)}}}}
+	}
+	mutable := func(t *testing.T, s int) *mutate.Relation {
+		st, err := mutate.New([]*core.EncryptedRelation{relation(s)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	kinds := map[string]struct {
+		write func(t *testing.T, w io.Writer, s int) error
+		read  func(r io.Reader) error
+	}{
+		"owner": {
+			func(t *testing.T, w io.Writer, s int) error {
+				scheme, err := core.NewSchemeFromKeys(core.Params{KeyBits: 256, EHL: ehl.Params{S: s}, MaxScoreBits: 20}, keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return WriteOwnerBundle(w, scheme)
+			},
+			func(r io.Reader) error { _, err := ReadOwnerBundle(r); return err },
+		},
+		"join-owner": {
+			func(t *testing.T, w io.Writer, s int) error {
+				scheme, err := join.NewSchemeFromKeys(join.Params{KeyBits: 256, EHL: ehl.Params{S: s}, MaxScoreBits: 20}, keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return WriteJoinOwnerBundle(w, scheme)
+			},
+			func(r io.Reader) error { _, err := ReadJoinOwnerBundle(r); return err },
+		},
+		"hosted-join-relation": {
+			func(t *testing.T, w io.Writer, s int) error {
+				er := &join.EncRelation{Name: "j", N: 1, M: 1, Tuples: [][]join.EncAttr{{{EHL: list(s), Value: ct(5)}}}}
+				return WriteHostedJoinRelation(w, er, ehl.Params{S: s}, 20, pk)
+			},
+			func(r io.Reader) error { _, _, _, _, err := ReadHostedJoinRelation(r); return err },
+		},
+		"hosted-knn-relation": {
+			func(t *testing.T, w io.Writer, s int) error {
+				db := &knn.EncDatabase{Name: "k", N: 1, M: 1, Records: []knn.EncRecord{{ID: list(s), Values: []*paillier.Ciphertext{ct(5)}}}}
+				return WriteHostedKNNRelation(w, db, 20, pk)
+			},
+			func(r io.Reader) error { _, _, _, err := ReadHostedKNNRelation(r); return err },
+		},
+		"hosted-subset": {
+			func(t *testing.T, w io.Writer, s int) error {
+				return WriteHostedSubset(w, 1, []int{0}, []*core.EncryptedRelation{relation(s)}, 1, pk)
+			},
+			func(r io.Reader) error { _, _, _, _, _, err := ReadHostedSubset(r); return err },
+		},
+		"hosted-mutable": {
+			func(t *testing.T, w io.Writer, s int) error { return WriteMutableHosted(w, mutable(t, s), pk) },
+			func(r io.Reader) error { _, _, err := ReadMutableHosted(r); return err },
+		},
+		"mutable-owner": {
+			func(t *testing.T, w io.Writer, s int) error {
+				mir := &OwnerMirror{Name: "r", P: 1, M: 1, NextID: 1, Epoch: 1, IDs: []int{0}, Rows: [][]int64{{5}}}
+				return WriteOwnerMutable(w, mir, mutable(t, s), pk)
+			},
+			func(r io.Reader) error { _, _, _, err := ReadOwnerMutable(r); return err },
+		},
+		"delta": {
+			func(t *testing.T, w io.Writer, s int) error {
+				d := &mutate.Delta{BaseEpoch: 1, ID: "d", Shards: []mutate.ShardDelta{{
+					Inserts: []mutate.InsertRow{{ID: 1, Pos: []int{0}, Items: []core.EncItem{{EHL: list(s), Score: ct(5)}}}},
+				}}}
+				return WriteDelta(w, d, ehl.Params{S: s})
+			},
+			func(r io.Reader) error { _, _, err := ReadDelta(r); return err },
+		},
+	}
+	for kind, k := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			var one, two bytes.Buffer
+			if err := k.write(t, &one, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.write(t, &two, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.read(bytes.NewReader(one.Bytes())); err != nil {
+				t.Fatalf("the s = 1 stream does not read back: %v", err)
+			}
+			at := 0
+			for at < min(one.Len(), two.Len()) && one.Bytes()[at] == two.Bytes()[at] {
+				at++
+			}
+			if at == one.Len() || one.Bytes()[at] != 1 || two.Bytes()[at] != 2 {
+				t.Fatalf("the streams at s = 1 and s = 2 first differ at byte %d, which is not the digest count", at)
+			}
+			for _, s := range []uint64{0, maxEHLWidth + 1} {
+				bad := binary.AppendUvarint(append([]byte(nil), one.Bytes()[:at]...), s)
+				bad = append(bad, one.Bytes()[at+1:]...)
+				err := k.read(bytes.NewReader(bad))
+				if !errors.Is(err, secerr.ErrBadRequest) {
+					t.Fatalf("s = %d: err = %v (code %q), want bad_request", s, err, secerr.CodeOf(err))
+				}
+				if want := fmt.Sprintf("digest count %d out of range", s); !strings.Contains(err.Error(), want) {
+					t.Fatalf("s = %d: error %q does not say %q", s, err, want)
+				}
+			}
+		})
 	}
 }
 

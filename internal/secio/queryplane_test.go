@@ -81,7 +81,7 @@ func TestJoinResultRoundTrip(t *testing.T) {
 func TestKNNResultRoundTrip(t *testing.T) {
 	ct := func(v int64) *paillier.Ciphertext { return &paillier.Ciphertext{C: big.NewInt(v)} }
 	items := []protocols.Item{
-		{EHL: &ehl.List{Kind: ehl.KindPlus, Cts: []*paillier.Ciphertext{ct(7), ct(8)}}, Scores: []*paillier.Ciphertext{ct(42)}},
+		{EHL: &ehl.List{Cts: []*paillier.Ciphertext{ct(7), ct(8)}}, Scores: []*paillier.Ciphertext{ct(42)}},
 	}
 	var buf bytes.Buffer
 	if err := WriteKNNResult(&buf, items); err != nil {

@@ -32,11 +32,13 @@ import (
 )
 
 // Every artifact is written and read by the same build, so writers stamp
-// the one current version and readers refuse any other. Version 3 is the
-// first in the wire codec; versions up to 2 were gob streams.
+// the one current version and readers refuse any other. Version 4 stores
+// EHL parameters as the digest count alone; version 3 also stored a
+// structure kind and a classic list length, and versions up to 2 were gob
+// streams.
 const (
 	magic   = "sectopk-er"
-	version = 3
+	version = 4
 )
 
 // Kinds lists every stream kind this build writes and reads.
@@ -92,33 +94,23 @@ func read(in io.Reader, kind string, body func(r *wire.Reader)) error {
 	return r.Finish()
 }
 
-// maxEHLWidth bounds a decoded digest count (s, or H for classic EHL) far
-// above any the schemes use.
+// maxEHLWidth bounds a decoded digest count far above any the schemes use.
 const maxEHLWidth = 1 << 16
 
-// putEHL: uvarint(Kind) uvarint(S) uvarint(H).
-func putEHL(w *wire.Writer, p ehl.Params) {
-	w.Int("EHL kind", int(p.Kind))
-	w.Int("EHL s", p.S)
-	w.Int("EHL h", p.H)
-}
+// putEHL: uvarint(S).
+func putEHL(w *wire.Writer, p ehl.Params) { w.Int("EHL s", p.S) }
 
 func getEHL(r *wire.Reader) ehl.Params {
-	p := ehl.Params{Kind: ehl.Kind(r.Int("EHL kind")), S: r.Int("EHL s"), H: r.Int("EHL h")}
-	if r.Err() == nil {
-		if err := p.Validate(); err != nil || p.Width() > maxEHLWidth {
-			r.Fail("secio: EHL parameters %+v out of range", p)
-		}
-	}
-	return p
+	return ehl.Params{Kind: ehl.KindPlus, S: getDigests(r)}
 }
 
-func getKind(r *wire.Reader) ehl.Kind {
-	k := ehl.Kind(r.Int("EHL kind"))
-	if k != ehl.KindPlus && k != ehl.KindClassic {
-		r.Fail("secio: unknown EHL kind %d", k)
+// getDigests reads a digest count in [1, maxEHLWidth].
+func getDigests(r *wire.Reader) int {
+	s := r.Int("EHL s")
+	if r.Err() == nil && (s == 0 || s > maxEHLWidth) {
+		r.Fail("secio: EHL digest count %d out of range", s)
 	}
-	return k
+	return s
 }
 
 // putKey: integer(N).
@@ -206,7 +198,7 @@ func getCells(r *wire.Reader, what string, n int, p ehl.Params) []cell {
 	out := make([]cell, n)
 	for i := range out {
 		row := ctList(vs[i*width : (i+1)*width])
-		out[i] = cell{ehl: &ehl.List{Kind: p.Kind, Cts: row[: width-1 : width-1]}, ct: row[width-1]}
+		out[i] = cell{ehl: &ehl.List{Cts: row[: width-1 : width-1]}, ct: row[width-1]}
 	}
 	return out
 }
@@ -254,14 +246,9 @@ func getRelation(r *wire.Reader) *core.EncryptedRelation {
 	return er
 }
 
-// putItems: uvarint(EHL kind) uvarint(count), then per item its EHL
-// digests and its scores, two integer lists.
+// putItems: uvarint(count), then per item its EHL digests and its
+// scores, two integer lists.
 func putItems(w *wire.Writer, items []protocols.Item) {
-	kind := ehl.KindPlus
-	if len(items) > 0 && items[0].EHL != nil {
-		kind = items[0].EHL.Kind
-	}
-	w.Int("EHL kind", int(kind))
 	w.Uvarint(uint64(len(items)))
 	var vs []*big.Int
 	for i, it := range items {
@@ -277,14 +264,13 @@ func putItems(w *wire.Writer, items []protocols.Item) {
 }
 
 func getItems(r *wire.Reader) []protocols.Item {
-	kind := getKind(r)
 	n := r.Count("items", 2)
 	if r.Err() != nil {
 		return nil
 	}
 	out := make([]protocols.Item, n)
 	for i := range out {
-		out[i] = protocols.Item{EHL: &ehl.List{Kind: kind, Cts: ctList(r.Bigs("EHL"))}, Scores: ctList(r.Bigs("Scores"))}
+		out[i] = protocols.Item{EHL: &ehl.List{Cts: ctList(r.Bigs("EHL"))}, Scores: ctList(r.Bigs("Scores"))}
 	}
 	return out
 }

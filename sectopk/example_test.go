@@ -17,7 +17,6 @@ func Example() {
 	// The data owner generates keys and encrypts the relation.
 	owner, err := sectopk.NewOwner(
 		sectopk.WithKeyBits(256), // demo-sized; production wants 2048+
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 	)
 	if err != nil {

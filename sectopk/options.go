@@ -87,8 +87,10 @@ func WithKeyBits(bits int) Option {
 	return func(c *config) { c.keyBits = bits }
 }
 
-// WithEHLDigests sets the EHL+ digest count s (the security/size
-// trade-off of Section 6; the paper evaluates s = 5).
+// WithEHLDigests sets the EHL+ digest count s. The default is one: a
+// false match has probability about 1/N at any s, so more digests buy no
+// accuracy, and each costs one more ciphertext per cell and one more
+// exponentiation per equality test.
 func WithEHLDigests(s int) Option {
 	return func(c *config) { c.ehlDigests = s }
 }

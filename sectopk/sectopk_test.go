@@ -16,7 +16,6 @@ import (
 func testOpts(extra ...sectopk.Option) []sectopk.Option {
 	return append([]sectopk.Option{
 		sectopk.WithKeyBits(256),
-		sectopk.WithEHLDigests(3),
 		sectopk.WithMaxScoreBits(20),
 	}, extra...)
 }
@@ -339,7 +338,7 @@ func TestSecureJoinFacade(t *testing.T) {
 	q := sectopk.JoinQuery{JoinAttr1: 0, JoinAttr2: 0, ScoreAttr1: 1, ScoreAttr2: 1,
 		Project1: []int{2}, Project2: []int{2}, K: 3}
 
-	jo, err := sectopk.NewJoinOwner(sectopk.WithKeyBits(256), sectopk.WithEHLDigests(3), sectopk.WithMaxScoreBits(16))
+	jo, err := sectopk.NewJoinOwner(sectopk.WithKeyBits(256), sectopk.WithMaxScoreBits(16))
 	if err != nil {
 		t.Fatal(err)
 	}
