@@ -22,6 +22,7 @@ import (
 	"repro/internal/secerr"
 	"repro/internal/secio"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // decoder is one byte stream the system reads from a file or a peer other
@@ -94,12 +95,30 @@ func kindHeader(kind string, version uint64) []byte {
 	return append(append(b, uvarint(uint64(len(kind)))...), kind...)
 }
 
+// secioVersion is the format version this build stamps, read back from a
+// freshly written stream's header so that a version bump cannot leave the
+// hostile seeds at an old version, refused on the header alone.
+func secioVersion() uint64 {
+	var buf bytes.Buffer
+	if err := secio.WriteKNNToken(&buf, []int64{1}, 1); err != nil {
+		panic(err)
+	}
+	r := wire.NewReader(buf.Bytes())
+	r.String("magic")
+	v := r.Int("version")
+	if r.Err() != nil {
+		panic(r.Err())
+	}
+	return uint64(v)
+}
+
 // scalarsFirst counts the one-byte scalar fields a kind has before its
 // first count.
-var scalarsFirst = map[string]int{"token": 1, "join-token": 5, "result": 3, "knn-result": 1, "candidates": 2, "delta": 1}
+var scalarsFirst = map[string]int{"token": 1, "join-token": 5, "result": 2, "candidates": 2, "delta": 1}
 
 func decoders() []decoder {
 	var out []decoder
+	v := secioVersion()
 	for _, kind := range secio.Kinds() {
 		read := kindReaders[kind]
 		if read == nil {
@@ -108,7 +127,7 @@ func decoders() []decoder {
 		out = append(out, decoder{
 			name:   "secio/" + kind,
 			decode: func(b []byte) error { return read(bytes.NewReader(b)) },
-			prefix: append(kindHeader(kind, 3), bytes.Repeat([]byte{1}, scalarsFirst[kind])...),
+			prefix: append(kindHeader(kind, v), bytes.Repeat([]byte{1}, scalarsFirst[kind])...),
 		})
 	}
 	clientV, clusterV := uvarint(clientProtocolVersion), uvarint(cluster.ProtocolVersion)
@@ -269,7 +288,8 @@ func typed(err error) bool {
 
 // TestEveryKindHasSeed is the corpus rule of the S1↔S2 method table for
 // every other decoder: each secio kind has a decoder, and each decoder has
-// a valid seed that decodes and a hostile one that is refused.
+// a valid seed that decodes and a hostile one that is refused — for a
+// secio kind, at its first count, not at its header.
 func TestEveryKindHasSeed(t *testing.T) {
 	ds := decoders()
 	names := map[string]bool{}
@@ -291,8 +311,14 @@ func TestEveryKindHasSeed(t *testing.T) {
 		if err := d.decode(b); err != nil {
 			t.Errorf("%s: seed does not decode: %v", d.name, err)
 		}
-		if err := d.decode(hostile(d)); !typed(err) {
+		err := d.decode(hostile(d))
+		if !typed(err) {
 			t.Errorf("%s: hostile seed: err = %v, want a typed refusal", d.name, err)
+		}
+		// A secio seed refused on its header would pass here and in
+		// TestHostileCountsBounded while bounding no count at all.
+		if strings.HasPrefix(d.name, "secio/") && !strings.Contains(fmt.Sprint(err), "overrun") {
+			t.Errorf("%s: hostile seed refused as %q, want its count named as an overrun", d.name, err)
 		}
 	}
 	if len(samples) != len(ds) {
