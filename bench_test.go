@@ -103,11 +103,10 @@ func sharedKey(b *testing.B) *paillier.PrivateKey {
 
 // BenchmarkBatchEncrypt measures paillier.EncryptBatch throughput across
 // the precomputation axis: the spec path, the key holder's CRT subgroup
-// sampling, the opt-in short-exponent fast-nonce table, and the
-// background nonce pool. The execution axis is GOMAXPROCS: run with
-// -cpu 1,N to set the serial batch beside the worker-pooled one. At -cpu 1
-// the spec/crt/fast trio is the per-nonce cost comparison the
-// precomputation layer is built around.
+// sampling, and the background nonce pool. The execution axis is
+// GOMAXPROCS: run with -cpu 1,N to set the serial batch beside the
+// worker-pooled one. At -cpu 1 the spec/crt pair is the per-nonce cost
+// comparison the precomputation layer is built around.
 func BenchmarkBatchEncrypt(b *testing.B) {
 	sk := sharedKey(b)
 	pk := &sk.PublicKey
@@ -128,11 +127,6 @@ func BenchmarkBatchEncrypt(b *testing.B) {
 	}
 	run("spec", pk)
 	run("crt", sk.CRTEncryptor())
-	fast, err := paillier.NewFastEncryptor(pk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run("fast", fast)
 	pool := paillier.NewNoncePool(pk, 2, 4*batch)
 	defer pool.Close()
 	run("pooled", pool)

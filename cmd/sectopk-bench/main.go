@@ -38,18 +38,17 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (see -list), or 'all' for every paper figure")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		keyBits   = flag.Int("keybits", 256, "Paillier modulus bits (paper-scale: 512)")
-		rows      = flag.Int("rows", 120, "dataset rows after scaling")
-		maxDepth  = flag.Int("maxdepth", 6, "depth cap for time-per-depth measurements")
-		seed      = flag.Int64("seed", 1, "dataset generator seed")
-		fastNonce = flag.Bool("fast-nonce", false, "enable the short-exponent fixed-base nonce path in every layer (extra assumption; see DESIGN.md)")
-		shards    = flag.Int("shards", 4, "cluster: provisioned shard count, recorded per row")
-		clients   = flag.Int("clients", 8, "cluster: concurrent querier connections")
-		queries   = flag.Int("queries", 4, "cluster: timed queries per querier (larger damps variance)")
-		md        = flag.Bool("md", false, "emit markdown tables instead of text")
-		jsonPath  = flag.String("json", "", "soak, cluster: file to keep the JSON record in, under the experiment's key (empty = no record)")
+		exp      = flag.String("exp", "", "experiment id (see -list), or 'all' for every paper figure")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		keyBits  = flag.Int("keybits", 256, "Paillier modulus bits (paper-scale: 512)")
+		rows     = flag.Int("rows", 120, "dataset rows after scaling")
+		maxDepth = flag.Int("maxdepth", 6, "depth cap for time-per-depth measurements")
+		seed     = flag.Int64("seed", 1, "dataset generator seed")
+		shards   = flag.Int("shards", 4, "cluster: provisioned shard count, recorded per row")
+		clients  = flag.Int("clients", 8, "cluster: concurrent querier connections")
+		queries  = flag.Int("queries", 4, "cluster: timed queries per querier (larger damps variance)")
+		md       = flag.Bool("md", false, "emit markdown tables instead of text")
+		jsonPath = flag.String("json", "", "soak, cluster: file to keep the JSON record in, under the experiment's key (empty = no record)")
 
 		soakClients  = flag.Int("soak-clients", 200, "soak: total concurrent clients across all tenants")
 		soakDuration = flag.Duration("soak-duration", 8*time.Second, "soak: wall-clock budget for the timed window")
@@ -80,7 +79,6 @@ func main() {
 		Rows:         *rows,
 		MaxDepth:     *maxDepth,
 		Seed:         *seed,
-		FastNonce:    *fastNonce,
 	}
 	if !*md {
 		cfg.Out = os.Stdout

@@ -20,7 +20,6 @@ func runOwner(args []string) error {
 	keyBits := fs.Int("keybits", 256, "Paillier modulus bits")
 	attrsFlag := fs.String("attrs", "0,1,2", "queried attributes (comma separated)")
 	k := fs.Int("k", 3, "top-k")
-	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
 	shards := fs.Int("shards", 1, "partition the relation into p shards at encryption time (queries run shards concurrently)")
 	nodesFlag := fs.String("nodes", "", "also cut cluster shard subsets for these fleet sizes (comma list, e.g. 1,2): writes relation.node<i>-of-<n>.er per member")
 	workloadsFlag := fs.String("workloads", "topk", "workloads to provision: comma list of topk,join,knn")
@@ -37,7 +36,6 @@ func runOwner(args []string) error {
 		return err
 	}
 	opts := []sectopk.Option{
-		sectopk.WithFastNonce(*fastNonce),
 		sectopk.WithKeyBits(*keyBits),
 		sectopk.WithMaxScoreBits(20),
 		sectopk.WithShards(*shards),

@@ -37,7 +37,6 @@ func runS1(ctx context.Context, args []string) error {
 	tenantLimits := fs.String("tenant-limits", "", "per-tenant QoS admission budgets: comma list of name=rate[:burst] (requests/s), e.g. 'alice=5:10,bob=1'; unlisted tenants stay unlimited")
 	drain := fs.Duration("drain-timeout", 0, "graceful shutdown window: let in-flight queries finish this long before aborting (0 = abort immediately)")
 	mode := fs.String("mode", "e", "query mode: f|e|ba (one-shot mode only)")
-	fastNonce := fs.Bool("fast-nonce", false, "short-exponent fixed-base nonce path (extra assumption; see DESIGN.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -56,7 +55,7 @@ func runS1(ctx context.Context, args []string) error {
 			return erErr
 		}
 	}
-	opts := []sectopk.Option{sectopk.WithFastNonce(*fastNonce)}
+	var opts []sectopk.Option
 	if *memberID != "" {
 		opts = append(opts, sectopk.WithMemberID(*memberID))
 	}

@@ -40,9 +40,6 @@ type Config struct {
 	MaxDepth int
 	// Seed feeds the dataset generators.
 	Seed int64
-	// FastNonce opts every layer into the short-exponent fixed-base nonce
-	// path (see cloud.WithFastNonce for the assumption it carries).
-	FastNonce bool
 	// Out receives the rendered tables; nil discards.
 	Out io.Writer
 }

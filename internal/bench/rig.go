@@ -34,22 +34,19 @@ func NewRig(cfg Config) (*Rig, error) {
 		KeyBits:      cfg.KeyBits,
 		EHL:          ehl.DefaultPlusParams(),
 		MaxScoreBits: cfg.MaxScoreBits,
-		FastNonce:    cfg.FastNonce,
 	}
 	scheme, err := core.NewScheme(params)
 	if err != nil {
 		return nil, fmt.Errorf("bench: scheme: %w", err)
 	}
 	s2led := cloud.NewLedger()
-	server, err := cloud.NewServer(scheme.KeyMaterial(), s2led,
-		cloud.WithFastNonce(cfg.FastNonce))
+	server, err := cloud.NewServer(scheme.KeyMaterial(), s2led)
 	if err != nil {
 		return nil, fmt.Errorf("bench: server: %w", err)
 	}
 	stats := transport.NewStats()
 	s1led := cloud.NewLedger()
-	client, err := cloud.NewClient(transport.NewLocal(server, stats), scheme.PublicKey(), s1led,
-		cloud.WithFastNonce(cfg.FastNonce))
+	client, err := cloud.NewClient(transport.NewLocal(server, stats), scheme.PublicKey(), s1led)
 	if err != nil {
 		server.Close()
 		return nil, fmt.Errorf("bench: client: %w", err)

@@ -45,23 +45,13 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	if err != nil {
 		return nil, fmt.Errorf("cloud: generating ephemeral key: %w", err)
 	}
-	cfg := buildConfig(opts)
-	c := &Client{caller: caller, relation: cfg.relation, pk: pk, eph: eph, ledger: ledger}
-	// S1 holds only the ephemeral private key: the main surface gets the
-	// fast-nonce table when opted in (spec path otherwise), while the
-	// ephemeral surface additionally defaults to CRT.
-	pkEnc, err := cfg.newPaillierEnc(pk, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.pkEnc, c.close = pkEnc, append(c.close, pkEnc.Close)
-	ephEnc, err := cfg.newPaillierEnc(&eph.PublicKey, eph)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.ephEnc, c.close = ephEnc, append(c.close, ephEnc.Close)
-	return c, nil
+	// S1 holds only the ephemeral private key: the main surface takes the
+	// spec path, the ephemeral one the CRT sampler.
+	pkEnc, ephEnc := newPaillierEnc(pk, nil), newPaillierEnc(&eph.PublicKey, eph)
+	return &Client{
+		caller: caller, relation: buildConfig(opts).relation, pk: pk, eph: eph, ledger: ledger,
+		pkEnc: pkEnc, ephEnc: ephEnc, close: []func(){pkEnc.Close, ephEnc.Close},
+	}, nil
 }
 
 // Close stops the client's background nonce pools. The client stays

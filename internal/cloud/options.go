@@ -4,35 +4,22 @@ import (
 	"runtime"
 
 	"repro/internal/paillier"
-	"repro/internal/zmath"
 )
 
-// Option configures a Server or Client at construction time. Both parties
-// share one option vocabulary so deployments tune them uniformly.
+// Option configures a Client at construction time. WithRelation is the
+// only one: a Server has nothing to configure, since its encryption
+// surface follows from the key it holds.
 type Option func(*config)
 
 type config struct {
-	fastNonce bool
-	relation  string
+	relation string
 }
 
 // WithRelation sets the relation ID a Client stamps on every request, so
 // a multi-relation crypto cloud (Service) can route it to the right key
-// material. Single-relation deployments may leave it empty. Servers
-// ignore the option.
+// material. Single-relation deployments may leave it empty.
 func WithRelation(id string) Option {
 	return func(c *config) { c.relation = id }
-}
-
-// WithFastNonce toggles the short-exponent fixed-base nonce path
-// (zmath.FastNonce) for every encryption surface the party owns. Off by
-// default: the fast path rests on the standard short-exponent/subgroup
-// indistinguishability assumption on top of DCR, so it is strictly opt-in
-// (see DESIGN.md "Precomputation fast paths"). When enabled it takes
-// precedence over the CRT path — it is faster, and applies even to
-// surfaces without the private key.
-func WithFastNonce(on bool) Option {
-	return func(c *config) { c.fastNonce = on }
 }
 
 func buildConfig(opts []Option) config {
@@ -66,36 +53,28 @@ func poolWorkers() int {
 // poolCapacity bounds how far ahead the fillers may run.
 const poolCapacity = 128
 
-// newEnc builds one Paillier encryption surface for spec's key.
-// Precedence: fast-nonce table (opt-in) > CRT sampler (crt is non-nil
-// whenever the party holds the private key: it is assumption-free,
-// bit-compatible with the spec path and ~2-3x cheaper per nonce) > spec
-// path; a background pool buffers whichever was picked when pooling is
-// enabled. The caller owes the surface a Close.
-func newEnc(c config, spec paillier.NonceSource, crt func() *paillier.NonceEncryptor, fast func(*paillier.PublicKey) (*paillier.NonceEncryptor, error)) (*paillier.NonceEncryptor, error) {
-	pk := spec.Key()
-	enc := zmath.NewNonceEncryptor(pk, spec.NoncePower)
-	switch {
-	case c.fastNonce:
-		var err error
-		if enc, err = fast(pk); err != nil {
-			return nil, err
-		}
-	case crt != nil:
+// newEnc builds one Paillier encryption surface for spec's key: the CRT
+// sampler when crt is non-nil (the party holds the private key; it is
+// assumption-free, bit-compatible with the spec path and ~2-3x cheaper
+// per nonce), the spec path otherwise, behind a background pool when
+// pooling is enabled. The caller owes the surface a Close.
+func newEnc(spec paillier.NonceSource, crt func() *paillier.NonceEncryptor) *paillier.NonceEncryptor {
+	enc := paillier.NewNonceEncryptor(spec.Key(), spec.NoncePower)
+	if crt != nil {
 		enc = crt()
 	}
 	if poolsEnabled() {
-		enc = zmath.NewPooledEncryptor(pk, enc.NoncePower, poolWorkers(), poolCapacity)
+		enc = paillier.NewNoncePool(enc, poolWorkers(), poolCapacity)
 	}
-	return enc, nil
+	return enc
 }
 
-// newPaillierEnc returns the encryption surface for pk under this config.
-// sk may be nil (the party does not hold the private key).
-func (c config) newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) (*paillier.NonceEncryptor, error) {
+// newPaillierEnc returns the encryption surface for pk. sk may be nil
+// (the party does not hold the private key).
+func newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) *paillier.NonceEncryptor {
 	var crt func() *paillier.NonceEncryptor
 	if sk != nil {
 		crt = sk.CRTEncryptor
 	}
-	return newEnc(c, pk, crt, paillier.NewFastEncryptor)
+	return newEnc(pk, crt)
 }

@@ -60,16 +60,12 @@ type Server struct {
 
 // NewServer builds S2 from its key material. ledger may be nil. Call Close
 // when done to release the background nonce pools.
-func NewServer(keys *KeyMaterial, ledger *Ledger, opts ...Option) (*Server, error) {
+func NewServer(keys *KeyMaterial, ledger *Ledger) (*Server, error) {
 	if keys == nil || keys.Paillier == nil {
 		return nil, errors.New("cloud: incomplete key material")
 	}
-	// S2 holds the private key, so its surface defaults to the CRT nonce
-	// fast path (fast-nonce table when opted in).
-	pkEnc, err := buildConfig(opts).newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
-	if err != nil {
-		return nil, err
-	}
+	// S2 holds the private key, so its surface is the CRT nonce fast path.
+	pkEnc := newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
 	return &Server{keys: keys, ledger: ledger, pkEnc: pkEnc, close: []func(){pkEnc.Close}}, nil
 }
 

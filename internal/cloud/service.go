@@ -31,7 +31,7 @@ func NewService() *Service {
 
 // Register builds a Server for the relation's key material and adds it
 // under id. It fails with secerr.ErrRelationExists when the ID is taken.
-func (s *Service) Register(id string, keys *KeyMaterial, ledger *Ledger, opts ...Option) error {
+func (s *Service) Register(id string, keys *KeyMaterial, ledger *Ledger) error {
 	if id == "" {
 		return secerr.New(secerr.CodeBadRequest, "cloud: empty relation id")
 	}
@@ -47,7 +47,7 @@ func (s *Service) Register(id string, keys *KeyMaterial, ledger *Ledger, opts ..
 	if taken {
 		return secerr.New(secerr.CodeRelationExists, "cloud: relation %q already registered", id)
 	}
-	srv, err := NewServer(keys, ledger, opts...)
+	srv, err := NewServer(keys, ledger)
 	if err != nil {
 		return err
 	}

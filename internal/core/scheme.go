@@ -40,14 +40,6 @@ type Params struct {
 	// MaxScoreBits bounds a single attribute value: scores must lie in
 	// [0, 2^MaxScoreBits). Used to size comparison masks.
 	MaxScoreBits int
-	// FastNonce opts the owner's bulk encryption (scores and EHL digests)
-	// into the short-exponent fixed-base nonce path
-	// (paillier.NewFastEncryptor). Off by default: it rests on the
-	// short-exponent/subgroup assumption (see DESIGN.md "Precomputation
-	// fast paths"). When off, the owner still uses the
-	// assumption-free CRT split — it holds the private key — which is
-	// bit-compatible with the spec path.
-	FastNonce bool
 }
 
 // DefaultParams returns the evaluation configuration: one EHL+ digest and
@@ -78,18 +70,9 @@ type Scheme struct {
 	permKey prf.Key // PRP key K for list permutation
 	hasher  *ehl.Hasher
 	// enc is the owner's bulk-encryption surface, for scores and (through
-	// hasher) EHL digests alike: the CRT nonce split by default (the owner
-	// holds the factorization), the fast-nonce table when Params.FastNonce
-	// is set.
+	// hasher) EHL digests alike: the CRT nonce split, since the owner holds
+	// the factorization.
 	enc paillier.Encryptor
-}
-
-// ownerEncryptor picks the owner's encryption surface for the params.
-func ownerEncryptor(params Params, keys *cloud.KeyMaterial) (paillier.Encryptor, error) {
-	if params.FastNonce {
-		return paillier.NewFastEncryptor(&keys.Paillier.PublicKey)
-	}
-	return keys.Paillier.CRTEncryptor(), nil
 }
 
 // NewScheme generates fresh key material.
@@ -121,10 +104,7 @@ func NewSchemeFromKeys(params Params, keys *cloud.KeyMaterial) (*Scheme, error) 
 	if err != nil {
 		return nil, err
 	}
-	enc, err := ownerEncryptor(params, keys)
-	if err != nil {
-		return nil, err
-	}
+	enc := keys.Paillier.CRTEncryptor()
 	hasher, err := ehl.NewHasher(master, params.EHL, enc)
 	if err != nil {
 		return nil, err
@@ -163,10 +143,7 @@ func RestoreScheme(params Params, keys *cloud.KeyMaterial, secrets Secrets) (*Sc
 	if len(secrets.Master) == 0 || len(secrets.Perm) == 0 {
 		return nil, errors.New("core: missing scheme secrets")
 	}
-	enc, err := ownerEncryptor(params, keys)
-	if err != nil {
-		return nil, err
-	}
+	enc := keys.Paillier.CRTEncryptor()
 	hasher, err := ehl.NewHasher(secrets.Master, params.EHL, enc)
 	if err != nil {
 		return nil, err

@@ -56,14 +56,13 @@ func (pk *PublicKey) EngineNS1() *zmath.Modulus { return pk.engNS1 }
 // mulNS1 multiplies mod N^{s+1} through the engine.
 func (pk *PublicKey) mulNS1(a, b *big.Int) *big.Int { return pk.engNS1.MulMod(a, b) }
 
-// PrivateKey carries the factorization N = p*q and what decryption and the
-// CRT encryptor derive from it. There is no decryption exponent d: Decrypt
-// works modulo each prime power separately, where the exponent p-1 does
-// what d mod p^s(p-1) would at a third of the width (for s = 2).
+// PrivateKey carries the factorization N = p*q and what decryption derives
+// from it. There is no decryption exponent d: Decrypt works modulo each
+// prime power separately, where the exponent p-1 does what d mod p^s(p-1)
+// would at a third of the width (for s = 2).
 type PrivateKey struct {
 	PublicKey
 
-	ps1InvModQs1 *big.Int // p^{s+1}^{-1} mod q^{s+1}, for the CRT nonce sampler
 	halfP, halfQ primeHalf
 	psInvModQs   *big.Int // p^s^{-1} mod q^s, recombines the two halves
 }
@@ -117,9 +116,6 @@ func NewPrivateKey(sk *paillier.PrivateKey, s int) (*PrivateKey, error) {
 	if out.halfQ, err = newPrimeHalf(sk.Q, sk.P, s); err != nil {
 		return nil, err
 	}
-	if out.ps1InvModQs1, err = zmath.ModInverse(out.halfP.pow[s+1], out.halfQ.pow[s+1]); err != nil {
-		return nil, fmt.Errorf("dj: p^{s+1} not invertible mod q^{s+1}: %w", err)
-	}
 	if out.psInvModQs, err = zmath.ModInverse(out.halfP.pow[s], out.halfQ.pow[s]); err != nil {
 		return nil, fmt.Errorf("dj: p^s not invertible mod q^s: %w", err)
 	}
@@ -172,10 +168,15 @@ func (pk *PublicKey) Encrypt(m *big.Int) (*Ciphertext, error) {
 	return pk.EncryptWithPower(m, rn)
 }
 
+// NoncePower samples a fresh r in Z*_N and returns r^{N^s} mod N^{s+1} —
+// the spec path, one full-width exponentiation per nonce.
+func (pk *PublicKey) NoncePower() (*big.Int, error) {
+	return zmath.SpecNoncePower(pk.N, pk.NS, pk.NS1)
+}
+
 // EncryptWithPower assembles E(m) = (1+N)^m * rn mod N^{s+1} from a nonce
 // power rn = r^{N^s} mod N^{s+1}. Every encryption ends here; rn comes
-// from one of zmath's nonce producers (or, in EncryptWithNonce, from the
-// caller's r).
+// from NoncePower (or, in EncryptWithNonce, from the caller's r).
 func (pk *PublicKey) EncryptWithPower(m, rn *big.Int) (*Ciphertext, error) {
 	mm, err := pk.validateMessage(m)
 	if err != nil {

@@ -200,8 +200,8 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 	}
 	pk := e.client.PK()
 	// Encrypt the query point: in [21] the querier ships Enc(q) and the
-	// clouds compute on it without learning q. The client's configured
-	// encryption surface (pooled / fast-nonce) serves the encryptions.
+	// clouds compute on it without learning q. The client's encryption
+	// surface (pooled where pools run) serves the encryptions.
 	encQ := make([]*paillier.Ciphertext, e.db.M)
 	for j, v := range q {
 		ct, err := e.client.Enc().Encrypt(big.NewInt(v))

@@ -11,9 +11,9 @@ import (
 
 // Encryptor is the encryption surface the batch helpers and the blinding
 // layers program against. PublicKey (the spec path, nonces computed
-// inline) and NonceEncryptor (CRT, fast-nonce or pooled nonce powers)
-// implement it, so callers can be handed whichever the deployment
-// configured without caring.
+// inline) and NonceEncryptor (CRT or pooled nonce powers) implement it,
+// so callers can be handed whichever surface the party built without
+// caring.
 type Encryptor interface {
 	Encrypt(m *big.Int) (*Ciphertext, error)
 	EncryptZero() (*Ciphertext, error)

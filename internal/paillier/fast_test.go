@@ -115,15 +115,6 @@ func TestCRTEncryptorRoundTrip(t *testing.T) {
 	checkSurface(t, sk, sk.CRTEncryptor())
 }
 
-func TestFastEncryptorRoundTrip(t *testing.T) {
-	sk := testKey(t)
-	enc, err := NewFastEncryptor(&sk.PublicKey)
-	if err != nil {
-		t.Fatalf("NewFastEncryptor: %v", err)
-	}
-	checkSurface(t, sk, enc)
-}
-
 // TestNoncePool draws more encryptions than the pool holds, so some come
 // from the buffer and some from the inline fallback of a drained pool.
 func TestNoncePool(t *testing.T) {
@@ -147,16 +138,11 @@ func TestNoncePoolClosedFallback(t *testing.T) {
 // producer, a pool included.
 func TestNoncePoolOverFastSources(t *testing.T) {
 	sk := testKey(t)
-	fast, err := NewFastEncryptor(&sk.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inner := NewNoncePool(&sk.PublicKey, 1, 4)
 	defer inner.Close()
 	for name, src := range map[string]NonceSource{
 		"spec": &sk.PublicKey,
 		"crt":  sk.CRTEncryptor(),
-		"fast": fast,
 		"pool": inner,
 	} {
 		t.Run(name, func(t *testing.T) {

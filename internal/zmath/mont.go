@@ -212,8 +212,8 @@ func (m *Modulus) MulMod(x, y *big.Int) *big.Int {
 // exponents math/big runs a windowed Montgomery ladder on the same
 // assembly rows as montMul, and a ladder of the engine's own only ties it.
 // The engine's exponentiation wins live where the access pattern does the
-// work — shared squarings in MultiExpMod and ExpModShared, and the
-// in-domain FixedBaseTable — not in a plain single-base power.
+// work — shared squarings in MultiExpMod and ExpModShared — not in a
+// plain single-base power.
 func (m *Modulus) ExpMod(x, e *big.Int) *big.Int {
 	return new(big.Int).Exp(x, e, m.n)
 }

@@ -351,36 +351,3 @@ func TestBatchModInverseMod(t *testing.T) {
 		})
 	}
 }
-
-// TestFixedBaseTableModMatchesPlain builds every table in the fast-nonce
-// shape FastNonce uses in production.
-func TestFixedBaseTableModMatchesPlain(t *testing.T) {
-	const window, maxBits = fastNonceWindow, fastNonceBits
-	for _, tm := range testModuli(t) {
-		n := tm.n
-		base := randBelow(t, n.BitLen()+3) // below n or above it
-		base.SetBit(base, 0, 1)            // positive
-		exps := []*big.Int{Zero, One, new(big.Int).Sub(new(big.Int).Lsh(One, maxBits), One)}
-		for i := 0; i < 8; i++ {
-			exps = append(exps, randBelow(t, maxBits))
-		}
-		onBothPaths(t, n, func(t *testing.T, m *Modulus) {
-			mont, err := NewFixedBaseTableMod(base, m, window, maxBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range exps {
-				got, err := mont.Exp(e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := new(big.Int).Exp(base, e, n); got.Cmp(want) != 0 {
-					t.Fatalf("%s FixedBaseTableMod.Exp(%v) = %v, want %v", tm.name, e, got, want)
-				}
-			}
-		})
-	}
-	if _, err := NewFixedBaseTableMod(big.NewInt(3), nil, window, maxBits); err == nil {
-		t.Fatal("NewFixedBaseTableMod accepted a nil engine")
-	}
-}

@@ -4,16 +4,15 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
-
-	"repro/internal/parallel"
 )
 
 // This file is the one place nonce powers r^(N^s) mod N^(s+1) are
 // produced — the exponentiation every Paillier (s = 1) and Damgård–Jurik
-// (s = 2) encryption bottoms out in — and NonceEncryptor, the one wrapper
-// that turns a producer and either scheme's public key into an encryption
-// surface. Only EncryptWithNonce, with a caller-supplied r, exponentiates
-// on its own, as the tests' reference.
+// (s = 2) encryption bottoms out in. Both producers draw the same
+// distribution, the uniform N^s-th residues: SpecNoncePower from the
+// public key alone, CRTNonce from the factorization. Only
+// EncryptWithNonce, with a caller-supplied r, exponentiates on its own,
+// as the tests' reference.
 
 // SpecNoncePower is the spec path: a uniform r in Z*_N raised with one
 // full-width exponentiation, ns = N^s and ns1 = N^(s+1).
@@ -87,142 +86,4 @@ func (c *CRTNonce) NoncePower() (*big.Int, error) {
 		return nil, err
 	}
 	return CRTPair(xp, xq, c.ps1, c.qs1, c.ps1Inv), nil
-}
-
-const (
-	// fastNonceBits is the short-exponent length: twice a 128-bit
-	// security parameter, the standard margin for the short-exponent
-	// indistinguishability assumption.
-	fastNonceBits = 256
-	// fastNonceWindow keeps the per-key table a few thousand entries
-	// while cutting a 256-bit exponent to ~43 multiplications.
-	fastNonceWindow = 6
-)
-
-// FastNonce is the opt-in fast-nonce path, usable by any party holding
-// only the public key: precompute hNs = h^(N^s) mod N^(s+1) once for a
-// random quadratic residue h, then draw nonce powers as hNs^alpha for
-// short random alpha (fastNonceBits bits) through a fixed-base windowed
-// table — ~45 modular multiplications per nonce instead of a full-width
-// exponentiation.
-//
-// SECURITY: the spec path draws nonces uniformly from the N^s-th
-// residues; this path draws them from the subgroup generated by h^(N^s)
-// with short exponents. Indistinguishability rests on the standard
-// short-exponent / subgroup assumption (as in the Damgård–Jurik–Nielsen
-// fast variant of Paillier), which is an extra assumption on top of DCR.
-// It is therefore opt-in everywhere (cloud.WithFastNonce, -fast-nonce,
-// core.Params.FastNonce); the default remains spec-faithful.
-type FastNonce struct {
-	table *FixedBaseTable
-	expHi *big.Int // 2^fastNonceBits, the exclusive sampling bound
-}
-
-// NewFastNonce precomputes the table for one key at degree s (ns = N^s,
-// ns1 = N^(s+1)). eng, the key's engine for ns1, may be nil; with it the
-// table keeps its entries in Montgomery form, so every nonce draw runs
-// its whole window chain division-free. The build costs a few full-width
-// exponentiations' worth of multiplications and amortizes after a
-// handful of encryptions.
-func NewFastNonce(n, ns, ns1 *big.Int, eng *Modulus) (*FastNonce, error) {
-	x, err := RandUnit(rand.Reader, n)
-	if err != nil {
-		return nil, fmt.Errorf("zmath: sampling fast-nonce base: %w", err)
-	}
-	// h = x^2 mod N is a uniform quadratic residue; h^(N^s) generates the
-	// subgroup the short-exponent nonces are drawn from.
-	h := new(big.Int).Mul(x, x)
-	h.Mod(h, n)
-	h.Exp(h, ns, ns1)
-	var table *FixedBaseTable
-	if eng != nil {
-		table, err = NewFixedBaseTableMod(h, eng, fastNonceWindow, fastNonceBits)
-	} else {
-		table, err = NewFixedBaseTable(h, ns1, fastNonceWindow, fastNonceBits)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("zmath: building fast-nonce table: %w", err)
-	}
-	return &FastNonce{table: table, expHi: new(big.Int).Lsh(One, fastNonceBits)}, nil
-}
-
-// NoncePower draws a short random exponent alpha and returns
-// (h^(N^s))^alpha mod N^(s+1) from the fixed-base table.
-func (f *FastNonce) NoncePower() (*big.Int, error) {
-	alpha, err := RandRange(rand.Reader, One, f.expHi)
-	if err != nil {
-		return nil, fmt.Errorf("zmath: sampling fast-nonce exponent: %w", err)
-	}
-	return f.table.Exp(alpha)
-}
-
-// NonceKey is a scheme's public key as NonceEncryptor uses it; C is the
-// scheme's ciphertext type.
-type NonceKey[C any] interface {
-	// NoncePower is the spec path at the key's degree (SpecNoncePower).
-	NoncePower() (*big.Int, error)
-	// EncryptWithPower assembles (1+N)^m * power mod N^(s+1).
-	EncryptWithPower(m, power *big.Int) (C, error)
-	Add(a, b C) (C, error)
-}
-
-// NonceEncryptor is a public key plus where its nonce powers come from:
-// every encryption surface of either scheme other than the bare key (the
-// spec path). paillier and dj instantiate it and keep the constructors.
-type NonceEncryptor[K NonceKey[C], C any] struct {
-	key   K
-	power func() (*big.Int, error)
-	close func() // stops a pool's fillers; nil on unpooled surfaces
-}
-
-// NewNonceEncryptor encrypts under key with nonce powers drawn from power.
-func NewNonceEncryptor[K NonceKey[C], C any](key K, power func() (*big.Int, error)) *NonceEncryptor[K, C] {
-	return &NonceEncryptor[K, C]{key: key, power: power}
-}
-
-// NewPooledEncryptor encrypts under key with nonce powers that workers
-// background goroutines (started by the first draw) precompute from src,
-// up to capacity ahead. src is any producer — the spec path, the CRT
-// sampler, the fast-nonce table — and a drained or closed pool computes
-// inline (parallel.Pool.Next), so pooling never changes results. Close
-// must be called to release the fillers.
-func NewPooledEncryptor[K NonceKey[C], C any](key K, src func() (*big.Int, error), workers, capacity int) *NonceEncryptor[K, C] {
-	pool := parallel.NewPool(workers, capacity, src)
-	return &NonceEncryptor[K, C]{key: key, power: pool.Next, close: pool.Close}
-}
-
-// Close stops a pool's background fillers; the surface remains usable
-// afterwards. A no-op on unpooled surfaces.
-func (e *NonceEncryptor[K, C]) Close() {
-	if e.close != nil {
-		e.close()
-	}
-}
-
-// Key returns the underlying public key.
-func (e *NonceEncryptor[K, C]) Key() K { return e.key }
-
-// NoncePower returns the surface's next nonce power, which makes it a
-// source a pool can buffer.
-func (e *NonceEncryptor[K, C]) NoncePower() (*big.Int, error) { return e.power() }
-
-// Encrypt encrypts m under the surface's next nonce power.
-func (e *NonceEncryptor[K, C]) Encrypt(m *big.Int) (c C, err error) {
-	rn, err := e.power()
-	if err != nil {
-		return c, err
-	}
-	return e.key.EncryptWithPower(m, rn)
-}
-
-// EncryptZero returns a fresh encryption of zero.
-func (e *NonceEncryptor[K, C]) EncryptZero() (C, error) { return e.Encrypt(Zero) }
-
-// Rerandomize multiplies by a fresh encryption of zero.
-func (e *NonceEncryptor[K, C]) Rerandomize(a C) (C, error) {
-	z, err := e.EncryptZero()
-	if err != nil {
-		return z, err
-	}
-	return e.key.Add(a, z)
 }

@@ -54,8 +54,8 @@ func (g nonceGroup) checkResidue(t *testing.T, x *big.Int) {
 // TestNonceProducers is the one table over the degree: for Paillier
 // (s = 1) and Damgård–Jurik's outer layer (s = 2) the CRT split equals
 // the spec power bit for bit on fixed r, and every producer — spec, CRT,
-// fast, each of them pooled, a closed pool — yields N^s-th residues and
-// never the same one twice.
+// each of them pooled, a closed pool — yields N^s-th residues and never
+// the same one twice.
 func TestNonceProducers(t *testing.T) {
 	for s := 1; s <= 2; s++ {
 		t.Run(fmt.Sprintf("s=%d", s), func(t *testing.T) {
@@ -74,17 +74,7 @@ func TestNonceProducers(t *testing.T) {
 				"spec": func() (*big.Int, error) { return SpecNoncePower(g.n, g.ns, g.ns1) },
 				"crt":  g.crt.NoncePower,
 			}
-			for name, eng := range map[string]*Modulus{"fast": nil, "fast-engine": MustModulus(g.ns1)} {
-				fast, err := NewFastNonce(g.n, g.ns, g.ns1, eng)
-				if err != nil {
-					t.Fatalf("NewFastNonce: %v", err)
-				}
-				if fast.expHi.BitLen() != 257 {
-					t.Errorf("fast-nonce exponents are below 2^%d, want 2^256", fast.expHi.BitLen()-1)
-				}
-				producers[name] = fast.NoncePower
-			}
-			for _, name := range []string{"spec", "crt", "fast", "fast-engine"} {
+			for _, name := range []string{"spec", "crt"} {
 				pool := parallel.NewPool(2, 4, producers[name])
 				defer pool.Close()
 				producers["pooled-"+name] = pool.Next

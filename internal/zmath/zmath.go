@@ -178,169 +178,3 @@ func BatchModInverse(xs []*big.Int, n *big.Int) ([]*big.Int, error) {
 	out[0] = inv
 	return out, nil
 }
-
-// FixedBaseTable precomputes the 2^w-ary fixed-base exponentiation table
-// for one (base, modulus) pair: entries base^(i * 2^(w*j)) mod m for every
-// window j below maxBits/w and every window value i in [1, 2^w). Exp then
-// needs only one multiplication per nonzero window — about maxBits/w
-// multiplications and no squarings — versus the ~1.5*|e| multiplications
-// of a square-and-multiply ladder. Build cost is one table (~maxBits/w *
-// 2^w multiplications), amortized when the same base is exponentiated many
-// times, which is exactly the fast-nonce workload: one fixed base h^N per
-// key, thousands of short exponents per query.
-//
-// The table is read-only after construction and safe for concurrent Exp
-// calls.
-type FixedBaseTable struct {
-	m       *big.Int
-	window  uint
-	maxBits int
-	// pow[j][i-1] = base^(i << (window*j)) mod m
-	pow [][]*big.Int
-
-	// Montgomery acceleration (optional): with an engine attached the
-	// same entries are also stored in Montgomery form, so Exp runs the
-	// whole per-window multiplication chain in-domain — one REDC multiply
-	// per nonzero window, one exit at the end, and no divisions at all.
-	mod *Modulus
-	// powMont[j][i-1] = pow[j][i-1] * R mod m
-	powMont [][][]big.Word
-}
-
-// NewFixedBaseTable builds the table for exponents up to maxBits bits.
-// window must be in [1, 16]; 6 is a good default for 256..512-bit
-// exponents.
-func NewFixedBaseTable(base, m *big.Int, window uint, maxBits int) (*FixedBaseTable, error) {
-	return newFixedBaseTable(base, m, nil, window, maxBits)
-}
-
-// NewFixedBaseTableMod is NewFixedBaseTable with a precomputed Modulus:
-// the table keeps its entries in Montgomery form alongside the plain
-// ones, and Exp multiplies in-domain whenever the engine is active. mod
-// must satisfy mod.N() == m's value.
-func NewFixedBaseTableMod(base *big.Int, mod *Modulus, window uint, maxBits int) (*FixedBaseTable, error) {
-	if mod == nil {
-		return nil, fmt.Errorf("zmath: fixed-base table requires a modulus engine")
-	}
-	return newFixedBaseTable(base, mod.N(), mod, window, maxBits)
-}
-
-func newFixedBaseTable(base, m *big.Int, mod *Modulus, window uint, maxBits int) (*FixedBaseTable, error) {
-	if m == nil || m.Cmp(Two) < 0 {
-		return nil, fmt.Errorf("zmath: fixed-base modulus must be >= 2")
-	}
-	if base == nil || base.Sign() <= 0 {
-		return nil, fmt.Errorf("zmath: fixed-base base must be positive")
-	}
-	if window < 1 || window > 16 {
-		return nil, fmt.Errorf("zmath: fixed-base window %d out of range [1,16]", window)
-	}
-	if maxBits < 1 {
-		return nil, fmt.Errorf("zmath: fixed-base maxBits must be positive, got %d", maxBits)
-	}
-	windows := (maxBits + int(window) - 1) / int(window)
-	t := &FixedBaseTable{
-		m:       new(big.Int).Set(m),
-		window:  window,
-		maxBits: maxBits,
-		pow:     make([][]*big.Int, windows),
-	}
-	size := 1 << window
-	// g walks base^(2^(w*j)) across windows; each row is filled by
-	// repeated multiplication with the row's generator.
-	g := new(big.Int).Mod(base, m)
-	for j := 0; j < windows; j++ {
-		row := make([]*big.Int, size-1)
-		row[0] = new(big.Int).Set(g)
-		for i := 2; i < size; i++ {
-			prev := row[i-2]
-			e := new(big.Int).Mul(prev, g)
-			row[i-1] = e.Mod(e, m)
-		}
-		t.pow[j] = row
-		if j+1 < windows {
-			// Advance the generator: g <- g^(2^w).
-			next := new(big.Int).Mul(row[size-2], g)
-			g = next.Mod(next, m)
-		}
-	}
-	if mod.active() {
-		t.mod = mod
-		t.powMont = make([][][]big.Word, windows)
-		s := mod.pool.Get().(*montScratch)
-		for j, row := range t.pow {
-			mrow := make([][]big.Word, len(row))
-			for i, e := range row {
-				ent := natFromBig(make([]big.Word, mod.k), e)
-				mod.montMul(ent, ent, mod.r2l, s) // enter the domain once
-				mrow[i] = ent
-			}
-			t.powMont[j] = mrow
-		}
-		mod.pool.Put(s)
-	}
-	return t, nil
-}
-
-// MaxBits returns the largest exponent bit length the table supports.
-func (t *FixedBaseTable) MaxBits() int { return t.maxBits }
-
-// Exp returns base^e mod m for 0 <= e < 2^maxBits, using one table lookup
-// and multiplication per nonzero window of e.
-func (t *FixedBaseTable) Exp(e *big.Int) (*big.Int, error) {
-	if e == nil || e.Sign() < 0 {
-		return nil, fmt.Errorf("zmath: fixed-base exponent must be non-negative")
-	}
-	if e.BitLen() > t.maxBits {
-		return nil, fmt.Errorf("zmath: fixed-base exponent %d bits exceeds table limit %d", e.BitLen(), t.maxBits)
-	}
-	if t.mod.active() {
-		return t.expMont(e), nil
-	}
-	out := big.NewInt(1)
-	mask := uint(1<<t.window) - 1
-	bits := e.BitLen()
-	for j := 0; j*int(t.window) < bits; j++ {
-		// Extract window j of the exponent.
-		var idx uint
-		base := j * int(t.window)
-		for b := 0; b < int(t.window); b++ {
-			idx |= uint(e.Bit(base+b)) << b
-		}
-		idx &= mask
-		if idx == 0 {
-			continue
-		}
-		out.Mul(out, t.pow[j][idx-1])
-		out.Mod(out, t.m)
-	}
-	return out, nil
-}
-
-// expMont is the Montgomery-domain window chain: the table entries are
-// pre-entered, the accumulator starts at the domain's 1 (R mod m), and
-// only the final exit multiply leaves the domain. Outputs are canonical
-// residues, bit-identical to the plain path.
-func (t *FixedBaseTable) expMont(e *big.Int) *big.Int {
-	mod := t.mod
-	s := mod.pool.Get().(*montScratch)
-	acc := make([]big.Word, mod.k)
-	copy(acc, mod.rl)
-	mask := uint(1<<t.window) - 1
-	bits := e.BitLen()
-	for j := 0; j*int(t.window) < bits; j++ {
-		var idx uint
-		base := j * int(t.window)
-		for b := 0; b < int(t.window); b++ {
-			idx |= uint(e.Bit(base+b)) << b
-		}
-		idx &= mask
-		if idx == 0 {
-			continue
-		}
-		mod.montMul(acc, acc, t.powMont[j][idx-1], s)
-	}
-	mod.montMul(acc, acc, mod.onel, s)
-	mod.pool.Put(s)
-	return natToBig(acc)
-}

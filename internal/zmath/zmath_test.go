@@ -209,81 +209,3 @@ func TestBatchModInverseErrors(t *testing.T) {
 		t.Fatalf("empty input should be a no-op, got %v, %v", out, err)
 	}
 }
-
-func TestFixedBaseTableFixedVectors(t *testing.T) {
-	m := big.NewInt(1000003)
-	base := big.NewInt(12345)
-	tab, err := NewFixedBaseTable(base, m, 4, 64)
-	if err != nil {
-		t.Fatalf("NewFixedBaseTable: %v", err)
-	}
-	// Fixed vectors spanning zero, single-window, window-boundary, and
-	// maximum-width exponents.
-	for _, e := range []uint64{0, 1, 2, 15, 16, 17, 255, 256, 65535, 1 << 32, 1<<63 - 1, 1 << 63, ^uint64(0)} {
-		exp := new(big.Int).SetUint64(e)
-		got, err := tab.Exp(exp)
-		if err != nil {
-			t.Fatalf("Exp(%d): %v", e, err)
-		}
-		want := new(big.Int).Exp(base, exp, m)
-		if got.Cmp(want) != 0 {
-			t.Errorf("Exp(%d) = %v, want %v", e, got, want)
-		}
-	}
-}
-
-func TestFixedBaseTableRandom(t *testing.T) {
-	m, _ := new(big.Int).SetString("c90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b22514a08798e3404dd", 16)
-	base, err := RandUnit(rand.Reader, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []uint{1, 3, 6, 8} {
-		tab, err := NewFixedBaseTable(base, m, w, 256)
-		if err != nil {
-			t.Fatalf("NewFixedBaseTable(w=%d): %v", w, err)
-		}
-		for i := 0; i < 20; i++ {
-			e, err := RandInt(rand.Reader, new(big.Int).Lsh(One, 256))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := tab.Exp(e)
-			if err != nil {
-				t.Fatalf("Exp: %v", err)
-			}
-			if want := new(big.Int).Exp(base, e, m); got.Cmp(want) != 0 {
-				t.Fatalf("w=%d: Exp(%v) mismatch", w, e)
-			}
-		}
-	}
-}
-
-func TestFixedBaseTableErrors(t *testing.T) {
-	m := big.NewInt(101)
-	if _, err := NewFixedBaseTable(big.NewInt(2), m, 0, 16); err == nil {
-		t.Error("expected error for window 0")
-	}
-	if _, err := NewFixedBaseTable(big.NewInt(2), m, 17, 16); err == nil {
-		t.Error("expected error for window 17")
-	}
-	if _, err := NewFixedBaseTable(big.NewInt(0), m, 4, 16); err == nil {
-		t.Error("expected error for zero base")
-	}
-	if _, err := NewFixedBaseTable(big.NewInt(2), m, 4, 0); err == nil {
-		t.Error("expected error for maxBits 0")
-	}
-	tab, err := NewFixedBaseTable(big.NewInt(2), m, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.MaxBits() != 16 {
-		t.Errorf("MaxBits = %d, want 16", tab.MaxBits())
-	}
-	if _, err := tab.Exp(big.NewInt(1 << 17)); err == nil {
-		t.Error("expected error for oversized exponent")
-	}
-	if _, err := tab.Exp(big.NewInt(-1)); err == nil {
-		t.Error("expected error for negative exponent")
-	}
-}

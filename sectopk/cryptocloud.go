@@ -19,17 +19,13 @@ import (
 type CryptoCloud struct {
 	svc    *cloud.Service
 	ledger *cloud.Ledger
-	cfg    config
 }
 
-// NewCryptoCloud builds an empty crypto cloud. Options configure the
-// per-relation encryption surfaces (nonce paths).
+// NewCryptoCloud builds an empty crypto cloud. A crypto cloud ignores
+// every option: its encryption surfaces follow from the keys it holds.
+// The variadic parameter lets every role take the one shared option list.
 func NewCryptoCloud(opts ...Option) *CryptoCloud {
-	return &CryptoCloud{
-		svc:    cloud.NewService(),
-		ledger: cloud.NewLedger(),
-		cfg:    buildConfig(opts),
-	}
+	return &CryptoCloud{svc: cloud.NewService(), ledger: cloud.NewLedger()}
 }
 
 // Register adds a relation under id with the owner-provisioned key
@@ -38,7 +34,7 @@ func (c *CryptoCloud) Register(id string, keys *Keys) error {
 	if keys == nil || keys.km == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: nil key material")
 	}
-	return c.svc.Register(id, keys.km, c.ledger, c.cfg.cloudOptions()...)
+	return c.svc.Register(id, keys.km, c.ledger)
 }
 
 // Deregister removes a relation and releases its background pools.

@@ -596,7 +596,7 @@ func (d *DataCloud) prepare(ctx context.Context, id string, pk *paillier.PublicK
 	if err != nil {
 		return nil, err
 	}
-	client, err := cloud.NewClient(caller, pk, d.ledger, append(d.cfg.cloudOptions(), cloud.WithRelation(id))...)
+	client, err := cloud.NewClient(caller, pk, d.ledger, cloud.WithRelation(id))
 	if err != nil {
 		return nil, err
 	}

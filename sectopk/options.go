@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/ehl"
 	"repro/internal/qos"
@@ -21,7 +20,6 @@ type config struct {
 	keyBits      int
 	ehlDigests   int
 	maxScoreBits int
-	fastNonce    bool
 	shards       int
 	sessionLimit int
 	retry        *RetryPolicy
@@ -70,14 +68,6 @@ func (c config) coreParams() core.Params {
 		KeyBits:      c.keyBits,
 		EHL:          ehl.Params{Kind: ehl.KindPlus, S: c.ehlDigests},
 		MaxScoreBits: c.maxScoreBits,
-		FastNonce:    c.fastNonce,
-	}
-}
-
-// cloudOptions maps the config to the cloud-layer option set.
-func (c config) cloudOptions() []cloud.Option {
-	return []cloud.Option{
-		cloud.WithFastNonce(c.fastNonce),
 	}
 }
 
@@ -100,14 +90,6 @@ func WithEHLDigests(s int) Option {
 // comparison masks.
 func WithMaxScoreBits(bits int) Option {
 	return func(c *config) { c.maxScoreBits = bits }
-}
-
-// WithFastNonce opts into the short-exponent fixed-base nonce path for
-// every encryption surface the role owns. Off by default: it rests on
-// the short-exponent/subgroup assumption on top of DCR (see DESIGN.md
-// "Precomputation fast paths").
-func WithFastNonce(on bool) Option {
-	return func(c *config) { c.fastNonce = on }
 }
 
 // WithShards partitions relations into p round-robin shards at Enc time
