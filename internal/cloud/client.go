@@ -155,22 +155,72 @@ func (c *Client) Gadget(ctx context.Context, method string, group, width int, te
 	if group < 1 || width < 1 || len(tests)%group != 0 || len(pay) != width*(len(tests)/group) {
 		return nil, nil, fmt.Errorf("cloud: %s: %d tests and %d payloads for groups of %d and width %d", method, len(tests), len(pay), group, width)
 	}
-	n := len(tests) / group
-	req := &GadgetRequest{Relation: c.relation, Width: width, Group: group}
-	if req.Cts, err = ctsToBig(tests); err != nil {
-		return nil, nil, err
-	}
+	req := &GadgetRequest{Width: width, Group: group}
 	if req.Pay, err = ctsToBig(pay); err != nil {
 		return nil, nil, err
 	}
+	bits, out, _, err = c.gadget(ctx, method, req, tests, len(tests)/group, len(pay), 0)
+	return bits, out, err
+}
+
+// MatrixSide is one side of an equality matrix, its rows or its columns:
+// Items items of Width blinded payloads each (Pay[i*Width:] are item i's),
+// of which the last Cross cross into the item i matches on the other side
+// and the rest are scaled by i's own bit.
+type MatrixSide struct {
+	Items, Width, Cross int
+	Pay                 []*paillier.Ciphertext
+}
+
+// Validate checks the side's shape: at least one item, Cross within
+// Width, Width payloads an item.
+func (s MatrixSide) Validate() error {
+	if s.Items < 1 || s.Cross < 0 || s.Cross > s.Width || len(s.Pay) != s.Items*s.Width {
+		return fmt.Errorf("cloud: %d payloads for %d matrix items of width %d, %d crossing", len(s.Pay), s.Items, s.Width, s.Cross)
+	}
+	return nil
+}
+
+// Matrix runs one EqBits round over the rows.Items × cols.Items zero
+// tests cells, row-major: S2 answers Enc(t_rc) per cell and, per row, its
+// scaled payloads times t_r = Σ_c t_rc and then, per crossing column
+// payload, the sum of the column payloads its cells select; per column
+// the same the other way round.
+func (c *Client) Matrix(ctx context.Context, cells []*paillier.Ciphertext, rows, cols MatrixSide) (bits, rowOut, colOut []*paillier.Ciphertext, err error) {
+	if err := rows.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := cols.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	if len(cells) != rows.Items*cols.Items {
+		return nil, nil, nil, fmt.Errorf("cloud: EqBits matrix: %d cells for %d×%d", len(cells), rows.Items, cols.Items)
+	}
+	req := &GadgetRequest{Width: rows.Width, Group: 1, Cross: rows.Cross, Cols: cols.Items, ColWidth: cols.Width, ColCross: cols.Cross}
+	if req.Pay, err = ctsToBig(rows.Pay); err != nil {
+		return nil, nil, nil, err
+	}
+	if req.ColPay, err = ctsToBig(cols.Pay); err != nil {
+		return nil, nil, nil, err
+	}
+	return c.gadget(ctx, MethodEqBits, req, cells, len(cells), rows.Items*(rows.Width-rows.Cross+cols.Cross), cols.Items*(cols.Width-cols.Cross+rows.Cross))
+}
+
+// gadget sends req with tests as its Cts and checks that the reply holds
+// the counts of bits and payloads asked for.
+func (c *Client) gadget(ctx context.Context, method string, req *GadgetRequest, tests []*paillier.Ciphertext, nBits, nOut, nColOut int) (bits, out, colOut []*paillier.Ciphertext, err error) {
+	req.Relation = c.relation
+	if req.Cts, err = ctsToBig(tests); err != nil {
+		return nil, nil, nil, err
+	}
 	var resp GadgetReply
 	if err := c.caller.Call(ctx, method, req, &resp); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if len(resp.Bits) != n || len(resp.Cts) != len(pay) {
-		return nil, nil, fmt.Errorf("cloud: %s reply has %d bits and %d payloads for %d bits of width %d", method, len(resp.Bits), len(resp.Cts), n, width)
+	if len(resp.Bits) != nBits || len(resp.Cts) != nOut || len(resp.ColCts) != nColOut {
+		return nil, nil, nil, fmt.Errorf("cloud: %s reply has %d bits, %d payloads and %d column payloads, want %d, %d and %d", method, len(resp.Bits), len(resp.Cts), len(resp.ColCts), nBits, nOut, nColOut)
 	}
-	return bigToCts(resp.Bits), bigToCts(resp.Cts), nil
+	return bigToCts(resp.Bits), bigToCts(resp.Cts), bigToCts(resp.ColCts), nil
 }
 
 // MultBlinded sends blinded factor pairs and returns the raw products

@@ -177,6 +177,148 @@ func TestEqBitsGrouped(t *testing.T) {
 	checkGadget(t, MethodEqBits, 3, tests, []int64{1, 0, 1})
 }
 
+// TestEqBitsMatrix: with a column section the bits are the cells of an
+// R×C matrix of zero tests. Here R = 3 rows against C = 4 columns, row 0
+// matching column 2 and row 2 column 0. Row r carries 10r, 10r+1, 10r+2,
+// the last two crossing; column c carries 100c and 100c+1, the last
+// crossing. S2 must answer Enc(t_rc) per cell; per row t_r*10r and then
+// the crossing column payload of the column it matches (0 for none); per
+// column t_c*100c and then the two crossing payloads of the row it
+// matches; every reply under a nonce of S2's own. Its ledger names the
+// matrix and its match count. A malformed matrix is refused typed before
+// anything is decrypted.
+func TestEqBitsMatrix(t *testing.T) {
+	e := env(t)
+	pk := &e.keys.Paillier.PublicKey
+	enc := func(m int64) *paillier.Ciphertext {
+		ct, err := pk.EncryptInt64(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	const R, C = 3, 4
+	match := map[int]int{0: 2, 2: 0}
+	var cells []*paillier.Ciphertext
+	for r := 0; r < R; r++ {
+		for c := 0; c < C; c++ {
+			m := int64(7 + r + c)
+			if to, ok := match[r]; ok && to == c {
+				m = 0
+			}
+			cells = append(cells, enc(m))
+		}
+	}
+	rows := MatrixSide{Items: R, Width: 3, Cross: 2}
+	for r := 0; r < R; r++ {
+		rows.Pay = append(rows.Pay, enc(int64(10*r)), enc(int64(10*r+1)), enc(int64(10*r+2)))
+	}
+	cols := MatrixSide{Items: C, Width: 2, Cross: 1}
+	for c := 0; c < C; c++ {
+		cols.Pay = append(cols.Pay, enc(int64(100*c)), enc(int64(100*c+1)))
+	}
+	e.s2led.Reset()
+	bits, rowOut, colOut, err := e.client.Matrix(context.Background(), cells, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for r := 0; r < R; r++ {
+		for c := 0; c < C; c++ {
+			if to, ok := match[r]; ok && to == c {
+				want = append(want, 1)
+			} else {
+				want = append(want, 0)
+			}
+		}
+	}
+	for r := 0; r < R; r++ {
+		if c, ok := match[r]; ok {
+			want = append(want, int64(10*r), int64(100*c+1))
+		} else {
+			want = append(want, 0, 0)
+		}
+	}
+	for c := 0; c < C; c++ {
+		found := false
+		for r, to := range match {
+			if to == c {
+				want = append(want, int64(100*c), int64(10*r+1), int64(10*r+2))
+				found = true
+			}
+		}
+		if !found {
+			want = append(want, 0, 0, 0)
+		}
+	}
+	got := append(append(append([]*paillier.Ciphertext(nil), bits...), rowOut...), colOut...)
+	if len(got) != len(want) {
+		t.Fatalf("%d bits, %d row and %d column outputs; want %d, %d and %d", len(bits), len(rowOut), len(colOut), R*C, 2*R, 3*C)
+	}
+	sent := append(append(append([]*paillier.Ciphertext(nil), cells...), rows.Pay...), cols.Pay...)
+	for i, ct := range got {
+		if m, err := e.keys.Paillier.Decrypt(ct); err != nil || m.Int64() != want[i] {
+			t.Errorf("reply ciphertext %d = %v (%v), want %d", i, m, err, want[i])
+		}
+		for _, in := range sent {
+			if ct.C.Cmp(in.C) == 0 {
+				t.Errorf("reply ciphertext %d is a request ciphertext verbatim", i)
+			}
+		}
+	}
+	if ev := e.s2led.ByMethod(MethodEqBits); len(ev) != 1 || !strings.Contains(ev[0].Detail, "3×4 cells, 2 equal") {
+		t.Errorf("ledger = %v, want one EqBits line naming 3×4 cells, 2 equal", ev)
+	}
+
+	bad := cols
+	bad.Pay = cols.Pay[1:]
+	if _, _, _, err := e.client.Matrix(context.Background(), cells, rows, bad); err == nil {
+		t.Error("client sent a matrix with a column payload missing")
+	}
+	if _, _, _, err := e.client.Matrix(context.Background(), cells[1:], rows, cols); err == nil {
+		t.Error("client sent a matrix a cell short")
+	}
+
+	one, zero := big.NewInt(1), new(big.Int)
+	ones := func(n int) []*big.Int {
+		out := make([]*big.Int, n)
+		for i := range out {
+			out[i] = one
+		}
+		return out
+	}
+	matrix := func(edit func(*GadgetRequest)) *GadgetRequest {
+		req := &GadgetRequest{Width: 3, Group: 1, Cts: ones(R * C), Pay: ones(3 * R), Cross: 2, Cols: C, ColWidth: 2, ColCross: 1, ColPay: ones(2 * C)}
+		edit(req)
+		return req
+	}
+	malformed := map[string]*GadgetRequest{
+		"cells not R·C":              matrix(func(q *GadgetRequest) { q.Cts = ones(R*C - 1) }),
+		"no cells":                   matrix(func(q *GadgetRequest) { q.Cts, q.Pay = nil, nil }),
+		"a column payload short":     matrix(func(q *GadgetRequest) { q.ColPay = ones(2*C - 1) }),
+		"a column payload too many":  matrix(func(q *GadgetRequest) { q.ColPay = ones(2*C + 1) }),
+		"a nil column payload":       matrix(func(q *GadgetRequest) { q.ColPay[3] = nil }),
+		"a zero column payload":      matrix(func(q *GadgetRequest) { q.ColPay = append(ones(2*C-1), zero) }),
+		"column payload outside N^2": matrix(func(q *GadgetRequest) { q.ColPay = append(ones(2*C-1), pk.N2) }),
+		"crossing past the width":    matrix(func(q *GadgetRequest) { q.Cross = 4 }),
+		"column crossing past width": matrix(func(q *GadgetRequest) { q.ColCross = 3 }),
+		"columns but no Cols":        matrix(func(q *GadgetRequest) { q.Cols = 0 }),
+		"groups of two":              matrix(func(q *GadgetRequest) { q.Group, q.Cts = 2, ones(2*R*C) }),
+		"column width past the body": matrix(func(q *GadgetRequest) { q.ColWidth, q.ColCross, q.ColPay = 1<<62, 0, nil }),
+		// Twelve rows against one column, each receiving 40 crossing sums:
+		// 480 sums for 64 ciphertexts sent.
+		"crossing sums past twice the request": {Width: 1, Group: 1, Cts: ones(12), Pay: ones(12), Cols: 1, ColWidth: 40, ColCross: 40, ColPay: ones(40)},
+	}
+	for name, req := range malformed {
+		if _, err := e.server.gadget(context.Background(), MethodEqBits, req); !errors.Is(err, secerr.ErrBadRequest) {
+			t.Errorf("EqBits matrix, %s: got %v, want bad_request", name, err)
+		}
+	}
+	if _, err := e.server.gadget(context.Background(), MethodCompareHidden, matrix(func(*GadgetRequest) {})); !errors.Is(err, secerr.ErrBadRequest) {
+		t.Errorf("CompareHidden with a column section: got %v, want bad_request", err)
+	}
+}
+
 // TestRecover: S2 no longer serves Algorithm 5's Recover round; a request
 // under its name is refused typed unknown_method, whatever it carries,
 // and the retry policy does not re-issue it.

@@ -163,7 +163,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	for _, method := range []string{MethodEqBits, MethodCompareHidden} {
 		for _, name := range names {
 			code := bad
-			if name == "served" || name == "grouped" && method == MethodEqBits {
+			if name == "served" || (name == "grouped" || name == "matrix") && method == MethodEqBits {
 				code = ""
 			}
 			seeds = append(seeds, fuzzSeed{method: method, body: enc(shapes[name]), code: code})

@@ -166,32 +166,40 @@ func serveBatch(ctx context.Context, r responder, body []byte) ([]byte, error) {
 // of the group's EHL differences is zero, Algorithm 4 lines 11-13; a
 // group wider than one is SecDedup's OR over a row's earlier rows) — then
 // answers Enc(t_k) and, for each of the bit's payloads, the payload
-// re-randomized (t = 1) or a fresh Enc(0) (t = 0). Every reply ciphertext
-// carries a nonce power S2 drew, so S1 cannot tell which way a bit went;
-// every payload is blinded, so S2 learns nothing it did not learn from
-// the tests alone. The whole request is checked before anything is
-// decrypted: an error that depended on a bit would tell S1 the bit.
+// re-randomized (t = 1) or a fresh Enc(0) (t = 0). A plain round is a
+// matrix of one column with no column payloads; with a column section
+// each cell is a bit, a scaled payload is raised to its row's (column's)
+// t = Σ t_rc, and a crossing payload is summed into every cell it
+// matches, Π_r pay_r^{t_rc} per column (Π_c pay_c^{t_rc} per row): one
+// factor where the matrix has a match, none where it has not. Every reply
+// ciphertext carries a nonce power S2 drew, so S1 cannot tell which way a
+// bit went; every payload is blinded, so S2 learns nothing it did not
+// learn from the tests alone. The whole request is checked before
+// anything is decrypted: an error that depended on a bit would tell S1
+// the bit.
 func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) (*GadgetReply, error) {
+	rows, cols, err := gadgetShape(method, req)
+	if err != nil {
+		return nil, err
+	}
 	grp, w := req.Group, req.Width
-	if grp < 1 || grp != 1 && method != MethodEqBits {
-		return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: groups of %d tests", method, grp)
-	}
-	g := len(req.Cts) / grp
-	if len(req.Cts) != g*grp || w < 1 || g > 0 && w > len(req.Pay) || len(req.Pay) != g*w {
-		return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: %d tests and %d payloads for bits of %d tests and width %d", method, len(req.Cts), len(req.Pay), grp, w)
-	}
 	n2 := s.keys.Paillier.N2
-	for i, c := range req.Pay {
-		if c == nil || c.Sign() <= 0 || c.Cmp(n2) >= 0 {
-			return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: payload %d is not a ciphertext", method, i)
+	for _, side := range []struct {
+		what string
+		pay  []*big.Int
+	}{{"payload", req.Pay}, {"column payload", req.ColPay}} {
+		for i, c := range side.pay {
+			if c == nil || c.Sign() <= 0 || c.Cmp(n2) >= 0 {
+				return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: %s %d is not a ciphertext", method, side.what, i)
+			}
 		}
 	}
 	ms, err := s.decryptRaw(req.Cts, method)
 	if err != nil {
 		return nil, err
 	}
-	ts := make([]bool, g)
-	set, zeros := 0, 0
+	ts := make([]bool, rows*cols)
+	zeros := 0
 	for i, m := range ms {
 		if method == MethodEqBits {
 			if m.Sign() == 0 {
@@ -202,45 +210,144 @@ func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) 
 			ts[i] = zmath.IsNegative(m, s.keys.Paillier.N)
 		}
 	}
+	set := 0
 	for _, t := range ts {
 		if t {
 			set++
 		}
 	}
-	out := &GadgetReply{Bits: make([]*big.Int, g), Cts: make([]*big.Int, g*w)}
-	err = parallel.ForEachCtx(ctx, g, func(i int) error {
-		t := zmath.Zero
-		if ts[i] {
-			t = zmath.One
-		}
-		bit, err := s.pkEnc.Encrypt(t)
-		if err != nil {
-			return err
-		}
-		out.Bits[i] = bit.C
-		for j, c := range req.Pay[i*w : (i+1)*w] {
-			var ct *paillier.Ciphertext
-			if ts[i] {
-				ct, err = s.pkEnc.Rerandomize(&paillier.Ciphertext{C: c})
-			} else {
-				ct, err = s.pkEnc.EncryptZero()
+	rowScaled, colScaled := w-req.Cross, req.ColWidth-req.ColCross
+	rowW, colW := rowScaled+req.ColCross, colScaled+req.Cross
+	out := &GadgetReply{Bits: make([]*big.Int, rows*cols), Cts: make([]*big.Int, rows*rowW)}
+	items := rows
+	if req.Cols > 0 {
+		out.ColCts = make([]*big.Int, cols*colW)
+		items += cols
+	}
+	// Item i < rows is row i, item rows + c column c.
+	err = parallel.ForEachCtx(ctx, items, func(i int) error {
+		if i < rows {
+			matches := ts[i*cols : (i+1)*cols]
+			for c, match := range matches {
+				t := zmath.Zero
+				if match {
+					t = zmath.One
+				}
+				bit, err := s.pkEnc.Encrypt(t)
+				if err != nil {
+					return err
+				}
+				out.Bits[i*cols+c] = bit.C
 			}
-			if err != nil {
-				return err
-			}
-			out.Cts[i*w+j] = ct.C
+			return s.answerItem(out.Cts[i*rowW:(i+1)*rowW], matches, req.Pay[i*w:(i+1)*w], rowScaled, req.ColPay, req.ColWidth)
 		}
-		return nil
+		c := i - rows
+		matches := make([]bool, rows)
+		for r := range matches {
+			matches[r] = ts[r*cols+c]
+		}
+		return s.answerItem(out.ColCts[c*colW:(c+1)*colW], matches, req.ColPay[c*req.ColWidth:(c+1)*req.ColWidth], colScaled, req.Pay, w)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if method == MethodEqBits {
-		s.ledger.Record("S2", method, "equality pattern: %d equal of %d bits, %d zero tests in groups of %d, %d blinded payloads each", set, g, zeros, grp, w)
-	} else {
-		s.ledger.Record("S2", method, "compared %d blinded differences (hidden), %d blinded payloads each", g, w)
+	switch {
+	case req.Cols > 0:
+		s.ledger.Record("S2", method, "equality matrix: %d×%d cells, %d equal, %d blinded payloads a row and %d a column", rows, cols, set, w, req.ColWidth)
+	case method == MethodEqBits:
+		s.ledger.Record("S2", method, "equality pattern: %d equal of %d bits, %d zero tests in groups of %d, %d blinded payloads each", set, rows, zeros, grp, w)
+	default:
+		s.ledger.Record("S2", method, "compared %d blinded differences (hidden), %d blinded payloads each", rows, w)
 	}
 	return out, nil
+}
+
+// gadgetShape checks a gadget request's shape against its method and
+// returns its rows and columns: a plain round's bits are the rows of one
+// column. It multiplies no claimed count, so no count can wrap, and it
+// bounds the crossing sums, the one part of a reply the request does not
+// pay for ciphertext by ciphertext: each side's number at most twice the
+// request's ciphertexts.
+func gadgetShape(method string, req *GadgetRequest) (rows, cols int, err error) {
+	grp, w := req.Group, req.Width
+	matrix := req.Cols > 0 || req.Cross > 0 || req.ColWidth > 0 || req.ColCross > 0 || len(req.ColPay) > 0
+	switch {
+	case grp < 1 || grp != 1 && (method != MethodEqBits || matrix):
+		return 0, 0, secerr.New(secerr.CodeBadRequest, "cloud: %s: groups of %d tests", method, grp)
+	case matrix && method != MethodEqBits:
+		return 0, 0, secerr.New(secerr.CodeBadRequest, "cloud: %s: a column section", method)
+	case matrix && (req.Cols < 1 || len(req.Cts) == 0 || req.Cross > w || req.ColCross > req.ColWidth):
+		return 0, 0, secerr.New(secerr.CodeBadRequest, "cloud: %s: a matrix of %d columns over %d cells, %d of %d row payloads and %d of %d column payloads crossing", method, req.Cols, len(req.Cts), req.Cross, w, req.ColCross, req.ColWidth)
+	case !matrix && w < 1:
+		return 0, 0, secerr.New(secerr.CodeBadRequest, "cloud: %s: width %d", method, w)
+	}
+	cols = max(req.Cols, 1)
+	cells := len(req.Cts) / grp
+	rows = cells / cols
+	if cells*grp != len(req.Cts) || rows*cols != cells || !isProduct(len(req.Pay), rows, w) || !isProduct(len(req.ColPay), req.Cols, req.ColWidth) {
+		return 0, 0, secerr.New(secerr.CodeBadRequest, "cloud: %s: %d tests, %d payloads and %d column payloads for %d columns of bits of %d tests, width %d and column width %d",
+			method, len(req.Cts), len(req.Pay), len(req.ColPay), cols, grp, w, req.ColWidth)
+	}
+	if in := len(req.Cts) + len(req.Pay) + len(req.ColPay); matrix && (req.ColCross > 2*in/rows || req.Cross > 2*in/cols) {
+		return 0, 0, secerr.New(secerr.CodeBadRequest, "cloud: %s: %d rows of %d crossing sums and %d columns of %d for %d request ciphertexts", method, rows, req.ColCross, cols, req.Cross, in)
+	}
+	return rows, cols, nil
+}
+
+// isProduct reports whether n = a*b, without forming a*b.
+func isProduct(n, a, b int) bool {
+	if a == 0 {
+		return n == 0
+	}
+	return n%a == 0 && n/a == b
+}
+
+// answerItem fills reply with one matrix item's answers, given whether
+// it matches each item of the other side: its first scaled payloads of
+// own, each times its bit, the number of its matches, then one sum per
+// crossing payload of the other side, of the matching items' (other holds
+// otherW payloads an item, the crossing ones last). Every answer is the
+// product of the payloads its matches select, under a nonce of S2's own.
+func (s *Server) answerItem(reply []*big.Int, matches []bool, own []*big.Int, scaled int, other []*big.Int, otherW int) error {
+	crossFrom := otherW - (len(reply) - scaled) // where the other side's crossing payloads start
+	for j := range reply {
+		var factors []*big.Int
+		for x, m := range matches {
+			switch {
+			case !m:
+			case j < scaled:
+				factors = append(factors, own[j])
+			default:
+				factors = append(factors, other[x*otherW+crossFrom+j-scaled])
+			}
+		}
+		var err error
+		if reply[j], err = s.product(factors); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// product returns the product of the ciphertexts mod N^2 under a nonce
+// power of S2's own, a fresh Enc(0) for none.
+func (s *Server) product(factors []*big.Int) (*big.Int, error) {
+	if len(factors) == 0 {
+		ct, err := s.pkEnc.EncryptZero()
+		if err != nil {
+			return nil, err
+		}
+		return ct.C, nil
+	}
+	acc := factors[0]
+	if len(factors) > 1 {
+		acc = s.keys.Paillier.EngineN2().ProdMod(factors)
+	}
+	ct, err := s.pkEnc.Rerandomize(&paillier.Ciphertext{C: acc})
+	if err != nil {
+		return nil, err
+	}
+	return ct.C, nil
 }
 
 // compare decrypts each sign-blinded difference and reports its sign.

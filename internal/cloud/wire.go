@@ -193,16 +193,29 @@ func (m *HelloReply) UnmarshalBinary(b []byte) error {
 // payloads Enc(d + r) the bit scales, each blinded with a fresh Enc(r).
 // S2 applies the bit it reads: it answers Enc(t_k) and Enc(t_k*(d + r))
 // for every payload, so neither party learns the bit.
+//
+// The column section (EqBits with Group 1 only) makes the bits an R×Cols
+// matrix of zero tests, Cts row-major: the bit of row r is t_r = Σ_c
+// t_rc, that of column c is t_c = Σ_r t_rc. Of a row's Width payloads
+// the last Cross cross: S2 sums them into the column the row matches
+// instead of scaling them. Each column carries ColWidth payloads in
+// ColPay, the last ColCross of which cross into rows the same way.
 type GadgetRequest struct {
 	Relation string
-	Width    int
+	Width    int        // payloads per bit, per row of a matrix
 	Group    int        // tests per bit
 	Cts      []*big.Int // Paillier ciphertexts, Group per bit
 	Pay      []*big.Int // Paillier ciphertexts, Width per bit
+	Cross    int        // of a row's payloads, how many cross into its column
+	Cols     int        // matrix columns; 0 without a column section
+	ColWidth int        // payloads per column
+	ColCross int        // of a column's payloads, how many cross into its row
+	ColPay   []*big.Int // Paillier ciphertexts, ColWidth per column
 }
 
-// MarshalBinary: string(Relation) uvarint(Width) uvarint(Group), then Cts
-// and Pay as integer lists.
+// MarshalBinary: string(Relation) uvarint(Width) uvarint(Group), Cts and
+// Pay as integer lists, uvarint(Cross) uvarint(Cols) uvarint(ColWidth)
+// uvarint(ColCross), then ColPay as an integer list.
 func (m GadgetRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.String(m.Relation)
@@ -210,33 +223,45 @@ func (m GadgetRequest) MarshalBinary() ([]byte, error) {
 	w.Int("Group", m.Group)
 	w.Bigs("Cts", m.Cts)
 	w.Bigs("Pay", m.Pay)
+	w.Int("Cross", m.Cross)
+	w.Int("Cols", m.Cols)
+	w.Int("ColWidth", m.ColWidth)
+	w.Int("ColCross", m.ColCross)
+	w.Bigs("ColPay", m.ColPay)
 	return w.Finish()
 }
 
 func (m *GadgetRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	*m = GadgetRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Group: r.Int("Group"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay")}
+	*m = GadgetRequest{Relation: r.String("Relation"), Width: r.Int("Width"), Group: r.Int("Group"), Cts: r.Bigs("Cts"), Pay: r.Bigs("Pay"),
+		Cross: r.Int("Cross"), Cols: r.Int("Cols"), ColWidth: r.Int("ColWidth"), ColCross: r.Int("ColCross"), ColPay: r.Bigs("ColPay")}
 	return r.Finish()
 }
 
 // GadgetReply carries, per bit, Enc(t) in Bits and in Cts the bit's Width
 // payloads re-randomized (t = 1) or fresh encryptions of zero (t = 0).
+// For a matrix, Bits holds Enc(t_rc) per cell, row-major, and no bit per
+// row or column; per row, Cts holds its scaled payloads, then one sum per
+// crossing column payload; per column, ColCts holds its scaled payloads,
+// then one sum per crossing row payload.
 type GadgetReply struct {
-	Bits []*big.Int // Paillier ciphertexts, one per bit
-	Cts  []*big.Int // Paillier ciphertexts, Width per bit
+	Bits   []*big.Int // Paillier ciphertexts, one per bit (cell)
+	Cts    []*big.Int // Paillier ciphertexts, Width - Cross + ColCross per bit (row)
+	ColCts []*big.Int // Paillier ciphertexts, ColWidth - ColCross + Cross per column
 }
 
-// MarshalBinary: Bits, then Cts, as integer lists.
+// MarshalBinary: Bits, Cts, then ColCts, as integer lists.
 func (m GadgetReply) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.Bigs("Bits", m.Bits)
 	w.Bigs("Cts", m.Cts)
+	w.Bigs("ColCts", m.ColCts)
 	return w.Finish()
 }
 
 func (m *GadgetReply) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	*m = GadgetReply{Bits: r.Bigs("Bits"), Cts: r.Bigs("Cts")}
+	*m = GadgetReply{Bits: r.Bigs("Bits"), Cts: r.Bigs("Cts"), ColCts: r.Bigs("ColCts")}
 	return r.Finish()
 }
 

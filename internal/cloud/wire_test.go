@@ -279,6 +279,10 @@ func TestWireOverhead(t *testing.T) {
 		{&GadgetRequest{Relation: "relation-7", Width: w, Group: 1, Cts: full(g), Pay: full(g * w)}, g * (w + 1)},
 		{&GadgetRequest{Relation: "relation-7", Width: w, Group: g - 1, Cts: full(g * (g - 1)), Pay: full(g * w)}, g * (w + g - 1)},
 		{&GadgetReply{Bits: full(g), Cts: full(g * w)}, g * (w + 1)},
+		// SecUpdate's round at the benchmark's depth 2: a g×g matrix, w - 2
+		// scaled and 2 crossing payloads a row, one scaled a column.
+		{&GadgetRequest{Relation: "relation-7", Width: w, Group: 1, Cts: full(g * g), Pay: full(g * w), Cross: 2, Cols: g, ColWidth: 1, ColPay: full(g)}, g * (g + w + 1)},
+		{&GadgetReply{Bits: full(g * g), Cts: full(g * (w - 2)), ColCts: full(g * 3)}, g * (g + w + 1)},
 	} {
 		enc, err := transport.Encode(tc.m)
 		if err != nil {
@@ -292,11 +296,18 @@ func TestWireOverhead(t *testing.T) {
 
 // gadgetShapes are the gadget request shapes both of its method names
 // are fuzzed with: the ones S2 serves, and one for each refusal S2 makes
-// before it decrypts anything. "grouped" is served as EqBits only: a sign
-// test is read alone, so CompareHidden refuses a group of two.
+// before it decrypts anything. "grouped" and "matrix" are served as
+// EqBits only: a sign test is read alone, so CompareHidden refuses a
+// group of two, and an equality matrix is SecUpdate's, so CompareHidden
+// refuses a column section.
 func gadgetShapes() map[string]*GadgetRequest {
 	one, zero := big.NewInt(1), new(big.Int)
 	wide := oddOfBits(1024) // at least N^2 for any key the tests build
+	// A 1×2 matrix: the row's two payloads, one crossing; one payload
+	// per column, crossing.
+	matrix := func(cts, colPay []*big.Int) *GadgetRequest {
+		return &GadgetRequest{Relation: fuzzSeedRelation, Width: 2, Group: 1, Cts: cts, Pay: []*big.Int{one, one}, Cross: 1, Cols: 2, ColWidth: 1, ColCross: 1, ColPay: colPay}
+	}
 	return map[string]*GadgetRequest{
 		"served":              {Relation: fuzzSeedRelation, Width: 1, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
 		"grouped":             {Relation: fuzzSeedRelation, Width: 1, Group: 2, Cts: []*big.Int{one, one, one, one}, Pay: []*big.Int{one, one}},
@@ -306,6 +317,11 @@ func gadgetShapes() map[string]*GadgetRequest {
 		"count mismatch":      {Relation: fuzzSeedRelation, Width: 2, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{one}},
 		"nil payload":         {Relation: fuzzSeedRelation, Width: 1, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{zero}}, // a zero-length integer: the wire has no nil
 		"payload N^2 or past": {Relation: fuzzSeedRelation, Width: 1, Group: 1, Cts: []*big.Int{one}, Pay: []*big.Int{wide}},
+		// A 1×2 equality matrix and its malformed shapes.
+		"matrix":                      matrix([]*big.Int{one, one}, []*big.Int{one, one}),
+		"matrix cells not R·C":        matrix([]*big.Int{one, one, one}, []*big.Int{one, one}),
+		"matrix column payload short": matrix([]*big.Int{one, one}, []*big.Int{one}),
+		"matrix nil column payload":   matrix([]*big.Int{one, one}, []*big.Int{one, zero}),
 	}
 }
 

@@ -12,47 +12,56 @@ import (
 	"repro/internal/transport"
 )
 
-// integerBytes is a transport.Caller that adds up the bytes of every
-// integer — ciphertexts, and the ephemeral modulus beside them — in the
-// requests and replies passing through it.
+// integerBytes is a transport.Caller that adds up the integers —
+// ciphertexts, and the ephemeral modulus beside them — in the requests
+// and replies passing through it, and their bytes.
 type integerBytes struct {
-	inner transport.Caller
-	n     atomic.Int64
+	inner    transport.Caller
+	n, count atomic.Int64
 }
 
 func (c *integerBytes) Call(ctx context.Context, method string, req, resp any) error {
 	err := c.inner.Call(ctx, method, req, resp)
-	c.n.Add(sumIntegerBytes(reflect.ValueOf(req)) + sumIntegerBytes(reflect.ValueOf(resp)))
+	for _, m := range []any{req, resp} {
+		n, count := sumIntegerBytes(reflect.ValueOf(m))
+		c.n.Add(n)
+		c.count.Add(count)
+	}
 	return err
 }
 
-func sumIntegerBytes(v reflect.Value) (n int64) {
+func sumIntegerBytes(v reflect.Value) (n, count int64) {
 	if !v.IsValid() {
-		return 0
+		return 0, 0
 	}
 	if x, ok := v.Interface().(*big.Int); ok {
-		return int64(len(x.Bytes()))
+		return int64(len(x.Bytes())), 1
 	}
 	switch v.Kind() {
 	case reflect.Pointer:
 		return sumIntegerBytes(v.Elem())
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			n += sumIntegerBytes(v.Field(i))
+			dn, dc := sumIntegerBytes(v.Field(i))
+			n, count = n+dn, count+dc
 		}
 	case reflect.Slice:
 		for i := 0; i < v.Len(); i++ {
-			n += sumIntegerBytes(v.Index(i))
+			dn, dc := sumIntegerBytes(v.Index(i))
+			n, count = n+dn, count+dc
 		}
 	}
-	return n
+	return n, count
 }
 
 // TestWireBytesAreCiphertextBytes runs TestRoundBudget's query — the
 // benchmark's shape: Qry_F, m=3, k=2, halting at depth 2 — through the
 // batcher, as a deployment does, and holds what the link counts to within
 // 3 % of the ciphertext bytes the 15 rounds carry: the paper's measure of
-// bandwidth (Section 11.2.5) and the one transport.Stats reports.
+// bandwidth (Section 11.2.5) and the one transport.Stats reports. It pins
+// the integers those rounds carry, 367, of which SecUpdate's depth-2
+// round, one 3×3 equality matrix with its payloads once per item, takes
+// 33 each way.
 func TestWireBytesAreCiphertextBytes(t *testing.T) {
 	r := getRig(t)
 	rel := &dataset.Relation{Name: "ranked"}
@@ -89,7 +98,10 @@ func TestWireBytesAreCiphertextBytes(t *testing.T) {
 		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/15", res.Depth, res.Halted, stats.Rounds())
 	}
 	wire, cts := stats.Bytes(), payload.n.Load()
-	t.Logf("%d bytes on the link for %d bytes of integers: %.2f%% framing", wire, cts, 100*float64(wire-cts)/float64(cts))
+	t.Logf("%d bytes on the link for %d integers of %d bytes: %.2f%% framing", wire, payload.count.Load(), cts, 100*float64(wire-cts)/float64(cts))
+	if n := payload.count.Load(); n != 367 {
+		t.Errorf("the query carried %d integers, want 367", n)
+	}
 	if wire < cts || float64(wire) > 1.03*float64(cts) {
 		t.Errorf("link carried %d bytes for %d bytes of integers; want within 3%%", wire, cts)
 	}

@@ -73,6 +73,21 @@ func BenchmarkSecDedupReplace(b *testing.B) {
 	}
 }
 
+// BenchmarkSecUpdate5x3 times Qry_F's SecUpdate at the benchmark seam's
+// shape: 3 new items, one of them tracked, against 5 tracked ones. One
+// EqBits round of a 3×5 equality matrix, each item's payloads sent once.
+func BenchmarkSecUpdate5x3(b *testing.B) {
+	e := env(b)
+	tracked := []Item{e.item(b, 10, 700, 900), e.item(b, 11, 650, 880), e.item(b, 12, 600, 860), e.item(b, 1, 550, 840), e.item(b, 13, 500, 820)}
+	gamma := []Item{e.item(b, 1, 90, 800), e.item(b, 14, 80, 790), e.item(b, 15, 70, 780)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SecUpdate(context.Background(), e.client, tracked, gamma, cloud.DedupReplace); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEncCompare(b *testing.B) {
 	e := env(b)
 	x := e.enc(b, 100)

@@ -127,60 +127,201 @@ func ApplyBits(ctx context.Context, c *cloud.Client, method string, group, width
 		}
 	}
 	wireTests := make([]*paillier.Ciphertext, len(tests))
-	wirePay := make([]*paillier.Ciphertext, len(pay))
-	// exps[k][s] is N - r for the blind r on bit k's payload s.
-	exps := make([][]*big.Int, n)
-	err := parallel.ForEachCtx(ctx, n, func(k int) error {
-		for j, test := range tests[k*group : (k+1)*group] {
-			if test == nil || test.C == nil {
-				return fmt.Errorf("protocols: hidden bit %d has no test ciphertext %d", k, j)
-			}
-			wireTests[at[k]*group+j] = test
+	for x, test := range tests {
+		if test == nil || test.C == nil {
+			return nil, fmt.Errorf("protocols: hidden bit %d has no test ciphertext %d", x/group, x%group)
 		}
-		exps[k] = make([]*big.Int, width)
-		for s, d := range pay[k*width : (k+1)*width] {
-			if d == nil || d.C == nil {
-				return fmt.Errorf("protocols: hidden bit %d payload %d is nil", k, s)
-			}
-			r, err := zmath.RandInt(rand.Reader, pk.N)
-			if err != nil {
-				return err
-			}
-			blind, err := c.Enc().Encrypt(r)
-			if err != nil {
-				return err
-			}
-			if wirePay[at[k]*width+s], err = pk.Add(d, blind); err != nil {
-				return err
-			}
-			exps[k][s] = r.Sub(pk.N, r)
-		}
-		return nil
-	})
+		wireTests[at[x/group]*group+x%group] = test
+	}
+	blinded, exps, err := blindPayloads(ctx, c, pay)
 	if err != nil {
 		return nil, err
 	}
-	bits, out, err := c.Gadget(ctx, method, group, width, wireTests, wirePay)
+	bits, out, err := c.Gadget(ctx, method, group, width, wireTests, permuteItems(blinded, width, at))
 	if err != nil {
 		return nil, err
 	}
 	res := make([]*paillier.Ciphertext, len(pay))
 	err = parallel.ForEachCtx(ctx, n, func(k int) error {
-		powers, err := pk.EngineN2().ExpModShared(bits[at[k]].C, exps[k])
-		if err != nil {
-			return err
-		}
-		for s, p := range powers {
-			if res[k*width+s], err = pk.Add(out[at[k]*width+s], &paillier.Ciphertext{C: p}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return unblindScaled(pk, bits[at[k]].C, out[at[k]*width:(at[k]+1)*width], exps[k*width:(k+1)*width], res[k*width:(k+1)*width])
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// ApplyMatrix runs one round of the gadget over an R×C matrix of
+// equality tests, cells[r*C + c] the zero test of row r against column
+// c, where both sides are deduplicated so that each row and each column
+// matches at most once. A row's bit is t_r = Σ_c t_rc and a column's
+// t_c = Σ_r t_rc. For row r it returns, in order, Enc(t_r*d) for each of
+// its rows.Width - rows.Cross scaled payloads d, then for each of the
+// cols.Cross crossing column payloads Enc(Σ_c t_rc*d_c), the payload of
+// the column it matches or zero; for each column the same the other way
+// round. Payloads that depend on one side only thus travel once per item,
+// not once per (row, column) pair.
+//
+// Every payload is blinded with a fresh pooled Enc(r), as in ApplyBits,
+// and rows and columns go to S2 under fresh random permutations of their
+// own: a matrix with at most one match per row and column, so permuted,
+// shows S2 only its number of matches, what a permuted list of the pair
+// bits shows. S1 multiplies Enc(t_r) out of its row's cells, takes the
+// blinds off the scaled payloads with one squaring chain of it, and off
+// each crossing sum with one multi-exponentiation, Π_c Enc(t_rc)^(N-r_c).
+func ApplyMatrix(ctx context.Context, c *cloud.Client, cells []*paillier.Ciphertext, rows, cols cloud.MatrixSide) (rowOut, colOut []*paillier.Ciphertext, err error) {
+	R, C := rows.Items, cols.Items
+	if err := rows.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := cols.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if len(cells) != R*C {
+		return nil, nil, fmt.Errorf("protocols: %d cells for a %d×%d matrix", len(cells), R, C)
+	}
+	pk := c.PK()
+	// atR[r] and atC[c] are where row r and column c travel on the wire.
+	atR, err := prf.RandomPerm(R)
+	if err != nil {
+		return nil, nil, err
+	}
+	atC, err := prf.RandomPerm(C)
+	if err != nil {
+		return nil, nil, err
+	}
+	wireCells := make([]*paillier.Ciphertext, len(cells))
+	for x, cell := range cells {
+		if cell == nil || cell.C == nil {
+			return nil, nil, fmt.Errorf("protocols: matrix cell (%d, %d) has no test ciphertext", x/C, x%C)
+		}
+		wireCells[atR[x/C]*C+atC[x%C]] = cell
+	}
+	rowBlind, rowExps, err := blindPayloads(ctx, c, rows.Pay)
+	if err != nil {
+		return nil, nil, err
+	}
+	colBlind, colExps, err := blindPayloads(ctx, c, cols.Pay)
+	if err != nil {
+		return nil, nil, err
+	}
+	wireRows, wireCols := rows, cols
+	wireRows.Pay, wireCols.Pay = permuteItems(rowBlind, rows.Width, atR), permuteItems(colBlind, cols.Width, atC)
+	bits, rowReply, colReply, err := c.Matrix(ctx, wireCells, wireRows, wireCols)
+	if err != nil {
+		return nil, nil, err
+	}
+	rowW, colW := rows.Width-rows.Cross+cols.Cross, cols.Width-cols.Cross+rows.Cross
+	rowOut, colOut = make([]*paillier.Ciphertext, R*rowW), make([]*paillier.Ciphertext, C*colW)
+	// Item i < R is row i, item R + c column c, each with its cells
+	// Enc(t_rc) in the caller's order.
+	err = parallel.ForEachCtx(ctx, R+C, func(i int) error {
+		if i < R {
+			mine := make([]*big.Int, C)
+			for j := range mine {
+				mine[j] = bits[atR[i]*C+atC[j]].C
+			}
+			return unblindItem(pk, mine, rows, cols, rowExps[i*rows.Width:(i+1)*rows.Width], colExps,
+				rowReply[atR[i]*rowW:(atR[i]+1)*rowW], rowOut[i*rowW:(i+1)*rowW])
+		}
+		col := i - R
+		mine := make([]*big.Int, R)
+		for j := range mine {
+			mine[j] = bits[atR[j]*C+atC[col]].C
+		}
+		return unblindItem(pk, mine, cols, rows, colExps[col*cols.Width:(col+1)*cols.Width], rowExps,
+			colReply[atC[col]*colW:(atC[col]+1)*colW], colOut[col*colW:(col+1)*colW])
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return rowOut, colOut, nil
+}
+
+// unblindItem takes the blinds off one matrix item's answers got into
+// out, given its cells Enc(t_ij) against every item j of the other side:
+// its scaled payloads (exps, N - r per payload of its own) under its bit,
+// the product of its cells, on one squaring chain, and the sum crossing
+// from each of the other side's crossing slots under
+// Π_j Enc(t_ij)^(N - r_j), one multi-exponentiation.
+func unblindItem(pk *paillier.PublicKey, cells []*big.Int, self, other cloud.MatrixSide, exps, otherExps []*big.Int, got, out []*paillier.Ciphertext) error {
+	scaled := self.Width - self.Cross
+	if scaled > 0 {
+		bit := pk.EngineN2().ProdMod(cells)
+		if err := unblindScaled(pk, bit, got[:scaled], exps[:scaled], out[:scaled]); err != nil {
+			return err
+		}
+	}
+	blinds := make([]*big.Int, len(cells))
+	for s := 0; s < other.Cross; s++ {
+		for j := range blinds {
+			blinds[j] = otherExps[j*other.Width+other.Width-other.Cross+s]
+		}
+		p, err := pk.EngineN2().MultiExpMod(cells, blinds)
+		if err != nil {
+			return err
+		}
+		if out[scaled+s], err = pk.Add(got[scaled+s], &paillier.Ciphertext{C: p}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// blindPayloads returns Enc(d + r) for every payload Enc(d), each r fresh
+// under a fresh pooled Enc(r), and beside it N - r, the exponent that
+// takes the blind off whatever bit b S2 applied:
+// Enc(b*(d + r)) * Enc(b)^(N-r) = Enc(b*d).
+func blindPayloads(ctx context.Context, c *cloud.Client, pay []*paillier.Ciphertext) (blinded []*paillier.Ciphertext, exps []*big.Int, err error) {
+	pk := c.PK()
+	blinded, exps = make([]*paillier.Ciphertext, len(pay)), make([]*big.Int, len(pay))
+	err = parallel.ForEachCtx(ctx, len(pay), func(x int) error {
+		d := pay[x]
+		if d == nil || d.C == nil {
+			return fmt.Errorf("protocols: hidden-bit payload %d is nil", x)
+		}
+		r, err := zmath.RandInt(rand.Reader, pk.N)
+		if err != nil {
+			return err
+		}
+		blind, err := c.Enc().Encrypt(r)
+		if err != nil {
+			return err
+		}
+		if blinded[x], err = pk.Add(d, blind); err != nil {
+			return err
+		}
+		exps[x] = r.Sub(pk.N, r)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return blinded, exps, nil
+}
+
+// unblindScaled sets out[s] = got[s] * bit^exps[s], the powers from one
+// squaring chain of the bit.
+func unblindScaled(pk *paillier.PublicKey, bit *big.Int, got []*paillier.Ciphertext, exps []*big.Int, out []*paillier.Ciphertext) error {
+	powers, err := pk.EngineN2().ExpModShared(bit, exps)
+	if err != nil {
+		return err
+	}
+	for s, p := range powers {
+		if out[s], err = pk.Add(got[s], &paillier.Ciphertext{C: p}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// permuteItems moves item i's width payloads to where at[i] says.
+func permuteItems(pay []*paillier.Ciphertext, width int, at []int) []*paillier.Ciphertext {
+	out := make([]*paillier.Ciphertext, len(pay))
+	for x, p := range pay {
+		out[at[x/width]*width+x%width] = p
+	}
+	return out
 }
 
 // SecMult computes Enc(a_i * b_i) for each pair using the standard

@@ -49,19 +49,22 @@ import (
 // uniform-width rule: every group of one request has n - 1 tests, n the
 // request's bit count, so a group's size never tells S2 how many earlier
 // rows it was tested against. That no padding test repeats a nonce power
-// is S2's rule above, applied to every test of the group.
+// is S2's rule above, applied to every test of the group. And it holds
+// every equality matrix (SecUpdate's) to at most one match per row and
+// per column.
 type wireRecorder struct {
 	t     testing.TB
 	inner transport.Caller
 	keys  *cloud.KeyMaterial
 	eph   *paillier.PrivateKey // S1's, set once its stub exists
 
-	mu      sync.Mutex
-	powers  map[string]string // nonce power -> the message that first carried it
-	sent    map[string]string // other integer S1 sent -> its message
-	calls   int
-	dedups  int // Dedup calls
-	grouped int // EqBits calls with groups wider than one test
+	mu       sync.Mutex
+	powers   map[string]string // nonce power -> the message that first carried it
+	sent     map[string]string // other integer S1 sent -> its message
+	calls    int
+	dedups   int // Dedup calls
+	grouped  int // EqBits calls with groups wider than one test
+	matrices int // EqBits calls with a column section
 }
 
 func newWireRecorder(t testing.TB, inner transport.Caller, keys *cloud.KeyMaterial) *wireRecorder {
@@ -95,6 +98,10 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	}
 	switch q := req.(type) {
 	case *cloud.GadgetRequest:
+		if q.Cols > 0 {
+			r.matrices++
+			r.matchings(at, q)
+		}
 		if q.Group > 1 {
 			r.grouped++
 			if bits := len(q.Pay) / q.Width; q.Group != bits-1 {
@@ -108,6 +115,31 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 		r.blindRecords(at, q.Rows, resp.(*cloud.FilterReply).Rows)
 	}
 	return nil
+}
+
+// matchings holds an equality matrix (SecUpdate's) to the rule its
+// leakage argument rests on: at most one zero cell per row and per
+// column, so that under S1's row and column permutations the matrix shows
+// S2 its number of matches and nothing else.
+func (r *wireRecorder) matchings(at string, q *cloud.GadgetRequest) {
+	rows := len(q.Cts) / q.Cols
+	inRow, inCol := make([]int, rows), make([]int, q.Cols)
+	for x, c := range q.Cts {
+		m, err := r.keys.Paillier.Decrypt(&paillier.Ciphertext{C: c})
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if m.Sign() == 0 {
+			inRow[x/q.Cols]++
+			inCol[x%q.Cols]++
+		}
+	}
+	for _, n := range append(inRow, inCol...) {
+		if n > 1 {
+			r.t.Errorf("S2 view: %s: a %d×%d equality matrix with %d matches in one row or column", at, rows, q.Cols, n)
+			return
+		}
+	}
 }
 
 // fresh checks that ciphertext c, which the named party receives, carries
@@ -177,7 +209,7 @@ func (r *wireRecorder) noncePower(c *big.Int) string {
 func s2Receives(req any) (paillierCts, other []*big.Int) {
 	switch r := req.(type) {
 	case *cloud.GadgetRequest:
-		return append(append([]*big.Int(nil), r.Cts...), r.Pay...), nil
+		return append(append(append([]*big.Int(nil), r.Cts...), r.Pay...), r.ColPay...), nil
 	case *cloud.CompareRequest:
 		return r.Cts, nil
 	case *cloud.MultRequest:
@@ -197,7 +229,7 @@ func s2Receives(req any) (paillierCts, other []*big.Int) {
 func s2Sends(resp any) (paillierCts, other []*big.Int) {
 	switch r := resp.(type) {
 	case *cloud.GadgetReply:
-		return append(append([]*big.Int(nil), r.Bits...), r.Cts...), nil
+		return append(append(append([]*big.Int(nil), r.Bits...), r.Cts...), r.ColCts...), nil
 	case *cloud.MultReply:
 		return r.Products, nil
 	case *cloud.DedupReply:

@@ -11,21 +11,24 @@ import (
 )
 
 // SecUpdate merges the current depth's deduplicated items gamma into the
-// global encrypted list T (Algorithm 9). For every (new, existing) pair
-// with equality bit t:
+// global encrypted list T (Algorithm 9). For every (new g, tracked t)
+// pair with equality bit t_gt:
 //
-//	existing.W += t * new.W          (accumulate the depth contribution)
-//	existing.B  = t*new.B + (1-t)*existing.B   (take the fresher bound)
+//	t.W += t_gt * g.W          (accumulate the depth contribution)
+//	t.B  = t_gt * g.B + (1 - t_gt) * t.B   (take the fresher bound)
 //
 // and the new items are appended, so that each matched object survives
-// once. In Replace mode (Qry_F) the same bits also turn a matched new
-// item into a sentinel row, new += t * (sentinel - new): both lists are
-// deduplicated, so a new item matches at most one existing one, and the
-// sum over its pairs is linear in the bits. The whole update is one round
-// of the gadget, and |T| grows by |gamma| each depth, as in the paper. In
-// Eliminate mode (Qry_E) the new copy takes new.W += t * existing.W_old
-// instead, and a bipartite dedup drops one copy of each matched pair
-// (Algorithm 9 line 13), a second round.
+// once. Both lists are deduplicated, so the |gamma|×|T| matrix of bits
+// has at most one match per row and per column, and the whole update is
+// one ApplyMatrix round: g's W and B cross into the tracked item it
+// matches, t.B is scaled by t's own bit t_t = Σ_g t_gt, and
+// t.B - t_t*t.B + Σ_g t_gt*g.B is the fresher bound when matched. In
+// Replace mode (Qry_F) the same round also turns a matched new item into
+// a sentinel row, g += t_g*(sentinel - g), its row scaling sentinel - g
+// per slot, and |T| grows by |gamma| each depth, as in the paper. In
+// Eliminate mode (Qry_E) the new copy takes g.W += Σ_t t_gt*t.W instead,
+// t's W crossing into the row, and a bipartite dedup drops one copy of
+// each matched pair (Algorithm 9 line 13), a second round.
 //
 // Extra score columns beyond W and B (engine payload such as per-list seen
 // indicators) are merged additively like W.
@@ -50,119 +53,111 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	}
 	pk := c.PK()
 	replace := mode == cloud.DedupReplace
+	R, C := len(gamma), len(T)
 
-	// One gadget round over all (new, existing) pairs, permuted, each bit
-	// with the same width: per additive column (W and any payload beyond
-	// B) new.col for the existing copy and, outside Replace mode,
-	// existing.col for the new one; then new.B - existing.B; then, in
-	// Replace mode, sentinel - new for every slot of the new item. The
-	// equality ciphertexts build in parallel.
-	type pairRef struct{ g, t int }
-	var refs []pairRef
-	for gi := range gamma {
-		for ti := range T {
-			refs = append(refs, pairRef{gi, ti})
+	// The zero tests, one per (new, tracked) cell, build in parallel.
+	cells := make([]*paillier.Ciphertext, R*C)
+	err := parallel.ForEachCtx(ctx, R*C, func(x int) error {
+		var err error
+		if cells[x], err = ehl.SubEnc(c.Enc(), gamma[x/C].EHL, T[x%C].EHL); err != nil {
+			return fmt.Errorf("protocols: SecUpdate eq(%d,%d): %w", x/C, x%C, err)
 		}
-	}
-	tests, err := parallel.MapErrCtx(ctx, refs, func(_ int, r pairRef) (*paillier.Ciphertext, error) {
-		ct, err := ehl.SubEnc(c.Enc(), gamma[r.g].EHL, T[r.t].EHL)
-		if err != nil {
-			return nil, fmt.Errorf("protocols: SecUpdate eq(%d,%d): %w", r.g, r.t, err)
-		}
-		return ct, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var addCols []int
+	var additive []int // the score columns merged by adding: all but B
 	for col := 0; col < cols; col++ {
 		if col != ColBest {
-			addCols = append(addCols, col)
+			additive = append(additive, col)
 		}
 	}
-	hasBest := cols > ColBest
-	perCol := 2
+	merged, bestW := additive, 0 // the columns a row crosses; B_t, the one payload a column scales
+	if cols > ColBest {
+		merged, bestW = append(additive[:len(additive):len(additive)], ColBest), 1
+	}
+	var crossIn []int // the columns a tracked item crosses into its match: Eliminate mode's additive ones
+	if !replace {
+		crossIn = additive
+	}
+	// Row g: in Replace mode sentinel - g per slot, scaled by t_g; then
+	// its merged columns, crossing. Column t: B_t, scaled by t_t; then its
+	// crossIn columns, crossing.
 	var sentinels []*paillier.Ciphertext
 	if replace {
-		perCol = 1
 		if sentinels, err = sentinelDiffs(pk, gamma); err != nil {
 			return nil, err
 		}
 	}
-	sentinelW := len(sentinels) / len(gamma) // sentinel payloads per new item
-	width := perCol * len(addCols)
-	var fresher, older []*paillier.Ciphertext
-	if hasBest {
-		width++
-		for _, r := range refs {
-			fresher, older = append(fresher, gamma[r.g].Scores[ColBest]), append(older, T[r.t].Scores[ColBest])
+	slotsW := len(sentinels) / R
+	rows := cloud.MatrixSide{Items: R, Width: slotsW + len(merged), Cross: len(merged)}
+	for g, it := range gamma {
+		rows.Pay = append(rows.Pay, sentinels[g*slotsW:(g+1)*slotsW]...)
+		for _, col := range merged {
+			rows.Pay = append(rows.Pay, it.Scores[col])
 		}
 	}
-	bestDiffs, err := subAll(pk, fresher, older)
-	if err != nil {
-		return nil, err
-	}
-	slotsAt := width // where the sentinel payloads start
-	width += sentinelW
-	pay := make([]*paillier.Ciphertext, 0, width*len(refs))
-	for k, r := range refs {
-		for _, col := range addCols {
-			pay = append(pay, gamma[r.g].Scores[col])
-			if !replace {
-				pay = append(pay, T[r.t].Scores[col])
-			}
+	columns := cloud.MatrixSide{Items: C, Width: bestW + len(crossIn), Cross: len(crossIn)}
+	for _, it := range T {
+		if bestW > 0 {
+			columns.Pay = append(columns.Pay, it.Scores[ColBest])
 		}
-		if hasBest {
-			pay = append(pay, bestDiffs[k])
+		for _, col := range crossIn {
+			columns.Pay = append(columns.Pay, it.Scores[col])
 		}
-		pay = append(pay, sentinels[r.g*sentinelW:(r.g+1)*sentinelW]...)
 	}
-	chosen, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, width, tests, pay)
+	rowOut, colOut, err := ApplyMatrix(ctx, c, cells, rows, columns)
 	if err != nil {
 		return nil, err
 	}
 
-	// Apply updates on fresh copies. Adding composes across pairs because
-	// each object matches at most one pair: W and the payload columns
-	// accumulate t*value, the best bound becomes
-	// B_old + sum_g t_g*(B_g - B_old), the fresher value when matched, and
-	// in Replace mode a new item becomes new + sum_t t_t*(sentinel - new),
-	// the sentinel when matched.
-	newT := make([]Item, len(T))
-	for i := range T {
-		newT[i] = T[i].Clone()
-	}
-	newSlots := make([][]*paillier.Ciphertext, len(gamma))
-	for i := range gamma {
-		newSlots[i] = gamma[i].slots()
-	}
-	w := gamma[0].EHL.Width()
-	for k, r := range refs {
-		out := chosen[k*width : (k+1)*width]
-		for a, col := range addCols {
-			if newT[r.t].Scores[col], err = pk.Add(newT[r.t].Scores[col], out[perCol*a]); err != nil {
-				return nil, err
-			}
-			if !replace {
-				if newSlots[r.g][w+col], err = pk.Add(newSlots[r.g][w+col], out[perCol*a+1]); err != nil {
-					return nil, err
-				}
-			}
+	// T's copies: the additive columns add the matched g's, and B becomes
+	// B_t - t_t*B_t + Σ_g t_gt*B_g (one batch inversion for all of T).
+	colW := bestW + rows.Cross
+	newT := make([]Item, C)
+	var olds, dropped []*paillier.Ciphertext
+	for t, it := range T {
+		newT[t] = it.Clone()
+		if bestW > 0 {
+			olds, dropped = append(olds, it.Scores[ColBest]), append(dropped, colOut[t*colW])
 		}
-		if hasBest {
-			if newT[r.t].Scores[ColBest], err = pk.Add(newT[r.t].Scores[ColBest], out[slotsAt-1]); err != nil {
-				return nil, err
+	}
+	kept, err := subAll(pk, olds, dropped)
+	if err != nil {
+		return nil, err
+	}
+	for t := range newT {
+		cross := colOut[t*colW+bestW : (t+1)*colW]
+		for a, col := range merged {
+			base := newT[t].Scores[col]
+			if col == ColBest {
+				base = kept[t]
 			}
-		}
-		for s, d := range out[slotsAt:] {
-			if newSlots[r.g][s], err = pk.Add(newSlots[r.g][s], d); err != nil {
+			if newT[t].Scores[col], err = pk.Add(base, cross[a]); err != nil {
 				return nil, err
 			}
 		}
 	}
+	// The new items: in Replace mode each slot adds t_g*(sentinel - slot);
+	// in Eliminate mode each additive column adds the matched t's.
+	rowW := slotsW + len(crossIn)
 	combined := newT
-	for i, slots := range newSlots {
-		combined = append(combined, gamma[i].withSlots(slots))
+	for g, it := range gamma {
+		slots := it.slots()
+		out := rowOut[g*rowW : (g+1)*rowW]
+		for s, d := range out[:slotsW] {
+			if slots[s], err = pk.Add(slots[s], d); err != nil {
+				return nil, err
+			}
+		}
+		w := it.EHL.Width()
+		for a, col := range crossIn {
+			if slots[w+col], err = pk.Add(slots[w+col], out[slotsW+a]); err != nil {
+				return nil, err
+			}
+		}
+		combined = append(combined, it.withSlots(slots))
 	}
 	if replace {
 		return combined, nil
@@ -170,13 +165,13 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 
 	// Run the bipartite dedup so each matched object survives exactly
 	// once (Algorithm 9 line 13).
-	existingIdx := make([]int, len(newT))
-	for i := range newT {
+	existingIdx := make([]int, C)
+	for i := range existingIdx {
 		existingIdx[i] = i
 	}
-	newIdx := make([]int, len(newSlots))
-	for i := range newSlots {
-		newIdx[i] = len(newT) + i
+	newIdx := make([]int, R)
+	for i := range newIdx {
+		newIdx[i] = C + i
 	}
 	return SecDedup(ctx, c, combined, mode, Bipartite(newIdx, existingIdx), nil)
 }
