@@ -71,10 +71,10 @@ var depthBudget = []struct {
 	// tracked items in T and ends with ranked = tracked + m of them.
 	times func(tracked, ranked, k int) int
 }{
+	// Qry_F's dedup marks duplicates from SecWorstBest's own bits, and
+	// SecUpdate folds its trailing dedup into its own round: no dedup
+	// round at all.
 	{"SecWorstBest", []string{cloud.MethodEqBits}, func(int, int, int) int { return 1 }},
-	// Qry_F's dedup is one grouped gadget round, and SecUpdate folds its
-	// trailing dedup into its own: no Dedup round at all.
-	{"SecDedup", []string{cloud.MethodEqBits}, func(int, int, int) int { return 1 }},
 	{"SecUpdate", []string{cloud.MethodEqBits}, func(tracked, _, _ int) int {
 		if tracked == 0 {
 			return 0 // nothing to merge with
@@ -99,11 +99,11 @@ var depthBudget = []struct {
 
 // TestRoundBudget runs Qry_F, m=3 on a rank-correlated relation, which
 // halts at depth k, and holds every wire method to depthBudget. At k=2,
-// the benchmark's query shape, that is 6 rounds at depth 1 and 9 at
+// the benchmark's query shape, that is 5 rounds at depth 1 and 8 at
 // depth 2, one round a gate layer and one per hidden-bit batch. At k=6 the
 // halting check first runs at depth 3, and at depths 3-5 Batcher's network
 // ranks 6 of |T| = 9..15 items in 10 fewer layers than the selection
-// passes: the query takes 65 rounds where the passes alone took 75.
+// passes: the query takes 59 rounds where the passes alone took 69.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
 	const m = 3
@@ -116,7 +116,7 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	for _, tc := range []struct{ k, rounds int }{{2, 15}, {6, 65}} {
+	for _, tc := range []struct{ k, rounds int }{{2, 13}, {6, 59}} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			k := tc.k
 			stats := transport.NewStats()

@@ -20,9 +20,9 @@ import (
 type Mode int
 
 const (
-	// QryF is the fully private baseline: SecDedup (replace mode, one
-	// grouped gadget round) and the halting machinery run at every depth
-	// (Section 8).
+	// QryF is the fully private baseline: SecDedup (replace mode, marked
+	// from SecWorstBest's bits with no round of its own) and the halting
+	// machinery run at every depth (Section 8).
 	QryF Mode = iota
 	// QryE swaps SecDedup for SecDupElim, shrinking the tracked list and
 	// leaking the uniqueness pattern UP^d to S1 (Section 10.1).
@@ -123,23 +123,42 @@ func NewEngine(client *cloud.Client, er *EncryptedRelation) (*Engine, error) {
 	return &Engine{client: client, er: er, seenTokens: map[string]int{}, seenRuns: map[string]struct{}{}}, nil
 }
 
-// MagBits bounds |W|, |B| magnitudes for comparison masking: m weighted
-// scores of maxScoreBits bits each. Exported because the shard merge
+// MagBits bounds |W|, |B| magnitudes for comparison masking. A real W or
+// B sums m weighted scores of maxScoreBits bits each, so it lies in
+// [0, 2^realBits); a Qry_F row marked as a depth's u-th extra copy
+// (protocols.MarkDuplicates) sits u <= m-1 duplicate shifts of 2^realBits
+// below its own, which takes mBits more. Exported because the shard merge
 // must compare merged candidates under exactly the bound the per-shard
 // scans used — a divergent copy would silently break merge soundness.
 func MagBits(maxScoreBits int, tk *Token) int {
+	realBits, mBits := scoreBits(maxScoreBits, tk)
+	return realBits + mBits + 2
+}
+
+// scoreBits returns realBits, the bits of any real |W| or |B| under the
+// token (ValidateToken refuses negative weights), and mBits, the bits of
+// its list count.
+func scoreBits(maxScoreBits int, tk *Token) (realBits, mBits int) {
 	wBits := 1
 	for _, w := range tk.Weights {
 		if b := bits.Len64(uint64(w)); b > wBits {
 			wBits = b
 		}
 	}
-	mBits := bits.Len(uint(len(tk.Lists)))
-	return maxScoreBits + wBits + mBits + 2
+	mBits = bits.Len(uint(len(tk.Lists)))
+	return maxScoreBits + wBits + mBits, mBits
 }
 
 func (e *Engine) magBits(tk *Token) int {
 	return MagBits(e.er.MaxScoreBits, tk)
+}
+
+// duplicateShift is 2^realBits, the amount MarkDuplicates takes off a
+// duplicate's W and B per earlier copy: above every real score, so a
+// marked row ranks below every real one.
+func (e *Engine) duplicateShift(tk *Token) *big.Int {
+	realBits, _ := scoreBits(e.er.MaxScoreBits, tk)
+	return new(big.Int).Lsh(big.NewInt(1), uint(realBits))
 }
 
 // ValidateToken checks a token against the engine's relation without
@@ -168,6 +187,13 @@ func ValidateToken(tk *Token, m, n int) error {
 	}
 	if tk.Weights != nil && len(tk.Weights) != len(tk.Lists) {
 		return secerr.New(secerr.CodeInvalidToken, "core: token has %d weights for %d lists", len(tk.Weights), len(tk.Lists))
+	}
+	// A negative weight makes a real W negative, where it could fall
+	// below a duplicate's marked row and lose its place to it.
+	for i, w := range tk.Weights {
+		if w < 0 {
+			return secerr.New(secerr.CodeInvalidToken, "core: token weight %d is negative (%d)", i, w)
+		}
 	}
 	if tk.K <= 0 || tk.K > n {
 		return secerr.New(secerr.CodeInvalidToken, "core: token k=%d out of range", tk.K)
@@ -270,7 +296,7 @@ func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*QueryResult
 // queryPerDepth is the per-depth pipeline shared by Qry_F and Qry_E.
 func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
 	m, k := len(tk.Lists), tk.K
-	magBits := e.magBits(tk)
+	magBits, shift := e.magBits(tk), e.duplicateShift(tk)
 	dedupMode := cloud.DedupReplace
 	if opts.Mode == QryE {
 		dedupMode = cloud.DedupEliminate
@@ -304,7 +330,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 			histories[i].EHLs = append(histories[i].EHLs, depthItems[i].EHL)
 			histories[i].Scores = append(histories[i].Scores, depthItems[i].Score)
 		}
-		worst, best, err := protocols.SecWorstBestAll(ctx, e.client, depthItems, histories)
+		worst, best, same, err := protocols.SecWorstBestAll(ctx, e.client, depthItems, histories)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
 		}
@@ -315,9 +341,15 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 				Scores: []*paillier.Ciphertext{worst[i], best[i]},
 			}
 		}
-		gamma, err = protocols.SecDedup(ctx, e.client, gamma, dedupMode, protocols.AllPairs(m), nil)
+		// Qry_F marks the depth's duplicates from SecWorstBest's own bits,
+		// with no round; Qry_E drops them in a round of its own.
+		if opts.Mode == QryE {
+			gamma, err = protocols.SecDedup(ctx, e.client, gamma, cloud.DedupEliminate, protocols.AllPairs(m), nil)
+		} else {
+			gamma, err = protocols.MarkDuplicates(ctx, e.client.PK(), gamma, same, shift)
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d SecDedup: %w", d, err)
+			return nil, nil, fmt.Errorf("core: depth %d dedup: %w", d, err)
 		}
 		T, err = protocols.SecUpdate(ctx, e.client, T, gamma, dedupMode)
 		if err != nil {

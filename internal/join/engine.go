@@ -121,7 +121,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 			pay = append(pay, e.er2.Tuples[p.j][pos].Value)
 		}
 	}
-	resolved, err := protocols.ApplyBits(ctx, e.client, cloud.MethodEqBits, 1, nCols, tests, pay)
+	resolved, _, err := protocols.ApplyBits(ctx, e.client, cloud.MethodEqBits, 1, nCols, tests, pay)
 	if err != nil {
 		return nil, err
 	}

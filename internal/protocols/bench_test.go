@@ -55,9 +55,49 @@ func BenchmarkSecBestM3D4(b *testing.B) {
 	}
 }
 
-// BenchmarkSecDedupReplace times Qry_F's dedup of one depth's m = 3 rows:
-// one grouped gadget round (EqBits, groups of m - 1 tests), the blind
-// records' Dedup round it replaced gone.
+// BenchmarkSecWorstBestMark times one Qry_F depth's bounds and dedup at
+// the benchmark query's depth-2 shape (m = 3 lists, 3 digests, one object
+// in two lists at the current depth): SecWorstBestAll's one EqBits round,
+// then MarkDuplicates on its bits, with no round.
+func BenchmarkSecWorstBestMark(b *testing.B) {
+	e := env(b)
+	const m, d = 3, 2
+	hist := make([]ListHistory, m)
+	for j := 0; j < m; j++ {
+		for depth := 0; depth < d; depth++ {
+			obj := uint64(j*d + depth)
+			if depth == d-1 && j > 0 {
+				obj = 100
+			}
+			hist[j].EHLs = append(hist[j].EHLs, e.list(b, obj))
+			hist[j].Scores = append(hist[j].Scores, e.enc(b, int64(50-depth)))
+		}
+	}
+	items := make([]DepthItem, m)
+	for j := 0; j < m; j++ {
+		items[j] = DepthItem{EHL: hist[j].EHLs[d-1], Score: hist[j].Scores[d-1]}
+	}
+	pk := &e.keys.Paillier.PublicKey
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		worst, best, same, err := SecWorstBestAll(context.Background(), e.client, items, hist)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gamma := make([]Item, m)
+		for j := range gamma {
+			gamma[j] = Item{EHL: items[j].EHL, Scores: []*paillier.Ciphertext{worst[j], best[j]}}
+		}
+		if _, err := MarkDuplicates(context.Background(), pk, gamma, same, markShift); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSecDedupReplace times SecDedup's Replace mode on m = 3 rows:
+// one grouped gadget round (EqBits, groups of m - 1 tests). No query runs
+// it since Qry_F marks its duplicates from SecWorstBest's bits; the
+// benchmark's SecDedup seam still does.
 func BenchmarkSecDedupReplace(b *testing.B) {
 	e := env(b)
 	items := []Item{

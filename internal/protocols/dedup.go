@@ -45,7 +45,8 @@ func Bipartite(a, b []int) PairSet {
 }
 
 // SecDedup runs the oblivious deduplication protocol over the pair set:
-// Algorithm 7 (Replace mode, Qry_F), the SecDupElim variant of Section
+// Algorithm 7 (Replace mode; Qry_F marks its duplicates with
+// MarkDuplicates instead, in no round), the SecDupElim variant of Section
 // 10.1 (Eliminate, Qry_E) and the score-merging variant used by batched
 // processing (Merge).
 //
@@ -229,7 +230,7 @@ func replaceDuplicates(ctx context.Context, c *cloud.Client, items []Item, pairs
 		return nil, err
 	}
 	width := len(pay) / n
-	applied, err := ApplyBits(ctx, c, cloud.MethodEqBits, group, width, tests, pay)
+	applied, _, err := ApplyBits(ctx, c, cloud.MethodEqBits, group, width, tests, pay)
 	if err != nil {
 		return nil, err
 	}

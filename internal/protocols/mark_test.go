@@ -1,0 +1,217 @@
+package protocols
+
+import (
+	"context"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"repro/internal/ehl"
+	"repro/internal/paillier"
+	"repro/internal/prf"
+)
+
+// markShift is the duplicate shift the mark tests use: above every W and
+// B of their depths, m <= 5 scores below 2^16 each.
+var markShift = big.NewInt(1 << 20)
+
+// markDepth builds one depth of m items, item i carrying object objs[i]
+// under h and score scores[i], each list's history that depth alone.
+func markDepth(t testing.TB, e *testEnv, h *ehl.Hasher, objs []uint64, scores []int64) ([]DepthItem, []ListHistory) {
+	t.Helper()
+	items, hist := make([]DepthItem, len(objs)), make([]ListHistory, len(objs))
+	for i, obj := range objs {
+		l, err := h.Build(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items[i] = DepthItem{EHL: l, Score: e.enc(t, scores[i])}
+		hist[i] = ListHistory{EHLs: []*ehl.List{l}, Scores: []*paillier.Ciphertext{items[i].Score}}
+	}
+	return items, hist
+}
+
+// TestMarkDuplicates is the mark step's property test. Over depth shapes
+// of m = 1..5 items at S = 1 and 3 digests — no duplicates, pairs, one
+// object in every list, and random ones — it takes the bits of one
+// SecWorstBestAll round and marks the depth with them in no further
+// round, then decrypts every output. The first copy of each object keeps
+// its digests, W and B exactly. The copy with u earlier copies has
+// exactly W - u*shift and B - u*shift, and no digest of any object of the
+// domain. The rows come back in a fresh order, so they are checked as a
+// multiset.
+func TestMarkDuplicates(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk := &e.keys.Paillier.PublicKey
+	master := prf.Key(make([]byte, prf.KeySize))
+	one, err := ehl.NewHasher(master, ehl.Params{Kind: ehl.KindPlus, S: 1}, pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, h := range []*ehl.Hasher{one, e.hasher} {
+		S := h.Params().S
+		for m := 1; m <= 5; m++ {
+			shapes := make([][]uint64, 4) // distinct, pairs, one object, random
+			for i := 0; i < m; i++ {
+				shapes[0] = append(shapes[0], uint64(i))
+				shapes[1] = append(shapes[1], uint64(i/2))
+				shapes[2] = append(shapes[2], 3)
+				shapes[3] = append(shapes[3], uint64(rng.Intn(3)))
+			}
+			for _, objs := range shapes {
+				name := fmt.Sprintf("S=%d m=%d objects %v", S, m, objs)
+				scores := make([]int64, m)
+				for i := range scores {
+					scores[i] = rng.Int63n(1 << 16)
+				}
+				scores[0] = 1<<16 - 1
+				items, hist := markDepth(t, e, h, objs, scores)
+				worst, best, same, err := SecWorstBestAll(ctx, e.client, items, hist)
+				if err != nil {
+					t.Fatalf("%s: SecWorstBestAll: %v", name, err)
+				}
+				gamma := make([]Item, m)
+				for i := range gamma {
+					gamma[i] = Item{EHL: items[i].EHL, Scores: []*paillier.Ciphertext{worst[i], best[i]}}
+				}
+				before := e.stats.Rounds()
+				out, err := MarkDuplicates(ctx, pk, gamma, same, markShift)
+				if err != nil {
+					t.Fatalf("%s: MarkDuplicates: %v", name, err)
+				}
+				if n := e.stats.Rounds() - before; n != 0 || len(out) != m {
+					t.Fatalf("%s: %d rows in %d rounds, want %d in none", name, len(out), n, m)
+				}
+				var sumAll int64
+				for _, x := range scores {
+					sumAll += x
+				}
+				want := map[markedRow]int{}
+				for i := range objs {
+					var u, w int64
+					for j, o := range objs {
+						if o == objs[i] {
+							w += scores[j]
+							if j < i {
+								u++
+							}
+						}
+					}
+					// At a depth with no past, B sums every list's score.
+					row := markedRow{w - u*markShift.Int64(), sumAll - u*markShift.Int64(), int64(objs[i])}
+					if u > 0 {
+						row.obj = -1
+					}
+					want[row]++
+				}
+				for i, it := range out {
+					row := markedRow{e.dec(t, it.Scores[ColWorst]), e.dec(t, it.Scores[ColBest]), digestObject(t, e, h, name, i, it.EHL)}
+					if want[row] == 0 {
+						t.Errorf("%s: row %d is (W, B, object) = %v, not one of %v", name, i, row, want)
+						continue
+					}
+					want[row]--
+				}
+			}
+		}
+	}
+}
+
+// markedRow is one row of a marked depth as the tests decrypt it: its W,
+// its B, and the object of the domain its digests name, -1 for none.
+type markedRow struct{ w, b, obj int64 }
+
+// digestObject returns the object among 0..4 whose digests row's list
+// carries slot for slot, or -1 when no slot carries any of theirs; a list
+// that is neither fails the test.
+func digestObject(t *testing.T, e *testEnv, h *ehl.Hasher, name string, row int, l *ehl.List) int64 {
+	t.Helper()
+	owner := map[string]int64{}
+	for o := int64(0); o < 5; o++ {
+		ds, err := h.Digests(uint64(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, d := range ds {
+			owner[fmt.Sprint(s, d)] = o
+		}
+	}
+	obj := int64(-2)
+	for s, ct := range l.Cts {
+		d, err := e.keys.Paillier.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, ok := owner[fmt.Sprint(s, d)]
+		if !ok {
+			o = -1
+		}
+		if obj != -2 && o != obj {
+			t.Errorf("%s: row %d mixes digests of objects %d and %d", name, row, obj, o)
+		}
+		obj = o
+	}
+	return obj
+}
+
+// TestMarkDuplicatesShuffles: the marked copy of an object seen in two
+// lists lands at either index, not always at the later list's. Each call
+// draws a fresh order, so 40 calls that all agree would be a 2^-39
+// accident.
+func TestMarkDuplicatesShuffles(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk := &e.keys.Paillier.PublicKey
+	items, hist := markDepth(t, e, e.hasher, []uint64{3, 3}, []int64{10, 20})
+	worst, best, same, err := SecWorstBestAll(ctx, e.client, items, hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma := []Item{
+		{EHL: items[0].EHL, Scores: []*paillier.Ciphertext{worst[0], best[0]}},
+		{EHL: items[1].EHL, Scores: []*paillier.Ciphertext{worst[1], best[1]}},
+	}
+	var at [2]int
+	for trial := 0; trial < 40; trial++ {
+		out, err := MarkDuplicates(ctx, pk, gamma, same, markShift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range out {
+			if e.dec(t, it.Scores[ColWorst]) < 0 {
+				at[i]++
+			}
+		}
+	}
+	if at[0]+at[1] != 40 || at[0] == 0 || at[1] == 0 {
+		t.Fatalf("the marked copy sat at index 0 in %d calls and at index 1 in %d of 40, want each some", at[0], at[1])
+	}
+}
+
+// TestMarkDuplicatesRefuses: a mark step MarkDuplicates cannot apply is
+// an error, not a panic.
+func TestMarkDuplicatesRefuses(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk := &e.keys.Paillier.PublicKey
+	items := []Item{e.item(t, 1, 10, 20), e.item(t, 1, 10, 20)}
+	bit := e.enc(t, 1)
+	for name, tc := range map[string]struct {
+		same  [][]*paillier.Ciphertext
+		shift *big.Int
+	}{
+		"a row of bits short": {[][]*paillier.Ciphertext{nil}, markShift},
+		"a bit short":         {[][]*paillier.Ciphertext{nil, nil}, markShift},
+		"a nil bit":           {[][]*paillier.Ciphertext{nil, {nil}}, markShift},
+		"no shift":            {[][]*paillier.Ciphertext{nil, {bit}}, nil},
+		"a zero shift":        {[][]*paillier.Ciphertext{nil, {bit}}, big.NewInt(0)},
+		"a shift of N":        {[][]*paillier.Ciphertext{nil, {bit}}, pk.N},
+	} {
+		if _, err := MarkDuplicates(ctx, pk, items, tc.same, tc.shift); err == nil {
+			t.Errorf("%s: MarkDuplicates succeeded", name)
+		}
+	}
+}

@@ -23,7 +23,8 @@ import (
 //	W_i = x_i + sum_{j != i, o_j = o_i} x_j
 //	B_i = x_i + sum_{j != i} (o_i's score in L_j if seen there, else bottom_j)
 //
-// in one round, and SecWorstAll / SecBestAll must return the same values.
+// in one round, SecWorstAll / SecBestAll must return the same values, and
+// the equality bits it returns must decrypt to [o_i = o_j].
 func TestPropertySecWorstBest(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -50,7 +51,7 @@ func TestPropertySecWorstBest(t *testing.T) {
 			items[j] = DepthItem{EHL: hist[j].EHLs[depth-1], Score: hist[j].Scores[depth-1]}
 		}
 		before := e.stats.Rounds()
-		worst, best, err := SecWorstBestAll(ctx, e.client, items, hist)
+		worst, best, same, err := SecWorstBestAll(ctx, e.client, items, hist)
 		if err != nil {
 			t.Logf("SecWorstBestAll: %v", err)
 			return false
@@ -76,8 +77,13 @@ func TestPropertySecWorstBest(t *testing.T) {
 				if j == i {
 					continue
 				}
+				var eq int64
 				if objsAt[j][depth-1] == obj {
-					wantW += scoresAt[j][depth-1]
+					wantW, eq = wantW+scoresAt[j][depth-1], 1
+				}
+				if got := e.dec(t, same[i][j]); got != eq {
+					t.Logf("seed %d: bit (%d, %d) = %d, want %d", seed, i, j, got, eq)
+					return false
 				}
 				contrib := scoresAt[j][depth-1] // bottom
 				for d := 0; d < depth; d++ {

@@ -1,9 +1,9 @@
 // Package protocols implements the S1 side of the paper's two-party
 // sub-protocols (Section 8.2 and Section 10): EncCompare, the hidden-bit
 // gadget every oblivious choice goes through (in place of Algorithm 5's
-// double layer), SecWorst, SecBest, SecDedup/SecDupElim, SecUpdate,
-// EncSelectTop (EncSort's ranking: Batcher's network or top-k selection
-// passes), SecMult, and SecFilter.
+// double layer), SecWorst, SecBest, SecDedup/SecDupElim and Qry_F's
+// round-free MarkDuplicates, SecUpdate, EncSelectTop (EncSort's ranking:
+// Batcher's network or top-k selection passes), SecMult, and SecFilter.
 //
 // All functions drive the crypto cloud S2 through a cloud.Client; every
 // value S2 sees is blinded and/or permuted first.
@@ -93,6 +93,8 @@ func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.
 // width payloads pay[k*width : (k+1)*width]. For each payload Enc(d) it
 // returns Enc(t_k*d), in the order given: with a choice between c0 and c1
 // a caller passes d = c1 - c0 and adds c0 back, for new = c0 + t*(c1 - c0).
+// Beside the payloads it returns bits[k] = Enc(t_k), S2's fresh reply, in
+// the caller's order.
 //
 // S1 sends every payload as Enc(d + r) with a fresh pooled Enc(r) of a
 // known r, so it carries a nonce power S2 has never seen; S2 answers
@@ -106,13 +108,13 @@ func subAll(pk *paillier.PublicKey, as, bs []*paillier.Ciphertext) ([]*paillier.
 // pattern of bits but not which pair or row a bit belongs to. Comparison
 // bits keep the caller's order, which is the public gate schedule: S1's
 // sign flip already makes each one uniform.
-func ApplyBits(ctx context.Context, c *cloud.Client, method string, group, width int, tests, pay []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+func ApplyBits(ctx context.Context, c *cloud.Client, method string, group, width int, tests, pay []*paillier.Ciphertext) (out, bits []*paillier.Ciphertext, err error) {
 	if group < 1 || width < 1 || len(tests)%group != 0 || len(pay) != width*(len(tests)/group) {
-		return nil, fmt.Errorf("protocols: %d tests and %d payloads for hidden bits of %d tests and width %d", len(tests), len(pay), group, width)
+		return nil, nil, fmt.Errorf("protocols: %d tests and %d payloads for hidden bits of %d tests and width %d", len(tests), len(pay), group, width)
 	}
 	n := len(tests) / group
 	if n == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	pk := c.PK()
 	// at[k] is where bit k travels on the wire.
@@ -121,34 +123,34 @@ func ApplyBits(ctx context.Context, c *cloud.Client, method string, group, width
 		at[k] = k
 	}
 	if method == cloud.MethodEqBits {
-		var err error
 		if at, err = prf.RandomPerm(n); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	wireTests := make([]*paillier.Ciphertext, len(tests))
 	for x, test := range tests {
 		if test == nil || test.C == nil {
-			return nil, fmt.Errorf("protocols: hidden bit %d has no test ciphertext %d", x/group, x%group)
+			return nil, nil, fmt.Errorf("protocols: hidden bit %d has no test ciphertext %d", x/group, x%group)
 		}
 		wireTests[at[x/group]*group+x%group] = test
 	}
 	blinded, exps, err := blindPayloads(ctx, c, pay)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	bits, out, err := c.Gadget(ctx, method, group, width, wireTests, permuteItems(blinded, width, at))
+	wireBits, got, err := c.Gadget(ctx, method, group, width, wireTests, permuteItems(blinded, width, at))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := make([]*paillier.Ciphertext, len(pay))
+	out, bits = make([]*paillier.Ciphertext, len(pay)), make([]*paillier.Ciphertext, n)
 	err = parallel.ForEachCtx(ctx, n, func(k int) error {
-		return unblindScaled(pk, bits[at[k]].C, out[at[k]*width:(at[k]+1)*width], exps[k*width:(k+1)*width], res[k*width:(k+1)*width])
+		bits[k] = wireBits[at[k]]
+		return unblindScaled(pk, bits[k].C, got[at[k]*width:(at[k]+1)*width], exps[k*width:(k+1)*width], out[k*width:(k+1)*width])
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res, nil
+	return out, bits, nil
 }
 
 // ApplyMatrix runs one round of the gadget over an R×C matrix of

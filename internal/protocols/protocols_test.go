@@ -318,7 +318,7 @@ func TestSecBestAll(t *testing.T) {
 	}
 	// The fused call returns the same bounds beside the worst scores: X3
 	// sits at this depth in both R2 and R3, so its two items carry 7 + 6.
-	worst, fusedBest, err := SecWorstBestAll(context.Background(), e.client, items, hist)
+	worst, fusedBest, _, err := SecWorstBestAll(context.Background(), e.client, items, hist)
 	if err != nil {
 		t.Fatalf("SecWorstBestAll: %v", err)
 	}

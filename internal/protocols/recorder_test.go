@@ -45,13 +45,14 @@ import (
 //     SecFilter, name the tuples that joined). No reply slot may exclude
 //     any input row.
 //
-// It also holds grouped EqBits requests (Qry_F's SecDedup) to the
-// uniform-width rule: every group of one request has n - 1 tests, n the
-// request's bit count, so a group's size never tells S2 how many earlier
-// rows it was tested against. That no padding test repeats a nonce power
-// is S2's rule above, applied to every test of the group. And it holds
-// every equality matrix (SecUpdate's) to at most one match per row and
-// per column.
+// It also holds grouped EqBits requests (SecDedup's Replace mode, which
+// no query sends since Qry_F marks its duplicates from SecWorstBest's
+// bits) to the uniform-width rule: every group of one request has n - 1
+// tests, n the request's bit count, so a group's size never tells S2 how
+// many earlier rows it was tested against. That no padding test repeats a
+// nonce power is S2's rule above, applied to every test of the group. And
+// it holds every equality matrix (SecUpdate's) to at most one match per
+// row and per column.
 type wireRecorder struct {
 	t     testing.TB
 	inner transport.Caller
@@ -334,10 +335,11 @@ func TestWireRecorder(t *testing.T) {
 					t.Fatalf("top-%d is object %d, want %d", i+1, got[i].Obj, want[i].Obj)
 				}
 			}
-			// Qry_F keeps every row, so it has no blind records at all:
-			// its dedups are grouped gadget rounds.
-			if opts.Mode == core.QryF && (rec.dedups != 0 || rec.grouped == 0) {
-				t.Errorf("Qry_F sent %d Dedup requests and %d grouped EqBits, want none and some", rec.dedups, rec.grouped)
+			// Qry_F marks its duplicates from SecWorstBest's bits and
+			// keeps every row, so it sends no dedup round at all: no
+			// blind records and no grouped EqBits.
+			if opts.Mode == core.QryF && (rec.dedups != 0 || rec.grouped != 0) {
+				t.Errorf("Qry_F sent %d Dedup requests and %d grouped EqBits, want none", rec.dedups, rec.grouped)
 			}
 		})
 	}

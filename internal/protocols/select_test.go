@@ -101,9 +101,9 @@ func (e *testEnv) tappedClient(t testing.TB) (*cloud.Client, *gadgetTap) {
 // TestPropertySelect holds the gadget to its plaintext meaning under both
 // of its methods, at widths 1-4 and, for EqBits, groups of 1-3 tests:
 // every output decrypts to t*d for its bit t and payload d, differences
-// of both signs included, none repeats an input ciphertext, and a round
-// ApplyBits cannot build is an error, not a panic, that sends nothing to
-// S2.
+// of both signs included, and every returned bit to t; none repeats an
+// input ciphertext, and a round ApplyBits cannot build is an error, not a
+// panic, that sends nothing to S2.
 func TestPropertySelect(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -117,11 +117,14 @@ func TestPropertySelect(t *testing.T) {
 			for width := 1; width <= 4; width++ {
 				cases := e.bitCases(t, method, group, width)
 				tests, pay := flatten(cases)
-				out, err := ApplyBits(ctx, client, method, group, width, tests, pay)
+				out, bits, err := ApplyBits(ctx, client, method, group, width, tests, pay)
 				if err != nil {
 					t.Fatalf("%s group %d width %d: %v", method, group, width, err)
 				}
 				for k, c := range cases {
+					if g := e.dec(t, bits[k]); g != c.bit {
+						t.Errorf("%s group %d width %d bit %d came back as Enc(%d), want Enc(%d)", method, group, width, k, g, c.bit)
+					}
 					for s, d := range c.pay {
 						got := out[k*width+s]
 						if g, w := e.dec(t, got), c.bit*e.dec(t, d); g != w {
@@ -155,15 +158,15 @@ func TestPropertySelect(t *testing.T) {
 		"a nil test":           {1, 1, []*paillier.Ciphertext{nil}, []*paillier.Ciphertext{two}},
 		"a nil test in groups": {2, 1, []*paillier.Ciphertext{one, nil}, []*paillier.Ciphertext{two}},
 	} {
-		if _, err := ApplyBits(ctx, client, cloud.MethodEqBits, tc.group, tc.width, tc.tests, tc.in); err == nil {
+		if _, _, err := ApplyBits(ctx, client, cloud.MethodEqBits, tc.group, tc.width, tc.tests, tc.in); err == nil {
 			t.Errorf("%s: ApplyBits succeeded", name)
 		}
 	}
 	if len(tap.requests) != rounds {
 		t.Errorf("refused rounds still sent %d requests to S2", len(tap.requests)-rounds)
 	}
-	if out, err := ApplyBits(ctx, client, cloud.MethodEqBits, 2, 3, nil, nil); err != nil || out != nil || len(tap.requests) != rounds {
-		t.Errorf("a round of no bits = %v, %v, and went to S2", out, err)
+	if out, bits, err := ApplyBits(ctx, client, cloud.MethodEqBits, 2, 3, nil, nil); err != nil || out != nil || bits != nil || len(tap.requests) != rounds {
+		t.Errorf("a round of no bits = %v, %v, %v, and went to S2", out, bits, err)
 	}
 }
 
@@ -181,7 +184,7 @@ func TestSelectTermIsBlindedOnce(t *testing.T) {
 	const width = 3
 	cases := e.bitCases(t, cloud.MethodCompareHidden, 1, width)
 	tests, pay := flatten(cases)
-	out, err := ApplyBits(context.Background(), client, cloud.MethodCompareHidden, 1, width, tests, pay)
+	out, _, err := ApplyBits(context.Background(), client, cloud.MethodCompareHidden, 1, width, tests, pay)
 	if err != nil {
 		t.Fatal(err)
 	}

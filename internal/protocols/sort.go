@@ -150,7 +150,7 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 	if err != nil {
 		return err
 	}
-	picked, err := ApplyBits(ctx, c, cloud.MethodCompareHidden, 1, w, diffs, pay)
+	picked, _, err := ApplyBits(ctx, c, cloud.MethodCompareHidden, 1, w, diffs, pay)
 	if err != nil {
 		return err
 	}

@@ -2,13 +2,17 @@ package protocols
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 
 	"repro/internal/cloud"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
+	"repro/internal/prf"
+	"repro/internal/zmath"
 )
 
 // DepthItem is one encrypted data item E(I) = (EHL(o), Enc(x)) read from a
@@ -46,14 +50,14 @@ func SecWorstAll(ctx context.Context, c *cloud.Client, items []DepthItem) ([]*pa
 	for i, it := range items {
 		histories[i] = ListHistory{EHLs: []*ehl.List{it.EHL}, Scores: []*paillier.Ciphertext{it.Score}}
 	}
-	worst, _, err := secWorstBest(ctx, c, items, histories, true, false)
+	worst, _, _, err := secWorstBest(ctx, c, items, histories, true, false)
 	return worst, err
 }
 
 // SecBestAll is the SecBest protocol (Algorithm 6) run for every item at
 // the current depth at once: the best half of SecWorstBestAll.
 func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) ([]*paillier.Ciphertext, error) {
-	_, best, err := secWorstBest(ctx, c, items, histories, false, true)
+	_, best, _, err := secWorstBest(ctx, c, items, histories, false, true)
 	return best, err
 }
 
@@ -79,22 +83,27 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 // each: x_j at the current depth, for W_i, and x_j^e - bottom_j at an
 // earlier one, for B_i. That is Algorithm 6's bit set, so S2's view is
 // the permuted equality pattern of the depth (leakage EP^d) and no more.
-func SecWorstBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) (worst, best []*paillier.Ciphertext, err error) {
+//
+// Beside the bounds it returns same[i][j] = Enc(t_ij) for every ordered
+// pair of distinct items, the bits of the worst bounds as S2 returned
+// them: MarkDuplicates dedups the depth from them without a round.
+func SecWorstBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) (worst, best []*paillier.Ciphertext, same [][]*paillier.Ciphertext, err error) {
 	return secWorstBest(ctx, c, items, histories, true, true)
 }
 
 // secWorstBest is SecWorstBestAll computing only the requested halves; an
-// unrequested half costs no equality bit.
-func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory, wantWorst, wantBest bool) (worst, best []*paillier.Ciphertext, err error) {
+// unrequested half costs no equality bit, and same comes with the worst
+// half.
+func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory, wantWorst, wantBest bool) (worst, best []*paillier.Ciphertext, same [][]*paillier.Ciphertext, err error) {
 	if err := validateDepthItems(items); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if len(histories) != len(items) {
-		return nil, nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), len(items))
+		return nil, nil, nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), len(items))
 	}
 	for j, h := range histories {
 		if len(h.EHLs) == 0 || len(h.EHLs) != len(h.Scores) {
-			return nil, nil, fmt.Errorf("protocols: history %d malformed", j)
+			return nil, nil, nil, fmt.Errorf("protocols: history %d malformed", j)
 		}
 	}
 	pk := c.PK()
@@ -110,7 +119,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 		for j := 0; wantBest && j < m; j++ {
 			if j != i {
 				if best[i], err = pk.Add(best[i], bottom(j)); err != nil {
-					return nil, nil, err
+					return nil, nil, nil, err
 				}
 			}
 		}
@@ -141,7 +150,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	}
 	diffs, err := subAll(pk, earlier, bottoms)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for n, k := range at {
 		pay[k] = diffs[n]
@@ -157,19 +166,25 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 		return ct, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	chosen, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, 1, tests, pay)
+	chosen, bits, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, 1, tests, pay)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	if wantWorst {
+		same = make([][]*paillier.Ciphertext, m)
+		for i := range same {
+			same[i] = make([]*paillier.Ciphertext, m)
+		}
 	}
 	for k, r := range refs {
 		bound := best
 		if r.e == last(r.j) {
-			bound = worst
+			bound, same[r.i][r.j] = worst, bits[k]
 		}
 		if bound[r.i], err = pk.Add(bound[r.i], chosen[k]); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	if !wantWorst {
@@ -178,5 +193,89 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	if !wantBest {
 		best = nil
 	}
-	return worst, best, nil
+	return worst, best, same, nil
+}
+
+// MarkDuplicates is Qry_F's dedup of one depth (Algorithm 7, Replace
+// mode) with no round: from the bits same[i][j] = Enc([o_i = o_j]) that
+// SecWorstBestAll returned, it turns every copy of an object but the
+// first among the depth's items into a row no real object matches or
+// outranks. Row i's count of earlier copies is
+// Enc(u_i) = Π_{j<i} same[i][j], and one squaring chain of Enc(u_i)
+// shifts each EHL slot by u_i*c, c fresh and uniform in Z_N, and each
+// score column by -u_i*shift. A row with u_i = 0 keeps its plaintexts. A
+// row with u_i >= 1 gets uniform digests (u_i < m is a unit mod N) and
+// negative scores, provided shift exceeds every real score: the property
+// Algorithm 7's sentinel row has. A sum serves where replaceDuplicates
+// needs an OR: a third copy lands on 2c and -2*shift, still a uniform
+// digest and a negative score.
+//
+// The rows come back in a fresh random order, their count unchanged.
+// Index order always marks the copy from the later list, and SecUpdate
+// appends the rows as given, so without the shuffle any trace of a
+// marked row in S2's view (a comparison against it shows by its size,
+// DESIGN.md "The mark step") would name which list held the later copy.
+func MarkDuplicates(ctx context.Context, pk *paillier.PublicKey, items []Item, same [][]*paillier.Ciphertext, shift *big.Int) ([]Item, error) {
+	if len(same) != len(items) {
+		return nil, fmt.Errorf("protocols: %d rows of equality bits for %d items", len(same), len(items))
+	}
+	if shift == nil || shift.Sign() <= 0 || shift.Cmp(pk.N) >= 0 {
+		return nil, fmt.Errorf("protocols: duplicate shift %v outside (0, N)", shift)
+	}
+	out := make([]Item, len(items))
+	err := parallel.ForEachCtx(ctx, len(items), func(i int) error {
+		it := items[i]
+		if err := it.Validate(len(it.Scores)); err != nil {
+			return fmt.Errorf("protocols: MarkDuplicates item %d: %w", i, err)
+		}
+		if i == 0 {
+			out[i] = it
+			return nil
+		}
+		if len(same[i]) < i {
+			return fmt.Errorf("protocols: item %d has %d equality bits, want %d", i, len(same[i]), i)
+		}
+		earlier := make([]*big.Int, i)
+		for j, b := range same[i][:i] {
+			if b == nil || b.C == nil {
+				return fmt.Errorf("protocols: no equality bit for items %d and %d", i, j)
+			}
+			earlier[j] = b.C
+		}
+		u := pk.EngineN2().ProdMod(earlier)
+		w := it.EHL.Width()
+		exps := make([]*big.Int, w+1)
+		for s := range exps[:w] {
+			c, err := zmath.RandInt(rand.Reader, pk.N)
+			if err != nil {
+				return err
+			}
+			exps[s] = c
+		}
+		exps[w] = new(big.Int).Sub(pk.N, shift)
+		powers, err := pk.EngineN2().ExpModShared(u, exps)
+		if err != nil {
+			return err
+		}
+		slots := it.slots()
+		for s := range slots {
+			if slots[s], err = pk.Add(slots[s], &paillier.Ciphertext{C: powers[min(s, w)]}); err != nil {
+				return err
+			}
+		}
+		out[i] = it.withSlots(slots)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	at, err := prf.RandomPerm(len(out))
+	if err != nil {
+		return nil, err
+	}
+	shuffled := make([]Item, len(out))
+	for i, it := range out {
+		shuffled[at[i]] = it
+	}
+	return shuffled, nil
 }

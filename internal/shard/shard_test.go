@@ -374,6 +374,15 @@ func TestShardedValidateToken(t *testing.T) {
 	if err := eng.ValidateToken(nil); err == nil {
 		t.Error("accepted nil token")
 	}
+	// A negative weight, which only a token off the wire can carry, is
+	// refused typed by the sharded engine and by a member alike.
+	neg := &core.Token{K: 2, Lists: []int{0, 1}, Weights: []int64{1, -1}}
+	if _, err := eng.SecQuery(context.Background(), neg, core.Options{}); !errors.Is(err, secerr.ErrInvalidToken) {
+		t.Errorf("SecQuery with a negative weight: err = %v, want ErrInvalidToken", err)
+	}
+	if _, err := eng.Candidates(context.Background(), neg, core.Options{}); !errors.Is(err, secerr.ErrInvalidToken) {
+		t.Errorf("Candidates with a negative weight: err = %v, want ErrInvalidToken", err)
+	}
 }
 
 // TestShardedOversizedK covers k larger than a shard: every shard

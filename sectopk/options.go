@@ -198,8 +198,8 @@ type Mode int
 
 const (
 	// ModeFull is Qry_F: fully private, SecDedup in replace mode at every
-	// depth, run as one grouped round of the hidden-bit gadget, with
-	// SecUpdate's dedup folded into its own round.
+	// depth, marked from SecWorstBest's equality bits with no round of its
+	// own, and SecUpdate's dedup folded into its own round.
 	ModeFull Mode = iota
 	// ModeEliminate is Qry_E: duplicates are eliminated, trading the
 	// uniqueness-pattern leakage for speed (Section 10.1).
