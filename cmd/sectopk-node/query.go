@@ -29,7 +29,7 @@ func dialClient(ctx context.Context, addrs string, wait time.Duration, opts ...s
 	per := wait / time.Duration(len(list))
 	var lastErr error
 	for _, addr := range list {
-		client, err := sectopk.DialRetry(ctx, addr, append([]sectopk.Option{sectopk.WithRetry(sectopk.RetryPolicy{
+		client, err := sectopk.Dial(ctx, addr, append([]sectopk.Option{sectopk.WithRetry(sectopk.RetryPolicy{
 			Initial:    50 * time.Millisecond,
 			Max:        time.Second,
 			MaxElapsed: per,

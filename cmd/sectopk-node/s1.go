@@ -102,7 +102,7 @@ func runS1(ctx context.Context, args []string) error {
 	// The self-healing transport rides out an S2 that is still starting
 	// (or restarts later): dialing backs off under the default policy,
 	// and every fresh link re-runs the handshakes before serving rounds.
-	if err := dc.DialRetry(ctx, *connect); err != nil {
+	if err := dc.Dial(ctx, *connect); err != nil {
 		return err
 	}
 	if *subset != "" {

@@ -1,7 +1,6 @@
 // Package backoff is the shared retry/backoff helper behind every
 // recovery path in the system: the transport's reconnecting caller, the
-// cloud layer's round-retry policy, the facade's retrying client plane,
-// and sectopk-node's dial loop. One implementation means one failure
+// facade's retrying client plane, and sectopk-node's dial loop. One implementation means one failure
 // model: capped exponential backoff with full jitter, cooperative
 // context cancellation between attempts, and attempt histories attached
 // to terminal failures so operators see what was tried, not just what

@@ -96,7 +96,7 @@ func RunQPSCluster(cfg ClusterConfig) (*QPSReport, error) {
 		}
 	}()
 	for i := range conns {
-		c, err := sectopk.DialRetry(ctx, cfg.Connect, sectopk.WithRetry(sectopk.RetryPolicy{
+		c, err := sectopk.Dial(ctx, cfg.Connect, sectopk.WithRetry(sectopk.RetryPolicy{
 			Initial:    50 * time.Millisecond,
 			Max:        time.Second,
 			MaxElapsed: 15 * time.Second,

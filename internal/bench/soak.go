@@ -224,8 +224,8 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	defer func() { stopServe(); <-serveDone }()
 
 	// Dial the fleet: every client its own TCP connection carrying its
-	// tenant in its Hello. No Execute retry — a retrying client would
-	// hide the sheds this experiment exists to measure.
+	// tenant in its Hello. One attempt per Execute — a retrying client
+	// would hide the sheds this experiment exists to measure.
 	workers := make([]*soakWorker, 0, totalClients)
 	defer func() {
 		for _, w := range workers {
@@ -235,7 +235,8 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	pos := 0
 	for _, t := range tenants {
 		for i := 0; i < t.Clients; i++ {
-			c, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithTenant(t.Name))
+			c, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithTenant(t.Name),
+				sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 			if err != nil {
 				return nil, fmt.Errorf("bench: soak dial (tenant %s): %w", t.Name, err)
 			}

@@ -320,8 +320,7 @@ func TestEqBitsMatrix(t *testing.T) {
 }
 
 // TestRecover: S2 no longer serves Algorithm 5's Recover round; a request
-// under its name is refused typed unknown_method, whatever it carries,
-// and the retry policy does not re-issue it.
+// under its name is refused typed unknown_method, whatever it carries.
 func TestRecover(t *testing.T) {
 	e := env(t)
 	body, err := transport.Encode(&CompareRequest{Cts: []*big.Int{big.NewInt(1)}})
@@ -331,8 +330,15 @@ func TestRecover(t *testing.T) {
 	if _, err := e.server.Serve(context.Background(), MethodRecover, body); !errors.Is(err, secerr.ErrUnknownMethod) {
 		t.Fatalf("Recover: got %v, want unknown_method", err)
 	}
-	if MethodRetryable(MethodRecover) {
-		t.Error("Recover is tabled as retryable")
+}
+
+// TestMethodApplyFailClosed: Apply mutates hosted state, and the crypto
+// cloud holds none, so S2 has no handler for it — a request under its
+// name is refused typed unknown_method, never applied.
+func TestMethodApplyFailClosed(t *testing.T) {
+	e := env(t)
+	if _, err := e.server.Serve(context.Background(), MethodApply, nil); !errors.Is(err, secerr.ErrUnknownMethod) {
+		t.Fatalf("Apply: got %v, want unknown_method", err)
 	}
 }
 

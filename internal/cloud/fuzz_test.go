@@ -13,14 +13,15 @@ import (
 
 // fuzzMethods is every wire method a hostile S1 could name — the method
 // table's keys, sorted so a corpus entry's index keeps its meaning — plus
-// a bogus one.
+// two S2 has no handler for: Apply, which only the client plane serves,
+// and a bogus one.
 func fuzzMethods() []string {
-	names := make([]string, 0, len(methods)+1)
+	names := make([]string, 0, len(methods)+2)
 	for name := range methods {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	return append(names, "Bogus")
+	return append(names, MethodApply, "Bogus")
 }
 
 // applyEnvelope mirrors the client plane's Apply request shape: a

@@ -43,9 +43,9 @@ const (
 	// MethodApply is the mutation plane's delta application. Unlike the
 	// protocol rounds above it has SIDE EFFECTS — it advances a hosted
 	// relation's epoch — so it is deliberately absent from S2's handler
-	// set (the crypto cloud holds no relation state to mutate) and
-	// explicitly non-retryable at the wire layer; exactly-once semantics
-	// come from the idempotency key inside the delta, one layer up.
+	// set (the crypto cloud holds no relation state to mutate) and S2
+	// refuses it as an unknown method; exactly-once semantics come from
+	// the idempotency key inside the delta, on the client plane.
 	MethodApply = "Apply"
 )
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -418,6 +419,38 @@ func TestQueryPatternIdempotencyKey(t *testing.T) {
 	}
 	if !sawSecond {
 		t.Fatalf("fresh QueryID did not count as a repeat: %v", r.s1led.ByMethod("Token"))
+	}
+}
+
+// TestQueryPatternRunKeysBounded checks the run-key set stays bounded:
+// three generations' worth of distinct runs leave at most two
+// generations of keys, and a retry sent right after its first attempt
+// still counts once — also when the next run's key starts a new
+// generation in between.
+func TestQueryPatternRunKeysBounded(t *testing.T) {
+	r := getRig(t)
+	er := encryptFig3(t, r)
+	engine, err := NewEngine(r.client, er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.s1led.Reset()
+	const runs = 3 * runKeysPerGeneration
+	for i := 0; i < runs; i++ {
+		engine.recordQueryPattern(tk, "run-"+strconv.Itoa(i))
+		if i > 0 {
+			engine.recordQueryPattern(tk, "run-"+strconv.Itoa(i-1)) // the retry
+		}
+	}
+	if got := len(engine.seenRuns.cur) + len(engine.seenRuns.prev); got > 2*runKeysPerGeneration {
+		t.Fatalf("%d runs left %d keys, want at most %d", runs, got, 2*runKeysPerGeneration)
+	}
+	if got := len(r.s1led.ByMethod("Token")); got != runs {
+		t.Fatalf("token events = %d, want %d (one per run, retries not recounted)", got, runs)
 	}
 }
 

@@ -106,7 +106,35 @@ type Engine struct {
 	seenTokens map[string]int
 	// seenRuns dedupes query-pattern accounting by (token, QueryID) so a
 	// retried run does not double-count as a repeated token.
-	seenRuns map[string]struct{}
+	seenRuns runKeys
+}
+
+// runKeysPerGeneration is how many (token, QueryID) keys one generation
+// of an Engine's run-key set holds. Every remote query brings a fresh
+// key, so the set keeps two generations — the filling one and the one
+// before — and drops the older when the filling one is full: at most
+// twice this many keys, while a retry, which arrives right after its
+// first attempt, still finds its key.
+const runKeysPerGeneration = 4096
+
+// runKeys is the bounded set of run keys an Engine has counted.
+type runKeys struct {
+	cur, prev map[string]struct{}
+}
+
+// add records key and reports whether it was new to both generations.
+func (r *runKeys) add(key string) bool {
+	if _, ok := r.cur[key]; ok {
+		return false
+	}
+	if _, ok := r.prev[key]; ok {
+		return false
+	}
+	if r.cur == nil || len(r.cur) >= runKeysPerGeneration {
+		r.prev, r.cur = r.cur, make(map[string]struct{})
+	}
+	r.cur[key] = struct{}{}
+	return true
 }
 
 // NewEngine builds the S1 engine for an encrypted relation.
@@ -120,7 +148,7 @@ func NewEngine(client *cloud.Client, er *EncryptedRelation) (*Engine, error) {
 	if er.MaxScoreBits <= 0 {
 		return nil, errors.New("core: encrypted relation missing MaxScoreBits")
 	}
-	return &Engine{client: client, er: er, seenTokens: map[string]int{}, seenRuns: map[string]struct{}{}}, nil
+	return &Engine{client: client, er: er, seenTokens: map[string]int{}}, nil
 }
 
 // MagBits bounds |W|, |B| magnitudes for comparison masking. A real W or
@@ -218,13 +246,9 @@ func (e *Engine) recordQueryPattern(tk *Token, queryID string) {
 	}
 	key := string(h.Sum(nil))
 	e.mu.Lock()
-	if queryID != "" {
-		runKey := key + "|" + queryID
-		if _, done := e.seenRuns[runKey]; done {
-			e.mu.Unlock()
-			return
-		}
-		e.seenRuns[runKey] = struct{}{}
+	if queryID != "" && !e.seenRuns.add(key+"|"+queryID) {
+		e.mu.Unlock()
+		return
 	}
 	e.seenTokens[key]++
 	repeat := e.seenTokens[key]

@@ -230,7 +230,7 @@ func (c *MuxCaller) Call(ctx context.Context, method string, req, resp any) erro
 	}
 	body, err := Encode(req)
 	if err != nil {
-		return secerr.Wrap(secerr.CodeTransport, err, "encoding %s request", method)
+		return linkKept{secerr.Wrap(secerr.CodeTransport, err, "encoding %s request", method)}
 	}
 	start := time.Now()
 	c.mu.Lock()
@@ -271,7 +271,7 @@ func (c *MuxCaller) Call(ctx context.Context, method string, req, resp any) erro
 		if rep.status == statusErr {
 			rerr := decodeWireError(rep.payload)
 			emitCallerFrame(method, id, len(body)+len(method)+len(rep.payload)+1, string(secerr.CodeOf(rerr)), start)
-			return fmt.Errorf("transport: %s: remote: %w", method, rerr)
+			return linkKept{fmt.Errorf("transport: %s: remote: %w", method, rerr)}
 		}
 		emitCallerFrame(method, id, len(body)+len(method)+len(rep.payload)+1, "", start)
 		if resp == nil {
@@ -291,6 +291,15 @@ func (c *MuxCaller) Call(ctx context.Context, method string, req, resp any) erro
 		return fmt.Errorf("transport: %s (frame %d): %w", method, id, ctx.Err())
 	}
 }
+
+// linkKept marks a failed call that left its connection healthy: the
+// peer's own error reply, or a request that failed to encode and so was
+// never sent. The error keeps its code — a peer may report a transport
+// failure of its own upstream link — but ReconnectCaller keeps the
+// connection.
+type linkKept struct{ error }
+
+func (e linkKept) Unwrap() error { return e.error }
 
 // emitCallerFrame records one resolved caller-side frame into the
 // telemetry layer (metrics plus any registered trace sinks).

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -34,12 +35,12 @@ type ReconnectConfig struct {
 // handshake — on every fresh connection, so replaced links are
 // re-checked before serving calls.
 //
-// It deliberately does NOT re-issue the failed round: whether a round is
-// safe to repeat is protocol knowledge (see the retry policy layer),
-// while this type only knows links. A Call that fails with a transport
-// code invalidates the connection; the next Call finds no connection and
-// dials anew. Concurrent calls share one connection (the mux layer
-// interleaves them) and wait for one shared dial.
+// It deliberately does NOT re-issue the failed round: what may be
+// repeated is the query's business (a remote Client re-executes under
+// its idempotency key), while this type only knows links. A Call whose
+// link failed invalidates the connection; the next Call finds no
+// connection and dials anew. Concurrent calls share one connection (the
+// mux layer interleaves them) and wait for one shared dial.
 type ReconnectCaller struct {
 	cfg ReconnectConfig
 
@@ -60,6 +61,12 @@ func NewReconnectCaller(cfg ReconnectConfig) *ReconnectCaller {
 // protocol will not start speaking the right one on the next attempt.
 func dialRetryable(err error) bool {
 	return secerr.CodeOf(err) != secerr.CodeProtocolVersion
+}
+
+// linkFailed reports whether a failed call broke its connection: a
+// transport-coded error the mux did not mark linkKept.
+func linkFailed(err error) bool {
+	return secerr.CodeOf(err) == secerr.CodeTransport && !errors.As(err, new(linkKept))
 }
 
 // conn returns the live connection, dialing (with backoff) if there is
@@ -118,16 +125,17 @@ func (c *ReconnectCaller) invalidate(gen int) {
 }
 
 // Call implements Caller: acquire (or re-establish) the connection, issue
-// the round, and on a link-level failure tear the connection down so the
-// next Call re-dials. The failed round's error is returned as-is — the
-// layer above decides whether that round may be repeated.
+// the round, and on a failure of the link itself tear the connection
+// down so the next Call re-dials. An error reply from the peer keeps the
+// connection, whatever its code. The failed round's error is returned
+// as-is — the layer above decides whether to repeat anything.
 func (c *ReconnectCaller) Call(ctx context.Context, method string, req, resp any) error {
 	cur, gen, err := c.conn(ctx)
 	if err != nil {
 		return err
 	}
 	err = cur.Call(ctx, method, req, resp)
-	if err != nil && secerr.CodeOf(err) == secerr.CodeTransport {
+	if linkFailed(err) {
 		c.invalidate(gen)
 	}
 	return err

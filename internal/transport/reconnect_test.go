@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,6 +102,49 @@ func TestReconnectPeerErrorKeepsConnection(t *testing.T) {
 	}
 	if got := dials.Load(); got != 1 {
 		t.Fatalf("dials = %d, want 1 (peer errors keep the link)", got)
+	}
+}
+
+// upstreamDownResponder replies to every call with a typed transport
+// error — a peer reporting that its own upstream link failed, as S1
+// does to its clients when its link to S2 drops mid-query.
+type upstreamDownResponder struct{}
+
+func (upstreamDownResponder) Serve(context.Context, string, []byte) ([]byte, error) {
+	return nil, secerr.New(secerr.CodeTransport, "upstream link lost")
+}
+
+// TestReconnectKeepsLinkOnPeerTransportError checks the connection is
+// torn down only when the link itself failed: a transport-coded error
+// the peer sent back as its reply, and a request that failed to encode
+// and so was never sent, both leave the live connection in place.
+func TestReconnectKeepsLinkOnPeerTransportError(t *testing.T) {
+	var dials atomic.Int32
+	rc := NewReconnectCaller(ReconnectConfig{
+		Dial: func(context.Context) (ConnCaller, error) {
+			dials.Add(1)
+			c1, c2 := net.Pipe()
+			t.Cleanup(func() { c1.Close(); c2.Close() })
+			go func() { _ = ServeConn(context.Background(), c2, upstreamDownResponder{}) }()
+			return Connect(context.Background(), c1, nil)
+		},
+		Policy: fastPolicy,
+	})
+	defer rc.Close()
+	for i := 0; i < 3; i++ {
+		if err := rc.Call(context.Background(), "m", num(1), nil); !errors.Is(err, secerr.ErrTransport) {
+			t.Fatalf("call %d: %v, want the peer's transport error surfaced", i, err)
+		}
+	}
+	type plain struct{ A int }
+	if err := rc.Call(context.Background(), "m", plain{A: 1}, nil); err == nil {
+		t.Fatal("a request with no encoding was sent")
+	}
+	if !rc.Connected() {
+		t.Fatal("the connection was dropped")
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("dials = %d, want 1 (the link never failed)", got)
 	}
 }
 

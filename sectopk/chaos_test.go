@@ -122,23 +122,23 @@ func (r *chaosRig) warm(t *testing.T, dc *sectopk.DataCloud) {
 // error must reveal to the pinned answer; a failure must carry a typed
 // secerr code (never an untyped/internal one, never a deadline blown
 // while blocked — that would be a hang dressed up as an error).
-func (r *chaosRig) checkAnswer(t *testing.T, res *sectopk.EncryptedResult, err error, sched *faultnet.Schedule) (completed bool) {
+func (r *chaosRig) checkAnswer(t *testing.T, res *sectopk.EncryptedResult, err error, injected func() string) (completed bool) {
 	t.Helper()
 	if err == nil {
 		got, rerr := r.owner.Reveal(r.er, res)
 		if rerr != nil {
-			t.Fatalf("Reveal: %v\ninjected: %s", rerr, strings.Join(sched.Injected(), "; "))
+			t.Fatalf("Reveal: %v\ninjected: %s", rerr, injected())
 		}
 		if !reflect.DeepEqual(got, r.want) {
-			t.Fatalf("revealed %v, want %v\ninjected: %s", got, r.want, strings.Join(sched.Injected(), "; "))
+			t.Fatalf("revealed %v, want %v\ninjected: %s", got, r.want, injected())
 		}
 		return true
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("query hung until its deadline: %v\ninjected: %s", err, strings.Join(sched.Injected(), "; "))
+		t.Fatalf("query hung until its deadline: %v\ninjected: %s", err, injected())
 	}
 	if code := secerr.CodeOf(err); code == secerr.CodeInternal {
-		t.Fatalf("query failed untyped: %v\ninjected: %s", err, strings.Join(sched.Injected(), "; "))
+		t.Fatalf("query failed untyped: %v\ninjected: %s", err, injected())
 	}
 	return false
 }
@@ -157,58 +157,110 @@ func chaosProfile() faultnet.Profile {
 	}
 }
 
-// TestChaosS1S2Link injects faults into the S1↔S2 TCP connection (under
-// the multiplexed framing, no recovery layers) and checks every query
-// either completes correctly or fails fast typed, with nothing leaked.
-func TestChaosS1S2Link(t *testing.T) {
-	rig := newChaosRig(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// chaosListener listens on loopback behind a faultnet.Listener: the
+// i-th accepted connection gets its own schedule derived from the seed,
+// so a re-dial after a reset faces fresh (deterministic) faults.
+// injected lists every fault triggered so far, per connection.
+func chaosListener(t *testing.T, seed int64) (l net.Listener, injected func() string) {
+	t.Helper()
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveCtx, stopServe := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- rig.cc.Serve(serveCtx, l) }()
-	t.Cleanup(func() {
-		stopServe()
-		select {
-		case <-serveDone:
-		case <-time.After(10 * time.Second):
-			t.Error("crypto cloud Serve did not stop")
+	var mu sync.Mutex
+	var scheds []*faultnet.Schedule
+	l = &faultnet.Listener{Listener: raw, NewSchedule: func(i int) *faultnet.Schedule {
+		s := faultnet.Seeded(seed+int64(i)*1021, chaosProfile())
+		mu.Lock()
+		scheds = append(scheds, s)
+		mu.Unlock()
+		return s
+	}}
+	injected = func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		var all []string
+		for i, s := range scheds {
+			for _, f := range s.Injected() {
+				all = append(all, "conn"+strconv.Itoa(i)+": "+f)
+			}
 		}
-	})
+		return strings.Join(all, "; ")
+	}
+	return l, injected
+}
 
-	// Every seed builds and closes its own data cloud; the crypto cloud is
-	// the one party the seeds share.
-	local := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
+// serveOn runs serve on the listener and returns a stop function
+// (idempotent, waits for the serving loop).
+func serveOn(t *testing.T, l net.Listener, serve func(context.Context, net.Listener) error) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, l) }()
+	stopped := false
+	stop = func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the serving loop did not return after context cancellation")
+		}
+	}
+	t.Cleanup(stop)
+	return stop
+}
+
+// serveClientsOn starts the client plane on the given listener and
+// returns a stop function (idempotent, waits for the serving loop).
+func serveClientsOn(t *testing.T, dc *sectopk.DataCloud, l net.Listener) (stop func()) {
+	t.Helper()
+	return serveOn(t, l, dc.ServeClients)
+}
+
+// warmCrypto runs one fault-free query against the rig's crypto cloud,
+// the one party every seed of an S1↔S2 test shares, so its pools run
+// before any seed counts goroutines.
+func (r *chaosRig) warmCrypto(t *testing.T) {
+	t.Helper()
+	local := r.newDataCloud(t, func(dc *sectopk.DataCloud) error {
+		return dc.ConnectLocal(context.Background(), r.cc)
 	})
-	rig.warm(t, local)
+	r.warm(t, local)
 	local.Close()
+}
+
+// TestChaosS1S2Link injects faults into every S1↔S2 TCP connection the
+// crypto cloud accepts, with S1 dialing one attempt at a time, and
+// checks every query either completes correctly or fails fast typed,
+// with nothing leaked.
+func TestChaosS1S2Link(t *testing.T) {
+	rig := newChaosRig(t)
+	rig.warmCrypto(t)
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			sched := faultnet.Seeded(seed, chaosProfile())
-			raw, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
+			l, injected := chaosListener(t, seed)
+			stopS2 := serveOn(t, l, rig.cc.Serve)
 			connectCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			dc := sectopk.NewDataCloud(testOpts()...)
-			err = dc.Connect(connectCtx, faultnet.WrapConn(raw, sched))
+			dc := sectopk.NewDataCloud(testOpts(sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))...)
+			err := dc.Dial(connectCtx, l.Addr().String())
 			cancel()
 			if err == nil {
 				err = dc.Host(context.Background(), "topk", rig.er)
 			}
 			if err != nil {
-				// Connect/Host hit an injected fault: must be typed, and
+				// Dial/Host hit an injected fault: must be typed, and
 				// nothing may linger.
 				if code := secerr.CodeOf(err); code == secerr.CodeInternal {
-					t.Fatalf("setup failed untyped: %v\ninjected: %s", err, strings.Join(sched.Injected(), "; "))
+					t.Fatalf("setup failed untyped: %v\ninjected: %s", err, injected())
 				}
-				raw.Close()
 				dc.Close()
+				stopS2()
 				waitForGoroutines(t, baseline)
 				return
 			}
@@ -222,44 +274,88 @@ func TestChaosS1S2Link(t *testing.T) {
 				if ans != nil {
 					res = ans.TopK
 				}
-				if rig.checkAnswer(t, res, err, sched) {
+				if rig.checkAnswer(t, res, err, injected) {
 					completed++
 				}
 			}
-			t.Logf("seed %d: %d/3 queries completed; injected: %s",
-				seed, completed, strings.Join(sched.Injected(), "; "))
+			t.Logf("seed %d: %d/3 queries completed; injected: %s", seed, completed, injected())
 			dc.Close()
+			stopS2()
 			waitForGoroutines(t, baseline)
 		})
 	}
 }
 
-// serveClientsOn starts the client plane on the given listener and
-// returns a stop function (idempotent, waits for the serving loop).
-func serveClientsOn(t *testing.T, dc *sectopk.DataCloud, l net.Listener) (stop func()) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- dc.ServeClients(ctx, l) }()
-	stopped := false
-	stop = func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("ServeClients did not return after context cancellation")
-		}
+// TestChaosS1S2LinkHeals runs the deployed recovery path with faults on
+// every S1↔S2 connection: S1 on the self-healing DataCloud.Dial, a
+// remote Client on Dial. S1 never repeats a round — a round lost with
+// its link fails its query typed — so every query revealing the right
+// answer shows the client's re-execution, under one idempotency key,
+// recovers end to end.
+func TestChaosS1S2LinkHeals(t *testing.T) {
+	rig := newChaosRig(t)
+	rig.warmCrypto(t)
+	policy := sectopk.WithRetry(sectopk.RetryPolicy{
+		Initial: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxElapsed: 90 * time.Second,
+	})
+
+	for _, seed := range chaosSeeds(t) {
+		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			l, injected := chaosListener(t, seed)
+			stopS2 := serveOn(t, l, rig.cc.Serve)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			dc := sectopk.NewDataCloud(testOpts(policy)...)
+			defer dc.Close()
+			if err := dc.Dial(ctx, l.Addr().String()); err != nil {
+				t.Fatalf("DataCloud.Dial: %v\ninjected: %s", err, injected())
+			}
+			// Hosting is one Hello round: a fault fails it typed, and
+			// the next try finds a fresh link.
+			for attempt := 0; ; attempt++ {
+				err := dc.Host(ctx, "topk", rig.er)
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, sectopk.ErrTransport) || attempt >= 20 {
+					t.Fatalf("Host: %v\ninjected: %s", err, injected())
+				}
+			}
+			cl, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopS1 := serveClientsOn(t, dc, cl)
+			client, err := sectopk.Dial(ctx, cl.Addr().String(), policy)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			for q := 0; q < 4; q++ {
+				ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
+				if err != nil {
+					t.Fatalf("query %d failed despite retries: %v\ninjected: %s", q, err, injected())
+				}
+				got, err := rig.owner.Reveal(rig.er, ans.TopK)
+				if err != nil {
+					t.Fatalf("Reveal: %v", err)
+				}
+				if !reflect.DeepEqual(got, rig.want) {
+					t.Fatalf("query %d revealed %v, want %v\ninjected: %s", q, got, rig.want, injected())
+				}
+			}
+			t.Logf("seed %d: 4/4 queries completed; injected: %s", seed, injected())
+			client.Close()
+			stopS1()
+			dc.Close()
+			stopS2()
+			waitForGoroutines(t, baseline)
+		})
 	}
-	t.Cleanup(stop)
-	return stop
 }
 
 // TestChaosClientWireWithRetries injects faults into every accepted
-// client-plane connection and requires the recovery stack (DialRetry's
+// client-plane connection and requires the recovery stack (Dial's
 // re-dialing transport + Execute retries) to absorb ALL of them: every
 // query must complete with the correct answer.
 func TestChaosClientWireWithRetries(t *testing.T) {
@@ -273,41 +369,16 @@ func TestChaosClientWireWithRetries(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			var mu sync.Mutex
-			var scheds []*faultnet.Schedule
-			injected := func() string {
-				mu.Lock()
-				defer mu.Unlock()
-				var all []string
-				for i, s := range scheds {
-					for _, f := range s.Injected() {
-						all = append(all, "conn"+strconv.Itoa(i)+": "+f)
-					}
-				}
-				return strings.Join(all, "; ")
-			}
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl := &faultnet.Listener{Listener: l, NewSchedule: func(i int) *faultnet.Schedule {
-				// Distinct per-connection streams derived from the seed, so
-				// a re-dial after a reset faces fresh (deterministic) faults.
-				s := faultnet.Seeded(seed+int64(i)*1021, chaosProfile())
-				mu.Lock()
-				scheds = append(scheds, s)
-				mu.Unlock()
-				return s
-			}}
-			stop := serveClientsOn(t, dc, fl)
+			l, injected := chaosListener(t, seed)
+			stop := serveClientsOn(t, dc, l)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
-			client, err := sectopk.DialRetry(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
+			client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
 				Initial: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxElapsed: 90 * time.Second,
 			}))
 			if err != nil {
-				t.Fatalf("DialRetry: %v\ninjected: %s", err, injected())
+				t.Fatalf("Dial: %v\ninjected: %s", err, injected())
 			}
 			for q := 0; q < 4; q++ {
 				ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
@@ -331,8 +402,9 @@ func TestChaosClientWireWithRetries(t *testing.T) {
 }
 
 // TestChaosClientWireWithoutRetries runs the same faulty client plane
-// with a plain (non-retrying) client: queries may fail, but only fast
-// and typed — and a fresh dial after a failure must restore service.
+// with a one-attempt client (RetryPolicy MaxAttempts -1): queries may
+// fail, but only fast and typed — and a fresh dial after a failure must
+// restore service.
 func TestChaosClientWireWithoutRetries(t *testing.T) {
 	rig := newChaosRig(t)
 	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
@@ -344,27 +416,16 @@ func TestChaosClientWireWithoutRetries(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			var mu sync.Mutex
-			var scheds []*faultnet.Schedule
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl := &faultnet.Listener{Listener: l, NewSchedule: func(i int) *faultnet.Schedule {
-				s := faultnet.Seeded(seed+int64(i)*1021, chaosProfile())
-				mu.Lock()
-				scheds = append(scheds, s)
-				mu.Unlock()
-				return s
-			}}
-			stop := serveClientsOn(t, dc, fl)
+			l, _ := chaosListener(t, seed)
+			stop := serveClientsOn(t, dc, l)
 
 			// dial tolerates typed failures (the preface itself may be hit)
 			// but never untyped ones or hangs.
 			dial := func() *sectopk.Client {
 				for attempt := 0; attempt < 20; attempt++ {
 					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					client, err := sectopk.Dial(ctx, l.Addr().String())
+					client, err := sectopk.Dial(ctx, l.Addr().String(),
+						sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 					cancel()
 					if err == nil {
 						return client
@@ -424,7 +485,7 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// Reserve an address nothing listens on: every dial attempt fails
-	// fast with a typed transport error, so DialRetry sits in backoff.
+	// fast with a typed transport error, so Dial sits in backoff.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -438,14 +499,14 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = sectopk.DialRetry(ctx, deadAddr, sectopk.WithRetry(sectopk.RetryPolicy{
+	_, err = sectopk.Dial(ctx, deadAddr, sectopk.WithRetry(sectopk.RetryPolicy{
 		Initial: 500 * time.Millisecond, Max: time.Second, MaxElapsed: 10 * time.Minute,
 	}))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DialRetry after cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("Dial after cancel: err = %v, want context.Canceled", err)
 	}
 	if took := time.Since(start); took > 3*time.Second {
-		t.Fatalf("DialRetry took %v to notice cancellation", took)
+		t.Fatalf("Dial took %v to notice cancellation", took)
 	}
 	waitForGoroutines(t, baseline)
 
@@ -463,11 +524,11 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := serveClientsOn(t, dc, l)
-	client, err := sectopk.DialRetry(context.Background(), l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
+	client, err := sectopk.Dial(context.Background(), l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
 		Initial: 200 * time.Millisecond, Max: time.Second, MaxElapsed: 10 * time.Minute,
 	}))
 	if err != nil {
-		t.Fatalf("DialRetry: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	stop() // the server is gone; retries can only redial and fail
 
@@ -489,7 +550,7 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 }
 
 // TestOverloadedRoundTripsClientWire floods a session-limited data cloud
-// over TCP with a non-retrying client: overflow must come back as
+// over TCP with a one-attempt client: overflow must come back as
 // ErrOverloaded under errors.Is (the typed shed crossed the wire), while
 // at least one admitted query completes correctly.
 func TestOverloadedRoundTripsClientWire(t *testing.T) {
@@ -505,7 +566,7 @@ func TestOverloadedRoundTripsClientWire(t *testing.T) {
 	}
 	serveClientsOn(t, dc, l)
 	ctx := context.Background()
-	client, err := sectopk.Dial(ctx, l.Addr().String())
+	client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,16 +612,35 @@ func TestOverloadedRoundTripsClientWire(t *testing.T) {
 	t.Logf("%d completed, %d shed with ErrOverloaded over the wire", completed, shed)
 }
 
-// holdConn passes traffic through until armed; from then on every Write
-// waits for release, and the first one to wait closes held. It keeps a
-// query in flight for exactly as long as a test needs, however fast the
-// query itself is.
-type holdConn struct {
-	net.Conn
+// hold passes traffic through until armed; from then on every Write on
+// its connections waits for release, and the first one to wait closes
+// held. It keeps a query in flight for exactly as long as a test needs,
+// however fast the query itself is.
+type hold struct {
 	armed   atomic.Bool
 	once    sync.Once
 	held    chan struct{}
 	release chan struct{}
+}
+
+// holdListener hands out every accepted connection as a holdConn under
+// its one hold.
+type holdListener struct {
+	net.Listener
+	*hold
+}
+
+func (l holdListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{Conn: conn, hold: l.hold}, nil
+}
+
+type holdConn struct {
+	net.Conn
+	*hold
 }
 
 func (c *holdConn) Write(b []byte) (int, error) {
@@ -574,29 +654,19 @@ func (c *holdConn) Write(b []byte) (int, error) {
 // TestCloseDrainCompletesInFlight checks the graceful-drain contract on
 // the data cloud itself: Close under WithDrainTimeout lets the in-flight
 // query finish (and its answer reveal correctly) while a request
-// arriving during the drain window sheds with ErrOverloaded. The query's
-// S1↔S2 link holds its first request until the drain has been observed,
-// so the query is still in flight when Close starts.
+// arriving during the drain window sheds with ErrOverloaded. S2 holds
+// its reply to the query's first round until the drain has been
+// observed, so the query is still in flight when Close starts.
 func TestCloseDrainCompletesInFlight(t *testing.T) {
 	rig := newChaosRig(t)
 	s2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveCtx, stopServe := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- rig.cc.Serve(serveCtx, s2) }()
-	t.Cleanup(func() {
-		stopServe()
-		<-serveDone
-	})
-	raw, err := net.Dial("tcp", s2.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := &holdConn{Conn: raw, held: make(chan struct{}), release: make(chan struct{})}
+	link := &hold{held: make(chan struct{}), release: make(chan struct{})}
+	serveOn(t, holdListener{Listener: s2, hold: link}, rig.cc.Serve)
 	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.Connect(context.Background(), link)
+		return dc.Dial(context.Background(), s2.Addr().String())
 	}, sectopk.WithDrainTimeout(time.Minute))
 	t.Cleanup(dc.Close)
 	var releaseOnce sync.Once
@@ -609,7 +679,7 @@ func TestCloseDrainCompletesInFlight(t *testing.T) {
 	}
 	serveClientsOn(t, dc, l)
 	ctx := context.Background()
-	client, err := sectopk.Dial(ctx, l.Addr().String())
+	client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,10 +774,10 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 	}
 }
 
-// TestDialRetryFlakyListener checks DialRetry rides out a listener that
-// tears down its first connections: the backoff re-dials until the
-// listener behaves, and the client then works normally.
-func TestDialRetryFlakyListener(t *testing.T) {
+// TestDialFlakyListener checks Dial rides out a listener that tears
+// down its first connections: the backoff re-dials until the listener
+// behaves, and the client then works normally.
+func TestDialFlakyListener(t *testing.T) {
 	rig := newChaosRig(t)
 	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
 		return dc.ConnectLocal(context.Background(), rig.cc)
@@ -721,11 +791,11 @@ func TestDialRetryFlakyListener(t *testing.T) {
 	serveClientsOn(t, dc, &flakyListener{Listener: l, failFirst: 2})
 
 	ctx := context.Background()
-	client, err := sectopk.DialRetry(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
+	client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
 		Initial: 5 * time.Millisecond, Max: 50 * time.Millisecond, MaxAttempts: 6,
 	}))
 	if err != nil {
-		t.Fatalf("DialRetry through flaky listener: %v", err)
+		t.Fatalf("Dial through flaky listener: %v", err)
 	}
 	defer client.Close()
 	ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
@@ -744,9 +814,9 @@ func TestDialRetryFlakyListener(t *testing.T) {
 // TestChaosApplyExactlyOnce drives live mutations through a
 // fault-injected client wire and pins the mutation plane's exactly-once
 // contract: every delta lands exactly once no matter how many times the
-// link dies mid-Apply. The wire layer never blindly re-issues Apply
-// (fail closed); it is the delta's idempotency key that makes the
-// caller's deliberate re-issue safe — so each delta must advance the
+// link dies mid-Apply. It is the delta's idempotency key that makes a
+// re-issue safe — the client's own retries and the caller's deliberate
+// ones alike — so each delta must advance the
 // epoch by exactly one, a replay of a landed delta must report the
 // recorded epoch without moving the relation, and the post-chaos answers
 // must still match the plaintext oracle.
@@ -757,39 +827,16 @@ func TestChaosApplyExactlyOnce(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			rig := newMutationRig(t, 2, 8, 3, rng)
 
-			var mu sync.Mutex
-			var scheds []*faultnet.Schedule
-			injected := func() string {
-				mu.Lock()
-				defer mu.Unlock()
-				var all []string
-				for i, s := range scheds {
-					for _, f := range s.Injected() {
-						all = append(all, "conn"+strconv.Itoa(i)+": "+f)
-					}
-				}
-				return strings.Join(all, "; ")
-			}
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl := &faultnet.Listener{Listener: l, NewSchedule: func(i int) *faultnet.Schedule {
-				s := faultnet.Seeded(seed+int64(i)*1021, chaosProfile())
-				mu.Lock()
-				scheds = append(scheds, s)
-				mu.Unlock()
-				return s
-			}}
-			stop := serveClientsOn(t, rig.dc, fl)
+			l, injected := chaosListener(t, seed)
+			stop := serveClientsOn(t, rig.dc, l)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
-			client, err := sectopk.DialRetry(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
+			client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
 				Initial: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxElapsed: 90 * time.Second,
 			}))
 			if err != nil {
-				t.Fatalf("DialRetry: %v\ninjected: %s", err, injected())
+				t.Fatalf("Dial: %v\ninjected: %s", err, injected())
 			}
 
 			// shipChaos lands one delta through the faulty wire: re-issuing

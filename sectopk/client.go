@@ -21,62 +21,75 @@ import (
 // and receives encrypted answers, which travel back to the owner for
 // revealing.
 //
-// A client built with DialRetry additionally recovers from failures:
-// the connection re-dials itself, and failed Execute calls are retried
-// under the configured policy (see DialRetry).
+// A client recovers from failures on its own: the connection re-dials
+// itself, and failed Execute and Apply calls are retried under the
+// configured policy (see Dial).
 type Client struct {
-	conn  transport.ConnCaller
+	conn  *transport.ReconnectCaller
 	stats *transport.Stats
-	// retry, when non-nil, re-issues failed Execute calls (transport
-	// failures and overload sheds) under this policy. Set by DialRetry.
-	retry *backoff.Policy
+	// retry re-issues failed Execute and Apply calls (transport failures
+	// and overload sheds) under this policy.
+	retry backoff.Policy
 	// tenant is the name announced in the Hello (WithTenant); the server
 	// buckets this connection's requests under it for QoS admission.
 	tenant string
 }
 
-// Dial connects to a DataCloud serving clients at addr (TCP), opens the
-// multiplexed framing, and runs the client-plane version handshake.
-// WithTenant names the tenant the connection identifies as; other
-// options are ignored.
+// Dial connects to a DataCloud serving clients at addr (TCP) through the
+// self-healing transport: the connection is dialed (and, after link
+// failures, re-dialed) under the retry policy of WithRetry (package
+// defaults otherwise), with the multiplexed framing opened and the
+// client-plane version handshake run on every fresh link. Execute and
+// Apply calls retry on transport failures and overload sheds
+// (ErrOverloaded — e.g. a data cloud at its WithSessionLimit, or one
+// draining for shutdown); a query carries an idempotency key so the
+// server accounts a retried query as one query, not a repeated query
+// pattern. Errors the server computed — unknown relation, invalid
+// token, bad request — surface immediately, wrapped with the attempt
+// history. RetryPolicy{MaxAttempts: -1} makes every dial and call one
+// attempt. WithTenant names the tenant the connection identifies as;
+// other options are ignored.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
+	cfg := buildConfig(opts)
+	stats := transport.NewStats()
+	c := &Client{stats: stats, retry: cfg.retry.backoff(), tenant: cfg.tenant}
+	c.conn = transport.NewReconnectCaller(transport.ReconnectConfig{
+		Dial: func(ctx context.Context) (transport.ConnCaller, error) {
+			return dialMux(ctx, addr, stats, "data cloud")
+		},
+		OnConnect: c.helloOn,
+		Policy:    c.retry,
+	})
+	// Eager first dial (the version handshake rides OnConnect): fail
+	// Dial after the policy's attempts rather than the first Execute
+	// when the data cloud is unreachable.
+	if err := c.conn.Connect(ctx); err != nil {
+		c.conn.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// dialMux dials addr over TCP and opens the multiplexed framing on the
+// connection, counting its traffic in stats; peer names the role dialed
+// in a failure.
+func dialMux(ctx context.Context, addr string, stats *transport.Stats, peer string) (transport.ConnCaller, error) {
 	var dialer net.Dialer
 	conn, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, secerr.Wrap(secerr.CodeTransport, err, "sectopk: dialing data cloud")
+		return nil, secerr.Wrap(secerr.CodeTransport, err, "sectopk: dialing %s", peer)
 	}
-	c, err := NewClient(ctx, conn, opts...)
+	mc, err := transport.Connect(ctx, conn, stats)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return c, nil
+	return mc, nil
 }
 
-// NewClient wraps an established connection to a DataCloud client
-// listener (TCP, unix socket, ...): it opens the multiplexed framing and
-// runs the version handshake. The connection is owned by the client from
-// here on and closed by Close. WithTenant names the tenant the connection
-// identifies as; other options are ignored.
-func NewClient(ctx context.Context, conn net.Conn, opts ...Option) (*Client, error) {
-	stats := transport.NewStats()
-	mc, err := transport.Connect(ctx, conn, stats)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{conn: mc, stats: stats, tenant: buildConfig(opts).tenant}
-	if err := c.helloOn(ctx, mc); err != nil {
-		mc.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// helloOn runs the client-plane version handshake over any caller — the
-// freshly connected client, or each reconnect of a self-healing
-// transport (ReconnectCaller's OnConnect). It announces this build's
-// version and the tenant, and requires the server to answer at the same
-// version.
+// helloOn runs the client-plane version handshake on every fresh link
+// (ReconnectCaller's OnConnect). It announces this build's version and
+// the tenant, and requires the server to answer at the same version.
 func (c *Client) helloOn(ctx context.Context, caller transport.Caller) error {
 	var rep clientHelloReply
 	req := clientHello{Version: clientProtocolVersion, Tenant: c.tenant}
@@ -84,50 +97,6 @@ func (c *Client) helloOn(ctx context.Context, caller transport.Caller) error {
 		return err
 	}
 	return checkClientVersion("server", rep.Version)
-}
-
-// DialRetry connects to a DataCloud like Dial, but through the
-// self-healing transport: the connection is dialed (and, after link
-// failures, re-dialed) under the retry policy of WithRetry (package
-// defaults otherwise; other options are ignored), with the version
-// handshake re-run on every fresh link. Execute calls additionally
-// retry on transport failures and overload sheds (ErrOverloaded — e.g.
-// a data cloud at its WithSessionLimit, or one draining for shutdown),
-// carrying an idempotency key so the server accounts a retried query as
-// one query, not a repeated query pattern. Errors the server computed —
-// unknown relation, invalid token, bad request — surface immediately,
-// wrapped with the attempt history.
-func DialRetry(ctx context.Context, addr string, opts ...Option) (*Client, error) {
-	cfg := buildConfig(opts)
-	policy := cfg.retryPolicy()
-	stats := transport.NewStats()
-	c := &Client{stats: stats, retry: &policy, tenant: cfg.tenant}
-	rc := transport.NewReconnectCaller(transport.ReconnectConfig{
-		Dial: func(ctx context.Context) (transport.ConnCaller, error) {
-			var dialer net.Dialer
-			conn, err := dialer.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				return nil, secerr.Wrap(secerr.CodeTransport, err, "sectopk: dialing data cloud")
-			}
-			mc, err := transport.Connect(ctx, conn, stats)
-			if err != nil {
-				conn.Close()
-				return nil, err
-			}
-			return mc, nil
-		},
-		OnConnect: c.helloOn,
-		Policy:    policy,
-	})
-	// Eager first dial (the version handshake rides OnConnect): fail
-	// DialRetry after the policy's attempts rather than the first
-	// Execute when the data cloud is unreachable.
-	if err := rc.Connect(ctx); err != nil {
-		rc.Close()
-		return nil, err
-	}
-	c.conn = rc
-	return c, nil
 }
 
 // Execute submits one request of any workload and returns its encrypted
@@ -157,16 +126,11 @@ func (c *Client) Execute(ctx context.Context, req Request) (*Answer, error) {
 	}
 	before := c.stats.Total()
 	var rep clientExecuteReply
-	if c.retry != nil {
-		err = backoff.Retry(ctx, methodClientExecute, *c.retry, executeRetryable,
-			func(ctx context.Context) error {
-				wreq.Attempt++
-				rep = clientExecuteReply{}
-				return c.conn.Call(ctx, methodClientExecute, wreq, &rep)
-			})
-	} else {
-		err = c.conn.Call(ctx, methodClientExecute, wreq, &rep)
-	}
+	err = backoff.Retry(ctx, methodClientExecute, c.retry, executeRetryable,
+		func(ctx context.Context) error {
+			rep = clientExecuteReply{}
+			return c.conn.Call(ctx, methodClientExecute, wreq, &rep)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -189,10 +153,9 @@ func (c *Client) Execute(ctx context.Context, req Request) (*Answer, error) {
 
 // Apply ships one mutation delta to the remote DataCloud and returns
 // the epoch the relation reached — the remote counterpart of
-// DataCloud.Apply. A client built with DialRetry retries Apply like
-// Execute: the retry is safe even though Apply mutates, because the
-// delta's embedded idempotency key makes the server replay the recorded
-// epoch instead of reapplying.
+// DataCloud.Apply. Apply retries like Execute: the retry is safe even
+// though Apply mutates, because the delta's embedded idempotency key
+// makes the server replay the recorded epoch instead of reapplying.
 func (c *Client) Apply(ctx context.Context, relation string, delta *Delta) (uint64, error) {
 	if delta == nil {
 		return 0, secerr.New(secerr.CodeBadRequest, "sectopk: nil delta")
@@ -203,16 +166,11 @@ func (c *Client) Apply(ctx context.Context, relation string, delta *Delta) (uint
 	}
 	wreq := clientApplyRequest{Relation: relation, Delta: buf.Bytes()}
 	var rep clientApplyReply
-	var err error
-	if c.retry != nil {
-		err = backoff.Retry(ctx, methodClientApply, *c.retry, executeRetryable,
-			func(ctx context.Context) error {
-				rep = clientApplyReply{}
-				return c.conn.Call(ctx, methodClientApply, wreq, &rep)
-			})
-	} else {
-		err = c.conn.Call(ctx, methodClientApply, wreq, &rep)
-	}
+	err := backoff.Retry(ctx, methodClientApply, c.retry, executeRetryable,
+		func(ctx context.Context) error {
+			rep = clientApplyReply{}
+			return c.conn.Call(ctx, methodClientApply, wreq, &rep)
+		})
 	if err != nil {
 		return 0, err
 	}

@@ -528,11 +528,11 @@ func TestClientConcurrentOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients*perClient)
 	for c := 0; c < clients; c++ {
-		client, err := sectopk.DialRetry(ctx, addr, sectopk.WithRetry(sectopk.RetryPolicy{
+		client, err := sectopk.Dial(ctx, addr, sectopk.WithRetry(sectopk.RetryPolicy{
 			Initial: 5 * time.Millisecond, Max: 100 * time.Millisecond, MaxElapsed: 2 * time.Minute,
 		}))
 		if err != nil {
-			t.Fatalf("DialRetry client %d: %v", c, err)
+			t.Fatalf("Dial client %d: %v", c, err)
 		}
 		defer client.Close()
 		for q := 0; q < perClient; q++ {

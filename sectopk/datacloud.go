@@ -3,7 +3,6 @@ package sectopk
 import (
 	"context"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"time"
@@ -64,7 +63,7 @@ func (a *admission) release() {
 // material — encrypted relations, public keys, and its own ephemeral
 // blinding keys.
 //
-// Connect it exactly once (ConnectLocal, Connect, or Dial), then Host
+// Connect it exactly once (ConnectLocal or Dial), then Host
 // relations and Execute requests against them. All methods are safe for
 // concurrent use. TCP connections carry the multiplexed framing, so
 // concurrent queries keep many calls in flight on one connection; the
@@ -93,9 +92,9 @@ type DataCloud struct {
 	qos *qos.Limiter
 
 	mu      sync.Mutex
-	caller  transport.Caller     // what hosted clients issue rounds on
-	conn    transport.ConnCaller // owning handle for a network transport
-	batcher *cloud.Batcher       // wraps the transport; what caller points at
+	caller  transport.Caller           // what hosted clients issue rounds on
+	link    *transport.ReconnectCaller // the TCP link (Dial); nil in process
+	batcher *cloud.Batcher             // wraps the transport; what caller points at
 	// hosted is the one registry: every hosted id, whatever its kind,
 	// lives here, so the id namespace is shared by construction.
 	hosted map[string]hosted
@@ -328,8 +327,9 @@ func NewDataCloud(opts ...Option) *DataCloud {
 
 // setCaller installs the transport exactly once. raw is the transport
 // the rounds travel on; the batch scheduler wraps it and becomes the
-// caller the hosted clients see.
-func (d *DataCloud) setCaller(raw transport.Caller, conn transport.ConnCaller) error {
+// caller the hosted clients see. link is the self-healing TCP link
+// behind raw (Dial), nil in process (ConnectLocal).
+func (d *DataCloud) setCaller(raw transport.Caller, link *transport.ReconnectCaller) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -338,55 +338,10 @@ func (d *DataCloud) setCaller(raw transport.Caller, conn transport.ConnCaller) e
 	if d.caller != nil {
 		return secerr.New(secerr.CodeInternal, "sectopk: data cloud already connected")
 	}
-	caller := raw
-	if d.cfg.retry != nil {
-		// Round-retry sits below the batcher: a retried round is the
-		// actual wire envelope, re-issued only per the retryability table.
-		caller = cloud.NewRetryCaller(caller, d.cfg.retryPolicy())
-	}
-	d.batcher = cloud.NewBatcher(caller)
+	d.batcher = cloud.NewBatcher(raw)
 	d.caller = d.batcher
-	d.conn = conn
+	d.link = link
 	return nil
-}
-
-// unsetCaller uninstalls a transport whose handshake failed, so the data
-// cloud can retry connecting instead of being wedged on a dead link. The
-// discarded connection is closed first (stopping its reader goroutine
-// and unblocking any in-flight envelope), then the batcher drains.
-func (d *DataCloud) unsetCaller() {
-	d.mu.Lock()
-	batcher := d.batcher
-	conn := d.conn
-	d.caller = nil
-	d.conn = nil
-	d.batcher = nil
-	d.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	if batcher != nil {
-		batcher.Close()
-	}
-}
-
-// connect installs a transport and runs the version handshake over it;
-// on failure the link is closed and the data cloud stays unconnected.
-func (d *DataCloud) connect(ctx context.Context, raw transport.Caller, conn transport.ConnCaller) error {
-	if err := d.setCaller(raw, conn); err != nil {
-		if conn != nil {
-			conn.Close()
-		}
-		return err
-	}
-	caller, err := d.connectedCaller()
-	if err == nil {
-		err = cloud.Handshake(ctx, caller, "")
-	}
-	if err != nil {
-		d.unsetCaller()
-	}
-	return err
 }
 
 // ConnectLocal wires this data cloud to a CryptoCloud in the same
@@ -398,56 +353,25 @@ func (d *DataCloud) ConnectLocal(ctx context.Context, cc *CryptoCloud) error {
 	if cc == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: nil crypto cloud")
 	}
-	return d.connect(ctx, transport.NewLocal(cc.responder(), d.stats), nil)
-}
-
-// Connect wires this data cloud to a CryptoCloud over an established
-// connection: the preface opens the frame-ID multiplexed framing, then
-// the version handshake runs. The connection is closed by Close.
-func (d *DataCloud) Connect(ctx context.Context, conn net.Conn) error {
-	nc, err := transport.Connect(ctx, conn, d.stats)
-	if err != nil {
+	local := transport.NewLocal(cc.responder(), d.stats)
+	if err := cloud.Handshake(ctx, local, ""); err != nil {
 		return err
 	}
-	return d.connect(ctx, nc, nc)
+	return d.setCaller(local, nil)
 }
 
-// Dial connects to a CryptoCloud serving at addr (TCP) and runs the
-// version handshake.
+// Dial connects to a CryptoCloud serving at addr (TCP) through the
+// self-healing transport: the link is dialed (and, after a link
+// failure, re-dialed on the next round) under the retry policy of
+// WithRetry (package defaults otherwise), and every fresh link runs the
+// version handshake plus one Hello per hosted relation before any round
+// travels. A round in flight when its link dies is not repeated: it
+// fails its query with a typed transport error, and a remote client
+// re-executes the query under its idempotency key.
 func (d *DataCloud) Dial(ctx context.Context, addr string) error {
-	var dialer net.Dialer
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return secerr.Wrap(secerr.CodeTransport, err, "sectopk: dialing crypto cloud")
-	}
-	if err := d.Connect(ctx, conn); err != nil {
-		conn.Close()
-		return err
-	}
-	return nil
-}
-
-// DialRetry connects to a CryptoCloud at addr through the self-healing
-// transport: the link is (re-)dialed on demand under the configured
-// retry policy (WithRetry; package defaults otherwise), and every
-// reconnect re-runs the version handshake plus one Hello per hosted
-// relation before any round travels. A round that was in flight when
-// the link died still fails — re-issuing rounds is the round-retry
-// layer's job (WithRetry), which composes on top of this transport.
-func (d *DataCloud) DialRetry(ctx context.Context, addr string) error {
-	rc := transport.NewReconnectCaller(transport.ReconnectConfig{
+	link := transport.NewReconnectCaller(transport.ReconnectConfig{
 		Dial: func(ctx context.Context) (transport.ConnCaller, error) {
-			var dialer net.Dialer
-			conn, err := dialer.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				return nil, secerr.Wrap(secerr.CodeTransport, err, "sectopk: dialing crypto cloud")
-			}
-			nc, err := transport.Connect(ctx, conn, d.stats)
-			if err != nil {
-				conn.Close()
-				return nil, err
-			}
-			return nc, nil
+			return dialMux(ctx, addr, d.stats, "crypto cloud")
 		},
 		OnConnect: func(ctx context.Context, c transport.Caller) error {
 			if err := cloud.Handshake(ctx, c, ""); err != nil {
@@ -463,39 +387,35 @@ func (d *DataCloud) DialRetry(ctx context.Context, addr string) error {
 			}
 			return nil
 		},
-		Policy: d.cfg.retryPolicy(),
+		Policy: d.cfg.retry.backoff(),
 	})
 	// Eager first dial (the version handshake rides OnConnect): fail
-	// DialRetry after the policy's attempts rather than the first query
-	// when the crypto cloud is unreachable.
-	if err := rc.Connect(ctx); err != nil {
-		rc.Close()
+	// Dial after the policy's attempts rather than the first query when
+	// the crypto cloud is unreachable.
+	if err := link.Connect(ctx); err != nil {
+		link.Close()
 		return err
 	}
-	if err := d.setCaller(rc, rc); err != nil {
-		rc.Close()
+	if err := d.setCaller(link, link); err != nil {
+		link.Close()
 		return err
 	}
 	return nil
 }
 
 // Connected reports whether the data cloud holds a usable transport: it
-// is wired up (ConnectLocal, Connect, Dial, or DialRetry), not closed,
-// and — on a self-healing transport — the link is currently established
-// rather than awaiting a re-dial.
+// is wired up (ConnectLocal or Dial), not closed, and — over TCP — the
+// link is currently established rather than awaiting a re-dial.
 func (d *DataCloud) Connected() bool {
 	d.mu.Lock()
 	caller := d.caller
-	conn := d.conn
+	link := d.link
 	closed := d.closed
 	d.mu.Unlock()
 	if closed || caller == nil {
 		return false
 	}
-	if rc, ok := conn.(*transport.ReconnectCaller); ok {
-		return rc.Connected()
-	}
-	return true
+	return link == nil || link.Connected()
 }
 
 // Draining reports whether the data cloud is in its drain window:
@@ -852,12 +772,12 @@ func (d *DataCloud) Close() {
 	}
 	entries := d.hosted
 	clu := d.cluster
-	conn := d.conn
+	link := d.link
 	batcher := d.batcher
 	d.hosted = map[string]hosted{}
 	d.cluster = nil
 	d.caller = nil
-	d.conn = nil
+	d.link = nil
 	d.batcher = nil
 	d.closed = true
 	d.mu.Unlock()
@@ -871,8 +791,8 @@ func (d *DataCloud) Close() {
 	// envelopes run under the background context, so the dying link is
 	// what unblocks them — the reverse order would wait on a stalled
 	// peer forever.
-	if conn != nil {
-		conn.Close()
+	if link != nil {
+		link.Close()
 	}
 	if batcher != nil {
 		batcher.Close()

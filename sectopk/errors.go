@@ -27,8 +27,8 @@ var (
 	// ErrOverloaded marks a request shed by an admission bound: the data
 	// cloud is at its configured session limit (or draining toward
 	// shutdown) and refused the work instead of queueing it. Overloaded
-	// requests are safe to retry after backing off; the retrying client
-	// plane (DialRetry) does so automatically.
+	// requests are safe to retry after backing off; a Client (Dial) does
+	// so automatically under its retry policy.
 	ErrOverloaded error = secerr.ErrOverloaded
 	// ErrRelationStale marks an operation pinned to a relation epoch that
 	// is no longer the hosted one: a concurrent Apply or Compact advanced

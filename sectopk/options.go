@@ -22,7 +22,7 @@ type config struct {
 	maxScoreBits int
 	shards       int
 	sessionLimit int
-	retry        *RetryPolicy
+	retry        RetryPolicy
 	drainTimeout time.Duration
 	memberID     string
 	// tenant names the tenant a Client identifies as (WithTenant).
@@ -32,16 +32,6 @@ type config struct {
 	tenantLimits map[string]qos.Rate
 	// traceSink receives one QuerySpan per execution (WithTraceSink).
 	traceSink TraceSink
-}
-
-// retryPolicy resolves the effective backoff policy: the configured one,
-// or the package defaults when retries were requested implicitly (e.g.
-// DialRetry with no WithRetry option).
-func (c config) retryPolicy() backoff.Policy {
-	if c.retry != nil {
-		return c.retry.backoff()
-	}
-	return backoff.Policy{}
 }
 
 func defaultConfig() config {
@@ -155,21 +145,20 @@ func (p RetryPolicy) backoff() backoff.Policy {
 	}
 }
 
-// WithRetry opts a role into recovery-by-retry under the given policy.
+// WithRetry sets the recovery schedule of a dialed link (the zero
+// policy, and no WithRetry at all, mean the package defaults).
 //
-// On a DataCloud it wraps the S1→S2 transport with the round-retry
-// layer: failed protocol rounds are re-issued when — and only when —
-// the method is in the retryability table (every current method is: S2's
-// handlers are stateless crypto transforms) and the failure was
-// link-level or an overload shed. Peer-computed errors surface
-// immediately. Combine with DialRetry for re-dialing too.
+// On a DataCloud it is the schedule DataCloud.Dial dials and re-dials
+// the crypto cloud under. S1 never repeats a protocol round: a round
+// lost with its link fails its query with a typed error, and the next
+// round finds a fresh link.
 //
-// On a querier Client (DialRetry) it sets the schedule used both for
-// re-dialing the data cloud and for re-issuing failed Execute calls
-// (which carry an idempotency key, so a retried query is accounted as
-// one query, not a repeated pattern).
+// On a querier Client (Dial) it sets the schedule used both for
+// re-dialing the data cloud and for re-issuing failed Execute and Apply
+// calls (a query carries an idempotency key, so a retried query is
+// accounted as one query, not a repeated pattern).
 func WithRetry(p RetryPolicy) Option {
-	return func(c *config) { c.retry = &p }
+	return func(c *config) { c.retry = p }
 }
 
 // WithMemberID names a DataCloud's cluster identity: the Member string

@@ -135,7 +135,8 @@ func TestTenantLimitsIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gold.Close()
-	bronze, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("bronze"))
+	bronze, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("bronze"),
+		sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,8 @@ func TestTenantLimitsPerClusterConnection(t *testing.T) {
 	}))
 	ctx := context.Background()
 	addr, _ := serveCluster(t, rig.dc)
-	bronze, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("bronze"))
+	bronze, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("bronze"),
+		sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,14 +43,14 @@ import (
 const (
 	// clientProtocolVersion is the client-plane version this build
 	// speaks. v4: the frames left gob for internal/wire. v5: the query
-	// options lost Halt (strict NRA halting is the only test).
-	clientProtocolVersion = 5
+	// options lost Halt (strict NRA halting is the only test). v6: the
+	// Execute request lost Attempt (nothing read it).
+	clientProtocolVersion = 6
 
 	methodClientHello   = "Client.Hello"
 	methodClientExecute = "Client.Execute"
 	// methodClientApply shares its suffix with the S1→S2 wire's
-	// MethodApply: both name the same side-effecting operation, and both
-	// are deliberately outside every blind-retry table.
+	// MethodApply: both name the same side-effecting operation.
 	methodClientApply   = "Client." + cloud.MethodApply
 	methodClientCompact = "Client.Compact"
 )
@@ -138,21 +138,20 @@ func queryConfigFromWire(w wireQueryOptions) queryConfig {
 // clientExecuteRequest carries one query: the relation ID, the workload
 // discriminator, the workload's token as a secio stream, and the query
 // options. Idempotency, when non-empty, is the query's run key: retries
-// of the same logical query carry the same key (with Attempt counting
-// up), so the server's leakage ledger counts a retried query once
-// instead of recording a phantom repeated-query pattern. An empty key
-// disables the dedup (every arrival counts).
+// of the same logical query carry the same key, so the server's leakage
+// ledger counts a retried query once instead of recording a phantom
+// repeated-query pattern. An empty key disables the dedup (every
+// arrival counts).
 type clientExecuteRequest struct {
 	Relation    string
 	Workload    string
 	Token       []byte
 	Options     wireQueryOptions
 	Idempotency string
-	Attempt     int
 }
 
 // MarshalBinary: string(Relation) string(Workload) bytes(Token), the
-// options, string(Idempotency) uvarint(Attempt).
+// options, string(Idempotency).
 func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.String(m.Relation)
@@ -164,7 +163,6 @@ func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 	}
 	w.Uvarint(o.Epoch)
 	w.String(m.Idempotency)
-	w.Int("Attempt", m.Attempt)
 	return w.Finish()
 }
 
@@ -173,7 +171,7 @@ func (m *clientExecuteRequest) UnmarshalBinary(b []byte) error {
 	m.Relation, m.Workload, m.Token = r.String("Relation"), r.String("Workload"), r.Bytes("Token")
 	m.Options = wireQueryOptions{Mode: int(r.Varint()),
 		BatchDepth: int(r.Varint()), MaxDepth: int(r.Varint()), Epoch: r.Uvarint()}
-	m.Idempotency, m.Attempt = r.String("Idempotency"), r.Int("Attempt")
+	m.Idempotency = r.String("Idempotency")
 	return r.Finish()
 }
 
