@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/paillier"
+	"repro/internal/zmath"
 )
 
 var (
@@ -102,11 +103,13 @@ func sharedKey(b *testing.B) *paillier.PrivateKey {
 }
 
 // BenchmarkBatchEncrypt measures paillier.EncryptBatch throughput across
-// the precomputation axis: the spec path, the key holder's CRT subgroup
-// sampling, and the background nonce pool. The execution axis is
-// GOMAXPROCS: run with -cpu 1,N to set the serial batch beside the
-// worker-pooled one. At -cpu 1 the spec/crt pair is the per-nonce cost
-// comparison the precomputation layer is built around.
+// the precomputation axis: the spec path (a full-width r^N mod N^2 per
+// nonce, kept here as the reference), the key's fixed-base table (the one
+// producer every party draws from), and the background nonce pool over
+// it. The execution axis is GOMAXPROCS: run with -cpu 1,N to set the
+// serial batch beside the worker-pooled one. At -cpu 1 the spec/table
+// pair is the per-nonce cost comparison the precomputation layer is built
+// around.
 func BenchmarkBatchEncrypt(b *testing.B) {
 	sk := sharedKey(b)
 	pk := &sk.PublicKey
@@ -125,8 +128,11 @@ func BenchmarkBatchEncrypt(b *testing.B) {
 			}
 		})
 	}
-	run("spec", pk)
-	run("crt", sk.CRTEncryptor())
+	run("spec", paillier.NewNonceEncryptor(pk, func() (*big.Int, error) { return zmath.SpecNoncePower(pk.N, pk.N, pk.N2) }))
+	if _, err := pk.NoncePower(); err != nil { // build the table outside the timed loop
+		b.Fatal(err)
+	}
+	run("table", pk)
 	pool := paillier.NewNoncePool(pk, 2, 4*batch)
 	defer pool.Close()
 	run("pooled", pool)

@@ -45,9 +45,7 @@ func NewClient(caller transport.Caller, pk *paillier.PublicKey, ledger *Ledger, 
 	if err != nil {
 		return nil, fmt.Errorf("cloud: generating ephemeral key: %w", err)
 	}
-	// S1 holds only the ephemeral private key: the main surface takes the
-	// spec path, the ephemeral one the CRT sampler.
-	pkEnc, ephEnc := newPaillierEnc(pk, nil), newPaillierEnc(&eph.PublicKey, eph)
+	pkEnc, ephEnc := newEnc(pk), newEnc(&eph.PublicKey)
 	return &Client{
 		caller: caller, relation: buildConfig(opts).relation, pk: pk, eph: eph, ledger: ledger,
 		pkEnc: pkEnc, ephEnc: ephEnc, close: []func(){pkEnc.Close, ephEnc.Close},

@@ -679,8 +679,9 @@ func TestFilterMalformedRow(t *testing.T) {
 // TestBlindRecordRequestsRefused sends S2 the blind-record requests it must
 // refuse as typed bad_request before it builds a key or exponentiates: an
 // ephemeral modulus of any width but |N|+64 bits (narrower wraps records,
-// wider buys a wide exponentiation per slot), and a Filter whose tests do
-// not pair up with its rows.
+// wider buys a wide exponentiation per slot) or of the right width but no
+// product of two primes (a square or a prime: no nonce base), and a
+// Filter whose tests do not pair up with its rows.
 func TestBlindRecordRequestsRefused(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -701,6 +702,9 @@ func TestBlindRecordRequestsRefused(t *testing.T) {
 		"filter no tests":   &FilterRequest{Rows: []WireRow{row}, EphemeralN: ephN},
 		"filter more tests": &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one, one}, EphemeralN: ephN},
 		"filter zero test":  &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{new(big.Int)}, EphemeralN: ephN},
+		"dedup square":      &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: squareOfBits(pk.N.BitLen() + 64)},
+		"filter square":     &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: squareOfBits(pk.N.BitLen() + 64)},
+		"filter prime":      &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: primeOfBits(pk.N.BitLen() + 64)},
 	} {
 		method := MethodDedup
 		if _, ok := req.(*FilterRequest); ok {

@@ -1,9 +1,11 @@
 package cloud
 
 import (
+	"crypto/rand"
 	"fmt"
 	"math/big"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,44 +14,29 @@ import (
 	"repro/internal/transport"
 )
 
-// labelKey is a public key whose spec path, like the producers
-// pickedProducer hands newEnc, draws a label as its nonce power: an
-// encryption of zero is then the bare label, so one encryption reads off
-// which producer newEnc picked, and the shared draw count shows whether a
+// labelKey is a public key whose nonce powers are a label: an encryption
+// of zero is then the bare label, so one encryption reads off which
+// producer newEnc's surface drew from, and the draw count shows whether a
 // pool is prefetching behind it.
 type labelKey struct {
 	*paillier.PublicKey
 	draws *atomic.Int64
 }
 
-const (
-	specLabel = iota + 1
-	crtLabel
-)
+const keyLabel = 7
 
-func (k labelKey) producer(label int64) func() (*big.Int, error) {
-	return func() (*big.Int, error) {
-		k.draws.Add(1)
-		return big.NewInt(label), nil
-	}
+func (k labelKey) NoncePower() (*big.Int, error) {
+	k.draws.Add(1)
+	return big.NewInt(keyLabel), nil
 }
 
-func (k labelKey) NoncePower() (*big.Int, error) { return k.producer(specLabel)() }
-
-// pickedProducer runs newEnc for a party that does or does not hold the
-// private key and returns the label of the producer its surface draws
-// from, checking on the way that the surface is pooled exactly when pools
-// are enabled (GOMAXPROCS above 1).
-func pickedProducer(t *testing.T, holdsKey bool) int64 {
+// pickedProducer runs newEnc over a labelled key and returns the label
+// its surface encrypts with, checking on the way that the surface is
+// pooled exactly when pools are enabled (GOMAXPROCS above 1).
+func pickedProducer(t *testing.T) int64 {
 	t.Helper()
 	key := labelKey{PublicKey: &env(t).keys.Paillier.PublicKey, draws: new(atomic.Int64)}
-	var crt func() *paillier.NonceEncryptor
-	if holdsKey {
-		crt = func() *paillier.NonceEncryptor {
-			return paillier.NewNonceEncryptor(key.PublicKey, key.producer(crtLabel))
-		}
-	}
-	enc := newEnc(key, crt)
+	enc := newEnc(key)
 	defer enc.Close()
 	ct, err := enc.Encrypt(new(big.Int))
 	if err != nil {
@@ -66,11 +53,13 @@ func pickedProducer(t *testing.T, holdsKey bool) int64 {
 	return ct.C.Int64()
 }
 
-// TestNonceSurfaces pins which nonce producer a party's surface draws
-// from — the CRT sampler for a key holder, the spec path for a party
-// without the key, pooled exactly when pools run — at one core (pools
-// off) and at eight (pools on), and that the surfaces a real Server and
-// Client build encrypt what their key holders decrypt.
+// TestNonceSurfaces pins the one nonce producer: every surface a party
+// builds draws from its key's own NoncePower (the fixed-base table),
+// whether or not the party holds the factors, pooled exactly when pools
+// run — at one core (pools off) and at eight (pools on) — and the
+// surfaces a real Server and Client build, S2's and S1's under the
+// relation key and S1's under its ephemeral key, encrypt what their key
+// holders decrypt.
 func TestNonceSurfaces(t *testing.T) {
 	e := env(t)
 	prev := runtime.GOMAXPROCS(0)
@@ -81,11 +70,8 @@ func TestNonceSurfaces(t *testing.T) {
 			if poolsEnabled() != (procs > 1) {
 				t.Errorf("pools enabled = %v", poolsEnabled())
 			}
-			if got := pickedProducer(t, true); got != crtLabel {
-				t.Errorf("key held: picked producer %d, want CRT (%d)", got, crtLabel)
-			}
-			if got := pickedProducer(t, false); got != specLabel {
-				t.Errorf("no key: picked producer %d, want spec (%d)", got, specLabel)
+			if got := pickedProducer(t); got != keyLabel {
+				t.Errorf("surface drew %d, want the key's own producer (%d)", got, keyLabel)
 			}
 
 			srv, err := NewServer(e.keys, nil)
@@ -116,5 +102,74 @@ func TestNonceSurfaces(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEphemeralKeysBuiltOncePerClient: S2 rebuilds an S1 ephemeral key
+// once, not once per round — the same modulus returns the same key, and
+// with it the same nonce table — and holds at most ephemeralKeyCap of
+// them, evicting the least recently used.
+func TestEphemeralKeysBuiltOncePerClient(t *testing.T) {
+	pk := &env(t).keys.Paillier.PublicKey
+	var cache ephemeralKeys
+	moduli := make([]*big.Int, ephemeralKeyCap+2)
+	for i := range moduli {
+		for moduli[i] == nil || moduli[i].BitLen() != pk.N.BitLen()+ephemeralBits {
+			p, err := rand.Prime(rand.Reader, (pk.N.BitLen()+ephemeralBits)/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := rand.Prime(rand.Reader, (pk.N.BitLen()+ephemeralBits)/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moduli[i] = new(big.Int).Mul(p, q)
+		}
+	}
+	get := func(n *big.Int) *paillier.PublicKey {
+		t.Helper()
+		k, err := cache.get(pk, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	first := get(moduli[0])
+	if get(new(big.Int).Set(moduli[0])) != first {
+		t.Fatal("the same ephemeral modulus was rebuilt")
+	}
+	for _, n := range moduli[1:] {
+		get(n)
+		get(moduli[0]) // the first client stays the most recently used
+	}
+	if len(cache.keys) != ephemeralKeyCap {
+		t.Fatalf("%d ephemeral keys cached, want the cap %d", len(cache.keys), ephemeralKeyCap)
+	}
+	if get(moduli[0]) != first {
+		t.Fatal("a key in steady use was evicted")
+	}
+	if cache.lookup(moduli[1], nil) != nil {
+		t.Fatal("the least recently used key was kept past the cap")
+	}
+
+	// Rounds of one new client racing each other all get one key.
+	keys := make([]*paillier.PublicKey, 8)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			k, err := cache.get(pk, moduli[1])
+			if err != nil {
+				t.Error(err)
+			}
+			keys[i] = k
+		}(i)
+	}
+	wg.Wait()
+	for _, k := range keys[1:] {
+		if k != keys[0] {
+			t.Fatal("racing rounds of one client got different keys")
+		}
 	}
 }

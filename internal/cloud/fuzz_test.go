@@ -48,6 +48,25 @@ func oddOfBits(bits int) *big.Int {
 	return n.Add(n, big.NewInt(1))
 }
 
+// primeOfBits is the first prime above 3·2^(bits-2), which has exactly
+// bits bits.
+func primeOfBits(bits int) *big.Int {
+	p := new(big.Int).Lsh(big.NewInt(3), uint(bits-2))
+	p.Add(p, big.NewInt(1))
+	for !p.ProbablyPrime(20) {
+		p.Add(p, big.NewInt(2))
+	}
+	return p
+}
+
+// squareOfBits is the square of primeOfBits(bits/2): an odd modulus of
+// exactly bits bits (bits even) that is no product of two distinct
+// primes, so no nonce base can be derived for it.
+func squareOfBits(bits int) *big.Int {
+	p := primeOfBits(bits / 2)
+	return p.Mul(p, p)
+}
+
 // fuzzSeed is one hostile request: the method it is sent as, its body,
 // and the typed code it must earn from Server and Service alike — for a
 // batch envelope, the code of each item's result ("" for a served one).
@@ -128,6 +147,11 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 17)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 64)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{zero}, EphemeralN: oddOfBits(256 + 64)}), code: bad},
+		// An ephemeral modulus of the right width that is a square: no
+		// nonce base exists for it, and the round is refused however well
+		// formed the rest is (the test decrypts to zero, so nothing else
+		// would fail).
+		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: squareOfBits(256 + 64)}), code: bad},
 		// Batch envelopes: hostile item bodies, bogus item methods, a
 		// nested envelope, empty bodies and an item count that overruns
 		// the envelope — each must fail per item (or as bad_request).

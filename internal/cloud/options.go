@@ -53,28 +53,14 @@ func poolWorkers() int {
 // poolCapacity bounds how far ahead the fillers may run.
 const poolCapacity = 128
 
-// newEnc builds one Paillier encryption surface for spec's key: the CRT
-// sampler when crt is non-nil (the party holds the private key; it is
-// assumption-free, bit-compatible with the spec path and ~2-3x cheaper
-// per nonce), the spec path otherwise, behind a background pool when
-// pooling is enabled. The caller owes the surface a Close.
-func newEnc(spec paillier.NonceSource, crt func() *paillier.NonceEncryptor) *paillier.NonceEncryptor {
-	enc := paillier.NewNonceEncryptor(spec.Key(), spec.NoncePower)
-	if crt != nil {
-		enc = crt()
-	}
+// newEnc builds one Paillier encryption surface over src's nonce powers,
+// behind a background pool when pooling is enabled. Every party builds
+// every surface this way, whether or not it holds the key's factors: the
+// key's fixed-base table (zmath.NonceBase) is the one producer. The
+// caller owes the surface a Close.
+func newEnc(src paillier.NonceSource) *paillier.NonceEncryptor {
 	if poolsEnabled() {
-		enc = paillier.NewNoncePool(enc, poolWorkers(), poolCapacity)
+		return paillier.NewNoncePool(src, poolWorkers(), poolCapacity)
 	}
-	return enc
-}
-
-// newPaillierEnc returns the encryption surface for pk. sk may be nil
-// (the party does not hold the private key).
-func newPaillierEnc(pk *paillier.PublicKey, sk *paillier.PrivateKey) *paillier.NonceEncryptor {
-	var crt func() *paillier.NonceEncryptor
-	if sk != nil {
-		crt = sk.CRTEncryptor
-	}
-	return newEnc(pk, crt)
+	return paillier.NewNonceEncryptor(src.Key(), src.NoncePower)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"repro/internal/dj"
 	"repro/internal/paillier"
@@ -56,6 +57,10 @@ type Server struct {
 	ledger *Ledger
 	pkEnc  paillier.Encryptor
 	close  []func()
+
+	// ephKeys holds the ephemeral keys of the last few S1 clients, so a
+	// key's nonce table is built once per client, not once per round.
+	ephKeys ephemeralKeys
 }
 
 // NewServer builds S2 from its key material. ledger may be nil. Call Close
@@ -64,8 +69,7 @@ func NewServer(keys *KeyMaterial, ledger *Ledger) (*Server, error) {
 	if keys == nil || keys.Paillier == nil {
 		return nil, errors.New("cloud: incomplete key material")
 	}
-	// S2 holds the private key, so its surface is the CRT nonce fast path.
-	pkEnc := newPaillierEnc(&keys.Paillier.PublicKey, keys.Paillier)
+	pkEnc := newEnc(&keys.Paillier.PublicKey)
 	return &Server{keys: keys, ledger: ledger, pkEnc: pkEnc, close: []func(){pkEnc.Close}}, nil
 }
 
@@ -486,7 +490,7 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Dedup")
 	}
 	pk := &s.keys.Paillier.PublicKey
-	ephPK, err := ephemeralKey(pk, req.EphemeralN)
+	ephPK, err := s.ephKeys.get(pk, req.EphemeralN)
 	if err != nil {
 		return nil, err
 	}
@@ -563,19 +567,58 @@ const (
 	reblindBits   = 40
 )
 
-// ephemeralKey rebuilds S1's ephemeral public key from the modulus a
-// request carries, refusing any width but |N| + ephemeralBits: a narrower
-// one would wrap blind records silently, a wider one buys S2 an
-// exponentiation as wide as the peer cares to make it.
-func ephemeralKey(pk *paillier.PublicKey, n *big.Int) (*paillier.PublicKey, error) {
+// ephemeralKeyCap bounds ephemeralKeys: a key's table is 295 KiB at the
+// benchmark's 320-bit ephemeral modulus and 6.7 MiB at 2112 bits (a
+// 2048-bit relation key's).
+const ephemeralKeyCap = 8
+
+// ephemeralKeys is S2's bounded map from an S1 ephemeral modulus to its
+// rebuilt public key, least recently used first out. Each S1 client
+// keeps one ephemeral key for its lifetime and sends it on every
+// Dedup/Filter round.
+type ephemeralKeys struct {
+	mu   sync.Mutex
+	keys []*paillier.PublicKey // most recently used first
+}
+
+// get rebuilds S1's ephemeral public key from the modulus a request
+// carries, or returns the cached one, refusing any width but |N| +
+// ephemeralBits (a narrower one would wrap blind records silently, a
+// wider one buys S2 an exponentiation as wide as the peer cares to make
+// it) and any modulus NewPublicKeyFromN refuses (a square or a prime has
+// no nonce base).
+func (c *ephemeralKeys) get(pk *paillier.PublicKey, n *big.Int) (*paillier.PublicKey, error) {
 	if want := pk.N.BitLen() + ephemeralBits; n == nil || n.BitLen() != want {
 		return nil, secerr.New(secerr.CodeBadRequest, "cloud: ephemeral modulus missing or not %d bits", want)
+	}
+	if k := c.lookup(n, nil); k != nil {
+		return k, nil
 	}
 	ephPK, err := paillier.NewPublicKeyFromN(n)
 	if err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: ephemeral key")
 	}
-	return ephPK, nil
+	return c.lookup(n, ephPK), nil
+}
+
+// lookup returns the cached key of modulus n and moves it to the front.
+// On a miss it caches add, evicting the least recently used key, and
+// returns it (nil when add is nil): two rounds that missed at once keep
+// the first key built.
+func (c *ephemeralKeys) lookup(n *big.Int, add *paillier.PublicKey) *paillier.PublicKey {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, k := range c.keys {
+		if k.N.Cmp(n) == 0 {
+			copy(c.keys[1:i+1], c.keys[:i])
+			c.keys[0] = k
+			return k
+		}
+	}
+	if add != nil {
+		c.keys = append([]*paillier.PublicKey{add}, c.keys[:min(len(c.keys), ephemeralKeyCap-1)]...)
+	}
+	return add
 }
 
 // reblindAndPermute re-blinds every row (row-per-worker) and returns them
@@ -649,7 +692,7 @@ func (s *Server) filter(ctx context.Context, req *FilterRequest) (*FilterReply, 
 		return nil, secerr.New(secerr.CodeBadRequest, "cloud: Filter has %d tests for %d rows", len(req.Tests), len(req.Rows))
 	}
 	pk := &s.keys.Paillier.PublicKey
-	ephPK, err := ephemeralKey(pk, req.EphemeralN)
+	ephPK, err := s.ephKeys.get(pk, req.EphemeralN)
 	if err != nil {
 		return nil, err
 	}

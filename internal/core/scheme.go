@@ -70,8 +70,8 @@ type Scheme struct {
 	permKey prf.Key // PRP key K for list permutation
 	hasher  *ehl.Hasher
 	// enc is the owner's bulk-encryption surface, for scores and (through
-	// hasher) EHL digests alike: the CRT nonce split, since the owner holds
-	// the factorization.
+	// hasher) EHL digests alike: the key itself, whose nonce powers come
+	// from its fixed-base table like every other party's.
 	enc paillier.Encryptor
 }
 
@@ -104,7 +104,7 @@ func NewSchemeFromKeys(params Params, keys *cloud.KeyMaterial) (*Scheme, error) 
 	if err != nil {
 		return nil, err
 	}
-	enc := keys.Paillier.CRTEncryptor()
+	enc := &keys.Paillier.PublicKey
 	hasher, err := ehl.NewHasher(master, params.EHL, enc)
 	if err != nil {
 		return nil, err
@@ -143,7 +143,7 @@ func RestoreScheme(params Params, keys *cloud.KeyMaterial, secrets Secrets) (*Sc
 	if len(secrets.Master) == 0 || len(secrets.Perm) == 0 {
 		return nil, errors.New("core: missing scheme secrets")
 	}
-	enc := keys.Paillier.CRTEncryptor()
+	enc := &keys.Paillier.PublicKey
 	hasher, err := ehl.NewHasher(secrets.Master, params.EHL, enc)
 	if err != nil {
 		return nil, err

@@ -71,8 +71,8 @@ type Hasher struct {
 }
 
 // NewHasher derives the s subkeys from the master key. Lists are encrypted
-// through enc: the owner passes the surface it encrypts scores with, and a
-// bare *paillier.PublicKey is the spec path.
+// through enc: the owner passes the surface it encrypts scores with (its
+// key; S1 a pooled surface over the key).
 func NewHasher(master prf.Key, params Params, enc paillier.Encryptor) (*Hasher, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

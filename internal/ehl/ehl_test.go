@@ -72,7 +72,7 @@ func (c *countingEnc) Rerandomize(a *paillier.Ciphertext) (*paillier.Ciphertext,
 func TestListsEncryptThroughTheGivenSurface(t *testing.T) {
 	sk := testKey(t)
 	for _, params := range []Params{DefaultPlusParams(), {Kind: KindPlus, S: 3}} {
-		enc := &countingEnc{Encryptor: sk.CRTEncryptor()}
+		enc := &countingEnc{Encryptor: &sk.PublicKey}
 		h := hasherOn(t, params, enc)
 		if _, err := h.Build(7); err != nil {
 			t.Fatalf("s = %d Build: %v", params.S, err)
@@ -121,13 +121,16 @@ func TestRandomListIsUnits(t *testing.T) {
 }
 
 func TestListsMatchAcrossSurfaces(t *testing.T) {
-	// A list built through the owner's CRT surface and one built on the
-	// bare key encrypt the same digests: Sub sees only plaintexts.
+	// A list built through a pooled surface, S1's kind, and one built on
+	// the bare key, the owner's, encrypt the same digests: Sub sees only
+	// plaintexts.
 	sk := testKey(t)
+	pool := paillier.NewNoncePool(&sk.PublicKey, 1, 8)
+	defer pool.Close()
 	for _, params := range []Params{DefaultPlusParams(), {Kind: KindPlus, S: 3}} {
-		crt := hasherOn(t, params, sk.CRTEncryptor())
+		pooled := hasherOn(t, params, pool)
 		spec := hasherOn(t, params, &sk.PublicKey)
-		a, err := crt.Build(7)
+		a, err := pooled.Build(7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,14 +147,14 @@ func TestListsMatchAcrossSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		if m, _ := sk.Decrypt(d); m.Sign() != 0 {
-			t.Fatalf("s = %d: CRT and spec lists of one id differ (Sub decrypts to %v)", params.S, m)
+			t.Fatalf("s = %d: pooled and bare-key lists of one id differ (Sub decrypts to %v)", params.S, m)
 		}
 		d, err = Sub(&sk.PublicKey, a, other)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m, _ := sk.Decrypt(d); m.Sign() == 0 {
-			t.Fatalf("s = %d: CRT and spec lists of distinct ids match", params.S)
+			t.Fatalf("s = %d: pooled and bare-key lists of distinct ids match", params.S)
 		}
 	}
 }

@@ -43,8 +43,8 @@ type Scheme struct {
 	master  prf.Key
 	permKey prf.Key
 	// enc is the owner's bulk-encryption surface, for values and (through
-	// hasher) value digests: the assumption-free CRT nonce split, since the
-	// owner holds the factorization.
+	// hasher) value digests: the key itself, whose nonce powers come from
+	// its fixed-base table like every other party's.
 	enc paillier.Encryptor
 }
 
@@ -94,7 +94,7 @@ func RestoreScheme(params Params, keys *cloud.KeyMaterial, secrets Secrets) (*Sc
 	if len(secrets.Master) == 0 || len(secrets.Perm) == 0 {
 		return nil, errors.New("join: missing symmetric secrets")
 	}
-	enc := keys.Paillier.CRTEncryptor()
+	enc := &keys.Paillier.PublicKey
 	hasher, err := ehl.NewHasher(prf.Key(secrets.Master), params.EHL, enc)
 	if err != nil {
 		return nil, err

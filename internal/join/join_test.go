@@ -280,7 +280,7 @@ func TestValueEqualityAcrossRelations(t *testing.T) {
 }
 
 // TestHasherEncryptsThroughOwnerSurface pins that the owner's value
-// digests are encrypted through the same CRT surface as its values.
+// digests are encrypted through the same surface as its values.
 func TestHasherEncryptsThroughOwnerSurface(t *testing.T) {
 	r := getRig(t)
 	s, err := RestoreScheme(r.scheme.Params(), r.scheme.KeyMaterial(), r.scheme.Secrets())

@@ -32,8 +32,8 @@ type Scheme struct {
 	master       prf.Key
 	maxScoreBits int
 	// enc is the owner's bulk-encryption surface, for values and (through
-	// hasher) id digests: the assumption-free CRT nonce split, since the
-	// owner holds the factorization.
+	// hasher) id digests: the key itself, whose nonce powers come from its
+	// fixed-base table like every other party's.
 	enc paillier.Encryptor
 }
 
@@ -61,7 +61,7 @@ func NewSchemeWithMaster(keys *cloud.KeyMaterial, master prf.Key, ehlParams ehl.
 	if maxScoreBits <= 0 {
 		return nil, errors.New("knn: maxScoreBits must be positive")
 	}
-	enc := keys.Paillier.CRTEncryptor()
+	enc := &keys.Paillier.PublicKey
 	hasher, err := ehl.NewHasher(master, ehlParams, enc)
 	if err != nil {
 		return nil, err

@@ -196,7 +196,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 // TestHasherEncryptsThroughOwnerSurface pins that the owner's id digests
-// are encrypted through the same CRT surface as its values.
+// are encrypted through the same surface as its values.
 func TestHasherEncryptsThroughOwnerSurface(t *testing.T) {
 	r := getRig(t)
 	s, err := NewSchemeWithMaster(r.keys, r.scheme.Master(), ehl.DefaultPlusParams(), 16)

@@ -10,10 +10,10 @@ import (
 )
 
 // Encryptor is the encryption surface the batch helpers and the blinding
-// layers program against. PublicKey (the spec path, nonces computed
-// inline) and NonceEncryptor (CRT or pooled nonce powers) implement it,
-// so callers can be handed whichever surface the party built without
-// caring.
+// layers program against. PublicKey (nonces drawn inline from its
+// fixed-base table) and NonceEncryptor (a source's nonce powers, pooled or
+// not) implement it, so callers can be handed whichever surface the party
+// built without caring.
 type Encryptor interface {
 	Encrypt(m *big.Int) (*Ciphertext, error)
 	EncryptZero() (*Ciphertext, error)
@@ -26,7 +26,7 @@ func (pk *PublicKey) Key() *PublicKey { return pk }
 
 // EncryptWithPower assembles Enc(m) from a nonce power rn = r^N mod N^2:
 // Enc(m) = (1 + m*N) * rn mod N^2. Every encryption ends here; rn comes
-// from one of zmath's nonce producers (or, in EncryptWithNonce, from the
+// from the key's fixed-base table (or, in EncryptWithNonce, from the
 // caller's r).
 func (pk *PublicKey) EncryptWithPower(m, rn *big.Int) (*Ciphertext, error) {
 	mm, err := pk.validateMessage(m)

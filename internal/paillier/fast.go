@@ -8,20 +8,20 @@ import (
 )
 
 // NonceSource produces the nonce powers r^N mod N^2 that dominate
-// Paillier encryption. PublicKey computes them with a full-width
-// variable-base exponentiation (the spec path); a NonceEncryptor draws
-// them from the key holder's CRT sampler or a background pool over any
-// NonceSource. Both draw the spec path's distribution. The producers
-// themselves are zmath's (nonce.go).
+// Paillier encryption. PublicKey draws them from its one producer, the
+// fixed-base table zmath.NonceBase; a NonceEncryptor draws them from a
+// source or from a background pool over one.
 type NonceSource interface {
 	Key() *PublicKey
 	NoncePower() (*big.Int, error)
 }
 
-// NoncePower samples a fresh r in Z*_N and returns r^N mod N^2 — the spec
-// path, one full-width exponentiation per nonce.
+// NoncePower returns a fresh nonce power ±H^x mod N^2 from the key's
+// fixed-base table (built on the first draw): the spec path's uniform
+// N-th residue to within 2^-40, for every party, whether or not it holds
+// the factors (zmath.NonceBase).
 func (pk *PublicKey) NoncePower() (*big.Int, error) {
-	return zmath.SpecNoncePower(pk.N, pk.N, pk.N2)
+	return pk.nonce.NoncePower()
 }
 
 // NonceEncryptor is every encryption surface other than the bare
@@ -35,18 +35,6 @@ type NonceEncryptor struct {
 // NewNonceEncryptor encrypts under pk with nonce powers drawn from power.
 func NewNonceEncryptor(pk *PublicKey, power func() (*big.Int, error)) *NonceEncryptor {
 	return &NonceEncryptor{key: pk, power: power}
-}
-
-// CRTEncryptor returns the key holder's encryption surface: nonce powers
-// from zmath.CRTNonce, the spec path's exact distribution at a fraction
-// of its cost.
-func (sk *PrivateKey) CRTEncryptor() *NonceEncryptor {
-	return NewNonceEncryptor(&sk.PublicKey, sk.crtNonce().NoncePower)
-}
-
-// crtNonce is the CRT sampler over this key's factors, at s = 1.
-func (sk *PrivateKey) crtNonce() *zmath.CRTNonce {
-	return zmath.NewCRTNonce(sk.P, sk.Q, sk.p2InvModQ2, 1)
 }
 
 // NewNoncePool buffers up to capacity of src's nonce powers on workers

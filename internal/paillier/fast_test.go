@@ -1,65 +1,56 @@
 package paillier
 
 import (
-	"crypto/rand"
 	"math/big"
 	"testing"
 
 	"repro/internal/zmath"
 )
 
-// The nonce producers themselves are tested once, for s = 1 and s = 2, in
-// zmath (nonce_test.go). The tests here hold this package's wiring of
-// them: the right key parts reach zmath, and every surface the
-// constructors build encrypts under the key it names.
+// The nonce producers themselves are tested once, in zmath
+// (nonce_test.go). The tests here hold this package's wiring of them:
+// every key derives its producer from N alone, a key holder's base has
+// full order, and every surface the constructors build encrypts under
+// the key it names.
 
-// TestCRTNoncePowerMatchesSpec pins the CRT split this key builds, bit
-// for bit on fixed nonces, to EncryptWithNonce's own r^N mod N^2 (an
-// encryption of zero is its bare nonce power).
-func TestCRTNoncePowerMatchesSpec(t *testing.T) {
+// TestNoncePowerFromModulusAlone: a public key rebuilt from the bare
+// modulus derives the key holder's base, the base has order λ (neither
+// y^(λ/p') nor y^(λ/q') is 1), and every nonce power either draws is a
+// unit whose order divides phi(N), a genuine N-th residue mod N^2 — the
+// set the spec path draws from — and fresh.
+func TestNoncePowerFromModulusAlone(t *testing.T) {
 	sk := testKey(t)
-	crt := sk.crtNonce()
-	for i := 0; i < 25; i++ {
-		r, err := zmath.RandUnit(rand.Reader, sk.N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sk.EncryptWithNonce(zmath.Zero, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := crt.PowerOf(r); got.Cmp(want.C) != 0 {
-			t.Fatalf("CRT nonce power differs from spec for r=%v", r)
-		}
-		ct, err := sk.EncryptWithNonce(big.NewInt(int64(i)), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m, err := sk.Decrypt(ct); err != nil || m.Int64() != int64(i) {
-			t.Fatalf("EncryptWithNonce(%d) decrypts to %v (%v)", i, m, err)
+	pk, err := NewPublicKeyFromN(sk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := sk.nonce.Base()
+	if pk.nonce.Base().Cmp(y) != 0 {
+		t.Fatal("the key rebuilt from N derived another nonce base")
+	}
+	for _, e := range []*big.Int{sk.pOrder, sk.qOrder} {
+		if new(big.Int).Exp(y, e, sk.N).Cmp(zmath.One) == 0 {
+			t.Fatal("the nonce base has order below λ")
 		}
 	}
-}
-
-// TestCRTNoncePowerIsNthResidue pins the distribution invariant of the
-// direct subgroup sampler: every drawn nonce power is a unit whose order
-// divides phi(N), i.e. a genuine N-th residue mod N^2 — exactly the set
-// the spec path draws from.
-func TestCRTNoncePowerIsNthResidue(t *testing.T) {
-	sk := testKey(t)
-	enc := sk.CRTEncryptor()
-	phi := new(big.Int).Mul(new(big.Int).Sub(sk.P, zmath.One), new(big.Int).Sub(sk.Q, zmath.One))
-	gcd := new(big.Int)
+	phi := new(big.Int).Mul(sk.pOrder, sk.qOrder)
+	seen := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		x, err := enc.NoncePower()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gcd.GCD(nil, nil, x, sk.N2); gcd.Cmp(zmath.One) != 0 {
-			t.Fatal("nonce power is not a unit")
-		}
-		if new(big.Int).Exp(x, phi, sk.N2).Cmp(zmath.One) != 0 {
-			t.Fatal("nonce power is not an N-th residue")
+		for _, src := range []NonceSource{&sk.PublicKey, pk} {
+			x, err := src.NoncePower()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if new(big.Int).GCD(nil, nil, x, sk.N2).Cmp(zmath.One) != 0 {
+				t.Fatal("nonce power is not a unit")
+			}
+			if new(big.Int).Exp(x, phi, sk.N2).Cmp(zmath.One) != 0 {
+				t.Fatal("nonce power is not an N-th residue")
+			}
+			if seen[x.String()] {
+				t.Fatal("the same nonce power came out twice")
+			}
+			seen[x.String()] = true
 		}
 	}
 }
@@ -110,9 +101,12 @@ func checkSurface(t *testing.T, sk *PrivateKey, enc Encryptor) {
 	}
 }
 
-func TestCRTEncryptorRoundTrip(t *testing.T) {
+// TestKeyEncryptsRoundTrip holds the bare key, the one producer's
+// unpooled surface, to the Encryptor contract.
+func TestKeyEncryptsRoundTrip(t *testing.T) {
 	sk := testKey(t)
-	checkSurface(t, sk, sk.CRTEncryptor())
+	checkSurface(t, sk, &sk.PublicKey)
+	checkSurface(t, sk, NewNonceEncryptor(&sk.PublicKey, sk.NoncePower))
 }
 
 // TestNoncePool draws more encryptions than the pool holds, so some come
@@ -135,15 +129,15 @@ func TestNoncePoolClosedFallback(t *testing.T) {
 }
 
 // TestNoncePoolOverFastSources checks the pool composes with every
-// producer, a pool included.
+// source: the key, an unpooled surface over it, and a pool.
 func TestNoncePoolOverFastSources(t *testing.T) {
 	sk := testKey(t)
 	inner := NewNoncePool(&sk.PublicKey, 1, 4)
 	defer inner.Close()
 	for name, src := range map[string]NonceSource{
-		"spec": &sk.PublicKey,
-		"crt":  sk.CRTEncryptor(),
-		"pool": inner,
+		"key":     &sk.PublicKey,
+		"surface": NewNonceEncryptor(&sk.PublicKey, sk.NoncePower),
+		"pool":    inner,
 	} {
 		t.Run(name, func(t *testing.T) {
 			pool := NewNoncePool(src, 1, 8)

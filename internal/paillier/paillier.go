@@ -13,12 +13,12 @@
 package paillier
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
 
+	"repro/internal/secerr"
 	"repro/internal/zmath"
 )
 
@@ -26,6 +26,10 @@ import (
 // own evaluation uses a 256-bit N ("128-bit primes", Section 5); production
 // deployments should use 2048 or more.
 const MinKeyBits = 128
+
+// ErrNotSafePrime is wrapped by FromPrimes when a factor is not a safe
+// prime: every key's nonce producer rests on safe primes (NoncePower).
+var ErrNotSafePrime = secerr.New(secerr.CodeBadRequest, "paillier: key factors must be safe primes")
 
 var (
 	// ErrMessageRange is returned when a plaintext is outside [0, N).
@@ -47,6 +51,10 @@ type PublicKey struct {
 	// moduli, precomputed by the constructors (every key is built by one).
 	engN  *zmath.Modulus
 	engN2 *zmath.Modulus
+
+	// nonce is the key's one nonce producer, derived from N by the
+	// constructors; its table is built on the first draw.
+	nonce *zmath.NonceBase
 }
 
 // EngineN returns the reduction engine for N. Callers must treat it as
@@ -56,12 +64,20 @@ func (pk *PublicKey) EngineN() *zmath.Modulus { return pk.engN }
 // EngineN2 returns the reduction engine for the ciphertext modulus N^2.
 func (pk *PublicKey) EngineN2() *zmath.Modulus { return pk.engN2 }
 
-// attachEngines populates the reduction engines. N is odd for every key a
-// constructor builds (a product of odd primes, or a transmitted modulus
-// NewPublicKeyFromN checked), so construction cannot fail.
-func (pk *PublicKey) attachEngines() {
+// attachEngines populates the reduction engines and derives the nonce
+// producer. N is odd for every key a constructor builds (a product of odd
+// primes, or a transmitted modulus NewPublicKeyFromN checked), so the
+// engines cannot fail; the derivation refuses a modulus that is publicly
+// no product of two primes.
+func (pk *PublicKey) attachEngines() error {
 	pk.engN = zmath.MustModulus(pk.N)
 	pk.engN2 = zmath.MustModulus(pk.N2)
+	nonce, err := zmath.NewNonceBase(pk.N, pk.engN2)
+	if err != nil {
+		return fmt.Errorf("paillier: %w", err)
+	}
+	pk.nonce = nonce
+	return nil
 }
 
 // mulN2 multiplies mod N^2 through the engine.
@@ -72,13 +88,12 @@ type PrivateKey struct {
 	PublicKey
 	P, Q *big.Int
 
-	p2, q2     *big.Int // p^2, q^2
-	pOrder     *big.Int // p-1
-	qOrder     *big.Int // q-1
-	hp, hq     *big.Int // CRT decryption multipliers
-	pInvModQ   *big.Int // p^{-1} mod q for plaintext recombination
-	p2InvModQ2 *big.Int // p^2^{-1} mod q^2 for recombination
-	Lambda     *big.Int // lcm(p-1, q-1), the textbook decryption exponent (reference decryptions in tests)
+	p2, q2   *big.Int // p^2, q^2
+	pOrder   *big.Int // p-1
+	qOrder   *big.Int // q-1
+	hp, hq   *big.Int // CRT decryption multipliers
+	pInvModQ *big.Int // p^{-1} mod q for plaintext recombination
+	Lambda   *big.Int // lcm(p-1, q-1), the textbook decryption exponent (reference decryptions in tests)
 }
 
 // Ciphertext is a Paillier ciphertext: an element of Z*_{N^2}.
@@ -86,17 +101,20 @@ type Ciphertext struct {
 	C *big.Int
 }
 
-// GenerateKey creates a Paillier key pair with an N of the given bit length.
+// GenerateKey creates a Paillier key pair with an N of the given bit
+// length, from safe primes p = 2p'+1 and q = 2q'+1. It redraws the primes
+// in the rare case (probability about 1/p' + 1/q') that the nonce base
+// derived from N falls short of order λ.
 func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 	if bits < MinKeyBits {
 		return nil, fmt.Errorf("paillier: key size %d below minimum %d", bits, MinKeyBits)
 	}
 	for {
-		p, err := rand.Prime(rnd, bits/2)
+		p, err := zmath.SafePrime(rnd, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating p: %w", err)
 		}
-		q, err := rand.Prime(rnd, bits-bits/2)
+		q, err := zmath.SafePrime(rnd, bits-bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating q: %w", err)
 		}
@@ -112,8 +130,9 @@ func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 }
 
 // FromPrimes rebuilds a private key from its prime factors (e.g. when
-// loading stored key material). The primes are validated for primality
-// and size.
+// loading stored key material). The primes are validated for primality,
+// safety and size; a factor that is not a safe prime is refused typed
+// bad_request (ErrNotSafePrime).
 func FromPrimes(p, q *big.Int) (*PrivateKey, error) {
 	if p == nil || q == nil || p.Cmp(q) == 0 {
 		return nil, errors.New("paillier: need two distinct primes")
@@ -123,6 +142,11 @@ func FromPrimes(p, q *big.Int) (*PrivateKey, error) {
 	}
 	if p.BitLen()+q.BitLen() < MinKeyBits {
 		return nil, fmt.Errorf("paillier: modulus below %d bits", MinKeyBits)
+	}
+	for _, f := range []*big.Int{p, q} {
+		if err := zmath.CheckSafePrime(f); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrNotSafePrime, err)
+		}
 	}
 	return newPrivateKey(p, q)
 }
@@ -138,7 +162,18 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		return nil, errors.New("paillier: gcd(N, phi) != 1")
 	}
 	pub := PublicKey{N: n, N2: new(big.Int).Mul(n, n)}
-	pub.attachEngines()
+	if err := pub.attachEngines(); err != nil {
+		return nil, err
+	}
+	// Only the key holder can check the base's order exactly: it is λ =
+	// 2p'q' unless y^(λ/p') or y^(λ/q') is 1 (its Jacobi symbol -1 already
+	// rules out y^(λ/2) = 1). pm1 = 2p' = λ/q', qm1 = 2q' = λ/p'.
+	y := pub.nonce.Base()
+	for _, e := range []*big.Int{pm1, qm1} {
+		if new(big.Int).Exp(y, e, n).Cmp(zmath.One) == 0 {
+			return nil, errors.New("paillier: the nonce base derived from N has order below λ")
+		}
+	}
 	sk := &PrivateKey{
 		PublicKey: pub,
 		P:         new(big.Int).Set(p),
@@ -167,9 +202,6 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	if sk.pInvModQ, err = zmath.ModInverse(p, q); err != nil {
 		return nil, fmt.Errorf("paillier: p not invertible mod q: %w", err)
 	}
-	if sk.p2InvModQ2, err = zmath.ModInverse(sk.p2, sk.q2); err != nil {
-		return nil, fmt.Errorf("paillier: p^2 not invertible mod q^2: %w", err)
-	}
 	return sk, nil
 }
 
@@ -194,7 +226,9 @@ func NewPublicKeyFromN(n *big.Int) (*PublicKey, error) {
 		return nil, errors.New("paillier: modulus must be odd")
 	}
 	pk := &PublicKey{N: new(big.Int).Set(n), N2: new(big.Int).Mul(n, n)}
-	pk.attachEngines()
+	if err := pk.attachEngines(); err != nil {
+		return nil, err
+	}
 	return pk, nil
 }
 

@@ -2,11 +2,14 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/secerr"
 	"repro/internal/zmath"
 )
 
@@ -32,6 +35,34 @@ func testKeyPair(t *testing.T) *PrivateKey {
 func TestGenerateKeyRejectsTinyKeys(t *testing.T) {
 	if _, err := GenerateKey(rand.Reader, 64); err == nil {
 		t.Fatal("expected error for 64-bit key")
+	}
+}
+
+// TestKeysFromSafePrimesOnly: GenerateKey draws safe primes, FromPrimes
+// rebuilds such a key, and FromPrimes refuses a pair of primes that are
+// not safe typed bad_request, naming the reason.
+func TestKeysFromSafePrimesOnly(t *testing.T) {
+	sk := testKeyPair(t)
+	for _, f := range []*big.Int{sk.P, sk.Q} {
+		if err := zmath.CheckSafePrime(f); err != nil {
+			t.Fatalf("GenerateKey drew %v: %v", f, err)
+		}
+	}
+	if _, err := FromPrimes(sk.P, sk.Q); err != nil {
+		t.Fatalf("FromPrimes of a generated key: %v", err)
+	}
+	p, err := rand.Prime(rand.Reader, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for zmath.CheckSafePrime(p) == nil {
+		if p, err = rand.Prime(rand.Reader, 128); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = FromPrimes(p, sk.Q)
+	if !errors.Is(err, ErrNotSafePrime) || secerr.CodeOf(err) != secerr.CodeBadRequest {
+		t.Fatalf("FromPrimes with a prime that is not safe: %v, want typed %v", err, ErrNotSafePrime)
 	}
 }
 
@@ -249,6 +280,22 @@ func TestLargeMessageWrapsModN(t *testing.T) {
 	}
 	if got, _ := sk.Decrypt(ct); got.Int64() != 5 {
 		t.Fatalf("N+5 decrypts to %v, want 5", got)
+	}
+}
+
+// BenchmarkGenerateKey times a whole key pair — two safe primes, the
+// nonce base's derivation and order check — at the paper's 256 bits and
+// at production sizes. The 2048-bit row varies by seconds from key to
+// key: run it with -benchtime 5x or more.
+func BenchmarkGenerateKey(b *testing.B) {
+	for _, bits := range []int{256, 1024, 2048} {
+		b.Run(fmt.Sprintf("%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := GenerateKey(rand.Reader, bits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

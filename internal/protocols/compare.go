@@ -18,22 +18,33 @@ import (
 //
 // Implementation (documented substitution, see DESIGN.md): S1 computes
 // d = 2a - 2b - 1 (strictly negative iff a <= b, and never zero, which
-// removes the equality corner case), masks it multiplicatively with a
-// random magnitude r and a random sign flip s, and sends Enc(±r*d). S2
-// reports only the sign of the decryption; S1 undoes the flip. Inside
-// EncSelectTop's compare-exchange gates the sign is never revealed: S1
-// orders the gate's two payloads by its flip and S2 returns the one the
-// sign names (runGateLayer), so not even S1 learns the order.
+// removes the equality corner case), masks it with a random magnitude r,
+// an additive term r' uniform in [0, r) and a random sign flip s, and
+// sends Enc(s·(r·d + r')). S2 reports only the sign of the decryption; S1
+// undoes the flip. Inside EncSelectTop's compare-exchange gates the sign
+// is never revealed: S1 orders the gate's two payloads by its flip and S2
+// returns the one the sign names (runGateLayer), so not even S1 learns
+// the order.
 
-// maskedDiff builds Enc(±r(2a-2b-1)) and returns the ciphertext plus the
-// sign flip that was applied. magBits bounds |a|,|b| so the mask range can
-// be chosen with r*|d| < N/2.
+// maskedDiff builds Enc(s·(r·d + r')) for d = 2a-2b-1 and returns the
+// ciphertext plus the sign flip s that was applied. magBits bounds
+// |a|,|b| so the mask range can be chosen with |r·d + r'| < N/2.
+//
+// The sign survives r': |r·d| >= r > r' >= 0. Without r', S2's
+// decryption ±r·d is a multiple of |d|, and trial division recovers |d|
+// to a handful of candidates; with it, |d| divides the decryption only
+// as often as it divides r', about 1/|d| of the time. What remains is a
+// bound: |d| >= |v|/2^kappa for the decryption v (DESIGN.md "Documented
+// substitutions"). Enc(s·r') stands in for the Enc(0) a Rerandomize
+// would multiply in, so the term costs no exponentiation, byte or round.
 func maskedDiff(enc paillier.Encryptor, a, b *paillier.Ciphertext, magBits int) (*paillier.Ciphertext, bool, error) {
 	if magBits <= 0 {
 		return nil, false, fmt.Errorf("protocols: magnitude bits must be positive, got %d", magBits)
 	}
 	pk := enc.Key()
-	// |d| = |2a - 2b - 1| < 2^{magBits+2}; keep r*|d| below N/2.
+	// |d| = |2a - 2b - 1| < 2^{magBits+2} and r < 2^kappa, so
+	// |r·d + r'| < r·(|d| + 1) <= 2^{kappa+magBits+2} = 2^{|N|-2}: the
+	// additive term needs no headroom beyond the product's.
 	kappa := pk.N.BitLen() - magBits - 4
 	if kappa < 16 {
 		return nil, false, fmt.Errorf("protocols: modulus too small for %d-bit comparisons", magBits)
@@ -70,9 +81,20 @@ func maskedDiff(enc paillier.Encryptor, a, b *paillier.Ciphertext, magBits int) 
 	if err != nil {
 		return nil, false, err
 	}
-	// Fresh randomness so S2 cannot correlate the mask with earlier
-	// ciphertexts.
-	if masked, err = enc.Rerandomize(masked); err != nil {
+	// r' uniform in [0, |r|), carrying the flip's sign; its encryption is
+	// fresh, so S2 cannot correlate the result with earlier ciphertexts.
+	rp, err := zmath.RandInt(rand.Reader, new(big.Int).Abs(r))
+	if err != nil {
+		return nil, false, err
+	}
+	if flip {
+		rp.Neg(rp)
+	}
+	rct, err := enc.Encrypt(rp)
+	if err != nil {
+		return nil, false, err
+	}
+	if masked, err = pk.Add(masked, rct); err != nil {
 		return nil, false, err
 	}
 	return masked, flip, nil

@@ -3,7 +3,9 @@ package protocols
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"math/bits"
+	mrand "math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -185,6 +187,44 @@ func TestEncCompareBatchAndValidation(t *testing.T) {
 	}
 	if out, err := EncCompareBatch(context.Background(), e.client, nil, nil, 16); err != nil || out != nil {
 		t.Fatal("empty batch should be a no-op")
+	}
+}
+
+// TestMaskedDiffHidesDivisor runs S2's trial-division attack on the one
+// masked comparison at a small magBits: over many comparisons with
+// |d| = |2a - 2b - 1| of at least 2^9, the true |d| divides S2's
+// decryption only about 1/|d| of the time, where it divided every one
+// before the additive term r' (maskedDiff with r' = 0 fails this test),
+// and the decryption's sign still names a <= b through S1's flip.
+func TestMaskedDiffHidesDivisor(t *testing.T) {
+	e := env(t)
+	const magBits, trials = 12, 200
+	rng := mrand.New(mrand.NewSource(1))
+	divides := 0
+	for i := 0; i < trials; i++ {
+		a, b := rng.Int63n(1<<(magBits-1)), rng.Int63n(1<<(magBits-1))
+		d := 2*a - 2*b - 1
+		if d > -512 && d < 512 {
+			i--
+			continue
+		}
+		masked, flip, err := maskedDiff(e.client.Enc(), e.enc(t, a), e.enc(t, b), magBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := e.keys.Paillier.DecryptSigned(masked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (v.Sign() < 0) != flip != (a <= b) {
+			t.Fatalf("a=%d b=%d: decryption %v with flip %v names the wrong order", a, b, v, flip)
+		}
+		if new(big.Int).Rem(v, big.NewInt(d)).Sign() == 0 {
+			divides++
+		}
+	}
+	if divides > trials/10 {
+		t.Fatalf("|d| divides S2's decryption in %d of %d comparisons: the masked difference still carries it", divides, trials)
 	}
 }
 

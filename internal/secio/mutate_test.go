@@ -66,8 +66,10 @@ func TestWrongVersionRefusedEveryKind(t *testing.T) {
 	}
 	for kind, read := range readers {
 		// Version 3 is the last one before EHL parameters became a bare
-		// digest count: a build that wrote it must be told so by number.
-		for _, v := range []int{1, 2, 3, version, version + 1, 99} {
+		// digest count, version 4 the last whose keys need not be from
+		// safe primes: a build that wrote either must be told so by
+		// number.
+		for _, v := range []int{1, 2, 3, 4, version, version + 1, 99} {
 			t.Run(fmt.Sprintf("%s/v%d", kind, v), func(t *testing.T) {
 				// A header and no body: the refusal must come from the
 				// header, except at the current version, which passes the

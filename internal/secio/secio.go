@@ -32,13 +32,15 @@ import (
 )
 
 // Every artifact is written and read by the same build, so writers stamp
-// the one current version and readers refuse any other. Version 4 stores
-// EHL parameters as the digest count alone; version 3 also stored a
-// structure kind and a classic list length, and versions up to 2 were gob
-// streams.
+// the one current version and readers refuse any other. Version 5 keys
+// are products of safe primes, which every party's nonce producer rests
+// on (a version 4 key is not, so its stream is refused by number).
+// Versions 4 and 5 store EHL parameters as the digest count alone;
+// version 3 also stored a structure kind and a classic list length, and
+// versions up to 2 were gob streams.
 const (
 	magic   = "sectopk-er"
-	version = 4
+	version = 5
 )
 
 // Kinds lists every stream kind this build writes and reads.

@@ -186,3 +186,85 @@ func randOddModulusB(bits int) *big.Int {
 	n.SetBit(n, 0, 1)
 	return n
 }
+
+// BenchmarkNonceBaseSweep sets the nonce producers side by side per nonce
+// at 256-, 1024- and 2048-bit moduli: the spec power, the CRT sampler and
+// the fixed-base table at windows 4 to 8, with each table's build time
+// (build/...) and size (table-KiB). nonceWindow is read off this sweep.
+// Run at -cpu 1: go test -run '^$' -bench NonceBaseSweep -benchtime 2s
+// -cpu 1 ./internal/zmath (about two minutes).
+func BenchmarkNonceBaseSweep(b *testing.B) {
+	for _, bits := range []int{256, 1024, 2048} {
+		p, _ := rand.Prime(rand.Reader, bits/2)
+		q, _ := rand.Prime(rand.Reader, bits-bits/2)
+		n := new(big.Int).Mul(p, q)
+		n2 := new(big.Int).Mul(n, n)
+		m := MustModulus(n2)
+		p2, q2 := new(big.Int).Mul(p, p), new(big.Int).Mul(q, q)
+		inv, _ := ModInverse(p2, q2)
+		crt := NewCRTNonce(p, q, inv, 1)
+		b.Run(fmt.Sprintf("%d/spec", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SpecNoncePower(n, n, n2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%d/crt", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := crt.NoncePower(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		for w := 4; w <= 8; w++ {
+			base := func() *NonceBase {
+				nb, err := NewNonceBase(n, m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nb.w = w
+				return nb
+			}
+			b.Run(fmt.Sprintf("%d/build/w=%d", bits, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					nb := base()
+					nb.build()
+					b.ReportMetric(float64(len(nb.table)*8)/1024, "table-KiB")
+				}
+			})
+			nb := base()
+			b.Run(fmt.Sprintf("%d/table/w=%d", bits, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := nb.NoncePower(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSafePrime times SafePrime per prime at the widths of 256-,
+// 1024- and 2048-bit keys' factors (and 160 bits, the factors of a
+// 256-bit key's ephemeral partner), beside crypto/rand.Prime. The 1024-bit
+// row varies by seconds from prime to prime: run it with -benchtime 5x
+// or more.
+func BenchmarkSafePrime(b *testing.B) {
+	for _, bits := range []int{128, 160, 512, 1024} {
+		b.Run(fmt.Sprintf("safe/%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SafePrime(rand.Reader, bits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("rand.Prime/%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rand.Prime(rand.Reader, bits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
