@@ -222,7 +222,7 @@ func (c *Client) gadget(ctx context.Context, method string, req *GadgetRequest, 
 }
 
 // MultBlinded sends blinded factor pairs and returns the raw products
-// Enc((a+r_a)(b+r_b)).
+// Enc((a-r_a)(b-r_b)).
 func (c *Client) MultBlinded(ctx context.Context, a, b []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("cloud: Mult length mismatch %d vs %d", len(a), len(b))
@@ -240,6 +240,26 @@ func (c *Client) MultBlinded(ctx context.Context, a, b []*paillier.Ciphertext) (
 	}
 	var resp MultReply
 	if err := c.caller.Call(ctx, MethodMult, &MultRequest{Relation: c.relation, A: av, B: bv}, &resp); err != nil {
+		return nil, err
+	}
+	if len(resp.Products) != len(a) {
+		return nil, fmt.Errorf("cloud: Mult reply length %d != %d", len(resp.Products), len(a))
+	}
+	return bigToCts(resp.Products), nil
+}
+
+// SquareBlinded sends blinded operands alone, a Mult request with no B,
+// and returns the raw squares Enc((a-r)^2).
+func (c *Client) SquareBlinded(ctx context.Context, a []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	if len(a) == 0 {
+		return nil, nil
+	}
+	av, err := ctsToBig(a)
+	if err != nil {
+		return nil, err
+	}
+	var resp MultReply
+	if err := c.caller.Call(ctx, MethodMult, &MultRequest{Relation: c.relation, A: av}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Products) != len(a) {

@@ -126,7 +126,12 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		// Algorithm 5's Recover round is gone from the method table.
 		{method: MethodRecover, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: unknown},
 		{method: MethodCompare, body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}}), code: bad},
-		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: nil}), code: bad},
+		// A Mult request's B is either A's length (products) or empty
+		// (squares of A, served); any other length is refused.
+		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: []*big.Int{one, one}}), code: bad},
+		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one, one}, B: []*big.Int{one}}), code: bad},
+		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: nil})},
+		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{zero}, B: nil}), code: bad}, // not a ciphertext
 		{method: MethodDedup, body: enc(&DedupRequest{
 			Relation: rel, Mode: DedupEliminate,
 			Rows:  []WireRow{{EHL: []*big.Int{zero}, Scores: []*big.Int{one}, Blinds: []*big.Int{one, one}}},

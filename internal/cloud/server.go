@@ -104,6 +104,24 @@ func (s *Server) decryptRaw(cts []*big.Int, label string) ([]*big.Int, error) {
 	return out, nil
 }
 
+// zeroTests answers, for every raw ciphertext, whether it encrypts zero,
+// from one prime's half of a decryption (paillier.PrivateKey.IsZero),
+// with decryptRaw's refusals.
+func (s *Server) zeroTests(ctx context.Context, cts []*big.Int, label string) ([]bool, error) {
+	for i, c := range cts {
+		if c == nil {
+			return nil, secerr.New(secerr.CodeBadRequest, "cloud: %s: nil ciphertext at %d", label, i)
+		}
+	}
+	return parallel.MapErrCtx(ctx, cts, func(i int, c *big.Int) (bool, error) {
+		z, err := s.keys.Paillier.IsZero(&paillier.Ciphertext{C: c})
+		if err != nil {
+			return false, secerr.Wrap(secerr.CodeBadRequest, err, "cloud: %s: zero test %d", label, i)
+		}
+		return z, nil
+	})
+}
+
 // Serve implements transport.Responder for a single-relation deployment:
 // the relation ID carried by requests is accepted verbatim. Multi-relation
 // deployments wrap Servers in a Service, which routes on the relation ID.
@@ -198,19 +216,25 @@ func (s *Server) gadget(ctx context.Context, method string, req *GadgetRequest) 
 			}
 		}
 	}
-	ms, err := s.decryptRaw(req.Cts, method)
-	if err != nil {
-		return nil, err
-	}
 	ts := make([]bool, rows*cols)
 	zeros := 0
-	for i, m := range ms {
-		if method == MethodEqBits {
-			if m.Sign() == 0 {
+	if method == MethodEqBits {
+		zs, err := s.zeroTests(ctx, req.Cts, method)
+		if err != nil {
+			return nil, err
+		}
+		for i, z := range zs {
+			if z {
 				ts[i/grp] = true
 				zeros++
 			}
-		} else {
+		}
+	} else {
+		ms, err := s.decryptRaw(req.Cts, method)
+		if err != nil {
+			return nil, err
+		}
+		for i, m := range ms {
 			ts[i] = zmath.IsNegative(m, s.keys.Paillier.N)
 		}
 	}
@@ -368,14 +392,16 @@ func (s *Server) compare(req *CompareRequest) (*CompareReply, error) {
 	return &CompareReply{Neg: out}, nil
 }
 
-// mult decrypts blinded factor pairs and returns the encrypted products;
-// S1 strips the cross terms.
+// mult decrypts blinded factor pairs and returns the encrypted products,
+// or, for a request with no B, squares each blinded operand from one
+// decryption; S1 strips the cross terms.
 func (s *Server) mult(ctx context.Context, req *MultRequest) (*MultReply, error) {
-	if len(req.A) != len(req.B) {
+	square := len(req.B) == 0
+	if !square && len(req.A) != len(req.B) {
 		return nil, secerr.New(secerr.CodeBadRequest, "cloud: Mult length mismatch %d vs %d", len(req.A), len(req.B))
 	}
 	for i := range req.A {
-		if req.A[i] == nil || req.B[i] == nil {
+		if req.A[i] == nil || !square && req.B[i] == nil {
 			return nil, secerr.New(secerr.CodeBadRequest, "cloud: Mult: nil ciphertext at %d", i)
 		}
 	}
@@ -384,11 +410,13 @@ func (s *Server) mult(ctx context.Context, req *MultRequest) (*MultReply, error)
 	err := parallel.ForEachCtx(ctx, len(req.A), func(i int) error {
 		a, err := s.keys.Paillier.Decrypt(&paillier.Ciphertext{C: req.A[i]})
 		if err != nil {
-			return fmt.Errorf("cloud: Mult a[%d]: %w", i, err)
+			return secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Mult a[%d]", i)
 		}
-		b, err := s.keys.Paillier.Decrypt(&paillier.Ciphertext{C: req.B[i]})
-		if err != nil {
-			return fmt.Errorf("cloud: Mult b[%d]: %w", i, err)
+		b := a
+		if !square {
+			if b, err = s.keys.Paillier.Decrypt(&paillier.Ciphertext{C: req.B[i]}); err != nil {
+				return secerr.Wrap(secerr.CodeBadRequest, err, "cloud: Mult b[%d]", i)
+			}
 		}
 		ct, err := s.pkEnc.Encrypt(pk.EngineN().MulMod(a, b))
 		if err != nil {
@@ -400,7 +428,11 @@ func (s *Server) mult(ctx context.Context, req *MultRequest) (*MultReply, error)
 	if err != nil {
 		return nil, err
 	}
-	s.ledger.Record("S2", MethodMult, "multiplied %d blinded pairs", len(req.A))
+	if square {
+		s.ledger.Record("S2", MethodMult, "squared %d blinded operands", len(req.A))
+	} else {
+		s.ledger.Record("S2", MethodMult, "multiplied %d blinded pairs", len(req.A))
+	}
 	return &MultReply{Products: out}, nil
 }
 

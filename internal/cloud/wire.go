@@ -307,10 +307,11 @@ func (m *CompareReply) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// MultRequest carries additively blinded factor pairs Enc(a+r_a),
-// Enc(b+r_b) for the standard two-party multiplication gadget (used by
-// the secure kNN baseline of Section 11.3 and the batched best-bound
-// computation).
+// MultRequest carries additively blinded factor pairs Enc(a-r_a),
+// Enc(b-r_b) for the standard two-party multiplication gadget (the
+// batched best-bound computation), or, with B empty, blinded operands
+// Enc(a-r) to square (the secure kNN baseline of Section 11.3). A B of
+// any other length than A's is refused.
 type MultRequest struct {
 	Relation string
 	A        []*big.Int
@@ -332,8 +333,8 @@ func (m *MultRequest) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// MultReply carries Enc((a+r_a)(b+r_b)); S1 strips the cross terms
-// homomorphically.
+// MultReply carries Enc((a-r_a)(b-r_b)), or Enc((a-r)^2) for a square;
+// S1 strips the cross terms homomorphically.
 type MultReply struct {
 	Products []*big.Int
 }

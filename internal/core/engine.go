@@ -181,6 +181,23 @@ func (e *Engine) magBits(tk *Token) int {
 	return MagBits(e.er.MaxScoreBits, tk)
 }
 
+// SlotBits is the width the engine declares for the gadget payloads of a
+// score slot (protocols.Item.ScoreBits) under the comparison bound
+// magBits: a W or B lies within ±2^magBits, so a gate's difference of
+// two, a marked row's W - u*shift against a real one, or SecUpdate's
+// sentinel -1 - g lies within ±2^(magBits+1). Exported because the shard
+// merge ranks candidates under the bound the shards used.
+func SlotBits(magBits int) int { return magBits + 1 }
+
+// depthBits is the width the engine declares for SecWorstBest's payloads
+// (protocols.DepthItem.ScoreBits): a weighted score x_j, and a difference
+// x_j^e - bottom_j of two from one list, lies within ±2^(MaxScoreBits +
+// wBits).
+func (e *Engine) depthBits(tk *Token) int {
+	realBits, mBits := scoreBits(e.er.MaxScoreBits, tk)
+	return realBits - mBits
+}
+
 // duplicateShift is 2^realBits, the amount MarkDuplicates takes off a
 // duplicate's W and B per earlier copy: above every real score, so a
 // marked row ranks below every real one.
@@ -321,6 +338,7 @@ func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*QueryResult
 func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
 	m, k := len(tk.Lists), tk.K
 	magBits, shift := e.magBits(tk), e.duplicateShift(tk)
+	slot, depthBits := SlotBits(magBits), e.depthBits(tk)
 	dedupMode := cloud.DedupReplace
 	if opts.Mode == QryE {
 		dedupMode = cloud.DedupEliminate
@@ -344,7 +362,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 				return err
 			}
 			it := e.er.Lists[tk.Lists[i]][d]
-			depthItems[i] = protocols.DepthItem{EHL: it.EHL, Score: score}
+			depthItems[i] = protocols.DepthItem{EHL: it.EHL, Score: score, ScoreBits: depthBits}
 			return nil
 		})
 		if err != nil {
@@ -361,8 +379,9 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 		gamma := make([]protocols.Item, m)
 		for i := 0; i < m; i++ {
 			gamma[i] = protocols.Item{
-				EHL:    depthItems[i].EHL,
-				Scores: []*paillier.Ciphertext{worst[i], best[i]},
+				EHL:       depthItems[i].EHL,
+				Scores:    []*paillier.Ciphertext{worst[i], best[i]},
+				ScoreBits: slot,
 			}
 		}
 		// Qry_F marks the depth's duplicates from SecWorstBest's own bits,
@@ -411,6 +430,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
 	m, k := len(tk.Lists), tk.K
 	magBits := e.magBits(tk)
+	slot := SlotBits(magBits)
 	p := opts.BatchDepth
 	if p == 0 {
 		p = 2 * k
@@ -445,7 +465,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 				return err
 			}
 			bottoms[i] = score
-			item := protocols.Item{EHL: e.er.Lists[tk.Lists[i]][d].EHL, Scores: make([]*paillier.Ciphertext, cols)}
+			item := protocols.Item{EHL: e.er.Lists[tk.Lists[i]][d].EHL, Scores: make([]*paillier.Ciphertext, cols), ScoreBits: slot}
 			item.Scores[0] = score
 			for j := 0; j < m; j++ {
 				v := big.NewInt(0)
@@ -489,17 +509,17 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		if opts.ExactScan || len(T) < k+1 {
 			continue
 		}
-		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, e.batchBest(bottoms))
+		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, e.batchBest(bottoms, slot))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
 		}
 		T = ranked
 		if halted {
 			res := &QueryResult{Items: T[:k], Depth: depth, Halted: true}
-			return res, &runInfo{ranked: T, bottoms: bottoms, best: e.batchBest(bottoms)}, nil
+			return res, &runInfo{ranked: T, bottoms: bottoms, best: e.batchBest(bottoms, slot)}, nil
 		}
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms))
+	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms, slot))
 }
 
 // bestFunc computes exact best bounds for the given (ranked) items.
@@ -507,9 +527,10 @@ type bestFunc func(ctx context.Context, items []protocols.Item) ([]*paillier.Cip
 
 // batchBest returns the Qry_Ba bound computer: for each item,
 // B = W + sum_j bottom_j - sum_j v_j * bottom_j, with the v_j * bottom_j
-// products resolved through one batched SecMult round and the per-item
+// products resolved through one batched SecMult round, its operands (an
+// indicator and a bottom score) declared within ±2^bits, and the per-item
 // bound assembly fanned out over the client's workers.
-func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
+func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, bits int) bestFunc {
 	return func(ctx context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error) {
 		pk := e.client.PK()
 		m := len(bottoms)
@@ -531,7 +552,7 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext) bestFunc {
 				bs = append(bs, bottoms[j])
 			}
 		}
-		prods, err := protocols.SecMult(ctx, e.client, as, bs)
+		prods, err := protocols.SecMult(ctx, e.client, as, bs, bits)
 		if err != nil {
 			return nil, err
 		}

@@ -101,6 +101,14 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 		}
 	}
 	nCols := 1 + len(tk.Proj1) + len(tk.Proj2)
+	// Every payload, and every difference of two a ranking gate blinds, is
+	// a score sum below 2^(maxScoreBits+1) or an attribute below
+	// 2^maxScoreBits in magnitude: one declared width for every slot.
+	payBits := e.maxScoreBits + 1
+	slots := make([]int, nCols)
+	for s := range slots {
+		slots[s] = payBits
+	}
 	tests := make([]*paillier.Ciphertext, len(pairs))
 	pay := make([]*paillier.Ciphertext, 0, len(pairs)*nCols)
 	for idx, p := range pairs {
@@ -121,7 +129,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 			pay = append(pay, e.er2.Tuples[p.j][pos].Value)
 		}
 	}
-	resolved, _, err := protocols.ApplyBits(ctx, e.client, cloud.MethodEqBits, 1, nCols, tests, pay)
+	resolved, _, err := protocols.ApplyBits(ctx, e.client, cloud.MethodEqBits, 1, nCols, tests, pay, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +159,7 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 		if err != nil {
 			return nil, err
 		}
-		items[i] = protocols.Item{EHL: id, Scores: append([]*paillier.Ciphertext{t.Score}, t.Attrs...)}
+		items[i] = protocols.Item{EHL: id, Scores: append([]*paillier.Ciphertext{t.Score}, t.Attrs...), ScoreBits: payBits}
 	}
 	k := tk.K
 	if k > len(items) {

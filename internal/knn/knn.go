@@ -74,9 +74,9 @@ func (s *Scheme) Master() prf.Key { return s.master }
 
 // EncRecord is one encrypted record: an id tag plus Enc(x_j) for every
 // attribute. (Per Section 11.3 the owner also provisions the squares
-// Enc(x_j^2); our engine derives the squared terms with SecMult instead,
-// which keeps the O(n*m) two-party multiplication cost the comparison is
-// about.)
+// Enc(x_j^2); our engine derives the squared terms with SecSquare
+// instead, which keeps the O(n*m) two-party multiplication cost the
+// comparison is about.)
 type EncRecord struct {
 	ID     *ehl.List
 	Values []*paillier.Ciphertext
@@ -210,9 +210,11 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 		}
 		encQ[j] = ct
 	}
-	// Squared distance: d_i = sum_j (x_ij - q_j)^2. The cross terms and
-	// squares come from one batched SecMult round over all n*m pairs:
-	// (x - q)^2 = (x - q) * (x - q).
+	// Squared distance: d_i = sum_j (x_ij - q_j)^2, the squares from one
+	// batched SecSquare round over all n*m differences. magBits bounds a
+	// distance and, far more loosely, a difference |x - q| < 2^maxScoreBits;
+	// it is the one width this engine declares.
+	magBits := 2*e.maxScoreBits + 4 + bitsLen(e.db.M)
 	var diffs []*paillier.Ciphertext
 	for _, rec := range e.db.Records {
 		for j := 0; j < e.db.M; j++ {
@@ -223,22 +225,21 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 			diffs = append(diffs, diff)
 		}
 	}
-	squares, err := protocols.SecMult(ctx, e.client, diffs, diffs)
+	squares, err := protocols.SecSquare(ctx, e.client, diffs, magBits)
 	if err != nil {
 		return nil, err
 	}
 	items := make([]protocols.Item, e.db.N)
 	for i, rec := range e.db.Records {
-		// SecMult's outputs are already randomized, so their sum needs no
+		// SecSquare's outputs are already randomized, so their sum needs no
 		// fresh encryption of zero.
 		dist, err := pk.AddAll(squares[i*e.db.M : (i+1)*e.db.M])
 		if err != nil {
 			return nil, err
 		}
-		items[i] = protocols.Item{EHL: rec.ID, Scores: []*paillier.Ciphertext{dist}}
+		items[i] = protocols.Item{EHL: rec.ID, Scores: []*paillier.Ciphertext{dist}, ScoreBits: magBits}
 	}
 	// Oblivious k-minimum extraction (ascending selection).
-	magBits := 2*e.maxScoreBits + 4 + bitsLen(e.db.M)
 	ranked, err := protocols.EncSelectTop(ctx, e.client, items, 0, false, k, magBits)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"math/big"
 
 	"repro/internal/parallel"
+	"repro/internal/telemetry"
 	"repro/internal/zmath"
 )
 
@@ -39,11 +40,22 @@ func NewNonceEncryptor(pk *PublicKey, power func() (*big.Int, error)) *NonceEncr
 
 // NewNoncePool buffers up to capacity of src's nonce powers on workers
 // background goroutines (started by the first draw). A drained or closed
-// pool computes inline (parallel.Pool.Next), so pooling never changes
-// results. Close must be called to release the fillers.
+// pool computes inline, as parallel.Pool.Next does, so pooling never
+// changes results. Every draw counts as a hit (the buffer served it) or a
+// miss (it was computed inline) on telemetry.NoncePoolDraws. Close must
+// be called to release the fillers.
 func NewNoncePool(src NonceSource, workers, capacity int) *NonceEncryptor {
 	pool := parallel.NewPool(workers, capacity, src.NoncePower)
-	return &NonceEncryptor{key: src.Key(), power: pool.Next, close: pool.Close}
+	hit, miss := telemetry.NoncePoolDraws()
+	power := func() (*big.Int, error) {
+		if v, ok := pool.Get(); ok {
+			hit.Inc()
+			return v, nil
+		}
+		miss.Inc()
+		return src.NoncePower()
+	}
+	return &NonceEncryptor{key: src.Key(), power: power, close: pool.Close}
 }
 
 // Close stops a pool's background fillers; the surface remains usable

@@ -3,7 +3,9 @@ package paillier
 import (
 	"math/big"
 	"testing"
+	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/zmath"
 )
 
@@ -144,5 +146,45 @@ func TestNoncePoolOverFastSources(t *testing.T) {
 			defer pool.Close()
 			checkSurface(t, sk, pool)
 		})
+	}
+}
+
+// TestNoncePoolCountsDraws: every draw from a pool counts once on
+// telemetry.NoncePoolDraws, a hit once the buffer has filled and a miss
+// once the pool is closed and drained and computes inline.
+func TestNoncePoolCountsDraws(t *testing.T) {
+	sk := testKey(t)
+	hit, miss := telemetry.NoncePoolDraws()
+	pool := NewNoncePool(&sk.PublicKey, 1, 4)
+	h0, m0 := hit.Value(), miss.Value()
+	const draws = 6
+	for i := 0; i < draws; i++ {
+		if _, err := pool.Encrypt(big.NewInt(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hit.Value() - h0 + miss.Value() - m0; got != draws {
+		t.Fatalf("%d draws counted %d times", draws, got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for hit.Value() == h0 && time.Now().Before(deadline) {
+		if _, err := pool.EncryptZero(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if hit.Value() == h0 {
+		t.Fatal("no draw counted as a hit with the filler running")
+	}
+	// A closed pool hands out what its buffer holds, then misses.
+	pool.Close()
+	m1 := miss.Value()
+	for i := 0; i <= 4 && miss.Value() == m1; i++ {
+		if _, err := pool.EncryptZero(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if miss.Value() != m1+1 {
+		t.Fatal("draws from a closed, drained pool did not count as misses")
 	}
 }

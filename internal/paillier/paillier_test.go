@@ -192,6 +192,54 @@ func TestSentinelMinusOne(t *testing.T) {
 	}
 }
 
+// TestIsZeroAgreesWithDecrypt holds the one-prime zero test to a full
+// decryption: Enc(0) reads zero, and Enc(1), Enc(q), Enc(N-1) and
+// random plaintexts read nonzero, each exactly when Decrypt says so.
+// Enc(p) is the documented false positive: a multiple of p reads as
+// zero. Raising to q-1 mod p^2 reads Enc(0) as nonzero.
+func TestIsZeroAgreesWithDecrypt(t *testing.T) {
+	sk := testKeyPair(t)
+	plains := []*big.Int{big.NewInt(0), big.NewInt(1), sk.Q, new(big.Int).Sub(sk.N, zmath.One)}
+	for i := 0; i < 32; i++ {
+		m, err := rand.Int(rand.Reader, sk.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plains = append(plains, m)
+	}
+	for _, m := range plains {
+		for draw := 0; draw < 3; draw++ {
+			ct, err := sk.Encrypt(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zero, err := sk.IsZero(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := sk.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if zero != (dec.Sign() == 0) {
+				t.Errorf("IsZero(Enc(%v)) = %v, Decrypt = %v", m, zero, dec)
+			}
+		}
+	}
+	ct, err := sk.Encrypt(sk.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero, err := sk.IsZero(ct); err != nil || !zero {
+		t.Errorf("IsZero(Enc(p)) = %v, %v; a multiple of p reads as zero", zero, err)
+	}
+	for i, c := range []*Ciphertext{nil, {C: nil}, {C: big.NewInt(0)}, {C: new(big.Int).Set(sk.N2)}} {
+		if _, err := sk.IsZero(c); err == nil {
+			t.Errorf("case %d: IsZero accepted an invalid ciphertext", i)
+		}
+	}
+}
+
 func TestInvalidCiphertextRejected(t *testing.T) {
 	sk := testKeyPair(t)
 	bad := []*Ciphertext{

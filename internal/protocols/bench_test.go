@@ -2,10 +2,15 @@ package protocols
 
 import (
 	"context"
+	"crypto/rand"
+	"fmt"
+	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/paillier"
+	"repro/internal/transport"
 )
 
 // Micro-benchmarks for the sub-protocol building blocks: per-call cost of
@@ -164,7 +169,7 @@ func BenchmarkSecMultBatch8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SecMult(context.Background(), e.client, as, bs); err != nil {
+		if _, err := SecMult(context.Background(), e.client, as, bs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,5 +202,104 @@ func BenchmarkEncSelectTop8Of8(b *testing.B) {
 		if _, err := EncSelectTop(context.Background(), e.client, items, 0, true, 8, 16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGadgetWidths is the production-key picture of short blinds and
+// of S2's one-prime zero test, at 256-, 1024- and 2048-bit keys:
+//
+//   - apply/full and apply/declared: one ApplyBits round of 12 width-1
+//     EqBits bits (SecWorstBest's shape at m = 3, depth 2), S1 and S2 in
+//     one process, each payload blinded in Z_N against declared at 21
+//     bits (20-bit scores under unit weights);
+//   - zero/decrypt and zero/test: S2's reading of one EqBits test, a
+//     full decryption compared with zero against PrivateKey.IsZero.
+//
+// A key is generated on its first row; safe primes for a 2048-bit key
+// take a minute or more. CI runs the 256-bit rows:
+// go test -run '^$' -bench 'GadgetWidths/key=256' -benchtime 3x ./internal/protocols
+func BenchmarkGadgetWidths(b *testing.B) {
+	const bits, declared = 12, 21
+	parent := b
+	for _, keyBits := range []int{256, 1024, 2048} {
+		var (
+			once   sync.Once
+			sk     *paillier.PrivateKey
+			client *cloud.Client
+			tests  []*paillier.Ciphertext
+			pay    []*paillier.Ciphertext
+		)
+		setup := func(b *testing.B) {
+			once.Do(func() {
+				keys, err := cloud.NewKeyMaterial(keyBits)
+				if err != nil {
+					b.Fatal(err)
+				}
+				srv, err := cloud.NewServer(keys, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if client, err = cloud.NewClient(transport.NewLocal(srv, nil), &keys.Paillier.PublicKey, nil); err != nil {
+					b.Fatal(err)
+				}
+				parent.Cleanup(func() {
+					client.Close()
+					srv.Close()
+				})
+				sk = keys.Paillier
+				for k := 0; k < bits; k++ {
+					m := new(big.Int)
+					if k%4 != 0 { // one equal in four, as a depth's pattern might be
+						if m, err = rand.Int(rand.Reader, sk.N); err != nil {
+							b.Fatal(err)
+						}
+					}
+					test, err := sk.Encrypt(m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					d, err := sk.Encrypt(big.NewInt(int64(k) << 16))
+					if err != nil {
+						b.Fatal(err)
+					}
+					tests, pay = append(tests, test), append(pay, d)
+				}
+			})
+			if sk == nil {
+				b.Fatal("no key")
+			}
+		}
+		for _, c := range []struct {
+			name  string
+			width []int
+		}{{"full", nil}, {"declared", []int{declared}}} {
+			b.Run(fmt.Sprintf("key=%d/apply/%s", keyBits, c.name), func(b *testing.B) {
+				setup(b)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := ApplyBits(context.Background(), client, cloud.MethodEqBits, 1, 1, tests, pay, c.width); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("key=%d/zero/decrypt", keyBits), func(b *testing.B) {
+			setup(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.Decrypt(tests[i%bits]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("key=%d/zero/test", keyBits), func(b *testing.B) {
+			setup(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sk.IsZero(tests[i%bits]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -230,7 +230,7 @@ func replaceDuplicates(ctx context.Context, c *cloud.Client, items []Item, pairs
 		return nil, err
 	}
 	width := len(pay) / n
-	applied, _, err := ApplyBits(ctx, c, cloud.MethodEqBits, group, width, tests, pay)
+	applied, _, err := ApplyBits(ctx, c, cloud.MethodEqBits, group, width, tests, pay, slotBits(items))
 	if err != nil {
 		return nil, err
 	}

@@ -228,7 +228,8 @@ func TestPropertyCompareAgainstPlaintext(t *testing.T) {
 	}
 }
 
-// TestPropertySecMultMatrix checks batched SecMult on random vectors.
+// TestPropertySecMultMatrix checks batched SecMult and SecSquare on
+// random vectors, their operands declared at 10 bits.
 func TestPropertySecMultMatrix(t *testing.T) {
 	e := env(t)
 	f := func(seed int64) bool {
@@ -244,13 +245,18 @@ func TestPropertySecMultMatrix(t *testing.T) {
 			bs[i] = e.enc(t, y)
 			want[i] = x * y
 		}
-		got, err := SecMult(context.Background(), e.client, as, bs)
+		got, err := SecMult(context.Background(), e.client, as, bs, 10)
 		if err != nil {
 			t.Logf("SecMult: %v", err)
 			return false
 		}
+		squares, err := SecSquare(context.Background(), e.client, as, 10)
+		if err != nil {
+			t.Logf("SecSquare: %v", err)
+			return false
+		}
 		for i := range want {
-			if e.dec(t, got[i]) != want[i] {
+			if x := e.dec(t, as[i]); e.dec(t, got[i]) != want[i] || e.dec(t, squares[i]) != x*x {
 				return false
 			}
 		}

@@ -118,26 +118,41 @@ func (e *testEnv) revealObj(t testing.TB, l *ehl.List, candidates []uint64) (uin
 	return 0, false
 }
 
+// TestSecMult checks SecMult and SecSquare on int32 operands, blinded in
+// full and at their declared 32 bits.
 func TestSecMult(t *testing.T) {
 	e := env(t)
-	f := func(x, y int32) bool {
-		a := e.enc(t, int64(x))
-		b := e.enc(t, int64(y))
-		prods, err := SecMult(context.Background(), e.client, []*paillier.Ciphertext{a}, []*paillier.Ciphertext{b})
-		if err != nil {
-			t.Logf("SecMult: %v", err)
-			return false
+	for _, bits := range []int{0, 32} {
+		f := func(x, y int32) bool {
+			a := e.enc(t, int64(x))
+			b := e.enc(t, int64(y))
+			prods, err := SecMult(context.Background(), e.client, []*paillier.Ciphertext{a}, []*paillier.Ciphertext{b}, bits)
+			if err != nil {
+				t.Logf("SecMult: %v", err)
+				return false
+			}
+			squares, err := SecSquare(context.Background(), e.client, []*paillier.Ciphertext{a}, bits)
+			if err != nil {
+				t.Logf("SecSquare: %v", err)
+				return false
+			}
+			return e.dec(t, prods[0]) == int64(x)*int64(y) && e.dec(t, squares[0]) == int64(x)*int64(x)
 		}
-		return e.dec(t, prods[0]) == int64(x)*int64(y)
+		if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+			t.Fatalf("at %d bits: %v", bits, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SecMult(context.Background(), e.client, make([]*paillier.Ciphertext, 1), nil); err == nil {
+	if _, err := SecMult(context.Background(), e.client, make([]*paillier.Ciphertext, 1), nil, 0); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
-	if out, err := SecMult(context.Background(), e.client, nil, nil); err != nil || out != nil {
+	if out, err := SecMult(context.Background(), e.client, nil, nil, 0); err != nil || out != nil {
 		t.Fatal("empty SecMult should be a no-op")
+	}
+	if out, err := SecSquare(context.Background(), e.client, nil, 0); err != nil || out != nil {
+		t.Fatal("empty SecSquare should be a no-op")
+	}
+	if _, err := SecSquare(context.Background(), e.client, make([]*paillier.Ciphertext, 1), 0); err == nil {
+		t.Fatal("SecSquare of a nil operand succeeded")
 	}
 }
 

@@ -45,6 +45,12 @@ import (
 //     SecFilter, name the tuples that joined). No reply slot may exclude
 //     any input row.
 //
+// Given the widths a query's callers declare (declaredWidths), it also
+// holds every payload S2 decrypts, gadget and Mult alike, to its window:
+// a declared b-bit slot's d - r in (-2^(b+41) - 2^b, 2^b), an undeclared
+// one a full-width residue. The queries' marked rows and sentinels travel
+// in those slots, so a width that did not cover them fails here.
+//
 // It also holds grouped EqBits requests (SecDedup's Replace mode, which
 // no query sends since Qry_F marks its duplicates from SecWorstBest's
 // bits) to the uniform-width rule: every group of one request has n - 1
@@ -58,6 +64,10 @@ type wireRecorder struct {
 	inner transport.Caller
 	keys  *cloud.KeyMaterial
 	eph   *paillier.PrivateKey // S1's, set once its stub exists
+	// declared, once set, are the widths the query's callers declare;
+	// windowed counts the payloads held to a declared window.
+	declared *declaredWidths
+	windowed int
 
 	mu       sync.Mutex
 	powers   map[string]string // nonce power -> the message that first carried it
@@ -97,6 +107,9 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 			r.t.Errorf("S1 view: %s reply integer %d is what S1 sent in %s", at, i, from)
 		}
 	}
+	if r.declared != nil {
+		r.windows(at, method, req)
+	}
 	switch q := req.(type) {
 	case *cloud.GadgetRequest:
 		if q.Cols > 0 {
@@ -116,6 +129,69 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 		r.blindRecords(at, q.Rows, resp.(*cloud.FilterReply).Rows)
 	}
 	return nil
+}
+
+// declaredWidths are the payload widths one query's callers declare, by
+// where a payload travels (0: none, full width).
+type declaredWidths struct {
+	digests int // the id digest slots at the front of an item's slots: none declared
+	score   int // a score slot at a gate, in SecUpdate's matrix or SecDedup's rows
+	equal   int // every payload of a plain EqBits round: SecWorstBest's, a join's candidates'
+	mult    int // every Mult operand
+}
+
+// slot returns the width declared for payload s of a bit of q: a plain
+// EqBits round's are all alike; a matrix's scaled row payloads and a
+// gate's or SecDedup's are an item's slots, digests first; everything
+// crossing, and a column's payloads, are scores.
+func (d *declaredWidths) slot(method string, q *cloud.GadgetRequest, col bool, s int) int {
+	switch {
+	case col || q.Cols > 0 && s >= q.Width-q.Cross:
+		return d.score
+	case method == cloud.MethodEqBits && q.Group == 1 && q.Cols == 0:
+		return d.equal
+	case s < d.digests:
+		return 0
+	}
+	return d.score
+}
+
+// windows holds every payload S2 decrypts from req to its declared
+// window.
+func (r *wireRecorder) windows(at, method string, req any) {
+	check := func(what string, c *big.Int, b int) {
+		v, err := r.keys.Paillier.DecryptSigned(&paillier.Ciphertext{C: c})
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if b == 0 {
+			full := new(big.Int).Lsh(big.NewInt(1), uint(r.keys.Paillier.N.BitLen()-64))
+			if new(big.Int).Abs(v).Cmp(full) < 0 {
+				r.t.Errorf("S2 view: %s %s declares no width but reads %v, short of a full-width residue", at, what, v)
+			}
+			return
+		}
+		r.windowed++
+		hi := new(big.Int).Lsh(big.NewInt(1), uint(b))
+		lo := new(big.Int).Lsh(big.NewInt(1), uint(b+41))
+		lo.Add(lo, hi).Neg(lo)
+		if v.Cmp(lo) <= 0 || v.Cmp(hi) >= 0 {
+			r.t.Errorf("S2 view: %s %s reads %v, outside its %d-bit window", at, what, v, b)
+		}
+	}
+	switch q := req.(type) {
+	case *cloud.GadgetRequest:
+		for x, c := range q.Pay {
+			check(fmt.Sprintf("payload %d", x), c, r.declared.slot(method, q, false, x%q.Width))
+		}
+		for x, c := range q.ColPay {
+			check(fmt.Sprintf("column payload %d", x), c, r.declared.slot(method, q, true, x%q.ColWidth))
+		}
+	case *cloud.MultRequest:
+		for x, c := range append(append([]*big.Int(nil), q.A...), q.B...) {
+			check(fmt.Sprintf("operand %d", x), c, r.declared.mult)
+		}
+	}
 }
 
 // matchings holds an equality matrix (SecUpdate's) to the rule its
@@ -251,7 +327,7 @@ func rowInts(rows []cloud.WireRow) (cts, blinds []*big.Int) {
 
 // TestWireRecorder runs top-k in Qry_F, Qry_E and Qry_Ba, a top-k join and
 // a kNN query, each through a fresh wireRecorder, and holds both parties'
-// views to its two rules. Every query must also return the plaintext
+// views to its rules, every payload to the window its caller declared. Every query must also return the plaintext
 // answer, so the recorder watched the protocol run to its end.
 func TestWireRecorder(t *testing.T) {
 	const keyBits, scoreBits = 256, 16
@@ -279,6 +355,9 @@ func TestWireRecorder(t *testing.T) {
 			c.Close()
 			if rec.calls == 0 {
 				t.Error("the query made no S2 call")
+			}
+			if rec.declared != nil && rec.windowed == 0 {
+				t.Error("no payload of the query was held to a declared window")
 			}
 		})
 		return c, rec
@@ -319,6 +398,9 @@ func TestWireRecorder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Unit weights: a weighted score has scoreBits + 1 bits.
+			slot := core.SlotBits(core.MagBits(scoreBits, tk))
+			rec.declared = &declaredWidths{digests: ehlParams.S, score: slot, equal: scoreBits + 1, mult: slot}
 			res, err := engine.SecQuery(ctx, tk, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -363,7 +445,9 @@ func TestWireRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := client(t)
+		c, rec := client(t)
+		// Join candidates rank under one random digest.
+		rec.declared = &declaredWidths{digests: 1, score: scoreBits + 1, equal: scoreBits + 1}
 		engine, err := join.NewEngine(c, er1, er2, scoreBits)
 		if err != nil {
 			t.Fatal(err)
@@ -391,7 +475,9 @@ func TestWireRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := client(t)
+		c, rec := client(t)
+		magBits := 2*scoreBits + 4 + 2 // knn.Engine's, at two attributes
+		rec.declared = &declaredWidths{digests: ehlParams.S, score: magBits, mult: magBits}
 		engine, err := knn.NewEngine(c, db, scoreBits)
 		if err != nil {
 			t.Fatal(err)

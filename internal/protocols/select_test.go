@@ -101,9 +101,10 @@ func (e *testEnv) tappedClient(t testing.TB) (*cloud.Client, *gadgetTap) {
 // TestPropertySelect holds the gadget to its plaintext meaning under both
 // of its methods, at widths 1-4 and, for EqBits, groups of 1-3 tests:
 // every output decrypts to t*d for its bit t and payload d, differences
-// of both signs included, and every returned bit to t; none repeats an
-// input ciphertext, and a round ApplyBits cannot build is an error, not a
-// panic, that sends nothing to S2.
+// of both signs included, and every returned bit to t, whether the slots
+// declare a width or not; none repeats an input ciphertext, and a round
+// ApplyBits cannot build is an error, not a panic, that sends nothing to
+// S2.
 func TestPropertySelect(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -117,7 +118,13 @@ func TestPropertySelect(t *testing.T) {
 			for width := 1; width <= 4; width++ {
 				cases := e.bitCases(t, method, group, width)
 				tests, pay := flatten(cases)
-				out, bits, err := ApplyBits(ctx, client, method, group, width, tests, pay)
+				// Odd widths declare the payloads' 10 bits (|d| <= 1000),
+				// even ones nothing.
+				var declared []int
+				if width%2 == 1 {
+					declared = uniformBits(width, 10)
+				}
+				out, bits, err := ApplyBits(ctx, client, method, group, width, tests, pay, declared)
 				if err != nil {
 					t.Fatalf("%s group %d width %d: %v", method, group, width, err)
 				}
@@ -146,26 +153,29 @@ func TestPropertySelect(t *testing.T) {
 	for name, tc := range map[string]struct {
 		group, width int
 		tests, in    []*paillier.Ciphertext
+		bits         []int
 	}{
-		"width zero":           {1, 0, []*paillier.Ciphertext{one}, nil},
-		"group zero":           {0, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}},
-		"a test short":         {2, 1, []*paillier.Ciphertext{one, one, one}, []*paillier.Ciphertext{two, two}},
-		"a payload short":      {1, 2, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}},
-		"a payload too many":   {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two, two}},
-		"a payload per test":   {2, 1, []*paillier.Ciphertext{one, one}, []*paillier.Ciphertext{two, two}},
-		"a nil payload":        {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{nil}},
-		"an empty payload":     {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{{}}},
-		"a nil test":           {1, 1, []*paillier.Ciphertext{nil}, []*paillier.Ciphertext{two}},
-		"a nil test in groups": {2, 1, []*paillier.Ciphertext{one, nil}, []*paillier.Ciphertext{two}},
+		"width zero":           {1, 0, []*paillier.Ciphertext{one}, nil, nil},
+		"group zero":           {0, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}, nil},
+		"a test short":         {2, 1, []*paillier.Ciphertext{one, one, one}, []*paillier.Ciphertext{two, two}, nil},
+		"a payload short":      {1, 2, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}, nil},
+		"a payload too many":   {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two, two}, nil},
+		"a payload per test":   {2, 1, []*paillier.Ciphertext{one, one}, []*paillier.Ciphertext{two, two}, nil},
+		"a nil payload":        {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{nil}, nil},
+		"an empty payload":     {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{{}}, nil},
+		"a nil test":           {1, 1, []*paillier.Ciphertext{nil}, []*paillier.Ciphertext{two}, nil},
+		"a nil test in groups": {2, 1, []*paillier.Ciphertext{one, nil}, []*paillier.Ciphertext{two}, nil},
+		"a slot width short":   {1, 2, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two, two}, []int{10}},
+		"a negative width":     {1, 1, []*paillier.Ciphertext{one}, []*paillier.Ciphertext{two}, []int{-1}},
 	} {
-		if _, _, err := ApplyBits(ctx, client, cloud.MethodEqBits, tc.group, tc.width, tc.tests, tc.in); err == nil {
+		if _, _, err := ApplyBits(ctx, client, cloud.MethodEqBits, tc.group, tc.width, tc.tests, tc.in, tc.bits); err == nil {
 			t.Errorf("%s: ApplyBits succeeded", name)
 		}
 	}
 	if len(tap.requests) != rounds {
 		t.Errorf("refused rounds still sent %d requests to S2", len(tap.requests)-rounds)
 	}
-	if out, bits, err := ApplyBits(ctx, client, cloud.MethodEqBits, 2, 3, nil, nil); err != nil || out != nil || bits != nil || len(tap.requests) != rounds {
+	if out, bits, err := ApplyBits(ctx, client, cloud.MethodEqBits, 2, 3, nil, nil, nil); err != nil || out != nil || bits != nil || len(tap.requests) != rounds {
 		t.Errorf("a round of no bits = %v, %v, %v, and went to S2", out, bits, err)
 	}
 }
@@ -184,7 +194,7 @@ func TestSelectTermIsBlindedOnce(t *testing.T) {
 	const width = 3
 	cases := e.bitCases(t, cloud.MethodCompareHidden, 1, width)
 	tests, pay := flatten(cases)
-	out, _, err := ApplyBits(context.Background(), client, cloud.MethodCompareHidden, 1, width, tests, pay)
+	out, _, err := ApplyBits(context.Background(), client, cloud.MethodCompareHidden, 1, width, tests, pay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +227,75 @@ func TestSelectTermIsBlindedOnce(t *testing.T) {
 			want.Mul(want, resp.Cts[k*width+s]).Mod(want, pk.N2)
 			if out[k*width+s].C.Cmp(want) != 0 {
 				t.Errorf("bit %d payload %d: output is not the reply times Enc(t)^(N-r)", k, s)
+			}
+		}
+	}
+}
+
+// TestShortBlindWindow reads declared widths off the wire. Each bit of
+// one EqBits round carries a slot declared at b bits, its |d| up to
+// 2^b - 1 of either sign, and an undeclared one beside it. S2's signed
+// decryption of every declared payload d - r lies in
+// (-2^(b+41) - 2^b, 2^b) and, over the round's draws, spans at least
+// 2^(b+40): the blind is as wide as blindSlack says, and no wider. The
+// undeclared payload reads as a full-width residue, |d - r| at least
+// 2^(|N|-64). A declared width at or within 43 bits of |N| is blinded
+// in full too.
+func TestShortBlindWindow(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	client, tap := e.tappedClient(t)
+	pk := client.PK()
+	const b, n = 20, 64
+	lo := new(big.Int).Lsh(big.NewInt(1), b+blindSlack)
+	lo.Add(lo, big.NewInt(1<<b)).Neg(lo)
+	hi := big.NewInt(1 << b)
+	full := new(big.Int).Lsh(big.NewInt(1), uint(pk.N.BitLen()-64))
+	var tests, pay []*paillier.Ciphertext
+	for k := 0; k < n; k++ {
+		d := []int64{1<<b - 1, -(1<<b - 1), 0, 12345}[k%4]
+		tests = append(tests, e.enc(t, 1))
+		pay = append(pay, e.enc(t, d), e.enc(t, d))
+	}
+	for _, declared := range [][]int{{b, 0}, {pk.N.BitLen() - 43, 0}} {
+		tap.requests = nil
+		if _, _, err := ApplyBits(ctx, client, cloud.MethodEqBits, 1, 2, tests, pay, declared); err != nil {
+			t.Fatal(err)
+		}
+		req := tap.requests[0]
+		var min, max *big.Int
+		for k := 0; k < n; k++ {
+			short, err := e.keys.Paillier.DecryptSigned(&paillier.Ciphertext{C: req.Pay[2*k]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wide, err := e.keys.Paillier.DecryptSigned(&paillier.Ciphertext{C: req.Pay[2*k+1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if new(big.Int).Abs(wide).Cmp(full) < 0 {
+				t.Errorf("widths %v bit %d: the undeclared payload reads %v, not a full-width residue", declared, k, wide)
+			}
+			if declared[0] != b {
+				if new(big.Int).Abs(short).Cmp(full) < 0 {
+					t.Errorf("widths %v bit %d: a slot declared within 43 bits of |N| reads %v, not a full-width residue", declared, k, short)
+				}
+				continue
+			}
+			if short.Cmp(lo) <= 0 || short.Cmp(hi) >= 0 {
+				t.Errorf("bit %d: a %d-bit slot reads %v, outside (-2^%d - 2^%d, 2^%d)", k, b, short, b+blindSlack, b, b)
+			}
+			if min == nil || short.Cmp(min) < 0 {
+				min = short
+			}
+			if max == nil || short.Cmp(max) > 0 {
+				max = short
+			}
+		}
+		if declared[0] == b {
+			span := new(big.Int).Sub(max, min)
+			if span.Cmp(new(big.Int).Lsh(big.NewInt(1), b+blindSlack-1)) < 0 {
+				t.Errorf("%d draws of a %d-bit slot span only 2^%d", n, b, span.BitLen()-1)
 			}
 		}
 	}

@@ -88,11 +88,12 @@ func (it Item) slots() []*paillier.Ciphertext {
 	return append(append([]*paillier.Ciphertext(nil), it.EHL.Cts...), it.Scores...)
 }
 
-// withSlots returns an item shaped like it that holds the given slots. The
-// two halves are capped, so appending to one cannot reach its neighbour.
+// withSlots returns an item shaped like it, its declared width included,
+// that holds the given slots. The two halves are capped, so appending to
+// one cannot reach its neighbour.
 func (it Item) withSlots(slots []*paillier.Ciphertext) Item {
 	w, n := len(it.EHL.Cts), len(slots)
-	return Item{EHL: &ehl.List{Cts: slots[:w:w]}, Scores: slots[w:n:n]}
+	return Item{EHL: &ehl.List{Cts: slots[:w:w]}, Scores: slots[w:n:n], ScoreBits: it.ScoreBits}
 }
 
 // runGateLayer executes one layer of independent compare-exchange gates in
@@ -105,6 +106,9 @@ func (it Item) withSlots(slots []*paillier.Ciphertext) Item {
 // Enc(I) * Enc(J) * Enc(new_i)^-1, which encrypts I + J - new_i: the
 // other of the two, for id digests mod N as for scores. Every output
 // carries randomness S2 put on it, so S1 cannot match it to an input.
+// The score slots' payloads are blinded at the width the items declare
+// (slotBits over every item of work, so every layer of a ranking blinds
+// alike): a difference of two declared slots is itself within it.
 func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gate, col int, desc bool, magBits int) error {
 	if len(layer) == 0 {
 		return nil
@@ -150,7 +154,7 @@ func runGateLayer(ctx context.Context, c *cloud.Client, work []Item, layer []gat
 	if err != nil {
 		return err
 	}
-	picked, _, err := ApplyBits(ctx, c, cloud.MethodCompareHidden, 1, w, diffs, pay)
+	picked, _, err := ApplyBits(ctx, c, cloud.MethodCompareHidden, 1, w, diffs, pay, slotBits(work))
 	if err != nil {
 		return err
 	}

@@ -107,7 +107,15 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 			columns.Pay = append(columns.Pay, it.Scores[col])
 		}
 	}
-	rowOut, colOut, err := ApplyMatrix(ctx, c, cells, rows, columns)
+	// Every score payload — a column, a sentinel minus one — is declared
+	// at the items' common width; digest sentinels are blinded in full.
+	all := append(append([]Item(nil), T...), gamma...)
+	var rowWidths, colWidths []int
+	if b := slotBits(all); b != nil {
+		rowWidths = append(append([]int(nil), b[:slotsW]...), uniformBits(len(merged), b[len(b)-1])...)
+		colWidths = uniformBits(columns.Width, b[len(b)-1])
+	}
+	rowOut, colOut, err := ApplyMatrix(ctx, c, cells, rows, columns, rowWidths, colWidths)
 	if err != nil {
 		return nil, err
 	}

@@ -16,10 +16,15 @@ import (
 )
 
 // DepthItem is one encrypted data item E(I) = (EHL(o), Enc(x)) read from a
-// sorted list at the current depth (Section 6's item layout).
+// sorted list at the current depth (Section 6's item layout). ScoreBits,
+// when positive, declares that every score of the item's list, and the
+// difference of any two, lies in (-2^ScoreBits, 2^ScoreBits): the width
+// SecWorstBest blinds its payloads at (Item.ScoreBits' rule; zero
+// declares nothing).
 type DepthItem struct {
-	EHL   *ehl.List
-	Score *paillier.Ciphertext
+	EHL       *ehl.List
+	Score     *paillier.Ciphertext
+	ScoreBits int
 }
 
 // ListHistory is the prefix of a permuted sorted list seen so far: the
@@ -168,7 +173,14 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	chosen, bits, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, 1, tests, pay)
+	width := items[0].ScoreBits
+	for _, it := range items {
+		if it.ScoreBits != width {
+			width = 0 // one width for every bit of the call, or none
+			break
+		}
+	}
+	chosen, bits, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, 1, tests, pay, uniformBits(1, width))
 	if err != nil {
 		return nil, nil, nil, err
 	}

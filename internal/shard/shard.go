@@ -383,7 +383,12 @@ func Merge(ctx context.Context, client *cloud.Client, k, magBits int, sets []*co
 				return nil, false, secerr.New(secerr.CodeBadRequest, "shard: shard %d residual %d is nil", i, j)
 			}
 		}
-		union = append(union, cs.Items...)
+		for _, it := range cs.Items {
+			// A candidate's W and B are bounded as the shard's were (the
+			// wire carries no width): declare the engine's width again.
+			it.ScoreBits = core.SlotBits(magBits)
+			union = append(union, it)
+		}
 		residuals = append(residuals, cs.Residuals...)
 		if cs.Depth > depth {
 			depth = cs.Depth

@@ -156,6 +156,16 @@ var defaultRegistry = NewRegistry()
 // records into.
 func Default() *Registry { return defaultRegistry }
 
+// NoncePoolDraws returns the default registry's counters of nonce-pool
+// draws, sectopk_nonce_pool_draws_total{result}: hit where the pool's
+// buffer served the draw, miss where it was drained (or closed) and the
+// nonce was computed inline. Their ratio says whether the pools are sized
+// for what a query draws.
+func NoncePoolDraws() (hit, miss *Counter) {
+	return defaultRegistry.Counter("sectopk_nonce_pool_draws_total", "result", "hit"),
+		defaultRegistry.Counter("sectopk_nonce_pool_draws_total", "result", "miss")
+}
+
 // labelKey serializes a label set for map lookup; labels are k, v pairs.
 func labelKey(labels []string) string {
 	return strings.Join(labels, "\x1f")

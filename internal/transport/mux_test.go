@@ -372,6 +372,7 @@ func TestPrefaceRefused(t *testing.T) {
 		{"wire v5, the Recover round of the equality selections", prefaceBytes(5), secerr.ErrProtocolVersion},
 		{"wire v6, the ungrouped gadget beside Replace-mode Dedup", prefaceBytes(6), secerr.ErrProtocolVersion},
 		{"wire v7, the gadget without a column section", prefaceBytes(7), secerr.ErrProtocolVersion},
+		{"wire v8, the Mult round without one-operand squares", prefaceBytes(8), secerr.ErrProtocolVersion},
 		{"newer version", prefaceBytes(ProtocolVersion + 1), secerr.ErrProtocolVersion},
 		{"no preface", frameBytes(0, "Hello", []byte("body")), secerr.ErrTransport},
 		{"wrong magic", []byte{muxMagic[0], 'X'}, secerr.ErrTransport},
@@ -401,10 +402,10 @@ func TestPrefaceRefused(t *testing.T) {
 			}
 		})
 	}
-	// The other direction: a server at another version (the five older
+	// The other direction: a server at another version (the six older
 	// wires by name, and a newer one) answers the preface with its own, and
 	// Connect refuses it typed.
-	for _, ver := range []int{3, 4, 5, 6, 7, ProtocolVersion + 1} {
+	for _, ver := range []int{3, 4, 5, 6, 7, 8, ProtocolVersion + 1} {
 		t.Run(fmt.Sprintf("client/peer-v%d", ver), func(t *testing.T) {
 			c1, c2 := net.Pipe()
 			defer c1.Close()

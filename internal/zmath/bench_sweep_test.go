@@ -180,6 +180,59 @@ func BenchmarkExpModShared(b *testing.B) {
 	}
 }
 
+// BenchmarkLonePowerSweep sets the engine's one-base chain (expShared
+// with one exponent) against big.Int.Exp for a lone power over the N^2
+// of a 256-, 1024- and 2048-bit key, at exponent widths from a short
+// blind's (b + 41 bits for a b-bit slot) up to |N|, timed back to back
+// in alternating order as BenchmarkExpModShared does; chain/big is the
+// median of the per-iteration ratios. The widest exponent at which
+// chain/big is below 1 at every key size is loneChainMaxBits. Run at
+// -cpu 1: go test -run '^$' -bench LonePowerSweep -benchtime 1s -cpu 1
+// ./internal/zmath (about two minutes).
+func BenchmarkLonePowerSweep(b *testing.B) {
+	for _, keyBits := range []int{256, 1024, 2048} {
+		n := randOddModulusB(2 * keyBits)
+		m, _ := NewModulus(n)
+		base, _ := rand.Int(rand.Reader, n)
+		for _, expBits := range []int{8, 32, 64, 67, 72, 96, 112, 128, 160, 256, 512, 1024, 2048} {
+			if expBits > keyBits {
+				continue
+			}
+			e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(expBits)))
+			e.SetBit(e, expBits-1, 1)
+			exps := []*big.Int{e}
+			b.Run(fmt.Sprintf("key=%d/exp=%d", keyBits, expBits), func(b *testing.B) {
+				z := new(big.Int)
+				power := func() { z.Exp(base, e, n) }
+				chain := func() { m.expShared(base, exps) }
+				var tBig, tChain time.Duration
+				ratios := make([]float64, b.N)
+				for i := range ratios {
+					first, second := power, chain
+					if i%2 == 1 {
+						first, second = chain, power
+					}
+					t0 := time.Now()
+					first()
+					t1 := time.Now()
+					second()
+					dBig, dChain := t1.Sub(t0), time.Since(t1)
+					if i%2 == 1 {
+						dBig, dChain = dChain, dBig
+					}
+					tBig += dBig
+					tChain += dChain
+					ratios[i] = float64(dChain) / float64(dBig)
+				}
+				sort.Float64s(ratios)
+				b.ReportMetric(float64(tBig.Nanoseconds())/1e3/float64(b.N), "big-us/op")
+				b.ReportMetric(float64(tChain.Nanoseconds())/1e3/float64(b.N), "chain-us/op")
+				b.ReportMetric(ratios[len(ratios)/2], "chain/big")
+			})
+		}
+	}
+}
+
 func randOddModulusB(bits int) *big.Int {
 	n, _ := rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(bits)))
 	n.SetBit(n, bits-1, 1)

@@ -302,6 +302,21 @@ func TestExpModSharedMatchesBigInt(t *testing.T) {
 					check("shared chain", m.expShared(base, exps))
 				}
 			}
+			// A lone power on both sides of loneChainMaxBits, zero included.
+			for _, bits := range []int{0, 1, 2, 31, 63, 64, 65, loneChainMaxBits, loneChainMaxBits + 1, 2 * loneChainMaxBits} {
+				base, _ := rand.Int(rand.Reader, n)
+				e := randBelow(t, bits)
+				if bits > 0 {
+					e.SetBit(e, bits-1, 1)
+				}
+				got, err := m.ExpModShared(base, []*big.Int{e})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := new(big.Int).Exp(base, e, n); got[0].Cmp(want) != 0 {
+					t.Fatalf("%s: a lone %d-bit power mismatch", tm.name, bits)
+				}
+			}
 			if got, err := m.ExpModShared(big.NewInt(5), nil); err != nil || len(got) != 0 {
 				t.Fatalf("ExpModShared with no exponents = %v, %v", got, err)
 			}

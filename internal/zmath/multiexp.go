@@ -107,28 +107,38 @@ func (m *Modulus) MultiExpMod(bases, exps []*big.Int) (*big.Int, error) {
 }
 
 // sharedExpMinGroup is the smallest group of exponents ExpModShared raises
-// through its shared chain: the smallest group size at which the chain beat
-// one big.Int.Exp per exponent at every width BenchmarkExpModShared
-// measured (N^3 of 256- to 2048-bit keys; EXPERIMENTS.md "One Montgomery
-// kernel"). A lone power takes big.Int.Exp: with no squaring chain to
-// share, Yao's digit products lose 5-10 % to math/big's ladder at 12 limbs
-// (the N^3 of 256-bit keys) and win by at most 5 % from 48.
+// through its shared chain whatever their width: the smallest group size
+// at which the chain beat one big.Int.Exp per exponent at every width
+// BenchmarkExpModShared measured (N^3 of 256- to 2048-bit keys;
+// EXPERIMENTS.md "One Montgomery kernel").
 const sharedExpMinGroup = 2
 
+// loneChainMaxBits is the widest lone exponent ExpModShared raises on the
+// chain: up to it the chain beat big.Int.Exp at every key size
+// BenchmarkLonePowerSweep measured (N^2 of 256-, 1024- and 2048-bit keys;
+// chain/big 0.41-0.91, a short blind's 62-88-bit exponents among them;
+// EXPERIMENTS.md "Short blinds"), because math/big runs a word-sized
+// exponent on a plain square-and-multiply with a division per step and a
+// wider one behind a 16-entry window table. From 112 bits on the two tie
+// within a few percent either way, and a full-width lone power takes
+// big.Int.Exp.
+const loneChainMaxBits = 96
+
 // ExpModShared returns base^exps[i] mod n for every i: many powers of one
-// base. From sharedExpMinGroup exponents on it runs Yao's method — a single
-// in-domain squaring chain base^(2^(w*j)) serves every exponent, and each
-// exponent then costs one multiplication per nonzero w-bit digit plus one
-// per digit value (the descending-digit product), instead of a full ladder
-// of its own. Exponents must be non-negative. Outputs are canonical
-// residues, bit-identical to big.Int.Exp.
+// base. From sharedExpMinGroup exponents on, and for a lone exponent of at
+// most loneChainMaxBits bits, it runs Yao's method — a single in-domain
+// squaring chain base^(2^(w*j)) serves every exponent, and each exponent
+// then costs one multiplication per nonzero w-bit digit plus one per digit
+// value (the descending-digit product), instead of a full ladder of its
+// own. Exponents must be non-negative. Outputs are canonical residues,
+// bit-identical to big.Int.Exp.
 func (m *Modulus) ExpModShared(base *big.Int, exps []*big.Int) ([]*big.Int, error) {
 	for i, e := range exps {
 		if e == nil || e.Sign() < 0 {
 			return nil, fmt.Errorf("zmath: ExpModShared exponent %d must be non-negative", i)
 		}
 	}
-	if !m.active() || len(exps) < sharedExpMinGroup {
+	if !m.active() || len(exps) < sharedExpMinGroup && (len(exps) == 0 || exps[0].BitLen() > loneChainMaxBits) {
 		out := make([]*big.Int, len(exps))
 		for i, e := range exps {
 			out[i] = new(big.Int).Exp(base, e, m.n)
