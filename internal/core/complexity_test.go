@@ -50,15 +50,21 @@ func TestRoundComplexityPerDepth(t *testing.T) {
 	r3 := pipelineRounds(3)
 	// Steady state per depth: EqBits for SecWorstBest (1) + SecUpdate (1),
 	// plus Dedup for the per-depth dedup (1) and SecUpdate's bipartite
-	// dedup (1) = 4 rounds. Depth one skips SecUpdate's two rounds (T is
-	// empty): 2 rounds.
+	// dedup (1) = 4 rounds. At k=2 no halt is possible at depth one, so
+	// its SecWorstBest shares depth two's round, and it skips SecUpdate's
+	// two rounds (T is empty): 1 round of its own.
 	if perDepth := r3 - r2; perDepth != 4 {
 		t.Fatalf("pipeline rounds per depth = %d, want 4 (r2=%d r3=%d)", perDepth, r2, r3)
 	}
-	if r2 != 2+4 {
-		t.Fatalf("two-depth pipeline rounds = %d, want 6", r2)
+	if r2 != 1+4 {
+		t.Fatalf("two-depth pipeline rounds = %d, want 5", r2)
 	}
 }
+
+// depthShape is what a Qry_F depth's round budget depends on: its 1-based
+// depth, the query's firstHaltDepth, the tracked items in T when it
+// starts, the ranked = tracked + m of them when it ends, and k.
+type depthShape struct{ depth, haltFrom, tracked, ranked, k int }
 
 // depthBudget is the S1<->S2 round budget of one Qry_F depth: every step
 // and the wire methods it may call, one round each. A change that fuses
@@ -67,30 +73,35 @@ func TestRoundComplexityPerDepth(t *testing.T) {
 var depthBudget = []struct {
 	step    string
 	methods []string
-	// times says how often the step runs at a depth that starts with
-	// tracked items in T and ends with ranked = tracked + m of them.
-	times func(tracked, ranked, k int) int
+	// times says how often the step runs at a depth of the given shape.
+	times func(s depthShape) int
 }{
 	// Qry_F's dedup marks duplicates from SecWorstBest's own bits, and
 	// SecUpdate folds its trailing dedup into its own round: no dedup
-	// round at all.
-	{"SecWorstBest", []string{cloud.MethodEqBits}, func(int, int, int) int { return 1 }},
-	{"SecUpdate", []string{cloud.MethodEqBits}, func(tracked, _, _ int) int {
-		if tracked == 0 {
+	// round at all. The depths up to the first halting depth send their
+	// SecWorstBest bits in one round, counted at that depth.
+	{"SecWorstBest", []string{cloud.MethodEqBits}, func(s depthShape) int {
+		if s.depth < s.haltFrom {
+			return 0
+		}
+		return 1
+	}},
+	{"SecUpdate", []string{cloud.MethodEqBits}, func(s depthShape) int {
+		if s.tracked == 0 {
 			return 0 // nothing to merge with
 		}
 		return 1
 	}},
-	{"EncSelectTop layer", []string{cloud.MethodCompareHidden}, func(_, ranked, k int) int {
-		if ranked < k+1 {
-			return 0 // too few items to test halting on
+	{"EncSelectTop layer", []string{cloud.MethodCompareHidden}, func(s depthShape) int {
+		if s.depth < s.haltFrom || s.ranked < s.k+1 {
+			return 0 // no halt possible yet, or too few items to test halting on
 		}
 		// The top k of ranked items: k selection passes scheduled
 		// together, or Batcher's network where that is cheaper.
-		return protocols.SelectTopLayers(ranked, k)
+		return protocols.SelectTopLayers(s.ranked, s.k)
 	}},
-	{"halting test", []string{cloud.MethodCompare}, func(_, ranked, k int) int {
-		if ranked < k+1 {
+	{"halting test", []string{cloud.MethodCompare}, func(s depthShape) int {
+		if s.depth < s.haltFrom || s.ranked < s.k+1 {
 			return 0
 		}
 		return 1
@@ -99,11 +110,13 @@ var depthBudget = []struct {
 
 // TestRoundBudget runs Qry_F, m=3 on a rank-correlated relation, which
 // halts at depth k, and holds every wire method to depthBudget. At k=2,
-// the benchmark's query shape, that is 5 rounds at depth 1 and 8 at
-// depth 2, one round a gate layer and one per hidden-bit batch. At k=6 the
-// halting check first runs at depth 3, and at depths 3-5 Batcher's network
-// ranks 6 of |T| = 9..15 items in 10 fewer layers than the selection
-// passes: the query takes 59 rounds where the passes alone took 69.
+// the benchmark's query shape, depth 1 takes no round of its own and
+// depth 2 takes 8: the two depths' SecWorstBest, SecUpdate, one round a
+// gate layer and the halting test. At k=6 the halting check first runs at
+// depth 3, which sends depths 1-3's SecWorstBest bits in one round, and
+// at depths 3-5 Batcher's network ranks 6 of |T| = 9..15 items in 10
+// fewer layers than the selection passes: the query takes 57 rounds where
+// the passes alone took 67.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
 	const m = 3
@@ -116,7 +129,7 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	for _, tc := range []struct{ k, rounds int }{{2, 13}, {6, 59}} {
+	for _, tc := range []struct{ k, rounds int }{{2, 8}, {6, 57}} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			k := tc.k
 			stats := transport.NewStats()
@@ -144,10 +157,10 @@ func TestRoundBudget(t *testing.T) {
 			want := map[string]int64{}
 			var total int64
 			for d := 0; d < res.Depth; d++ {
-				// Qry_F keeps duplicates as sentinel rows: |T| grows by m a depth.
-				tracked, ranked := d*m, (d+1)*m
+				// Qry_F keeps duplicates as marked rows: |T| grows by m a depth.
+				s := depthShape{depth: d + 1, haltFrom: firstHaltDepth(m, k), tracked: d * m, ranked: (d + 1) * m, k: k}
 				for _, b := range depthBudget {
-					n := int64(b.times(tracked, ranked, k))
+					n := int64(b.times(s))
 					for _, method := range b.methods {
 						want[method] += n
 					}

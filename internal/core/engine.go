@@ -21,8 +21,9 @@ type Mode int
 
 const (
 	// QryF is the fully private baseline: SecDedup (replace mode, marked
-	// from SecWorstBest's bits with no round of its own) and the halting
-	// machinery run at every depth (Section 8).
+	// from SecWorstBest's bits with no round of its own) runs at every
+	// depth, and the halting machinery at every depth where a halt is
+	// possible (Section 8; firstHaltDepth).
 	QryF Mode = iota
 	// QryE swaps SecDedup for SecDupElim, shrinking the tracked list and
 	// leaking the uniqueness pattern UP^d to S1 (Section 10.1).
@@ -334,7 +335,55 @@ func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*QueryResult
 	return e.queryPerDepth(ctx, tk, opts)
 }
 
-// queryPerDepth is the per-depth pipeline shared by Qry_F and Qry_E.
+// firstHaltDepth is the first 1-based depth at which NRA's halting test
+// can pass on m lists and k answers while the unseen bound U = Σ bottoms
+// is positive. At depth d at most m(d−1) objects were seen before d, so
+// with k ≥ m(d−1)+2 the top k hold two objects first seen at d; those
+// split the depth's lists between them, so the lower worst score is at
+// most U/2, and W_k ≥ U needs U = 0. When U = 0 every k-set is a top-k,
+// so the query loses no answer by testing from this depth on: it halts
+// there or later with a tie-equivalent one. The depth is a function of
+// the public (m, k) alone, so skipping the ranking and halting rounds
+// below it tells no party anything.
+func firstHaltDepth(m, k int) int {
+	return 1 + (k-1+m-1)/m
+}
+
+// readDepths reads the token's items at depths [from, to) of every
+// queried list, weight-scaled and declared at bits (DepthItem.ScoreBits),
+// and appends them to the lists' histories.
+func (e *Engine) readDepths(ctx context.Context, tk *Token, from, to, bits int, histories []protocols.ListHistory) ([][]protocols.DepthItem, error) {
+	m := len(tk.Lists)
+	out := make([][]protocols.DepthItem, to-from)
+	for t := range out {
+		out[t] = make([]protocols.DepthItem, m)
+	}
+	err := parallel.ForEachCtx(ctx, len(out)*m, func(x int) error {
+		t, i := x/m, x%m
+		score, err := e.depthScore(tk, i, from+t)
+		if err != nil {
+			return err
+		}
+		it := e.er.Lists[tk.Lists[i]][from+t]
+		out[t][i] = protocols.DepthItem{EHL: it.EHL, Score: score, ScoreBits: bits}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, items := range out {
+		for i, it := range items {
+			histories[i].EHLs = append(histories[i].EHLs, it.EHL)
+			histories[i].Scores = append(histories[i].Scores, it.Score)
+		}
+	}
+	return out, nil
+}
+
+// queryPerDepth is the per-depth pipeline shared by Qry_F and Qry_E. No
+// depth below firstHaltDepth ranks or tests for a halt, so every depth up
+// to it is certain to run, and their SecWorstBest bits go to S2 in one
+// round; each later depth sends its own.
 func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
 	m, k := len(tk.Lists), tk.K
 	magBits, shift := e.magBits(tk), e.duplicateShift(tk)
@@ -347,45 +396,45 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 	if opts.MaxDepth > 0 && opts.MaxDepth < maxD {
 		maxD = opts.MaxDepth
 	}
+	haltFrom := firstHaltDepth(m, k)
 	histories := make([]protocols.ListHistory, m)
 	var T []protocols.Item
+	// worsts, bests and sames hold SecWorstBest's answers for the depths
+	// read but not yet merged into T, the current depth's first.
+	var worsts, bests [][]*paillier.Ciphertext
+	var sames [][][]*paillier.Ciphertext
 	depth := 0
 	for d := 0; d < maxD; d++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d: %w", d, err)
 		}
 		depth = d + 1
-		depthItems := make([]protocols.DepthItem, m)
-		err := parallel.ForEachCtx(ctx, m, func(i int) error {
-			score, err := e.depthScore(tk, i, d)
-			if err != nil {
-				return err
+		if len(worsts) == 0 {
+			to := d + 1
+			if d == 0 {
+				to = min(haltFrom, maxD)
 			}
-			it := e.er.Lists[tk.Lists[i]][d]
-			depthItems[i] = protocols.DepthItem{EHL: it.EHL, Score: score, ScoreBits: depthBits}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
+			batch, err := e.readDepths(ctx, tk, d, to, depthBits, histories)
+			if err != nil {
+				return nil, nil, err
+			}
+			if worsts, bests, sames, err = protocols.SecWorstBestDepths(ctx, e.client, batch, histories); err != nil {
+				return nil, nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
+			}
 		}
-		for i := 0; i < m; i++ {
-			histories[i].EHLs = append(histories[i].EHLs, depthItems[i].EHL)
-			histories[i].Scores = append(histories[i].Scores, depthItems[i].Score)
-		}
-		worst, best, same, err := protocols.SecWorstBestAll(ctx, e.client, depthItems, histories)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
-		}
+		worst, best, same := worsts[0], bests[0], sames[0]
+		worsts, bests, sames = worsts[1:], bests[1:], sames[1:]
 		gamma := make([]protocols.Item, m)
 		for i := 0; i < m; i++ {
 			gamma[i] = protocols.Item{
-				EHL:       depthItems[i].EHL,
+				EHL:       histories[i].EHLs[d],
 				Scores:    []*paillier.Ciphertext{worst[i], best[i]},
 				ScoreBits: slot,
 			}
 		}
 		// Qry_F marks the depth's duplicates from SecWorstBest's own bits,
 		// with no round; Qry_E drops them in a round of its own.
+		var err error
 		if opts.Mode == QryE {
 			gamma, err = protocols.SecDedup(ctx, e.client, gamma, cloud.DedupEliminate, protocols.AllPairs(m), nil)
 		} else {
@@ -398,13 +447,10 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d SecUpdate: %w", d, err)
 		}
-		if opts.ExactScan || len(T) < k+1 {
+		if opts.ExactScan || depth < haltFrom || len(T) < k+1 {
 			continue
 		}
-		bottoms := make([]*paillier.Ciphertext, m)
-		for i := 0; i < m; i++ {
-			bottoms[i] = histories[i].Scores[len(histories[i].Scores)-1]
-		}
+		bottoms := depthBottoms(histories, d)
 		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
@@ -415,11 +461,17 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 			return res, &runInfo{ranked: T, bottoms: bottoms}, nil
 		}
 	}
-	bottoms := make([]*paillier.Ciphertext, m)
-	for i := 0; i < m; i++ {
-		bottoms[i] = histories[i].Scores[len(histories[i].Scores)-1]
+	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, depthBottoms(histories, depth-1), nil)
+}
+
+// depthBottoms returns every list's score at 0-based depth d: the bottoms
+// NRA bounds unseen scores by once the scan has read depth d.
+func depthBottoms(histories []protocols.ListHistory, d int) []*paillier.Ciphertext {
+	out := make([]*paillier.Ciphertext, len(histories))
+	for i, h := range histories {
+		out[i] = h.Scores[d]
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, nil)
+	return out
 }
 
 // queryBatched is Qry_Ba (Section 10.2): per-depth items carry only their
@@ -506,7 +558,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 			return nil, nil, fmt.Errorf("core: depth %d batch merge: %w", d, err)
 		}
 		pending = nil
-		if opts.ExactScan || len(T) < k+1 {
+		if opts.ExactScan || depth < firstHaltDepth(m, k) || len(T) < k+1 {
 			continue
 		}
 		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, e.batchBest(bottoms, slot))

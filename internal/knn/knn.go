@@ -23,6 +23,7 @@ import (
 	"repro/internal/paillier"
 	"repro/internal/prf"
 	"repro/internal/protocols"
+	"repro/internal/secerr"
 )
 
 // Scheme is the data owner for the SkNN baseline.
@@ -198,34 +199,41 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 	if k > e.db.N {
 		k = e.db.N
 	}
+	if err := ValidatePoint(q, e.maxScoreBits); err != nil {
+		return nil, err
+	}
 	pk := e.client.PK()
 	// Encrypt the query point: in [21] the querier ships Enc(q) and the
 	// clouds compute on it without learning q. The client's encryption
-	// surface (pooled where pools run) serves the encryptions.
-	encQ := make([]*paillier.Ciphertext, e.db.M)
+	// surface (pooled where pools run) serves the encryptions, and each
+	// Enc(-q_j) is inverted once for all n records.
+	negQ := make([]*paillier.Ciphertext, e.db.M)
 	for j, v := range q {
 		ct, err := e.client.Enc().Encrypt(big.NewInt(v))
 		if err != nil {
 			return nil, err
 		}
-		encQ[j] = ct
+		if negQ[j], err = pk.Neg(ct); err != nil {
+			return nil, err
+		}
 	}
 	// Squared distance: d_i = sum_j (x_ij - q_j)^2, the squares from one
-	// batched SecSquare round over all n*m differences. magBits bounds a
-	// distance and, far more loosely, a difference |x - q| < 2^maxScoreBits;
-	// it is the one width this engine declares.
+	// batched SecSquare round over all n*m differences. Records and the
+	// point lie in [0, 2^maxScoreBits), so a difference |x - q| lies below
+	// 2^maxScoreBits, the width SecSquare blinds at; magBits bounds a
+	// distance.
 	magBits := 2*e.maxScoreBits + 4 + bitsLen(e.db.M)
 	var diffs []*paillier.Ciphertext
 	for _, rec := range e.db.Records {
 		for j := 0; j < e.db.M; j++ {
-			diff, err := pk.Sub(rec.Values[j], encQ[j])
+			diff, err := pk.Add(rec.Values[j], negQ[j])
 			if err != nil {
 				return nil, err
 			}
 			diffs = append(diffs, diff)
 		}
 	}
-	squares, err := protocols.SecSquare(ctx, e.client, diffs, magBits)
+	squares, err := protocols.SecSquare(ctx, e.client, diffs, e.maxScoreBits)
 	if err != nil {
 		return nil, err
 	}
@@ -245,6 +253,22 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 		return nil, err
 	}
 	return ranked[:k], nil
+}
+
+// ValidatePoint bounds every query coordinate to [0, 2^maxScoreBits),
+// refused typed invalid_token: out-of-range values would overflow the
+// distance-comparison masks and rank silently wrong, and would outgrow
+// the width the engine blinds differences at.
+func ValidatePoint(point []int64, maxScoreBits int) error {
+	for j, v := range point {
+		// maxScoreBits >= 63 admits every non-negative int64 (shifting
+		// would overflow).
+		if v < 0 || (maxScoreBits < 63 && v >= int64(1)<<uint(maxScoreBits)) {
+			return secerr.New(secerr.CodeInvalidToken,
+				"knn: query coordinate %d = %d outside [0, 2^%d)", j, v, maxScoreBits)
+		}
+	}
+	return nil
 }
 
 func bitsLen(v int) int {

@@ -2,12 +2,14 @@ package knn
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/dataset"
 	"repro/internal/ehl"
+	"repro/internal/secerr"
 	"repro/internal/transport"
 )
 
@@ -158,6 +160,13 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := engine.Query(context.Background(), []int64{1, 1}, 0); err == nil {
 		t.Fatal("expected k=0 error")
+	}
+	// A coordinate outside [0, 2^maxScoreBits) would outgrow the width
+	// the differences are blinded at: refused typed, as at the facade.
+	for _, q := range [][]int64{{1 << 16, 1}, {1, -1}} {
+		if _, err := engine.Query(context.Background(), q, 1); !errors.Is(err, secerr.ErrInvalidToken) {
+			t.Fatalf("point %v: err = %v, want invalid_token", q, err)
+		}
 	}
 	// k > n clamps.
 	items, err := engine.Query(context.Background(), []int64{0, 0}, 99)

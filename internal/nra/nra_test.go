@@ -123,6 +123,62 @@ func TestRunMatchesExactTopK(t *testing.T) {
 	}
 }
 
+// TestRunNeverHaltsBeforeTwoNewObjectsFit pins, on the plaintext side,
+// the lemma the encrypted engine's halting gate rests on: at depth d at
+// most m(d-1) objects were seen before d, so with k >= m(d-1)+2 the top k
+// hold two objects first seen at d. Those split the depth's lists between
+// them, so the lower worst score is at most U/2 for the unseen bound
+// U = sum of bottoms, and a halt at d needs U = 0. Relations are random,
+// with small score ranges so zero scores and ties are common, and zero
+// weights included.
+func TestRunNeverHaltsBeforeTwoNewObjectsFit(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(20)
+		m := 1 + rng.Intn(4)
+		maxScore := 1 + rng.Intn(8)
+		rel := &dataset.Relation{Name: "rand", Rows: make([][]int64, n)}
+		for i := range rel.Rows {
+			rel.Rows[i] = make([]int64, m)
+			for j := range rel.Rows[i] {
+				rel.Rows[i][j] = int64(rng.Intn(maxScore + 1))
+			}
+		}
+		attrs := make([]int, m)
+		weights := make([]int64, m)
+		for j := range attrs {
+			attrs[j] = j
+			weights[j] = int64(rng.Intn(3))
+		}
+		lists, err := SortedLists(rel, attrs, weights)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		k := 1 + rng.Intn(n)
+		_, depth, err := Run(lists, k)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if depth == n || k < m*(depth-1)+2 {
+			return true // a full scan, or a depth where a halt is possible
+		}
+		var unseen int64
+		for _, l := range lists {
+			unseen += l[depth-1].Score
+		}
+		if unseen != 0 {
+			t.Logf("seed %d: m=%d k=%d halted at depth %d with U = %d", seed, m, k, depth, unseen)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStrictRunIsAlwaysValidOnCorrelatedData(t *testing.T) {
 	spec := dataset.Spec{Name: "c", N: 300, M: 3, MaxScore: 200, Shape: dataset.ShapeGaussian, Correlation: 0.7}
 	attrs := []int{0, 1, 2}

@@ -176,7 +176,7 @@ func TestNoncePoolCountsDraws(t *testing.T) {
 	if hit.Value() == h0 {
 		t.Fatal("no draw counted as a hit with the filler running")
 	}
-	// A closed pool hands out what its buffer holds, then misses.
+	// A closed pool hands out nothing: its next draw misses.
 	pool.Close()
 	m1 := miss.Value()
 	for i := 0; i <= 4 && miss.Value() == m1; i++ {

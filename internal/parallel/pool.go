@@ -83,8 +83,8 @@ func (p *Pool[T]) run() {
 }
 
 // Get returns a precomputed value, or ok = false when the buffer is
-// drained (the caller should compute inline). The first Get starts the
-// background fillers.
+// drained (the caller should compute inline), as it always is once Close
+// has returned. The first Get starts the background fillers.
 func (p *Pool[T]) Get() (v T, ok bool) {
 	p.mu.Lock()
 	if !p.started && !p.closed {
@@ -112,8 +112,9 @@ func (p *Pool[T]) Next() (T, error) {
 	return p.fill()
 }
 
-// Close stops the background fillers. The pool stays usable afterwards
-// (Get reports drained and Next computes inline).
+// Close stops the background fillers, waits for them, then drops the
+// buffer: no filler is left to refill it, so the pool stays usable
+// afterwards with Get reporting drained and Next computing inline.
 // Safe to call more than once.
 func (p *Pool[T]) Close() {
 	p.mu.Lock()
@@ -123,4 +124,11 @@ func (p *Pool[T]) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
+	for {
+		select {
+		case <-p.ch:
+		default:
+			return
+		}
+	}
 }

@@ -55,6 +55,27 @@ func TestPoolCloseBeforeUse(t *testing.T) {
 	}
 }
 
+// TestPoolGetAfterCloseMisses: a pool closed with values buffered hands
+// none of them out; the first draw after Close is already a miss.
+func TestPoolGetAfterCloseMisses(t *testing.T) {
+	p := NewPool(1, 4, func() (int, error) { return 1, nil })
+	p.Get() // starts the filler
+	deadline := time.Now().Add(2 * time.Second)
+	for len(p.ch) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pool never buffered a value")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.Close()
+	if _, ok := p.Get(); ok {
+		t.Fatal("a closed pool handed out a buffered value")
+	}
+	if n := len(p.ch); n != 0 {
+		t.Fatalf("Close left %d values buffered", n)
+	}
+}
+
 func TestPoolFillErrorDegradesToInline(t *testing.T) {
 	p := NewPool(1, 2, func() (int, error) {
 		return 0, errors.New("rand broke")

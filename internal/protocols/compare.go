@@ -49,22 +49,6 @@ func maskedDiff(enc paillier.Encryptor, a, b *paillier.Ciphertext, magBits int) 
 	if kappa < 16 {
 		return nil, false, fmt.Errorf("protocols: modulus too small for %d-bit comparisons", magBits)
 	}
-	two := big.NewInt(2)
-	a2, err := pk.MulConst(a, two)
-	if err != nil {
-		return nil, false, err
-	}
-	b2, err := pk.MulConst(b, two)
-	if err != nil {
-		return nil, false, err
-	}
-	d, err := pk.Sub(a2, b2)
-	if err != nil {
-		return nil, false, err
-	}
-	if d, err = pk.AddPlain(d, big.NewInt(-1)); err != nil {
-		return nil, false, err
-	}
 	r, err := zmath.RandRange(rand.Reader, zmath.One, new(big.Int).Lsh(zmath.One, uint(kappa)))
 	if err != nil {
 		return nil, false, err
@@ -74,16 +58,27 @@ func maskedDiff(enc paillier.Encryptor, a, b *paillier.Ciphertext, magBits int) 
 		return nil, false, err
 	}
 	flip := coin[0]&1 == 1
+	// s·r·d = r·(2hi - 2lo + s) with (hi, lo, s) = (a, b, -1), or
+	// (b, a, +1) under the flip: one power of Enc(hi - lo) by the positive
+	// 2r, never an |N|-bit exponent for a negative r mod N.
+	hi, lo, sr := a, b, new(big.Int).Neg(r)
 	if flip {
-		r.Neg(r)
+		hi, lo, sr = b, a, r
 	}
-	masked, err := pk.MulConst(d, r)
+	diff, err := pk.Sub(hi, lo)
 	if err != nil {
+		return nil, false, err
+	}
+	masked, err := lonePower(pk, diff, new(big.Int).Lsh(r, 1))
+	if err != nil {
+		return nil, false, err
+	}
+	if masked, err = pk.AddPlain(masked, sr); err != nil {
 		return nil, false, err
 	}
 	// r' uniform in [0, |r|), carrying the flip's sign; its encryption is
 	// fresh, so S2 cannot correlate the result with earlier ciphertexts.
-	rp, err := zmath.RandInt(rand.Reader, new(big.Int).Abs(r))
+	rp, err := zmath.RandInt(rand.Reader, r)
 	if err != nil {
 		return nil, false, err
 	}

@@ -111,6 +111,76 @@ func TestPropertySecWorstBest(t *testing.T) {
 	}
 }
 
+// TestPropertySecWorstBestDepths: SecWorstBestDepths over the last D
+// depths of random list prefixes takes one round and returns, depth by
+// depth, what SecWorstBestAll returns over the prefixes cut at that depth.
+func TestPropertySecWorstBestDepths(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := 2 + rng.Intn(2)
+		depth := 1 + rng.Intn(3)
+		D := 1 + rng.Intn(depth)
+		hist := make([]ListHistory, m)
+		for j := range hist {
+			perm := rng.Perm(4)
+			for d := 0; d < depth; d++ {
+				hist[j].EHLs = append(hist[j].EHLs, e.list(t, uint64(perm[d])))
+				hist[j].Scores = append(hist[j].Scores, e.enc(t, int64(60-10*d-rng.Intn(5))))
+			}
+		}
+		// cut returns the histories as they stood at 0-based depth d, and
+		// the items read there.
+		cut := func(d int) ([]ListHistory, []DepthItem) {
+			h, items := make([]ListHistory, m), make([]DepthItem, m)
+			for j := range h {
+				h[j] = ListHistory{EHLs: hist[j].EHLs[:d+1], Scores: hist[j].Scores[:d+1]}
+				items[j] = DepthItem{EHL: hist[j].EHLs[d], Score: hist[j].Scores[d], ScoreBits: 10}
+			}
+			return h, items
+		}
+		depths := make([][]DepthItem, D)
+		for x := range depths {
+			_, depths[x] = cut(depth - D + x)
+		}
+		before := e.stats.Rounds()
+		worst, best, same, err := SecWorstBestDepths(ctx, e.client, depths, hist)
+		if err != nil {
+			t.Logf("SecWorstBestDepths: %v", err)
+			return false
+		}
+		if rounds := e.stats.Rounds() - before; rounds != 1 {
+			t.Logf("seed %d: %d depths took %d rounds, want 1", seed, D, rounds)
+			return false
+		}
+		for x := 0; x < D; x++ {
+			h, items := cut(depth - D + x)
+			w, b, s, err := SecWorstBestAll(ctx, e.client, items, h)
+			if err != nil {
+				t.Logf("SecWorstBestAll: %v", err)
+				return false
+			}
+			for i := 0; i < m; i++ {
+				if e.dec(t, worst[x][i]) != e.dec(t, w[i]) || e.dec(t, best[x][i]) != e.dec(t, b[i]) {
+					t.Logf("seed %d: depth %d of %d, item %d differs from its own round", seed, x, D, i)
+					return false
+				}
+				for j := 0; j < m; j++ {
+					if j != i && e.dec(t, same[x][i][j]) != e.dec(t, s[i][j]) {
+						t.Logf("seed %d: depth %d of %d, bit (%d, %d) differs from its own round", seed, x, D, i, j)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPropertyEncSortIsPermutationSorted checks that EncSelectTop asked
 // for all n of n items outputs a sorted permutation of its input multiset
 // for random values.

@@ -476,8 +476,10 @@ func TestWireRecorder(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, rec := client(t)
-		magBits := 2*scoreBits + 4 + 2 // knn.Engine's, at two attributes
-		rec.declared = &declaredWidths{digests: ehlParams.S, score: magBits, mult: magBits}
+		// knn.Engine's widths at two attributes: a distance's for the
+		// ranking, a coordinate difference's for the squares.
+		magBits := 2*scoreBits + 4 + 2
+		rec.declared = &declaredWidths{digests: ehlParams.S, score: magBits, mult: scoreBits}
 		engine, err := knn.NewEngine(c, db, scoreBits)
 		if err != nil {
 			t.Fatal(err)

@@ -55,20 +55,27 @@ func SecWorstAll(ctx context.Context, c *cloud.Client, items []DepthItem) ([]*pa
 	for i, it := range items {
 		histories[i] = ListHistory{EHLs: []*ehl.List{it.EHL}, Scores: []*paillier.Ciphertext{it.Score}}
 	}
-	worst, _, _, err := secWorstBest(ctx, c, items, histories, true, false)
-	return worst, err
+	worst, _, _, err := secWorstBest(ctx, c, [][]DepthItem{items}, histories, true, false)
+	if err != nil {
+		return nil, err
+	}
+	return worst[0], nil
 }
 
 // SecBestAll is the SecBest protocol (Algorithm 6) run for every item at
 // the current depth at once: the best half of SecWorstBestAll.
 func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) ([]*paillier.Ciphertext, error) {
-	_, best, _, err := secWorstBest(ctx, c, items, histories, false, true)
-	return best, err
+	_, best, _, err := secWorstBest(ctx, c, [][]DepthItem{items}, histories, false, true)
+	if err != nil {
+		return nil, err
+	}
+	return best[0], nil
 }
 
 // SecWorstBestAll runs SecWorst (Algorithm 4) and SecBest (Algorithm 6)
 // for every item at the current depth in one round of the hidden-bit
-// gadget (ApplyBits), its bits permuted.
+// gadget (ApplyBits), its bits permuted: SecWorstBestDepths over that one
+// depth.
 //
 // The worst (lower-bound) contribution of this depth for the item of list
 // i is its own score plus the scores of every other same-depth item that
@@ -93,51 +100,83 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 // pair of distinct items, the bits of the worst bounds as S2 returned
 // them: MarkDuplicates dedups the depth from them without a round.
 func SecWorstBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) (worst, best []*paillier.Ciphertext, same [][]*paillier.Ciphertext, err error) {
-	return secWorstBest(ctx, c, items, histories, true, true)
-}
-
-// secWorstBest is SecWorstBestAll computing only the requested halves; an
-// unrequested half costs no equality bit, and same comes with the worst
-// half.
-func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory, wantWorst, wantBest bool) (worst, best []*paillier.Ciphertext, same [][]*paillier.Ciphertext, err error) {
-	if err := validateDepthItems(items); err != nil {
+	worsts, bests, sames, err := secWorstBest(ctx, c, [][]DepthItem{items}, histories, true, true)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(histories) != len(items) {
-		return nil, nil, nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), len(items))
+	return worsts[0], bests[0], sames[0], nil
+}
+
+// SecWorstBestDepths is SecWorstBestAll for several consecutive depths in
+// one round: depths[t] holds the items of the t-th of the last
+// len(depths) depths of histories, each depth's bounds taken against the
+// prefixes and bottoms as they stood at that depth. The bits of every
+// depth go to S2 in one permuted EqBits batch, the same bits and payloads
+// the depths would send one round each, and come back split by depth:
+// worst[t], best[t] and same[t] are SecWorstBestAll's answers for depth t.
+// It serves the depths a query is certain to scan before its first
+// halting check, which need nothing from each other's answers.
+func SecWorstBestDepths(ctx context.Context, c *cloud.Client, depths [][]DepthItem, histories []ListHistory) (worst, best [][]*paillier.Ciphertext, same [][][]*paillier.Ciphertext, err error) {
+	return secWorstBest(ctx, c, depths, histories, true, true)
+}
+
+// secWorstBest is SecWorstBestDepths computing only the requested halves;
+// an unrequested half costs no equality bit, and same comes with the
+// worst half.
+func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, histories []ListHistory, wantWorst, wantBest bool) (worst, best [][]*paillier.Ciphertext, same [][][]*paillier.Ciphertext, err error) {
+	if len(depths) == 0 {
+		return nil, nil, nil, errors.New("protocols: no depths")
 	}
+	m := len(depths[0])
+	for _, items := range depths {
+		if err := validateDepthItems(items); err != nil {
+			return nil, nil, nil, err
+		}
+		if len(items) != m {
+			return nil, nil, nil, fmt.Errorf("protocols: %d depth items where the first depth has %d", len(items), m)
+		}
+	}
+	if len(histories) != m {
+		return nil, nil, nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), m)
+	}
+	D := len(depths)
 	for j, h := range histories {
-		if len(h.EHLs) == 0 || len(h.EHLs) != len(h.Scores) {
+		if len(h.EHLs) < D || len(h.EHLs) != len(h.Scores) {
 			return nil, nil, nil, fmt.Errorf("protocols: history %d malformed", j)
 		}
 	}
 	pk := c.PK()
-	m := len(items)
-	last := func(j int) int { return len(histories[j].EHLs) - 1 }
-	bottom := func(j int) *paillier.Ciphertext { return histories[j].Scores[last(j)] }
+	// last(t, j) is where depth t's item of list j sits in its history.
+	last := func(t, j int) int { return len(histories[j].EHLs) - D + t }
+	bottom := func(t, j int) *paillier.Ciphertext { return histories[j].Scores[last(t, j)] }
 	// Both bounds start from the item's own score; the best bound also
 	// takes every other list's bottom, which an earlier-depth match
 	// replaces below.
-	worst, best = make([]*paillier.Ciphertext, m), make([]*paillier.Ciphertext, m)
-	for i := range items {
-		worst[i], best[i] = items[i].Score.Clone(), items[i].Score.Clone()
-		for j := 0; wantBest && j < m; j++ {
-			if j != i {
-				if best[i], err = pk.Add(best[i], bottom(j)); err != nil {
-					return nil, nil, nil, err
+	worst, best = make([][]*paillier.Ciphertext, D), make([][]*paillier.Ciphertext, D)
+	for t, items := range depths {
+		worst[t], best[t] = make([]*paillier.Ciphertext, m), make([]*paillier.Ciphertext, m)
+		for i := range items {
+			worst[t][i], best[t][i] = items[i].Score.Clone(), items[i].Score.Clone()
+			for j := 0; wantBest && j < m; j++ {
+				if j != i {
+					if best[t][i], err = pk.Add(best[t][i], bottom(t, j)); err != nil {
+						return nil, nil, nil, err
+					}
 				}
 			}
 		}
 	}
-	// One bit per (i, j, e) with one payload: x_j at the current depth,
+	// One bit per (t, i, j, e) with one payload: x_j at depth t itself,
 	// x_j^e - bottom_j at an earlier one (the differences in one batch).
-	type ref struct{ i, j, e int }
+	type ref struct{ t, i, j, e int }
 	var refs []ref
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			for e := 0; j != i && e <= last(j); e++ {
-				if e == last(j) && wantWorst || e < last(j) && wantBest {
-					refs = append(refs, ref{i, j, e})
+	for t := range depths {
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				for e := 0; j != i && e <= last(t, j); e++ {
+					if e == last(t, j) && wantWorst || e < last(t, j) && wantBest {
+						refs = append(refs, ref{t, i, j, e})
+					}
 				}
 			}
 		}
@@ -146,12 +185,12 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	var at []int
 	var earlier, bottoms []*paillier.Ciphertext
 	for k, r := range refs {
-		if r.e == last(r.j) {
-			pay[k] = items[r.j].Score
+		if r.e == last(r.t, r.j) {
+			pay[k] = depths[r.t][r.j].Score
 			continue
 		}
 		at = append(at, k)
-		earlier, bottoms = append(earlier, histories[r.j].Scores[r.e]), append(bottoms, bottom(r.j))
+		earlier, bottoms = append(earlier, histories[r.j].Scores[r.e]), append(bottoms, bottom(r.t, r.j))
 	}
 	diffs, err := subAll(pk, earlier, bottoms)
 	if err != nil {
@@ -164,7 +203,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	// in parallel — this is the largest S1-side batch of the per-depth
 	// pipeline.
 	tests, err := parallel.MapErrCtx(ctx, refs, func(_ int, r ref) (*paillier.Ciphertext, error) {
-		ct, err := ehl.SubEnc(c.Enc(), items[r.i].EHL, histories[r.j].EHLs[r.e])
+		ct, err := ehl.SubEnc(c.Enc(), depths[r.t][r.i].EHL, histories[r.j].EHLs[r.e])
 		if err != nil {
 			return nil, fmt.Errorf("protocols: SecWorstBest eq(%d,%d,%d): %w", r.i, r.j, r.e, err)
 		}
@@ -173,11 +212,12 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	width := items[0].ScoreBits
-	for _, it := range items {
-		if it.ScoreBits != width {
-			width = 0 // one width for every bit of the call, or none
-			break
+	width := depths[0][0].ScoreBits
+	for _, items := range depths {
+		for _, it := range items {
+			if it.ScoreBits != width {
+				width = 0 // one width for every bit of the call, or none
+			}
 		}
 	}
 	chosen, bits, err := ApplyBits(ctx, c, cloud.MethodEqBits, 1, 1, tests, pay, uniformBits(1, width))
@@ -185,15 +225,18 @@ func secWorstBest(ctx context.Context, c *cloud.Client, items []DepthItem, histo
 		return nil, nil, nil, err
 	}
 	if wantWorst {
-		same = make([][]*paillier.Ciphertext, m)
-		for i := range same {
-			same[i] = make([]*paillier.Ciphertext, m)
+		same = make([][][]*paillier.Ciphertext, D)
+		for t := range same {
+			same[t] = make([][]*paillier.Ciphertext, m)
+			for i := range same[t] {
+				same[t][i] = make([]*paillier.Ciphertext, m)
+			}
 		}
 	}
 	for k, r := range refs {
-		bound := best
-		if r.e == last(r.j) {
-			bound, same[r.i][r.j] = worst, bits[k]
+		bound := best[r.t]
+		if r.e == last(r.t, r.j) {
+			bound, same[r.t][r.i][r.j] = worst[r.t], bits[k]
 		}
 		if bound[r.i], err = pk.Add(bound[r.i], chosen[k]); err != nil {
 			return nil, nil, nil, err

@@ -126,22 +126,7 @@ func (er *EncryptedKNNRelation) validateQuery(point []int64, k int) error {
 	if k <= 0 {
 		return secerr.New(secerr.CodeInvalidToken, "sectopk: kNN k=%d must be positive", k)
 	}
-	return validateKNNPoint(point, er.maxScoreBits)
-}
-
-// validateKNNPoint bounds every query coordinate to [0, 2^maxScoreBits):
-// out-of-range values would overflow the distance-comparison masks and
-// rank silently wrong.
-func validateKNNPoint(point []int64, maxScoreBits int) error {
-	for j, v := range point {
-		// maxScoreBits >= 63 admits every non-negative int64 (shifting
-		// would overflow).
-		if v < 0 || (maxScoreBits < 63 && v >= int64(1)<<uint(maxScoreBits)) {
-			return secerr.New(secerr.CodeInvalidToken,
-				"sectopk: kNN query coordinate %d = %d outside [0, 2^%d)", j, v, maxScoreBits)
-		}
-	}
-	return nil
+	return knn.ValidatePoint(point, er.maxScoreBits)
 }
 
 // RevealKNN decrypts an encrypted kNN result into (object, squared
