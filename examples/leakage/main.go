@@ -2,7 +2,7 @@
 // the CQA leakage profile of Section 9 (query pattern and halting depth
 // for S1, per-round equality patterns for S2) plus the uniqueness pattern
 // Section 10.1 trades for Qry_E's speed — all through the public API's
-// LeakageEvents surfaces.
+// LeakageEvents surfaces, which return each cloud's newest 4096 events.
 package main
 
 import (
@@ -45,8 +45,8 @@ func main() {
 		log.Fatalf("host: %v", err)
 	}
 
-	// Run the same query twice: the second run should surface in the
-	// query-pattern leakage.
+	// Run the same query twice: S1 names each run's token by its digest,
+	// so the query pattern shows as the same token line twice.
 	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	if err != nil {
 		log.Fatalf("token: %v", err)

@@ -3,7 +3,9 @@ package cloud
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -760,10 +762,81 @@ func TestLedgerRecordsEqualityPattern(t *testing.T) {
 func TestLedgerNilSafety(t *testing.T) {
 	var l *Ledger
 	l.Record("S1", "x", "y")
-	if l.Len() != 0 || l.Events() != nil {
+	if l.Events() != nil || len(l.Strings()) != 0 {
 		t.Fatal("nil ledger should be inert")
 	}
 	l.Reset()
+}
+
+// TestLedgerWindow: a ledger keeps its newest LedgerWindow events, oldest
+// first, however far past the window the recording runs; Reset empties
+// the ring.
+func TestLedgerWindow(t *testing.T) {
+	l := NewLedger()
+	const total = 2*LedgerWindow + 7
+	for i := 0; i < total; i++ {
+		l.Record("S1", "m", "%d", i)
+		if i == LedgerWindow-2 || i == total-1 {
+			events := l.Events()
+			first := max(0, i+1-LedgerWindow)
+			if len(events) != i+1-first {
+				t.Fatalf("after %d events: %d kept, want %d", i+1, len(events), i+1-first)
+			}
+			for j, e := range events {
+				if e.Detail != strconv.Itoa(first+j) {
+					t.Fatalf("after %d events: event %d is %q, want %d", i+1, j, e.Detail, first+j)
+				}
+			}
+		}
+	}
+	if s := l.Strings(); len(s) != LedgerWindow || s[LedgerWindow-1] != fmt.Sprintf("[S1] m: %d", total-1) {
+		t.Fatalf("Strings: %d lines ending %q", len(s), s[len(s)-1])
+	}
+	l.Reset()
+	if l.Events() == nil || len(l.Events()) != 0 {
+		t.Fatalf("after Reset: %v", l.Events())
+	}
+	l.Record("S2", "m", "after reset")
+	if e := l.Events(); len(e) != 1 || e[0].Detail != "after reset" {
+		t.Fatalf("after Reset and one event: %v", e)
+	}
+}
+
+// TestLedgerConcurrentRecord: parties record from their handler and
+// worker goroutines at once (run under -race). Every goroutine's events
+// stay in its own order, and past the window exactly LedgerWindow are kept.
+func TestLedgerConcurrentRecord(t *testing.T) {
+	l := NewLedger()
+	const goroutines, each = 8, LedgerWindow / 2
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Record("S2", strconv.Itoa(g), "%d", i)
+				if i%512 == 0 {
+					_ = l.Events()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	events := l.Events()
+	if len(events) != LedgerWindow {
+		t.Fatalf("%d events kept of %d, want %d", len(events), goroutines*each, LedgerWindow)
+	}
+	last := map[string]int{}
+	for _, e := range events {
+		i, err := strconv.Atoi(e.Detail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := last[e.Method]; ok && i <= prev {
+			t.Fatalf("goroutine %s: event %d after %d", e.Method, i, prev)
+		}
+		last[e.Method] = i
+	}
 }
 
 func TestStatsAccumulate(t *testing.T) {

@@ -18,49 +18,59 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%s] %s: %s", e.Party, e.Method, e.Detail)
 }
 
-// Ledger accumulates leakage events. The security tests assert that the
-// recorded views match the leakage functions of Section 9 (query pattern,
-// halting depth, per-depth equality pattern) and Section 10 (uniqueness
-// pattern for SecDupElim) — and nothing else.
+// LedgerWindow is how many events a Ledger keeps: the newest ones, so a
+// long-running party holds flat memory however many queries it serves.
+const LedgerWindow = 4096
+
+// Ledger keeps the newest LedgerWindow leakage events. The security tests
+// assert that the recorded views match the leakage functions of Section 9
+// (query pattern, halting depth, per-depth equality pattern) and Section
+// 10 (uniqueness pattern for SecDupElim) — and nothing else.
 type Ledger struct {
 	mu     sync.Mutex
-	events []Event
+	events []Event // a ring once it holds LedgerWindow events
+	next   int     // where the ring writes next: its oldest event
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// Record appends an event. A nil ledger ignores the call, so recording is
-// always safe.
+// Record adds an event, dropping the oldest once the window is full. A nil
+// ledger ignores the call, so recording is always safe.
 func (l *Ledger) Record(party, method, format string, args ...any) {
 	if l == nil {
 		return
 	}
+	ev := Event{Party: party, Method: method, Detail: fmt.Sprintf(format, args...)}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Party: party, Method: method, Detail: fmt.Sprintf(format, args...)})
+	if len(l.events) < LedgerWindow {
+		l.events = append(l.events, ev)
+		return
+	}
+	l.events[l.next] = ev
+	l.next = (l.next + 1) % LedgerWindow
 }
 
-// Events returns a copy of the recorded events.
+// Events returns a copy of the kept events, oldest first.
 func (l *Ledger) Events() []Event {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+	out := make([]Event, 0, len(l.events))
+	return append(append(out, l.events[l.next:]...), l.events[:l.next]...)
 }
 
-// Len returns the number of recorded events.
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
+// Strings returns the kept events, oldest first, as human-readable lines.
+func (l *Ledger) Strings() []string {
+	events := l.Events()
+	out := make([]string, len(events))
+	for i, e := range events {
+		out[i] = e.String()
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
+	return out
 }
 
 // Reset clears the ledger.
@@ -70,7 +80,7 @@ func (l *Ledger) Reset() {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = nil
+	l.events, l.next = nil, 0
 }
 
 // ByMethod returns the events recorded for one method.

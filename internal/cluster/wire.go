@@ -26,8 +26,10 @@ const (
 	// core.Options itself. v3: every frame is its own internal/wire
 	// message (the layout is the comment on its MarshalBinary). v4: the
 	// options lost Halt (strict NRA halting is the only test). v5: they
-	// lost Sort (EncSelectTop is the one ranker).
-	ProtocolVersion = 5
+	// lost Sort (EncSelectTop is the one ranker). v6: they lost the
+	// query's idempotency key (S1 records each run's token digest, not a
+	// repeat count).
+	ProtocolVersion = 6
 
 	// MethodHello checks versions and announces the member's
 	// inventory: which shard subsets and whole-relation routes it hosts.
@@ -165,9 +167,9 @@ type CandidatesRequest struct {
 }
 
 // MarshalBinary: string(Relation) bytes(Token), the options as signed
-// Mode, BatchDepth, MaxDepth, then uvarint(ExactScan)
-// string(QueryID), then uvarint(Epoch). The options go as the peer set
-// them; the member's Options.Validate refuses what no engine path defines.
+// Mode, BatchDepth, MaxDepth, then uvarint(ExactScan), then
+// uvarint(Epoch). The options go as the peer set them; the member's
+// Options.Validate refuses what no engine path defines.
 func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.String(m.Relation)
@@ -177,7 +179,6 @@ func (m CandidatesRequest) MarshalBinary() ([]byte, error) {
 		w.Varint(int64(v))
 	}
 	w.Bool(o.ExactScan)
-	w.String(o.QueryID)
 	w.Uvarint(m.Epoch)
 	return w.Finish()
 }
@@ -188,7 +189,7 @@ func (m *CandidatesRequest) UnmarshalBinary(b []byte) error {
 	o := &m.Options
 	o.Mode = core.Mode(r.Varint())
 	o.BatchDepth, o.MaxDepth = int(r.Varint()), int(r.Varint())
-	o.ExactScan, o.QueryID = r.Bool("ExactScan"), r.String("QueryID")
+	o.ExactScan = r.Bool("ExactScan")
 	m.Epoch = r.Uvarint()
 	return r.Finish()
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/paillier"
@@ -60,12 +59,6 @@ type Options struct {
 	// the exact aggregate. The shard merge uses it as its fallback when
 	// the NRA merge-bound check cannot certify an early-halted merge.
 	ExactScan bool
-	// QueryID, when non-empty, is the run's idempotency key: a
-	// re-execution carrying the same QueryID (the client plane retrying
-	// after a link failure) counts as the SAME run in the query-pattern
-	// ledger instead of inflating the token's repeat count — a retried
-	// query is one query, not a pattern of repeats.
-	QueryID string
 }
 
 // Validate refuses option values no engine path defines — an unknown
@@ -96,46 +89,11 @@ type QueryResult struct {
 	Halted bool
 }
 
-// Engine is the data cloud S1's query processor. It is safe for
-// concurrent use: sessions multiplexing queries over one engine share
-// only the query-pattern ledger, which is mutex-guarded.
+// Engine is the data cloud S1's query processor. It keeps no state
+// between queries, so it is safe for concurrent use.
 type Engine struct {
 	client *cloud.Client
 	er     *EncryptedRelation
-
-	mu         sync.Mutex // guards seenTokens and seenRuns
-	seenTokens map[string]int
-	// seenRuns dedupes query-pattern accounting by (token, QueryID) so a
-	// retried run does not double-count as a repeated token.
-	seenRuns runKeys
-}
-
-// runKeysPerGeneration is how many (token, QueryID) keys one generation
-// of an Engine's run-key set holds. Every remote query brings a fresh
-// key, so the set keeps two generations — the filling one and the one
-// before — and drops the older when the filling one is full: at most
-// twice this many keys, while a retry, which arrives right after its
-// first attempt, still finds its key.
-const runKeysPerGeneration = 4096
-
-// runKeys is the bounded set of run keys an Engine has counted.
-type runKeys struct {
-	cur, prev map[string]struct{}
-}
-
-// add records key and reports whether it was new to both generations.
-func (r *runKeys) add(key string) bool {
-	if _, ok := r.cur[key]; ok {
-		return false
-	}
-	if _, ok := r.prev[key]; ok {
-		return false
-	}
-	if r.cur == nil || len(r.cur) >= runKeysPerGeneration {
-		r.prev, r.cur = r.cur, make(map[string]struct{})
-	}
-	r.cur[key] = struct{}{}
-	return true
 }
 
 // NewEngine builds the S1 engine for an encrypted relation.
@@ -149,7 +107,7 @@ func NewEngine(client *cloud.Client, er *EncryptedRelation) (*Engine, error) {
 	if er.MaxScoreBits <= 0 {
 		return nil, errors.New("core: encrypted relation missing MaxScoreBits")
 	}
-	return &Engine{client: client, er: er, seenTokens: map[string]int{}}, nil
+	return &Engine{client: client, er: er}, nil
 }
 
 // MagBits bounds |W|, |B| magnitudes for comparison masking. A real W or
@@ -248,12 +206,10 @@ func ValidateToken(tk *Token, m, n int) error {
 }
 
 // recordQueryPattern logs the query-pattern leakage QP (Section 9): S1
-// observes whether a token repeats. A non-empty queryID dedupes the
-// accounting: a re-execution of an already-counted (token, queryID) run —
-// the client plane retrying after a link failure — is the same query
-// arriving twice, not a repeated query, so it neither bumps the repeat
-// count nor adds a ledger entry.
-func (e *Engine) recordQueryPattern(tk *Token, queryID string) {
+// observes which queries share a token, so the ledger names each run's
+// token by a digest of it. Equal tokens give equal lines; the engine
+// itself remembers nothing.
+func (e *Engine) recordQueryPattern(tk *Token) {
 	h := sha256.New()
 	fmt.Fprintf(h, "k=%d;", tk.K)
 	for _, l := range tk.Lists {
@@ -262,17 +218,8 @@ func (e *Engine) recordQueryPattern(tk *Token, queryID string) {
 	for _, w := range tk.Weights {
 		fmt.Fprintf(h, "w%d,", w)
 	}
-	key := string(h.Sum(nil))
-	e.mu.Lock()
-	if queryID != "" && !e.seenRuns.add(key+"|"+queryID) {
-		e.mu.Unlock()
-		return
-	}
-	e.seenTokens[key]++
-	repeat := e.seenTokens[key]
-	e.mu.Unlock()
-	e.client.Ledger().Record("S1", "Token", "query pattern: repeat #%d of this token (m=%d, k=%d)",
-		repeat, len(tk.Lists), tk.K)
+	e.client.Ledger().Record("S1", "Token", "query pattern: token %x (m=%d, k=%d)",
+		h.Sum(nil)[:8], len(tk.Lists), tk.K)
 }
 
 // depthScore returns the (weight-scaled) encrypted score of list li at
@@ -323,7 +270,7 @@ func (e *Engine) admit(tk *Token, opts Options) error {
 	if err := opts.Validate(tk.K); err != nil {
 		return err
 	}
-	e.recordQueryPattern(tk, opts.QueryID)
+	e.recordQueryPattern(tk)
 	return nil
 }
 

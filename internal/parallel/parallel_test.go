@@ -52,24 +52,36 @@ func TestForEachSerialOrder(t *testing.T) {
 	}
 }
 
+// TestForEachError: the first error stops scheduling. With several
+// workers every other item waits until the goroutine count falls below
+// its value while item 3 ran. The other workers are held in their items,
+// so only the failing worker can exit, and it exits only after storing
+// the error: each other worker then finishes the one item it holds and
+// starts no more, so no item past 3 runs whatever the scheduler does. (An
+// item claimed but not yet started when the error lands never runs.)
+// Serially items 0–3 run.
 func TestForEachError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, p := range []int{1, 4} {
 		withProcs(t, p)
 		var calls atomic.Int32
+		var alive atomic.Int64 // goroutines while item 3 runs, its worker among them
 		err := ForEachCtx(context.Background(), 1000, func(i int) error {
 			calls.Add(1)
 			if i == 3 {
+				alive.Store(int64(runtime.NumGoroutine()))
 				return sentinel
+			}
+			for p > 1 && (alive.Load() == 0 || int64(runtime.NumGoroutine()) >= alive.Load()) {
+				runtime.Gosched()
 			}
 			return nil
 		})
 		if !errors.Is(err, sentinel) {
 			t.Fatalf("p=%d: got %v, want sentinel", p, err)
 		}
-		// Scheduling must stop early; allow in-flight slack.
-		if c := calls.Load(); c > 900 {
-			t.Fatalf("p=%d: %d calls after error, scheduling did not stop", p, c)
+		if c := calls.Load(); c > 4 {
+			t.Fatalf("p=%d: %d calls, want items 0–3 at most: scheduling did not stop at the error", p, c)
 		}
 	}
 }

@@ -290,8 +290,7 @@ func TestChaosS1S2Link(t *testing.T) {
 // every S1↔S2 connection: S1 on the self-healing DataCloud.Dial, a
 // remote Client on Dial. S1 never repeats a round — a round lost with
 // its link fails its query typed — so every query revealing the right
-// answer shows the client's re-execution, under one idempotency key,
-// recovers end to end.
+// answer shows the client's re-execution recovers end to end.
 func TestChaosS1S2LinkHeals(t *testing.T) {
 	rig := newChaosRig(t)
 	rig.warmCrypto(t)

@@ -3,8 +3,6 @@ package sectopk
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"net"
 
 	"repro/internal/backoff"
@@ -42,9 +40,8 @@ type Client struct {
 // client-plane version handshake run on every fresh link. Execute and
 // Apply calls retry on transport failures and overload sheds
 // (ErrOverloaded — e.g. a data cloud at its WithSessionLimit, or one
-// draining for shutdown); a query carries an idempotency key so the
-// server accounts a retried query as one query, not a repeated query
-// pattern. Errors the server computed — unknown relation, invalid
+// draining for shutdown); S1 sees a retried query as a second run of
+// its token. Errors the server computed — unknown relation, invalid
 // token, bad request — surface immediately, wrapped with the attempt
 // history. RetryPolicy{MaxAttempts: -1} makes every dial and call one
 // attempt. WithTenant names the tenant the connection identifies as;
@@ -118,11 +115,10 @@ func (c *Client) Execute(ctx context.Context, req Request) (*Answer, error) {
 		return nil, err
 	}
 	wreq := clientExecuteRequest{
-		Relation:    req.Relation,
-		Workload:    string(w),
-		Token:       token,
-		Options:     buildQueryConfig(req.Options).wire(),
-		Idempotency: newIdempotencyKey(),
+		Relation: req.Relation,
+		Workload: string(w),
+		Token:    token,
+		Options:  buildQueryConfig(req.Options).wire(),
 	}
 	before := c.stats.Total()
 	var rep clientExecuteReply
@@ -202,17 +198,6 @@ func executeRetryable(err error) bool {
 	default:
 		return false
 	}
-}
-
-// newIdempotencyKey draws a fresh random run key for one logical query.
-func newIdempotencyKey() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// No entropy means no dedup, not no query: an empty key keeps
-		// the pre-idempotency accounting semantics.
-		return ""
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // encodeWireToken serializes the request's trapdoor with the persistence

@@ -416,11 +416,10 @@ func (rt *clusterRoute) execute(ctx context.Context, req Request, cfg queryConfi
 		return nil, err
 	}
 	wreq := clientExecuteRequest{
-		Relation:    req.Relation,
-		Workload:    string(rt.workload),
-		Token:       token,
-		Options:     cfg.wire(),
-		Idempotency: cfg.queryID,
+		Relation: req.Relation,
+		Workload: string(rt.workload),
+		Token:    token,
+		Options:  cfg.wire(),
 	}
 	var rep clientExecuteReply
 	if err := rt.node.conn.Call(ctx, methodClientExecute, wreq, &rep); err != nil {

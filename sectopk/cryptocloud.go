@@ -51,17 +51,10 @@ func (c *CryptoCloud) Serve(ctx context.Context, l net.Listener) error {
 	return transport.Serve(ctx, l, c.svc)
 }
 
-// LeakageEvents returns everything this cloud's handlers could observe
-// beyond declared ciphertext sizes — the leakage profile of Section 9 —
-// as human-readable strings.
-func (c *CryptoCloud) LeakageEvents() []string {
-	events := c.ledger.Events()
-	out := make([]string, len(events))
-	for i, e := range events {
-		out[i] = e.String()
-	}
-	return out
-}
+// LeakageEvents returns the newest 4096 things this cloud's handlers
+// observed beyond declared ciphertext sizes — the leakage profile of
+// Section 9 — as human-readable strings, oldest first.
+func (c *CryptoCloud) LeakageEvents() []string { return c.ledger.Strings() }
 
 // Close deregisters every relation and stops their background pools.
 // Safe to call more than once.

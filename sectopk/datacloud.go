@@ -367,7 +367,7 @@ func (d *DataCloud) ConnectLocal(ctx context.Context, cc *CryptoCloud) error {
 // version handshake plus one Hello per hosted relation before any round
 // travels. A round in flight when its link dies is not repeated: it
 // fails its query with a typed transport error, and a remote client
-// re-executes the query under its idempotency key.
+// re-executes the query.
 func (d *DataCloud) Dial(ctx context.Context, addr string) error {
 	link := transport.NewReconnectCaller(transport.ReconnectConfig{
 		Dial: func(ctx context.Context) (transport.ConnCaller, error) {
@@ -733,17 +733,10 @@ func (d *DataCloud) s2Calls() int64 {
 	return b.Items()
 }
 
-// LeakageEvents returns everything this cloud could observe beyond the
-// declared ciphertexts (query pattern, halting depth, uniqueness
-// patterns) as human-readable strings.
-func (d *DataCloud) LeakageEvents() []string {
-	events := d.ledger.Events()
-	out := make([]string, len(events))
-	for i, e := range events {
-		out[i] = e.String()
-	}
-	return out
-}
+// LeakageEvents returns the newest 4096 things this cloud observed
+// beyond the declared ciphertexts (query pattern, halting depth,
+// uniqueness patterns) as human-readable strings, oldest first.
+func (d *DataCloud) LeakageEvents() []string { return d.ledger.Strings() }
 
 // Close releases every hosted relation's background pools and closes the
 // network connection, if any. With WithDrainTimeout it is graceful:

@@ -257,7 +257,7 @@ func buildSamples() (map[string][]byte, error) {
 		"client/hello":       clientHello{Version: clientProtocolVersion, Tenant: "t"},
 		"client/hello-reply": clientHelloReply{Version: clientProtocolVersion},
 		"client/execute": clientExecuteRequest{Relation: "r", Workload: "topk", Token: out["secio/token"],
-			Options: wireQueryOptions{Mode: -1, BatchDepth: 4, Epoch: 2}, Idempotency: "q"},
+			Options: wireQueryOptions{Mode: -1, BatchDepth: 4, Epoch: 2}},
 		"client/execute-reply": clientExecuteReply{Answer: out["secio/result"], S2Calls: 33, FanOut: 2, MergeFallbacks: 1, Epoch: 1},
 		"client/apply":         clientApplyRequest{Relation: "r", Delta: out["secio/delta"]},
 		"client/apply-reply":   clientApplyReply{Epoch: 3},
@@ -267,7 +267,7 @@ func buildSamples() (map[string][]byte, error) {
 			Subsets: []cluster.SubsetInfo{{Relation: "r", Total: 2, Indices: []int{1}, Rows: []int{2}, M: 3, MaxScoreBits: 20, Epoch: 1, PK: pk.N}},
 			Routes:  []cluster.RouteInfo{{Relation: "j", Workload: "join"}}},
 		"cluster/candidates": cluster.CandidatesRequest{Relation: "r", Token: out["secio/token"],
-			Options: core.Options{Mode: core.QryBa, BatchDepth: 4, MaxDepth: 6, ExactScan: true, QueryID: "q"}, Epoch: 1},
+			Options: core.Options{Mode: core.QryBa, BatchDepth: 4, MaxDepth: 6, ExactScan: true}, Epoch: 1},
 		"cluster/candidates-reply": cluster.CandidatesReply{Epoch: 1, Sets: [][]byte{out["secio/candidates"]}},
 	}
 	for name, m := range frames {

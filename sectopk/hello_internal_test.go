@@ -21,47 +21,68 @@ func (v replyAt) Serve(_ context.Context, method string, _ []byte) ([]byte, erro
 }
 
 // TestHelloWrongVersionRefused: the querier plane and the cluster plane
-// each compare one constant for equality. A peer one version older or
-// newer is refused typed (ErrProtocolVersion) by the serving side on its
-// Hello and by the dialing side on the reply; only the current version
-// passes.
+// each compare one constant for equality. A peer at the previous version
+// (named below by what it still carried), at any other older version or
+// one newer is refused typed (ErrProtocolVersion) by the serving side on
+// its Hello and by the dialing side on the reply; only the current
+// version passes.
 func TestHelloWrongVersionRefused(t *testing.T) {
 	ctx := context.Background()
-	check := func(t *testing.T, v, cur int, err error) {
+	type version struct {
+		name string
+		v    int
+	}
+	check := func(t *testing.T, v version, cur int, err error) {
 		t.Helper()
-		if v == cur && err != nil {
-			t.Errorf("v%d (current) refused: %v", v, err)
+		if v.v == cur && err != nil {
+			t.Errorf("%s (current) refused: %v", v.name, err)
 		}
-		if v != cur && !errors.Is(err, ErrProtocolVersion) {
-			t.Errorf("v%d against v%d: want ErrProtocolVersion, got %v", v, cur, err)
+		if v.v != cur && !errors.Is(err, ErrProtocolVersion) {
+			t.Errorf("%s against v%d: want ErrProtocolVersion, got %v", v.name, cur, err)
 		}
 	}
 
 	t.Run("client wire", func(t *testing.T) {
 		cur := clientProtocolVersion
-		for _, v := range []int{0, cur - 1, cur, cur + 1} {
+		if cur != 7 {
+			t.Fatalf("client wire is v%d: name the version it replaced below", cur)
+		}
+		for _, v := range []version{
+			{"v0", 0},
+			{"v6, the Execute request with an idempotency key", 6},
+			{"v7", 7},
+			{"v8", 8},
+		} {
 			server := transport.NewLocal(&clientResponder{}, nil)
 			var rep clientHelloReply
-			err := server.Call(ctx, methodClientHello, clientHello{Version: v}, &rep)
+			err := server.Call(ctx, methodClientHello, clientHello{Version: v.v}, &rep)
 			check(t, v, cur, err)
 			if err == nil && rep.Version != cur {
 				t.Errorf("server answered v%d", rep.Version)
 			}
-			check(t, v, cur, (&Client{}).helloOn(ctx, transport.NewLocal(replyAt(v), nil)))
+			check(t, v, cur, (&Client{}).helloOn(ctx, transport.NewLocal(replyAt(v.v), nil)))
 		}
 	})
 
 	t.Run("cluster wire", func(t *testing.T) {
 		cur := cluster.ProtocolVersion
+		if cur != 6 {
+			t.Fatalf("cluster wire is v%d: name the version it replaced below", cur)
+		}
 		member := &clusterResponder{inv: &clusterInventory{d: NewDataCloud()}}
-		for _, v := range []int{cur - 1, cur, cur + 1} {
+		for _, v := range []version{
+			{"v4, the candidate options with Sort", 4},
+			{"v5, the candidate options with an idempotency key", 5},
+			{"v6", 6},
+			{"v7", 7},
+		} {
 			var rep cluster.HelloReply
-			err := transport.NewLocal(member, nil).Call(ctx, cluster.MethodHello, cluster.HelloRequest{Version: v}, &rep)
+			err := transport.NewLocal(member, nil).Call(ctx, cluster.MethodHello, cluster.HelloRequest{Version: v.v}, &rep)
 			check(t, v, cur, err)
 			if err == nil && rep.Version != cur {
 				t.Errorf("member answered v%d", rep.Version)
 			}
-			_, err = clusterHello(ctx, transport.NewLocal(replyAt(v), nil))
+			_, err = clusterHello(ctx, transport.NewLocal(replyAt(v.v), nil))
 			check(t, v, cur, err)
 		}
 	})

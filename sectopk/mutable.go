@@ -59,9 +59,10 @@ func LoadDelta(path string) (*Delta, error) {
 	return out, err
 }
 
-// newDeltaID draws the idempotency key for one delta. Unlike a query's
-// run key this one is load-bearing — exactly-once application hangs on
-// it — so an entropy failure is an error, not a silent downgrade.
+// newDeltaID draws the idempotency key for one delta. A query carries no
+// key — a retried query is a second run of its token — but a delta must
+// land exactly once, which hangs on this key, so an entropy failure is an
+// error.
 func newDeltaID() (string, error) {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -155,8 +155,8 @@ func (p RetryPolicy) backoff() backoff.Policy {
 //
 // On a querier Client (Dial) it sets the schedule used both for
 // re-dialing the data cloud and for re-issuing failed Execute and Apply
-// calls (a query carries an idempotency key, so a retried query is
-// accounted as one query, not a repeated pattern).
+// calls (a retried query is a second run of its token on S1's ledger; a
+// retried delta lands once).
 func WithRetry(p RetryPolicy) Option {
 	return func(c *config) { c.retry = p }
 }
@@ -216,10 +216,6 @@ type queryConfig struct {
 	// query fails fast with ErrRelationStale instead of answering over a
 	// state the querier did not ask about.
 	epoch uint64
-	// queryID is the run's idempotency key (set by the client wire, not a
-	// public QueryOption): re-executions of the same logical query carry
-	// the same ID so the leakage ledger counts them once.
-	queryID string
 	// tenant is the admission bucket the request runs under (set by the
 	// client wire from the connection's announced tenant, not a public
 	// QueryOption); "" is the default tenant.
@@ -239,7 +235,6 @@ func (q queryConfig) coreOptions() core.Options {
 		Mode:       q.mode.coreMode(),
 		BatchDepth: q.batchDepth,
 		MaxDepth:   q.maxDepth,
-		QueryID:    q.queryID,
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/cloud"
 	"repro/sectopk"
 )
 
@@ -118,6 +120,83 @@ func TestExecuteAccounting(t *testing.T) {
 	}
 	if len(cc.LeakageEvents()) == 0 {
 		t.Fatal("S2 leakage ledger empty")
+	}
+}
+
+// TestLeakageWindow: each cloud keeps its newest cloud.LedgerWindow
+// leakage events. After queries enough to pass both windows three times,
+// both LeakageEvents lengths are at or below the window and end with the
+// newest query's events. S1 names each run's token by a digest: one token
+// run twice gives two equal query-pattern lines, another k another line.
+func TestLeakageWindow(t *testing.T) {
+	owner, cc, dc, er := localRig(t, "demo")
+	run := func(q sectopk.Query) {
+		t.Helper()
+		tk, err := owner.Token(er, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dc.Execute(context.Background(), sectopk.TopKRequest("demo", tk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// events runs q and returns what it added to each cloud's window,
+	// which must still have room.
+	events := func(q sectopk.Query) (s1, s2 []string) {
+		t.Helper()
+		n1, n2 := len(dc.LeakageEvents()), len(cc.LeakageEvents())
+		run(q)
+		s1, s2 = dc.LeakageEvents()[n1:], cc.LeakageEvents()[n2:]
+		if len(s1) == 0 || len(s2) == 0 {
+			t.Fatalf("%+v left %d S1 and %d S2 events", q, len(s1), len(s2))
+		}
+		return s1, s2
+	}
+	pattern := func(s1 []string) string {
+		t.Helper()
+		var lines []string
+		for _, ev := range s1 {
+			if strings.HasPrefix(ev, "[S1] Token: query pattern: token ") {
+				lines = append(lines, ev)
+			}
+		}
+		if len(lines) != 1 {
+			t.Fatalf("query-pattern lines of one query: %q", lines)
+		}
+		return lines[0]
+	}
+
+	newest := sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}
+	want1, want2 := events(newest)
+	again, _ := events(newest)
+	other, _ := events(sectopk.Query{Attrs: []int{0, 1, 2}, K: 3})
+	if p := pattern(want1); p != pattern(again) || p == pattern(other) || !strings.HasSuffix(p, " (m=3, k=2)") {
+		t.Fatalf("query pattern of k=2, k=2, k=3: %q, %q, %q", p, pattern(again), pattern(other))
+	}
+
+	// The cheapest query that reaches S2 passes both windows three times.
+	bulk := sectopk.Query{Attrs: []int{0}, K: 1}
+	b1, b2 := events(bulk)
+	runs := 3*cloud.LedgerWindow/min(len(b1), len(b2)) + 1
+	for i := 0; i < runs; i++ {
+		run(bulk)
+		if i%512 == 0 {
+			if n1, n2 := len(dc.LeakageEvents()), len(cc.LeakageEvents()); n1 > cloud.LedgerWindow || n2 > cloud.LedgerWindow {
+				t.Fatalf("after %d queries: %d S1 and %d S2 events kept", i+1, n1, n2)
+			}
+		}
+	}
+	run(newest)
+	for _, c := range []struct {
+		party     string
+		got, want []string
+	}{{"S1", dc.LeakageEvents(), want1}, {"S2", cc.LeakageEvents(), want2}} {
+		if len(c.got) != cloud.LedgerWindow {
+			t.Fatalf("%s keeps %d events, want the window of %d", c.party, len(c.got), cloud.LedgerWindow)
+		}
+		if tail := c.got[len(c.got)-len(c.want):]; !reflect.DeepEqual(tail, c.want) {
+			t.Fatalf("%s window ends %q, want the newest query's %q", c.party, tail, c.want)
+		}
 	}
 }
 

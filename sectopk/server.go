@@ -44,8 +44,9 @@ const (
 	// clientProtocolVersion is the client-plane version this build
 	// speaks. v4: the frames left gob for internal/wire. v5: the query
 	// options lost Halt (strict NRA halting is the only test). v6: the
-	// Execute request lost Attempt (nothing read it).
-	clientProtocolVersion = 6
+	// Execute request lost Attempt (nothing read it). v7: it lost
+	// Idempotency (S1 records each run's token digest, not a repeat count).
+	clientProtocolVersion = 7
 
 	methodClientHello   = "Client.Hello"
 	methodClientExecute = "Client.Execute"
@@ -137,21 +138,17 @@ func queryConfigFromWire(w wireQueryOptions) queryConfig {
 
 // clientExecuteRequest carries one query: the relation ID, the workload
 // discriminator, the workload's token as a secio stream, and the query
-// options. Idempotency, when non-empty, is the query's run key: retries
-// of the same logical query carry the same key, so the server's leakage
-// ledger counts a retried query once instead of recording a phantom
-// repeated-query pattern. An empty key disables the dedup (every
-// arrival counts).
+// options. A retried query arrives as a second run of its token, which
+// is what S1 sees.
 type clientExecuteRequest struct {
-	Relation    string
-	Workload    string
-	Token       []byte
-	Options     wireQueryOptions
-	Idempotency string
+	Relation string
+	Workload string
+	Token    []byte
+	Options  wireQueryOptions
 }
 
 // MarshalBinary: string(Relation) string(Workload) bytes(Token), the
-// options, string(Idempotency).
+// options.
 func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.String(m.Relation)
@@ -162,7 +159,6 @@ func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 		w.Varint(int64(v))
 	}
 	w.Uvarint(o.Epoch)
-	w.String(m.Idempotency)
 	return w.Finish()
 }
 
@@ -171,7 +167,6 @@ func (m *clientExecuteRequest) UnmarshalBinary(b []byte) error {
 	m.Relation, m.Workload, m.Token = r.String("Relation"), r.String("Workload"), r.Bytes("Token")
 	m.Options = wireQueryOptions{Mode: int(r.Varint()),
 		BatchDepth: int(r.Varint()), MaxDepth: int(r.Varint()), Epoch: r.Uvarint()}
-	m.Idempotency = r.String("Idempotency")
 	return r.Finish()
 }
 
@@ -346,7 +341,6 @@ func (r *clientResponder) Serve(ctx context.Context, method string, body []byte)
 			return nil, err
 		}
 		cfg := queryConfigFromWire(wreq.Options)
-		cfg.queryID = wreq.Idempotency
 		cfg.tenant = r.tenantName()
 		ans, err := r.dc.execute(ctx, req, cfg, r.dc.clientGate)
 		if err != nil {
