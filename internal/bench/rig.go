@@ -20,8 +20,6 @@ type Rig struct {
 	Server *cloud.Server
 	Client *cloud.Client
 	Stats  *transport.Stats
-	S1Led  *cloud.Ledger
-	S2Led  *cloud.Ledger
 
 	// encrypted relation cache keyed by name/shape, so sweeps over k do
 	// not re-encrypt.
@@ -39,21 +37,20 @@ func NewRig(cfg Config) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: scheme: %w", err)
 	}
-	s2led := cloud.NewLedger()
-	server, err := cloud.NewServer(scheme.KeyMaterial(), s2led)
+	// No figure reads leakage, so neither party keeps a ledger.
+	server, err := cloud.NewServer(scheme.KeyMaterial(), nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: server: %w", err)
 	}
 	stats := transport.NewStats()
-	s1led := cloud.NewLedger()
-	client, err := cloud.NewClient(transport.NewLocal(server, stats), scheme.PublicKey(), s1led)
+	client, err := cloud.NewClient(transport.NewLocal(server, stats), scheme.PublicKey(), nil)
 	if err != nil {
 		server.Close()
 		return nil, fmt.Errorf("bench: client: %w", err)
 	}
 	return &Rig{
 		Cfg: cfg, Scheme: scheme, Server: server, Client: client,
-		Stats: stats, S1Led: s1led, S2Led: s2led,
+		Stats:   stats,
 		erCache: map[string]*core.EncryptedRelation{},
 	}, nil
 }

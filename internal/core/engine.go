@@ -233,15 +233,15 @@ func (e *Engine) depthScore(tk *Token, li, d int) (*paillier.Ciphertext, error) 
 	return e.client.PK().MulConst(item.Score, big.NewInt(tk.Weights[li]))
 }
 
-// runInfo captures the engine state a shard merge needs beyond the
-// QueryResult: the full tracked list (top items ranked first, the
-// QueryResult's Items are its prefix), the final per-list bottom scores,
-// and the bound computer for batched items (nil when best bounds are
-// stored in ColBest).
+// runInfo is one run's outcome: its QueryResult plus what a shard merge
+// needs beyond it — the full tracked list (top items ranked first, the
+// result's Items are its prefix), the final per-list bottom scores, and
+// the run's bound source.
 type runInfo struct {
+	res      *QueryResult
 	ranked   []protocols.Item
 	bottoms  []*paillier.Ciphertext
-	best     bestFunc
+	best     Bounds
 	fullScan bool
 }
 
@@ -250,36 +250,34 @@ type runInfo struct {
 // rounds (and the sub-protocol layers check it inside their worker
 // loops), so a canceled query stops within one round.
 func (e *Engine) SecQuery(ctx context.Context, tk *Token, opts Options) (*QueryResult, error) {
-	if err := e.admit(tk, opts); err != nil {
-		return nil, err
-	}
-	res, _, err := e.run(ctx, tk, opts)
+	info, err := e.run(ctx, tk, opts)
 	if err != nil {
 		return nil, err
 	}
-	e.client.Ledger().Record("S1", "Query", "halting depth D_q = %d (halted=%v)", res.Depth, res.Halted)
-	return res, nil
+	return info.res, nil
 }
 
-// admit validates a query's token and options, then records its query
-// pattern: a refused query leaves no trace on the ledger.
-func (e *Engine) admit(tk *Token, opts Options) error {
+// run validates a query's token and options, records its query pattern
+// (a refused query leaves no trace on the ledger), runs the mode's
+// pipeline and records the halting depth.
+func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	if err := e.ValidateToken(tk); err != nil {
-		return err
+		return nil, err
 	}
 	if err := opts.Validate(tk.K); err != nil {
-		return err
+		return nil, err
 	}
 	e.recordQueryPattern(tk)
-	return nil
-}
-
-// run dispatches to the mode's pipeline.
-func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
+	pipeline := e.queryPerDepth
 	if opts.Mode == QryBa {
-		return e.queryBatched(ctx, tk, opts)
+		pipeline = e.queryBatched
 	}
-	return e.queryPerDepth(ctx, tk, opts)
+	info, err := pipeline(ctx, tk, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.client.Ledger().Record("S1", "Query", "halting depth D_q = %d (halted=%v)", info.res.Depth, info.res.Halted)
+	return info, nil
 }
 
 // firstHaltDepth is the first 1-based depth at which NRA's halting test
@@ -327,23 +325,28 @@ func (e *Engine) readDepths(ctx context.Context, tk *Token, from, to, bits int, 
 	return out, nil
 }
 
+// scanDepth is how many depths a query may read: the relation's n, or
+// MaxDepth when that is lower.
+func (e *Engine) scanDepth(opts Options) int {
+	if opts.MaxDepth > 0 && opts.MaxDepth < e.er.N {
+		return opts.MaxDepth
+	}
+	return e.er.N
+}
+
 // queryPerDepth is the per-depth pipeline shared by Qry_F and Qry_E. No
 // depth below firstHaltDepth ranks or tests for a halt, so every depth up
 // to it is certain to run, and their SecWorstBest bits go to S2 in one
-// round; each later depth sends its own.
-func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
-	m, k := len(tk.Lists), tk.K
-	magBits, shift := e.magBits(tk), e.duplicateShift(tk)
-	slot, depthBits := SlotBits(magBits), e.depthBits(tk)
+// round; each later depth sends its own. Best bounds are stored in each
+// item's ColBest column.
+func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
+	m := len(tk.Lists)
+	shift, slot, depthBits := e.duplicateShift(tk), SlotBits(e.magBits(tk)), e.depthBits(tk)
 	dedupMode := cloud.DedupReplace
 	if opts.Mode == QryE {
 		dedupMode = cloud.DedupEliminate
 	}
-	maxD := e.er.N
-	if opts.MaxDepth > 0 && opts.MaxDepth < maxD {
-		maxD = opts.MaxDepth
-	}
-	haltFrom := firstHaltDepth(m, k)
+	maxD := e.scanDepth(opts)
 	histories := make([]protocols.ListHistory, m)
 	var T []protocols.Item
 	// worsts, bests and sames hold SecWorstBest's answers for the depths
@@ -353,20 +356,20 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 	depth := 0
 	for d := 0; d < maxD; d++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d: %w", d, err)
+			return nil, fmt.Errorf("core: depth %d: %w", d, err)
 		}
 		depth = d + 1
 		if len(worsts) == 0 {
 			to := d + 1
 			if d == 0 {
-				to = min(haltFrom, maxD)
+				to = min(firstHaltDepth(m, tk.K), maxD)
 			}
 			batch, err := e.readDepths(ctx, tk, d, to, depthBits, histories)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if worsts, bests, sames, err = protocols.SecWorstBestDepths(ctx, e.client, batch, histories); err != nil {
-				return nil, nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
+				return nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
 			}
 		}
 		worst, best, same := worsts[0], bests[0], sames[0]
@@ -388,27 +391,18 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*Q
 			gamma, err = protocols.MarkDuplicates(ctx, e.client.PK(), gamma, same, shift)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d dedup: %w", d, err)
+			return nil, fmt.Errorf("core: depth %d dedup: %w", d, err)
 		}
 		T, err = protocols.SecUpdate(ctx, e.client, T, gamma, dedupMode)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d SecUpdate: %w", d, err)
+			return nil, fmt.Errorf("core: depth %d SecUpdate: %w", d, err)
 		}
-		if opts.ExactScan || depth < haltFrom || len(T) < k+1 {
-			continue
-		}
-		bottoms := depthBottoms(histories, d)
-		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
-		}
-		T = ranked
-		if halted {
-			res := &QueryResult{Items: T[:k], Depth: depth, Halted: true}
-			return res, &runInfo{ranked: T, bottoms: bottoms}, nil
+		var halt *runInfo
+		if T, halt, err = e.checkHalt(ctx, tk, opts, T, depth, depthBottoms(histories, d), StoredBounds); halt != nil || err != nil {
+			return halt, err
 		}
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, depthBottoms(histories, depth-1), nil)
+	return e.finalize(ctx, tk, T, depth, maxD == e.er.N, depthBottoms(histories, depth-1), StoredBounds)
 }
 
 // depthBottoms returns every list's score at 0-based depth d: the bottoms
@@ -424,12 +418,11 @@ func depthBottoms(histories []protocols.ListHistory, d int) []*paillier.Cipherte
 // queryBatched is Qry_Ba (Section 10.2): per-depth items carry only their
 // own score and a per-list seen indicator; every p depths the pending
 // items are merged into T with one score-summing dedup, then ranked and
-// halt-checked. Best bounds are computed exactly at the batch boundary
-// from the indicator vectors: B = W + sum_j (1 - v_j) * bottom_j.
-func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*QueryResult, *runInfo, error) {
+// halt-checked. Best bounds are computed exactly from the indicator
+// vectors (batchBest).
+func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	m, k := len(tk.Lists), tk.K
-	magBits := e.magBits(tk)
-	slot := SlotBits(magBits)
+	slot := SlotBits(e.magBits(tk))
 	p := opts.BatchDepth
 	if p == 0 {
 		p = 2 * k
@@ -437,10 +430,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 			p = 8
 		}
 	}
-	maxD := e.er.N
-	if opts.MaxDepth > 0 && opts.MaxDepth < maxD {
-		maxD = opts.MaxDepth
-	}
+	maxD := e.scanDepth(opts)
 	cols := 1 + m // [W, v_0..v_{m-1}]
 	mergeCols := make([]int, cols)
 	for i := range mergeCols {
@@ -451,7 +441,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 	depth := 0
 	for d := 0; d < maxD; d++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d: %w", d, err)
+			return nil, fmt.Errorf("core: depth %d: %w", d, err)
 		}
 		depth = d + 1
 		bottoms = make([]*paillier.Ciphertext, m)
@@ -481,7 +471,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pending = append(pending, depthItems...)
 		if (d+1)%p != 0 && d != maxD-1 {
@@ -502,42 +492,41 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*Qu
 		}
 		T, err = protocols.SecDedup(ctx, e.client, combined, cloud.DedupMerge, pairs, mergeCols)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d batch merge: %w", d, err)
+			return nil, fmt.Errorf("core: depth %d batch merge: %w", d, err)
 		}
 		pending = nil
-		if opts.ExactScan || depth < firstHaltDepth(m, k) || len(T) < k+1 {
-			continue
-		}
-		halted, ranked, err := e.checkHalt(ctx, T, k, magBits, bottoms, e.batchBest(bottoms, slot))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
-		}
-		T = ranked
-		if halted {
-			res := &QueryResult{Items: T[:k], Depth: depth, Halted: true}
-			return res, &runInfo{ranked: T, bottoms: bottoms, best: e.batchBest(bottoms, slot)}, nil
+		var halt *runInfo
+		if T, halt, err = e.checkHalt(ctx, tk, opts, T, depth, bottoms, e.batchBest(bottoms, slot)); halt != nil || err != nil {
+			return halt, err
 		}
 	}
-	return e.finalize(ctx, T, k, magBits, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms, slot))
+	return e.finalize(ctx, tk, T, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms, slot))
 }
 
-// bestFunc computes exact best bounds for the given (ranked) items.
-type bestFunc func(ctx context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error)
+// Bounds is a run's one bound source: an encrypted upper bound B on the
+// exact aggregate of each given item.
+type Bounds func(ctx context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error)
 
-// batchBest returns the Qry_Ba bound computer: for each item,
+// StoredBounds reads each item's ColBest column: the bound source of
+// Qry_F, Qry_E and a shard merge's two-column candidates.
+func StoredBounds(_ context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error) {
+	out := make([]*paillier.Ciphertext, len(items))
+	for i, it := range items {
+		out[i] = it.Scores[protocols.ColBest]
+	}
+	return out, nil
+}
+
+// batchBest returns the Qry_Ba bound source: for each item,
 // B = W + sum_j bottom_j - sum_j v_j * bottom_j, with the v_j * bottom_j
 // products resolved through one batched SecMult round, its operands (an
 // indicator and a bottom score) declared within ±2^bits, and the per-item
 // bound assembly fanned out over the client's workers.
-func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, bits int) bestFunc {
+func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, bits int) Bounds {
 	return func(ctx context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error) {
 		pk := e.client.PK()
 		m := len(bottoms)
-		zero, err := e.client.Enc().EncryptZero()
-		if err != nil {
-			return nil, err
-		}
-		sumBottoms, err := pk.AddAll(append([]*paillier.Ciphertext{zero}, bottoms...))
+		sumBottoms, err := e.unseenBound(bottoms)
 		if err != nil {
 			return nil, err
 		}
@@ -582,56 +571,78 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, bits int) bestFunc {
 	}
 }
 
-// checkHalt puts T's top k by worst score first and evaluates NRA's
-// halting condition, for which the tail's order does not matter: W_k must
-// dominate every tracked non-top-k bound and the unseen-object
-// bound (the sum of the current bottoms). Algorithm 3 line 10 checks only
-// the (k+1)-th item's bound, which can halt on a wrong top-k (DESIGN.md
-// errata). All the comparisons go to S2 as one batch, and S1 learns each
-// outcome: one dominance bit per bound, recorded on the ledger.
-// When best is nil, stored best-bound columns (ColBest) are used (Qry_F /
-// Qry_E); otherwise best computes bounds on demand (Qry_Ba).
-func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits int, bottoms []*paillier.Ciphertext, best bestFunc) (bool, []protocols.Item, error) {
-	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k, magBits)
-	if err != nil {
-		return false, nil, err
-	}
-	tail := ranked[k:]
-	var bounds []*paillier.Ciphertext
-	if best != nil {
-		if bounds, err = best(ctx, tail); err != nil {
-			return false, nil, err
-		}
-	} else {
-		for _, it := range tail {
-			bounds = append(bounds, it.Scores[protocols.ColBest])
-		}
-	}
+// unseenBound is NRA's bound on every object no list has shown yet: the
+// sum of the lists' current bottoms, folded onto a fresh Enc(0) so it is
+// a new ciphertext even over one list.
+func (e *Engine) unseenBound(bottoms []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
 	zero, err := e.client.Enc().EncryptZero()
 	if err != nil {
-		return false, nil, err
+		return nil, err
 	}
-	sum, err := e.client.PK().AddAll(append([]*paillier.Ciphertext{zero}, bottoms...))
+	return e.client.PK().AddAll(append([]*paillier.Ciphertext{zero}, bottoms...))
+}
+
+// checkHalt is the halting step both pipelines take once a depth is merged
+// into T. It tests only where a halt is possible — not under ExactScan,
+// not below firstHaltDepth, and only with a tail past the top k — and
+// then returns T ranked by Dominates (the caller keeps that order) and,
+// on a halt, the run's outcome.
+func (e *Engine) checkHalt(ctx context.Context, tk *Token, opts Options, T []protocols.Item, depth int, bottoms []*paillier.Ciphertext, best Bounds) ([]protocols.Item, *runInfo, error) {
+	k := tk.K
+	if opts.ExactScan || depth < firstHaltDepth(len(tk.Lists), k) || len(T) < k+1 {
+		return T, nil, nil
+	}
+	unseen, err := e.unseenBound(bottoms)
 	if err != nil {
-		return false, nil, err
+		return nil, nil, err
 	}
-	bounds = append(bounds, sum)
-	wk := ranked[k-1].Scores[protocols.ColWorst]
+	ranked, halted, err := Dominates(ctx, e.client, "halting check", T, k, e.magBits(tk), best, unseen)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: depth %d halting check: %w", depth-1, err)
+	}
+	if !halted {
+		return ranked, nil, nil
+	}
+	res := &QueryResult{Items: ranked[:k], Depth: depth, Halted: true}
+	return ranked, &runInfo{res: res, ranked: ranked, bottoms: bottoms, best: best}, nil
+}
+
+// Dominates is NRA's domination test, shared by the halting check and the
+// shard merge's certificate. It puts the top k of items by worst score
+// first (EncSelectTop; the tail's order does not matter) and reports
+// whether W_k dominates the bound of every item past them, taken from
+// best, and every extra bound: the unseen-object bound for a halting
+// check, the shards' residuals for a merge. Algorithm 3 line 10 checks
+// only the (k+1)-th item's bound, which can halt on a wrong top-k
+// (DESIGN.md errata). All the comparisons go to S2 as one batch (none
+// when there are no bounds, which certifies), and S1 learns each
+// outcome: one dominance bit per bound, recorded on its ledger under the
+// check's name.
+func Dominates(ctx context.Context, client *cloud.Client, check string, items []protocols.Item, k, magBits int, best Bounds, extra ...*paillier.Ciphertext) ([]protocols.Item, bool, error) {
+	ranked, err := protocols.EncSelectTop(ctx, client, items, protocols.ColWorst, true, k, magBits)
+	if err != nil {
+		return nil, false, err
+	}
+	bounds, err := best(ctx, ranked[k:])
+	if err != nil {
+		return nil, false, err
+	}
+	bounds = append(bounds, extra...)
 	wks := make([]*paillier.Ciphertext, len(bounds))
 	for i := range wks {
-		wks[i] = wk
+		wks[i] = ranked[k-1].Scores[protocols.ColWorst]
 	}
-	fs, err := protocols.EncCompareBatch(ctx, e.client, bounds, wks, magBits)
+	fs, err := protocols.EncCompareBatch(ctx, client, bounds, wks, magBits)
 	if err != nil {
-		return false, nil, err
+		return nil, false, err
 	}
-	e.client.Ledger().Record("S1", "Query", "halting check: %d dominance bits", len(fs))
+	client.Ledger().Record("S1", "Query", "%s: %d dominance bits", check, len(fs))
 	for _, f := range fs {
 		if !f {
-			return false, ranked, nil
+			return ranked, false, nil
 		}
 	}
-	return true, ranked, nil
+	return ranked, true, nil
 }
 
 // finalize returns the best-effort top-k after the scan ended without the
@@ -639,20 +650,18 @@ func (e *Engine) checkHalt(ctx context.Context, T []protocols.Item, k, magBits i
 // depth n); a MaxDepth-capped scan is marked unhalted. Only the top k
 // positions are ranked: the shard merge takes every bound beyond them as
 // a residual, in any order.
-func (e *Engine) finalize(ctx context.Context, T []protocols.Item, k, magBits, depth int, fullScan bool, bottoms []*paillier.Ciphertext, best bestFunc) (*QueryResult, *runInfo, error) {
-	info := &runInfo{bottoms: bottoms, best: best, fullScan: fullScan}
+func (e *Engine) finalize(ctx context.Context, tk *Token, T []protocols.Item, depth int, fullScan bool, bottoms []*paillier.Ciphertext, best Bounds) (*runInfo, error) {
+	info := &runInfo{res: &QueryResult{Depth: depth, Halted: fullScan}, bottoms: bottoms, best: best, fullScan: fullScan}
 	if len(T) == 0 {
-		return &QueryResult{Depth: depth, Halted: fullScan}, info, nil
+		return info, nil
 	}
-	if k > len(T) {
-		k = len(T)
-	}
-	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k, magBits)
+	k := min(tk.K, len(T))
+	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k, e.magBits(tk))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	info.ranked = ranked
-	return &QueryResult{Items: ranked[:k], Depth: depth, Halted: fullScan}, info, nil
+	info.ranked, info.res.Items = ranked, ranked[:k]
+	return info, nil
 }
 
 // CandidateSet is a shard's contribution to a merged top-k: its own
@@ -677,32 +686,20 @@ type CandidateSet struct {
 // SecQueryCandidates executes the query like SecQuery but returns the
 // merge view: candidates with explicit upper bounds and the residual
 // bounds for everything the shard did not return. internal/shard runs one
-// per shard and combines them with an EncSelectTop merge plus an
-// NRA-style domination check (see shard.Engine).
+// per shard and combines them with the same domination test the halting
+// check uses (Dominates; see shard.Merge).
 func (e *Engine) SecQueryCandidates(ctx context.Context, tk *Token, opts Options) (*CandidateSet, error) {
-	if err := e.admit(tk, opts); err != nil {
-		return nil, err
-	}
-	res, info, err := e.run(ctx, tk, opts)
+	info, err := e.run(ctx, tk, opts)
 	if err != nil {
 		return nil, err
 	}
-	e.client.Ledger().Record("S1", "Query", "halting depth D_q = %d (halted=%v)", res.Depth, res.Halted)
+	res := info.res
 	out := &CandidateSet{Depth: res.Depth, Halted: res.Halted}
-
-	// Upper bounds for every tracked item: the stored ColBest for the
-	// per-depth modes, the indicator-derived bound for Qry_Ba. After a
-	// full scan both reduce to the exact aggregate (B = W).
-	var bounds []*paillier.Ciphertext
-	if info.best != nil {
-		if bounds, err = info.best(ctx, info.ranked); err != nil {
-			return nil, err
-		}
-	} else {
-		bounds = make([]*paillier.Ciphertext, len(info.ranked))
-		for i, it := range info.ranked {
-			bounds[i] = it.Scores[protocols.ColBest]
-		}
+	// Upper bounds for every tracked item from the run's bound source;
+	// after a full scan they reduce to the exact aggregate (B = W).
+	bounds, err := info.best(ctx, info.ranked)
+	if err != nil {
+		return nil, err
 	}
 	k := len(res.Items) // res.Items is info.ranked[:k]
 	out.Items = make([]protocols.Item, k)
@@ -716,15 +713,11 @@ func (e *Engine) SecQueryCandidates(ctx context.Context, tk *Token, opts Options
 	if !info.fullScan && len(info.bottoms) > 0 {
 		// Objects never seen in any list are bounded by the sum of the
 		// current bottoms; after a full scan there are none.
-		zero, err := e.client.Enc().EncryptZero()
+		unseen, err := e.unseenBound(info.bottoms)
 		if err != nil {
 			return nil, err
 		}
-		sum, err := e.client.PK().AddAll(append([]*paillier.Ciphertext{zero}, info.bottoms...))
-		if err != nil {
-			return nil, err
-		}
-		out.Residuals = append(out.Residuals, sum)
+		out.Residuals = append(out.Residuals, unseen)
 	}
 	return out, nil
 }

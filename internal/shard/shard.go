@@ -22,10 +22,11 @@
 // k-th worst score W_k is the k-th order statistic of a superset of each
 // shard's top-k, hence W_k >= every shard's own k-th worst — the bounds
 // each shard's halting already dominated stay dominated. The engine
-// still verifies the full NRA condition explicitly: every non-selected
-// candidate's upper bound B and every shard residual bound (tracked
-// non-top-k bounds plus the unseen-object bound) must be <= W_k, in one
-// EncCompareBatch round. If any bound survives — a non-selected
+// still verifies the full NRA condition explicitly, with the halting
+// check's own routine (core.Dominates): every non-selected candidate's
+// upper bound B and every shard residual bound (tracked non-top-k bounds
+// plus the unseen-object bound) must be <= W_k, in one comparison round
+// whose bits S1's ledger records. If any bound survives — a non-selected
 // candidate's best bound above W_k, or a depth-capped shard's residual —
 // the engine falls back to an exact rescan (ExactScan over every shard),
 // after which all bounds equal the exact aggregates and the check is
@@ -352,14 +353,14 @@ func (e *Engine) fanOut(ctx context.Context, tk *core.Token, opts core.Options) 
 	return sets, nil
 }
 
-// Merge unions candidate sets, selects the global top-k with
-// EncSelectTop on the worst-score column, and runs the NRA-style bound
-// check: every non-selected candidate's upper bound and every shard
-// residual must be dominated by the merged k-th worst. The boolean
-// reports whether the check certified the merge. magBits must be
-// core.MagBits over the *global* relation's MaxScoreBits — the same
-// bound the per-shard scans compared under — which is why the cluster
-// coordinator carries the relation's global shape metadata.
+// Merge unions candidate sets and certifies the global top-k with the
+// halting check's own domination test (core.Dominates): every
+// non-selected candidate's upper bound and every shard residual must be
+// dominated by the merged k-th worst, and S1 records the check's bits on
+// its ledger. The boolean reports whether the check certified the merge.
+// magBits must be core.MagBits over the *global* relation's MaxScoreBits
+// — the same bound the per-shard scans compared under — which is why the
+// cluster coordinator carries the relation's global shape metadata.
 func Merge(ctx context.Context, client *cloud.Client, k, magBits int, sets []*core.CandidateSet) (*core.QueryResult, bool, error) {
 	var (
 		union     []protocols.Item
@@ -401,32 +402,9 @@ func Merge(ctx context.Context, client *cloud.Client, k, magBits int, sets []*co
 	if k > len(union) {
 		k = len(union)
 	}
-	ranked, err := protocols.EncSelectTop(ctx, client, union, protocols.ColWorst, true, k, magBits)
+	ranked, certified, err := core.Dominates(ctx, client, "merge check", union, k, magBits, core.StoredBounds, residuals...)
 	if err != nil {
-		return nil, false, fmt.Errorf("shard: merge selection: %w", err)
-	}
-	wk := ranked[k-1].Scores[protocols.ColWorst]
-	bounds := make([]*paillier.Ciphertext, 0, len(ranked)-k+len(residuals))
-	for _, it := range ranked[k:] {
-		bounds = append(bounds, it.Scores[protocols.ColBest])
-	}
-	bounds = append(bounds, residuals...)
-	certified := true
-	if len(bounds) > 0 {
-		wks := make([]*paillier.Ciphertext, len(bounds))
-		for i := range wks {
-			wks[i] = wk
-		}
-		fs, err := protocols.EncCompareBatch(ctx, client, bounds, wks, magBits)
-		if err != nil {
-			return nil, false, fmt.Errorf("shard: merge bound check: %w", err)
-		}
-		for _, f := range fs {
-			if !f {
-				certified = false
-				break
-			}
-		}
+		return nil, false, fmt.Errorf("shard: merge check: %w", err)
 	}
 	return &core.QueryResult{Items: ranked[:k], Depth: depth, Halted: halted}, certified, nil
 }

@@ -207,6 +207,56 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedMergeRecordsDominanceBits: a 2-shard query's merge
+// certificate is the halting check's domination test, so its bits land on
+// S1's ledger as one "merge check" line counting every non-selected
+// candidate and every shard residual.
+func TestShardedMergeRecordsDominanceBits(t *testing.T) {
+	r := getRig(t)
+	const n, k = 12, 3
+	rel := correlated(n)
+	tk, err := r.scheme.TokenFor(n, rel.M(), []int{0, 1, 2}, nil, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := Encrypt(r.scheme, rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(r.client, sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.QryE, core.QryBa} {
+		opts := core.Options{Mode: mode}
+		sets, err := eng.Candidates(context.Background(), tk, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := -k
+		for _, cs := range sets {
+			bits += len(cs.Items) + len(cs.Residuals)
+		}
+		r.s1led.Reset()
+		if _, err := eng.SecQuery(context.Background(), tk, opts); err != nil {
+			t.Fatal(err)
+		}
+		var merges []string
+		for _, ev := range r.s1led.Events() {
+			if ev.Method == "ShardMerge" {
+				t.Fatalf("%v: the merge fell back to a rescan: %s", mode, ev)
+			}
+			if strings.HasPrefix(ev.Detail, "merge check: ") {
+				merges = append(merges, ev.String())
+			}
+		}
+		want := fmt.Sprintf("[S1] Query: merge check: %d dominance bits", bits)
+		if len(merges) != 1 || merges[0] != want {
+			t.Errorf("%v: merge lines %q, want the one line %q", mode, merges, want)
+		}
+	}
+}
+
 // TestShardedAdversarialOrdering runs the sharded engine over
 // anti-correlated lists — the case where per-shard scans halt with
 // partial scores and the NRA merge-bound check earns its keep (falling

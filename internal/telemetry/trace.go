@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // FrameEvent is one transport-mux frame observation: emitted by the
 // caller side when a reply (or failure) resolves a frame, and by the
@@ -12,7 +9,6 @@ import (
 type FrameEvent struct {
 	Side    string // "caller" or "server"
 	Method  string
-	Frame   uint64
 	Bytes   int
 	Code    string // secerr code; "" on success
 	Elapsed time.Duration
@@ -29,72 +25,14 @@ type QuerySpan struct {
 	Rounds         int64
 	Bytes          int64
 	S2Calls        int64
-	FanOut         int
 	MergeFallbacks int64
 	Epoch          uint64
 	Code           string // secerr code; "" on success
 	Elapsed        time.Duration
 }
 
-// TraceSink receives frame events and query spans. Implementations
-// must be safe for concurrent use and must not block: emits happen on
-// the serving hot path.
-type TraceSink interface {
-	Frame(FrameEvent)
-	Span(QuerySpan)
-}
-
-// SinkFuncs adapts plain functions to a TraceSink; nil fields drop
-// their event kind.
-type SinkFuncs struct {
-	OnFrame func(FrameEvent)
-	OnSpan  func(QuerySpan)
-}
-
-// Frame implements TraceSink.
-func (s SinkFuncs) Frame(ev FrameEvent) {
-	if s.OnFrame != nil {
-		s.OnFrame(ev)
-	}
-}
-
-// Span implements TraceSink.
-func (s SinkFuncs) Span(sp QuerySpan) {
-	if s.OnSpan != nil {
-		s.OnSpan(sp)
-	}
-}
-
-// sinkEntry gives each registration a unique identity, so sinks whose
-// dynamic type is not comparable (e.g. SinkFuncs) still unregister.
-type sinkEntry struct{ sink TraceSink }
-
-var (
-	sinkMu sync.RWMutex
-	sinks  []*sinkEntry
-)
-
-// RegisterSink subscribes a sink to every emitted frame event and query
-// span; the returned function unregisters it.
-func RegisterSink(s TraceSink) (unregister func()) {
-	e := &sinkEntry{sink: s}
-	sinkMu.Lock()
-	sinks = append(sinks, e)
-	sinkMu.Unlock()
-	return func() {
-		sinkMu.Lock()
-		defer sinkMu.Unlock()
-		for i, cur := range sinks {
-			if cur == e {
-				sinks = append(append([]*sinkEntry(nil), sinks[:i]...), sinks[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
 // EmitFrame records a frame event into the default registry's mux
-// metrics and fans it out to the registered sinks.
+// metrics.
 func EmitFrame(ev FrameEvent) {
 	r := defaultRegistry
 	r.Counter("sectopk_mux_frames_total", "side", ev.Side, "method", ev.Method).Inc()
@@ -103,16 +41,10 @@ func EmitFrame(ev FrameEvent) {
 		r.Counter("sectopk_mux_frame_errors_total", "side", ev.Side, "code", ev.Code).Inc()
 	}
 	r.Histogram("sectopk_mux_frame_seconds", nil, "side", ev.Side).ObserveDuration(ev.Elapsed)
-	sinkMu.RLock()
-	subs := sinks
-	sinkMu.RUnlock()
-	for _, s := range subs {
-		s.sink.Frame(ev)
-	}
 }
 
 // EmitSpan records a query span into the default registry's query
-// metrics and fans it out to the registered sinks.
+// metrics.
 func EmitSpan(sp QuerySpan) {
 	r := defaultRegistry
 	code := sp.Code
@@ -131,11 +63,5 @@ func EmitSpan(sp QuerySpan) {
 	r.Counter("sectopk_query_merge_fallbacks_total", "workload", sp.Workload).Add(sp.MergeFallbacks)
 	if sp.Relation != "" && sp.Epoch > 0 {
 		r.Gauge("sectopk_relation_epoch", "relation", sp.Relation).Set(float64(sp.Epoch))
-	}
-	sinkMu.RLock()
-	subs := sinks
-	sinkMu.RUnlock()
-	for _, s := range subs {
-		s.sink.Span(sp)
 	}
 }

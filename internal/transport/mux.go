@@ -255,14 +255,14 @@ func (c *MuxCaller) Call(ctx context.Context, method string, req, resp any) erro
 		// A failed frame write leaves the stream mid-frame: the connection
 		// is unusable for everyone, so fail the rest too.
 		c.fail(werr)
-		emitCallerFrame(method, id, len(body)+len(method), string(secerr.CodeTransport), start)
+		emitCallerFrame(method, len(body)+len(method), string(secerr.CodeTransport), start)
 		return secerr.Wrap(secerr.CodeTransport, werr, "sending %s (frame %d)", method, id)
 	}
 
 	select {
 	case rep := <-p.ch:
 		if rep.err != nil {
-			emitCallerFrame(method, id, len(body)+len(method), string(secerr.CodeOf(rep.err)), start)
+			emitCallerFrame(method, len(body)+len(method), string(secerr.CodeOf(rep.err)), start)
 			return rep.err
 		}
 		if c.stats != nil {
@@ -270,10 +270,10 @@ func (c *MuxCaller) Call(ctx context.Context, method string, req, resp any) erro
 		}
 		if rep.status == statusErr {
 			rerr := decodeWireError(rep.payload)
-			emitCallerFrame(method, id, len(body)+len(method)+len(rep.payload)+1, string(secerr.CodeOf(rerr)), start)
+			emitCallerFrame(method, len(body)+len(method)+len(rep.payload)+1, string(secerr.CodeOf(rerr)), start)
 			return linkKept{fmt.Errorf("transport: %s: remote: %w", method, rerr)}
 		}
-		emitCallerFrame(method, id, len(body)+len(method)+len(rep.payload)+1, "", start)
+		emitCallerFrame(method, len(body)+len(method)+len(rep.payload)+1, "", start)
 		if resp == nil {
 			return nil
 		}
@@ -287,7 +287,7 @@ func (c *MuxCaller) Call(ctx context.Context, method string, req, resp any) erro
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		emitCallerFrame(method, id, len(body)+len(method), "canceled", start)
+		emitCallerFrame(method, len(body)+len(method), "canceled", start)
 		return fmt.Errorf("transport: %s (frame %d): %w", method, id, ctx.Err())
 	}
 }
@@ -302,10 +302,10 @@ type linkKept struct{ error }
 func (e linkKept) Unwrap() error { return e.error }
 
 // emitCallerFrame records one resolved caller-side frame into the
-// telemetry layer (metrics plus any registered trace sinks).
-func emitCallerFrame(method string, id uint64, bytes int, code string, start time.Time) {
+// telemetry layer's metrics.
+func emitCallerFrame(method string, bytes int, code string, start time.Time) {
 	telemetry.EmitFrame(telemetry.FrameEvent{
-		Side: "caller", Method: method, Frame: id,
+		Side: "caller", Method: method,
 		Bytes: bytes, Code: code, Elapsed: time.Since(start),
 	})
 }
@@ -397,7 +397,7 @@ func serveMux(ctx context.Context, conn net.Conn, r *bufio.Reader, responder Res
 				payload = encodeWireError(herr)
 			}
 			telemetry.EmitFrame(telemetry.FrameEvent{
-				Side: "server", Method: string(method), Frame: id,
+				Side: "server", Method: string(method),
 				Bytes: len(method) + len(body) + len(payload), Code: code, Elapsed: time.Since(start),
 			})
 			wmu.Lock()

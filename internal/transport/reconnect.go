@@ -36,8 +36,8 @@ type ReconnectConfig struct {
 // re-checked before serving calls.
 //
 // It deliberately does NOT re-issue the failed round: what may be
-// repeated is the query's business (a remote Client re-executes under
-// its idempotency key), while this type only knows links. A Call whose
+// repeated is the query's business (a remote Client re-executes the
+// query, a second run of its token), while this type only knows links. A Call whose
 // link failed invalidates the connection; the next Call finds no
 // connection and dials anew. Concurrent calls share one connection (the
 // mux layer interleaves them) and wait for one shared dial.

@@ -927,3 +927,82 @@ func TestChaosApplyExactlyOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestChaosClusterMemberLinkHeals cuts a front door's link to one member
+// in the middle of a query: that query fails typed unavailable, and the
+// next one re-dials the member (re-running its cluster Hello) and reveals
+// the right answer, with no HostCluster in between.
+func TestChaosClusterMemberLinkHeals(t *testing.T) {
+	ctx := context.Background()
+	rig := newChaosRig(t, sectopk.WithShards(2))
+	// Member i hosts shard i; member 1's cluster listener gives its first
+	// connection a schedule the test arms once the placement is assembled.
+	cut := faultnet.NewSchedule()
+	var accepted atomic.Int32
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		member := sectopk.NewDataCloud(testOpts(sectopk.WithMemberID("m" + strconv.Itoa(i)))...)
+		t.Cleanup(member.Close)
+		if err := member.ConnectLocal(ctx, rig.cc); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := rig.er.Subset(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := member.HostShards(ctx, "topk", sub); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l net.Listener = raw
+		if i == 1 {
+			l = &faultnet.Listener{Listener: raw, NewSchedule: func(n int) *faultnet.Schedule {
+				accepted.Add(1)
+				if n == 0 {
+					return cut
+				}
+				return nil
+			}}
+		}
+		serveOn(t, l, member.ServeCluster)
+		addrs = append(addrs, raw.Addr().String())
+	}
+	front := sectopk.NewDataCloud(testOpts()...)
+	t.Cleanup(front.Close)
+	if err := front.ConnectLocal(ctx, rig.cc); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.HostCluster(ctx, addrs); err != nil {
+		t.Fatalf("HostCluster: %v", err)
+	}
+	// Every operation on member 1's link from here on resets it. The
+	// member's read loop already waits in a Read taken before arming, so
+	// the first to fail is the one after the query's request arrives.
+	for op := 0; op < 1<<10; op++ {
+		cut.At(op, faultnet.Fault{Kind: faultnet.KindReset})
+	}
+	req := sectopk.TopKRequest("topk", rig.tk)
+	if _, err := front.Execute(ctx, req); !errors.Is(err, sectopk.ErrUnavailable) {
+		t.Fatalf("query over the cut member link: err = %v, want unavailable\ninjected: %v", err, cut.Injected())
+	}
+	if len(cut.Injected()) == 0 {
+		t.Fatal("the member link was never cut")
+	}
+	ans, err := front.Execute(ctx, req)
+	if err != nil {
+		t.Fatalf("query after the cut: %v", err)
+	}
+	got, err := rig.owner.Reveal(rig.er, ans.TopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rig.want) {
+		t.Fatalf("query after the cut revealed %v, want %v", got, rig.want)
+	}
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("member 1 accepted %d connections, want 2 (the first and one re-dial)", n)
+	}
+}

@@ -369,7 +369,7 @@ func (d *DataCloud) ServeCluster(ctx context.Context, l net.Listener) error {
 type clusterNode struct {
 	addr   string
 	member string
-	conn   transport.ConnCaller
+	conn   *transport.ReconnectCaller
 }
 
 // clusterCoord is one relation's assembled placement: the sharded engine
@@ -466,9 +466,12 @@ func clusterHello(ctx context.Context, caller transport.Caller) (*cluster.HelloR
 }
 
 // HostCluster makes this data cloud the front door of a member fleet: it
-// dials each node's cluster listener, learns the members' inventories
-// from their Hellos, validates that every announced shard subset tiles
-// its relation exactly, and registers a coordinator per sharded relation
+// dials each node's cluster listener through the self-healing transport
+// (re-dialed under WithRetry's policy after a link failure, with the
+// cluster Hello re-run on every fresh link; a query in flight on a lost
+// link fails typed unavailable), learns the members' inventories from
+// their Hellos, validates that every announced shard subset tiles its
+// relation exactly, and registers a coordinator per sharded relation
 // plus a forwarding route per whole-hosted join/kNN relation. The data
 // cloud must already be connected to the crypto cloud — the merge rounds
 // run on its own S2 link. Queries then flow through the ordinary Execute
@@ -519,21 +522,28 @@ func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 	}
 	contribs := map[string][]cluster.Contribution{}
 	for _, addr := range nodes {
-		var dialer net.Dialer
-		conn, err := dialer.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return fail(secerr.Wrap(secerr.CodeUnavailable, err, "sectopk: dialing cluster member %s", addr))
-		}
-		mc, err := transport.Connect(ctx, conn, d.stats)
-		if err != nil {
-			conn.Close()
-			return fail(secerr.Wrap(secerr.CodeUnavailable, err, "sectopk: connecting cluster member %s", addr))
-		}
-		node := &clusterNode{addr: addr, conn: mc}
+		// The member link re-dials itself after a link failure, like the
+		// crypto-cloud link, and runs the cluster Hello on every fresh
+		// link; the first Hello's inventory assembles the placement.
+		var rep *cluster.HelloReply
+		link := transport.NewReconnectCaller(transport.ReconnectConfig{
+			Dial: func(ctx context.Context) (transport.ConnCaller, error) {
+				return dialMux(ctx, addr, d.stats, "cluster member "+addr)
+			},
+			OnConnect: func(ctx context.Context, c transport.Caller) (err error) {
+				rep, err = clusterHello(ctx, c)
+				return err
+			},
+			Policy: d.cfg.retry.backoff(),
+		})
+		node := &clusterNode{addr: addr, conn: link}
 		cl.nodes = append(cl.nodes, node)
-		rep, err := clusterHello(ctx, mc)
-		if err != nil {
-			return fail(secerr.Wrap(secerr.CodeOf(err), err, "sectopk: cluster member %s hello", addr))
+		if err := link.Connect(ctx); err != nil {
+			code := secerr.CodeOf(err)
+			if code == secerr.CodeTransport {
+				code = secerr.CodeUnavailable
+			}
+			return fail(secerr.Wrap(code, err, "sectopk: cluster member %s", addr))
 		}
 		node.member = rep.Member
 		if node.member == "" {
@@ -541,7 +551,7 @@ func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 		}
 		for _, info := range rep.Subsets {
 			contribs[info.Relation] = append(contribs[info.Relation],
-				cluster.Contribution{Member: node.member, Caller: mc, Info: info})
+				cluster.Contribution{Member: node.member, Caller: link, Info: info})
 		}
 		for _, rt := range rep.Routes {
 			if prev, ok := entries[rt.Relation].(*clusterRoute); ok {

@@ -149,7 +149,7 @@ func (p RetryPolicy) backoff() backoff.Policy {
 // policy, and no WithRetry at all, mean the package defaults).
 //
 // On a DataCloud it is the schedule DataCloud.Dial dials and re-dials
-// the crypto cloud under. S1 never repeats a protocol round: a round
+// the crypto cloud under, and HostCluster its members. S1 never repeats a protocol round: a round
 // lost with its link fails its query with a typed error, and the next
 // round finds a fresh link.
 //

@@ -108,7 +108,6 @@ func (d *DataCloud) emitSpan(w Workload, relation, tenant string, ans *Answer, e
 		Rounds:         tr.Rounds,
 		Bytes:          tr.Bytes,
 		S2Calls:        tr.S2Calls,
-		FanOut:         tr.FanOut,
 		MergeFallbacks: tr.MergeFallbacks,
 		Epoch:          tr.Epoch,
 		Code:           code,
