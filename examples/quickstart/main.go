@@ -50,8 +50,8 @@ func main() {
 	// 2. Stand up the crypto cloud S2 (holds the secret keys, registered
 	//    per relation) and the data cloud S1, wired in-process with full
 	//    wire accounting, then host the encrypted relation. Hosting runs
-	//    the versioned Hello handshake, so incompatible peers or unknown
-	//    relations fail here with typed errors.
+	//    a Hello round, so a relation the crypto cloud does not serve
+	//    fails here with a typed error.
 	cc := sectopk.NewCryptoCloud()
 	defer cc.Close()
 	if err := cc.Register("demo", owner.Keys()); err != nil {

@@ -1,7 +1,7 @@
 // Package backoff is the shared retry/backoff helper behind every
 // recovery path in the system: the transport's reconnecting caller, the
 // facade's retrying client plane, and sectopk-node's dial loop. One implementation means one failure
-// model: capped exponential backoff with full jitter, cooperative
+// model: capped exponential backoff with jitter, cooperative
 // context cancellation between attempts, and attempt histories attached
 // to terminal failures so operators see what was tried, not just what
 // finally failed.
@@ -23,9 +23,16 @@ import (
 const (
 	DefaultInitial     = 25 * time.Millisecond
 	DefaultMax         = 2 * time.Second
-	DefaultFactor      = 2.0
-	DefaultJitter      = 0.5
 	DefaultMaxAttempts = 4
+)
+
+// Every schedule grows by factor between retries, and jitter is the
+// randomized fraction of each delay: the actual sleep is
+// d*(1-jitter) + rand*d*jitter, decorrelating retry storms from
+// concurrent callers.
+const (
+	factor = 2.0
+	jitter = 0.5
 )
 
 // Policy describes a capped exponential backoff schedule. The zero value
@@ -37,12 +44,6 @@ type Policy struct {
 	Initial time.Duration
 	// Max caps the per-retry delay after exponential growth.
 	Max time.Duration
-	// Factor is the exponential growth factor between retries.
-	Factor float64
-	// Jitter is the randomized fraction of each delay, in [0, 1]: the
-	// actual sleep is d*(1-Jitter) + rand*d*Jitter, decorrelating
-	// retry storms from concurrent callers.
-	Jitter float64
 	// MaxAttempts bounds the total tries (first call included).
 	// 0 picks DefaultMaxAttempts; negative means exactly one attempt.
 	MaxAttempts int
@@ -74,26 +75,6 @@ func (p Policy) max() time.Duration {
 	return DefaultMax
 }
 
-func (p Policy) factor() float64 {
-	if p.Factor > 1 {
-		return p.Factor
-	}
-	return DefaultFactor
-}
-
-func (p Policy) jitter() float64 {
-	switch {
-	case p.Jitter < 0:
-		return 0
-	case p.Jitter == 0:
-		return DefaultJitter
-	case p.Jitter > 1:
-		return 1
-	default:
-		return p.Jitter
-	}
-}
-
 // Attempts returns the effective attempt bound (>= 1), or 0 for
 // unbounded (an explicit MaxElapsed window with no attempt cap).
 func (p Policy) Attempts() int {
@@ -117,29 +98,19 @@ func (p Policy) Delay(retry int) time.Duration {
 	}
 	d := float64(p.initial())
 	limit := float64(p.max())
-	for i := 1; i < retry; i++ {
-		d *= p.factor()
-		if d >= limit {
-			d = limit
-			break
-		}
+	for i := 1; i < retry && d < limit; i++ {
+		d *= factor
 	}
-	if d > limit {
-		d = limit
+	d = min(d, limit)
+	var u float64
+	if p.Rand != nil {
+		u = p.Rand()
+	} else {
+		jitterMu.Lock()
+		u = jitterRand.Float64()
+		jitterMu.Unlock()
 	}
-	j := p.jitter()
-	if j > 0 {
-		var u float64
-		if p.Rand != nil {
-			u = p.Rand()
-		} else {
-			jitterMu.Lock()
-			u = jitterRand.Float64()
-			jitterMu.Unlock()
-		}
-		d = d*(1-j) + d*j*u
-	}
-	return time.Duration(d)
+	return time.Duration(d*(1-jitter) + d*jitter*u)
 }
 
 // Sleep waits the randomized delay for retry number retry, returning

@@ -7,31 +7,34 @@ import (
 	"time"
 )
 
-// TestDelaySchedule pins the jitter-free exponential schedule: growth by
-// Factor from Initial, capped at Max.
+// TestDelaySchedule pins the exponential schedule through the Rand hook:
+// growth by 2 from Initial, capped at Max, each delay drawn from its
+// upper half (the hook's 0 is the half's floor, its 0.5 the midpoint).
 func TestDelaySchedule(t *testing.T) {
-	p := Policy{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: -1}
-	want := []time.Duration{
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond,
-		80 * time.Millisecond, // capped
-	}
-	for i, w := range want {
-		if got := p.Delay(i + 1); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", i+1, got, w)
+	const ms, us = time.Millisecond, time.Microsecond
+	for _, tc := range []struct {
+		u    float64
+		want []time.Duration // the last is capped
+	}{
+		{0, []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 40 * ms}},
+		{0.5, []time.Duration{7500 * us, 15 * ms, 30 * ms, 60 * ms, 60 * ms}},
+	} {
+		p := Policy{Initial: 10 * ms, Max: 80 * ms, Rand: func() float64 { return tc.u }}
+		for i, w := range tc.want {
+			if got := p.Delay(i + 1); got != w {
+				t.Errorf("u=%v: Delay(%d) = %v, want %v", tc.u, i+1, got, w)
+			}
 		}
 	}
 }
 
 // TestDelayJitterBounds checks jittered delays stay within the
-// [d*(1-j), d] envelope and use the injected randomness.
+// [d/2, d] envelope and use the injected randomness.
 func TestDelayJitterBounds(t *testing.T) {
 	for _, u := range []float64{0, 0.5, 0.999} {
-		p := Policy{Initial: 100 * time.Millisecond, Max: time.Second, Jitter: 0.4, Rand: func() float64 { return u }}
+		p := Policy{Initial: 100 * time.Millisecond, Max: time.Second, Rand: func() float64 { return u }}
 		d := p.Delay(1)
-		lo := 60 * time.Millisecond
+		lo := 50 * time.Millisecond
 		hi := 100 * time.Millisecond
 		if d < lo || d > hi {
 			t.Errorf("u=%v: Delay = %v, want within [%v, %v]", u, d, lo, hi)
@@ -43,7 +46,7 @@ func TestDelayJitterBounds(t *testing.T) {
 // the first failures retry, the eventual success returns nil.
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), "op", Policy{Initial: time.Millisecond, Jitter: -1}, nil,
+	err := Retry(context.Background(), "op", Policy{Initial: time.Millisecond}, nil,
 		func(context.Context) error {
 			calls++
 			if calls < 3 {
@@ -64,7 +67,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 func TestRetryExhaustsAttemptsWithHistory(t *testing.T) {
 	sentinel := errors.New("still down")
 	calls := 0
-	err := Retry(context.Background(), "op", Policy{Initial: time.Millisecond, MaxAttempts: 3, Jitter: -1}, nil,
+	err := Retry(context.Background(), "op", Policy{Initial: time.Millisecond, MaxAttempts: 3}, nil,
 		func(context.Context) error { calls++; return sentinel })
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
@@ -86,7 +89,7 @@ func TestRetryExhaustsAttemptsWithHistory(t *testing.T) {
 func TestRetryNonRetryableSurfacesImmediately(t *testing.T) {
 	fatal := errors.New("fatal")
 	calls := 0
-	err := Retry(context.Background(), "op", Policy{Initial: time.Millisecond, Jitter: -1},
+	err := Retry(context.Background(), "op", Policy{Initial: time.Millisecond},
 		func(err error) bool { return !errors.Is(err, fatal) },
 		func(context.Context) error { calls++; return fatal })
 	if calls != 1 {
@@ -108,7 +111,7 @@ func TestRetryContextCanceledMidBackoff(t *testing.T) {
 	calls := 0
 	done := make(chan error, 1)
 	go func() {
-		done <- Retry(ctx, "op", Policy{Initial: time.Minute, Jitter: -1}, nil,
+		done <- Retry(ctx, "op", Policy{Initial: time.Minute}, nil,
 			func(context.Context) error { calls++; return errors.New("transient") })
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -132,7 +135,7 @@ func TestRetryElapsedWindow(t *testing.T) {
 	calls := 0
 	start := time.Now()
 	err := Retry(context.Background(), "op",
-		Policy{Initial: time.Millisecond, Max: time.Millisecond, MaxElapsed: 50 * time.Millisecond, Jitter: -1},
+		Policy{Initial: time.Millisecond, Max: time.Millisecond, MaxElapsed: 50 * time.Millisecond},
 		nil, func(context.Context) error { calls++; return errors.New("down") })
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) || ex.GaveUp != "elapsed" {

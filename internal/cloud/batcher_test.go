@@ -19,7 +19,7 @@ import (
 // failing their neighbours, and nested envelopes are rejected.
 func TestBatchEnvelopeServer(t *testing.T) {
 	e := env(t)
-	hello, err := transport.Encode(&HelloRequest{Version: transport.ProtocolVersion})
+	hello, err := transport.Encode(&HelloRequest{Relation: "r"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +51,8 @@ func TestBatchEnvelopeServer(t *testing.T) {
 	if reply.Items[0].ErrCode != "" {
 		t.Errorf("valid Hello item failed: %s %s", reply.Items[0].ErrCode, reply.Items[0].ErrMsg)
 	}
-	var hr HelloReply
-	if err := transport.Decode(reply.Items[0].Body, &hr); err != nil || hr.Version != transport.ProtocolVersion {
-		t.Errorf("Hello item reply: %v / %+v", err, hr)
+	if err := transport.Decode(reply.Items[0].Body, new(HelloReply)); err != nil {
+		t.Errorf("Hello item reply: %v", err)
 	}
 	if got := reply.Items[1].ErrCode; got != string(secerr.CodeUnknownMethod) {
 		t.Errorf("bogus method item: code %q", got)

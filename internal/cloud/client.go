@@ -65,25 +65,20 @@ func (c *Client) Close() {
 // (set with WithRelation; empty for single-relation deployments).
 func (c *Client) Relation() string { return c.relation }
 
-// Handshake runs the Hello round: it announces this side's wire protocol
-// version (and, when configured, the relation it intends to query) and
-// verifies the peer answers compatibly. Incompatible peers surface as
-// secerr.ErrProtocolVersion; an unregistered relation as
-// secerr.ErrUnknownRelation.
+// Handshake runs the Hello round: it names the relation this stub
+// queries, and an unregistered relation surfaces as
+// secerr.ErrUnknownRelation. (A peer at another wire version was already
+// refused at the connection preface, typed secerr.ErrProtocolVersion.)
 func (c *Client) Handshake(ctx context.Context) error {
 	return Handshake(ctx, c.caller, c.relation)
 }
 
 // Handshake runs the Hello round over a bare caller — the shared
-// implementation behind Client.Handshake and connection-time handshakes
-// that happen before any client (with its ephemeral key) exists.
+// implementation behind Client.Handshake and a re-dialed link's proof of
+// its hosted relations, which runs before the link reaches any client.
+// Relation "" names none: the round is empty.
 func Handshake(ctx context.Context, caller transport.Caller, relation string) error {
-	var resp HelloReply
-	req := &HelloRequest{Version: transport.ProtocolVersion, Relation: relation}
-	if err := caller.Call(ctx, MethodHello, req, &resp); err != nil {
-		return err
-	}
-	return acceptVersion(resp.Version)
+	return caller.Call(ctx, MethodHello, &HelloRequest{Relation: relation}, new(HelloReply))
 }
 
 // PK returns the main Paillier public key.

@@ -110,8 +110,8 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	row := WireRow{Scores: []*big.Int{one}, Blinds: []*big.Int{one}}
 	bad, unknown := secerr.CodeBadRequest, secerr.CodeUnknownMethod
 	seeds := []fuzzSeed{
-		{method: MethodHello, body: enc(&HelloRequest{Version: 99}), code: secerr.CodeProtocolVersion},
-		{method: MethodHello, body: append(enc(&HelloRequest{Version: transport.ProtocolVersion}), 0), code: bad},                            // trailing byte
+		{method: MethodHello, body: raw(func(w *wire.Writer) { w.Uvarint(9); w.String(rel) }), code: bad},                                    // a v9 Hello, its version first
+		{method: MethodHello, body: append(enc(&HelloRequest{Relation: rel}), 0), code: bad},                                                 // trailing byte
 		{method: MethodEqBits, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1); w.Uvarint(1); w.Uvarint(1 << 40) }), code: bad}, // count overruns the body
 		{method: MethodEqBits, body: raw(func(w *wire.Writer) {
 			w.String(rel)
@@ -166,7 +166,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 			{Method: "Bogus"},
 			{Method: MethodBatch, Body: enc(&BatchRequest{})},
 			{Method: MethodRecover, Body: enc(&CompareRequest{Relation: rel, Cts: []*big.Int{zero}})},
-			{Method: MethodHello, Body: enc(&HelloRequest{Version: transport.ProtocolVersion})},
+			{Method: MethodHello, Body: enc(&HelloRequest{Relation: rel})},
 		}}), items: []secerr.Code{unknown, bad, unknown, ""}},
 		{method: MethodBatch, body: raw(func(w *wire.Writer) { w.Uvarint(3); w.String(MethodHello); w.Bytes(nil) }), code: bad},
 		// Apply envelopes: a plausible one, an empty one, a garbage delta,
@@ -174,7 +174,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		// shape must come back unknown_method / per-item error.
 		{method: MethodApply, body: enc(&applyEnvelope{Relation: rel, Delta: []byte{0xde, 0xad}}), code: unknown},
 		{method: MethodApply, body: enc(&applyEnvelope{}), code: unknown},
-		{method: MethodApply, body: enc(&applyEnvelope{Relation: rel, Delta: enc(&HelloRequest{Version: 2})}), code: unknown},
+		{method: MethodApply, body: enc(&applyEnvelope{Relation: rel, Delta: enc(&HelloRequest{Relation: rel})}), code: unknown},
 		{method: MethodBatch, body: enc(&BatchRequest{Items: []BatchItem{
 			{Method: MethodApply, Body: enc(&applyEnvelope{Relation: rel})},
 		}}), items: []secerr.Code{unknown}},

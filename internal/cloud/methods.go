@@ -21,8 +21,8 @@ type method struct {
 // the fuzz corpus both read it; a name that is not a key is an unknown
 // method to each of them.
 var methods = map[string]method{
-	// Hello is a pure version check and Batch a bag of other methods'
-	// items; serve answers both itself.
+	// Hello proves a relation is served and Batch is a bag of other
+	// methods' items; serve answers both itself.
 	MethodHello: {},
 	MethodBatch: {},
 	// The two rows of the hidden-bit gadget share a request, a handler
@@ -69,15 +69,16 @@ var methods = map[string]method{
 // package: a Server answers for itself whatever relation a request names,
 // a Service routes on it.
 type responder interface {
-	hello(req *HelloRequest) (*HelloReply, error)
 	// route returns the Server that handles requests for the relation.
 	route(relation string) (*Server, error)
 }
 
 // serve is one S2 round for either responder: Hello and Batch are
 // answered here, every other method is decoded, routed and handled as its
-// row of the method table says. A body that does not decode is a
-// bad_request; a name with no handler is an unknown_method.
+// row of the method table says. A Hello naming a relation routes it; the
+// reply is empty, never a list of the registry, so a peer cannot
+// enumerate other tenants. A body that does not decode is a bad_request;
+// a name with no handler is an unknown_method.
 func serve(ctx context.Context, r responder, name string, body []byte) ([]byte, error) {
 	switch name {
 	case MethodBatch:
@@ -87,7 +88,12 @@ func serve(ctx context.Context, r responder, name string, body []byte) ([]byte, 
 		if err := decodeBody(name, body, &req); err != nil {
 			return nil, err
 		}
-		return encodeReply(r.hello(&req))
+		if req.Relation != "" {
+			if _, err := r.route(req.Relation); err != nil {
+				return nil, err
+			}
+		}
+		return transport.Encode(HelloReply{})
 	}
 	m := methods[name]
 	if m.handle == nil {

@@ -131,25 +131,6 @@ func (s *Server) Serve(ctx context.Context, method string, body []byte) ([]byte,
 
 func (s *Server) route(string) (*Server, error) { return s, nil }
 
-// hello answers the version-check round. A single-relation Server serves
-// whatever relation the peer names, so only the version is checked.
-func (s *Server) hello(req *HelloRequest) (*HelloReply, error) {
-	if err := acceptVersion(req.Version); err != nil {
-		return nil, err
-	}
-	return &HelloReply{Version: transport.ProtocolVersion}, nil
-}
-
-// acceptVersion refuses a peer announcing any wire version but this
-// build's.
-func acceptVersion(v int) error {
-	if v != transport.ProtocolVersion {
-		return secerr.New(secerr.CodeProtocolVersion,
-			"cloud: peer speaks wire protocol v%d, this side v%d only", v, transport.ProtocolVersion)
-	}
-	return nil
-}
-
 // serveBatch unwraps a batch envelope and serves every item as a round of
 // its own, fanning items out over the worker budget. Item
 // failures are reported per item as structured (code, message) pairs —

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/secerr"
-	"repro/internal/transport"
 )
 
 // Service is the multi-relation crypto cloud: a registry of relation IDs
@@ -112,9 +111,9 @@ func (s *Service) Close() {
 	}
 }
 
-// Serve implements transport.Responder: Hello checks the version and
-// optionally that a relation is served; every other method routes to
-// the Server registered for the request's relation ID.
+// Serve implements transport.Responder: Hello checks that the relation it
+// names is registered; every other method routes to the Server
+// registered for the request's relation ID.
 func (s *Service) Serve(ctx context.Context, method string, body []byte) ([]byte, error) {
 	return serve(ctx, s, method, body)
 }
@@ -124,22 +123,4 @@ func (s *Service) route(relation string) (*Server, error) {
 		return srv, nil
 	}
 	return nil, secerr.New(secerr.CodeUnknownRelation, "cloud: relation %q not registered", relation)
-}
-
-// hello checks the wire version and, when the peer names the relation
-// it intends to query, confirms the relation is registered. The reply
-// confirms only the relation the peer asked about — never the full
-// registry, which would let any connecting peer enumerate other tenants.
-func (s *Service) hello(req *HelloRequest) (*HelloReply, error) {
-	if err := acceptVersion(req.Version); err != nil {
-		return nil, err
-	}
-	reply := &HelloReply{Version: transport.ProtocolVersion}
-	if req.Relation != "" {
-		if _, err := s.route(req.Relation); err != nil {
-			return nil, err
-		}
-		reply.Relations = []string{req.Relation}
-	}
-	return reply, nil
 }

@@ -3,9 +3,12 @@ package cloud
 import (
 	"context"
 	"errors"
+	"io"
 	"math/big"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/paillier"
 	"repro/internal/secerr"
@@ -83,18 +86,40 @@ func TestServiceRouting(t *testing.T) {
 	}
 }
 
-// helloAt answers every Hello claiming a fixed version, whatever it was
-// sent.
-type helloAt int
-
-func (v helloAt) Serve(context.Context, string, []byte) ([]byte, error) {
-	return transport.Encode(&HelloReply{Version: int(v)})
+// prefaceAt is the connection preface transport.Connect sends, with its
+// version byte set to v: the opening of a peer built at wire version v.
+func prefaceAt(t *testing.T, v int) []byte {
+	t.Helper()
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	go transport.Connect(context.Background(), c2, nil)
+	b := make([]byte, 4)
+	if _, err := io.ReadFull(c1, b); err != nil {
+		t.Fatalf("reading this build's preface: %v", err)
+	}
+	b[3] = byte(v)
+	return b
 }
 
-// TestHelloWrongVersionRefused: the Hello round compares one constant for
-// equality. A peer one version older or newer is refused typed by Server
-// and Service alike, and Handshake refuses a responder that answers at
-// another version; only the current version passes.
+// countCalls counts the rounds that reach a responder.
+type countCalls struct {
+	transport.Responder
+	n atomic.Int64
+}
+
+func (c *countCalls) Serve(ctx context.Context, method string, body []byte) ([]byte, error) {
+	c.n.Add(1)
+	return c.Responder.Serve(ctx, method, body)
+}
+
+// TestHelloWrongVersionRefused: the Hello round carries no version of its
+// own; the one wire version is compared for equality at the connection
+// preface, before any Hello is read. Server and Service alike, behind
+// transport.ServeConn, refuse a peer at any other version typed with no
+// round reaching them, and answer the Hello of a peer at the current
+// version; dialing a responder that answers at another version fails
+// typed before Handshake can run.
 func TestHelloWrongVersionRefused(t *testing.T) {
 	e := env(t)
 	svc := NewService()
@@ -106,23 +131,52 @@ func TestHelloWrongVersionRefused(t *testing.T) {
 	cur := transport.ProtocolVersion
 	for name, responder := range map[string]transport.Responder{"server": e.server, "service": svc} {
 		for _, v := range []int{0, cur - 1, cur, cur + 1, 99} {
-			var resp HelloReply
-			err := transport.NewLocal(responder, nil).Call(ctx, MethodHello, &HelloRequest{Version: v}, &resp)
-			if v != cur {
-				if !errors.Is(err, secerr.ErrProtocolVersion) {
-					t.Errorf("%s: Hello v%d: want ErrProtocolVersion, got %v", name, v, err)
+			open := prefaceAt(t, v)
+			counted := &countCalls{Responder: responder}
+			c1, c2 := net.Pipe()
+			served := make(chan error, 1)
+			go func() { defer c2.Close(); served <- transport.ServeConn(ctx, c2, counted) }()
+			if v == cur {
+				caller, err := transport.Connect(ctx, c1, nil)
+				if err == nil {
+					err = Handshake(ctx, caller, "r")
+					caller.Close()
 				}
-				continue
-			}
-			if err != nil || resp.Version != cur {
-				t.Errorf("%s: Hello v%d: reply v%d, %v", name, v, resp.Version, err)
+				if err != nil || counted.n.Load() != 1 {
+					t.Errorf("%s: Hello at v%d: %v after %d rounds", name, v, err, counted.n.Load())
+				}
+				c1.Close()
+				<-served
+			} else {
+				go c1.Write(open)
+				go io.Copy(io.Discard, c1) // the server's own preface
+				select {
+				case err := <-served:
+					if !errors.Is(err, secerr.ErrProtocolVersion) {
+						t.Errorf("%s: peer at v%d: want ErrProtocolVersion, got %v", name, v, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Errorf("%s: kept waiting on a peer at v%d", name, v)
+				}
+				c1.Close()
+				if n := counted.n.Load(); n != 0 {
+					t.Errorf("%s: %d rounds from a peer at v%d reached the responder", name, n, v)
+				}
 			}
 		}
 	}
 	for _, v := range []int{cur - 1, cur + 1} {
-		if err := Handshake(ctx, transport.NewLocal(helloAt(v), nil), ""); !errors.Is(err, secerr.ErrProtocolVersion) {
-			t.Errorf("Handshake against a v%d responder: want ErrProtocolVersion, got %v", v, err)
+		answer := prefaceAt(t, v)
+		c1, c2 := net.Pipe()
+		go func() {
+			io.ReadFull(c2, make([]byte, len(answer)))
+			c2.Write(answer)
+		}()
+		if _, err := transport.Connect(ctx, c1, nil); !errors.Is(err, secerr.ErrProtocolVersion) {
+			t.Errorf("dialing a v%d responder: want ErrProtocolVersion, got %v", v, err)
 		}
+		c1.Close()
+		c2.Close()
 	}
 }
 
@@ -155,14 +209,9 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 
 	// Unknown relation.
 	var hr HelloReply
-	err = caller.Call(ctx, MethodHello, &HelloRequest{Version: transport.ProtocolVersion, Relation: "ghost"}, &hr)
+	err = caller.Call(ctx, MethodHello, &HelloRequest{Relation: "ghost"}, &hr)
 	if !errors.Is(err, secerr.ErrUnknownRelation) {
 		t.Fatalf("want ErrUnknownRelation over TCP, got %v", err)
-	}
-	// Version mismatch.
-	err = caller.Call(ctx, MethodHello, &HelloRequest{Version: transport.ProtocolVersion + 1}, &hr)
-	if !errors.Is(err, secerr.ErrProtocolVersion) {
-		t.Fatalf("want ErrProtocolVersion over TCP, got %v", err)
 	}
 	// Unknown method.
 	err = caller.Call(ctx, "Bogus", &HelloRequest{}, nil)
@@ -177,7 +226,7 @@ func TestTypedErrorsSurviveTCP(t *testing.T) {
 		t.Fatalf("want ErrBadRequest over TCP, got %v", err)
 	}
 	// The connection stays usable after typed errors.
-	if err := caller.Call(ctx, MethodHello, &HelloRequest{Version: transport.ProtocolVersion, Relation: "r"}, &hr); err != nil {
+	if err := caller.Call(ctx, MethodHello, &HelloRequest{Relation: "r"}, &hr); err != nil {
 		t.Fatalf("connection unusable after errors: %v", err)
 	}
 }

@@ -10,8 +10,9 @@
 // Every protocol request names the relation it operates on (RelationID),
 // so one crypto cloud can serve many outsourced relations under distinct
 // key material — the deployment shape the paper's Section 3.2 assumes.
-// Peers confirm they speak the same wire protocol version with a Hello
-// round before issuing protocol methods.
+// A data cloud proves each relation it hosts is served with a Hello
+// round before issuing protocol methods for it; the wire version is
+// checked once, at the connection preface.
 //
 // Every message below is its own encoding.BinaryMarshaler/Unmarshaler
 // (which is what transport.Encode/Decode call): its fields in declaration
@@ -129,60 +130,29 @@ func (m *BatchReply) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// HelloRequest opens a connection: the caller announces the wire protocol
-// version it speaks and, optionally, the relation it intends to query, so
-// incompatible peers and unknown relations are rejected up front instead
-// of failing mid-round.
+// HelloRequest names the relation the caller intends to query, so an
+// unknown relation is refused up front instead of failing mid-round. ""
+// names none: the round is then empty, and the benchmark times it as the
+// link's round trip. The wire version is the connection preface's alone.
 type HelloRequest struct {
-	Version  int
-	Relation string // optional: "" checks only the version
+	Relation string
 }
 
-// MarshalBinary: uvarint(Version) string(Relation).
+// MarshalBinary: string(Relation).
 func (m HelloRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
-	w.Int("Version", m.Version)
 	w.String(m.Relation)
 	return w.Finish()
 }
 
 func (m *HelloRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	*m = HelloRequest{Version: r.Int("Version"), Relation: r.String("Relation")}
+	*m = HelloRequest{Relation: r.String("Relation")}
 	return r.Finish()
 }
 
-// HelloReply confirms the handshake: the responder's version and, when
-// the request named a relation, that relation echoed back as confirmed
-// (never the full registry — peers cannot enumerate other tenants). Nil
-// from a single-relation Server, which accepts any relation ID.
-type HelloReply struct {
-	Version   int
-	Relations []string
-}
-
-// MarshalBinary: uvarint(Version), count, then each relation as a string.
-func (m HelloReply) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Int("Version", m.Version)
-	w.Uvarint(uint64(len(m.Relations)))
-	for _, rel := range m.Relations {
-		w.String(rel)
-	}
-	return w.Finish()
-}
-
-func (m *HelloReply) UnmarshalBinary(b []byte) error {
-	r := wire.NewReader(b)
-	*m = HelloReply{Version: r.Int("Version")}
-	if n := r.Count("Relations", 1); n > 0 {
-		m.Relations = make([]string, n)
-	}
-	for i := range m.Relations {
-		m.Relations[i] = r.String("Relations")
-	}
-	return r.Finish()
-}
+// HelloReply confirms the relation; it carries nothing.
+type HelloReply = wire.Empty
 
 // GadgetRequest is one round of the hidden-bit gadget, shared by
 // MethodEqBits and MethodCompareHidden. Per bit k, Cts[k*Group :

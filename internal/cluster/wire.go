@@ -15,24 +15,15 @@ import (
 )
 
 // Cluster wire: the two methods a member serves on its cluster
-// listener, multiplexed on the same framing as everything else. The
-// listener also falls through to the client-wire methods (the facade's
-// responder composes the two), so a front door can forward whole
-// queries — join and kNN, which are not shard-partitioned — to the
+// listener, multiplexed on the same framing as everything else and
+// versioned with it, by transport.ProtocolVersion at the connection
+// preface. The listener also falls through to the client-wire methods
+// (the facade's responder composes the two), so a front door can forward
+// whole queries — join and kNN, which are not shard-partitioned — to the
 // member that hosts them using the ordinary client encoding.
 const (
-	// ProtocolVersion is the cluster wire version; both sides of a Hello
-	// must carry exactly this value. v2: CandidatesRequest carries
-	// core.Options itself. v3: every frame is its own internal/wire
-	// message (the layout is the comment on its MarshalBinary). v4: the
-	// options lost Halt (strict NRA halting is the only test). v5: they
-	// lost Sort (EncSelectTop is the one ranker). v6: they lost the
-	// query's idempotency key (S1 records each run's token digest, not a
-	// repeat count).
-	ProtocolVersion = 6
-
-	// MethodHello checks versions and announces the member's
-	// inventory: which shard subsets and whole-relation routes it hosts.
+	// MethodHello announces the member's inventory: which shard subsets
+	// and whole-relation routes it hosts.
 	MethodHello = "Cluster.Hello"
 	// MethodCandidates runs one token over the member's shards of a
 	// relation and returns the per-shard candidate sets for the
@@ -40,38 +31,8 @@ const (
 	MethodCandidates = "Cluster.Candidates"
 )
 
-// HelloRequest opens a coordinator→member session: the version the
-// coordinator speaks.
-type HelloRequest struct {
-	Version int
-}
-
-// MarshalBinary: uvarint(Version).
-func (m HelloRequest) MarshalBinary() ([]byte, error) {
-	var w wire.Writer
-	w.Int("Version", m.Version)
-	return w.Finish()
-}
-
-// UnmarshalBinary reads the version first and, at any other version than
-// this build's, nothing after it: the caller's CheckVersion refuses it.
-func (m *HelloRequest) UnmarshalBinary(b []byte) error {
-	r := wire.NewReader(b)
-	if m.Version = r.Int("Version"); m.Version != ProtocolVersion {
-		return r.Err()
-	}
-	return r.Finish()
-}
-
-// CheckVersion refuses a peer at any cluster wire version but this
-// build's.
-func CheckVersion(peer int) error {
-	if peer != ProtocolVersion {
-		return secerr.New(secerr.CodeProtocolVersion,
-			"cluster: peer speaks cluster wire v%d, this side v%d only", peer, ProtocolVersion)
-	}
-	return nil
-}
+// HelloRequest opens a coordinator→member session; it carries nothing.
+type HelloRequest = wire.Empty
 
 // SubsetInfo is a member's announcement of one hosted shard subset: its
 // placement within the global relation plus the shape metadata the
@@ -101,19 +62,17 @@ type RouteInfo struct {
 
 // HelloReply is the member's inventory.
 type HelloReply struct {
-	Version int
 	Member  string
 	Subsets []SubsetInfo
 	Routes  []RouteInfo
 }
 
-// MarshalBinary: uvarint(Version) string(Member), then per subset
+// MarshalBinary: string(Member), then per subset
 // string(Relation) uvarint(Total) uvarint list(Indices) uvarint list(Rows)
 // uvarint(M) uvarint(MaxScoreBits) uvarint(Epoch) integer(PK), then per
 // route string(Relation) string(Workload); both lists count-prefixed.
 func (m HelloReply) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
-	w.Int("Version", m.Version)
 	w.String(m.Member)
 	w.Uvarint(uint64(len(m.Subsets)))
 	for _, s := range m.Subsets {
@@ -134,13 +93,8 @@ func (m HelloReply) MarshalBinary() ([]byte, error) {
 	return w.Finish()
 }
 
-// UnmarshalBinary stops after the version at any other version, as
-// HelloRequest's does.
 func (m *HelloReply) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	if m.Version = r.Int("Version"); m.Version != ProtocolVersion {
-		return r.Err()
-	}
 	m.Member = r.String("Member")
 	m.Subsets = make([]SubsetInfo, r.Count("Subsets", 8))
 	for i := range m.Subsets {
@@ -263,14 +217,10 @@ func Respond(ctx context.Context, inv Inventory, method string, body []byte) (ou
 }
 
 func serveHello(inv Inventory, body []byte) ([]byte, error) {
-	var req HelloRequest
-	if err := transport.Decode(body, &req); err != nil {
+	if err := transport.Decode(body, new(HelloRequest)); err != nil {
 		return nil, secerr.Wrap(secerr.CodeBadRequest, err, "cluster: undecodable hello")
 	}
-	if err := CheckVersion(req.Version); err != nil {
-		return nil, err
-	}
-	reply := HelloReply{Version: ProtocolVersion, Member: inv.Member(), Routes: inv.Routes()}
+	reply := HelloReply{Member: inv.Member(), Routes: inv.Routes()}
 	for _, h := range inv.Subsets() {
 		reply.Subsets = append(reply.Subsets, h.Info)
 	}

@@ -26,8 +26,8 @@ const (
 	// CodeRelationExists marks a registration attempt for an already
 	// registered relation ID.
 	CodeRelationExists Code = "relation_exists"
-	// CodeProtocolVersion marks a Hello handshake between peers speaking
-	// incompatible wire protocol versions.
+	// CodeProtocolVersion marks a connection between peers whose prefaces
+	// carry different wire protocol versions.
 	CodeProtocolVersion Code = "protocol_version"
 	// CodeUnknownMethod marks a request for a method the responder does
 	// not implement.

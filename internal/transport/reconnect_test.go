@@ -47,7 +47,7 @@ func (s *scriptedCaller) isClosed() bool {
 }
 
 // fastPolicy keeps reconnect tests quick and deterministic.
-var fastPolicy = backoff.Policy{Initial: time.Millisecond, Max: time.Millisecond, Jitter: -1}
+var fastPolicy = backoff.Policy{Initial: time.Millisecond, Max: time.Millisecond, Rand: func() float64 { return 0 }}
 
 // TestReconnectRedialsAfterTransportFailure checks a transport-coded call
 // failure tears down the connection (closing it) and the next Call dials

@@ -13,8 +13,8 @@
 //     separate processes.
 //
 // The wire protocol has one version (ProtocolVersion): a connection opens
-// with a preface carrying it and a Hello round repeats it, and a peer at
-// any other version is refused typed. Handler errors cross the wire as
+// with a preface carrying it, and a peer at any other version is refused
+// typed before any frame is read. Handler errors cross the wire as
 // structured (code, message) pairs so the typed error taxonomy of
 // internal/secerr survives serialization: errors.Is against the secerr
 // sentinels behaves identically in-process and over TCP.
@@ -33,12 +33,15 @@ import (
 	"repro/internal/secerr"
 )
 
-// ProtocolVersion is the version of the S1↔S2 wire protocol this build
-// speaks: the framing (preface, frame-ID multiplexing with per-call
-// cancellation; see mux.go), the method set including the batch envelope,
-// the request/response encodings and the error encoding. Both ends of a
-// connection must carry exactly this value.
-const ProtocolVersion = 9
+// ProtocolVersion is the one wire version of this build, checked once per
+// connection at the preface. It versions every plane that rides the
+// framing — S1↔S2, querier↔data cloud and front door↔member: the framing
+// (preface, frame-ID multiplexing with per-call cancellation; see mux.go),
+// each plane's method set including the batch envelope, the
+// request/response encodings and the error encoding. Both ends of a
+// connection must carry exactly this value. v10: the three Hellos lost
+// their versions.
+const ProtocolVersion = 10
 
 // Responder is the server side: S2 handles one method call. The context
 // is the per-call (or per-connection) context; handlers use it to bound

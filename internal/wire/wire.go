@@ -149,6 +149,14 @@ func (w *Writer) Bools(vs []bool) {
 	}
 }
 
+// Empty is the message with no fields, for a Hello request or reply with
+// nothing to carry: it encodes to no bytes, and any byte is refused.
+type Empty struct{}
+
+func (Empty) MarshalBinary() ([]byte, error) { return nil, nil }
+
+func (*Empty) UnmarshalBinary(b []byte) error { return NewReader(b).Finish() }
+
 // Reader consumes a message body.
 type Reader struct {
 	b        []byte

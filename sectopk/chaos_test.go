@@ -1006,3 +1006,97 @@ func TestChaosClusterMemberLinkHeals(t *testing.T) {
 		t.Fatalf("member 1 accepted %d connections, want 2 (the first and one re-dial)", n)
 	}
 }
+
+// TestChaosFrontDoorS2LinkHeals cuts a front door's link to its crypto
+// cloud while the front door forwards a kNN relation that crypto cloud
+// does not register. The re-dial re-proves only the relations the front
+// door runs rounds for, so the query over the cut link fails typed and
+// the next one heals the link and reveals the right answer.
+func TestChaosFrontDoorS2LinkHeals(t *testing.T) {
+	ctx := context.Background()
+	rig := newChaosRig(t, sectopk.WithShards(2))
+	// The member's crypto cloud registers the kNN relation; the front
+	// door's (the rig's) registers only "topk".
+	memberCC := sectopk.NewCryptoCloud(testOpts()...)
+	t.Cleanup(memberCC.Close)
+	for _, id := range []string{"topk", "knn"} {
+		if err := memberCC.Register(id, rig.owner.Keys()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ker, err := rig.owner.EncryptKNN(demoRelation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := rig.er.Subset(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := sectopk.NewDataCloud(testOpts()...)
+	t.Cleanup(member.Close)
+	if err := member.ConnectLocal(ctx, memberCC); err != nil {
+		t.Fatal(err)
+	}
+	if err := member.HostShards(ctx, "topk", sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := member.HostKNN(ctx, "knn", ker); err != nil {
+		t.Fatal(err)
+	}
+	ml, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOn(t, ml, member.ServeCluster)
+
+	// The crypto cloud's listener gives its first connection a schedule
+	// the test arms once the placement is assembled.
+	cut := faultnet.NewSchedule()
+	var accepted atomic.Int32
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveOn(t, &faultnet.Listener{Listener: raw, NewSchedule: func(n int) *faultnet.Schedule {
+		accepted.Add(1)
+		if n == 0 {
+			return cut
+		}
+		return nil
+	}}, rig.cc.Serve)
+	front := sectopk.NewDataCloud(testOpts(sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: 2}))...)
+	t.Cleanup(front.Close)
+	if err := front.Dial(ctx, raw.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.HostCluster(ctx, []string{ml.Addr().String()}); err != nil {
+		t.Fatalf("HostCluster: %v", err)
+	}
+	if got := front.ClusterRelations(); !reflect.DeepEqual(got, []string{"knn", "topk"}) {
+		t.Fatalf("front door serves %v through the cluster, want [knn topk]", got)
+	}
+	for op := 0; op < 1<<10; op++ {
+		cut.At(op, faultnet.Fault{Kind: faultnet.KindReset})
+	}
+	req := sectopk.TopKRequest("topk", rig.tk)
+	if _, err := front.Execute(ctx, req); !errors.Is(err, sectopk.ErrTransport) {
+		t.Fatalf("query over the cut S2 link: err = %v, want a transport error\ninjected: %v", err, cut.Injected())
+	}
+	if len(cut.Injected()) == 0 {
+		t.Fatal("the S2 link was never cut")
+	}
+	ans, err := front.Execute(ctx, req)
+	if err != nil {
+		t.Fatalf("query after the cut: %v", err)
+	}
+	got, err := rig.owner.Reveal(rig.er, ans.TopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rig.want) {
+		t.Fatalf("query after the cut revealed %v, want %v", got, rig.want)
+	}
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("the crypto cloud accepted %d connections, want 2 (the first and one re-dial)", n)
+	}
+}

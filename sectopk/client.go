@@ -36,8 +36,9 @@ type Client struct {
 // Dial connects to a DataCloud serving clients at addr (TCP) through the
 // self-healing transport: the connection is dialed (and, after link
 // failures, re-dialed) under the retry policy of WithRetry (package
-// defaults otherwise), with the multiplexed framing opened and the
-// client-plane version handshake run on every fresh link. Execute and
+// defaults otherwise), with the multiplexed framing opened (its preface
+// refuses a peer at another wire version, typed ErrProtocolVersion) and
+// the tenant announced on every fresh link. Execute and
 // Apply calls retry on transport failures and overload sheds
 // (ErrOverloaded — e.g. a data cloud at its WithSessionLimit, or one
 // draining for shutdown); S1 sees a retried query as a second run of
@@ -57,9 +58,8 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 		OnConnect: c.helloOn,
 		Policy:    c.retry,
 	})
-	// Eager first dial (the version handshake rides OnConnect): fail
-	// Dial after the policy's attempts rather than the first Execute
-	// when the data cloud is unreachable.
+	// Eager first dial: fail Dial after the policy's attempts rather
+	// than the first Execute when the data cloud is unreachable.
 	if err := c.conn.Connect(ctx); err != nil {
 		c.conn.Close()
 		return nil, err
@@ -84,16 +84,10 @@ func dialMux(ctx context.Context, addr string, stats *transport.Stats, peer stri
 	return mc, nil
 }
 
-// helloOn runs the client-plane version handshake on every fresh link
-// (ReconnectCaller's OnConnect). It announces this build's version and
-// the tenant, and requires the server to answer at the same version.
+// helloOn announces the tenant on every fresh link (ReconnectCaller's
+// OnConnect).
 func (c *Client) helloOn(ctx context.Context, caller transport.Caller) error {
-	var rep clientHelloReply
-	req := clientHello{Version: clientProtocolVersion, Tenant: c.tenant}
-	if err := caller.Call(ctx, methodClientHello, req, &rep); err != nil {
-		return err
-	}
-	return checkClientVersion("server", rep.Version)
+	return caller.Call(ctx, methodClientHello, clientHello{Tenant: c.tenant}, new(clientHelloReply))
 }
 
 // Execute submits one request of any workload and returns its encrypted

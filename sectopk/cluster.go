@@ -451,15 +451,10 @@ func (cl *hostedCluster) close() {
 	}
 }
 
-// clusterHello runs the cluster-plane version handshake and returns the
-// member's inventory.
+// clusterHello runs the cluster Hello and returns the member's inventory.
 func clusterHello(ctx context.Context, caller transport.Caller) (*cluster.HelloReply, error) {
-	req := cluster.HelloRequest{Version: cluster.ProtocolVersion}
 	var rep cluster.HelloReply
-	if err := caller.Call(ctx, cluster.MethodHello, req, &rep); err != nil {
-		return nil, err
-	}
-	if err := cluster.CheckVersion(rep.Version); err != nil {
+	if err := caller.Call(ctx, cluster.MethodHello, cluster.HelloRequest{}, &rep); err != nil {
 		return nil, err
 	}
 	return &rep, nil

@@ -345,42 +345,41 @@ func (d *DataCloud) setCaller(raw transport.Caller, link *transport.ReconnectCal
 }
 
 // ConnectLocal wires this data cloud to a CryptoCloud in the same
-// process (every message still goes through the wire codec in both
+// process. Every message still goes through the wire codec in both
 // directions, so byte accounting matches what the same call costs on a
-// TCP connection, frame IDs and length prefixes aside) and runs the
-// version handshake.
-func (d *DataCloud) ConnectLocal(ctx context.Context, cc *CryptoCloud) error {
+// TCP connection, frame IDs and length prefixes aside; the context is
+// unused, as one build has one wire version and nothing is dialed.
+func (d *DataCloud) ConnectLocal(_ context.Context, cc *CryptoCloud) error {
 	if cc == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: nil crypto cloud")
 	}
-	local := transport.NewLocal(cc.responder(), d.stats)
-	if err := cloud.Handshake(ctx, local, ""); err != nil {
-		return err
-	}
-	return d.setCaller(local, nil)
+	return d.setCaller(transport.NewLocal(cc.responder(), d.stats), nil)
 }
 
 // Dial connects to a CryptoCloud serving at addr (TCP) through the
 // self-healing transport: the link is dialed (and, after a link
 // failure, re-dialed on the next round) under the retry policy of
-// WithRetry (package defaults otherwise), and every fresh link runs the
-// version handshake plus one Hello per hosted relation before any round
-// travels. A round in flight when its link dies is not repeated: it
-// fails its query with a typed transport error, and a remote client
-// re-executes the query.
+// WithRetry (package defaults otherwise). The connection preface refuses
+// a crypto cloud at another wire version (ErrProtocolVersion), and every
+// re-dialed link runs one Hello per hosted relation with an S2 client
+// before any round travels. A round in flight when its link dies is not
+// repeated: it fails its query with a typed transport error, and a
+// remote client re-executes the query.
 func (d *DataCloud) Dial(ctx context.Context, addr string) error {
 	link := transport.NewReconnectCaller(transport.ReconnectConfig{
 		Dial: func(ctx context.Context) (transport.ConnCaller, error) {
 			return dialMux(ctx, addr, d.stats, "crypto cloud")
 		},
+		// Re-prove every relation this data cloud runs rounds for on the
+		// fresh link, so a crypto cloud that restarted without its
+		// registrations is caught at reconnect time, not mid-query. A
+		// front door's routes forward to a member and own no S2 client:
+		// the crypto cloud need not serve them.
 		OnConnect: func(ctx context.Context, c transport.Caller) error {
-			if err := cloud.Handshake(ctx, c, ""); err != nil {
-				return err
-			}
-			// Re-prove every hosted relation on the fresh link, so a
-			// crypto cloud that restarted without its registrations is
-			// caught at reconnect time, not mid-query.
-			for _, id := range d.Hosted() {
+			for id, h := range d.entries() {
+				if _, route := h.(*clusterRoute); route {
+					continue
+				}
 				if err := cloud.Handshake(ctx, c, id); err != nil {
 					return err
 				}
@@ -389,9 +388,8 @@ func (d *DataCloud) Dial(ctx context.Context, addr string) error {
 		},
 		Policy: d.cfg.retry.backoff(),
 	})
-	// Eager first dial (the version handshake rides OnConnect): fail
-	// Dial after the policy's attempts rather than the first query when
-	// the crypto cloud is unreachable.
+	// Eager first dial: fail Dial after the policy's attempts rather than
+	// the first query when the crypto cloud is unreachable.
 	if err := link.Connect(ctx); err != nil {
 		link.Close()
 		return err

@@ -130,17 +130,16 @@ func decoders() []decoder {
 			prefix: append(kindHeader(kind, v), bytes.Repeat([]byte{1}, scalarsFirst[kind])...),
 		})
 	}
-	clientV, clusterV := uvarint(clientProtocolVersion), uvarint(cluster.ProtocolVersion)
 	return append(out,
-		decoder{"client/hello", frame(func(m *clientHello) error { return checkClientVersion("client", m.Version) }), clientV},
-		decoder{"client/hello-reply", frame(func(m *clientHelloReply) error { return checkClientVersion("server", m.Version) }), clientV},
+		decoder{"client/hello", frame[clientHello](nil), nil},
+		decoder{"client/hello-reply", frame[clientHelloReply](nil), nil},
 		decoder{"client/execute", frame[clientExecuteRequest](nil), nil},
 		decoder{"client/execute-reply", frame[clientExecuteReply](nil), nil},
 		decoder{"client/apply", frame[clientApplyRequest](nil), nil},
 		decoder{"client/apply-reply", frame[clientApplyReply](nil), nil},
 		decoder{"client/compact", frame[clientCompactRequest](nil), nil},
-		decoder{"cluster/hello", frame(func(m *cluster.HelloRequest) error { return cluster.CheckVersion(m.Version) }), clusterV},
-		decoder{"cluster/hello-reply", frame(func(m *cluster.HelloReply) error { return cluster.CheckVersion(m.Version) }), clusterV},
+		decoder{"cluster/hello", frame[cluster.HelloRequest](nil), nil},
+		decoder{"cluster/hello-reply", frame[cluster.HelloReply](nil), nil},
 		decoder{"cluster/candidates", frame[cluster.CandidatesRequest](nil), nil},
 		decoder{"cluster/candidates-reply", frame[cluster.CandidatesReply](nil), uvarint(1)},
 	)
@@ -254,16 +253,16 @@ func buildSamples() (map[string][]byte, error) {
 		out["secio/"+kind] = buf.Bytes()
 	}
 	frames := map[string]encoding.BinaryMarshaler{
-		"client/hello":       clientHello{Version: clientProtocolVersion, Tenant: "t"},
-		"client/hello-reply": clientHelloReply{Version: clientProtocolVersion},
+		"client/hello":       clientHello{Tenant: "t"},
+		"client/hello-reply": clientHelloReply{},
 		"client/execute": clientExecuteRequest{Relation: "r", Workload: "topk", Token: out["secio/token"],
 			Options: wireQueryOptions{Mode: -1, BatchDepth: 4, Epoch: 2}},
 		"client/execute-reply": clientExecuteReply{Answer: out["secio/result"], S2Calls: 33, FanOut: 2, MergeFallbacks: 1, Epoch: 1},
 		"client/apply":         clientApplyRequest{Relation: "r", Delta: out["secio/delta"]},
 		"client/apply-reply":   clientApplyReply{Epoch: 3},
 		"client/compact":       clientCompactRequest{Relation: "r"},
-		"cluster/hello":        cluster.HelloRequest{Version: cluster.ProtocolVersion},
-		"cluster/hello-reply": cluster.HelloReply{Version: cluster.ProtocolVersion, Member: "m0",
+		"cluster/hello":        cluster.HelloRequest{},
+		"cluster/hello-reply": cluster.HelloReply{Member: "m0",
 			Subsets: []cluster.SubsetInfo{{Relation: "r", Total: 2, Indices: []int{1}, Rows: []int{2}, M: 3, MaxScoreBits: 20, Epoch: 1, PK: pk.N}},
 			Routes:  []cluster.RouteInfo{{Relation: "j", Workload: "join"}}},
 		"cluster/candidates": cluster.CandidatesRequest{Relation: "r", Token: out["secio/token"],
@@ -281,10 +280,7 @@ func buildSamples() (map[string][]byte, error) {
 }
 
 // typed reports whether err is a refusal a peer can act on.
-func typed(err error) bool {
-	c := secerr.CodeOf(err)
-	return c == secerr.CodeBadRequest || c == secerr.CodeProtocolVersion
-}
+func typed(err error) bool { return secerr.CodeOf(err) == secerr.CodeBadRequest }
 
 // TestEveryKindHasSeed is the corpus rule of the S1↔S2 method table for
 // every other decoder: each secio kind has a decoder, and each decoder has
@@ -336,17 +332,16 @@ type gobHeader struct {
 // TestDecodeRefusesTyped feeds every decoder its seed cut short and with a
 // byte appended, and every secio reader another kind's seed and a gob-era
 // stream of its own kind at version 2: each is refused typed, never a
-// panic and never an untyped error.
+// panic and never an untyped error. A message with no fields has no
+// shorter form; only its appended byte is refused.
 func TestDecodeRefusesTyped(t *testing.T) {
 	samples := decoderSamples(t)
 	ds := decoders()
 	for i, d := range ds {
 		b := samples[d.name]
-		cases := map[string][]byte{
-			"empty":     nil,
-			"truncated": b[:len(b)-1],
-			"half":      b[:len(b)/2],
-			"trailing":  append(bytes.Clone(b), 0),
+		cases := map[string][]byte{"trailing": append(bytes.Clone(b), 0)}
+		if len(b) > 0 {
+			cases["empty"], cases["truncated"], cases["half"] = nil, b[:len(b)-1], b[:len(b)/2]
 		}
 		if kind, ok := strings.CutPrefix(d.name, "secio/"); ok {
 			other := ds[(i+1)%len(secio.Kinds())]

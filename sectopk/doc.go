@@ -43,11 +43,10 @@
 //
 // # Wire protocols
 //
-// The S1↔S2 wire protocol has one version; peers confirm it with a Hello
-// round when a DataCloud connects (and again when it hosts a relation,
-// which also confirms the crypto cloud serves that relation). The
-// querier↔S1 client plane carries its own version, confirmed when a
-// Client dials in; both ride the same multiplexed framing and the same
-// structured error encoding, and a peer at any other version is refused
-// with ErrProtocolVersion. See DESIGN.md "S1↔S2 wire" and "Client wire".
+// A build has one wire version, carried in the preface every connection
+// opens with: S1↔S2, querier↔S1 and front door↔member all ride the same
+// multiplexed framing and the same structured error encoding, and a peer
+// at any other version is refused with ErrProtocolVersion before any
+// request. Hosting a relation runs a Hello round that confirms the crypto
+// cloud serves it. See DESIGN.md "S1↔S2 wire" and "Client wire".
 package sectopk

@@ -15,8 +15,8 @@ var (
 	// ErrRelationExists marks a Register/Host attempt for an ID already
 	// in use.
 	ErrRelationExists error = secerr.ErrRelationExists
-	// ErrProtocolVersion marks a handshake between peers speaking
-	// incompatible wire protocol versions.
+	// ErrProtocolVersion marks a connection between peers built at
+	// different wire protocol versions, refused at its preface.
 	ErrProtocolVersion error = secerr.ErrProtocolVersion
 	// ErrBadRequest marks a structurally invalid protocol request (the
 	// crypto cloud's verdict on malformed or hostile input).

@@ -117,19 +117,15 @@ func WithSessionLimit(n int) Option {
 }
 
 // RetryPolicy is the public face of the shared backoff schedule: capped
-// exponential delays with randomized jitter, bounded by attempts and/or
-// a total elapsed window. The zero value picks the package defaults
-// (first retry after ~25ms, doubling to a 2s cap, 4 attempts).
+// delays doubling between retries, each drawn at random from the upper
+// half of its value, bounded by attempts and/or a total elapsed window.
+// The zero value picks the package defaults (first retry after ~25ms,
+// doubling to a 2s cap, 4 attempts).
 type RetryPolicy struct {
 	// Initial is the base delay before the first retry.
 	Initial time.Duration
 	// Max caps the per-retry delay after exponential growth.
 	Max time.Duration
-	// Factor is the growth factor between retries (default 2).
-	Factor float64
-	// Jitter is the randomized fraction of each delay in [0, 1]
-	// (default 0.5); negative disables jitter entirely.
-	Jitter float64
 	// MaxAttempts bounds total tries, first call included (0 = default,
 	// negative = exactly one attempt).
 	MaxAttempts int
@@ -140,8 +136,7 @@ type RetryPolicy struct {
 
 func (p RetryPolicy) backoff() backoff.Policy {
 	return backoff.Policy{
-		Initial: p.Initial, Max: p.Max, Factor: p.Factor, Jitter: p.Jitter,
-		MaxAttempts: p.MaxAttempts, MaxElapsed: p.MaxElapsed,
+		Initial: p.Initial, Max: p.Max, MaxAttempts: p.MaxAttempts, MaxElapsed: p.MaxElapsed,
 	}
 }
 

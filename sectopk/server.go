@@ -19,20 +19,19 @@ import (
 // (transport preface, then frame-ID multiplexed frames), so one querier
 // connection keeps any number of requests in flight, replies match by
 // frame ID, and a canceled request abandons only its own frame. On top
-// of that framing the client plane defines its own method set and
-// version number:
+// of that framing the client plane defines its own method set; its
+// version is the framing's, transport.ProtocolVersion, checked once at
+// the connection preface:
 //
-//	Client.Hello    {Version, Tenant}     -> {Version}
+//	Client.Hello    {Tenant}              -> {}
 //	Client.Execute  {Relation, Workload,  -> {Answer, span fields}
 //	                 Token, Options}
 //	Client.Apply    {Relation, Delta}     -> {Epoch}
 //	Client.Compact  {Relation}            -> {Epoch}
 //
 // Every request and reply is its own internal/wire message; the layout
-// is the comment on its MarshalBinary. Both sides of the Hello must carry
-// clientProtocolVersion exactly; any other value is refused with
-// ErrProtocolVersion. Token, Answer, and
-// Delta are secio streams — byte-identical to the on-disk persistence
+// is the comment on its MarshalBinary. Token, Answer, and Delta are
+// secio streams — byte-identical to the on-disk persistence
 // formats — of the kind selected by Workload ("topk", "join", "knn") or,
 // for Apply, the "delta" kind. Handler errors cross the wire as the
 // structured (code, message) pairs of internal/secerr, so errors.Is
@@ -41,13 +40,6 @@ import (
 // under the Hello's tenant ("" is the default tenant). See DESIGN.md
 // "Client wire" and "Telemetry and QoS".
 const (
-	// clientProtocolVersion is the client-plane version this build
-	// speaks. v4: the frames left gob for internal/wire. v5: the query
-	// options lost Halt (strict NRA halting is the only test). v6: the
-	// Execute request lost Attempt (nothing read it). v7: it lost
-	// Idempotency (S1 records each run's token digest, not a repeat count).
-	clientProtocolVersion = 7
-
 	methodClientHello   = "Client.Hello"
 	methodClientExecute = "Client.Execute"
 	// methodClientApply shares its suffix with the S1→S2 wire's
@@ -56,55 +48,27 @@ const (
 	methodClientCompact = "Client.Compact"
 )
 
-// clientHello announces the querier's version and the tenant it
-// identifies as ("" buckets the connection as the default tenant).
+// clientHello announces the tenant the querier identifies as (""
+// buckets the connection as the default tenant).
 type clientHello struct {
-	Version int
-	Tenant  string
+	Tenant string
 }
 
-// MarshalBinary: uvarint(Version) string(Tenant).
+// MarshalBinary: string(Tenant).
 func (m clientHello) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
-	w.Int("Version", m.Version)
 	w.String(m.Tenant)
 	return w.Finish()
 }
 
-// UnmarshalBinary reads the version first and, at any other version than
-// this build's, nothing after it: checkClientVersion refuses it.
 func (m *clientHello) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
-	if m.Version = r.Int("Version"); m.Version != clientProtocolVersion {
-		return r.Err()
-	}
 	m.Tenant = r.String("Tenant")
 	return r.Finish()
 }
 
-// clientHelloReply carries the server's version.
-type clientHelloReply struct {
-	Version int
-}
-
-// MarshalBinary: uvarint(Version).
-func (m clientHelloReply) MarshalBinary() ([]byte, error) { return uvarintFrame(uint64(m.Version)) }
-
-func (m *clientHelloReply) UnmarshalBinary(b []byte) error {
-	r := wire.NewReader(b)
-	m.Version = r.Int("Version")
-	return r.Finish()
-}
-
-// checkClientVersion refuses a peer at any client-plane version but this
-// build's.
-func checkClientVersion(peer string, v int) error {
-	if v != clientProtocolVersion {
-		return secerr.New(secerr.CodeProtocolVersion,
-			"sectopk: %s speaks query plane v%d, this side v%d only", peer, v, clientProtocolVersion)
-	}
-	return nil
-}
+// clientHelloReply acknowledges the Hello; it carries nothing.
+type clientHelloReply = wire.Empty
 
 // wireQueryOptions flattens a query configuration for the wire: signed
 // Mode, BatchDepth, MaxDepth, then uvarint(Epoch). Zero values mean
@@ -326,11 +290,8 @@ func (r *clientResponder) Serve(ctx context.Context, method string, body []byte)
 		if err := transport.Decode(body, &req); err != nil {
 			return nil, secerr.Wrap(secerr.CodeBadRequest, err, "sectopk: decoding client hello")
 		}
-		if err := checkClientVersion("client", req.Version); err != nil {
-			return nil, err
-		}
 		r.setTenant(req.Tenant)
-		return transport.Encode(clientHelloReply{Version: clientProtocolVersion})
+		return transport.Encode(clientHelloReply{})
 	case methodClientExecute:
 		var wreq clientExecuteRequest
 		if err := transport.Decode(body, &wreq); err != nil {
