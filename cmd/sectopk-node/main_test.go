@@ -201,3 +201,61 @@ func TestProbeEndpoints(t *testing.T) {
 		t.Fatalf("/healthz after Close = %d, want 200 (liveness is process-level)", code)
 	}
 }
+
+// TestProbeMemberEpoch: a cluster member's /readyz body reports the epoch
+// of the share it hosts, beside its identity and shard set.
+func TestProbeMemberEpoch(t *testing.T) {
+	ctx := context.Background()
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+
+	opts := []sectopk.Option{sectopk.WithKeyBits(256), sectopk.WithMaxScoreBits(20)}
+	owner, err := sectopk.NewOwner(append(opts, sectopk.WithShards(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := owner.Encrypt(&sectopk.Relation{Name: "demo", Rows: [][]int64{{3, 1}, {2, 2}, {1, 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := sectopk.NewCryptoCloud(opts...)
+	defer cc.Close()
+	if err := cc.Register("demo", owner.Keys()); err != nil {
+		t.Fatal(err)
+	}
+	dc := sectopk.NewDataCloud(append(opts, sectopk.WithMemberID("m0"))...)
+	defer dc.Close()
+	if err := dc.ConnectLocal(ctx, cc); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := er.Subset(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dc.HostShards(ctx, "demo", sub); err != nil {
+		t.Fatal(err)
+	}
+	var hosted atomic.Bool
+	hosted.Store(true)
+	startProbes(pl, s1Ready(dc, &hosted, "demo"))
+
+	resp, err := http.Get("http://" + pl.Addr().String() + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"epoch":1`) {
+		t.Fatalf("member /readyz = %d %q, want 200 with the share's epoch 1", resp.StatusCode, body)
+	}
+	var st readyStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Member != "m0" || len(st.Shards["demo"]) != 1 || st.Shards["demo"][0] != 1 {
+		t.Fatalf("member /readyz = %+v, want member m0 hosting shard 1 of demo", st)
+	}
+}

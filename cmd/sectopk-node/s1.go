@@ -228,13 +228,14 @@ type readyStatus struct {
 }
 
 // s1Ready is the readiness predicate behind /readyz: the S2 handshakes
-// are done (the transport is connected), the relations are hosted, the
-// data cloud is not draining for shutdown, and no shard handoff is
-// mid-swap. A cluster member reports its identity and assigned shard
-// set; a front door verifies every member still answers a cluster Hello
-// before claiming ready. A ready top-k relation also reports its epoch,
-// so an orchestrator (or a curious owner) can watch deltas land without
-// issuing a query.
+// are done (the transport is connected), the relations are hosted, and
+// the data cloud is not draining for shutdown. A shard handoff needs no
+// state of its own: it swaps under the entry's lock, as Apply does. A
+// cluster member reports its identity and assigned shard set; a front
+// door verifies every member still answers a cluster Hello before
+// claiming ready. A ready top-k relation or member share also reports its
+// epoch, so an orchestrator (or a curious owner) can watch deltas and
+// handoffs land without issuing a query.
 func s1Ready(dc *sectopk.DataCloud, hosted *atomic.Bool, relation string) func() readyStatus {
 	return func() readyStatus {
 		st := readyStatus{State: "not_ready", Member: dc.MemberID()}
@@ -244,9 +245,6 @@ func s1Ready(dc *sectopk.DataCloud, hosted *atomic.Bool, relation string) func()
 			return st
 		case !dc.Connected():
 			st.Reason = "not connected to S2"
-			return st
-		case dc.HandoffInFlight():
-			st.Reason = "shard handoff in flight"
 			return st
 		case !hosted.Load():
 			st.Reason = "relations not hosted"

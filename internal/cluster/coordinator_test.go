@@ -236,9 +236,14 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("single-engine SecQuery: %v", err)
 		}
+		r.ledger.Reset()
 		got, err := coord.SecQuery(ctx, tk, opts)
 		if err != nil {
 			t.Fatalf("coordinator SecQuery: %v", err)
+		}
+		// The front door records the fallback on its own ledger.
+		if opts.MaxDepth == 1 && len(r.ledger.ByMethod("ClusterMerge")) == 0 {
+			t.Fatalf("opts %+v: the depth-capped query did not record the merge-bound fallback", opts)
 		}
 		wantRev, err := rev.RevealTopK(want.Items)
 		if err != nil {

@@ -374,6 +374,7 @@ func TestPrefaceRefused(t *testing.T) {
 		{"wire v7, the gadget without a column section", prefaceBytes(7), secerr.ErrProtocolVersion},
 		{"wire v8, the Mult round without one-operand squares", prefaceBytes(8), secerr.ErrProtocolVersion},
 		{"wire v9, the Hellos with versions of their own", prefaceBytes(9), secerr.ErrProtocolVersion},
+		{"wire v10, the client query options with a batch depth and a depth cap", prefaceBytes(10), secerr.ErrProtocolVersion},
 		{"newer version", prefaceBytes(ProtocolVersion + 1), secerr.ErrProtocolVersion},
 		{"no preface", frameBytes(0, "Hello", []byte("body")), secerr.ErrTransport},
 		{"wrong magic", []byte{muxMagic[0], 'X'}, secerr.ErrTransport},
@@ -403,10 +404,10 @@ func TestPrefaceRefused(t *testing.T) {
 			}
 		})
 	}
-	// The other direction: a server at another version (the seven older
+	// The other direction: a server at another version (the eight older
 	// wires by name, and a newer one) answers the preface with its own, and
 	// Connect refuses it typed.
-	for _, ver := range []int{3, 4, 5, 6, 7, 8, 9, ProtocolVersion + 1} {
+	for _, ver := range []int{3, 4, 5, 6, 7, 8, 9, 10, ProtocolVersion + 1} {
 		t.Run(fmt.Sprintf("client/peer-v%d", ver), func(t *testing.T) {
 			c1, c2 := net.Pipe()
 			defer c1.Close()

@@ -40,8 +40,9 @@ import (
 // each plane's method set including the batch envelope, the
 // request/response encodings and the error encoding. Both ends of a
 // connection must carry exactly this value. v10: the three Hellos lost
-// their versions.
-const ProtocolVersion = 10
+// their versions. v11: the client plane's query options lost the batch
+// depth and the depth cap.
+const ProtocolVersion = 11
 
 // Responder is the server side: S2 handles one method call. The context
 // is the per-call (or per-connection) context; handlers use it to bound

@@ -5,11 +5,11 @@ import (
 	"io"
 	"net"
 	"sort"
-	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/mutate"
 	"repro/internal/paillier"
 	"repro/internal/secerr"
 	"repro/internal/secio"
@@ -113,31 +113,6 @@ func LoadShardSubset(path string) (*ShardSubset, error) {
 	return out, err
 }
 
-// hostedShards is one shard subset this data cloud serves as a cluster
-// member. Like hostedRelation, the engine/subset pair is swapped
-// atomically under mu — a handoff (re-provisioning via HostShards)
-// replaces both while in-flight candidate scans keep the old engine.
-type hostedShards struct {
-	client *cloud.Client
-
-	mu     sync.Mutex
-	engine *shard.Engine
-	sub    *ShardSubset
-}
-
-func (hs *hostedShards) kind() (string, Workload) { return "shard subset", WorkloadTopK }
-
-func (hs *hostedShards) close() { hs.client.Close() }
-
-// execute refuses typed: a subset holds part of a relation, so a query
-// answered from it alone would be wrong. Its candidates are served on the
-// cluster plane (ServeCluster) to a front door, which is what to query.
-func (hs *hostedShards) execute(_ context.Context, req Request, _ queryConfig) (*Answer, error) {
-	return nil, secerr.New(secerr.CodeUnknownRelation,
-		"sectopk: relation %q is hosted as a shard subset, served on the cluster plane; query it through a front door",
-		req.Relation)
-}
-
 // view builds the cluster-plane announcement for a subset served by
 // engine.
 func (s *ShardSubset) view(relation string, engine *shard.Engine) *cluster.Hosted {
@@ -158,88 +133,81 @@ func (s *ShardSubset) view(relation string, engine *shard.Engine) *cluster.Hoste
 	}
 }
 
-// hostedView announces the subset's current state.
-func (hs *hostedShards) hostedView(relation string) *cluster.Hosted {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.sub.view(relation, hs.engine)
-}
-
-// hostedView announces a fully hosted relation as the complete subset
-// 0..P-1, so a node hosting a whole relation can serve as the
-// single-member degenerate cluster.
+// hostedView announces the entry's current state at its placement: a
+// member's share at its global indices, a relation hosted whole as the
+// complete subset 0..P-1, so a node hosting a whole relation can serve as
+// the single-member degenerate cluster.
 func (h *hostedRelation) hostedView(relation string) *cluster.Hosted {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	shards := h.er.sh.Shards
-	all := &ShardSubset{total: len(shards), indices: make([]int, len(shards)), shards: shards, epoch: h.state.Epoch, pk: h.er.pk}
-	for i := range all.indices {
-		all.indices[i] = i
+	sub := &ShardSubset{total: h.total, indices: h.indices, shards: shards, epoch: h.state.Epoch, pk: h.er.pk}
+	if sub.indices == nil {
+		sub.total, sub.indices = len(shards), make([]int, len(shards))
+		for i := range sub.indices {
+			sub.indices[i] = i
+		}
 	}
-	return all.view(relation, h.engine)
+	return sub.view(relation, h.engine)
+}
+
+// state wraps the subset's shards as mutable state at the subset's epoch.
+func (s *ShardSubset) state() (*mutate.Relation, error) {
+	st, err := mutate.New(s.shards, 0)
+	if err != nil {
+		return nil, err
+	}
+	st.Epoch = s.epoch
+	return st, nil
 }
 
 // HostShards registers a relation's shard subset under id, making this
 // data cloud a cluster member for it (serve the cluster plane with
 // ServeCluster). Hosting an id that already serves a subset is a shard
-// handoff: the engine is rebuilt over the new subset and swapped in
-// atomically — in-flight candidate scans finish on the old engine, and
-// readiness probes report the handoff while it runs (HandoffInFlight).
-// The replacement must be encrypted under the same key material.
+// handoff: the engine is rebuilt over the new subset and swapped in under
+// the entry's lock, the way Apply and Compact swap epochs — in-flight
+// candidate scans finish on the old engine. The rebuild runs no
+// cryptography and no S2 round. The replacement must be encrypted under
+// the same key material.
 func (d *DataCloud) HostShards(ctx context.Context, id string, sub *ShardSubset) error {
 	if id == "" || sub == nil || len(sub.shards) == 0 {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or shard subset")
 	}
-	d.mu.Lock()
-	existing, _ := d.hosted[id].(*hostedShards)
-	d.mu.Unlock()
-	if existing != nil {
-		return d.handoffShards(id, existing, sub)
-	}
-	return d.host(ctx, id, sub.pk, func(client *cloud.Client) (hosted, error) {
-		_, engine, err := shardEngine(client, sub.shards)
-		if err != nil {
-			return nil, err
-		}
-		return &hostedShards{client: client, engine: engine, sub: sub}, nil
-	})
-}
-
-// handoffShards swaps a hosted subset for its replacement.
-func (d *DataCloud) handoffShards(id string, hs *hostedShards, sub *ShardSubset) error {
-	hs.mu.Lock()
-	samePK := hs.sub.pk.N.Cmp(sub.pk.N) == 0
-	hs.mu.Unlock()
-	if !samePK {
-		return secerr.New(secerr.CodeBadRequest,
-			"sectopk: handoff subset for %q is encrypted under different key material", id)
-	}
-	d.mu.Lock()
-	d.handoffs++
-	d.mu.Unlock()
-	defer func() {
-		d.mu.Lock()
-		d.handoffs--
-		d.mu.Unlock()
-	}()
-	_, engine, err := shardEngine(hs.client, sub.shards)
+	state, err := sub.state()
 	if err != nil {
 		return err
 	}
-	hs.mu.Lock()
-	hs.engine = engine
-	hs.sub = sub
-	hs.mu.Unlock()
-	return nil
+	if h, _ := d.lookup(id); h != nil {
+		if rel, ok := h.(*hostedRelation); ok && rel.member() {
+			return rel.handoff(id, sub, state)
+		}
+	}
+	return d.host(ctx, id, sub.pk, func(client *cloud.Client) (hosted, error) {
+		sh, engine, err := shardEngine(client, state.LiveShards())
+		if err != nil {
+			return nil, err
+		}
+		return &hostedRelation{
+			client: client, state: state, engine: engine,
+			er:    &EncryptedRelation{sh: sh, pk: sub.pk, mst: state},
+			total: sub.total, indices: sub.Indices(),
+		}, nil
+	})
 }
 
-// HandoffInFlight reports whether a shard handoff (a replacing
-// HostShards) is currently swapping engines; readiness probes report 503
-// while it is.
-func (d *DataCloud) HandoffInFlight() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.handoffs > 0
+// handoff swaps a member's share for its replacement.
+func (h *hostedRelation) handoff(id string, sub *ShardSubset, next *mutate.Relation) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.er.pk.N.Cmp(sub.pk.N) != 0 {
+		return secerr.New(secerr.CodeBadRequest,
+			"sectopk: handoff subset for %q is encrypted under different key material", id)
+	}
+	if err := h.swapLocked(next); err != nil {
+		return err
+	}
+	h.total, h.indices = sub.total, sub.Indices()
+	return nil
 }
 
 // MemberID returns this node's cluster identity (WithMemberID; empty
@@ -251,10 +219,12 @@ func (d *DataCloud) MemberID() string { return d.cfg.memberID }
 func (d *DataCloud) HostedShardSubsets() map[string][]int {
 	out := map[string][]int{}
 	for id, h := range d.entries() {
-		if hs, ok := h.(*hostedShards); ok {
-			hs.mu.Lock()
-			out[id] = append([]int(nil), hs.sub.indices...)
-			hs.mu.Unlock()
+		if rel, ok := h.(*hostedRelation); ok {
+			rel.mu.Lock()
+			if rel.indices != nil {
+				out[id] = append([]int(nil), rel.indices...)
+			}
+			rel.mu.Unlock()
 		}
 	}
 	return out
@@ -271,11 +241,8 @@ func (v *clusterInventory) Member() string { return v.d.cfg.memberID }
 // announce returns the cluster-plane view of an entry that fans in to a
 // coordinator's merge, nil for every other kind.
 func announce(relation string, h hosted) *cluster.Hosted {
-	switch h := h.(type) {
-	case *hostedShards:
-		return h.hostedView(relation)
-	case *hostedRelation:
-		return h.hostedView(relation)
+	if rel, ok := h.(*hostedRelation); ok {
+		return rel.hostedView(relation)
 	}
 	return nil
 }

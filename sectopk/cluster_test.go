@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/secerr"
 	"repro/sectopk"
 )
 
@@ -256,49 +257,6 @@ func TestClusterRevealedEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterMergeBoundFallback forces the merge bound check to fail —
-// an adversarially uneven placement plus a depth-1 cap leaves every
-// shard's candidates uncertified — and pins that the exact-rescan
-// fallback still produces the single-node answer, with the fallback
-// recorded on the front door's leakage ledger.
-func TestClusterMergeBoundFallback(t *testing.T) {
-	ctx := context.Background()
-	r := newClusterRig(t, 2, [][]int{{2}, {0, 1, 3}})
-	single := r.singleReference(t)
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAns, err := single.Execute(ctx, sectopk.TopKRequest("topk", tk, sectopk.WithMaxDepth(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAns, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk, sectopk.WithMaxDepth(1)))
-	if err != nil {
-		t.Fatalf("cluster Execute with depth cap: %v", err)
-	}
-	want, err := r.owner.Reveal(r.er, wantAns.TopK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.owner.Reveal(r.er, gotAns.TopK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback path: cluster %+v != single %+v", got, want)
-	}
-	var sawFallback bool
-	for _, e := range r.front.LeakageEvents() {
-		if strings.Contains(e, "ClusterMerge") {
-			sawFallback = true
-		}
-	}
-	if !sawFallback {
-		t.Fatal("depth-capped cluster query did not take the merge-bound fallback")
-	}
-}
-
 // TestClusterEpochPinAndReadOnly pins the front door's consistency
 // surface: Epoch reports the placement's pin, a mismatched WithEpoch
 // fails typed-stale, and mutations are rejected at the front door.
@@ -481,9 +439,6 @@ func TestShardSubsetLifecycle(t *testing.T) {
 	if got := dc.HostedShardSubsets(); !reflect.DeepEqual(got["demo"], []int{0, 1, 3}) {
 		t.Fatalf("post-handoff subsets = %v", got)
 	}
-	if dc.HandoffInFlight() {
-		t.Fatal("HandoffInFlight still true after swap")
-	}
 	// A subset under foreign key material is rejected at handoff.
 	other, err := sectopk.NewOwner(testOpts(sectopk.WithShards(4))...)
 	if err != nil {
@@ -503,6 +458,108 @@ func TestShardSubsetLifecycle(t *testing.T) {
 	// The id collides with every other registry.
 	if err := dc.Host(ctx, "demo", er); !errors.Is(err, sectopk.ErrRelationExists) {
 		t.Fatalf("Host over shard subset id: err = %v, want ErrRelationExists", err)
+	}
+}
+
+// TestShardSubsetHandoffEpoch pins a member's share as a top-k entry at
+// its subset's epoch. Epoch reports the epoch the subset was cut at, also
+// after a handoff to a subset cut at a later epoch. Apply and Compact on
+// the share fail typed. A front-door query racing handoffs of one
+// member's subset to the same indices answers the single-node result or
+// fails typed.
+func TestShardSubsetHandoffEpoch(t *testing.T) {
+	ctx := context.Background()
+	r := newClusterRig(t, 2, nil)
+	member := r.members[0].dc
+	indices := member.HostedShardSubsets()["topk"]
+	sub, err := r.er.Subset(indices...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch, err := member.Epoch("topk"); err != nil || epoch != sub.Epoch() {
+		t.Fatalf("member Epoch = %d, %v; want the subset's epoch %d", epoch, err, sub.Epoch())
+	}
+
+	single := r.singleReference(t)
+	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAns, err := single.Execute(ctx, sectopk.TopKRequest("topk", tk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.owner.Reveal(r.er, wantAns.TopK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	handed := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				handed <- nil
+				return
+			default:
+			}
+			if err := member.HostShards(ctx, "topk", sub); err != nil {
+				handed <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		ans, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk))
+		if err != nil {
+			if code := secerr.CodeOf(err); code == secerr.CodeInternal {
+				t.Errorf("front-door query during a handoff failed untyped: %v", err)
+			}
+			continue
+		}
+		got, err := r.owner.Reveal(r.er, ans.TopK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("front-door query during a handoff = %+v, single node = %+v", got, want)
+		}
+	}
+	close(stop)
+	if err := <-handed; err != nil {
+		t.Fatalf("handoff to the same indices: %v", err)
+	}
+
+	mr, err := r.owner.NewMutable(demoRelation(), r.er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := mr.UpdateScores(map[int][]int64{0: {1, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := member.Apply(ctx, "topk", delta); !errors.Is(err, sectopk.ErrUnknownRelation) {
+		t.Fatalf("Apply on a shard subset: err = %v, want ErrUnknownRelation", err)
+	}
+	if _, err := member.Compact(ctx, "topk"); !errors.Is(err, sectopk.ErrUnknownRelation) {
+		t.Fatalf("Compact on a shard subset: err = %v, want ErrUnknownRelation", err)
+	}
+	if epoch, err := single.Apply(ctx, "topk", delta); err != nil || epoch != 2 {
+		t.Fatalf("Apply on the whole relation = %d, %v; want epoch 2", epoch, err)
+	}
+	er2, err := mr.Encrypted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub2, err := er2.Subset(indices...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := member.HostShards(ctx, "topk", sub2); err != nil {
+		t.Fatalf("handoff to the epoch-2 subset: %v", err)
+	}
+	if epoch, err := member.Epoch("topk"); err != nil || epoch != sub2.Epoch() || epoch != 2 {
+		t.Fatalf("member Epoch after handoff = %d, %v; want the subset's epoch %d", epoch, err, sub2.Epoch())
 	}
 }
 

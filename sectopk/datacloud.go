@@ -98,12 +98,9 @@ type DataCloud struct {
 	// hosted is the one registry: every hosted id, whatever its kind,
 	// lives here, so the id namespace is shared by construction.
 	hosted map[string]hosted
-	// cluster holds the front door's member connections (HostCluster);
-	// handoffs counts in-flight HostShards replacements for readiness
-	// reporting.
-	cluster  *hostedCluster
-	handoffs int
-	closed   bool
+	// cluster holds the front door's member connections (HostCluster).
+	cluster *hostedCluster
+	closed  bool
 
 	// Drain state (WithDrainTimeout): once draining, new executes shed
 	// with ErrOverloaded while the inflight ones run to completion;
@@ -114,10 +111,10 @@ type DataCloud struct {
 }
 
 // hosted is one entry of the DataCloud's registry: something an id names
-// and a request can be aimed at. Six kinds implement it — *hostedRelation
-// (Host), *hostedJoin (HostJoin), *hostedKNN (HostKNN), *hostedShards
-// (HostShards), and the front door's *clusterCoord and *clusterRoute
-// (HostCluster).
+// and a request can be aimed at. Five kinds implement it — *hostedRelation
+// (Host, and a cluster member's share through HostShards), *hostedJoin
+// (HostJoin), *hostedKNN (HostKNN), and the front door's *clusterCoord and
+// *clusterRoute (HostCluster).
 type hosted interface {
 	// kind names the entry for error messages and reports the one
 	// workload its execute answers.
@@ -148,6 +145,10 @@ func mismatch(relation string, h hosted, want Workload) error {
 // therefore always answers over exactly one epoch — the one it pinned
 // (WithEpoch) or whatever was current when it started — and a pinned
 // query that arrives after the relation moved fails ErrRelationStale.
+//
+// A cluster member's share (HostShards) is the same entry at a partial
+// placement. It is served only on the cluster plane: execute, Apply and
+// Compact refuse it, and a handoff swaps it through swapLocked.
 type hostedRelation struct {
 	client *cloud.Client
 
@@ -161,9 +162,27 @@ type hostedRelation struct {
 	// nothing. (Entries live as long as the hosting; deltas are rare
 	// relative to queries, so the table stays small.)
 	applied map[string]uint64
+	// total and indices place a member's share: the relation's global
+	// shard count and the global indices of the shards held here. indices
+	// is nil for a relation hosted whole (Host), whose placement is the
+	// complete 0..P-1; a share is a share even when it holds every shard.
+	total   int
+	indices []int
 }
 
-func (h *hostedRelation) kind() (string, Workload) { return "top-k relation", WorkloadTopK }
+func (h *hostedRelation) kind() (string, Workload) {
+	if h.member() {
+		return "shard subset", WorkloadTopK
+	}
+	return "top-k relation", WorkloadTopK
+}
+
+// member reports whether the entry is a cluster member's share.
+func (h *hostedRelation) member() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.indices != nil
+}
 
 func (h *hostedRelation) close() { h.client.Close() }
 
@@ -175,8 +194,16 @@ func (h *hostedRelation) snapshot() (*shard.Engine, uint64) {
 }
 
 // execute runs SecQuery start-to-finish on one immutable snapshot: a
-// concurrent Apply/Compact swaps the hosted engine but never this one.
+// concurrent Apply/Compact swaps the hosted engine but never this one. A
+// member's share refuses typed: it holds part of a relation, so a query
+// answered from it alone would be wrong. Its candidates are served on the
+// cluster plane (ServeCluster) to a front door, which is what to query.
 func (h *hostedRelation) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
+	if h.member() {
+		return nil, secerr.New(secerr.CodeUnknownRelation,
+			"sectopk: relation %q is hosted as a shard subset, served on the cluster plane; query it through a front door",
+			req.Relation)
+	}
 	engine, epoch := h.snapshot()
 	return executeTopK(ctx, engine, epoch, req, cfg)
 }
@@ -631,7 +658,10 @@ func (d *DataCloud) mutable(ctx context.Context, relation string) (*hostedRelati
 	if err == nil {
 		switch h := h.(type) {
 		case *hostedRelation:
-			return h, nil
+			if !h.member() {
+				return h, nil
+			}
+			err = mismatch(relation, h, WorkloadTopK)
 		case *clusterCoord, *clusterRoute:
 			err = secerr.New(secerr.CodeBadRequest,
 				"sectopk: relation %q is cluster-hosted and read-only at the front door; re-provision the members to mutate it", relation)
@@ -684,7 +714,8 @@ func (d *DataCloud) Compact(ctx context.Context, relation string) (uint64, error
 }
 
 // Epoch reports the current epoch of a hosted top-k relation (for a
-// cluster-hosted relation, the epoch the placement is pinned to).
+// member's share, the epoch its subset was cut at; for a cluster-hosted
+// relation, the epoch the placement is pinned to).
 func (d *DataCloud) Epoch(relation string) (uint64, error) {
 	h, err := d.lookup(relation)
 	if err != nil {

@@ -256,7 +256,7 @@ func buildSamples() (map[string][]byte, error) {
 		"client/hello":       clientHello{Tenant: "t"},
 		"client/hello-reply": clientHelloReply{},
 		"client/execute": clientExecuteRequest{Relation: "r", Workload: "topk", Token: out["secio/token"],
-			Options: wireQueryOptions{Mode: -1, BatchDepth: 4, Epoch: 2}},
+			Options: wireQueryOptions{Mode: -1, Epoch: 2}},
 		"client/execute-reply": clientExecuteReply{Answer: out["secio/result"], S2Calls: 33, FanOut: 2, MergeFallbacks: 1, Epoch: 1},
 		"client/apply":         clientApplyRequest{Relation: "r", Delta: out["secio/delta"]},
 		"client/apply-reply":   clientApplyReply{Epoch: 3},

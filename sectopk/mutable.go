@@ -37,28 +37,6 @@ func (d *Delta) BaseEpoch() uint64 { return d.d.BaseEpoch }
 // counts once in each.
 func (d *Delta) Rows() (inserted, deleted int) { return d.d.Rows() }
 
-// Save persists the delta for out-of-band hand-off (e.g. the
-// sectopk-node apply subcommand).
-func (d *Delta) Save(path string) error {
-	return saveTo(path, publicFile, func(w io.Writer) error {
-		return secio.WriteDelta(w, d.d, d.params)
-	})
-}
-
-// LoadDelta reads a persisted mutation delta.
-func LoadDelta(path string) (*Delta, error) {
-	var out *Delta
-	err := loadFrom(path, func(r io.Reader) error {
-		d, params, err := secio.ReadDelta(r)
-		if err != nil {
-			return err
-		}
-		out = &Delta{d: d, params: params}
-		return nil
-	})
-	return out, err
-}
-
 // newDeltaID draws the idempotency key for one delta. A query carries no
 // key — a retried query is a second run of its token — but a delta must
 // land exactly once, which hangs on this key, so an entropy failure is an

@@ -203,9 +203,7 @@ func (m Mode) coreMode() core.Mode { return core.Mode(m) }
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	mode       Mode
-	batchDepth int
-	maxDepth   int
+	mode Mode
 	// epoch, when non-zero, pins the query to one relation epoch: if a
 	// concurrent Apply or Compact advanced the relation past it, the
 	// query fails fast with ErrRelationStale instead of answering over a
@@ -226,11 +224,7 @@ func buildQueryConfig(opts []QueryOption) queryConfig {
 }
 
 func (q queryConfig) coreOptions() core.Options {
-	return core.Options{
-		Mode:       q.mode.coreMode(),
-		BatchDepth: q.batchDepth,
-		MaxDepth:   q.maxDepth,
-	}
+	return core.Options{Mode: q.mode.coreMode()}
 }
 
 // validate refuses option values outside what the QueryOption
@@ -258,18 +252,6 @@ func (q queryConfig) checkEpoch(relation string, epoch uint64) error {
 // WithMode selects the query-processing variant.
 func WithMode(m Mode) QueryOption {
 	return func(c *queryConfig) { c.mode = m }
-}
-
-// WithBatchDepth sets the batching parameter p (ModeBatched only; must be
-// >= k; 0 picks max(2k, 8)).
-func WithBatchDepth(p int) QueryOption {
-	return func(c *queryConfig) { c.batchDepth = p }
-}
-
-// WithMaxDepth caps the scan depth (0 scans to completion). A capped
-// query may return an unhalted, best-effort result.
-func WithMaxDepth(d int) QueryOption {
-	return func(c *queryConfig) { c.maxDepth = d }
 }
 
 // WithEpoch pins the query to one relation epoch (DataCloud.Epoch or the

@@ -71,33 +71,23 @@ func (m *clientHello) UnmarshalBinary(b []byte) error {
 type clientHelloReply = wire.Empty
 
 // wireQueryOptions flattens a query configuration for the wire: signed
-// Mode, BatchDepth, MaxDepth, then uvarint(Epoch). Zero values mean
-// "default", matching the in-process QueryOption semantics.
+// Mode, then uvarint(Epoch). Zero values mean "default", matching the
+// in-process QueryOption semantics.
 type wireQueryOptions struct {
-	Mode       int
-	BatchDepth int
-	MaxDepth   int
+	Mode int
 	// Epoch pins the query to one relation epoch (0 = unpinned).
 	Epoch uint64
 }
 
 // wire flattens a resolved query config.
 func (q queryConfig) wire() wireQueryOptions {
-	return wireQueryOptions{
-		Mode:       int(q.mode),
-		BatchDepth: q.batchDepth, MaxDepth: q.maxDepth,
-		Epoch: q.epoch,
-	}
+	return wireQueryOptions{Mode: int(q.mode), Epoch: q.epoch}
 }
 
 // queryConfigFromWire rebuilds a query config from its wire form. The
-// integers are whatever the peer sent; DataCloud.execute validates them.
+// mode is whatever integer the peer sent; DataCloud.execute validates it.
 func queryConfigFromWire(w wireQueryOptions) queryConfig {
-	return queryConfig{
-		mode:       Mode(w.Mode),
-		batchDepth: w.BatchDepth, maxDepth: w.MaxDepth,
-		epoch: w.Epoch,
-	}
+	return queryConfig{mode: Mode(w.Mode), epoch: w.Epoch}
 }
 
 // clientExecuteRequest carries one query: the relation ID, the workload
@@ -118,19 +108,15 @@ func (m clientExecuteRequest) MarshalBinary() ([]byte, error) {
 	w.String(m.Relation)
 	w.String(m.Workload)
 	w.Bytes(m.Token)
-	o := m.Options
-	for _, v := range []int{o.Mode, o.BatchDepth, o.MaxDepth} {
-		w.Varint(int64(v))
-	}
-	w.Uvarint(o.Epoch)
+	w.Varint(int64(m.Options.Mode))
+	w.Uvarint(m.Options.Epoch)
 	return w.Finish()
 }
 
 func (m *clientExecuteRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
 	m.Relation, m.Workload, m.Token = r.String("Relation"), r.String("Workload"), r.Bytes("Token")
-	m.Options = wireQueryOptions{Mode: int(r.Varint()),
-		BatchDepth: int(r.Varint()), MaxDepth: int(r.Varint()), Epoch: r.Uvarint()}
+	m.Options = wireQueryOptions{Mode: int(r.Varint()), Epoch: r.Uvarint()}
 	return r.Finish()
 }
 

@@ -61,7 +61,7 @@ func peerAt(t *testing.T, v int) string {
 func TestWrongWireVersionRefused(t *testing.T) {
 	ctx := context.Background()
 	cur := transport.ProtocolVersion
-	if cur != 10 {
+	if cur != 11 {
 		t.Fatalf("the wire is v%d: name the version it replaced in transport's TestPrefaceRefused", cur)
 	}
 	cc := sectopk.NewCryptoCloud(testOpts()...)
