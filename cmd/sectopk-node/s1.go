@@ -106,14 +106,14 @@ func runS1(ctx context.Context, args []string) error {
 		return err
 	}
 	if *subset != "" {
-		sub, err := sectopk.LoadShardSubset(filepath.Join(*dir, *subset))
+		sub, err := sectopk.LoadEncryptedRelation(filepath.Join(*dir, *subset))
 		if err != nil {
 			return err
 		}
 		if err := dc.HostShards(ctx, *relation, sub); err != nil {
 			return err
 		}
-		fmt.Printf("hosting shard subset %v of %d for relation %s\n", sub.Indices(), sub.Total(), *relation)
+		fmt.Printf("hosting shard subset %v for relation %s\n", dc.HostedShardSubsets()[*relation], *relation)
 	} else if er != nil {
 		if err := dc.Host(ctx, *relation, er); err != nil {
 			return err

@@ -5,8 +5,9 @@
 //
 // The placement model is a tiling: a relation is Split round-robin into
 // P shards (internal/shard), and every cluster member hosts a disjoint
-// subset of those shards under the owner's shared keys, provisioned via
-// the secio "hosted-subset" handoff format. NewCoordinator — the query
+// subset of those shards under the owner's shared keys, provisioned as a
+// share: a secio "hosted-mutable" stream at a partial placement (the
+// global shard count and the indices held). NewCoordinator — the query
 // front door's constructor — takes each member's subset from its Hello,
 // validates that the subsets agree on shape metadata, key material and
 // epoch, and returns the shard engine over one source per member: the
@@ -28,7 +29,8 @@
 // the transport cause); sibling fan-outs are canceled. Epoch pinning is
 // strict — every candidate request carries the epoch the placement was
 // assembled at, so a re-provisioned member fails typed-stale rather than
-// contributing candidates from a different version of the relation.
+// contributing candidates from a different version of the relation (the
+// facade's front door then re-assembles the placement from fresh Hellos).
 package cluster
 
 import (

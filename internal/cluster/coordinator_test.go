@@ -241,9 +241,11 @@ func TestCoordinatorMatchesSingleEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("coordinator SecQuery: %v", err)
 		}
-		// The front door records the fallback on its own ledger.
-		if opts.MaxDepth == 1 && len(r.ledger.ByMethod("ClusterMerge")) == 0 {
-			t.Fatalf("opts %+v: the depth-capped query did not record the merge-bound fallback", opts)
+		// The front door records the fallback on its own ledger and reports
+		// it in the result; a certified query does neither.
+		capped := opts.MaxDepth == 1
+		if recorded := len(r.ledger.ByMethod("ClusterMerge")) > 0; recorded != capped || got.Rescanned != capped {
+			t.Fatalf("opts %+v: fallback recorded %v, reported %v; want %v", opts, recorded, got.Rescanned, capped)
 		}
 		wantRev, err := rev.RevealTopK(want.Items)
 		if err != nil {

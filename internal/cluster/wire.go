@@ -184,7 +184,7 @@ type Hosted struct {
 }
 
 // Inventory is the member-side state the responder serves from. The
-// facade implements it over its hosted-subset registry.
+// facade implements it over its registry of hosted top-k relations.
 type Inventory interface {
 	// Member is this node's cluster identity, reported in Hello and in
 	// readiness probes.

@@ -81,12 +81,15 @@ func (o Options) Validate(k int) error {
 }
 
 // QueryResult is the outcome of SecQuery: the encrypted top-k items
-// (column 0 = worst score), the number of depths scanned, and whether the
-// halting condition fired (false only when MaxDepth cut the scan short).
+// (column 0 = worst score), the number of depths scanned, whether the
+// halting condition fired (false only when MaxDepth cut the scan short),
+// and whether a sharded merge failed its bound check and rescanned every
+// shard exactly (internal/shard sets it).
 type QueryResult struct {
-	Items  []protocols.Item
-	Depth  int
-	Halted bool
+	Items     []protocols.Item
+	Depth     int
+	Halted    bool
+	Rescanned bool
 }
 
 // Engine is the data cloud S1's query processor. It keeps no state

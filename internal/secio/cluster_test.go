@@ -3,16 +3,22 @@ package secio
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mutate"
 	"repro/internal/paillier"
 	"repro/internal/protocols"
+	"repro/internal/secerr"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
-// TestHostedSubsetRoundTrip pins the handoff format: a member's shard
-// blocks plus placement metadata survive a write/read cycle intact.
+// TestHostedSubsetRoundTrip pins the handoff format: a member's share is
+// a "hosted-mutable" stream whose shards, epoch, id space and placement
+// survive a write/read cycle intact.
 func TestHostedSubsetRoundTrip(t *testing.T) {
 	r := getRig(t)
 	sh, err := shard.Encrypt(r.scheme, testRelation(), 4)
@@ -20,17 +26,21 @@ func TestHostedSubsetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	indices := []int{1, 3}
-	shards := []*core.EncryptedRelation{sh.Shards[1], sh.Shards[3]}
-	var buf bytes.Buffer
-	if err := WriteHostedSubset(&buf, 4, indices, shards, 7, r.scheme.PublicKey()); err != nil {
-		t.Fatalf("WriteHostedSubset: %v", err)
-	}
-	total, gotIdx, gotShards, epoch, pk, err := ReadHostedSubset(&buf)
+	st, err := mutate.New([]*core.EncryptedRelation{sh.Shards[1], sh.Shards[3]}, sh.N)
 	if err != nil {
-		t.Fatalf("ReadHostedSubset: %v", err)
+		t.Fatal(err)
 	}
-	if total != 4 || epoch != 7 {
-		t.Fatalf("total=%d epoch=%d, want 4/7", total, epoch)
+	st.Epoch = 7
+	var buf bytes.Buffer
+	if err := WriteMutableHosted(&buf, st, 4, indices, r.scheme.PublicKey()); err != nil {
+		t.Fatalf("WriteMutableHosted: %v", err)
+	}
+	got, total, gotIdx, pk, err := ReadMutableHosted(&buf)
+	if err != nil {
+		t.Fatalf("ReadMutableHosted: %v", err)
+	}
+	if total != 4 || got.Epoch != 7 || got.IDSpace != sh.N {
+		t.Fatalf("total=%d epoch=%d idspace=%d, want 4/7/%d", total, got.Epoch, got.IDSpace, sh.N)
 	}
 	if pk.N.Cmp(r.scheme.PublicKey().N) != 0 {
 		t.Fatal("public key modulus changed in round trip")
@@ -38,8 +48,8 @@ func TestHostedSubsetRoundTrip(t *testing.T) {
 	if len(gotIdx) != 2 || gotIdx[0] != 1 || gotIdx[1] != 3 {
 		t.Fatalf("indices = %v, want [1 3]", gotIdx)
 	}
-	for i, er := range gotShards {
-		want := shards[i]
+	for i, s := range got.Shards {
+		er, want := s.ER, st.Shards[i].ER
 		if er.N != want.N || er.M != want.M || er.MaxScoreBits != want.MaxScoreBits {
 			t.Fatalf("shard %d shape changed: %d/%d/%d vs %d/%d/%d",
 				i, er.N, er.M, er.MaxScoreBits, want.N, want.M, want.MaxScoreBits)
@@ -48,7 +58,8 @@ func TestHostedSubsetRoundTrip(t *testing.T) {
 }
 
 // TestHostedSubsetRejectsBadPlacement pins the placement validation a
-// corrupt or mis-cut handoff file must fail on.
+// corrupt or mis-cut handoff file must fail on: the writer refuses the
+// placement, and a stream that carries it anyway is refused typed.
 func TestHostedSubsetRejectsBadPlacement(t *testing.T) {
 	r := getRig(t)
 	er, err := r.scheme.EncryptRelation(testRelation())
@@ -70,9 +81,23 @@ func TestHostedSubsetRejectsBadPlacement(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteHostedSubset(&buf, tc.total, tc.indices, tc.shards, 1, pk); err == nil {
+			st, err := mutate.New(tc.shards, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteMutableHosted(io.Discard, st, tc.total, tc.indices, pk); err == nil {
 				t.Fatal("bad placement accepted")
+			}
+			var buf bytes.Buffer
+			if err := write(&buf, "hosted-mutable", func(w *wire.Writer) {
+				putMutable(w, st, pk)
+				w.Int("total", tc.total)
+				w.Ints("indices", tc.indices)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, _, err := ReadMutableHosted(&buf); !errors.Is(err, secerr.ErrBadRequest) {
+				t.Fatalf("stream with a bad placement read: err = %v, want bad_request", err)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/big"
 
-	"repro/internal/core"
 	"repro/internal/ehl"
 	"repro/internal/join"
 	"repro/internal/knn"
@@ -16,8 +15,8 @@ import (
 // The hosted kinds carry everything a data cloud needs to host one
 // relation from a single file: the public modulus first, so that every
 // ciphertext after it is capped at |N²| bytes, then the relation. Top-k
-// relations travel as "hosted-mutable" bundles (mutate.go) or, cut for
-// one cluster member, as "hosted-subset" bundles.
+// relations, a cluster member's share among them, travel as
+// "hosted-mutable" bundles (mutate.go).
 
 // WriteHostedJoinRelation serializes an encrypted join relation with its
 // public key and score-bit bound: integer(N) uvarint(MaxScoreBits) EHL
@@ -134,52 +133,7 @@ func ReadHostedKNNRelation(r io.Reader) (db *knn.EncDatabase, maxScoreBits int, 
 // maxShardCount bounds a decoded shard count.
 const maxShardCount = 1 << 16
 
-// WriteHostedSubset serializes one cluster member's shard subset:
-// integer(N) uvarint(total) uvarint list(indices) uvarint(epoch), then one
-// relation per hosted shard, aligned with indices.
-func WriteHostedSubset(w io.Writer, total int, indices []int, shards []*core.EncryptedRelation, epoch uint64, pk *paillier.PublicKey) error {
-	return write(w, "hosted-subset", func(w *wire.Writer) {
-		if err := checkSubsetPlacement(total, indices); err != nil || len(shards) != len(indices) {
-			w.Fail("secio: subset of %d shards: %v", len(shards), err)
-			return
-		}
-		putKey(w, pk)
-		w.Int("total", total)
-		w.Ints("indices", indices)
-		w.Uvarint(epoch)
-		for _, s := range shards {
-			if s == nil {
-				w.Fail("secio: nil subset shard")
-				return
-			}
-			putRelation(w, s, s.N)
-		}
-	})
-}
-
-// ReadHostedSubset deserializes a hosted shard subset.
-func ReadHostedSubset(r io.Reader) (total int, indices []int, shards []*core.EncryptedRelation, epoch uint64, pk *paillier.PublicKey, err error) {
-	err = read(r, "hosted-subset", func(r *wire.Reader) {
-		pk, total, indices, epoch = getKey(r), r.Int("total"), r.Ints("indices"), r.Uvarint()
-		if r.Err() != nil {
-			return
-		}
-		if err := checkSubsetPlacement(total, indices); err != nil {
-			r.Fail("%v", err)
-			return
-		}
-		shards = make([]*core.EncryptedRelation, len(indices))
-		for i := range shards {
-			shards[i] = getRelation(r)
-		}
-	})
-	if err != nil {
-		return 0, nil, nil, 0, nil, err
-	}
-	return total, indices, shards, epoch, pk, nil
-}
-
-// checkSubsetPlacement validates a subset's placement: a sane total, at
+// checkSubsetPlacement validates a relation's placement: a sane total, at
 // least one hosted index, every index in range, no duplicates.
 func checkSubsetPlacement(total int, indices []int) error {
 	if total < 1 || total > maxShardCount || len(indices) < 1 || len(indices) > total {

@@ -14,9 +14,10 @@ import (
 //
 //   - "delta": an owner-produced mutation bundle (the Client.Apply wire
 //     payload and the `sectopk-node apply` hand-off artifact);
-//   - "hosted-mutable": an epoch-stamped hosted relation — the sharded
-//     store including tombstone tails, so a mutated hosting round-trips
-//     through files without losing its version or compaction debt;
+//   - "hosted-mutable": an epoch-stamped hosted relation at its placement
+//     — the sharded store including tombstone tails, so a mutated hosting
+//     round-trips through files without losing its version or compaction
+//     debt, and a cluster member's share keeps its global shard indices;
 //   - "mutable-owner": the owner's mirror (plaintext rows + id
 //     allocator + epoch) bundled with its encrypted shadow state. This
 //     stream holds plaintext and must never leave the owner.
@@ -152,20 +153,42 @@ func getMutable(r *wire.Reader) (*mutate.Relation, *paillier.PublicKey) {
 	return st, pk
 }
 
-// WriteMutableHosted serializes an epoch-stamped hosted relation: the
-// full mutable state (live prefixes, tombstone tails, epoch, id space)
-// plus the public key — everything the data cloud needs to host it and
-// keep applying deltas against it.
-func WriteMutableHosted(w io.Writer, st *mutate.Relation, pk *paillier.PublicKey) error {
-	return write(w, "hosted-mutable", func(w *wire.Writer) { putMutable(w, st, pk) })
+// WriteMutableHosted serializes an epoch-stamped hosted relation at its
+// placement: the full mutable state (live prefixes, tombstone tails,
+// epoch, id space) plus the public key — everything the data cloud needs
+// to host it and keep applying deltas against it — then uvarint(total)
+// uvarint list(indices), the relation's global shard count and the global
+// index of each shard held, in order. A whole relation holds 0..total-1;
+// a cluster member's share holds its subset.
+func WriteMutableHosted(w io.Writer, st *mutate.Relation, total int, indices []int, pk *paillier.PublicKey) error {
+	return write(w, "hosted-mutable", func(w *wire.Writer) {
+		if err := checkSubsetPlacement(total, indices); err != nil || st == nil || len(st.Shards) != len(indices) {
+			w.Fail("secio: placement of %d shards: %v", len(indices), err)
+			return
+		}
+		putMutable(w, st, pk)
+		w.Int("total", total)
+		w.Ints("indices", indices)
+	})
 }
 
-// ReadMutableHosted deserializes an epoch-stamped hosted relation.
-func ReadMutableHosted(r io.Reader) (st *mutate.Relation, pk *paillier.PublicKey, err error) {
-	if err := read(r, "hosted-mutable", func(r *wire.Reader) { st, pk = getMutable(r) }); err != nil {
-		return nil, nil, err
+// ReadMutableHosted deserializes an epoch-stamped hosted relation and its
+// placement.
+func ReadMutableHosted(r io.Reader) (st *mutate.Relation, total int, indices []int, pk *paillier.PublicKey, err error) {
+	err = read(r, "hosted-mutable", func(r *wire.Reader) {
+		st, pk = getMutable(r)
+		total, indices = r.Int("total"), r.Ints("indices")
+		if r.Err() != nil {
+			return
+		}
+		if err := checkSubsetPlacement(total, indices); err != nil || len(indices) != len(st.Shards) {
+			r.Fail("secio: placement of %d shards for %d stored: %v", len(indices), len(st.Shards), err)
+		}
+	})
+	if err != nil {
+		return nil, 0, nil, nil, err
 	}
-	return st, pk, nil
+	return st, total, indices, pk, nil
 }
 
 // OwnerMirror is the owner-side plaintext mirror of a mutable relation:

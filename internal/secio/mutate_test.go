@@ -51,15 +51,11 @@ func TestWrongVersionRefusedEveryKind(t *testing.T) {
 		"owner":      func(r io.Reader) error { _, err := ReadOwnerBundle(r); return err },
 		"delta":      func(r io.Reader) error { _, _, err := ReadDelta(r); return err },
 		"hosted-mutable": func(r io.Reader) error {
-			_, _, err := ReadMutableHosted(r)
+			_, _, _, _, err := ReadMutableHosted(r)
 			return err
 		},
 		"mutable-owner": func(r io.Reader) error {
 			_, _, _, err := ReadOwnerMutable(r)
-			return err
-		},
-		"hosted-subset": func(r io.Reader) error {
-			_, _, _, _, _, err := ReadHostedSubset(r)
 			return err
 		},
 		"candidates": func(r io.Reader) error { _, err := ReadCandidates(r); return err },
@@ -67,9 +63,11 @@ func TestWrongVersionRefusedEveryKind(t *testing.T) {
 	for kind, read := range readers {
 		// Version 3 is the last one before EHL parameters became a bare
 		// digest count, version 4 the last whose keys need not be from
-		// safe primes: a build that wrote either must be told so by
+		// safe primes, version 5 the last whose cluster member shares had
+		// a kind of their own beside a "hosted-mutable" without a
+		// placement: a build that wrote any of them must be told so by
 		// number.
-		for _, v := range []int{1, 2, 3, 4, version, version + 1, 99} {
+		for _, v := range []int{1, 2, 3, 4, 5, version, version + 1, 99} {
 			t.Run(fmt.Sprintf("%s/v%d", kind, v), func(t *testing.T) {
 				// A header and no body: the refusal must come from the
 				// header, except at the current version, which passes the
@@ -167,15 +165,11 @@ func TestEHLDigestCountRefusedEveryKind(t *testing.T) {
 			},
 			func(r io.Reader) error { _, _, _, err := ReadHostedKNNRelation(r); return err },
 		},
-		"hosted-subset": {
-			func(t *testing.T, w io.Writer, s int) error {
-				return WriteHostedSubset(w, 1, []int{0}, []*core.EncryptedRelation{relation(s)}, 1, pk)
-			},
-			func(r io.Reader) error { _, _, _, _, _, err := ReadHostedSubset(r); return err },
-		},
 		"hosted-mutable": {
-			func(t *testing.T, w io.Writer, s int) error { return WriteMutableHosted(w, mutable(t, s), pk) },
-			func(r io.Reader) error { _, _, err := ReadMutableHosted(r); return err },
+			func(t *testing.T, w io.Writer, s int) error {
+				return WriteMutableHosted(w, mutable(t, s), 1, []int{0}, pk)
+			},
+			func(r io.Reader) error { _, _, _, _, err := ReadMutableHosted(r); return err },
 		},
 		"mutable-owner": {
 			func(t *testing.T, w io.Writer, s int) error {
@@ -318,15 +312,18 @@ func TestMutableHostedRoundTrip(t *testing.T) {
 	sh.Dead = 1
 	sh.DeadIDs = []int{4}
 	var buf bytes.Buffer
-	if err := WriteMutableHosted(&buf, st, r.scheme.PublicKey()); err != nil {
+	if err := WriteMutableHosted(&buf, st, 1, []int{0}, r.scheme.PublicKey()); err != nil {
 		t.Fatalf("WriteMutableHosted: %v", err)
 	}
-	got, pk, err := ReadMutableHosted(&buf)
+	got, total, indices, pk, err := ReadMutableHosted(&buf)
 	if err != nil {
 		t.Fatalf("ReadMutableHosted: %v", err)
 	}
 	if pk.N.Cmp(r.scheme.PublicKey().N) != 0 {
 		t.Fatal("public key mismatch")
+	}
+	if total != 1 || len(indices) != 1 || indices[0] != 0 {
+		t.Fatalf("placement = %d %v, want the whole relation 1 [0]", total, indices)
 	}
 	if got.Epoch != 5 || got.IDSpace != 9 || len(got.Shards) != 1 {
 		t.Fatalf("mutable metadata mismatch: epoch=%d idspace=%d shards=%d", got.Epoch, got.IDSpace, len(got.Shards))
@@ -347,7 +344,7 @@ func TestMutableHostedRoundTrip(t *testing.T) {
 			t.Fatalf("live view list %d has %d entries for N=%d", p, len(list), live.N)
 		}
 	}
-	if err := WriteMutableHosted(io.Discard, nil, r.scheme.PublicKey()); err == nil {
+	if err := WriteMutableHosted(io.Discard, nil, 1, []int{0}, r.scheme.PublicKey()); err == nil {
 		t.Fatal("expected error for nil mutable relation")
 	}
 }
@@ -399,7 +396,7 @@ func TestOwnerMutableRoundTrip(t *testing.T) {
 		t.Fatal("expected error for mismatched ids/rows")
 	}
 	buf.Reset()
-	if err := WriteMutableHosted(&buf, st, r.scheme.PublicKey()); err != nil {
+	if err := WriteMutableHosted(&buf, st, 1, []int{0}, r.scheme.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := ReadOwnerMutable(&buf); !errors.Is(err, secerr.ErrBadRequest) {

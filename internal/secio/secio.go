@@ -32,15 +32,17 @@ import (
 )
 
 // Every artifact is written and read by the same build, so writers stamp
-// the one current version and readers refuse any other. Version 5 keys
-// are products of safe primes, which every party's nonce producer rests
-// on (a version 4 key is not, so its stream is refused by number).
-// Versions 4 and 5 store EHL parameters as the digest count alone;
-// version 3 also stored a structure kind and a classic list length, and
-// versions up to 2 were gob streams.
+// the one current version and readers refuse any other. Version 6 stores
+// a top-k relation's placement in "hosted-mutable", which so carries a
+// cluster member's share too (version 5 gave shares a kind of their own).
+// Keys from version 5 on are products of safe primes, which every party's
+// nonce producer rests on (a version 4 key is not, so its stream is
+// refused by number). Versions 4 to 6 store EHL parameters as the digest
+// count alone; version 3 also stored a structure kind and a classic list
+// length, and versions up to 2 were gob streams.
 const (
 	magic   = "sectopk-er"
-	version = 5
+	version = 6
 )
 
 // Kinds lists every stream kind this build writes and reads.
@@ -48,7 +50,7 @@ func Kinds() []string {
 	return []string{
 		"token", "join-token", "knn-token", "result", "join-result", "knn-result", "candidates",
 		"keys", "owner", "join-owner", "hosted-join-relation", "hosted-knn-relation",
-		"hosted-subset", "hosted-mutable", "mutable-owner", "delta",
+		"hosted-mutable", "mutable-owner", "delta",
 	}
 }
 

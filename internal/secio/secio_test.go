@@ -67,7 +67,7 @@ func hostedStream(t *testing.T, r *rigT, er *core.EncryptedRelation) *bytes.Buff
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteMutableHosted(&buf, st, r.scheme.PublicKey()); err != nil {
+	if err := WriteMutableHosted(&buf, st, 1, []int{0}, r.scheme.PublicKey()); err != nil {
 		t.Fatalf("WriteMutableHosted: %v", err)
 	}
 	return &buf
@@ -79,7 +79,7 @@ func TestRelationRoundTripAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _, err := ReadMutableHosted(hostedStream(t, r, er))
+	st, _, _, _, err := ReadMutableHosted(hostedStream(t, r, er))
 	if err != nil {
 		t.Fatalf("ReadMutableHosted: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestHeaderValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Garbage stream.
-	if _, _, err := ReadMutableHosted(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, _, _, _, err := ReadMutableHosted(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
 	// Wrong kind: a token stream read as a hosted relation.
@@ -149,7 +149,7 @@ func TestHeaderValidation(t *testing.T) {
 	if err := WriteToken(&buf, tk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadMutableHosted(&buf); err == nil || !strings.Contains(err.Error(), "expected") {
+	if _, _, _, _, err := ReadMutableHosted(&buf); err == nil || !strings.Contains(err.Error(), "expected") {
 		t.Fatalf("expected kind mismatch error, got %v", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestCorruptedStreamRejected(t *testing.T) {
 	}
 	raw := hostedStream(t, r, er).Bytes()
 	// Truncate mid-stream.
-	if _, _, err := ReadMutableHosted(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, _, _, _, err := ReadMutableHosted(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }

@@ -285,6 +285,7 @@ func (e *Engine) SecQuery(ctx context.Context, tk *core.Token, opts core.Options
 	if !certified {
 		return nil, secerr.New(secerr.CodeInternal, "shard: %s merge bound check failed after exact rescan", e.scope)
 	}
+	res.Rescanned = true
 	return res, nil
 }
 

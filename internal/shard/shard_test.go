@@ -335,19 +335,31 @@ func TestShardedMergeBoundFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	// rescanned reports whether a query recorded the fallback on the
+	// ledger since the given event count.
+	rescanned := func(since int) bool {
+		for _, ev := range r.s1led.Events()[since:] {
+			if ev.Party == "S1" && ev.Method == "ShardMerge" {
+				return true
+			}
+		}
+		return false
+	}
 	before := len(r.s1led.Events())
 	res, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE, MaxDepth: 2})
 	if err != nil {
 		t.Fatalf("SecQuery: %v", err)
 	}
-	fellBack := false
-	for _, ev := range r.s1led.Events()[before:] {
-		if ev.Party == "S1" && ev.Method == "ShardMerge" {
-			fellBack = true
-		}
+	if !rescanned(before) || !res.Rescanned {
+		t.Fatalf("depth-capped shard merge: fallback recorded %v, reported %v; want both", rescanned(before), res.Rescanned)
 	}
-	if !fellBack {
-		t.Fatal("depth-capped shard merge was certified without the exact-rescan fallback")
+	before = len(r.s1led.Events())
+	certified, err := eng.SecQuery(context.Background(), tk, core.Options{Mode: core.QryE})
+	if err != nil {
+		t.Fatalf("SecQuery: %v", err)
+	}
+	if rescanned(before) || certified.Rescanned {
+		t.Fatalf("uncapped shard merge: fallback recorded %v, reported %v; want neither", rescanned(before), certified.Rescanned)
 	}
 	got := reveal(t, r, n, res)
 	for i, g := range got {

@@ -16,8 +16,9 @@ type FrameEvent struct {
 
 // QuerySpan is one executed request's span record: what the serving
 // plane observed between admission and answer. Approximate fields
-// (Rounds, Bytes, S2Calls, MergeFallbacks) are measured as deltas on
-// shared connection counters, matching the Answer.Traffic convention.
+// (Rounds, Bytes, S2Calls) are measured as deltas on shared connection
+// counters, matching the Answer.Traffic convention; MergeFallbacks is
+// the query's own rescan count.
 type QuerySpan struct {
 	Relation       string
 	Workload       string

@@ -404,11 +404,16 @@ func TestPrefaceRefused(t *testing.T) {
 			}
 		})
 	}
-	// The other direction: a server at another version (the eight older
-	// wires by name, and a newer one) answers the preface with its own, and
-	// Connect refuses it typed.
-	for _, ver := range []int{3, 4, 5, 6, 7, 8, 9, 10, ProtocolVersion + 1} {
-		t.Run(fmt.Sprintf("client/peer-v%d", ver), func(t *testing.T) {
+	// The other direction: a server at another version (one older and one
+	// newer, named by side so a bump renames neither, and the eight older
+	// wires by number) answers the preface with its own, and Connect
+	// refuses it typed.
+	peers := map[string]int{"older": ProtocolVersion - 1, "newer": ProtocolVersion + 1}
+	for _, ver := range []int{3, 4, 5, 6, 7, 8, 9, 10} {
+		peers[fmt.Sprintf("peer-v%d", ver)] = ver
+	}
+	for name, ver := range peers {
+		t.Run("client/"+name, func(t *testing.T) {
 			c1, c2 := net.Pipe()
 			defer c1.Close()
 			defer c2.Close()

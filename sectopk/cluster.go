@@ -2,136 +2,31 @@ package sectopk
 
 import (
 	"context"
-	"io"
 	"net"
 	"sort"
+	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/mutate"
 	"repro/internal/paillier"
 	"repro/internal/secerr"
-	"repro/internal/secio"
 	"repro/internal/shard"
 	"repro/internal/transport"
 )
 
 // Scaling out. A relation's P round-robin shards need not live in one
-// process: the owner cuts the encrypted relation into ShardSubsets, each
-// member data cloud hosts one subset (HostShards + ServeCluster), and a
+// process: the owner cuts the encrypted relation into shares (Subset, an
+// EncryptedRelation at a partial placement, saved as any other), each
+// member data cloud hosts one share (HostShards + ServeCluster), and a
 // front-door data cloud assembles the placement (HostCluster) and serves
 // queries against it through the same Execute surface as a local
-// relation. Top-k queries fan out to every member and merge under
-// the NRA bound check (the front door runs the same shard.Engine as a
-// local relation, with members as its sources; internal/cluster builds
-// it); join and kNN relations are not
-// shard-partitioned, so a member announces them whole and the front door
-// forwards those queries to it over the ordinary client wire. Cluster
-// answers are revealed-identical to a single node hosting everything.
-
-// ShardSubset is the provisioning artifact for one cluster member: a
-// subset of a relation's round-robin shards plus the placement metadata
-// — the global shard count, the subset's global indices, the relation
-// epoch, and the shared public key — a coordinator needs to validate
-// that the members jointly tile the relation.
-type ShardSubset struct {
-	total   int
-	indices []int
-	shards  []*core.EncryptedRelation
-	epoch   uint64
-	pk      *paillier.PublicKey
-}
-
-// Subset cuts a member's provisioning subset out of an encrypted
-// relation: the shards at the given global indices. Indices must be
-// in-range and distinct; the full set 0..P-1 is a valid (single-member)
-// subset.
-func (er *EncryptedRelation) Subset(indices ...int) (*ShardSubset, error) {
-	if len(indices) == 0 {
-		return nil, secerr.New(secerr.CodeBadRequest, "sectopk: subset selects no shards")
-	}
-	total := len(er.sh.Shards)
-	seen := make(map[int]bool, len(indices))
-	shards := make([]*core.EncryptedRelation, len(indices))
-	for i, ix := range indices {
-		if ix < 0 || ix >= total {
-			return nil, secerr.New(secerr.CodeBadRequest, "sectopk: shard index %d out of range [0,%d)", ix, total)
-		}
-		if seen[ix] {
-			return nil, secerr.New(secerr.CodeBadRequest, "sectopk: duplicate shard index %d", ix)
-		}
-		seen[ix] = true
-		shards[i] = er.sh.Shards[ix]
-	}
-	return &ShardSubset{
-		total:   total,
-		indices: append([]int(nil), indices...),
-		shards:  shards,
-		epoch:   er.Epoch(),
-		pk:      er.pk,
-	}, nil
-}
-
-// Total returns the relation's global shard count P.
-func (s *ShardSubset) Total() int { return s.total }
-
-// Indices returns the subset's global shard indices.
-func (s *ShardSubset) Indices() []int { return append([]int(nil), s.indices...) }
-
-// Epoch returns the relation epoch the subset was cut at.
-func (s *ShardSubset) Epoch() uint64 { return s.epoch }
-
-// Rows returns the number of rows hosted by this subset.
-func (s *ShardSubset) Rows() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.N
-	}
-	return n
-}
-
-// Save persists the subset for handoff to a member node. Only
-// public/encrypted material is written.
-func (s *ShardSubset) Save(path string) error {
-	return saveTo(path, publicFile, func(w io.Writer) error {
-		return secio.WriteHostedSubset(w, s.total, s.indices, s.shards, s.epoch, s.pk)
-	})
-}
-
-// LoadShardSubset reads a member's provisioning subset.
-func LoadShardSubset(path string) (*ShardSubset, error) {
-	var out *ShardSubset
-	err := loadFrom(path, func(r io.Reader) error {
-		total, indices, shards, epoch, pk, err := secio.ReadHostedSubset(r)
-		if err != nil {
-			return err
-		}
-		out = &ShardSubset{total: total, indices: indices, shards: shards, epoch: epoch, pk: pk}
-		return nil
-	})
-	return out, err
-}
-
-// view builds the cluster-plane announcement for a subset served by
-// engine.
-func (s *ShardSubset) view(relation string, engine *shard.Engine) *cluster.Hosted {
-	rows := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		rows[i] = sh.N
-	}
-	return &cluster.Hosted{
-		Engine: engine,
-		Info: cluster.SubsetInfo{
-			Relation: relation,
-			Total:    s.total,
-			Indices:  append([]int(nil), s.indices...),
-			Rows:     rows,
-			M:        s.shards[0].M, MaxScoreBits: s.shards[0].MaxScoreBits,
-			Epoch: s.epoch, PK: s.pk.N,
-		},
-	}
-}
+// relation. Top-k queries fan out to every member and merge under the NRA
+// bound check (the front door runs the same shard.Engine as a local
+// relation, with members as its sources; internal/cluster builds it);
+// join and kNN relations are not shard-partitioned, so a member announces
+// them whole and the front door forwards those queries to it over the
+// ordinary client wire. Cluster answers are revealed-identical to a
+// single node hosting everything.
 
 // hostedView announces the entry's current state at its placement: a
 // member's share at its global indices, a relation hosted whole as the
@@ -140,73 +35,55 @@ func (s *ShardSubset) view(relation string, engine *shard.Engine) *cluster.Hoste
 func (h *hostedRelation) hostedView(relation string) *cluster.Hosted {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	total, indices := h.er.placement()
 	shards := h.er.sh.Shards
-	sub := &ShardSubset{total: h.total, indices: h.indices, shards: shards, epoch: h.state.Epoch, pk: h.er.pk}
-	if sub.indices == nil {
-		sub.total, sub.indices = len(shards), make([]int, len(shards))
-		for i := range sub.indices {
-			sub.indices[i] = i
-		}
+	rows := make([]int, len(shards))
+	for i, sh := range shards {
+		rows[i] = sh.N
 	}
-	return sub.view(relation, h.engine)
+	return &cluster.Hosted{
+		Engine: h.engine,
+		Info: cluster.SubsetInfo{
+			Relation: relation, Total: total, Indices: indices, Rows: rows,
+			M: shards[0].M, MaxScoreBits: shards[0].MaxScoreBits,
+			Epoch: h.state.Epoch, PK: h.er.pk.N,
+		},
+	}
 }
 
-// state wraps the subset's shards as mutable state at the subset's epoch.
-func (s *ShardSubset) state() (*mutate.Relation, error) {
-	st, err := mutate.New(s.shards, 0)
-	if err != nil {
-		return nil, err
-	}
-	st.Epoch = s.epoch
-	return st, nil
-}
-
-// HostShards registers a relation's shard subset under id, making this
-// data cloud a cluster member for it (serve the cluster plane with
-// ServeCluster). Hosting an id that already serves a subset is a shard
-// handoff: the engine is rebuilt over the new subset and swapped in under
-// the entry's lock, the way Apply and Compact swap epochs — in-flight
-// candidate scans finish on the old engine. The rebuild runs no
-// cryptography and no S2 round. The replacement must be encrypted under
-// the same key material.
-func (d *DataCloud) HostShards(ctx context.Context, id string, sub *ShardSubset) error {
-	if id == "" || sub == nil || len(sub.shards) == 0 {
-		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or shard subset")
-	}
-	state, err := sub.state()
-	if err != nil {
-		return err
-	}
-	if h, _ := d.lookup(id); h != nil {
-		if rel, ok := h.(*hostedRelation); ok && rel.member() {
-			return rel.handoff(id, sub, state)
+// HostShards registers a cluster member's share of a relation (cut with
+// Subset) under id, making this data cloud a cluster member for it (serve
+// the cluster plane with ServeCluster). Hosting an id that already serves
+// a share is a shard handoff: the engine is rebuilt over the new share
+// and swapped in under the entry's lock, the way Apply and Compact swap
+// epochs — in-flight candidate scans finish on the old engine. The
+// rebuild runs no cryptography and no S2 round. The replacement must be
+// encrypted under the same key material.
+func (d *DataCloud) HostShards(ctx context.Context, id string, er *EncryptedRelation) error {
+	if h, _ := d.lookup(id); h != nil && er != nil {
+		if rel, ok := h.(*hostedRelation); ok && rel.share {
+			return rel.handoff(id, er)
 		}
 	}
-	return d.host(ctx, id, sub.pk, func(client *cloud.Client) (hosted, error) {
-		sh, engine, err := shardEngine(client, state.LiveShards())
-		if err != nil {
-			return nil, err
-		}
-		return &hostedRelation{
-			client: client, state: state, engine: engine,
-			er:    &EncryptedRelation{sh: sh, pk: sub.pk, mst: state},
-			total: sub.total, indices: sub.Indices(),
-		}, nil
-	})
+	return d.hostTopK(ctx, id, er, true)
 }
 
 // handoff swaps a member's share for its replacement.
-func (h *hostedRelation) handoff(id string, sub *ShardSubset, next *mutate.Relation) error {
+func (h *hostedRelation) handoff(id string, er *EncryptedRelation) error {
+	next, err := er.mutableState()
+	if err != nil {
+		return err
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.er.pk.N.Cmp(sub.pk.N) != 0 {
+	if h.er.pk.N.Cmp(er.pk.N) != 0 {
 		return secerr.New(secerr.CodeBadRequest,
 			"sectopk: handoff subset for %q is encrypted under different key material", id)
 	}
 	if err := h.swapLocked(next); err != nil {
 		return err
 	}
-	h.total, h.indices = sub.total, sub.Indices()
+	h.er.total, h.er.indices = er.total, er.indices
 	return nil
 }
 
@@ -219,11 +96,10 @@ func (d *DataCloud) MemberID() string { return d.cfg.memberID }
 func (d *DataCloud) HostedShardSubsets() map[string][]int {
 	out := map[string][]int{}
 	for id, h := range d.entries() {
-		if rel, ok := h.(*hostedRelation); ok {
+		if rel, ok := h.(*hostedRelation); ok && rel.share {
 			rel.mu.Lock()
-			if rel.indices != nil {
-				out[id] = append([]int(nil), rel.indices...)
-			}
+			_, indices := rel.er.placement()
+			out[id] = append([]int(nil), indices...)
 			rel.mu.Unlock()
 		}
 	}
@@ -341,11 +217,16 @@ type clusterNode struct {
 
 // clusterCoord is one relation's assembled placement: the sharded engine
 // whose sources are the members, over the front door's own S2 client
-// (the merge rounds run on it), pinned to the placement's epoch.
+// (the merge rounds run on it), pinned to the placement's epoch. The
+// (engine, epoch) pair moves when the members do (refresh).
 type clusterCoord struct {
+	relation string
+	nodes    []*clusterNode
+	client   *cloud.Client
+
+	mu     sync.Mutex
 	engine *shard.Engine
 	epoch  uint64
-	client *cloud.Client
 }
 
 func (cc *clusterCoord) kind() (string, Workload) {
@@ -354,12 +235,64 @@ func (cc *clusterCoord) kind() (string, Workload) {
 
 func (cc *clusterCoord) close() { cc.client.Close() }
 
+// current returns the placement one query executes against.
+func (cc *clusterCoord) current() (*shard.Engine, uint64) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.engine, cc.epoch
+}
+
 // execute fans the query out to every member and merges under the NRA
-// bound check. The placement pins one epoch for its whole lifetime
-// (members reject any other), so the front-door pin check mirrors the
-// local-snapshot one.
+// bound check. Every candidate request carries the placement's epoch and
+// members refuse any other, so the front-door pin check mirrors the
+// local-snapshot one. A member refusing the pin as stale, or a query
+// pinned past the placement, means the members have moved on: the
+// placement is re-assembled from their Hellos and the query retried once.
 func (cc *clusterCoord) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
-	return executeTopK(ctx, cc.engine, cc.epoch, req, cfg)
+	engine, epoch := cc.current()
+	if cfg.epoch <= epoch {
+		ans, err := executeTopK(ctx, engine, epoch, req, cfg)
+		if secerr.CodeOf(err) != secerr.CodeRelationStale || cfg.epoch != 0 && cfg.epoch < epoch {
+			return ans, err
+		}
+	}
+	engine, epoch, err := cc.refresh(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return executeTopK(ctx, engine, epoch, req, cfg)
+}
+
+// refresh re-runs the cluster Hello on the existing member links and
+// swaps in the placement they now announce. It runs no cryptography and
+// no S2 round. A placement that does not assemble — members still at
+// mixed epochs, or shares that no longer tile — fails typed stale; one
+// under another key fails bad_request.
+func (cc *clusterCoord) refresh(ctx context.Context) (*shard.Engine, uint64, error) {
+	var ms []cluster.Contribution
+	for _, n := range cc.nodes {
+		rep, err := clusterHello(ctx, n.conn)
+		if err != nil {
+			return nil, 0, secerr.Wrap(secerr.CodeUnavailable, err, "sectopk: cluster member %s unreachable", n.member)
+		}
+		for _, info := range rep.Subsets {
+			if info.Relation == cc.relation {
+				ms = append(ms, cluster.Contribution{Member: n.member, Caller: n.conn, Info: info})
+			}
+		}
+	}
+	engine, err := cluster.NewCoordinator(cc.client, cc.relation, ms)
+	if err != nil {
+		return nil, 0, secerr.Wrap(secerr.CodeRelationStale, err, "sectopk: re-assembling relation %q", cc.relation)
+	}
+	if ms[0].Info.PK.Cmp(cc.client.PK().N) != 0 {
+		return nil, 0, secerr.New(secerr.CodeBadRequest,
+			"sectopk: members of relation %q now announce key material other than the placement's", cc.relation)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.engine, cc.epoch = engine, ms[0].Info.Epoch
+	return engine, cc.epoch, nil
 }
 
 // clusterRoute is one whole-relation workload forwarded to the member
@@ -438,8 +371,9 @@ func clusterHello(ctx context.Context, caller transport.Caller) (*cluster.HelloR
 // cloud must already be connected to the crypto cloud — the merge rounds
 // run on its own S2 link. Queries then flow through the ordinary Execute
 // surface; cluster-hosted relations are read-only here (mutate at the
-// owner and re-provision the members). One cluster per data cloud; a
-// second HostCluster fails typed.
+// owner and hand the members shares cut at the new epoch: the front door
+// follows them at the next query). One cluster per data cloud; a second
+// HostCluster fails typed.
 func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 	if len(nodes) == 0 {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: cluster has no member nodes")
@@ -545,7 +479,7 @@ func (d *DataCloud) HostCluster(ctx context.Context, nodes []string) error {
 			if err != nil {
 				return nil, err
 			}
-			return &clusterCoord{engine: engine, epoch: ms[0].Info.Epoch, client: client}, nil
+			return &clusterCoord{relation: rel, nodes: cl.nodes, client: client, engine: engine, epoch: ms[0].Info.Epoch}, nil
 		})
 		if err != nil {
 			return fail(err)

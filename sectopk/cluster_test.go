@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -369,8 +370,9 @@ func TestClusterKillMemberMidQuery(t *testing.T) {
 	waitForGoroutines(t, baseline+2)
 }
 
-// TestShardSubsetLifecycle pins the provisioning artifact: cutting,
-// persistence, placement validation, and the member-side handoff.
+// TestShardSubsetLifecycle pins a member's share as the one top-k
+// artifact: cutting, persistence through the relation's own file, the
+// placement validation, Host's refusal, and the member-side handoff.
 func TestShardSubsetLifecycle(t *testing.T) {
 	ctx := context.Background()
 	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(4))...)
@@ -394,19 +396,33 @@ func TestShardSubsetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.Total() != 4 || !reflect.DeepEqual(sub.Indices(), []int{1, 3}) || sub.Epoch() != 1 {
-		t.Fatalf("subset metadata: total=%d indices=%v epoch=%d", sub.Total(), sub.Indices(), sub.Epoch())
+	// demoRelation's five rows sit round-robin on four shards: 1 and 3
+	// hold one row each.
+	if sub.Shards() != 2 || sub.Rows() != 2 || sub.Epoch() != 1 {
+		t.Fatalf("share shape: shards=%d rows=%d epoch=%d", sub.Shards(), sub.Rows(), sub.Epoch())
+	}
+	// A share is not a whole relation: the owner cannot open it for
+	// mutation, even with a plaintext of its row count.
+	if _, err := owner.NewMutable(&sectopk.Relation{Name: "demo", Rows: [][]int64{{8, 8, 0}, {3, 2, 8}}}, sub); !errors.Is(err, sectopk.ErrBadRequest) {
+		t.Fatalf("NewMutable of a share: err = %v, want ErrBadRequest", err)
+	}
+	// A share's indices are global: it cuts again from what it holds.
+	if _, err := sub.Subset(0); !errors.Is(err, sectopk.ErrBadRequest) {
+		t.Fatalf("share cut at an index it does not hold: err = %v", err)
+	}
+	if again, err := sub.Subset(3); err != nil || again.Rows() != 1 {
+		t.Fatalf("share cut at an index it holds: %v", err)
 	}
 	path := t.TempDir() + "/subset.er"
 	if err := sub.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := sectopk.LoadShardSubset(path)
+	sub2, err := sectopk.LoadEncryptedRelation(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub2.Total() != sub.Total() || !reflect.DeepEqual(sub2.Indices(), sub.Indices()) || sub2.Rows() != sub.Rows() {
-		t.Fatalf("reloaded subset changed: %v vs %v", sub2.Indices(), sub.Indices())
+	if sub2.Shards() != sub.Shards() || sub2.Rows() != sub.Rows() || sub2.Epoch() != sub.Epoch() {
+		t.Fatalf("reloaded share changed: shards=%d rows=%d epoch=%d", sub2.Shards(), sub2.Rows(), sub2.Epoch())
 	}
 
 	cc := sectopk.NewCryptoCloud(testOpts()...)
@@ -419,9 +435,14 @@ func TestShardSubsetLifecycle(t *testing.T) {
 	if err := dc.ConnectLocal(ctx, cc); err != nil {
 		t.Fatal(err)
 	}
+	// A share is not a whole relation: Host refuses it before any round.
+	if err := dc.Host(ctx, "demo", sub2); !errors.Is(err, sectopk.ErrBadRequest) {
+		t.Fatalf("Host of a share: err = %v, want ErrBadRequest", err)
+	}
 	if err := dc.HostShards(ctx, "demo", sub2); err != nil {
 		t.Fatalf("HostShards: %v", err)
 	}
+	// The placement came through the file.
 	if got := dc.HostedShardSubsets(); !reflect.DeepEqual(got["demo"], []int{1, 3}) {
 		t.Fatalf("HostedShardSubsets = %v", got)
 	}
@@ -563,6 +584,123 @@ func TestShardSubsetHandoffEpoch(t *testing.T) {
 	}
 }
 
+// TestFrontDoorFollowsEpoch: the owner moves the relation to epoch 2 with
+// an UpdateScores delta, whose delete leaves a tombstone tail, and hands
+// every member its share cut at epoch 2 through the share's file. The
+// front door, assembled at epoch 1, follows the members without a second
+// HostCluster: its next query answers epoch 2's plaintext oracle and
+// Epoch reports 2. A placement that then mixes epochs fails typed stale.
+func TestFrontDoorFollowsEpoch(t *testing.T) {
+	ctx := context.Background()
+	r := newClusterRig(t, 2, nil)
+	q := sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}
+	tk, err := r.owner.Token(r.er, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk)); err != nil {
+		t.Fatal(err)
+	}
+	mr, err := r.owner.NewMutable(demoRelation(), r.er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := r.singleReference(t)
+	// Row 4 climbs from last place to first.
+	delta, err := mr.UpdateScores(map[int][]int64{4: {9, 9, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch, err := single.Apply(ctx, "topk", delta); err != nil || epoch != 2 || mr.DeadRows() != 1 {
+		t.Fatalf("Apply = %d, %v with %d dead rows; want epoch 2 and one dead row", epoch, err, mr.DeadRows())
+	}
+	// handOff gives every member in ms its share of the owner's current
+	// relation, through the share's file.
+	dir := t.TempDir()
+	handOff := func(ms ...*clusterMember) {
+		t.Helper()
+		er, err := mr.Encrypted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			sub, err := er.Subset(m.dc.HostedShardSubsets()["topk"]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := dir + "/" + m.addr + ".er"
+			if err := sub.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := sectopk.LoadEncryptedRelation(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.dc.HostShards(ctx, "topk", loaded); err != nil {
+				t.Fatal(err)
+			}
+			if epoch, err := m.dc.Epoch("topk"); err != nil || epoch != mr.Epoch() {
+				t.Fatalf("member Epoch = %d, %v; want %d", epoch, err, mr.Epoch())
+			}
+		}
+	}
+	handOff(r.members...)
+	tk2, err := mr.Token(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Several queries meet the stale placement at once; each answers
+	// epoch 2.
+	answers := make([]*sectopk.Answer, 3)
+	errs := make([]error, len(answers))
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = r.front.Execute(ctx, sectopk.TopKRequest("topk", tk2))
+		}()
+	}
+	wg.Wait()
+	er2, err := mr.Encrypted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[int][]int64{}
+	for id, row := range demoRelation().Rows {
+		rows[id] = row
+	}
+	rows[4] = []int64{9, 9, 9}
+	want := oracleTopK(rows, q.Attrs, q.K)
+	for i, ans := range answers {
+		if errs[i] != nil {
+			t.Fatalf("front-door query after the members moved to epoch 2: %v", errs[i])
+		}
+		got, err := r.owner.Reveal(er2, ans.TopK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || ans.Traffic.Epoch != 2 {
+			t.Fatalf("front door at epoch %d answered %+v, epoch 2's oracle is %+v", ans.Traffic.Epoch, got, want)
+		}
+	}
+	if epoch, err := r.front.Epoch("topk"); err != nil || epoch != 2 {
+		t.Fatalf("front-door Epoch = %d, %v; want 2", epoch, err)
+	}
+	// Member 0 alone moves on to epoch 3.
+	epoch, err := single.Compact(ctx, "topk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mr.Adopt(epoch); err != nil {
+		t.Fatal(err)
+	}
+	handOff(r.members[0])
+	if _, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk2)); !errors.Is(err, sectopk.ErrRelationStale) {
+		t.Fatalf("front-door query over members at epochs 3 and 2: err = %v, want ErrRelationStale", err)
+	}
+}
+
 // TestHostClusterPlacementGap pins that a fleet whose subsets do not
 // tile the relation is rejected at assembly, naming the unhosted shards.
 func TestHostClusterPlacementGap(t *testing.T) {
@@ -620,7 +758,7 @@ func TestHostClusterPlacementGap(t *testing.T) {
 // shard subset locally.
 type sixKindRig struct {
 	*clusterRig
-	sub *sectopk.ShardSubset
+	sub *sectopk.EncryptedRelation
 	// ids maps each kind's name, as error messages spell it, to the id
 	// hosted as that kind; serves is the workload that kind answers.
 	ids    map[string]string

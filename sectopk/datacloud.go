@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cloud"
-	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/mutate"
 	"repro/internal/paillier"
@@ -162,26 +161,16 @@ type hostedRelation struct {
 	// nothing. (Entries live as long as the hosting; deltas are rare
 	// relative to queries, so the table stays small.)
 	applied map[string]uint64
-	// total and indices place a member's share: the relation's global
-	// shard count and the global indices of the shards held here. indices
-	// is nil for a relation hosted whole (Host), whose placement is the
-	// complete 0..P-1; a share is a share even when it holds every shard.
-	total   int
-	indices []int
+	// share marks a cluster member's share (HostShards), whose placement
+	// er holds; a share is a share even when it holds every shard.
+	share bool
 }
 
 func (h *hostedRelation) kind() (string, Workload) {
-	if h.member() {
+	if h.share {
 		return "shard subset", WorkloadTopK
 	}
 	return "top-k relation", WorkloadTopK
-}
-
-// member reports whether the entry is a cluster member's share.
-func (h *hostedRelation) member() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.indices != nil
 }
 
 func (h *hostedRelation) close() { h.client.Close() }
@@ -199,7 +188,7 @@ func (h *hostedRelation) snapshot() (*shard.Engine, uint64) {
 // answered from it alone would be wrong. Its candidates are served on the
 // cluster plane (ServeCluster) to a front door, which is what to query.
 func (h *hostedRelation) execute(ctx context.Context, req Request, cfg queryConfig) (*Answer, error) {
-	if h.member() {
+	if h.share {
 		return nil, secerr.New(secerr.CodeUnknownRelation,
 			"sectopk: relation %q is hosted as a shard subset, served on the cluster plane; query it through a front door",
 			req.Relation)
@@ -212,7 +201,8 @@ func (h *hostedRelation) execute(ctx context.Context, req Request, cfg queryConf
 // epoch — a local relation's snapshot or a front door's placement. An
 // epoch pin (WithEpoch) fences version skew at entry; after that, the
 // engine IS the pinned epoch. FanOut is the engine's source count:
-// shards locally, members at a front door.
+// shards locally, members at a front door; MergeFallbacks is the
+// engine's own rescan.
 func executeTopK(ctx context.Context, engine *shard.Engine, epoch uint64, req Request, cfg queryConfig) (*Answer, error) {
 	if err := cfg.checkEpoch(req.Relation, epoch); err != nil {
 		return nil, err
@@ -224,6 +214,9 @@ func executeTopK(ctx context.Context, engine *shard.Engine, epoch uint64, req Re
 	ans := &Answer{TopK: &EncryptedResult{items: res.Items, Depth: res.Depth, Halted: res.Halted}}
 	ans.Traffic.FanOut = engine.Shards()
 	ans.Traffic.Epoch = epoch
+	if res.Rescanned {
+		ans.Traffic.MergeFallbacks = 1
+	}
 	return ans, nil
 }
 
@@ -292,25 +285,16 @@ func (h *hostedRelation) compact() (uint64, error) {
 // disturb in-flight queries: they hold the old engine, whose relations
 // the copy-on-write snapshots never touch.
 func (h *hostedRelation) swapLocked(next *mutate.Relation) error {
-	sh, engine, err := shardEngine(h.client, next.LiveShards())
+	er, err := newEncryptedRelation(next, h.er.pk, h.er.total, h.er.indices)
 	if err != nil {
 		return err
 	}
-	h.state = next
-	h.engine = engine
-	h.er = &EncryptedRelation{sh: sh, pk: h.er.pk, mst: next}
-	return nil
-}
-
-// shardEngine assembles per-shard relations into one sharded relation and
-// builds the query engine over it on the given S2 client.
-func shardEngine(client *cloud.Client, shards []*core.EncryptedRelation) (*shard.Relation, *shard.Engine, error) {
-	sh, err := shard.New(shards)
+	engine, err := shard.NewEngine(h.client, er.sh)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	engine, err := shard.NewEngine(client, sh)
-	return sh, engine, err
+	h.state, h.engine, h.er = next, engine, er
+	return nil
 }
 
 // hostedJoin is one join-relation pair this data cloud serves joins for.
@@ -578,26 +562,36 @@ func (d *DataCloud) host(ctx context.Context, id string, pk *paillier.PublicKey,
 // Hello round) that the connected crypto cloud serves the relation, then
 // builds the S1 query engine for it. Hosting an ID twice fails with
 // ErrRelationExists; an unregistered relation fails with
-// ErrUnknownRelation.
+// ErrUnknownRelation; a cluster member's share fails with ErrBadRequest
+// (host it with HostShards).
 func (d *DataCloud) Host(ctx context.Context, id string, er *EncryptedRelation) error {
+	if er != nil && er.indices != nil {
+		return secerr.New(secerr.CodeBadRequest,
+			"sectopk: relation %q holds shards %v of %d, a cluster member's share; host it with HostShards", id, er.indices, er.total)
+	}
+	return d.hostTopK(ctx, id, er, false)
+}
+
+// hostTopK registers a top-k relation, whole or a member's share, under
+// id with the mutable state the mutation plane versions: the
+// epoch-stamped state the relation was loaded or cut with, or a fresh
+// epoch-1 wrapping of its shards.
+func (d *DataCloud) hostTopK(ctx context.Context, id string, er *EncryptedRelation, share bool) error {
 	if id == "" || er == nil {
 		return secerr.New(secerr.CodeBadRequest, "sectopk: missing relation id or relation")
+	}
+	state, err := er.mutableState()
+	if err != nil {
+		return err
 	}
 	return d.host(ctx, id, er.pk, func(client *cloud.Client) (hosted, error) {
 		engine, err := shard.NewEngine(client, er.sh)
 		if err != nil {
 			return nil, err
 		}
-		// Materialize the mutable state the mutation plane versions: either
-		// the epoch-stamped state the relation was loaded with, or a fresh
-		// epoch-1 wrapping of the shards.
-		state, err := er.mutableState()
-		if err != nil {
-			return nil, err
-		}
 		return &hostedRelation{
 			client: client, state: state, engine: engine, er: er,
-			applied: map[string]uint64{},
+			applied: map[string]uint64{}, share: share,
 		}, nil
 	})
 }
@@ -642,8 +636,9 @@ func (d *DataCloud) Apply(ctx context.Context, relation string, delta *Delta) (u
 
 // mutable brackets one mutation into the drain accounting and resolves
 // its target, which must be a locally hosted top-k relation. The front
-// door is read-only — owners mutate the source relation and re-provision
-// the member subsets, then re-assemble the placement. Mutations are local
+// door is read-only — owners mutate the source relation and hand the
+// members shares cut at the new epoch, which the front door follows at
+// its next query. Mutations are local
 // to S1 (no protocol rounds), so cancellation only gates entry: once
 // started, one lands atomically. The caller must call endExecute iff the
 // error is nil.
@@ -658,7 +653,7 @@ func (d *DataCloud) mutable(ctx context.Context, relation string) (*hostedRelati
 	if err == nil {
 		switch h := h.(type) {
 		case *hostedRelation:
-			if !h.member() {
+			if !h.share {
 				return h, nil
 			}
 			err = mismatch(relation, h, WorkloadTopK)
@@ -715,7 +710,8 @@ func (d *DataCloud) Compact(ctx context.Context, relation string) (uint64, error
 
 // Epoch reports the current epoch of a hosted top-k relation (for a
 // member's share, the epoch its subset was cut at; for a cluster-hosted
-// relation, the epoch the placement is pinned to).
+// relation, the epoch the placement is pinned to, which moves when a
+// query finds the members at a new one).
 func (d *DataCloud) Epoch(relation string) (uint64, error) {
 	h, err := d.lookup(relation)
 	if err != nil {
@@ -726,7 +722,8 @@ func (d *DataCloud) Epoch(relation string) (uint64, error) {
 		_, epoch := h.snapshot()
 		return epoch, nil
 	case *clusterCoord:
-		return h.epoch, nil
+		_, epoch := h.current()
+		return epoch, nil
 	}
 	return 0, mismatch(relation, h, WorkloadTopK)
 }

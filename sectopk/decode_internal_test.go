@@ -59,11 +59,7 @@ var kindReaders = map[string]func(io.Reader) error{
 		_, _, _, err := secio.ReadHostedKNNRelation(r)
 		return err
 	},
-	"hosted-subset": func(r io.Reader) error {
-		_, _, _, _, _, err := secio.ReadHostedSubset(r)
-		return err
-	},
-	"hosted-mutable": func(r io.Reader) error { _, _, err := secio.ReadMutableHosted(r); return err },
+	"hosted-mutable": func(r io.Reader) error { _, _, _, _, err := secio.ReadMutableHosted(r); return err },
 	"mutable-owner": func(r io.Reader) error {
 		_, _, _, err := secio.ReadOwnerMutable(r)
 		return err
@@ -237,12 +233,9 @@ func buildSamples() (map[string][]byte, error) {
 			return secio.WriteHostedJoinRelation(w, jer.er, ehl.Params{Kind: ehl.KindPlus, S: jer.ehlS}, jer.maxScoreBits, jer.pk)
 		},
 		"hosted-knn-relation": func(w io.Writer) error { return secio.WriteHostedKNNRelation(w, ker.db, ker.maxScoreBits, ker.pk) },
-		"hosted-subset": func(w io.Writer) error {
-			return secio.WriteHostedSubset(w, 1, []int{0}, []*core.EncryptedRelation{shard0}, 1, pk)
-		},
-		"hosted-mutable": func(w io.Writer) error { return secio.WriteMutableHosted(w, st, pk) },
-		"mutable-owner":  func(w io.Writer) error { return secio.WriteOwnerMutable(w, mir, st, pk) },
-		"delta":          func(w io.Writer) error { return secio.WriteDelta(w, delta.d, delta.params) },
+		"hosted-mutable":      func(w io.Writer) error { return secio.WriteMutableHosted(w, st, 1, []int{0}, pk) },
+		"mutable-owner":       func(w io.Writer) error { return secio.WriteOwnerMutable(w, mir, st, pk) },
+		"delta":               func(w io.Writer) error { return secio.WriteDelta(w, delta.d, delta.params) },
 	}
 	out := make(map[string][]byte)
 	for kind, write := range writers {

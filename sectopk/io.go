@@ -9,7 +9,6 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/join"
 	"repro/internal/secio"
-	"repro/internal/shard"
 )
 
 // Persistence for the artifacts a deployment moves between parties.
@@ -124,32 +123,29 @@ func LoadKeys(path string) (*Keys, error) {
 // Save persists the encrypted relation (with its public key) for upload
 // to a data cloud. Only public/encrypted material is written. The bundle
 // is always the "hosted-mutable" kind — shards, epoch, tombstones, id
-// space — a fresh encryption being epoch 1 with no tombstones.
+// space, placement — a fresh encryption being epoch 1 with no tombstones
+// and a cluster member's share holding its global shard indices.
 func (er *EncryptedRelation) Save(path string) error {
 	return saveTo(path, publicFile, func(w io.Writer) error {
 		st, err := er.mutableState()
 		if err != nil {
 			return err
 		}
-		return secio.WriteMutableHosted(w, st, er.pk)
+		total, indices := er.placement()
+		return secio.WriteMutableHosted(w, st, total, indices, er.pk)
 	})
 }
 
-// LoadEncryptedRelation reads an encrypted relation bundle; every loaded
-// relation is Apply-ready.
+// LoadEncryptedRelation reads an encrypted relation bundle, a cluster
+// member's share included; every loaded whole relation is Apply-ready.
 func LoadEncryptedRelation(path string) (*EncryptedRelation, error) {
 	var out *EncryptedRelation
 	err := loadFrom(path, func(r io.Reader) error {
-		st, pk, err := secio.ReadMutableHosted(r)
-		if err != nil {
-			return err
+		st, total, indices, pk, err := secio.ReadMutableHosted(r)
+		if err == nil {
+			out, err = newEncryptedRelation(st, pk, total, indices)
 		}
-		sh, err := shard.New(st.LiveShards())
-		if err != nil {
-			return err
-		}
-		out = &EncryptedRelation{sh: sh, pk: pk, mst: st}
-		return nil
+		return err
 	})
 	return out, err
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/paillier"
 	"repro/internal/secerr"
 	"repro/internal/secio"
-	"repro/internal/shard"
 )
 
 // Delta is one atomic encrypted mutation bundle the owner produces
@@ -87,6 +86,9 @@ func (o *Owner) NewMutable(rel *Relation, er *EncryptedRelation) (*MutableRelati
 	if rel == nil || er == nil {
 		return nil, secerr.New(secerr.CodeBadRequest, "sectopk: nil relation or encrypted relation")
 	}
+	if er.indices != nil {
+		return nil, secerr.New(secerr.CodeBadRequest, "sectopk: relation is a cluster member's share; open the whole relation")
+	}
 	if er.Epoch() != 1 || (er.mst != nil && er.mst.DeadRows() > 0) {
 		return nil, secerr.New(secerr.CodeBadRequest,
 			"sectopk: relation already mutated (epoch %d); reopen it from the owner bundle", er.Epoch())
@@ -140,16 +142,7 @@ func (mr *MutableRelation) LiveRows() int {
 func (mr *MutableRelation) Encrypted() (*EncryptedRelation, error) {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
-	return encryptedView(mr.state, mr.owner)
-}
-
-// encryptedView wraps one mutable snapshot as the facade relation type.
-func encryptedView(st *mutate.Relation, o *Owner) (*EncryptedRelation, error) {
-	sh, err := shard.New(st.LiveShards())
-	if err != nil {
-		return nil, err
-	}
-	return &EncryptedRelation{sh: sh, pk: o.scheme.PublicKey(), mst: st}, nil
+	return newEncryptedRelation(mr.state, mr.owner.scheme.PublicKey(), 0, nil)
 }
 
 // Token issues a trapdoor valid against the current epoch's live rows.

@@ -178,7 +178,7 @@ func (d *DataCloud) executeWorkload(ctx context.Context, w Workload, req Request
 	if _, serves := h.kind(); serves != w {
 		return nil, mismatch(req.Relation, h, w)
 	}
-	before, s2Before, fbBefore := d.Traffic(), d.s2Calls(), mergeFallbackCount()
+	before, s2Before := d.Traffic(), d.s2Calls()
 	ans, err := h.execute(ctx, req, cfg)
 	if err != nil {
 		return nil, err
@@ -187,6 +187,5 @@ func (d *DataCloud) executeWorkload(ctx context.Context, w Workload, req Request
 	ans.Traffic.Rounds = after.Rounds - before.Rounds
 	ans.Traffic.Bytes = after.Bytes - before.Bytes
 	ans.Traffic.S2Calls = d.s2Calls() - s2Before
-	ans.Traffic.MergeFallbacks = mergeFallbackCount() - fbBefore
 	return ans, nil
 }

@@ -120,11 +120,3 @@ func (d *DataCloud) emitSpan(w Workload, relation, tenant string, ans *Answer, e
 		})
 	}
 }
-
-// mergeFallbackCount reads the process-wide merge-bound fallback
-// counters (shard + cluster scopes); executions measure deltas of it.
-func mergeFallbackCount() int64 {
-	r := telemetry.Default()
-	return r.Counter("sectopk_merge_fallbacks_total", "scope", "shard").Value() +
-		r.Counter("sectopk_merge_fallbacks_total", "scope", "cluster").Value()
-}

@@ -80,9 +80,9 @@ type Result struct {
 // both directions. Answers produced by the serving plane additionally
 // carry the span fields below; they stay zero on the cumulative
 // connection-level accessors (DataCloud.Traffic, Client.Traffic). Like
-// Rounds and Bytes, the span counters are measured as deltas on shared
-// per-process counters, so they are approximate when requests execute
-// concurrently.
+// Rounds and Bytes, S2Calls is measured as a delta on shared per-process
+// counters, so it is approximate when requests execute concurrently;
+// FanOut, MergeFallbacks and Epoch come from the execution itself.
 type Traffic struct {
 	Rounds int64
 	Bytes  int64
@@ -94,7 +94,8 @@ type Traffic struct {
 	// door. 0 when not applicable (join/kNN, cumulative Traffic).
 	FanOut int
 	// MergeFallbacks counts merge-bound certification failures that
-	// forced an exact rescan during this execution.
+	// forced an exact rescan during this execution (0 or 1), as the
+	// query's own engine reported it.
 	MergeFallbacks int64
 	// Epoch is the relation epoch the query answered over (0 when the
 	// workload is not epoch-versioned).
@@ -106,6 +107,10 @@ type Traffic struct {
 // sorted lists under globally unique object ids) plus the public key
 // they were encrypted under (public material — safe to hand to the data
 // cloud). Unsharded relations are the P = 1 case.
+//
+// A relation carries its placement: the global shard count and the
+// global index of each shard it holds. One from Encrypt holds 0..P-1;
+// one cut by Subset is a cluster member's share (HostShards).
 type EncryptedRelation struct {
 	sh *shard.Relation
 	pk *paillier.PublicKey
@@ -114,6 +119,74 @@ type EncryptedRelation struct {
 	// views. A freshly encrypted relation has none (nil = epoch-1 state
 	// with no tombstones); mutableState materializes it.
 	mst *mutate.Relation
+	// total and indices place a share: the global shard count and the
+	// global index of each shard held, aligned with sh.Shards. indices
+	// is nil for a whole relation, which holds 0..P-1 in order.
+	total   int
+	indices []int
+}
+
+// newEncryptedRelation wraps mutable state at a placement (nil indices:
+// the whole relation). A placement of every shard in order is the whole
+// relation.
+func newEncryptedRelation(st *mutate.Relation, pk *paillier.PublicKey, total int, indices []int) (*EncryptedRelation, error) {
+	sh, err := shard.New(st.LiveShards())
+	if err != nil {
+		return nil, err
+	}
+	er := &EncryptedRelation{sh: sh, pk: pk, mst: st}
+	for i, ix := range indices {
+		if ix != i || total != len(indices) {
+			er.total, er.indices = total, indices
+			break
+		}
+	}
+	return er, nil
+}
+
+// placement returns the relation's global shard count and the global
+// index of each shard it holds.
+func (er *EncryptedRelation) placement() (total int, indices []int) {
+	if er.indices != nil {
+		return er.total, er.indices
+	}
+	indices = make([]int, len(er.sh.Shards))
+	for i := range indices {
+		indices[i] = i
+	}
+	return len(indices), indices
+}
+
+// Subset cuts a cluster member's share out of the relation: the shards at
+// the given global indices, in that order, with the relation's mutable
+// state — its epoch, its id space and the shards' tombstone tails. The
+// indices must be distinct and held by er; the full set 0..P-1 in order
+// is the whole relation. Only public/encrypted material is shared.
+func (er *EncryptedRelation) Subset(indices ...int) (*EncryptedRelation, error) {
+	if len(indices) == 0 {
+		return nil, secerr.New(secerr.CodeBadRequest, "sectopk: subset selects no shards")
+	}
+	st, err := er.mutableState()
+	if err != nil {
+		return nil, err
+	}
+	total, held := er.placement()
+	at := make(map[int]int, len(held))
+	for i, ix := range held {
+		at[ix] = i
+	}
+	shards := make([]*mutate.Shard, len(indices))
+	for i, ix := range indices {
+		pos, ok := at[ix]
+		if !ok {
+			return nil, secerr.New(secerr.CodeBadRequest,
+				"sectopk: shard index %d is repeated or not among the held %v of %d", ix, held, total)
+		}
+		delete(at, ix)
+		shards[i] = st.Shards[pos]
+	}
+	sub := &mutate.Relation{Epoch: st.Epoch, IDSpace: st.IDSpace, Shards: shards}
+	return newEncryptedRelation(sub, er.pk, total, append([]int(nil), indices...))
 }
 
 // mutableState returns the relation's mutable state, wrapping a fresh
@@ -147,13 +220,14 @@ func (er *EncryptedRelation) idSpace() int {
 // Name returns the relation's name.
 func (er *EncryptedRelation) Name() string { return er.sh.Shards[0].Name }
 
-// Rows returns the global row count n.
+// Rows returns the row count n of the shards held.
 func (er *EncryptedRelation) Rows() int { return er.sh.N }
 
 // Attributes returns the attribute count m.
 func (er *EncryptedRelation) Attributes() int { return er.sh.M }
 
-// Shards returns the shard count P (1 for unsharded relations).
+// Shards returns the count of shards held: P for a whole relation (1
+// when unsharded), a share's own count for a share.
 func (er *EncryptedRelation) Shards() int { return len(er.sh.Shards) }
 
 // ByteSize returns the serialized ciphertext size, for storage-overhead

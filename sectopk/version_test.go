@@ -3,7 +3,6 @@ package sectopk_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -53,6 +52,15 @@ func peerAt(t *testing.T, v int) string {
 	return l.Addr().String()
 }
 
+// oddPeer is a peer one wire version older or newer than this build,
+// named by its side so that a version bump renames no subtest.
+type oddPeer struct {
+	name string
+	v    int
+}
+
+func oddPeers(cur int) []oddPeer { return []oddPeer{{"older", cur - 1}, {"newer", cur + 1}} }
+
 // TestWrongWireVersionRefused: transport.ProtocolVersion is the one wire
 // version of a build, checked once per connection at the preface, for
 // every plane. Each listener — the client plane, the cluster plane and
@@ -85,8 +93,9 @@ func TestWrongWireVersionRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		serveOn(t, l, ln.serve)
-		for _, v := range []int{cur - 1, cur + 1} {
-			t.Run(fmt.Sprintf("%s/v%d", ln.name, v), func(t *testing.T) {
+		for _, peer := range oddPeers(cur) {
+			v := peer.v
+			t.Run(ln.name+"/"+peer.name, func(t *testing.T) {
 				conn, err := net.Dial("tcp", l.Addr().String())
 				if err != nil {
 					t.Fatal(err)
@@ -118,8 +127,8 @@ func TestHelloWrongVersionRefused(t *testing.T) {
 	cur := transport.ProtocolVersion
 	cc := sectopk.NewCryptoCloud(testOpts()...)
 	t.Cleanup(cc.Close)
-	for _, v := range []int{cur - 1, cur + 1} {
-		addr := peerAt(t, v)
+	for _, peer := range oddPeers(cur) {
+		addr := peerAt(t, peer.v)
 		for _, dial := range []struct {
 			name string
 			dial func() error
@@ -145,7 +154,7 @@ func TestHelloWrongVersionRefused(t *testing.T) {
 				return s1.Dial(ctx, addr)
 			}},
 		} {
-			t.Run(fmt.Sprintf("%s/peer-v%d", dial.name, v), func(t *testing.T) {
+			t.Run(dial.name+"/"+peer.name, func(t *testing.T) {
 				if err := dial.dial(); !errors.Is(err, sectopk.ErrProtocolVersion) {
 					t.Fatalf("want ErrProtocolVersion, got %v", err)
 				}
