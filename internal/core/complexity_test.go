@@ -62,9 +62,9 @@ func TestRoundComplexityPerDepth(t *testing.T) {
 }
 
 // depthShape is what a Qry_F depth's round budget depends on: its 1-based
-// depth, the query's firstHaltDepth, the tracked items in T when it
-// starts, the ranked = tracked + m of them when it ends, and k.
-type depthShape struct{ depth, haltFrom, tracked, ranked, k int }
+// depth, the query's firstHaltDepth, the ranked items in T when it ends,
+// and k.
+type depthShape struct{ depth, haltFrom, ranked, k int }
 
 // depthBudget is the S1<->S2 round budget of one Qry_F depth: every step
 // and the wire methods it may call, one round each. A change that fuses
@@ -76,19 +76,14 @@ var depthBudget = []struct {
 	// times says how often the step runs at a depth of the given shape.
 	times func(s depthShape) int
 }{
-	// Qry_F's dedup marks duplicates from SecWorstBest's own bits, and
-	// SecUpdate folds its trailing dedup into its own round: no dedup
-	// round at all. The depths up to the first halting depth send their
-	// SecWorstBest bits in one round, counted at that depth.
+	// Qry_F marks its duplicates, within the depth and across depths,
+	// from SecWorstBest's own bits, and carries each object's worst score
+	// forward on them: no dedup or update round at all. The depths up to
+	// the first halting depth send their SecWorstBest bits in one round,
+	// counted at that depth.
 	{"SecWorstBest", []string{cloud.MethodEqBits}, func(s depthShape) int {
 		if s.depth < s.haltFrom {
 			return 0
-		}
-		return 1
-	}},
-	{"SecUpdate", []string{cloud.MethodEqBits}, func(s depthShape) int {
-		if s.tracked == 0 {
-			return 0 // nothing to merge with
 		}
 		return 1
 	}},
@@ -111,12 +106,13 @@ var depthBudget = []struct {
 // TestRoundBudget runs Qry_F, m=3 on a rank-correlated relation, which
 // halts at depth k, and holds every wire method to depthBudget. At k=2,
 // the benchmark's query shape, depth 1 takes no round of its own and
-// depth 2 takes 8: the two depths' SecWorstBest, SecUpdate, one round a
-// gate layer and the halting test. At k=6 the halting check first runs at
-// depth 3, which sends depths 1-3's SecWorstBest bits in one round, and
-// at depths 3-5 Batcher's network ranks 6 of |T| = 9..15 items in 10
-// fewer layers than the selection passes: the query takes 57 rounds where
-// the passes alone took 67.
+// depth 2 takes 7: the two depths' SecWorstBest, one round a gate layer
+// and the halting test (8 while SecUpdate took a round a depth). At k=6
+// the halting check first runs at depth 3, which sends depths 1-3's
+// SecWorstBest bits in one round, and at depths 3-5 Batcher's network
+// ranks 6 of |T| = 9..15 items in 10 fewer layers than the selection
+// passes: the query takes 52 rounds (57 with SecUpdate's) where the
+// passes alone took 62.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
 	const m = 3
@@ -129,7 +125,7 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	for _, tc := range []struct{ k, rounds int }{{2, 8}, {6, 57}} {
+	for _, tc := range []struct{ k, rounds int }{{2, 7}, {6, 52}} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			k := tc.k
 			stats := transport.NewStats()
@@ -158,7 +154,7 @@ func TestRoundBudget(t *testing.T) {
 			var total int64
 			for d := 0; d < res.Depth; d++ {
 				// Qry_F keeps duplicates as marked rows: |T| grows by m a depth.
-				s := depthShape{depth: d + 1, haltFrom: firstHaltDepth(m, k), tracked: d * m, ranked: (d + 1) * m, k: k}
+				s := depthShape{depth: d + 1, haltFrom: firstHaltDepth(m, k), ranked: (d + 1) * m, k: k}
 				for _, b := range depthBudget {
 					n := int64(b.times(s))
 					for _, method := range b.methods {

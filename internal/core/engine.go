@@ -11,6 +11,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
+	"repro/internal/prf"
 	"repro/internal/protocols"
 	"repro/internal/secerr"
 )
@@ -19,10 +20,11 @@ import (
 type Mode int
 
 const (
-	// QryF is the fully private baseline: SecDedup (replace mode, marked
-	// from SecWorstBest's bits with no round of its own) runs at every
-	// depth, and the halting machinery at every depth where a halt is
-	// possible (Section 8; firstHaltDepth).
+	// QryF is the fully private baseline: SecDedup (replace mode) and
+	// SecUpdate run at every depth with no round of their own, marked and
+	// carried forward on SecWorstBest's bits (queryPerDepth), so a depth
+	// costs one round, and the halting machinery runs at every depth
+	// where a halt is possible (Section 8; firstHaltDepth).
 	QryF Mode = iota
 	// QryE swaps SecDedup for SecDupElim, shrinking the tracked list and
 	// leaking the uniqueness pattern UP^d to S1 (Section 10.1).
@@ -115,11 +117,13 @@ func NewEngine(client *cloud.Client, er *EncryptedRelation) (*Engine, error) {
 
 // MagBits bounds |W|, |B| magnitudes for comparison masking. A real W or
 // B sums m weighted scores of maxScoreBits bits each, so it lies in
-// [0, 2^realBits); a Qry_F row marked as a depth's u-th extra copy
-// (protocols.MarkDuplicates) sits u <= m-1 duplicate shifts of 2^realBits
-// below its own, which takes mBits more. Exported because the shard merge
-// must compare merged candidates under exactly the bound the per-shard
-// scans used — a divergent copy would silently break merge soundness.
+// [0, 2^realBits); a Qry_F row marked by the u copies of its object read
+// after it (protocols.MarkDuplicates within its depth,
+// protocols.MarkEarlier at later ones) sits u <= m-1 duplicate shifts of
+// 2^realBits below its own, since an object appears once a list, which
+// takes mBits more. Exported because the shard merge must compare merged
+// candidates under exactly the bound the per-shard scans used — a
+// divergent copy would silently break merge soundness.
 func MagBits(maxScoreBits int, tk *Token) int {
 	realBits, mBits := scoreBits(maxScoreBits, tk)
 	return realBits + mBits + 2
@@ -146,9 +150,9 @@ func (e *Engine) magBits(tk *Token) int {
 // SlotBits is the width the engine declares for the gadget payloads of a
 // score slot (protocols.Item.ScoreBits) under the comparison bound
 // magBits: a W or B lies within ±2^magBits, so a gate's difference of
-// two, a marked row's W - u*shift against a real one, or SecUpdate's
-// sentinel -1 - g lies within ±2^(magBits+1). Exported because the shard
-// merge ranks candidates under the bound the shards used.
+// two, a marked row's W - u*shift against a real one included, lies
+// within ±2^(magBits+1). Exported because the shard merge ranks
+// candidates under the bound the shards used.
 func SlotBits(magBits int) int { return magBits + 1 }
 
 // depthBits is the width the engine declares for SecWorstBest's payloads
@@ -160,9 +164,9 @@ func (e *Engine) depthBits(tk *Token) int {
 	return realBits - mBits
 }
 
-// duplicateShift is 2^realBits, the amount MarkDuplicates takes off a
-// duplicate's W and B per earlier copy: above every real score, so a
-// marked row ranks below every real one.
+// duplicateShift is 2^realBits, the amount MarkDuplicates and
+// MarkEarlier take off a row's W and B per later copy of its object:
+// above every real score, so a marked row ranks below every real one.
 func (e *Engine) duplicateShift(tk *Token) *big.Int {
 	realBits, _ := scoreBits(e.er.MaxScoreBits, tk)
 	return new(big.Int).Lsh(big.NewInt(1), uint(realBits))
@@ -342,27 +346,31 @@ func (e *Engine) scanDepth(opts Options) int {
 // to it is certain to run, and their SecWorstBest bits go to S2 in one
 // round; each later depth sends its own. Best bounds are stored in each
 // item's ColBest column.
+//
+// Qry_F spends no other round on a depth. Its T holds one row per (list,
+// depth) read, in that order, which S1 alone knows: the depth's rows
+// carry Seen, every score of their object read so far, and SecBest's
+// bound, and MarkDuplicates marks all but the first copy among them;
+// MarkEarlier then marks every earlier row whose object the depth reads
+// again, from SecBest's own prefix bits. So each object's one live row is
+// its newest. Qry_E merges the depth's own worst bounds into T in three
+// rounds more: SecDupElim's, and SecUpdate's two in Eliminate mode.
 func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	m := len(tk.Lists)
 	shift, slot, depthBits := e.duplicateShift(tk), SlotBits(e.magBits(tk)), e.depthBits(tk)
-	dedupMode := cloud.DedupReplace
-	if opts.Mode == QryE {
-		dedupMode = cloud.DedupEliminate
-	}
 	maxD := e.scanDepth(opts)
 	histories := make([]protocols.ListHistory, m)
 	var T []protocols.Item
-	// worsts, bests and sames hold SecWorstBest's answers for the depths
-	// read but not yet merged into T, the current depth's first.
-	var worsts, bests [][]*paillier.Ciphertext
-	var sames [][][]*paillier.Ciphertext
+	// pending holds SecWorstBest's answers for the depths read but not yet
+	// merged into T, the current depth's first.
+	var pending []protocols.DepthBounds
 	depth := 0
 	for d := 0; d < maxD; d++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: depth %d: %w", d, err)
 		}
 		depth = d + 1
-		if len(worsts) == 0 {
+		if len(pending) == 0 {
 			to := d + 1
 			if d == 0 {
 				to = min(firstHaltDepth(m, tk.K), maxD)
@@ -371,41 +379,66 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*r
 			if err != nil {
 				return nil, err
 			}
-			if worsts, bests, sames, err = protocols.SecWorstBestDepths(ctx, e.client, batch, histories); err != nil {
+			if pending, err = protocols.SecWorstBestDepths(ctx, e.client, batch, histories); err != nil {
 				return nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
 			}
 		}
-		worst, best, same := worsts[0], bests[0], sames[0]
-		worsts, bests, sames = worsts[1:], bests[1:], sames[1:]
+		b := pending[0]
+		pending = pending[1:]
+		worst := b.Seen
+		if opts.Mode == QryE {
+			worst = b.Worst
+		}
 		gamma := make([]protocols.Item, m)
 		for i := 0; i < m; i++ {
 			gamma[i] = protocols.Item{
 				EHL:       histories[i].EHLs[d],
-				Scores:    []*paillier.Ciphertext{worst[i], best[i]},
+				Scores:    []*paillier.Ciphertext{worst[i], b.Best[i]},
 				ScoreBits: slot,
 			}
 		}
-		// Qry_F marks the depth's duplicates from SecWorstBest's own bits,
-		// with no round; Qry_E drops them in a round of its own.
 		var err error
 		if opts.Mode == QryE {
-			gamma, err = protocols.SecDedup(ctx, e.client, gamma, cloud.DedupEliminate, protocols.AllPairs(m), nil)
-		} else {
-			gamma, err = protocols.MarkDuplicates(ctx, e.client.PK(), gamma, same, shift)
+			if gamma, err = protocols.SecDedup(ctx, e.client, gamma, cloud.DedupEliminate, protocols.AllPairs(m), nil); err != nil {
+				return nil, fmt.Errorf("core: depth %d dedup: %w", d, err)
+			}
+			if T, err = protocols.SecUpdate(ctx, e.client, T, gamma, cloud.DedupEliminate); err != nil {
+				return nil, fmt.Errorf("core: depth %d SecUpdate: %w", d, err)
+			}
+		} else if T, err = e.markDepth(ctx, T, gamma, b, shift); err != nil {
+			return nil, fmt.Errorf("core: depth %d mark: %w", d, err)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: depth %d dedup: %w", d, err)
-		}
-		T, err = protocols.SecUpdate(ctx, e.client, T, gamma, dedupMode)
-		if err != nil {
-			return nil, fmt.Errorf("core: depth %d SecUpdate: %w", d, err)
-		}
-		var halt *runInfo
-		if T, halt, err = e.checkHalt(ctx, tk, opts, T, depth, depthBottoms(histories, d), StoredBounds); halt != nil || err != nil {
+		if halt, err := e.checkHalt(ctx, tk, opts, T, depth, depthBottoms(histories, d), StoredBounds); halt != nil || err != nil {
 			return halt, err
 		}
 	}
 	return e.finalize(ctx, tk, T, depth, maxD == e.er.N, depthBottoms(histories, depth-1), StoredBounds)
+}
+
+// markDepth appends Qry_F's depth d = len(T)/m to T, which holds the
+// rows of depths 0..d-1, row e*m + j read from list j at depth e: the
+// depth's rows gamma with their later copies marked (MarkDuplicates on
+// b.Same), after every earlier row by the count of the depth's rows that
+// carry its object (MarkEarlier on b.Prefix). No round.
+func (e *Engine) markDepth(ctx context.Context, T, gamma []protocols.Item, b protocols.DepthBounds, shift *big.Int) ([]protocols.Item, error) {
+	pk := e.client.PK()
+	gamma, err := protocols.MarkDuplicates(ctx, pk, gamma, b.Same, shift)
+	if err != nil {
+		return nil, err
+	}
+	m := len(gamma)
+	bits := make([][]*paillier.Ciphertext, len(T))
+	for _, row := range b.Prefix {
+		for j, col := range row {
+			for at, bit := range col {
+				bits[at*m+j] = append(bits[at*m+j], bit)
+			}
+		}
+	}
+	if T, err = protocols.MarkEarlier(ctx, pk, T, bits, shift); err != nil {
+		return nil, err
+	}
+	return append(T, gamma...), nil
 }
 
 // depthBottoms returns every list's score at 0-based depth d: the bottoms
@@ -498,8 +531,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*ru
 			return nil, fmt.Errorf("core: depth %d batch merge: %w", d, err)
 		}
 		pending = nil
-		var halt *runInfo
-		if T, halt, err = e.checkHalt(ctx, tk, opts, T, depth, bottoms, e.batchBest(bottoms, slot)); halt != nil || err != nil {
+		if halt, err := e.checkHalt(ctx, tk, opts, T, depth, bottoms, e.batchBest(bottoms, slot)); halt != nil || err != nil {
 			return halt, err
 		}
 	}
@@ -587,27 +619,48 @@ func (e *Engine) unseenBound(bottoms []*paillier.Ciphertext) (*paillier.Cipherte
 
 // checkHalt is the halting step both pipelines take once a depth is merged
 // into T. It tests only where a halt is possible — not under ExactScan,
-// not below firstHaltDepth, and only with a tail past the top k — and
-// then returns T ranked by Dominates (the caller keeps that order) and,
-// on a halt, the run's outcome.
-func (e *Engine) checkHalt(ctx context.Context, tk *Token, opts Options, T []protocols.Item, depth int, bottoms []*paillier.Ciphertext, best Bounds) ([]protocols.Item, *runInfo, error) {
+// not below firstHaltDepth, and only with a tail past the top k — and on
+// a halt returns the run's outcome. It ranks a copy of T (rankCopy) and
+// leaves T as it was, so Qry_F keeps every row's list and depth.
+func (e *Engine) checkHalt(ctx context.Context, tk *Token, opts Options, T []protocols.Item, depth int, bottoms []*paillier.Ciphertext, best Bounds) (*runInfo, error) {
 	k := tk.K
 	if opts.ExactScan || depth < firstHaltDepth(len(tk.Lists), k) || len(T) < k+1 {
-		return T, nil, nil
+		return nil, nil
 	}
 	unseen, err := e.unseenBound(bottoms)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ranked, halted, err := Dominates(ctx, e.client, "halting check", T, k, e.magBits(tk), best, unseen)
+	input, err := rankCopy(T)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: depth %d halting check: %w", depth-1, err)
+		return nil, err
+	}
+	ranked, halted, err := Dominates(ctx, e.client, "halting check", input, k, e.magBits(tk), best, unseen)
+	if err != nil {
+		return nil, fmt.Errorf("core: depth %d halting check: %w", depth-1, err)
 	}
 	if !halted {
-		return ranked, nil, nil
+		return nil, nil
 	}
 	res := &QueryResult{Items: ranked[:k], Depth: depth, Halted: true}
-	return ranked, &runInfo{res: res, ranked: ranked, bottoms: bottoms, best: best}, nil
+	return &runInfo{res: res, ranked: ranked, bottoms: bottoms, best: best}, nil
+}
+
+// rankCopy returns T under a fresh permutation of S1's own: the input of
+// every ranking. A comparison against a marked row can show S2 its size
+// (DESIGN.md "The mark step"), and Qry_F's T is in (depth, list) order,
+// so without it a ranking gate's position would name the list and depth
+// of the rows it compared.
+func rankCopy(T []protocols.Item) ([]protocols.Item, error) {
+	at, err := prf.RandomPerm(len(T))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]protocols.Item, len(T))
+	for i, it := range T {
+		out[at[i]] = it
+	}
+	return out, nil
 }
 
 // Dominates is NRA's domination test, shared by the halting check and the
@@ -659,7 +712,11 @@ func (e *Engine) finalize(ctx context.Context, tk *Token, T []protocols.Item, de
 		return info, nil
 	}
 	k := min(tk.K, len(T))
-	ranked, err := protocols.EncSelectTop(ctx, e.client, T, protocols.ColWorst, true, k, e.magBits(tk))
+	input, err := rankCopy(T)
+	if err != nil {
+		return nil, err
+	}
+	ranked, err := protocols.EncSelectTop(ctx, e.client, input, protocols.ColWorst, true, k, e.magBits(tk))
 	if err != nil {
 		return nil, err
 	}

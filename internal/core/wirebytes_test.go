@@ -57,12 +57,13 @@ func sumIntegerBytes(v reflect.Value) (n, count int64) {
 // TestWireBytesAreCiphertextBytes runs TestRoundBudget's query — the
 // benchmark's shape: Qry_F, m=3, k=2, halting at depth 2 — through the
 // batcher, as a deployment does, and holds what the link counts to within
-// 3 % of the ciphertext bytes the 8 rounds carry: the paper's measure of
+// 3 % of the ciphertext bytes the 7 rounds carry: the paper's measure of
 // bandwidth (Section 11.2.5) and the one transport.Stats reports. It pins
-// the integers those rounds carry, 251, of which SecUpdate's depth-2
-// round, one 3×3 equality matrix with its payloads once per item, takes
-// 33 each way; Qry_F's dedup takes none, and depth 1, which cannot halt,
-// ranks nothing.
+// the integers those rounds carry, 221, of which the one SecWorstBest
+// round takes 108: 18 bits, each a test and two payloads out, a bit and
+// two payloads back. Qry_F's dedup and its update of T take none (251
+// while SecUpdate's 3×3 matrix took 33 each way and the bits one payload
+// each), and depth 1, which cannot halt, ranks nothing.
 func TestWireBytesAreCiphertextBytes(t *testing.T) {
 	r := getRig(t)
 	rel := &dataset.Relation{Name: "ranked"}
@@ -95,13 +96,13 @@ func TestWireBytesAreCiphertextBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Halted || res.Depth != 2 || stats.Rounds() != 8 {
-		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/8", res.Depth, res.Halted, stats.Rounds())
+	if !res.Halted || res.Depth != 2 || stats.Rounds() != 7 {
+		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/7", res.Depth, res.Halted, stats.Rounds())
 	}
 	wire, cts := stats.Bytes(), payload.n.Load()
 	t.Logf("%d bytes on the link for %d integers of %d bytes: %.2f%% framing", wire, payload.count.Load(), cts, 100*float64(wire-cts)/float64(cts))
-	if n := payload.count.Load(); n != 251 {
-		t.Errorf("the query carried %d integers, want 251", n)
+	if n := payload.count.Load(); n != 221 {
+		t.Errorf("the query carried %d integers, want 221", n)
 	}
 	if wire < cts || float64(wire) > 1.03*float64(cts) {
 		t.Errorf("link carried %d bytes for %d bytes of integers; want within 3%%", wire, cts)

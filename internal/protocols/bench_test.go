@@ -60,23 +60,26 @@ func BenchmarkSecBestM3D4(b *testing.B) {
 	}
 }
 
-// BenchmarkSecWorstBestMark times one Qry_F depth's bounds and dedup at
-// the benchmark query's depth-2 shape (m = 3 lists, 3 digests, one object
-// in two lists at the current depth): SecWorstBestAll's one EqBits round,
-// then MarkDuplicates on its bits, with no round.
+// BenchmarkSecWorstBestMark times one Qry_F depth at the benchmark
+// query's depth-2 shape (m = 3 lists, 3 digests, one object in two lists
+// at the current depth and in a third at depth 1): SecWorstBestDepths'
+// one EqBits round, then MarkDuplicates on the depth's rows and
+// MarkEarlier on depth 1's, with no round.
 func BenchmarkSecWorstBestMark(b *testing.B) {
 	e := env(b)
 	const m, d = 3, 2
 	hist := make([]ListHistory, m)
+	var earlier []Item
 	for j := 0; j < m; j++ {
 		for depth := 0; depth < d; depth++ {
 			obj := uint64(j*d + depth)
-			if depth == d-1 && j > 0 {
+			if depth == d-1 && j > 0 || depth == 0 && j == 0 {
 				obj = 100
 			}
 			hist[j].EHLs = append(hist[j].EHLs, e.list(b, obj))
 			hist[j].Scores = append(hist[j].Scores, e.enc(b, int64(50-depth)))
 		}
+		earlier = append(earlier, Item{EHL: hist[j].EHLs[0], Scores: []*paillier.Ciphertext{hist[j].Scores[0], hist[j].Scores[0]}})
 	}
 	items := make([]DepthItem, m)
 	for j := 0; j < m; j++ {
@@ -85,15 +88,25 @@ func BenchmarkSecWorstBestMark(b *testing.B) {
 	pk := &e.keys.Paillier.PublicKey
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		worst, best, same, err := SecWorstBestAll(context.Background(), e.client, items, hist)
+		bounds, err := SecWorstBestDepths(context.Background(), e.client, [][]DepthItem{items}, hist)
 		if err != nil {
 			b.Fatal(err)
 		}
+		got := bounds[0]
 		gamma := make([]Item, m)
 		for j := range gamma {
-			gamma[j] = Item{EHL: items[j].EHL, Scores: []*paillier.Ciphertext{worst[j], best[j]}}
+			gamma[j] = Item{EHL: items[j].EHL, Scores: []*paillier.Ciphertext{got.Seen[j], got.Best[j]}}
 		}
-		if _, err := MarkDuplicates(context.Background(), pk, gamma, same, markShift); err != nil {
+		if _, err := MarkDuplicates(context.Background(), pk, gamma, got.Same, markShift); err != nil {
+			b.Fatal(err)
+		}
+		bits := make([][]*paillier.Ciphertext, m)
+		for _, row := range got.Prefix {
+			for j, col := range row {
+				bits[j] = append(bits[j], col...)
+			}
+		}
+		if _, err := MarkEarlier(context.Background(), pk, earlier, bits, markShift); err != nil {
 			b.Fatal(err)
 		}
 	}

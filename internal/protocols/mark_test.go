@@ -39,8 +39,7 @@ func markDepth(t testing.TB, e *testEnv, h *ehl.Hasher, objs []uint64, scores []
 // round, then decrypts every output. The first copy of each object keeps
 // its digests, W and B exactly. The copy with u earlier copies has
 // exactly W - u*shift and B - u*shift, and no digest of any object of the
-// domain. The rows come back in a fresh order, so they are checked as a
-// multiset.
+// domain. The rows come back in the order given.
 func TestMarkDuplicates(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -89,7 +88,7 @@ func TestMarkDuplicates(t *testing.T) {
 				for _, x := range scores {
 					sumAll += x
 				}
-				want := map[markedRow]int{}
+				want := make([]markedRow, m)
 				for i := range objs {
 					var u, w int64
 					for j, o := range objs {
@@ -105,15 +104,13 @@ func TestMarkDuplicates(t *testing.T) {
 					if u > 0 {
 						row.obj = -1
 					}
-					want[row]++
+					want[i] = row
 				}
 				for i, it := range out {
 					row := markedRow{e.dec(t, it.Scores[ColWorst]), e.dec(t, it.Scores[ColBest]), digestObject(t, e, h, name, i, it.EHL)}
-					if want[row] == 0 {
-						t.Errorf("%s: row %d is (W, B, object) = %v, not one of %v", name, i, row, want)
-						continue
+					if row != want[i] {
+						t.Errorf("%s: row %d is (W, B, object) = %v, want %v", name, i, row, want[i])
 					}
-					want[row]--
 				}
 			}
 		}
@@ -157,40 +154,6 @@ func digestObject(t *testing.T, e *testEnv, h *ehl.Hasher, name string, row int,
 	return obj
 }
 
-// TestMarkDuplicatesShuffles: the marked copy of an object seen in two
-// lists lands at either index, not always at the later list's. Each call
-// draws a fresh order, so 40 calls that all agree would be a 2^-39
-// accident.
-func TestMarkDuplicatesShuffles(t *testing.T) {
-	e := env(t)
-	ctx := context.Background()
-	pk := &e.keys.Paillier.PublicKey
-	items, hist := markDepth(t, e, e.hasher, []uint64{3, 3}, []int64{10, 20})
-	worst, best, same, err := SecWorstBestAll(ctx, e.client, items, hist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gamma := []Item{
-		{EHL: items[0].EHL, Scores: []*paillier.Ciphertext{worst[0], best[0]}},
-		{EHL: items[1].EHL, Scores: []*paillier.Ciphertext{worst[1], best[1]}},
-	}
-	var at [2]int
-	for trial := 0; trial < 40; trial++ {
-		out, err := MarkDuplicates(ctx, pk, gamma, same, markShift)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, it := range out {
-			if e.dec(t, it.Scores[ColWorst]) < 0 {
-				at[i]++
-			}
-		}
-	}
-	if at[0]+at[1] != 40 || at[0] == 0 || at[1] == 0 {
-		t.Fatalf("the marked copy sat at index 0 in %d calls and at index 1 in %d of 40, want each some", at[0], at[1])
-	}
-}
-
 // TestMarkDuplicatesRefuses: a mark step MarkDuplicates cannot apply is
 // an error, not a panic.
 func TestMarkDuplicatesRefuses(t *testing.T) {
@@ -213,5 +176,49 @@ func TestMarkDuplicatesRefuses(t *testing.T) {
 		if _, err := MarkDuplicates(ctx, pk, items, tc.same, tc.shift); err == nil {
 			t.Errorf("%s: MarkDuplicates succeeded", name)
 		}
+	}
+}
+
+// TestMarkEarlier: a row of an earlier depth shifts its score columns
+// down by u*shift, u the sum of its bits, keeps its digests, and stays
+// where it was; a row with no bits is returned as given.
+func TestMarkEarlier(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk := &e.keys.Paillier.PublicKey
+	rows := []Item{e.item(t, 1, 10, 20), e.item(t, 2, 30, 40), e.item(t, 3, 50, 60), e.item(t, 4, 70, 80)}
+	bits := [][]*paillier.Ciphertext{
+		nil,
+		{e.enc(t, 0), e.enc(t, 0)},
+		{e.enc(t, 1), e.enc(t, 0)},
+		{e.enc(t, 1), e.enc(t, 1)},
+	}
+	before := e.stats.Rounds()
+	out, err := MarkEarlier(ctx, pk, rows, bits, markShift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.stats.Rounds() - before; n != 0 || len(out) != len(rows) {
+		t.Fatalf("%d rows in %d rounds, want %d in none", len(out), n, len(rows))
+	}
+	for i, it := range out {
+		u := int64(0)
+		for _, b := range bits[i] {
+			u += e.dec(t, b)
+		}
+		for col, base := range []int64{10 + 20*int64(i), 20 + 20*int64(i)} {
+			if got, want := e.dec(t, it.Scores[col]), base-u*markShift.Int64(); got != want {
+				t.Errorf("row %d column %d is %d, want %d", i, col, got, want)
+			}
+		}
+		if obj := digestObject(t, e, e.hasher, "MarkEarlier", i, it.EHL); obj != int64(i+1) {
+			t.Errorf("row %d names object %d, want %d", i, obj, i+1)
+		}
+	}
+	if _, err := MarkEarlier(ctx, pk, rows, bits[:3], markShift); err == nil {
+		t.Error("MarkEarlier took 3 rows of bits for 4 rows")
+	}
+	if _, err := MarkEarlier(ctx, pk, rows, [][]*paillier.Ciphertext{nil, {nil}, nil, nil}, markShift); err == nil {
+		t.Error("MarkEarlier took a nil bit")
 	}
 }

@@ -113,7 +113,9 @@ func TestPropertySecWorstBest(t *testing.T) {
 
 // TestPropertySecWorstBestDepths: SecWorstBestDepths over the last D
 // depths of random list prefixes takes one round and returns, depth by
-// depth, what SecWorstBestAll returns over the prefixes cut at that depth.
+// depth, what SecWorstBestAll returns over the prefixes cut at that depth,
+// and beside it Seen, every score of the item's object read up to that
+// depth, and the prefix bits [o_i = o_j^e] of every earlier depth e.
 func TestPropertySecWorstBestDepths(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -123,11 +125,13 @@ func TestPropertySecWorstBestDepths(t *testing.T) {
 		depth := 1 + rng.Intn(3)
 		D := 1 + rng.Intn(depth)
 		hist := make([]ListHistory, m)
+		objs, scores := make([][]int, m), make([][]int64, m)
 		for j := range hist {
-			perm := rng.Perm(4)
+			objs[j] = rng.Perm(4)
 			for d := 0; d < depth; d++ {
-				hist[j].EHLs = append(hist[j].EHLs, e.list(t, uint64(perm[d])))
-				hist[j].Scores = append(hist[j].Scores, e.enc(t, int64(60-10*d-rng.Intn(5))))
+				scores[j] = append(scores[j], int64(60-10*d-rng.Intn(5)))
+				hist[j].EHLs = append(hist[j].EHLs, e.list(t, uint64(objs[j][d])))
+				hist[j].Scores = append(hist[j].Scores, e.enc(t, scores[j][d]))
 			}
 		}
 		// cut returns the histories as they stood at 0-based depth d, and
@@ -145,7 +149,7 @@ func TestPropertySecWorstBestDepths(t *testing.T) {
 			_, depths[x] = cut(depth - D + x)
 		}
 		before := e.stats.Rounds()
-		worst, best, same, err := SecWorstBestDepths(ctx, e.client, depths, hist)
+		bounds, err := SecWorstBestDepths(ctx, e.client, depths, hist)
 		if err != nil {
 			t.Logf("SecWorstBestDepths: %v", err)
 			return false
@@ -155,22 +159,46 @@ func TestPropertySecWorstBestDepths(t *testing.T) {
 			return false
 		}
 		for x := 0; x < D; x++ {
-			h, items := cut(depth - D + x)
+			d := depth - D + x
+			h, items := cut(d)
 			w, b, s, err := SecWorstBestAll(ctx, e.client, items, h)
 			if err != nil {
 				t.Logf("SecWorstBestAll: %v", err)
 				return false
 			}
+			got := bounds[x]
 			for i := 0; i < m; i++ {
-				if e.dec(t, worst[x][i]) != e.dec(t, w[i]) || e.dec(t, best[x][i]) != e.dec(t, b[i]) {
+				if e.dec(t, got.Worst[i]) != e.dec(t, w[i]) || e.dec(t, got.Best[i]) != e.dec(t, b[i]) {
 					t.Logf("seed %d: depth %d of %d, item %d differs from its own round", seed, x, D, i)
 					return false
 				}
+				seen := scores[i][d]
 				for j := 0; j < m; j++ {
-					if j != i && e.dec(t, same[x][i][j]) != e.dec(t, s[i][j]) {
+					if j == i {
+						continue
+					}
+					if e.dec(t, got.Same[i][j]) != e.dec(t, s[i][j]) {
 						t.Logf("seed %d: depth %d of %d, bit (%d, %d) differs from its own round", seed, x, D, i, j)
 						return false
 					}
+					if len(got.Prefix[i][j]) != d {
+						t.Logf("seed %d: depth %d, item %d has %d prefix bits for list %d, want %d", seed, d, i, len(got.Prefix[i][j]), j, d)
+						return false
+					}
+					for at := 0; at <= d; at++ {
+						var eq int64
+						if objs[j][at] == objs[i][d] {
+							eq, seen = 1, seen+scores[j][at]
+						}
+						if at < d && e.dec(t, got.Prefix[i][j][at]) != eq {
+							t.Logf("seed %d: depth %d, prefix bit (%d, %d, %d) is not %d", seed, d, i, j, at, eq)
+							return false
+						}
+					}
+				}
+				if v := e.dec(t, got.Seen[i]); v != seen {
+					t.Logf("seed %d: depth %d, item %d has Seen %d, want %d (objects %v, scores %v)", seed, d, i, v, seen, objs, scores)
+					return false
 				}
 			}
 		}

@@ -2,8 +2,9 @@
 // sub-protocols (Section 8.2 and Section 10): EncCompare, the hidden-bit
 // gadget every oblivious choice goes through (in place of Algorithm 5's
 // double layer), SecWorst, SecBest, SecDedup/SecDupElim and Qry_F's
-// round-free MarkDuplicates, SecUpdate, EncSelectTop (EncSort's ranking:
-// Batcher's network or top-k selection passes), SecMult, and SecFilter.
+// round-free MarkDuplicates and MarkEarlier, SecUpdate, EncSelectTop
+// (EncSort's ranking: Batcher's network or top-k selection passes),
+// SecMult, and SecFilter.
 //
 // All functions drive the crypto cloud S2 through a cloud.Client; every
 // value S2 sees is blinded and/or permuted first.

@@ -51,6 +51,12 @@ import (
 // one a full-width residue. The queries' marked rows and sentinels travel
 // in those slots, so a width that did not cover them fails here.
 //
+// For a top-k query in Qry_F it keeps two more views of S2's: the width
+// of every plain EqBits request, and, for every ranking, which gates of
+// its first layer compared a marked row. A comparison against a marked
+// row can show by its size (DESIGN.md "The mark step"): with markedAbove
+// set, a gate whose masked difference S2 reads above it had one.
+//
 // It also holds grouped EqBits requests (SecDedup's Replace mode, which
 // no query sends since Qry_F marks its duplicates from SecWorstBest's
 // bits) to the uniform-width rule: every group of one request has n - 1
@@ -69,13 +75,20 @@ type wireRecorder struct {
 	declared *declaredWidths
 	windowed int
 
-	mu       sync.Mutex
-	powers   map[string]string // nonce power -> the message that first carried it
-	sent     map[string]string // other integer S1 sent -> its message
-	calls    int
-	dedups   int // Dedup calls
-	grouped  int // EqBits calls with groups wider than one test
-	matrices int // EqBits calls with a column section
+	// markedAbove, once set, is the size of a gate's masked difference
+	// above which S2 knows one operand is a marked row.
+	markedAbove *big.Int
+
+	mu          sync.Mutex
+	powers      map[string]string // nonce power -> the message that first carried it
+	sent        map[string]string // other integer S1 sent -> its message
+	calls       int
+	last        string   // the previous call's method
+	dedups      int      // Dedup calls
+	grouped     int      // EqBits calls with groups wider than one test
+	matrices    int      // EqBits calls with a column section
+	bitWidths   []int    // the payloads a bit of each plain EqBits call
+	firstLayers []string // markedGates of each ranking's first layer
 }
 
 func newWireRecorder(t testing.TB, inner transport.Caller, keys *cloud.KeyMaterial) *wireRecorder {
@@ -112,6 +125,12 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	}
 	switch q := req.(type) {
 	case *cloud.GadgetRequest:
+		if method == cloud.MethodEqBits && q.Group == 1 && q.Cols == 0 {
+			r.bitWidths = append(r.bitWidths, q.Width)
+		}
+		if method == cloud.MethodCompareHidden && r.markedAbove != nil && r.last != method {
+			r.firstLayers = append(r.firstLayers, r.markedGates(q))
+		}
 		if q.Cols > 0 {
 			r.matrices++
 			r.matchings(at, q)
@@ -128,7 +147,26 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	case *cloud.FilterRequest:
 		r.blindRecords(at, q.Rows, resp.(*cloud.FilterReply).Rows)
 	}
+	r.last = method
 	return nil
+}
+
+// markedGates returns, gate by gate, whether a layer's masked difference
+// reads above markedAbove: "m" for a gate that compared a marked row
+// with a real one, "." otherwise.
+func (r *wireRecorder) markedGates(q *cloud.GadgetRequest) string {
+	out := make([]byte, len(q.Cts))
+	for g, c := range q.Cts {
+		v, err := r.keys.Paillier.DecryptSigned(&paillier.Ciphertext{C: c})
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		out[g] = '.'
+		if v.Abs(v).Cmp(r.markedAbove) > 0 {
+			out[g] = 'm'
+		}
+	}
+	return string(out)
 }
 
 // declaredWidths are the payload widths one query's callers declare, by
@@ -399,29 +437,80 @@ func TestWireRecorder(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Unit weights: a weighted score has scoreBits + 1 bits.
-			slot := core.SlotBits(core.MagBits(scoreBits, tk))
+			magBits := core.MagBits(scoreBits, tk)
+			slot := core.SlotBits(magBits)
 			rec.declared = &declaredWidths{digests: ehlParams.S, score: slot, equal: scoreBits + 1, mult: slot}
-			res, err := engine.SecQuery(ctx, tk, opts)
-			if err != nil {
-				t.Fatal(err)
+			if opts.Mode == core.QryF {
+				// A gate masks d = 2a - 2b - 1 as r*d + r', r < 2^kappa
+				// (maskedDiff at magBits + 2). Every real W here is at
+				// most 27, so a real gate reads below 2^(kappa+6); one
+				// against a marked row, 2^19 lower, reads above it unless
+				// r < 2^(kappa-14).
+				kappa := keys.Paillier.N.BitLen() - (magBits + 2) - 4
+				rec.markedAbove = new(big.Int).Lsh(big.NewInt(1), uint(kappa+6))
 			}
-			got, err := rev.RevealTopK(res.Items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != k || res.Depth < 3 {
-				t.Fatalf("%d items at depth %d, want %d items past depth 2", len(got), res.Depth, k)
-			}
-			for i := range want {
-				if got[i].Obj != want[i].Obj {
-					t.Fatalf("top-%d is object %d, want %d", i+1, got[i].Obj, want[i].Obj)
+			query := func() int {
+				res, err := engine.SecQuery(ctx, tk, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got, err := rev.RevealTopK(res.Items)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k || res.Depth < 3 {
+					t.Fatalf("%d items at depth %d, want %d items past depth 2", len(got), res.Depth, k)
+				}
+				for i := range want {
+					if got[i].Obj != want[i].Obj {
+						t.Fatalf("top-%d is object %d, want %d", i+1, got[i].Obj, want[i].Obj)
+					}
+				}
+				return res.Depth
+			}
+			depth := query()
+			if opts.Mode != core.QryF {
+				return
 			}
 			// Qry_F marks its duplicates from SecWorstBest's bits and
 			// keeps every row, so it sends no dedup round at all: no
-			// blind records and no grouped EqBits.
-			if opts.Mode == core.QryF && (rec.dedups != 0 || rec.grouped != 0) {
-				t.Errorf("Qry_F sent %d Dedup requests and %d grouped EqBits, want none", rec.dedups, rec.grouped)
+			// blind records and no grouped EqBits. It carries W forward
+			// on the same bits, so it sends no SecUpdate matrix either.
+			if rec.dedups != 0 || rec.grouped != 0 || rec.matrices != 0 {
+				t.Errorf("Qry_F sent %d Dedup requests, %d grouped EqBits and %d EqBits matrices, want none", rec.dedups, rec.grouped, rec.matrices)
+			}
+			// Every bit of a SecWorstBest batch, an earlier depth's or its
+			// own, carries a W slot and a B slot, so S2 cannot tell which
+			// bits test an earlier depth.
+			for x, w := range rec.bitWidths {
+				if w != 2 {
+					t.Errorf("Qry_F's SecWorstBest call %d carries %d payloads a bit, want 2 on every bit", x, w)
+				}
+			}
+			if len(rec.bitWidths) == 0 {
+				t.Error("Qry_F sent no SecWorstBest bits")
+			}
+			// T is in (depth, list) order, which S1 alone knows: each
+			// ranking takes it under a fresh permutation, so the gates
+			// that show a marked row differ from run to run of one
+			// query. In T's own order every run would show the same ones.
+			runs := []string{fmt.Sprint(rec.firstLayers)}
+			for len(runs) < 4 {
+				rec.firstLayers = nil
+				if query() != depth {
+					t.Fatalf("a rerun of the query halted at another depth than %d", depth)
+				}
+				runs = append(runs, fmt.Sprint(rec.firstLayers))
+			}
+			t.Logf("marked gates of the first layer of each ranking, by run: %v", runs)
+			same := 0
+			for _, run := range runs {
+				if run == runs[0] {
+					same++
+				}
+			}
+			if same == len(runs) {
+				t.Errorf("%d runs of the query showed S2 the same marked gates in every ranking, %s: the ranking input was not re-permuted", len(runs), runs[0])
 			}
 		})
 	}

@@ -23,9 +23,11 @@ import (
 // one ApplyMatrix round: g's W and B cross into the tracked item it
 // matches, t.B is scaled by t's own bit t_t = Σ_g t_gt, and
 // t.B - t_t*t.B + Σ_g t_gt*g.B is the fresher bound when matched. In
-// Replace mode (Qry_F) the same round also turns a matched new item into
-// a sentinel row, g += t_g*(sentinel - g), its row scaling sentinel - g
-// per slot, and |T| grows by |gamma| each depth, as in the paper. In
+// Replace mode the same round also turns a matched new item into a
+// sentinel row, g += t_g*(sentinel - g), its row scaling sentinel - g
+// per slot, and |T| grows by |gamma| each depth, as in the paper; no
+// query runs it, since Qry_F carries W forward on SecWorstBest's own bits
+// (core's queryPerDepth), and it stays for the benchmark's seam alone. In
 // Eliminate mode (Qry_E) the new copy takes g.W += Σ_t t_gt*t.W instead,
 // t's W crossing into the row, and a bipartite dedup drops one copy of
 // each matched pair (Algorithm 9 line 13), a second round.

@@ -3,9 +3,11 @@ package sectopk_test
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/sectopk"
 )
@@ -21,6 +23,15 @@ type overloadRig struct {
 }
 
 func newOverloadRig(t *testing.T, extra ...sectopk.Option) *overloadRig {
+	t.Helper()
+	return newLinkedOverloadRig(t, func(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error {
+		return dc.ConnectLocal(context.Background(), cc)
+	}, extra...)
+}
+
+// newLinkedOverloadRig is newOverloadRig with the data cloud's S2 link
+// made by connect.
+func newLinkedOverloadRig(t *testing.T, connect func(*sectopk.DataCloud, *sectopk.CryptoCloud) error, extra ...sectopk.Option) *overloadRig {
 	t.Helper()
 	ctx := context.Background()
 	owner, err := sectopk.NewOwner(testOpts()...)
@@ -38,7 +49,7 @@ func newOverloadRig(t *testing.T, extra ...sectopk.Option) *overloadRig {
 	}
 	dc := sectopk.NewDataCloud(testOpts(extra...)...)
 	t.Cleanup(dc.Close)
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
+	if err := connect(dc, cc); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.Host(ctx, "demo", er); err != nil {
@@ -54,10 +65,26 @@ func newOverloadRig(t *testing.T, extra ...sectopk.Option) *overloadRig {
 // TestSessionLimitSustainedOverload drives a WithSessionLimit(1) data
 // cloud with sustained concurrent load. The contract under overload: excess requests shed
 // immediately with typed ErrOverloaded (no unbounded queueing), admitted
-// requests complete, and teardown leaves no goroutine behind.
+// requests complete, and teardown leaves no goroutine behind. The
+// collision is forced, not hoped for: S2 holds its reply to the first
+// admitted query's first round until a worker has been shed, so that
+// query keeps the one session slot however fast it would run, and on
+// however few cores.
 func TestSessionLimitSustainedOverload(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	rig := newOverloadRig(t, sectopk.WithSessionLimit(1))
+	s2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &hold{held: make(chan struct{}), release: make(chan struct{})}
+	var stopS2 func()
+	rig := newLinkedOverloadRig(t, func(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error {
+		stopS2 = serveOn(t, holdListener{Listener: s2, hold: link}, cc.Serve)
+		return dc.Dial(context.Background(), s2.Addr().String())
+	}, sectopk.WithSessionLimit(1))
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(link.release) }) }
+	t.Cleanup(release) // runs before the rig's Close if the test stops early
 	ctx := context.Background()
 	req := sectopk.TopKRequest("demo", rig.tk)
 
@@ -68,11 +95,13 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 		attempts = 3
 	)
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		ok      int
-		shed    int
-		unknown []error
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		ok        int
+		shed      int
+		unknown   []error
+		firstShed = make(chan struct{})
+		shedOnce  sync.Once
 	)
 	run := func() {
 		defer wg.Done()
@@ -84,16 +113,24 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 				ok++
 			case errors.Is(err, sectopk.ErrOverloaded):
 				shed++
+				shedOnce.Do(func() { close(firstShed) })
 			default:
 				unknown = append(unknown, err)
 			}
 			mu.Unlock()
 		}
 	}
+	link.armed.Store(true)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go run()
 	}
+	select {
+	case <-firstShed:
+	case <-time.After(30 * time.Second):
+		t.Error("no worker was shed in 30 s while an admitted query held the one session slot")
+	}
+	release()
 	wg.Wait()
 
 	if len(unknown) > 0 {
@@ -113,6 +150,7 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 
 	rig.dc.Close()
 	rig.cc.Close()
+	stopS2()
 	waitForGoroutines(t, baseline)
 }
 
