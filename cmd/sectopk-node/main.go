@@ -16,7 +16,7 @@
 //	# Data cloud S1, one-shot mode: load the encrypted relation +
 //	# token, execute the query against S2, store the encrypted
 //	# result.
-//	sectopk-node s1 -dir ./deploy -connect 127.0.0.1:9042 -mode e
+//	sectopk-node s1 -dir ./deploy -connect 127.0.0.1:9042
 //
 //	# Data cloud S1, server mode: host every provisioned workload and
 //	# serve remote queriers on the client wire protocol. -probe-listen

@@ -48,7 +48,7 @@ func runQuery(ctx context.Context, args []string) error {
 	connect := fs.String("connect", "127.0.0.1:9142", "data cloud client-listen address(es), comma separated — first reachable wins")
 	workload := fs.String("workload", "topk", "workload: topk|join|knn")
 	relation := fs.String("relation", "", "relation ID (defaults to \"default\" for topk, the workload name otherwise)")
-	mode := fs.String("mode", "e", "query mode: f|e|ba (topk only)")
+	mode := fs.String("mode", "f", "query mode: f|e|ba (topk only)")
 	tenant := fs.String("tenant", "", "tenant to identify as in the Hello (QoS admission bucket; empty = default tenant)")
 	wait := fs.Duration("wait", 15*time.Second, "how long to retry dialing the server")
 	if err := fs.Parse(args); err != nil {

@@ -36,7 +36,7 @@ func runS1(ctx context.Context, args []string) error {
 	sessionLimit := fs.Int("session-limit", 0, "bound concurrently executing requests; overflow sheds with a typed overloaded error (0 = GOMAXPROCS queueing gate for remote clients)")
 	tenantLimits := fs.String("tenant-limits", "", "per-tenant QoS admission budgets: comma list of name=rate[:burst] (requests/s), e.g. 'alice=5:10,bob=1'; unlisted tenants stay unlimited")
 	drain := fs.Duration("drain-timeout", 0, "graceful shutdown window: let in-flight queries finish this long before aborting (0 = abort immediately)")
-	mode := fs.String("mode", "e", "query mode: f|e|ba (one-shot mode only)")
+	mode := fs.String("mode", "f", "query mode: f|e|ba (one-shot mode only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -91,8 +91,8 @@ var depthBudget = []struct {
 		if s.depth < s.haltFrom || s.ranked < s.k+1 {
 			return 0 // no halt possible yet, or too few items to test halting on
 		}
-		// The top k of ranked items: k selection passes scheduled
-		// together, or Batcher's network where that is cheaper.
+		// The top k of ranked items on the shallowest of the selection
+		// passes, Batcher's network and the fixed programs.
 		return protocols.SelectTopLayers(s.ranked, s.k)
 	}},
 	{"halting test", []string{cloud.MethodCompare}, func(s depthShape) int {
@@ -106,13 +106,15 @@ var depthBudget = []struct {
 // TestRoundBudget runs Qry_F, m=3 on a rank-correlated relation, which
 // halts at depth k, and holds every wire method to depthBudget. At k=2,
 // the benchmark's query shape, depth 1 takes no round of its own and
-// depth 2 takes 7: the two depths' SecWorstBest, one round a gate layer
-// and the halting test (8 while SecUpdate took a round a depth). At k=6
-// the halting check first runs at depth 3, which sends depths 1-3's
-// SecWorstBest bits in one round, and at depths 3-5 Batcher's network
-// ranks 6 of |T| = 9..15 items in 10 fewer layers than the selection
-// passes: the query takes 52 rounds (57 with SecUpdate's) where the
-// passes alone took 62.
+// depth 2 takes 6: the two depths' SecWorstBest, one round for each of
+// the six-input top-2 selector's 4 gate layers and the halting test (7
+// on the selection passes' 5 layers, 8 while SecUpdate took a round a
+// depth). At k=6 the halting check first runs at depth 3, which sends
+// depths 1-3's SecWorstBest bits in one round, and at depths 3-5
+// Batcher's network, pruned to the top 6, ranks 6 of |T| = 9..15 items
+// in 10 fewer layers than the selection passes: the query takes 52
+// rounds (57 with SecUpdate's) where the passes alone took 62. Pruning
+// takes gates, not layers, off those rankings.
 func TestRoundBudget(t *testing.T) {
 	r := getRig(t)
 	const m = 3
@@ -125,7 +127,7 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	for _, tc := range []struct{ k, rounds int }{{2, 7}, {6, 52}} {
+	for _, tc := range []struct{ k, rounds int }{{2, 6}, {6, 52}} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
 			k := tc.k
 			stats := transport.NewStats()

@@ -168,13 +168,14 @@ func TestPaperExampleQryBa(t *testing.T) {
 }
 
 // TestPaperExampleWithFullSort runs the Figure 3 query at k=4, where the
-// halting check ranks 4 of |T| = 6 items at depth 2 on Batcher's network
-// (6 layers, 12 gates) rather than four selection passes (7 layers, 14
-// gates), and holds the answer to the plaintext top 4.
+// halting check ranks 4 of |T| = 6 items at depth 2 on Knuth's six-input
+// sorter (5 layers, 12 gates) rather than four selection passes (7
+// layers, 14 gates) or Batcher's network (6 layers, 12 gates), and holds
+// the answer to the plaintext top 4.
 func TestPaperExampleWithFullSort(t *testing.T) {
 	const k = 4
-	if got := protocols.SelectTopLayers(6, k); got != 6 {
-		t.Fatalf("ranking 4 of 6 items takes %d layers, want the network's 6", got)
+	if got := protocols.SelectTopLayers(6, k); got != 5 {
+		t.Fatalf("ranking 4 of 6 items takes %d layers, want the six-input sorter's 5", got)
 	}
 	r := getRig(t)
 	er := encryptFig3(t, r)
@@ -496,12 +497,12 @@ func TestRevealerErrors(t *testing.T) {
 	if _, err := rev.Object(nil); err == nil {
 		t.Fatal("expected error for nil EHL")
 	}
-	// A random list must not resolve.
-	random, err := ehl.RandomList(r.scheme.PublicKey(), ehl.Params{Kind: ehl.KindPlus, S: 3})
+	// The list of an object past the revealer's n must not resolve.
+	outside, err := r.scheme.EncryptEntry(5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rev.Object(random); err == nil {
+	if _, err := rev.Object(outside.EHL); err == nil {
 		t.Fatal("expected error for unknown digest")
 	}
 	if _, err := r.scheme.NewRevealer(0); err == nil {

@@ -20,8 +20,8 @@ import (
 // the largest score MaxScoreBits admits and weights of 2^41 - 1, the
 // largest at which the oracle's int64 still sums three maximal scores.
 // Both the revealed objects and their scores must match nra.TopKExact:
-// a marked copy that kept its digests or its scores would show up in the
-// top-k beside its first copy.
+// a marked copy keeps its digests, so one that kept its scores too would
+// show up in the top-k beside its first copy.
 func TestMarkedDuplicatesAtMaximalScores(t *testing.T) {
 	r := getRig(t)
 	top := int64(1)<<r.scheme.Params().MaxScoreBits - 1

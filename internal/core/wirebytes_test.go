@@ -57,7 +57,7 @@ func sumIntegerBytes(v reflect.Value) (n, count int64) {
 // TestWireBytesAreCiphertextBytes runs TestRoundBudget's query — the
 // benchmark's shape: Qry_F, m=3, k=2, halting at depth 2 — through the
 // batcher, as a deployment does, and holds what the link counts to within
-// 3 % of the ciphertext bytes the 7 rounds carry: the paper's measure of
+// 3 % of the ciphertext bytes the 6 rounds carry: the paper's measure of
 // bandwidth (Section 11.2.5) and the one transport.Stats reports. It pins
 // the integers those rounds carry, 221, of which the one SecWorstBest
 // round takes 108: 18 bits, each a test and two payloads out, a bit and
@@ -96,8 +96,8 @@ func TestWireBytesAreCiphertextBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Halted || res.Depth != 2 || stats.Rounds() != 7 {
-		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/7", res.Depth, res.Halted, stats.Rounds())
+	if !res.Halted || res.Depth != 2 || stats.Rounds() != 6 {
+		t.Fatalf("depth=%d halted=%v rounds=%d, want 2/true/6", res.Depth, res.Halted, stats.Rounds())
 	}
 	wire, cts := stats.Bytes(), payload.n.Load()
 	t.Logf("%d bytes on the link for %d integers of %d bytes: %.2f%% framing", wire, payload.count.Load(), cts, 100*float64(wire-cts)/float64(cts))

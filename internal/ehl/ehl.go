@@ -147,26 +147,6 @@ func (h *Hasher) BuildBytes(data []byte) (*List, error) {
 	return &List{Cts: cts}, nil
 }
 
-// RandomList builds a list of encryptions of uniformly random Z_N values:
-// uniform units of Z*_{N^2}, which is the same distribution (with g = 1+N,
-// (r, rho) -> g^r * rho^N is a bijection from Z_N x Z*_N onto Z*_{N^2})
-// drawn without a nonce power. S1 pads sorting networks and names join
-// results with it: with overwhelming probability it matches no real object.
-func RandomList(pk *paillier.PublicKey, params Params) (*List, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	cts := make([]*paillier.Ciphertext, params.Width())
-	for i := range cts {
-		u, err := zmath.RandUnit(rand.Reader, pk.N2)
-		if err != nil {
-			return nil, err
-		}
-		cts[i] = &paillier.Ciphertext{C: u}
-	}
-	return &List{Cts: cts}, nil
-}
-
 // Clone deep-copies the list.
 func (l *List) Clone() *List {
 	if l == nil {
@@ -188,6 +168,9 @@ func compatible(a, b *List) error {
 	}
 	if len(a.Cts) != len(b.Cts) {
 		return fmt.Errorf("ehl: incompatible lists (width %d vs %d)", len(a.Cts), len(b.Cts))
+	}
+	if len(a.Cts) == 0 {
+		return errors.New("ehl: an empty list names no object")
 	}
 	return nil
 }

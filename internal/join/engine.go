@@ -153,13 +153,11 @@ func (e *Engine) SecJoin(ctx context.Context, tk *Token) ([]protocols.JoinTuple,
 
 	// Phase 4: rank by score and return the encrypted top-k
 	// (Section 12.4's final EncSort step, via EncSelectTop).
+	// A JoinTuple carries no id, so the items carry an empty one: a gate
+	// moves and blinds no digest slot.
 	items := make([]protocols.Item, len(joined))
 	for i, t := range joined {
-		id, err := ehl.RandomList(pk, ehl.Params{Kind: ehl.KindPlus, S: 1})
-		if err != nil {
-			return nil, err
-		}
-		items[i] = protocols.Item{EHL: id, Scores: append([]*paillier.Ciphertext{t.Score}, t.Attrs...), ScoreBits: payBits}
+		items[i] = protocols.Item{EHL: &ehl.List{}, Scores: append([]*paillier.Ciphertext{t.Score}, t.Attrs...), ScoreBits: payBits}
 	}
 	k := tk.K
 	if k > len(items) {

@@ -188,6 +188,23 @@ func BenchmarkSecMultBatch8(b *testing.B) {
 	}
 }
 
+// BenchmarkEncSelectTop2Of6 ranks the top 2 of 6 items, the halting
+// check's shape at depth 2 of a 3-list query: the six-input top-2
+// selector's 4 layers.
+func BenchmarkEncSelectTop2Of6(b *testing.B) {
+	e := env(b)
+	items := make([]Item, 6)
+	for i := range items {
+		items[i] = e.item(b, uint64(i), int64(i*7%13))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncSelectTop(context.Background(), e.client, items, 0, true, 2, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEncSelectTop3Of8(b *testing.B) {
 	e := env(b)
 	items := make([]Item, 8)

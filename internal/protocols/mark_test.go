@@ -37,9 +37,9 @@ func markDepth(t testing.TB, e *testEnv, h *ehl.Hasher, objs []uint64, scores []
 // object in every list, and random ones — it takes the bits of one
 // SecWorstBestAll round and marks the depth with them in no further
 // round, then decrypts every output. The first copy of each object keeps
-// its digests, W and B exactly. The copy with u earlier copies has
-// exactly W - u*shift and B - u*shift, and no digest of any object of the
-// domain. The rows come back in the order given.
+// W and B exactly. The copy with u earlier copies has exactly W - u*shift
+// and B - u*shift. Every row keeps its digests, and the rows come back in
+// the order given.
 func TestMarkDuplicates(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -100,11 +100,7 @@ func TestMarkDuplicates(t *testing.T) {
 						}
 					}
 					// At a depth with no past, B sums every list's score.
-					row := markedRow{w - u*markShift.Int64(), sumAll - u*markShift.Int64(), int64(objs[i])}
-					if u > 0 {
-						row.obj = -1
-					}
-					want[i] = row
+					want[i] = markedRow{w - u*markShift.Int64(), sumAll - u*markShift.Int64(), int64(objs[i])}
 				}
 				for i, it := range out {
 					row := markedRow{e.dec(t, it.Scores[ColWorst]), e.dec(t, it.Scores[ColBest]), digestObject(t, e, h, name, i, it.EHL)}

@@ -3,7 +3,8 @@
 // gadget every oblivious choice goes through (in place of Algorithm 5's
 // double layer), SecWorst, SecBest, SecDedup/SecDupElim and Qry_F's
 // round-free MarkDuplicates and MarkEarlier, SecUpdate, EncSelectTop
-// (EncSort's ranking: Batcher's network or top-k selection passes),
+// (EncSort's ranking: the shallowest of top-k selection passes, a pruned
+// Batcher network and fixed six-input programs),
 // SecMult, and SecFilter.
 //
 // All functions drive the crypto cloud S2 through a cloud.Client; every
@@ -59,9 +60,10 @@ func (it Item) Clone() Item {
 	return out
 }
 
-// Validate checks the item's shape.
+// Validate checks the item's shape. An empty EHL is an item without an
+// id (a join result's), which a ranking moves but no equality test takes.
 func (it Item) Validate(cols int) error {
-	if it.EHL == nil || len(it.EHL.Cts) == 0 {
+	if it.EHL == nil {
 		return errors.New("protocols: item missing EHL")
 	}
 	if len(it.Scores) != cols {

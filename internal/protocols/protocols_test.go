@@ -658,7 +658,7 @@ func TestSecUpdateEmptyCases(t *testing.T) {
 }
 
 // sortCheck asks the one ranker for all n of n items, which at these
-// sizes runs Batcher's network, and checks a full sort.
+// sizes runs a sorting network, and checks a full sort.
 func sortCheck(t *testing.T, e *testEnv, vals []int64, desc bool) {
 	t.Helper()
 	n := len(vals)
@@ -811,40 +811,102 @@ func TestSelectSchedule(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		caller        string
-		n, k          int
-		before, after int
+		caller               string
+		n, k                 int
+		before, after, gates int
 	}{
-		{"checkHalt", 6, 2, 6, 5},
-		{"shard.Merge", 4, 2, 4, 3},
-		{"knn.Query", 12, 3, 12, 8},
-		{"join.SecJoin", 5, 3, 7, 5},
-		{"a depth-20 query", 60, 2, 12, 9},
+		{"checkHalt", 6, 2, 6, 4, 9},
+		{"shard.Merge", 4, 2, 4, 3, 5},
+		{"knn.Query", 12, 3, 12, 8, 30},
+		{"join.SecJoin", 5, 3, 7, 5, 8},
+		{"a depth-20 query", 60, 2, 12, 9, 117},
 	} {
 		if _, layers := perPass(tc.n, tc.k); layers != tc.before {
 			t.Errorf("%s (n=%d k=%d): %d layers one pass after another, want %d", tc.caller, tc.n, tc.k, layers, tc.before)
 		}
-		if got := SelectTopLayers(tc.n, tc.k); got != tc.after {
-			t.Errorf("%s (n=%d k=%d): %d layers, want %d", tc.caller, tc.n, tc.k, got, tc.after)
+		s := rankSchedule(tc.n, tc.k)
+		if got := SelectTopLayers(tc.n, tc.k); got != tc.after || len(s.program) != tc.gates {
+			t.Errorf("%s (n=%d k=%d): %d layers of %d gates, want %d of %d", tc.caller, tc.n, tc.k, got, len(s.program), tc.after, tc.gates)
 		}
 	}
 }
 
-// TestRankSchedule checks the one ranker's choice without any crypto for
-// n <= 64 and k <= n+1: it never has more gates or more layers than the
-// selection passes, and a plaintext run leaves the sorted top k at
-// 0..k-1. At the shapes the benchmark's queries rank, the network is no
-// cheaper on both counts, so the ranker runs the selection passes gate
-// for gate there. Run with -v for the counts of both schedules at the
+// zeroOneSelects runs s over the 0-1 input in, bit x the key at position
+// x, and reports whether positions 0..k-1 end with the input's k smallest
+// keys in order: its zeros, then ones. By the 0-1 principle a program
+// that does so for every input of n bits orders the first k of any n
+// keys.
+func zeroOneSelects(s *schedule, n, k int, in uint32) bool {
+	out := in
+	for _, layer := range s.layers {
+		for _, g := range layer {
+			if out>>g.i&1 == 1 && out>>g.j&1 == 0 {
+				out ^= 1<<g.i | 1<<g.j
+			}
+		}
+	}
+	zeros := n - bits.OnesCount32(in)
+	for p := 0; p < k && p < n; p++ {
+		if want := p >= zeros; out>>p&1 == 1 != want {
+			return false
+		}
+	}
+	return true
+}
+
+// rankCandidate names the candidate rankSchedule(n, k) took.
+func rankCandidate(n, k int) string {
+	s := rankSchedule(n, k)
+	if reflect.DeepEqual(s.program, selectSchedule(n, k).program) {
+		return "passes"
+	}
+	if reflect.DeepEqual(s.program, pruneSchedule(n, k, sortSchedule(n).program).program) {
+		return "network"
+	}
+	for x, f := range fixedPrograms {
+		if f.n == n && k <= f.k && reflect.DeepEqual(s.program, pruneSchedule(n, k, f.program).program) {
+			return fmt.Sprintf("fixed %d", x)
+		}
+	}
+	return "none"
+}
+
+// TestRankSchedule checks the one ranker without any crypto. Every fixed
+// program orders its first k positions on all 2^n 0-1 inputs, and so does
+// each pruning of it to fewer. For n <= 64 and k <= n+1 the ranker never
+// has more gates or more layers than the selection passes, and leaves the
+// sorted top k at 0..k-1: on every 0-1 input up to n = 12, on random
+// permutations above. It pins which candidate each caller's shape runs.
+// Run with -v for the counts of the passes and the ranker at the
 // callers' shapes and at the Qry_F depth sums.
 func TestRankSchedule(t *testing.T) {
+	for x, f := range fixedPrograms {
+		for k := 1; k <= f.k; k++ {
+			s := pruneSchedule(f.n, k, f.program)
+			checkSchedule(t, fmt.Sprintf("fixed program %d at k=%d", x, k), f.n, s)
+			for in := uint32(0); in < 1<<f.n; in++ {
+				if !zeroOneSelects(s, f.n, k, in) {
+					t.Fatalf("fixed program %d pruned to k=%d: input %0*b does not put its %d smallest first", x, k, f.n, in, k)
+				}
+			}
+		}
+	}
 	for n := 1; n <= 64; n++ {
 		for k := 0; k <= n+1; k++ {
 			name := fmt.Sprintf("n=%d k=%d", n, k)
 			s, sel := rankSchedule(n, k), selectSchedule(n, k)
+			checkSchedule(t, name, n, s)
 			if len(s.program) > len(sel.program) || len(s.layers) > len(sel.layers) {
 				t.Fatalf("%s: %d gates in %d layers, the passes take %d in %d",
 					name, len(s.program), len(s.layers), len(sel.program), len(sel.layers))
+			}
+			if n <= 12 {
+				for in := uint32(0); in < 1<<n; in++ {
+					if !zeroOneSelects(s, n, k, in) {
+						t.Fatalf("%s: input %0*b does not put its %d smallest first", name, n, in, k)
+					}
+				}
+				continue
 			}
 			for trial := 0; trial < 2; trial++ {
 				vals, err := prf.RandomPerm(n)
@@ -863,22 +925,23 @@ func TestRankSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		caller string
 		n, k   int
+		want   string
 	}{
-		{"checkHalt at depth 1", 3, 2},
-		{"checkHalt at depth 2", 6, 2},
-		{"shard.Merge", 4, 2},
-		{"join.SecJoin", 5, 3},
-		{"knn.Query", 12, 3},
-		{"the selecttop seam", 8, 3},
+		{"checkHalt at depth 1", 3, 2, "passes"},
+		{"checkHalt at depth 2", 6, 2, "fixed 0"},
+		{"shard.Merge", 4, 2, "passes"},
+		{"join.SecJoin", 5, 3, "network"},
+		{"knn.Query", 12, 3, "passes"},
+		{"the selecttop seam", 8, 3, "network"},
+		{"Figure 3 at k=4", 6, 4, "fixed 1"},
 	} {
-		s, sel := rankSchedule(tc.n, tc.k), selectSchedule(tc.n, tc.k)
-		if !reflect.DeepEqual(s.layers, sel.layers) {
-			t.Errorf("%s (n=%d k=%d): the ranker leaves the selection passes", tc.caller, tc.n, tc.k)
+		if got := rankCandidate(tc.n, tc.k); got != tc.want {
+			t.Errorf("%s (n=%d k=%d): the ranker runs %s, want %s", tc.caller, tc.n, tc.k, got, tc.want)
 		}
 	}
 
 	counts := func(s *schedule) string { return fmt.Sprintf("%d/%d", len(s.layers), len(s.program)) }
-	t.Log("layers/gates: selection passes -> ranker (Batcher's network)")
+	t.Log("layers/gates: selection passes -> ranker (candidate)")
 	for _, tc := range []struct {
 		caller string
 		n, k   int
@@ -889,11 +952,13 @@ func TestRankSchedule(t *testing.T) {
 		{"join.SecJoin", 5, 3},
 		{"a depth-20 query", 60, 2},
 		{"the selecttop seam", 8, 3},
+		{"Figure 3 at k=3", 6, 3},
 		{"Figure 3 at k=4", 6, 4},
+		{"Figure 3 at k=5", 6, 5},
 		{"checkHalt at m=2", 4, 2},
 	} {
 		t.Logf("  %-20s (%2d, %d): %7s -> %-6s (%s)", tc.caller, tc.n, tc.k,
-			counts(selectSchedule(tc.n, tc.k)), counts(rankSchedule(tc.n, tc.k)), counts(sortSchedule(tc.n)))
+			counts(selectSchedule(tc.n, tc.k)), counts(rankSchedule(tc.n, tc.k)), rankCandidate(tc.n, tc.k))
 	}
 	t.Log("checkHalt layers summed over depths 1-10 at |T| = 3d (Qry_F, m=3), selection passes -> ranker:")
 	for _, k := range []int{2, 4, 6, 8} {
@@ -920,6 +985,7 @@ func TestEncSelectTop(t *testing.T) {
 		k    int
 	}{
 		{"descending", []int64{5, 12, 3, 9, 1, 7}, true, 3},
+		{"top 2 of 6 with ties", []int64{4, 9, 4, 9, 1, 9}, true, 2},
 		{"ascending", []int64{5, 12, 3, 9}, false, 2},
 		{"duplicate keys", []int64{4, 9, 4, 9, 9, 0, 4}, true, 4},
 		{"duplicate keys ascending", []int64{4, -1, 4, 0, -1}, false, 3},

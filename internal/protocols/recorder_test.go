@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"sort"
 	"sync"
 	"testing"
 
@@ -51,9 +52,10 @@ import (
 // one a full-width residue. The queries' marked rows and sentinels travel
 // in those slots, so a width that did not cover them fails here.
 //
-// For a top-k query in Qry_F it keeps two more views of S2's: the width
-// of every plain EqBits request, and, for every ranking, which gates of
-// its first layer compared a marked row. A comparison against a marked
+// For a top-k query in Qry_F it keeps three more views of S2's: the
+// width of every plain EqBits request, how many of its zero tests there
+// are and read zero, and, for every ranking, which gates of its first
+// layer compared a marked row. A comparison against a marked
 // row can show by its size (DESIGN.md "The mark step"): with markedAbove
 // set, a gate whose masked difference S2 reads above it had one.
 //
@@ -88,6 +90,8 @@ type wireRecorder struct {
 	grouped     int      // EqBits calls with groups wider than one test
 	matrices    int      // EqBits calls with a column section
 	bitWidths   []int    // the payloads a bit of each plain EqBits call
+	eqTests     int      // the zero tests of every plain EqBits call
+	eqZeros     int      // those of them that read zero
 	firstLayers []string // markedGates of each ranking's first layer
 }
 
@@ -127,6 +131,14 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	case *cloud.GadgetRequest:
 		if method == cloud.MethodEqBits && q.Group == 1 && q.Cols == 0 {
 			r.bitWidths = append(r.bitWidths, q.Width)
+			r.eqTests += len(q.Cts)
+			for _, c := range q.Cts {
+				if m, err := r.keys.Paillier.Decrypt(&paillier.Ciphertext{C: c}); err != nil {
+					r.t.Fatal(err)
+				} else if m.Sign() == 0 {
+					r.eqZeros++
+				}
+			}
 		}
 		if method == cloud.MethodCompareHidden && r.markedAbove != nil && r.last != method {
 			r.firstLayers = append(r.firstLayers, r.markedGates(q))
@@ -490,6 +502,15 @@ func TestWireRecorder(t *testing.T) {
 			if len(rec.bitWidths) == 0 {
 				t.Error("Qry_F sent no SecWorstBest bits")
 			}
+			// No zero test reads a row of T, marked or not: Qry_F's tests
+			// are SecWorstBest's bits alone, one per (item i at depth d,
+			// list j != i, depth e <= d), every digest in them read from
+			// the relation's lists, and exactly the relation's equality
+			// pattern reads zero. So a marked row's digests are never
+			// tested again, and the mark step need not touch them.
+			if bits, ones := secWorstBestBits(rel, attrs, depth); rec.eqTests != bits || rec.eqZeros != ones {
+				t.Errorf("Qry_F sent %d zero tests, %d of them zero, where SecWorstBest's bits over %d depths are %d with %d ones", rec.eqTests, rec.eqZeros, depth, bits, ones)
+			}
 			// T is in (depth, list) order, which S1 alone knows: each
 			// ranking takes it under a fresh permutation, so the gates
 			// that show a marked row differ from run to run of one
@@ -535,8 +556,8 @@ func TestWireRecorder(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, rec := client(t)
-		// Join candidates rank under one random digest.
-		rec.declared = &declaredWidths{digests: 1, score: scoreBits + 1, equal: scoreBits + 1}
+		// Join candidates rank with no digest slot.
+		rec.declared = &declaredWidths{score: scoreBits + 1, equal: scoreBits + 1}
 		engine, err := join.NewEngine(c, er1, er2, scoreBits)
 		if err != nil {
 			t.Fatal(err)
@@ -588,4 +609,31 @@ func TestWireRecorder(t *testing.T) {
 			}
 		}
 	})
+}
+
+// secWorstBestBits counts SecWorstBest's bits over the first depth depths
+// of rel's lists, each sorted by score (rel has no ties): one bit per
+// (item i at depth d, list j != i, depth e <= d), and the ones among
+// them, where the two entries are one object.
+func secWorstBestBits(rel *dataset.Relation, attrs []int, depth int) (bits, ones int) {
+	lists := make([][]int, len(attrs))
+	for j, a := range attrs {
+		for o := range rel.Rows {
+			lists[j] = append(lists[j], o)
+		}
+		sort.Slice(lists[j], func(x, y int) bool { return rel.Rows[lists[j][x]][a] > rel.Rows[lists[j][y]][a] })
+	}
+	for d := 0; d < depth; d++ {
+		for i := range lists {
+			for j := range lists {
+				for e := 0; e <= d && j != i; e++ {
+					bits++
+					if lists[j][e] == lists[i][d] {
+						ones++
+					}
+				}
+			}
+		}
+	}
+	return bits, ones
 }

@@ -232,22 +232,75 @@ func (h *byReady) Pop() any {
 	return x
 }
 
-// rankSchedule is the schedule EncSelectTop runs for the top k of n
-// items. Batcher's network (sortSchedule: the EncSort of [7] that
-// Algorithm 3 line 9 names) sorts all n; k selection passes
-// (selectSchedule) order only the first k. Every gate costs the same
-// (runGateLayer), and every layer one round, so the gate and layer counts
-// are the whole difference: the network runs where it has no more of
-// either and fewer of one, the passes otherwise, ties included. Both
-// schedules and the choice are functions of n and k alone.
-func rankSchedule(n, k int) *schedule {
-	sel, net := selectSchedule(n, k), sortSchedule(n)
-	gs, ls := len(sel.program), len(sel.layers)
-	gn, ln := len(net.program), len(net.layers)
-	if gn <= gs && ln <= ls && (gn < gs || ln < ls) {
-		return net
+// fixedPrograms are compare-exchange programs for one n, each ordering
+// the first k positions, that take fewer layers at their shapes than
+// Batcher's network or the selection passes. TestRankSchedule runs each
+// over every 0-1 input of its n.
+var fixedPrograms = []struct {
+	n, k    int
+	program []gate
+}{
+	// A top-2 selector for 6 inputs: 4 layers, 9 gates, where the passes
+	// take 5 layers for the same 9.
+	{6, 2, []gate{{0, 1}, {2, 3}, {4, 5}, {0, 2}, {1, 4}, {3, 5}, {0, 1}, {2, 3}, {1, 2}}},
+	// Knuth's depth-5 sorter for 6 inputs (TAOCP 5.3.4), a layer fewer
+	// than Batcher's 6.
+	{6, 6, []gate{{0, 5}, {1, 3}, {2, 4}, {1, 2}, {3, 4}, {0, 3}, {2, 5}, {0, 1}, {2, 3}, {4, 5}, {1, 2}, {3, 4}}},
+}
+
+// pruneSchedule schedules the gates of a program that can reach a
+// position < k. A backward pass keeps a gate when either of its positions
+// is still live and then marks both live, since a kept gate reads both;
+// a dropped gate's positions are read by nothing kept after it. The kept
+// gates are scheduled as they come (schedule.add), so a program that
+// orders the first k positions still does.
+func pruneSchedule(n, k int, program []gate) *schedule {
+	live := make([]bool, n)
+	for x := 0; x < k && x < n; x++ {
+		live[x] = true
 	}
-	return sel
+	keep := make([]bool, len(program))
+	for at := len(program) - 1; at >= 0; at-- {
+		g := program[at]
+		if live[g.i] || live[g.j] {
+			keep[at], live[g.i], live[g.j] = true, true, true
+		}
+	}
+	s := newSchedule(n)
+	for at, g := range program {
+		if keep[at] {
+			s.add(g)
+		}
+	}
+	return s
+}
+
+// rankSchedule is the schedule EncSelectTop runs for the top k of n
+// items, chosen among candidates that each order the first k positions:
+// k selection passes (selectSchedule), Batcher's network (sortSchedule:
+// the EncSort of [7] that Algorithm 3 line 9 names) and every fixed
+// program for n that orders at least k positions, each of the last two
+// pruned to the gates that reach a position < k. Every gate costs the
+// same (runGateLayer) and every layer one round, so among the candidates
+// with no more gates than the passes it takes the one with the fewest
+// layers, then the fewest gates, the passes on a full tie. The
+// candidates and the choice are functions of n and k alone.
+func rankSchedule(n, k int) *schedule {
+	best := selectSchedule(n, k)
+	gates := len(best.program)
+	consider := func(s *schedule) {
+		g, l := len(s.program), len(s.layers)
+		if g <= gates && (l < len(best.layers) || l == len(best.layers) && g < len(best.program)) {
+			best = s
+		}
+	}
+	consider(pruneSchedule(n, k, sortSchedule(n).program))
+	for _, f := range fixedPrograms {
+		if f.n == n && k <= f.k {
+			consider(pruneSchedule(n, k, f.program))
+		}
+	}
+	return best
 }
 
 // SelectTopLayers is the number of gate layers EncSelectTop runs to put
@@ -261,12 +314,12 @@ func SelectTopLayers(n, k int) int { return len(rankSchedule(n, k).layers) }
 // differences and blinded payloads. Each compare-exchange gate is a hidden
 // comparison whose bit S2 applies to the gate's payloads itself
 // (runGateLayer), and gates that touch no common position share one
-// round, as Section 10.3 argues for EncSort's network layers. The gates come from rankSchedule: k selection passes,
-// O(k*l) gates for the small k of a top-k query, or Batcher's network
-// where that is cheaper, which sorts every position. Either way the
-// schedule is a function of n and k alone. With the passes, equal keys
-// keep the lower position and the remaining positions hold the leftovers
-// in arbitrary order. magBits bounds the key magnitudes.
+// round, as Section 10.3 argues for EncSort's network layers. The gates
+// come from rankSchedule: the shallowest of k selection passes, Batcher's
+// network and a few fixed programs, each pruned to the first k positions,
+// a function of n and k alone. Equal keys may land in either order, and
+// the remaining positions hold the leftovers in arbitrary order. magBits
+// bounds the key magnitudes.
 func EncSelectTop(ctx context.Context, c *cloud.Client, items []Item, col int, desc bool, k, magBits int) ([]Item, error) {
 	n := len(items)
 	if n == 0 {

@@ -2,7 +2,6 @@ package protocols
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
@@ -303,16 +302,16 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 // MarkDuplicates is Qry_F's dedup of one depth (Algorithm 7, Replace
 // mode) with no round: from the bits same[i][j] = Enc([o_i = o_j]) that
 // SecWorstBestDepths returned, it turns every copy of an object but the
-// first among the depth's items into a row no real object matches or
-// outranks. Row i's count of earlier copies is
-// Enc(u_i) = Π_{j<i} same[i][j], and one squaring chain of Enc(u_i)
-// shifts each EHL slot by u_i*c, c fresh and uniform in Z_N, and each
-// score column by -u_i*shift. A row with u_i = 0 keeps its plaintexts. A
-// row with u_i >= 1 gets uniform digests (u_i < m is a unit mod N) and
+// first among the depth's items into a row that outranks no real object.
+// Row i's count of earlier copies is Enc(u_i) = Π_{j<i} same[i][j], and
+// one short power of Enc(u_i) shifts each score column by -u_i*shift. A
+// row with u_i = 0 keeps its plaintexts. A row with u_i >= 1 gets
 // negative scores, provided shift exceeds every real score: the property
 // Algorithm 7's sentinel row has. A sum serves where replaceDuplicates
-// needs an OR: a third copy lands on 2c and -2*shift, still a uniform
-// digest and a negative score.
+// needs an OR: a third copy lands on -2*shift, still negative. Every row
+// keeps its digests: no zero test reads a row of T (TestWireRecorder), so
+// a marked row's id is never compared again, and a marked row never
+// ranks into an answer.
 //
 // The rows come back in the order given, their count unchanged, so S1
 // keeps each row's list and depth (MarkEarlier needs them). Index order
@@ -330,85 +329,51 @@ func MarkDuplicates(ctx context.Context, pk *paillier.PublicKey, items []Item, s
 		}
 		counts[i] = same[i][:i]
 	}
-	return markRows(ctx, pk, items, counts, shift, true)
+	return MarkEarlier(ctx, pk, items, counts, shift)
 }
 
 // MarkEarlier is the mark step across depths: Qry_F's rows of earlier
 // depths that a newer row of the same object now stands for. Row r's
 // count is Enc(u_r) = Π bits[r], the equality bits of every newer row
 // against it, and its score columns shift by -u_r*shift on one short
-// power of Enc(u_r). Its digests stay: no later test reads them. A row
-// with no bits is returned as given; the rest come back in the order
-// given.
+// power of Enc(u_r). Its digests stay. A row with no bits is returned as
+// given; the rest come back in the order given.
 func MarkEarlier(ctx context.Context, pk *paillier.PublicKey, rows []Item, bits [][]*paillier.Ciphertext, shift *big.Int) ([]Item, error) {
 	if len(bits) != len(rows) {
 		return nil, fmt.Errorf("protocols: %d rows of equality bits for %d items", len(bits), len(rows))
 	}
-	return markRows(ctx, pk, rows, bits, shift, false)
-}
-
-// markRows shifts every score column of row i by -u_i*shift, Enc(u_i)
-// the product of counts[i], and with digests every EHL slot by u_i*c, c
-// fresh and uniform in Z_N, on one squaring chain of Enc(u_i). A row with
-// no counts is returned as given.
-func markRows(ctx context.Context, pk *paillier.PublicKey, items []Item, counts [][]*paillier.Ciphertext, shift *big.Int, digests bool) ([]Item, error) {
 	if shift == nil || shift.Sign() <= 0 || shift.Cmp(pk.N) >= 0 {
 		return nil, fmt.Errorf("protocols: duplicate shift %v outside (0, N)", shift)
 	}
-	out := make([]Item, len(items))
-	err := parallel.ForEachCtx(ctx, len(items), func(i int) error {
-		it := items[i]
+	out := make([]Item, len(rows))
+	err := parallel.ForEachCtx(ctx, len(rows), func(i int) error {
+		it := rows[i]
 		if err := it.Validate(len(it.Scores)); err != nil {
 			return fmt.Errorf("protocols: marking item %d: %w", i, err)
 		}
-		if len(counts[i]) == 0 {
+		if len(bits[i]) == 0 {
 			out[i] = it
 			return nil
 		}
-		cs := make([]*big.Int, len(counts[i]))
-		for j, b := range counts[i] {
+		cs := make([]*big.Int, len(bits[i]))
+		for j, b := range bits[i] {
 			if b == nil || b.C == nil {
 				return fmt.Errorf("protocols: item %d has no equality bit %d", i, j)
 			}
 			cs[j] = b.C
 		}
 		u := pk.EngineN2().ProdMod(cs)
-		w := 0
-		if digests {
-			w = it.EHL.Width()
-		}
-		// The digests' exponents, then shift's: Enc(u)^shift comes off
-		// every score column, so no exponent is |N| bits wide but the
-		// digests'.
-		exps := make([]*big.Int, w+1)
-		for s := range exps[:w] {
-			c, err := zmath.RandInt(rand.Reader, pk.N)
-			if err != nil {
-				return err
-			}
-			exps[s] = c
-		}
-		exps[w] = shift
-		powers, err := pk.EngineN2().ExpModShared(u, exps)
+		down, err := pk.Neg(&paillier.Ciphertext{C: pk.EngineN2().ExpMod(u, shift)})
 		if err != nil {
 			return err
 		}
-		down, err := pk.Neg(&paillier.Ciphertext{C: powers[w]})
-		if err != nil {
-			return err
-		}
-		slots := it.slots()
-		for s := range slots {
-			if s < w {
-				slots[s], err = pk.Add(slots[s], &paillier.Ciphertext{C: powers[s]})
-			} else if s >= it.EHL.Width() {
-				slots[s], err = pk.Add(slots[s], down)
-			}
-			if err != nil {
+		scores := make([]*paillier.Ciphertext, len(it.Scores))
+		for s, x := range it.Scores {
+			if scores[s], err = pk.Add(x, down); err != nil {
 				return err
 			}
 		}
-		out[i] = it.withSlots(slots)
+		out[i] = Item{EHL: it.EHL, Scores: scores, ScoreBits: it.ScoreBits}
 		return nil
 	})
 	if err != nil {
