@@ -468,33 +468,8 @@ func eqPair(t *testing.T, e *testEnv, equal bool) *big.Int {
 	return ct.C
 }
 
-// TestDedupReplace: S2 refuses a Replace-mode Dedup round typed, however
-// well formed, before it decrypts a pair: Qry_F's dedup keeps every row,
-// so S1 runs it through the gadget (grouped EqBits) and no blind record
-// ever carries it.
-func TestDedupReplace(t *testing.T) {
-	e := env(t)
-	rows := []WireRow{
-		buildRow(t, e, []int64{11}, []int64{100, 200}),
-		buildRow(t, e, []int64{11}, []int64{100, 200}),
-		buildRow(t, e, []int64{22}, []int64{300, 400}),
-	}
-	e.s2led.Reset()
-	_, err := e.client.DedupRound(context.Background(), &DedupRequest{
-		Mode:    DedupReplace,
-		Rows:    rows,
-		PairI:   []int{0, 0, 1},
-		PairJ:   []int{1, 2, 2},
-		PairCts: []*big.Int{eqPair(t, e, true), eqPair(t, e, false), eqPair(t, e, false)},
-	})
-	if !errors.Is(err, secerr.ErrBadRequest) {
-		t.Fatalf("Replace-mode Dedup: got %v, want bad_request", err)
-	}
-	if n := len(e.s2led.ByMethod(MethodDedup)); n != 0 {
-		t.Fatalf("S2 recorded %d Dedup events for a round it refused", n)
-	}
-}
-
+// TestDedupEliminate: a Dedup round with no merge columns is SecDupElim
+// (Section 10.1): one row per object survives.
 func TestDedupEliminate(t *testing.T) {
 	e := env(t)
 	rows := []WireRow{
@@ -503,7 +478,6 @@ func TestDedupEliminate(t *testing.T) {
 		buildRow(t, e, []int64{22}, []int64{300}),
 	}
 	req := &DedupRequest{
-		Mode:    DedupEliminate,
 		Rows:    rows,
 		PairI:   []int{0, 0, 1},
 		PairJ:   []int{1, 2, 2},
@@ -537,7 +511,6 @@ func TestDedupMerge(t *testing.T) {
 		buildRow(t, e, []int64{22}, []int64{7, 96}),
 	}
 	req := &DedupRequest{
-		Mode:      DedupMerge,
 		Rows:      rows,
 		PairI:     []int{0, 0, 0, 1, 1, 2},
 		PairJ:     []int{1, 2, 3, 2, 3, 3},
@@ -578,7 +551,6 @@ func TestDedupValidation(t *testing.T) {
 	e := env(t)
 	row := buildRow(t, e, []int64{1}, []int64{2})
 	bad := &DedupRequest{
-		Mode:    DedupEliminate,
 		Rows:    []WireRow{row},
 		PairI:   []int{0},
 		PairJ:   []int{5}, // out of range
@@ -588,7 +560,6 @@ func TestDedupValidation(t *testing.T) {
 		t.Fatal("expected out-of-range pair error")
 	}
 	short := &DedupRequest{
-		Mode:    DedupEliminate,
 		Rows:    []WireRow{{EHL: row.EHL, Scores: row.Scores, Blinds: row.Blinds[:1]}},
 		PairI:   nil,
 		PairJ:   nil,
@@ -598,7 +569,6 @@ func TestDedupValidation(t *testing.T) {
 		t.Fatal("expected malformed blind vector error")
 	}
 	mergeBad := &DedupRequest{
-		Mode:      DedupMerge,
 		Rows:      []WireRow{row},
 		MergeCols: []int{9},
 	}
@@ -695,16 +665,16 @@ func TestBlindRecordRequestsRefused(t *testing.T) {
 		t.Fatalf("client's ephemeral modulus is %d bits beside a %d-bit N", ephN.BitLen(), pk.N.BitLen())
 	}
 	for name, req := range map[string]any{
-		"dedup narrow":      &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(pk.N.BitLen() + 63)},
-		"dedup head-width":  &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(2*pk.N.BitLen() + 64)},
-		"dedup megabit":     &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(1 << 20)},
-		"dedup zero":        &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: new(big.Int)},
+		"dedup narrow":      &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(pk.N.BitLen() + 63)},
+		"dedup head-width":  &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(2*pk.N.BitLen() + 64)},
+		"dedup megabit":     &DedupRequest{Rows: []WireRow{row}, EphemeralN: oddOfBits(1 << 20)},
+		"dedup zero":        &DedupRequest{Rows: []WireRow{row}, EphemeralN: new(big.Int)},
 		"filter narrow":     &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(128)},
 		"filter megabit":    &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 20)},
 		"filter no tests":   &FilterRequest{Rows: []WireRow{row}, EphemeralN: ephN},
 		"filter more tests": &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one, one}, EphemeralN: ephN},
 		"filter zero test":  &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{new(big.Int)}, EphemeralN: ephN},
-		"dedup square":      &DedupRequest{Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: squareOfBits(pk.N.BitLen() + 64)},
+		"dedup square":      &DedupRequest{Rows: []WireRow{row}, EphemeralN: squareOfBits(pk.N.BitLen() + 64)},
 		"filter square":     &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: squareOfBits(pk.N.BitLen() + 64)},
 		"filter prime":      &FilterRequest{Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: primeOfBits(pk.N.BitLen() + 64)},
 	} {

@@ -133,22 +133,22 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{one}, B: nil})},
 		{method: MethodMult, body: enc(&MultRequest{Relation: rel, A: []*big.Int{zero}, B: nil}), code: bad}, // not a ciphertext
 		{method: MethodDedup, body: enc(&DedupRequest{
-			Relation: rel, Mode: DedupEliminate,
-			Rows:  []WireRow{{EHL: []*big.Int{zero}, Scores: []*big.Int{one}, Blinds: []*big.Int{one, one}}},
-			PairI: []int{0}, PairJ: []int{0}, PairCts: []*big.Int{one}, EphemeralN: zero,
+			Relation: rel,
+			Rows:     []WireRow{{EHL: []*big.Int{zero}, Scores: []*big.Int{one}, Blinds: []*big.Int{one, one}}},
+			PairI:    []int{0}, PairJ: []int{0}, PairCts: []*big.Int{one}, EphemeralN: zero,
 		}), code: bad},
-		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: zero}), code: bad},
+		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: zero}), code: bad},
 		{method: MethodDedup, body: enc(&DedupRequest{
-			Relation: rel, Mode: DedupMerge, Rows: []WireRow{row}, MergeCols: []int{7}, EphemeralN: one,
+			Relation: rel, Rows: []WireRow{row}, MergeCols: []int{7}, EphemeralN: one,
 		}), code: bad},
-		{method: MethodDedup, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(uint64(DedupEliminate)); w.Uvarint(1 << 20) }), code: bad}, // row count overruns the body
+		{method: MethodDedup, body: raw(func(w *wire.Writer) { w.String(rel); w.Uvarint(1 << 20) }), code: bad}, // row count overruns the body
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{{Scores: []*big.Int{zero}, Blinds: []*big.Int{one}}}, EphemeralN: one}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{{EHL: []*big.Int{one}, Scores: []*big.Int{one}, Blinds: []*big.Int{one}}}, EphemeralN: one}), code: bad},
 		// Ephemeral moduli of the wrong width (a bit short of |N|+64, and
 		// wide enough to make one exponentiation a denial of service), and
 		// Filter tests that do not pair up with the rows or are zero under
 		// a modulus of the right width.
-		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Mode: DedupEliminate, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 63)}), code: bad},
+		{method: MethodDedup, body: enc(&DedupRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 63)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{one}, EphemeralN: oddOfBits(1 << 17)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 64)}), code: bad},
 		{method: MethodFilter, body: enc(&FilterRequest{Relation: rel, Rows: []WireRow{row}, Tests: []*big.Int{zero}, EphemeralN: oddOfBits(256 + 64)}), code: bad},
@@ -182,8 +182,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	}
 	// The gadget's shared request under both of its names: the shapes
 	// FuzzWireDecode is seeded with, trailing garbage, and a test
-	// ciphertext that does not decrypt. A Replace-mode Dedup round is
-	// refused however well formed: Qry_F dedups through the gadget.
+	// ciphertext that does not decrypt.
 	shapes := gadgetShapes()
 	names := make([]string, 0, len(shapes))
 	for name := range shapes {
@@ -204,9 +203,12 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1 << 62, Group: 1, Cts: []*big.Int{one, one}}), code: bad}, // Width*bits wraps to 0
 			fuzzSeed{method: method, body: enc(&GadgetRequest{Relation: rel, Width: 1, Group: 1 << 62, Cts: []*big.Int{one}}), code: bad})      // no whole group
 	}
-	seeds = append(seeds, fuzzSeed{method: MethodDedup, body: enc(&DedupRequest{
-		Relation: rel, Mode: DedupReplace, Rows: []WireRow{row, row}, PairI: []int{0}, PairJ: []int{1}, PairCts: []*big.Int{one}, EphemeralN: oddOfBits(256 + 64),
-	}), code: bad})
+	// A v11 peer's Dedup request, its mode (2, Merge) after the relation:
+	// the request has no mode since v12, so its bytes no longer decode.
+	v12 := enc(&DedupRequest{Relation: rel, Rows: []WireRow{row}, EphemeralN: oddOfBits(256 + 64)})
+	relation := raw(func(w *wire.Writer) { w.String(rel) })
+	v11 := append(append(relation, 2), v12[len(relation):]...)
+	seeds = append(seeds, fuzzSeed{method: MethodDedup, body: v11, code: bad})
 	// An empty body and plain garbage, as every method that decodes one.
 	for _, name := range fuzzMethods() {
 		if methods[name].handle != nil || name == MethodHello || name == MethodBatch {

@@ -448,11 +448,6 @@ func (u *unionFind) union(a, b int) {
 }
 
 func (s *Server) validateDedup(req *DedupRequest) error {
-	if req.Mode != DedupEliminate && req.Mode != DedupMerge {
-		// Replace mode never shrinks the list, so it needs no blind
-		// records: S1 runs it through the gadget (protocols.SecDedup).
-		return fmt.Errorf("cloud: Dedup serves the eliminate and merge modes, not %s", req.Mode)
-	}
 	n := len(req.Rows)
 	if len(req.PairI) != len(req.PairJ) || len(req.PairI) != len(req.PairCts) {
 		return errors.New("cloud: Dedup pair arrays have mismatched lengths")
@@ -477,24 +472,22 @@ func (s *Server) validateDedup(req *DedupRequest) error {
 			return fmt.Errorf("cloud: Dedup row %d shape differs from row 0", i)
 		}
 	}
-	if req.Mode == DedupMerge {
-		cols := 0
-		if n > 0 {
-			cols = len(req.Rows[0].Scores)
-		}
-		for _, c := range req.MergeCols {
-			if c < 0 || c >= cols {
-				return fmt.Errorf("cloud: Dedup merge column %d out of range", c)
-			}
+	cols := 0
+	if n > 0 {
+		cols = len(req.Rows[0].Scores)
+	}
+	for _, c := range req.MergeCols {
+		if c < 0 || c >= cols {
+			return fmt.Errorf("cloud: Dedup merge column %d out of range", c)
 		}
 	}
 	return nil
 }
 
-// dedup is the S2 side of SecDupElim (Section 10.1) and of its merge
-// variant, on Algorithm 7's blind records (lines 16-31): the two modes
-// that shrink the list. Replace mode is refused: it keeps every row, so
-// S1 runs it through the gadget instead. Rows arrive blinded and permuted
+// dedup is the S2 side of SecDedup's Merge mode on Algorithm 7's blind
+// records (lines 16-31): it keeps each duplicate group's representative,
+// carrying the group's sum in every MergeCols column, so with no columns
+// it is SecDupElim (Section 10.1). Rows arrive blinded and permuted
 // by S1; the equality pattern of the permuted pair set is the only thing
 // S2 learns (the leakage EP^d of Section 9). The pair decryptions and the
 // re-blinding fan out over the worker pool.
@@ -527,11 +520,10 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 		r := uf.find(i)
 		groups[r] = append(groups[r], i)
 	}
-	s.ledger.Record("S2", MethodDedup, "mode=%s rows=%d equal-pairs=%d groups=%d",
-		req.Mode, n, equalPairs, len(groups))
+	s.ledger.Record("S2", MethodDedup, "rows=%d equal-pairs=%d groups=%d", n, equalPairs, len(groups))
 
-	// Keep each group's representative (pre re-blinding); in Merge mode it
-	// carries the group's sum in every merge column.
+	// Keep each group's representative (pre re-blinding), carrying the
+	// group's sum in every merge column.
 	var rows []WireRow
 	for i := 0; i < n; i++ {
 		members := groups[uf.find(i)]
@@ -539,7 +531,7 @@ func (s *Server) dedup(ctx context.Context, req *DedupRequest) (*DedupReply, err
 			continue
 		}
 		kept := req.Rows[i]
-		if req.Mode == DedupMerge && len(members) > 1 {
+		if len(members) > 1 {
 			kept = WireRow{
 				EHL:    append([]*big.Int(nil), kept.EHL...),
 				Scores: append([]*big.Int(nil), kept.Scores...),

@@ -322,25 +322,26 @@ func (m *MultReply) UnmarshalBinary(b []byte) error {
 	return r.Finish()
 }
 
-// DedupMode selects the behaviour of the oblivious deduplication round.
+// DedupMode selects the behaviour of protocols.SecDedup. It never
+// travels: S1 runs Replace mode through the gadget, and the one Dedup
+// round S2 serves is Merge.
 type DedupMode int
 
 const (
 	// DedupReplace is Algorithm 7 (SecDedup): duplicates are replaced in
 	// place with random ids and sentinel scores, preserving list length.
 	// S1 runs it through the hidden-bit gadget (protocols.SecDedup), not
-	// as a Dedup round: S2 refuses a Replace-mode DedupRequest.
+	// as a Dedup round.
 	DedupReplace DedupMode = iota
-	// DedupEliminate is Section 10.1 (SecDupElim): duplicates are removed,
-	// leaking the uniqueness pattern (the kept count) to S1.
-	DedupEliminate
 	// DedupMerge eliminates duplicates while homomorphically summing the
-	// designated score columns into the surviving row (used by the batched
-	// engine to merge per-depth worst-score contributions).
+	// designated score columns into the surviving row, leaking the
+	// uniqueness pattern (the kept count) to S1: with no columns it is
+	// Section 10.1's SecDupElim, and Qry_E and Qry_Ba merge each object's
+	// worst score and seen indicators with it.
 	DedupMerge
 )
 
-var dedupModeNames = [...]string{DedupReplace: "replace", DedupEliminate: "eliminate", DedupMerge: "merge"}
+var dedupModeNames = [...]string{DedupReplace: "replace", DedupMerge: "merge"}
 
 func (m DedupMode) String() string {
 	if m < 0 || int(m) >= len(dedupModeNames) {
@@ -365,31 +366,29 @@ type WireRow struct {
 	Blinds []*big.Int
 }
 
-// DedupRequest is one SecDedup/SecDupElim round. PairI/PairJ/PairCts list
-// the equality ciphertexts Enc(b_ij) = EHL(o_i) ⊖ EHL(o_j) for the pair
-// set S1 wants examined (the upper triangle of Algorithm 7's matrix B, or
-// a bipartite block inside SecUpdate).
+// DedupRequest is one SecDedup round in Merge mode. PairI/PairJ/PairCts
+// list the equality ciphertexts Enc(b_ij) = EHL(o_i) ⊖ EHL(o_j) for the
+// pair set S1 wants examined (the new rows against each other and
+// against the tracked list).
 type DedupRequest struct {
 	Relation   string
-	Mode       DedupMode
 	Rows       []WireRow
 	PairI      []int
 	PairJ      []int
 	PairCts    []*big.Int
 	EphemeralN *big.Int // S1's ephemeral Paillier modulus (for blind updates)
-	// MergeCols lists the Scores columns to sum across a duplicate group in
-	// DedupMerge mode; all other columns keep the representative's value.
+	// MergeCols lists the Scores columns to sum across a duplicate group;
+	// all other columns keep the representative's value, and with none the
+	// round only eliminates.
 	MergeCols []int
 }
 
-// MarshalBinary: string(Relation) uvarint(Mode), the rows (count, then per
-// row the EHL, Scores and Blinds integer lists), PairI and PairJ as uvarint
-// lists, PairCts as an integer list, EphemeralN, MergeCols as a uvarint
-// list.
+// MarshalBinary: string(Relation), the rows (count, then per row the EHL,
+// Scores and Blinds integer lists), PairI and PairJ as uvarint lists,
+// PairCts as an integer list, EphemeralN, MergeCols as a uvarint list.
 func (m DedupRequest) MarshalBinary() ([]byte, error) {
 	var w wire.Writer
 	w.String(m.Relation)
-	w.Int("Mode", int(m.Mode))
 	writeRows(&w, m.Rows)
 	w.Ints("PairI", m.PairI)
 	w.Ints("PairJ", m.PairJ)
@@ -403,7 +402,6 @@ func (m *DedupRequest) UnmarshalBinary(b []byte) error {
 	r := wire.NewReader(b)
 	*m = DedupRequest{
 		Relation:   r.String("Relation"),
-		Mode:       DedupMode(r.Int("Mode")),
 		Rows:       readRows(r),
 		PairI:      r.Ints("PairI"),
 		PairJ:      r.Ints("PairJ"),

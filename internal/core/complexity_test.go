@@ -13,16 +13,20 @@ import (
 )
 
 // TestRoundComplexityPerDepth pins down the interaction structure the
-// batched sub-protocols promise: the per-depth pipeline (SecWorstBest +
-// SecDedup + SecUpdate) costs a constant number of protocol rounds
-// regardless of depth, and only the ranking/halting stage scales with k
-// and |T|. This is the property that makes the scheme usable over a real
-// WAN link (Section 11.2.5's conclusion).
+// batched sub-protocols promise: Qry_E's per-depth pipeline — one
+// score-summing Dedup merge at every depth from firstHaltDepth on — costs
+// a constant number of protocol rounds regardless of depth, and only the
+// ranking/halting stage scales with k and |T|. This is the property that
+// makes the scheme usable over a real WAN link (Section 11.2.5's
+// conclusion).
 func TestRoundComplexityPerDepth(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
 
-	pipelineRounds := func(maxDepth int) int64 {
+	// pipelineRounds returns the Dedup and EqBits rounds of a Qry_E run
+	// capped at maxDepth; ranking uses Compare and CompareHidden and
+	// batchBest Mult, which scale with k and |T|.
+	pipelineRounds := func(maxDepth int) (dedups, eqBits int64) {
 		stats := transport.NewStats()
 		client, err := cloud.NewClient(transport.NewLocal(r.server, stats), r.scheme.PublicKey(), nil)
 		if err != nil {
@@ -40,24 +44,23 @@ func TestRoundComplexityPerDepth(t *testing.T) {
 		if _, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE, MaxDepth: maxDepth}); err != nil {
 			t.Fatal(err)
 		}
-		// Pipeline methods only (ranking uses Compare and CompareHidden,
-		// which scale with k and |T|).
-		return stats.Method(cloud.MethodEqBits).Calls + stats.Method(cloud.MethodDedup).Calls
+		return stats.Method(cloud.MethodDedup).Calls, stats.Method(cloud.MethodEqBits).Calls
 	}
-	// The Figure 3 query halts at depth fig3Depth, so measure strictly
-	// below it.
-	r2 := pipelineRounds(2)
-	r3 := pipelineRounds(3)
-	// Steady state per depth: EqBits for SecWorstBest (1) + SecUpdate (1),
-	// plus Dedup for the per-depth dedup (1) and SecUpdate's bipartite
-	// dedup (1) = 4 rounds. At k=2 no halt is possible at depth one, so
-	// its SecWorstBest shares depth two's round, and it skips SecUpdate's
-	// two rounds (T is empty): 1 round of its own.
-	if perDepth := r3 - r2; perDepth != 4 {
-		t.Fatalf("pipeline rounds per depth = %d, want 4 (r2=%d r3=%d)", perDepth, r2, r3)
+	// The Figure 3 query halts at depth fig3ExactDepth = 3 under Qry_E,
+	// after that depth's merge, so a cap of 3 counts depth 3 in full.
+	r2, eq2 := pipelineRounds(2)
+	r3, eq3 := pipelineRounds(3)
+	// At k = 2 over three lists firstHaltDepth is 2: depth one's rows
+	// wait for depth two's merge, and every depth from two on merges in
+	// one Dedup round. No round tests equality on the gadget.
+	if perDepth := r3 - r2; perDepth != 1 {
+		t.Fatalf("pipeline rounds per depth = %d, want 1 (r2=%d r3=%d)", perDepth, r2, r3)
 	}
-	if r2 != 1+4 {
-		t.Fatalf("two-depth pipeline rounds = %d, want 5", r2)
+	if r2 != 1 {
+		t.Fatalf("two-depth pipeline rounds = %d, want 1", r2)
+	}
+	if eq2 != 0 || eq3 != 0 {
+		t.Fatalf("Qry_E sent %d and %d EqBits rounds at caps 2 and 3, want none", eq2, eq3)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -68,13 +69,17 @@ func figure3() *dataset.Relation {
 	}
 }
 
-// fig3Depth is where the engine halts the Figure 3 top-2 query in Qry_F
-// and Qry_E. Exact NRA (nra.Run) halts at depth 3, Figure 3c. The engine's
-// stored best bounds refresh only at depths where their object appears
-// (SecBest): X4, seen at depth 1 in R3 only, still carries 8+10+8 = 26 at
-// depth 3, where its exact bound is 8+5+3 = 16 <= W_2 = 16. X4 reappears
-// at depth 4, and there every bound is dominated.
+// fig3Depth is where the engine halts the Figure 3 top-2 query in Qry_F.
+// Exact NRA (nra.Run) halts at depth 3, Figure 3c, and so do Qry_E and
+// Qry_Ba, whose bounds come fresh from every list's bottom (batchBest).
+// Qry_F's stored best bounds refresh only at depths where their object
+// appears (SecBest): X4, seen at depth 1 in R3 only, still carries
+// 8+10+8 = 26 at depth 3, where its exact bound is 8+5+3 = 16 <= W_2 =
+// 16. X4 reappears at depth 4, and there every bound is dominated.
 const fig3Depth = 4
+
+// fig3ExactDepth is Figure 3c's halting depth, nra.Run's.
+const fig3ExactDepth = 3
 
 func encryptFig3(t *testing.T, r *testRig) *EncryptedRelation {
 	t.Helper()
@@ -121,8 +126,8 @@ func TestPaperExampleQryF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, exact, err := nra.Run(lists, 2); err != nil || exact != 3 {
-		t.Fatalf("nra.Run depth = %d (%v), want 3 (Figure 3c)", exact, err)
+	if _, exact, err := nra.Run(lists, 2); err != nil || exact != fig3ExactDepth {
+		t.Fatalf("nra.Run depth = %d (%v), want %d (Figure 3c)", exact, err, fig3ExactDepth)
 	}
 	if res.Depth != fig3Depth {
 		t.Fatalf("halting depth = %d, want %d (exact NRA's 3 plus X4's stale bound)", res.Depth, fig3Depth)
@@ -143,8 +148,8 @@ func TestPaperExampleQryE(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
 	res, revealed := runQuery(t, r, er, []int{0, 1, 2}, nil, 2, Options{Mode: QryE})
-	if !res.Halted || res.Depth != fig3Depth {
-		t.Fatalf("QryE: depth=%d halted=%v, want %d/true", res.Depth, res.Halted, fig3Depth)
+	if !res.Halted || res.Depth != fig3ExactDepth {
+		t.Fatalf("QryE: depth=%d halted=%v, want %d/true", res.Depth, res.Halted, fig3ExactDepth)
 	}
 	if revealed[0].Obj != 2 || revealed[1].Obj != 1 {
 		t.Fatalf("QryE top-2 = %+v", revealed)
@@ -355,10 +360,21 @@ func TestLeakageProfile(t *testing.T) {
 	if !hasQP || !hasDepth || !hasUP {
 		t.Fatalf("S1 leakage events missing: QP=%v depth=%v UP=%v (%v)", hasQP, hasDepth, hasUP, s1)
 	}
-	// S2's view: per-round equality patterns; no event should carry
-	// anything beyond counts.
-	if len(r.s2led.ByMethod(cloud.MethodEqBits)) == 0 {
+	// S2's view: the equality pattern EP^d of each merge, as counts on
+	// its Dedup events; Qry_E sends no zero test on the gadget.
+	eps := r.s2led.ByMethod(cloud.MethodDedup)
+	if len(eps) == 0 {
 		t.Fatal("S2 should have recorded equality-pattern events")
+	}
+	for _, ev := range eps {
+		const counts = "rows=%d equal-pairs=%d groups=%d"
+		var rows, equal, groups int
+		if _, err := fmt.Sscanf(ev.Detail, counts, &rows, &equal, &groups); err != nil || fmt.Sprintf(counts, rows, equal, groups) != ev.Detail {
+			t.Fatalf("S2's Dedup event %q is not three counts (%v)", ev.Detail, err)
+		}
+	}
+	if n := len(r.s2led.ByMethod(cloud.MethodEqBits)); n != 0 {
+		t.Fatalf("S2 recorded %d EqBits events under Qry_E, want none", n)
 	}
 	// Query pattern: S1 names each run's token by its digest, so a
 	// repeated token shows as a repeated line and another k as another.

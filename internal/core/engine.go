@@ -26,11 +26,14 @@ const (
 	// costs one round, and the halting machinery runs at every depth
 	// where a halt is possible (Section 8; firstHaltDepth).
 	QryF Mode = iota
-	// QryE swaps SecDedup for SecDupElim, shrinking the tracked list and
-	// leaking the uniqueness pattern UP^d to S1 (Section 10.1).
+	// QryE eliminates duplicates, keeping one row per object (Section
+	// 10.1): it is Qry_Ba's pipeline (queryBatched) at a cadence of one
+	// depth, merging, ranking and halt-checking at every depth from
+	// firstHaltDepth on. It leaks the uniqueness pattern UP^d to S1 and
+	// the equality pattern EP^d to S2.
 	QryE
 	// QryBa batches deduplication/sorting/halting every p depths
-	// (Section 10.2).
+	// (Section 10.2), with the same leakage at those depths.
 	QryBa
 )
 
@@ -275,9 +278,9 @@ func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*runInfo, er
 		return nil, err
 	}
 	e.recordQueryPattern(tk)
-	pipeline := e.queryPerDepth
-	if opts.Mode == QryBa {
-		pipeline = e.queryBatched
+	pipeline := e.queryBatched
+	if opts.Mode == QryF {
+		pipeline = e.queryPerDepth
 	}
 	info, err := pipeline(ctx, tk, opts)
 	if err != nil {
@@ -341,11 +344,10 @@ func (e *Engine) scanDepth(opts Options) int {
 	return e.er.N
 }
 
-// queryPerDepth is the per-depth pipeline shared by Qry_F and Qry_E. No
-// depth below firstHaltDepth ranks or tests for a halt, so every depth up
-// to it is certain to run, and their SecWorstBest bits go to S2 in one
-// round; each later depth sends its own. Best bounds are stored in each
-// item's ColBest column.
+// queryPerDepth is Qry_F's pipeline. No depth below firstHaltDepth ranks
+// or tests for a halt, so every depth up to it is certain to run, and
+// their SecWorstBest bits go to S2 in one round; each later depth sends
+// its own. Best bounds are stored in each item's ColBest column.
 //
 // Qry_F spends no other round on a depth. Its T holds one row per (list,
 // depth) read, in that order, which S1 alone knows: the depth's rows
@@ -353,8 +355,7 @@ func (e *Engine) scanDepth(opts Options) int {
 // bound, and MarkDuplicates marks all but the first copy among them;
 // MarkEarlier then marks every earlier row whose object the depth reads
 // again, from SecBest's own prefix bits. So each object's one live row is
-// its newest. Qry_E merges the depth's own worst bounds into T in three
-// rounds more: SecDupElim's, and SecUpdate's two in Eliminate mode.
+// its newest.
 func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	m := len(tk.Lists)
 	shift, slot, depthBits := e.duplicateShift(tk), SlotBits(e.magBits(tk)), e.depthBits(tk)
@@ -385,27 +386,16 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*r
 		}
 		b := pending[0]
 		pending = pending[1:]
-		worst := b.Seen
-		if opts.Mode == QryE {
-			worst = b.Worst
-		}
 		gamma := make([]protocols.Item, m)
 		for i := 0; i < m; i++ {
 			gamma[i] = protocols.Item{
 				EHL:       histories[i].EHLs[d],
-				Scores:    []*paillier.Ciphertext{worst[i], b.Best[i]},
+				Scores:    []*paillier.Ciphertext{b.Seen[i], b.Best[i]},
 				ScoreBits: slot,
 			}
 		}
 		var err error
-		if opts.Mode == QryE {
-			if gamma, err = protocols.SecDedup(ctx, e.client, gamma, cloud.DedupEliminate, protocols.AllPairs(m), nil); err != nil {
-				return nil, fmt.Errorf("core: depth %d dedup: %w", d, err)
-			}
-			if T, err = protocols.SecUpdate(ctx, e.client, T, gamma, cloud.DedupEliminate); err != nil {
-				return nil, fmt.Errorf("core: depth %d SecUpdate: %w", d, err)
-			}
-		} else if T, err = e.markDepth(ctx, T, gamma, b, shift); err != nil {
+		if T, err = e.markDepth(ctx, T, gamma, b, shift); err != nil {
 			return nil, fmt.Errorf("core: depth %d mark: %w", d, err)
 		}
 		if halt, err := e.checkHalt(ctx, tk, opts, T, depth, depthBottoms(histories, d), StoredBounds); halt != nil || err != nil {
@@ -451,21 +441,25 @@ func depthBottoms(histories []protocols.ListHistory, d int) []*paillier.Cipherte
 	return out
 }
 
-// queryBatched is Qry_Ba (Section 10.2): per-depth items carry only their
-// own score and a per-list seen indicator; every p depths the pending
-// items are merged into T with one score-summing dedup, then ranked and
-// halt-checked. Best bounds are computed exactly from the indicator
-// vectors (batchBest).
+// queryBatched is the pipeline of the two modes that merge duplicates,
+// Qry_E (Section 10.1) and Qry_Ba (Section 10.2): per-depth items carry
+// only their own score and a per-list seen indicator; at a merge the
+// pending items join T through one score-summing dedup, then T is ranked
+// and halt-checked. Qry_Ba merges every p depths, Qry_E at every depth a
+// halt is possible (firstHaltDepth) — the cadence is the one difference
+// between them, and either way the scan's last depth merges. Best bounds
+// are computed exactly from the indicator vectors (batchBest).
 func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	m, k := len(tk.Lists), tk.K
 	slot := SlotBits(e.magBits(tk))
 	p := opts.BatchDepth
-	if p == 0 {
-		p = 2 * k
-		if p < 8 {
-			p = 8
-		}
+	switch {
+	case opts.Mode == QryE:
+		p = 1
+	case p == 0:
+		p = max(2*k, 8)
 	}
+	first := firstHaltDepth(m, k)
 	maxD := e.scanDepth(opts)
 	cols := 1 + m // [W, v_0..v_{m-1}]
 	mergeCols := make([]int, cols)
@@ -510,11 +504,11 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*ru
 			return nil, err
 		}
 		pending = append(pending, depthItems...)
-		if (d+1)%p != 0 && d != maxD-1 {
+		if d != maxD-1 && ((d+1)%p != 0 || d+1 < first) {
 			continue
 		}
-		// Batch boundary: merge pending into T with one score-summing
-		// dedup over (pending x pending) + (pending x T) pairs.
+		// Merge pending into T with one score-summing dedup over
+		// (pending x pending) + (pending x T) pairs.
 		combined := append(append([]protocols.Item(nil), T...), pending...)
 		var pairs protocols.PairSet
 		base := len(T)
@@ -543,7 +537,7 @@ func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*ru
 type Bounds func(ctx context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error)
 
 // StoredBounds reads each item's ColBest column: the bound source of
-// Qry_F, Qry_E and a shard merge's two-column candidates.
+// Qry_F and a shard merge's two-column candidates.
 func StoredBounds(_ context.Context, items []protocols.Item) ([]*paillier.Ciphertext, error) {
 	out := make([]*paillier.Ciphertext, len(items))
 	for i, it := range items {
@@ -552,7 +546,7 @@ func StoredBounds(_ context.Context, items []protocols.Item) ([]*paillier.Cipher
 	return out, nil
 }
 
-// batchBest returns the Qry_Ba bound source: for each item,
+// batchBest returns the bound source of Qry_E and Qry_Ba: for each item,
 // B = W + sum_j bottom_j - sum_j v_j * bottom_j, with the v_j * bottom_j
 // products resolved through one batched SecMult round, its operands (an
 // indicator and a bottom score) declared within ±2^bits, and the per-item

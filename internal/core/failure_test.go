@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/big"
 	"strings"
 	"testing"
@@ -31,11 +32,12 @@ func (f *faultyCaller) Call(ctx context.Context, method string, req, resp any) e
 
 // TestTransportFailureSurfacesAsError kills the link mid-query at various
 // points; the engine must return an error (never panic, never fabricate
-// results).
+// results). The points come from a clean run's call count, so each one
+// cuts the query before its last call.
 func TestTransportFailureSurfacesAsError(t *testing.T) {
 	r := getRig(t)
 	er := encryptFig3(t, r)
-	for _, failFrom := range []int{0, 1, 3, 7, 15} {
+	run := func(failFrom int) (*faultyCaller, *QueryResult, error) {
 		fc := &faultyCaller{inner: transport.NewLocal(r.server, nil), failFrom: failFrom}
 		client, err := cloud.NewClient(fc, r.scheme.PublicKey(), nil)
 		if err != nil {
@@ -50,8 +52,20 @@ func TestTransportFailureSurfacesAsError(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := engine.SecQuery(context.Background(), tk, Options{Mode: QryE})
+		return fc, res, err
+	}
+	clean, _, err := run(math.MaxInt)
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	n := clean.calls
+	if n < 4 {
+		t.Fatalf("the clean query made %d S2 calls, too few to cut it mid-run", n)
+	}
+	for _, failFrom := range []int{0, 1, n / 4, n / 2, 3 * n / 4, n - 1} {
+		_, res, err := run(failFrom)
 		if err == nil {
-			t.Fatalf("failFrom=%d: expected error, got result depth=%d", failFrom, res.Depth)
+			t.Fatalf("failFrom=%d of %d calls: expected error, got result depth=%d", failFrom, n, res.Depth)
 		}
 		if !strings.Contains(err.Error(), "injected transport failure") {
 			t.Fatalf("failFrom=%d: unexpected error: %v", failFrom, err)

@@ -44,8 +44,8 @@ func TestSecQueryOverNetworkTransport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SecQuery over network: %v", err)
 	}
-	if res.Depth != fig3Depth || !res.Halted {
-		t.Fatalf("network run: depth=%d halted=%v, want %d/true", res.Depth, res.Halted, fig3Depth)
+	if res.Depth != fig3ExactDepth || !res.Halted {
+		t.Fatalf("network run: depth=%d halted=%v, want %d/true", res.Depth, res.Halted, fig3ExactDepth)
 	}
 	rev, err := r.scheme.NewRevealer(er.N)
 	if err != nil {

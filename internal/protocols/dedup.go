@@ -12,12 +12,12 @@ import (
 	"repro/internal/paillier"
 	"repro/internal/parallel"
 	"repro/internal/prf"
+	"repro/internal/secerr"
 	"repro/internal/zmath"
 )
 
 // PairSet enumerates which item pairs a dedup round should test for
-// equality. AllPairs is Algorithm 7's full upper triangle; Bipartite is
-// SecUpdate's block between newly appended items and the existing list.
+// equality: AllPairs is Algorithm 7's full upper triangle.
 type PairSet struct {
 	Pairs [][2]int
 }
@@ -33,41 +33,34 @@ func AllPairs(n int) PairSet {
 	return out
 }
 
-// Bipartite returns the pair set {(a, b) : a in A, b in B}.
-func Bipartite(a, b []int) PairSet {
-	var out PairSet
-	for _, i := range a {
-		for _, j := range b {
-			out.Pairs = append(out.Pairs, [2]int{i, j})
-		}
-	}
-	return out
-}
-
 // SecDedup runs the oblivious deduplication protocol over the pair set:
 // Algorithm 7 (Replace mode; Qry_F marks its duplicates with
-// MarkDuplicates instead, in no round), the SecDupElim variant of Section
-// 10.1 (Eliminate, Qry_E) and the score-merging variant used by batched
-// processing (Merge).
+// MarkDuplicates instead, in no round) and the score-merging variant
+// (Merge) with which Qry_E and Qry_Ba keep one row per object. Merge with
+// no mergeCols is Section 10.1's SecDupElim. Any other mode is refused
+// typed bad_request.
 //
 // Replace mode keeps every row, so it runs as one grouped round of the
 // hidden-bit gadget (replaceDuplicates): S2 reads, per row, the OR of
 // its equality tests and applies it to payloads S1 built, and neither
-// party learns which rows were replaced. The two modes that shrink the
-// list run on Algorithm 7's blind records:
+// party learns which rows were replaced. Merge shrinks the list, so it
+// runs on Algorithm 7's blind records:
 //
 //  1. S1 computes randomized equality ciphertexts over the pair set from
 //     the *unblinded* EHLs;
 //  2. S1 additively blinds every slot of every item, encrypts the blind
 //     vector under its own ephemeral key, and permutes everything;
-//  3. one round with S2 eliminates/merges duplicates and re-blinds +
-//     re-permutes the survivors;
+//  3. one round with S2 merges duplicates and re-blinds + re-permutes the
+//     survivors;
 //  4. S1 decrypts the returned blind vectors and removes them.
 //
 // S2 learns only the equality pattern of the permuted pair set; S1 learns
 // only the surviving row count (the uniqueness pattern UP^d, and only in
-// the eliminate/merge modes — replace mode preserves the count).
+// Merge mode — replace mode preserves the count).
 func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.DedupMode, pairs PairSet, mergeCols []int) ([]Item, error) {
+	if mode != cloud.DedupReplace && mode != cloud.DedupMerge {
+		return nil, secerr.New(secerr.CodeBadRequest, "protocols: SecDedup has no mode %s", mode)
+	}
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -119,7 +112,6 @@ func SecDedup(ctx context.Context, c *cloud.Client, items []Item, mode cloud.Ded
 		return nil, err
 	}
 	req := &cloud.DedupRequest{
-		Mode:      mode,
 		Rows:      rows,
 		MergeCols: mergeCols,
 	}

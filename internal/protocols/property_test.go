@@ -255,8 +255,9 @@ func TestPropertyEncSortIsPermutationSorted(t *testing.T) {
 	}
 }
 
-// TestPropertyDedupInvariants checks that eliminate-mode dedup keeps
-// exactly one item per distinct object with unchanged scores.
+// TestPropertyDedupInvariants checks that a merge with no merge columns
+// (SecDupElim) keeps exactly one item per distinct object with unchanged
+// scores.
 func TestPropertyDedupInvariants(t *testing.T) {
 	e := env(t)
 	f := func(seed int64) bool {
@@ -274,7 +275,7 @@ func TestPropertyDedupInvariants(t *testing.T) {
 			}
 			items[i] = e.item(t, objs[i], s, s+1)
 		}
-		out, err := SecDedup(context.Background(), e.client, items, cloud.DedupEliminate, AllPairs(n), nil)
+		out, err := SecDedup(context.Background(), e.client, items, cloud.DedupMerge, AllPairs(n), nil)
 		if err != nil {
 			t.Logf("SecDedup: %v", err)
 			return false

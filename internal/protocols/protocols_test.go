@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/prf"
+	"repro/internal/secerr"
 	"repro/internal/transport"
 )
 
@@ -492,6 +494,8 @@ func TestSecDedupReplaceShufflesGroups(t *testing.T) {
 	}
 }
 
+// TestSecDedupEliminate: Merge with no merge columns is SecDupElim
+// (Section 10.1): one row per object survives, its scores untouched.
 func TestSecDedupEliminate(t *testing.T) {
 	e := env(t)
 	items := []Item{
@@ -500,7 +504,7 @@ func TestSecDedupEliminate(t *testing.T) {
 		e.item(t, 5, 10, 20),
 		e.item(t, 5, 10, 20),
 	}
-	out, err := SecDedup(context.Background(), e.client, items, cloud.DedupEliminate, AllPairs(4), nil)
+	out, err := SecDedup(context.Background(), e.client, items, cloud.DedupMerge, AllPairs(4), nil)
 	if err != nil {
 		t.Fatalf("SecDedup: %v", err)
 	}
@@ -562,44 +566,8 @@ func TestSecDedupValidation(t *testing.T) {
 	if _, err := SecDedup(context.Background(), e.client, bad, cloud.DedupReplace, PairSet{}, nil); err == nil {
 		t.Fatal("expected invalid item error")
 	}
-}
-
-func TestSecUpdateMergesMatchedObjects(t *testing.T) {
-	e := env(t)
-	// Existing: object 1 with W=10, B=26; object 2 with W=8, B=26.
-	T := []Item{
-		e.item(t, 1, 10, 26),
-		e.item(t, 2, 8, 26),
-	}
-	// Depth items: object 2 reappears (local worst 8, fresh best 22);
-	// object 3 is new (worst 7, best 21).
-	gamma := []Item{
-		e.item(t, 2, 8, 22),
-		e.item(t, 3, 7, 21),
-	}
-	out, err := SecUpdate(context.Background(), e.client, T, gamma, cloud.DedupEliminate)
-	if err != nil {
-		t.Fatalf("SecUpdate: %v", err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("expected 3 distinct objects, got %d", len(out))
-	}
-	got := map[uint64][2]int64{}
-	for _, it := range out {
-		obj, ok := e.revealObj(t, it.EHL, []uint64{1, 2, 3})
-		if !ok {
-			t.Fatal("unknown object after SecUpdate")
-		}
-		got[obj] = [2]int64{e.dec(t, it.Scores[0]), e.dec(t, it.Scores[1])}
-	}
-	if got[1] != [2]int64{10, 26} {
-		t.Errorf("object 1 = %v, want {10 26} (untouched)", got[1])
-	}
-	if got[2] != [2]int64{16, 22} {
-		t.Errorf("object 2 = %v, want {16 22} (W accumulated, B refreshed)", got[2])
-	}
-	if got[3] != [2]int64{7, 21} {
-		t.Errorf("object 3 = %v, want {7 21} (appended)", got[3])
+	if _, err := SecDedup(context.Background(), e.client, items, cloud.DedupMode(7), PairSet{}, nil); !errors.Is(err, secerr.ErrBadRequest) {
+		t.Fatalf("unknown mode: got %v, want bad_request", err)
 	}
 }
 
@@ -646,14 +614,24 @@ func TestSecUpdateReplaceModeKeepsSentinels(t *testing.T) {
 func TestSecUpdateEmptyCases(t *testing.T) {
 	e := env(t)
 	T := []Item{e.item(t, 1, 1, 2)}
-	out, err := SecUpdate(context.Background(), e.client, T, nil, cloud.DedupEliminate)
+	out, err := SecUpdate(context.Background(), e.client, T, nil, cloud.DedupReplace)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("empty gamma should return T: %v len=%d", err, len(out))
 	}
 	gamma := []Item{e.item(t, 2, 3, 4)}
-	out, err = SecUpdate(context.Background(), e.client, nil, gamma, cloud.DedupEliminate)
+	out, err = SecUpdate(context.Background(), e.client, nil, gamma, cloud.DedupReplace)
 	if err != nil || len(out) != 1 {
 		t.Fatalf("empty T should return gamma: %v len=%d", err, len(out))
+	}
+}
+
+// TestSecUpdateRefusesMerge: SecUpdate serves Replace mode only; Qry_E
+// and Qry_Ba merge through SecDedup.
+func TestSecUpdateRefusesMerge(t *testing.T) {
+	e := env(t)
+	T, gamma := []Item{e.item(t, 1, 1, 2)}, []Item{e.item(t, 1, 3, 4)}
+	if _, err := SecUpdate(context.Background(), e.client, T, gamma, cloud.DedupMerge); !errors.Is(err, secerr.ErrBadRequest) {
+		t.Fatalf("Merge-mode SecUpdate: got %v, want bad_request", err)
 	}
 }
 

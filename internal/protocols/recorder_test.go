@@ -52,12 +52,14 @@ import (
 // one a full-width residue. The queries' marked rows and sentinels travel
 // in those slots, so a width that did not cover them fails here.
 //
-// For a top-k query in Qry_F it keeps three more views of S2's: the
-// width of every plain EqBits request, how many of its zero tests there
-// are and read zero, and, for every ranking, which gates of its first
-// layer compared a marked row. A comparison against a marked
-// row can show by its size (DESIGN.md "The mark step"): with markedAbove
-// set, a gate whose masked difference S2 reads above it had one.
+// It counts EqBits and Dedup requests: a top-k query in Qry_E or Qry_Ba
+// sends Dedup rounds and no EqBits. For a top-k query in Qry_F it keeps
+// three more views of S2's: the width of every plain EqBits request, how
+// many of its zero tests there are and read zero, and, for every
+// ranking, which gates of its first layer compared a marked row. A
+// comparison against a marked row can show by its size (DESIGN.md "The
+// mark step"): with markedAbove set, a gate whose masked difference S2
+// reads above it had one.
 //
 // It also holds grouped EqBits requests (SecDedup's Replace mode, which
 // no query sends since Qry_F marks its duplicates from SecWorstBest's
@@ -87,6 +89,7 @@ type wireRecorder struct {
 	calls       int
 	last        string   // the previous call's method
 	dedups      int      // Dedup calls
+	eqBits      int      // EqBits calls
 	grouped     int      // EqBits calls with groups wider than one test
 	matrices    int      // EqBits calls with a column section
 	bitWidths   []int    // the payloads a bit of each plain EqBits call
@@ -129,6 +132,9 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	}
 	switch q := req.(type) {
 	case *cloud.GadgetRequest:
+		if method == cloud.MethodEqBits {
+			r.eqBits++
+		}
 		if method == cloud.MethodEqBits && q.Group == 1 && q.Cols == 0 {
 			r.bitWidths = append(r.bitWidths, q.Width)
 			r.eqTests += len(q.Cts)
@@ -482,6 +488,12 @@ func TestWireRecorder(t *testing.T) {
 			}
 			depth := query()
 			if opts.Mode != core.QryF {
+				// Qry_E and Qry_Ba merge each object's rows in Dedup rounds
+				// and take their bounds from SecMult: no zero test on the
+				// gadget, so no SecWorstBest bit, grouped dedup or matrix.
+				if rec.eqBits != 0 || rec.dedups == 0 {
+					t.Errorf("%v sent %d EqBits and %d Dedup requests, want none and some", opts.Mode, rec.eqBits, rec.dedups)
+				}
 				return
 			}
 			// Qry_F marks its duplicates from SecWorstBest's bits and

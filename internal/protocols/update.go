@@ -8,33 +8,34 @@ import (
 	"repro/internal/ehl"
 	"repro/internal/paillier"
 	"repro/internal/parallel"
+	"repro/internal/secerr"
 )
 
 // SecUpdate merges the current depth's deduplicated items gamma into the
-// global encrypted list T (Algorithm 9). For every (new g, tracked t)
-// pair with equality bit t_gt:
+// global encrypted list T (Algorithm 9) in Replace mode, the only one it
+// serves. For every (new g, tracked t) pair with equality bit t_gt:
 //
 //	t.W += t_gt * g.W          (accumulate the depth contribution)
 //	t.B  = t_gt * g.B + (1 - t_gt) * t.B   (take the fresher bound)
 //
-// and the new items are appended, so that each matched object survives
-// once. Both lists are deduplicated, so the |gamma|×|T| matrix of bits
-// has at most one match per row and per column, and the whole update is
-// one ApplyMatrix round: g's W and B cross into the tracked item it
-// matches, t.B is scaled by t's own bit t_t = Σ_g t_gt, and
-// t.B - t_t*t.B + Σ_g t_gt*g.B is the fresher bound when matched. In
-// Replace mode the same round also turns a matched new item into a
-// sentinel row, g += t_g*(sentinel - g), its row scaling sentinel - g
-// per slot, and |T| grows by |gamma| each depth, as in the paper; no
-// query runs it, since Qry_F carries W forward on SecWorstBest's own bits
-// (core's queryPerDepth), and it stays for the benchmark's seam alone. In
-// Eliminate mode (Qry_E) the new copy takes g.W += Σ_t t_gt*t.W instead,
-// t's W crossing into the row, and a bipartite dedup drops one copy of
-// each matched pair (Algorithm 9 line 13), a second round.
+// and the new items are appended, a matched one turned into a sentinel
+// row, so |T| grows by |gamma| each depth, as in the paper. Both lists
+// are deduplicated, so the |gamma|×|T| matrix of bits has at most one
+// match per row and per column, and the whole update is one ApplyMatrix
+// round: g's W and B cross into the tracked item it matches, t.B is
+// scaled by t's own bit t_t = Σ_g t_gt, and t.B - t_t*t.B + Σ_g t_gt*g.B
+// is the fresher bound when matched; g's row scales sentinel - g per
+// slot, so g += t_g*(sentinel - g). No query runs it — Qry_F carries W
+// forward on SecWorstBest's own bits (core's queryPerDepth), and Qry_E
+// and Qry_Ba merge through SecDedup — and it stays for the benchmark's
+// seam alone. Any other mode is refused typed bad_request.
 //
 // Extra score columns beyond W and B (engine payload such as per-list seen
 // indicators) are merged additively like W.
 func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud.DedupMode) ([]Item, error) {
+	if mode != cloud.DedupReplace {
+		return nil, secerr.New(secerr.CodeBadRequest, "protocols: SecUpdate serves Replace mode only, not %s", mode)
+	}
 	if len(gamma) == 0 {
 		return T, nil
 	}
@@ -54,7 +55,6 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 		return append([]Item(nil), gamma...), nil
 	}
 	pk := c.PK()
-	replace := mode == cloud.DedupReplace
 	R, C := len(gamma), len(T)
 
 	// The zero tests, one per (new, tracked) cell, build in parallel.
@@ -69,28 +69,21 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	if err != nil {
 		return nil, err
 	}
-	var additive []int // the score columns merged by adding: all but B
+	var merged []int // the columns a row crosses: the additive ones, then B
 	for col := 0; col < cols; col++ {
 		if col != ColBest {
-			additive = append(additive, col)
+			merged = append(merged, col)
 		}
 	}
-	merged, bestW := additive, 0 // the columns a row crosses; B_t, the one payload a column scales
+	bestW := 0 // B_t, the one payload a column scales
 	if cols > ColBest {
-		merged, bestW = append(additive[:len(additive):len(additive)], ColBest), 1
+		merged, bestW = append(merged, ColBest), 1
 	}
-	var crossIn []int // the columns a tracked item crosses into its match: Eliminate mode's additive ones
-	if !replace {
-		crossIn = additive
-	}
-	// Row g: in Replace mode sentinel - g per slot, scaled by t_g; then
-	// its merged columns, crossing. Column t: B_t, scaled by t_t; then its
-	// crossIn columns, crossing.
-	var sentinels []*paillier.Ciphertext
-	if replace {
-		if sentinels, err = sentinelDiffs(pk, gamma); err != nil {
-			return nil, err
-		}
+	// Row g: sentinel - g per slot, scaled by t_g; then its merged
+	// columns, crossing. Column t: B_t, scaled by t_t.
+	sentinels, err := sentinelDiffs(pk, gamma)
+	if err != nil {
+		return nil, err
 	}
 	slotsW := len(sentinels) / R
 	rows := cloud.MatrixSide{Items: R, Width: slotsW + len(merged), Cross: len(merged)}
@@ -100,13 +93,10 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 			rows.Pay = append(rows.Pay, it.Scores[col])
 		}
 	}
-	columns := cloud.MatrixSide{Items: C, Width: bestW + len(crossIn), Cross: len(crossIn)}
-	for _, it := range T {
-		if bestW > 0 {
+	columns := cloud.MatrixSide{Items: C, Width: bestW}
+	if bestW > 0 {
+		for _, it := range T {
 			columns.Pay = append(columns.Pay, it.Scores[ColBest])
-		}
-		for _, col := range crossIn {
-			columns.Pay = append(columns.Pay, it.Scores[col])
 		}
 	}
 	// Every score payload — a column, a sentinel minus one — is declared
@@ -125,10 +115,10 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	// T's copies: the additive columns add the matched g's, and B becomes
 	// B_t - t_t*B_t + Σ_g t_gt*B_g (one batch inversion for all of T).
 	colW := bestW + rows.Cross
-	newT := make([]Item, C)
+	combined := make([]Item, C, C+R)
 	var olds, dropped []*paillier.Ciphertext
 	for t, it := range T {
-		newT[t] = it.Clone()
+		combined[t] = it.Clone()
 		if bestW > 0 {
 			olds, dropped = append(olds, it.Scores[ColBest]), append(dropped, colOut[t*colW])
 		}
@@ -137,51 +127,27 @@ func SecUpdate(ctx context.Context, c *cloud.Client, T, gamma []Item, mode cloud
 	if err != nil {
 		return nil, err
 	}
-	for t := range newT {
+	for t := range combined {
 		cross := colOut[t*colW+bestW : (t+1)*colW]
 		for a, col := range merged {
-			base := newT[t].Scores[col]
+			base := combined[t].Scores[col]
 			if col == ColBest {
 				base = kept[t]
 			}
-			if newT[t].Scores[col], err = pk.Add(base, cross[a]); err != nil {
+			if combined[t].Scores[col], err = pk.Add(base, cross[a]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// The new items: in Replace mode each slot adds t_g*(sentinel - slot);
-	// in Eliminate mode each additive column adds the matched t's.
-	rowW := slotsW + len(crossIn)
-	combined := newT
+	// The new items: each slot adds t_g*(sentinel - slot).
 	for g, it := range gamma {
 		slots := it.slots()
-		out := rowOut[g*rowW : (g+1)*rowW]
-		for s, d := range out[:slotsW] {
+		for s, d := range rowOut[g*slotsW : (g+1)*slotsW] {
 			if slots[s], err = pk.Add(slots[s], d); err != nil {
-				return nil, err
-			}
-		}
-		w := it.EHL.Width()
-		for a, col := range crossIn {
-			if slots[w+col], err = pk.Add(slots[w+col], out[slotsW+a]); err != nil {
 				return nil, err
 			}
 		}
 		combined = append(combined, it.withSlots(slots))
 	}
-	if replace {
-		return combined, nil
-	}
-
-	// Run the bipartite dedup so each matched object survives exactly
-	// once (Algorithm 9 line 13).
-	existingIdx := make([]int, C)
-	for i := range existingIdx {
-		existingIdx[i] = i
-	}
-	newIdx := make([]int, R)
-	for i := range newIdx {
-		newIdx[i] = C + i
-	}
-	return SecDedup(ctx, c, combined, mode, Bipartite(newIdx, existingIdx), nil)
+	return combined, nil
 }

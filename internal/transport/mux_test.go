@@ -375,6 +375,7 @@ func TestPrefaceRefused(t *testing.T) {
 		{"wire v8, the Mult round without one-operand squares", prefaceBytes(8), secerr.ErrProtocolVersion},
 		{"wire v9, the Hellos with versions of their own", prefaceBytes(9), secerr.ErrProtocolVersion},
 		{"wire v10, the client query options with a batch depth and a depth cap", prefaceBytes(10), secerr.ErrProtocolVersion},
+		{"wire v11, the Dedup request with a mode", prefaceBytes(11), secerr.ErrProtocolVersion},
 		{"newer version", prefaceBytes(ProtocolVersion + 1), secerr.ErrProtocolVersion},
 		{"no preface", frameBytes(0, "Hello", []byte("body")), secerr.ErrTransport},
 		{"wrong magic", []byte{muxMagic[0], 'X'}, secerr.ErrTransport},

@@ -41,8 +41,8 @@ import (
 // request/response encodings and the error encoding. Both ends of a
 // connection must carry exactly this value. v10: the three Hellos lost
 // their versions. v11: the client plane's query options lost the batch
-// depth and the depth cap.
-const ProtocolVersion = 11
+// depth and the depth cap. v12: the S1↔S2 Dedup request lost its mode.
+const ProtocolVersion = 12
 
 // Responder is the server side: S2 handles one method call. The context
 // is the per-call (or per-connection) context; handlers use it to bound

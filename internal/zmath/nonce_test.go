@@ -126,9 +126,13 @@ func TestNonceBaseMatchesExp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := rand.Prime(rand.Reader, bits-bits/2)
-		if err != nil {
-			t.Fatal(err)
+		// Two 11-bit primes are equal about once in 67 draws, and
+		// NewNonceBase rightly refuses p², so q is drawn until it differs.
+		q := p
+		for q.Cmp(p) == 0 {
+			if q, err = rand.Prime(rand.Reader, bits-bits/2); err != nil {
+				t.Fatal(err)
+			}
 		}
 		n := new(big.Int).Mul(p, q)
 		n2 := new(big.Int).Mul(n, n)

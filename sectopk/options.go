@@ -181,12 +181,16 @@ func WithDrainTimeout(d time.Duration) Option {
 type Mode int
 
 const (
-	// ModeFull is Qry_F: fully private, SecDedup in replace mode at every
-	// depth, marked from SecWorstBest's equality bits with no round of its
-	// own, and SecUpdate's dedup folded into its own round.
+	// ModeFull is Qry_F: fully private, SecDedup in replace mode and
+	// SecUpdate at every depth, both marked from SecWorstBest's equality
+	// bits with no round of their own.
 	ModeFull Mode = iota
-	// ModeEliminate is Qry_E: duplicates are eliminated, trading the
-	// uniqueness-pattern leakage for speed (Section 10.1).
+	// ModeEliminate is Qry_E: duplicates are eliminated, one row per
+	// object (Section 10.1). It runs ModeBatched's pipeline at a cadence
+	// of one depth: a score-summing merge, ranking and halting test at
+	// every depth from the first where a halt is possible. It trades the
+	// uniqueness pattern (leaked to S1) and the merges' equality pattern
+	// (to S2) for speed.
 	ModeEliminate
 	// ModeBatched is Qry_Ba: dedup/sort/halt batched every p depths
 	// (Section 10.2).

@@ -69,7 +69,7 @@ func oddPeers(cur int) []oddPeer { return []oddPeer{{"older", cur - 1}, {"newer"
 func TestWrongWireVersionRefused(t *testing.T) {
 	ctx := context.Background()
 	cur := transport.ProtocolVersion
-	if cur != 11 {
+	if cur != 12 {
 		t.Fatalf("the wire is v%d: name the version it replaced in transport's TestPrefaceRefused", cur)
 	}
 	cc := sectopk.NewCryptoCloud(testOpts()...)
