@@ -20,10 +20,10 @@ import (
 type Mode int
 
 const (
-	// QryF is the fully private baseline: SecDedup (replace mode) and
-	// SecUpdate run at every depth with no round of their own, marked and
-	// carried forward on SecWorstBest's bits (queryPerDepth), so a depth
-	// costs one round, and the halting machinery runs at every depth
+	// QryF is the fully private baseline: each depth is one
+	// SecWorstBestDepths round, whose equality bits also drive one
+	// round-free MarkEarlier pass over T and the depth's rows
+	// (queryPerDepth), and the halting machinery runs at every depth
 	// where a halt is possible (Section 8; firstHaltDepth).
 	QryF Mode = iota
 	// QryE eliminates duplicates, keeping one row per object (Section
@@ -121,12 +121,12 @@ func NewEngine(client *cloud.Client, er *EncryptedRelation) (*Engine, error) {
 // MagBits bounds |W|, |B| magnitudes for comparison masking. A real W or
 // B sums m weighted scores of maxScoreBits bits each, so it lies in
 // [0, 2^realBits); a Qry_F row marked by the u copies of its object read
-// after it (protocols.MarkDuplicates within its depth,
-// protocols.MarkEarlier at later ones) sits u <= m-1 duplicate shifts of
-// 2^realBits below its own, since an object appears once a list, which
-// takes mBits more. Exported because the shard merge must compare merged
-// candidates under exactly the bound the per-shard scans used — a
-// divergent copy would silently break merge soundness.
+// after it (protocols.MarkEarlier, at its own depth or a later one) sits
+// u <= m-1 duplicate shifts of 2^realBits below its own, since an object
+// appears once a list, which takes mBits more. Exported because the
+// shard merge must compare merged candidates under exactly the bound the
+// per-shard scans used — a divergent copy would silently break merge
+// soundness.
 func MagBits(maxScoreBits int, tk *Token) int {
 	realBits, mBits := scoreBits(maxScoreBits, tk)
 	return realBits + mBits + 2
@@ -167,9 +167,9 @@ func (e *Engine) depthBits(tk *Token) int {
 	return realBits - mBits
 }
 
-// duplicateShift is 2^realBits, the amount MarkDuplicates and
-// MarkEarlier take off a row's W and B per later copy of its object:
-// above every real score, so a marked row ranks below every real one.
+// duplicateShift is 2^realBits, the amount MarkEarlier takes off a row's
+// W and B per later copy of its object: above every real score, so a
+// marked row ranks below every real one.
 func (e *Engine) duplicateShift(tk *Token) *big.Int {
 	realBits, _ := scoreBits(e.er.MaxScoreBits, tk)
 	return new(big.Int).Lsh(big.NewInt(1), uint(realBits))
@@ -350,12 +350,12 @@ func (e *Engine) scanDepth(opts Options) int {
 // its own. Best bounds are stored in each item's ColBest column.
 //
 // Qry_F spends no other round on a depth. Its T holds one row per (list,
-// depth) read, in that order, which S1 alone knows: the depth's rows
-// carry Seen, every score of their object read so far, and SecBest's
-// bound, and MarkDuplicates marks all but the first copy among them;
-// MarkEarlier then marks every earlier row whose object the depth reads
-// again, from SecBest's own prefix bits. So each object's one live row is
-// its newest.
+// depth) read, row e*m + j from list j at depth e, which S1 alone knows.
+// The depth's rows carry Seen, every score of their object read so far,
+// and SecBest's bound, and one MarkEarlier pass over T and them, on the
+// round's Marks, marks every row whose object a later row carries. So
+// each object's one live row is its newest: within a depth the copy from
+// the last list, whose W and B equal its same-depth copies'.
 func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	m := len(tk.Lists)
 	shift, slot, depthBits := e.duplicateShift(tk), SlotBits(e.magBits(tk)), e.depthBits(tk)
@@ -395,7 +395,7 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*r
 			}
 		}
 		var err error
-		if T, err = e.markDepth(ctx, T, gamma, b, shift); err != nil {
+		if T, err = protocols.MarkEarlier(ctx, e.client.PK(), append(T, gamma...), b.Marks, shift); err != nil {
 			return nil, fmt.Errorf("core: depth %d mark: %w", d, err)
 		}
 		if halt, err := e.checkHalt(ctx, tk, opts, T, depth, depthBottoms(histories, d), StoredBounds); halt != nil || err != nil {
@@ -403,32 +403,6 @@ func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*r
 		}
 	}
 	return e.finalize(ctx, tk, T, depth, maxD == e.er.N, depthBottoms(histories, depth-1), StoredBounds)
-}
-
-// markDepth appends Qry_F's depth d = len(T)/m to T, which holds the
-// rows of depths 0..d-1, row e*m + j read from list j at depth e: the
-// depth's rows gamma with their later copies marked (MarkDuplicates on
-// b.Same), after every earlier row by the count of the depth's rows that
-// carry its object (MarkEarlier on b.Prefix). No round.
-func (e *Engine) markDepth(ctx context.Context, T, gamma []protocols.Item, b protocols.DepthBounds, shift *big.Int) ([]protocols.Item, error) {
-	pk := e.client.PK()
-	gamma, err := protocols.MarkDuplicates(ctx, pk, gamma, b.Same, shift)
-	if err != nil {
-		return nil, err
-	}
-	m := len(gamma)
-	bits := make([][]*paillier.Ciphertext, len(T))
-	for _, row := range b.Prefix {
-		for j, col := range row {
-			for at, bit := range col {
-				bits[at*m+j] = append(bits[at*m+j], bit)
-			}
-		}
-	}
-	if T, err = protocols.MarkEarlier(ctx, pk, T, bits, shift); err != nil {
-		return nil, err
-	}
-	return append(T, gamma...), nil
 }
 
 // depthBottoms returns every list's score at 0-based depth d: the bottoms

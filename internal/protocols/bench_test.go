@@ -63,8 +63,8 @@ func BenchmarkSecBestM3D4(b *testing.B) {
 // BenchmarkSecWorstBestMark times one Qry_F depth at the benchmark
 // query's depth-2 shape (m = 3 lists, 3 digests, one object in two lists
 // at the current depth and in a third at depth 1): SecWorstBestDepths'
-// one EqBits round, then MarkDuplicates on the depth's rows and
-// MarkEarlier on depth 1's, with no round.
+// one EqBits round, then one MarkEarlier pass over depth 1's rows and the
+// depth's, with no round.
 func BenchmarkSecWorstBestMark(b *testing.B) {
 	e := env(b)
 	const m, d = 3, 2
@@ -93,20 +93,11 @@ func BenchmarkSecWorstBestMark(b *testing.B) {
 			b.Fatal(err)
 		}
 		got := bounds[0]
-		gamma := make([]Item, m)
-		for j := range gamma {
-			gamma[j] = Item{EHL: items[j].EHL, Scores: []*paillier.Ciphertext{got.Seen[j], got.Best[j]}}
+		rows := append([]Item(nil), earlier...)
+		for j := range items {
+			rows = append(rows, Item{EHL: items[j].EHL, Scores: []*paillier.Ciphertext{got.Seen[j], got.Best[j]}})
 		}
-		if _, err := MarkDuplicates(context.Background(), pk, gamma, got.Same, markShift); err != nil {
-			b.Fatal(err)
-		}
-		bits := make([][]*paillier.Ciphertext, m)
-		for _, row := range got.Prefix {
-			for j, col := range row {
-				bits[j] = append(bits[j], col...)
-			}
-		}
-		if _, err := MarkEarlier(context.Background(), pk, earlier, bits, markShift); err != nil {
+		if _, err := MarkEarlier(context.Background(), pk, rows, got.Marks, markShift); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func AllPairs(n int) PairSet {
 
 // SecDedup runs the oblivious deduplication protocol over the pair set:
 // Algorithm 7 (Replace mode; Qry_F marks its duplicates with
-// MarkDuplicates instead, in no round) and the score-merging variant
+// MarkEarlier instead, in no round) and the score-merging variant
 // (Merge) with which Qry_E and Qry_Ba keep one row per object. Merge with
 // no mergeCols is Section 10.1's SecDupElim. Any other mode is refused
 // typed bad_request.

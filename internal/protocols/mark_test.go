@@ -16,9 +16,9 @@ import (
 // B of their depths, m <= 5 scores below 2^16 each.
 var markShift = big.NewInt(1 << 20)
 
-// markDepth builds one depth of m items, item i carrying object objs[i]
+// oneDepth builds one depth of m items, item i carrying object objs[i]
 // under h and score scores[i], each list's history that depth alone.
-func markDepth(t testing.TB, e *testEnv, h *ehl.Hasher, objs []uint64, scores []int64) ([]DepthItem, []ListHistory) {
+func oneDepth(t testing.TB, e *testEnv, h *ehl.Hasher, objs []uint64, scores []int64) ([]DepthItem, []ListHistory) {
 	t.Helper()
 	items, hist := make([]DepthItem, len(objs)), make([]ListHistory, len(objs))
 	for i, obj := range objs {
@@ -32,15 +32,16 @@ func markDepth(t testing.TB, e *testEnv, h *ehl.Hasher, objs []uint64, scores []
 	return items, hist
 }
 
-// TestMarkDuplicates is the mark step's property test. Over depth shapes
-// of m = 1..5 items at S = 1 and 3 digests — no duplicates, pairs, one
-// object in every list, and random ones — it takes the bits of one
-// SecWorstBestAll round and marks the depth with them in no further
-// round, then decrypts every output. The first copy of each object keeps
-// W and B exactly. The copy with u earlier copies has exactly W - u*shift
-// and B - u*shift. Every row keeps its digests, and the rows come back in
-// the order given.
-func TestMarkDuplicates(t *testing.T) {
+// TestMarkEarlierOneDepth is the mark step's property test within a
+// depth. Over depth shapes of m = 1..5 items at S = 1 and 3 digests — no
+// duplicates, pairs, one object in every list, and random ones — it
+// takes the Marks of one SecWorstBestDepths round over a depth with no
+// past and marks the depth with them in no further round, then decrypts
+// every output. The last copy of each object keeps W and B exactly. The
+// copy with u later copies has exactly W - u*shift and B - u*shift.
+// Every row keeps its digests, and the rows come back in the order
+// given.
+func TestMarkEarlierOneDepth(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
 	pk := &e.keys.Paillier.PublicKey
@@ -67,19 +68,20 @@ func TestMarkDuplicates(t *testing.T) {
 					scores[i] = rng.Int63n(1 << 16)
 				}
 				scores[0] = 1<<16 - 1
-				items, hist := markDepth(t, e, h, objs, scores)
-				worst, best, same, err := SecWorstBestAll(ctx, e.client, items, hist)
+				items, hist := oneDepth(t, e, h, objs, scores)
+				bounds, err := SecWorstBestDepths(ctx, e.client, [][]DepthItem{items}, hist)
 				if err != nil {
-					t.Fatalf("%s: SecWorstBestAll: %v", name, err)
+					t.Fatalf("%s: SecWorstBestDepths: %v", name, err)
 				}
+				b := bounds[0]
 				gamma := make([]Item, m)
 				for i := range gamma {
-					gamma[i] = Item{EHL: items[i].EHL, Scores: []*paillier.Ciphertext{worst[i], best[i]}}
+					gamma[i] = Item{EHL: items[i].EHL, Scores: []*paillier.Ciphertext{b.Seen[i], b.Best[i]}}
 				}
 				before := e.stats.Rounds()
-				out, err := MarkDuplicates(ctx, pk, gamma, same, markShift)
+				out, err := MarkEarlier(ctx, pk, gamma, b.Marks, markShift)
 				if err != nil {
-					t.Fatalf("%s: MarkDuplicates: %v", name, err)
+					t.Fatalf("%s: MarkEarlier: %v", name, err)
 				}
 				if n := e.stats.Rounds() - before; n != 0 || len(out) != m {
 					t.Fatalf("%s: %d rows in %d rounds, want %d in none", name, len(out), n, m)
@@ -94,7 +96,7 @@ func TestMarkDuplicates(t *testing.T) {
 					for j, o := range objs {
 						if o == objs[i] {
 							w += scores[j]
-							if j < i {
+							if j > i {
 								u++
 							}
 						}
@@ -150,34 +152,10 @@ func digestObject(t *testing.T, e *testEnv, h *ehl.Hasher, name string, row int,
 	return obj
 }
 
-// TestMarkDuplicatesRefuses: a mark step MarkDuplicates cannot apply is
-// an error, not a panic.
-func TestMarkDuplicatesRefuses(t *testing.T) {
-	e := env(t)
-	ctx := context.Background()
-	pk := &e.keys.Paillier.PublicKey
-	items := []Item{e.item(t, 1, 10, 20), e.item(t, 1, 10, 20)}
-	bit := e.enc(t, 1)
-	for name, tc := range map[string]struct {
-		same  [][]*paillier.Ciphertext
-		shift *big.Int
-	}{
-		"a row of bits short": {[][]*paillier.Ciphertext{nil}, markShift},
-		"a bit short":         {[][]*paillier.Ciphertext{nil, nil}, markShift},
-		"a nil bit":           {[][]*paillier.Ciphertext{nil, {nil}}, markShift},
-		"no shift":            {[][]*paillier.Ciphertext{nil, {bit}}, nil},
-		"a zero shift":        {[][]*paillier.Ciphertext{nil, {bit}}, big.NewInt(0)},
-		"a shift of N":        {[][]*paillier.Ciphertext{nil, {bit}}, pk.N},
-	} {
-		if _, err := MarkDuplicates(ctx, pk, items, tc.same, tc.shift); err == nil {
-			t.Errorf("%s: MarkDuplicates succeeded", name)
-		}
-	}
-}
-
-// TestMarkEarlier: a row of an earlier depth shifts its score columns
-// down by u*shift, u the sum of its bits, keeps its digests, and stays
-// where it was; a row with no bits is returned as given.
+// TestMarkEarlier: a row shifts its score columns down by u*shift, u the
+// sum of its bits, keeps its digests, and stays where it was; a row with
+// no bits is returned as given. A mark step it cannot apply is an error,
+// not a panic.
 func TestMarkEarlier(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -216,5 +194,10 @@ func TestMarkEarlier(t *testing.T) {
 	}
 	if _, err := MarkEarlier(ctx, pk, rows, [][]*paillier.Ciphertext{nil, {nil}, nil, nil}, markShift); err == nil {
 		t.Error("MarkEarlier took a nil bit")
+	}
+	for name, shift := range map[string]*big.Int{"no shift": nil, "a zero shift": big.NewInt(0), "a shift of N": pk.N} {
+		if _, err := MarkEarlier(ctx, pk, rows, bits, shift); err == nil {
+			t.Errorf("MarkEarlier took %s", name)
+		}
 	}
 }

@@ -17,14 +17,18 @@ import (
 // TestPropertySecWorstBest is the differential test of the fused
 // worst/best routine: on random list prefixes drawn from a small object
 // domain (so items share an object at the current depth, and objects have
-// already appeared in other lists' histories), SecWorstBestAll must
-// decrypt to the plaintext formulas of Algorithms 4 and 6,
+// already appeared in other lists' histories), SecWorstBestDepths over
+// the current depth must take one round and decrypt to
 //
-//	W_i = x_i + sum_{j != i, o_j = o_i} x_j
-//	B_i = x_i + sum_{j != i} (o_i's score in L_j if seen there, else bottom_j)
+//	Seen_i = x_i + sum_{j != i} sum_{e <= d, o_j^e = o_i} x_j^e
+//	B_i    = x_i + sum_{j != i} (o_i's score in L_j if seen there, else bottom_j)
 //
-// in one round, SecWorstAll / SecBestAll must return the same values, and
-// the equality bits it returns must decrypt to [o_i = o_j].
+// SecBestAll must return the same B, SecWorstAll Algorithm 4's
+//
+//	W_i = x_i + sum_{j != i, o_j^d = o_i} x_j^d
+//
+// and each Marks row must hold one bit per item after it, summing to its
+// object's copies among them.
 func TestPropertySecWorstBest(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -32,6 +36,7 @@ func TestPropertySecWorstBest(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := 2 + rng.Intn(3)
 		depth := 1 + rng.Intn(3)
+		d := depth - 1
 		// objsAt[j][d], scoresAt[j][d]: list j at depth d. Objects appear
 		// at most once per list.
 		objsAt := make([][]uint64, m)
@@ -42,24 +47,25 @@ func TestPropertySecWorstBest(t *testing.T) {
 			perm := rng.Perm(4)
 			objsAt[j] = make([]uint64, depth)
 			scoresAt[j] = make([]int64, depth)
-			for d := 0; d < depth; d++ {
-				objsAt[j][d] = uint64(perm[d])
-				scoresAt[j][d] = int64(60 - 10*d - rng.Intn(5)) // descending-ish
-				hist[j].EHLs = append(hist[j].EHLs, e.list(t, objsAt[j][d]))
-				hist[j].Scores = append(hist[j].Scores, e.enc(t, scoresAt[j][d]))
+			for at := 0; at < depth; at++ {
+				objsAt[j][at] = uint64(perm[at])
+				scoresAt[j][at] = int64(60 - 10*at - rng.Intn(5)) // descending-ish
+				hist[j].EHLs = append(hist[j].EHLs, e.list(t, objsAt[j][at]))
+				hist[j].Scores = append(hist[j].Scores, e.enc(t, scoresAt[j][at]))
 			}
-			items[j] = DepthItem{EHL: hist[j].EHLs[depth-1], Score: hist[j].Scores[depth-1]}
+			items[j] = DepthItem{EHL: hist[j].EHLs[d], Score: hist[j].Scores[d]}
 		}
 		before := e.stats.Rounds()
-		worst, best, same, err := SecWorstBestAll(ctx, e.client, items, hist)
+		bounds, err := SecWorstBestDepths(ctx, e.client, [][]DepthItem{items}, hist)
 		if err != nil {
-			t.Logf("SecWorstBestAll: %v", err)
+			t.Logf("SecWorstBestDepths: %v", err)
 			return false
 		}
 		if rounds := e.stats.Rounds() - before; rounds != 1 {
-			t.Logf("seed %d: SecWorstBestAll took %d rounds, want 1", seed, rounds)
+			t.Logf("seed %d: SecWorstBestDepths took %d rounds, want 1", seed, rounds)
 			return false
 		}
+		got := bounds[0]
 		worstOnly, err := SecWorstAll(ctx, e.client, items)
 		if err != nil {
 			t.Logf("SecWorstAll: %v", err)
@@ -71,37 +77,60 @@ func TestPropertySecWorstBest(t *testing.T) {
 			return false
 		}
 		for i := 0; i < m; i++ {
-			obj := objsAt[i][depth-1]
-			wantW, wantB := scoresAt[i][depth-1], scoresAt[i][depth-1]
+			obj := objsAt[i][d]
+			wantW, wantSeen, wantB := scoresAt[i][d], scoresAt[i][d], scoresAt[i][d]
 			for j := 0; j < m; j++ {
 				if j == i {
 					continue
 				}
-				var eq int64
-				if objsAt[j][depth-1] == obj {
-					wantW, eq = wantW+scoresAt[j][depth-1], 1
+				if objsAt[j][d] == obj {
+					wantW += scoresAt[j][d]
 				}
-				if got := e.dec(t, same[i][j]); got != eq {
-					t.Logf("seed %d: bit (%d, %d) = %d, want %d", seed, i, j, got, eq)
-					return false
-				}
-				contrib := scoresAt[j][depth-1] // bottom
-				for d := 0; d < depth; d++ {
-					if objsAt[j][d] == obj {
-						contrib = scoresAt[j][d]
+				contrib := scoresAt[j][d] // bottom
+				for at := 0; at < depth; at++ {
+					if objsAt[j][at] == obj {
+						contrib = scoresAt[j][at]
+						wantSeen += scoresAt[j][at]
 					}
 				}
 				wantB += contrib
 			}
-			gotW, gotB := e.dec(t, worst[i]), e.dec(t, best[i])
-			if gotW != wantW || gotB != wantB {
-				t.Logf("seed %d: item %d (W, B) = (%d, %d), want (%d, %d) (objs=%v scores=%v)",
-					seed, i, gotW, gotB, wantW, wantB, objsAt, scoresAt)
+			gotSeen, gotB := e.dec(t, got.Seen[i]), e.dec(t, got.Best[i])
+			if gotSeen != wantSeen || gotB != wantB {
+				t.Logf("seed %d: item %d (Seen, B) = (%d, %d), want (%d, %d) (objs=%v scores=%v)",
+					seed, i, gotSeen, gotB, wantSeen, wantB, objsAt, scoresAt)
 				return false
 			}
-			if pw, pb := e.dec(t, worstOnly[i]), e.dec(t, bestOnly[i]); pw != gotW || pb != gotB {
-				t.Logf("seed %d: item %d projections (W, B) = (%d, %d), fused (%d, %d)", seed, i, pw, pb, gotW, gotB)
+			if pw, pb := e.dec(t, worstOnly[i]), e.dec(t, bestOnly[i]); pw != wantW || pb != wantB {
+				t.Logf("seed %d: item %d halves (W, B) = (%d, %d), want (%d, %d)", seed, i, pw, pb, wantW, wantB)
 				return false
+			}
+		}
+		if len(got.Marks) != depth*m {
+			t.Logf("seed %d: %d rows of marks at depth %d of %d lists", seed, len(got.Marks), d, m)
+			return false
+		}
+		for at := 0; at < depth; at++ {
+			for j := 0; j < m; j++ {
+				var n int
+				var sum int64
+				for i := 0; i < m; i++ {
+					if i != j && (at < d || i > j) {
+						n++
+						if objsAt[i][d] == objsAt[j][at] {
+							sum++
+						}
+					}
+				}
+				row := got.Marks[at*m+j]
+				var gotSum int64
+				for _, bit := range row {
+					gotSum += e.dec(t, bit)
+				}
+				if len(row) != n || gotSum != sum {
+					t.Logf("seed %d: row (%d, %d) has %d marks summing to %d, want %d summing to %d", seed, at, j, len(row), gotSum, n, sum)
+					return false
+				}
 			}
 		}
 		return true
@@ -113,9 +142,10 @@ func TestPropertySecWorstBest(t *testing.T) {
 
 // TestPropertySecWorstBestDepths: SecWorstBestDepths over the last D
 // depths of random list prefixes takes one round and returns, depth by
-// depth, what SecWorstBestAll returns over the prefixes cut at that depth,
-// and beside it Seen, every score of the item's object read up to that
-// depth, and the prefix bits [o_i = o_j^e] of every earlier depth e.
+// depth, the Seen and Best a call over the prefixes cut at that depth
+// returns, Seen summing every score of the item's object read up to that
+// depth, and Marks holding each bit [o_i = o_j^e] where its doc comment
+// places it.
 func TestPropertySecWorstBestDepths(t *testing.T) {
 	e := env(t)
 	ctx := context.Background()
@@ -161,14 +191,18 @@ func TestPropertySecWorstBestDepths(t *testing.T) {
 		for x := 0; x < D; x++ {
 			d := depth - D + x
 			h, items := cut(d)
-			w, b, s, err := SecWorstBestAll(ctx, e.client, items, h)
+			own, err := SecWorstBestDepths(ctx, e.client, [][]DepthItem{items}, h)
 			if err != nil {
-				t.Logf("SecWorstBestAll: %v", err)
+				t.Logf("SecWorstBestDepths at depth %d: %v", d, err)
 				return false
 			}
 			got := bounds[x]
+			if len(got.Marks) != (d+1)*m {
+				t.Logf("seed %d: depth %d has %d rows of marks, want %d", seed, d, len(got.Marks), (d+1)*m)
+				return false
+			}
 			for i := 0; i < m; i++ {
-				if e.dec(t, got.Worst[i]) != e.dec(t, w[i]) || e.dec(t, got.Best[i]) != e.dec(t, b[i]) {
+				if e.dec(t, got.Seen[i]) != e.dec(t, own[0].Seen[i]) || e.dec(t, got.Best[i]) != e.dec(t, own[0].Best[i]) {
 					t.Logf("seed %d: depth %d of %d, item %d differs from its own round", seed, x, D, i)
 					return false
 				}
@@ -177,21 +211,25 @@ func TestPropertySecWorstBestDepths(t *testing.T) {
 					if j == i {
 						continue
 					}
-					if e.dec(t, got.Same[i][j]) != e.dec(t, s[i][j]) {
-						t.Logf("seed %d: depth %d of %d, bit (%d, %d) differs from its own round", seed, x, D, i, j)
-						return false
-					}
-					if len(got.Prefix[i][j]) != d {
-						t.Logf("seed %d: depth %d, item %d has %d prefix bits for list %d, want %d", seed, d, i, len(got.Prefix[i][j]), j, d)
-						return false
-					}
 					for at := 0; at <= d; at++ {
 						var eq int64
 						if objs[j][at] == objs[i][d] {
 							eq, seen = 1, seen+scores[j][at]
 						}
-						if at < d && e.dec(t, got.Prefix[i][j][at]) != eq {
-							t.Logf("seed %d: depth %d, prefix bit (%d, %d, %d) is not %d", seed, d, i, j, at, eq)
+						// Item i's bit against list j's row at depth at.
+						var bit *paillier.Ciphertext
+						switch {
+						case at < d && i < j:
+							bit = got.Marks[at*m+j][i]
+						case at < d:
+							bit = got.Marks[at*m+j][i-1]
+						case i > j:
+							bit = got.Marks[d*m+j][i-j-1]
+						default:
+							bit = got.Marks[d*m+i][j-i-1]
+						}
+						if e.dec(t, bit) != eq {
+							t.Logf("seed %d: depth %d, bit of item %d against list %d at depth %d is not %d", seed, d, i, j, at, eq)
 							return false
 						}
 					}

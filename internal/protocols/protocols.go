@@ -2,7 +2,7 @@
 // sub-protocols (Section 8.2 and Section 10): EncCompare, the hidden-bit
 // gadget every oblivious choice goes through (in place of Algorithm 5's
 // double layer), SecWorst, SecBest, SecDedup/SecDupElim and Qry_F's
-// round-free MarkDuplicates and MarkEarlier, SecUpdate, EncSelectTop
+// round-free MarkEarlier, SecUpdate, EncSelectTop
 // (EncSort's ranking: the shallowest of top-k selection passes, a pruned
 // Batcher network and fixed six-input programs),
 // SecMult, and SecFilter.

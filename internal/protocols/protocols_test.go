@@ -373,15 +373,16 @@ func TestSecBestAll(t *testing.T) {
 			t.Errorf("best[%d] = %d, want %d (paper Fig. 3b)", i, got, want)
 		}
 	}
-	// The fused call returns the same bounds beside the worst scores: X3
-	// sits at this depth in both R2 and R3, so its two items carry 7 + 6.
-	worst, fusedBest, _, err := SecWorstBestAll(context.Background(), e.client, items, hist)
+	// The fused call returns the same bounds beside the seen scores: X2
+	// also sits at depth 0 of R2 (8 + 8), and X3 at this depth in both R2
+	// and R3, so its two items carry 7 + 6.
+	fused, err := SecWorstBestDepths(context.Background(), e.client, [][]DepthItem{items}, hist)
 	if err != nil {
-		t.Fatalf("SecWorstBestAll: %v", err)
+		t.Fatalf("SecWorstBestDepths: %v", err)
 	}
-	for i, want := range []struct{ w, b int64 }{{8, 22}, {13, 21}, {13, 21}} {
-		if w, b := e.dec(t, worst[i]), e.dec(t, fusedBest[i]); w != want.w || b != want.b {
-			t.Errorf("fused (W, B)[%d] = (%d, %d), want (%d, %d)", i, w, b, want.w, want.b)
+	for i, want := range []struct{ w, b int64 }{{16, 22}, {13, 21}, {13, 21}} {
+		if w, b := e.dec(t, fused[0].Seen[i]), e.dec(t, fused[0].Best[i]); w != want.w || b != want.b {
+			t.Errorf("fused (Seen, B)[%d] = (%d, %d), want (%d, %d)", i, w, b, want.w, want.b)
 		}
 	}
 	if _, err := SecBestAll(context.Background(), e.client, items, hist[:1]); err == nil {
@@ -393,6 +394,29 @@ func TestSecBestAll(t *testing.T) {
 	}
 	if e.dec(t, b1[0]) != 8 {
 		t.Fatal("m=1 best should be own score")
+	}
+}
+
+// TestSecWorstBestRefusesUnequalHistories: Marks is laid out by (depth,
+// list), so a call whose lists' prefixes differ in length is refused
+// before any round, fused or best half alone.
+func TestSecWorstBestRefusesUnequalHistories(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	long := ListHistory{EHLs: []*ehl.List{e.list(t, 1), e.list(t, 2)}, Scores: []*paillier.Ciphertext{e.enc(t, 10), e.enc(t, 8)}}
+	short := ListHistory{EHLs: []*ehl.List{e.list(t, 3)}, Scores: []*paillier.Ciphertext{e.enc(t, 7)}}
+	items := []DepthItem{{EHL: long.EHLs[1], Score: long.Scores[1]}, {EHL: short.EHLs[0], Score: short.Scores[0]}}
+	before := e.stats.Rounds()
+	for _, hist := range [][]ListHistory{{long, short}, {short, long}} {
+		if _, err := SecWorstBestDepths(ctx, e.client, [][]DepthItem{items}, hist); err == nil {
+			t.Errorf("SecWorstBestDepths took histories of %d and %d items", len(hist[0].EHLs), len(hist[1].EHLs))
+		}
+		if _, err := SecBestAll(ctx, e.client, items, hist); err == nil {
+			t.Errorf("SecBestAll took histories of %d and %d items", len(hist[0].EHLs), len(hist[1].EHLs))
+		}
+	}
+	if n := e.stats.Rounds() - before; n != 0 {
+		t.Errorf("refused calls took %d rounds, want none", n)
 	}
 }
 

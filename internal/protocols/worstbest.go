@@ -46,8 +46,8 @@ func validateDepthItems(items []DepthItem) error {
 }
 
 // SecWorstAll is the SecWorst protocol (Algorithm 4) run for every item at
-// the current depth at once: the worst half of SecWorstBestAll over a
-// depth with no past.
+// the current depth at once: the worst half of SecWorstBestDepths over a
+// depth with no past, whose Seen is Algorithm 4's W.
 func SecWorstAll(ctx context.Context, c *cloud.Client, items []DepthItem) ([]*paillier.Ciphertext, error) {
 	histories := make([]ListHistory, len(items))
 	for i, it := range items {
@@ -57,11 +57,12 @@ func SecWorstAll(ctx context.Context, c *cloud.Client, items []DepthItem) ([]*pa
 	if err != nil {
 		return nil, err
 	}
-	return out[0].Worst, nil
+	return out[0].Seen, nil
 }
 
 // SecBestAll is the SecBest protocol (Algorithm 6) run for every item at
-// the current depth at once: the best half of SecWorstBestAll.
+// the current depth at once: the best half of SecWorstBestDepths over
+// that one depth.
 func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) ([]*paillier.Ciphertext, error) {
 	out, err := secWorstBest(ctx, c, [][]DepthItem{items}, histories, false, true)
 	if err != nil {
@@ -73,60 +74,53 @@ func SecBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histori
 // DepthBounds is what one SecWorstBest round returns for one depth d of
 // m items, item i read from list i. S1 can open none of it.
 type DepthBounds struct {
-	// Worst is Algorithm 4's worst bound over the depth's own items:
-	// W_i = x_i + Σ_{j≠i} t_ij·x_j, t_ij = [o_i = o_j].
-	Worst []*paillier.Ciphertext
 	// Seen is the worst bound over every depth read so far:
 	// x_i + Σ_{j≠i} Σ_{e≤d} [o_i = o_j^e]·x_j^e, every score of item i's
-	// object the scan has read, since an object appears once a list.
+	// object the scan has read, since an object appears once a list. Over
+	// a depth with no past it is Algorithm 4's W_i = x_i + Σ_{j≠i}
+	// [o_i = o_j]·x_j.
 	Seen []*paillier.Ciphertext
 	// Best is Algorithm 6's best bound:
 	// B_i = x_i + Σ_{j≠i} [bottom_j + Σ_{e<d} [o_i = o_j^e]·(x_j^e − bottom_j)].
 	Best []*paillier.Ciphertext
-	// Same[i][j] = Enc(t_ij) for every ordered pair of distinct items.
-	Same [][]*paillier.Ciphertext
-	// Prefix[i][j][e] = Enc([o_i = o_j^e]) for every list j ≠ i and every
-	// earlier depth e < d: SecBest's bits.
-	Prefix [][][]*paillier.Ciphertext
+	// Marks[e*m + j] holds, for list j's row at depth e ≤ d, the bits
+	// Enc([o_i = o_j^e]) of every item i that comes after that row in
+	// (depth, list) order — each i ≠ j when e < d, each i > j when
+	// e = d — in item order: MarkEarlier's bits for row e*m + j of
+	// T ++ the depth's rows. So item i's bit against list j's row at an
+	// earlier depth e is Marks[e*m + j][i] for i < j and
+	// Marks[e*m + j][i−1] for i > j; at depth d it is
+	// Marks[d*m + j][i−j−1] for i > j, and its mirror [o_j = o_i^d] at
+	// Marks[d*m + i][j−i−1] for i < j.
+	Marks [][]*paillier.Ciphertext
 }
 
-// SecWorstBestAll runs SecWorst (Algorithm 4) and SecBest (Algorithm 6)
-// for every item at the current depth in one round of the hidden-bit
-// gadget (ApplyBits), its bits permuted: SecWorstBestDepths over that one
-// depth, returning its Worst, Best and Same.
+// SecWorstBestDepths is SecWorst (Algorithm 4) and SecBest (Algorithm 6)
+// for several consecutive depths in one round of the hidden-bit gadget
+// (ApplyBits), its bits permuted: depths[t] holds the items of the t-th
+// of the last len(depths) depths of histories, each depth's bounds taken
+// against the prefixes and bottoms as they stood at that depth.
 //
-// histories[j] must contain list j's seen prefix including the current
-// depth; item i must be the current-depth item of histories[i]. There is
-// one bit per ordered (item i, list j ≠ i, depth e <= d): Algorithm 6's
-// bit set, so S2's view is the permuted equality pattern of the depth
-// (leakage EP^d) and no more.
-func SecWorstBestAll(ctx context.Context, c *cloud.Client, items []DepthItem, histories []ListHistory) (worst, best []*paillier.Ciphertext, same [][]*paillier.Ciphertext, err error) {
-	out, err := secWorstBest(ctx, c, [][]DepthItem{items}, histories, true, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return out[0].Worst, out[0].Best, out[0].Same, nil
-}
-
-// SecWorstBestDepths is SecWorst and SecBest for several consecutive
-// depths in one round: depths[t] holds the items of the t-th of the last
-// len(depths) depths of histories, each depth's bounds taken against the
-// prefixes and bottoms as they stood at that depth. One bit per ordered
-// (t, item i, list j ≠ i, depth e ≤ d_t) goes to S2 in one permuted
-// EqBits batch, and every bit carries the same two payloads, a W slot and
-// a B slot: x_j^e and x_j^e − bottom_j at an earlier depth e, x_j^d and
-// Enc(0) at the item's own depth d. Every bit thus looks alike to S2,
-// and the batch shows it only its count of ones. The answers come back
-// split by depth. It serves the depths a query is certain to scan before
-// its first halting check, which need nothing from each other's
-// answers, and every later depth alone.
+// histories[j] holds list j's seen prefix, every list's of one length,
+// and depths[t][i] is depth t's item of histories[i]. One bit per
+// ordered (t, item i, list j ≠ i, depth e ≤ d_t) goes to S2 in one
+// permuted EqBits batch: Algorithm 6's bit set, so S2's view is the
+// permuted equality pattern of the depths (leakage EP^d) and no more.
+// Every bit carries the same two payloads, a W slot and a B slot: x_j^e
+// and x_j^e − bottom_j at an earlier depth e, x_j^d and Enc(0) at the
+// item's own depth d. Every bit thus looks alike to S2, and the batch
+// shows it only its count of ones. The answers come back split by
+// depth. It serves the depths a query is certain to scan before its
+// first halting check, which need nothing from each other's answers,
+// and every later depth alone.
 func SecWorstBestDepths(ctx context.Context, c *cloud.Client, depths [][]DepthItem, histories []ListHistory) ([]DepthBounds, error) {
 	return secWorstBest(ctx, c, depths, histories, true, true)
 }
 
 // secWorstBest is SecWorstBestDepths computing only the requested halves:
 // an unrequested half costs no equality bit and no payload slot, so one
-// half alone sends one payload a bit. Seen and Prefix come with both.
+// half alone sends one payload a bit. Seen is the worst half's, Best the
+// best half's, and Marks holds the bits the call tested.
 func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, histories []ListHistory, wantWorst, wantBest bool) ([]DepthBounds, error) {
 	if len(depths) == 0 {
 		return nil, errors.New("protocols: no depths")
@@ -143,17 +137,16 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 	if len(histories) != m {
 		return nil, fmt.Errorf("protocols: %d histories for %d items", len(histories), m)
 	}
-	D := len(depths)
+	D, n := len(depths), len(histories[0].EHLs)
 	for j, h := range histories {
-		if len(h.EHLs) < D || len(h.EHLs) != len(h.Scores) {
+		if n < D || len(h.EHLs) != n || len(h.Scores) != n {
 			return nil, fmt.Errorf("protocols: history %d malformed", j)
 		}
 	}
 	pk := c.PK()
-	both := wantWorst && wantBest
-	// last(t, j) is where depth t's item of list j sits in its history.
-	last := func(t, j int) int { return len(histories[j].EHLs) - D + t }
-	bottom := func(t, j int) *paillier.Ciphertext { return histories[j].Scores[last(t, j)] }
+	// last(t) is where depth t's items sit in their histories.
+	last := func(t int) int { return n - D + t }
+	bottom := func(t, j int) *paillier.Ciphertext { return histories[j].Scores[last(t)] }
 	// A bit's slots: W's, then B's, each only when its half is asked for.
 	slotW, slotB, width := 0, 0, 0
 	if wantWorst {
@@ -169,26 +162,16 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 	var err error
 	for t, items := range depths {
 		b := &out[t]
-		b.Worst, b.Best = make([]*paillier.Ciphertext, m), make([]*paillier.Ciphertext, m)
-		b.Same, b.Prefix = make([][]*paillier.Ciphertext, m), make([][][]*paillier.Ciphertext, m)
-		if both {
-			b.Seen = make([]*paillier.Ciphertext, m)
-		}
+		b.Seen, b.Best = make([]*paillier.Ciphertext, m), make([]*paillier.Ciphertext, m)
+		b.Marks = make([][]*paillier.Ciphertext, (last(t)+1)*m)
 		for i := range items {
-			b.Worst[i], b.Best[i] = items[i].Score.Clone(), items[i].Score.Clone()
-			if both {
-				b.Seen[i] = items[i].Score.Clone()
-			}
-			b.Same[i], b.Prefix[i] = make([]*paillier.Ciphertext, m), make([][]*paillier.Ciphertext, m)
-			for j := 0; j < m; j++ {
+			b.Seen[i], b.Best[i] = items[i].Score.Clone(), items[i].Score.Clone()
+			for j := 0; j < m && wantBest; j++ {
 				if j == i {
 					continue
 				}
-				b.Prefix[i][j] = make([]*paillier.Ciphertext, last(t, j))
-				if wantBest {
-					if b.Best[i], err = pk.Add(b.Best[i], bottom(t, j)); err != nil {
-						return nil, err
-					}
+				if b.Best[i], err = pk.Add(b.Best[i], bottom(t, j)); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -198,8 +181,8 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 	for t := range depths {
 		for i := 0; i < m; i++ {
 			for j := 0; j < m; j++ {
-				for e := 0; j != i && e <= last(t, j); e++ {
-					if e == last(t, j) && wantWorst || e < last(t, j) && wantBest {
+				for e := 0; j != i && e <= last(t); e++ {
+					if e == last(t) && wantWorst || e < last(t) && wantBest {
 						refs = append(refs, ref{t, i, j, e})
 					}
 				}
@@ -216,7 +199,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 	var earlier, bottoms []*paillier.Ciphertext
 	for k, r := range refs {
 		x := histories[r.j].Scores[r.e]
-		if r.e == last(r.t, r.j) {
+		if r.e == last(r.t) {
 			x = depths[r.t][r.j].Score
 		}
 		if wantWorst {
@@ -225,7 +208,7 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 		if !wantBest {
 			continue
 		}
-		if r.e == last(r.t, r.j) {
+		if r.e == last(r.t) {
 			pay[k*width+slotB] = zero
 			continue
 		}
@@ -236,8 +219,8 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 	if err != nil {
 		return nil, err
 	}
-	for n, k := range at {
-		pay[k*width+slotB] = diffs[n]
+	for x, k := range at {
+		pay[k*width+slotB] = diffs[x]
 	}
 	// The randomized equality ciphertexts are independent, so they build
 	// in parallel — this is the largest S1-side batch of the per-depth
@@ -264,80 +247,48 @@ func secWorstBest(ctx context.Context, c *cloud.Client, depths [][]DepthItem, hi
 	if err != nil {
 		return nil, err
 	}
-	// W_i takes its own depth's W slots, B_i the earlier depths' B slots,
-	// and Seen every W slot.
+	// Seen takes every W slot and Best the earlier depths' B slots; a bit
+	// joins the marks of the row it tested when its item comes later.
 	for k, r := range refs {
 		b := &out[r.t]
-		if both {
+		if wantWorst {
 			if b.Seen[r.i], err = pk.Add(b.Seen[r.i], chosen[k*width+slotW]); err != nil {
 				return nil, err
 			}
 		}
-		if r.e == last(r.t, r.j) {
-			b.Same[r.i][r.j] = eq[k]
-			b.Worst[r.i], err = pk.Add(b.Worst[r.i], chosen[k*width+slotW])
-		} else {
-			b.Prefix[r.i][r.j][r.e] = eq[k]
-			b.Best[r.i], err = pk.Add(b.Best[r.i], chosen[k*width+slotB])
+		if r.e < last(r.t) {
+			if b.Best[r.i], err = pk.Add(b.Best[r.i], chosen[k*width+slotB]); err != nil {
+				return nil, err
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for t := range out {
-		b := &out[t]
-		if !wantWorst {
-			b.Worst = nil
-		}
-		if !wantBest {
-			b.Best = nil
-		}
-		if !both {
-			b.Same, b.Prefix = nil, nil
+		if r.e < last(r.t) || r.i > r.j {
+			row := r.e*m + r.j
+			b.Marks[row] = append(b.Marks[row], eq[k])
 		}
 	}
 	return out, nil
 }
 
-// MarkDuplicates is Qry_F's dedup of one depth (Algorithm 7, Replace
-// mode) with no round: from the bits same[i][j] = Enc([o_i = o_j]) that
-// SecWorstBestDepths returned, it turns every copy of an object but the
-// first among the depth's items into a row that outranks no real object.
-// Row i's count of earlier copies is Enc(u_i) = Π_{j<i} same[i][j], and
-// one short power of Enc(u_i) shifts each score column by -u_i*shift. A
-// row with u_i = 0 keeps its plaintexts. A row with u_i >= 1 gets
-// negative scores, provided shift exceeds every real score: the property
-// Algorithm 7's sentinel row has. A sum serves where replaceDuplicates
-// needs an OR: a third copy lands on -2*shift, still negative. Every row
-// keeps its digests: no zero test reads a row of T (TestWireRecorder), so
-// a marked row's id is never compared again, and a marked row never
-// ranks into an answer.
+// MarkEarlier is Qry_F's mark step (Algorithm 7, Replace mode, and the
+// update across depths) with no round: from the equality bits a
+// SecWorstBest round returned (DepthBounds.Marks), it turns every row of
+// an object but its newest into a row that outranks no real object. Row
+// r's count of newer copies is Enc(u_r) = Π bits[r], and one short power
+// of Enc(u_r) shifts each score column by -u_r*shift. A row with u_r = 0
+// keeps its plaintexts. A row with u_r >= 1 gets negative scores,
+// provided shift exceeds every real score: the property Algorithm 7's
+// sentinel row has. A sum serves where replaceDuplicates needs an OR: a
+// third copy lands on -2*shift, still negative. Every row keeps its
+// digests: no zero test reads a row of T (TestWireRecorder), so a marked
+// row's id is never compared again, and a marked row never ranks into an
+// answer.
 //
 // The rows come back in the order given, their count unchanged, so S1
-// keeps each row's list and depth (MarkEarlier needs them). Index order
-// always marks the copy from the later list, so a caller that sends
-// marked rows on (a ranking, where a comparison against a marked row
-// shows by its size, DESIGN.md "The mark step") shuffles them first.
-func MarkDuplicates(ctx context.Context, pk *paillier.PublicKey, items []Item, same [][]*paillier.Ciphertext, shift *big.Int) ([]Item, error) {
-	if len(same) != len(items) {
-		return nil, fmt.Errorf("protocols: %d rows of equality bits for %d items", len(same), len(items))
-	}
-	counts := make([][]*paillier.Ciphertext, len(items))
-	for i := 1; i < len(items); i++ {
-		if len(same[i]) < i {
-			return nil, fmt.Errorf("protocols: item %d has %d equality bits, want %d", i, len(same[i]), i)
-		}
-		counts[i] = same[i][:i]
-	}
-	return MarkEarlier(ctx, pk, items, counts, shift)
-}
-
-// MarkEarlier is the mark step across depths: Qry_F's rows of earlier
-// depths that a newer row of the same object now stands for. Row r's
-// count is Enc(u_r) = Π bits[r], the equality bits of every newer row
-// against it, and its score columns shift by -u_r*shift on one short
-// power of Enc(u_r). Its digests stay. A row with no bits is returned as
-// given; the rest come back in the order given.
+// keeps each row's list and depth; a row with no bits is returned as
+// given. Index order leaves each object's copy from the last list of its
+// newest depth live, so a caller that sends marked rows on (a ranking,
+// where a comparison against a marked row shows by its size, DESIGN.md
+// "The mark step") shuffles them first.
 func MarkEarlier(ctx context.Context, pk *paillier.PublicKey, rows []Item, bits [][]*paillier.Ciphertext, shift *big.Int) ([]Item, error) {
 	if len(bits) != len(rows) {
 		return nil, fmt.Errorf("protocols: %d rows of equality bits for %d items", len(bits), len(rows))

@@ -181,9 +181,9 @@ func WithDrainTimeout(d time.Duration) Option {
 type Mode int
 
 const (
-	// ModeFull is Qry_F: fully private, SecDedup in replace mode and
-	// SecUpdate at every depth, both marked from SecWorstBest's equality
-	// bits with no round of their own.
+	// ModeFull is Qry_F: fully private. Each depth is one SecWorstBest
+	// round, and its equality bits mark every older copy of an object in
+	// one pass with no round of its own.
 	ModeFull Mode = iota
 	// ModeEliminate is Qry_E: duplicates are eliminated, one row per
 	// object (Section 10.1). It runs ModeBatched's pipeline at a cadence
