@@ -152,6 +152,33 @@ func digestObject(t *testing.T, e *testEnv, h *ehl.Hasher, name string, row int,
 	return obj
 }
 
+// TestMarkDuplicatesRefuses: the mark pass over one depth's duplicates,
+// two copies of one object whose first row carries the later copy's
+// equality bit, is an error, not a panic, when MarkEarlier cannot apply
+// it. A row with no bits is no longer short: MarkEarlier returns it as
+// given, since the newest copy carries none.
+func TestMarkDuplicatesRefuses(t *testing.T) {
+	e := env(t)
+	ctx := context.Background()
+	pk := &e.keys.Paillier.PublicKey
+	items := []Item{e.item(t, 1, 10, 20), e.item(t, 1, 10, 20)}
+	bit := e.enc(t, 1)
+	for name, tc := range map[string]struct {
+		marks [][]*paillier.Ciphertext
+		shift *big.Int
+	}{
+		"a row of bits short": {[][]*paillier.Ciphertext{{bit}}, markShift},
+		"a nil bit":           {[][]*paillier.Ciphertext{{nil}, nil}, markShift},
+		"no shift":            {[][]*paillier.Ciphertext{{bit}, nil}, nil},
+		"a zero shift":        {[][]*paillier.Ciphertext{{bit}, nil}, big.NewInt(0)},
+		"a shift of N":        {[][]*paillier.Ciphertext{{bit}, nil}, pk.N},
+	} {
+		if _, err := MarkEarlier(ctx, pk, items, tc.marks, tc.shift); err == nil {
+			t.Errorf("%s: MarkEarlier succeeded", name)
+		}
+	}
+}
+
 // TestMarkEarlier: a row shifts its score columns down by u*shift, u the
 // sum of its bits, keeps its digests, and stays where it was; a row with
 // no bits is returned as given. A mark step it cannot apply is an error,
