@@ -120,10 +120,10 @@ func TestNegativeWeightRefused(t *testing.T) {
 //	W = Seen - u*shift,  B = SecBest's bound at e - u*shift
 //
 // where Seen sums every score of the row's object at depths <= e and u
-// counts its copies read after it: in a list before j at depth e
-// (MarkDuplicates), and in any other list at a later depth (MarkEarlier).
-// So each object's newest copy is its one live row, holding every score
-// of it read so far. Qry_F's and Qry_E's answers must match
+// counts its copies read after it, as MarkEarlier marks them: in a list
+// after j at depth e, and in any other list at a later depth. So each
+// object's newest copy is its one live row, holding every score of it
+// read so far. Qry_F's and Qry_E's answers must match
 // nra.TopKExact.
 func TestCrossDepthMarks(t *testing.T) {
 	r := getRig(t)
@@ -278,7 +278,7 @@ func markedT(rel *dataset.Relation, attrs []int, weights []int64, depth int, shi
 						W.Add(W, score(l, at))
 						bound = score(l, at)
 					}
-					if at > e || at == e && l < j {
+					if at > e || at == e && l > j {
 						u++
 					}
 				}

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ehl"
 	"repro/internal/paillier"
@@ -20,17 +21,9 @@ import (
 	"repro/internal/protocols"
 )
 
-// Params configures the join scheme.
-type Params struct {
-	KeyBits      int
-	EHL          ehl.Params
-	MaxScoreBits int
-}
-
-// DefaultParams mirrors the top-k scheme's evaluation configuration.
-func DefaultParams() Params {
-	return Params{KeyBits: 512, EHL: ehl.DefaultPlusParams(), MaxScoreBits: 20}
-}
+// Params configures the join scheme: the top-k scheme's parameters,
+// checked by the same Validate.
+type Params = core.Params
 
 // Scheme is the data owner for the multi-relation setting. Attribute
 // *values* are EHL-encrypted (not object ids), so the servers can
@@ -82,14 +75,11 @@ func NewSchemeFromKeys(params Params, keys *cloud.KeyMaterial) (*Scheme, error) 
 // relations, tokens, and results produced by the original scheme remain
 // valid.
 func RestoreScheme(params Params, keys *cloud.KeyMaterial, secrets Secrets) (*Scheme, error) {
-	if err := params.EHL.Validate(); err != nil {
+	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if keys == nil || keys.Paillier == nil {
 		return nil, errors.New("join: missing key material")
-	}
-	if params.MaxScoreBits <= 0 {
-		return nil, errors.New("join: MaxScoreBits must be positive")
 	}
 	if len(secrets.Master) == 0 || len(secrets.Perm) == 0 {
 		return nil, errors.New("join: missing symmetric secrets")

@@ -47,73 +47,36 @@ func chaosSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// chaosRig is a single-relation owner/S2/S1 stack plus a pinned query
-// and its plaintext answer, kept small so each seed's run is cheap.
+// chaosRig is the demo relation's stack, hosted as "topk", plus a pinned
+// query, its token and its plaintext answer, kept small so each seed's
+// run is cheap.
 type chaosRig struct {
-	owner *sectopk.Owner
-	cc    *sectopk.CryptoCloud
-	er    *sectopk.EncryptedRelation
-	tk    *sectopk.Token
-	want  []sectopk.Result
+	*stack
+	q    sectopk.Query
+	tk   *sectopk.Token
+	want []sectopk.Result
 }
 
-func newChaosRig(t *testing.T, opts ...sectopk.Option) *chaosRig {
+func newChaosRig(t *testing.T, spec stackSpec) *chaosRig {
 	t.Helper()
-	owner, err := sectopk.NewOwner(testOpts(opts...)...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts(opts...)...)
-	t.Cleanup(cc.Close)
-	if err := cc.Register("topk", owner.Keys()); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatalf("Token: %v", err)
-	}
+	spec.id = "topk"
+	st := newStack(t, spec)
+	q := sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}
 	return &chaosRig{
-		owner: owner, cc: cc, er: er, tk: tk,
+		stack: st, q: q, tk: st.token(t, q),
 		want: []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}},
 	}
 }
 
-// newDataCloud builds a data cloud wired for this rig's relation.
-func (r *chaosRig) newDataCloud(t *testing.T, connect func(dc *sectopk.DataCloud) error, opts ...sectopk.Option) *sectopk.DataCloud {
+// warm runs one fault-free query through the rig's data cloud. A party's
+// nonce-pool fillers start with its first encryption and run until its
+// Close, so the parties that outlive a subtest — the rig's clouds — must
+// have theirs running before a subtest counts goroutines: whatever
+// waitForGoroutines then finds alive belongs to something the subtest
+// built itself and did not close.
+func (r *chaosRig) warm(t *testing.T) {
 	t.Helper()
-	dc := sectopk.NewDataCloud(testOpts(opts...)...)
-	if err := connect(dc); err != nil {
-		dc.Close()
-		t.Fatalf("connecting data cloud: %v", err)
-	}
-	if err := dc.Host(context.Background(), "topk", r.er); err != nil {
-		dc.Close()
-		t.Fatalf("Host: %v", err)
-	}
-	return dc
-}
-
-// warm runs one fault-free query through dc. A party's nonce-pool fillers
-// start with its first encryption and run until its Close, so the parties
-// that outlive a subtest — the rig's crypto cloud, and dc when subtests
-// share it — must have theirs running before a subtest counts goroutines:
-// whatever waitForGoroutines then finds alive belongs to something the
-// subtest built itself and did not close.
-func (r *chaosRig) warm(t *testing.T, dc *sectopk.DataCloud) {
-	t.Helper()
-	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest("topk", r.tk))
-	if err != nil {
-		t.Fatalf("warm-up query: %v", err)
-	}
-	got, err := r.owner.Reveal(r.er, ans.TopK)
-	if err != nil {
-		t.Fatalf("Reveal: %v", err)
-	}
-	if !reflect.DeepEqual(got, r.want) {
+	if got := runSession(t, r.owner, r.dc, "topk", r.er, r.q); !reflect.DeepEqual(got, r.want) {
 		t.Fatalf("warm-up query revealed %v, want %v", got, r.want)
 	}
 }
@@ -163,10 +126,7 @@ func chaosProfile() faultnet.Profile {
 // injected lists every fault triggered so far, per connection.
 func chaosListener(t *testing.T, seed int64) (l net.Listener, injected func() string) {
 	t.Helper()
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := loopback(t)
 	var mu sync.Mutex
 	var scheds []*faultnet.Schedule
 	l = &faultnet.Listener{Listener: raw, NewSchedule: func(i int) *faultnet.Schedule {
@@ -190,56 +150,13 @@ func chaosListener(t *testing.T, seed int64) (l net.Listener, injected func() st
 	return l, injected
 }
 
-// serveOn runs serve on the listener and returns a stop function
-// (idempotent, waits for the serving loop).
-func serveOn(t *testing.T, l net.Listener, serve func(context.Context, net.Listener) error) (stop func()) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- serve(ctx, l) }()
-	stopped := false
-	stop = func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("the serving loop did not return after context cancellation")
-		}
-	}
-	t.Cleanup(stop)
-	return stop
-}
-
-// serveClientsOn starts the client plane on the given listener and
-// returns a stop function (idempotent, waits for the serving loop).
-func serveClientsOn(t *testing.T, dc *sectopk.DataCloud, l net.Listener) (stop func()) {
-	t.Helper()
-	return serveOn(t, l, dc.ServeClients)
-}
-
-// warmCrypto runs one fault-free query against the rig's crypto cloud,
-// the one party every seed of an S1↔S2 test shares, so its pools run
-// before any seed counts goroutines.
-func (r *chaosRig) warmCrypto(t *testing.T) {
-	t.Helper()
-	local := r.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), r.cc)
-	})
-	r.warm(t, local)
-	local.Close()
-}
-
 // TestChaosS1S2Link injects faults into every S1↔S2 TCP connection the
 // crypto cloud accepts, with S1 dialing one attempt at a time, and
 // checks every query either completes correctly or fails fast typed,
 // with nothing leaked.
 func TestChaosS1S2Link(t *testing.T) {
-	rig := newChaosRig(t)
-	rig.warmCrypto(t)
+	rig := newChaosRig(t, stackSpec{})
+	rig.warm(t)
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
@@ -292,8 +209,8 @@ func TestChaosS1S2Link(t *testing.T) {
 // its link fails its query typed — so every query revealing the right
 // answer shows the client's re-execution recovers end to end.
 func TestChaosS1S2LinkHeals(t *testing.T) {
-	rig := newChaosRig(t)
-	rig.warmCrypto(t)
+	rig := newChaosRig(t, stackSpec{})
+	rig.warm(t)
 	policy := sectopk.WithRetry(sectopk.RetryPolicy{
 		Initial: 2 * time.Millisecond, Max: 50 * time.Millisecond, MaxElapsed: 90 * time.Second,
 	})
@@ -321,11 +238,8 @@ func TestChaosS1S2LinkHeals(t *testing.T) {
 					t.Fatalf("Host: %v\ninjected: %s", err, injected())
 				}
 			}
-			cl, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			stopS1 := serveClientsOn(t, dc, cl)
+			cl := loopback(t)
+			stopS1 := serveOn(t, cl, dc.ServeClients)
 			client, err := sectopk.Dial(ctx, cl.Addr().String(), policy)
 			if err != nil {
 				t.Fatalf("Dial: %v", err)
@@ -358,18 +272,14 @@ func TestChaosS1S2LinkHeals(t *testing.T) {
 // re-dialing transport + Execute retries) to absorb ALL of them: every
 // query must complete with the correct answer.
 func TestChaosClientWireWithRetries(t *testing.T) {
-	rig := newChaosRig(t)
-	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
-	})
-	t.Cleanup(dc.Close)
-	rig.warm(t, dc)
+	rig := newChaosRig(t, stackSpec{})
+	rig.warm(t)
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			l, injected := chaosListener(t, seed)
-			stop := serveClientsOn(t, dc, l)
+			stop := serveOn(t, l, rig.dc.ServeClients)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -405,18 +315,14 @@ func TestChaosClientWireWithRetries(t *testing.T) {
 // fail, but only fast and typed — and a fresh dial after a failure must
 // restore service.
 func TestChaosClientWireWithoutRetries(t *testing.T) {
-	rig := newChaosRig(t)
-	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
-	})
-	t.Cleanup(dc.Close)
-	rig.warm(t, dc)
+	rig := newChaosRig(t, stackSpec{})
+	rig.warm(t)
 
 	for _, seed := range chaosSeeds(t) {
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			l, _ := chaosListener(t, seed)
-			stop := serveClientsOn(t, dc, l)
+			stop := serveOn(t, l, rig.dc.ServeClients)
 
 			// dial tolerates typed failures (the preface itself may be hit)
 			// but never untyped ones or hangs.
@@ -485,10 +391,7 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 
 	// Reserve an address nothing listens on: every dial attempt fails
 	// fast with a typed transport error, so Dial sits in backoff.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead := loopback(t)
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
@@ -498,7 +401,7 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = sectopk.Dial(ctx, deadAddr, sectopk.WithRetry(sectopk.RetryPolicy{
+	_, err := sectopk.Dial(ctx, deadAddr, sectopk.WithRetry(sectopk.RetryPolicy{
 		Initial: 500 * time.Millisecond, Max: time.Second, MaxElapsed: 10 * time.Minute,
 	}))
 	if !errors.Is(err, context.Canceled) {
@@ -511,18 +414,11 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 
 	// Execute phase: connect to a live server, then take it away so
 	// Execute's retry loop is re-dialing when the cancel lands.
-	rig := newChaosRig(t)
-	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
-	})
-	t.Cleanup(dc.Close)
+	rig := newChaosRig(t, stackSpec{})
 	baseline = runtime.NumGoroutine()
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := serveClientsOn(t, dc, l)
+	l := loopback(t)
+	stop := serveOn(t, l, rig.dc.ServeClients)
 	client, err := sectopk.Dial(context.Background(), l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
 		Initial: 200 * time.Millisecond, Max: time.Second, MaxElapsed: 10 * time.Minute,
 	}))
@@ -553,17 +449,9 @@ func TestChaosCancellationMidRetry(t *testing.T) {
 // ErrOverloaded under errors.Is (the typed shed crossed the wire), while
 // at least one admitted query completes correctly.
 func TestOverloadedRoundTripsClientWire(t *testing.T) {
-	rig := newChaosRig(t)
-	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
-	}, sectopk.WithSessionLimit(1))
-	t.Cleanup(dc.Close)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveClientsOn(t, dc, l)
+	rig := newChaosRig(t, stackSpec{opts: []sectopk.Option{sectopk.WithSessionLimit(1)}})
+	l := loopback(t)
+	serveOn(t, l, rig.dc.ServeClients)
 	ctx := context.Background()
 	client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {
@@ -657,26 +545,18 @@ func (c *holdConn) Write(b []byte) (int, error) {
 // its reply to the query's first round until the drain has been
 // observed, so the query is still in flight when Close starts.
 func TestCloseDrainCompletesInFlight(t *testing.T) {
-	rig := newChaosRig(t)
-	s2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	link := &hold{held: make(chan struct{}), release: make(chan struct{})}
-	serveOn(t, holdListener{Listener: s2, hold: link}, rig.cc.Serve)
-	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.Dial(context.Background(), s2.Addr().String())
-	}, sectopk.WithDrainTimeout(time.Minute))
-	t.Cleanup(dc.Close)
+	rig := newChaosRig(t, stackSpec{
+		connect: dialS2(t, holdListener{Listener: loopback(t), hold: link}, nil),
+		opts:    []sectopk.Option{sectopk.WithDrainTimeout(time.Minute)},
+	})
+	dc := rig.dc
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(link.release) }) }
 	t.Cleanup(release) // runs before dc.Close if the test stops early
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveClientsOn(t, dc, l)
+	l := loopback(t)
+	serveOn(t, l, dc.ServeClients)
 	ctx := context.Background()
 	client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {
@@ -777,17 +657,9 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 // down its first connections: the backoff re-dials until the listener
 // behaves, and the client then works normally.
 func TestDialFlakyListener(t *testing.T) {
-	rig := newChaosRig(t)
-	dc := rig.newDataCloud(t, func(dc *sectopk.DataCloud) error {
-		return dc.ConnectLocal(context.Background(), rig.cc)
-	})
-	t.Cleanup(dc.Close)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveClientsOn(t, dc, &flakyListener{Listener: l, failFirst: 2})
+	rig := newChaosRig(t, stackSpec{})
+	l := loopback(t)
+	serveOn(t, &flakyListener{Listener: l, failFirst: 2}, rig.dc.ServeClients)
 
 	ctx := context.Background()
 	client, err := sectopk.Dial(ctx, l.Addr().String(), sectopk.WithRetry(sectopk.RetryPolicy{
@@ -797,15 +669,7 @@ func TestDialFlakyListener(t *testing.T) {
 		t.Fatalf("Dial through flaky listener: %v", err)
 	}
 	defer client.Close()
-	ans, err := client.Execute(ctx, sectopk.TopKRequest("topk", rig.tk))
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	got, err := rig.owner.Reveal(rig.er, ans.TopK)
-	if err != nil {
-		t.Fatalf("Reveal: %v", err)
-	}
-	if !reflect.DeepEqual(got, rig.want) {
+	if got := runSession(t, rig.owner, client, "topk", rig.er, rig.q); !reflect.DeepEqual(got, rig.want) {
 		t.Fatalf("revealed %v, want %v", got, rig.want)
 	}
 }
@@ -827,7 +691,7 @@ func TestChaosApplyExactlyOnce(t *testing.T) {
 			rig := newMutationRig(t, 2, 8, 3, rng)
 
 			l, injected := chaosListener(t, seed)
-			stop := serveClientsOn(t, rig.dc, l)
+			stop := serveOn(t, l, rig.dc.ServeClients)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -934,32 +798,18 @@ func TestChaosApplyExactlyOnce(t *testing.T) {
 // the right answer, with no HostCluster in between.
 func TestChaosClusterMemberLinkHeals(t *testing.T) {
 	ctx := context.Background()
-	rig := newChaosRig(t, sectopk.WithShards(2))
+	// The rig's data cloud hosts nothing: it is the front door.
+	rig := newChaosRig(t, stackSpec{opts: []sectopk.Option{sectopk.WithShards(2)}, unhosted: true})
+	front := rig.dc
 	// Member i hosts shard i; member 1's cluster listener gives its first
 	// connection a schedule the test arms once the placement is assembled.
 	cut := faultnet.NewSchedule()
 	var accepted atomic.Int32
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		member := sectopk.NewDataCloud(testOpts(sectopk.WithMemberID("m" + strconv.Itoa(i)))...)
-		t.Cleanup(member.Close)
-		if err := member.ConnectLocal(ctx, rig.cc); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := rig.er.Subset(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := member.HostShards(ctx, "topk", sub); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var l net.Listener = raw
+		var l net.Listener = loopback(t)
 		if i == 1 {
-			l = &faultnet.Listener{Listener: raw, NewSchedule: func(n int) *faultnet.Schedule {
+			l = &faultnet.Listener{Listener: l, NewSchedule: func(n int) *faultnet.Schedule {
 				accepted.Add(1)
 				if n == 0 {
 					return cut
@@ -967,13 +817,8 @@ func TestChaosClusterMemberLinkHeals(t *testing.T) {
 				return nil
 			}}
 		}
-		serveOn(t, l, member.ServeCluster)
-		addrs = append(addrs, raw.Addr().String())
-	}
-	front := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(front.Close)
-	if err := front.ConnectLocal(ctx, rig.cc); err != nil {
-		t.Fatal(err)
+		m := newMember(t, rig.cc, rig.er, []int{i}, l, sectopk.WithMemberID("m"+strconv.Itoa(i)))
+		addrs = append(addrs, m.addr)
 	}
 	if err := front.HostCluster(ctx, addrs); err != nil {
 		t.Fatalf("HostCluster: %v", err)
@@ -991,15 +836,7 @@ func TestChaosClusterMemberLinkHeals(t *testing.T) {
 	if len(cut.Injected()) == 0 {
 		t.Fatal("the member link was never cut")
 	}
-	ans, err := front.Execute(ctx, req)
-	if err != nil {
-		t.Fatalf("query after the cut: %v", err)
-	}
-	got, err := rig.owner.Reveal(rig.er, ans.TopK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rig.want) {
+	if got := runSession(t, rig.owner, front, "topk", rig.er, rig.q); !reflect.DeepEqual(got, rig.want) {
 		t.Fatalf("query after the cut revealed %v, want %v", got, rig.want)
 	}
 	if n := accepted.Load(); n != 2 {
@@ -1014,10 +851,26 @@ func TestChaosClusterMemberLinkHeals(t *testing.T) {
 // the next one heals the link and reveals the right answer.
 func TestChaosFrontDoorS2LinkHeals(t *testing.T) {
 	ctx := context.Background()
-	rig := newChaosRig(t, sectopk.WithShards(2))
+	// The crypto cloud's listener gives its first connection a schedule
+	// the test arms once the placement is assembled. The rig's data cloud
+	// dials it and hosts nothing: it is the front door.
+	cut := faultnet.NewSchedule()
+	var accepted atomic.Int32
+	rig := newChaosRig(t, stackSpec{
+		opts: []sectopk.Option{sectopk.WithShards(2), sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: 2})},
+		connect: dialS2(t, &faultnet.Listener{Listener: loopback(t), NewSchedule: func(n int) *faultnet.Schedule {
+			accepted.Add(1)
+			if n == 0 {
+				return cut
+			}
+			return nil
+		}}, nil),
+		unhosted: true,
+	})
+	front := rig.dc
 	// The member's crypto cloud registers the kNN relation; the front
 	// door's (the rig's) registers only "topk".
-	memberCC := sectopk.NewCryptoCloud(testOpts()...)
+	memberCC := sectopk.NewCryptoCloud()
 	t.Cleanup(memberCC.Close)
 	for _, id := range []string{"topk", "knn"} {
 		if err := memberCC.Register(id, rig.owner.Keys()); err != nil {
@@ -1028,48 +881,11 @@ func TestChaosFrontDoorS2LinkHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := rig.er.Subset(0, 1)
-	if err != nil {
+	member := newMember(t, memberCC, rig.er, []int{0, 1}, nil)
+	if err := member.dc.HostKNN(ctx, "knn", ker); err != nil {
 		t.Fatal(err)
 	}
-	member := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(member.Close)
-	if err := member.ConnectLocal(ctx, memberCC); err != nil {
-		t.Fatal(err)
-	}
-	if err := member.HostShards(ctx, "topk", sub); err != nil {
-		t.Fatal(err)
-	}
-	if err := member.HostKNN(ctx, "knn", ker); err != nil {
-		t.Fatal(err)
-	}
-	ml, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveOn(t, ml, member.ServeCluster)
-
-	// The crypto cloud's listener gives its first connection a schedule
-	// the test arms once the placement is assembled.
-	cut := faultnet.NewSchedule()
-	var accepted atomic.Int32
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveOn(t, &faultnet.Listener{Listener: raw, NewSchedule: func(n int) *faultnet.Schedule {
-		accepted.Add(1)
-		if n == 0 {
-			return cut
-		}
-		return nil
-	}}, rig.cc.Serve)
-	front := sectopk.NewDataCloud(testOpts(sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: 2}))...)
-	t.Cleanup(front.Close)
-	if err := front.Dial(ctx, raw.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := front.HostCluster(ctx, []string{ml.Addr().String()}); err != nil {
+	if err := front.HostCluster(ctx, []string{member.addr}); err != nil {
 		t.Fatalf("HostCluster: %v", err)
 	}
 	if got := front.ClusterRelations(); !reflect.DeepEqual(got, []string{"knn", "topk"}) {
@@ -1085,15 +901,7 @@ func TestChaosFrontDoorS2LinkHeals(t *testing.T) {
 	if len(cut.Injected()) == 0 {
 		t.Fatal("the S2 link was never cut")
 	}
-	ans, err := front.Execute(ctx, req)
-	if err != nil {
-		t.Fatalf("query after the cut: %v", err)
-	}
-	got, err := rig.owner.Reveal(rig.er, ans.TopK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rig.want) {
+	if got := runSession(t, rig.owner, front, "topk", rig.er, rig.q); !reflect.DeepEqual(got, rig.want) {
 		t.Fatalf("query after the cut revealed %v, want %v", got, rig.want)
 	}
 	if n := accepted.Load(); n != 2 {

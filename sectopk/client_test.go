@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -43,35 +42,22 @@ func demoJoinQuery() sectopk.JoinQuery {
 	}
 }
 
-// fullRig hosts all three workloads on one data cloud: "topk" (the demo
-// relation), "join" (the join pair), and "knn" (the demo relation as a
-// kNN record store).
-type fullRig struct {
-	owner    *sectopk.Owner
+// workloads is a join pair and a kNN store beside a stack's top-k
+// relation, registered on the stack's crypto cloud as "join" (the join
+// pair) and "knn" (the demo relation as a kNN record store).
+type workloads struct {
 	jowner   *sectopk.JoinOwner
-	cc       *sectopk.CryptoCloud
-	dc       *sectopk.DataCloud
-	er       *sectopk.EncryptedRelation
 	jr1, jr2 *sectopk.EncryptedJoinRelation
 	ker      *sectopk.EncryptedKNNRelation
 }
 
-func newFullRig(t testing.TB, opts ...sectopk.Option) *fullRig {
+func newWorkloads(t testing.TB, st *stack) workloads {
 	t.Helper()
-	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts(opts...)...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	jowner, err := sectopk.NewJoinOwner(testOpts(opts...)...)
+	jowner, err := sectopk.NewJoinOwner(testOpts()...)
 	if err != nil {
 		t.Fatalf("NewJoinOwner: %v", err)
 	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	ker, err := owner.EncryptKNN(demoRelation())
+	ker, err := st.owner.EncryptKNN(demoRelation())
 	if err != nil {
 		t.Fatalf("EncryptKNN: %v", err)
 	}
@@ -84,61 +70,47 @@ func newFullRig(t testing.TB, opts ...sectopk.Option) *fullRig {
 	if err != nil {
 		t.Fatalf("join Encrypt r2: %v", err)
 	}
-	cc := sectopk.NewCryptoCloud(testOpts(opts...)...)
-	t.Cleanup(cc.Close)
-	if err := cc.Register("topk", owner.Keys()); err != nil {
-		t.Fatalf("Register topk: %v", err)
-	}
-	if err := cc.Register("knn", owner.Keys()); err != nil {
+	if err := st.cc.Register("knn", st.owner.Keys()); err != nil {
 		t.Fatalf("Register knn: %v", err)
 	}
-	if err := cc.Register("join", jowner.Keys()); err != nil {
+	if err := st.cc.Register("join", jowner.Keys()); err != nil {
 		t.Fatalf("Register join: %v", err)
 	}
-	dc := sectopk.NewDataCloud(testOpts(opts...)...)
-	t.Cleanup(dc.Close)
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatalf("ConnectLocal: %v", err)
-	}
-	if err := dc.Host(ctx, "topk", er); err != nil {
-		t.Fatalf("Host: %v", err)
-	}
-	if err := dc.HostJoin(ctx, "join", jr1, jr2); err != nil {
-		t.Fatalf("HostJoin: %v", err)
-	}
-	if err := dc.HostKNN(ctx, "knn", ker); err != nil {
-		t.Fatalf("HostKNN: %v", err)
-	}
-	return &fullRig{owner: owner, jowner: jowner, cc: cc, dc: dc, er: er, jr1: jr1, jr2: jr2, ker: ker}
+	return workloads{jowner: jowner, jr1: jr1, jr2: jr2, ker: ker}
 }
 
-// serveClients starts the client plane on a loopback TCP listener and
-// returns its address plus a stop function that waits for the serving
-// loop to exit.
+// host hosts the join pair and the kNN store on dc.
+func (w workloads) host(t testing.TB, dc *sectopk.DataCloud) {
+	t.Helper()
+	if err := dc.HostJoin(context.Background(), "join", w.jr1, w.jr2); err != nil {
+		t.Fatalf("HostJoin: %v", err)
+	}
+	if err := dc.HostKNN(context.Background(), "knn", w.ker); err != nil {
+		t.Fatalf("HostKNN: %v", err)
+	}
+}
+
+// fullRig hosts all three workloads on one data cloud: "topk" (the demo
+// relation), "join" and "knn".
+type fullRig struct {
+	*stack
+	workloads
+}
+
+func newFullRig(t testing.TB, opts ...sectopk.Option) *fullRig {
+	t.Helper()
+	st := newStack(t, stackSpec{id: "topk", opts: opts})
+	w := newWorkloads(t, st)
+	w.host(t, st.dc)
+	return &fullRig{stack: st, workloads: w}
+}
+
+// serveClients starts the client plane on a loopback listener and returns
+// its address plus serveOn's stop function.
 func serveClients(t testing.TB, dc *sectopk.DataCloud) (addr string, stop func()) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- dc.ServeClients(ctx, l) }()
-	stopped := false
-	stop = func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("ServeClients did not return after context cancellation")
-		}
-	}
-	t.Cleanup(stop)
-	return l.Addr().String(), stop
+	l := loopback(t)
+	return l.Addr().String(), serveOn(t, l, dc.ServeClients)
 }
 
 // TestExecuteUnified runs all three workloads through the single
@@ -148,10 +120,7 @@ func TestExecuteUnified(t *testing.T) {
 	r := newFullRig(t)
 	ctx := context.Background()
 
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	ans, err := r.dc.Execute(ctx, sectopk.TopKRequest("topk", tk))
 	if err != nil {
 		t.Fatalf("Execute topk: %v", err)
@@ -242,10 +211,7 @@ func TestExecuteUnified(t *testing.T) {
 func TestExecuteRequestValidation(t *testing.T) {
 	r := newFullRig(t)
 	ctx := context.Background()
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0}, K: 1})
 	ktk, err := r.owner.KNNToken(r.ker, sectopk.KNNQuery{Point: []int64{1, 1, 1}, K: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -284,10 +250,7 @@ func TestClientRemoteEquivalence(t *testing.T) {
 	defer client.Close()
 
 	// Top-k: remote vs in-process.
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	req := sectopk.TopKRequest("topk", tk, sectopk.WithMode(sectopk.ModeEliminate))
 	remote, err := client.Execute(ctx, req)
 	if err != nil {
@@ -411,10 +374,7 @@ func TestClientErrorsAcrossWire(t *testing.T) {
 	}
 	defer client.Close()
 
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1}, K: 2})
 	if _, err := client.Execute(ctx, sectopk.TopKRequest("ghost", tk)); !errors.Is(err, sectopk.ErrUnknownRelation) {
 		t.Fatalf("remote unknown relation: err = %v, want ErrUnknownRelation", err)
 	}
@@ -510,10 +470,7 @@ func TestClientConcurrentOverTCP(t *testing.T) {
 	ctx := context.Background()
 	addr, _ := serveClients(t, r.dc)
 
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	want := []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}}
 
 	const clients = 3
@@ -565,10 +522,7 @@ func TestServeClientsTeardownLeaksNoGoroutines(t *testing.T) {
 	ctx := context.Background()
 	addr, stop := serveClients(t, r.dc)
 
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1}, K: 1})
 	for i := 0; i < 2; i++ {
 		client, err := sectopk.Dial(ctx, addr)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -16,55 +15,16 @@ import (
 	"repro/sectopk"
 )
 
-// serveCluster starts the cluster plane on a loopback TCP listener and
-// returns its address plus a stop function that waits for the serving
-// loop to exit.
-func serveCluster(t testing.TB, dc *sectopk.DataCloud) (addr string, stop func()) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- dc.ServeCluster(ctx, l) }()
-	stopped := false
-	stop = func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		cancel()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("ServeCluster did not return after context cancellation")
-		}
-	}
-	t.Cleanup(stop)
-	return l.Addr().String(), stop
-}
-
-// clusterMember is one member node of a test fleet.
-type clusterMember struct {
-	dc   *sectopk.DataCloud
-	addr string
-	stop func()
-}
-
 // clusterRig is a front door over a fleet of member data clouds sharing
 // one crypto cloud: the "topk" relation is shard-partitioned across the
 // members per the placement, and member 0 additionally hosts the "join"
-// pair and the "knn" store whole.
+// pair and the "knn" store whole. The stack's data cloud hosts nothing
+// of its own: it is the front door.
 type clusterRig struct {
-	owner    *sectopk.Owner
-	jowner   *sectopk.JoinOwner
-	cc       *sectopk.CryptoCloud
-	er       *sectopk.EncryptedRelation
-	jr1, jr2 *sectopk.EncryptedJoinRelation
-	ker      *sectopk.EncryptedKNNRelation
-	members  []*clusterMember
-	front    *sectopk.DataCloud
+	*stack
+	workloads
+	members []*clusterMember
+	front   *sectopk.DataCloud
 }
 
 // newClusterRig builds the fleet. placements[i] lists the global shard
@@ -72,84 +32,26 @@ type clusterRig struct {
 // shards round-robin across n members.
 func newClusterRig(t testing.TB, n int, placements [][]int) *clusterRig {
 	t.Helper()
-	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(4))...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	jowner, err := sectopk.NewJoinOwner(testOpts()...)
-	if err != nil {
-		t.Fatalf("NewJoinOwner: %v", err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	ker, err := owner.EncryptKNN(demoRelation())
-	if err != nil {
-		t.Fatalf("EncryptKNN: %v", err)
-	}
-	j1, j2 := joinRelations()
-	jr1, err := jowner.Encrypt(j1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr2, err := jowner.Encrypt(j2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	t.Cleanup(cc.Close)
-	for _, reg := range []struct {
-		id   string
-		keys *sectopk.Keys
-	}{{"topk", owner.Keys()}, {"knn", owner.Keys()}, {"join", jowner.Keys()}} {
-		if err := cc.Register(reg.id, reg.keys); err != nil {
-			t.Fatalf("Register %s: %v", reg.id, err)
-		}
-	}
+	st := newStack(t, stackSpec{id: "topk", opts: []sectopk.Option{sectopk.WithShards(4)}, unhosted: true})
+	r := &clusterRig{stack: st, workloads: newWorkloads(t, st), front: st.dc}
 	if placements == nil {
 		placements = make([][]int, n)
-		for s := 0; s < er.Shards(); s++ {
+		for s := 0; s < st.er.Shards(); s++ {
 			placements[s%n] = append(placements[s%n], s)
 		}
 	}
-	r := &clusterRig{owner: owner, jowner: jowner, cc: cc, er: er, jr1: jr1, jr2: jr2, ker: ker}
 	var addrs []string
 	for i, indices := range placements {
-		dc := sectopk.NewDataCloud(testOpts(sectopk.WithMemberID(fmt.Sprintf("m%d", i)))...)
-		t.Cleanup(dc.Close)
-		if err := dc.ConnectLocal(ctx, cc); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := er.Subset(indices...)
-		if err != nil {
-			t.Fatalf("Subset(%v): %v", indices, err)
-		}
-		if err := dc.HostShards(ctx, "topk", sub); err != nil {
-			t.Fatalf("HostShards member %d: %v", i, err)
-		}
+		m := newMember(t, st.cc, st.er, indices, nil, sectopk.WithMemberID(fmt.Sprintf("m%d", i)))
 		if i == 0 {
-			if err := dc.HostJoin(ctx, "join", jr1, jr2); err != nil {
-				t.Fatal(err)
-			}
-			if err := dc.HostKNN(ctx, "knn", ker); err != nil {
-				t.Fatal(err)
-			}
+			r.workloads.host(t, m.dc)
 		}
-		addr, stop := serveCluster(t, dc)
-		r.members = append(r.members, &clusterMember{dc: dc, addr: addr, stop: stop})
-		addrs = append(addrs, addr)
+		r.members = append(r.members, m)
+		addrs = append(addrs, m.addr)
 	}
-	front := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(front.Close)
-	if err := front.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
-	if err := front.HostCluster(ctx, addrs); err != nil {
+	if err := r.front.HostCluster(context.Background(), addrs); err != nil {
 		t.Fatalf("HostCluster(%d nodes): %v", len(addrs), err)
 	}
-	r.front = front
 	return r
 }
 
@@ -157,11 +59,7 @@ func newClusterRig(t testing.TB, n int, placements [][]int) *clusterRig {
 // rig's crypto cloud — the oracle cluster answers must match.
 func (r *clusterRig) singleReference(t testing.TB) *sectopk.DataCloud {
 	t.Helper()
-	dc := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(dc.Close)
-	if err := dc.ConnectLocal(context.Background(), r.cc); err != nil {
-		t.Fatal(err)
-	}
+	dc := newDataCloud(t, r.cc, nil)
 	if err := dc.Host(context.Background(), "topk", r.er); err != nil {
 		t.Fatal(err)
 	}
@@ -186,26 +84,8 @@ func TestClusterRevealedEquivalence(t *testing.T) {
 			r := newClusterRig(t, n, nil)
 			single := r.singleReference(t)
 			for _, q := range queries {
-				tk, err := r.owner.Token(r.er, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantAns, err := single.Execute(ctx, sectopk.TopKRequest("topk", tk))
-				if err != nil {
-					t.Fatalf("single Execute: %v", err)
-				}
-				gotAns, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk))
-				if err != nil {
-					t.Fatalf("cluster Execute: %v", err)
-				}
-				want, err := r.owner.Reveal(r.er, wantAns.TopK)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := r.owner.Reveal(r.er, gotAns.TopK)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := runSession(t, r.owner, single, "topk", r.er, q)
+				got := runSession(t, r.owner, r.front, "topk", r.er, q)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %+v: cluster %+v != single %+v", q, got, want)
 				}
@@ -271,10 +151,7 @@ func TestClusterEpochPinAndReadOnly(t *testing.T) {
 	if epoch != r.er.Epoch() {
 		t.Fatalf("front-door epoch %d, relation epoch %d", epoch, r.er.Epoch())
 	}
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0}, K: 1})
 	if _, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk, sectopk.WithEpoch(epoch+7))); !errors.Is(err, sectopk.ErrRelationStale) {
 		t.Fatalf("mismatched pin: err = %v, want ErrRelationStale", err)
 	}
@@ -316,10 +193,7 @@ func TestClusterKillMemberMidQuery(t *testing.T) {
 	ctx := context.Background()
 	baseline := runtime.NumGoroutine()
 	r := newClusterRig(t, 2, nil)
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	// Warm query proves the fleet works.
 	if _, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk)); err != nil {
 		t.Fatalf("pre-kill Execute: %v", err)
@@ -353,7 +227,7 @@ func TestClusterKillMemberMidQuery(t *testing.T) {
 	// Every query after the kill fails typed, promptly.
 	qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	_, err = r.front.Execute(qctx, sectopk.TopKRequest("topk", tk))
+	_, err := r.front.Execute(qctx, sectopk.TopKRequest("topk", tk))
 	if !errors.Is(err, sectopk.ErrUnavailable) && !errors.Is(err, sectopk.ErrTransport) {
 		t.Fatalf("post-kill query: err = %v, want ErrUnavailable or ErrTransport", err)
 	}
@@ -375,14 +249,8 @@ func TestClusterKillMemberMidQuery(t *testing.T) {
 // placement validation, Host's refusal, and the member-side handoff.
 func TestShardSubsetLifecycle(t *testing.T) {
 	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStack(t, stackSpec{opts: []sectopk.Option{sectopk.WithShards(4), sectopk.WithMemberID("m0")}, unhosted: true})
+	owner, er, dc := st.owner, st.er, st.dc
 	if _, err := er.Subset(); !errors.Is(err, sectopk.ErrBadRequest) {
 		t.Fatalf("empty subset: err = %v", err)
 	}
@@ -425,16 +293,6 @@ func TestShardSubsetLifecycle(t *testing.T) {
 		t.Fatalf("reloaded share changed: shards=%d rows=%d epoch=%d", sub2.Shards(), sub2.Rows(), sub2.Epoch())
 	}
 
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
-	if err := cc.Register("demo", owner.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	dc := sectopk.NewDataCloud(testOpts(sectopk.WithMemberID("m0"))...)
-	defer dc.Close()
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
 	// A share is not a whole relation: Host refuses it before any round.
 	if err := dc.Host(ctx, "demo", sub2); !errors.Is(err, sectopk.ErrBadRequest) {
 		t.Fatalf("Host of a share: err = %v, want ErrBadRequest", err)
@@ -502,10 +360,7 @@ func TestShardSubsetHandoffEpoch(t *testing.T) {
 	}
 
 	single := r.singleReference(t)
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
 	wantAns, err := single.Execute(ctx, sectopk.TopKRequest("topk", tk))
 	if err != nil {
 		t.Fatal(err)
@@ -594,10 +449,7 @@ func TestFrontDoorFollowsEpoch(t *testing.T) {
 	ctx := context.Background()
 	r := newClusterRig(t, 2, nil)
 	q := sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}
-	tk, err := r.owner.Token(r.er, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, q)
 	if _, err := r.front.Execute(ctx, sectopk.TopKRequest("topk", tk)); err != nil {
 		t.Fatal(err)
 	}
@@ -666,12 +518,9 @@ func TestFrontDoorFollowsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := map[int][]int64{}
-	for id, row := range demoRelation().Rows {
-		rows[id] = row
-	}
+	rows := demoRelation().Rows
 	rows[4] = []int64{9, 9, 9}
-	want := oracleTopK(rows, q.Attrs, q.K)
+	want := wantTopK(t, rows, q)
 	for i, ans := range answers {
 		if errs[i] != nil {
 			t.Fatalf("front-door query after the members moved to epoch 2: %v", errs[i])
@@ -705,46 +554,16 @@ func TestFrontDoorFollowsEpoch(t *testing.T) {
 // tile the relation is rejected at assembly, naming the unhosted shards.
 func TestHostClusterPlacementGap(t *testing.T) {
 	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
-	if err := cc.Register("topk", owner.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	member := sectopk.NewDataCloud(testOpts(sectopk.WithMemberID("m0"))...)
-	defer member.Close()
-	if err := member.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := er.Subset(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := member.HostShards(ctx, "topk", sub); err != nil {
-		t.Fatal(err)
-	}
-	addr, _ := serveCluster(t, member)
-	front := sectopk.NewDataCloud(testOpts()...)
-	defer front.Close()
-	if err := front.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
-	err = front.HostCluster(ctx, []string{addr})
+	// The stack's data cloud hosts nothing: it is the front door.
+	st := newStack(t, stackSpec{id: "topk", opts: []sectopk.Option{sectopk.WithShards(4)}, unhosted: true})
+	front := st.dc
+	member := newMember(t, st.cc, st.er, []int{0, 2}, nil, sectopk.WithMemberID("m0"))
+	err := front.HostCluster(ctx, []string{member.addr})
 	if err == nil || !strings.Contains(err.Error(), "unhosted") {
 		t.Fatalf("gap placement accepted: err = %v", err)
 	}
 	// A dead address fails typed-unavailable.
-	l, lerr := net.Listen("tcp", "127.0.0.1:0")
-	if lerr != nil {
-		t.Fatal(lerr)
-	}
+	l := loopback(t)
 	dead := l.Addr().String()
 	l.Close()
 	if err := front.HostCluster(ctx, []string{dead}); !errors.Is(err, sectopk.ErrUnavailable) {
@@ -847,11 +666,7 @@ func TestHostNamespace(t *testing.T) {
 	// cluster Hello (member links share the data cloud's counters).
 	member := []string{r.members[0].addr}
 	for _, h := range hosts {
-		dc := sectopk.NewDataCloud(testOpts()...)
-		t.Cleanup(dc.Close)
-		if err := dc.ConnectLocal(ctx, r.cc); err != nil {
-			t.Fatal(err)
-		}
+		dc := newDataCloud(t, r.cc, nil)
 		if err := h.host(dc, h.announced); err != nil {
 			t.Fatalf("%s %q on a fresh data cloud: %v", h.name, h.announced, err)
 		}

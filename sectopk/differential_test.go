@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/nra"
 	"repro/sectopk"
 )
 
@@ -22,7 +21,8 @@ import (
 // answers wrongly: seeds 2 and 5 in Qry_F and Qry_E, seed 5 in Qry_Ba.
 func TestDefaultOptionsMatchExactTopK(t *testing.T) {
 	ctx := context.Background()
-	owner, cc, dc, _ := localRig(t, "demo")
+	st := newStack(t, stackSpec{})
+	owner, cc, dc := st.owner, st.cc, st.dc
 	gaussian := func(n int, seed int64) *dataset.Relation {
 		rel, err := dataset.Generate(dataset.Spec{Name: "gauss", N: n, M: 3, MaxScore: 1000,
 			Shape: dataset.ShapeGaussian, Correlation: 0.7}, seed)
@@ -58,13 +58,9 @@ func TestDefaultOptionsMatchExactTopK(t *testing.T) {
 		if err := dc.Host(ctx, id, er); err != nil {
 			t.Fatalf("%s: Host: %v", tc.name, err)
 		}
-		exact, err := nra.TopKExact(tc.rel, tc.q.Attrs, tc.q.Weights, tc.q.K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]int64, len(exact))
-		for j, r := range exact {
-			want[j] = r.Worst
+		want := []int64{}
+		for _, r := range wantTopK(t, tc.rel.Rows, tc.q) {
+			want = append(want, r.Score)
 		}
 		tk, err := owner.Token(er, tc.q)
 		if err != nil {

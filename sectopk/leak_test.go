@@ -3,7 +3,6 @@ package sectopk_test
 import (
 	"context"
 	"errors"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -42,25 +41,8 @@ func TestRigTeardownLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	for round := 0; round < 2; round++ {
-		owner, err := sectopk.NewOwner(testOpts()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		er, err := owner.Encrypt(demoRelation())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := sectopk.NewCryptoCloud(testOpts()...)
-		if err := cc.Register("demo", owner.Keys()); err != nil {
-			t.Fatal(err)
-		}
-		dc := sectopk.NewDataCloud(testOpts()...)
-		if err := dc.ConnectLocal(ctx, cc); err != nil {
-			t.Fatal(err)
-		}
-		if err := dc.Host(ctx, "demo", er); err != nil {
-			t.Fatal(err)
-		}
+		st := newStack(t, stackSpec{})
+		cc, dc, er := st.cc, st.dc, st.er
 
 		// Error paths must not leak the clients/pools they built.
 		if err := dc.Host(ctx, "demo", er); err == nil {
@@ -70,11 +52,7 @@ func TestRigTeardownLeaksNoGoroutines(t *testing.T) {
 			t.Fatal("unregistered Host accepted")
 		}
 
-		tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk)); err != nil {
+		if _, err := dc.Execute(ctx, sectopk.TopKRequest("demo", st.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}))); err != nil {
 			t.Fatal(err)
 		}
 
@@ -92,50 +70,16 @@ func TestRigTeardownLeaksNoGoroutines(t *testing.T) {
 // goroutine exit.
 func TestServeTeardownLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	if err := cc.Register("demo", owner.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- cc.Serve(serveCtx, l) }()
-
-	dc := sectopk.NewDataCloud(testOpts()...)
-	if err := dc.Dial(ctx, l.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Host(ctx, "demo", er); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dc.Execute(ctx, sectopk.TopKRequest("demo", tk)); err != nil {
+	var stopS2 func()
+	st := newStack(t, stackSpec{connect: dialS2(t, loopback(t), &stopS2)})
+	tk := st.token(t, sectopk.Query{Attrs: []int{0, 1}, K: 1})
+	if _, err := st.dc.Execute(context.Background(), sectopk.TopKRequest("demo", tk)); err != nil {
 		t.Fatal(err)
 	}
 
-	dc.Close()
-	stopServe()
-	select {
-	case <-serveDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after context cancellation")
-	}
-	cc.Close()
+	st.dc.Close()
+	stopS2()
+	st.cc.Close()
 	waitForGoroutines(t, baseline)
 }
 
@@ -155,10 +99,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tk, err := r.owner.Token(r.er, sectopk.Query{Attrs: []int{0, 1}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tk := r.token(t, sectopk.Query{Attrs: []int{0, 1}, K: 1})
 	jtk, err := r.jowner.Token(r.jr1, r.jr2, demoJoinQuery())
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,11 @@ import (
 	"repro/sectopk"
 )
 
-// mutationRig is a live-update test bed: the in-process clouds hosting
-// one relation, the owner's mutable handle on it, and the plaintext
-// oracle the encrypted answers must match.
+// mutationRig is a live-update test bed: the stack hosting one relation
+// as "mut", the owner's mutable handle on it, and the plaintext rows, by
+// object id, the encrypted answers must match.
 type mutationRig struct {
-	owner  *sectopk.Owner
-	cc     *sectopk.CryptoCloud
-	dc     *sectopk.DataCloud
+	*stack
 	mr     *sectopk.MutableRelation
 	oracle map[int][]int64
 	nextID int
@@ -27,45 +25,17 @@ type mutationRig struct {
 // of m attributes.
 func newMutationRig(t testing.TB, p, n, m int, rng *rand.Rand) *mutationRig {
 	t.Helper()
-	ctx := context.Background()
 	rel := &sectopk.Relation{Name: "mut", Rows: randomRows(rng, n, m)}
-	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(p))...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	er, err := owner.Encrypt(rel)
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	mr, err := owner.NewMutable(rel, er)
+	st := newStack(t, stackSpec{id: "mut", rel: rel, opts: []sectopk.Option{sectopk.WithShards(p)}})
+	mr, err := st.owner.NewMutable(rel, st.er)
 	if err != nil {
 		t.Fatalf("NewMutable: %v", err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	t.Cleanup(cc.Close)
-	if err := cc.Register("mut", owner.Keys()); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	dc := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(dc.Close)
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatalf("ConnectLocal: %v", err)
-	}
-	if err := dc.Host(ctx, "mut", er); err != nil {
-		t.Fatalf("Host: %v", err)
 	}
 	oracle := make(map[int][]int64, n)
 	for i, row := range rel.Rows {
 		oracle[i] = append([]int64(nil), row...)
 	}
-	return &mutationRig{owner: owner, cc: cc, dc: dc, mr: mr, oracle: oracle, nextID: n}
-}
-
-// close tears both clouds down now, for a test that counts goroutines
-// before its cleanups run. Closing twice is safe.
-func (r *mutationRig) close() {
-	r.dc.Close()
-	r.cc.Close()
+	return &mutationRig{stack: st, mr: mr, oracle: oracle, nextID: n}
 }
 
 // randomRows draws scores small enough to stay far from the score-bit
@@ -81,68 +51,19 @@ func randomRows(rng *rand.Rand, n, m int) [][]int64 {
 	return rows
 }
 
-// oracleTopK computes the plaintext answer: aggregate score over attrs,
-// descending, k best.
-func oracleTopK(rows map[int][]int64, attrs []int, k int) []sectopk.Result {
-	type sr struct {
-		id    int
-		score int64
+// want is the plaintext oracle's answer to q over the live rows.
+func (r *mutationRig) want(t testing.TB, q sectopk.Query) []sectopk.Result {
+	t.Helper()
+	ids := r.liveIDs()
+	rows := make([][]int64, len(ids))
+	for i, id := range ids {
+		rows[i] = r.oracle[id]
 	}
-	all := make([]sr, 0, len(rows))
-	for id, row := range rows {
-		var s int64
-		for _, a := range attrs {
-			s += row[a]
-		}
-		all = append(all, sr{id, s})
-	}
-	sort.Slice(all, func(x, y int) bool {
-		if all[x].score != all[y].score {
-			return all[x].score > all[y].score
-		}
-		return all[x].id < all[y].id
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]sectopk.Result, len(all))
-	for i, e := range all {
-		out[i] = sectopk.Result{Object: e.id, Score: e.score}
+	out := wantTopK(t, rows, q)
+	for i := range out {
+		out[i].Object = ids[out[i].Object]
 	}
 	return out
-}
-
-// sameTopK compares answers up to tie order: scores must match
-// positionally, and within each equal-score run the object sets must
-// match (the protocol does not promise a tie order).
-func sameTopK(got, want []sectopk.Result) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i].Score != want[i].Score {
-			return false
-		}
-	}
-	for i := 0; i < len(got); {
-		j := i
-		for j < len(got) && got[j].Score == got[i].Score {
-			j++
-		}
-		g := map[int]bool{}
-		w := map[int]bool{}
-		for x := i; x < j; x++ {
-			g[got[x].Object] = true
-			w[want[x].Object] = true
-		}
-		for id := range g {
-			if !w[id] {
-				return false
-			}
-		}
-		i = j
-	}
-	return true
 }
 
 // checkEquivalence runs one top-k query at the current epoch and
@@ -165,7 +86,7 @@ func (r *mutationRig) checkEquivalence(t *testing.T, attrs []int, k int) {
 	if err != nil {
 		t.Fatalf("Reveal: %v", err)
 	}
-	want := oracleTopK(r.oracle, attrs, k)
+	want := r.want(t, sectopk.Query{Attrs: attrs, K: k})
 	if !sameTopK(got, want) {
 		t.Fatalf("epoch %d: top-%d over %v = %+v, oracle says %+v", r.mr.Epoch(), k, attrs, got, want)
 	}
@@ -442,16 +363,12 @@ func TestMutablePersistence(t *testing.T) {
 	if er2.Epoch() != 2 {
 		t.Fatalf("reloaded hosted epoch = %d, want 2", er2.Epoch())
 	}
-	cc2 := sectopk.NewCryptoCloud(testOpts()...)
+	cc2 := sectopk.NewCryptoCloud()
 	t.Cleanup(cc2.Close)
 	if err := cc2.Register("mut", rig.owner.Keys()); err != nil {
 		t.Fatal(err)
 	}
-	dc2 := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(dc2.Close)
-	if err := dc2.ConnectLocal(ctx, cc2); err != nil {
-		t.Fatal(err)
-	}
+	dc2 := newDataCloud(t, cc2, nil)
 	if err := dc2.Host(ctx, "mut", er2); err != nil {
 		t.Fatalf("re-Host: %v", err)
 	}
@@ -515,7 +432,7 @@ func TestMutationOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reveal: %v", err)
 	}
-	if want := oracleTopK(rig.oracle, []int{0, 1, 2}, 3); !sameTopK(got, want) {
+	if want := rig.want(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 3}); !sameTopK(got, want) {
 		t.Fatalf("wire top-3 = %+v, oracle says %+v", got, want)
 	}
 

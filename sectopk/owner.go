@@ -201,8 +201,7 @@ type JoinOwner struct {
 // NewJoinOwner generates a join owner with fresh key material.
 func NewJoinOwner(opts ...Option) (*JoinOwner, error) {
 	cfg := buildConfig(opts)
-	p := cfg.coreParams()
-	scheme, err := join.NewScheme(join.Params{KeyBits: p.KeyBits, EHL: p.EHL, MaxScoreBits: p.MaxScoreBits})
+	scheme, err := join.NewScheme(cfg.coreParams())
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package sectopk_test
 import (
 	"context"
 	"errors"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,54 +11,17 @@ import (
 	"repro/sectopk"
 )
 
-// overloadRig is the minimal hosted stack the admission tests drive:
-// one relation on a data cloud built with the given extra options.
+// overloadRig is the minimal hosted stack the admission tests drive: the
+// demo relation and one cheap query's token.
 type overloadRig struct {
-	owner *sectopk.Owner
-	cc    *sectopk.CryptoCloud
-	dc    *sectopk.DataCloud
-	er    *sectopk.EncryptedRelation
-	tk    *sectopk.Token
+	*stack
+	tk *sectopk.Token
 }
 
-func newOverloadRig(t *testing.T, extra ...sectopk.Option) *overloadRig {
+func newOverloadRig(t *testing.T, spec stackSpec) *overloadRig {
 	t.Helper()
-	return newLinkedOverloadRig(t, func(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error {
-		return dc.ConnectLocal(context.Background(), cc)
-	}, extra...)
-}
-
-// newLinkedOverloadRig is newOverloadRig with the data cloud's S2 link
-// made by connect.
-func newLinkedOverloadRig(t *testing.T, connect func(*sectopk.DataCloud, *sectopk.CryptoCloud) error, extra ...sectopk.Option) *overloadRig {
-	t.Helper()
-	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	t.Cleanup(cc.Close)
-	if err := cc.Register("demo", owner.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	dc := sectopk.NewDataCloud(testOpts(extra...)...)
-	t.Cleanup(dc.Close)
-	if err := connect(dc, cc); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Host(ctx, "demo", er); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &overloadRig{owner: owner, cc: cc, dc: dc, er: er, tk: tk}
+	st := newStack(t, spec)
+	return &overloadRig{stack: st, tk: st.token(t, sectopk.Query{Attrs: []int{0, 1}, K: 1})}
 }
 
 // TestSessionLimitSustainedOverload drives a WithSessionLimit(1) data
@@ -72,16 +34,12 @@ func newLinkedOverloadRig(t *testing.T, connect func(*sectopk.DataCloud, *sectop
 // however few cores.
 func TestSessionLimitSustainedOverload(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	s2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	link := &hold{held: make(chan struct{}), release: make(chan struct{})}
 	var stopS2 func()
-	rig := newLinkedOverloadRig(t, func(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error {
-		stopS2 = serveOn(t, holdListener{Listener: s2, hold: link}, cc.Serve)
-		return dc.Dial(context.Background(), s2.Addr().String())
-	}, sectopk.WithSessionLimit(1))
+	rig := newOverloadRig(t, stackSpec{
+		connect: dialS2(t, holdListener{Listener: loopback(t), hold: link}, &stopS2),
+		opts:    []sectopk.Option{sectopk.WithSessionLimit(1)},
+	})
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(link.release) }) }
 	t.Cleanup(release) // runs before the rig's Close if the test stops early
@@ -148,8 +106,7 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 		t.Fatalf("post-overload request failed: %v", err)
 	}
 
-	rig.dc.Close()
-	rig.cc.Close()
+	rig.close()
 	stopS2()
 	waitForGoroutines(t, baseline)
 }
@@ -161,9 +118,9 @@ func TestSessionLimitSustainedOverload(t *testing.T) {
 // pressure from one tenant cannot leak into another's budget.
 func TestTenantLimitsIsolation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	rig := newOverloadRig(t, sectopk.WithTenantLimits(map[string]sectopk.Rate{
+	rig := newOverloadRig(t, stackSpec{opts: []sectopk.Option{sectopk.WithTenantLimits(map[string]sectopk.Rate{
 		"bronze": {PerSecond: 0.05, Burst: 1}, // one query, then ~20s to the next token
-	}))
+	})}})
 	ctx := context.Background()
 	addr, stop := serveClients(t, rig.dc)
 	defer stop()
@@ -225,8 +182,7 @@ func TestTenantLimitsIsolation(t *testing.T) {
 	gold.Close()
 	bronze.Close()
 	stop()
-	rig.dc.Close()
-	rig.cc.Close()
+	rig.close()
 	waitForGoroutines(t, baseline)
 }
 
@@ -235,11 +191,13 @@ func TestTenantLimitsIsolation(t *testing.T) {
 // its own Hello announced — a later client's Hello (here "gold") must
 // not re-bucket an earlier connection's queries ("bronze").
 func TestTenantLimitsPerClusterConnection(t *testing.T) {
-	rig := newOverloadRig(t, sectopk.WithTenantLimits(map[string]sectopk.Rate{
+	rig := newOverloadRig(t, stackSpec{opts: []sectopk.Option{sectopk.WithTenantLimits(map[string]sectopk.Rate{
 		"bronze": {PerSecond: 0.05, Burst: 1},
-	}))
+	})}})
 	ctx := context.Background()
-	addr, _ := serveCluster(t, rig.dc)
+	l := loopback(t)
+	serveOn(t, l, rig.dc.ServeCluster)
+	addr := l.Addr().String()
 	bronze, err := sectopk.Dial(ctx, addr, sectopk.WithTenant("bronze"),
 		sectopk.WithRetry(sectopk.RetryPolicy{MaxAttempts: -1}))
 	if err != nil {

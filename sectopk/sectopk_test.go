@@ -9,8 +9,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/dataset"
+	"repro/internal/nra"
 	"repro/sectopk"
 )
 
@@ -35,41 +38,193 @@ func demoRelation() *sectopk.Relation {
 	}
 }
 
-// localRig stands up owner + crypto cloud + data cloud in-process.
-func localRig(t testing.TB, relation string, opts ...sectopk.Option) (*sectopk.Owner, *sectopk.CryptoCloud, *sectopk.DataCloud, *sectopk.EncryptedRelation) {
-	t.Helper()
-	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts(opts...)...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts(opts...)...)
-	t.Cleanup(cc.Close)
-	if err := cc.Register(relation, owner.Keys()); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	dc := sectopk.NewDataCloud(testOpts(opts...)...)
-	t.Cleanup(dc.Close)
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatalf("ConnectLocal: %v", err)
-	}
-	if err := dc.Host(ctx, relation, er); err != nil {
-		t.Fatalf("Host: %v", err)
-	}
-	return owner, cc, dc, er
+// The facade test kit. newStack stands one relation's owner, crypto cloud
+// and data cloud up, and newDataCloud links one more data cloud to a
+// crypto cloud; newMember serves a share of a relation on the cluster
+// plane, and a front door is a linked data cloud's HostCluster over the
+// members' addresses. runSession runs one query end to end, wantTopK is
+// the plaintext answer the owner must reveal, and sameTopK compares
+// answers up to ties.
+
+// connectFunc links a data cloud to a crypto cloud.
+type connectFunc func(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error
+
+// connectLocal is the in-process link, every stack's default.
+func connectLocal(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error {
+	return dc.ConnectLocal(context.Background(), cc)
 }
 
-func runSession(t testing.TB, owner *sectopk.Owner, dc *sectopk.DataCloud, relation string, er *sectopk.EncryptedRelation, q sectopk.Query, opts ...sectopk.QueryOption) []sectopk.Result {
+// dialS2 serves the crypto cloud on l and dials it. The serving loop stops
+// at cleanup; stop, when not nil, is set to its stop function as well.
+func dialS2(t testing.TB, l net.Listener, stop *func()) connectFunc {
+	return func(dc *sectopk.DataCloud, cc *sectopk.CryptoCloud) error {
+		s := serveOn(t, l, cc.Serve)
+		if stop != nil {
+			*stop = s
+		}
+		return dc.Dial(context.Background(), l.Addr().String())
+	}
+}
+
+// loopback listens on a free loopback port.
+func loopback(t testing.TB) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	return l
+}
+
+// serveOn runs serve on the listener and returns a stop function
+// (idempotent, waits for the serving loop), also run at cleanup.
+func serveOn(t testing.TB, l net.Listener, serve func(context.Context, net.Listener) error) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, l) }()
+	stopped := false
+	stop = func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the serving loop did not return after context cancellation")
+		}
+	}
+	t.Cleanup(stop)
+	return stop
+}
+
+// stackSpec is what a stack varies in. Its zero value hosts demoRelation
+// as "demo" over the in-process link.
+type stackSpec struct {
+	id       string            // the relation's id; "demo" when empty
+	rel      *sectopk.Relation // demoRelation() when nil
+	opts     []sectopk.Option  // beyond testOpts; each party reads those that apply to it
+	connect  connectFunc       // connectLocal when nil
+	unhosted bool              // the data cloud is linked but hosts nothing
+}
+
+// stack is one relation's parties: the owner and its encryption, the
+// crypto cloud holding the owner's keys, and the data cloud hosting it.
+type stack struct {
+	id    string
+	owner *sectopk.Owner
+	er    *sectopk.EncryptedRelation
+	cc    *sectopk.CryptoCloud
+	dc    *sectopk.DataCloud
+}
+
+// newStack runs owner → Encrypt → NewCryptoCloud + Register → data cloud
+// → link → Host. Both clouds close at cleanup.
+func newStack(t testing.TB, spec stackSpec) *stack {
+	t.Helper()
+	st := &stack{id: spec.id}
+	if st.id == "" {
+		st.id = "demo"
+	}
+	rel := spec.rel
+	if rel == nil {
+		rel = demoRelation()
+	}
+	var err error
+	if st.owner, err = sectopk.NewOwner(testOpts(spec.opts...)...); err != nil {
+		t.Fatalf("NewOwner: %v", err)
+	}
+	if st.er, err = st.owner.Encrypt(rel); err != nil {
+		t.Fatalf("Encrypt: %v", err)
+	}
+	st.cc = sectopk.NewCryptoCloud()
+	t.Cleanup(st.cc.Close)
+	if err := st.cc.Register(st.id, st.owner.Keys()); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	st.dc = newDataCloud(t, st.cc, spec.connect, spec.opts...)
+	if !spec.unhosted {
+		if err := st.dc.Host(context.Background(), st.id, st.er); err != nil {
+			t.Fatalf("Host: %v", err)
+		}
+	}
+	return st
+}
+
+// newDataCloud builds a data cloud with opts and links it to cc (by
+// connectLocal when connect is nil). It closes at cleanup.
+func newDataCloud(t testing.TB, cc *sectopk.CryptoCloud, connect connectFunc, opts ...sectopk.Option) *sectopk.DataCloud {
+	t.Helper()
+	if connect == nil {
+		connect = connectLocal
+	}
+	dc := sectopk.NewDataCloud(testOpts(opts...)...)
+	if err := connect(dc, cc); err != nil {
+		dc.Close()
+		t.Fatalf("linking the data cloud: %v", err)
+	}
+	t.Cleanup(dc.Close)
+	return dc
+}
+
+// token issues the owner's token for q over the stack's relation.
+func (st *stack) token(t testing.TB, q sectopk.Query) *sectopk.Token {
+	t.Helper()
+	tk, err := st.owner.Token(st.er, q)
+	if err != nil {
+		t.Fatalf("Token: %v", err)
+	}
+	return tk
+}
+
+// close tears both clouds down now, for a test that counts goroutines
+// before its cleanups run. Closing twice is safe.
+func (st *stack) close() {
+	st.dc.Close()
+	st.cc.Close()
+}
+
+// clusterMember is one member node of a fleet.
+type clusterMember struct {
+	dc   *sectopk.DataCloud
+	addr string
+	stop func()
+}
+
+// newMember links a data cloud built with opts to cc, hosts er's shards
+// at indices as "topk", and serves the cluster plane on l (a loopback
+// listener when nil) until cleanup.
+func newMember(t testing.TB, cc *sectopk.CryptoCloud, er *sectopk.EncryptedRelation, indices []int, l net.Listener, opts ...sectopk.Option) *clusterMember {
+	t.Helper()
+	dc := newDataCloud(t, cc, nil, opts...)
+	sub, err := er.Subset(indices...)
+	if err != nil {
+		t.Fatalf("Subset(%v): %v", indices, err)
+	}
+	if err := dc.HostShards(context.Background(), "topk", sub); err != nil {
+		t.Fatalf("HostShards(%v): %v", indices, err)
+	}
+	if l == nil {
+		l = loopback(t)
+	}
+	return &clusterMember{dc: dc, addr: l.Addr().String(), stop: serveOn(t, l, dc.ServeCluster)}
+}
+
+// executor answers requests: a data cloud, or a client of one.
+type executor interface {
+	Execute(context.Context, sectopk.Request) (*sectopk.Answer, error)
+}
+
+// runSession runs Token → Execute → Reveal for q against relation id.
+func runSession(t testing.TB, owner *sectopk.Owner, ex executor, id string, er *sectopk.EncryptedRelation, q sectopk.Query, opts ...sectopk.QueryOption) []sectopk.Result {
 	t.Helper()
 	tk, err := owner.Token(er, q)
 	if err != nil {
 		t.Fatalf("Token: %v", err)
 	}
-	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest(relation, tk, opts...))
+	ans, err := ex.Execute(context.Background(), sectopk.TopKRequest(id, tk, opts...))
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -80,34 +235,79 @@ func runSession(t testing.TB, owner *sectopk.Owner, dc *sectopk.DataCloud, relat
 	return out
 }
 
+// wantTopK is the one plaintext oracle: nra.TopKExact over rows, object i
+// being rows[i], ties broken by the lower object.
+func wantTopK(t testing.TB, rows [][]int64, q sectopk.Query) []sectopk.Result {
+	t.Helper()
+	exact, err := nra.TopKExact(&dataset.Relation{Rows: rows}, q.Attrs, q.Weights, q.K)
+	if err != nil {
+		t.Fatalf("TopKExact: %v", err)
+	}
+	out := make([]sectopk.Result, len(exact))
+	for i, r := range exact {
+		out[i] = sectopk.Result{Object: r.Obj, Score: r.Worst}
+	}
+	return out
+}
+
+// sameTopK compares answers up to tie order: scores must match
+// positionally, and within each equal-score run the object sets must
+// match (the protocol does not promise a tie order).
+func sameTopK(got, want []sectopk.Result) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Score != want[i].Score {
+			return false
+		}
+	}
+	for i := 0; i < len(got); {
+		j := i
+		for j < len(got) && got[j].Score == got[i].Score {
+			j++
+		}
+		g := map[int]bool{}
+		w := map[int]bool{}
+		for x := i; x < j; x++ {
+			g[got[x].Object] = true
+			w[want[x].Object] = true
+		}
+		for id := range g {
+			if !w[id] {
+				return false
+			}
+		}
+		i = j
+	}
+	return true
+}
+
 // TestEndToEndLocal runs the full public-API pipeline over the
 // in-process transport across all three query modes.
 func TestEndToEndLocal(t *testing.T) {
-	owner, _, dc, er := localRig(t, "demo")
+	st := newStack(t, stackSpec{})
 	want := []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}}
 	for _, mode := range []sectopk.Mode{sectopk.ModeFull, sectopk.ModeEliminate, sectopk.ModeBatched} {
-		got := runSession(t, owner, dc, "demo", er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2},
+		got := runSession(t, st.owner, st.dc, "demo", st.er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2},
 			sectopk.WithMode(mode))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: top-2 = %+v, want %+v", mode, got, want)
 		}
 	}
-	if tr := dc.Traffic(); tr.Rounds == 0 || tr.Bytes == 0 {
-		t.Fatalf("no traffic recorded: %+v", dc.Traffic())
+	if tr := st.dc.Traffic(); tr.Rounds == 0 || tr.Bytes == 0 {
+		t.Fatalf("no traffic recorded: %+v", st.dc.Traffic())
 	}
-	if len(dc.LeakageEvents()) == 0 {
+	if len(st.dc.LeakageEvents()) == 0 {
 		t.Fatal("S1 leakage ledger empty")
 	}
 }
 
 // TestExecuteAccounting checks the per-query accounting on the answer.
 func TestExecuteAccounting(t *testing.T) {
-	owner, cc, dc, er := localRig(t, "demo")
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := dc.Execute(context.Background(), sectopk.TopKRequest("demo", tk, sectopk.WithMode(sectopk.ModeEliminate)))
+	st := newStack(t, stackSpec{})
+	tk := st.token(t, sectopk.Query{Attrs: []int{0, 1}, K: 2})
+	ans, err := st.dc.Execute(context.Background(), sectopk.TopKRequest("demo", tk, sectopk.WithMode(sectopk.ModeEliminate)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +318,7 @@ func TestExecuteAccounting(t *testing.T) {
 	if tr := ans.Traffic; tr.Rounds == 0 || tr.Bytes == 0 {
 		t.Fatalf("answer traffic empty: %+v", tr)
 	}
-	if len(cc.LeakageEvents()) == 0 {
+	if len(st.cc.LeakageEvents()) == 0 {
 		t.Fatal("S2 leakage ledger empty")
 	}
 }
@@ -129,14 +329,11 @@ func TestExecuteAccounting(t *testing.T) {
 // newest query's events. S1 names each run's token by a digest: one token
 // run twice gives two equal query-pattern lines, another k another line.
 func TestLeakageWindow(t *testing.T) {
-	owner, cc, dc, er := localRig(t, "demo")
+	st := newStack(t, stackSpec{})
+	cc, dc := st.cc, st.dc
 	run := func(q sectopk.Query) {
 		t.Helper()
-		tk, err := owner.Token(er, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dc.Execute(context.Background(), sectopk.TopKRequest("demo", tk)); err != nil {
+		if _, err := dc.Execute(context.Background(), sectopk.TopKRequest("demo", st.token(t, q))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +399,8 @@ func TestLeakageWindow(t *testing.T) {
 
 // TestTypedErrorsFacade checks the error taxonomy at the public surface.
 func TestTypedErrorsFacade(t *testing.T) {
-	owner, cc, dc, er := localRig(t, "demo")
+	st := newStack(t, stackSpec{})
+	owner, cc, dc, er := st.owner, st.cc, st.dc, st.er
 	ctx := context.Background()
 
 	// Invalid tokens.
@@ -213,11 +411,7 @@ func TestTypedErrorsFacade(t *testing.T) {
 		t.Fatalf("bad attr: want ErrInvalidToken, got %v", err)
 	}
 	// Unknown relation.
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0}, K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dc.Execute(ctx, sectopk.TopKRequest("ghost", tk)); !errors.Is(err, sectopk.ErrUnknownRelation) {
+	if _, err := dc.Execute(ctx, sectopk.TopKRequest("ghost", st.token(t, sectopk.Query{Attrs: []int{0}, K: 1}))); !errors.Is(err, sectopk.ErrUnknownRelation) {
 		t.Fatalf("want ErrUnknownRelation, got %v", err)
 	}
 	// Duplicate registration / hosting.
@@ -231,45 +425,27 @@ func TestTypedErrorsFacade(t *testing.T) {
 	if err := dc.Host(ctx, "unregistered", er); !errors.Is(err, sectopk.ErrUnknownRelation) {
 		t.Fatalf("Host of unregistered relation: want ErrUnknownRelation, got %v", err)
 	}
+	// A join owner refuses the parameters an owner refuses, with its error.
+	bad := []sectopk.Option{sectopk.WithKeyBits(256), sectopk.WithMaxScoreBits(200)}
+	_, ownerErr := sectopk.NewOwner(bad...)
+	if _, err := sectopk.NewJoinOwner(bad...); ownerErr == nil || err == nil || err.Error() != ownerErr.Error() {
+		t.Fatalf("NewJoinOwner with MaxScoreBits 200 at 256-bit keys: err = %v, want NewOwner's %v", err, ownerErr)
+	}
 }
 
 // TestEndToEndTCP runs the pipeline with S1 and S2 as separate parties
 // over a real TCP connection, and checks typed errors survive the wire.
 func TestEndToEndTCP(t *testing.T) {
 	ctx := context.Background()
-	owner, err := sectopk.NewOwner(testOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := owner.Encrypt(demoRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
-	if err := cc.Register("demo", owner.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	defer stopServe()
-	go func() { _ = cc.Serve(serveCtx, l) }()
-
-	dc := sectopk.NewDataCloud(testOpts()...)
-	defer dc.Close()
-	if err := dc.Dial(ctx, l.Addr().String()); err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	st := newStack(t, stackSpec{connect: dialS2(t, loopback(t), nil), unhosted: true})
+	dc, er := st.dc, st.er
 	if err := dc.Host(ctx, "ghost", er); !errors.Is(err, sectopk.ErrUnknownRelation) {
 		t.Fatalf("Host ghost over TCP: want ErrUnknownRelation, got %v", err)
 	}
 	if err := dc.Host(ctx, "demo", er); err != nil {
 		t.Fatalf("Host: %v", err)
 	}
-	got := runSession(t, owner, dc, "demo", er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2},
+	got := runSession(t, st.owner, dc, "demo", er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2},
 		sectopk.WithMode(sectopk.ModeEliminate))
 	want := []sectopk.Result{{Object: 2, Score: 18}, {Object: 1, Score: 16}}
 	if !reflect.DeepEqual(got, want) {
@@ -303,30 +479,10 @@ func TestMultiRelationIsolation(t *testing.T) {
 
 	// Reference: two dedicated single-relation rigs.
 	single := func(rel *sectopk.Relation) [][]sectopk.Result {
-		owner, err := sectopk.NewOwner(testOpts()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		er, err := owner.Encrypt(rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := sectopk.NewCryptoCloud(testOpts()...)
-		defer cc.Close()
-		if err := cc.Register(rel.Name, owner.Keys()); err != nil {
-			t.Fatal(err)
-		}
-		dc := sectopk.NewDataCloud(testOpts()...)
-		defer dc.Close()
-		if err := dc.ConnectLocal(ctx, cc); err != nil {
-			t.Fatal(err)
-		}
-		if err := dc.Host(ctx, rel.Name, er); err != nil {
-			t.Fatal(err)
-		}
+		st := newStack(t, stackSpec{id: rel.Name, rel: rel})
 		var out [][]sectopk.Result
 		for _, q := range queries {
-			out = append(out, runSession(t, owner, dc, rel.Name, er, q))
+			out = append(out, runSession(t, st.owner, st.dc, rel.Name, st.er, q))
 		}
 		return out
 	}
@@ -334,15 +490,8 @@ func TestMultiRelationIsolation(t *testing.T) {
 	wantB := single(relB)
 
 	// One crypto cloud serving both relations, queries interleaved.
-	ownerA, err := sectopk.NewOwner(testOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newStack(t, stackSpec{id: "A", rel: relA})
 	ownerB, err := sectopk.NewOwner(testOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	erA, err := ownerA.Encrypt(relA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,31 +499,18 @@ func TestMultiRelationIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
-	if err := cc.Register("A", ownerA.Keys()); err != nil {
+	if err := a.cc.Register("B", ownerB.Keys()); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.Register("B", ownerB.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	if got := cc.Relations(); !reflect.DeepEqual(got, []string{"A", "B"}) {
+	if got := a.cc.Relations(); !reflect.DeepEqual(got, []string{"A", "B"}) {
 		t.Fatalf("Relations = %v", got)
 	}
-	dc := sectopk.NewDataCloud(testOpts()...)
-	defer dc.Close()
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Host(ctx, "A", erA); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Host(ctx, "B", erB); err != nil {
+	if err := a.dc.Host(ctx, "B", erB); err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		gotA := runSession(t, ownerA, dc, "A", erA, q)
-		gotB := runSession(t, ownerB, dc, "B", erB, q)
+		gotA := runSession(t, a.owner, a.dc, "A", a.er, q)
+		gotB := runSession(t, ownerB, a.dc, "B", erB, q)
 		if !reflect.DeepEqual(gotA, wantA[i]) {
 			t.Fatalf("query %d relation A: multi-rig %+v != single-rig %+v", i, gotA, wantA[i])
 		}
@@ -387,12 +523,9 @@ func TestMultiRelationIsolation(t *testing.T) {
 // TestFacadeCancellation checks cooperative cancellation at the public
 // surface: an already-canceled context fails fast with context.Canceled.
 func TestFacadeCancellation(t *testing.T) {
-	owner, _, dc, er := localRig(t, "demo")
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := sectopk.TopKRequest("demo", tk)
+	st := newStack(t, stackSpec{})
+	dc := st.dc
+	req := sectopk.TopKRequest("demo", st.token(t, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := dc.Execute(ctx, req); !errors.Is(err, context.Canceled) {
@@ -429,16 +562,12 @@ func TestSecureJoinFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
+	cc := sectopk.NewCryptoCloud()
+	t.Cleanup(cc.Close)
 	if err := cc.Register("hr", jo.Keys()); err != nil {
 		t.Fatal(err)
 	}
-	dc := sectopk.NewDataCloud(testOpts()...)
-	defer dc.Close()
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
+	dc := newDataCloud(t, cc, nil)
 	if err := dc.HostJoin(ctx, "hr", er1, er2); err != nil {
 		t.Fatalf("HostJoin: %v", err)
 	}
@@ -521,16 +650,12 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
+	cc := sectopk.NewCryptoCloud()
+	t.Cleanup(cc.Close)
 	if err := cc.Register("demo", keys); err != nil {
 		t.Fatal(err)
 	}
-	dc := sectopk.NewDataCloud(testOpts()...)
-	defer dc.Close()
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
+	dc := newDataCloud(t, cc, nil)
 	if err := dc.Host(ctx, "demo", er2); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package sectopk_test
 
 import (
 	"context"
-	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 
@@ -23,33 +21,6 @@ func shardDemoRelation(n int) *sectopk.Relation {
 	return rel
 }
 
-// plainTopK is the ground truth: rank by aggregate score, descending.
-func plainTopK(rel *sectopk.Relation, k int) []sectopk.Result {
-	type pair struct {
-		obj   int
-		score int64
-	}
-	all := make([]pair, len(rel.Rows))
-	for i, row := range rel.Rows {
-		var s int64
-		for _, v := range row {
-			s += v
-		}
-		all[i] = pair{obj: i, score: s}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].obj < all[j].obj
-	})
-	out := make([]sectopk.Result, k)
-	for i := 0; i < k; i++ {
-		out[i] = sectopk.Result{Object: all[i].obj, Score: all[i].score}
-	}
-	return out
-}
-
 // TestShardedConcurrentOverTCP drives the whole throughput-first data
 // plane through the public API: a sharded relation (WithShards), a TCP
 // connection carrying the multiplexed framing, the batch scheduler, and
@@ -57,52 +28,23 @@ func plainTopK(rel *sectopk.Relation, k int) []sectopk.Result {
 // to the plaintext ground truth.
 func TestShardedConcurrentOverTCP(t *testing.T) {
 	ctx := context.Background()
-	const n, k, p = 12, 3, 3
+	const n, k, p, queries = 12, 3, 3, 4
 	rel := shardDemoRelation(n)
-	truth := plainTopK(rel, k)
+	q := sectopk.Query{Attrs: []int{0, 1, 2}, K: k}
+	truth := wantTopK(t, rel.Rows, q)
 
-	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(p))...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	er, err := owner.Encrypt(rel)
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
+	st := newStack(t, stackSpec{
+		id: "sharddemo", rel: rel, connect: dialS2(t, loopback(t), nil),
+		opts: []sectopk.Option{sectopk.WithShards(p), sectopk.WithSessionLimit(queries)},
+	})
+	owner, er, dc := st.owner, st.er, st.dc
 	if er.Shards() != p {
 		t.Fatalf("Shards() = %d, want %d", er.Shards(), p)
 	}
 	if er.Rows() != n {
 		t.Fatalf("Rows() = %d, want global %d", er.Rows(), n)
 	}
-
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
-	if err := cc.Register("sharddemo", owner.Keys()); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	defer stopServe()
-	go func() { _ = cc.Serve(serveCtx, l) }()
-
-	const queries = 4
-	dc := sectopk.NewDataCloud(testOpts(sectopk.WithSessionLimit(queries))...)
-	defer dc.Close()
-	if err := dc.Dial(ctx, l.Addr().String()); err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	if err := dc.Host(ctx, "sharddemo", er); err != nil {
-		t.Fatalf("Host: %v", err)
-	}
-	tk, err := owner.Token(er, sectopk.Query{Attrs: []int{0, 1, 2}, K: k})
-	if err != nil {
-		t.Fatalf("Token: %v", err)
-	}
-	req := sectopk.TopKRequest("sharddemo", tk, sectopk.WithMode(sectopk.ModeEliminate))
+	req := sectopk.TopKRequest("sharddemo", st.token(t, q), sectopk.WithMode(sectopk.ModeEliminate))
 	var wg sync.WaitGroup
 	results := make([][]sectopk.Result, queries)
 	errs := make([]error, queries)
@@ -135,18 +77,12 @@ func TestShardedConcurrentOverTCP(t *testing.T) {
 }
 
 // TestShardedRelationRoundTrip persists a sharded relation and loads it
-// back; an unsharded save stays in the legacy format and loads too.
+// back; an unsharded relation saves and loads as one shard.
 func TestShardedRelationRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rel := shardDemoRelation(8)
-	owner, err := sectopk.NewOwner(testOpts(sectopk.WithShards(2))...)
-	if err != nil {
-		t.Fatalf("NewOwner: %v", err)
-	}
-	er, err := owner.Encrypt(rel)
-	if err != nil {
-		t.Fatalf("Encrypt: %v", err)
-	}
+	st := newStack(t, stackSpec{id: "rt", rel: rel, opts: []sectopk.Option{sectopk.WithShards(2)}, unhosted: true})
+	owner, er := st.owner, st.er
 	path := filepath.Join(dir, "sharded.er")
 	if err := er.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -160,33 +96,12 @@ func TestShardedRelationRoundTrip(t *testing.T) {
 	}
 
 	// The loaded bundle still answers queries correctly end to end.
-	ctx := context.Background()
-	cc := sectopk.NewCryptoCloud(testOpts()...)
-	defer cc.Close()
-	if err := cc.Register("rt", owner.Keys()); err != nil {
-		t.Fatal(err)
-	}
-	dc := sectopk.NewDataCloud(testOpts()...)
-	defer dc.Close()
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Host(ctx, "rt", loaded); err != nil {
+	if err := st.dc.Host(context.Background(), "rt", loaded); err != nil {
 		t.Fatalf("Host(loaded): %v", err)
 	}
-	tk, err := owner.Token(loaded, sectopk.Query{Attrs: []int{0, 1, 2}, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := dc.Execute(ctx, sectopk.TopKRequest("rt", tk, sectopk.WithMode(sectopk.ModeEliminate)))
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	got, err := owner.Reveal(loaded, ans.TopK)
-	if err != nil {
-		t.Fatalf("Reveal: %v", err)
-	}
-	truth := plainTopK(rel, 2)
+	q := sectopk.Query{Attrs: []int{0, 1, 2}, K: 2}
+	got := runSession(t, owner, st.dc, "rt", loaded, q, sectopk.WithMode(sectopk.ModeEliminate))
+	truth := wantTopK(t, rel.Rows, q)
 	for i := range got {
 		if got[i] != truth[i] {
 			t.Errorf("rank %d: got %+v, want %+v", i, got[i], truth[i])
@@ -211,7 +126,7 @@ func TestShardedRelationRoundTrip(t *testing.T) {
 		t.Fatalf("restored owner encrypted %d shard(s), want 2", rer.Shards())
 	}
 
-	// Unsharded bundles keep the legacy format readable by older builds.
+	// An unsharded relation saves and loads as one shard.
 	plainOwner, err := sectopk.NewOwner(testOpts()...)
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +144,9 @@ func TestShardedRelationRoundTrip(t *testing.T) {
 	}
 	plainLoaded, err := sectopk.LoadEncryptedRelation(plainPath)
 	if err != nil {
-		t.Fatalf("legacy-format load: %v", err)
+		t.Fatalf("unsharded load: %v", err)
 	}
 	if plainLoaded.Shards() != 1 {
-		t.Fatalf("legacy bundle loaded as %d shards", plainLoaded.Shards())
+		t.Fatalf("unsharded relation loaded as %d shards", plainLoaded.Shards())
 	}
 }

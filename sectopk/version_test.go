@@ -32,10 +32,7 @@ func preface(t *testing.T, v int) []byte {
 // preface with its own, at v, and closes.
 func peerAt(t *testing.T, v int) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := loopback(t)
 	t.Cleanup(func() { l.Close() })
 	answer := preface(t, v)
 	go func() {
@@ -67,18 +64,13 @@ func oddPeers(cur int) []oddPeer { return []oddPeer{{"older", cur - 1}, {"newer"
 // the crypto cloud — answers a preface one version older or newer with
 // its own preface and closes, before any Hello is read.
 func TestWrongWireVersionRefused(t *testing.T) {
-	ctx := context.Background()
 	cur := transport.ProtocolVersion
 	if cur != 12 {
 		t.Fatalf("the wire is v%d: name the version it replaced in transport's TestPrefaceRefused", cur)
 	}
-	cc := sectopk.NewCryptoCloud(testOpts()...)
+	cc := sectopk.NewCryptoCloud()
 	t.Cleanup(cc.Close)
-	dc := sectopk.NewDataCloud(testOpts()...)
-	t.Cleanup(dc.Close)
-	if err := dc.ConnectLocal(ctx, cc); err != nil {
-		t.Fatal(err)
-	}
+	dc := newDataCloud(t, cc, nil)
 	want := preface(t, cur)
 	for _, ln := range []struct {
 		name  string
@@ -88,10 +80,7 @@ func TestWrongWireVersionRefused(t *testing.T) {
 		{"ServeCluster", dc.ServeCluster},
 		{"CryptoCloud.Serve", cc.Serve},
 	} {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := loopback(t)
 		serveOn(t, l, ln.serve)
 		for _, peer := range oddPeers(cur) {
 			v := peer.v
@@ -125,37 +114,32 @@ func TestWrongWireVersionRefused(t *testing.T) {
 func TestHelloWrongVersionRefused(t *testing.T) {
 	ctx := context.Background()
 	cur := transport.ProtocolVersion
-	cc := sectopk.NewCryptoCloud(testOpts()...)
+	cc := sectopk.NewCryptoCloud()
 	t.Cleanup(cc.Close)
 	for _, peer := range oddPeers(cur) {
 		addr := peerAt(t, peer.v)
 		for _, dial := range []struct {
 			name string
-			dial func() error
+			dial func(t *testing.T) error
 		}{
-			{"Dial", func() error {
+			{"Dial", func(*testing.T) error {
 				c, err := sectopk.Dial(ctx, addr)
 				if err == nil {
 					c.Close()
 				}
 				return err
 			}},
-			{"HostCluster", func() error {
-				front := sectopk.NewDataCloud(testOpts()...)
-				defer front.Close()
-				if err := front.ConnectLocal(ctx, cc); err != nil {
-					return err
-				}
-				return front.HostCluster(ctx, []string{addr})
+			{"HostCluster", func(t *testing.T) error {
+				return newDataCloud(t, cc, nil).HostCluster(ctx, []string{addr})
 			}},
-			{"DataCloud.Dial", func() error {
+			{"DataCloud.Dial", func(t *testing.T) error {
 				s1 := sectopk.NewDataCloud(testOpts()...)
 				defer s1.Close()
 				return s1.Dial(ctx, addr)
 			}},
 		} {
 			t.Run(dial.name+"/"+peer.name, func(t *testing.T) {
-				if err := dial.dial(); !errors.Is(err, sectopk.ErrProtocolVersion) {
+				if err := dial.dial(t); !errors.Is(err, sectopk.ErrProtocolVersion) {
 					t.Fatalf("want ErrProtocolVersion, got %v", err)
 				}
 			})
