@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -29,8 +30,8 @@ func queryFigure(r *Rig, id, title string, opts core.Options, ks []int, fixedM i
 		Header: append([]string{"dataset"}, headerInts("m", ms)...),
 	}
 	for _, spec := range dataset.All() {
-		if spec.M < maxInt(ms) {
-			spec = spec.WithM(maxInt(ms))
+		if spec.M < slices.Max(ms) {
+			spec = spec.WithM(slices.Max(ms))
 		}
 		er, _, err := r.encrypted(spec)
 		if err != nil {
@@ -416,16 +417,6 @@ func headerInts(prefix string, vals []int) []string {
 	out := make([]string, len(vals))
 	for i, v := range vals {
 		out[i] = fmt.Sprintf("%s=%d", prefix, v)
-	}
-	return out
-}
-
-func maxInt(vals []int) int {
-	out := 0
-	for _, v := range vals {
-		if v > out {
-			out = v
-		}
 	}
 	return out
 }

@@ -16,75 +16,6 @@ import (
 	"repro/internal/secerr"
 )
 
-// Mode selects the query-processing variant evaluated in Section 11.2.
-type Mode int
-
-const (
-	// QryF is the fully private baseline: each depth is one
-	// SecWorstBestDepths round, whose equality bits also drive one
-	// round-free MarkEarlier pass over T and the depth's rows
-	// (queryPerDepth), and the halting machinery runs at every depth
-	// where a halt is possible (Section 8; firstHaltDepth).
-	QryF Mode = iota
-	// QryE eliminates duplicates, keeping one row per object (Section
-	// 10.1): it is Qry_Ba's pipeline (queryBatched) at a cadence of one
-	// depth, merging, ranking and halt-checking at every depth from
-	// firstHaltDepth on. It leaks the uniqueness pattern UP^d to S1 and
-	// the equality pattern EP^d to S2.
-	QryE
-	// QryBa batches deduplication/sorting/halting every p depths
-	// (Section 10.2), with the same leakage at those depths.
-	QryBa
-)
-
-func (m Mode) String() string {
-	switch m {
-	case QryF:
-		return "Qry_F"
-	case QryE:
-		return "Qry_E"
-	case QryBa:
-		return "Qry_Ba"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Options configures one SecQuery execution.
-type Options struct {
-	Mode Mode
-	// BatchDepth is the batching parameter p (Qry_Ba only); the paper
-	// requires p >= k. Zero picks max(2k, 8).
-	BatchDepth int
-	// MaxDepth caps the scan for benchmarking time-per-depth; zero means
-	// scan to completion.
-	MaxDepth int
-	// ExactScan disables the halting tests: the scan runs to MaxDepth (or
-	// the whole relation), so after a full scan every returned score is
-	// the exact aggregate. The shard merge uses it as its fallback when
-	// the NRA merge-bound check cannot certify an early-halted merge.
-	ExactScan bool
-}
-
-// Validate refuses option values no engine path defines — an unknown
-// mode, a negative depth, a Qry_Ba batch depth
-// below k (Section 10.2) — typed bad_request: peers on the client and
-// the cluster wire send these as bare integers, and unchecked a stray
-// mode would run (and be ledgered) as Qry_F.
-func (o Options) Validate(k int) error {
-	switch {
-	case o.Mode < QryF || o.Mode > QryBa:
-		return secerr.New(secerr.CodeBadRequest, "core: unknown query mode %d", int(o.Mode))
-	case o.BatchDepth < 0 || o.MaxDepth < 0:
-		return secerr.New(secerr.CodeBadRequest,
-			"core: negative depth option (batch depth %d, max depth %d)", o.BatchDepth, o.MaxDepth)
-	case o.Mode == QryBa && o.BatchDepth > 0 && o.BatchDepth < k:
-		return secerr.New(secerr.CodeBadRequest,
-			"core: batch depth p=%d must be >= k=%d (Section 10.2)", o.BatchDepth, k)
-	}
-	return nil
-}
-
 // QueryResult is the outcome of SecQuery: the encrypted top-k items
 // (column 0 = worst score), the number of depths scanned, whether the
 // halting condition fired (false only when MaxDepth cut the scan short),
@@ -144,10 +75,6 @@ func scoreBits(maxScoreBits int, tk *Token) (realBits, mBits int) {
 	}
 	mBits = bits.Len(uint(len(tk.Lists)))
 	return maxScoreBits + wBits + mBits, mBits
-}
-
-func (e *Engine) magBits(tk *Token) int {
-	return MagBits(e.er.MaxScoreBits, tk)
 }
 
 // SlotBits is the width the engine declares for the gadget payloads of a
@@ -232,17 +159,6 @@ func (e *Engine) recordQueryPattern(tk *Token) {
 		h.Sum(nil)[:8], len(tk.Lists), tk.K)
 }
 
-// depthScore returns the (weight-scaled) encrypted score of list li at
-// depth d. Weights are applied by S1 via scalar multiplication, per
-// Section 7.
-func (e *Engine) depthScore(tk *Token, li, d int) (*paillier.Ciphertext, error) {
-	item := e.er.Lists[tk.Lists[li]][d]
-	if tk.Weights == nil {
-		return item.Score, nil
-	}
-	return e.client.PK().MulConst(item.Score, big.NewInt(tk.Weights[li]))
-}
-
 // runInfo is one run's outcome: its QueryResult plus what a shard merge
 // needs beyond it — the full tracked list (top items ranked first, the
 // result's Items are its prefix), the final per-list bottom scores, and
@@ -268,8 +184,8 @@ func (e *Engine) SecQuery(ctx context.Context, tk *Token, opts Options) (*QueryR
 }
 
 // run validates a query's token and options, records its query pattern
-// (a refused query leaves no trace on the ledger), runs the mode's
-// pipeline and records the halting depth.
+// (a refused query leaves no trace on the ledger), runs it and records
+// the halting depth.
 func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
 	if err := e.ValidateToken(tk); err != nil {
 		return nil, err
@@ -278,11 +194,7 @@ func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*runInfo, er
 		return nil, err
 	}
 	e.recordQueryPattern(tk)
-	pipeline := e.queryBatched
-	if opts.Mode == QryF {
-		pipeline = e.queryPerDepth
-	}
-	info, err := pipeline(ctx, tk, opts)
+	info, err := e.query(ctx, tk, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -290,23 +202,10 @@ func (e *Engine) run(ctx context.Context, tk *Token, opts Options) (*runInfo, er
 	return info, nil
 }
 
-// firstHaltDepth is the first 1-based depth at which NRA's halting test
-// can pass on m lists and k answers while the unseen bound U = Σ bottoms
-// is positive. At depth d at most m(d−1) objects were seen before d, so
-// with k ≥ m(d−1)+2 the top k hold two objects first seen at d; those
-// split the depth's lists between them, so the lower worst score is at
-// most U/2, and W_k ≥ U needs U = 0. When U = 0 every k-set is a top-k,
-// so the query loses no answer by testing from this depth on: it halts
-// there or later with a tie-equivalent one. The depth is a function of
-// the public (m, k) alone, so skipping the ranking and halting rounds
-// below it tells no party anything.
-func firstHaltDepth(m, k int) int {
-	return 1 + (k-1+m-1)/m
-}
-
 // readDepths reads the token's items at depths [from, to) of every
-// queried list, weight-scaled and declared at bits (DepthItem.ScoreBits),
-// and appends them to the lists' histories.
+// queried list, declared at bits (DepthItem.ScoreBits), and appends them
+// to the lists' histories. S1 applies the token's weights by scalar
+// multiplication (Section 7).
 func (e *Engine) readDepths(ctx context.Context, tk *Token, from, to, bits int, histories []protocols.ListHistory) ([][]protocols.DepthItem, error) {
 	m := len(tk.Lists)
 	out := make([][]protocols.DepthItem, to-from)
@@ -315,13 +214,14 @@ func (e *Engine) readDepths(ctx context.Context, tk *Token, from, to, bits int, 
 	}
 	err := parallel.ForEachCtx(ctx, len(out)*m, func(x int) error {
 		t, i := x/m, x%m
-		score, err := e.depthScore(tk, i, from+t)
-		if err != nil {
-			return err
-		}
 		it := e.er.Lists[tk.Lists[i]][from+t]
-		out[t][i] = protocols.DepthItem{EHL: it.EHL, Score: score, ScoreBits: bits}
-		return nil
+		out[t][i] = protocols.DepthItem{EHL: it.EHL, Score: it.Score, ScoreBits: bits}
+		if tk.Weights == nil {
+			return nil
+		}
+		var err error
+		out[t][i].Score, err = e.client.PK().MulConst(it.Score, big.NewInt(tk.Weights[i]))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -335,74 +235,152 @@ func (e *Engine) readDepths(ctx context.Context, tk *Token, from, to, bits int, 
 	return out, nil
 }
 
-// scanDepth is how many depths a query may read: the relation's n, or
-// MaxDepth when that is lower.
-func (e *Engine) scanDepth(opts Options) int {
-	if opts.MaxDepth > 0 && opts.MaxDepth < e.er.N {
-		return opts.MaxDepth
-	}
-	return e.er.N
-}
-
-// queryPerDepth is Qry_F's pipeline. No depth below firstHaltDepth ranks
-// or tests for a halt, so every depth up to it is certain to run, and
-// their SecWorstBest bits go to S2 in one round; each later depth sends
-// its own. Best bounds are stored in each item's ColBest column.
-//
-// Qry_F spends no other round on a depth. Its T holds one row per (list,
-// depth) read, row e*m + j from list j at depth e, which S1 alone knows.
-// The depth's rows carry Seen, every score of their object read so far,
-// and SecBest's bound, and one MarkEarlier pass over T and them, on the
-// round's Marks, marks every row whose object a later row carries. So
-// each object's one live row is its newest: within a depth the copy from
-// the last list, whose W and B equal its same-depth copies'.
-func (e *Engine) queryPerDepth(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
-	m := len(tk.Lists)
-	shift, slot, depthBits := e.duplicateShift(tk), SlotBits(e.magBits(tk)), e.depthBits(tk)
-	maxD := e.scanDepth(opts)
-	histories := make([]protocols.ListHistory, m)
+// query runs a query in one loop over the depths its Schedule reads,
+// halt-checking where the schedule says and ranking T's top k after a
+// scan that did not halt. Its one fork is the mode's policy for T's
+// duplicate rows, read, which brings depth d into T and returns the bound
+// source of a check after it. Qry_F keeps row e*m + j from list j at
+// depth e, which S1 alone knows: a depth's SecWorstBest round gives its
+// rows Seen, every score of their object read so far, and SecBest's
+// bound, and one MarkEarlier pass on the round's Marks marks every row
+// whose object a later row carries, so each object's newest row is its
+// live one. Qry_E and Qry_Ba merge: a depth's items carry their score and
+// a per-list seen indicator, a merging depth joins them to T in one
+// score-summing Dedup round, and bounds come from the indicators
+// (batchBest).
+func (e *Engine) query(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
+	m, k := len(tk.Lists), tk.K
+	s := NewSchedule(e.er.N, m, k, opts)
+	magBits := MagBits(e.er.MaxScoreBits, tk)
+	slot, histories := SlotBits(magBits), make([]protocols.ListHistory, m)
 	var T []protocols.Item
-	// pending holds SecWorstBest's answers for the depths read but not yet
-	// merged into T, the current depth's first.
-	var pending []protocols.DepthBounds
-	depth := 0
-	for d := 0; d < maxD; d++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: depth %d: %w", d, err)
-		}
-		depth = d + 1
-		if len(pending) == 0 {
-			to := d + 1
-			if d == 0 {
-				to = min(firstHaltDepth(m, tk.K), maxD)
+	var read func(d int) (Bounds, error)
+	if opts.Mode == QryF {
+		shift, depthBits := e.duplicateShift(tk), e.depthBits(tk)
+		// pending: SecWorstBest's answers for depths not yet marked into T.
+		var pending []protocols.DepthBounds
+		read = func(d int) (Bounds, error) {
+			if to := s.Reads(d); to > d {
+				batch, err := e.readDepths(ctx, tk, d, to, depthBits, histories)
+				if err != nil {
+					return nil, err
+				}
+				if pending, err = protocols.SecWorstBestDepths(ctx, e.client, batch, histories); err != nil {
+					return nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
+				}
 			}
-			batch, err := e.readDepths(ctx, tk, d, to, depthBits, histories)
+			b := pending[0]
+			pending = pending[1:]
+			for i, h := range histories {
+				T = append(T, protocols.Item{EHL: h.EHLs[d], Scores: []*paillier.Ciphertext{b.Seen[i], b.Best[i]}, ScoreBits: slot})
+			}
+			var err error
+			if T, err = protocols.MarkEarlier(ctx, e.client.PK(), T, b.Marks, shift); err != nil {
+				return nil, fmt.Errorf("core: depth %d mark: %w", d, err)
+			}
+			return StoredBounds, nil
+		}
+	} else {
+		mergeCols := make([]int, 1+m) // [W, v_0..v_{m-1}]
+		for i := range mergeCols {
+			mergeCols[i] = i
+		}
+		var pending []protocols.Item
+		read = func(d int) (Bounds, error) {
+			batch, err := e.readDepths(ctx, tk, d, d+1, slot, histories)
 			if err != nil {
 				return nil, err
 			}
-			if pending, err = protocols.SecWorstBestDepths(ctx, e.client, batch, histories); err != nil {
-				return nil, fmt.Errorf("core: depth %d SecWorst/SecBest: %w", d, err)
+			// Each list's depth item carries its score and the indicator
+			// vector v_j = [j = i], m encryptions built in parallel.
+			for _, it := range batch[0] {
+				scores := make([]*paillier.Ciphertext, len(mergeCols))
+				scores[0] = it.Score
+				pending = append(pending, protocols.Item{EHL: it.EHL, Scores: scores, ScoreBits: slot})
 			}
-		}
-		b := pending[0]
-		pending = pending[1:]
-		gamma := make([]protocols.Item, m)
-		for i := 0; i < m; i++ {
-			gamma[i] = protocols.Item{
-				EHL:       histories[i].EHLs[d],
-				Scores:    []*paillier.Ciphertext{b.Seen[i], b.Best[i]},
-				ScoreBits: slot,
+			items := pending[len(pending)-m:]
+			err = parallel.ForEachCtx(ctx, m*m, func(x int) error {
+				i, j := x/m, x%m
+				v := big.NewInt(0)
+				if i == j {
+					v.SetInt64(1)
+				}
+				ct, err := e.client.Enc().Encrypt(v)
+				items[i].Scores[1+j] = ct
+				return err
+			})
+			if err != nil {
+				return nil, err
 			}
-		}
-		var err error
-		if T, err = protocols.MarkEarlier(ctx, e.client.PK(), append(T, gamma...), b.Marks, shift); err != nil {
-			return nil, fmt.Errorf("core: depth %d mark: %w", d, err)
-		}
-		if halt, err := e.checkHalt(ctx, tk, opts, T, depth, depthBottoms(histories, d), StoredBounds); halt != nil || err != nil {
-			return halt, err
+			best := e.batchBest(depthBottoms(histories, d), slot)
+			if !s.Merges(d) {
+				return best, nil
+			}
+			// One score-summing dedup over pending x pending and pending x T.
+			combined := append(append([]protocols.Item(nil), T...), pending...)
+			var pairs protocols.PairSet
+			base := len(T)
+			for i := range pending {
+				for j := i + 1; j < len(pending); j++ {
+					pairs.Pairs = append(pairs.Pairs, [2]int{base + i, base + j})
+				}
+				for j := 0; j < base; j++ {
+					pairs.Pairs = append(pairs.Pairs, [2]int{base + i, j})
+				}
+			}
+			if T, err = protocols.SecDedup(ctx, e.client, combined, cloud.DedupMerge, pairs, mergeCols); err != nil {
+				return nil, fmt.Errorf("core: depth %d batch merge: %w", d, err)
+			}
+			pending = nil
+			return best, nil
 		}
 	}
-	return e.finalize(ctx, tk, T, depth, maxD == e.er.N, depthBottoms(histories, depth-1), StoredBounds)
+	var best Bounds
+	var bottoms []*paillier.Ciphertext
+	for d := 0; d < s.Depths; d++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: depth %d: %w", d, err)
+		}
+		var err error
+		if best, err = read(d); err != nil {
+			return nil, err
+		}
+		if bottoms = depthBottoms(histories, d); !s.Checks(d, len(T)) {
+			continue
+		}
+		// The halting check ranks a copy of T (rankCopy) and leaves T as
+		// it was, so Qry_F keeps every row's list and depth.
+		unseen, err := e.unseenBound(bottoms)
+		if err != nil {
+			return nil, err
+		}
+		input, err := rankCopy(T)
+		if err != nil {
+			return nil, err
+		}
+		ranked, halted, err := Dominates(ctx, e.client, "halting check", input, k, magBits, best, unseen)
+		if err != nil {
+			return nil, fmt.Errorf("core: depth %d halting check: %w", d, err)
+		}
+		if halted {
+			res := &QueryResult{Items: ranked[:k], Depth: d + 1, Halted: true}
+			return &runInfo{res: res, ranked: ranked, bottoms: bottoms, best: best}, nil
+		}
+	}
+	// An unhalted scan is exact after a full scan and marked unhalted
+	// after a MaxDepth cap. Only its top k are ranked: the shard merge
+	// takes every bound beyond them as a residual, in any order.
+	input, err := rankCopy(T)
+	if err != nil {
+		return nil, err
+	}
+	k = min(k, len(T))
+	ranked, err := protocols.EncSelectTop(ctx, e.client, input, protocols.ColWorst, true, k, magBits)
+	if err != nil {
+		return nil, err
+	}
+	res := &QueryResult{Items: ranked[:k], Depth: s.Depths, Halted: s.FullScan}
+	return &runInfo{res: res, ranked: ranked, bottoms: bottoms, best: best, fullScan: s.FullScan}, nil
 }
 
 // depthBottoms returns every list's score at 0-based depth d: the bottoms
@@ -413,97 +391,6 @@ func depthBottoms(histories []protocols.ListHistory, d int) []*paillier.Cipherte
 		out[i] = h.Scores[d]
 	}
 	return out
-}
-
-// queryBatched is the pipeline of the two modes that merge duplicates,
-// Qry_E (Section 10.1) and Qry_Ba (Section 10.2): per-depth items carry
-// only their own score and a per-list seen indicator; at a merge the
-// pending items join T through one score-summing dedup, then T is ranked
-// and halt-checked. Qry_Ba merges every p depths, Qry_E at every depth a
-// halt is possible (firstHaltDepth) — the cadence is the one difference
-// between them, and either way the scan's last depth merges. Best bounds
-// are computed exactly from the indicator vectors (batchBest).
-func (e *Engine) queryBatched(ctx context.Context, tk *Token, opts Options) (*runInfo, error) {
-	m, k := len(tk.Lists), tk.K
-	slot := SlotBits(e.magBits(tk))
-	p := opts.BatchDepth
-	switch {
-	case opts.Mode == QryE:
-		p = 1
-	case p == 0:
-		p = max(2*k, 8)
-	}
-	first := firstHaltDepth(m, k)
-	maxD := e.scanDepth(opts)
-	cols := 1 + m // [W, v_0..v_{m-1}]
-	mergeCols := make([]int, cols)
-	for i := range mergeCols {
-		mergeCols[i] = i
-	}
-	var T, pending []protocols.Item
-	var bottoms []*paillier.Ciphertext
-	depth := 0
-	for d := 0; d < maxD; d++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: depth %d: %w", d, err)
-		}
-		depth = d + 1
-		bottoms = make([]*paillier.Ciphertext, m)
-		// Each list's depth item needs 1+m encryptions (score + indicator
-		// vector); the m items build in parallel.
-		depthItems := make([]protocols.Item, m)
-		err := parallel.ForEachCtx(ctx, m, func(i int) error {
-			score, err := e.depthScore(tk, i, d)
-			if err != nil {
-				return err
-			}
-			bottoms[i] = score
-			item := protocols.Item{EHL: e.er.Lists[tk.Lists[i]][d].EHL, Scores: make([]*paillier.Ciphertext, cols), ScoreBits: slot}
-			item.Scores[0] = score
-			for j := 0; j < m; j++ {
-				v := big.NewInt(0)
-				if j == i {
-					v = big.NewInt(1)
-				}
-				ct, err := e.client.Enc().Encrypt(v)
-				if err != nil {
-					return err
-				}
-				item.Scores[1+j] = ct
-			}
-			depthItems[i] = item
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		pending = append(pending, depthItems...)
-		if d != maxD-1 && ((d+1)%p != 0 || d+1 < first) {
-			continue
-		}
-		// Merge pending into T with one score-summing dedup over
-		// (pending x pending) + (pending x T) pairs.
-		combined := append(append([]protocols.Item(nil), T...), pending...)
-		var pairs protocols.PairSet
-		base := len(T)
-		for i := 0; i < len(pending); i++ {
-			for j := i + 1; j < len(pending); j++ {
-				pairs.Pairs = append(pairs.Pairs, [2]int{base + i, base + j})
-			}
-			for j := 0; j < base; j++ {
-				pairs.Pairs = append(pairs.Pairs, [2]int{base + i, j})
-			}
-		}
-		T, err = protocols.SecDedup(ctx, e.client, combined, cloud.DedupMerge, pairs, mergeCols)
-		if err != nil {
-			return nil, fmt.Errorf("core: depth %d batch merge: %w", d, err)
-		}
-		pending = nil
-		if halt, err := e.checkHalt(ctx, tk, opts, T, depth, bottoms, e.batchBest(bottoms, slot)); halt != nil || err != nil {
-			return halt, err
-		}
-	}
-	return e.finalize(ctx, tk, T, depth, maxD == e.er.N, bottoms, e.batchBest(bottoms, slot))
 }
 
 // Bounds is a run's one bound source: an encrypted upper bound B on the
@@ -547,25 +434,21 @@ func (e *Engine) batchBest(bottoms []*paillier.Ciphertext, bits int) Bounds {
 		if err != nil {
 			return nil, err
 		}
-		negs := make([]*paillier.Ciphertext, len(prods))
-		for i, p := range prods {
-			if negs[i], err = pk.Neg(p); err != nil {
-				return nil, err
-			}
-		}
 		out := make([]*paillier.Ciphertext, len(items))
 		err = parallel.ForEachCtx(ctx, len(items), func(i int) error {
 			// B = W + sum_j bottom_j - sum_j v_j*bottom_j, folded in one
 			// product chain over N^2.
-			terms := make([]*paillier.Ciphertext, 0, 2+m)
-			terms = append(terms, items[i].Scores[0], sumBottoms)
-			terms = append(terms, negs[i*m:(i+1)*m]...)
-			b, err := pk.AddAll(terms)
-			if err != nil {
-				return err
+			terms := []*paillier.Ciphertext{items[i].Scores[0], sumBottoms}
+			for _, p := range prods[i*m : (i+1)*m] {
+				neg, err := pk.Neg(p)
+				if err != nil {
+					return err
+				}
+				terms = append(terms, neg)
 			}
-			out[i] = b
-			return nil
+			var err error
+			out[i], err = pk.AddAll(terms)
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -583,35 +466,6 @@ func (e *Engine) unseenBound(bottoms []*paillier.Ciphertext) (*paillier.Cipherte
 		return nil, err
 	}
 	return e.client.PK().AddAll(append([]*paillier.Ciphertext{zero}, bottoms...))
-}
-
-// checkHalt is the halting step both pipelines take once a depth is merged
-// into T. It tests only where a halt is possible — not under ExactScan,
-// not below firstHaltDepth, and only with a tail past the top k — and on
-// a halt returns the run's outcome. It ranks a copy of T (rankCopy) and
-// leaves T as it was, so Qry_F keeps every row's list and depth.
-func (e *Engine) checkHalt(ctx context.Context, tk *Token, opts Options, T []protocols.Item, depth int, bottoms []*paillier.Ciphertext, best Bounds) (*runInfo, error) {
-	k := tk.K
-	if opts.ExactScan || depth < firstHaltDepth(len(tk.Lists), k) || len(T) < k+1 {
-		return nil, nil
-	}
-	unseen, err := e.unseenBound(bottoms)
-	if err != nil {
-		return nil, err
-	}
-	input, err := rankCopy(T)
-	if err != nil {
-		return nil, err
-	}
-	ranked, halted, err := Dominates(ctx, e.client, "halting check", input, k, e.magBits(tk), best, unseen)
-	if err != nil {
-		return nil, fmt.Errorf("core: depth %d halting check: %w", depth-1, err)
-	}
-	if !halted {
-		return nil, nil
-	}
-	res := &QueryResult{Items: ranked[:k], Depth: depth, Halted: true}
-	return &runInfo{res: res, ranked: ranked, bottoms: bottoms, best: best}, nil
 }
 
 // rankCopy returns T under a fresh permutation of S1's own: the input of
@@ -667,29 +521,6 @@ func Dominates(ctx context.Context, client *cloud.Client, check string, items []
 		}
 	}
 	return ranked, true, nil
-}
-
-// finalize returns the best-effort top-k after the scan ended without the
-// halting condition firing. A full scan is exact (all bounds are tight at
-// depth n); a MaxDepth-capped scan is marked unhalted. Only the top k
-// positions are ranked: the shard merge takes every bound beyond them as
-// a residual, in any order.
-func (e *Engine) finalize(ctx context.Context, tk *Token, T []protocols.Item, depth int, fullScan bool, bottoms []*paillier.Ciphertext, best Bounds) (*runInfo, error) {
-	info := &runInfo{res: &QueryResult{Depth: depth, Halted: fullScan}, bottoms: bottoms, best: best, fullScan: fullScan}
-	if len(T) == 0 {
-		return info, nil
-	}
-	k := min(tk.K, len(T))
-	input, err := rankCopy(T)
-	if err != nil {
-		return nil, err
-	}
-	ranked, err := protocols.EncSelectTop(ctx, e.client, input, protocols.ColWorst, true, k, e.magBits(tk))
-	if err != nil {
-		return nil, err
-	}
-	info.ranked, info.res.Items = ranked, ranked[:k]
-	return info, nil
 }
 
 // CandidateSet is a shard's contribution to a merged top-k: its own

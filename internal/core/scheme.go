@@ -90,12 +90,6 @@ func NewScheme(params Params) (*Scheme, error) {
 // NewSchemeFromKeys builds a scheme over existing key material (so tests
 // and benchmarks can share one expensive key pair).
 func NewSchemeFromKeys(params Params, keys *cloud.KeyMaterial) (*Scheme, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if keys == nil || keys.Paillier == nil {
-		return nil, errors.New("core: missing key material")
-	}
 	master, err := prf.NewKey()
 	if err != nil {
 		return nil, err
@@ -104,12 +98,7 @@ func NewSchemeFromKeys(params Params, keys *cloud.KeyMaterial) (*Scheme, error) 
 	if err != nil {
 		return nil, err
 	}
-	enc := &keys.Paillier.PublicKey
-	hasher, err := ehl.NewHasher(master, params.EHL, enc)
-	if err != nil {
-		return nil, err
-	}
-	return &Scheme{params: params, keys: keys, master: master, permKey: permKey, hasher: hasher, enc: enc}, nil
+	return RestoreScheme(params, keys, Secrets{Master: master, Perm: permKey})
 }
 
 // Secrets carries the owner's symmetric secrets: the EHL master key the

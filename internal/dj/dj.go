@@ -49,10 +49,6 @@ type PublicKey struct {
 	engNS1 *zmath.Modulus
 }
 
-// EngineNS1 returns the reduction engine for the ciphertext modulus
-// N^{s+1}. Read-only.
-func (pk *PublicKey) EngineNS1() *zmath.Modulus { return pk.engNS1 }
-
 // mulNS1 multiplies mod N^{s+1} through the engine.
 func (pk *PublicKey) mulNS1(a, b *big.Int) *big.Int { return pk.engNS1.MulMod(a, b) }
 

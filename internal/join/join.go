@@ -48,8 +48,11 @@ type Secrets struct {
 	Master, Perm []byte
 }
 
-// NewScheme generates fresh key material.
+// NewScheme generates fresh key material for parameters it accepts.
 func NewScheme(params Params) (*Scheme, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
 	keys, err := cloud.NewKeyMaterial(params.KeyBits)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/dataset"
@@ -244,6 +245,25 @@ func TestSchemeValidation(t *testing.T) {
 	}
 	if _, err := NewSchemeFromKeys(Params{KeyBits: 256, EHL: ehl.Params{Kind: ehl.KindPlus, S: 3}, MaxScoreBits: 16}, nil); err == nil {
 		t.Fatal("expected error for nil keys")
+	}
+}
+
+// TestNewSchemeRefusesBeforeKeygen: parameters the scheme refuses are
+// refused before any key is drawn, so a 4096-bit key size, whose safe
+// primes take minutes, still fails at once.
+func TestNewSchemeRefusesBeforeKeygen(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewScheme(Params{KeyBits: 4096, EHL: ehl.Params{Kind: ehl.KindPlus, S: 1}, MaxScoreBits: 4096})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("NewScheme accepted MaxScoreBits 4096 for 4096-bit keys")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewScheme drew keys for parameters it refuses")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/cloud"
 	"repro/internal/dataset"
@@ -222,7 +223,7 @@ func (e *Engine) Query(ctx context.Context, q []int64, k int) ([]protocols.Item,
 	// point lie in [0, 2^maxScoreBits), so a difference |x - q| lies below
 	// 2^maxScoreBits, the width SecSquare blinds at; magBits bounds a
 	// distance.
-	magBits := 2*e.maxScoreBits + 4 + bitsLen(e.db.M)
+	magBits := 2*e.maxScoreBits + 4 + bits.Len(uint(e.db.M))
 	var diffs []*paillier.Ciphertext
 	for _, rec := range e.db.Records {
 		for j := 0; j < e.db.M; j++ {
@@ -269,15 +270,6 @@ func ValidatePoint(point []int64, maxScoreBits int) error {
 		}
 	}
 	return nil
-}
-
-func bitsLen(v int) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
 }
 
 // PlainKNN is the ground-truth k nearest neighbors by squared L2.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sort"
 	"sync"
 	"testing"
 
@@ -52,7 +51,9 @@ import (
 // one a full-width residue. The queries' marked rows and sentinels travel
 // in those slots, so a width that did not cover them fails here.
 //
-// It counts EqBits and Dedup requests: a top-k query in Qry_E or Qry_Ba
+// It logs every request's method and item count (requests), which a
+// top-k query's test holds to its core.Schedule, and counts EqBits and
+// Dedup requests: a top-k query in Qry_E or Qry_Ba
 // sends Dedup rounds and no EqBits. For a top-k query in Qry_F it keeps
 // three more views of S2's: the width of every plain EqBits request, how
 // many of its zero tests there are and read zero, and, for every
@@ -87,15 +88,16 @@ type wireRecorder struct {
 	powers      map[string]string // nonce power -> the message that first carried it
 	sent        map[string]string // other integer S1 sent -> its message
 	calls       int
-	last        string   // the previous call's method
-	dedups      int      // Dedup calls
-	eqBits      int      // EqBits calls
-	grouped     int      // EqBits calls with groups wider than one test
-	matrices    int      // EqBits calls with a column section
-	bitWidths   []int    // the payloads a bit of each plain EqBits call
-	eqTests     int      // the zero tests of every plain EqBits call
-	eqZeros     int      // those of them that read zero
-	firstLayers []string // markedGates of each ranking's first layer
+	requests    []core.Request // every call's method and item count
+	last        string         // the previous call's method
+	dedups      int            // Dedup calls
+	eqBits      int            // EqBits calls
+	grouped     int            // EqBits calls with groups wider than one test
+	matrices    int            // EqBits calls with a column section
+	bitWidths   []int          // the payloads a bit of each plain EqBits call
+	eqTests     int            // the zero tests of every plain EqBits call
+	eqZeros     int            // those of them that read zero
+	firstLayers []string       // markedGates of each ranking's first layer
 }
 
 func newWireRecorder(t testing.TB, inner transport.Caller, keys *cloud.KeyMaterial) *wireRecorder {
@@ -130,8 +132,10 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 	if r.declared != nil {
 		r.windows(at, method, req)
 	}
+	logged := core.Request{Method: method}
 	switch q := req.(type) {
 	case *cloud.GadgetRequest:
+		logged.Items = len(q.Cts) / max(q.Group, 1)
 		if method == cloud.MethodEqBits {
 			r.eqBits++
 		}
@@ -159,14 +163,44 @@ func (r *wireRecorder) Call(ctx context.Context, method string, req, resp any) e
 				r.t.Errorf("S2 view: %s reads %d bits from groups of %d tests, not %d", at, bits, q.Group, bits-1)
 			}
 		}
+	case *cloud.CompareRequest:
+		logged.Items = len(q.Cts)
+	case *cloud.MultRequest:
+		logged.Items = len(q.A)
 	case *cloud.DedupRequest:
+		logged.Items = len(q.Rows)
 		r.dedups++
 		r.blindRecords(at, q.Rows, resp.(*cloud.DedupReply).Rows)
 	case *cloud.FilterRequest:
 		r.blindRecords(at, q.Rows, resp.(*cloud.FilterReply).Rows)
 	}
+	r.requests = append(r.requests, logged)
 	r.last = method
 	return nil
+}
+
+// transcript holds the requests logged since it was last called to a
+// schedule's: the method of every request, in order, and its item count
+// wherever the schedule states one. It names the first request that
+// differs ("" where one side has none).
+func (r *wireRecorder) transcript(want []core.Request) {
+	r.mu.Lock()
+	got := r.requests
+	r.requests = nil
+	r.mu.Unlock()
+	for x := range max(len(got), len(want)) {
+		var g, w core.Request
+		if x < len(got) {
+			g = got[x]
+		}
+		if x < len(want) {
+			w = want[x]
+		}
+		if g.Method != w.Method || w.Items != 0 && g.Items != w.Items {
+			r.t.Errorf("request %d of %d: %q of %d items, where the schedule's %d requests hold %q of %d", x, len(got), g.Method, g.Items, len(want), w.Method, w.Items)
+			return
+		}
+	}
 }
 
 // markedGates returns, gate by gate, whether a layer's masked difference
@@ -383,8 +417,10 @@ func rowInts(rows []cloud.WireRow) (cts, blinds []*big.Int) {
 
 // TestWireRecorder runs top-k in Qry_F, Qry_E and Qry_Ba, a top-k join and
 // a kNN query, each through a fresh wireRecorder, and holds both parties'
-// views to its rules, every payload to the window its caller declared. Every query must also return the plaintext
-// answer, so the recorder watched the protocol run to its end.
+// views to its rules, every payload to the window its caller declared,
+// and every top-k query's requests to its core.Schedule. Every query must
+// also return the plaintext answer, so the recorder watched the protocol
+// run to its end.
 func TestWireRecorder(t *testing.T) {
 	const keyBits, scoreBits = 256, 16
 	ehlParams := ehl.Params{Kind: ehl.KindPlus, S: 3}
@@ -435,6 +471,10 @@ func TestWireRecorder(t *testing.T) {
 	}
 	const k = 2
 	attrs := []int{0, 1, 2}
+	lists, err := nra.SortedLists(rel, attrs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want, err := nra.TopKExact(rel, attrs, nil, k)
 	if err != nil {
 		t.Fatal(err)
@@ -479,6 +519,18 @@ func TestWireRecorder(t *testing.T) {
 				if len(got) != k || res.Depth < 3 {
 					t.Fatalf("%d items at depth %d, want %d items past depth 2", len(got), res.Depth, k)
 				}
+				// Every run here halts at a check. A merge at depth d
+				// leaves one row an object seen.
+				unique := func(d int) int {
+					seen := map[int]bool{}
+					for _, l := range lists {
+						for _, it := range l[:d+1] {
+							seen[it.Obj] = true
+						}
+					}
+					return len(seen)
+				}
+				rec.transcript(core.NewSchedule(er.N, len(attrs), k, opts).Transcript(res.Depth, true, unique))
 				for i := range want {
 					if got[i].Obj != want[i].Obj {
 						t.Fatalf("top-%d is object %d, want %d", i+1, got[i].Obj, want[i].Obj)
@@ -520,7 +572,7 @@ func TestWireRecorder(t *testing.T) {
 			// the relation's lists, and exactly the relation's equality
 			// pattern reads zero. So a marked row's digests are never
 			// tested again, and the mark step need not touch them.
-			if bits, ones := secWorstBestBits(rel, attrs, depth); rec.eqTests != bits || rec.eqZeros != ones {
+			if bits, ones := secWorstBestBits(lists, depth); rec.eqTests != bits || rec.eqZeros != ones {
 				t.Errorf("Qry_F sent %d zero tests, %d of them zero, where SecWorstBest's bits over %d depths are %d with %d ones", rec.eqTests, rec.eqZeros, depth, bits, ones)
 			}
 			// T is in (depth, list) order, which S1 alone knows: each
@@ -624,23 +676,16 @@ func TestWireRecorder(t *testing.T) {
 }
 
 // secWorstBestBits counts SecWorstBest's bits over the first depth depths
-// of rel's lists, each sorted by score (rel has no ties): one bit per
-// (item i at depth d, list j != i, depth e <= d), and the ones among
-// them, where the two entries are one object.
-func secWorstBestBits(rel *dataset.Relation, attrs []int, depth int) (bits, ones int) {
-	lists := make([][]int, len(attrs))
-	for j, a := range attrs {
-		for o := range rel.Rows {
-			lists[j] = append(lists[j], o)
-		}
-		sort.Slice(lists[j], func(x, y int) bool { return rel.Rows[lists[j][x]][a] > rel.Rows[lists[j][y]][a] })
-	}
+// of the sorted lists: one bit per (item i at depth d, list j != i,
+// depth e <= d), and the ones among them, where the two entries are one
+// object.
+func secWorstBestBits(lists [][]nra.Item, depth int) (bits, ones int) {
 	for d := 0; d < depth; d++ {
 		for i := range lists {
 			for j := range lists {
 				for e := 0; e <= d && j != i; e++ {
 					bits++
-					if lists[j][e] == lists[i][d] {
+					if lists[j][e].Obj == lists[i][d].Obj {
 						ones++
 					}
 				}

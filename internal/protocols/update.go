@@ -26,7 +26,7 @@ import (
 // scaled by t's own bit t_t = Σ_g t_gt, and t.B - t_t*t.B + Σ_g t_gt*g.B
 // is the fresher bound when matched; g's row scales sentinel - g per
 // slot, so g += t_g*(sentinel - g). No query runs it — Qry_F carries W
-// forward on SecWorstBest's own bits (core's queryPerDepth), and Qry_E
+// forward on SecWorstBest's own bits (core's MarkEarlier pass), and Qry_E
 // and Qry_Ba merge through SecDedup — and it stays for the benchmark's
 // seam alone. Any other mode is refused typed bad_request.
 //
