@@ -43,56 +43,64 @@ func TestRoundBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncryptRelation: %v", err)
 	}
-	for _, tc := range []struct {
-		mode                     Mode
-		k, depth, rounds, dedups int
+	// Each k's subtest holds one row a mode.
+	type row struct {
+		mode                  Mode
+		depth, rounds, dedups int
+	}
+	for _, kc := range []struct {
+		k    int
+		rows []row
 	}{
-		{QryF, 2, 2, 6, 0}, {QryF, 6, 6, 52, 0},
-		{QryE, 2, 3, 7, 2}, {QryE, 6, 7, 13, 5},
-		{QryBa, 2, 8, 8, 1}, {QryBa, 6, 8, 9, 1},
+		{2, []row{{QryF, 2, 6, 0}, {QryE, 3, 7, 2}, {QryBa, 8, 8, 1}}},
+		{6, []row{{QryF, 6, 52, 0}, {QryE, 7, 13, 5}, {QryBa, 8, 9, 1}}},
 	} {
-		t.Run(fmt.Sprintf("%v/k=%d", tc.mode, tc.k), func(t *testing.T) {
-			stats := transport.NewStats()
-			client, err := cloud.NewClient(transport.NewLocal(r.server, stats), r.scheme.PublicKey(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, tc.k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engine, err := NewEngine(client, er)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := Options{Mode: tc.mode}
-			res, err := engine.SecQuery(context.Background(), tk, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Halted || res.Depth != tc.depth {
-				t.Fatalf("depth=%d halted=%v, want %d/true", res.Depth, res.Halted, tc.depth)
-			}
-			// One object a depth: a merge at depth d leaves d+1 rows.
-			unique := func(d int) int { return d + 1 }
-			want := map[string]int64{}
-			var total int64
-			for _, q := range NewSchedule(er.N, m, tc.k, opts).Transcript(res.Depth, true, unique) {
-				want[q.Method]++
-				total++
-			}
-			for method, n := range want {
-				if got := stats.Method(method).Calls; got != n {
-					t.Errorf("%s: %d rounds, schedule %d", method, got, n)
-				}
-			}
-			if got := stats.Rounds(); got != total || total != int64(tc.rounds) {
-				t.Fatalf("query took %d rounds, schedule %d, want %d\n%s", got, total, tc.rounds, stats.Snapshot())
-			}
-			dedups, eqBits := stats.Method(cloud.MethodDedup).Calls, stats.Method(cloud.MethodEqBits).Calls
-			if dedups != int64(tc.dedups) || eqBits > 0 && tc.mode != QryF {
-				t.Fatalf("%d Dedup and %d EqBits rounds, want %d and none outside Qry_F", dedups, eqBits, tc.dedups)
+		t.Run(fmt.Sprintf("k=%d", kc.k), func(t *testing.T) {
+			for _, tc := range kc.rows {
+				t.Run(tc.mode.String(), func(t *testing.T) {
+					stats := transport.NewStats()
+					client, err := cloud.NewClient(transport.NewLocal(r.server, stats), r.scheme.PublicKey(), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer client.Close()
+					tk, err := r.scheme.Token(er, []int{0, 1, 2}, nil, kc.k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					engine, err := NewEngine(client, er)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := Options{Mode: tc.mode}
+					res, err := engine.SecQuery(context.Background(), tk, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Halted || res.Depth != tc.depth {
+						t.Fatalf("depth=%d halted=%v, want %d/true", res.Depth, res.Halted, tc.depth)
+					}
+					// One object a depth: a merge at depth d leaves d+1 rows.
+					unique := func(d int) int { return d + 1 }
+					want := map[string]int64{}
+					var total int64
+					for _, q := range NewSchedule(er.N, m, kc.k, opts).Transcript(res.Depth, true, unique) {
+						want[q.Method]++
+						total++
+					}
+					for method, n := range want {
+						if got := stats.Method(method).Calls; got != n {
+							t.Errorf("%s: %d rounds, schedule %d", method, got, n)
+						}
+					}
+					if got := stats.Rounds(); got != total || total != int64(tc.rounds) {
+						t.Fatalf("query took %d rounds, schedule %d, want %d\n%s", got, total, tc.rounds, stats.Snapshot())
+					}
+					dedups, eqBits := stats.Method(cloud.MethodDedup).Calls, stats.Method(cloud.MethodEqBits).Calls
+					if dedups != int64(tc.dedups) || eqBits > 0 && tc.mode != QryF {
+						t.Fatalf("%d Dedup and %d EqBits rounds, want %d and none outside Qry_F", dedups, eqBits, tc.dedups)
+					}
+				})
 			}
 		})
 	}
